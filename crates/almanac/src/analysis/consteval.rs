@@ -84,7 +84,7 @@ pub fn const_eval(expr: &Expr, env: &ConstEnv) -> Result<Value> {
         Expr::Binary(op, a, b, span) => {
             let va = const_eval(a, env)?;
             let vb = const_eval(b, env)?;
-            binary_op(*op, va, vb).map_err(|m| AlmanacError::analysis(*span, m))
+            binary_op(*op, &va, &vb).map_err(|m| AlmanacError::analysis(*span, m))
         }
         Expr::Call { name, args, span } => {
             let vals: Vec<Value> = args
@@ -186,19 +186,18 @@ fn const_builtin(name: &str, args: &[Value]) -> Option<std::result::Result<Value
     })
 }
 
-/// Applies a binary operator to constant values (shared with the runtime
-/// interpreter, which re-exports it).
-pub fn binary_op(op: BinOp, a: Value, b: Value) -> std::result::Result<Value, String> {
+/// Applies a binary operator to two values (shared with the seed
+/// interpreter in `farm-soil`). Operands are borrowed: only `and`/`or` on
+/// filters has to copy them.
+pub fn binary_op(op: BinOp, a: &Value, b: &Value) -> std::result::Result<Value, String> {
     use BinOp::*;
     match op {
-        And | Or => match (&a, &b) {
+        And | Or => match (a, b) {
             (Value::Bool(x), Value::Bool(y)) => {
                 Ok(Value::Bool(if op == And { *x && *y } else { *x || *y }))
             }
-            (Value::Filter(_), Value::Filter(_)) => {
-                let (Value::Filter(x), Value::Filter(y)) = (a, b) else {
-                    unreachable!()
-                };
+            (Value::Filter(x), Value::Filter(y)) => {
+                let (x, y) = (x.clone(), y.clone());
                 Ok(Value::Filter(if op == And { x.and(y) } else { x.or(y) }))
             }
             (x, y) => Err(format!(
@@ -207,7 +206,7 @@ pub fn binary_op(op: BinOp, a: Value, b: Value) -> std::result::Result<Value, St
                 y.type_name()
             )),
         },
-        Add | Sub | Mul | Div => match (&a, &b) {
+        Add | Sub | Mul | Div => match (a, b) {
             (Value::Int(x), Value::Int(y)) => {
                 let r = match op {
                     Add => x.checked_add(*y),

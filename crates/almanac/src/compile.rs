@@ -9,6 +9,7 @@
 //! subjects for aggregation.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use farm_netsim::controller::SdnController;
 
@@ -18,6 +19,7 @@ use crate::analysis::{
 };
 use crate::ast::{Machine, Program};
 use crate::error::{AlmanacError, Result};
+use crate::lower::{lower, LoweredMachine};
 use crate::parser;
 use crate::typeck;
 use crate::value::Value;
@@ -31,8 +33,10 @@ pub const DEFAULT_UTILITY: f64 = 1.0;
 pub struct CompiledMachine {
     /// Flattened, type-checked machine definition.
     pub machine: Machine,
-    /// Auxiliary functions visible to the machine.
-    pub functions: Vec<crate::ast::FunDecl>,
+    /// The machine and the auxiliary functions visible to it in the
+    /// slot-resolved form the seed VM executes (shared, so cloning a
+    /// compiled machine does not copy its code).
+    pub lowered: Arc<LoweredMachine>,
     /// Deployment-time constants: externals plus const initializers.
     pub consts: ConstEnv,
     /// Per-state utility analysis (`C^s`, `u^s`).
@@ -187,7 +191,7 @@ pub fn compile_machine(
 
     let initial_state = machine.states[0].name.clone();
     Ok(CompiledMachine {
-        functions: program.functions.clone(),
+        lowered: Arc::new(lower(&machine, &program.functions, &consts)),
         consts,
         utils,
         triggers,

@@ -16,7 +16,8 @@
 //! The crate covers the full pipeline: [`lexer`] → [`parser`] →
 //! [`typeck`] (inheritance flattening + validation) → [`analysis`]
 //! (placement sets, utility polynomials, poll subjects) → [`compile`]
-//! (the seeder front-end), plus the [`xml`] interchange format, the
+//! (the seeder front-end, which also runs [`lower`]: names resolved to
+//! slots for the seed VM), plus the [`xml`] interchange format, the
 //! canonical [`printer`], and the paper's 16 Tab. I use cases in
 //! [`programs`]. Execution of compiled machines lives in `farm-soil`.
 //!
@@ -44,6 +45,7 @@ pub mod builtins;
 pub mod compile;
 pub mod error;
 pub mod lexer;
+pub mod lower;
 pub mod parser;
 pub mod printer;
 pub mod programs;

@@ -508,33 +508,25 @@ impl Farm {
 
     /// Removes a task: undeploys its seeds and drops its harvester.
     pub fn remove_task(&mut self, name: &str) -> Result<(), Error> {
-        self.seeder.remove_task(name);
-        self.harvesters.remove(name);
-        let orphans: Vec<SeedKey> = self
+        // A `SeedId` is unique per soil only, so each seed's switch has to
+        // come from the seeder — before the seeder forgets the task.
+        let seeds: Vec<(SeedKey, Option<SwitchId>)> = self
             .seed_ids
             .keys()
             .filter(|k| k.task == name)
-            .cloned()
+            .map(|k| (k.clone(), self.seeder.location_of(k).map(|(sw, _)| sw)))
             .collect();
-        for key in orphans {
-            if let Some(sid) = self.seed_ids.remove(&key) {
-                // Location is gone from the seeder after remove_task; scan
-                // the soils instead.
-                for (swid, soil) in self.soils.iter_mut() {
-                    if soil.seed(sid).is_some() {
-                        let switch = self
-                            .network
-                            .switch_mut(*swid)
-                            .expect("switch exists for soil");
-                        let _ = soil.undeploy_with_reason(
-                            sid,
-                            UndeployReason::TaskRemoved,
-                            self.now,
-                            switch,
-                        );
-                        break;
-                    }
-                }
+        self.seeder.remove_task(name);
+        self.harvesters.remove(name);
+        for (key, switch) in seeds {
+            let (Some(sid), Some(swid)) = (self.seed_ids.remove(&key), switch) else {
+                continue;
+            };
+            if let (Some(soil), Some(switch)) =
+                (self.soils.get_mut(&swid), self.network.switch_mut(swid))
+            {
+                let _ =
+                    soil.undeploy_with_reason(sid, UndeployReason::TaskRemoved, self.now, switch);
             }
         }
         // Drop the task's checkpoints and recovery entries too, so a
@@ -1693,6 +1685,50 @@ mod tests {
         for id in farm.network().switch_ids() {
             assert_eq!(farm.soil(id).unwrap().num_seeds(), 0);
         }
+    }
+
+    #[test]
+    fn removing_a_task_leaves_the_other_tasks_seeds_alone() {
+        // Ten switches. A movable seed lands first, so per-soil `SeedId`s
+        // differ from switch to switch: id 1 is task `a`'s seed on the
+        // rover's switch and task `b`'s seed everywhere else.
+        let topology = Topology::spine_leaf(
+            2,
+            8,
+            SwitchModel::accton_as7712(),
+            SwitchModel::accton_as5712(),
+        );
+        let mut farm = Farm::new(topology, FarmConfig::default());
+        farm.deploy_task("rover", ROVER, &BTreeMap::new()).unwrap();
+        farm.deploy_task("a", farm_almanac::programs::HEAVY_HITTER, &BTreeMap::new())
+            .unwrap();
+        farm.deploy_task(
+            "b",
+            farm_almanac::programs::TRAFFIC_CHANGE,
+            &BTreeMap::new(),
+        )
+        .unwrap();
+        assert_eq!(farm.deployed_seeds(), 21);
+
+        farm.remove_task("a").unwrap();
+
+        assert_eq!(farm.deployed_seeds(), 11);
+        let statuses = farm.seed_statuses();
+        let live_b = statuses
+            .iter()
+            .filter(|s| s.key.task == "b" && s.machine == "TrafficChange")
+            .count();
+        assert_eq!(live_b, 10, "every seed of `b` is still live: {statuses:?}");
+        let rover_home = statuses.iter().find(|s| s.key.task == "rover").unwrap();
+        assert_eq!(rover_home.machine, "M");
+        for id in farm.network().switch_ids() {
+            let expected = if id == rover_home.switch { 2 } else { 1 };
+            assert_eq!(farm.soil(id).unwrap().num_seeds(), expected, "{id:?}");
+        }
+        // Bookkeeping and soils still agree, so a drain finds its seeds.
+        let home = rover_home.switch;
+        let (_, evacuated) = farm.drain(home).unwrap();
+        assert!(evacuated >= 1);
     }
 
     #[test]

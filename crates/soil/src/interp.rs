@@ -6,14 +6,25 @@
 //! soil applies, plus an abstract CPU cost the soil charges to the switch
 //! CPU meter. State transitions fire `exit`/`enter` handlers with a chain
 //! cap so misbehaving seeds cannot livelock a switch.
+//!
+//! What runs is the slot-resolved form [`farm_almanac::lower`] builds once
+//! per compiled machine: machine variables are a `Vec<Value>` indexed by
+//! global slot, a handler or function call is one flat frame on a value
+//! stack, and no name is looked up while a handler runs. Operands that
+//! are plain variables or constants are borrowed, not copied, so walking
+//! a list of port statistics copies only the elements it hands out. The
+//! abstract cost — 1 per expression node, 2 per statement, `len/4 + 1`
+//! per list scan — is charged from that tree and is part of the
+//! simulator's observable behaviour.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use farm_almanac::analysis::consteval::binary_op;
-use farm_almanac::ast::*;
+use farm_almanac::ast::{BinOp, Type};
+use farm_almanac::builtins::{Op, BUILTINS};
 use farm_almanac::compile::CompiledMachine;
+use farm_almanac::lower::{Expr, FilterField, LoweredMachine, On, Place, Stmt};
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel, Prefix, Proto, SwitchId};
@@ -157,8 +168,10 @@ const MAX_CALL_DEPTH: usize = 64;
 pub struct SeedInstance {
     pub id: SeedId,
     def: Arc<CompiledMachine>,
-    state: String,
-    vars: HashMap<String, Value>,
+    /// Id of the current state in `def.lowered.states`.
+    state: u32,
+    /// Machine variables by global slot (names live in `def.lowered`).
+    vars: Vec<Value>,
     allocated: Resources,
     stats: SeedStats,
 }
@@ -168,30 +181,18 @@ impl SeedInstance {
     /// initialized from the compiled constants (externals included).
     /// The caller should deliver [`SeedEvent::Enter`] afterwards.
     pub fn new(id: SeedId, def: Arc<CompiledMachine>, allocated: Resources) -> SeedInstance {
-        let mut vars = HashMap::new();
-        for v in &def.machine.vars {
-            if v.trigger().is_some() {
-                continue;
-            }
-            let init = def
-                .consts
-                .get(&v.name)
-                .cloned()
-                .unwrap_or_else(|| default_value(v));
-            vars.insert(v.name.clone(), init);
-        }
         SeedInstance {
             id,
-            state: def.initial_state.clone(),
+            state: 0,
+            vars: def.lowered.init.clone(),
             def,
-            vars,
             allocated,
             stats: SeedStats::default(),
         }
     }
 
     /// The machine definition.
-    pub fn def(&self) -> &CompiledMachine {
+    pub fn def(&self) -> &Arc<CompiledMachine> {
         &self.def
     }
 
@@ -202,7 +203,7 @@ impl SeedInstance {
 
     /// Current state name.
     pub fn state(&self) -> &str {
-        &self.state
+        &self.def.lowered.states[self.state as usize].name
     }
 
     /// Current resource allocation.
@@ -223,25 +224,26 @@ impl SeedInstance {
 
     /// Reads a machine variable (tests/harvesters).
     pub fn var(&self, name: &str) -> Option<&Value> {
-        self.vars.get(name)
+        self.def.lowered.global_slot(name).map(|i| &self.vars[i])
     }
 
-    /// Captures the mutable state for migration.
+    /// Captures the mutable state for migration. Variables come out
+    /// sorted by name: global slots are assigned in that order.
     pub fn snapshot(&self) -> SeedSnapshot {
-        let mut vars: Vec<(String, Value)> = self
-            .vars
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        vars.sort_by(|a, b| a.0.cmp(&b.0));
+        let names = self.def.lowered.globals.iter().cloned();
         SeedSnapshot {
             machine: self.def.machine.name.clone(),
-            state: self.state.clone(),
-            vars,
+            state: self.state().to_string(),
+            vars: names.zip(self.vars.iter().cloned()).collect(),
         }
     }
 
     /// Restores mutable state from a snapshot (migration target side).
+    ///
+    /// A snapshot variable this machine does not declare is accepted and
+    /// dropped: no handler could read it, and a machine upgraded to a
+    /// version without the variable must still take its old checkpoints.
+    /// A declared variable missing from the snapshot keeps its value.
     ///
     /// # Errors
     ///
@@ -254,12 +256,14 @@ impl SeedInstance {
                 snap.machine, self.def.machine.name
             )));
         }
-        if self.def.machine.state(&snap.state).is_none() {
+        let Some(state) = self.def.lowered.state_id(&snap.state) else {
             return Err(SeedError(format!("unknown state `{}`", snap.state)));
-        }
-        self.state = snap.state.clone();
-        for (k, v) in &snap.vars {
-            self.vars.insert(k.clone(), v.clone());
+        };
+        self.state = state;
+        for (name, value) in &snap.vars {
+            if let Some(slot) = self.def.lowered.global_slot(name) {
+                self.vars[slot] = value.clone();
+            }
         }
         Ok(())
     }
@@ -273,7 +277,18 @@ impl SeedInstance {
     pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
         let mut out = Outcome::default();
         self.stats.events_handled += 1;
-        self.dispatch(event, host, &mut out, 0)?;
+        let mut vm = Vm {
+            code: &self.def.lowered,
+            globals: &mut self.vars,
+            state: &mut self.state,
+            transitions: &mut self.stats.transitions,
+            host,
+            out: &mut out,
+            stack: Vec::new(),
+            base: 0,
+            depth: 0,
+        };
+        vm.dispatch(event, 0)?;
         self.stats.ops += out.ops;
         self.stats.messages_sent += out
             .effects
@@ -282,100 +297,22 @@ impl SeedInstance {
             .count() as u64;
         Ok(out)
     }
-
-    fn dispatch(
-        &mut self,
-        event: &SeedEvent,
-        host: &dyn SeedHost,
-        out: &mut Outcome,
-        chain: usize,
-    ) -> Result<(), SeedError> {
-        if chain > MAX_TRANSIT_CHAIN {
-            return Err(SeedError("transition chain exceeded limit".into()));
-        }
-        let Some(handler) = self.find_handler(event) else {
-            return Ok(()); // no handler in this state: event is dropped
-        };
-        let mut interp = Interp {
-            seed: self,
-            host,
-            out,
-            depth: 0,
-        };
-        let mut scope = Scope::new();
-        bind_event(&handler.trigger, event, &mut scope);
-        let flow = interp.run_block(&handler.actions, &mut scope)?;
-        if let Flow::Transit(next) = flow {
-            self.transition(&next, host, out, chain)?;
-        }
-        Ok(())
-    }
-
-    fn transition(
-        &mut self,
-        next: &str,
-        host: &dyn SeedHost,
-        out: &mut Outcome,
-        chain: usize,
-    ) -> Result<(), SeedError> {
-        out.transitioned = true;
-        self.stats.transitions += 1;
-        self.dispatch(&SeedEvent::Exit, host, out, chain + 1)?;
-        self.state = next.to_string();
-        self.dispatch(&SeedEvent::Enter, host, out, chain + 1)?;
-        Ok(())
-    }
-
-    /// State handlers take precedence over machine-level handlers with
-    /// the same trigger shape (§ III-A b: "with the possibility of
-    /// overriding such global definitions").
-    fn find_handler(&self, event: &SeedEvent) -> Option<EventDecl> {
-        let state = self.def.machine.state(&self.state)?;
-        state
-            .events
-            .iter()
-            .chain(self.def.machine.events.iter())
-            .find(|ev| trigger_matches(&ev.trigger, event))
-            .cloned()
-    }
 }
 
-fn default_value(v: &VarDecl) -> Value {
-    match v.kind {
-        DeclKind::Plain(t) => match t {
-            Type::Bool => Value::Bool(false),
-            Type::Int | Type::Long => Value::Int(0),
-            Type::Float => Value::Float(0.0),
-            Type::Str => Value::Str(String::new()),
-            Type::List => Value::List(Vec::new()),
-            Type::Filter => Value::Filter(FilterFormula::True),
-            Type::Action => Value::Action(ActionValue::Count),
-            _ => Value::Unit,
-        },
-        DeclKind::Trigger(_) => Value::Unit,
-    }
-}
-
-fn trigger_matches(decl: &Trigger, event: &SeedEvent) -> bool {
-    match (decl, event) {
-        (Trigger::Enter, SeedEvent::Enter) => true,
-        (Trigger::Exit, SeedEvent::Exit) => true,
-        (Trigger::Realloc, SeedEvent::Realloc) => true,
-        (Trigger::Var { name, .. }, SeedEvent::Trigger { name: n, .. }) => name == n,
+/// Whether a handler's trigger accepts `event`.
+fn accepts(on: &On, event: &SeedEvent) -> bool {
+    match (on, event) {
+        (On::Enter, SeedEvent::Enter) => true,
+        (On::Exit, SeedEvent::Exit) => true,
+        (On::Realloc, SeedEvent::Realloc) => true,
+        (On::Trigger(name), SeedEvent::Trigger { name: fired, .. }) => name == fired,
         (
-            Trigger::Recv { ty, from, .. },
+            On::Recv { ty, from },
             SeedEvent::Recv {
                 from_machine,
                 value,
             },
-        ) => {
-            let source_ok = match (from, from_machine) {
-                (MsgEndpoint::Harvester, None) => true,
-                (MsgEndpoint::Machine { name, .. }, Some(m)) => name == m,
-                _ => false,
-            };
-            source_ok && value_has_type(value, *ty)
-        }
+        ) => from == from_machine && value_has_type(value, *ty),
         _ => false,
     }
 }
@@ -397,151 +334,141 @@ fn value_has_type(v: &Value, t: Type) -> bool {
     }
 }
 
-fn bind_event(decl: &Trigger, event: &SeedEvent, scope: &mut Scope) {
-    match (decl, event) {
-        (Trigger::Var { bind: Some(b), .. }, SeedEvent::Trigger { payload, .. }) => {
-            scope.declare(b.clone(), payload.clone());
-        }
-        (Trigger::Recv { bind, .. }, SeedEvent::Recv { value, .. }) => {
-            scope.declare(bind.clone(), value.clone());
-        }
-        _ => {}
-    }
-}
-
-/// Lexical scopes for handler execution (machine vars live in the seed).
-#[derive(Debug, Default)]
-struct Scope {
-    frames: Vec<HashMap<String, Value>>,
-}
-
-impl Scope {
-    fn new() -> Scope {
-        Scope {
-            frames: vec![HashMap::new()],
-        }
-    }
-
-    fn push(&mut self) {
-        self.frames.push(HashMap::new());
-    }
-
-    fn pop(&mut self) {
-        self.frames.pop();
-    }
-
-    fn declare(&mut self, name: String, v: Value) {
-        self.frames
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name, v);
-    }
-
-    fn get(&self, name: &str) -> Option<&Value> {
-        self.frames.iter().rev().find_map(|f| f.get(name))
-    }
-
-    fn set(&mut self, name: &str, v: Value) -> bool {
-        for f in self.frames.iter_mut().rev() {
-            if let Some(slot) = f.get_mut(name) {
-                *slot = v;
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// Control flow result of running a block.
 enum Flow {
     Normal,
     Return(Value),
-    Transit(String),
+    Transit(u32),
 }
 
-struct Interp<'a> {
-    seed: &'a mut SeedInstance,
-    host: &'a dyn SeedHost,
-    out: &'a mut Outcome,
+/// An evaluated operand: a variable or constant is referred to, not
+/// copied, until someone needs to own it.
+enum Operand<'c> {
+    Owned(Value),
+    Const(&'c Value),
+    Place(Place),
+}
+
+impl Operand<'_> {
+    fn get<'v>(&'v self, vm: &'v Vm<'_, '_>) -> &'v Value {
+        match self {
+            Operand::Owned(v) => v,
+            Operand::Const(v) => v,
+            Operand::Place(p) => vm.place(*p),
+        }
+    }
+
+    fn take(self, vm: &Vm<'_, '_>) -> Value {
+        match self {
+            Operand::Owned(v) => v,
+            Operand::Const(v) => v.clone(),
+            Operand::Place(p) => vm.place(p).clone(),
+        }
+    }
+}
+
+/// One event delivery in progress: `'c` is the shared lowered code, `'s`
+/// the seed being run.
+struct Vm<'c, 's> {
+    code: &'c LoweredMachine,
+    globals: &'s mut [Value],
+    state: &'s mut u32,
+    transitions: &'s mut u64,
+    host: &'s dyn SeedHost,
+    out: &'s mut Outcome,
+    /// Frames of the running handler and the functions it is inside of.
+    stack: Vec<Value>,
+    /// Start of the innermost frame in `stack`.
+    base: usize,
     depth: usize,
 }
 
-impl Interp<'_> {
+impl<'c> Vm<'c, '_> {
     fn charge(&mut self, ops: u64) {
         self.out.ops += ops;
     }
 
-    fn run_block(&mut self, actions: &[Action], scope: &mut Scope) -> Result<Flow, SeedError> {
-        scope.push();
-        let flow = self.run_block_inner(actions, scope);
-        scope.pop();
-        flow
+    fn place(&self, p: Place) -> &Value {
+        match p {
+            Place::Global(i) => &self.globals[i as usize],
+            Place::Local(i) => &self.stack[self.base + i as usize],
+        }
     }
 
-    fn run_block_inner(
-        &mut self,
-        actions: &[Action],
-        scope: &mut Scope,
-    ) -> Result<Flow, SeedError> {
-        for a in actions {
+    fn place_mut(&mut self, p: Place) -> &mut Value {
+        match p {
+            Place::Global(i) => &mut self.globals[i as usize],
+            Place::Local(i) => &mut self.stack[self.base + i as usize],
+        }
+    }
+
+    /// Runs the handler the current state has for `event`, if any, and
+    /// the transition it asks for. State handlers take precedence over
+    /// machine-level handlers with the same trigger shape (§ III-A b:
+    /// "with the possibility of overriding such global definitions").
+    fn dispatch(&mut self, event: &SeedEvent, chain: usize) -> Result<(), SeedError> {
+        if chain > MAX_TRANSIT_CHAIN {
+            return Err(SeedError("transition chain exceeded limit".into()));
+        }
+        let code = self.code;
+        let Some(handler) = code.states[*self.state as usize]
+            .handlers
+            .iter()
+            .map(|&h| &code.handlers[h as usize])
+            .find(|h| accepts(&h.on, event))
+        else {
+            return Ok(()); // no handler in this state: event is dropped
+        };
+        self.base = 0;
+        self.stack.resize(handler.frame as usize, Value::Unit);
+        if handler.binds {
+            if let SeedEvent::Trigger { payload: v, .. } | SeedEvent::Recv { value: v, .. } = event
+            {
+                self.stack[0] = v.clone();
+            }
+        }
+        let flow = self.block(&handler.body);
+        self.stack.clear();
+        if let Flow::Transit(next) = flow? {
+            self.out.transitioned = true;
+            *self.transitions += 1;
+            self.dispatch(&SeedEvent::Exit, chain + 1)?;
+            *self.state = next;
+            self.dispatch(&SeedEvent::Enter, chain + 1)?;
+        }
+        Ok(())
+    }
+
+    fn block(&mut self, stmts: &'c [Stmt]) -> Result<Flow, SeedError> {
+        for s in stmts {
             self.charge(2);
-            match a {
-                Action::Local(v) => {
-                    let val = match &v.init {
-                        Some(e) => self.eval(e, scope)?,
-                        None => default_value(v),
-                    };
-                    scope.declare(v.name.clone(), val);
+            match s {
+                Stmt::Set(place, value) => {
+                    let v = self.eval(value)?;
+                    *self.place_mut(*place) = v;
                 }
-                Action::Assign {
-                    target,
-                    field,
-                    value,
-                    ..
-                } => {
-                    let val = self.eval(value, scope)?;
-                    if field.is_some() {
-                        // Trigger reconfiguration (`p.ival = …`) is applied
-                        // by the soil, which recomputes schedules from the
-                        // analysis; at the VM level it is a no-op on vars.
-                        continue;
-                    }
-                    if !scope.set(target, val.clone()) {
-                        match self.seed.vars.get_mut(target) {
-                            Some(slot) => *slot = val,
-                            None => {
-                                return Err(SeedError(format!(
-                                    "assignment to unknown variable `{target}`"
-                                )))
-                            }
-                        }
-                    }
+                Stmt::Init(slot, v) => *self.place_mut(Place::Local(*slot)) = v.clone(),
+                Stmt::Eval(e) => {
+                    self.operand(e)?;
                 }
-                Action::Transit { state, .. } => return Ok(Flow::Transit(state.clone())),
-                Action::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
+                Stmt::Transit(state) => return Ok(Flow::Transit(*state)),
+                Stmt::If(cond, then_branch, else_branch) => {
                     let c = self
-                        .eval(cond, scope)?
+                        .operand(cond)?
+                        .get(self)
                         .as_bool()
                         .ok_or_else(|| SeedError("if condition is not a bool".into()))?;
-                    let flow = if c {
-                        self.run_block(then_branch, scope)?
-                    } else {
-                        self.run_block(else_branch, scope)?
-                    };
+                    let flow = self.block(if c { then_branch } else { else_branch })?;
                     if !matches!(flow, Flow::Normal) {
                         return Ok(flow);
                     }
                 }
-                Action::While { cond, body, .. } => {
+                Stmt::While(cond, body) => {
                     let mut iters = 0u64;
                     loop {
                         let c = self
-                            .eval(cond, scope)?
+                            .operand(cond)?
+                            .get(self)
                             .as_bool()
                             .ok_or_else(|| SeedError("while condition is not a bool".into()))?;
                         if !c {
@@ -551,438 +478,411 @@ impl Interp<'_> {
                         if iters > MAX_LOOP_ITERS {
                             return Err(SeedError("loop iteration limit exceeded".into()));
                         }
-                        let flow = self.run_block(body, scope)?;
+                        let flow = self.block(body)?;
                         if !matches!(flow, Flow::Normal) {
                             return Ok(flow);
                         }
                     }
                 }
-                Action::Return { value, .. } => {
+                Stmt::Return(value) => {
                     let v = match value {
-                        Some(e) => self.eval(e, scope)?,
+                        Some(e) => self.eval(e)?,
                         None => Value::Unit,
                     };
                     return Ok(Flow::Return(v));
                 }
-                Action::Send { value, to, .. } => {
-                    let v = self.eval(value, scope)?;
-                    let endpoint = match to {
-                        MsgEndpoint::Harvester => Endpoint::Harvester,
-                        MsgEndpoint::Machine { name, at } => {
-                            let at = match at {
+                Stmt::Send { value, to } => {
+                    let value = self.eval(value)?;
+                    let to = match to {
+                        None => Endpoint::Harvester,
+                        Some(dest) => {
+                            let at = match &dest.at {
                                 None => None,
                                 Some(e) => {
-                                    let id = self.eval(e, scope)?.as_int().ok_or_else(|| {
-                                        SeedError("@destination is not an integer".into())
-                                    })?;
+                                    let id =
+                                        self.operand(e)?.get(self).as_int().ok_or_else(|| {
+                                            SeedError("@destination is not an integer".into())
+                                        })?;
                                     Some(SwitchId(id as u32))
                                 }
                             };
                             Endpoint::Machine {
-                                name: name.clone(),
+                                name: dest.machine.clone(),
                                 at,
                             }
                         }
                     };
-                    self.out.effects.push(Effect::Send {
-                        to: endpoint,
-                        value: v,
-                    });
-                }
-                Action::ExprStmt { expr, .. } => {
-                    self.eval(expr, scope)?;
+                    self.out.effects.push(Effect::Send { to, value });
                 }
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn eval(&mut self, e: &Expr, scope: &mut Scope) -> Result<Value, SeedError> {
+    /// Evaluates to an owned value.
+    fn eval(&mut self, e: &'c Expr) -> Result<Value, SeedError> {
+        Ok(self.operand(e)?.take(self))
+    }
+
+    /// Evaluates without copying what is already stored somewhere.
+    fn operand(&mut self, e: &'c Expr) -> Result<Operand<'c>, SeedError> {
         self.charge(1);
+        Ok(match e {
+            Expr::Const(v) => Operand::Const(v),
+            Expr::Var(p) => Operand::Place(*p),
+            _ => Operand::Owned(self.compute(e)?),
+        })
+    }
+
+    fn compute(&mut self, e: &'c Expr) -> Result<Value, SeedError> {
         match e {
-            Expr::Lit(l, _) => Ok(match l {
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(f) => Value::Float(*f),
-                Literal::Str(s) => Value::Str(s.clone()),
-            }),
-            Expr::Var(name, _) => scope
-                .get(name)
-                .or_else(|| self.seed.vars.get(name))
-                .cloned()
-                .ok_or_else(|| SeedError(format!("unknown variable `{name}`"))),
-            Expr::Filter(f, _) => self.eval_filter(f, scope),
-            Expr::Unary(op, inner, _) => {
-                let v = self.eval(inner, scope)?;
-                match op {
-                    UnOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        Value::Filter(f) => Ok(Value::Filter(f.not())),
-                        other => Err(SeedError(format!("`not` on {}", other.type_name()))),
-                    },
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(SeedError(format!("negation of {}", other.type_name()))),
-                    },
-                }
-            }
-            Expr::Binary(op, a, b, _) => {
+            Expr::Const(v) => Ok(v.clone()),
+            Expr::Var(p) => Ok(self.place(*p).clone()),
+            Expr::Fail(message) => Err(SeedError(message.clone())),
+            Expr::Not(inner) => match self.eval(inner)? {
+                Value::Bool(b) => Ok(Value::Bool(!b)),
+                Value::Filter(f) => Ok(Value::Filter(f.not())),
+                other => Err(SeedError(format!("`not` on {}", other.type_name()))),
+            },
+            Expr::Neg(inner) => match self.eval(inner)? {
+                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Float(f) => Ok(Value::Float(-f)),
+                other => Err(SeedError(format!("negation of {}", other.type_name()))),
+            },
+            Expr::Binary(op, a, b) => {
+                let a = self.operand(a)?;
                 // Short-circuit booleans.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let va = self.eval(a, scope)?;
-                    if let Value::Bool(ba) = va {
-                        if (*op == BinOp::And && !ba) || (*op == BinOp::Or && ba) {
-                            return Ok(Value::Bool(ba));
-                        }
-                        let vb = self.eval(b, scope)?;
-                        return binary_op(*op, Value::Bool(ba), vb).map_err(SeedError);
+                if let (BinOp::And | BinOp::Or, Value::Bool(x)) = (op, a.get(self)) {
+                    if *x == (*op == BinOp::Or) {
+                        return Ok(Value::Bool(*x));
                     }
-                    let vb = self.eval(b, scope)?;
-                    return binary_op(*op, va, vb).map_err(SeedError);
                 }
-                let va = self.eval(a, scope)?;
-                let vb = self.eval(b, scope)?;
-                binary_op(*op, va, vb).map_err(SeedError)
+                let b = self.operand(b)?;
+                binary_op(*op, a.get(self), b.get(self)).map_err(SeedError)
             }
-            Expr::Field(base, field, _) => {
-                let v = self.eval(base, scope)?;
-                match (&v, field.as_str()) {
-                    (Value::Resources(r), f) => {
-                        let kind = farm_netsim::switch::ResourceKind::from_field_name(f)
-                            .ok_or_else(|| SeedError(format!("unknown resource field {f}")))?;
-                        Ok(Value::Float(r.get(kind)))
-                    }
-                    (other, f) => Err(SeedError(format!(
-                        "no field `.{f}` on {}",
-                        other.type_name()
-                    ))),
+            Expr::Field {
+                base,
+                field,
+                resource,
+            } => match (self.operand(base)?.get(self), resource) {
+                (Value::Resources(r), Some(kind)) => Ok(Value::Float(r.get(*kind))),
+                (Value::Resources(_), None) => {
+                    Err(SeedError(format!("unknown resource field {field}")))
                 }
-            }
-            Expr::StructLit { name, fields, .. } => {
-                if name == "Rule" {
-                    let mut pattern = None;
-                    let mut action = None;
-                    for (fname, fexpr) in fields {
-                        let v = self.eval(fexpr, scope)?;
-                        match (fname.as_str(), v) {
-                            ("pattern", Value::Filter(f)) => pattern = Some(f),
-                            ("act", Value::Action(a)) => action = Some(a),
-                            (f, other) => {
-                                return Err(SeedError(format!(
-                                    "bad Rule field .{f} = {}",
-                                    other.type_name()
-                                )))
-                            }
+                (other, _) => Err(SeedError(format!(
+                    "no field `.{field}` on {}",
+                    other.type_name()
+                ))),
+            },
+            Expr::Rule(fields) => {
+                let mut pattern = None;
+                let mut action = None;
+                for (name, value) in fields {
+                    match (name.as_str(), self.eval(value)?) {
+                        ("pattern", Value::Filter(f)) => pattern = Some(f),
+                        ("act", Value::Action(a)) => action = Some(a),
+                        (f, other) => {
+                            return Err(SeedError(format!(
+                                "bad Rule field .{f} = {}",
+                                other.type_name()
+                            )))
                         }
                     }
-                    return Ok(Value::Rule(RuleValue {
-                        pattern: pattern
-                            .ok_or_else(|| SeedError("Rule without .pattern".into()))?,
-                        action: action.ok_or_else(|| SeedError("Rule without .act".into()))?,
-                    }));
                 }
-                // Poll/Probe literals are handled by the soil's scheduler.
-                Ok(Value::Unit)
+                Ok(Value::Rule(RuleValue {
+                    pattern: pattern.ok_or_else(|| SeedError("Rule without .pattern".into()))?,
+                    action: action.ok_or_else(|| SeedError("Rule without .act".into()))?,
+                }))
             }
-            Expr::Call { name, args, .. } => self.call(name, args, scope),
-        }
-    }
-
-    fn eval_filter(&mut self, f: &FilterExpr, scope: &mut Scope) -> Result<Value, SeedError> {
-        let atom = match f {
-            FilterExpr::SrcIp(e) => FilterAtom::SrcIp(self.eval_prefix(e, scope)?),
-            FilterExpr::DstIp(e) => FilterAtom::DstIp(self.eval_prefix(e, scope)?),
-            FilterExpr::SrcPort(e) => FilterAtom::SrcPort(self.eval_port(e, scope)?),
-            FilterExpr::DstPort(e) => FilterAtom::DstPort(self.eval_port(e, scope)?),
-            FilterExpr::IfPort(e) => FilterAtom::IfPort(PortSel::Id(self.eval_port(e, scope)?)),
-            FilterExpr::IfPortAny => FilterAtom::IfPort(PortSel::Any),
-            FilterExpr::Proto(e) => {
-                let v = self.eval(e, scope)?;
-                let p = match v.as_str() {
-                    Some("tcp") => Proto::Tcp,
-                    Some("udp") => Proto::Udp,
-                    Some("icmp") => Proto::Icmp,
-                    _ => return Err(SeedError(format!("bad protocol {v}"))),
+            Expr::Filter(field, arg) => {
+                let arg = self.operand(arg)?;
+                filter_atom(*field, arg.get(self)).map(|a| Value::Filter(FilterFormula::Atom(a)))
+            }
+            Expr::CallFn(f, args) => self.call_function(*f, args),
+            Expr::Mutate {
+                op,
+                name,
+                target,
+                arg,
+            } => {
+                let arg = match arg {
+                    Some(e) => Some(self.eval(e)?),
+                    None => None,
                 };
-                FilterAtom::Proto(p)
+                let Some(target) = target else {
+                    return Err(SeedError(format!("unknown list `{name}`")));
+                };
+                let len = match self.place(*target) {
+                    Value::List(items) => items.len(),
+                    _ => return Err(SeedError(format!("`{name}` is not a list"))),
+                };
+                self.charge(len as u64 / 4 + 1);
+                let Value::List(items) = self.place_mut(*target) else {
+                    unreachable!("checked to be a list above");
+                };
+                mutate_list(*op, items, arg)
             }
-        };
-        Ok(Value::Filter(FilterFormula::Atom(atom)))
-    }
-
-    fn eval_prefix(&mut self, e: &Expr, scope: &mut Scope) -> Result<Prefix, SeedError> {
-        let v = self.eval(e, scope)?;
-        let s = v
-            .as_str()
-            .ok_or_else(|| SeedError("IP filter expects a string".into()))?;
-        s.parse().map_err(|err| SeedError(format!("{err}")))
-    }
-
-    fn eval_port(&mut self, e: &Expr, scope: &mut Scope) -> Result<u16, SeedError> {
-        let v = self.eval(e, scope)?;
-        let i = v
-            .as_int()
-            .ok_or_else(|| SeedError("port expects an integer".into()))?;
-        u16::try_from(i).map_err(|_| SeedError(format!("port {i} out of range")))
-    }
-
-    fn call(&mut self, name: &str, args: &[Expr], scope: &mut Scope) -> Result<Value, SeedError> {
-        // User functions first (the checker forbids shadowing builtins).
-        if let Some(f) = self
-            .seed
-            .def
-            .functions
-            .iter()
-            .find(|f| f.name == name)
-            .cloned()
-        {
-            if self.depth >= MAX_CALL_DEPTH {
-                return Err(SeedError("call depth exceeded".into()));
-            }
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(self.eval(a, scope)?);
-            }
-            let mut fscope = Scope::new();
-            for ((_, pname), v) in f.params.iter().zip(vals) {
-                fscope.declare(pname.clone(), v);
-            }
-            self.depth += 1;
-            let flow = self.run_block(&f.body, &mut fscope);
-            self.depth -= 1;
-            return match flow? {
-                Flow::Return(v) => Ok(v),
-                Flow::Normal => Ok(Value::Unit),
-                Flow::Transit(_) => Err(SeedError("transit inside function".into())),
-            };
+            Expr::Call(op, args) => self.call_builtin(*op, args),
         }
-        self.call_builtin(name, args, scope)
     }
 
-    fn call_builtin(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        scope: &mut Scope,
-    ) -> Result<Value, SeedError> {
-        // Mutating list builtins operate on the variable in place.
-        if matches!(
-            name,
-            "list_push" | "list_push_unique" | "list_clear" | "list_remove_at"
-        ) {
-            let Expr::Var(var_name, _) = &args[0] else {
-                return Err(SeedError(format!("`{name}` needs a variable argument")));
-            };
-            let extra = if args.len() > 1 {
-                Some(self.eval(&args[1], scope)?)
-            } else {
-                None
-            };
-            let slot = match scope.get(var_name) {
-                Some(_) => None, // mutate through scope below
-                None => Some(()),
-            };
-            let list_val = scope
-                .get(var_name)
-                .or_else(|| self.seed.vars.get(var_name))
-                .cloned()
-                .ok_or_else(|| SeedError(format!("unknown list `{var_name}`")))?;
-            let Value::List(mut items) = list_val else {
-                return Err(SeedError(format!("`{var_name}` is not a list")));
-            };
-            self.charge(items.len() as u64 / 4 + 1);
-            match name {
-                "list_push" => items.push(extra.expect("arity checked")),
-                "list_push_unique" => {
-                    let v = extra.expect("arity checked");
-                    if !items.contains(&v) {
-                        items.push(v);
-                    }
-                }
-                "list_clear" => items.clear(),
-                "list_remove_at" => {
-                    let i = extra
-                        .and_then(|v| v.as_int())
-                        .ok_or_else(|| SeedError("list_remove_at expects an index".into()))?;
-                    if i < 0 || i as usize >= items.len() {
-                        return Err(SeedError(format!("index {i} out of bounds")));
-                    }
-                    items.remove(i as usize);
-                }
-                _ => unreachable!(),
-            }
-            let updated = Value::List(items);
-            if slot.is_none() {
-                scope.set(var_name, updated);
-            } else {
-                self.seed.vars.insert(var_name.clone(), updated);
-            }
-            return Ok(Value::Unit);
+    fn call_function(&mut self, f: u32, args: &'c [Expr]) -> Result<Value, SeedError> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(SeedError("call depth exceeded".into()));
         }
-
-        let mut vals = Vec::with_capacity(args.len());
+        let code = self.code;
+        let function = &code.functions[f as usize];
+        // Arguments are evaluated in the caller's frame and land where
+        // the callee's frame starts.
+        let frame = self.stack.len();
         for a in args {
-            vals.push(self.eval(a, scope)?);
+            let v = self.eval(a)?;
+            self.stack.push(v);
         }
-        let arity_err = || SeedError(format!("bad arguments to `{name}`"));
-        let num = |v: &Value| v.as_f64().ok_or_else(arity_err);
-        match name {
-            "res" => Ok(Value::Resources(self.host.resources())),
-            "now" => Ok(Value::Int(self.host.now_ms())),
-            "min" => Ok(Value::Float(num(&vals[0])?.min(num(&vals[1])?))),
-            "max" => Ok(Value::Float(num(&vals[0])?.max(num(&vals[1])?))),
-            "abs" => Ok(Value::Float(num(&vals[0])?.abs())),
-            "log2" => Ok(Value::Float(num(&vals[0])?.log2())),
-            "to_float" => Ok(Value::Float(num(&vals[0])?)),
-            "to_int" => Ok(Value::Int(match &vals[0] {
+        self.stack
+            .resize(frame + function.frame as usize, Value::Unit);
+        let caller = std::mem::replace(&mut self.base, frame);
+        self.depth += 1;
+        let flow = self.block(&function.body);
+        self.depth -= 1;
+        self.base = caller;
+        self.stack.truncate(frame);
+        match flow? {
+            Flow::Return(v) => Ok(v),
+            Flow::Normal => Ok(Value::Unit),
+            Flow::Transit(_) => Err(SeedError("transit inside function".into())),
+        }
+    }
+
+    fn call_builtin(&mut self, op: Op, args: &'c [Expr]) -> Result<Value, SeedError> {
+        // The signatures take at most two arguments (lowering checked the
+        // count); a missing one reads as unit and fails its type test.
+        let a = match args.first() {
+            Some(e) => self.operand(e)?,
+            None => Operand::Owned(Value::Unit),
+        };
+        let b = match args.get(1) {
+            Some(e) => self.operand(e)?,
+            None => Operand::Owned(Value::Unit),
+        };
+        let bad = || {
+            let name = BUILTINS.iter().find(|b| b.op == op).map_or("?", |b| b.name);
+            SeedError(format!("bad arguments to `{name}`"))
+        };
+        // Effects first: they own their operands.
+        match op {
+            Op::AddTcamRule => {
+                let Value::Rule(r) = a.take(self) else {
+                    return Err(bad());
+                };
+                self.out.effects.push(Effect::AddRule(r));
+                return Ok(Value::Unit);
+            }
+            Op::RemoveTcamRule => {
+                let Value::Filter(f) = a.take(self) else {
+                    return Err(bad());
+                };
+                self.out.effects.push(Effect::RemoveRule(f));
+                return Ok(Value::Unit);
+            }
+            Op::Exec | Op::ExecN => {
+                let iterations = match (op, b.get(self)) {
+                    (Op::Exec, _) => 1,
+                    (_, Value::Int(n)) => (*n).max(0) as u32,
+                    _ => return Err(bad()),
+                };
+                let Value::Str(cmd) = a.take(self) else {
+                    return Err(bad());
+                };
+                self.out.effects.push(Effect::Exec { cmd, iterations });
+                return Ok(Value::Unit);
+            }
+            Op::ListContains => {
+                let items = a.get(self).as_list().ok_or_else(bad)?;
+                let (found, len) = (items.contains(b.get(self)), items.len());
+                self.charge(len as u64 / 4 + 1);
+                return Ok(Value::Bool(found));
+            }
+            Op::Pair => {
+                let (first, second) = (a.take(self), b.take(self));
+                return Ok(Value::Pair(Box::new(first), Box::new(second)));
+            }
+            Op::Rule => {
+                return match (a.take(self), b.take(self)) {
+                    (Value::Filter(pattern), Value::Action(action)) => {
+                        Ok(Value::Rule(RuleValue { pattern, action }))
+                    }
+                    _ => Err(bad()),
+                }
+            }
+            _ => {}
+        }
+        // Everything else only reads.
+        let (x, y) = (a.get(self), b.get(self));
+        let num = |v: &Value| v.as_f64().ok_or_else(bad);
+        let stat = |v: &Value, field: fn(&StatEntry) -> u64| match v {
+            Value::Stat(s) => Ok(Value::Int(field(s) as i64)),
+            _ => Err(bad()),
+        };
+        match op {
+            Op::Res => Ok(Value::Resources(self.host.resources())),
+            Op::Now => Ok(Value::Int(self.host.now_ms())),
+            Op::Min => Ok(Value::Float(num(x)?.min(num(y)?))),
+            Op::Max => Ok(Value::Float(num(x)?.max(num(y)?))),
+            Op::Abs => Ok(Value::Float(num(x)?.abs())),
+            Op::Log2 => Ok(Value::Float(num(x)?.log2())),
+            Op::ToFloat => Ok(Value::Float(num(x)?)),
+            Op::ToInt => Ok(Value::Int(match x {
                 Value::Int(i) => *i,
                 Value::Float(f) => *f as i64,
                 Value::Bool(b) => *b as i64,
                 Value::Str(s) => s.parse().unwrap_or(0),
-                _ => return Err(arity_err()),
+                _ => return Err(bad()),
             })),
-            "to_string" => Ok(Value::Str(match &vals[0] {
+            Op::ToString => Ok(Value::Str(match x {
                 Value::Str(s) => s.clone(),
                 other => other.to_string(),
             })),
-            "str_concat" => match (&vals[0], &vals[1]) {
+            Op::StrConcat => match (x, y) {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "str_contains" => match (&vals[0], &vals[1]) {
+            Op::StrContains => match (x, y) {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a.contains(b.as_str()))),
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "list_len" => Ok(Value::Int(
-                vals[0].as_list().ok_or_else(arity_err)?.len() as i64
-            )),
-            "is_list_empty" => Ok(Value::Bool(
-                vals[0].as_list().ok_or_else(arity_err)?.is_empty(),
-            )),
-            "list_get" => {
-                let items = vals[0].as_list().ok_or_else(arity_err)?;
-                let i = vals[1].as_int().ok_or_else(arity_err)?;
+            Op::ListLen => Ok(Value::Int(x.as_list().ok_or_else(bad)?.len() as i64)),
+            Op::IsListEmpty => Ok(Value::Bool(x.as_list().ok_or_else(bad)?.is_empty())),
+            Op::ListGet => {
+                let items = x.as_list().ok_or_else(bad)?;
+                let i = y.as_int().ok_or_else(bad)?;
                 items
-                    .get(usize::try_from(i).map_err(|_| arity_err())?)
+                    .get(usize::try_from(i).map_err(|_| bad())?)
                     .cloned()
                     .ok_or_else(|| SeedError(format!("index {i} out of bounds")))
             }
-            "list_contains" => {
-                let items = vals[0].as_list().ok_or_else(arity_err)?;
-                self.charge(items.len() as u64 / 4 + 1);
-                Ok(Value::Bool(items.contains(&vals[1])))
-            }
-            "pair" => Ok(Value::Pair(
-                Box::new(vals[0].clone()),
-                Box::new(vals[1].clone()),
-            )),
-            "pair_first" => match &vals[0] {
-                Value::Pair(a, _) => Ok((**a).clone()),
-                _ => Err(arity_err()),
+            Op::PairFirst => match x {
+                Value::Pair(first, _) => Ok((**first).clone()),
+                _ => Err(bad()),
             },
-            "pair_second" => match &vals[0] {
-                Value::Pair(_, b) => Ok((**b).clone()),
-                _ => Err(arity_err()),
+            Op::PairSecond => match x {
+                Value::Pair(_, second) => Ok((**second).clone()),
+                _ => Err(bad()),
             },
-            "stat_port" => match &vals[0] {
+            Op::StatPort => match x {
                 Value::Stat(s) => Ok(Value::Int(match s.subject {
                     StatSubject::Port(p) => p as i64,
                     StatSubject::Rule(_) => -1,
                 })),
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "stat_subject" => match &vals[0] {
+            Op::StatSubject => match x {
                 Value::Stat(s) => Ok(Value::Str(match &s.subject {
                     StatSubject::Port(p) => format!("port {p}"),
                     StatSubject::Rule(r) => r.clone(),
                 })),
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "stat_tx_bytes" | "stat_rx_bytes" | "stat_tx_packets" | "stat_rx_packets" => {
-                match &vals[0] {
-                    Value::Stat(s) => Ok(Value::Int(match name {
-                        "stat_tx_bytes" => s.tx_bytes as i64,
-                        "stat_rx_bytes" => s.rx_bytes as i64,
-                        "stat_tx_packets" => s.tx_packets as i64,
-                        _ => s.rx_packets as i64,
-                    })),
-                    _ => Err(arity_err()),
-                }
-            }
-            "pkt_src_ip" => packet(&vals[0]).map(|p| Value::Str(p.flow.src.to_string())),
-            "pkt_dst_ip" => packet(&vals[0]).map(|p| Value::Str(p.flow.dst.to_string())),
-            "pkt_src_port" => packet(&vals[0]).map(|p| Value::Int(p.flow.src_port as i64)),
-            "pkt_dst_port" => packet(&vals[0]).map(|p| Value::Int(p.flow.dst_port as i64)),
-            "pkt_proto" => packet(&vals[0]).map(|p| Value::Str(p.flow.proto.to_string())),
-            "pkt_len" => packet(&vals[0]).map(|p| Value::Int(p.len as i64)),
-            "pkt_is_syn" => packet(&vals[0]).map(|p| Value::Bool(p.syn)),
-            "pkt_is_fin" => packet(&vals[0]).map(|p| Value::Bool(p.fin)),
-            "pkt_is_ack" => packet(&vals[0]).map(|p| Value::Bool(p.ack)),
-            "filter_matches" => match (&vals[0], &vals[1]) {
+            Op::StatTxBytes => stat(x, |s| s.tx_bytes),
+            Op::StatRxBytes => stat(x, |s| s.rx_bytes),
+            Op::StatTxPackets => stat(x, |s| s.tx_packets),
+            Op::StatRxPackets => stat(x, |s| s.rx_packets),
+            Op::PktSrcIp => packet(x).map(|p| Value::Str(p.flow.src.to_string())),
+            Op::PktDstIp => packet(x).map(|p| Value::Str(p.flow.dst.to_string())),
+            Op::PktSrcPort => packet(x).map(|p| Value::Int(p.flow.src_port as i64)),
+            Op::PktDstPort => packet(x).map(|p| Value::Int(p.flow.dst_port as i64)),
+            Op::PktProto => packet(x).map(|p| Value::Str(p.flow.proto.to_string())),
+            Op::PktLen => packet(x).map(|p| Value::Int(p.len as i64)),
+            Op::PktIsSyn => packet(x).map(|p| Value::Bool(p.syn)),
+            Op::PktIsFin => packet(x).map(|p| Value::Bool(p.fin)),
+            Op::PktIsAck => packet(x).map(|p| Value::Bool(p.ack)),
+            Op::FilterMatches => match (x, y) {
                 (Value::Filter(f), Value::Packet(p)) => Ok(Value::Bool(f.matches_flow(&p.flow))),
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "action_drop" => Ok(Value::Action(ActionValue::Drop)),
-            "action_count" => Ok(Value::Action(ActionValue::Count)),
-            "action_mirror" => Ok(Value::Action(ActionValue::Mirror)),
-            "action_rate_limit" => Ok(Value::Action(ActionValue::RateLimit(
-                vals[0].as_int().ok_or_else(arity_err)?.max(0) as u64,
+            Op::ActionDrop => Ok(Value::Action(ActionValue::Drop)),
+            Op::ActionCount => Ok(Value::Action(ActionValue::Count)),
+            Op::ActionMirror => Ok(Value::Action(ActionValue::Mirror)),
+            Op::ActionRateLimit => Ok(Value::Action(ActionValue::RateLimit(
+                x.as_int().ok_or_else(bad)?.max(0) as u64,
             ))),
-            "action_set_qos" => Ok(Value::Action(ActionValue::SetQos(
-                vals[0].as_int().ok_or_else(arity_err)?.clamp(0, 255) as u8,
+            Op::ActionSetQos => Ok(Value::Action(ActionValue::SetQos(
+                x.as_int().ok_or_else(bad)?.clamp(0, 255) as u8,
             ))),
-            "rule" => match (&vals[0], &vals[1]) {
-                (Value::Filter(f), Value::Action(a)) => Ok(Value::Rule(RuleValue {
-                    pattern: f.clone(),
-                    action: a.clone(),
-                })),
-                _ => Err(arity_err()),
-            },
-            "addTCAMRule" => match &vals[0] {
-                Value::Rule(r) => {
-                    self.out.effects.push(Effect::AddRule(r.clone()));
-                    Ok(Value::Unit)
-                }
-                _ => Err(arity_err()),
-            },
-            "removeTCAMRule" => match &vals[0] {
-                Value::Filter(f) => {
-                    self.out.effects.push(Effect::RemoveRule(f.clone()));
-                    Ok(Value::Unit)
-                }
-                _ => Err(arity_err()),
-            },
-            "getTCAMRule" => match &vals[0] {
+            Op::GetTcamRule => match x {
                 Value::Filter(f) => match self.host.get_rule(f) {
                     Some(r) => Ok(Value::Rule(r)),
                     None => Err(SeedError(format!("no TCAM rule matching {f}"))),
                 },
-                _ => Err(arity_err()),
+                _ => Err(bad()),
             },
-            "exec" => match &vals[0] {
-                Value::Str(cmd) => {
-                    self.out.effects.push(Effect::Exec {
-                        cmd: cmd.clone(),
-                        iterations: 1,
-                    });
-                    Ok(Value::Unit)
-                }
-                _ => Err(arity_err()),
-            },
-            "exec_n" => match (&vals[0], &vals[1]) {
-                (Value::Str(cmd), Value::Int(n)) => {
-                    self.out.effects.push(Effect::Exec {
-                        cmd: cmd.clone(),
-                        iterations: (*n).max(0) as u32,
-                    });
-                    Ok(Value::Unit)
-                }
-                _ => Err(arity_err()),
-            },
-            other => Err(SeedError(format!("unknown builtin `{other}`"))),
+            // Lowered to `Expr::Mutate`, or returned from above.
+            Op::ListPush
+            | Op::ListPushUnique
+            | Op::ListClear
+            | Op::ListRemoveAt
+            | Op::AddTcamRule
+            | Op::RemoveTcamRule
+            | Op::Exec
+            | Op::ExecN
+            | Op::ListContains
+            | Op::Pair
+            | Op::Rule => Err(bad()),
         }
     }
+}
+
+/// Applies a mutating list builtin to the list it names; a failing one
+/// leaves the list as it was.
+fn mutate_list(op: Op, items: &mut Vec<Value>, arg: Option<Value>) -> Result<Value, SeedError> {
+    match (op, arg) {
+        (Op::ListPush, Some(v)) => items.push(v),
+        (Op::ListPushUnique, Some(v)) => {
+            if !items.contains(&v) {
+                items.push(v);
+            }
+        }
+        (Op::ListClear, _) => items.clear(),
+        (Op::ListRemoveAt, arg) => {
+            let i = arg
+                .and_then(|v| v.as_int())
+                .ok_or_else(|| SeedError("list_remove_at expects an index".into()))?;
+            if i < 0 || i as usize >= items.len() {
+                return Err(SeedError(format!("index {i} out of bounds")));
+            }
+            items.remove(i as usize);
+        }
+        (other, _) => return Err(SeedError(format!("{other:?} does not mutate a list"))),
+    }
+    Ok(Value::Unit)
+}
+
+fn filter_atom(field: FilterField, v: &Value) -> Result<FilterAtom, SeedError> {
+    let prefix = || -> Result<Prefix, SeedError> {
+        let s = v
+            .as_str()
+            .ok_or_else(|| SeedError("IP filter expects a string".into()))?;
+        s.parse().map_err(|err| SeedError(format!("{err}")))
+    };
+    let port = || -> Result<u16, SeedError> {
+        let i = v
+            .as_int()
+            .ok_or_else(|| SeedError("port expects an integer".into()))?;
+        u16::try_from(i).map_err(|_| SeedError(format!("port {i} out of range")))
+    };
+    Ok(match field {
+        FilterField::SrcIp => FilterAtom::SrcIp(prefix()?),
+        FilterField::DstIp => FilterAtom::DstIp(prefix()?),
+        FilterField::SrcPort => FilterAtom::SrcPort(port()?),
+        FilterField::DstPort => FilterAtom::DstPort(port()?),
+        FilterField::IfPort => FilterAtom::IfPort(PortSel::Id(port()?)),
+        FilterField::Proto => FilterAtom::Proto(match v.as_str() {
+            Some("tcp") => Proto::Tcp,
+            Some("udp") => Proto::Udp,
+            Some("icmp") => Proto::Icmp,
+            _ => return Err(SeedError(format!("bad protocol {v}"))),
+        }),
+    })
 }
 
 fn packet(v: &Value) -> Result<&PacketRecord, SeedError> {
@@ -1174,6 +1074,27 @@ mod tests {
         other.restore(&snap).unwrap();
         assert_eq!(other.var("threshold"), Some(&Value::Int(42)));
         assert_eq!(other.state(), seed.state());
+    }
+
+    #[test]
+    fn restore_accepts_and_drops_variables_the_machine_does_not_declare() {
+        let mut seed = hh_instance();
+        let declared: Vec<String> = seed.snapshot().vars.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(declared, ["hitterAction", "hitters", "threshold"]);
+        // A checkpoint of an older HH that still had `retired`, and did
+        // not have `hitters` yet.
+        let mut snap = seed.snapshot();
+        snap.vars.retain(|(k, _)| k != "hitters");
+        snap.vars.push(("retired".into(), Value::Int(5)));
+        snap.vars.push(("threshold".into(), Value::Int(9)));
+        seed.restore(&snap).unwrap();
+        assert_eq!(seed.var("retired"), None);
+        assert_eq!(seed.var("threshold"), Some(&Value::Int(9)));
+        assert_eq!(seed.var("hitters"), Some(&Value::List(vec![])));
+        // It does not come back out either: snapshots list declared
+        // variables only, sorted by name.
+        let after: Vec<String> = seed.snapshot().vars.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(after, declared);
     }
 
     #[test]

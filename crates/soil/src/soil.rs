@@ -25,8 +25,7 @@ use farm_telemetry::{Counter, Event, Histogram, PressureResource, Telemetry, Und
 
 use crate::channel::{record_ipc_delivery, CommModel};
 use crate::interp::{
-    stats_payload, Effect, Endpoint, SeedError, SeedEvent, SeedHost, SeedId, SeedInstance,
-    SeedSnapshot,
+    Effect, Endpoint, SeedError, SeedEvent, SeedHost, SeedId, SeedInstance, SeedSnapshot,
 };
 
 /// Soil configuration knobs (the § VI-E microbenchmark axes).
@@ -205,6 +204,9 @@ struct TriggerSched {
     name: String,
     kind: TriggerType,
     subjects: Vec<PollSubject>,
+    /// Poll triggers with equal `subjects` share a group id, assigned at
+    /// deploy: one ASIC transfer serves the whole group.
+    group: u32,
     what: Option<FilterFormula>,
     ival: Dur,
     next_due: Time,
@@ -326,6 +328,7 @@ pub struct Soil {
     /// Canonical rule pattern → installed Count rule + refcount.
     rule_refs: HashMap<String, (RuleId, usize)>,
     next_id: u64,
+    next_group: u32,
     stats: SoilStats,
     instruments: Option<SoilInstruments>,
 }
@@ -342,6 +345,7 @@ impl Soil {
             triggers: Vec::new(),
             rule_refs: HashMap::new(),
             next_id: 0,
+            next_group: 0,
             stats: SoilStats::default(),
             instruments: None,
         }
@@ -413,7 +417,7 @@ impl Soil {
         let id = SeedId(self.next_id);
         self.next_id += 1;
 
-        let mut scheds = Vec::new();
+        let mut scheds: Vec<TriggerSched> = Vec::new();
         for t in &def.triggers {
             let ival_ms = t.ival.eval(&alloc);
             if !ival_ms.is_finite() || ival_ms <= 0.0 {
@@ -423,11 +427,26 @@ impl Soil {
                     context: format!("under allocation {alloc}"),
                 });
             }
+            // A poll joins the group already polling its subjects, if any.
+            let group = match t.kind {
+                TriggerType::Poll => self
+                    .triggers
+                    .iter()
+                    .chain(&scheds)
+                    .find(|s| s.kind == TriggerType::Poll && s.subjects == t.subjects)
+                    .map(|s| s.group)
+                    .unwrap_or_else(|| {
+                        self.next_group += 1;
+                        self.next_group
+                    }),
+                TriggerType::Time | TriggerType::Probe => 0,
+            };
             scheds.push(TriggerSched {
                 seed: id,
                 name: t.name.clone(),
                 kind: t.kind,
                 subjects: t.subjects.clone(),
+                group,
                 what: t.what.clone(),
                 ival: Dur::from_secs_f64(ival_ms / 1000.0),
                 next_due: now + Dur::from_secs_f64(ival_ms / 1000.0),
@@ -760,7 +779,7 @@ impl Soil {
     ) -> Result<TickReport, SoilError> {
         let seed = self.seeds.get_mut(&id).ok_or(SoilError::UnknownSeed(id))?;
         seed.set_allocated(alloc);
-        let def = seed.def().clone();
+        let def = Arc::clone(seed.def());
         for t in self.triggers.iter_mut().filter(|t| t.seed == id) {
             if let Some(analysis) = def.triggers.iter().find(|a| a.name == t.name) {
                 let ival_ms = analysis.ival.eval(&alloc);
@@ -791,27 +810,22 @@ impl Soil {
     /// timer (aggregating identical poll subjects when enabled).
     pub fn advance(&mut self, to: Time, switch: &mut Switch) -> TickReport {
         let mut report = TickReport::default();
-        while let Some(due) = self
-            .triggers
-            .iter()
-            .filter(|t| t.kind != TriggerType::Probe)
-            .map(|t| t.next_due)
-            .min()
-        {
+        let mut due_idx: Vec<usize> = Vec::new();
+        while let Some(due) = self.next_deadline() {
             if due > to {
                 break;
             }
-            let due_idx: Vec<usize> = self
-                .triggers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.kind != TriggerType::Probe && t.next_due <= due)
-                .map(|(i, _)| i)
-                .collect();
+            due_idx.clear();
+            due_idx.extend(
+                self.triggers
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.kind != TriggerType::Probe && t.next_due <= due)
+                    .map(|(i, _)| i),
+            );
             // Context-switch pressure of this scheduling round.
             switch.cpu_mut().schedule_round(due_idx.len() as u64);
-            let step = self.fire_round(&due_idx, due, switch);
-            report.merge(step);
+            self.fire_round(&due_idx, due, switch, &mut report);
         }
         self.stats.deliveries += report.deliveries;
         self.stats.asic_polls += report.asic_polls;
@@ -829,74 +843,73 @@ impl Soil {
             .min()
     }
 
-    fn fire_round(&mut self, due_idx: &[usize], now: Time, switch: &mut Switch) -> TickReport {
-        let mut report = TickReport::default();
-        // Group due polls by subject key for aggregation.
-        let mut poll_groups: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut timers: Vec<usize> = Vec::new();
-        for &i in due_idx {
-            let t = &self.triggers[i];
-            match t.kind {
-                TriggerType::Poll => {
-                    let key = format!("{:?}", t.subjects);
-                    poll_groups.entry(key).or_default().push(i);
-                }
-                TriggerType::Time => timers.push(i),
-                TriggerType::Probe => {}
+    /// Fires the triggers `due_idx` (ascending) at `now`: polls first,
+    /// one subject group after the other in the order of each group's
+    /// first due trigger, then timers. The order is a function of the
+    /// deploy history alone, so two soils fed the same input emit the
+    /// same messages in the same order.
+    fn fire_round(
+        &mut self,
+        due_idx: &[usize],
+        now: Time,
+        switch: &mut Switch,
+        report: &mut TickReport,
+    ) {
+        let is_due_poll = |t: &TriggerSched| t.kind == TriggerType::Poll && t.next_due <= now;
+        for (k, &first) in due_idx.iter().enumerate() {
+            // Firing moves a trigger's deadline past `now`, so a poll
+            // that is still due has not been served by an earlier group.
+            if !is_due_poll(&self.triggers[first]) {
+                continue;
             }
-        }
-        for (_, group) in poll_groups {
-            let subjects = self.triggers[group[0]].subjects.clone();
+            let group = self.triggers[first].group;
+            let rest = &due_idx[k..];
+            let member = |t: &TriggerSched| is_due_poll(t) && t.group == group;
             if self.config.aggregation {
-                let (entries, latency) = self.poll_subjects(&subjects, switch);
+                let size = rest.iter().filter(|&&i| member(&self.triggers[i])).count() as u64;
+                let (entries, latency) = self.poll_subjects(&self.triggers[first].subjects, switch);
                 report.asic_polls += 1;
-                report.polls_saved += group.len() as u64 - 1;
-                self.observe_poll(self.triggers[group[0]].seed, entries.len(), latency, now);
-                if group.len() > 1 {
+                report.polls_saved += size - 1;
+                self.observe_poll(self.triggers[first].seed, entries.len(), latency, now);
+                if size > 1 {
                     if let Some(ins) = &self.instruments {
-                        ins.polls_saved.add(group.len() as u64 - 1);
-                        let (switch_id, group_len) = (self.switch_id.0, group.len() as u64);
+                        ins.polls_saved.add(size - 1);
+                        let switch_id = self.switch_id.0;
                         ins.telemetry.emit_with(|| Event::PollAggregated {
                             at_ns: now.as_nanos(),
                             switch: switch_id,
-                            group: group_len,
-                            saved: group_len - 1,
+                            group: size,
+                            saved: size - 1,
                         });
                     }
                 }
-                for &i in &group {
-                    let aggregated = group.len() > 1;
-                    let step = self.fire_poll(i, now, entries.clone(), latency, aggregated, switch);
-                    report.merge(step);
+                for &i in rest {
+                    if member(&self.triggers[i]) {
+                        report.merge(self.fire_poll(i, now, &entries, latency, size > 1, switch));
+                    }
                 }
             } else {
-                for &i in &group {
-                    let (entries, latency) = self.poll_subjects(&subjects, switch);
-                    report.asic_polls += 1;
-                    self.observe_poll(self.triggers[i].seed, entries.len(), latency, now);
-                    let step = self.fire_poll(i, now, entries, latency, false, switch);
-                    report.merge(step);
+                for &i in rest {
+                    if member(&self.triggers[i]) {
+                        let (entries, latency) =
+                            self.poll_subjects(&self.triggers[i].subjects, switch);
+                        report.asic_polls += 1;
+                        self.observe_poll(self.triggers[i].seed, entries.len(), latency, now);
+                        report.merge(self.fire_poll(i, now, &entries, latency, false, switch));
+                    }
                 }
             }
         }
-        for i in timers {
+        for &i in due_idx {
             let t = &mut self.triggers[i];
+            if t.kind != TriggerType::Time {
+                continue;
+            }
             t.tick += 1;
-            let (seed, name, tick, ival) = (t.seed, t.name.clone(), t.tick, t.ival);
-            t.next_due = advance_deadline(t.next_due, ival, now);
-            let step = self.deliver(
-                seed,
-                &SeedEvent::Trigger {
-                    name,
-                    payload: Value::Int(tick as i64),
-                },
-                now,
-                switch,
-                Dur::ZERO,
-            );
-            report.merge(step);
+            t.next_due = advance_deadline(t.next_due, t.ival, now);
+            let payload = Value::Int(t.tick as i64);
+            report.merge(self.fire(i, payload, now, switch, Dur::ZERO));
         }
-        report
     }
 
     /// Records one actual ASIC poll into the instruments.
@@ -916,11 +929,35 @@ impl Soil {
         });
     }
 
+    /// Delivers trigger `idx`'s event, carrying `payload`, to its seed.
+    /// The event takes the trigger's name for the call and hands it back
+    /// (`SeedEvent` owns its strings), so firing copies no name.
+    fn fire(
+        &mut self,
+        idx: usize,
+        payload: Value,
+        now: Time,
+        switch: &mut Switch,
+        base_latency: Dur,
+    ) -> TickReport {
+        let t = &mut self.triggers[idx];
+        let seed = t.seed;
+        let event = SeedEvent::Trigger {
+            name: std::mem::take(&mut t.name),
+            payload,
+        };
+        let report = self.deliver(seed, &event, now, switch, base_latency);
+        if let SeedEvent::Trigger { name, .. } = event {
+            self.triggers[idx].name = name;
+        }
+        report
+    }
+
     fn fire_poll(
         &mut self,
         idx: usize,
         now: Time,
-        entries: Vec<StatEntry>,
+        entries: &[StatEntry],
         poll_latency: Dur,
         aggregated: bool,
         switch: &mut Switch,
@@ -931,35 +968,31 @@ impl Soil {
                 .charge_cycles(self.config.comm.aggregation_cpu_cycles());
         }
         let t = &mut self.triggers[idx];
-        let (seed, name, ival) = (t.seed, t.name.clone(), t.ival);
-        t.next_due = advance_deadline(t.next_due, ival, now);
+        t.next_due = advance_deadline(t.next_due, t.ival, now);
         // Convert cumulative counters into per-interval deltas against
         // this trigger's own baseline (the first poll delivers absolute
         // values; each trigger keeps its own view under aggregation).
-        let deltas: Vec<StatEntry> = entries
-            .into_iter()
+        let deltas = entries
+            .iter()
             .map(|e| {
                 let cur = [e.tx_bytes, e.rx_bytes, e.tx_packets, e.rx_packets];
-                let prev = t.baseline.insert(e.subject.clone(), cur).unwrap_or([0; 4]);
-                StatEntry {
-                    subject: e.subject,
+                let prev = match t.baseline.get_mut(&e.subject) {
+                    Some(seen) => std::mem::replace(seen, cur),
+                    None => {
+                        t.baseline.insert(e.subject.clone(), cur);
+                        [0; 4]
+                    }
+                };
+                Value::Stat(StatEntry {
+                    subject: e.subject.clone(),
                     tx_bytes: cur[0].saturating_sub(prev[0]),
                     rx_bytes: cur[1].saturating_sub(prev[1]),
                     tx_packets: cur[2].saturating_sub(prev[2]),
                     rx_packets: cur[3].saturating_sub(prev[3]),
-                }
+                })
             })
             .collect();
-        self.deliver(
-            seed,
-            &SeedEvent::Trigger {
-                name,
-                payload: stats_payload(deltas),
-            },
-            now,
-            switch,
-            poll_latency,
-        )
+        self.fire(idx, Value::List(deltas), now, switch, poll_latency)
     }
 
     fn poll_subjects(
@@ -1024,7 +1057,7 @@ impl Soil {
     ) -> TickReport {
         let mut report = TickReport::default();
         for pkt in packets {
-            let due: Vec<(usize, SeedId, String)> = self
+            let due: Vec<usize> = self
                 .triggers
                 .iter()
                 .enumerate()
@@ -1036,27 +1069,17 @@ impl Soil {
                             .map(|f| f.matches_flow(&pkt.flow))
                             .unwrap_or(true)
                 })
-                .map(|(i, t)| (i, t.seed, t.name.clone()))
+                .map(|(i, _)| i)
                 .collect();
             if due.is_empty() {
                 continue;
             }
             // Mirroring one packet over PCIe, shared by all probes.
             let latency = switch.pcie_mut().request(pkt.len as u64);
-            for (i, seed, name) in due {
-                let ival = self.triggers[i].ival;
-                self.triggers[i].next_due = now + ival;
-                let step = self.deliver(
-                    seed,
-                    &SeedEvent::Trigger {
-                        name,
-                        payload: Value::Packet(*pkt),
-                    },
-                    now,
-                    switch,
-                    latency,
-                );
-                report.merge(step);
+            for i in due {
+                let t = &mut self.triggers[i];
+                t.next_due = now + t.ival;
+                report.merge(self.fire(i, Value::Packet(*pkt), now, switch, latency));
             }
         }
         self.stats.deliveries += report.deliveries;
@@ -1139,8 +1162,6 @@ impl Soil {
         if let Some(ins) = &self.instruments {
             ins.deliveries.inc();
         }
-        let machine = seed.machine_name().to_string();
-        let task = self.tasks.get(&id).cloned().unwrap_or_default();
         match outcome {
             Err(e) => {
                 self.observe_seed_error(id, &e, now);
@@ -1173,11 +1194,14 @@ impl Soil {
                                     channel_latency,
                                 );
                             }
+                            // Only a message needs the names; most
+                            // deliveries send none.
+                            let machine = self.seeds.get(&id).map(SeedInstance::machine_name);
                             report.messages.push(OutboundMessage {
                                 from_switch: self.switch_id,
                                 from_seed: id,
-                                from_machine: machine.clone(),
-                                task: task.clone(),
+                                from_machine: machine.unwrap_or_default().to_string(),
+                                task: self.tasks.get(&id).cloned().unwrap_or_default(),
                                 to,
                                 value,
                                 at: now,
@@ -1298,6 +1322,50 @@ mod tests {
         assert_eq!(report.asic_polls, 1);
         assert_eq!(report.polls_saved, 3);
         assert_eq!(report.deliveries, 4);
+    }
+
+    #[test]
+    fn poll_groups_fire_in_deploy_order_on_every_soil() {
+        // Six machines, each polling its own port and reporting every
+        // poll, plus a second seed of one of them: seven triggers, six
+        // subject groups, all due in the same round.
+        let run = || {
+            let (mut soil, mut switch) = rig();
+            for n in [3, 1, 5, 0, 4, 2, 1] {
+                let src = format!(
+                    r#"machine P{n} {{
+                         place any;
+                         poll p = Poll {{ .ival = 1, .what = port {n} }};
+                         state s {{ when (p as st) do {{ send {n} to harvester; }} }}
+                       }}"#
+                );
+                soil.deploy(
+                    compile(&src, &format!("P{n}")),
+                    "t",
+                    alloc(),
+                    Time::ZERO,
+                    &mut switch,
+                )
+                .unwrap();
+            }
+            let report = soil.advance(Time::from_millis(2), &mut switch);
+            assert_eq!(report.asic_polls, 12);
+            assert_eq!(report.polls_saved, 2);
+            let order: Vec<String> = report
+                .messages
+                .iter()
+                .map(|m| m.from_machine.clone())
+                .collect();
+            order
+        };
+        let order = run();
+        // Groups fire in the order of their first trigger, i.e. of
+        // deployment; the late second seed of P1 rides with its group.
+        let round = ["P3", "P1", "P1", "P5", "P0", "P4", "P2"];
+        assert_eq!(order[..7], round);
+        assert_eq!(order[7..], round);
+        // Same input, same order — on any soil, in any process.
+        assert_eq!(run(), order);
     }
 
     #[test]

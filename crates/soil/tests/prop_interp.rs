@@ -1,23 +1,42 @@
-//! Property-based tests of the seed interpreter: HH semantics against a
-//! Rust oracle, migration round trips, and determinism.
+//! Property-based tests of the seed interpreter.
+//!
+//! The main one is differential: the VM in `farm_soil::interp` runs the
+//! slot-resolved form of a machine, `util/reference_interp.rs` walks its
+//! AST the way the interpreter used to, and for every event of a
+//! generated sequence both must produce the same effects, abstract cost,
+//! statistics, state, variables and error text — over every catalog
+//! program (all Tab. I use cases and the anomaly detectors) and the
+//! benchmark's own programs. Hand-written machines cover the scoping and
+//! limit corners the catalog does not reach. The older properties (HH
+//! against a Rust oracle, migration round trips, determinism) stay.
+
+#[path = "util/reference_interp.rs"]
+mod reference_interp;
 
 use std::sync::Arc;
 
-use farm_almanac::analysis::ConstEnv;
+use farm_almanac::analysis::{ConstEnv, PollSubject};
+use farm_almanac::ast::{Program, TriggerType};
 use farm_almanac::compile::{compile_machine, frontend, CompiledMachine};
-use farm_almanac::value::{StatEntry, StatSubject, Value};
+use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::topology::Topology;
+use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel};
 use farm_soil::interp::{stats_payload, FixedHost, SeedEvent, SeedId, SeedInstance};
 use farm_soil::Effect;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use reference_interp::RefSeed;
 
-fn compile(src: &str, machine: &str) -> Arc<CompiledMachine> {
+fn compile_in(program: &Program, machine: &str) -> Arc<CompiledMachine> {
     let topo = Topology::spine_leaf(1, 2, SwitchModel::test_model(8), SwitchModel::test_model(8));
     let ctl = SdnController::new(&topo);
-    let program = frontend(src).unwrap();
-    Arc::new(compile_machine(&program, machine, &ConstEnv::new(), &ctl).unwrap())
+    Arc::new(compile_machine(program, machine, &ConstEnv::new(), &ctl).unwrap())
+}
+
+fn compile(src: &str, machine: &str) -> Arc<CompiledMachine> {
+    compile_in(&frontend(src).unwrap(), machine)
 }
 
 fn stat(port: u16, tx_bytes: u64) -> StatEntry {
@@ -27,6 +46,575 @@ fn stat(port: u16, tx_bytes: u64) -> StatEntry {
         rx_bytes: 0,
         tx_packets: tx_bytes / 1500,
         rx_packets: 0,
+    }
+}
+
+/// Every program the differential test covers: the catalog, plus
+/// whatever the benchmark ships under `crates/benchmark/programs/`.
+fn corpus() -> Vec<(String, String)> {
+    let mut sources: Vec<(String, String)> = farm_almanac::programs::USE_CASES
+        .iter()
+        .map(|u| (u.machine.to_string(), u.source.to_string()))
+        .chain(
+            farm_almanac::programs::ANOMALY_PROGRAMS
+                .iter()
+                .map(|(m, s)| (m.to_string(), s.to_string())),
+        )
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../benchmark/programs");
+    let mut shipped: Vec<_> = std::fs::read_dir(dir)
+        .expect("benchmark programs directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "alm"))
+        .collect();
+    shipped.sort();
+    assert!(!shipped.is_empty(), "no benchmark programs under {dir}");
+    for path in shipped {
+        let source = std::fs::read_to_string(&path).expect("readable program");
+        sources.push((path.display().to_string(), source));
+    }
+    sources
+}
+
+/// One step of a generated sequence, before it is fitted to a machine
+/// (trigger names and rule subjects differ per machine).
+#[derive(Debug, Clone)]
+enum Step {
+    Enter,
+    Exit,
+    Realloc,
+    /// Fires the `pick`-th trigger with a payload of its own kind, or —
+    /// `misfit`, one time in eight — of the next kind round (type errors
+    /// must agree too).
+    Fire {
+        pick: usize,
+        misfit: bool,
+        stats: Vec<(u16, u64, u64)>,
+        packet: PacketRecord,
+        tick: i64,
+    },
+    /// A trigger the machine does not declare.
+    Stray,
+    /// A message from the harvester (`from` 0), or from the `from`-th
+    /// machine of the program.
+    Recv {
+        from: usize,
+        value: Value,
+    },
+    /// Snapshot the VM's seed and restore it into fresh seeds on both
+    /// sides: migration in the middle of a sequence.
+    Migrate,
+}
+
+fn packets() -> impl Strategy<Value = PacketRecord> {
+    (
+        (0u8..4, 0u8..4, 0u16..4, 0usize..5),
+        (0u32..2000, any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|((src, dst, sport, dport), (len, syn, fin, ack))| {
+            let dport = [22, 53, 80, 443, 8080][dport];
+            let (src, dst) = (Ipv4::new(10, 0, src, 1), Ipv4::new(10, 1, dst, 1));
+            let mut flow = FlowKey::tcp(src, 1000 + sport, dst, dport);
+            if dport == 53 {
+                flow = FlowKey::udp(src, 1000 + sport, dst, dport);
+            }
+            PacketRecord {
+                flow,
+                len,
+                syn,
+                fin,
+                ack,
+            }
+        })
+}
+
+/// A value of every `Value` variant, lists and pairs one level deep.
+fn values() -> impl Strategy<Value = Value> {
+    let scalar = || {
+        prop_oneof![
+            Just(Value::Unit),
+            any::<bool>().prop_map(Value::Bool),
+            (-5i64..3_000_000).prop_map(Value::Int),
+            (-2.0f64..2_000_000.0).prop_map(Value::Float),
+            "[a-z0-9./]{0,12}".prop_map(Value::Str),
+            packets().prop_map(Value::Packet),
+            (0u16..64).prop_map(|p| {
+                Value::Filter(FilterFormula::Atom(FilterAtom::IfPort(PortSel::Id(p))))
+            }),
+            (0u8..5, 0u64..1000).prop_map(|(k, n)| Value::Action(match k {
+                0 => ActionValue::Drop,
+                1 => ActionValue::RateLimit(n),
+                2 => ActionValue::SetQos(n as u8),
+                3 => ActionValue::Count,
+                _ => ActionValue::Mirror,
+            })),
+            (0u16..64).prop_map(|p| Value::Rule(RuleValue {
+                pattern: FilterFormula::Atom(FilterAtom::DstPort(p)),
+                action: ActionValue::Drop,
+            })),
+            (0.0f64..8.0).prop_map(|x| Value::Resources(Resources::new(x, 64.0 * x, x, 2.0 * x))),
+            (0u16..64, 0u64..3_000_000).prop_map(|(p, b)| Value::Stat(stat(p, b))),
+        ]
+    };
+    prop_oneof![
+        scalar(),
+        scalar(),
+        proptest::collection::vec(scalar(), 0..5).prop_map(Value::List),
+        (scalar(), scalar()).prop_map(|(a, b)| Value::Pair(Box::new(a), Box::new(b))),
+    ]
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let entries =
+        |max| proptest::collection::vec((0u16..64, 0u64..4_000_000, 0u64..4_000_000), 0..=max);
+    let fire = || {
+        (
+            (0usize..8, 0u8..8),
+            prop_oneof![entries(64), entries(6)],
+            packets(),
+            0i64..100,
+        )
+            .prop_map(|((pick, odd), stats, packet, tick)| Step::Fire {
+                pick,
+                misfit: odd == 0,
+                stats,
+                packet,
+                tick,
+            })
+    };
+    let recv = || {
+        (0usize..4, values()).prop_map(|(from, value)| Step::Recv {
+            from: from / 2,
+            value,
+        })
+    };
+    let step = prop_oneof![
+        fire(),
+        fire(),
+        fire(),
+        fire(),
+        fire(),
+        fire(),
+        recv(),
+        recv(),
+        recv(),
+        Just(Step::Realloc),
+        Just(Step::Enter),
+        Just(Step::Exit),
+        Just(Step::Stray),
+        Just(Step::Migrate),
+    ];
+    proptest::collection::vec(step, 1..20)
+}
+
+/// Fits a step to a machine; `None` for [`Step::Migrate`].
+fn event_for(step: &Step, program: &Program, def: &CompiledMachine) -> Option<SeedEvent> {
+    Some(match step {
+        Step::Enter => SeedEvent::Enter,
+        Step::Exit => SeedEvent::Exit,
+        Step::Realloc => SeedEvent::Realloc,
+        Step::Migrate => return None,
+        Step::Stray => SeedEvent::Trigger {
+            name: "noSuchTrigger".into(),
+            payload: Value::Int(1),
+        },
+        Step::Recv { from, value } => SeedEvent::Recv {
+            from_machine: from
+                .checked_sub(1)
+                .map(|i| program.machines[i % program.machines.len()].name.clone()),
+            value: value.clone(),
+        },
+        Step::Fire {
+            pick,
+            misfit,
+            stats,
+            packet,
+            tick,
+        } => {
+            let Some(trigger) = def.triggers.get(pick % def.triggers.len().max(1)) else {
+                return Some(SeedEvent::Realloc); // no triggers at all: still a step
+            };
+            let kinds = [TriggerType::Poll, TriggerType::Probe, TriggerType::Time];
+            let own = kinds
+                .iter()
+                .position(|k| *k == trigger.kind)
+                .expect("a kind");
+            let rule = trigger.subjects.iter().find_map(|s| match s {
+                PollSubject::Rule(key) => Some(key.clone()),
+                _ => None,
+            });
+            let payload = match kinds[(own + usize::from(*misfit)) % kinds.len()] {
+                TriggerType::Poll => stats_payload(
+                    stats
+                        .iter()
+                        .map(|&(port, tx, rx)| StatEntry {
+                            // Rule-polling machines see their rule's key
+                            // on every other entry.
+                            subject: match &rule {
+                                Some(key) if port % 2 == 0 => StatSubject::Rule(key.clone()),
+                                _ => StatSubject::Port(port),
+                            },
+                            tx_bytes: tx,
+                            rx_bytes: rx,
+                            tx_packets: tx / 1000,
+                            rx_packets: rx / 1000,
+                        })
+                        .collect(),
+                ),
+                TriggerType::Probe => Value::Packet(*packet),
+                TriggerType::Time => Value::Int(*tick),
+            };
+            SeedEvent::Trigger {
+                name: trigger.name.clone(),
+                payload,
+            }
+        }
+    })
+}
+
+/// Runs `steps` through the VM and the reference walker side by side.
+fn assert_same_behaviour(label: &str, program: &Program, machine: &str, steps: &[Step]) {
+    let def = compile_in(program, machine);
+    let alloc = Resources::new(2.0, 512.0, 16.0, 10.0);
+    let mut vm = SeedInstance::new(SeedId(1), def.clone(), alloc);
+    let mut walker = RefSeed::new(&def, &program.functions);
+    let mut host = FixedHost {
+        resources: alloc,
+        now_ms: 0,
+        rules: vec![RuleValue {
+            pattern: FilterFormula::Atom(FilterAtom::IfPort(PortSel::Id(3))),
+            action: ActionValue::Count,
+        }],
+    };
+    let first = [Step::Enter];
+    for (i, step) in first.iter().chain(steps).enumerate() {
+        let at = format!("{label}/{machine}, step {i} ({step:?})");
+        host.now_ms += 7;
+        let Some(event) = event_for(step, program, &def) else {
+            let snap = vm.snapshot();
+            vm = SeedInstance::new(SeedId(2), def.clone(), alloc);
+            vm.restore(&snap).unwrap();
+            // Statistics are per instance: both sides start from zero again.
+            walker = RefSeed::new(&def, &program.functions);
+            walker.restore(&snap);
+            assert_eq!(vm.state(), walker.state, "state at {at}");
+            continue;
+        };
+        assert_same_delivery(&mut vm, &mut walker, &event, &host, &at);
+    }
+}
+
+/// Delivers `event` to both interpreters and compares everything a
+/// caller can observe: the outcome or the error text, then state,
+/// statistics and variables.
+fn assert_same_delivery(
+    vm: &mut SeedInstance,
+    walker: &mut RefSeed<'_>,
+    event: &SeedEvent,
+    host: &FixedHost,
+    at: &str,
+) {
+    let got = vm.handle(event, host);
+    let want = walker.handle(event, host);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g.effects, w.effects, "effects at {at}");
+            assert_eq!(g.ops, w.ops, "ops at {at}");
+            assert_eq!(g.transitioned, w.transitioned, "transitioned at {at}");
+        }
+        (Err(g), Err(w)) => assert_eq!(g.0, w.0, "error text at {at}"),
+        _ => panic!("vm {got:?} but walker {want:?} at {at}"),
+    }
+    assert_eq!(vm.state(), walker.state, "state at {at}");
+    assert_eq!(vm.stats(), walker.stats, "stats at {at}");
+    assert_eq!(vm.snapshot().vars, walker.sorted_vars(), "vars at {at}");
+}
+
+/// Every machine of every program in the corpus, each on its own
+/// generated sequence: the property below picks programs at random, this
+/// makes sure none is missed.
+#[test]
+fn vm_matches_reference_on_every_catalog_program() {
+    let mut machines = 0;
+    for (i, (label, source)) in corpus().iter().enumerate() {
+        let program = frontend(source).unwrap_or_else(|e| panic!("{label}: {e}"));
+        for (j, m) in program.machines.iter().enumerate() {
+            for round in 0..4 {
+                let mut rng = TestRng::seed((i * 64 + j * 8 + round) as u64);
+                let steps = steps().generate(&mut rng);
+                assert_same_behaviour(label, &program, &m.name, &steps);
+            }
+            machines += 1;
+        }
+    }
+    assert!(machines >= 22, "corpus shrank to {machines} machines");
+}
+
+/// Runs a hand-written machine through both interpreters on `events`.
+fn assert_same_on(src: &str, events: &[SeedEvent]) -> SeedInstance {
+    let program = frontend(src).unwrap();
+    assert_same_on_program(&program, events)
+}
+
+fn assert_same_on_program(program: &Program, events: &[SeedEvent]) -> SeedInstance {
+    let def = compile_in(program, &program.machines[0].name);
+    let mut vm = SeedInstance::new(SeedId(1), def.clone(), Resources::ZERO);
+    let mut walker = RefSeed::new(&def, &program.functions);
+    let host = FixedHost::default();
+    for (i, event) in events.iter().enumerate() {
+        assert_same_delivery(&mut vm, &mut walker, event, &host, &format!("event {i}"));
+    }
+    vm
+}
+
+fn tick(name: &str, n: i64) -> SeedEvent {
+    SeedEvent::Trigger {
+        name: name.into(),
+        payload: Value::Int(n),
+    }
+}
+
+#[test]
+fn shadowed_locals_in_nested_blocks_resolve_like_the_walker() {
+    let vm = assert_same_on(
+        r#"machine M {
+             place any;
+             time t = 5;
+             long x = 1;
+             long seen = 0;
+             list trace;
+             state s {
+               when (t as n) do {
+                 list_push(trace, x);          // machine variable: 1
+                 long x = x + n;               // initialiser reads the outer x
+                 list_push(trace, x);
+                 if (x > 0) then {
+                   list_push(trace, x);        // still the handler's local
+                   long x = 100;
+                   list_push(trace, x);
+                   if (n > 0) then { long x = 1000; list_push(trace, x); x = x + 1; }
+                   x = x + 1;
+                   list_push(trace, x);        // 101
+                 } else {
+                   long x = -1;
+                   list_push(trace, x);
+                 }
+                 list_push(trace, x);          // the handler's local again
+                 seen = x;
+               }
+             }
+           }"#,
+        &[SeedEvent::Enter, tick("t", 4), tick("t", -9)],
+    );
+    assert_eq!(vm.var("x"), Some(&Value::Int(1)), "never assigned");
+    assert_eq!(vm.var("seen"), Some(&Value::Int(-8)));
+    let ints = |v: &[i64]| Value::List(v.iter().map(|&i| Value::Int(i)).collect());
+    assert_eq!(
+        vm.var("trace"),
+        Some(&ints(&[1, 5, 5, 100, 1000, 101, 5, 1, -8, -1, -8]))
+    );
+}
+
+#[test]
+fn a_local_declared_in_a_loop_body_starts_fresh_every_iteration() {
+    let vm = assert_same_on(
+        r#"machine M {
+             place any;
+             time t = 5;
+             list out;
+             long total = 0;
+             state s {
+               when (t as n) do {
+                 long i = 0;
+                 while (i < n) {
+                   long acc;                   // default 0, every time round
+                   list seen;
+                   list_push(seen, i);
+                   acc = acc + i;
+                   total = total + acc + list_len(seen);
+                   list_push(out, acc);
+                   long i2 = i + 1;
+                   i = i2;
+                 }
+               }
+             }
+           }"#,
+        &[SeedEvent::Enter, tick("t", 4), tick("t", 0), tick("t", 2)],
+    );
+    assert_eq!(vm.var("total"), Some(&Value::Int(6 + 4 + 1 + 2)));
+}
+
+#[test]
+fn recursion_stops_at_the_call_depth_limit_with_the_same_error() {
+    let src = r#"
+        fun down(long n): long {
+          if (n <= 0) then { return 0; }
+          return 1 + down(n - 1);
+        }
+        machine M {
+          place any;
+          time t = 5;
+          long got = -1;
+          state s { when (t as n) do { got = down(n); } }
+        }"#;
+    // 64 nested calls is the deepest that fits: down(63) makes 64.
+    let vm = assert_same_on(src, &[tick("t", 63), tick("t", 64), tick("t", 500)]);
+    assert_eq!(vm.var("got"), Some(&Value::Int(63)));
+    let def = compile(src, "M");
+    let mut seed = SeedInstance::new(SeedId(9), def, Resources::ZERO);
+    let err = seed
+        .handle(&tick("t", 64), &FixedHost::default())
+        .unwrap_err();
+    assert_eq!(err.0, "call depth exceeded");
+}
+
+#[test]
+fn transit_inside_a_function_is_the_same_runtime_error() {
+    // The checker rejects this program, so it takes the unchecked road
+    // (`parse`, not `frontend`); the runtime must still agree.
+    let program = farm_almanac::parser::parse(
+        r#"
+        fun sneak(long n) { transit b; }
+        machine M {
+          place any;
+          time t = 5;
+          state a { when (t as n) do { sneak(n); } }
+          state b { }
+        }"#,
+    )
+    .unwrap();
+    let vm = assert_same_on_program(&program, &[tick("t", 1)]);
+    assert_eq!(vm.state(), "a");
+    let err = vm
+        .clone()
+        .handle(&tick("t", 1), &FixedHost::default())
+        .unwrap_err();
+    assert_eq!(err.0, "transit inside function");
+}
+
+#[test]
+fn mutation_builtins_hit_the_local_or_the_machine_variable_they_name() {
+    let vm = assert_same_on(
+        r#"fun build(long n): list {
+             list acc;
+             long i = 0;
+             while (i < n) { list_push_unique(acc, i / 2); i = i + 1; }
+             list_remove_at(acc, 0);
+             return acc;
+           }
+           machine M {
+             place any;
+             time t = 5;
+             list kept;
+             list lens;
+             state s {
+               when (t as n) do {
+                 list kept2;
+                 list_push(kept2, n);
+                 list_push(kept, n);
+                 if (n > 2) then {
+                   list kept;                  // shadows the machine variable
+                   list_push(kept, 99);
+                   list_push(lens, list_len(kept));
+                   list_clear(kept);
+                 }
+                 list_push(lens, list_len(kept));
+                 list_push(lens, list_len(build(n)));
+                 if (n == 7) then { list_remove_at(kept, 40); }
+                 if (n == 8) then { list_clear(kept); }
+               }
+             }
+           }"#,
+        &[
+            SeedEvent::Enter,
+            tick("t", 1),
+            tick("t", 5),
+            tick("t", 7), // out-of-bounds removal: error, list untouched
+            tick("t", 8),
+            tick("t", 0), // build(0) removes from an empty list: error
+        ],
+    );
+    assert_eq!(vm.var("kept"), Some(&Value::List(vec![Value::Int(0)])));
+}
+
+#[test]
+fn every_runtime_error_a_checked_program_can_raise_has_the_same_text() {
+    // One failing statement per tick value; `pair_first` returns `any`,
+    // which is how a checked program gets a wrongly typed value past the
+    // checker.
+    let src = r#"
+        machine E {
+          place any;
+          time t = 5;
+          list xs;
+          long zero = 0;
+          long big = 9223372036854775807;
+          float x = 0.0;
+          filter f;
+          state s {
+            list hidden;
+            when (t as n) do {
+              if (n == 0) then { xs = list_get(xs, 3); }
+              if (n == 1) then { zero = 1 / zero; }
+              if (n == 2) then { big = big + 1; }
+              if (n == 3) then { addTCAMRule(getTCAMRule(port 9)); }
+              if (n == 4) then { f = srcIP "not-an-ip"; }
+              if (n == 5) then { f = proto "gre"; }
+              if (n == 6) then { f = dstPort 70000; }
+              if (n == 7) then { list_push(hidden, 1); }
+              if (n == 8) then { xs = hidden; }
+              if (n == 9) then { hidden = xs; }
+              if (n == 10) then { zero = to_int(pair_second(zero)); }
+              if (n == 11) then { list_remove_at(xs, 5); }
+              if (n == 12) then { x = 1.5 / 0; }
+              if (n == 13) then { send 1 to E@pair_first(pair("a", 1)); }
+              if (n == 14) then { x = pair_first(pair(n, n)).vCPU; }
+              if (n == 15) then { if (not pair_first(pair(n, n))) then { zero = 0; } }
+              if (n == 16) then { x = -pair_first(pair("a", 1)); }
+              if (n == 17) then { if (pair_first(pair(n, n))) then { zero = 0; } }
+              if (n == 18) then { while (pair_first(pair(n, n))) { zero = 0; } }
+              if (n == 19) then { x = pair_first(pair("a", 1)) + 1; }
+              if (n == 20) then { if (pair_first(pair("a", 1)) < pair_first(pair("a", 1))) then { zero = 0; } }
+              if (n == 21) then { if (pair_first(pair(n, n)) and true) then { zero = 0; } }
+              if (n == 22) then { addTCAMRule(Rule { .pattern = pair_first(pair(n, n)), .act = action_drop() }); }
+              if (n == 23) then { zero = pkt_len(pair_first(pair(n, n))); }
+              if (n == 24) then { while (zero <= 0) { zero = 0; } }
+              if (n == 25) then { zero = list_len(pair_first(pair(n, n))); }
+              if (n == 26) then { list_remove_at(xs, pair_first(pair(n, n))); }
+              if (n == 27) then { zero = list_get(xs, -1); }
+              if (n == 28) then { f = dstPort pair_first(pair(n, n)) and srcIP pair_first(pair(n, n)); }
+              if (n == 29) then { xs = pair_first(pair(n, n)); list_push(xs, 1); }
+              if (n == 30) then { zero = t; }
+            }
+          }
+        }"#;
+    let events: Vec<SeedEvent> = (0..=30).map(|n| tick("t", n)).collect();
+    assert_same_on(src, &events);
+    // All of them are errors, and nearly all distinct ones.
+    let def = compile(src, "E");
+    let mut seed = SeedInstance::new(SeedId(1), def, Resources::ZERO);
+    let texts: std::collections::BTreeSet<String> = events
+        .iter()
+        .map(|e| seed.handle(e, &FixedHost::default()).unwrap_err().0)
+        .collect();
+    assert!(texts.len() >= 26, "{texts:#?}");
+}
+
+proptest! {
+    /// The differential property: a random program of the corpus, a
+    /// random machine of it, a random event sequence. Case count comes
+    /// from `PROPTEST_CASES` (CI's `interpreter` job raises it).
+    #[test]
+    fn vm_matches_reference_effect_for_effect(
+        pick in 0usize..1000,
+        machine in 0usize..8,
+        steps in steps(),
+    ) {
+        let corpus = corpus();
+        let (label, source) = &corpus[pick % corpus.len()];
+        let program = frontend(source).unwrap();
+        let name = program.machines[machine % program.machines.len()].name.clone();
+        assert_same_behaviour(label, &program, &name, &steps);
     }
 }
 
