@@ -261,8 +261,9 @@ impl FarmBuilder {
         }
         let mut network = Network::new(self.topology);
         network.set_telemetry(&telemetry);
-        let soils: HashMap<SwitchId, Soil> = network
-            .switch_ids()
+        let ids = network.switch_ids();
+        let n_switches = ids.len();
+        let soils: HashMap<SwitchId, Soil> = ids
             .into_iter()
             .map(|id| {
                 let mut soil = Soil::new(id, self.config.soil);
@@ -311,6 +312,8 @@ impl FarmBuilder {
             recovery: BTreeMap::new(),
             global_loss: None,
             switch_loss: BTreeMap::new(),
+            sampled: vec![Vec::new(); n_switches],
+            sampled_slots: Vec::new(),
         };
         for (task, h) in self.harvesters {
             farm.set_harvester(task, h);
@@ -370,6 +373,11 @@ pub struct Farm {
     global_loss: Option<LossModel>,
     /// Control-channel impairment per switch (wins over `global_loss`).
     switch_loss: BTreeMap<SwitchId, LossModel>,
+    /// Scratch of [`Farm::apply_traffic`]: sampled packets per network
+    /// slot, emptied (capacity kept) by the end of every call.
+    sampled: Vec<Vec<PacketRecord>>,
+    /// Scratch of [`Farm::apply_traffic`]: the non-empty `sampled` slots.
+    sampled_slots: Vec<(SwitchId, usize)>,
 }
 
 impl Farm {
@@ -740,28 +748,45 @@ impl Farm {
     /// probe triggers.
     pub fn apply_traffic(&mut self, events: &[TrafficEvent]) {
         self.network.apply_traffic(events);
-        // BTreeMap: switches process their samples in id order, so event
-        // traces are identical across runs (a HashMap here would make
-        // fault-replay traces nondeterministic).
-        let mut per_switch: BTreeMap<SwitchId, Vec<PacketRecord>> = BTreeMap::new();
+        // Sample into one reused bucket per up switch, resolving the slot
+        // once per run of same-switch events.
+        let mut run: Option<(SwitchId, Option<usize>)> = None;
         for e in events {
-            per_switch
-                .entry(e.switch)
-                .or_default()
-                .push(sample_packet(e));
-        }
-        let mut outbound = Vec::new();
-        for (swid, pkts) in per_switch {
-            if !self.network.is_up(swid) {
+            let slot = match run {
+                Some((id, slot)) if id == e.switch => slot,
+                _ => {
+                    let slot = self
+                        .network
+                        .slot_of(e.switch)
+                        .filter(|_| self.network.is_up(e.switch));
+                    run = Some((e.switch, slot));
+                    slot
+                }
+            };
+            let Some(slot) = slot else {
                 continue;
+            };
+            let bucket = &mut self.sampled[slot];
+            if bucket.is_empty() {
+                self.sampled_slots.push((e.switch, slot));
             }
+            bucket.push(sample_packet(e));
+        }
+        // Switches process their samples in id order, so event traces are
+        // identical across runs.
+        self.sampled_slots.sort_unstable();
+        let mut outbound = Vec::new();
+        for &(swid, slot) in &self.sampled_slots {
+            let pkts = &mut self.sampled[slot];
             if let Some(soil) = self.soils.get_mut(&swid) {
                 let switch = self.network.switch_mut(swid).expect("switch exists");
-                let report = soil.offer_packets(&pkts, self.now, switch);
+                let report = soil.offer_packets(pkts, self.now, switch);
                 self.counters.seed_errors.add(report.errors.len() as u64);
                 outbound.extend(report.messages);
             }
+            pkts.clear();
         }
+        self.sampled_slots.clear();
         self.route(outbound);
     }
 
@@ -805,18 +830,14 @@ impl Farm {
     }
 
     /// Capacities the planner may use right now: up, reachable,
-    /// non-fenced switches at their *effective* (PCIe-degraded)
-    /// resources.
-    fn live_capacities(&self) -> Vec<(SwitchId, Resources)> {
+    /// non-fenced, non-cordoned switches at their *effective*
+    /// (PCIe-degraded) resources, in id order. The one definition of
+    /// "live" that placement and the daemon's admission control share.
+    pub fn live_capacities(&self) -> Vec<(SwitchId, Resources)> {
         self.network
-            .switch_ids()
+            .reachable()
             .into_iter()
-            .filter(|id| {
-                self.network.is_up(*id)
-                    && self.network.is_reachable(*id)
-                    && !self.fenced.contains(id)
-                    && !self.cordoned.contains(id)
-            })
+            .filter(|id| !self.fenced.contains(id) && !self.cordoned.contains(id))
             .map(|id| {
                 let sw = self.network.switch(id).expect("switch exists");
                 (id, sw.effective_resources())
@@ -942,37 +963,50 @@ impl Farm {
     /// orphans their seeds.
     fn heartbeat_round(&mut self, at: Time) {
         self.counters.heartbeats.inc();
-        let placements: BTreeMap<SeedKey, SwitchId> = self
-            .seeder
-            .placements()
-            .map(|(k, (n, _))| (k.clone(), *n))
-            .collect();
+        let alive = self.network.reachable();
+        let is_alive = |id: SwitchId| alive.binary_search(&id).is_ok();
+        // One walk over the placements checkpoints every seed an alive
+        // soil still hosts, and sets aside what the per-switch pass needs
+        // (it mutates the seeder): the seeds an alive soil lost, and the
+        // seeds a rejoining fenced switch hosts legitimately.
+        let mut lost: Vec<(SwitchId, SeedKey)> = Vec::new();
+        let mut valid: Vec<(SwitchId, SeedId)> = Vec::new();
+        for (key, (host, _)) in self.seeder.placements() {
+            if !is_alive(*host) {
+                continue;
+            }
+            let sid = self.seed_ids.get(key).copied();
+            if let (Some(sid), true) = (sid, self.fenced.contains(host)) {
+                valid.push((*host, sid));
+            }
+            let snap = sid
+                .and_then(|sid| self.soils.get(host)?.seed(sid))
+                .map(|inst| inst.snapshot());
+            match (snap, self.checkpoints.get_mut(key)) {
+                (Some(snap), Some(stored)) => *stored = snap,
+                (Some(snap), None) => {
+                    self.checkpoints.insert(key.clone(), snap);
+                }
+                // The soil answers heartbeats but no longer hosts the
+                // seed: the switch restarted cold before the detector
+                // fired. Recover now.
+                (None, _) => lost.push((*host, key.clone())),
+            }
+        }
+        lost.sort();
+        let mut lost = lost.into_iter().peekable();
         for id in self.network.switch_ids() {
-            let alive = self.network.is_up(id) && self.network.is_reachable(id);
-            if alive {
+            if is_alive(id) {
                 // Reachable soils beacon over the real wire in TCP mode.
                 if let Some(bridge) = &self.transport {
                     bridge.heartbeat(id.0, at.as_nanos());
                 }
                 self.missed.remove(&id);
                 if self.fenced.remove(&id) {
-                    self.kill_stale_seeds(id, at, &placements);
+                    self.kill_stale_seeds(id, at, &valid);
                 }
-                for (key, _) in placements.iter().filter(|(_, n)| **n == id) {
-                    let snap = self
-                        .seed_ids
-                        .get(key)
-                        .and_then(|sid| self.soils.get(&id).and_then(|soil| soil.seed(*sid)))
-                        .map(|inst| inst.snapshot());
-                    match snap {
-                        Some(snap) => {
-                            self.checkpoints.insert(key.clone(), snap);
-                        }
-                        // The soil answers heartbeats but no longer hosts
-                        // the seed: the switch restarted cold before the
-                        // detector fired. Recover now.
-                        None => self.orphan_seed(key.clone(), id, at),
-                    }
+                while let Some((_, key)) = lost.next_if(|(host, _)| *host == id) {
+                    self.orphan_seed(key, id, at);
                 }
                 self.down_since.remove(&id);
             } else {
@@ -999,25 +1033,16 @@ impl Farm {
 
     /// Kills seeds still running on a switch that rejoined after being
     /// declared failed: their replacements live elsewhere, so keeping
-    /// the originals would double-run the task (split brain).
-    fn kill_stale_seeds(
-        &mut self,
-        id: SwitchId,
-        at: Time,
-        placements: &BTreeMap<SeedKey, SwitchId>,
-    ) {
-        let valid: BTreeSet<SeedId> = placements
-            .iter()
-            .filter(|(_, n)| **n == id)
-            .filter_map(|(k, _)| self.seed_ids.get(k).copied())
-            .collect();
+    /// the originals would double-run the task (split brain). `valid`
+    /// lists the `(switch, seed)` pairs the seeder still places there.
+    fn kill_stale_seeds(&mut self, id: SwitchId, at: Time, valid: &[(SwitchId, SeedId)]) {
         let Some(soil) = self.soils.get_mut(&id) else {
             return;
         };
         let stale: Vec<SeedId> = soil
             .seeds()
             .map(|s| s.id)
-            .filter(|sid| !valid.contains(sid))
+            .filter(|sid| !valid.contains(&(id, *sid)))
             .collect();
         if stale.is_empty() {
             return;
@@ -1620,6 +1645,7 @@ mod tests {
     use crate::harvester::CollectingHarvester;
     use farm_netsim::switch::SwitchModel;
     use farm_netsim::traffic::{HeavyHitterWorkload, HhConfig};
+    use farm_netsim::types::{FlowKey, Ipv4, PortId};
     use farm_telemetry::RingBufferSink;
 
     fn fabric() -> Topology {
@@ -1843,18 +1869,137 @@ mod tests {
         )));
     }
 
+    /// One never-rate-limited probe per switch that reports the source
+    /// port of every UDP packet it is offered.
+    const TAP: &str = r#"
+machine Tap {
+  place all;
+  probe tap = Probe { .ival = 0.0000001, .what = proto "udp" };
+  state s {
+    when (tap as pkt) do { send pkt_src_port(pkt) to harvester; }
+  }
+}
+"#;
+
+    #[test]
+    fn interleaved_batch_is_offered_switch_by_switch_in_batch_order() {
+        let mut farm = Farm::builder(fabric())
+            .with_harvester("tap", Box::new(CollectingHarvester::new()))
+            .build();
+        farm.deploy_task("tap", TAP, &BTreeMap::new()).unwrap();
+        let ids = farm.network().switch_ids();
+        let (s0, l0, l1, l2) = (ids[0], ids[2], ids[3], ids[4]);
+        // Crashed, but its soil is still there: skipping it is the
+        // network's verdict, not a missing soil's.
+        farm.network_mut().set_switch_up(l1, false);
+        let ev = |switch: SwitchId, tag: u16, proto: Proto| TrafficEvent {
+            switch,
+            rx_port: None,
+            tx_port: Some(PortId(0)),
+            flow: FlowKey {
+                src: Ipv4::new(10, 0, 0, 1),
+                dst: Ipv4::new(10, 0, 0, 2),
+                proto,
+                src_port: tag,
+                dst_port: 9,
+            },
+            bytes: 800,
+            packets: 1,
+        };
+        farm.apply_traffic(&[
+            ev(l2, 1, Proto::Udp),
+            ev(l0, 2, Proto::Udp),
+            ev(l1, 3, Proto::Udp),
+            ev(s0, 4, Proto::Udp),
+            ev(l0, 5, Proto::Udp),
+            ev(l2, 6, Proto::Tcp),
+            ev(l1, 7, Proto::Udp),
+            ev(l0, 8, Proto::Udp),
+            ev(s0, 9, Proto::Udp),
+        ]);
+        // Switches ascending, batch order within a switch, the crashed
+        // switch skipped, the TCP packet unmatched.
+        let h: &CollectingHarvester = farm.harvester("tap").unwrap();
+        let got: Vec<(SwitchId, Value)> = h
+            .received
+            .iter()
+            .map(|m| (m.from_switch, m.value.clone()))
+            .collect();
+        let want: Vec<(SwitchId, Value)> = [(s0, 4), (s0, 9), (l0, 2), (l0, 5), (l0, 8), (l2, 1)]
+            .into_iter()
+            .map(|(sw, tag)| (sw, Value::Int(tag)))
+            .collect();
+        assert_eq!(got, want);
+        // Deliveries per soil: the `enter` event plus the matched packets.
+        let deliveries = |id| farm.soil(id).unwrap().stats().deliveries;
+        assert_eq!(deliveries(s0), 3);
+        assert_eq!(deliveries(ids[1]), 1);
+        assert_eq!(deliveries(l0), 4);
+        assert_eq!(deliveries(l1), 1);
+        assert_eq!(deliveries(l2), 2);
+        assert_eq!(farm.soil_stats().messages_out, 6);
+        let tx = |id| {
+            let switch = farm.network().switch(id).unwrap();
+            switch.port_counters(PortId(0)).tx_bytes
+        };
+        assert_eq!((tx(s0), tx(l0), tx(l1), tx(l2)), (1600, 2400, 0, 1600));
+        // The scratch is empty again: a second, smaller batch sees none
+        // of the first one's packets.
+        farm.apply_traffic(&[ev(l2, 10, Proto::Udp)]);
+        let h: &CollectingHarvester = farm.harvester("tap").unwrap();
+        assert_eq!(h.received.len(), 7);
+        assert_eq!(h.received[6].value, Value::Int(10));
+    }
+
+    #[test]
+    fn heartbeat_checkpoints_orphans_and_fences_per_switch() {
+        // Crash one leaf for good (fenced after three misses) and bounce
+        // another inside one heartbeat interval (its soil comes back
+        // empty: the seed is orphaned without the switch ever being
+        // fenced). Every other seed is checkpointed each round.
+        let ids: Vec<SwitchId> = fabric().switches().iter().map(|n| n.id).collect();
+        let (dead, bounced) = (ids[2], ids[4]);
+        let plan = FaultPlan::new()
+            .with(
+                Time::from_millis(1),
+                FaultKind::SwitchCrash { switch: dead },
+            )
+            .crash_and_restart(bounced, Time::from_millis(2), Dur::from_millis(1));
+        let events = Arc::new(RingBufferSink::new(4096));
+        let mut farm = Farm::builder(fabric())
+            .with_fault_plan(plan)
+            .with_sink(events.clone())
+            .build();
+        farm.deploy_task("hh", farm_almanac::programs::HEAVY_HITTER, &BTreeMap::new())
+            .unwrap();
+        farm.advance(Time::from_millis(10));
+        let orphaned: Vec<u32> = events
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SeedOrphaned { switch, .. } => Some(*switch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(orphaned, vec![bounced.0], "first round: the cold soil");
+        assert_eq!(farm.export_checkpoints().len(), 3, "one per surviving seed");
+        farm.advance(Time::from_millis(35));
+        assert_eq!(farm.fenced_switches(), vec![dead]);
+        let orphaned = events
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::SeedOrphaned { switch, .. } if *switch == dead.0))
+            .count();
+        assert_eq!(orphaned, 1);
+    }
+
     #[test]
     fn sample_packet_flags_syns() {
         let e = TrafficEvent {
             switch: SwitchId(0),
             rx_port: None,
             tx_port: None,
-            flow: farm_netsim::types::FlowKey::tcp(
-                farm_netsim::types::Ipv4::new(1, 1, 1, 1),
-                9,
-                farm_netsim::types::Ipv4::new(2, 2, 2, 2),
-                22,
-            ),
+            flow: FlowKey::tcp(Ipv4::new(1, 1, 1, 1), 9, Ipv4::new(2, 2, 2, 2), 22),
             bytes: 64,
             packets: 1,
         };

@@ -662,17 +662,8 @@ fn admission_check(
             demand = demand.add(&per_seed);
         }
     }
-    let net = farm.network();
-    let cordoned: std::collections::BTreeSet<SwitchId> =
-        farm.cordoned_switches().into_iter().collect();
-    let fenced: std::collections::BTreeSet<SwitchId> = farm.fenced_switches().into_iter().collect();
     let mut headroom = [0f64; 4];
-    for id in net.switch_ids() {
-        if !net.is_up(id) || !net.is_reachable(id) || cordoned.contains(&id) || fenced.contains(&id)
-        {
-            continue;
-        }
-        let cap = net.switch(id).expect("switch exists").effective_resources();
+    for (id, cap) in farm.live_capacities() {
         let used = farm
             .soil(id)
             .map(|s| s.resources_in_use())
@@ -1057,5 +1048,65 @@ mod tests {
         ] {
             assert!(body.contains(field), "stats body missing {field}: {body}");
         }
+    }
+
+    #[test]
+    fn admission_counts_exactly_the_switches_placement_may_use() {
+        let topo = Topology::spine_leaf(
+            2,
+            6,
+            SwitchModel::accton_as7712(),
+            SwitchModel::accton_as5712(),
+        );
+        let spines: Vec<SwitchId> = topo.spines().collect();
+        let leaves: Vec<SwitchId> = topo.leaves().collect();
+        let (fenced, cordoned, cut_off, crashed) = (leaves[0], leaves[1], leaves[2], leaves[3]);
+        let plan = FaultPlan::new().with(
+            Time::from_millis(1),
+            FaultKind::SwitchCrash { switch: fenced },
+        );
+        let mut farm = FarmBuilder::new(topo).with_fault_plan(plan).build();
+        // Three missed heartbeats fence the first leaf; the others fail
+        // after the last round, so no detector has seen them yet.
+        farm.advance(Time::from_millis(35));
+        assert_eq!(farm.fenced_switches(), vec![fenced]);
+        farm.drain(cordoned).unwrap();
+        for spine in &spines {
+            farm.network_mut().set_link_up(*spine, cut_off, false);
+        }
+        farm.network_mut().set_switch_up(crashed, false);
+
+        let live: Vec<SwitchId> = spines.iter().chain(&leaves[4..]).copied().collect();
+        let capacities = farm.live_capacities();
+        let ids: Vec<SwitchId> = capacities.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, live);
+
+        // The quota at which the task's demand exactly meets the live
+        // set's capacity on its tightest resource: admission must flip
+        // there, which it does only if it sums over the same switches.
+        let task = {
+            let ctl = SdnController::new(farm.network().topology());
+            farm_almanac::compile::compile_task(
+                "hh",
+                farm_almanac::programs::HEAVY_HITTER,
+                &BTreeMap::new(),
+                &ctl,
+            )
+            .unwrap()
+        };
+        let mut demand = Resources::ZERO;
+        for m in &task.machines {
+            let (per_seed, _) = m.util_of(&m.initial_state).min_feasible().unwrap();
+            for _ in 0..m.seeds.len() {
+                demand = demand.add(&per_seed);
+            }
+        }
+        let tightest = (0..4)
+            .map(|k| demand.0[k] / capacities.iter().map(|(_, cap)| cap.0[k]).sum::<f64>())
+            .fold(0.0, f64::max);
+        assert!(tightest > 0.0);
+        assert_eq!(admission_check(&farm, &task, tightest * 1.001), Ok(()));
+        let refused = admission_check(&farm, &task, tightest * 0.999).unwrap_err();
+        assert!(refused.contains("exceeds quota headroom"), "{refused}");
     }
 }

@@ -1,7 +1,7 @@
 //! A runnable network: topology plus instantiated switches, including
 //! their failure state (down switches, down links, reachability).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 
 use crate::switch::Switch;
 use crate::topology::Topology;
@@ -18,13 +18,18 @@ pub struct TrafficEvent {
     pub packets: u64,
 }
 
-/// The simulated fabric with live per-switch state.
+/// The simulated fabric with live per-switch state. Per-switch state is
+/// addressed by the topology's slot ([`Topology::slot_of`]): position in
+/// ascending id order.
 #[derive(Debug)]
 pub struct Network {
     topology: Topology,
-    switches: HashMap<SwitchId, Switch>,
-    /// Switches currently crashed.
-    down: BTreeSet<SwitchId>,
+    /// One switch per slot.
+    switches: Vec<Switch>,
+    /// Switch ids per slot, i.e. ascending.
+    ids: Vec<SwitchId>,
+    /// Per slot: the switch is not crashed.
+    up: Vec<bool>,
     /// Links currently down, stored with endpoints in sorted order.
     links_down: BTreeSet<(SwitchId, SwitchId)>,
     /// Kept so switches recreated after a crash get re-instrumented.
@@ -42,15 +47,17 @@ fn link_key(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {
 impl Network {
     /// Instantiates one [`Switch`] per topology node.
     pub fn new(topology: Topology) -> Network {
-        let switches = topology
-            .switches()
-            .iter()
-            .map(|n| (n.id, Switch::new(n.id, n.model.clone())))
+        let switches: Vec<Switch> = (0..topology.len())
+            .map(|slot| {
+                let node = topology.node_at(slot);
+                Switch::new(node.id, node.model.clone())
+            })
             .collect();
         Network {
-            topology,
+            ids: switches.iter().map(Switch::id).collect(),
+            up: vec![true; switches.len()],
             switches,
-            down: BTreeSet::new(),
+            topology,
             links_down: BTreeSet::new(),
             telemetry: None,
         }
@@ -61,28 +68,30 @@ impl Network {
         &self.topology
     }
 
+    /// Position of a switch in [`Network::switches`] / [`Network::switch_ids`]
+    /// order, `None` for an unknown switch.
+    pub fn slot_of(&self, id: SwitchId) -> Option<usize> {
+        self.topology.slot_of(id)
+    }
+
     /// Shared access to a switch.
     pub fn switch(&self, id: SwitchId) -> Option<&Switch> {
-        self.switches.get(&id)
+        self.slot_of(id).map(|slot| &self.switches[slot])
     }
 
     /// Exclusive access to a switch.
     pub fn switch_mut(&mut self, id: SwitchId) -> Option<&mut Switch> {
-        self.switches.get_mut(&id)
+        self.slot_of(id).map(|slot| &mut self.switches[slot])
     }
 
     /// Iterates all switches in id order.
     pub fn switches(&self) -> impl Iterator<Item = &Switch> {
-        let mut ids: Vec<SwitchId> = self.switches.keys().copied().collect();
-        ids.sort();
-        ids.into_iter().map(move |id| &self.switches[&id])
+        self.switches.iter()
     }
 
     /// Ids of all switches in order.
     pub fn switch_ids(&self) -> Vec<SwitchId> {
-        let mut ids: Vec<SwitchId> = self.switches.keys().copied().collect();
-        ids.sort();
-        ids
+        self.ids.clone()
     }
 
     /// Applies a batch of traffic events to the respective switches.
@@ -93,15 +102,24 @@ impl Network {
     ///
     /// Panics if an event references an unknown switch.
     pub fn apply_traffic(&mut self, events: &[TrafficEvent]) {
+        // Generators emit a switch's events back to back: resolve the
+        // slot once per run.
+        let mut run: Option<(SwitchId, usize)> = None;
         for e in events {
-            if self.down.contains(&e.switch) {
-                continue;
+            let slot = match run {
+                Some((id, slot)) if id == e.switch => slot,
+                _ => {
+                    let slot = self
+                        .slot_of(e.switch)
+                        .unwrap_or_else(|| panic!("traffic for unknown switch {}", e.switch));
+                    run = Some((e.switch, slot));
+                    slot
+                }
+            };
+            if self.up[slot] {
+                self.switches[slot]
+                    .record_traffic(&e.flow, e.rx_port, e.tx_port, e.bytes, e.packets);
             }
-            let sw = self
-                .switches
-                .get_mut(&e.switch)
-                .unwrap_or_else(|| panic!("traffic for unknown switch {}", e.switch));
-            sw.record_traffic(&e.flow, e.rx_port, e.tx_port, e.bytes, e.packets);
         }
     }
 
@@ -110,35 +128,36 @@ impl Network {
     /// crash ([`Network::reset_switch`]) stay instrumented.
     pub fn set_telemetry(&mut self, telemetry: &farm_telemetry::Telemetry) {
         self.telemetry = Some(telemetry.clone());
-        for sw in self.switches.values_mut() {
+        for sw in &mut self.switches {
             sw.set_telemetry(telemetry.clone());
         }
     }
 
     /// True when the switch exists and is not crashed.
     pub fn is_up(&self, id: SwitchId) -> bool {
-        self.switches.contains_key(&id) && !self.down.contains(&id)
+        self.slot_of(id).is_some_and(|slot| self.up[slot])
     }
 
     /// Marks a switch crashed (`up = false`) or restores it. Restoring a
     /// crashed switch resets it cold — ASIC state (TCAM, counters, meters)
     /// from before the crash is lost.
     pub fn set_switch_up(&mut self, id: SwitchId, up: bool) {
-        if !self.switches.contains_key(&id) {
+        let Some(slot) = self.slot_of(id) else {
             return;
+        };
+        if up && !self.up[slot] {
+            self.reset_switch(id);
         }
-        if up {
-            if self.down.remove(&id) {
-                self.reset_switch(id);
-            }
-        } else {
-            self.down.insert(id);
-        }
+        self.up[slot] = up;
     }
 
     /// Ids of currently crashed switches, in order.
     pub fn down_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.down.iter().copied()
+        self.ids
+            .iter()
+            .zip(&self.up)
+            .filter(|(_, up)| !**up)
+            .map(|(id, _)| *id)
     }
 
     /// True when the (undirected) link between `a` and `b` carries traffic.
@@ -160,57 +179,83 @@ impl Network {
         self.links_down.iter().copied()
     }
 
-    /// True when `id` is up and reachable from at least one up spine over
-    /// up links (spines themselves only need to be up). With no spines in
+    /// The switches that are up and reachable from at least one up spine
+    /// over up links (spines themselves only need to be up), ascending —
+    /// one traversal of the fabric for the whole set. With no spines in
     /// the topology, reachability degenerates to "switch is up".
-    pub fn is_reachable(&self, id: SwitchId) -> bool {
-        if !self.is_up(id) {
-            return false;
+    pub fn reachable(&self) -> Vec<SwitchId> {
+        let spines: Vec<usize> = self
+            .topology
+            .spines()
+            .map(|id| self.slot_of(id).expect("spine is a node"))
+            .collect();
+        let reached = if spines.is_empty() {
+            self.up.clone()
+        } else {
+            self.reached_from(spines)
+        };
+        self.ids
+            .iter()
+            .zip(&reached)
+            .filter(|(_, reached)| **reached)
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// Breadth-first walk over up switches and up links from the up
+    /// switches among `roots`; the result is indexed by slot.
+    fn reached_from(&self, mut roots: Vec<usize>) -> Vec<bool> {
+        roots.retain(|slot| self.up[*slot]);
+        let mut seen = vec![false; self.ids.len()];
+        for &slot in &roots {
+            seen[slot] = true;
         }
-        let spines: Vec<SwitchId> = self.topology.spines().filter(|s| self.is_up(*s)).collect();
-        if self.topology.spines().next().is_none() {
-            return true;
-        }
-        if spines.is_empty() {
-            return false;
-        }
-        if spines.contains(&id) {
-            return true;
-        }
-        // BFS over up switches and up links from the live spines.
-        let mut seen: BTreeSet<SwitchId> = spines.iter().copied().collect();
-        let mut queue: VecDeque<SwitchId> = spines.into();
-        while let Some(u) = queue.pop_front() {
+        // Once every up switch has been reached the rest of the walk can
+        // only re-visit: a healthy spine-leaf fabric is done after the
+        // first spine's links.
+        let mut unreached = self.up.iter().filter(|up| **up).count() - roots.len();
+        // `frontier[head..]` is the queue.
+        let mut frontier = roots;
+        let mut head = 0;
+        while head < frontier.len() && unreached > 0 {
+            let u = self.ids[frontier[head]];
+            head += 1;
             for &v in self.topology.neighbors(u) {
-                if !self.is_up(v) || !self.is_link_up(u, v) || !seen.insert(v) {
+                let slot = self.slot_of(v).expect("neighbor is a node");
+                if seen[slot] || !self.up[slot] || !self.is_link_up(u, v) {
                     continue;
                 }
-                if v == id {
-                    return true;
-                }
-                queue.push_back(v);
+                seen[slot] = true;
+                unreached -= 1;
+                frontier.push(slot);
             }
         }
-        false
+        seen
+    }
+
+    /// True when `id` is in [`Network::reachable`]. Callers that ask
+    /// about more than one switch should take the set once instead.
+    pub fn is_reachable(&self, id: SwitchId) -> bool {
+        self.reachable().binary_search(&id).is_ok()
     }
 
     /// Replaces a switch with a factory-fresh instance of the same model
     /// (cold boot: empty TCAM, zeroed counters and meters), re-attaching
     /// telemetry when configured.
     pub fn reset_switch(&mut self, id: SwitchId) {
-        let Some(node) = self.topology.node(id) else {
+        let Some(slot) = self.slot_of(id) else {
             return;
         };
-        let mut fresh = Switch::new(id, node.model.clone());
+        let mut fresh = Switch::new(id, self.topology.node_at(slot).model.clone());
         if let Some(t) = &self.telemetry {
             fresh.set_telemetry(t.clone());
         }
-        self.switches.insert(id, fresh);
+        self.switches[slot] = fresh;
     }
 
     /// Resets the per-window meters (CPU, PCIe) of every switch.
     pub fn reset_meters(&mut self) {
-        for sw in self.switches.values_mut() {
+        for sw in &mut self.switches {
             sw.reset_meters();
         }
     }
@@ -337,5 +382,76 @@ mod tests {
         net.set_switch_up(spines[0], false);
         net.set_switch_up(spines[1], false);
         assert!(!net.is_reachable(leaves[0]));
+    }
+
+    #[test]
+    fn interleaved_traffic_lands_on_each_switch_and_skips_the_crashed_one() {
+        let topo =
+            Topology::spine_leaf(1, 3, SwitchModel::test_model(4), SwitchModel::test_model(4));
+        let mut net = Network::new(topo);
+        let leaves: Vec<_> = net.topology().leaves().collect();
+        net.set_switch_up(leaves[1], false);
+        let flow = FlowKey::tcp(Ipv4::new(10, 1, 0, 1), 1, Ipv4::new(10, 2, 0, 1), 80);
+        let ev = |switch, bytes| TrafficEvent {
+            switch,
+            rx_port: None,
+            tx_port: Some(PortId(0)),
+            flow,
+            bytes,
+            packets: 1,
+        };
+        // Runs of one, two and one event; the crashed switch in between.
+        net.apply_traffic(&[
+            ev(leaves[2], 1),
+            ev(leaves[0], 10),
+            ev(leaves[0], 20),
+            ev(leaves[1], 100),
+            ev(leaves[2], 2),
+        ]);
+        let tx = |id| net.switch(id).unwrap().port_counters(PortId(0)).tx_bytes;
+        assert_eq!(tx(leaves[0]), 30);
+        assert_eq!(tx(leaves[1]), 0);
+        assert_eq!(tx(leaves[2]), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic for unknown switch")]
+    fn traffic_for_an_unknown_switch_panics() {
+        let topo =
+            Topology::spine_leaf(1, 1, SwitchModel::test_model(4), SwitchModel::test_model(4));
+        let mut net = Network::new(topo);
+        let flow = FlowKey::tcp(Ipv4::new(10, 1, 0, 1), 1, Ipv4::new(10, 2, 0, 1), 80);
+        net.apply_traffic(&[TrafficEvent {
+            switch: SwitchId(77),
+            rx_port: None,
+            tx_port: None,
+            flow,
+            bytes: 1,
+            packets: 1,
+        }]);
+    }
+
+    #[test]
+    fn crash_and_restore_of_every_switch_at_paper_scale() {
+        // Each restore finds its model through the slot index; a scan of
+        // all nodes per restore made this storm a million node visits.
+        let topo = Topology::spine_leaf(
+            16,
+            1024,
+            SwitchModel::test_model(2),
+            SwitchModel::test_model(2),
+        );
+        let mut net = Network::new(topo);
+        let ids = net.switch_ids();
+        for &id in &ids {
+            net.set_switch_up(id, false);
+        }
+        assert!(net.reachable().is_empty());
+        assert_eq!(net.down_switches().count(), ids.len());
+        for &id in &ids {
+            net.set_switch_up(id, true);
+            assert_eq!(net.switch(id).unwrap().id(), id);
+        }
+        assert_eq!(net.reachable(), ids);
     }
 }

@@ -8,12 +8,14 @@
 //! region has its own capacity so monitoring churn can never evict a
 //! forwarding entry.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{FilterFormula, FlowKey, PortId};
+use crate::types::{
+    FilterAtom, FilterFormula, FlowKey, PortId, Prefix, PACKED_DST_SHIFT, PACKED_PROTO_SHIFT,
+    PACKED_SRC_PORT_SHIFT, PACKED_SRC_SHIFT,
+};
 
 /// Identifier of an installed TCAM rule (unique per switch lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -90,14 +92,154 @@ impl fmt::Display for TcamError {
 
 impl std::error::Error for TcamError {}
 
+/// A [`FilterFormula`] compiled for lookup against [`FlowKey::packed`]
+/// search keys: a ternary `(value, mask)` entry, the way a hardware TCAM
+/// stores a pattern, plus whatever of the formula a single entry cannot
+/// express. A conjunction of atoms — every rule the catalog programs
+/// install — has no such rest; `Or` and `Not` keep their shape over
+/// matchers of their own, so every formula is decided on the packed key
+/// alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlowMatcher {
+    /// Hit iff `key & mask == value` (and `rest` agrees).
+    value: u128,
+    mask: u128,
+    rest: Option<Box<Rest>>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Rest {
+    Or(FlowMatcher, FlowMatcher),
+    Not(FlowMatcher),
+    Both(Box<Rest>, Box<Rest>),
+}
+
+impl Rest {
+    fn hit(&self, key: u128) -> bool {
+        match self {
+            Rest::Or(a, b) => a.matches(key) || b.matches(key),
+            Rest::Not(a) => !a.matches(key),
+            Rest::Both(a, b) => a.hit(key) && b.hit(key),
+        }
+    }
+}
+
+impl FlowMatcher {
+    /// Don't-care on every bit.
+    const ANY: FlowMatcher = FlowMatcher {
+        value: 0,
+        mask: 0,
+        rest: None,
+    };
+    /// A value bit above the 104-bit key that no mask covers: never a
+    /// hit, and still never one after being and-ed with another entry.
+    const NEVER: FlowMatcher = FlowMatcher {
+        value: 1 << 127,
+        mask: 0,
+        rest: None,
+    };
+
+    fn field(value: u128, mask: u128, shift: u32) -> FlowMatcher {
+        FlowMatcher {
+            value: value << shift,
+            mask: mask << shift,
+            rest: None,
+        }
+    }
+
+    fn only(rest: Rest) -> FlowMatcher {
+        FlowMatcher {
+            rest: Some(Box::new(rest)),
+            ..FlowMatcher::ANY
+        }
+    }
+
+    /// Compiles a formula; `matches(flow.packed())` then equals
+    /// [`FilterFormula::matches_flow`] for every flow.
+    pub fn compile(formula: &FilterFormula) -> FlowMatcher {
+        match formula {
+            FilterFormula::True => FlowMatcher::ANY,
+            FilterFormula::False => FlowMatcher::NEVER,
+            FilterFormula::Atom(atom) => match *atom {
+                FilterAtom::SrcIp(p) => FlowMatcher::field(
+                    p.addr.0 as u128,
+                    Prefix::mask(p.len) as u128,
+                    PACKED_SRC_SHIFT,
+                ),
+                FilterAtom::DstIp(p) => FlowMatcher::field(
+                    p.addr.0 as u128,
+                    Prefix::mask(p.len) as u128,
+                    PACKED_DST_SHIFT,
+                ),
+                FilterAtom::SrcPort(p) => {
+                    FlowMatcher::field(p as u128, 0xffff, PACKED_SRC_PORT_SHIFT)
+                }
+                FilterAtom::DstPort(p) => FlowMatcher::field(p as u128, 0xffff, 0),
+                FilterAtom::Proto(p) => {
+                    FlowMatcher::field(p.number() as u128, 0xff, PACKED_PROTO_SHIFT)
+                }
+                // Interface selectors constrain polling subjects, not flows.
+                FilterAtom::IfPort(_) => FlowMatcher::ANY,
+            },
+            FilterFormula::And(a, b) => {
+                let (a, b) = (FlowMatcher::compile(a), FlowMatcher::compile(b));
+                if (a.value ^ b.value) & a.mask & b.mask != 0 {
+                    // The two sides pin a shared bit differently.
+                    return FlowMatcher::NEVER;
+                }
+                FlowMatcher {
+                    value: a.value | b.value,
+                    mask: a.mask | b.mask,
+                    rest: match (a.rest, b.rest) {
+                        (Some(a), Some(b)) => Some(Box::new(Rest::Both(a, b))),
+                        (a, b) => a.or(b),
+                    },
+                }
+            }
+            FilterFormula::Or(a, b) => {
+                FlowMatcher::only(Rest::Or(FlowMatcher::compile(a), FlowMatcher::compile(b)))
+            }
+            FilterFormula::Not(a) => FlowMatcher::only(Rest::Not(FlowMatcher::compile(a))),
+        }
+    }
+
+    /// True if the flow behind the packed search key satisfies the
+    /// formula.
+    #[inline]
+    pub fn matches(&self, key: u128) -> bool {
+        key & self.mask == self.value && self.rest.as_ref().is_none_or(|rest| rest.hit(key))
+    }
+}
+
+/// What a lookup touches per rule, index-aligned with [`Tcam::rules`]:
+/// the compiled pattern, the counters and the rate limit, kept apart
+/// from the descriptive [`TcamRule`] so the per-packet walk stays dense.
+#[derive(Debug, Clone)]
+struct Lane {
+    matcher: FlowMatcher,
+    stats: RuleStats,
+    /// Byte rate of a [`RuleAction::RateLimit`] rule.
+    limit: Option<u64>,
+}
+
 /// The TCAM of one switch.
 #[derive(Debug, Clone)]
 pub struct Tcam {
     capacity: usize,
     monitoring_reserve: usize,
+    /// Highest priority first, insertion order among equals.
     rules: Vec<TcamRule>,
-    stats: HashMap<RuleId, RuleStats>,
+    lanes: Vec<Lane>,
+    /// Entries in use per region, indexed by [`region_index`].
+    used: [usize; 2],
     next_id: u64,
+}
+
+fn region_index(region: TcamRegion) -> usize {
+    match region {
+        TcamRegion::Forwarding => 0,
+        TcamRegion::Monitoring => 1,
+    }
 }
 
 impl Tcam {
@@ -116,7 +258,8 @@ impl Tcam {
             capacity,
             monitoring_reserve,
             rules: Vec::new(),
-            stats: HashMap::new(),
+            lanes: Vec::new(),
+            used: [0; 2],
             next_id: 0,
         }
     }
@@ -136,7 +279,7 @@ impl Tcam {
 
     /// Entries currently used by the given region.
     pub fn region_used(&self, region: TcamRegion) -> usize {
-        self.rules.iter().filter(|r| r.region == region).count()
+        self.used[region_index(region)]
     }
 
     /// Free monitoring entries — the `TCAM` resource seeds consume.
@@ -161,18 +304,43 @@ impl Tcam {
         }
         let id = RuleId(self.next_id);
         self.next_id += 1;
-        self.rules.push(TcamRule {
-            id,
-            priority,
-            pattern,
-            action,
-            region,
-        });
-        // Highest priority first; stable so equal priorities keep insertion
-        // order (deterministic match resolution).
-        self.rules.sort_by_key(|r| std::cmp::Reverse(r.priority));
-        self.stats.insert(id, RuleStats::default());
+        // Behind every rule of equal or higher priority, so equal
+        // priorities keep insertion order (deterministic match resolution).
+        let pos = self.rules.partition_point(|r| r.priority >= priority);
+        self.lanes.insert(
+            pos,
+            Lane {
+                matcher: FlowMatcher::compile(&pattern),
+                stats: RuleStats::default(),
+                limit: match action {
+                    RuleAction::RateLimit(bps) => Some(bps),
+                    _ => None,
+                },
+            },
+        );
+        self.rules.insert(
+            pos,
+            TcamRule {
+                id,
+                priority,
+                pattern,
+                action,
+                region,
+            },
+        );
+        self.used[region_index(region)] += 1;
         Ok(id)
+    }
+
+    fn remove_at(&mut self, pos: usize) -> TcamRule {
+        self.lanes.remove(pos);
+        let rule = self.rules.remove(pos);
+        self.used[region_index(rule.region)] -= 1;
+        rule
+    }
+
+    fn position(&self, id: RuleId) -> Option<usize> {
+        self.rules.iter().position(|r| r.id == id)
     }
 
     /// Removes a rule by id.
@@ -181,13 +349,8 @@ impl Tcam {
     ///
     /// [`TcamError::NoSuchRule`] if the id is not installed.
     pub fn remove_rule(&mut self, id: RuleId) -> Result<TcamRule, TcamError> {
-        let pos = self
-            .rules
-            .iter()
-            .position(|r| r.id == id)
-            .ok_or(TcamError::NoSuchRule)?;
-        self.stats.remove(&id);
-        Ok(self.rules.remove(pos))
+        let pos = self.position(id).ok_or(TcamError::NoSuchRule)?;
+        Ok(self.remove_at(pos))
     }
 
     /// Removes the first monitoring rule whose pattern equals `pattern`
@@ -202,9 +365,7 @@ impl Tcam {
             .iter()
             .position(|r| r.region == TcamRegion::Monitoring && &r.pattern == pattern)
             .ok_or(TcamError::NoSuchRule)?;
-        let rule = self.rules.remove(pos);
-        self.stats.remove(&rule.id);
-        Ok(rule)
+        Ok(self.remove_at(pos))
     }
 
     /// Looks up a rule by id.
@@ -228,22 +389,25 @@ impl Tcam {
     /// rules never influence forwarding — that is the invariant of the
     /// region division.
     pub fn forwarding_match(&self, flow: &FlowKey) -> Option<&TcamRule> {
+        let key = flow.packed();
         self.rules
             .iter()
-            .find(|r| r.region == TcamRegion::Forwarding && r.pattern.matches_flow(flow))
+            .zip(&self.lanes)
+            .find(|(r, l)| r.region == TcamRegion::Forwarding && l.matcher.matches(key))
+            .map(|(r, _)| r)
     }
 
     /// Records observed traffic against every matching rule's counters (in
     /// both regions; counting is what monitoring rules are for) and returns
     /// the effective rate limit, if any monitoring rule imposes one.
     pub fn record_traffic(&mut self, flow: &FlowKey, bytes: u64, packets: u64) -> Option<u64> {
+        let key = flow.packed();
         let mut limit = None;
-        for r in &self.rules {
-            if r.pattern.matches_flow(flow) {
-                let s = self.stats.entry(r.id).or_default();
-                s.bytes += bytes;
-                s.packets += packets;
-                if let RuleAction::RateLimit(bps) = r.action {
+        for lane in &mut self.lanes {
+            if lane.matcher.matches(key) {
+                lane.stats.bytes += bytes;
+                lane.stats.packets += packets;
+                if let Some(bps) = lane.limit {
                     limit = Some(limit.map_or(bps, |l: u64| l.min(bps)));
                 }
             }
@@ -253,21 +417,22 @@ impl Tcam {
 
     /// Counter snapshot for one rule.
     pub fn stats(&self, id: RuleId) -> Option<RuleStats> {
-        self.stats.get(&id).copied()
+        self.position(id).map(|pos| self.lanes[pos].stats)
     }
 
     /// Iterates `(rule, stats)` for every installed rule.
     pub fn iter_stats(&self) -> impl Iterator<Item = (&TcamRule, RuleStats)> + '_ {
         self.rules
             .iter()
-            .map(|r| (r, self.stats.get(&r.id).copied().unwrap_or_default()))
+            .zip(&self.lanes)
+            .map(|(r, l)| (r, l.stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{FilterAtom, Ipv4, Prefix};
+    use crate::types::Ipv4;
 
     fn pat(dst: &str) -> FilterFormula {
         FilterFormula::Atom(FilterAtom::DstIp(dst.parse::<Prefix>().unwrap()))
@@ -410,5 +575,37 @@ mod tests {
         t.remove_by_pattern(&p).unwrap();
         assert!(t.rule_by_pattern(&p).is_none());
         assert_eq!(t.remove_by_pattern(&p), Err(TcamError::NoSuchRule));
+    }
+
+    #[test]
+    fn counters_follow_their_rule_when_positions_shift() {
+        let mut t = Tcam::new(10, 6);
+        let add = |t: &mut Tcam, prio: i32, dst: &str| {
+            t.add_rule(TcamRegion::Monitoring, prio, pat(dst), RuleAction::Count)
+                .unwrap()
+        };
+        let low = add(&mut t, 0, "10.0.1.0/24");
+        t.record_traffic(&flow(Ipv4::new(10, 0, 1, 1)), 100, 1);
+        // A higher priority lands in front of `low`, an equal one behind.
+        let high = add(&mut t, 5, "10.0.0.0/8");
+        let peer = add(&mut t, 0, "10.0.1.0/24");
+        let order: Vec<RuleId> = t.rules().iter().map(|r| r.id).collect();
+        assert_eq!(order, vec![high, low, peer]);
+        t.record_traffic(&flow(Ipv4::new(10, 0, 1, 2)), 10, 1);
+        assert_eq!(t.stats(low).unwrap().bytes, 110);
+        assert_eq!(t.stats(high).unwrap().bytes, 10);
+        assert_eq!(t.stats(peer).unwrap().bytes, 10);
+        // Removing the front rule shifts the other two down a position.
+        assert_eq!(t.remove_rule(high).unwrap().id, high);
+        assert_eq!(t.stats(high), None);
+        assert!(t.rule(high).is_none());
+        assert_eq!(t.stats(low).unwrap().bytes, 110);
+        assert_eq!(t.rule(peer).unwrap().priority, 0);
+        // By pattern: the first of the two equal patterns goes.
+        assert_eq!(t.remove_by_pattern(&pat("10.0.1.0/24")).unwrap().id, low);
+        assert_eq!(t.stats(peer).unwrap().packets, 1);
+        assert_eq!(t.region_used(TcamRegion::Monitoring), 1);
+        assert_eq!(t.monitoring_free(), 5);
+        assert_eq!(t.region_used(TcamRegion::Forwarding), 0);
     }
 }

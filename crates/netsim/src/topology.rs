@@ -43,7 +43,12 @@ pub struct Link {
 pub struct Topology {
     nodes: Vec<SwitchNode>,
     links: Vec<Link>,
-    adjacency: HashMap<SwitchId, Vec<SwitchId>>,
+    /// `(id, index into nodes)` in id order. A switch's position here is
+    /// its *slot*: the index [`crate::network::Network`] and the
+    /// adjacency table address per-switch state by.
+    by_id: Vec<(SwitchId, u32)>,
+    /// Direct neighbours per slot.
+    adjacency: Vec<Vec<SwitchId>>,
 }
 
 impl Topology {
@@ -98,23 +103,55 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if a link references an unknown node.
+    /// Panics if two nodes share an id or a link references an unknown
+    /// node.
     pub fn from_parts(nodes: Vec<SwitchNode>, links: Vec<Link>) -> Topology {
-        let ids: std::collections::HashSet<SwitchId> = nodes.iter().map(|n| n.id).collect();
-        let mut adjacency: HashMap<SwitchId, Vec<SwitchId>> = HashMap::new();
-        for l in &links {
-            assert!(
-                ids.contains(&l.a) && ids.contains(&l.b),
-                "link references unknown switch"
-            );
-            adjacency.entry(l.a).or_default().push(l.b);
-            adjacency.entry(l.b).or_default().push(l.a);
-        }
-        Topology {
+        let mut by_id: Vec<(SwitchId, u32)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.id, i as u32))
+            .collect();
+        by_id.sort_unstable();
+        assert!(
+            by_id.windows(2).all(|w| w[0].0 != w[1].0),
+            "duplicate switch id"
+        );
+        let mut topology = Topology {
+            adjacency: vec![Vec::new(); nodes.len()],
             nodes,
-            links,
-            adjacency,
+            links: Vec::new(),
+            by_id,
+        };
+        for l in &links {
+            let (Some(a), Some(b)) = (topology.slot_of(l.a), topology.slot_of(l.b)) else {
+                panic!("link references unknown switch");
+            };
+            topology.adjacency[a].push(l.b);
+            topology.adjacency[b].push(l.a);
         }
+        topology.links = links;
+        topology
+    }
+
+    /// Rank of `id` among the switch ids in ascending order, `None` for
+    /// an unknown switch. Ids may be sparse; the builders number switches
+    /// contiguously, which makes this a single probe.
+    pub fn slot_of(&self, id: SwitchId) -> Option<usize> {
+        let first = self.by_id.first()?.0;
+        let guess = id.0.wrapping_sub(first.0) as usize;
+        if self.by_id.get(guess).is_some_and(|e| e.0 == id) {
+            return Some(guess);
+        }
+        self.by_id.binary_search_by_key(&id, |e| e.0).ok()
+    }
+
+    /// The node in slot `slot` (see [`Topology::slot_of`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range.
+    pub fn node_at(&self, slot: usize) -> &SwitchNode {
+        &self.nodes[self.by_id[slot].1 as usize]
     }
 
     /// All switches.
@@ -139,12 +176,12 @@ impl Topology {
 
     /// Node by id.
     pub fn node(&self, id: SwitchId) -> Option<&SwitchNode> {
-        self.nodes.iter().find(|n| n.id == id)
+        self.slot_of(id).map(|slot| self.node_at(slot))
     }
 
     /// Direct neighbors of a switch.
     pub fn neighbors(&self, id: SwitchId) -> &[SwitchId] {
-        self.adjacency.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
+        self.slot_of(id).map_or(&[], |slot| &self.adjacency[slot])
     }
 
     /// Ids of all leaves.
@@ -348,5 +385,52 @@ mod tests {
         assert!(t.host_ip(l, 300).is_none());
         let spine = t.spines().next().unwrap();
         assert!(t.host_ip(spine, 0).is_none());
+    }
+
+    #[test]
+    fn sparse_ids_in_any_order_resolve_by_slot() {
+        let m = SwitchModel::test_model(2);
+        let ids = [900u32, 7, 40, 8];
+        let nodes = ids
+            .iter()
+            .map(|&i| SwitchNode {
+                id: SwitchId(i),
+                role: Role::Leaf,
+                prefix: None,
+                model: m.clone(),
+            })
+            .collect();
+        let links = vec![Link {
+            a: SwitchId(900),
+            b: SwitchId(7),
+            bandwidth_bps: 1,
+        }];
+        let t = Topology::from_parts(nodes, links);
+        // Slots rank the ids; `switches()` keeps the construction order.
+        assert_eq!(t.slot_of(SwitchId(7)), Some(0));
+        assert_eq!(t.slot_of(SwitchId(8)), Some(1));
+        assert_eq!(t.slot_of(SwitchId(40)), Some(2));
+        assert_eq!(t.slot_of(SwitchId(900)), Some(3));
+        assert_eq!(t.slot_of(SwitchId(9)), None);
+        assert_eq!(t.switches()[0].id, SwitchId(900));
+        for &i in &ids {
+            assert_eq!(t.node(SwitchId(i)).unwrap().id, SwitchId(i));
+        }
+        assert!(t.node(SwitchId(0)).is_none());
+        assert_eq!(t.neighbors(SwitchId(7)), &[SwitchId(900)]);
+        assert!(t.neighbors(SwitchId(40)).is_empty());
+        assert!(t.neighbors(SwitchId(1)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate switch id")]
+    fn duplicate_ids_are_rejected() {
+        let node = SwitchNode {
+            id: SwitchId(1),
+            role: Role::Leaf,
+            prefix: None,
+            model: SwitchModel::test_model(2),
+        };
+        Topology::from_parts(vec![node.clone(), node], Vec::new());
     }
 }

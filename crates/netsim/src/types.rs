@@ -120,7 +120,7 @@ impl Prefix {
         }
     }
 
-    fn mask(len: u8) -> u32 {
+    pub(crate) fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {
@@ -171,6 +171,17 @@ pub enum Proto {
     Icmp,
 }
 
+impl Proto {
+    /// IANA protocol number (the byte a TCAM matches on).
+    pub const fn number(self) -> u8 {
+        match self {
+            Proto::Tcp => 6,
+            Proto::Udp => 17,
+            Proto::Icmp => 1,
+        }
+    }
+}
+
 impl fmt::Display for Proto {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -214,7 +225,25 @@ impl FlowKey {
             dst_port,
         }
     }
+
+    /// The five-tuple as one 104-bit TCAM search key, most significant
+    /// field first: `src(32) | dst(32) | proto(8) | src_port(16) |
+    /// dst_port(16)`. [`crate::tcam::FlowMatcher`] matches against it.
+    pub fn packed(&self) -> u128 {
+        (self.src.0 as u128) << PACKED_SRC_SHIFT
+            | (self.dst.0 as u128) << PACKED_DST_SHIFT
+            | (self.proto.number() as u128) << PACKED_PROTO_SHIFT
+            | (self.src_port as u128) << PACKED_SRC_PORT_SHIFT
+            | self.dst_port as u128
+    }
 }
+
+/// Bit offsets of the fields inside [`FlowKey::packed`] (the destination
+/// port sits at bit 0).
+pub(crate) const PACKED_SRC_SHIFT: u32 = 72;
+pub(crate) const PACKED_DST_SHIFT: u32 = 40;
+pub(crate) const PACKED_PROTO_SHIFT: u32 = 32;
+pub(crate) const PACKED_SRC_PORT_SHIFT: u32 = 16;
 
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -17,7 +17,7 @@ use farm_almanac::ast::TriggerType;
 use farm_almanac::compile::CompiledMachine;
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::switch::{ResourceKind, Resources, Switch};
-use farm_netsim::tcam::{RuleAction, RuleId, TcamRegion};
+use farm_netsim::tcam::{FlowMatcher, RuleAction, RuleId, TcamRegion};
 use farm_netsim::time::{Dur, Time};
 use farm_netsim::types::{FilterFormula, PortSel, SwitchId};
 
@@ -208,6 +208,9 @@ struct TriggerSched {
     /// deploy: one ASIC transfer serves the whole group.
     group: u32,
     what: Option<FilterFormula>,
+    /// `what` compiled for packet matching; a probe without a filter
+    /// sees every packet.
+    matcher: FlowMatcher,
     ival: Dur,
     next_due: Time,
     tick: u64,
@@ -448,6 +451,7 @@ impl Soil {
                 subjects: t.subjects.clone(),
                 group,
                 what: t.what.clone(),
+                matcher: FlowMatcher::compile(t.what.as_ref().unwrap_or(&FilterFormula::True)),
                 ival: Dur::from_secs_f64(ival_ms / 1000.0),
                 next_due: now + Dur::from_secs_f64(ival_ms / 1000.0),
                 tick: 0,
@@ -1056,29 +1060,31 @@ impl Soil {
         switch: &mut Switch,
     ) -> TickReport {
         let mut report = TickReport::default();
+        // `now` is fixed for the call and firing only moves a deadline
+        // forward, so no probe that is not due here becomes due below.
+        let due: Vec<usize> = self
+            .triggers
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.kind == TriggerType::Probe && t.next_due <= now)
+            .map(|(i, _)| i)
+            .collect();
+        if due.is_empty() {
+            return report;
+        }
         for pkt in packets {
-            let due: Vec<usize> = self
-                .triggers
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    t.kind == TriggerType::Probe
-                        && t.next_due <= now
-                        && t.what
-                            .as_ref()
-                            .map(|f| f.matches_flow(&pkt.flow))
-                            .unwrap_or(true)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if due.is_empty() {
-                continue;
-            }
-            // Mirroring one packet over PCIe, shared by all probes.
-            let latency = switch.pcie_mut().request(pkt.len as u64);
-            for i in due {
+            let key = pkt.flow.packed();
+            // Mirroring one packet over PCIe is shared by all its probes:
+            // charged when the first one matches, before any handler runs.
+            let mut mirrored: Option<Dur> = None;
+            for &i in &due {
                 let t = &mut self.triggers[i];
+                if t.next_due > now || !t.matcher.matches(key) {
+                    continue;
+                }
                 t.next_due = now + t.ival;
+                let latency =
+                    *mirrored.get_or_insert_with(|| switch.pcie_mut().request(pkt.len as u64));
                 report.merge(self.fire(i, Value::Packet(*pkt), now, switch, latency));
             }
         }
@@ -1555,6 +1561,78 @@ mod tests {
             panic!("attempts missing")
         };
         assert_eq!(attempts.len(), 1);
+    }
+
+    /// Three probes on one machine: one whose interval rounds to zero
+    /// (never rate-limited; the test also strips its filter), and two
+    /// filtered ones at 1 ms.
+    const PROBES: &str = r#"
+machine P {
+  place all;
+  probe every = Probe { .ival = 0.0000001, .what = dstPort 1 };
+  probe web = Probe { .ival = 1, .what = dstPort 80 };
+  probe tcpOnly = Probe { .ival = 1, .what = proto "tcp" };
+  int seenEvery = 0;
+  int seenWeb = 0;
+  int seenTcp = 0;
+  state s {
+    when (every as pkt) do { seenEvery = seenEvery + 1; }
+    when (web as pkt) do { seenWeb = seenWeb + 1; }
+    when (tcpOnly as pkt) do { seenTcp = seenTcp + 1; }
+  }
+}
+"#;
+
+    #[test]
+    fn shared_and_unfiltered_probes_charge_pcie_once_per_mirrored_packet() {
+        let (mut soil, mut switch) = rig();
+        // Almanac cannot spell a probe without `.what`; the runtime
+        // treats one as matching every packet.
+        let mut def = compile(PROBES, "P");
+        let every = &mut Arc::get_mut(&mut def).unwrap().triggers[0];
+        (every.what, every.subjects) = (None, Vec::new());
+        let (id, _) = soil
+            .deploy(def, "p", alloc(), Time::ZERO, &mut switch)
+            .unwrap();
+        let pkt = |flow: FlowKey, len: u32| PacketRecord {
+            flow,
+            len,
+            syn: false,
+            fin: false,
+            ack: false,
+        };
+        let (src, dst) = (Ipv4::new(9, 9, 9, 9), Ipv4::new(10, 1, 0, 1));
+        let batch = [
+            // All three probes see the first packet: one mirror transfer.
+            pkt(FlowKey::tcp(src, 1000, dst, 80), 100),
+            // `web` and `tcpOnly` are rate-limited from here on; the
+            // zero-interval probe keeps firing.
+            pkt(FlowKey::tcp(src, 1000, dst, 22), 200),
+            pkt(FlowKey::udp(src, 1000, dst, 80), 400),
+        ];
+        let now = Time::from_millis(10);
+        let (requests, bytes) = (switch.pcie().requests(), switch.pcie().bytes_requested());
+        let report = soil.offer_packets(&batch, now, &mut switch);
+        assert_eq!(report.deliveries, 5);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(switch.pcie().requests() - requests, 3);
+        assert_eq!(switch.pcie().bytes_requested() - bytes, 700);
+        let var = |name: &str| soil.seed(id).unwrap().var(name).cloned();
+        assert_eq!(var("seenEvery"), Some(Value::Int(3)));
+        assert_eq!(var("seenWeb"), Some(Value::Int(1)));
+        assert_eq!(var("seenTcp"), Some(Value::Int(1)));
+
+        // Same instant again: only the zero-interval probe is still due,
+        // and a batch nothing is due for mirrors nothing.
+        let report = soil.offer_packets(&batch[..1], now, &mut switch);
+        assert_eq!(report.deliveries, 1);
+        assert_eq!(switch.pcie().requests() - requests, 4);
+        // A millisecond later the filtered probes are due again; the UDP
+        // packet to port 80 matches `web` but not `tcpOnly`.
+        let report = soil.offer_packets(&batch[2..], now + Dur::from_millis(1), &mut switch);
+        assert_eq!(report.deliveries, 2);
+        assert_eq!(switch.pcie().requests() - requests, 5);
+        assert_eq!(soil.stats().deliveries, 1 + 5 + 1 + 2, "enter + probes");
     }
 
     #[test]
