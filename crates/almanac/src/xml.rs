@@ -16,16 +16,16 @@ use crate::printer::machine_to_source;
 pub fn machine_to_xml(m: &Machine) -> String {
     let mut out = String::new();
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    out.push_str(&format!("<seed name=\"{}\"", escape(&m.name)));
+    out.push_str(&format!("<seed name=\"{}\"", xml_escape(&m.name)));
     if let Some(e) = &m.extends {
-        out.push_str(&format!(" extends=\"{}\"", escape(e)));
+        out.push_str(&format!(" extends=\"{}\"", xml_escape(e)));
     }
     out.push_str(">\n");
     out.push_str("  <states>\n");
     for s in &m.states {
         out.push_str(&format!(
             "    <state name=\"{}\" events=\"{}\" util=\"{}\"/>\n",
-            escape(&s.name),
+            xml_escape(&s.name),
             s.events.len(),
             s.util.is_some()
         ));
@@ -35,7 +35,7 @@ pub fn machine_to_xml(m: &Machine) -> String {
     for v in m.trigger_vars() {
         out.push_str(&format!(
             "    <trigger name=\"{}\" type=\"{}\"/>\n",
-            escape(&v.name),
+            xml_escape(&v.name),
             v.trigger().expect("trigger var").keyword()
         ));
     }
@@ -45,7 +45,7 @@ pub fn machine_to_xml(m: &Machine) -> String {
         m.placements.len()
     ));
     out.push_str("  <source>");
-    out.push_str(&escape(&machine_to_source(m)));
+    out.push_str(&xml_escape(&machine_to_source(m)));
     out.push_str("</source>\n");
     out.push_str("</seed>\n");
     out
@@ -61,7 +61,7 @@ pub fn machine_from_xml(xml: &str) -> Result<Machine> {
     let body = extract_element(xml, "source").ok_or_else(|| {
         AlmanacError::new(Phase::Xml, Span::default(), "missing <source> element")
     })?;
-    let src = unescape(body);
+    let src = xml_unescape(body);
     let program = parser::parse(&src)?;
     program.machines.into_iter().next().ok_or_else(|| {
         AlmanacError::new(
@@ -81,14 +81,14 @@ fn extract_element<'a>(xml: &'a str, tag: &str) -> Option<&'a str> {
     Some(&xml[start..end])
 }
 
-fn escape(s: &str) -> String {
+fn xml_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
         .replace('"', "&quot;")
 }
 
-fn unescape(s: &str) -> String {
+fn xml_unescape(s: &str) -> String {
     s.replace("&quot;", "\"")
         .replace("&gt;", ">")
         .replace("&lt;", "<")

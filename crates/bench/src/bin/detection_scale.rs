@@ -21,8 +21,8 @@
 use std::process::ExitCode;
 
 use farm_bench::detection::{bench_doc, drive, SCHEMA};
-use farm_bench::perf::Json;
 use farm_scenario::{ScenarioClass, ScenarioScale, ScenarioSpec};
+use farm_telemetry::Json;
 
 struct Args {
     smoke: bool,

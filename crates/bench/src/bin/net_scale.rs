@@ -36,8 +36,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use farm_bench::perf::{percentile, Json};
+use farm_bench::perf::percentile;
 use farm_net::{encode_envelope, Decoded, Envelope, Frame, FrameDecoder, NetServer};
+use farm_telemetry::Json;
 use farm_telemetry::Telemetry;
 
 const SCHEMA: &str = "farm-bench/net_scale/v2";
@@ -387,28 +388,29 @@ fn main() -> ExitCode {
             r.max_concurrent,
         );
         entries.push(Json::obj([
-            ("conns", Json::Num(r.conns as f64)),
-            ("chatty", Json::Num(r.chatty as f64)),
-            ("burst", Json::Num(r.burst as f64)),
-            ("iters", Json::Num(args.iters as f64)),
+            ("conns", Json::from(r.conns as f64)),
+            ("chatty", Json::from(r.chatty as f64)),
+            ("burst", Json::from(r.burst as f64)),
+            ("iters", Json::from(args.iters as f64)),
             (
                 "host_threads",
-                Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
+                Json::from(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
             ),
-            ("max_concurrent_connections", Json::Num(r.max_concurrent)),
+            ("max_concurrent_connections", Json::from(r.max_concurrent)),
             (
                 "rpc_us",
-                Json::obj([("p50", Json::Num(p50)), ("p99", Json::Num(p99))]),
+                Json::obj([("p50", Json::from(p50)), ("p99", Json::from(p99))]),
             ),
-            ("frames_per_sec", Json::Num(r.frames_per_sec)),
-            ("bytes_per_sec", Json::Num(r.bytes_per_sec)),
+            ("frames_per_sec", Json::from(r.frames_per_sec)),
+            ("bytes_per_sec", Json::from(r.bytes_per_sec)),
         ]));
     }
 
-    let doc = Json::obj([
+    let mut doc = Json::obj([
         ("schema", Json::Str(SCHEMA.into())),
         ("entries", Json::Arr(entries)),
     ]);
+    doc.sort_keys();
     if let Err(e) = std::fs::write(&args.out, doc.pretty()) {
         eprintln!("net_scale: cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;

@@ -38,11 +38,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use farm_bench::perf::{percentile, Json};
+use farm_bench::perf::percentile;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, solve_heuristic_traced, HeuristicOptions};
 use farm_placement::model::{validate, PlacementInstance, PlacementResult, PreviousPlacement};
 use farm_placement::workload::{generate, WorkloadConfig};
+use farm_telemetry::Json;
 use farm_telemetry::{Event, RingBufferSink, Telemetry};
 
 const SCHEMA: &str = "farm-bench/placement_scale/v2";
@@ -137,8 +138,8 @@ fn timed_solve(
 
 fn pct_obj(samples: &[f64]) -> Json {
     Json::obj([
-        ("p50", Json::Num(percentile(samples, 0.50))),
-        ("p95", Json::Num(percentile(samples, 0.95))),
+        ("p50", Json::from(percentile(samples, 0.50))),
+        ("p95", Json::from(percentile(samples, 0.95))),
     ])
 }
 
@@ -276,17 +277,17 @@ fn churn_replay(
             .collect(),
     );
     let entry = Json::obj([
-        ("seeds", Json::Num(seeds as f64)),
-        ("switches", Json::Num(switches as f64)),
-        ("tasks", Json::Num(tasks as f64)),
-        ("events", Json::Num(events as f64)),
+        ("seeds", Json::from(seeds as f64)),
+        ("switches", Json::from(switches as f64)),
+        ("tasks", Json::from(tasks as f64)),
+        ("events", Json::from(events as f64)),
         ("full_us", pct_obj(&full_us)),
         ("delta_us", pct_obj(&delta_us)),
         ("delta_phase_us", delta_phase_us),
-        ("speedup_delta_vs_full", Json::Num(speedup)),
+        ("speedup_delta_vs_full", Json::from(speedup)),
         ("frontier", pct_obj(&frontiers)),
         ("reused", pct_obj(&reused)),
-        ("fallback_full", Json::Num(fallbacks as f64)),
+        ("fallback_full", Json::from(fallbacks as f64)),
         ("identical_to_full_solve", Json::Bool(identical)),
     ]);
     (entry, identical.then_some(speedup))
@@ -395,31 +396,28 @@ fn main() -> ExitCode {
                     .collect(),
             );
             entries.push(Json::obj([
-                ("seeds", Json::Num(seeds as f64)),
-                ("switches", Json::Num(switches as f64)),
-                ("tasks", Json::Num(tasks as f64)),
-                ("threads", Json::Num(threads as f64)),
+                ("seeds", Json::from(seeds as f64)),
+                ("switches", Json::from(switches as f64)),
+                ("tasks", Json::from(tasks as f64)),
+                ("threads", Json::from(threads as f64)),
                 (
                     // Hardware context: with one host core, threads>1 can
                     // only demonstrate determinism, not speedup.
                     "host_threads",
-                    Json::Num(host_threads as f64),
+                    Json::from(host_threads as f64),
                 ),
-                ("parallel_threshold", Json::Num(parallel_threshold as f64)),
+                ("parallel_threshold", Json::from(parallel_threshold as f64)),
                 ("parallel_active", Json::Bool(parallel_active)),
-                ("iters", Json::Num(args.iters as f64)),
+                ("iters", Json::from(args.iters as f64)),
                 ("total_us", pct_obj(&totals)),
                 ("phase_us", phase_us),
-                ("objective", Json::Num(r.utility)),
-                ("placed", Json::Num(r.placed() as f64)),
-                ("migrations", Json::Num(r.migrations as f64)),
-                ("migration_moves", Json::Num(migration_items as f64)),
-                ("dropped_tasks", Json::Num(r.dropped_tasks.len() as f64)),
+                ("objective", Json::from(r.utility)),
+                ("placed", Json::from(r.placed() as f64)),
+                ("migrations", Json::from(r.migrations as f64)),
+                ("migration_moves", Json::from(migration_items as f64)),
+                ("dropped_tasks", Json::from(r.dropped_tasks.len() as f64)),
                 ("identical_to_single_thread", Json::Bool(identical)),
-                (
-                    "speedup_vs_single_thread",
-                    speedup.map_or(Json::Null, Json::Num),
-                ),
+                ("speedup_vs_single_thread", speedup.into()),
             ]));
         }
         if args.churn {
@@ -429,11 +427,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let doc = Json::obj([
+    let mut doc = Json::obj([
         ("schema", Json::Str(SCHEMA.into())),
         ("entries", Json::Arr(entries)),
         ("churn", Json::Arr(churn_entries)),
     ]);
+    doc.sort_keys();
     if let Err(e) = std::fs::write(&args.out, doc.pretty()) {
         eprintln!("placement_scale: cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;

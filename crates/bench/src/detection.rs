@@ -22,7 +22,7 @@ use farm_netsim::types::FlowKey;
 use farm_scenario::score::{score, Alarm, TaskScore};
 use farm_scenario::{ScenarioEnv, ScenarioSpec, TruthKey};
 
-use crate::perf::Json;
+use farm_telemetry::Json;
 
 /// Scoring outcome of one (task, system) pair on one scenario.
 #[derive(Debug, Clone)]
@@ -246,27 +246,23 @@ pub fn drive(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
 /// Schema tag of the `BENCH_detection.json` document.
 pub const SCHEMA: &str = "farm-bench/detection_scale/v1";
 
-fn opt_num(v: Option<f64>) -> Json {
-    v.map_or(Json::Null, Json::Num)
-}
-
 fn entry_json(run: &ScenarioRun, t: &TaskOutcome) -> Json {
     Json::obj([
         ("scenario", Json::Str(run.class.into())),
         ("scale", Json::Str(run.scale.into())),
-        ("seed", Json::Num(run.seed as f64)),
+        ("seed", Json::from(run.seed as f64)),
         ("task", Json::Str(t.task.clone())),
         ("system", Json::Str(t.system.into())),
-        ("windows", Json::Num(t.score.windows as f64)),
-        ("detected", Json::Num(t.score.detected as f64)),
-        ("alarms", Json::Num(t.score.alarms as f64)),
-        ("true_alarms", Json::Num(t.score.true_alarms as f64)),
-        ("precision", Json::Num(t.score.precision)),
-        ("recall", Json::Num(t.score.recall)),
-        ("mean_ttd_ms", opt_num(t.score.mean_ttd_ms)),
-        ("key_precision", opt_num(t.score.key_precision)),
-        ("key_recall", opt_num(t.score.key_recall)),
-        ("grace_ms", Json::Num(t.grace_ms as f64)),
+        ("windows", Json::from(t.score.windows as f64)),
+        ("detected", Json::from(t.score.detected as f64)),
+        ("alarms", Json::from(t.score.alarms as f64)),
+        ("true_alarms", Json::from(t.score.true_alarms as f64)),
+        ("precision", Json::from(t.score.precision)),
+        ("recall", Json::from(t.score.recall)),
+        ("mean_ttd_ms", t.score.mean_ttd_ms.into()),
+        ("key_precision", t.score.key_precision.into()),
+        ("key_recall", t.score.key_recall.into()),
+        ("grace_ms", Json::from(t.grace_ms as f64)),
     ])
 }
 
@@ -274,21 +270,21 @@ fn scenario_json(run: &ScenarioRun) -> Json {
     Json::obj([
         ("scenario", Json::Str(run.class.into())),
         ("scale", Json::Str(run.scale.into())),
-        ("seed", Json::Num(run.seed as f64)),
-        ("events", Json::Num(run.events as f64)),
-        ("packets", Json::Num(run.packets as f64)),
-        ("distinct_flows", Json::Num(run.distinct_flows as f64)),
-        ("virtual_ms", Json::Num(run.virtual_ms as f64)),
-        ("soil_asic_polls", Json::Num(run.soil_asic_polls as f64)),
-        ("soil_polls_saved", Json::Num(run.soil_polls_saved as f64)),
-        ("soil_deliveries", Json::Num(run.soil_deliveries as f64)),
+        ("seed", Json::from(run.seed as f64)),
+        ("events", Json::from(run.events as f64)),
+        ("packets", Json::from(run.packets as f64)),
+        ("distinct_flows", Json::from(run.distinct_flows as f64)),
+        ("virtual_ms", Json::from(run.virtual_ms as f64)),
+        ("soil_asic_polls", Json::from(run.soil_asic_polls as f64)),
+        ("soil_polls_saved", Json::from(run.soil_polls_saved as f64)),
+        ("soil_deliveries", Json::from(run.soil_deliveries as f64)),
     ])
 }
 
 /// The full `BENCH_detection.json` document for a set of replays — one
 /// `entries` row per (scenario, task, system) plus one `scenarios` row
-/// of trace statistics per replay. Key order and float formatting come
-/// from [`Json::pretty`], so equal runs serialize byte-identically.
+/// of trace statistics per replay. Keys are sorted and float formatting
+/// comes from [`Json::pretty`], so equal runs serialize byte-identically.
 pub fn bench_doc(runs: &[ScenarioRun]) -> Json {
     let mut entries = Vec::new();
     let mut scenarios = Vec::new();
@@ -298,11 +294,13 @@ pub fn bench_doc(runs: &[ScenarioRun]) -> Json {
         }
         scenarios.push(scenario_json(run));
     }
-    Json::obj([
+    let mut doc = Json::obj([
         ("schema", Json::Str(SCHEMA.into())),
         ("entries", Json::Arr(entries)),
         ("scenarios", Json::Arr(scenarios)),
-    ])
+    ]);
+    doc.sort_keys();
+    doc
 }
 
 #[cfg(test)]

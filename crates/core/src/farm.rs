@@ -34,7 +34,6 @@ use farm_telemetry::{
 
 pub use crate::error::{Error, FarmError};
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
-use crate::metrics::Metrics;
 use crate::seeder::{Plan, PlannedAction, SeedKey, Seeder};
 use crate::transport::TcpBridge;
 pub use crate::transport::TransportMode;
@@ -131,10 +130,6 @@ struct FarmCounters {
     delivery_retries: Arc<Counter>,
     dead_letters: Arc<Counter>,
     recoveries: Arc<Counter>,
-    /// `net.*` / `transport.*` instruments other layers own, cached here
-    /// so [`Farm::metrics`] can surface them in the compat view.
-    net_dead_letters: Arc<Counter>,
-    transport_fallbacks: Arc<Counter>,
     /// Source-to-harvester report latency, microseconds.
     detection_latency_us: Arc<Histogram>,
     /// Seed outage duration (host lost → re-deployed), microseconds.
@@ -149,6 +144,11 @@ struct FarmCounters {
 
 impl FarmCounters {
     fn new(telemetry: &Telemetry) -> FarmCounters {
+        // Delivery-health counters other layers own: registered up front
+        // so a farm that never opens a transport reports them as 0, not
+        // as absent.
+        telemetry.counter("net.dead_letters");
+        telemetry.counter("transport.fallbacks");
         FarmCounters {
             collector_messages: telemetry.counter("farm.collector_messages"),
             collector_bytes: telemetry.counter("farm.collector_bytes"),
@@ -166,8 +166,6 @@ impl FarmCounters {
             delivery_retries: telemetry.counter("farm.delivery_retries"),
             dead_letters: telemetry.counter("farm.dead_letters"),
             recoveries: telemetry.counter("farm.recoveries"),
-            net_dead_letters: telemetry.counter("net.dead_letters"),
-            transport_fallbacks: telemetry.counter("transport.fallbacks"),
             detection_latency_us: telemetry.latency_histogram("detection.latency_us"),
             mttr_us: telemetry.latency_histogram("recovery.mttr_us"),
             replan_us: telemetry.latency_histogram("farm.replan_us"),
@@ -433,25 +431,6 @@ impl Farm {
     /// counters/gauges/histograms plus the event-sink fan-out.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Cumulative metrics — a compatibility view computed from the
-    /// telemetry registry's `farm.*` counters.
-    pub fn metrics(&self) -> Metrics {
-        Metrics {
-            collector_messages: self.counters.collector_messages.get(),
-            collector_bytes: self.counters.collector_bytes.get(),
-            seed_messages: self.counters.seed_messages.get(),
-            seed_bytes: self.counters.seed_bytes.get(),
-            control_messages: self.counters.control_messages.get(),
-            control_bytes: self.counters.control_bytes.get(),
-            migrations: self.counters.migrations.get(),
-            migration_bytes: self.counters.migration_bytes.get(),
-            seed_errors: self.counters.seed_errors.get(),
-            replans: self.counters.replans.get(),
-            net_dead_letters: self.counters.net_dead_letters.get(),
-            transport_fallbacks: self.counters.transport_fallbacks.get(),
-        }
     }
 
     /// Number of deployed seeds across the fabric.
@@ -1689,15 +1668,10 @@ mod tests {
         assert!(!h.received.is_empty(), "harvester must receive HH reports");
         // Detection comes from the leaf carrying the traffic.
         assert!(h.received.iter().any(|m| m.from_switch == leaf));
-        assert!(farm.metrics().collector_bytes > 0);
-        // The compat view is computed from the registry: both must agree.
         let snap = farm.telemetry().snapshot();
-        assert_eq!(
-            farm.metrics().collector_bytes,
-            snap.counter("farm.collector_bytes")
-        );
+        assert!(snap.counter("farm.collector_bytes") > 0);
         let detection = snap.histogram("detection.latency_us").unwrap();
-        assert_eq!(detection.count, farm.metrics().collector_messages);
+        assert_eq!(detection.count, snap.counter("farm.collector_messages"));
     }
 
     #[test]

@@ -45,14 +45,12 @@
 pub mod error;
 pub mod farm;
 pub mod harvester;
-pub mod metrics;
 pub mod seeder;
 pub mod transport;
 
 pub use error::{Error, FarmError};
 pub use farm::{external, Farm, FarmBuilder, FarmConfig, FaultToleranceConfig, SeedStatus};
 pub use harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
-pub use metrics::Metrics;
 pub use seeder::{Plan, PlannedAction, SeedKey, Seeder};
 pub use transport::TransportMode;
 
@@ -67,7 +65,6 @@ pub mod prelude {
         external, Farm, FarmBuilder, FarmConfig, FaultToleranceConfig, SeedStatus,
     };
     pub use crate::harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
-    pub use crate::metrics::Metrics;
     pub use crate::seeder::{Plan, PlannedAction, SeedKey, Seeder};
     pub use crate::transport::TransportMode;
     pub use farm_almanac::value::Value;

@@ -4,9 +4,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use farm_ctl::json::{array, Obj};
 use farm_ctl::CtlClient;
 use farm_net::{ControlOp, ControlReply, NetError, SeedDescriptor};
+use farm_telemetry::Json;
 
 const USAGE: &str = "\
 farmctl - FARM control-plane client
@@ -401,148 +401,124 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn seed_json(s: &SeedDescriptor) -> String {
-    Obj::new()
-        .str("key", &s.key)
-        .str("task", &s.task)
-        .str("machine", &s.machine)
-        .num("switch", u64::from(s.switch))
-        .str("state", &s.state)
-        .raw("alloc", &array(s.alloc.iter().map(|v| format!("{v}"))))
-        .finish()
+fn seed_json(s: &SeedDescriptor) -> Json {
+    Json::obj([("key", Json::from(&s.key))])
+        .with("task", &s.task)
+        .with("machine", &s.machine)
+        .with("switch", s.switch)
+        .with("state", &s.state)
+        .with("alloc", s.alloc.to_vec())
+}
+
+/// `{"status": <status>}`, the first member of most replies.
+fn status(status: &str) -> Json {
+    Json::obj([("status", Json::from(status))])
 }
 
 fn reply_json(reply: &ControlReply) -> String {
-    match reply {
-        ControlReply::Ok => Obj::new().str("status", "ok").finish(),
+    let doc = match reply {
+        // Already JSON from the server; pass through untouched.
+        ControlReply::Json { body } => return body.clone(),
+        ControlReply::Ok => status("ok"),
         ControlReply::Submitted {
             task,
             seeds,
             actions,
-        } => Obj::new()
-            .str("status", "submitted")
-            .str("task", task)
-            .num("seeds", *seeds)
-            .num("actions", *actions)
-            .finish(),
+        } => status("submitted")
+            .with("task", task)
+            .with("seeds", *seeds)
+            .with("actions", *actions),
         ControlReply::Seeds {
             seeds,
             next_index,
             total,
         } => {
-            let mut obj = Obj::new().raw("seeds", &array(seeds.iter().map(seed_json)));
-            if *total != 0 {
-                obj = obj.num("next_index", *next_index).num("total", *total);
+            let seeds: Vec<Json> = seeds.iter().map(seed_json).collect();
+            let obj = Json::obj([("seeds", Json::Arr(seeds))]);
+            if *total == 0 {
+                obj
+            } else {
+                obj.with("next_index", *next_index).with("total", *total)
             }
-            obj.finish()
         }
-        ControlReply::Seed { desc, vars } => {
-            let mut v = Obj::new();
-            for (name, value) in vars {
-                v = v.str(name, value);
-            }
-            Obj::new()
-                .raw("seed", &seed_json(desc))
-                .raw("vars", &v.finish())
-                .finish()
-        }
-        // Already JSON from the server; pass through untouched.
-        ControlReply::Json { body } => body.clone(),
-        ControlReply::Drained { switch, evacuated } => Obj::new()
-            .str("status", "drained")
-            .num("switch", u64::from(*switch))
-            .num("evacuated", *evacuated)
-            .finish(),
+        ControlReply::Seed { desc, vars } => Json::obj([("seed", seed_json(desc))]).with(
+            "vars",
+            Json::obj(vars.iter().map(|(k, v)| (k.as_str(), v.into()))),
+        ),
+        ControlReply::Drained { switch, evacuated } => status("drained")
+            .with("switch", *switch)
+            .with("evacuated", *evacuated),
         ControlReply::Replanned {
             actions,
             dropped_tasks,
-        } => Obj::new()
-            .str("status", "replanned")
-            .num("actions", *actions)
-            .num("dropped_tasks", *dropped_tasks)
-            .finish(),
+        } => status("replanned")
+            .with("actions", *actions)
+            .with("dropped_tasks", *dropped_tasks),
         ControlReply::Checkpointed {
             seeds,
             persist_error,
         } => {
-            let mut obj = Obj::new()
-                .str("status", "checkpointed")
-                .num("seeds", *seeds);
-            if let Some(e) = persist_error {
-                obj = obj.str("persist_error", e);
+            let obj = status("checkpointed").with("seeds", *seeds);
+            match persist_error {
+                Some(e) => obj.with("persist_error", e),
+                None => obj,
             }
-            obj.finish()
         }
         ControlReply::Restored { seeds, skipped } => {
-            let mut obj = Obj::new().str("status", "restored").num("seeds", *seeds);
-            if *skipped != 0 {
-                obj = obj.num("skipped", *skipped);
+            let obj = status("restored").with("seeds", *seeds);
+            if *skipped == 0 {
+                obj
+            } else {
+                obj.with("skipped", *skipped)
             }
-            obj.finish()
         }
-        ControlReply::Rejected { reason } => Obj::new()
-            .str("status", "rejected")
-            .str("reason", reason)
-            .finish(),
-        ControlReply::CompileFailed { diagnostics } => Obj::new()
-            .str("status", "compile-failed")
-            .raw(
-                "diagnostics",
-                &array(diagnostics.iter().map(|d| {
-                    Obj::new()
-                        .str("machine", &d.machine)
-                        .str("phase", &d.phase)
-                        .num("line", u64::from(d.line))
-                        .num("col", u64::from(d.col))
-                        .str("message", &d.message)
-                        .finish()
-                })),
-            )
-            .finish(),
-        ControlReply::PodRegistered { base } => Obj::new()
-            .str("status", "registered")
-            .num("base", *base)
-            .finish(),
-        ControlReply::Pods { pods } => Obj::new()
-            .raw(
-                "pods",
-                &array(pods.iter().map(|p| {
-                    Obj::new()
-                        .str("name", &p.name)
-                        .str("addr", &p.addr)
-                        .num("switches", p.switches)
-                        .num("base", p.base)
-                        .float("quota", p.quota)
-                        .raw("live", if p.live { "true" } else { "false" })
-                        .num("beats", p.beats)
-                        .num("age_ms", p.age_ms)
-                        .finish()
-                })),
-            )
-            .finish(),
+        ControlReply::Rejected { reason } => status("rejected").with("reason", reason),
+        ControlReply::CompileFailed { diagnostics } => {
+            let diagnostics: Vec<Json> = diagnostics
+                .iter()
+                .map(|d| {
+                    Json::obj([("machine", Json::from(&d.machine))])
+                        .with("phase", &d.phase)
+                        .with("line", d.line)
+                        .with("col", d.col)
+                        .with("message", &d.message)
+                })
+                .collect();
+            status("compile-failed").with("diagnostics", diagnostics)
+        }
+        ControlReply::PodRegistered { base } => status("registered").with("base", *base),
+        ControlReply::Pods { pods } => {
+            let pods: Vec<Json> = pods
+                .iter()
+                .map(|p| {
+                    Json::obj([("name", Json::from(&p.name))])
+                        .with("addr", &p.addr)
+                        .with("switches", p.switches)
+                        .with("base", p.base)
+                        .with("quota", p.quota)
+                        .with("live", p.live)
+                        .with("beats", p.beats)
+                        .with("age_ms", p.age_ms)
+                })
+                .collect();
+            Json::obj([("pods", Json::Arr(pods))])
+        }
         ControlReply::Migrated {
             task,
             from_pod,
             to_pod,
             seeds,
-        } => Obj::new()
-            .str("status", "migrated")
-            .str("task", task)
-            .str("from_pod", from_pod)
-            .str("to_pod", to_pod)
-            .num("seeds", *seeds)
-            .finish(),
-        ControlReply::TaskExport { source, seeds } => Obj::new()
-            .str("status", "task-export")
-            .str("source", source)
-            .raw(
-                "seeds",
-                &array(
-                    seeds
-                        .iter()
-                        .map(|(k, _)| format!("\"{}\"", farm_ctl::json::escape(k))),
-                ),
-            )
-            .finish(),
-    }
+        } => status("migrated")
+            .with("task", task)
+            .with("from_pod", from_pod)
+            .with("to_pod", to_pod)
+            .with("seeds", *seeds),
+        ControlReply::TaskExport { source, seeds } => {
+            let keys: Vec<&String> = seeds.iter().map(|(key, _)| key).collect();
+            status("task-export")
+                .with("source", source)
+                .with("seeds", keys)
+        }
+    };
+    doc.to_string()
 }

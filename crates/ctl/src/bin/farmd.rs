@@ -1,23 +1,10 @@
 //! farmd — the FARM daemon. Hosts a farm behind the control endpoint
-//! until a `farmctl shutdown` arrives or a supervisor signals it.
-//!
-//! Lifecycle contract for external supervisors:
-//!
-//! * `--config`'s `[server] pid_file` is written once listening and
-//!   removed on any graceful exit.
-//! * `SIGTERM`/`SIGINT` trigger a graceful shutdown — in-flight control
-//!   ops drain, a final checkpoint is written — and the process exits
-//!   with code [`EXIT_SIGNALED`] (3), distinguishing supervisor-driven
-//!   stops from `farmctl shutdown` (0) and startup failures (1).
+//! until a `farmctl shutdown` arrives or a supervisor signals it. The
+//! lifecycle (PID file, signals, exit codes) is [`farm_ctl::daemon::main`]'s.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
-use farm_ctl::{Farmd, FarmdConfig};
-
-/// Exit code of a graceful, signal-initiated shutdown.
-const EXIT_SIGNALED: u8 = 3;
+use farm_ctl::{server, FarmdConfig};
 
 const USAGE: &str = "\
 farmd - FARM control-plane daemon
@@ -36,114 +23,10 @@ SIGNALS:
                       exit with code 3
 ";
 
-/// Set from the signal handler; the main loop polls it. An atomic store
-/// is async-signal-safe, which is all a handler may do.
-static SIGNALED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-mod sig {
-    use super::SIGNALED;
-    use std::sync::atomic::Ordering;
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_sig: i32) {
-        SIGNALED.store(true, Ordering::Relaxed);
-    }
-
-    // The libc symbol directly — this crate links no libc wrapper, the
-    // same raw-syscall idiom farm-net's poller uses for epoll.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Routes `SIGTERM`/`SIGINT` to the [`SIGNALED`] flag.
-    pub fn install() {
-        let handler = on_signal as extern "C" fn(i32) as *const () as usize;
-        unsafe {
-            signal(SIGTERM, handler);
-            signal(SIGINT, handler);
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let mut config_path: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut print_addr = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => config_path = args.next(),
-            "--listen" => listen = args.next(),
-            "--print-addr" => print_addr = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("farmd: unknown argument `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut config = match &config_path {
-        Some(path) => match FarmdConfig::from_file(path.as_ref()) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("farmd: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FarmdConfig::default(),
-    };
-    if let Some(addr) = listen {
-        match addr.parse() {
-            Ok(a) => config.listen = a,
-            Err(_) => {
-                eprintln!("farmd: bad --listen address `{addr}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    #[cfg(unix)]
-    sig::install();
-    let pid_file = config.pid_file.clone();
-    let farmd = match Farmd::start(config) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("farmd: startup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &pid_file {
-        if let Err(e) = std::fs::write(path, format!("{}\n", std::process::id())) {
-            eprintln!("farmd: cannot write pid file {}: {e}", path.display());
-        }
-    }
-    if print_addr {
-        println!("{}", farmd.local_addr());
-    }
-    eprintln!("farmd: serving control plane on {}", farmd.local_addr());
-    // Wait for either a served `Shutdown` op or a supervisor signal;
-    // both paths drain in-flight ops and write the final checkpoint
-    // inside the core's teardown.
-    while !farmd.stopping() && !SIGNALED.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let signaled = SIGNALED.load(Ordering::Relaxed) && !farmd.stopping();
-    if signaled {
-        eprintln!("farmd: signal received, shutting down gracefully");
-    }
-    farmd.stop();
-    if let Some(path) = &pid_file {
-        let _ = std::fs::remove_file(path);
-    }
-    eprintln!("farmd: shut down");
-    if signaled {
-        ExitCode::from(EXIT_SIGNALED)
-    } else {
-        ExitCode::SUCCESS
-    }
+    farm_ctl::daemon::main::<server::Core>(
+        USAGE,
+        "serving control plane",
+        FarmdConfig::from_toml_str,
+    )
 }

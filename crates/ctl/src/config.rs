@@ -213,11 +213,12 @@ fn parse_value(s: &str, line: u32) -> Result<Value, ConfigError> {
     Err(err(line, format!("cannot parse value `{s}`")))
 }
 
-/// Everything farmd needs to come up.
+/// The `[server]` keys every daemon on the shared skeleton
+/// ([`crate::daemon`]) reads: where it listens and how it shuts down.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FarmdConfig {
+pub struct ServerConfig {
     /// Address the control endpoint binds; port 0 picks an ephemeral
-    /// port (see `Farmd::local_addr`).
+    /// port (see `Daemon::local_addr`).
     pub listen: SocketAddr,
     /// How long a connection handler waits for the core to answer one
     /// op before giving the client a structured error.
@@ -225,6 +226,53 @@ pub struct FarmdConfig {
     /// Grace period between the shutdown op and severing sessions, so
     /// in-flight replies drain.
     pub shutdown_drain: Duration,
+    /// Optional PID file for external supervisors; written at startup,
+    /// removed on graceful exit.
+    pub pid_file: Option<PathBuf>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            listen: "127.0.0.1:0".parse().expect("loopback parses"),
+            request_timeout: Duration::from_secs(10),
+            shutdown_drain: Duration::from_millis(100),
+            pid_file: None,
+        }
+    }
+}
+
+impl ServerConfig {
+    /// Consumes the shared `[server]` keys from a parsed file.
+    pub fn take(t: &mut Table) -> Result<ServerConfig, ConfigError> {
+        let mut cfg = ServerConfig::default();
+        let listen_line = line_of(t, "server.listen");
+        if let Some(s) = t.str("server.listen")? {
+            cfg.listen = s.parse().map_err(|_| {
+                err(
+                    listen_line,
+                    format!("`server.listen`: bad socket address `{s}`"),
+                )
+            })?;
+        }
+        if let Some(ms) = t.u64("server.request_timeout_ms")? {
+            cfg.request_timeout = Duration::from_millis(ms.max(1));
+        }
+        if let Some(ms) = t.u64("server.shutdown_drain_ms")? {
+            cfg.shutdown_drain = Duration::from_millis(ms);
+        }
+        if let Some(p) = t.str("server.pid_file")? {
+            cfg.pid_file = Some(PathBuf::from(p));
+        }
+        Ok(cfg)
+    }
+}
+
+/// Everything farmd needs to come up.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FarmdConfig {
+    /// Listen address, handler timeout, shutdown drain, PID file.
+    pub server: ServerConfig,
     /// Optional JSON-lines event log (the audit trail on disk).
     pub event_log: Option<PathBuf>,
     /// Optional checkpoint file: `Checkpoint` ops persist every seed's
@@ -238,9 +286,6 @@ pub struct FarmdConfig {
     /// state restored) before serving the first op. Default on; only
     /// meaningful with `checkpoint_path`.
     pub restore_on_boot: bool,
-    /// Optional PID file for external supervisors; written at startup,
-    /// removed on graceful exit.
-    pub pid_file: Option<PathBuf>,
     /// Hosted fabric shape: spine switches.
     pub spines: usize,
     /// Hosted fabric shape: leaf switches.
@@ -292,14 +337,11 @@ pub struct FedMembership {
 impl Default for FarmdConfig {
     fn default() -> Self {
         FarmdConfig {
-            listen: "127.0.0.1:0".parse().expect("loopback parses"),
-            request_timeout: Duration::from_secs(10),
-            shutdown_drain: Duration::from_millis(100),
+            server: ServerConfig::default(),
             event_log: None,
             checkpoint_path: None,
             checkpoint_interval: None,
             restore_on_boot: true,
-            pid_file: None,
             spines: 2,
             leaves: 3,
             replan_interval: None,
@@ -321,22 +363,10 @@ impl FarmdConfig {
     /// fail loudly instead of silently running defaults.
     pub fn from_toml_str(src: &str) -> Result<FarmdConfig, ConfigError> {
         let mut t = Table::parse(src)?;
-        let mut cfg = FarmdConfig::default();
-        let listen_line = line_of(&t, "server.listen");
-        if let Some(s) = t.str("server.listen")? {
-            cfg.listen = s.parse().map_err(|_| {
-                err(
-                    listen_line,
-                    format!("`server.listen`: bad socket address `{s}`"),
-                )
-            })?;
-        }
-        if let Some(ms) = t.u64("server.request_timeout_ms")? {
-            cfg.request_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = t.u64("server.shutdown_drain_ms")? {
-            cfg.shutdown_drain = Duration::from_millis(ms);
-        }
+        let mut cfg = FarmdConfig {
+            server: ServerConfig::take(&mut t)?,
+            ..FarmdConfig::default()
+        };
         if let Some(p) = t.str("server.event_log")? {
             cfg.event_log = Some(PathBuf::from(p));
         }
@@ -348,9 +378,6 @@ impl FarmdConfig {
         }
         if let Some(b) = t.bool("server.restore_on_boot")? {
             cfg.restore_on_boot = b;
-        }
-        if let Some(p) = t.str("server.pid_file")? {
-            cfg.pid_file = Some(PathBuf::from(p));
         }
         if let Some(n) = t.u64("farm.spines")? {
             cfg.spines = n as usize;
@@ -430,13 +457,6 @@ impl FarmdConfig {
         }
         Ok(cfg)
     }
-
-    /// Loads and parses a config file.
-    pub fn from_file(path: &std::path::Path) -> Result<FarmdConfig, ConfigError> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| err(0, format!("cannot read {}: {e}", path.display())))?;
-        FarmdConfig::from_toml_str(&body)
-    }
 }
 
 /// Source line of a key, read *before* a getter consumes the entry, for
@@ -471,9 +491,9 @@ mod tests {
     #[test]
     fn full_config_round_trips() {
         let cfg = FarmdConfig::from_toml_str(FULL).unwrap();
-        assert_eq!(cfg.listen, "127.0.0.1:4520".parse().unwrap());
-        assert_eq!(cfg.request_timeout, Duration::from_millis(2500));
-        assert_eq!(cfg.shutdown_drain, Duration::from_millis(50));
+        assert_eq!(cfg.server.listen, "127.0.0.1:4520".parse().unwrap());
+        assert_eq!(cfg.server.request_timeout, Duration::from_millis(2500));
+        assert_eq!(cfg.server.shutdown_drain, Duration::from_millis(50));
         assert_eq!(
             cfg.event_log.as_deref(),
             Some(std::path::Path::new("/tmp/farmd-events.jsonl"))
@@ -540,7 +560,7 @@ mod tests {
         assert_eq!(cfg.checkpoint_interval, Some(Duration::from_millis(250)));
         assert!(!cfg.restore_on_boot);
         assert_eq!(
-            cfg.pid_file.as_deref(),
+            cfg.server.pid_file.as_deref(),
             Some(std::path::Path::new("/tmp/farmd.pid"))
         );
         assert_eq!(cfg.tick_interval, Some(Duration::from_millis(5)));

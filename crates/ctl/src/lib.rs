@@ -2,8 +2,9 @@
 //!
 //! Two halves, one wire protocol:
 //!
-//! - [`Farmd`] — the daemon. Hosts a [`farm_core::Farm`] on a dedicated
-//!   core thread and serves the versioned [`farm_net::ControlOp`]
+//! - [`Farmd`] — the daemon. Hosts a [`farm_core::Farm`] on the shared
+//!   daemon skeleton's core thread ([`daemon`], which fedd runs on too)
+//!   and serves the versioned [`farm_net::ControlOp`]
 //!   surface over TCP: program submission with server-side Almanac
 //!   compilation and diagnostics, seed listing/inspection, stats and
 //!   metrics dumps as JSON, switch drain/uncordon with migration-based
@@ -19,9 +20,10 @@
 pub mod ckpt;
 pub mod client;
 pub mod config;
-pub mod json;
+pub mod daemon;
 pub mod server;
+pub mod stats;
 
 pub use client::CtlClient;
-pub use config::{ConfigError, FarmdConfig, FedMembership};
+pub use config::{ConfigError, FarmdConfig, FedMembership, ServerConfig};
 pub use server::Farmd;

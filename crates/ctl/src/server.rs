@@ -1,23 +1,19 @@
-//! The farmd daemon core: a [`Farm`] hosted behind a farm-net
-//! [`NetServer`], serving the versioned [`ControlOp`] surface.
+//! The farmd core: a [`Farm`] served through the shared daemon skeleton
+//! ([`crate::daemon`]), which owns the threading model, the op
+//! accounting (`ctl.ops`, `ctl.op.<kind>`, `ctl.rejected`,
+//! `ctl.op_latency_us`) and the shutdown drain.
 //!
-//! Threading model: the farm is not shared — it lives on one
-//! "farmd-core" thread that owns it outright. Connection handler
-//! threads translate each [`Frame::Control`] into a request over an
-//! mpsc channel and block (bounded) for the reply; the core serves ops
-//! strictly in arrival order, so every operation observes a consistent
-//! farm. The core's `recv_timeout` doubles as the periodic-replan
-//! ticker.
-//!
-//! Every op lands in the audit trail: `ctl.ops`, `ctl.op.<kind>` and
-//! `ctl.rejected` counters, the `ctl.op_latency_us` histogram, and one
-//! [`Event::ControlOp`] per op through the farm's event sinks.
+//! What farmd adds: the farm itself, the tickers between ops (virtual
+//! time, periodic replan, periodic checkpoint), one [`Event::ControlOp`]
+//! per op through the farm's event sinks, a final checkpoint after the
+//! drain, and — with a `[fed]` section — the registration thread that
+//! keeps the pod known to its coordinator.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -26,175 +22,25 @@ use farm_core::prelude::*;
 use farm_core::seeder::SeedKey;
 use farm_net::{
     decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, ControlOp, ControlReply,
-    Diagnostic, Envelope, Frame, NetServer, SeedDescriptor, VSeedSnapshot,
+    Diagnostic, SeedDescriptor, VSeedSnapshot,
 };
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::types::SwitchId;
+use farm_telemetry::{Json, Snapshot};
 
 use crate::ckpt;
 use crate::client::CtlClient;
-use crate::config::{FarmdConfig, FedMembership};
-use crate::json::{array, snapshot_json, Obj};
+use crate::config::{FarmdConfig, FedMembership, ServerConfig};
+use crate::daemon::{self, Daemon};
+use crate::stats::{page, StatsDoc};
 
 /// Human names of the four resource kinds, in `Resources` index order.
 const RESOURCE_NAMES: [&str; 4] = ["vcpu", "ram_mb", "tcam", "pcie_poll"];
 
-/// One queued control request: the op plus the handler's reply slot.
-struct CoreMsg {
-    op: ControlOp,
-    reply: mpsc::Sender<ControlReply>,
-}
-
 /// A running farmd instance: the hosted farm's core thread plus the
 /// listening control endpoint.
-pub struct Farmd {
-    server: NetServer,
-    core: Option<thread::JoinHandle<()>>,
-    fed_reg: Option<thread::JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    shutdown_drain: Duration,
-    telemetry: Telemetry,
-}
-
-impl Farmd {
-    /// Builds the farm, starts the core thread, binds the control
-    /// endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures, or the core thread dying during construction.
-    pub fn start(config: FarmdConfig) -> io::Result<Farmd> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<CoreMsg>();
-        let (ready_tx, ready_rx) = mpsc::channel::<Telemetry>();
-        let core = {
-            let config = config.clone();
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("farmd-core".into())
-                .spawn(move || core_loop(config, rx, ready_tx, stop))?
-        };
-        let telemetry = ready_rx
-            .recv()
-            .map_err(|_| io::Error::other("farmd core died during startup"))?;
-        let handler = {
-            // mpsc senders are Send but not Sync; handlers clone one out
-            // of the mutex per request.
-            let tx = Mutex::new(tx);
-            let stop = Arc::clone(&stop);
-            let wait = config.request_timeout;
-            Arc::new(move |env: &Envelope| -> Option<Frame> {
-                let Frame::Control { op } = &env.frame else {
-                    return None;
-                };
-                if stop.load(Ordering::Relaxed) {
-                    return Some(Frame::Error {
-                        message: "farmd is shutting down".into(),
-                    });
-                }
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sender = tx.lock().expect("ctl sender lock").clone();
-                if sender
-                    .send(CoreMsg {
-                        op: op.clone(),
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    return Some(Frame::Error {
-                        message: "farmd core is gone".into(),
-                    });
-                }
-                match reply_rx.recv_timeout(wait) {
-                    Ok(reply) => Some(Frame::ControlReply { reply }),
-                    Err(_) => Some(Frame::Error {
-                        message: "farmd core did not answer in time".into(),
-                    }),
-                }
-            })
-        };
-        let server = NetServer::bind(config.listen, &telemetry, handler)?;
-        let fed_reg = match &config.fed {
-            Some(fed) => {
-                let fed = fed.clone();
-                let local = server.local_addr();
-                let switches = (config.spines + config.leaves) as u64;
-                let quota = config.quota;
-                let stop = Arc::clone(&stop);
-                let telemetry = telemetry.clone();
-                Some(
-                    thread::Builder::new()
-                        .name("farmd-fed-reg".into())
-                        .spawn(move || {
-                            registration_loop(fed, local, switches, quota, stop, telemetry)
-                        })?,
-                )
-            }
-            None => None,
-        };
-        Ok(Farmd {
-            server,
-            core: Some(core),
-            fed_reg,
-            stop,
-            shutdown_drain: config.shutdown_drain,
-            telemetry,
-        })
-    }
-
-    /// The bound control address (the chosen port when listening on :0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// The hosted farm's telemetry handle (shared with the transport).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// True once a shutdown op was served (or [`Farmd::stop`] ran).
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Blocks until a `Shutdown` op arrives, then drains and tears the
-    /// endpoint down.
-    pub fn wait(mut self) {
-        while !self.stop.load(Ordering::Relaxed) {
-            thread::sleep(Duration::from_millis(20));
-        }
-        self.teardown();
-    }
-
-    /// Initiates shutdown locally (equivalent to serving a `Shutdown`
-    /// op) and tears down.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Let in-flight replies reach their sockets before severing.
-        thread::sleep(self.shutdown_drain);
-        self.server.shutdown();
-        if let Some(h) = self.core.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.fed_reg.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Farmd {
-    fn drop(&mut self) {
-        if self.core.is_some() {
-            self.teardown();
-        }
-    }
-}
+pub type Farmd = Daemon<Core>;
 
 /// The pod side of federation membership: register with the fedd
 /// coordinator, then heartbeat it until shutdown. A rejected heartbeat
@@ -275,19 +121,17 @@ fn registration_loop(
 
 /// The daemon's single-threaded heart: the farm it owns, the catalog of
 /// submitted program sources (persisted into checkpoints so a cold
-/// restart can recompile them), and the durability telemetry.
-struct Core {
+/// restart can recompile them), and the tickers' clocks.
+pub struct Core {
     farm: Farm,
     config: FarmdConfig,
     /// Source of every submitted task, by name — what `FARMCKP2`
     /// program records are written from.
     programs: BTreeMap<String, String>,
-}
-
-impl Core {
-    fn telemetry(&self) -> Telemetry {
-        self.farm.telemetry().clone()
-    }
+    booted: Instant,
+    last_tick: Instant,
+    last_replan: Instant,
+    last_ckpt: Instant,
 }
 
 /// The deterministic churn plan `[faults] seed` asks for: crashes and
@@ -314,135 +158,129 @@ fn churn_plan(config: &FarmdConfig, seed: u64) -> FaultPlan {
     )
 }
 
-/// The core thread: owns the farm, serves ops in order, ticks replans,
-/// periodic checkpoints and virtual time; on shutdown it drains queued
-/// ops and writes a final checkpoint.
-fn core_loop(
-    config: FarmdConfig,
-    rx: mpsc::Receiver<CoreMsg>,
-    ready: mpsc::Sender<Telemetry>,
-    stop: Arc<AtomicBool>,
-) {
-    let topo = Topology::spine_leaf(
-        config.spines,
-        config.leaves,
-        SwitchModel::accton_as7712(),
-        SwitchModel::accton_as5712(),
-    );
-    let mut builder = Farm::builder(topo).with_placement_threads(config.placement_threads);
-    if let Some(seed) = config.fault_seed {
-        builder = builder.with_fault_plan(churn_plan(&config, seed));
+impl daemon::Core for Core {
+    type Config = FarmdConfig;
+    const NAME: &'static str = "farmd";
+    const PREFIX: &'static str = "ctl";
+
+    fn server(config: &mut FarmdConfig) -> &mut ServerConfig {
+        &mut config.server
     }
-    if let Some(path) = &config.event_log {
-        match std::fs::File::create(path) {
-            Ok(f) => {
-                builder = builder.with_sink(Arc::new(JsonLinesSink::new(Box::new(
-                    io::BufWriter::new(f),
-                ))));
-            }
-            Err(e) => eprintln!("farmd: cannot open event log {}: {e}", path.display()),
+
+    /// Builds the farm and, when asked to, restores the checkpoint file
+    /// into it before the first op is served.
+    fn boot(config: FarmdConfig) -> Core {
+        let topo = Topology::spine_leaf(
+            config.spines,
+            config.leaves,
+            SwitchModel::accton_as7712(),
+            SwitchModel::accton_as5712(),
+        );
+        let mut builder = Farm::builder(topo).with_placement_threads(config.placement_threads);
+        if let Some(seed) = config.fault_seed {
+            builder = builder.with_fault_plan(churn_plan(&config, seed));
         }
-    }
-    let farm = builder.build();
-    let telemetry = farm.telemetry().clone();
-    let mut core = Core {
-        farm,
-        config,
-        programs: BTreeMap::new(),
-    };
-    if core.config.restore_on_boot && core.config.checkpoint_path.is_some() {
-        match restore(&mut core) {
-            ControlReply::Restored { seeds, skipped } if seeds > 0 || skipped > 0 => {
-                eprintln!("farmd: boot restore: {seeds} seed(s) restored, {skipped} skipped");
-            }
-            ControlReply::Rejected { reason } => {
-                eprintln!("farmd: boot restore failed: {reason}");
-            }
-            _ => {}
-        }
-    }
-    if ready.send(telemetry.clone()).is_err() {
-        return;
-    }
-    let ops = telemetry.counter("ctl.ops");
-    let rejected = telemetry.counter("ctl.rejected");
-    let latency = telemetry.latency_histogram("ctl.op_latency_us");
-    let booted = Instant::now();
-    let mut last_replan = Instant::now();
-    let mut last_ckpt = Instant::now();
-    let mut last_tick = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(CoreMsg { op, reply }) => {
-                let started = Instant::now();
-                let kind = op.kind();
-                ops.inc();
-                telemetry.counter(&format!("ctl.op.{kind}")).inc();
-                let out = serve_op(&mut core, &op);
-                let elapsed_us = started.elapsed().as_micros() as u64;
-                latency.record(elapsed_us);
-                let outcome = match &out {
-                    ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {
-                        rejected.inc();
-                        "rejected"
-                    }
-                    _ => "ok",
-                };
-                let at_ns = core.farm.now().as_nanos();
-                telemetry.emit_with(|| Event::ControlOp {
-                    at_ns,
-                    op: kind.to_string(),
-                    outcome: outcome.to_string(),
-                    elapsed_us,
-                });
-                let is_shutdown = matches!(op, ControlOp::Shutdown);
-                let _ = reply.send(out);
-                if is_shutdown {
-                    stop.store(true, Ordering::Relaxed);
-                    break;
+        if let Some(path) = &config.event_log {
+            match std::fs::File::create(path) {
+                Ok(f) => {
+                    builder = builder.with_sink(Arc::new(JsonLinesSink::new(Box::new(
+                        io::BufWriter::new(f),
+                    ))));
                 }
+                Err(e) => eprintln!("farmd: cannot open event log {}: {e}", path.display()),
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // Farmd was dropped without a shutdown op.
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-        if let Some(every) = core.config.tick_interval {
+        let now = Instant::now();
+        let mut core = Core {
+            farm: builder.build(),
+            config,
+            programs: BTreeMap::new(),
+            booted: now,
+            last_tick: now,
+            last_replan: now,
+            last_ckpt: now,
+        };
+        if core.config.restore_on_boot && core.config.checkpoint_path.is_some() {
+            match restore(&mut core) {
+                ControlReply::Restored { seeds, skipped } if seeds > 0 || skipped > 0 => {
+                    eprintln!("farmd: boot restore: {seeds} seed(s) restored, {skipped} skipped");
+                }
+                ControlReply::Rejected { reason } => {
+                    eprintln!("farmd: boot restore failed: {reason}");
+                }
+                _ => {}
+            }
+        }
+        core
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        self.farm.telemetry()
+    }
+
+    fn serve(&mut self, op: &ControlOp) -> ControlReply {
+        serve_op(self, op)
+    }
+
+    fn tick(&mut self) {
+        if let Some(every) = self.config.tick_interval {
             // Advance virtual time in wall-clock lockstep so heartbeats,
             // fault injection and recovery run while the daemon idles;
             // `tick_interval` bounds how stale the virtual clock runs.
-            if last_tick.elapsed() >= every {
-                last_tick = Instant::now();
-                let target = Time::ZERO + Dur::from_nanos(booted.elapsed().as_nanos() as u64);
-                core.farm.advance(target);
+            if self.last_tick.elapsed() >= every {
+                self.last_tick = Instant::now();
+                let target = Time::ZERO + Dur::from_nanos(self.booted.elapsed().as_nanos() as u64);
+                self.farm.advance(target);
             }
         }
-        if let Some(every) = core.config.replan_interval {
-            if last_replan.elapsed() >= every {
-                last_replan = Instant::now();
-                let _ = core.farm.replan();
+        if let Some(every) = self.config.replan_interval {
+            if self.last_replan.elapsed() >= every {
+                self.last_replan = Instant::now();
+                let _ = self.farm.replan();
             }
         }
-        if let Some(every) = core.config.checkpoint_interval {
-            if last_ckpt.elapsed() >= every {
-                last_ckpt = Instant::now();
-                checkpoint(&mut core);
+        if let Some(every) = self.config.checkpoint_interval {
+            if self.last_ckpt.elapsed() >= every {
+                self.last_ckpt = Instant::now();
+                checkpoint(self);
             }
         }
     }
-    // Shutdown: serve whatever the handlers already queued (they block
-    // on these replies), then make the state durable one last time.
-    while let Ok(CoreMsg { op, reply }) = rx.try_recv() {
-        let out = match op {
-            ControlOp::Shutdown => ControlReply::Ok,
-            op => serve_op(&mut core, &op),
+
+    /// Makes the state durable one last time.
+    fn drained(&mut self) {
+        if self.config.checkpoint_path.is_some() {
+            checkpoint(self);
+        }
+    }
+
+    fn audit(&self, kind: &'static str, outcome: &'static str, elapsed_us: u64) {
+        let at_ns = self.farm.now().as_nanos();
+        self.farm.telemetry().emit_with(|| Event::ControlOp {
+            at_ns,
+            op: kind.to_string(),
+            outcome: outcome.to_string(),
+            elapsed_us,
+        });
+    }
+
+    fn companion(
+        config: &FarmdConfig,
+        local: SocketAddr,
+        stop: &Arc<AtomicBool>,
+        telemetry: &Telemetry,
+    ) -> io::Result<Option<thread::JoinHandle<()>>> {
+        let Some(fed) = config.fed.clone() else {
+            return Ok(None);
         };
-        let _ = reply.send(out);
-    }
-    if core.config.checkpoint_path.is_some() {
-        checkpoint(&mut core);
+        let switches = (config.spines + config.leaves) as u64;
+        let quota = config.quota;
+        let stop = Arc::clone(stop);
+        let telemetry = telemetry.clone();
+        thread::Builder::new()
+            .name("farmd-fed-reg".into())
+            .spawn(move || registration_loop(fed, local, switches, quota, stop, telemetry))
+            .map(Some)
     }
 }
 
@@ -455,10 +293,10 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
         ControlOp::ListSeeds { from_index, limit } => list_seeds(farm, *from_index, *limit),
         ControlOp::DescribeSeed { key } => describe(farm, key),
         ControlOp::Stats { from_index, limit } => ControlReply::Json {
-            body: stats_json(farm, *from_index, *limit),
+            body: stats_doc(farm).into_json(*from_index, *limit).to_string(),
         },
         ControlOp::MetricsDump => ControlReply::Json {
-            body: metrics_json(farm),
+            body: metrics_json(&farm.telemetry().snapshot()).to_string(),
         },
         ControlOp::Drain { switch } => match farm.drain(SwitchId(*switch)) {
             Ok((_, evacuated)) => ControlReply::Drained {
@@ -576,6 +414,7 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
         farm,
         config,
         programs,
+        ..
     } = core;
     if name.is_empty()
         || !name
@@ -713,7 +552,7 @@ fn checkpoint(core: &mut Core) -> ControlReply {
                 .collect(),
         };
         let bytes = encode_checkpoint_doc(&doc);
-        let telemetry = core.telemetry();
+        let telemetry = core.farm.telemetry().clone();
         let started = Instant::now();
         match ckpt::write_atomic(path, &bytes) {
             Ok(()) => {
@@ -745,7 +584,7 @@ fn checkpoint(core: &mut Core) -> ControlReply {
 /// Entries whose seed key no longer parses are counted into `skipped`
 /// and the `ctl.restore_skipped` counter instead of vanishing.
 fn restore(core: &mut Core) -> ControlReply {
-    let telemetry = core.telemetry();
+    let telemetry = core.farm.telemetry().clone();
     let mut skipped = 0u64;
     if let Some(path) = core.config.checkpoint_path.clone() {
         match std::fs::read(&path) {
@@ -836,33 +675,14 @@ fn redeploy_program(core: &mut Core, name: &str, source: &str) {
 /// `ListSeeds`: the full listing, or — when the op carries a cursor —
 /// one page of it. The listing is sorted by seed key either way, so
 /// concatenating pages reproduces the unpaginated reply exactly.
-///
-/// An unpaginated reply carries `next_index == total == 0`, keeping its
-/// encoding byte-identical to the pre-cursor revision for old clients.
 fn list_seeds(farm: &Farm, from_index: u64, limit: u64) -> ControlReply {
     let mut statuses = farm.seed_statuses();
     statuses.sort_by_cached_key(|s| s.key.to_string());
-    if from_index == 0 && limit == 0 {
-        return ControlReply::Seeds {
-            seeds: statuses.iter().map(descriptor).collect(),
-            next_index: 0,
-            total: 0,
-        };
-    }
-    let total = statuses.len() as u64;
-    let start = from_index.min(total);
-    let end = if limit == 0 {
-        total
-    } else {
-        start.saturating_add(limit).min(total)
-    };
-    let seeds = statuses[start as usize..end as usize]
-        .iter()
-        .map(descriptor)
-        .collect();
+    let (range, cursor) = page(from_index, limit, statuses.len());
+    let (next_index, total) = cursor.unwrap_or((0, 0));
     ControlReply::Seeds {
-        seeds,
-        next_index: if end < total { end } else { 0 },
+        seeds: statuses[range].iter().map(descriptor).collect(),
+        next_index,
         total,
     }
 }
@@ -907,107 +727,71 @@ fn describe(farm: &Farm, key: &str) -> ControlReply {
     }
 }
 
-/// The `Stats` body: run summary plus the counter map (so `ctl.*` and
-/// `farm.*` audit counters are one query away). A cursor on the op
-/// pages through the counter map (it dominates the body size — one
-/// entry per distinct metric); the page window plus
-/// `counters_next_index` / `counters_total` fields appear only on
-/// paginated requests, so the unpaginated body is unchanged.
-fn stats_json(farm: &Farm, from_index: u64, limit: u64) -> String {
+/// The `Stats` document of this farm; `own` carries planner health at a
+/// glance: how often the farm replans, how long a round takes, and
+/// whether the incremental solver is actually serving warm rounds or
+/// degrading to full recomputes.
+fn stats_doc(farm: &Farm) -> StatsDoc {
     let snap = farm.telemetry().snapshot();
-    let paginated = from_index != 0 || limit != 0;
-    let counters_total = snap.counters.len() as u64;
-    let start = from_index.min(counters_total);
-    let end = if !paginated || limit == 0 {
-        counters_total
-    } else {
-        start.saturating_add(limit).min(counters_total)
-    };
-    let mut counters = Obj::new();
-    // BTreeMap iteration is key-sorted, so pages tile deterministically.
-    for (k, v) in snap
-        .counters
-        .iter()
-        .skip(start as usize)
-        .take((end - start) as usize)
-    {
-        counters = counters.num(k, *v);
-    }
-    let tasks = array(
-        farm.seeder()
-            .task_names()
-            .iter()
-            .map(|t| format!("\"{}\"", crate::json::escape(t))),
-    );
-    let cordoned = array(farm.cordoned_switches().iter().map(|s| s.0.to_string()));
-    let fenced = array(farm.fenced_switches().iter().map(|s| s.0.to_string()));
-    // Planner health at a glance: how often the farm replans, how long a
-    // round takes, and whether the incremental solver is actually
-    // serving warm rounds or degrading to full recomputes.
-    let mut replan = Obj::new()
-        .num("replans", snap.counter("farm.replans"))
-        .num("replan_delta", snap.counter("farm.replan_delta"))
-        .num(
+    let mut replan = Json::obj([("replans", Json::from(snap.counter("farm.replans")))])
+        .with("replan_delta", snap.counter("farm.replan_delta"))
+        .with(
             "delta_fallback_full",
             snap.counter("farm.delta_fallback_full"),
         );
-    if let Some(h) = snap.histogram("farm.replan_us") {
-        if let Some(p) = h.p50 {
-            replan = replan.float("replan_us_p50", p);
-        }
-        if let Some(p) = h.p95 {
-            replan = replan.float("replan_us_p95", p);
-        }
-    }
-    if let Some(h) = snap.histogram("farm.replan_delta_us") {
-        if let Some(p) = h.p95 {
-            replan = replan.float("replan_delta_us_p95", p);
+    let round = snap.histogram("farm.replan_us");
+    let warm = snap.histogram("farm.replan_delta_us");
+    for (name, percentile) in [
+        ("replan_us_p50", round.and_then(|h| h.p50)),
+        ("replan_us_p95", round.and_then(|h| h.p95)),
+        ("replan_delta_us_p95", warm.and_then(|h| h.p95)),
+    ] {
+        if let Some(p) = percentile {
+            replan = replan.with(name, p);
         }
     }
-    let mut obj = Obj::new()
-        .num("now_ns", farm.now().as_nanos())
-        .raw("tasks", &tasks)
-        .num("seeds", farm.deployed_seeds() as u64)
-        .num("switches", farm.network().switch_ids().len() as u64)
-        .raw("cordoned", &cordoned)
-        .raw("fenced", &fenced)
-        .num("recovery_pending", farm.recovery_pending() as u64)
-        .raw("replan", &replan.finish())
-        .raw("counters", &counters.finish());
-    if paginated {
-        obj = obj
-            .num(
-                "counters_next_index",
-                if end < counters_total { end } else { 0 },
-            )
-            .num("counters_total", counters_total);
+    let ids = |switches: Vec<SwitchId>| switches.iter().map(|s| u64::from(s.0)).collect();
+    StatsDoc {
+        now_ns: farm.now().as_nanos(),
+        tasks: farm.seeder().task_names(),
+        seeds: farm.deployed_seeds() as u64,
+        switches: farm.network().switch_ids().len() as u64,
+        cordoned: ids(farm.cordoned_switches()),
+        fenced: ids(farm.fenced_switches()),
+        recovery_pending: farm.recovery_pending() as u64,
+        own: vec![("replan".into(), replan)],
+        counters: snap.counters,
     }
-    obj.finish()
 }
 
-/// The `MetricsDump` body: legacy compat view plus the whole registry
-/// (counters, gauges, histograms).
-fn metrics_json(farm: &Farm) -> String {
-    let m = farm.metrics();
-    let compat = Obj::new()
-        .num("collector_messages", m.collector_messages)
-        .num("collector_bytes", m.collector_bytes)
-        .num("seed_messages", m.seed_messages)
-        .num("seed_bytes", m.seed_bytes)
-        .num("control_messages", m.control_messages)
-        .num("control_bytes", m.control_bytes)
-        .num("migrations", m.migrations)
-        .num("migration_bytes", m.migration_bytes)
-        .num("seed_errors", m.seed_errors)
-        .num("replans", m.replans)
-        .num("net_dead_letters", m.net_dead_letters)
-        .num("transport_fallbacks", m.transport_fallbacks)
-        .num("total_network_bytes", m.total_network_bytes())
-        .finish();
-    Obj::new()
-        .raw("metrics", &compat)
-        .raw("registry", &snapshot_json(&farm.telemetry().snapshot()))
-        .finish()
+/// The `MetricsDump` body: the whole registry (counters, gauges,
+/// histograms) plus a `metrics` summary of the run's traffic accounting
+/// — both read from one snapshot, so the two halves always agree.
+fn metrics_json(snap: &Snapshot) -> Json {
+    const FARM: [&str; 10] = [
+        "collector_messages",
+        "collector_bytes",
+        "seed_messages",
+        "seed_bytes",
+        "control_messages",
+        "control_bytes",
+        "migrations",
+        "migration_bytes",
+        "seed_errors",
+        "replans",
+    ];
+    let farm = |key: &str| snap.counter(&format!("farm.{key}"));
+    let metrics = Json::obj(FARM.map(|key| (key, farm(key).into())))
+        .with("net_dead_letters", snap.counter("net.dead_letters"))
+        .with("transport_fallbacks", snap.counter("transport.fallbacks"))
+        .with(
+            "total_network_bytes",
+            farm("collector_bytes")
+                + farm("seed_bytes")
+                + farm("control_bytes")
+                + farm("migration_bytes"),
+        );
+    Json::obj([("metrics", metrics), ("registry", snap.to_json())])
 }
 
 #[cfg(test)]
@@ -1026,6 +810,33 @@ mod tests {
         assert!(parse_seed_key("t/mX/s1").is_none());
     }
 
+    /// The compact `MetricsDump` body for a fixed registry, as the parent
+    /// revision rendered it: same keys, same order, no whitespace.
+    #[test]
+    fn metrics_dump_body_is_pinned() {
+        let t = Telemetry::new();
+        t.counter("farm.collector_bytes").add(5);
+        t.counter("farm.seed_bytes").add(2);
+        t.counter("net.dead_letters").add(3);
+        t.gauge("ckpt.bytes").set(1.5);
+        t.gauge("fed.pod.registered").set(1.0);
+        t.latency_histogram("ctl.op_latency_us").record(40);
+        t.latency_histogram("farm.replan_us");
+        assert_eq!(
+            metrics_json(&t.snapshot()).to_string(),
+            concat!(
+                r#"{"metrics":{"collector_messages":0,"collector_bytes":5,"seed_messages":0,"#,
+                r#""seed_bytes":2,"control_messages":0,"control_bytes":0,"migrations":0,"#,
+                r#""migration_bytes":0,"seed_errors":0,"replans":0,"net_dead_letters":3,"#,
+                r#""transport_fallbacks":0,"total_network_bytes":7},"#,
+                r#""registry":{"counters":{"farm.collector_bytes":5,"farm.seed_bytes":2,"#,
+                r#""net.dead_letters":3},"gauges":{"ckpt.bytes":1.5,"fed.pod.registered":1},"#,
+                r#""histograms":{"ctl.op_latency_us":{"count":1,"sum":40,"max":40,"p50":37.5,"#,
+                r#""p95":48.75,"p99":49.75},"farm.replan_us":{"count":0,"sum":0,"max":0}}}}"#,
+            )
+        );
+    }
+
     #[test]
     fn stats_body_reports_replan_and_delta_health() {
         let topo = Topology::spine_leaf(
@@ -1038,7 +849,7 @@ mod tests {
         farm.deploy_task("hh", farm_almanac::programs::HEAVY_HITTER, &BTreeMap::new())
             .unwrap();
         farm.replan().unwrap(); // a warm round so the delta counters move
-        let body = stats_json(&farm, 0, 0);
+        let body = stats_doc(&farm).into_json(0, 0).to_string();
         for field in [
             "\"replan\":",
             "\"replans\":",

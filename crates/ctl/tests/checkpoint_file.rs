@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use farm_ctl::{CtlClient, Farmd, FarmdConfig};
+use farm_ctl::{CtlClient, Farmd, FarmdConfig, ServerConfig};
 use farm_net::snapshot::{encode_vsnapshot, VSeedSnapshot, CHECKPOINT_MAGIC_V2};
 use farm_net::wire::{put_str, put_varint};
 use farm_net::{decode_checkpoint_any, ControlOp, ControlReply};
@@ -17,7 +17,10 @@ const WATCHER: &str = include_str!("../../../examples/load_watcher.alm");
 
 fn test_config(checkpoint_path: PathBuf) -> FarmdConfig {
     FarmdConfig {
-        shutdown_drain: Duration::from_millis(20),
+        server: ServerConfig {
+            shutdown_drain: Duration::from_millis(20),
+            ..ServerConfig::default()
+        },
         checkpoint_path: Some(checkpoint_path),
         ..FarmdConfig::default()
     }

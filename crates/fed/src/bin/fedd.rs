@@ -1,24 +1,13 @@
 //! fedd — the FARM federation coordinator. Shards a fleet of per-pod
 //! farmd instances behind one control endpoint until a
-//! `farmctl --fed shutdown` arrives or a supervisor signals it.
-//!
-//! Lifecycle contract for external supervisors (same as farmd's):
-//!
-//! * `--config`'s `[server] pid_file` is written once listening and
-//!   removed on any graceful exit.
-//! * `SIGTERM`/`SIGINT` trigger a graceful shutdown — in-flight control
-//!   ops drain — and the process exits with code [`EXIT_SIGNALED`] (3).
-//!   Pods are never shut down with the coordinator: a fedd restart is
-//!   invisible to the fabrics, pods simply re-register.
+//! `farmctl --fed shutdown` arrives or a supervisor signals it. The
+//! lifecycle is farmd's ([`farm_ctl::daemon::main`]); pods are never shut
+//! down with the coordinator — a fedd restart is invisible to the
+//! fabrics, pods simply re-register.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
-use farm_fed::{Fedd, FeddConfig};
-
-/// Exit code of a graceful, signal-initiated shutdown.
-const EXIT_SIGNALED: u8 = 3;
+use farm_fed::{server, FeddConfig};
 
 const USAGE: &str = "\
 fedd - FARM federation coordinator daemon
@@ -37,108 +26,10 @@ SIGNALS:
                       (registered pods keep running)
 ";
 
-/// Set from the signal handler; the main loop polls it.
-static SIGNALED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-mod sig {
-    use super::SIGNALED;
-    use std::sync::atomic::Ordering;
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" fn on_signal(_sig: i32) {
-        SIGNALED.store(true, Ordering::Relaxed);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    /// Routes `SIGTERM`/`SIGINT` to the [`SIGNALED`] flag.
-    pub fn install() {
-        let handler = on_signal as extern "C" fn(i32) as *const () as usize;
-        unsafe {
-            signal(SIGTERM, handler);
-            signal(SIGINT, handler);
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let mut config_path: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut print_addr = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => config_path = args.next(),
-            "--listen" => listen = args.next(),
-            "--print-addr" => print_addr = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("fedd: unknown argument `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut config = match &config_path {
-        Some(path) => match FeddConfig::from_file(path.as_ref()) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fedd: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FeddConfig::default(),
-    };
-    if let Some(addr) = listen {
-        match addr.parse() {
-            Ok(a) => config.listen = a,
-            Err(_) => {
-                eprintln!("fedd: bad --listen address `{addr}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    #[cfg(unix)]
-    sig::install();
-    let pid_file = config.pid_file.clone();
-    let fedd = match Fedd::start(config) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("fedd: startup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &pid_file {
-        if let Err(e) = std::fs::write(path, format!("{}\n", std::process::id())) {
-            eprintln!("fedd: cannot write pid file {}: {e}", path.display());
-        }
-    }
-    if print_addr {
-        println!("{}", fedd.local_addr());
-    }
-    eprintln!("fedd: coordinating federation on {}", fedd.local_addr());
-    while !fedd.stopping() && !SIGNALED.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let signaled = SIGNALED.load(Ordering::Relaxed) && !fedd.stopping();
-    if signaled {
-        eprintln!("fedd: signal received, shutting down gracefully");
-    }
-    fedd.stop();
-    if let Some(path) = &pid_file {
-        let _ = std::fs::remove_file(path);
-    }
-    eprintln!("fedd: shut down");
-    if signaled {
-        ExitCode::from(EXIT_SIGNALED)
-    } else {
-        ExitCode::SUCCESS
-    }
+    farm_ctl::daemon::main::<server::Core>(
+        USAGE,
+        "coordinating federation",
+        FeddConfig::from_toml_str,
+    )
 }

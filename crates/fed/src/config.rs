@@ -1,26 +1,17 @@
 //! fedd configuration — the same hand-rolled TOML subset (and the same
 //! unknown-key discipline) as farmd's, via [`farm_ctl::config::Table`].
 
-use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::time::Duration;
 
-use farm_ctl::config::{err, Table};
+use farm_ctl::config::{ServerConfig, Table};
 use farm_ctl::ConfigError;
 
 /// Everything fedd needs to come up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeddConfig {
-    /// Address the federated control endpoint binds; port 0 picks an
-    /// ephemeral port (see `Fedd::local_addr`).
-    pub listen: SocketAddr,
-    /// How long a connection handler waits for the core to answer one
-    /// op before giving the client a structured error.
-    pub request_timeout: Duration,
-    /// Grace period between the shutdown op and severing sessions.
-    pub shutdown_drain: Duration,
-    /// Optional PID file for external supervisors.
-    pub pid_file: Option<PathBuf>,
+    /// Listen address, handler timeout, shutdown drain, PID file — the
+    /// same `[server]` keys farmd reads.
+    pub server: ServerConfig,
     /// A pod whose last heartbeat is older than this is marked dead:
     /// fan-outs skip it and federated stats degrade to the survivors.
     pub liveness_timeout: Duration,
@@ -33,10 +24,7 @@ pub struct FeddConfig {
 impl Default for FeddConfig {
     fn default() -> Self {
         FeddConfig {
-            listen: "127.0.0.1:0".parse().expect("loopback parses"),
-            request_timeout: Duration::from_secs(10),
-            shutdown_drain: Duration::from_millis(100),
-            pid_file: None,
+            server: ServerConfig::default(),
             liveness_timeout: Duration::from_secs(2),
             pod_timeout: Duration::from_secs(5),
             max_program_bytes: 1 << 20,
@@ -49,25 +37,10 @@ impl FeddConfig {
     /// fail loudly instead of silently running defaults.
     pub fn from_toml_str(src: &str) -> Result<FeddConfig, ConfigError> {
         let mut t = Table::parse(src)?;
-        let mut cfg = FeddConfig::default();
-        let listen_line = t.get("server.listen").map(|(l, _)| *l).unwrap_or(0);
-        if let Some(s) = t.str("server.listen")? {
-            cfg.listen = s.parse().map_err(|_| {
-                err(
-                    listen_line,
-                    format!("`server.listen`: bad socket address `{s}`"),
-                )
-            })?;
-        }
-        if let Some(ms) = t.u64("server.request_timeout_ms")? {
-            cfg.request_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = t.u64("server.shutdown_drain_ms")? {
-            cfg.shutdown_drain = Duration::from_millis(ms);
-        }
-        if let Some(p) = t.str("server.pid_file")? {
-            cfg.pid_file = Some(PathBuf::from(p));
-        }
+        let mut cfg = FeddConfig {
+            server: ServerConfig::take(&mut t)?,
+            ..FeddConfig::default()
+        };
         if let Some(ms) = t.u64("fed.liveness_timeout_ms")? {
             cfg.liveness_timeout = Duration::from_millis(ms.max(1));
         }
@@ -79,13 +52,6 @@ impl FeddConfig {
         }
         t.reject_unknown()?;
         Ok(cfg)
-    }
-
-    /// Loads and parses a config file.
-    pub fn from_file(path: &std::path::Path) -> Result<FeddConfig, ConfigError> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| err(0, format!("cannot read {}: {e}", path.display())))?;
-        FeddConfig::from_toml_str(&body)
     }
 }
 
@@ -102,11 +68,11 @@ mod tests {
              [admission]\nmax_program_bytes = 4096\n",
         )
         .unwrap();
-        assert_eq!(cfg.listen, "127.0.0.1:4600".parse().unwrap());
-        assert_eq!(cfg.request_timeout, Duration::from_millis(2500));
-        assert_eq!(cfg.shutdown_drain, Duration::from_millis(50));
+        assert_eq!(cfg.server.listen, "127.0.0.1:4600".parse().unwrap());
+        assert_eq!(cfg.server.request_timeout, Duration::from_millis(2500));
+        assert_eq!(cfg.server.shutdown_drain, Duration::from_millis(50));
         assert_eq!(
-            cfg.pid_file.as_deref(),
+            cfg.server.pid_file.as_deref(),
             Some(std::path::Path::new("/tmp/fedd.pid"))
         );
         assert_eq!(cfg.liveness_timeout, Duration::from_millis(750));

@@ -13,10 +13,9 @@
 //!   set falls inside one pod routes there verbatim; one that spans
 //!   pods is split into per-pod sub-programs with switch ids rewritten
 //!   into each pod's local space.
-//! * [`jsonval`] — a minimal total JSON reader used to merge the pods'
-//!   `Stats` / `MetricsDump` reply bodies into one federated view.
-//! * [`server`] — the daemon: a single core thread owning the registry
-//!   and one control-plane session per pod, serving federated reads
+//! * [`server`] — the daemon: farmd's skeleton (`farm_ctl::daemon`)
+//!   around a core owning the registry and one control-plane session
+//!   per pod, serving federated reads
 //!   (fan-out + merge, cursor pagination preserved), all-or-nothing
 //!   split submission, and cross-pod seed migration over the existing
 //!   `VSeedSnapshot` export/import ops.
@@ -28,7 +27,6 @@
 //! `fed.fanout_us` fan-out latency histogram.
 
 pub mod config;
-pub mod jsonval;
 pub mod registry;
 pub mod server;
 pub mod split;

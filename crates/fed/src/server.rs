@@ -1,12 +1,11 @@
-//! The fedd daemon core: the pod [`Registry`] hosted behind a farm-net
-//! [`NetServer`], serving the same versioned [`ControlOp`] surface a
-//! farmd does — but federated over every registered pod.
+//! The fedd core: the pod [`Registry`] served through the daemon
+//! skeleton farmd runs on ([`farm_ctl::daemon`]) — the same versioned
+//! [`ControlOp`] surface a farmd serves, but federated over every
+//! registered pod.
 //!
-//! Threading model mirrors farmd's: one "fedd-core" thread owns the
-//! registry, the routing table and one control-plane client per pod;
-//! connection handlers forward each [`Frame::Control`] over an mpsc
-//! channel and block (bounded) for the reply. The core's `recv_timeout`
-//! doubles as the heartbeat-liveness sweep ticker.
+//! The core thread owns the registry, the routing table and one
+//! control-plane client per pod; between ops it sweeps heartbeat
+//! liveness. The skeleton accounts every op under `fed.*`.
 //!
 //! Coordinator ops (`RegisterPod`, `PodHeartbeat`, `ListPods`,
 //! `MigrateTask`) are served locally; the legacy surface fans out:
@@ -19,145 +18,28 @@
 //! coordinator.
 
 use std::collections::BTreeMap;
-use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use farm_ctl::json::{array, escape, snapshot_json, Obj};
+use farm_ctl::config::ServerConfig;
+use farm_ctl::daemon::{self, Daemon};
+use farm_ctl::stats::{page, StatsDoc};
 use farm_ctl::CtlClient;
-use farm_net::{ControlOp, ControlReply, Envelope, Frame, NetServer, PodInfo, SeedDescriptor};
-use farm_telemetry::Telemetry;
+use farm_net::{ControlOp, ControlReply, PodInfo, SeedDescriptor};
+use farm_telemetry::{Gauge, Json, Telemetry};
 
 use crate::config::FeddConfig;
-use crate::jsonval::{self, Jv};
 use crate::registry::Registry;
 use crate::split::{split_program, PodTarget, Route};
 
-/// One queued control request: the op plus the handler's reply slot.
-struct CoreMsg {
-    op: ControlOp,
-    reply: mpsc::Sender<ControlReply>,
-}
-
 /// A running fedd instance: the coordinator core thread plus the
-/// listening federated control endpoint.
-pub struct Fedd {
-    server: NetServer,
-    core: Option<thread::JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
-    shutdown_drain: Duration,
-    telemetry: Telemetry,
-}
-
-impl Fedd {
-    /// Starts the core thread and binds the federated control endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures, or the core thread dying during construction.
-    pub fn start(config: FeddConfig) -> io::Result<Fedd> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<CoreMsg>();
-        let (ready_tx, ready_rx) = mpsc::channel::<Telemetry>();
-        let core = {
-            let config = config.clone();
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("fedd-core".into())
-                .spawn(move || core_loop(config, rx, ready_tx, stop))?
-        };
-        let telemetry = ready_rx
-            .recv()
-            .map_err(|_| io::Error::other("fedd core died during startup"))?;
-        let handler = {
-            let tx = Mutex::new(tx);
-            let stop = Arc::clone(&stop);
-            let wait = config.request_timeout;
-            Arc::new(move |env: &Envelope| -> Option<Frame> {
-                let Frame::Control { op } = &env.frame else {
-                    return None;
-                };
-                if stop.load(Ordering::Relaxed) {
-                    return Some(Frame::Error {
-                        message: "fedd is shutting down".into(),
-                    });
-                }
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sender = tx.lock().expect("fed sender lock").clone();
-                if sender
-                    .send(CoreMsg {
-                        op: op.clone(),
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    return Some(Frame::Error {
-                        message: "fedd core is gone".into(),
-                    });
-                }
-                match reply_rx.recv_timeout(wait) {
-                    Ok(reply) => Some(Frame::ControlReply { reply }),
-                    Err(_) => Some(Frame::Error {
-                        message: "fedd core did not answer in time".into(),
-                    }),
-                }
-            })
-        };
-        let server = NetServer::bind(config.listen, &telemetry, handler)?;
-        Ok(Fedd {
-            server,
-            core: Some(core),
-            stop,
-            shutdown_drain: config.shutdown_drain,
-            telemetry,
-        })
-    }
-
-    /// The bound control address (the chosen port when listening on :0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// The coordinator's telemetry handle (shared with the transport).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// True once a shutdown op was served (or [`Fedd::stop`] ran).
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Initiates shutdown locally and tears down. Pods are left running
-    /// — the coordinator's death never takes a fabric with it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        thread::sleep(self.shutdown_drain);
-        self.server.shutdown();
-        if let Some(h) = self.core.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Fedd {
-    fn drop(&mut self) {
-        if self.core.is_some() {
-            self.teardown();
-        }
-    }
-}
+/// listening federated control endpoint. Stopping it leaves the pods
+/// running — the coordinator's death never takes a fabric with it.
+pub type Fedd = Daemon<Core>;
 
 /// The coordinator's single-threaded heart.
-struct Core {
+pub struct Core {
     config: FeddConfig,
     registry: Registry,
     /// One cached control-plane session per pod; dropped and re-dialed
@@ -166,92 +48,52 @@ struct Core {
     /// Routing table: task → pods hosting (a part of) it.
     tasks: BTreeMap<String, Vec<String>>,
     telemetry: Telemetry,
+    pods_total: Arc<Gauge>,
+    pods_live: Arc<Gauge>,
 }
 
-/// Everything a `Stats` fan-out needs from one pod, counters fully
-/// paged in.
-struct PodStats {
-    now_ns: u64,
-    tasks: Vec<String>,
-    seeds: u64,
-    switches: u64,
-    cordoned: Vec<u64>,
-    fenced: Vec<u64>,
-    recovery_pending: u64,
-    counters: BTreeMap<String, u64>,
+impl daemon::Core for Core {
+    type Config = FeddConfig;
+    const NAME: &'static str = "fedd";
+    const PREFIX: &'static str = "fed";
+
+    fn server(config: &mut FeddConfig) -> &mut ServerConfig {
+        &mut config.server
+    }
+
+    fn boot(config: FeddConfig) -> Core {
+        let telemetry = Telemetry::new();
+        Core {
+            config,
+            registry: Registry::new(),
+            conns: BTreeMap::new(),
+            tasks: BTreeMap::new(),
+            pods_total: telemetry.gauge("fed.pods.total"),
+            pods_live: telemetry.gauge("fed.pods.live"),
+            telemetry,
+        }
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    fn serve(&mut self, op: &ControlOp) -> ControlReply {
+        serve_op(self, op)
+    }
+
+    /// The heartbeat-liveness sweep.
+    fn tick(&mut self) {
+        let (total, live) = self
+            .registry
+            .sweep(self.config.liveness_timeout, Instant::now());
+        self.pods_total.set(total as f64);
+        self.pods_live.set(live as f64);
+    }
 }
 
 /// Page size fedd uses when walking a pod's cursor-paginated replies.
 const POD_PAGE: u64 = 256;
-
-/// The core thread: owns the registry, serves ops in order, sweeps
-/// heartbeat liveness on the ticker.
-fn core_loop(
-    config: FeddConfig,
-    rx: mpsc::Receiver<CoreMsg>,
-    ready: mpsc::Sender<Telemetry>,
-    stop: Arc<AtomicBool>,
-) {
-    let telemetry = Telemetry::new();
-    if ready.send(telemetry.clone()).is_err() {
-        return;
-    }
-    let mut core = Core {
-        config,
-        registry: Registry::new(),
-        conns: BTreeMap::new(),
-        tasks: BTreeMap::new(),
-        telemetry: telemetry.clone(),
-    };
-    let ops = telemetry.counter("fed.ops");
-    let rejected = telemetry.counter("fed.rejected");
-    let latency = telemetry.latency_histogram("fed.op_latency_us");
-    let pods_total = telemetry.gauge("fed.pods.total");
-    let pods_live = telemetry.gauge("fed.pods.live");
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(CoreMsg { op, reply }) => {
-                let started = Instant::now();
-                let kind = op.kind();
-                ops.inc();
-                telemetry.counter(&format!("fed.op.{kind}")).inc();
-                let out = serve_op(&mut core, &op);
-                latency.record(started.elapsed().as_micros() as u64);
-                if matches!(
-                    out,
-                    ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. }
-                ) {
-                    rejected.inc();
-                }
-                let is_shutdown = matches!(op, ControlOp::Shutdown);
-                let _ = reply.send(out);
-                if is_shutdown {
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        let (total, live) = core
-            .registry
-            .sweep(core.config.liveness_timeout, Instant::now());
-        pods_total.set(total as f64);
-        pods_live.set(live as f64);
-    }
-    // Serve whatever the handlers already queued (they block on these
-    // replies), then exit; pods keep running on their own.
-    while let Ok(CoreMsg { op, reply }) = rx.try_recv() {
-        let out = match op {
-            ControlOp::Shutdown => ControlReply::Ok,
-            op => serve_op(&mut core, &op),
-        };
-        let _ = reply.send(out);
-    }
-}
 
 /// Serves one control op against the federation. Total: every failure
 /// becomes a structured reply, never a panic.
@@ -562,23 +404,11 @@ fn list_seeds(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
         .latency_histogram("fed.fanout_us")
         .record(started.elapsed().as_micros() as u64);
     merged.sort_by(|a, b| a.key.cmp(&b.key));
-    if from_index == 0 && limit == 0 {
-        return ControlReply::Seeds {
-            seeds: merged,
-            next_index: 0,
-            total: 0,
-        };
-    }
-    let total = merged.len() as u64;
-    let start = from_index.min(total);
-    let end = if limit == 0 {
-        total
-    } else {
-        start.saturating_add(limit).min(total)
-    };
+    let (range, cursor) = page(from_index, limit, merged.len());
+    let (next_index, total) = cursor.unwrap_or((0, 0));
     ControlReply::Seeds {
-        seeds: merged[start as usize..end as usize].to_vec(),
-        next_index: if end < total { end } else { 0 },
+        seeds: merged.drain(range).collect(),
+        next_index,
         total,
     }
 }
@@ -612,11 +442,10 @@ fn describe(core: &mut Core, key: &str) -> ControlReply {
     }
 }
 
-/// Walks one pod's `Stats` counter pages and parses them into a
-/// [`PodStats`].
-fn pod_stats(core: &mut Core, pod: &str) -> Result<PodStats, String> {
-    let mut counters = BTreeMap::new();
-    let mut first: Option<Jv> = None;
+/// Walks one pod's `Stats` counter pages into one [`StatsDoc`]: the
+/// first page's summary with every page's counters.
+fn pod_stats(core: &mut Core, pod: &str) -> Result<StatsDoc, String> {
+    let mut doc: Option<StatsDoc> = None;
     let mut from = 0u64;
     loop {
         let body = match pod_op(
@@ -630,85 +459,42 @@ fn pod_stats(core: &mut Core, pod: &str) -> Result<PodStats, String> {
             ControlReply::Json { body } => body,
             other => return Err(format!("pod `{pod}` answered `{}`", other.kind())),
         };
-        let v = jsonval::parse(&body).map_err(|e| format!("pod `{pod}` stats: {e}"))?;
-        if let Some(page) = v.get("counters").and_then(Jv::as_obj) {
-            for (k, val) in page {
-                if let Some(n) = val.as_u64() {
-                    counters.insert(k.clone(), n);
-                }
+        let reply = Json::parse(&body).map_err(|e| format!("pod `{pod}` stats: {e}"))?;
+        let parsed = StatsDoc::from_json(&reply);
+        let doc = match &mut doc {
+            Some(doc) => {
+                doc.counters.extend(parsed.counters);
+                doc
             }
-        }
-        let next = v
+            None => doc.insert(parsed),
+        };
+        let next = reply
             .get("counters_next_index")
-            .and_then(Jv::as_u64)
+            .and_then(Json::as_u64)
             .unwrap_or(0);
-        if first.is_none() {
-            first = Some(v);
-        }
-        if next == 0 {
-            break;
+        // 0 ends the walk; so does a cursor that fails to advance.
+        if next <= from {
+            return Ok(std::mem::take(doc));
         }
         from = next;
     }
-    let v = first.expect("at least one stats page");
-    let nums = |field: &str| v.get(field).and_then(Jv::as_u64).unwrap_or(0);
-    let ids = |field: &str| -> Vec<u64> {
-        v.get(field)
-            .and_then(Jv::as_arr)
-            .map(|a| a.iter().filter_map(Jv::as_u64).collect())
-            .unwrap_or_default()
-    };
-    Ok(PodStats {
-        now_ns: nums("now_ns"),
-        tasks: v
-            .get("tasks")
-            .and_then(Jv::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|t| t.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default(),
-        seeds: nums("seeds"),
-        switches: nums("switches"),
-        cordoned: ids("cordoned"),
-        fenced: ids("fenced"),
-        recovery_pending: nums("recovery_pending"),
-        counters,
-    })
 }
 
-/// Federated `Stats`: sums, unions and globalizes every live pod's
-/// body, and adds the coordinator's own view (`pods_total` /
-/// `pods_live`). The merged counter map is cursor-paginated exactly
+/// Federated `Stats`: every live pod's document folded into one, plus
+/// the coordinator's own view (`pods_total` / `pods_live` /
+/// `pods_reached`). The merged counter map is cursor-paginated exactly
 /// like a single farmd's.
 fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
     let started = Instant::now();
     let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
-    let mut now_ns = 0u64;
-    let mut tasks: Vec<String> = Vec::new();
-    let mut seeds = 0u64;
-    let mut switches = 0u64;
-    let mut cordoned: Vec<u64> = Vec::new();
-    let mut fenced: Vec<u64> = Vec::new();
-    let mut recovery_pending = 0u64;
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut merged = StatsDoc::default();
     let mut reached = 0u64;
     for pod in &live {
         let base = core.registry.get(pod).map(|p| p.base).unwrap_or(0);
         match pod_stats(core, pod) {
-            Ok(s) => {
+            Ok(doc) => {
                 reached += 1;
-                now_ns = now_ns.max(s.now_ns);
-                tasks.extend(s.tasks);
-                seeds += s.seeds;
-                switches += s.switches;
-                cordoned.extend(s.cordoned.iter().map(|id| id + base));
-                fenced.extend(s.fenced.iter().map(|id| id + base));
-                recovery_pending += s.recovery_pending;
-                for (k, n) in s.counters {
-                    *counters.entry(k).or_insert(0) += n;
-                }
+                merged.fold(doc, base);
             }
             Err(_) => {
                 core.telemetry.counter("fed.fanout.errors").inc();
@@ -718,77 +504,42 @@ fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
     core.telemetry
         .latency_histogram("fed.fanout_us")
         .record(started.elapsed().as_micros() as u64);
-    tasks.sort();
-    tasks.dedup();
-    cordoned.sort_unstable();
-    fenced.sort_unstable();
-
-    let paginated = from_index != 0 || limit != 0;
-    let counters_total = counters.len() as u64;
-    let start = from_index.min(counters_total);
-    let end = if !paginated || limit == 0 {
-        counters_total
-    } else {
-        start.saturating_add(limit).min(counters_total)
-    };
-    let mut page = Obj::new();
-    for (k, v) in counters
-        .iter()
-        .skip(start as usize)
-        .take((end - start) as usize)
-    {
-        page = page.num(k, *v);
+    merged.own = vec![
+        ("pods_total".into(), (core.registry.len() as u64).into()),
+        ("pods_live".into(), (live.len() as u64).into()),
+        ("pods_reached".into(), reached.into()),
+    ];
+    ControlReply::Json {
+        body: merged.into_json(from_index, limit).to_string(),
     }
-    let tasks = array(tasks.iter().map(|t| format!("\"{}\"", escape(t))));
-    let cordoned = array(cordoned.iter().map(|s| s.to_string()));
-    let fenced = array(fenced.iter().map(|s| s.to_string()));
-    let mut obj = Obj::new()
-        .num("now_ns", now_ns)
-        .raw("tasks", &tasks)
-        .num("seeds", seeds)
-        .num("switches", switches)
-        .raw("cordoned", &cordoned)
-        .raw("fenced", &fenced)
-        .num("recovery_pending", recovery_pending)
-        .num("pods_total", core.registry.len() as u64)
-        .num("pods_live", live.len() as u64)
-        .num("pods_reached", reached)
-        .raw("counters", &page.finish());
-    if paginated {
-        obj = obj
-            .num(
-                "counters_next_index",
-                if end < counters_total { end } else { 0 },
-            )
-            .num("counters_total", counters_total);
-    }
-    ControlReply::Json { body: obj.finish() }
 }
 
-/// Federated `MetricsDump`: every live pod's raw dump keyed by name,
-/// plus the coordinator's own `fed.*` registry.
+/// Federated `MetricsDump`: every live pod's dump keyed by name, plus
+/// the coordinator's own `fed.*` registry. A pod whose body is not JSON
+/// counts as a fan-out error instead of corrupting the merged document.
 fn metrics_dump(core: &mut Core) -> ControlReply {
     let started = Instant::now();
     let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
-    let mut pods = Obj::new();
-    for pod in &live {
-        match pod_op(core, pod, ControlOp::MetricsDump) {
-            Ok(ControlReply::Json { body }) => {
-                pods = pods.raw(pod, &body);
-            }
-            _ => {
-                core.telemetry.counter("fed.fanout.errors").inc();
-            }
+    let mut pods = Vec::new();
+    for pod in live {
+        match pod_op(core, &pod, ControlOp::MetricsDump) {
+            Ok(ControlReply::Json { body }) => match Json::parse(&body) {
+                Ok(dump) => pods.push((pod, dump)),
+                Err(_) => core.telemetry.counter("fed.fanout.errors").inc(),
+            },
+            _ => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
     core.telemetry
         .latency_histogram("fed.fanout_us")
         .record(started.elapsed().as_micros() as u64);
-    let body = Obj::new()
-        .raw("pods", &pods.finish())
-        .raw("fed", &snapshot_json(&core.telemetry.snapshot()))
-        .finish();
-    ControlReply::Json { body }
+    let body = Json::obj([
+        ("pods", Json::Obj(pods)),
+        ("fed", core.telemetry.snapshot().to_json()),
+    ]);
+    ControlReply::Json {
+        body: body.to_string(),
+    }
 }
 
 /// `Drain` / `Uncordon` against a global switch id: resolve the owning

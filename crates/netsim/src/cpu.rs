@@ -7,12 +7,10 @@
 //! (the effect behind Fig. 6c's 150 % jump for parallel ML seeds), and
 //! reports load as `busy / window · 100`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Dur;
 
 /// Static description of a switch CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuSpec {
     /// Physical cores.
     pub cores: u32,

@@ -8,12 +8,11 @@
 //! (an M/M/1-style `base/(1-ρ)` law, capped for stability).
 
 use farm_telemetry::{Event, Telemetry};
-use serde::{Deserialize, Serialize};
 
 use crate::time::Dur;
 
 /// Static PCIe/ASIC bandwidth description of a switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcieSpec {
     /// Sustainable statistics-polling throughput over PCIe, bits/s.
     pub poll_capacity_bps: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cpu::{CpuMeter, CpuSpec};
 use crate::pcie::{PcieBus, PcieSpec};
 use crate::tcam::Tcam;
@@ -12,7 +10,7 @@ use crate::types::{FlowKey, PortId, PortSel, SwitchId};
 
 /// Resource types tracked by the soil and optimized by the seeder —
 /// the set `R` of the paper's optimization model (Tab. II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Virtual CPU cores available to seeds.
     VCpu,
@@ -67,7 +65,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// A vector of resource amounts, one per [`ResourceKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources(pub [f64; 4]);
 
 impl Resources {
@@ -128,7 +126,7 @@ impl fmt::Display for Resources {
 }
 
 /// Static description of a switch platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchModel {
     pub name: String,
     pub cpu: CpuSpec,
@@ -221,7 +219,7 @@ impl SwitchModel {
 pub const POLL_STAT_BYTES: u64 = 16;
 
 /// Per-port traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortCounters {
     pub tx_bytes: u64,
     pub rx_bytes: u64,
@@ -230,7 +228,7 @@ pub struct PortCounters {
 }
 
 /// Snapshot of one port's counters, as returned by a poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortStat {
     pub port: PortId,
     pub counters: PortCounters,

@@ -10,15 +10,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{
     FilterAtom, FilterFormula, FlowKey, PortId, Prefix, PACKED_DST_SHIFT, PACKED_PROTO_SHIFT,
     PACKED_SRC_PORT_SHIFT, PACKED_SRC_SHIFT,
 };
 
 /// Identifier of an installed TCAM rule (unique per switch lifetime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RuleId(pub u64);
 
 impl fmt::Display for RuleId {
@@ -28,7 +26,7 @@ impl fmt::Display for RuleId {
 }
 
 /// Region of the TCAM a rule lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcamRegion {
     /// Packet-forwarding entries; never touched by monitoring churn.
     Forwarding,
@@ -38,7 +36,7 @@ pub enum TcamRegion {
 }
 
 /// What a matching rule does to traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuleAction {
     /// Forward out of a port.
     Forward(PortId),
@@ -56,7 +54,7 @@ pub enum RuleAction {
 }
 
 /// A TCAM entry: match pattern + action + priority.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcamRule {
     pub id: RuleId,
     pub priority: i32,
@@ -66,7 +64,7 @@ pub struct TcamRule {
 }
 
 /// Per-rule traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleStats {
     pub bytes: u64,
     pub packets: u64,

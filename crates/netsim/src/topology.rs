@@ -7,13 +7,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::switch::SwitchModel;
 use crate::types::{Ipv4, Prefix, SwitchId};
 
 /// Role of a switch in the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     Spine,
     Leaf,
@@ -30,7 +28,7 @@ pub struct SwitchNode {
 }
 
 /// An undirected fabric link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     pub a: SwitchId,
     pub b: SwitchId,

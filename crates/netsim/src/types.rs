@@ -4,10 +4,8 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A switch in the simulated fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 impl fmt::Display for SwitchId {
@@ -17,7 +15,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// A physical port on a switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u16);
 
 impl fmt::Display for PortId {
@@ -27,9 +25,7 @@ impl fmt::Display for PortId {
 }
 
 /// IPv4 address as a 32-bit integer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -87,7 +83,7 @@ impl FromStr for Ipv4 {
 }
 
 /// CIDR prefix (`addr/len`); `len == 32` matches a single host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     pub addr: Ipv4,
     pub len: u8,
@@ -164,7 +160,7 @@ impl FromStr for Prefix {
 }
 
 /// Transport protocol of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Proto {
     Tcp,
     Udp,
@@ -194,7 +190,7 @@ impl fmt::Display for Proto {
 }
 
 /// Five-tuple identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     pub src: Ipv4,
     pub dst: Ipv4,
@@ -256,7 +252,7 @@ impl fmt::Display for FlowKey {
 }
 
 /// Selection of switch interfaces for polling subjects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PortSel {
     /// Every port of the switch.
     Any,
@@ -266,7 +262,7 @@ pub enum PortSel {
 
 /// An atomic filter proposition (the `fil` non-terminal of Almanac's
 /// grammar, Fig. 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FilterAtom {
     SrcIp(Prefix),
     DstIp(Prefix),
@@ -308,7 +304,7 @@ impl fmt::Display for FilterAtom {
 
 /// Closed boolean formula over [`FilterAtom`]s — the output of the paper's
 /// `φ^s⟦·⟧` evaluation (§ III-B) and the match language of the TCAM.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FilterFormula {
     True,
     False,

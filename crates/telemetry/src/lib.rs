@@ -11,7 +11,9 @@
 //! * an **instrument registry** — [`Registry`] — of named [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s with p50/p99 accessors;
 //! * a [`Telemetry`] handle bundling the two, cloned cheaply (`Arc`
-//!   inside) into every layer of the stack.
+//!   inside) into every layer of the stack;
+//! * the workspace's one JSON value type — [`Json`] — which the sinks,
+//!   the control plane's reply bodies and the bench baselines all use.
 //!
 //! The crate has **zero dependencies** so it can sit below `farm-netsim`
 //! at the bottom of the workspace; events therefore carry plain scalars
@@ -37,10 +39,12 @@
 //! ```
 
 pub mod event;
+pub mod json;
 pub mod registry;
 pub mod sink;
 
 pub use event::{Event, PressureResource, ReplanOutcome, UndeployReason};
+pub use json::Json;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, LATENCY_US_BOUNDS,
 };

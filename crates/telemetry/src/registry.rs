@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
+
 /// A monotonically increasing `u64`.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -221,11 +223,24 @@ pub struct HistogramSnapshot {
     pub p99: Option<f64>,
 }
 
+impl HistogramSnapshot {
+    fn to_json(&self) -> Json {
+        let mut o = Json::obj([("count", Json::from(self.count))])
+            .with("sum", self.sum)
+            .with("max", self.max);
+        for (name, p) in [("p50", self.p50), ("p95", self.p95), ("p99", self.p99)] {
+            if let Some(p) = p {
+                o = o.with(name, p);
+            }
+        }
+        o
+    }
+}
+
 /// Point-in-time copy of every instrument in a [`Registry`].
 ///
-/// This is the structured successor to the legacy `Metrics` struct: keys
-/// are the dotted instrument names, so new instruments show up without
-/// an API change.
+/// Keys are the dotted instrument names, so new instruments show up
+/// without an API change.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
@@ -247,6 +262,20 @@ impl Snapshot {
     /// Histogram snapshot by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
+    }
+
+    /// The whole snapshot as one JSON object: counters and gauges as
+    /// maps, histograms as `{count, sum, max, p50, p95, p99}` objects
+    /// (percentiles only once the histogram has samples).
+    pub fn to_json(&self) -> Json {
+        fn map<V>(m: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+            Json::Obj(m.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+        }
+        Json::obj([
+            ("counters", map(&self.counters, |v| Json::from(*v))),
+            ("gauges", map(&self.gauges, |v| Json::from(*v))),
+            ("histograms", map(&self.histograms, |h| h.to_json())),
+        ])
     }
 }
 

@@ -10,7 +10,8 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
-use crate::event::Event;
+use crate::event::{Event, PressureResource, ReplanOutcome, UndeployReason};
+use crate::json::Json;
 
 /// Receives emitted events. Implementations must tolerate concurrent
 /// calls (`Send + Sync`) and should never panic.
@@ -104,8 +105,7 @@ impl EventSink for RingBufferSink {
 
 /// Serializes each event as one JSON object per line to a `Write`.
 ///
-/// The serialization is hand-rolled (this crate has zero dependencies):
-/// every event becomes `{"event":"<kind>",...fields}` with the fields in
+/// Every event becomes `{"event":"<kind>",...fields}` with the fields in
 /// declaration order. Write errors are swallowed — telemetry must never
 /// take the simulation down.
 pub struct JsonLinesSink {
@@ -141,332 +141,59 @@ impl EventSink for JsonLinesSink {
     }
 }
 
-/// Escapes a string for embedding in a JSON value.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The enums some events carry render as their variant name.
+macro_rules! json_from_debug {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Str(format!("{v:?}"))
+            }
         }
-    }
-    out
+    )*};
 }
 
-/// Renders one event as a single-line JSON object.
+json_from_debug!(UndeployReason, ReplanOutcome, PressureResource);
+
+/// Renders one event as a single-line JSON object:
+/// `{"event":"<kind>",...fields}`, fields in the order listed here (the
+/// declaration order). The patterns are exhaustive, so a new field
+/// cannot be left out of the log silently.
 pub fn to_json_line(event: &Event) -> String {
-    let mut f = JsonObj::new(event.kind());
-    match event {
-        Event::SeedDeployed {
-            at_ns,
-            switch,
-            seed,
-            task,
-            poll_interval_ns,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("task", task)
-                .num("poll_interval_ns", *poll_interval_ns);
-        }
-        Event::SeedUndeployed {
-            at_ns,
-            switch,
-            seed,
-            task,
-            reason,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("task", task)
-                .str("reason", &format!("{reason:?}"));
-        }
-        Event::SeedMigrated {
-            at_ns,
-            from_switch,
-            to_switch,
-            task,
-            state_bytes,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("from_switch", *from_switch as u64)
-                .num("to_switch", *to_switch as u64)
-                .str("task", task)
-                .num("state_bytes", *state_bytes);
-        }
-        Event::SeedErrored {
-            at_ns,
-            switch,
-            seed,
-            message,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("message", message);
-        }
-        Event::PollIssued {
-            at_ns,
-            switch,
-            seed,
-            subjects,
-            latency_ns,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .num("subjects", *subjects)
-                .num("latency_ns", *latency_ns);
-        }
-        Event::PollAggregated {
-            at_ns,
-            switch,
-            group,
-            saved,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("group", *group)
-                .num("saved", *saved);
-        }
-        Event::PcieSaturation {
-            switch,
-            utilization,
-            saturated,
-        } => {
-            f.num("switch", *switch as u64)
-                .float("utilization", *utilization)
-                .bool("saturated", *saturated);
-        }
-        Event::ChannelDelivery {
-            at_ns,
-            switch,
-            seed,
-            bytes,
-            latency_ns,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .num("bytes", *bytes)
-                .num("latency_ns", *latency_ns);
-        }
-        Event::SolverPhase {
-            phase,
-            elapsed_ns,
-            items,
-        } => {
-            f.str("phase", phase)
-                .num("elapsed_ns", *elapsed_ns)
-                .num("items", *items);
-        }
-        Event::ReplanCompleted {
-            at_ns,
-            outcome,
-            actions,
-            dropped_tasks,
-        } => {
-            f.num("at_ns", *at_ns)
-                .str("outcome", &format!("{outcome:?}"))
-                .num("actions", *actions)
-                .num("dropped_tasks", *dropped_tasks);
-        }
-        Event::HarvesterReport {
-            at_ns,
-            task,
-            from_switch,
-            bytes,
-            latency_ns,
-        } => {
-            f.num("at_ns", *at_ns)
-                .str("task", task)
-                .num("from_switch", *from_switch as u64)
-                .num("bytes", *bytes)
-                .num("latency_ns", *latency_ns);
-        }
-        Event::SwitchCrashed { at_ns, switch } => {
-            f.num("at_ns", *at_ns).num("switch", *switch as u64);
-        }
-        Event::SwitchRestarted { at_ns, switch } => {
-            f.num("at_ns", *at_ns).num("switch", *switch as u64);
-        }
-        Event::LinkDown { at_ns, a, b } => {
-            f.num("at_ns", *at_ns)
-                .num("a", *a as u64)
-                .num("b", *b as u64);
-        }
-        Event::LinkUp { at_ns, a, b } => {
-            f.num("at_ns", *at_ns)
-                .num("a", *a as u64)
-                .num("b", *b as u64);
-        }
-        Event::SwitchDeclaredFailed {
-            at_ns,
-            switch,
-            missed,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("missed", *missed);
-        }
-        Event::SeedOrphaned {
-            at_ns,
-            switch,
-            seed,
-            task,
-            has_snapshot,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("task", task)
-                .bool("has_snapshot", *has_snapshot);
-        }
-        Event::SeedShed {
-            at_ns,
-            switch,
-            seed,
-            task,
-            resource,
-            demand,
-            budget,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("task", task)
-                .str("resource", &format!("{resource:?}"))
-                .float("demand", *demand)
-                .float("budget", *budget);
-        }
-        Event::SeedRecovered {
-            at_ns,
-            switch,
-            seed,
-            task,
-            cold_start,
-            mttr_ns,
-            attempts,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("switch", *switch as u64)
-                .num("seed", *seed)
-                .str("task", task)
-                .bool("cold_start", *cold_start)
-                .num("mttr_ns", *mttr_ns)
-                .num("attempts", *attempts);
-        }
-        Event::RecoveryAbandoned {
-            at_ns,
-            task,
-            seed,
-            attempts,
-        } => {
-            f.num("at_ns", *at_ns)
-                .str("task", task)
-                .num("seed", *seed)
-                .num("attempts", *attempts);
-        }
-        Event::DeliveryRetried {
-            at_ns,
-            from_switch,
-            task,
-            attempt,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("from_switch", *from_switch as u64)
-                .str("task", task)
-                .num("attempt", *attempt);
-        }
-        Event::DeliveryDeadLettered {
-            at_ns,
-            from_switch,
-            task,
-            attempts,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("from_switch", *from_switch as u64)
-                .str("task", task)
-                .num("attempts", *attempts);
-        }
-        Event::ReplanSummary {
-            at_ns,
-            elapsed_us,
-            deploys,
-            migrations,
-            reallocs,
-            undeploys,
-        } => {
-            f.num("at_ns", *at_ns)
-                .num("elapsed_us", *elapsed_us)
-                .num("deploys", *deploys)
-                .num("migrations", *migrations)
-                .num("reallocs", *reallocs)
-                .num("undeploys", *undeploys);
-        }
-        Event::ControlOp {
-            at_ns,
-            op,
-            outcome,
-            elapsed_us,
-        } => {
-            f.num("at_ns", *at_ns)
-                .str("op", op)
-                .str("outcome", outcome)
-                .num("elapsed_us", *elapsed_us);
-        }
+    macro_rules! line {
+        ($($variant:ident { $($field:ident),* })*) => {
+            match event {$(
+                Event::$variant { $($field),* } => Json::obj([("event", Json::from(event.kind()))])
+                    $(.with(stringify!($field), $field.clone()))*,
+            )*}
+        };
     }
-    f.finish()
-}
-
-/// Tiny JSON-object builder for [`to_json_line`].
-struct JsonObj {
-    buf: String,
-}
-
-impl JsonObj {
-    fn new(kind: &str) -> JsonObj {
-        JsonObj {
-            buf: format!("{{\"event\":\"{}\"", escape(kind)),
-        }
-    }
-
-    fn num(&mut self, key: &str, v: u64) -> &mut JsonObj {
-        self.buf.push_str(&format!(",\"{key}\":{v}"));
-        self
-    }
-
-    fn float(&mut self, key: &str, v: f64) -> &mut JsonObj {
-        if v.is_finite() {
-            self.buf.push_str(&format!(",\"{key}\":{v}"));
-        } else {
-            self.buf.push_str(&format!(",\"{key}\":null"));
-        }
-        self
-    }
-
-    fn bool(&mut self, key: &str, v: bool) -> &mut JsonObj {
-        self.buf.push_str(&format!(",\"{key}\":{v}"));
-        self
-    }
-
-    fn str(&mut self, key: &str, v: &str) -> &mut JsonObj {
-        self.buf.push_str(&format!(",\"{key}\":\"{}\"", escape(v)));
-        self
-    }
-
-    fn finish(self) -> String {
-        let mut buf = self.buf;
-        buf.push('}');
-        buf
-    }
+    let line = line! {
+        SeedDeployed { at_ns, switch, seed, task, poll_interval_ns }
+        SeedUndeployed { at_ns, switch, seed, task, reason }
+        SeedMigrated { at_ns, from_switch, to_switch, task, state_bytes }
+        SeedErrored { at_ns, switch, seed, message }
+        PollIssued { at_ns, switch, seed, subjects, latency_ns }
+        PollAggregated { at_ns, switch, group, saved }
+        PcieSaturation { switch, utilization, saturated }
+        ChannelDelivery { at_ns, switch, seed, bytes, latency_ns }
+        SolverPhase { phase, elapsed_ns, items }
+        ReplanCompleted { at_ns, outcome, actions, dropped_tasks }
+        HarvesterReport { at_ns, task, from_switch, bytes, latency_ns }
+        SwitchCrashed { at_ns, switch }
+        SwitchRestarted { at_ns, switch }
+        LinkDown { at_ns, a, b }
+        LinkUp { at_ns, a, b }
+        SwitchDeclaredFailed { at_ns, switch, missed }
+        SeedOrphaned { at_ns, switch, seed, task, has_snapshot }
+        SeedShed { at_ns, switch, seed, task, resource, demand, budget }
+        SeedRecovered { at_ns, switch, seed, task, cold_start, mttr_ns, attempts }
+        RecoveryAbandoned { at_ns, task, seed, attempts }
+        DeliveryRetried { at_ns, from_switch, task, attempt }
+        DeliveryDeadLettered { at_ns, from_switch, task, attempts }
+        ReplanSummary { at_ns, elapsed_us, deploys, migrations, reallocs, undeploys }
+        ControlOp { at_ns, op, outcome, elapsed_us }
+    };
+    line.to_string()
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! Observability tour: build a farm with telemetry sinks attached, run
 //! the heavy-hitter task, and show all three consumption styles —
 //! streaming JSON-lines events, the typed ring-buffer event log, and the
-//! registry of counters/histograms (of which the legacy `Metrics` struct
-//! is a derived view).
+//! registry of counters/histograms.
 //!
 //! ```text
 //! cargo run --example observability
@@ -86,13 +85,4 @@ fn main() {
             h.max
         );
     }
-
-    // 3. The legacy Metrics view is computed from the same registry.
-    let metrics = farm.metrics();
-    assert_eq!(metrics, Metrics::from_snapshot(&snap));
-    eprintln!(
-        "\nMetrics compat view: {} collector bytes, {} total network bytes",
-        metrics.collector_bytes,
-        metrics.total_network_bytes()
-    );
 }

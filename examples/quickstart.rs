@@ -77,7 +77,7 @@ fn main() {
     println!("local TCAM reactions installed on {leaf}: {reactions}");
     println!(
         "monitoring traffic to the collector: {} bytes in 100 ms",
-        farm.metrics().collector_bytes
+        farm.telemetry().snapshot().counter("farm.collector_bytes")
     );
     if let Some(d) = farm
         .telemetry()

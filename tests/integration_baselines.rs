@@ -162,7 +162,7 @@ fn farm_collector_traffic_is_orders_of_magnitude_below_sflow() {
             Time::from_secs(1),
             Dur::from_millis(10),
         );
-        farm.metrics().collector_bytes
+        farm.telemetry().snapshot().counter("farm.collector_bytes")
     };
 
     let sflow_bytes = {

@@ -5,12 +5,15 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use farm_ctl::{CtlClient, Farmd, FarmdConfig};
+use farm_ctl::{CtlClient, Farmd, FarmdConfig, ServerConfig};
 use farm_net::{ControlOp, ControlReply};
 
 fn test_config() -> FarmdConfig {
     FarmdConfig {
-        shutdown_drain: Duration::from_millis(20),
+        server: ServerConfig {
+            shutdown_drain: Duration::from_millis(20),
+            ..ServerConfig::default()
+        },
         ..FarmdConfig::default()
     }
 }

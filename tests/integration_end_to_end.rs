@@ -61,7 +61,7 @@ fn hh_detection_reaction_and_harvester_reporting() {
         assert!(reacted, "no local reaction for heavy port {p}");
     }
     // No seed runtime errors anywhere.
-    assert_eq!(farm.metrics().seed_errors, 0);
+    assert_eq!(farm.telemetry().snapshot().counter("farm.seed_errors"), 0);
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn deterministic_given_the_same_seed() {
         );
         let h: &CollectingHarvester = farm.harvester("hh").unwrap();
         (
-            farm.metrics().collector_bytes,
+            farm.telemetry().snapshot().counter("farm.collector_bytes"),
             h.received.len(),
             h.first_arrival_after(Time::ZERO),
         )

@@ -179,10 +179,10 @@ fn crashed_switch_seeds_recover_elsewhere() {
     assert_eq!(mttr.count, 1);
 
     // Detection resumes: the re-placed seed keeps reporting.
-    let before = farm.metrics().collector_messages;
+    let before = collector_messages(&farm);
     farm.run(&mut [&mut hh], Time::from_millis(400), Dur::from_millis(1));
     assert!(
-        farm.metrics().collector_messages > before,
+        collector_messages(&farm) > before,
         "recovered seed must keep reporting to its harvester"
     );
 }
@@ -311,7 +311,7 @@ fn lossy_control_channel_retries_then_dead_letters() {
     );
     assert!(snap.counter("farm.delivery_retries") > 0);
     assert_eq!(
-        farm.metrics().collector_messages,
+        collector_messages(&farm),
         0,
         "nothing crosses a fully dropping channel"
     );
@@ -329,8 +329,11 @@ fn lossy_control_channel_retries_then_dead_letters() {
         FaultKind::ControlHeal { switch: None },
     ));
     farm.run(&mut [&mut hh], Time::from_millis(160), Dur::from_millis(1));
-    assert!(
-        farm.metrics().collector_messages > 0,
-        "healed channel delivers"
-    );
+    assert!(collector_messages(&farm) > 0, "healed channel delivers");
+}
+
+fn collector_messages(farm: &Farm) -> u64 {
+    farm.telemetry()
+        .snapshot()
+        .counter("farm.collector_messages")
 }

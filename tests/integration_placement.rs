@@ -147,10 +147,10 @@ machine Pin {{
         loaded.0
     );
     farm.deploy_task("pin", &pin_src, &BTreeMap::new()).unwrap();
-    let m = farm.metrics();
-    if m.migrations > 0 {
+    let snap = farm.telemetry().snapshot();
+    if snap.counter("farm.migrations") > 0 {
         assert!(
-            m.migration_bytes > 0,
+            snap.counter("farm.migration_bytes") > 0,
             "migrations must transfer state bytes"
         );
     }

@@ -1,6 +1,6 @@
 //! End-to-end telemetry: builder-attached sinks observe the seed
 //! lifecycle, the registry accumulates every layer's instruments, and
-//! the legacy `Metrics` view is exactly the registry's `farm.*` slice.
+//! detection latency is sampled once per harvester report.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -91,31 +91,23 @@ fn running_traffic_fills_poll_ipc_and_detection_instruments() {
 }
 
 #[test]
-fn metrics_compat_view_equals_registry_counters() {
+fn detection_latency_has_one_sample_per_harvester_report() {
     let mut farm = Farm::new(fabric(), FarmConfig::default());
     farm.set_harvester("hh", Box::new(CollectingHarvester::new()));
     run_hh(&mut farm);
 
-    let metrics = farm.metrics();
     let snap = farm.telemetry().snapshot();
-    assert_eq!(metrics, Metrics::from_snapshot(&snap));
-    assert_eq!(
-        metrics.collector_messages,
-        snap.counter("farm.collector_messages")
+    assert!(
+        snap.counter("farm.collector_bytes") > 0,
+        "harvester traffic must flow"
     );
-    assert_eq!(
-        metrics.collector_bytes,
-        snap.counter("farm.collector_bytes")
-    );
-    assert_eq!(metrics.replans, snap.counter("farm.replans"));
-    assert!(metrics.collector_bytes > 0, "harvester traffic must flow");
 
     // Detection latency: one histogram sample per harvester report.
     let detection = snap
         .histogram("detection.latency_us")
         .expect("reports were delivered");
     assert!(detection.count > 0);
-    assert_eq!(detection.count, metrics.collector_messages);
+    assert_eq!(detection.count, snap.counter("farm.collector_messages"));
     assert!(detection.p99.is_some());
 }
 
