@@ -15,7 +15,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use farm_almanac::value::Value;
-use farm_net::{Connection, Envelope, Frame, NetConfig, NetServer, Report};
+use farm_net::{Connection, Envelope, Frame, NetConfig, NetServer};
 use farm_netsim::types::SwitchId;
 use farm_soil::{OutboundMessage, SeedSnapshot};
 use farm_telemetry::{Counter, Telemetry};
@@ -72,40 +72,6 @@ impl TcpBridge {
             Arc::new(move |env: &Envelope| {
                 let tx = tx.lock().expect("bridge tx lock");
                 match &env.frame {
-                    Frame::PollReport { reports } => {
-                        for r in reports {
-                            let _ = tx.send(Decoded::Message(Box::new(r.clone().into_outbound())));
-                        }
-                    }
-                    Frame::SeedMessage {
-                        task,
-                        from_switch,
-                        from_seed,
-                        from_machine,
-                        to_machine,
-                        at_switch,
-                        at_ns,
-                        latency_ns,
-                        bytes,
-                        value,
-                    } => {
-                        let msg = OutboundMessage {
-                            from_switch: SwitchId(*from_switch),
-                            from_seed: farm_soil::SeedId(*from_seed),
-                            from_machine: from_machine.clone(),
-                            task: task.clone(),
-                            to: farm_soil::Endpoint::Machine {
-                                name: to_machine.clone(),
-                                at: at_switch.map(SwitchId),
-                            },
-                            value: value.clone(),
-                            at: farm_netsim::time::Time::ZERO
-                                + farm_netsim::time::Dur::from_nanos(*at_ns),
-                            latency: farm_netsim::time::Dur::from_nanos(*latency_ns),
-                            bytes: *bytes,
-                        };
-                        let _ = tx.send(Decoded::Message(Box::new(msg)));
-                    }
                     Frame::HarvesterDirective {
                         machine,
                         at_switch,
@@ -120,7 +86,12 @@ impl TcpBridge {
                     Frame::Migrate { snapshot, .. } => {
                         let _ = tx.send(Decoded::Snapshot(Box::new(snapshot.clone())));
                     }
-                    _ => {}
+                    // Poll reports and seed messages; nothing for the rest.
+                    frame => {
+                        for msg in frame.clone().into_outbound() {
+                            let _ = tx.send(Decoded::Message(Box::new(msg)));
+                        }
+                    }
                 }
                 None // requests get the default Ack
             }),
@@ -158,24 +129,7 @@ impl TcpBridge {
     /// Sends one delivery (harvester report or seed→seed message) over
     /// the wire and returns the decoded copy the peer reconstructed.
     pub fn ship_message(&self, msg: OutboundMessage) -> OutboundMessage {
-        let frame = match &msg.to {
-            farm_soil::Endpoint::Harvester => Frame::PollReport {
-                reports: vec![Report::from_outbound(&msg)],
-            },
-            farm_soil::Endpoint::Machine { name, at } => Frame::SeedMessage {
-                task: msg.task.clone(),
-                from_switch: msg.from_switch.0,
-                from_seed: msg.from_seed.0,
-                from_machine: msg.from_machine.clone(),
-                to_machine: name.clone(),
-                at_switch: at.map(|s| s.0),
-                at_ns: msg.at.as_nanos(),
-                latency_ns: msg.latency.as_nanos(),
-                bytes: msg.bytes,
-                value: msg.value.clone(),
-            },
-        };
-        match self.round_trip(frame) {
+        match self.round_trip(Frame::from_outbound(&msg)) {
             Some(Decoded::Message(decoded)) => *decoded,
             _ => {
                 self.fallbacks.inc();

@@ -3,15 +3,16 @@
 //! The reactor reads whatever the kernel has into a [`ByteRing`] and
 //! peels complete frames off the front with [`FrameDecoder::next`];
 //! partial frames simply stay buffered until more bytes arrive. The
-//! decoder mirrors the blocking reader in `sock.rs` exactly: a fully
-//! framed but undecodable body is surfaced as [`Decoded::Bad`] with the
-//! recovered request correlation id (the session survives), while a
-//! broken length prefix is a hard error because resync is impossible.
+//! client's reader thread feeds the same decoder from blocking reads,
+//! so there is one frame reader: a fully framed but undecodable body is
+//! surfaced as [`Decoded::Bad`] with the recovered request correlation
+//! id (the session survives), while a broken length prefix is a hard
+//! error because resync is impossible.
 
 use std::io;
 
 use crate::frame::{decode_body, decode_request_corr, Envelope};
-use crate::wire::{WireError, MAX_FRAME_LEN};
+use crate::wire::{frame_prefix, WireError};
 
 /// An append-at-the-back, consume-at-the-front byte buffer. Consumed
 /// bytes are reclaimed by shifting only when the dead prefix dominates
@@ -71,8 +72,8 @@ impl ByteRing {
     }
 }
 
-/// One frame peeled off the stream — same shape as the blocking
-/// reader's result: decoded, or consumed-but-undecodable.
+/// One frame peeled off the stream: decoded, or
+/// consumed-but-undecodable.
 #[derive(Debug)]
 pub enum Decoded {
     /// A well-formed envelope plus its wire size (prefix included).
@@ -126,29 +127,12 @@ impl FrameDecoder {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> io::Result<Option<Decoded>> {
         let buf = self.ring.as_slice();
-        // Length prefix, byte at a time (varint, ≤ 10 bytes).
-        let mut len: u64 = 0;
-        let mut header = 0usize;
-        loop {
-            if header >= 10 {
-                return Err(io::ErrorKind::InvalidData.into());
-            }
-            let Some(&byte) = buf.get(header) else {
-                return Ok(None);
-            };
-            len |= ((byte & 0x7f) as u64) << (header * 7);
-            header += 1;
-            if byte & 0x80 == 0 {
-                break;
-            }
-        }
-        if len > MAX_FRAME_LEN as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap"),
-            ));
-        }
-        let total = header + len as usize;
+        let prefix = frame_prefix(buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let Some((header, len)) = prefix else {
+            return Ok(None);
+        };
+        let total = header + len;
         if buf.len() < total {
             return Ok(None);
         }
@@ -170,7 +154,7 @@ impl FrameDecoder {
 mod tests {
     use super::*;
     use crate::frame::{encode_envelope, Frame};
-    use crate::wire::put_varint;
+    use crate::wire::{put_varint, MAX_FRAME_LEN};
 
     #[test]
     fn ring_reclaims_consumed_prefix() {

@@ -2,7 +2,8 @@
 //!
 //! A [`Connection`] owns a supervisor thread that dials the peer
 //! (retrying with exponential backoff), then runs a writer loop while
-//! a companion reader thread decodes inbound frames. Outgoing frames
+//! a companion reader thread feeds inbound bytes to the same
+//! [`FrameDecoder`] the server's reactor uses. Outgoing frames
 //! pass through a bounded send queue — the backpressure boundary — and
 //! an [`Interceptor`] that may drop, duplicate or delay them.
 //! Request/response multiplexing uses correlation ids: any number of
@@ -14,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -24,9 +25,10 @@ use std::time::{Duration, Instant};
 use farm_soil::SharedRingBuffer;
 use farm_telemetry::Telemetry;
 
+use crate::buf::{Decoded, FrameDecoder};
 use crate::frame::{encode_envelope, Envelope, Frame, Report};
 use crate::interceptor::{Interceptor, Passthrough, Verdict};
-use crate::sock::{read_envelope, NetCounters, ReadFrame};
+use crate::sock::NetCounters;
 use crate::wire::PROTOCOL_VERSION;
 
 /// Transport knobs. The defaults suit loopback control traffic.
@@ -517,49 +519,177 @@ fn writer_loop(
     }
 }
 
-fn reader_loop(shared: Arc<Shared>, stream: TcpStream, dead: Arc<AtomicBool>) {
-    let mut reader = std::io::BufReader::new(stream);
-    loop {
-        if dead.load(Ordering::Relaxed) {
-            return;
+/// Reads the socket into a [`FrameDecoder`] and dispatches every
+/// complete frame. Read timeouts are the ticks at which the `dead` flag
+/// is re-checked; whatever part of a frame has arrived stays buffered
+/// in the decoder across them.
+fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, dead: Arc<AtomicBool>) {
+    let mut decoder = FrameDecoder::new();
+    let mut scratch = vec![0u8; 16 * 1024];
+    while !dead.load(Ordering::Relaxed) {
+        match stream.read(&mut scratch) {
+            Ok(0) => break,
+            Ok(n) => decoder.extend(&scratch[..n]),
+            Err(e) if is_timeout(&e) => continue,
+            Err(_) => break,
         }
-        match read_envelope(&mut reader, &dead) {
-            // A frame with an undecodable body: count it and keep the
-            // connection — the stream is still aligned.
-            Ok(Some(ReadFrame::Bad { nbytes })) => {
-                shared.counters.bytes.add(nbytes as u64);
-                shared.counters.decode_errors.inc();
-            }
-            Ok(Some(ReadFrame::Frame(env, nbytes))) => {
-                shared.counters.bytes.add(nbytes as u64);
-                shared.counters.frames_received.inc();
-                if env.response {
-                    let waiter = shared
-                        .pending
-                        .lock()
-                        .expect("pending lock")
-                        .remove(&env.corr);
-                    if let Some(tx) = waiter {
-                        let _ = tx.try_send(env.frame);
+        loop {
+            match decoder.next() {
+                Ok(Some(Decoded::Frame(env, nbytes))) => {
+                    shared.counters.bytes.add(nbytes as u64);
+                    shared.counters.frames_received.inc();
+                    if env.response {
+                        let waiter = shared
+                            .pending
+                            .lock()
+                            .expect("pending lock")
+                            .remove(&env.corr);
+                        if let Some(tx) = waiter {
+                            let _ = tx.try_send(env.frame);
+                        }
+                    } else if matches!(env.frame, Frame::Shutdown) {
+                        dead.store(true, Ordering::Relaxed);
+                        return;
+                    } else {
+                        // Peer-initiated one-way traffic; a full inbound
+                        // queue sheds the oldest-unread semantics by
+                        // dropping the newcomer.
+                        let _ = shared.inbound.try_push(env);
                     }
-                } else if matches!(env.frame, Frame::Shutdown) {
-                    dead.store(true, Ordering::Relaxed);
-                    return;
-                } else {
-                    // Peer-initiated one-way traffic; a full inbound
-                    // queue sheds the oldest-unread semantics by
-                    // dropping the newcomer.
-                    let _ = shared.inbound.try_push(env);
                 }
-            }
-            Ok(None) => continue,
-            Err(e) => {
-                if e.kind() == std::io::ErrorKind::InvalidData {
+                // A frame with an undecodable body: count it and keep
+                // the connection — the stream is still aligned. (A
+                // client has nothing to answer, so the recovered
+                // correlation id goes unused.)
+                Ok(Some(Decoded::Bad { nbytes, .. })) => {
+                    shared.counters.bytes.add(nbytes as u64);
                     shared.counters.decode_errors.inc();
                 }
-                dead.store(true, Ordering::Relaxed);
-                return;
+                Ok(None) => break,
+                // Broken framing: resync is impossible, drop the session.
+                Err(_) => {
+                    shared.counters.decode_errors.inc();
+                    dead.store(true, Ordering::Relaxed);
+                    return;
+                }
             }
         }
+    }
+    dead.store(true, Ordering::Relaxed);
+}
+
+/// True for the error kinds a read timeout produces.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::put_varint;
+    use std::net::TcpListener;
+
+    /// A hand-driven peer: accepts one session, waits for the first
+    /// request, lets `answer` write whatever bytes it likes for that
+    /// correlation id, then holds the session until the client leaves.
+    fn raw_peer(
+        answer: impl FnOnce(&mut TcpStream, u64) + Send + 'static,
+    ) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let peer = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let _ = stream.set_nodelay(true);
+            let mut decoder = FrameDecoder::new();
+            let mut chunk = [0u8; 512];
+            let corr = loop {
+                match decoder.next().expect("clean stream") {
+                    Some(Decoded::Frame(env, _)) if env.corr != 0 => break env.corr,
+                    Some(_) => continue,
+                    None => {
+                        let n = stream.read(&mut chunk).expect("read");
+                        assert!(n > 0, "client left before asking");
+                        decoder.extend(&chunk[..n]);
+                    }
+                }
+            };
+            answer(&mut stream, corr);
+            while matches!(stream.read(&mut chunk), Ok(n) if n > 0) {}
+        });
+        (addr, peer)
+    }
+
+    /// Any frame will do as a reply; `Hello` carries a string to size it.
+    fn reply(node: String) -> Frame {
+        Frame::Hello { node, protocol: 1 }
+    }
+
+    fn reply_bytes(corr: u64, node: String) -> Vec<u8> {
+        let mut wire = Vec::new();
+        encode_envelope(&Envelope::response(corr, reply(node)), &mut wire);
+        wire
+    }
+
+    #[test]
+    fn reader_reassembles_a_reply_dribbled_byte_by_byte() {
+        // One write per byte, pausing past the read timeout inside the
+        // length prefix and inside the body: whatever the reader holds
+        // when a read times out must still be there for the next one.
+        let cfg = NetConfig {
+            read_timeout: Duration::from_millis(1),
+            ..NetConfig::default()
+        };
+        let pause = cfg.read_timeout * 5;
+        let long = "x".repeat(300);
+        let want = reply(long.clone());
+        let (addr, peer) = raw_peer(move |stream, corr| {
+            let wire = reply_bytes(corr, long);
+            assert!(wire[0] & 0x80 != 0, "length prefix spans bytes");
+            for (i, byte) in wire.iter().enumerate() {
+                stream.write_all(&[*byte]).expect("dribble");
+                if i == 0 || i == wire.len() / 2 {
+                    thread::sleep(pause);
+                }
+            }
+        });
+        let telemetry = Telemetry::new();
+        let conn = Connection::connect(addr, cfg, &telemetry);
+        let got = conn.request(Frame::Ack).expect("dribbled reply arrives");
+        assert_eq!(got, want);
+        assert_eq!(telemetry.snapshot().counter("net.decode_errors"), 0);
+        drop(conn);
+        peer.join().expect("peer thread");
+    }
+
+    #[test]
+    fn reader_steps_over_an_undecodable_body() {
+        // A well-framed body no decoder knows (frame tag 200), then the
+        // real reply: the bad frame is counted, the stream stays
+        // aligned, the request still completes.
+        let (addr, peer) = raw_peer(|stream, corr| {
+            let mut bad = vec![PROTOCOL_VERSION, 200, 0];
+            put_varint(&mut bad, corr);
+            let mut wire = Vec::new();
+            put_varint(&mut wire, bad.len() as u64);
+            wire.extend_from_slice(&bad);
+            wire.extend_from_slice(&reply_bytes(corr, "ok".into()));
+            stream.write_all(&wire).expect("write");
+        });
+        let telemetry = Telemetry::new();
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+        let got = conn.request(Frame::Ack);
+        assert_eq!(
+            got,
+            Ok(reply("ok".into())),
+            "the reply behind the bad frame"
+        );
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("net.decode_errors"), 1);
+        assert_eq!(snap.counter("net.frames_received"), 1);
+        drop(conn);
+        peer.join().expect("peer thread");
     }
 }

@@ -15,6 +15,27 @@
 //! zigzag-folded first), floats as IEEE-754 bits, strings UTF-8 with a
 //! varint length prefix. Decoding is byte-exact: a frame re-encodes to
 //! the same bytes, and `decode(encode(f)) == f` for every frame.
+//!
+//! ## Adding a message or a field
+//!
+//! Each message is declared **once**, through `wire_struct!` or
+//! `wire_enum!`: the public type, its tag, its `kind()` name, both
+//! directions of the codec and the allocation bound of any list that
+//! holds it all follow from that declaration. Fields travel in
+//! declaration order.
+//!
+//! * A new message is a new variant with the next free tag, under the
+//!   same [`PROTOCOL_VERSION`]. A peer that predates it answers with a
+//!   typed [`WireError::Tag`] and keeps its stream aligned — never a
+//!   panic, never a desync.
+//! * A field added to a released message goes after the `;` of its
+//!   variant, as a *trailing optional extension*: written only when it
+//!   differs from its default, read only when bytes remain, so the
+//!   common case stays byte-identical in both directions and old peers
+//!   keep decoding it.
+//! * Never reorder, retype or renumber: `tests/golden_bytes.rs` pins
+//!   one encoding of every variant and every extension form, and a new
+//!   one adds a row there and a generator arm in `tests/prop_codec.rs`.
 
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::switch::Resources;
@@ -24,26 +45,156 @@ use farm_netsim::types::{
 };
 use farm_soil::{Endpoint, OutboundMessage, SeedId, SeedSnapshot};
 
-use crate::snapshot::{decode_vsnapshot, VSeedSnapshot};
-use crate::wire::{
-    put_bool, put_f64, put_ivarint, put_str, put_varint, Reader, WireError, MAX_DEPTH,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+use crate::wire::{frame_prefix, put_varint, Ext, Reader, Wire, WireError, PROTOCOL_VERSION};
 
-/// One seed→harvester report riding a [`Frame::PollReport`] batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Report {
-    pub task: String,
-    pub from_switch: u32,
-    pub from_seed: u64,
-    pub from_machine: String,
-    /// Emission instant, virtual nanoseconds.
-    pub at_ns: u64,
-    /// Switch-local latency until the report hit the wire.
-    pub latency_ns: u64,
-    /// Estimated serialized payload size the soil accounted.
-    pub bytes: u64,
-    pub value: Value,
+/// Declares a wire struct: the type exactly as written, plus its codec.
+/// `MIN_LEN` is the sum of the fields' minima and a range error names the
+/// field it came from.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, WireError> {
+                Ok($name {
+                    $($field: Wire::get(r, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Declares a tagged message enum. Each variant is one group — doc
+/// comment, wire tag, `kind()` name, fields — and fields after a `;`
+/// form the variant's trailing optional extension (see [`Ext`]). Emits
+/// the enum exactly as written (unit variants stay unit variants),
+/// `kind()`, `tag()` and the payload codec; `$what` names the enum in
+/// the [`WireError::Tag`] an unknown tag decodes to.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident: $what:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $kind:literal $variant:ident $({
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+                    $(; $($(#[$xmeta:meta])* $xfield:ident: $xty:ty),+ $(,)?)?
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({
+                    $($(#[$fmeta])* $field: $ty,)*
+                    $($($(#[$xmeta])* $xfield: $xty,)+)?
+                })?,
+            )*
+        }
+
+        impl $name {
+            /// Stable short name of the variant, for logs, audit
+            /// counters (`ctl.op.<kind>`) and error text.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => $kind,)*
+                }
+            }
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Encodes the variant's fields (the tag travels apart).
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant { $($($field,)* $($($xfield,)+)?)? } => {$(
+                        $($field.put(out);)*
+                        $(if $(!$xfield.is_default())||+ {
+                            $($xfield.put_ext(out);)+
+                        })?
+                    )?})*
+                }
+            }
+
+            /// Decodes the fields of the variant `tag` selects.
+            fn get_payload(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                match tag {
+                    $($tag => {
+                        $(
+                            $(let $field = Wire::get(r, stringify!($field))?;)*
+                            $(
+                                let extended = r.remaining() > 0;
+                                $(let $xfield = if extended {
+                                    Ext::get_ext(r, stringify!($xfield))?
+                                } else {
+                                    <$xty>::default()
+                                };)+
+                            )?
+                        )?
+                        Ok(Self::$variant { $($($field,)* $($($xfield,)+)?)? })
+                    })*
+                    tag => bad_tag($what, tag),
+                }
+            }
+        }
+    };
+}
+
+/// Control ops and replies travel as `tag:u8` + payload (a [`Frame`]'s
+/// tag sits in the envelope header instead, ahead of `flags`/`corr`).
+macro_rules! tag_then_payload {
+    ($($name:ident),*) => {$(
+        impl Wire for $name {
+            const MIN_LEN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(self.tag());
+                self.put_payload(out);
+            }
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, WireError> {
+                let tag = r.u8()?;
+                Self::get_payload(tag, r)
+            }
+        }
+    )*};
+}
+
+fn bad_tag<T>(what: &'static str, tag: u8) -> Result<T, WireError> {
+    Err(WireError::Tag { what, tag })
+}
+
+wire_struct! {
+    /// One seed→harvester report riding a [`Frame::PollReport`] batch.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Report {
+        pub task: String,
+        pub from_switch: u32,
+        pub from_seed: u64,
+        pub from_machine: String,
+        /// Emission instant, virtual nanoseconds.
+        pub at_ns: u64,
+        /// Switch-local latency until the report hit the wire.
+        pub latency_ns: u64,
+        /// Estimated serialized payload size the soil accounted.
+        pub bytes: u64,
+        pub value: Value,
+    }
 }
 
 impl Report {
@@ -77,101 +228,78 @@ impl Report {
     }
 }
 
-/// One management operation riding a [`Frame::Control`] request.
-///
-/// The control surface is versioned with the rest of the protocol:
-/// adding an op is a new tag under the same [`PROTOCOL_VERSION`], and
-/// an endpoint that does not know a tag rejects the frame with a typed
-/// [`WireError::Tag`] — never a panic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlOp {
-    /// Compile and deploy an Almanac program server-side.
-    SubmitProgram { name: String, source: String },
-    /// Enumerate deployed seeds, sorted by key. `from_index`/`limit`
-    /// page through the listing (`limit == 0` means "everything from
-    /// `from_index`"); clients speaking the pre-cursor revision encode
-    /// no cursor and get the whole listing, unchanged.
-    ListSeeds { from_index: u64, limit: u64 },
-    /// Full detail (state variables included) of one seed by its
-    /// `task/mN/sN` key.
-    DescribeSeed { key: String },
-    /// Operational summary as JSON. The cursor pages the counters map
-    /// (same defaulting rules as [`ControlOp::ListSeeds`]).
-    Stats { from_index: u64, limit: u64 },
-    /// Every telemetry instrument as JSON.
-    MetricsDump,
-    /// Cordon a switch and evacuate its seeds via replanning.
-    Drain { switch: u32 },
-    /// Lift a cordon; the switch re-enters placement.
-    Uncordon { switch: u32 },
-    /// Force a placement round now.
-    Replan,
-    /// Checkpoint every live seed's state.
-    Checkpoint,
-    /// Restore every seed from its last checkpoint.
-    Restore,
-    /// Stop the daemon after draining connections.
-    Shutdown,
-    /// A farmd pod joins (or re-joins) a fedd coordinator, announcing
-    /// its topology manifest: wire address, switch count, and headroom
-    /// quota. Registration is idempotent per `name`; the reply carries
-    /// the pod's global switch-id base.
-    RegisterPod {
-        name: String,
-        addr: String,
-        switches: u64,
-        quota: f64,
-    },
-    /// Periodic pod liveness beacon. A `Rejected` reply means the
-    /// coordinator does not know this pod (e.g. it restarted) and the
-    /// pod must re-register.
-    PodHeartbeat { name: String, seq: u64 },
-    /// Enumerate registered pods with liveness state (fedd only).
-    ListPods,
-    /// Migrate every seed of `task` from its current pod to `to_pod`
-    /// (fedd only): drain-by-checkpoint on the source, snapshot export,
-    /// submit-with-snapshot on the target, then remove from the source.
-    MigrateTask { task: String, to_pod: String },
-    /// Checkpoint `task` on this pod and return its program source plus
-    /// every seed snapshot (fedd → farmd, the migration export leg).
-    ExportTask { task: String },
-    /// Deploy a program and immediately restore the carried snapshots
-    /// into its seeds (fedd → farmd, the migration import leg).
-    SubmitWithSnapshot {
-        name: String,
-        source: String,
-        seeds: Vec<(String, SeedSnapshot)>,
-    },
-    /// Remove a deployed task and its seeds (fedd → farmd; also the
-    /// rollback path when a split deployment partially fails).
-    RemoveTask { task: String },
+wire_enum! {
+    /// One management operation riding a [`Frame::Control`] request.
+    ///
+    /// The control surface is versioned with the rest of the protocol
+    /// (see the module docs): an endpoint that does not know a tag
+    /// rejects the frame with a typed [`WireError::Tag`] — never a panic.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ControlOp: "control op" {
+        /// Compile and deploy an Almanac program server-side.
+        0 "submit" SubmitProgram { name: String, source: String },
+        /// Enumerate deployed seeds, sorted by key. `from_index`/`limit`
+        /// page through the listing (`limit == 0` means "everything from
+        /// `from_index`"); clients speaking the pre-cursor revision encode
+        /// no cursor and get the whole listing, unchanged.
+        1 "list-seeds" ListSeeds { ; from_index: u64, limit: u64 },
+        /// Full detail (state variables included) of one seed by its
+        /// `task/mN/sN` key.
+        2 "describe-seed" DescribeSeed { key: String },
+        /// Operational summary as JSON. The cursor pages the counters map
+        /// (same defaulting rules as [`ControlOp::ListSeeds`]).
+        3 "stats" Stats { ; from_index: u64, limit: u64 },
+        /// Every telemetry instrument as JSON.
+        4 "metrics-dump" MetricsDump,
+        /// Cordon a switch and evacuate its seeds via replanning.
+        5 "drain" Drain { switch: u32 },
+        /// Lift a cordon; the switch re-enters placement.
+        6 "uncordon" Uncordon { switch: u32 },
+        /// Force a placement round now.
+        7 "replan" Replan,
+        /// Checkpoint every live seed's state.
+        8 "checkpoint" Checkpoint,
+        /// Restore every seed from its last checkpoint.
+        9 "restore" Restore,
+        /// Stop the daemon after draining connections.
+        10 "shutdown" Shutdown,
+        /// A farmd pod joins (or re-joins) a fedd coordinator, announcing
+        /// its topology manifest: wire address, switch count, and headroom
+        /// quota. Registration is idempotent per `name`; the reply carries
+        /// the pod's global switch-id base.
+        11 "register-pod" RegisterPod {
+            name: String,
+            addr: String,
+            switches: u64,
+            quota: f64,
+        },
+        /// Periodic pod liveness beacon. A `Rejected` reply means the
+        /// coordinator does not know this pod (e.g. it restarted) and the
+        /// pod must re-register.
+        12 "pod-heartbeat" PodHeartbeat { name: String, seq: u64 },
+        /// Enumerate registered pods with liveness state (fedd only).
+        13 "list-pods" ListPods,
+        /// Migrate every seed of `task` from its current pod to `to_pod`
+        /// (fedd only): drain-by-checkpoint on the source, snapshot export,
+        /// submit-with-snapshot on the target, then remove from the source.
+        14 "migrate-task" MigrateTask { task: String, to_pod: String },
+        /// Checkpoint `task` on this pod and return its program source plus
+        /// every seed snapshot (fedd → farmd, the migration export leg).
+        15 "export-task" ExportTask { task: String },
+        /// Deploy a program and immediately restore the carried snapshots
+        /// into its seeds (fedd → farmd, the migration import leg).
+        16 "submit-with-snapshot" SubmitWithSnapshot {
+            name: String,
+            source: String,
+            seeds: Vec<(String, SeedSnapshot)>,
+        },
+        /// Remove a deployed task and its seeds (fedd → farmd; also the
+        /// rollback path when a split deployment partially fails).
+        17 "remove-task" RemoveTask { task: String },
+    }
 }
 
 impl ControlOp {
-    /// Stable kebab-case name, used for `ctl.op.<name>` audit counters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ControlOp::SubmitProgram { .. } => "submit",
-            ControlOp::ListSeeds { .. } => "list-seeds",
-            ControlOp::DescribeSeed { .. } => "describe-seed",
-            ControlOp::Stats { .. } => "stats",
-            ControlOp::MetricsDump => "metrics-dump",
-            ControlOp::Drain { .. } => "drain",
-            ControlOp::Uncordon { .. } => "uncordon",
-            ControlOp::Replan => "replan",
-            ControlOp::Checkpoint => "checkpoint",
-            ControlOp::Restore => "restore",
-            ControlOp::Shutdown => "shutdown",
-            ControlOp::RegisterPod { .. } => "register-pod",
-            ControlOp::PodHeartbeat { .. } => "pod-heartbeat",
-            ControlOp::ListPods => "list-pods",
-            ControlOp::MigrateTask { .. } => "migrate-task",
-            ControlOp::ExportTask { .. } => "export-task",
-            ControlOp::SubmitWithSnapshot { .. } => "submit-with-snapshot",
-            ControlOp::RemoveTask { .. } => "remove-task",
-        }
-    }
-
     /// The whole seed listing, unpaginated — encodes without a cursor,
     /// byte-identical to the pre-cursor revision of this op.
     pub fn list_all() -> ControlOp {
@@ -189,269 +317,242 @@ impl ControlOp {
             limit: 0,
         }
     }
+}
 
-    fn tag(&self) -> u8 {
-        match self {
-            ControlOp::SubmitProgram { .. } => 0,
-            ControlOp::ListSeeds { .. } => 1,
-            ControlOp::DescribeSeed { .. } => 2,
-            ControlOp::Stats { .. } => 3,
-            ControlOp::MetricsDump => 4,
-            ControlOp::Drain { .. } => 5,
-            ControlOp::Uncordon { .. } => 6,
-            ControlOp::Replan => 7,
-            ControlOp::Checkpoint => 8,
-            ControlOp::Restore => 9,
-            ControlOp::Shutdown => 10,
-            ControlOp::RegisterPod { .. } => 11,
-            ControlOp::PodHeartbeat { .. } => 12,
-            ControlOp::ListPods => 13,
-            ControlOp::MigrateTask { .. } => 14,
-            ControlOp::ExportTask { .. } => 15,
-            ControlOp::SubmitWithSnapshot { .. } => 16,
-            ControlOp::RemoveTask { .. } => 17,
-        }
+wire_struct! {
+    /// One registered pod as reported by [`ControlOp::ListPods`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PodInfo {
+        /// Registration name (unique per federation).
+        pub name: String,
+        /// Wire address of the pod's farmd control endpoint.
+        pub addr: String,
+        /// Switches the pod manages (its local id space is `0..switches`).
+        pub switches: u64,
+        /// Global switch-id base assigned by the coordinator; global id
+        /// `base + i` is the pod's local switch `i`.
+        pub base: u64,
+        /// Admission headroom quota the pod advertised.
+        pub quota: f64,
+        /// True while heartbeats arrive within the liveness window.
+        pub live: bool,
+        /// Heartbeats observed since registration.
+        pub beats: u64,
+        /// Milliseconds since the last heartbeat (or registration).
+        pub age_ms: u64,
     }
 }
 
-/// One registered pod as reported by [`ControlOp::ListPods`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PodInfo {
-    /// Registration name (unique per federation).
-    pub name: String,
-    /// Wire address of the pod's farmd control endpoint.
-    pub addr: String,
-    /// Switches the pod manages (its local id space is `0..switches`).
-    pub switches: u64,
-    /// Global switch-id base assigned by the coordinator; global id
-    /// `base + i` is the pod's local switch `i`.
-    pub base: u64,
-    /// Admission headroom quota the pod advertised.
-    pub quota: f64,
-    /// True while heartbeats arrive within the liveness window.
-    pub live: bool,
-    /// Heartbeats observed since registration.
-    pub beats: u64,
-    /// Milliseconds since the last heartbeat (or registration).
-    pub age_ms: u64,
-}
-
-/// One deployed seed as reported over the control surface.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeedDescriptor {
-    /// Stable key, `task/mN/sN`.
-    pub key: String,
-    pub task: String,
-    pub machine: String,
-    /// Hosting switch.
-    pub switch: u32,
-    /// Current state-machine state.
-    pub state: String,
-    /// Allocated resources (vCPU, RAM MB, TCAM, PCIe polls/s).
-    pub alloc: [f64; 4],
-}
-
-/// One compiler diagnostic returned by a rejected SubmitProgram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnostic {
-    /// Machine the error belongs to (empty for program-level errors).
-    pub machine: String,
-    /// Compilation phase (`lex`, `parse`, `typecheck`, `analysis`).
-    pub phase: String,
-    pub line: u32,
-    pub col: u32,
-    pub message: String,
-}
-
-/// Answer to a [`ControlOp`], riding a [`Frame::ControlReply`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlReply {
-    /// Generic success for ops without a payload.
-    Ok,
-    /// SubmitProgram succeeded: the task was compiled and placed.
-    Submitted {
-        task: String,
-        seeds: u64,
-        /// Placement actions the deploying replan executed.
-        actions: u64,
-    },
-    /// ListSeeds answer: one page of the key-sorted listing. For a
-    /// paginated request, `next_index` is the cursor of the next page
-    /// (`0` = listing exhausted) and `total` the full listing size;
-    /// unpaginated replies carry `0`/`0` and encode byte-identically to
-    /// the pre-cursor revision.
-    Seeds {
-        seeds: Vec<SeedDescriptor>,
-        next_index: u64,
-        total: u64,
-    },
-    /// DescribeSeed answer: descriptor plus rendered state variables.
-    Seed {
-        desc: SeedDescriptor,
-        vars: Vec<(String, String)>,
-    },
-    /// A JSON document (Stats, MetricsDump).
-    Json { body: String },
-    /// Drain finished; `evacuated` seeds migrated off the switch.
-    Drained { switch: u32, evacuated: u64 },
-    /// Replan finished.
-    Replanned { actions: u64, dropped_tasks: u64 },
-    /// Checkpoint finished over `seeds` live seeds. `persist_error` is
-    /// set when the in-memory checkpoint succeeded but writing the
-    /// checkpoint file failed — partial success, not a rejection.
-    Checkpointed {
-        seeds: u64,
-        persist_error: Option<String>,
-    },
-    /// Restore finished over `seeds` checkpointed seeds; `skipped`
-    /// counts file entries dropped because their seed key no longer
-    /// parses.
-    Restored { seeds: u64, skipped: u64 },
-    /// The op was refused (admission control, unknown key, bad input).
-    Rejected { reason: String },
-    /// SubmitProgram failed to compile; nothing was deployed.
-    CompileFailed { diagnostics: Vec<Diagnostic> },
-    /// RegisterPod succeeded; `base` is the pod's global switch base.
-    PodRegistered { base: u64 },
-    /// ListPods answer: every registered pod, sorted by name.
-    Pods { pods: Vec<PodInfo> },
-    /// MigrateTask finished: `seeds` snapshots moved between pods.
-    Migrated {
-        task: String,
-        from_pod: String,
-        to_pod: String,
-        seeds: u64,
-    },
-    /// ExportTask answer: program source plus one snapshot per seed
-    /// (keys are the pod-local `task/mN/sN` form).
-    TaskExport {
-        source: String,
-        seeds: Vec<(String, SeedSnapshot)>,
-    },
-}
-
-impl ControlReply {
-    /// Stable kebab-case name, mirroring [`ControlOp::kind`] — used by
-    /// the federation coordinator to report an unexpected reply shape.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ControlReply::Ok => "ok",
-            ControlReply::Submitted { .. } => "submitted",
-            ControlReply::Seeds { .. } => "seeds",
-            ControlReply::Seed { .. } => "seed",
-            ControlReply::Json { .. } => "json",
-            ControlReply::Drained { .. } => "drained",
-            ControlReply::Replanned { .. } => "replanned",
-            ControlReply::Checkpointed { .. } => "checkpointed",
-            ControlReply::Restored { .. } => "restored",
-            ControlReply::Rejected { .. } => "rejected",
-            ControlReply::CompileFailed { .. } => "compile-failed",
-            ControlReply::PodRegistered { .. } => "pod-registered",
-            ControlReply::Pods { .. } => "pods",
-            ControlReply::Migrated { .. } => "migrated",
-            ControlReply::TaskExport { .. } => "task-export",
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            ControlReply::Ok => 0,
-            ControlReply::Submitted { .. } => 1,
-            ControlReply::Seeds { .. } => 2,
-            ControlReply::Seed { .. } => 3,
-            ControlReply::Json { .. } => 4,
-            ControlReply::Drained { .. } => 5,
-            ControlReply::Replanned { .. } => 6,
-            ControlReply::Checkpointed { .. } => 7,
-            ControlReply::Restored { .. } => 8,
-            ControlReply::Rejected { .. } => 9,
-            ControlReply::CompileFailed { .. } => 10,
-            ControlReply::PodRegistered { .. } => 11,
-            ControlReply::Pods { .. } => 12,
-            ControlReply::Migrated { .. } => 13,
-            ControlReply::TaskExport { .. } => 14,
-        }
+wire_struct! {
+    /// One deployed seed as reported over the control surface.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SeedDescriptor {
+        /// Stable key, `task/mN/sN`.
+        pub key: String,
+        pub task: String,
+        pub machine: String,
+        /// Hosting switch.
+        pub switch: u32,
+        /// Current state-machine state.
+        pub state: String,
+        /// Allocated resources (vCPU, RAM MB, TCAM, PCIe polls/s).
+        pub alloc: [f64; 4],
     }
 }
 
-/// A typed control-plane frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Connection preamble: who is talking and which protocol revision.
-    Hello { node: String, protocol: u32 },
-    /// Soil liveness beacon.
-    Heartbeat { switch: u32, seq: u64, at_ns: u64 },
-    /// Batched seed→harvester poll reports (one or many per frame).
-    PollReport { reports: Vec<Report> },
-    /// Harvester→seed command, optionally pinned to one switch.
-    HarvesterDirective {
-        machine: String,
-        at_switch: Option<u32>,
-        value: Value,
-    },
-    /// Seed→seed message (broadcast when `at_switch` is `None`).
-    SeedMessage {
-        task: String,
-        from_switch: u32,
-        from_seed: u64,
-        from_machine: String,
-        to_machine: String,
-        at_switch: Option<u32>,
-        at_ns: u64,
-        latency_ns: u64,
-        bytes: u64,
-        value: Value,
-    },
-    /// Seed migration payload: the full state snapshot in transit.
-    Migrate {
-        task: String,
-        from_switch: u32,
-        to_switch: u32,
-        snapshot: SeedSnapshot,
-    },
-    /// Positive acknowledgement (default response frame).
-    Ack,
-    /// Negative acknowledgement with a reason.
-    Error { message: String },
-    /// Graceful close notification.
-    Shutdown,
-    /// Management request (operator → daemon).
-    Control { op: ControlOp },
-    /// Management answer (daemon → operator).
-    ControlReply { reply: ControlReply },
+wire_struct! {
+    /// One compiler diagnostic returned by a rejected SubmitProgram.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Diagnostic {
+        /// Machine the error belongs to (empty for program-level errors).
+        pub machine: String,
+        /// Compilation phase (`lex`, `parse`, `typecheck`, `analysis`).
+        pub phase: String,
+        pub line: u32,
+        pub col: u32,
+        pub message: String,
+    }
+}
+
+wire_enum! {
+    /// Answer to a [`ControlOp`], riding a [`Frame::ControlReply`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ControlReply: "control reply" {
+        /// Generic success for ops without a payload.
+        0 "ok" Ok,
+        /// SubmitProgram succeeded: the task was compiled and placed.
+        1 "submitted" Submitted {
+            task: String,
+            seeds: u64,
+            /// Placement actions the deploying replan executed.
+            actions: u64,
+        },
+        /// ListSeeds answer: one page of the key-sorted listing. For a
+        /// paginated request, `next_index` is the cursor of the next page
+        /// (`0` = listing exhausted) and `total` the full listing size;
+        /// unpaginated replies carry `0`/`0` and encode byte-identically to
+        /// the pre-cursor revision — only cursor-aware clients ever
+        /// receive a paginated reply.
+        2 "seeds" Seeds {
+            seeds: Vec<SeedDescriptor>;
+            next_index: u64,
+            total: u64,
+        },
+        /// DescribeSeed answer: descriptor plus rendered state variables.
+        3 "seed" Seed {
+            desc: SeedDescriptor,
+            vars: Vec<(String, String)>,
+        },
+        /// A JSON document (Stats, MetricsDump).
+        4 "json" Json { body: String },
+        /// Drain finished; `evacuated` seeds migrated off the switch.
+        5 "drained" Drained { switch: u32, evacuated: u64 },
+        /// Replan finished.
+        6 "replanned" Replanned { actions: u64, dropped_tasks: u64 },
+        /// Checkpoint finished over `seeds` live seeds. `persist_error` is
+        /// set when the in-memory checkpoint succeeded but writing the
+        /// checkpoint file failed — partial success, not a rejection.
+        7 "checkpointed" Checkpointed {
+            seeds: u64;
+            persist_error: Option<String>,
+        },
+        /// Restore finished over `seeds` checkpointed seeds; `skipped`
+        /// counts file entries dropped because their seed key no longer
+        /// parses.
+        8 "restored" Restored { seeds: u64; skipped: u64 },
+        /// The op was refused (admission control, unknown key, bad input).
+        9 "rejected" Rejected { reason: String },
+        /// SubmitProgram failed to compile; nothing was deployed.
+        10 "compile-failed" CompileFailed { diagnostics: Vec<Diagnostic> },
+        /// RegisterPod succeeded; `base` is the pod's global switch base.
+        11 "pod-registered" PodRegistered { base: u64 },
+        /// ListPods answer: every registered pod, sorted by name.
+        12 "pods" Pods { pods: Vec<PodInfo> },
+        /// MigrateTask finished: `seeds` snapshots moved between pods.
+        13 "migrated" Migrated {
+            task: String,
+            from_pod: String,
+            to_pod: String,
+            seeds: u64,
+        },
+        /// ExportTask answer: program source plus one snapshot per seed
+        /// (keys are the pod-local `task/mN/sN` form).
+        14 "task-export" TaskExport {
+            source: String,
+            seeds: Vec<(String, SeedSnapshot)>,
+        },
+    }
+}
+
+tag_then_payload!(ControlOp, ControlReply);
+
+wire_enum! {
+    /// A typed control-plane frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Frame: "frame" {
+        /// Connection preamble: who is talking and which protocol revision.
+        0 "hello" Hello { node: String, protocol: u32 },
+        /// Soil liveness beacon.
+        1 "heartbeat" Heartbeat { switch: u32, seq: u64, at_ns: u64 },
+        /// Batched seed→harvester poll reports (one or many per frame).
+        2 "poll_report" PollReport { reports: Vec<Report> },
+        /// Harvester→seed command, optionally pinned to one switch.
+        3 "harvester_directive" HarvesterDirective {
+            machine: String,
+            at_switch: Option<u32>,
+            value: Value,
+        },
+        /// Seed→seed message (broadcast when `at_switch` is `None`).
+        4 "seed_message" SeedMessage {
+            task: String,
+            from_switch: u32,
+            from_seed: u64,
+            from_machine: String,
+            to_machine: String,
+            at_switch: Option<u32>,
+            at_ns: u64,
+            latency_ns: u64,
+            bytes: u64,
+            value: Value,
+        },
+        /// Seed migration payload: the full state snapshot in transit.
+        5 "migrate" Migrate {
+            task: String,
+            from_switch: u32,
+            to_switch: u32,
+            snapshot: SeedSnapshot,
+        },
+        /// Positive acknowledgement (default response frame).
+        6 "ack" Ack,
+        /// Negative acknowledgement with a reason.
+        7 "error" Error { message: String },
+        /// Graceful close notification.
+        8 "shutdown" Shutdown,
+        /// Management request (operator → daemon).
+        9 "control" Control { op: ControlOp },
+        /// Management answer (daemon → operator).
+        10 "control_reply" ControlReply { reply: ControlReply },
+    }
 }
 
 impl Frame {
-    /// Short name for logs and counters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "hello",
-            Frame::Heartbeat { .. } => "heartbeat",
-            Frame::PollReport { .. } => "poll_report",
-            Frame::HarvesterDirective { .. } => "harvester_directive",
-            Frame::SeedMessage { .. } => "seed_message",
-            Frame::Migrate { .. } => "migrate",
-            Frame::Ack => "ack",
-            Frame::Error { .. } => "error",
-            Frame::Shutdown => "shutdown",
-            Frame::Control { .. } => "control",
-            Frame::ControlReply { .. } => "control_reply",
+    /// The frame that carries one soil delivery: a single-report
+    /// [`Frame::PollReport`] when it is harvester-bound, a
+    /// [`Frame::SeedMessage`] when it addresses another machine.
+    pub fn from_outbound(msg: &OutboundMessage) -> Frame {
+        match &msg.to {
+            Endpoint::Harvester => Frame::PollReport {
+                reports: vec![Report::from_outbound(msg)],
+            },
+            Endpoint::Machine { name, at } => Frame::SeedMessage {
+                task: msg.task.clone(),
+                from_switch: msg.from_switch.0,
+                from_seed: msg.from_seed.0,
+                from_machine: msg.from_machine.clone(),
+                to_machine: name.clone(),
+                at_switch: at.map(|s| s.0),
+                at_ns: msg.at.as_nanos(),
+                latency_ns: msg.latency.as_nanos(),
+                bytes: msg.bytes,
+                value: msg.value.clone(),
+            },
         }
     }
 
-    fn tag(&self) -> u8 {
+    /// The soil deliveries a received frame carries, reconstructed:
+    /// one per report of a [`Frame::PollReport`], one for a
+    /// [`Frame::SeedMessage`], none for any other frame.
+    pub fn into_outbound(self) -> Vec<OutboundMessage> {
         match self {
-            Frame::Hello { .. } => 0,
-            Frame::Heartbeat { .. } => 1,
-            Frame::PollReport { .. } => 2,
-            Frame::HarvesterDirective { .. } => 3,
-            Frame::SeedMessage { .. } => 4,
-            Frame::Migrate { .. } => 5,
-            Frame::Ack => 6,
-            Frame::Error { .. } => 7,
-            Frame::Shutdown => 8,
-            Frame::Control { .. } => 9,
-            Frame::ControlReply { .. } => 10,
+            Frame::PollReport { reports } => {
+                reports.into_iter().map(Report::into_outbound).collect()
+            }
+            Frame::SeedMessage {
+                task,
+                from_switch,
+                from_seed,
+                from_machine,
+                to_machine,
+                at_switch,
+                at_ns,
+                latency_ns,
+                bytes,
+                value,
+            } => vec![OutboundMessage {
+                from_switch: SwitchId(from_switch),
+                from_seed: SeedId(from_seed),
+                from_machine,
+                task,
+                to: Endpoint::Machine {
+                    name: to_machine,
+                    at: at_switch.map(SwitchId),
+                },
+                value,
+                at: Time::ZERO + Dur::from_nanos(at_ns),
+                latency: Dur::from_nanos(latency_ns),
+                bytes,
+            }],
+            _ => Vec::new(),
         }
     }
 }
@@ -497,10 +598,6 @@ impl Envelope {
 
 const FLAG_RESPONSE: u8 = 0b0000_0001;
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
 /// Encodes one envelope, appending the length-prefixed frame to `out`.
 /// Returns the number of bytes appended.
 pub fn encode_envelope(env: &Envelope, out: &mut Vec<u8>) -> usize {
@@ -510,511 +607,11 @@ pub fn encode_envelope(env: &Envelope, out: &mut Vec<u8>) -> usize {
     body.push(env.frame.tag());
     body.push(if env.response { FLAG_RESPONSE } else { 0 });
     put_varint(&mut body, env.corr);
-    encode_frame_payload(&env.frame, &mut body);
+    env.frame.put_payload(&mut body);
     put_varint(out, body.len() as u64);
     out.extend_from_slice(&body);
     out.len() - start
 }
-
-fn encode_frame_payload(frame: &Frame, out: &mut Vec<u8>) {
-    match frame {
-        Frame::Hello { node, protocol } => {
-            put_str(out, node);
-            put_varint(out, *protocol as u64);
-        }
-        Frame::Heartbeat { switch, seq, at_ns } => {
-            put_varint(out, *switch as u64);
-            put_varint(out, *seq);
-            put_varint(out, *at_ns);
-        }
-        Frame::PollReport { reports } => {
-            put_varint(out, reports.len() as u64);
-            for r in reports {
-                encode_report(r, out);
-            }
-        }
-        Frame::HarvesterDirective {
-            machine,
-            at_switch,
-            value,
-        } => {
-            put_str(out, machine);
-            encode_opt_switch(*at_switch, out);
-            encode_value(value, out);
-        }
-        Frame::SeedMessage {
-            task,
-            from_switch,
-            from_seed,
-            from_machine,
-            to_machine,
-            at_switch,
-            at_ns,
-            latency_ns,
-            bytes,
-            value,
-        } => {
-            put_str(out, task);
-            put_varint(out, *from_switch as u64);
-            put_varint(out, *from_seed);
-            put_str(out, from_machine);
-            put_str(out, to_machine);
-            encode_opt_switch(*at_switch, out);
-            put_varint(out, *at_ns);
-            put_varint(out, *latency_ns);
-            put_varint(out, *bytes);
-            encode_value(value, out);
-        }
-        Frame::Migrate {
-            task,
-            from_switch,
-            to_switch,
-            snapshot,
-        } => {
-            put_str(out, task);
-            put_varint(out, *from_switch as u64);
-            put_varint(out, *to_switch as u64);
-            // Snapshots travel versioned; the decoder also accepts the
-            // legacy untagged layout from pre-versioning peers.
-            out.push(0x00);
-            out.push(VSeedSnapshot::CURRENT_VERSION);
-            crate::snapshot::encode_snapshot_body(snapshot, out);
-        }
-        Frame::Ack | Frame::Shutdown => {}
-        Frame::Error { message } => put_str(out, message),
-        Frame::Control { op } => encode_control_op(op, out),
-        Frame::ControlReply { reply } => encode_control_reply(reply, out),
-    }
-}
-
-fn encode_control_op(op: &ControlOp, out: &mut Vec<u8>) {
-    out.push(op.tag());
-    match op {
-        ControlOp::SubmitProgram { name, source } => {
-            put_str(out, name);
-            put_str(out, source);
-        }
-        ControlOp::DescribeSeed { key } => put_str(out, key),
-        ControlOp::Drain { switch } | ControlOp::Uncordon { switch } => {
-            put_varint(out, *switch as u64);
-        }
-        // The cursor is an optional trailing extension: the no-cursor
-        // case encodes as the pre-cursor revision did, so old servers
-        // keep accepting unpaginated requests from new clients.
-        ControlOp::ListSeeds { from_index, limit } | ControlOp::Stats { from_index, limit } => {
-            if *from_index != 0 || *limit != 0 {
-                put_varint(out, *from_index);
-                put_varint(out, *limit);
-            }
-        }
-        ControlOp::MetricsDump
-        | ControlOp::Replan
-        | ControlOp::Checkpoint
-        | ControlOp::Restore
-        | ControlOp::Shutdown
-        | ControlOp::ListPods => {}
-        ControlOp::RegisterPod {
-            name,
-            addr,
-            switches,
-            quota,
-        } => {
-            put_str(out, name);
-            put_str(out, addr);
-            put_varint(out, *switches);
-            put_f64(out, *quota);
-        }
-        ControlOp::PodHeartbeat { name, seq } => {
-            put_str(out, name);
-            put_varint(out, *seq);
-        }
-        ControlOp::MigrateTask { task, to_pod } => {
-            put_str(out, task);
-            put_str(out, to_pod);
-        }
-        ControlOp::ExportTask { task } | ControlOp::RemoveTask { task } => put_str(out, task),
-        ControlOp::SubmitWithSnapshot {
-            name,
-            source,
-            seeds,
-        } => {
-            put_str(out, name);
-            put_str(out, source);
-            encode_snapshot_entries(seeds, out);
-        }
-    }
-}
-
-/// Encodes a keyed snapshot list; each snapshot travels versioned, the
-/// same layout [`Frame::Migrate`] uses.
-fn encode_snapshot_entries(seeds: &[(String, SeedSnapshot)], out: &mut Vec<u8>) {
-    put_varint(out, seeds.len() as u64);
-    for (key, snap) in seeds {
-        put_str(out, key);
-        out.push(0x00);
-        out.push(VSeedSnapshot::CURRENT_VERSION);
-        crate::snapshot::encode_snapshot_body(snap, out);
-    }
-}
-
-fn decode_snapshot_entries(r: &mut Reader<'_>) -> Result<Vec<(String, SeedSnapshot)>, WireError> {
-    let n = r.len_prefix(5)?;
-    let mut seeds = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let key = r.str()?;
-        let snap = decode_vsnapshot(r)?.into_latest();
-        seeds.push((key, snap));
-    }
-    Ok(seeds)
-}
-
-fn encode_pod_info(p: &PodInfo, out: &mut Vec<u8>) {
-    put_str(out, &p.name);
-    put_str(out, &p.addr);
-    put_varint(out, p.switches);
-    put_varint(out, p.base);
-    put_f64(out, p.quota);
-    put_bool(out, p.live);
-    put_varint(out, p.beats);
-    put_varint(out, p.age_ms);
-}
-
-fn decode_pod_info(r: &mut Reader<'_>) -> Result<PodInfo, WireError> {
-    Ok(PodInfo {
-        name: r.str()?,
-        addr: r.str()?,
-        switches: r.varint()?,
-        base: r.varint()?,
-        quota: r.f64()?,
-        live: r.bool()?,
-        beats: r.varint()?,
-        age_ms: r.varint()?,
-    })
-}
-
-fn encode_seed_descriptor(d: &SeedDescriptor, out: &mut Vec<u8>) {
-    put_str(out, &d.key);
-    put_str(out, &d.task);
-    put_str(out, &d.machine);
-    put_varint(out, d.switch as u64);
-    put_str(out, &d.state);
-    for v in d.alloc {
-        put_f64(out, v);
-    }
-}
-
-fn encode_diagnostic(d: &Diagnostic, out: &mut Vec<u8>) {
-    put_str(out, &d.machine);
-    put_str(out, &d.phase);
-    put_varint(out, d.line as u64);
-    put_varint(out, d.col as u64);
-    put_str(out, &d.message);
-}
-
-fn encode_control_reply(reply: &ControlReply, out: &mut Vec<u8>) {
-    out.push(reply.tag());
-    match reply {
-        ControlReply::Ok => {}
-        ControlReply::Submitted {
-            task,
-            seeds,
-            actions,
-        } => {
-            put_str(out, task);
-            put_varint(out, *seeds);
-            put_varint(out, *actions);
-        }
-        ControlReply::Seeds {
-            seeds,
-            next_index,
-            total,
-        } => {
-            put_varint(out, seeds.len() as u64);
-            for d in seeds {
-                encode_seed_descriptor(d, out);
-            }
-            // Trailing cursor, omitted for unpaginated replies — those
-            // stay byte-identical to the pre-cursor revision, and only
-            // cursor-aware clients ever receive a paginated reply.
-            if *next_index != 0 || *total != 0 {
-                put_varint(out, *next_index);
-                put_varint(out, *total);
-            }
-        }
-        ControlReply::Seed { desc, vars } => {
-            encode_seed_descriptor(desc, out);
-            put_varint(out, vars.len() as u64);
-            for (name, rendered) in vars {
-                put_str(out, name);
-                put_str(out, rendered);
-            }
-        }
-        ControlReply::Json { body } => put_str(out, body),
-        ControlReply::Drained { switch, evacuated } => {
-            put_varint(out, *switch as u64);
-            put_varint(out, *evacuated);
-        }
-        ControlReply::Replanned {
-            actions,
-            dropped_tasks,
-        } => {
-            put_varint(out, *actions);
-            put_varint(out, *dropped_tasks);
-        }
-        // Both replies append their newer field as a trailing optional
-        // extension (the cursor pattern): the common case — no persist
-        // error, nothing skipped — encodes byte-identically to the
-        // pre-extension revision, so old clients keep decoding it.
-        ControlReply::Checkpointed {
-            seeds,
-            persist_error,
-        } => {
-            put_varint(out, *seeds);
-            if let Some(e) = persist_error {
-                put_str(out, e);
-            }
-        }
-        ControlReply::Restored { seeds, skipped } => {
-            put_varint(out, *seeds);
-            if *skipped != 0 {
-                put_varint(out, *skipped);
-            }
-        }
-        ControlReply::Rejected { reason } => put_str(out, reason),
-        ControlReply::CompileFailed { diagnostics } => {
-            put_varint(out, diagnostics.len() as u64);
-            for d in diagnostics {
-                encode_diagnostic(d, out);
-            }
-        }
-        ControlReply::PodRegistered { base } => put_varint(out, *base),
-        ControlReply::Pods { pods } => {
-            put_varint(out, pods.len() as u64);
-            for p in pods {
-                encode_pod_info(p, out);
-            }
-        }
-        ControlReply::Migrated {
-            task,
-            from_pod,
-            to_pod,
-            seeds,
-        } => {
-            put_str(out, task);
-            put_str(out, from_pod);
-            put_str(out, to_pod);
-            put_varint(out, *seeds);
-        }
-        ControlReply::TaskExport { source, seeds } => {
-            put_str(out, source);
-            encode_snapshot_entries(seeds, out);
-        }
-    }
-}
-
-fn encode_report(r: &Report, out: &mut Vec<u8>) {
-    put_str(out, &r.task);
-    put_varint(out, r.from_switch as u64);
-    put_varint(out, r.from_seed);
-    put_str(out, &r.from_machine);
-    put_varint(out, r.at_ns);
-    put_varint(out, r.latency_ns);
-    put_varint(out, r.bytes);
-    encode_value(&r.value, out);
-}
-
-fn encode_opt_switch(sw: Option<u32>, out: &mut Vec<u8>) {
-    match sw {
-        None => out.push(0),
-        Some(id) => {
-            out.push(1);
-            put_varint(out, id as u64);
-        }
-    }
-}
-
-/// Encodes one Almanac [`Value`] (recursive; lists and pairs nest).
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Unit => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            put_ivarint(out, *i);
-        }
-        Value::Float(f) => {
-            out.push(3);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Value::List(items) => {
-            out.push(5);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Packet(p) => {
-            out.push(6);
-            encode_packet(p, out);
-        }
-        Value::Filter(f) => {
-            out.push(7);
-            encode_filter(f, out);
-        }
-        Value::Action(a) => {
-            out.push(8);
-            encode_action(a, out);
-        }
-        Value::Rule(r) => {
-            out.push(9);
-            encode_filter(&r.pattern, out);
-            encode_action(&r.action, out);
-        }
-        Value::Resources(r) => {
-            out.push(10);
-            for i in 0..4 {
-                put_f64(out, r.0[i]);
-            }
-        }
-        Value::Stat(s) => {
-            out.push(11);
-            encode_stat(s, out);
-        }
-        Value::Pair(a, b) => {
-            out.push(12);
-            encode_value(a, out);
-            encode_value(b, out);
-        }
-    }
-}
-
-fn encode_flow(f: &FlowKey, out: &mut Vec<u8>) {
-    put_varint(out, f.src.0 as u64);
-    put_varint(out, f.dst.0 as u64);
-    out.push(proto_tag(f.proto));
-    put_varint(out, f.src_port as u64);
-    put_varint(out, f.dst_port as u64);
-}
-
-fn encode_packet(p: &PacketRecord, out: &mut Vec<u8>) {
-    encode_flow(&p.flow, out);
-    put_varint(out, p.len as u64);
-    out.push((p.syn as u8) | ((p.fin as u8) << 1) | ((p.ack as u8) << 2));
-}
-
-fn proto_tag(p: Proto) -> u8 {
-    match p {
-        Proto::Tcp => 0,
-        Proto::Udp => 1,
-        Proto::Icmp => 2,
-    }
-}
-
-fn encode_filter(f: &FilterFormula, out: &mut Vec<u8>) {
-    match f {
-        FilterFormula::True => out.push(0),
-        FilterFormula::False => out.push(1),
-        FilterFormula::Atom(a) => {
-            out.push(2);
-            encode_atom(a, out);
-        }
-        FilterFormula::And(a, b) => {
-            out.push(3);
-            encode_filter(a, out);
-            encode_filter(b, out);
-        }
-        FilterFormula::Or(a, b) => {
-            out.push(4);
-            encode_filter(a, out);
-            encode_filter(b, out);
-        }
-        FilterFormula::Not(a) => {
-            out.push(5);
-            encode_filter(a, out);
-        }
-    }
-}
-
-fn encode_atom(a: &FilterAtom, out: &mut Vec<u8>) {
-    match a {
-        FilterAtom::SrcIp(p) => {
-            out.push(0);
-            put_varint(out, p.addr.0 as u64);
-            out.push(p.len);
-        }
-        FilterAtom::DstIp(p) => {
-            out.push(1);
-            put_varint(out, p.addr.0 as u64);
-            out.push(p.len);
-        }
-        FilterAtom::SrcPort(p) => {
-            out.push(2);
-            put_varint(out, *p as u64);
-        }
-        FilterAtom::DstPort(p) => {
-            out.push(3);
-            put_varint(out, *p as u64);
-        }
-        FilterAtom::Proto(p) => {
-            out.push(4);
-            out.push(proto_tag(*p));
-        }
-        FilterAtom::IfPort(sel) => {
-            out.push(5);
-            match sel {
-                PortSel::Any => out.push(0),
-                PortSel::Id(id) => {
-                    out.push(1);
-                    put_varint(out, *id as u64);
-                }
-            }
-        }
-    }
-}
-
-fn encode_action(a: &ActionValue, out: &mut Vec<u8>) {
-    match a {
-        ActionValue::Drop => out.push(0),
-        ActionValue::RateLimit(bps) => {
-            out.push(1);
-            put_varint(out, *bps);
-        }
-        ActionValue::SetQos(q) => {
-            out.push(2);
-            out.push(*q);
-        }
-        ActionValue::Count => out.push(3),
-        ActionValue::Mirror => out.push(4),
-    }
-}
-
-fn encode_stat(s: &StatEntry, out: &mut Vec<u8>) {
-    match &s.subject {
-        StatSubject::Port(p) => {
-            out.push(0);
-            put_varint(out, *p as u64);
-        }
-        StatSubject::Rule(r) => {
-            out.push(1);
-            put_str(out, r);
-        }
-    }
-    put_varint(out, s.tx_bytes);
-    put_varint(out, s.rx_bytes);
-    put_varint(out, s.tx_packets);
-    put_varint(out, s.rx_packets);
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
 
 /// Decodes one envelope from the front of `buf`.
 ///
@@ -1022,277 +619,31 @@ fn encode_stat(s: &StatEntry, out: &mut Vec<u8>) {
 /// included). [`WireError::Truncated`] means the buffer holds only part
 /// of a frame — streaming callers read more and retry.
 pub fn decode_envelope(buf: &[u8]) -> Result<(Envelope, usize), WireError> {
-    let mut head = Reader::new(buf);
-    let len = head.varint()?;
-    if len > MAX_FRAME_LEN as u64 {
-        return Err(WireError::TooLarge(len));
+    let (header, len) = frame_prefix(buf)?.ok_or(WireError::Truncated)?;
+    let body = buf.get(header..header + len).ok_or(WireError::Truncated)?;
+    Ok((decode_body(body)?, header + len))
+}
+
+/// Reads the envelope header of a frame body: `(tag, flags, corr)`.
+fn envelope_header(r: &mut Reader<'_>) -> Result<(u8, u8, u64), WireError> {
+    let version = r.u8()?;
+    if version != PROTOCOL_VERSION {
+        return Err(WireError::Version(version));
     }
-    let header = head.consumed();
-    if buf.len() - header < len as usize {
-        return Err(WireError::Truncated);
-    }
-    let env = decode_body(&buf[header..header + len as usize])?;
-    Ok((env, header + len as usize))
+    Ok((r.u8()?, r.u8()?, r.varint()?))
 }
 
 /// Decodes a frame body (the bytes after the length prefix).
 pub fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
     let mut r = Reader::new(body);
-    let version = r.u8()?;
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::Version(version));
-    }
-    let tag = r.u8()?;
-    let flags = r.u8()?;
-    let corr = r.varint()?;
-    let frame = decode_frame_payload(tag, &mut r)?;
+    let (tag, flags, corr) = envelope_header(&mut r)?;
+    let frame = Frame::get_payload(tag, &mut r)?;
     r.finish()?;
     Ok(Envelope {
         corr,
         response: flags & FLAG_RESPONSE != 0,
         frame,
     })
-}
-
-fn decode_frame_payload(tag: u8, r: &mut Reader<'_>) -> Result<Frame, WireError> {
-    match tag {
-        0 => Ok(Frame::Hello {
-            node: r.str()?,
-            protocol: decode_u32(r, "protocol")?,
-        }),
-        1 => Ok(Frame::Heartbeat {
-            switch: decode_u32(r, "switch")?,
-            seq: r.varint()?,
-            at_ns: r.varint()?,
-        }),
-        2 => {
-            let n = r.len_prefix(8)?;
-            let mut reports = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                reports.push(decode_report(r)?);
-            }
-            Ok(Frame::PollReport { reports })
-        }
-        3 => Ok(Frame::HarvesterDirective {
-            machine: r.str()?,
-            at_switch: decode_opt_switch(r)?,
-            value: decode_value(r, 0)?,
-        }),
-        4 => Ok(Frame::SeedMessage {
-            task: r.str()?,
-            from_switch: decode_u32(r, "from_switch")?,
-            from_seed: r.varint()?,
-            from_machine: r.str()?,
-            to_machine: r.str()?,
-            at_switch: decode_opt_switch(r)?,
-            at_ns: r.varint()?,
-            latency_ns: r.varint()?,
-            bytes: r.varint()?,
-            value: decode_value(r, 0)?,
-        }),
-        5 => Ok(Frame::Migrate {
-            task: r.str()?,
-            from_switch: decode_u32(r, "from_switch")?,
-            to_switch: decode_u32(r, "to_switch")?,
-            snapshot: decode_vsnapshot(r)?.into_latest(),
-        }),
-        6 => Ok(Frame::Ack),
-        7 => Ok(Frame::Error { message: r.str()? }),
-        8 => Ok(Frame::Shutdown),
-        9 => Ok(Frame::Control {
-            op: decode_control_op(r)?,
-        }),
-        10 => Ok(Frame::ControlReply {
-            reply: decode_control_reply(r)?,
-        }),
-        t => Err(WireError::Tag {
-            what: "frame",
-            tag: t,
-        }),
-    }
-}
-
-/// Reads the optional trailing `(from_index, limit)` cursor: an absent
-/// cursor (pre-cursor client, or the unpaginated encoding) defaults to
-/// `(0, 0)` — "everything".
-fn decode_cursor(r: &mut Reader<'_>) -> Result<(u64, u64), WireError> {
-    if r.remaining() == 0 {
-        return Ok((0, 0));
-    }
-    Ok((r.varint()?, r.varint()?))
-}
-
-fn decode_control_op(r: &mut Reader<'_>) -> Result<ControlOp, WireError> {
-    match r.u8()? {
-        0 => Ok(ControlOp::SubmitProgram {
-            name: r.str()?,
-            source: r.str()?,
-        }),
-        1 => {
-            let (from_index, limit) = decode_cursor(r)?;
-            Ok(ControlOp::ListSeeds { from_index, limit })
-        }
-        2 => Ok(ControlOp::DescribeSeed { key: r.str()? }),
-        3 => {
-            let (from_index, limit) = decode_cursor(r)?;
-            Ok(ControlOp::Stats { from_index, limit })
-        }
-        4 => Ok(ControlOp::MetricsDump),
-        5 => Ok(ControlOp::Drain {
-            switch: decode_u32(r, "switch")?,
-        }),
-        6 => Ok(ControlOp::Uncordon {
-            switch: decode_u32(r, "switch")?,
-        }),
-        7 => Ok(ControlOp::Replan),
-        8 => Ok(ControlOp::Checkpoint),
-        9 => Ok(ControlOp::Restore),
-        10 => Ok(ControlOp::Shutdown),
-        11 => Ok(ControlOp::RegisterPod {
-            name: r.str()?,
-            addr: r.str()?,
-            switches: r.varint()?,
-            quota: r.f64()?,
-        }),
-        12 => Ok(ControlOp::PodHeartbeat {
-            name: r.str()?,
-            seq: r.varint()?,
-        }),
-        13 => Ok(ControlOp::ListPods),
-        14 => Ok(ControlOp::MigrateTask {
-            task: r.str()?,
-            to_pod: r.str()?,
-        }),
-        15 => Ok(ControlOp::ExportTask { task: r.str()? }),
-        16 => Ok(ControlOp::SubmitWithSnapshot {
-            name: r.str()?,
-            source: r.str()?,
-            seeds: decode_snapshot_entries(r)?,
-        }),
-        17 => Ok(ControlOp::RemoveTask { task: r.str()? }),
-        t => Err(WireError::Tag {
-            what: "control op",
-            tag: t,
-        }),
-    }
-}
-
-fn decode_seed_descriptor(r: &mut Reader<'_>) -> Result<SeedDescriptor, WireError> {
-    let key = r.str()?;
-    let task = r.str()?;
-    let machine = r.str()?;
-    let switch = decode_u32(r, "switch")?;
-    let state = r.str()?;
-    let mut alloc = [0.0f64; 4];
-    for slot in alloc.iter_mut() {
-        *slot = r.f64()?;
-    }
-    Ok(SeedDescriptor {
-        key,
-        task,
-        machine,
-        switch,
-        state,
-        alloc,
-    })
-}
-
-fn decode_diagnostic(r: &mut Reader<'_>) -> Result<Diagnostic, WireError> {
-    Ok(Diagnostic {
-        machine: r.str()?,
-        phase: r.str()?,
-        line: decode_u32(r, "line")?,
-        col: decode_u32(r, "col")?,
-        message: r.str()?,
-    })
-}
-
-fn decode_control_reply(r: &mut Reader<'_>) -> Result<ControlReply, WireError> {
-    match r.u8()? {
-        0 => Ok(ControlReply::Ok),
-        1 => Ok(ControlReply::Submitted {
-            task: r.str()?,
-            seeds: r.varint()?,
-            actions: r.varint()?,
-        }),
-        2 => {
-            let n = r.len_prefix(37)?;
-            let mut seeds = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                seeds.push(decode_seed_descriptor(r)?);
-            }
-            let (next_index, total) = decode_cursor(r)?;
-            Ok(ControlReply::Seeds {
-                seeds,
-                next_index,
-                total,
-            })
-        }
-        3 => {
-            let desc = decode_seed_descriptor(r)?;
-            let n = r.len_prefix(2)?;
-            let mut vars = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = r.str()?;
-                let rendered = r.str()?;
-                vars.push((name, rendered));
-            }
-            Ok(ControlReply::Seed { desc, vars })
-        }
-        4 => Ok(ControlReply::Json { body: r.str()? }),
-        5 => Ok(ControlReply::Drained {
-            switch: decode_u32(r, "switch")?,
-            evacuated: r.varint()?,
-        }),
-        6 => Ok(ControlReply::Replanned {
-            actions: r.varint()?,
-            dropped_tasks: r.varint()?,
-        }),
-        7 => Ok(ControlReply::Checkpointed {
-            seeds: r.varint()?,
-            persist_error: if r.remaining() > 0 {
-                Some(r.str()?)
-            } else {
-                None
-            },
-        }),
-        8 => Ok(ControlReply::Restored {
-            seeds: r.varint()?,
-            skipped: if r.remaining() > 0 { r.varint()? } else { 0 },
-        }),
-        9 => Ok(ControlReply::Rejected { reason: r.str()? }),
-        10 => {
-            let n = r.len_prefix(5)?;
-            let mut diagnostics = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                diagnostics.push(decode_diagnostic(r)?);
-            }
-            Ok(ControlReply::CompileFailed { diagnostics })
-        }
-        11 => Ok(ControlReply::PodRegistered { base: r.varint()? }),
-        12 => {
-            let n = r.len_prefix(16)?;
-            let mut pods = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                pods.push(decode_pod_info(r)?);
-            }
-            Ok(ControlReply::Pods { pods })
-        }
-        13 => Ok(ControlReply::Migrated {
-            task: r.str()?,
-            from_pod: r.str()?,
-            to_pod: r.str()?,
-            seeds: r.varint()?,
-        }),
-        14 => Ok(ControlReply::TaskExport {
-            source: r.str()?,
-            seeds: decode_snapshot_entries(r)?,
-        }),
-        t => Err(WireError::Tag {
-            what: "control reply",
-            tag: t,
-        }),
-    }
 }
 
 /// Best-effort recovery of the correlation id from a frame body whose
@@ -1302,242 +653,293 @@ fn decode_control_reply(r: &mut Reader<'_>) -> Result<ControlReply, WireError> {
 /// Returns `Some(corr)` only for request frames (`corr != 0`, response
 /// flag clear) whose version and header fields parse; `None` otherwise.
 pub fn decode_request_corr(body: &[u8]) -> Option<u64> {
-    let mut r = Reader::new(body);
-    let version = r.u8().ok()?;
-    if version != PROTOCOL_VERSION {
-        return None;
-    }
-    let _tag = r.u8().ok()?;
-    let flags = r.u8().ok()?;
-    let corr = r.varint().ok()?;
-    if corr != 0 && flags & FLAG_RESPONSE == 0 {
-        Some(corr)
-    } else {
-        None
-    }
+    let (_tag, flags, corr) = envelope_header(&mut Reader::new(body)).ok()?;
+    (corr != 0 && flags & FLAG_RESPONSE == 0).then_some(corr)
 }
 
-fn decode_u32(r: &mut Reader<'_>, what: &'static str) -> Result<u32, WireError> {
-    let v = r.varint()?;
-    u32::try_from(v).map_err(|_| WireError::Range(what))
+// ---------------------------------------------------------------------------
+// The value tree. These are foreign types (farm-almanac, farm-netsim)
+// with bit-packed flags and canonical-form checks, so their bodies are
+// written out — but as `Wire`, each `put` beside its `get`.
+// ---------------------------------------------------------------------------
+
+/// `tag`, then `body`.
+fn put_tagged(out: &mut Vec<u8>, tag: u8, body: &impl Wire) {
+    out.push(tag);
+    body.put(out);
 }
 
-fn decode_report(r: &mut Reader<'_>) -> Result<Report, WireError> {
-    Ok(Report {
-        task: r.str()?,
-        from_switch: decode_u32(r, "from_switch")?,
-        from_seed: r.varint()?,
-        from_machine: r.str()?,
-        at_ns: r.varint()?,
-        latency_ns: r.varint()?,
-        bytes: r.varint()?,
-        value: decode_value(r, 0)?,
-    })
-}
-
-fn decode_opt_switch(r: &mut Reader<'_>) -> Result<Option<u32>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(decode_u32(r, "at_switch")?)),
-        t => Err(WireError::Tag {
-            what: "option",
-            tag: t,
-        }),
-    }
-}
-
-/// Decodes one [`Value`] with a recursion-depth bound.
-pub fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value, WireError> {
-    if depth >= MAX_DEPTH {
-        return Err(WireError::Depth);
-    }
-    match r.u8()? {
-        0 => Ok(Value::Unit),
-        1 => Ok(Value::Bool(r.bool()?)),
-        2 => Ok(Value::Int(r.ivarint()?)),
-        3 => Ok(Value::Float(r.f64()?)),
-        4 => Ok(Value::Str(r.str()?)),
-        5 => {
-            let n = r.len_prefix(1)?;
-            let mut items = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                items.push(decode_value(r, depth + 1)?);
+impl Wire for Value {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Unit => out.push(0),
+            Value::Bool(b) => put_tagged(out, 1, b),
+            Value::Int(i) => put_tagged(out, 2, i),
+            Value::Float(f) => put_tagged(out, 3, f),
+            Value::Str(s) => put_tagged(out, 4, s),
+            Value::List(items) => put_tagged(out, 5, items),
+            Value::Packet(p) => put_tagged(out, 6, p),
+            Value::Filter(f) => put_tagged(out, 7, f),
+            Value::Action(a) => put_tagged(out, 8, a),
+            Value::Rule(rule) => {
+                put_tagged(out, 9, &rule.pattern);
+                rule.action.put(out);
             }
-            Ok(Value::List(items))
-        }
-        6 => Ok(Value::Packet(decode_packet(r)?)),
-        7 => Ok(Value::Filter(decode_filter(r, depth + 1)?)),
-        8 => Ok(Value::Action(decode_action(r)?)),
-        9 => Ok(Value::Rule(RuleValue {
-            pattern: decode_filter(r, depth + 1)?,
-            action: decode_action(r)?,
-        })),
-        10 => {
-            let mut res = Resources::ZERO;
-            for slot in res.0.iter_mut() {
-                *slot = r.f64()?;
+            Value::Resources(res) => put_tagged(out, 10, &res.0),
+            Value::Stat(s) => put_tagged(out, 11, s),
+            Value::Pair(a, b) => {
+                put_tagged(out, 12, a);
+                b.put(out);
             }
-            Ok(Value::Resources(res))
         }
-        11 => Ok(Value::Stat(decode_stat(r)?)),
-        12 => {
-            let a = decode_value(r, depth + 1)?;
-            let b = decode_value(r, depth + 1)?;
-            Ok(Value::Pair(Box::new(a), Box::new(b)))
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Value, WireError> {
+        r.nested(|r| match r.u8()? {
+            0 => Ok(Value::Unit),
+            1 => Wire::get(r, what).map(Value::Bool),
+            2 => Wire::get(r, what).map(Value::Int),
+            3 => Wire::get(r, what).map(Value::Float),
+            4 => Wire::get(r, what).map(Value::Str),
+            5 => Wire::get(r, what).map(Value::List),
+            6 => Wire::get(r, what).map(Value::Packet),
+            7 => Wire::get(r, what).map(Value::Filter),
+            8 => Wire::get(r, what).map(Value::Action),
+            9 => Ok(Value::Rule(RuleValue {
+                pattern: Wire::get(r, what)?,
+                action: Wire::get(r, what)?,
+            })),
+            10 => Wire::get(r, what).map(|res| Value::Resources(Resources(res))),
+            11 => Wire::get(r, what).map(Value::Stat),
+            12 => Ok(Value::Pair(Wire::get(r, what)?, Wire::get(r, what)?)),
+            tag => bad_tag("value", tag),
+        })
+    }
+}
+
+impl Wire for Proto {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Proto::Tcp => 0,
+            Proto::Udp => 1,
+            Proto::Icmp => 2,
+        });
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Proto, WireError> {
+        match r.u8()? {
+            0 => Ok(Proto::Tcp),
+            1 => Ok(Proto::Udp),
+            2 => Ok(Proto::Icmp),
+            tag => bad_tag("proto", tag),
         }
-        t => Err(WireError::Tag {
-            what: "value",
-            tag: t,
-        }),
     }
 }
 
-fn decode_proto(r: &mut Reader<'_>) -> Result<Proto, WireError> {
-    match r.u8()? {
-        0 => Ok(Proto::Tcp),
-        1 => Ok(Proto::Udp),
-        2 => Ok(Proto::Icmp),
-        t => Err(WireError::Tag {
-            what: "proto",
-            tag: t,
-        }),
+impl Wire for FlowKey {
+    const MIN_LEN: usize =
+        u32::MIN_LEN + u32::MIN_LEN + Proto::MIN_LEN + u16::MIN_LEN + u16::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.src.0.put(out);
+        self.dst.0.put(out);
+        self.proto.put(out);
+        self.src_port.put(out);
+        self.dst_port.put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<FlowKey, WireError> {
+        Ok(FlowKey {
+            src: Ipv4(Wire::get(r, "src ip")?),
+            dst: Ipv4(Wire::get(r, "dst ip")?),
+            proto: Wire::get(r, what)?,
+            src_port: Wire::get(r, "src port")?,
+            dst_port: Wire::get(r, "dst port")?,
+        })
     }
 }
 
-fn decode_flow(r: &mut Reader<'_>) -> Result<FlowKey, WireError> {
-    let src = Ipv4(decode_u32(r, "src ip")?);
-    let dst = Ipv4(decode_u32(r, "dst ip")?);
-    let proto = decode_proto(r)?;
-    let src_port = decode_u16(r, "src port")?;
-    let dst_port = decode_u16(r, "dst port")?;
-    Ok(FlowKey {
-        src,
-        dst,
-        proto,
-        src_port,
-        dst_port,
-    })
-}
-
-fn decode_u16(r: &mut Reader<'_>, what: &'static str) -> Result<u16, WireError> {
-    let v = r.varint()?;
-    u16::try_from(v).map_err(|_| WireError::Range(what))
-}
-
-fn decode_packet(r: &mut Reader<'_>) -> Result<PacketRecord, WireError> {
-    let flow = decode_flow(r)?;
-    let len = decode_u32(r, "packet len")?;
-    let flags = r.u8()?;
-    if flags > 0b111 {
-        return Err(WireError::Range("packet flags"));
+impl Wire for PacketRecord {
+    const MIN_LEN: usize = FlowKey::MIN_LEN + u32::MIN_LEN + 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.flow.put(out);
+        self.len.put(out);
+        out.push((self.syn as u8) | ((self.fin as u8) << 1) | ((self.ack as u8) << 2));
     }
-    Ok(PacketRecord {
-        flow,
-        len,
-        syn: flags & 1 != 0,
-        fin: flags & 2 != 0,
-        ack: flags & 4 != 0,
-    })
-}
-
-fn decode_prefix(r: &mut Reader<'_>) -> Result<Prefix, WireError> {
-    let addr = Ipv4(decode_u32(r, "prefix addr")?);
-    let len = r.u8()?;
-    if len > 32 {
-        return Err(WireError::Range("prefix len"));
-    }
-    // Prefix::new normalizes host bits; a non-canonical encoding would
-    // break byte-exact re-encoding, so reject it instead.
-    let p = Prefix::new(addr, len);
-    if p.addr != addr {
-        return Err(WireError::Range("prefix host bits"));
-    }
-    Ok(p)
-}
-
-fn decode_filter(r: &mut Reader<'_>, depth: usize) -> Result<FilterFormula, WireError> {
-    if depth >= MAX_DEPTH {
-        return Err(WireError::Depth);
-    }
-    match r.u8()? {
-        0 => Ok(FilterFormula::True),
-        1 => Ok(FilterFormula::False),
-        2 => Ok(FilterFormula::Atom(decode_atom(r)?)),
-        3 => Ok(FilterFormula::And(
-            Box::new(decode_filter(r, depth + 1)?),
-            Box::new(decode_filter(r, depth + 1)?),
-        )),
-        4 => Ok(FilterFormula::Or(
-            Box::new(decode_filter(r, depth + 1)?),
-            Box::new(decode_filter(r, depth + 1)?),
-        )),
-        5 => Ok(FilterFormula::Not(Box::new(decode_filter(r, depth + 1)?))),
-        t => Err(WireError::Tag {
-            what: "filter",
-            tag: t,
-        }),
-    }
-}
-
-fn decode_atom(r: &mut Reader<'_>) -> Result<FilterAtom, WireError> {
-    match r.u8()? {
-        0 => Ok(FilterAtom::SrcIp(decode_prefix(r)?)),
-        1 => Ok(FilterAtom::DstIp(decode_prefix(r)?)),
-        2 => Ok(FilterAtom::SrcPort(decode_u16(r, "src port")?)),
-        3 => Ok(FilterAtom::DstPort(decode_u16(r, "dst port")?)),
-        4 => Ok(FilterAtom::Proto(decode_proto(r)?)),
-        5 => match r.u8()? {
-            0 => Ok(FilterAtom::IfPort(PortSel::Any)),
-            1 => Ok(FilterAtom::IfPort(PortSel::Id(decode_u16(r, "if port")?))),
-            t => Err(WireError::Tag {
-                what: "portsel",
-                tag: t,
-            }),
-        },
-        t => Err(WireError::Tag {
-            what: "atom",
-            tag: t,
-        }),
-    }
-}
-
-fn decode_action(r: &mut Reader<'_>) -> Result<ActionValue, WireError> {
-    match r.u8()? {
-        0 => Ok(ActionValue::Drop),
-        1 => Ok(ActionValue::RateLimit(r.varint()?)),
-        2 => Ok(ActionValue::SetQos(r.u8()?)),
-        3 => Ok(ActionValue::Count),
-        4 => Ok(ActionValue::Mirror),
-        t => Err(WireError::Tag {
-            what: "action",
-            tag: t,
-        }),
-    }
-}
-
-fn decode_stat(r: &mut Reader<'_>) -> Result<StatEntry, WireError> {
-    let subject = match r.u8()? {
-        0 => StatSubject::Port(decode_u16(r, "stat port")?),
-        1 => StatSubject::Rule(r.str()?),
-        t => {
-            return Err(WireError::Tag {
-                what: "stat subject",
-                tag: t,
-            })
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<PacketRecord, WireError> {
+        let flow = Wire::get(r, what)?;
+        let len = Wire::get(r, "packet len")?;
+        let flags = r.u8()?;
+        if flags > 0b111 {
+            return Err(WireError::Range("packet flags"));
         }
-    };
-    Ok(StatEntry {
-        subject,
-        tx_bytes: r.varint()?,
-        rx_bytes: r.varint()?,
-        tx_packets: r.varint()?,
-        rx_packets: r.varint()?,
-    })
+        Ok(PacketRecord {
+            flow,
+            len,
+            syn: flags & 1 != 0,
+            fin: flags & 2 != 0,
+            ack: flags & 4 != 0,
+        })
+    }
+}
+
+impl Wire for Prefix {
+    const MIN_LEN: usize = u32::MIN_LEN + 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.addr.0.put(out);
+        out.push(self.len);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Prefix, WireError> {
+        let addr = Ipv4(Wire::get(r, "prefix addr")?);
+        let len = r.u8()?;
+        if len > 32 {
+            return Err(WireError::Range("prefix len"));
+        }
+        // Prefix::new normalizes host bits; a non-canonical encoding would
+        // break byte-exact re-encoding, so reject it instead.
+        let p = Prefix::new(addr, len);
+        if p.addr != addr {
+            return Err(WireError::Range("prefix host bits"));
+        }
+        Ok(p)
+    }
+}
+
+impl Wire for FilterFormula {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            FilterFormula::True => out.push(0),
+            FilterFormula::False => out.push(1),
+            FilterFormula::Atom(a) => put_tagged(out, 2, a),
+            FilterFormula::And(a, b) => {
+                put_tagged(out, 3, a);
+                b.put(out);
+            }
+            FilterFormula::Or(a, b) => {
+                put_tagged(out, 4, a);
+                b.put(out);
+            }
+            FilterFormula::Not(a) => put_tagged(out, 5, a),
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<FilterFormula, WireError> {
+        r.nested(|r| match r.u8()? {
+            0 => Ok(FilterFormula::True),
+            1 => Ok(FilterFormula::False),
+            2 => Wire::get(r, what).map(FilterFormula::Atom),
+            3 => Ok(FilterFormula::And(Wire::get(r, what)?, Wire::get(r, what)?)),
+            4 => Ok(FilterFormula::Or(Wire::get(r, what)?, Wire::get(r, what)?)),
+            5 => Wire::get(r, what).map(FilterFormula::Not),
+            tag => bad_tag("filter", tag),
+        })
+    }
+}
+
+impl Wire for PortSel {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            PortSel::Any => out.push(0),
+            PortSel::Id(id) => put_tagged(out, 1, id),
+        }
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<PortSel, WireError> {
+        match r.u8()? {
+            0 => Ok(PortSel::Any),
+            1 => Wire::get(r, "if port").map(PortSel::Id),
+            tag => bad_tag("portsel", tag),
+        }
+    }
+}
+
+impl Wire for FilterAtom {
+    const MIN_LEN: usize = 1 + PortSel::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            FilterAtom::SrcIp(p) => put_tagged(out, 0, p),
+            FilterAtom::DstIp(p) => put_tagged(out, 1, p),
+            FilterAtom::SrcPort(p) => put_tagged(out, 2, p),
+            FilterAtom::DstPort(p) => put_tagged(out, 3, p),
+            FilterAtom::Proto(p) => put_tagged(out, 4, p),
+            FilterAtom::IfPort(sel) => put_tagged(out, 5, sel),
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<FilterAtom, WireError> {
+        match r.u8()? {
+            0 => Wire::get(r, what).map(FilterAtom::SrcIp),
+            1 => Wire::get(r, what).map(FilterAtom::DstIp),
+            2 => Wire::get(r, "src port").map(FilterAtom::SrcPort),
+            3 => Wire::get(r, "dst port").map(FilterAtom::DstPort),
+            4 => Wire::get(r, what).map(FilterAtom::Proto),
+            5 => Wire::get(r, what).map(FilterAtom::IfPort),
+            tag => bad_tag("atom", tag),
+        }
+    }
+}
+
+impl Wire for ActionValue {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            ActionValue::Drop => out.push(0),
+            ActionValue::RateLimit(bps) => put_tagged(out, 1, bps),
+            ActionValue::SetQos(q) => out.extend_from_slice(&[2, *q]),
+            ActionValue::Count => out.push(3),
+            ActionValue::Mirror => out.push(4),
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<ActionValue, WireError> {
+        match r.u8()? {
+            0 => Ok(ActionValue::Drop),
+            1 => Wire::get(r, what).map(ActionValue::RateLimit),
+            2 => Ok(ActionValue::SetQos(r.u8()?)),
+            3 => Ok(ActionValue::Count),
+            4 => Ok(ActionValue::Mirror),
+            tag => bad_tag("action", tag),
+        }
+    }
+}
+
+impl Wire for StatSubject {
+    const MIN_LEN: usize = 2;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            StatSubject::Port(p) => put_tagged(out, 0, p),
+            StatSubject::Rule(rule) => put_tagged(out, 1, rule),
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<StatSubject, WireError> {
+        match r.u8()? {
+            0 => Wire::get(r, "stat port").map(StatSubject::Port),
+            1 => Wire::get(r, what).map(StatSubject::Rule),
+            tag => bad_tag("stat subject", tag),
+        }
+    }
+}
+
+impl Wire for StatEntry {
+    const MIN_LEN: usize = StatSubject::MIN_LEN + 4; // four counters, a byte each at least
+    fn put(&self, out: &mut Vec<u8>) {
+        self.subject.put(out);
+        self.tx_bytes.put(out);
+        self.rx_bytes.put(out);
+        self.tx_packets.put(out);
+        self.rx_packets.put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<StatEntry, WireError> {
+        Ok(StatEntry {
+            subject: Wire::get(r, what)?,
+            tx_bytes: Wire::get(r, what)?,
+            rx_bytes: Wire::get(r, what)?,
+            tx_packets: Wire::get(r, what)?,
+            rx_packets: Wire::get(r, what)?,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{put_str, MAX_DEPTH, MAX_FRAME_LEN};
 
     fn round_trip(env: &Envelope) -> Envelope {
         let mut buf = Vec::new();
@@ -1545,6 +947,14 @@ mod tests {
         let (got, consumed) = decode_envelope(&buf).expect("decode");
         assert_eq!(consumed, buf.len(), "whole buffer consumed");
         got
+    }
+
+    /// The frame body (no length prefix) `env` travels as.
+    fn body_of(env: &Envelope) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_envelope(env, &mut buf);
+        let (header, _) = frame_prefix(&buf).expect("prefix").expect("complete");
+        buf.split_off(header)
     }
 
     #[test]
@@ -1636,7 +1046,7 @@ mod tests {
         put_str(&mut body, &snapshot.state);
         put_varint(&mut body, 1);
         put_str(&mut body, "threshold");
-        encode_value(&Value::Int(7), &mut body);
+        Value::Int(7).put(&mut body);
         let env = decode_body(&body).expect("legacy migrate decodes");
         assert_eq!(
             env.frame,
@@ -1663,6 +1073,61 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_is_read_whole_or_not_at_all() {
+        // The extension group is all-or-nothing: a body that ends
+        // anywhere inside the cursor is truncated — never a cursor with
+        // a decoded `from_index` and a defaulted `limit`.
+        let (a, b) = (300u64, 70_000u64);
+        let desc = SeedDescriptor {
+            key: "mon/m0/s0".into(),
+            task: "mon".into(),
+            machine: "M".into(),
+            switch: 2,
+            state: "observe".into(),
+            alloc: [1.0, 100.0, 0.0, 12.5],
+        };
+        let paginated = [
+            Frame::Control {
+                op: ControlOp::ListSeeds {
+                    from_index: a,
+                    limit: b,
+                },
+            },
+            Frame::Control {
+                op: ControlOp::Stats {
+                    from_index: a,
+                    limit: b,
+                },
+            },
+            Frame::ControlReply {
+                reply: ControlReply::Seeds {
+                    seeds: vec![desc],
+                    next_index: a,
+                    total: b,
+                },
+            },
+        ];
+        let mut cursor = Vec::new();
+        put_varint(&mut cursor, a);
+        put_varint(&mut cursor, b);
+        for frame in paginated {
+            let body = body_of(&Envelope::request(4, frame));
+            let cursor_at = body.len() - cursor.len();
+            assert_eq!(&body[cursor_at..], &cursor[..]);
+            for cut in cursor_at + 1..body.len() {
+                assert_eq!(
+                    decode_body(&body[..cut]).unwrap_err(),
+                    WireError::Truncated,
+                    "cut {} bytes into the cursor",
+                    cut - cursor_at
+                );
+            }
+            // Cut exactly ahead of it, the frame is the unpaginated form.
+            decode_body(&body[..cursor_at]).expect("cursorless form");
+        }
+    }
+
+    #[test]
     fn extensionless_checkpoint_replies_stay_wire_compatible() {
         // The pre-extension revision encoded Checkpointed/Restored as
         // tag + varint(seeds) and nothing else. A new reply without the
@@ -1685,14 +1150,58 @@ mod tests {
             ),
         ] {
             let env = Envelope::response(3, Frame::ControlReply { reply });
-            let mut buf = Vec::new();
-            encode_envelope(&env, &mut buf);
             let mut old = vec![PROTOCOL_VERSION, 10, FLAG_RESPONSE];
             put_varint(&mut old, 3); // corr
             old.push(tag);
             put_varint(&mut old, 7); // seeds
-            assert_eq!(&buf[1..], &old[..], "tag {tag} encoding drifted");
+            assert_eq!(body_of(&env), old, "tag {tag} encoding drifted");
             assert_eq!(decode_body(&old).expect("old bytes decode"), env);
+        }
+    }
+
+    #[test]
+    fn list_bounds_admit_each_struct_at_its_smallest() {
+        // Regression: the hand-typed element bound of `Pods` was 16 where
+        // a `PodInfo` with empty strings encodes in 15, so such a reply
+        // encoded fine and failed to decode with `Truncated`. The bound
+        // is now the sum of the field minima. All-zero bytes decode to
+        // each struct's smallest value (empty strings, zeros, `Unit`),
+        // so `MIN_LEN` zeros must decode, exactly, and re-encode.
+        fn smallest<T: Wire>() -> T {
+            let zeros = vec![0u8; T::MIN_LEN];
+            let mut r = Reader::new(&zeros);
+            let v = T::get(&mut r, "smallest").expect("MIN_LEN zero bytes decode");
+            r.finish().expect("and are used up");
+            let mut again = Vec::new();
+            v.put(&mut again);
+            assert_eq!(again, zeros);
+            v
+        }
+        assert_eq!(PodInfo::MIN_LEN, 15);
+        for frame in [
+            Frame::ControlReply {
+                reply: ControlReply::Pods {
+                    pods: vec![smallest()],
+                },
+            },
+            Frame::ControlReply {
+                reply: ControlReply::Seeds {
+                    seeds: vec![smallest()],
+                    next_index: 0,
+                    total: 0,
+                },
+            },
+            Frame::ControlReply {
+                reply: ControlReply::CompileFailed {
+                    diagnostics: vec![smallest()],
+                },
+            },
+            Frame::PollReport {
+                reports: vec![smallest()],
+            },
+        ] {
+            let env = Envelope::response(6, frame);
+            assert_eq!(round_trip(&env), env);
         }
     }
 
@@ -1756,246 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn control_ops_round_trip() {
-        let ops = vec![
-            ControlOp::SubmitProgram {
-                name: "mon".into(),
-                source: "machine M { place any; state s { } }".into(),
-            },
-            ControlOp::list_all(),
-            ControlOp::ListSeeds {
-                from_index: 128,
-                limit: 64,
-            },
-            ControlOp::DescribeSeed {
-                key: "mon/m0/s0".into(),
-            },
-            ControlOp::stats_all(),
-            ControlOp::Stats {
-                from_index: 10,
-                limit: 5,
-            },
-            ControlOp::MetricsDump,
-            ControlOp::Drain { switch: 3 },
-            ControlOp::Uncordon { switch: 3 },
-            ControlOp::Replan,
-            ControlOp::Checkpoint,
-            ControlOp::Restore,
-            ControlOp::Shutdown,
-        ];
-        for op in ops {
-            let env = Envelope::request(5, Frame::Control { op });
-            assert_eq!(round_trip(&env), env);
-        }
-    }
-
-    #[test]
-    fn control_replies_round_trip() {
-        let desc = SeedDescriptor {
-            key: "mon/m0/s0".into(),
-            task: "mon".into(),
-            machine: "M".into(),
-            switch: 2,
-            state: "observe".into(),
-            alloc: [1.0, 100.0, 0.0, 12.5],
-        };
-        let replies = vec![
-            ControlReply::Ok,
-            ControlReply::Submitted {
-                task: "mon".into(),
-                seeds: 5,
-                actions: 5,
-            },
-            ControlReply::Seeds {
-                seeds: vec![desc.clone(), desc.clone()],
-                next_index: 0,
-                total: 0,
-            },
-            ControlReply::Seeds {
-                seeds: vec![desc.clone()],
-                next_index: 3,
-                total: 9,
-            },
-            ControlReply::Seed {
-                desc,
-                vars: vec![("threshold".into(), "1000".into())],
-            },
-            ControlReply::Json {
-                body: "{\"a\":1}".into(),
-            },
-            ControlReply::Drained {
-                switch: 2,
-                evacuated: 3,
-            },
-            ControlReply::Replanned {
-                actions: 4,
-                dropped_tasks: 0,
-            },
-            ControlReply::Checkpointed {
-                seeds: 7,
-                persist_error: None,
-            },
-            ControlReply::Checkpointed {
-                seeds: 7,
-                persist_error: Some("disk full".into()),
-            },
-            ControlReply::Restored {
-                seeds: 7,
-                skipped: 0,
-            },
-            ControlReply::Restored {
-                seeds: 7,
-                skipped: 2,
-            },
-            ControlReply::Rejected {
-                reason: "quota exceeded".into(),
-            },
-            ControlReply::CompileFailed {
-                diagnostics: vec![Diagnostic {
-                    machine: "M".into(),
-                    phase: "parse".into(),
-                    line: 3,
-                    col: 14,
-                    message: "expected `;`".into(),
-                }],
-            },
-        ];
-        for reply in replies {
-            let env = Envelope::response(5, Frame::ControlReply { reply });
-            assert_eq!(round_trip(&env), env);
-        }
-    }
-
-    #[test]
-    fn fed_control_ops_round_trip() {
-        let snap = SeedSnapshot {
-            machine: "HH".into(),
-            state: "Monitor".into(),
-            vars: vec![("threshold".into(), Value::Int(1000))],
-        };
-        let ops = vec![
-            ControlOp::RegisterPod {
-                name: "pod-a".into(),
-                addr: "127.0.0.1:7001".into(),
-                switches: 48,
-                quota: 0.8,
-            },
-            ControlOp::PodHeartbeat {
-                name: "pod-a".into(),
-                seq: 17,
-            },
-            ControlOp::ListPods,
-            ControlOp::MigrateTask {
-                task: "mon".into(),
-                to_pod: "pod-b".into(),
-            },
-            ControlOp::ExportTask { task: "mon".into() },
-            ControlOp::SubmitWithSnapshot {
-                name: "mon".into(),
-                source: "machine M { place any; state s { } }".into(),
-                seeds: vec![
-                    ("mon/m0/s0".into(), snap.clone()),
-                    ("mon/m0/s1".into(), snap),
-                ],
-            },
-            ControlOp::RemoveTask { task: "mon".into() },
-        ];
-        for op in ops {
-            let env = Envelope::request(6, Frame::Control { op });
-            assert_eq!(round_trip(&env), env);
-        }
-    }
-
-    #[test]
-    fn fed_control_replies_round_trip() {
-        let snap = SeedSnapshot {
-            machine: "HH".into(),
-            state: "Monitor".into(),
-            vars: vec![("seen".into(), Value::Int(3))],
-        };
-        let replies = vec![
-            ControlReply::PodRegistered { base: 96 },
-            ControlReply::Pods {
-                pods: vec![
-                    PodInfo {
-                        name: "pod-a".into(),
-                        addr: "127.0.0.1:7001".into(),
-                        switches: 48,
-                        base: 0,
-                        quota: 0.8,
-                        live: true,
-                        beats: 12,
-                        age_ms: 250,
-                    },
-                    PodInfo {
-                        name: "pod-b".into(),
-                        addr: "127.0.0.1:7002".into(),
-                        switches: 96,
-                        base: 48,
-                        quota: 0.5,
-                        live: false,
-                        beats: 0,
-                        age_ms: 30_000,
-                    },
-                ],
-            },
-            ControlReply::Pods { pods: vec![] },
-            ControlReply::Migrated {
-                task: "mon".into(),
-                from_pod: "pod-a".into(),
-                to_pod: "pod-b".into(),
-                seeds: 4,
-            },
-            ControlReply::TaskExport {
-                source: "machine M { place any; state s { } }".into(),
-                seeds: vec![("mon/m0/s0".into(), snap)],
-            },
-            ControlReply::TaskExport {
-                source: String::new(),
-                seeds: vec![],
-            },
-        ];
-        for reply in replies {
-            let env = Envelope::response(6, Frame::ControlReply { reply });
-            assert_eq!(round_trip(&env), env);
-        }
-    }
-
-    #[test]
-    fn fed_tags_are_additive_over_the_legacy_space() {
-        // The federation ops start at tag 11, one past Shutdown, and
-        // the replies at 11, one past CompileFailed. An old decoder
-        // that stops at 10 sees exactly WireError::Tag for each — the
-        // step-over contract the mixed-version property leans on.
-        assert_eq!(
-            ControlOp::RegisterPod {
-                name: String::new(),
-                addr: String::new(),
-                switches: 0,
-                quota: 0.0,
-            }
-            .tag(),
-            11
-        );
-        assert_eq!(
-            ControlOp::RemoveTask {
-                task: String::new()
-            }
-            .tag(),
-            17
-        );
-        assert_eq!(ControlReply::PodRegistered { base: 0 }.tag(), 11);
-        assert_eq!(
-            ControlReply::TaskExport {
-                source: String::new(),
-                seeds: vec![],
-            }
-            .tag(),
-            14
-        );
-    }
-
-    #[test]
     fn unknown_control_op_tag_is_a_typed_error() {
         let mut body = Vec::new();
         body.push(PROTOCOL_VERSION);
@@ -2032,13 +1301,39 @@ mod tests {
 
     #[test]
     fn deep_value_nesting_is_bounded() {
+        fn decode(v: &Value) -> Result<Value, WireError> {
+            let mut buf = Vec::new();
+            v.put(&mut buf);
+            Value::get(&mut Reader::new(&buf), "value")
+        }
+        /// A value whose deepest path holds `nodes` nodes: lists and
+        /// pairs in turn, then — a formula cannot hold a value — a
+        /// filter whose formula is a tail of negations around `True`.
+        fn nest(nodes: usize) -> Value {
+            let outer = nodes / 2;
+            let mut f = FilterFormula::True;
+            for _ in 0..nodes - outer - 2 {
+                f = FilterFormula::Not(Box::new(f));
+            }
+            let mut v = Value::Filter(f);
+            for level in 0..outer {
+                v = match level % 2 {
+                    0 => Value::List(vec![v]),
+                    _ => Value::Pair(Box::new(Value::Unit), Box::new(v)),
+                };
+            }
+            v
+        }
+        // One bound for every recursive shape, however they alternate.
+        let deepest = nest(MAX_DEPTH);
+        assert_eq!(decode(&deepest), Ok(deepest.clone()));
+        assert_eq!(decode(&nest(MAX_DEPTH + 1)), Err(WireError::Depth));
+        assert_eq!(decode(&nest(MAX_DEPTH + 8)), Err(WireError::Depth));
+
         let mut v = Value::Int(0);
         for _ in 0..(MAX_DEPTH + 8) {
             v = Value::List(vec![v]);
         }
-        let mut buf = Vec::new();
-        encode_value(&v, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decode_value(&mut r, 0).unwrap_err(), WireError::Depth);
+        assert_eq!(decode(&v), Err(WireError::Depth));
     }
 }

@@ -7,26 +7,34 @@
 //! Layer map, bottom-up:
 //!
 //! * [`wire`] — varints, zigzag, length prefixes, a bounds-checked
-//!   reader. Every decoder is total: corrupt input yields a
-//!   [`WireError`], never a panic or unbounded allocation.
+//!   reader (which also holds the nesting bound), the one scan of a
+//!   frame's length prefix, and the crate-private `Wire` trait: "has a
+//!   wire form", implemented once per field type. Every decoder is
+//!   total: corrupt input yields a [`WireError`], never a panic or
+//!   unbounded allocation.
 //! * [`frame`] — the typed [`Frame`] enum and the [`Envelope`] that
-//!   adds multiplexing metadata (correlation id + response flag).
+//!   adds multiplexing metadata (correlation id + response flag). Each
+//!   message is declared once; its type, tag, `kind()`, codec and list
+//!   allocation bound follow from the declaration.
 //!   `encode(decode(bytes))` is byte-exact.
 //! * [`snapshot`] — the versioned [`VSeedSnapshot`] payload riding
 //!   `Migrate` frames and checkpoint files, with `From` upgrades from
-//!   every older revision.
+//!   every older revision: one snapshot codec, one checkpoint reader
+//!   ([`decode_checkpoint_any`]) for every file generation.
 //! * [`buf`] / [`poll`] — event-loop plumbing: a growable [`ByteRing`],
 //!   the incremental [`FrameDecoder`] (equivalent to the one-shot
-//!   decoder on any byte split), and the [`Poller`] readiness
-//!   abstraction (raw epoll on Linux, `poll(2)` on other unixes).
+//!   decoder on any byte split; the only frame reader, on both ends of
+//!   a connection), and the [`Poller`] readiness abstraction (raw epoll
+//!   on Linux, `poll(2)` on other unixes).
 //! * [`interceptor`] — the [`Interceptor`] send-path hook;
 //!   [`LossInterceptor`] applies `farm-faults`' deterministic loss
 //!   model (drop / duplicate / delay) to real frames.
 //! * [`conn`] / [`server`] — the runtime: a blocking [`Connection`]
 //!   with a bounded send queue (backpressure), batched poll-report
 //!   flushing, request/response multiplexing and exponential-backoff
-//!   reconnect; a [`NetServer`] serving every session from one
-//!   readiness-polling reactor thread plus a sticky worker pool.
+//!   reconnect, whose reader thread feeds a [`FrameDecoder`] rather
+//!   than framing by itself; a [`NetServer`] serving every session from
+//!   one readiness-polling reactor thread plus a sticky worker pool.
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
 //! namespace: `net.bytes`, `net.frames_sent` / `net.frames_received`,
@@ -57,8 +65,7 @@ pub use interceptor::{Interceptor, LossInterceptor, Passthrough, Verdict};
 pub use poll::{Interest, PollEvent, Poller, Readiness, Token};
 pub use server::{FrameHandler, NetServer};
 pub use snapshot::{
-    decode_checkpoint_any, decode_checkpoint_file, encode_checkpoint_doc, encode_checkpoint_file,
-    CheckpointDoc, CheckpointLoad, VSeedSnapshot,
+    decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, CheckpointLoad, VSeedSnapshot,
 };
 pub use wire::{crc32, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 

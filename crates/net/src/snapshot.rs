@@ -26,7 +26,10 @@
 //!
 //! ## Checkpoint files
 //!
-//! Three generations of checkpoint file decode here:
+//! Three generations of checkpoint file decode here, all through
+//! [`decode_checkpoint_any`] — the one reader and so the one upgrade
+//! path. Only the current generation has a writer; the two older ones
+//! are read-only, held in place by byte-pinned fixtures.
 //!
 //! * **`FARMCKP2`** (current) — magic + varint record count + records,
 //!   each framed as `varint body_len | u32-LE crc32(body) | body`. A
@@ -36,21 +39,24 @@
 //!   The framing makes decoding *salvageable*: a torn tail yields the
 //!   valid prefix, a CRC-mismatched record is skipped, an unknown
 //!   record type is stepped over — never an error, never a panic.
-//! * **`FARMCKP1`** — magic + varint count + (`str key` + versioned
-//!   snapshot). Strict: any damage rejects the file.
-//! * **Legacy untagged** — no magic, count + key + untagged snapshot;
-//!   state saved before versioning restores cleanly.
+//! * **`FARMCKP1`** (read-only) — magic + varint count + (`str key` +
+//!   versioned snapshot). Strict: any damage rejects the file.
+//! * **Legacy untagged** (read-only) — no magic, count + key + untagged
+//!   snapshot; state saved before versioning restores cleanly.
 
+use farm_almanac::value::Value;
 use farm_soil::SeedSnapshot;
 
-use crate::frame::{decode_value, encode_value};
-use crate::wire::{crc32, put_str, put_varint, Reader, WireError};
+use crate::wire::{crc32, put_varint, Reader, Wire, WireError};
 
 /// Magic prefix of a versioned checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FARMCKP1";
 
 /// Magic prefix of a record-framed (CRC-checked, salvageable) file.
 pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"FARMCKP2";
+
+/// First byte of a versioned snapshot; no legacy payload starts with it.
+const VERSIONED: u8 = 0x00;
 
 /// A seed snapshot tagged with its schema revision. Adding a revision
 /// means a new variant, a `From<old> for new` impl, and a decode arm —
@@ -91,54 +97,40 @@ impl From<VSeedSnapshot> for SeedSnapshot {
     }
 }
 
-/// Encodes the V1 snapshot body — the legacy untagged layout:
-/// `str(machine) str(state) varint(n) [str(name) value]*`.
-pub(crate) fn encode_snapshot_body(s: &SeedSnapshot, out: &mut Vec<u8>) {
-    put_str(out, &s.machine);
-    put_str(out, &s.state);
-    put_varint(out, s.vars.len() as u64);
-    for (name, v) in &s.vars {
-        put_str(out, name);
-        encode_value(v, out);
-    }
+/// Marker, version 1, then the V1 body — which is the legacy untagged
+/// layout: `str(machine) str(state) varint(n) [str(name) value]*`.
+fn put_v1(s: &SeedSnapshot, out: &mut Vec<u8>) {
+    out.extend_from_slice(&[VERSIONED, 1]);
+    s.machine.put(out);
+    s.state.put(out);
+    s.vars.put(out);
 }
 
-pub(crate) fn decode_snapshot_body(r: &mut Reader<'_>) -> Result<SeedSnapshot, WireError> {
-    let machine = r.str()?;
-    let state = r.str()?;
-    let n = r.len_prefix(2)?;
-    let mut vars = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = r.str()?;
-        let v = decode_value(r, 0)?;
-        vars.push((name, v));
-    }
+fn get_v1_body(r: &mut Reader<'_>) -> Result<SeedSnapshot, WireError> {
     Ok(SeedSnapshot {
-        machine,
-        state,
-        vars,
+        machine: Wire::get(r, "machine")?,
+        state: Wire::get(r, "state")?,
+        vars: Wire::get(r, "vars")?,
     })
 }
 
 /// Encodes a versioned snapshot (marker + version + body).
 pub fn encode_vsnapshot(v: &VSeedSnapshot, out: &mut Vec<u8>) {
-    out.push(0x00);
-    out.push(v.version());
     match v {
-        VSeedSnapshot::V1(s) => encode_snapshot_body(s, out),
+        VSeedSnapshot::V1(s) => put_v1(s, out),
     }
 }
 
 /// Decodes a snapshot, versioned or legacy-untagged (see module docs).
 pub fn decode_vsnapshot(r: &mut Reader<'_>) -> Result<VSeedSnapshot, WireError> {
-    if r.peek_u8()? != 0x00 {
+    if r.peek_u8()? != VERSIONED {
         // Legacy untagged payload: first byte is the machine-name
         // length varint, which is never zero.
-        return Ok(VSeedSnapshot::V1(decode_snapshot_body(r)?));
+        return Ok(VSeedSnapshot::V1(get_v1_body(r)?));
     }
     r.u8()?;
     match r.u8()? {
-        1 => Ok(VSeedSnapshot::V1(decode_snapshot_body(r)?)),
+        1 => Ok(VSeedSnapshot::V1(get_v1_body(r)?)),
         v => Err(WireError::Tag {
             what: "snapshot version",
             tag: v,
@@ -146,34 +138,31 @@ pub fn decode_vsnapshot(r: &mut Reader<'_>) -> Result<VSeedSnapshot, WireError> 
     }
 }
 
-/// Serializes checkpointed seeds as a versioned checkpoint file.
-pub fn encode_checkpoint_file(entries: &[(String, VSeedSnapshot)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + entries.len() * 64);
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    put_varint(&mut out, entries.len() as u64);
-    for (key, snap) in entries {
-        put_str(&mut out, key);
-        encode_vsnapshot(snap, &mut out);
+/// The one snapshot codec: checkpoint entries carry the revision they
+/// were written with.
+impl Wire for VSeedSnapshot {
+    /// The shortest accepted form is a legacy body: a one-byte machine
+    /// name, an empty state, no variables.
+    const MIN_LEN: usize = String::MIN_LEN + 1 + String::MIN_LEN + <Vec<(String, Value)>>::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_vsnapshot(self, out);
     }
-    out
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<VSeedSnapshot, WireError> {
+        decode_vsnapshot(r)
+    }
 }
 
-/// Parses a checkpoint file, accepting both the versioned layout and
-/// the pre-versioning legacy layout (no magic, untagged snapshots).
-pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<Vec<(String, VSeedSnapshot)>, WireError> {
-    let body = bytes
-        .strip_prefix(CHECKPOINT_MAGIC.as_slice())
-        .unwrap_or(bytes);
-    let mut r = Reader::new(body);
-    let n = r.len_prefix(2)?;
-    let mut entries = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let key = r.str()?;
-        let snap = decode_vsnapshot(&mut r)?;
-        entries.push((key, snap));
+/// In a frame (`Migrate`, the keyed lists of `SubmitWithSnapshot` and
+/// `TaskExport`) the in-memory shape travels stamped with the current
+/// revision, and whatever revision arrives is upgraded on the way in.
+impl Wire for SeedSnapshot {
+    const MIN_LEN: usize = VSeedSnapshot::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_v1(self, out);
     }
-    r.finish()?;
-    Ok(entries)
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<SeedSnapshot, WireError> {
+        decode_vsnapshot(r).map(VSeedSnapshot::into_latest)
+    }
 }
 
 /// Everything a farmd needs to come back from a cold start: the
@@ -221,15 +210,15 @@ pub fn encode_checkpoint_doc(doc: &CheckpointDoc) -> Vec<u8> {
     for (name, source) in &doc.programs {
         body.clear();
         body.push(RECORD_PROGRAM);
-        put_str(&mut body, name);
-        put_str(&mut body, source);
+        name.put(&mut body);
+        source.put(&mut body);
         put_record(&mut out, &body);
     }
     for (key, snap) in &doc.seeds {
         body.clear();
         body.push(RECORD_SEED);
-        put_str(&mut body, key);
-        encode_vsnapshot(snap, &mut body);
+        key.put(&mut body);
+        snap.put(&mut body);
         put_record(&mut out, &body);
     }
     out
@@ -242,27 +231,15 @@ fn decode_record_body(body: &[u8], load: &mut CheckpointLoad) {
     // revision may append fields, and the length framing already tells
     // us where the record ends.
     let parsed = match r.u8() {
-        Ok(RECORD_PROGRAM) => (|| {
-            let name = r.str()?;
-            let source = r.str()?;
-            load.doc.programs.push((name, source));
-            Ok::<(), WireError>(())
-        })()
-        .is_ok(),
-        Ok(RECORD_SEED) => (|| {
-            let key = r.str()?;
-            let snap = decode_vsnapshot(&mut r)?;
-            load.doc.seeds.push((key, snap));
-            Ok::<(), WireError>(())
-        })()
-        .is_ok(),
+        Ok(RECORD_PROGRAM) => Wire::get(&mut r, "program").map(|p| load.doc.programs.push(p)),
+        Ok(RECORD_SEED) => Wire::get(&mut r, "seed").map(|s| load.doc.seeds.push(s)),
         Ok(_) => {
             load.unknown_records += 1;
             return;
         }
-        Err(_) => false,
+        Err(e) => Err(e),
     };
-    if !parsed {
+    if parsed.is_err() {
         load.corrupt_records += 1;
     }
 }
@@ -309,21 +286,18 @@ fn decode_checkpoint_v2(body: &[u8]) -> CheckpointLoad {
     load
 }
 
-/// Parses a checkpoint file of any generation.
-///
-/// `FARMCKP2` decodes with salvage semantics and never errors; the
-/// strict `FARMCKP1` and legacy untagged layouts reject damage exactly
-/// as [`decode_checkpoint_file`] always has.
-pub fn decode_checkpoint_any(bytes: &[u8]) -> Result<CheckpointLoad, WireError> {
-    if let Some(body) = bytes.strip_prefix(CHECKPOINT_MAGIC_V2.as_slice()) {
-        return Ok(decode_checkpoint_v2(body));
-    }
-    let format = if bytes.starts_with(CHECKPOINT_MAGIC) {
-        1
-    } else {
-        0
+/// Decodes the two read-only generations: `FARMCKP1` (magic, then a
+/// keyed list of versioned snapshots) and the untagged layout before
+/// it (the same list, no magic, legacy snapshot bodies — which the
+/// snapshot codec accepts anyway). Strict: any damage rejects the file.
+fn decode_checkpoint_legacy(bytes: &[u8]) -> Result<CheckpointLoad, WireError> {
+    let (format, body) = match bytes.strip_prefix(CHECKPOINT_MAGIC.as_slice()) {
+        Some(body) => (1, body),
+        None => (0, bytes),
     };
-    let seeds = decode_checkpoint_file(bytes)?;
+    let mut r = Reader::new(body);
+    let seeds = Wire::get(&mut r, "seeds")?;
+    r.finish()?;
     Ok(CheckpointLoad {
         doc: CheckpointDoc {
             programs: Vec::new(),
@@ -334,10 +308,24 @@ pub fn decode_checkpoint_any(bytes: &[u8]) -> Result<CheckpointLoad, WireError> 
     })
 }
 
+/// Parses a checkpoint file of any generation — the only reader, and
+/// so the one upgrade path: whatever generation is on disk comes back
+/// as a [`CheckpointDoc`], and the next checkpoint rewrites it as
+/// `FARMCKP2`.
+///
+/// `FARMCKP2` decodes with salvage semantics and never errors; the
+/// strict `FARMCKP1` and legacy untagged layouts reject damage.
+pub fn decode_checkpoint_any(bytes: &[u8]) -> Result<CheckpointLoad, WireError> {
+    match bytes.strip_prefix(CHECKPOINT_MAGIC_V2.as_slice()) {
+        Some(body) => Ok(decode_checkpoint_v2(body)),
+        None => decode_checkpoint_legacy(bytes),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use farm_almanac::value::Value;
+    use crate::wire::put_str;
 
     fn sample() -> SeedSnapshot {
         SeedSnapshot {
@@ -377,10 +365,10 @@ mod tests {
 
     #[test]
     fn legacy_untagged_bytes_decode_and_upgrade() {
-        let mut legacy = Vec::new();
-        encode_snapshot_body(&sample(), &mut legacy);
+        // The legacy layout is the V1 body without marker and version.
+        let legacy = &V1_FIXTURE[2..];
         assert_ne!(legacy[0], 0, "legacy first byte is a nonzero length");
-        let mut r = Reader::new(&legacy);
+        let mut r = Reader::new(legacy);
         let got = decode_vsnapshot(&mut r).expect("legacy decode");
         r.finish().expect("fully consumed");
         assert_eq!(got.into_latest(), sample());
@@ -407,27 +395,45 @@ mod tests {
         );
     }
 
+    /// A file of one of the two read-only generations, assembled around
+    /// the pinned snapshot bytes exactly as their retired writers laid
+    /// it out: `FARMCKP1` entries are versioned, the untagged
+    /// generation's are bare V1 bodies (`tests/golden_bytes.rs` pins a
+    /// whole file of each, produced by the last revision that wrote one).
+    fn old_generation(magic: &[u8], keys: &[&str]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        put_varint(&mut out, keys.len() as u64);
+        for key in keys {
+            put_str(&mut out, key);
+            out.extend_from_slice(&V1_FIXTURE[if magic.is_empty() { 2 } else { 0 }..]);
+        }
+        out
+    }
+
     #[test]
     fn checkpoint_file_round_trips() {
+        let bytes = old_generation(CHECKPOINT_MAGIC, &["hh/m0/s0", "hh/m0/s1"]);
+        let load = decode_checkpoint_any(&bytes).expect("decode");
         let entries = vec![
             ("hh/m0/s0".to_string(), VSeedSnapshot::V1(sample())),
             ("hh/m0/s1".to_string(), VSeedSnapshot::V1(sample())),
         ];
-        let bytes = encode_checkpoint_file(&entries);
-        assert!(bytes.starts_with(CHECKPOINT_MAGIC));
-        assert_eq!(decode_checkpoint_file(&bytes).expect("decode"), entries);
+        assert_eq!(load.doc.seeds, entries);
+        // The upgrade: what was read re-encodes as the current generation.
+        let upgraded = encode_checkpoint_doc(&load.doc);
+        assert!(upgraded.starts_with(CHECKPOINT_MAGIC_V2));
+        assert_eq!(decode_checkpoint_any(&upgraded).expect("v2").doc, load.doc);
     }
 
     #[test]
     fn legacy_checkpoint_file_restores_cleanly() {
         // The pre-versioning layout: count + (key + untagged snapshot),
-        // no magic — exactly what a checkpoint written before this
-        // revision would hold.
-        let mut legacy = Vec::new();
-        put_varint(&mut legacy, 1);
-        put_str(&mut legacy, "hh/m0/s0");
-        encode_snapshot_body(&sample(), &mut legacy);
-        let got = decode_checkpoint_file(&legacy).expect("legacy file");
+        // no magic — exactly what a checkpoint written before
+        // versioning would hold.
+        let got = decode_checkpoint_any(&old_generation(b"", &["hh/m0/s0"]))
+            .expect("legacy file")
+            .doc
+            .seeds;
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, "hh/m0/s0");
         assert_eq!(got[0].1.clone().into_latest(), sample());
@@ -521,27 +527,21 @@ mod tests {
     #[test]
     fn decode_any_reads_older_generations() {
         let entries = vec![("hh/m0/s0".to_string(), VSeedSnapshot::V1(sample()))];
-        let v1 = encode_checkpoint_file(&entries);
-        let load = decode_checkpoint_any(&v1).expect("v1");
-        assert_eq!((load.format, load.doc.seeds.clone()), (1, entries.clone()));
-        assert!(load.doc.programs.is_empty());
-
-        let mut legacy = Vec::new();
-        put_varint(&mut legacy, 1);
-        put_str(&mut legacy, "hh/m0/s0");
-        encode_snapshot_body(&sample(), &mut legacy);
-        let load = decode_checkpoint_any(&legacy).expect("legacy");
-        assert_eq!(load.format, 0);
-        assert_eq!(load.doc.seeds[0].0, "hh/m0/s0");
+        for (format, magic) in [(1, CHECKPOINT_MAGIC.as_slice()), (0, b"")] {
+            let load = decode_checkpoint_any(&old_generation(magic, &["hh/m0/s0"]))
+                .expect("old generation");
+            assert_eq!((load.format, &load.doc.seeds), (format, &entries));
+            assert!(load.doc.programs.is_empty());
+        }
     }
 
     #[test]
     fn corrupt_checkpoint_is_an_error_not_a_panic() {
-        assert!(decode_checkpoint_file(&[0xff; 7]).is_err());
-        let mut bytes = encode_checkpoint_file(&[("k".into(), VSeedSnapshot::V1(sample()))]);
+        assert!(decode_checkpoint_any(&[0xff; 7]).is_err());
+        let mut bytes = old_generation(CHECKPOINT_MAGIC, &["k"]);
         bytes.push(0xaa);
         assert_eq!(
-            decode_checkpoint_file(&bytes).unwrap_err(),
+            decode_checkpoint_any(&bytes).unwrap_err(),
             WireError::Trailing(1)
         );
     }

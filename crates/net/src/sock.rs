@@ -1,16 +1,9 @@
-//! Socket-level helpers shared by client connections and the server:
-//! frame-at-a-time reads that tolerate read timeouts (used as poll
-//! ticks) without ever splitting or dropping a partially-read frame,
-//! and the cached telemetry instruments of the `net.*` namespace.
+//! The cached telemetry instruments of the `net.*` namespace, shared by
+//! client connections and the server.
 
-use std::io::{self, Read};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use farm_telemetry::{Counter, Histogram, Telemetry};
-
-use crate::frame::{decode_body, Envelope};
-use crate::wire::MAX_FRAME_LEN;
 
 /// Cached handles for the `net.*` instruments so the per-frame hot
 /// path never takes the registry lock.
@@ -50,186 +43,5 @@ impl NetCounters {
             decode_errors: telemetry.counter("net.decode_errors"),
             rpc_latency_us: telemetry.latency_histogram("net.rpc_latency_us"),
         }
-    }
-}
-
-/// True for the error kinds a read timeout produces.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-/// Fills `buf` completely, retrying through read timeouts until `stop`
-/// is raised. Unlike `read_exact`, a timeout never loses the bytes
-/// already read.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(false);
-        }
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// One successfully framed read: either a decoded envelope or a frame
-/// whose bytes were consumed but whose body failed to decode — the
-/// stream stays aligned on the next frame either way.
-///
-/// This is the blocking client's reader; the server side decodes
-/// incrementally via [`crate::buf::FrameDecoder`], whose `Bad` arm also
-/// recovers the request correlation id for structured error replies.
-/// A client has nothing to answer, so `Bad` only carries the size.
-#[derive(Debug)]
-pub(crate) enum ReadFrame {
-    /// A well-formed envelope plus its wire size.
-    Frame(Envelope, usize),
-    /// The frame's bytes were fully consumed but the body is invalid
-    /// (unknown tag, bad payload, foreign version).
-    Bad { nbytes: usize },
-}
-
-/// Reads one length-prefixed frame.
-///
-/// * `Ok(Some(ReadFrame))` — a frame's bytes arrived (decoded or not);
-///   the stream is positioned at the next frame.
-/// * `Ok(None)` — idle tick (read timeout before a frame started, or
-///   `stop` was raised); the caller re-checks its shutdown flag.
-/// * `Err(_)` — the peer vanished or the framing itself is broken
-///   (overlong or oversized length prefix), so resync is impossible.
-pub(crate) fn read_envelope<R: Read>(
-    r: &mut R,
-    stop: &AtomicBool,
-) -> io::Result<Option<ReadFrame>> {
-    // Length prefix, byte at a time (varint, ≤ 10 bytes).
-    let mut len: u64 = 0;
-    let mut header = 0usize;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return if header == 0 {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                } else {
-                    Err(io::ErrorKind::InvalidData.into())
-                }
-            }
-            Ok(_) => {
-                if header >= 10 {
-                    return Err(io::ErrorKind::InvalidData.into());
-                }
-                len |= ((byte[0] & 0x7f) as u64) << (header * 7);
-                header += 1;
-                if byte[0] & 0x80 == 0 {
-                    break;
-                }
-            }
-            Err(e) if is_timeout(&e) => {
-                // Before the first length byte this is just an idle
-                // tick; mid-prefix we keep waiting for the rest.
-                if header == 0 {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if len > MAX_FRAME_LEN as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    if !read_full(r, &mut body, stop)? {
-        return Ok(None);
-    }
-    match decode_body(&body) {
-        Ok(env) => Ok(Some(ReadFrame::Frame(env, header + body.len()))),
-        Err(_) => Ok(Some(ReadFrame::Bad {
-            nbytes: header + body.len(),
-        })),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::frame::{encode_envelope, Frame};
-
-    #[test]
-    fn reads_back_to_back_frames_from_one_buffer() {
-        let mut buf = Vec::new();
-        for seq in 0..3 {
-            encode_envelope(
-                &Envelope::one_way(Frame::Heartbeat {
-                    switch: 1,
-                    seq,
-                    at_ns: 0,
-                }),
-                &mut buf,
-            );
-        }
-        let stop = AtomicBool::new(false);
-        let mut cursor = io::Cursor::new(buf);
-        for seq in 0..3 {
-            let got = read_envelope(&mut cursor, &stop).unwrap().unwrap();
-            let ReadFrame::Frame(env, _) = got else {
-                panic!("expected a decoded frame, got {got:?}");
-            };
-            assert!(matches!(env.frame, Frame::Heartbeat { seq: s, .. } if s == seq));
-        }
-        assert!(read_envelope(&mut cursor, &stop).is_err(), "EOF after last");
-    }
-
-    #[test]
-    fn bad_body_keeps_the_stream_aligned() {
-        // A framed body with an unknown frame tag, then a valid frame:
-        // the reader must surface the bad one (with its byte count) and
-        // still decode the next.
-        let mut bad_body = vec![crate::wire::PROTOCOL_VERSION, 200, 0];
-        crate::wire::put_varint(&mut bad_body, 9);
-        let mut buf = Vec::new();
-        crate::wire::put_varint(&mut buf, bad_body.len() as u64);
-        buf.extend_from_slice(&bad_body);
-        let framed_len = buf.len();
-        encode_envelope(&Envelope::one_way(Frame::Ack), &mut buf);
-
-        let stop = AtomicBool::new(false);
-        let mut cursor = io::Cursor::new(buf);
-        match read_envelope(&mut cursor, &stop).unwrap().unwrap() {
-            ReadFrame::Bad { nbytes } => assert_eq!(nbytes, framed_len),
-            other => panic!("expected Bad, got {other:?}"),
-        }
-        match read_envelope(&mut cursor, &stop).unwrap().unwrap() {
-            ReadFrame::Frame(env, _) => assert_eq!(env.frame, Frame::Ack),
-            other => panic!("expected Ack after bad frame, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn garbage_length_prefix_is_an_error() {
-        let buf = vec![0xff; 16];
-        let stop = AtomicBool::new(false);
-        assert!(read_envelope(&mut io::Cursor::new(buf), &stop).is_err());
-    }
-
-    #[test]
-    fn stop_flag_aborts_cleanly() {
-        let buf: Vec<u8> = Vec::new();
-        let stop = AtomicBool::new(true);
-        let got = read_envelope(&mut io::Cursor::new(buf), &stop).unwrap();
-        assert!(got.is_none());
     }
 }

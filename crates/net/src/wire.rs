@@ -1,5 +1,6 @@
 //! Low-level wire primitives: LEB128 varints, zigzag signed integers,
-//! length-prefixed strings, and a bounds-checked [`Reader`].
+//! length-prefixed strings, a bounds-checked [`Reader`], and the `Wire`
+//! trait every field and message type of the protocol implements once.
 //!
 //! Every decoder in this crate is **total**: arbitrary (truncated,
 //! corrupt, adversarial) input produces a [`WireError`], never a panic
@@ -131,11 +132,33 @@ pub fn put_bool(out: &mut Vec<u8>, b: bool) {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Recursive decodes currently open (see [`Reader::nested`]).
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs one level of a self-nesting decode (values, filter
+    /// formulas). The bound lives here so that no decoder threads a
+    /// depth argument, and none can forget to.
+    pub(crate) fn nested<T>(
+        &mut self,
+        level: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(WireError::Depth);
+        }
+        self.depth += 1;
+        let out = level(self);
+        self.depth -= 1;
+        out
     }
 
     /// Bytes not yet consumed.
@@ -231,6 +254,218 @@ impl<'a> Reader<'a> {
             0 => Ok(()),
             n => Err(WireError::Trailing(n)),
         }
+    }
+}
+
+/// Scans the varint length prefix of the frame at the front of `buf`:
+/// `Ok(None)` — the prefix itself is still incomplete; `Ok(Some((header,
+/// len)))` — the body is the `len` bytes after the first `header`;
+/// `Err(_)` — an overlong or oversized prefix, after which the stream
+/// cannot be resynchronised. Every frame reader goes through here.
+pub(crate) fn frame_prefix(buf: &[u8]) -> Result<Option<(usize, usize)>, WireError> {
+    let mut r = Reader::new(buf);
+    match r.varint() {
+        Ok(len) if len > MAX_FRAME_LEN as u64 => Err(WireError::TooLarge(len)),
+        Ok(len) => Ok(Some((r.consumed(), len as usize))),
+        Err(WireError::Truncated) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// A type with a wire form. Everything the protocol carries — scalars,
+/// containers, the declared messages of `frame.rs`, snapshots —
+/// implements this once, so an encoder and its decoder cannot drift
+/// apart and no list decoder types an element size by hand.
+pub(crate) trait Wire: Sized {
+    /// Fewest bytes any value of the type encodes to; what a list
+    /// decoder multiplies its claimed length by before allocating.
+    const MIN_LEN: usize;
+
+    /// Appends the encoding.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Decodes one value; `what` names the field in a
+    /// [`WireError::Range`].
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError>;
+}
+
+impl Wire for u64 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<u64, WireError> {
+        r.varint()
+    }
+}
+
+/// Zigzag-folded, then the same varint.
+impl Wire for i64 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_ivarint(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<i64, WireError> {
+        r.ivarint()
+    }
+}
+
+/// Narrower integers travel as the same varint and are range-checked
+/// on the way in.
+macro_rules! narrow_varint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                put_varint(out, u64::from(*self));
+            }
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<$t, WireError> {
+                <$t>::try_from(r.varint()?).map_err(|_| WireError::Range(what))
+            }
+        }
+    )*};
+}
+
+narrow_varint!(u16, u32);
+
+impl Wire for f64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_f64(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<f64, WireError> {
+        r.f64()
+    }
+}
+
+impl Wire for [f64; 4] {
+    const MIN_LEN: usize = 4 * f64::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|v| v.put(out));
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<[f64; 4], WireError> {
+        Ok([r.f64()?, r.f64()?, r.f64()?, r.f64()?])
+    }
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bool(out, *self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<bool, WireError> {
+        r.bool()
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<String, WireError> {
+        r.str()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_ref().put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Box<T>, WireError> {
+        T::get(r, what).map(Box::new)
+    }
+}
+
+/// `0` = `None`, `1` + value = `Some`.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Option<T>, WireError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r, what)?)),
+            tag => Err(WireError::Tag {
+                what: "option",
+                tag,
+            }),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<(A, B), WireError> {
+        Ok((A::get(r, what)?, B::get(r, what)?))
+    }
+}
+
+/// Varint count, then the elements. The count is checked against the
+/// bytes actually left (`count × T::MIN_LEN`) before anything is reserved,
+/// and the reservation itself is capped.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        self.iter().for_each(|item| item.put(out));
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<T>, WireError> {
+        let n = r.len_prefix(T::MIN_LEN)?;
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::get(r, what)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A field of a *trailing optional extension*: fields appended to a
+/// message after its first release. The group is written only when
+/// some field differs from its default and read only when bytes
+/// remain, all fields or none — so the common case stays byte-identical
+/// to the revision before the extension, in both directions.
+pub(crate) trait Ext: Default + PartialEq {
+    /// True when the field alone would not make the group travel.
+    fn is_default(&self) -> bool {
+        *self == Self::default()
+    }
+    fn put_ext(&self, out: &mut Vec<u8>);
+    fn get_ext(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError>;
+}
+
+impl Ext for u64 {
+    fn put_ext(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+    fn get_ext(r: &mut Reader<'_>, what: &'static str) -> Result<u64, WireError> {
+        u64::get(r, what)
+    }
+}
+
+/// An optional extension field has no presence tag — the remaining
+/// bytes are the presence signal — so `None` *is* the absent group and
+/// the field must be the only one of its group.
+impl<T: Wire + PartialEq> Ext for Option<T> {
+    fn put_ext(&self, out: &mut Vec<u8>) {
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get_ext(r: &mut Reader<'_>, what: &'static str) -> Result<Option<T>, WireError> {
+        T::get(r, what).map(Some)
     }
 }
 
