@@ -37,7 +37,6 @@ fn bench_ablation(c: &mut Criterion) {
             HeuristicOptions {
                 lp_redistribution: true,
                 migration: true,
-                ..HeuristicOptions::default()
             },
         ),
         (
@@ -45,7 +44,6 @@ fn bench_ablation(c: &mut Criterion) {
             HeuristicOptions {
                 lp_redistribution: true,
                 migration: false,
-                ..HeuristicOptions::default()
             },
         ),
         (
@@ -53,7 +51,6 @@ fn bench_ablation(c: &mut Criterion) {
             HeuristicOptions {
                 lp_redistribution: false,
                 migration: true,
-                ..HeuristicOptions::default()
             },
         ),
         (
@@ -61,7 +58,6 @@ fn bench_ablation(c: &mut Criterion) {
             HeuristicOptions {
                 lp_redistribution: false,
                 migration: false,
-                ..HeuristicOptions::default()
             },
         ),
     ];

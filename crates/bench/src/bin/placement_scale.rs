@@ -3,8 +3,7 @@
 //! Sweeps Fig. 10-scale instances (up to the paper's 10 200 seeds ×
 //! 1 040 switches), times the heuristic per phase (greedy / LP
 //! redistribution / migration) through the `SolverPhase` telemetry
-//! events, verifies that the parallel solver is bit-identical to the
-//! sequential one, and writes `BENCH_placement.json` in a stable schema
+//! events, and writes `BENCH_placement.json` in a stable schema
 //! (`farm-bench/placement_scale/v2`) that future PRs append runs to.
 //!
 //! `--churn` adds a replay section: against a warm instance at each
@@ -16,22 +15,17 @@
 //!
 //! ```text
 //! placement_scale [--smoke] [--churn] [--iters N] [--events N]
-//!                 [--threads N] [--out PATH]
-//!                 [--check BASELINE] [--max-regression X]
+//!                 [--out PATH] [--check BASELINE] [--max-regression X]
 //! ```
 //!
-//! `--check` is the CI `bench-smoke` gate. It enforces three things:
+//! `--check` is the CI `bench-smoke` gate. It enforces two things:
 //!
-//! 1. every (seeds, switches, threads) entry's p50 wall time stays
-//!    within `--max-regression` (default 2.0×) of the committed
-//!    baseline (v1 or v2 baselines both accepted);
+//! 1. every (seeds, switches) entry's p50 wall time stays within
+//!    `--max-regression` (default 2.0×) of the committed baseline (v1 or
+//!    v2 baselines both accepted; of a baseline written when the solver
+//!    still had a thread axis, only the `threads: 1` rows are read);
 //! 2. every churn entry's delta-vs-full p50 speedup clears a floor —
-//!    5.0× at ≥ 10 000 seeds (the ISSUE acceptance bar), 2.0× below;
-//! 3. every `parallel_active` entry beats single-threaded (speedup above
-//!    1.0). An entry is `parallel_active` only when `threads > 1`, the
-//!    instance is at or above `parallel_threshold`, *and* the host has
-//!    at least `threads` cores — a 1-core host can demonstrate
-//!    determinism but not speedup, so it is exempt by construction.
+//!    5.0× at ≥ 10 000 seeds (the ISSUE acceptance bar), 2.0× below.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -55,7 +49,6 @@ struct Args {
     churn: bool,
     iters: usize,
     events: usize,
-    threads: usize,
     out: String,
     check: Option<String>,
     max_regression: f64,
@@ -67,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         churn: false,
         iters: 5,
         events: 0, // resolved after parsing: 12 smoke / 40 full
-        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         out: "BENCH_placement.json".to_string(),
         check: None,
         max_regression: 2.0,
@@ -80,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
             "--churn" => args.churn = true,
             "--iters" => args.iters = val("--iters")?.parse().map_err(|e| format!("{e}"))?,
             "--events" => args.events = val("--events")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => args.threads = val("--threads")?.parse().map_err(|e| format!("{e}"))?,
             "--out" => args.out = val("--out")?,
             "--check" => args.check = Some(val("--check")?),
             "--max-regression" => {
@@ -104,17 +95,12 @@ fn parse_args() -> Result<Args, String> {
 /// the `SolverPhase` event stream.
 fn timed_solve(
     instance: &PlacementInstance,
-    threads: usize,
 ) -> (PlacementResult, f64, BTreeMap<&'static str, f64>, u64) {
     let telemetry = Telemetry::new();
     let ring = Arc::new(RingBufferSink::new(16));
     telemetry.add_sink(ring.clone());
     let start = Instant::now();
-    let result = solve_heuristic_traced(
-        instance,
-        HeuristicOptions::with_threads(threads),
-        Some(&telemetry),
-    );
+    let result = solve_heuristic_traced(instance, HeuristicOptions::default(), Some(&telemetry));
     let total_us = start.elapsed().as_nanos() as f64 / 1_000.0;
     let mut phases = BTreeMap::new();
     let mut migration_items = 0;
@@ -308,17 +294,10 @@ fn main() -> ExitCode {
     } else {
         &[(1_000, 128, 8), (4_000, 512, 10), (10_200, 1_040, 10)]
     };
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_threshold = HeuristicOptions::default().parallel_threshold;
-    let mut thread_counts = vec![1usize, 2, args.threads.max(1)];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
     let mut entries = Vec::new();
     let mut churn_entries = Vec::new();
-    // (seeds, speedup) per parallel_active entry, and per churn entry —
-    // gate inputs collected in-memory so `--check` does not re-parse.
-    let mut active_speedups: Vec<(usize, usize, Option<f64>)> = Vec::new();
+    // (seeds, speedup) per churn entry — gate input collected in-memory
+    // so `--check` does not re-parse.
     let mut churn_speedups: Vec<(usize, Option<f64>)> = Vec::new();
     let mut ok = true;
     for &(seeds, switches, tasks) in scales {
@@ -329,97 +308,53 @@ fn main() -> ExitCode {
             n_seeds: seeds,
             ..WorkloadConfig::default()
         });
-        let mut reference: Option<PlacementResult> = None;
-        let mut seq_p50: Option<f64> = None;
-        for &threads in &thread_counts {
-            let mut totals = Vec::with_capacity(args.iters);
-            let mut phase_samples: BTreeMap<&'static str, Vec<f64>> =
-                PHASES.iter().map(|p| (*p, Vec::new())).collect();
-            let mut last = None;
-            let mut migration_items = 0;
-            // One discarded warmup solve so the first recorded iteration
-            // does not pay cold caches / first-touch allocation.
-            let _ = timed_solve(&inst, threads);
-            for _ in 0..args.iters {
-                let (result, total_us, phases, mig) = timed_solve(&inst, threads);
-                totals.push(total_us);
-                for (p, us) in phases {
-                    phase_samples.get_mut(p).expect("known phase").push(us);
-                }
-                migration_items = mig;
-                last = Some(result);
+        let mut totals = Vec::with_capacity(args.iters);
+        let mut phase_samples: BTreeMap<&'static str, Vec<f64>> =
+            PHASES.iter().map(|p| (*p, Vec::new())).collect();
+        // One discarded warmup solve so the first recorded iteration
+        // does not pay cold caches / first-touch allocation.
+        let (mut r, _, _, mut migration_items) = timed_solve(&inst);
+        for _ in 0..args.iters {
+            let (result, total_us, phases, mig) = timed_solve(&inst);
+            totals.push(total_us);
+            for (p, us) in phases {
+                phase_samples.get_mut(p).expect("known phase").push(us);
             }
-            let result = last.expect("at least one iter");
-            if let Err(e) = validate(&inst, &result) {
-                eprintln!("placement_scale: invalid placement at threads={threads}: {e:?}");
-                ok = false;
-            }
-            let identical = match &reference {
-                None => {
-                    reference = Some(result.clone());
-                    true
-                }
-                Some(r) => results_identical(r, &result),
-            };
-            if !identical {
-                eprintln!(
-                    "placement_scale: threads={threads} diverged from sequential at {seeds} seeds"
-                );
-                ok = false;
-            }
-            let p50 = percentile(&totals, 0.50);
-            if threads == 1 {
-                seq_p50 = Some(p50);
-            }
-            let speedup = seq_p50.map(|s| s / p50);
-            let parallel_active =
-                threads > 1 && seeds >= parallel_threshold && host_threads >= threads;
-            if parallel_active {
-                active_speedups.push((seeds, threads, speedup));
-            }
-            let r = &result;
-            println!(
-                "  threads={threads}: p50 {:.0} us, p95 {:.0} us, utility {:.2}, placed {}, \
-                 migrations {}, identical={identical}, parallel_active={parallel_active}{}",
-                p50,
-                percentile(&totals, 0.95),
-                r.utility,
-                r.placed(),
-                r.migrations,
-                speedup.map_or(String::new(), |s| format!(", speedup {s:.2}x")),
-            );
-            let phase_us = Json::Obj(
-                PHASES
-                    .iter()
-                    .filter(|p| !phase_samples[*p].is_empty())
-                    .map(|p| (p.to_string(), pct_obj(&phase_samples[p])))
-                    .collect(),
-            );
-            entries.push(Json::obj([
-                ("seeds", Json::from(seeds as f64)),
-                ("switches", Json::from(switches as f64)),
-                ("tasks", Json::from(tasks as f64)),
-                ("threads", Json::from(threads as f64)),
-                (
-                    // Hardware context: with one host core, threads>1 can
-                    // only demonstrate determinism, not speedup.
-                    "host_threads",
-                    Json::from(host_threads as f64),
-                ),
-                ("parallel_threshold", Json::from(parallel_threshold as f64)),
-                ("parallel_active", Json::Bool(parallel_active)),
-                ("iters", Json::from(args.iters as f64)),
-                ("total_us", pct_obj(&totals)),
-                ("phase_us", phase_us),
-                ("objective", Json::from(r.utility)),
-                ("placed", Json::from(r.placed() as f64)),
-                ("migrations", Json::from(r.migrations as f64)),
-                ("migration_moves", Json::from(migration_items as f64)),
-                ("dropped_tasks", Json::from(r.dropped_tasks.len() as f64)),
-                ("identical_to_single_thread", Json::Bool(identical)),
-                ("speedup_vs_single_thread", speedup.into()),
-            ]));
+            migration_items = mig;
+            r = result;
         }
+        if let Err(e) = validate(&inst, &r) {
+            eprintln!("placement_scale: invalid placement at {seeds} seeds: {e:?}");
+            ok = false;
+        }
+        println!(
+            "  p50 {:.0} us, p95 {:.0} us, utility {:.2}, placed {}, migrations {}",
+            percentile(&totals, 0.50),
+            percentile(&totals, 0.95),
+            r.utility,
+            r.placed(),
+            r.migrations,
+        );
+        let phase_us = Json::Obj(
+            PHASES
+                .iter()
+                .filter(|p| !phase_samples[*p].is_empty())
+                .map(|p| (p.to_string(), pct_obj(&phase_samples[p])))
+                .collect(),
+        );
+        entries.push(Json::obj([
+            ("seeds", Json::from(seeds as f64)),
+            ("switches", Json::from(switches as f64)),
+            ("tasks", Json::from(tasks as f64)),
+            ("iters", Json::from(args.iters as f64)),
+            ("total_us", pct_obj(&totals)),
+            ("phase_us", phase_us),
+            ("objective", Json::from(r.utility)),
+            ("placed", Json::from(r.placed() as f64)),
+            ("migrations", Json::from(r.migrations as f64)),
+            ("migration_moves", Json::from(migration_items as f64)),
+            ("dropped_tasks", Json::from(r.dropped_tasks.len() as f64)),
+        ]));
         if args.churn {
             let (entry, speedup) = churn_replay(&inst, seeds, switches, tasks, args.events);
             churn_entries.push(entry);
@@ -460,22 +395,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        // Gate 3: profitable parallelism wherever it actually engaged.
-        for &(seeds, threads, speedup) in &active_speedups {
-            match speedup {
-                Some(s) if s > 1.0 => {
-                    println!("parallel gate: {seeds} seeds threads={threads} speedup {s:.2}x");
-                }
-                Some(s) => {
-                    eprintln!(
-                        "placement_scale: parallel_active threads={threads} at {seeds} seeds \
-                         is not profitable (speedup {s:.2}x <= 1.0)"
-                    );
-                    ok = false;
-                }
-                None => {}
-            }
-        }
     }
 
     if let Some(baseline_path) = &args.check {
@@ -495,10 +414,11 @@ fn main() -> ExitCode {
 }
 
 /// Compares the run against a committed baseline: every entry sharing
-/// (seeds, switches, threads) must keep `total_us.p50` within
-/// `max_regression ×` of the baseline. Accepts v1 and v2 baselines (v1
-/// has no churn section; churn entries are compared when both sides
-/// carry them, keyed by (seeds, switches)).
+/// (seeds, switches) must keep `total_us.p50` within `max_regression ×`
+/// of the baseline. Accepts v1 and v2 baselines (v1 has no churn section;
+/// churn entries are compared when both sides carry them). Baselines
+/// from before the thread axis was removed carry a `threads` field per
+/// entry; only their single-threaded rows are comparable.
 fn check_regression(
     doc: &Json,
     baseline_path: &str,
@@ -511,13 +431,13 @@ fn check_regression(
     if schema != Some(SCHEMA) && schema != Some(SCHEMA_V1) {
         return Err(format!("baseline {baseline_path} has a different schema"));
     }
-    let key = |e: &Json| -> Option<(u64, u64, u64)> {
+    let key = |e: &Json| -> Option<(u64, u64)> {
         Some((
             e.get("seeds")?.as_f64()? as u64,
             e.get("switches")?.as_f64()? as u64,
-            e.get("threads")?.as_f64()? as u64,
         ))
     };
+    let single_threaded = |e: &Json| e.get("threads").and_then(Json::as_f64).unwrap_or(1.0) == 1.0;
     let p50_of = |e: &Json, field: &str| {
         e.get(field)
             .and_then(|t| t.get("p50"))
@@ -536,7 +456,7 @@ fn check_regression(
         };
         let Some(base_p50) = base_entries
             .iter()
-            .find(|b| key(b) == Some(k))
+            .find(|b| key(b) == Some(k) && single_threaded(b))
             .and_then(|b| p50_of(b, "total_us"))
         else {
             continue; // scale not in the baseline (e.g. smoke vs full)
@@ -546,28 +466,22 @@ fn check_regression(
         worst = worst.max(ratio);
         if ratio > max_regression {
             return Err(format!(
-                "regression: {}x{} threads={} p50 {new_p50:.0} us vs baseline {base_p50:.0} us \
+                "regression: {}x{} p50 {new_p50:.0} us vs baseline {base_p50:.0} us \
                  ({ratio:.2}x > {max_regression}x)",
-                k.0, k.1, k.2
+                k.0, k.1
             ));
         }
     }
     // Churn regression: delta p50 against the baseline's, same limit.
-    let churn_key = |e: &Json| -> Option<(u64, u64)> {
-        Some((
-            e.get("seeds")?.as_f64()? as u64,
-            e.get("switches")?.as_f64()? as u64,
-        ))
-    };
     let base_churn = baseline.get("churn").and_then(Json::as_arr).unwrap_or(&[]);
     for entry in doc.get("churn").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(k) = churn_key(entry) else { continue };
+        let Some(k) = key(entry) else { continue };
         let Some(new_p50) = p50_of(entry, "delta_us") else {
             continue;
         };
         let Some(base_p50) = base_churn
             .iter()
-            .find(|b| churn_key(b) == Some(k))
+            .find(|b| key(b) == Some(k))
             .and_then(|b| p50_of(b, "delta_us"))
         else {
             continue;

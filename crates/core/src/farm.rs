@@ -22,19 +22,21 @@ use farm_almanac::value::{PacketRecord, Value};
 use farm_faults::{Delivery, FaultInjector, FaultKind, FaultPlan, LossModel};
 use farm_netsim::controller::SdnController;
 use farm_netsim::network::{Network, TrafficEvent};
-use farm_netsim::switch::{ResourceKind, Resources};
+use farm_netsim::switch::{ResourceKind, Resources, Switch};
 use farm_netsim::time::{Dur, Time};
 use farm_netsim::topology::Topology;
 use farm_netsim::traffic::Workload;
 use farm_netsim::types::{Proto, SwitchId};
-use farm_soil::{Endpoint, OutboundMessage, SeedId, SeedSnapshot, Soil, SoilConfig, SoilStats};
+use farm_soil::{
+    Endpoint, OutboundMessage, SeedId, SeedInstance, SeedSnapshot, Soil, SoilConfig, SoilStats,
+};
 use farm_telemetry::{
     Counter, Event, EventSink, Histogram, ReplanOutcome, Telemetry, UndeployReason,
 };
 
 pub use crate::error::{Error, FarmError};
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
-use crate::seeder::{Plan, PlannedAction, SeedKey, Seeder};
+use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
 use crate::transport::TcpBridge;
 pub use crate::transport::TransportMode;
 
@@ -47,11 +49,6 @@ pub struct FarmConfig {
     pub fault_tolerance: FaultToleranceConfig,
     /// How deliveries travel: direct calls or real loopback TCP.
     pub transport: TransportMode,
-    /// Worker threads for the placement solver's parallel phases
-    /// (per-switch LP redistribution, migration-benefit scan). `0` and
-    /// `1` both solve sequentially; any value yields bit-identical
-    /// plans (see DESIGN.md "Performance").
-    pub placement_threads: usize,
 }
 
 /// Failure detection and recovery knobs (§ "Failure model & recovery"
@@ -90,11 +87,11 @@ impl Default for FaultToleranceConfig {
 /// models fork off it so runs replay identically.
 const LOSS_SEED_BASE: u64 = 0xFA12_5EED;
 
-/// One orphaned or shed seed awaiting re-placement.
+/// One orphaned or shed seed awaiting re-placement. Its last known
+/// state, when it has one, stays where every snapshot lives: in
+/// [`Farm`]'s snapshot store.
 #[derive(Debug, Clone)]
 struct RecoveryItem {
-    /// Last checkpointed state, when one exists (warm restore).
-    snapshot: Option<SeedSnapshot>,
     /// When the seed's host was lost (crash instant when known,
     /// detection instant otherwise) — the MTTR clock starts here.
     lost_at: Time,
@@ -230,13 +227,6 @@ impl FarmBuilder {
         self
     }
 
-    /// Sets the placement solver's worker-pool width (see
-    /// [`FarmConfig::placement_threads`]).
-    pub fn with_placement_threads(mut self, threads: usize) -> FarmBuilder {
-        self.config.placement_threads = threads;
-        self
-    }
-
     /// Registers a harvester for a task (replacing a previous one for
     /// the same task).
     pub fn with_harvester(mut self, task: impl Into<String>, h: Box<dyn Harvester>) -> FarmBuilder {
@@ -259,21 +249,13 @@ impl FarmBuilder {
         }
         let mut network = Network::new(self.topology);
         network.set_telemetry(&telemetry);
-        let ids = network.switch_ids();
-        let n_switches = ids.len();
-        let soils: HashMap<SwitchId, Soil> = ids
-            .into_iter()
-            .map(|id| {
-                let mut soil = Soil::new(id, self.config.soil);
-                soil.set_telemetry(telemetry.clone());
-                (id, soil)
-            })
+        let soils: Vec<Option<Soil>> = network
+            .switches()
+            .map(|sw| Some(new_soil(sw.id(), self.config.soil, &telemetry)))
             .collect();
+        let n_switches = soils.len();
         let mut seeder = Seeder::new();
         seeder.set_telemetry(telemetry.clone());
-        seeder.set_options(farm_placement::HeuristicOptions::with_threads(
-            self.config.placement_threads,
-        ));
         let counters = FarmCounters::new(&telemetry);
         let ft = self.config.fault_tolerance;
         let transport = match self.config.transport {
@@ -293,7 +275,6 @@ impl FarmBuilder {
             soils,
             seeder,
             transport,
-            seed_ids: HashMap::new(),
             harvesters: HashMap::new(),
             now: Time::ZERO,
             telemetry,
@@ -336,11 +317,15 @@ pub struct SeedStatus {
 /// The assembled FARM framework over a simulated fabric.
 pub struct Farm {
     network: Network,
-    soils: HashMap<SwitchId, Soil>,
+    /// One soil per switch, addressed by [`Network::slot_of`] like the
+    /// switches themselves. A crash empties the slot, a restart refills
+    /// it.
+    soils: Vec<Option<Soil>>,
+    /// Task catalog and seed table: where every placed seed is, what it
+    /// holds and what its soil calls it.
     seeder: Seeder,
     /// Loopback TCP bridge when running under [`TransportMode::Tcp`].
     transport: Option<TcpBridge>,
-    seed_ids: HashMap<SeedKey, SeedId>,
     harvesters: HashMap<String, Box<dyn Harvester>>,
     now: Time,
     telemetry: Telemetry,
@@ -363,7 +348,10 @@ pub struct Farm {
     /// Crash instant per currently-affected switch (starts the MTTR
     /// clock for the seeds it hosted).
     down_since: BTreeMap<SwitchId, Time>,
-    /// Last heartbeat checkpoint per live seed (restored on recovery).
+    /// The snapshot store: a seed's last known state, from its first
+    /// capture (heartbeat, [`Farm::checkpoint_seeds`], shed, import)
+    /// until a newer capture overwrites it or its task is removed.
+    /// Orphaning, recovery and migration read it and leave it alone.
     checkpoints: HashMap<SeedKey, SeedSnapshot>,
     /// Orphaned/shed seeds awaiting re-placement.
     recovery: BTreeMap<SeedKey, RecoveryItem>,
@@ -408,13 +396,13 @@ impl Farm {
 
     /// The soil running on a switch.
     pub fn soil(&self, id: SwitchId) -> Option<&Soil> {
-        self.soils.get(&id)
+        self.soils[self.network.slot_of(id)?].as_ref()
     }
 
     /// Fabric-wide soil statistics (summed across every switch) —
     /// poll-aggregation savings, ASIC polls, deliveries.
     pub fn soil_stats(&self) -> SoilStats {
-        self.soils.values().map(|s| s.stats()).sum()
+        self.soils.iter().flatten().map(|s| s.stats()).sum()
     }
 
     /// The seeder (task catalog and placements).
@@ -435,7 +423,7 @@ impl Farm {
 
     /// Number of deployed seeds across the fabric.
     pub fn deployed_seeds(&self) -> usize {
-        self.seed_ids.len()
+        self.seeder.table().len()
     }
 
     /// Registers (or replaces) the harvester of a task.
@@ -493,30 +481,28 @@ impl Farm {
         self.replan()
     }
 
-    /// Removes a task: undeploys its seeds and drops its harvester.
+    /// Removes a task: undeploys its seeds, in key order, and drops its
+    /// harvester.
     pub fn remove_task(&mut self, name: &str) -> Result<(), Error> {
-        // A `SeedId` is unique per soil only, so each seed's switch has to
-        // come from the seeder — before the seeder forgets the task.
-        let seeds: Vec<(SeedKey, Option<SwitchId>)> = self
-            .seed_ids
-            .keys()
-            .filter(|k| k.task == name)
-            .map(|k| (k.clone(), self.seeder.location_of(k).map(|(sw, _)| sw)))
+        let seeds: Vec<Placed> = self
+            .seeder
+            .table()
+            .filter(|(k, _)| k.task == name)
+            .map(|(_, p)| *p)
             .collect();
         self.seeder.remove_task(name);
         self.harvesters.remove(name);
-        for (key, switch) in seeds {
-            let (Some(sid), Some(swid)) = (self.seed_ids.remove(&key), switch) else {
-                continue;
-            };
-            if let (Some(soil), Some(switch)) =
-                (self.soils.get_mut(&swid), self.network.switch_mut(swid))
-            {
-                let _ =
-                    soil.undeploy_with_reason(sid, UndeployReason::TaskRemoved, self.now, switch);
+        for placed in seeds {
+            if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, &placed) {
+                let _ = soil.undeploy_with_reason(
+                    placed.id,
+                    UndeployReason::TaskRemoved,
+                    self.now,
+                    switch,
+                );
             }
         }
-        // Drop the task's checkpoints and recovery entries too, so a
+        // Drop the task's snapshots and recovery entries too, so a
         // removed (e.g. migrated-away) task cannot leak stale snapshots
         // into later checkpoint files or restores.
         self.checkpoints.retain(|k, _| k.task != name);
@@ -525,27 +511,18 @@ impl Farm {
     }
 
     /// Re-runs global placement over every registered task and executes
-    /// the resulting plan (deploy / migrate / realloc / undeploy).
+    /// the resulting plan (deploy / migrate / realloc / undeploy). The
+    /// solver is incremental: switches whose inputs did not change since
+    /// the last round reuse their memoized LP outputs, and the plan is
+    /// bit-identical to a from-scratch solve.
     ///
     /// # Errors
     ///
     /// Soil-level failures while executing the plan.
     pub fn replan(&mut self) -> Result<Plan, Error> {
-        self.replan_with(&[])
-    }
-
-    /// [`Farm::replan`] that tells the incremental solver which switches
-    /// changed (faulted, drained, uncordoned) since the last round, so
-    /// unaffected switches can reuse their memoized LP outputs. The plan
-    /// is bit-identical to a full replan; only latency differs.
-    ///
-    /// # Errors
-    ///
-    /// Soil-level failures while executing the plan.
-    pub fn replan_with(&mut self, dirty_switches: &[SwitchId]) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
         let caps = self.live_capacities();
-        let plan = match self.seeder.plan_delta(&caps, dirty_switches) {
+        let plan = match self.seeder.plan(&caps) {
             Ok(plan) => plan,
             Err(msg) => {
                 self.counters.replans.inc();
@@ -562,24 +539,12 @@ impl Farm {
                 return Err(Error::Planner(msg));
             }
         };
+        let now = self.now;
         let mut outbound = Vec::new();
         for action in &plan.actions {
-            match action {
+            let planted = match action {
                 PlannedAction::Deploy { key, to, alloc } => {
-                    let def = self
-                        .seeder
-                        .machine_of(key)
-                        .ok_or_else(|| Error::UnknownMachine(key.to_string()))?;
-                    let report = {
-                        let soil = self.soils.get_mut(to).expect("soil per switch");
-                        let switch = self.network.switch_mut(*to).expect("switch exists");
-                        let (sid, report) =
-                            soil.deploy(def, &key.task, *alloc, self.now, switch)?;
-                        self.seed_ids.insert(key.clone(), sid);
-                        report
-                    };
-                    self.counters.seed_errors.add(report.errors.len() as u64);
-                    outbound.extend(report.messages);
+                    Some(self.plant(key, *to, *alloc, &mut outbound)?)
                 }
                 PlannedAction::Migrate {
                     key,
@@ -591,56 +556,50 @@ impl Farm {
                         .seeder
                         .machine_of(key)
                         .ok_or_else(|| Error::UnknownMachine(key.to_string()))?;
-                    let sid = *self
-                        .seed_ids
-                        .get(key)
+                    let placed = *self
+                        .seeder
+                        .placed(key)
                         .ok_or_else(|| Error::NotDeployed(key.to_string()))?;
-                    // A crashed source has no soil; fall back to the last
-                    // heartbeat checkpoint (or a cold snapshot) so the
-                    // migration degrades into a recovery-style import.
-                    let snapshot = match self.soils.get_mut(from) {
-                        Some(soil) => {
-                            let switch = self.network.switch_mut(*from).expect("switch exists");
-                            soil.undeploy_with_reason(
-                                sid,
-                                UndeployReason::Migration,
-                                self.now,
-                                switch,
-                            )?
-                        }
-                        None => self
-                            .checkpoints
-                            .get(key)
-                            .cloned()
-                            .ok_or_else(|| Error::NotDeployed(key.to_string()))?,
-                    };
-                    // Migration state travels the wire under TCP mode;
-                    // the destination imports the decoded snapshot.
-                    let snapshot = match &self.transport {
-                        Some(bridge) => bridge.ship_snapshot(&key.task, *from, *to, snapshot),
-                        None => snapshot,
-                    };
-                    let bytes: u64 = snapshot
-                        .vars
-                        .iter()
-                        .map(|(_, v)| farm_soil::soil::value_bytes(v))
-                        .sum();
-                    let new_sid = {
-                        let soil = self.soils.get_mut(to).expect("soil per switch");
-                        let switch = self.network.switch_mut(*to).expect("switch exists");
-                        soil.import(
-                            Arc::clone(&def),
-                            &key.task,
-                            *alloc,
-                            &snapshot,
-                            self.now,
+                    // The source instance may be gone — its host crashed,
+                    // or restarted cold, and the detector has not fired
+                    // yet. The migration then degrades into a
+                    // recovery-style import of the last stored snapshot,
+                    // or a cold start for a seed never captured.
+                    let snapshot = match host_mut(&mut self.soils, &mut self.network, &placed) {
+                        Some((soil, switch)) => Some(soil.undeploy_with_reason(
+                            placed.id,
+                            UndeployReason::Migration,
+                            now,
                             switch,
-                        )?
+                        )?),
+                        None => self.checkpoints.get(key).cloned(),
                     };
-                    self.seed_ids.insert(key.clone(), new_sid);
+                    let (id, bytes) = match snapshot {
+                        Some(snapshot) => {
+                            // Migration state travels the wire under TCP
+                            // mode; the destination imports the decoded
+                            // snapshot.
+                            let snapshot = match &self.transport {
+                                Some(bridge) => {
+                                    bridge.ship_snapshot(&key.task, *from, *to, snapshot)
+                                }
+                                None => snapshot,
+                            };
+                            let (soil, switch) = soil_on(&mut self.soils, &mut self.network, *to)
+                                .expect("a planned target runs a soil");
+                            let id = soil.import(def, &key.task, *alloc, &snapshot, now, switch)?;
+                            let bytes = snapshot
+                                .vars
+                                .iter()
+                                .map(|(_, v)| farm_soil::soil::value_bytes(v))
+                                .sum();
+                            (id, bytes)
+                        }
+                        None => (self.plant(key, *to, *alloc, &mut outbound)?, 0),
+                    };
                     self.counters.migrations.inc();
                     self.counters.migration_bytes.add(bytes);
-                    let at_ns = self.now.as_nanos();
+                    let at_ns = now.as_nanos();
                     self.telemetry.emit_with(|| Event::SeedMigrated {
                         at_ns,
                         from_switch: from.0,
@@ -648,35 +607,38 @@ impl Farm {
                         task: key.task.clone(),
                         state_bytes: bytes,
                     });
+                    Some(id)
                 }
                 PlannedAction::Realloc { key, alloc } => {
-                    if let (Some(sid), Some((swid, _))) =
-                        (self.seed_ids.get(key), self.seeder.location_of(key))
-                    {
-                        if let Some(soil) = self.soils.get_mut(&swid) {
-                            let switch = self.network.switch_mut(swid).expect("switch exists");
-                            let report = soil.realloc(*sid, *alloc, self.now, switch)?;
+                    if let Some(placed) = self.seeder.placed(key) {
+                        if let Some((soil, switch)) =
+                            host_mut(&mut self.soils, &mut self.network, placed)
+                        {
+                            let report = soil.realloc(placed.id, *alloc, now, switch)?;
                             self.counters.seed_errors.add(report.errors.len() as u64);
                             outbound.extend(report.messages);
                         }
                     }
+                    None
                 }
-                PlannedAction::Undeploy { key, from } => {
-                    if let Some(sid) = self.seed_ids.remove(key) {
-                        // A crashed host already lost the seed with it.
-                        if let Some(soil) = self.soils.get_mut(from) {
-                            let switch = self.network.switch_mut(*from).expect("switch exists");
+                PlannedAction::Undeploy { key, .. } => {
+                    if let Some(placed) = self.seeder.placed(key) {
+                        // A lost host already took the seed with it.
+                        if let Some((soil, switch)) =
+                            host_mut(&mut self.soils, &mut self.network, placed)
+                        {
                             let _ = soil.undeploy_with_reason(
-                                sid,
+                                placed.id,
                                 UndeployReason::Replanned,
-                                self.now,
+                                now,
                                 switch,
                             )?;
                         }
                     }
+                    None
                 }
-            }
-            self.seeder.commit(action);
+            };
+            self.seeder.commit(action, planted);
         }
         self.counters.replans.inc();
         let at_ns = self.now.as_nanos();
@@ -723,6 +685,52 @@ impl Farm {
         Ok(plan)
     }
 
+    /// Plants one seed — the one place a seed is deployed, whoever
+    /// planned it. A key waiting in the recovery queue lands its recovery
+    /// here: warm restore when the snapshot store knows the seed,
+    /// [`Event::SeedRecovered`], MTTR. Returns the soil-local id for
+    /// [`Seeder::commit`].
+    fn plant(
+        &mut self,
+        key: &SeedKey,
+        to: SwitchId,
+        alloc: Resources,
+        outbound: &mut Vec<OutboundMessage>,
+    ) -> Result<SeedId, Error> {
+        let def = self
+            .seeder
+            .machine_of(key)
+            .ok_or_else(|| Error::UnknownMachine(key.to_string()))?;
+        let now = self.now;
+        let (soil, switch) =
+            soil_on(&mut self.soils, &mut self.network, to).expect("a planned target runs a soil");
+        let (id, report) = soil.deploy(def, &key.task, alloc, now, switch)?;
+        self.counters.seed_errors.add(report.errors.len() as u64);
+        outbound.extend(report.messages);
+        if let Some(item) = self.recovery.remove(key) {
+            // A stale or mismatched snapshot falls back to the cold start
+            // the deploy already performed.
+            let cold_start = self
+                .checkpoints
+                .get(key)
+                .is_none_or(|snap| soil.restore_seed(id, snap).is_err());
+            let mttr = now.since(item.lost_at);
+            self.counters.recoveries.inc();
+            self.counters.mttr_us.record(mttr.as_nanos() / 1_000);
+            let (at_ns, task, attempts) = (now.as_nanos(), key.task.clone(), item.attempts as u64);
+            self.telemetry.emit_with(|| Event::SeedRecovered {
+                at_ns,
+                switch: to.0,
+                seed: id.0,
+                task,
+                cold_start,
+                mttr_ns: mttr.as_nanos(),
+                attempts,
+            });
+        }
+        Ok(id)
+    }
+
     /// Applies traffic to the fabric and offers per-event samples to
     /// probe triggers.
     pub fn apply_traffic(&mut self, events: &[TrafficEvent]) {
@@ -757,7 +765,7 @@ impl Farm {
         let mut outbound = Vec::new();
         for &(swid, slot) in &self.sampled_slots {
             let pkts = &mut self.sampled[slot];
-            if let Some(soil) = self.soils.get_mut(&swid) {
+            if let Some(soil) = &mut self.soils[slot] {
                 let switch = self.network.switch_mut(swid).expect("switch exists");
                 let report = soil.offer_packets(pkts, self.now, switch);
                 self.counters.seed_errors.add(report.errors.len() as u64);
@@ -789,15 +797,12 @@ impl Farm {
                 (None, None) => break,
             }
         }
-        let ids = self.network.switch_ids();
         let mut outbound = Vec::new();
-        for id in ids {
+        for soil in self.soils.iter_mut().flatten() {
+            let id = soil.switch_id();
             if !self.network.is_up(id) {
                 continue;
             }
-            let Some(soil) = self.soils.get_mut(&id) else {
-                continue;
-            };
             let switch = self.network.switch_mut(id).expect("switch exists");
             let report = soil.advance(to, switch);
             self.counters.seed_errors.add(report.errors.len() as u64);
@@ -841,7 +846,10 @@ impl Farm {
                 self.network.set_switch_up(switch, false);
                 // The soil runtime dies with the switch: every seed on it
                 // is lost along with its un-checkpointed state.
-                self.soils.remove(&switch);
+                if let Some(slot) = self.network.slot_of(switch) {
+                    self.soils[slot] = None;
+                }
+                self.seeder.soil_lost(switch);
                 self.down_since.entry(switch).or_insert(at);
                 self.telemetry.emit_with(|| Event::SwitchCrashed {
                     at_ns,
@@ -853,9 +861,9 @@ impl Farm {
                     return;
                 }
                 self.network.set_switch_up(switch, true);
-                let mut soil = Soil::new(switch, self.soil_config);
-                soil.set_telemetry(self.telemetry.clone());
-                self.soils.insert(switch, soil);
+                if let Some(slot) = self.network.slot_of(switch) {
+                    self.soils[slot] = Some(new_soil(switch, self.soil_config, &self.telemetry));
+                }
                 self.missed.remove(&switch);
                 self.telemetry.emit_with(|| Event::SwitchRestarted {
                     at_ns,
@@ -900,27 +908,19 @@ impl Farm {
                 // the surviving polling rate fits the degraded bus; shed
                 // seeds re-enter placement through the recovery queue.
                 let budget = sw.effective_resources().get(ResourceKind::PciePoll);
-                let shed = match self.soils.get_mut(&switch) {
-                    Some(soil) => soil.shed_over_poll_budget(budget, at, sw),
+                let shed = match soil_on(&mut self.soils, &mut self.network, switch) {
+                    Some((soil, sw)) => soil.shed_over_poll_budget(budget, at, sw),
                     None => Vec::new(),
                 };
                 for s in shed {
-                    let key = self
-                        .seed_ids
-                        .iter()
-                        .find(|(k, sid)| {
-                            **sid == s.seed
-                                && self.seeder.location_of(k).map(|(n, _)| n) == Some(switch)
-                        })
-                        .map(|(k, _)| k.clone());
-                    let Some(key) = key else { continue };
-                    self.seed_ids.remove(&key);
+                    let Some(key) = self.seeder.key_of(switch, s.seed).cloned() else {
+                        continue;
+                    };
                     self.seeder.forget(&key);
-                    self.checkpoints.remove(&key);
+                    self.checkpoints.insert(key.clone(), s.snapshot);
                     self.recovery.insert(
                         key,
                         RecoveryItem {
-                            snapshot: Some(s.snapshot),
                             lost_at: at,
                             attempts: 0,
                             next_at: at,
@@ -944,37 +944,24 @@ impl Farm {
         self.counters.heartbeats.inc();
         let alive = self.network.reachable();
         let is_alive = |id: SwitchId| alive.binary_search(&id).is_ok();
-        // One walk over the placements checkpoints every seed an alive
-        // soil still hosts, and sets aside what the per-switch pass needs
-        // (it mutates the seeder): the seeds an alive soil lost, and the
-        // seeds a rejoining fenced switch hosts legitimately.
+        // One walk over the seed table captures every seed an alive soil
+        // still hosts and sets aside the ones it lost (orphaning mutates
+        // the table): the soil answers heartbeats but the seed is gone —
+        // the switch restarted cold before the detector fired.
         let mut lost: Vec<(SwitchId, SeedKey)> = Vec::new();
-        let mut valid: Vec<(SwitchId, SeedId)> = Vec::new();
-        for (key, (host, _)) in self.seeder.placements() {
-            if !is_alive(*host) {
+        for (key, placed) in self.seeder.table() {
+            if !is_alive(placed.switch) {
                 continue;
             }
-            let sid = self.seed_ids.get(key).copied();
-            if let (Some(sid), true) = (sid, self.fenced.contains(host)) {
-                valid.push((*host, sid));
-            }
-            let snap = sid
-                .and_then(|sid| self.soils.get(host)?.seed(sid))
-                .map(|inst| inst.snapshot());
-            match (snap, self.checkpoints.get_mut(key)) {
-                (Some(snap), Some(stored)) => *stored = snap,
-                (Some(snap), None) => {
-                    self.checkpoints.insert(key.clone(), snap);
-                }
-                // The soil answers heartbeats but no longer hosts the
-                // seed: the switch restarted cold before the detector
-                // fired. Recover now.
-                (None, _) => lost.push((*host, key.clone())),
+            match live(&self.soils, &self.network, placed) {
+                Some(seed) => capture(&mut self.checkpoints, key, seed),
+                None => lost.push((placed.switch, key.clone())),
             }
         }
         lost.sort();
         let mut lost = lost.into_iter().peekable();
-        for id in self.network.switch_ids() {
+        for slot in 0..self.soils.len() {
+            let id = self.network.topology().node_at(slot).id;
             if is_alive(id) {
                 // Reachable soils beacon over the real wire in TCP mode.
                 if let Some(bridge) = &self.transport {
@@ -982,10 +969,12 @@ impl Farm {
                 }
                 self.missed.remove(&id);
                 if self.fenced.remove(&id) {
-                    self.kill_stale_seeds(id, at, &valid);
+                    self.kill_stale_seeds(id, at);
                 }
                 while let Some((_, key)) = lost.next_if(|(host, _)| *host == id) {
-                    self.orphan_seed(key, id, at);
+                    if let Some(sid) = self.seeder.forget(&key) {
+                        self.orphan_seed(key, sid, id, at);
+                    }
                 }
                 self.down_since.remove(&id);
             } else {
@@ -1002,62 +991,46 @@ impl Farm {
                         switch: id.0,
                         missed: missed as u64,
                     });
-                    for key in self.seeder.evict_switch(id) {
-                        self.orphan_seed(key, id, at);
+                    for (key, sid) in self.seeder.evict_switch(id) {
+                        self.orphan_seed(key, sid, id, at);
                     }
                 }
             }
         }
     }
 
-    /// Kills seeds still running on a switch that rejoined after being
-    /// declared failed: their replacements live elsewhere, so keeping
-    /// the originals would double-run the task (split brain). `valid`
-    /// lists the `(switch, seed)` pairs the seeder still places there.
-    fn kill_stale_seeds(&mut self, id: SwitchId, at: Time, valid: &[(SwitchId, SeedId)]) {
-        let Some(soil) = self.soils.get_mut(&id) else {
+    /// Kills the seeds still running on a switch that rejoined after
+    /// being declared failed: fencing evicted every one of them from the
+    /// seed table and nothing is planted on a fenced switch, so their
+    /// replacements live elsewhere and keeping the originals would
+    /// double-run the task (split brain).
+    fn kill_stale_seeds(&mut self, id: SwitchId, at: Time) {
+        let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, id) else {
             return;
         };
-        let stale: Vec<SeedId> = soil
-            .seeds()
-            .map(|s| s.id)
-            .filter(|sid| !valid.contains(&(id, *sid)))
-            .collect();
-        if stale.is_empty() {
-            return;
-        }
-        let switch = self.network.switch_mut(id).expect("switch exists");
+        let stale: Vec<SeedId> = soil.seeds().map(|s| s.id).collect();
         for sid in stale {
             let _ = soil.undeploy_with_reason(sid, UndeployReason::Fenced, at, switch);
         }
     }
 
-    /// Moves one seed into the recovery queue: drops its placement
-    /// bookkeeping, grabs the last checkpoint and emits
-    /// [`Event::SeedOrphaned`].
-    fn orphan_seed(&mut self, key: SeedKey, from: SwitchId, at: Time) {
-        self.seeder.forget(&key);
-        let sid = self.seed_ids.remove(&key);
-        let snapshot = self.checkpoints.remove(&key);
+    /// Queues one seed the seed table just forgot for re-placement and
+    /// emits [`Event::SeedOrphaned`]. `sid` is what the lost soil called
+    /// it.
+    fn orphan_seed(&mut self, key: SeedKey, sid: SeedId, from: SwitchId, at: Time) {
         let lost_at = self.down_since.get(&from).copied().unwrap_or(at);
-        let (at_ns, switch, seed, task, has_snapshot) = (
-            at.as_nanos(),
-            from.0,
-            sid.map_or(0, |s| s.0),
-            key.task.clone(),
-            snapshot.is_some(),
-        );
+        let (at_ns, task) = (at.as_nanos(), key.task.clone());
+        let has_snapshot = self.checkpoints.contains_key(&key);
         self.telemetry.emit_with(|| Event::SeedOrphaned {
             at_ns,
-            switch,
-            seed,
+            switch: from.0,
+            seed: sid.0,
             task,
             has_snapshot,
         });
         self.recovery.insert(
             key,
             RecoveryItem {
-                snapshot,
                 lost_at,
                 attempts: 0,
                 next_at: at,
@@ -1081,107 +1054,45 @@ impl Farm {
             return Vec::new();
         }
         let caps = self.live_capacities();
-        // Recovery follows host loss: the fenced switches are this
-        // round's actual delta (they are already absent from `caps`, so
-        // the solver purges their memo entries either way).
-        let fenced: Vec<SwitchId> = self.fenced.iter().copied().collect();
-        let plan = self.seeder.plan_delta(&caps, &fenced).ok();
+        let plan = self.seeder.plan(&caps).ok();
         let mut outbound = Vec::new();
         for key in due {
-            let Some(mut item) = self.recovery.remove(&key) else {
+            let Some(item) = self.recovery.get_mut(&key) else {
                 continue;
             };
             item.attempts += 1;
-            let slot = plan.as_ref().and_then(|p| {
+            let attempts = item.attempts;
+            // Exponential backoff should this attempt fail too:
+            // base × 2^(attempts-1).
+            let factor = 1u64 << (attempts - 1).min(16);
+            item.next_at = now + Dur::from_nanos(self.ft.recovery_backoff.as_nanos() * factor);
+            let target = plan.as_ref().and_then(|p| {
                 p.actions.iter().find_map(|a| match a {
                     PlannedAction::Deploy { key: k, to, alloc } if *k == key => Some((*to, *alloc)),
                     _ => None,
                 })
             });
-            let deployed = slot.and_then(|(to, alloc)| {
-                self.try_recover_deploy(&key, to, alloc, &item, now, &mut outbound)
-            });
-            if deployed.is_some() {
-                continue;
+            // A landed recovery leaves the queue inside `plant`.
+            if let Some((to, alloc)) = target {
+                if let Ok(id) = self.plant(&key, to, alloc, &mut outbound) {
+                    self.seeder
+                        .commit(&PlannedAction::Deploy { key, to, alloc }, Some(id));
+                    continue;
+                }
             }
-            if item.attempts >= self.ft.max_recovery_attempts {
+            if attempts >= self.ft.max_recovery_attempts {
                 let (at_ns, task) = (now.as_nanos(), key.task.clone());
                 let seed = key.seed as u64;
-                let attempts = item.attempts as u64;
                 self.telemetry.emit_with(|| Event::RecoveryAbandoned {
                     at_ns,
                     task,
                     seed,
-                    attempts,
+                    attempts: attempts as u64,
                 });
-                // Giving up on re-placement must not erase the seed's
-                // last known state: park the snapshot back in the
-                // checkpoint store so it stays exportable (and restores
-                // if the seed is ever planted again).
-                if let Some(snap) = item.snapshot.take() {
-                    self.checkpoints.insert(key, snap);
-                }
-                continue;
+                self.recovery.remove(&key);
             }
-            // Exponential backoff: base × 2^(attempts-1).
-            let factor = 1u64 << (item.attempts - 1).min(16);
-            item.next_at = now + Dur::from_nanos(self.ft.recovery_backoff.as_nanos() * factor);
-            self.recovery.insert(key, item);
         }
         outbound
-    }
-
-    /// One recovery deployment: cold deploy, then restore the checkpoint
-    /// when one exists. Returns `None` when the deploy failed (the
-    /// caller backs off and retries).
-    fn try_recover_deploy(
-        &mut self,
-        key: &SeedKey,
-        to: SwitchId,
-        alloc: Resources,
-        item: &RecoveryItem,
-        now: Time,
-        outbound: &mut Vec<OutboundMessage>,
-    ) -> Option<SeedId> {
-        let def = self.seeder.machine_of(key)?;
-        let soil = self.soils.get_mut(&to)?;
-        let switch = self.network.switch_mut(to).expect("switch exists");
-        let (sid, report) = soil.deploy(def, &key.task, alloc, now, switch).ok()?;
-        // A stale or mismatched checkpoint falls back to the cold start
-        // the deploy already performed.
-        let cold_start = match &item.snapshot {
-            Some(snap) => soil.restore_seed(sid, snap).is_err(),
-            None => true,
-        };
-        self.counters.seed_errors.add(report.errors.len() as u64);
-        outbound.extend(report.messages);
-        self.seed_ids.insert(key.clone(), sid);
-        self.seeder.commit(&PlannedAction::Deploy {
-            key: key.clone(),
-            to,
-            alloc,
-        });
-        let mttr = now.since(item.lost_at);
-        self.counters.recoveries.inc();
-        self.counters.mttr_us.record(mttr.as_nanos() / 1_000);
-        let (at_ns, switch_id, seed, task, attempts) = (
-            now.as_nanos(),
-            to.0,
-            sid.0,
-            key.task.clone(),
-            item.attempts as u64,
-        );
-        let mttr_ns = mttr.as_nanos();
-        self.telemetry.emit_with(|| Event::SeedRecovered {
-            at_ns,
-            switch: switch_id,
-            seed,
-            task,
-            cold_start,
-            mttr_ns,
-            attempts,
-        });
-        Some(sid)
     }
 
     /// Seeds currently waiting in the recovery queue.
@@ -1220,7 +1131,7 @@ impl Farm {
     /// Planner or soil failures while evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
         self.cordoned.insert(switch);
-        match self.replan_with(&[switch]) {
+        match self.replan() {
             Ok(plan) => {
                 let evacuated = plan
                     .actions
@@ -1243,7 +1154,7 @@ impl Farm {
     /// Planner or soil failures while executing the plan.
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
         self.cordoned.remove(&switch);
-        self.replan_with(&[switch])
+        self.replan()
     }
 
     /// Switches currently cordoned by [`Farm::drain`].
@@ -1254,40 +1165,40 @@ impl Farm {
     /// Control-plane inventory: one [`SeedStatus`] per placed seed, in
     /// key order.
     pub fn seed_statuses(&self) -> Vec<SeedStatus> {
-        let mut out: Vec<SeedStatus> = self
-            .seeder
-            .placements()
-            .map(|(key, (switch, alloc))| {
-                let inst = self
-                    .seed_ids
-                    .get(key)
-                    .and_then(|sid| self.soils.get(switch).and_then(|s| s.seed(*sid)));
-                let (machine, state) = match inst {
-                    Some(i) => (i.machine_name().to_string(), i.state().to_string()),
-                    // Placed per the seeder but not live on the soil: the
-                    // host crashed and recovery has not landed it yet.
-                    None => (String::new(), "lost".to_string()),
-                };
-                SeedStatus {
-                    key: key.clone(),
-                    machine,
-                    switch: *switch,
-                    state,
-                    alloc: *alloc,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out
+        self.seeder
+            .table()
+            .map(|(key, placed)| self.status_of(key, placed))
+            .collect()
+    }
+
+    /// The [`SeedStatus`] of one placed seed, `None` when `key` is not
+    /// placed.
+    pub fn seed_status(&self, key: &SeedKey) -> Option<SeedStatus> {
+        let placed = self.seeder.placed(key)?;
+        Some(self.status_of(key, placed))
+    }
+
+    fn status_of(&self, key: &SeedKey, placed: &Placed) -> SeedStatus {
+        let (machine, state) = match live(&self.soils, &self.network, placed) {
+            Some(seed) => (seed.machine_name().to_string(), seed.state().to_string()),
+            // Placed per the seeder but not live on the soil: the host
+            // crashed and recovery has not landed it yet.
+            None => (String::new(), "lost".to_string()),
+        };
+        SeedStatus {
+            key: key.clone(),
+            machine,
+            switch: placed.switch,
+            state,
+            alloc: placed.alloc,
+        }
     }
 
     /// The variable bindings of one live seed, rendered as strings in
     /// name order (the `DescribeSeed` control surface).
     pub fn seed_vars(&self, key: &SeedKey) -> Option<Vec<(String, String)>> {
-        let (switch, _) = self.seeder.location_of(key)?;
-        let sid = self.seed_ids.get(key)?;
-        let inst = self.soils.get(&switch)?.seed(*sid)?;
-        let mut vars: Vec<(String, String)> = inst
+        let seed = live(&self.soils, &self.network, self.seeder.placed(key)?)?;
+        let mut vars: Vec<(String, String)> = seed
             .snapshot()
             .vars
             .into_iter()
@@ -1300,45 +1211,27 @@ impl Farm {
     /// Checkpoints every live seed into the snapshot store the heartbeat
     /// rounds also feed. Returns the number captured.
     pub fn checkpoint_seeds(&mut self) -> usize {
-        let placements: Vec<(SeedKey, SwitchId)> = self
-            .seeder
-            .placements()
-            .map(|(k, (sw, _))| (k.clone(), *sw))
-            .collect();
         let mut captured = 0;
-        for (key, sw) in placements {
-            let snap = self
-                .seed_ids
-                .get(&key)
-                .and_then(|sid| self.soils.get(&sw).and_then(|soil| soil.seed(*sid)))
-                .map(|inst| inst.snapshot());
-            if let Some(snap) = snap {
-                self.checkpoints.insert(key, snap);
+        for (key, placed) in self.seeder.table() {
+            if let Some(seed) = live(&self.soils, &self.network, placed) {
+                capture(&mut self.checkpoints, key, seed);
                 captured += 1;
             }
         }
         captured
     }
 
-    /// The checkpoint store as portable entries, sorted by the key's
+    /// The snapshot store as portable entries, sorted by the key's
     /// display form — what the daemon persists into a checkpoint file.
-    ///
-    /// Seeds sitting in the recovery queue carry their last checkpoint
-    /// with them (it left the store when they were orphaned); those are
-    /// exported too, so a daemon that dies mid-recovery still has every
-    /// crashed seed's state in its final file.
+    /// A seed sitting in the recovery queue is in it like any other, so
+    /// a daemon that dies mid-recovery still has every crashed seed's
+    /// state in its final file.
     pub fn export_checkpoints(&self) -> Vec<(SeedKey, SeedSnapshot)> {
         let mut out: Vec<(SeedKey, SeedSnapshot)> = self
             .checkpoints
             .iter()
             .map(|(k, s)| (k.clone(), s.clone()))
             .collect();
-        out.extend(self.recovery.iter().filter_map(|(k, item)| {
-            if self.checkpoints.contains_key(k) {
-                return None;
-            }
-            item.snapshot.as_ref().map(|s| (k.clone(), s.clone()))
-        }));
         out.sort_by_cached_key(|(k, _)| k.to_string());
         out
     }
@@ -1362,26 +1255,7 @@ impl Farm {
     /// rounds or [`Farm::checkpoint_seeds`]). Seeds without a matching
     /// checkpoint keep running untouched. Returns the number restored.
     pub fn restore_seeds(&mut self) -> usize {
-        let placements: Vec<(SeedKey, SwitchId)> = self
-            .seeder
-            .placements()
-            .map(|(k, (sw, _))| (k.clone(), *sw))
-            .collect();
-        let mut restored = 0;
-        for (key, sw) in placements {
-            let Some(snap) = self.checkpoints.get(&key) else {
-                continue;
-            };
-            let Some(sid) = self.seed_ids.get(&key).copied() else {
-                continue;
-            };
-            if let Some(soil) = self.soils.get_mut(&sw) {
-                if soil.restore_seed(sid, snap).is_ok() {
-                    restored += 1;
-                }
-            }
-        }
-        restored
+        self.restore_where(|_| true)
     }
 
     /// Rolls the live seeds of exactly one task back to their imported
@@ -1391,22 +1265,19 @@ impl Farm {
     /// travelling snapshots, then restores only that task). Returns the
     /// number restored.
     pub fn restore_seeds_for(&mut self, task: &str) -> usize {
-        let placements: Vec<(SeedKey, SwitchId)> = self
-            .seeder
-            .placements()
-            .filter(|(k, _)| k.task == task)
-            .map(|(k, (sw, _))| (k.clone(), *sw))
-            .collect();
+        self.restore_where(|key| key.task == task)
+    }
+
+    /// The restore walk: every live seed `wanted` selects goes back to
+    /// its stored snapshot.
+    fn restore_where(&mut self, wanted: impl Fn(&SeedKey) -> bool) -> usize {
         let mut restored = 0;
-        for (key, sw) in placements {
-            let Some(snap) = self.checkpoints.get(&key) else {
+        for (key, placed) in self.seeder.table() {
+            let Some(snap) = self.checkpoints.get(key).filter(|_| wanted(key)) else {
                 continue;
             };
-            let Some(sid) = self.seed_ids.get(&key).copied() else {
-                continue;
-            };
-            if let Some(soil) = self.soils.get_mut(&sw) {
-                if soil.restore_seed(sid, snap).is_ok() {
+            if let Some((soil, _)) = host_mut(&mut self.soils, &mut self.network, placed) {
+                if soil.restore_seed(placed.id, snap).is_ok() {
                     restored += 1;
                 }
             }
@@ -1543,8 +1414,9 @@ impl Farm {
                                 .collect(),
                         };
                         for swid in targets {
-                            if let Some(soil) = self.soils.get_mut(&swid) {
-                                let switch = self.network.switch_mut(swid).expect("switch exists");
+                            if let Some((soil, switch)) =
+                                soil_on(&mut self.soils, &mut self.network, swid)
+                            {
                                 let report = soil.deliver_to_machine(
                                     name,
                                     Some(&msg.from_machine),
@@ -1584,8 +1456,8 @@ impl Farm {
                 };
                 let mut out = Vec::new();
                 for swid in targets {
-                    if let Some(soil) = self.soils.get_mut(&swid) {
-                        let switch = self.network.switch_mut(swid).expect("switch exists");
+                    if let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, swid)
+                    {
                         let report =
                             soil.deliver_to_machine(&machine, None, &value, self.now, switch);
                         self.counters.seed_errors.add(report.errors.len() as u64);
@@ -1594,6 +1466,67 @@ impl Farm {
                 }
                 out
             }
+        }
+    }
+}
+
+/// A fresh soil for a switch, at boot and after a restart.
+fn new_soil(id: SwitchId, config: SoilConfig, telemetry: &Telemetry) -> Soil {
+    let mut soil = Soil::new(id, config);
+    soil.set_telemetry(telemetry.clone());
+    soil
+}
+
+/// The soil on a switch together with the switch — the pair every soil
+/// call takes. `None` for an unknown switch or an empty slot (crashed
+/// and not restarted).
+fn soil_on<'a>(
+    soils: &'a mut [Option<Soil>],
+    network: &'a mut Network,
+    id: SwitchId,
+) -> Option<(&'a mut Soil, &'a mut Switch)> {
+    let soil = soils[network.slot_of(id)?].as_mut()?;
+    Some((soil, network.switch_mut(id)?))
+}
+
+/// The join from a seed-table record to the running seed: the soil in
+/// the record's switch slot, asked for the record's soil-local id.
+/// `None` for a seed that is placed but not live — its soil died with
+/// the switch.
+fn live<'a>(
+    soils: &'a [Option<Soil>],
+    network: &Network,
+    placed: &Placed,
+) -> Option<&'a SeedInstance> {
+    if placed.lost {
+        return None;
+    }
+    soils[network.slot_of(placed.switch)?]
+        .as_ref()?
+        .seed(placed.id)
+}
+
+/// [`live`] for callers that act on the seed: the soil hosting it, and
+/// the switch.
+fn host_mut<'a>(
+    soils: &'a mut [Option<Soil>],
+    network: &'a mut Network,
+    placed: &Placed,
+) -> Option<(&'a mut Soil, &'a mut Switch)> {
+    if placed.lost {
+        return None;
+    }
+    soil_on(soils, network, placed.switch)
+}
+
+/// Puts a live seed's current state into the snapshot store: the first
+/// capture inserts, later ones overwrite.
+fn capture(store: &mut HashMap<SeedKey, SeedSnapshot>, key: &SeedKey, seed: &SeedInstance) {
+    let snap = seed.snapshot();
+    match store.get_mut(key) {
+        Some(stored) => *stored = snap,
+        None => {
+            store.insert(key.clone(), snap);
         }
     }
 }

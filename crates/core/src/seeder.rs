@@ -16,6 +16,7 @@ use farm_placement::build::instance_from_tasks;
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{PlacementResult, PreviousPlacement};
+use farm_soil::SeedId;
 use farm_telemetry::Telemetry;
 
 /// Stable identity of one seed across re-optimizations.
@@ -75,12 +76,27 @@ struct TaskEntry {
     machines: Vec<Arc<CompiledMachine>>,
 }
 
+/// One placed seed: where it is, what it holds, and the name its soil
+/// knows it by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placed {
+    pub(crate) switch: SwitchId,
+    pub(crate) alloc: Resources,
+    /// Soil-local id, unique on `switch` only.
+    pub(crate) id: SeedId,
+    /// The soil that issued `id` died with its switch. A restarted
+    /// switch numbers its seeds from zero again, so from here on `id`
+    /// may name somebody else's seed and must not reach a soil.
+    pub(crate) lost: bool,
+}
+
 /// The seeder's task catalog and placement memory.
 #[derive(Debug, Default)]
 pub struct Seeder {
     tasks: BTreeMap<String, TaskEntry>,
-    /// Current location and allocation per seed.
-    locations: HashMap<SeedKey, (SwitchId, Resources)>,
+    /// The seed table: one record per placed seed. Key order is the
+    /// order every listing, event and checkpoint walk sees.
+    placed: BTreeMap<SeedKey, Placed>,
     options: HeuristicOptions,
     /// Solver-phase timings land here when set (see [`Seeder::set_telemetry`]).
     telemetry: Option<Telemetry>,
@@ -127,7 +143,7 @@ impl Seeder {
     /// Removes a task from the catalog together with its placement
     /// memory (the caller is responsible for undeploying the live seeds).
     pub fn remove_task(&mut self, name: &str) -> bool {
-        self.locations.retain(|k, _| k.task != name);
+        self.placed.retain(|k, _| k.task != name);
         // The task's seed indices vanish from the next instance; the
         // pre-plan remap drops every memo entry that mentions them.
         self.dirty_tasks.remove(name);
@@ -147,40 +163,49 @@ impl Seeder {
             .cloned()
     }
 
-    /// Current location of a seed.
-    pub fn location_of(&self, key: &SeedKey) -> Option<(SwitchId, Resources)> {
-        self.locations.get(key).copied()
+    /// All currently placed seeds with their switch and allocation, in
+    /// key order.
+    pub fn placements(&self) -> impl Iterator<Item = (&SeedKey, SwitchId, Resources)> {
+        self.placed.iter().map(|(k, p)| (k, p.switch, p.alloc))
     }
 
-    /// All currently placed seeds.
-    pub fn placements(&self) -> impl Iterator<Item = (&SeedKey, &(SwitchId, Resources))> {
-        self.locations.iter()
+    /// The seed table in key order.
+    pub(crate) fn table(&self) -> impl ExactSizeIterator<Item = (&SeedKey, &Placed)> {
+        self.placed.iter()
+    }
+
+    /// One record of the seed table.
+    pub(crate) fn placed(&self, key: &SeedKey) -> Option<&Placed> {
+        self.placed.get(key)
+    }
+
+    /// The live seed a soil knows as `id` on `switch` (a soil reports
+    /// what it shed by its own ids).
+    pub(crate) fn key_of(&self, switch: SwitchId, id: SeedId) -> Option<&SeedKey> {
+        self.placed
+            .iter()
+            .find(|(_, p)| p.switch == switch && p.id == id && !p.lost)
+            .map(|(k, _)| k)
+    }
+
+    /// The soil on `switch` died: every record there keeps its place —
+    /// the detector has not fired yet, the planner still counts the seed
+    /// as resident — but its id is void.
+    pub(crate) fn soil_lost(&mut self, switch: SwitchId) {
+        for p in self.placed.values_mut().filter(|p| p.switch == switch) {
+            p.lost = true;
+        }
     }
 
     /// Runs global placement over every registered task and diffs the
-    /// result against the current deployment.
+    /// result against the current deployment. Planning is incremental
+    /// through the retained [`SolveState`]: the result is bit-identical
+    /// to a from-scratch solve, reuse only buys time.
     ///
     /// # Errors
     ///
     /// Propagates instance-construction failures (non-linear demands).
     pub fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Result<Plan, String> {
-        self.plan_delta(switches, &[])
-    }
-
-    /// [`Seeder::plan`] with the caller's change set: switches that
-    /// faulted, drained or returned since the last round are forcibly
-    /// re-solved; everything else is eligible for incremental reuse
-    /// through the retained [`SolveState`]. The result is bit-identical
-    /// to a from-scratch solve either way — the delta only buys time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates instance-construction failures (non-linear demands).
-    pub fn plan_delta(
-        &mut self,
-        switches: &[(SwitchId, Resources)],
-        dirty_switches: &[SwitchId],
-    ) -> Result<Plan, String> {
         // Flatten tasks in deterministic order and build the key map.
         let entries: Vec<&TaskEntry> = self.tasks.values().collect();
         let task_refs: Vec<&CompiledTask> = entries.iter().map(|e| &e.task).collect();
@@ -198,8 +223,8 @@ impl Seeder {
         }
         let mut previous = PreviousPlacement::default();
         for (i, key) in keys.iter().enumerate() {
-            if let Some(loc) = self.locations.get(key) {
-                previous.assignment.insert(i, *loc);
+            if let Some(p) = self.placed.get(key) {
+                previous.assignment.insert(i, (p.switch, p.alloc));
             }
         }
         let has_previous = !previous.assignment.is_empty();
@@ -217,15 +242,11 @@ impl Seeder {
                 .collect();
             self.solver_state.remap(&map);
         }
-        let delta = ReplanDelta {
-            dirty_seeds: keys
-                .iter()
-                .enumerate()
-                .filter(|(_, k)| self.dirty_tasks.contains(&k.task))
-                .map(|(i, _)| i)
-                .collect(),
-            dirty_switches: dirty_switches.to_vec(),
-        };
+        let dirty = keys
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| self.dirty_tasks.contains(&k.task));
+        let delta = ReplanDelta::seeds(dirty.map(|(i, _)| i));
         let (result, report) = replan_delta(
             &instance,
             self.options,
@@ -239,7 +260,11 @@ impl Seeder {
         let mut actions = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             let new = result.assignment[i];
-            let old = self.locations.get(key).copied();
+            // What the table said when the instance was built.
+            let old = instance
+                .previous
+                .as_ref()
+                .and_then(|p| p.assignment.get(&i).copied());
             match (old, new) {
                 (None, Some((n, alloc))) => actions.push(PlannedAction::Deploy {
                     key: key.clone(),
@@ -283,46 +308,57 @@ impl Seeder {
     }
 
     /// Drops the placement memory of every seed on `switch` (the switch
-    /// crashed or was declared failed) and returns their keys in
-    /// deterministic order. The next [`Seeder::plan`] sees those seeds as
-    /// unplaced and proposes fresh deployments for them.
-    pub fn evict_switch(&mut self, switch: SwitchId) -> Vec<SeedKey> {
-        let mut evicted: Vec<SeedKey> = self
-            .locations
+    /// crashed or was declared failed) and returns their keys, with the
+    /// id the lost soil knew each by, in key order. The next
+    /// [`Seeder::plan`] sees those seeds as unplaced and proposes fresh
+    /// deployments for them.
+    pub fn evict_switch(&mut self, switch: SwitchId) -> Vec<(SeedKey, SeedId)> {
+        let evicted: Vec<(SeedKey, SeedId)> = self
+            .placed
             .iter()
-            .filter(|(_, (n, _))| *n == switch)
-            .map(|(k, _)| k.clone())
+            .filter(|(_, p)| p.switch == switch)
+            .map(|(k, p)| (k.clone(), p.id))
             .collect();
-        evicted.sort();
-        for key in &evicted {
-            self.locations.remove(key);
+        for (key, _) in &evicted {
+            self.placed.remove(key);
         }
         evicted
     }
 
     /// Drops the placement memory of a single seed (e.g. shed under
-    /// resource pressure). Returns whether the seed was known.
-    pub fn forget(&mut self, key: &SeedKey) -> bool {
-        self.locations.remove(key).is_some()
+    /// resource pressure). Returns the id its soil knew it by, `None`
+    /// for an unknown seed.
+    pub fn forget(&mut self, key: &SeedKey) -> Option<SeedId> {
+        self.placed.remove(key).map(|p| p.id)
     }
 
-    /// Records that a planned action was executed (keeps the placement
-    /// memory in sync).
-    pub fn commit(&mut self, action: &PlannedAction) {
+    /// Records that a planned action was executed (keeps the seed table
+    /// in sync). `planted` is the id the target soil handed back for the
+    /// seed a `Deploy` or `Migrate` put there; the other actions plant
+    /// nothing and ignore it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a `Deploy` or `Migrate` is committed without an id.
+    pub fn commit(&mut self, action: &PlannedAction, planted: Option<SeedId>) {
         match action {
-            PlannedAction::Deploy { key, to, alloc } => {
-                self.locations.insert(key.clone(), (*to, *alloc));
-            }
-            PlannedAction::Migrate { key, to, alloc, .. } => {
-                self.locations.insert(key.clone(), (*to, *alloc));
+            PlannedAction::Deploy { key, to, alloc }
+            | PlannedAction::Migrate { key, to, alloc, .. } => {
+                let placed = Placed {
+                    switch: *to,
+                    alloc: *alloc,
+                    id: planted.expect("a planted seed commits with its soil-local id"),
+                    lost: false,
+                };
+                self.placed.insert(key.clone(), placed);
             }
             PlannedAction::Realloc { key, alloc } => {
-                if let Some(slot) = self.locations.get_mut(key) {
-                    slot.1 = *alloc;
+                if let Some(p) = self.placed.get_mut(key) {
+                    p.alloc = *alloc;
                 }
             }
             PlannedAction::Undeploy { key, .. } => {
-                self.locations.remove(key);
+                self.placed.remove(key);
             }
         }
     }
@@ -343,6 +379,14 @@ mod tests {
             SwitchModel::accton_as7712(),
             SwitchModel::accton_as5712(),
         )
+    }
+
+    /// Commits a whole plan the way the farm does, minus the soils: ids
+    /// are made up, one per action.
+    fn commit_all(seeder: &mut Seeder, plan: &Plan) {
+        for (i, a) in plan.actions.iter().enumerate() {
+            seeder.commit(a, Some(SeedId(i as u64)));
+        }
     }
 
     fn capacities(topo: &Topology) -> Vec<(SwitchId, Resources)> {
@@ -371,9 +415,7 @@ mod tests {
             .actions
             .iter()
             .all(|a| matches!(a, PlannedAction::Deploy { .. })));
-        for a in &plan.actions {
-            seeder.commit(a);
-        }
+        commit_all(&mut seeder, &plan);
         assert_eq!(seeder.placements().count(), 5);
     }
 
@@ -392,9 +434,7 @@ mod tests {
         seeder.register_task(task);
         let caps = capacities(&topo);
         let plan = seeder.plan(&caps).unwrap();
-        for a in &plan.actions {
-            seeder.commit(a);
-        }
+        commit_all(&mut seeder, &plan);
         let plan2 = seeder.plan(&caps).unwrap();
         let disruptive: Vec<_> = plan2
             .actions
@@ -426,9 +466,8 @@ mod tests {
         let mut seeder = Seeder::new();
         seeder.register_task(task);
         let caps = capacities(&topo);
-        for a in &seeder.plan(&caps).unwrap().actions {
-            seeder.commit(a);
-        }
+        let plan = seeder.plan(&caps).unwrap();
+        commit_all(&mut seeder, &plan);
         assert!(seeder.remove_task("hh"));
         // With the task gone from the catalog the plan no longer knows the
         // seeds; the Farm facade undeploys orphans (see farm.rs). The
@@ -451,16 +490,15 @@ mod tests {
         let mut seeder = Seeder::new();
         seeder.register_task(task);
         let caps = capacities(&topo);
-        for a in &seeder.plan(&caps).unwrap().actions {
-            seeder.commit(a);
-        }
+        let plan = seeder.plan(&caps).unwrap();
+        commit_all(&mut seeder, &plan);
         let total = seeder.placements().count();
-        let victim = seeder.placements().next().unwrap().1 .0;
+        let victim = seeder.placements().next().unwrap().1;
         let evicted = seeder.evict_switch(victim);
         assert!(!evicted.is_empty());
-        assert!(evicted.windows(2).all(|w| w[0] < w[1]), "sorted keys");
+        assert!(evicted.windows(2).all(|w| w[0].0 < w[1].0), "sorted keys");
         assert_eq!(seeder.placements().count(), total - evicted.len());
-        assert!(seeder.placements().all(|(_, (n, _))| *n != victim));
+        assert!(seeder.placements().all(|(_, n, _)| n != victim));
         // The next plan re-deploys exactly the evicted seeds.
         let plan = seeder.plan(&caps).unwrap();
         let deploys: Vec<_> = plan
@@ -487,14 +525,10 @@ mod tests {
         let caps = capacities(&topo);
         let p1 = seeder.plan(&caps).unwrap();
         assert!(!p1.delta.warm, "first plan is cold");
-        for a in &p1.actions {
-            seeder.commit(a);
-        }
+        commit_all(&mut seeder, &p1);
         let p2 = seeder.plan(&caps).unwrap();
         assert!(p2.delta.warm);
-        for a in &p2.actions {
-            seeder.commit(a);
-        }
+        commit_all(&mut seeder, &p2);
         // By the third round the world is stable: the per-switch LP memo
         // captured on round two must serve round three.
         let p3 = seeder.plan(&caps).unwrap();

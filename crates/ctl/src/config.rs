@@ -292,9 +292,6 @@ pub struct FarmdConfig {
     pub leaves: usize,
     /// Periodic replan cadence; `None` disables the ticker.
     pub replan_interval: Option<Duration>,
-    /// Worker threads for the placement solver's parallel phases; `0`
-    /// and `1` solve sequentially, any value plans identically.
-    pub placement_threads: usize,
     /// Admission quota: fraction of live fabric capacity submissions may
     /// claim in total (per resource kind).
     pub quota: f64,
@@ -345,7 +342,6 @@ impl Default for FarmdConfig {
             spines: 2,
             leaves: 3,
             replan_interval: None,
-            placement_threads: 1,
             quota: 1.0,
             max_program_bytes: 1 << 20,
             tick_interval: None,
@@ -387,9 +383,6 @@ impl FarmdConfig {
         }
         if let Some(ms) = t.u64("farm.replan_interval_ms")? {
             cfg.replan_interval = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(n) = t.u64("farm.placement_threads")? {
-            cfg.placement_threads = n as usize;
         }
         if let Some(ms) = t.u64("farm.tick_interval_ms")? {
             cfg.tick_interval = (ms > 0).then(|| Duration::from_millis(ms));
@@ -481,7 +474,6 @@ mod tests {
         spines = 3
         leaves = 4
         replan_interval_ms = 200
-        placement_threads = 4
 
         [admission]
         quota = 0.8
@@ -500,7 +492,6 @@ mod tests {
         );
         assert_eq!((cfg.spines, cfg.leaves), (3, 4));
         assert_eq!(cfg.replan_interval, Some(Duration::from_millis(200)));
-        assert_eq!(cfg.placement_threads, 4);
         assert!((cfg.quota - 0.8).abs() < 1e-12);
         assert_eq!(cfg.max_program_bytes, 4096);
     }

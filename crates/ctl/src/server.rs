@@ -176,7 +176,7 @@ impl daemon::Core for Core {
             SwitchModel::accton_as7712(),
             SwitchModel::accton_as5712(),
         );
-        let mut builder = Farm::builder(topo).with_placement_threads(config.placement_threads);
+        let mut builder = Farm::builder(topo);
         if let Some(seed) = config.fault_seed {
             builder = builder.with_fault_plan(churn_plan(&config, seed));
         }
@@ -676,24 +676,24 @@ fn redeploy_program(core: &mut Core, name: &str, source: &str) {
 /// one page of it. The listing is sorted by seed key either way, so
 /// concatenating pages reproduces the unpaginated reply exactly.
 fn list_seeds(farm: &Farm, from_index: u64, limit: u64) -> ControlReply {
-    let mut statuses = farm.seed_statuses();
-    statuses.sort_by_cached_key(|s| s.key.to_string());
-    let (range, cursor) = page(from_index, limit, statuses.len());
+    let mut seeds: Vec<SeedDescriptor> = farm.seed_statuses().into_iter().map(descriptor).collect();
+    seeds.sort_by(|a, b| a.key.cmp(&b.key));
+    let (range, cursor) = page(from_index, limit, seeds.len());
     let (next_index, total) = cursor.unwrap_or((0, 0));
     ControlReply::Seeds {
-        seeds: statuses[range].iter().map(descriptor).collect(),
+        seeds: seeds.drain(range).collect(),
         next_index,
         total,
     }
 }
 
-fn descriptor(s: &SeedStatus) -> SeedDescriptor {
+fn descriptor(s: SeedStatus) -> SeedDescriptor {
     SeedDescriptor {
         key: s.key.to_string(),
-        task: s.key.task.clone(),
-        machine: s.machine.clone(),
+        task: s.key.task,
+        machine: s.machine,
         switch: s.switch.0,
-        state: s.state.clone(),
+        state: s.state,
         alloc: s.alloc.0,
     }
 }
@@ -715,14 +715,14 @@ fn describe(farm: &Farm, key: &str) -> ControlReply {
             reason: format!("bad seed key `{key}` (want task/m<i>/s<j>)"),
         };
     };
-    let Some(status) = farm.seed_statuses().into_iter().find(|s| s.key == parsed) else {
+    let Some(status) = farm.seed_status(&parsed) else {
         return ControlReply::Rejected {
             reason: format!("no seed `{key}`"),
         };
     };
     let vars = farm.seed_vars(&parsed).unwrap_or_default();
     ControlReply::Seed {
-        desc: descriptor(&status),
+        desc: descriptor(status),
         vars,
     }
 }

@@ -166,44 +166,33 @@ pub struct DeltaReport {
     pub warm: bool,
 }
 
-/// What changed since the last solve. Everything listed is *forcibly*
-/// invalidated before probing; changes the solver can see on its own —
-/// capacity, residency, previous-placement moves — are caught by the
-/// bit-exact signatures and need not be declared. Callers **must**
-/// declare seeds whose utility or polling *definitions* changed
-/// (re-registration of a task), because definitions are read through the
-/// seed id and identical-looking signatures would otherwise replay stale
-/// LP outputs.
+/// What changed since the last solve that the solver cannot see on its
+/// own. Capacity, residency, previous-placement moves and switches that
+/// left or rejoined the instance are all caught by the bit-exact
+/// signatures (a switch absent from the instance loses its memo entry, a
+/// returning one has none) and are not declared. Callers **must** declare
+/// seeds whose utility or polling *definitions* changed (re-registration
+/// of a task), because definitions are read through the seed id and
+/// identical-looking signatures would otherwise replay stale LP outputs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplanDelta {
-    /// Seed indices (into the *current* instance) whose definition or
-    /// situation changed.
+    /// Seed indices (into the *current* instance) whose definition
+    /// changed; every memo entry mentioning one is invalidated before
+    /// probing.
     pub dirty_seeds: Vec<usize>,
-    /// Switches to forcibly re-solve (e.g. faulted, drained, or
-    /// uncordoned this round).
-    pub dirty_switches: Vec<SwitchId>,
 }
 
 impl ReplanDelta {
-    /// A delta naming only dirty switches.
-    pub fn switches(dirty: impl IntoIterator<Item = SwitchId>) -> ReplanDelta {
-        ReplanDelta {
-            dirty_switches: dirty.into_iter().collect(),
-            ..ReplanDelta::default()
-        }
-    }
-
-    /// A delta naming only dirty seeds.
+    /// A delta naming the dirty seeds.
     pub fn seeds(dirty: impl IntoIterator<Item = usize>) -> ReplanDelta {
         ReplanDelta {
             dirty_seeds: dirty.into_iter().collect(),
-            ..ReplanDelta::default()
         }
     }
 
     /// True when nothing was declared dirty (pure re-solve).
     pub fn is_empty(&self) -> bool {
-        self.dirty_seeds.is_empty() && self.dirty_switches.is_empty()
+        self.dirty_seeds.is_empty()
     }
 }
 
@@ -278,8 +267,8 @@ pub fn replan_delta(
     delta: &ReplanDelta,
     telemetry: Option<&Telemetry>,
 ) -> (PlacementResult, DeltaReport) {
-    // Purge before probing: absent switches (evicted or crashed), dirty
-    // switches, entries mentioning a dirty seed, and entries whose seed
+    // Purge before probing: absent switches (evicted, crashed or
+    // cordoned), entries mentioning a dirty seed, and entries whose seed
     // indices fall outside the rebuilt instance (stale numbering the
     // caller did not remap).
     let live: FxHashSet<SwitchId> = instance.switches.iter().map(|(n, _)| *n).collect();
@@ -287,7 +276,6 @@ pub fn replan_delta(
     let n_seeds = instance.seeds.len();
     state.lp_cache.retain(|n, e| {
         live.contains(n)
-            && !delta.dirty_switches.contains(n)
             && !e.mentions_any(&dirty_seeds)
             && e.residents.iter().all(|(s, _)| *s < n_seeds)
             && e.updates.iter().all(|(s, _)| *s < n_seeds)
@@ -303,7 +291,7 @@ pub fn replan_delta(
             ..DeltaReport::default()
         },
     };
-    let result = solve_core(instance, options, None, telemetry, Some(&mut ctx));
+    let result = solve_core(instance, options, telemetry, Some(&mut ctx));
     state.lp_cache = ctx.cache;
     state.solves += 1;
     let mut report = ctx.report;
@@ -405,13 +393,7 @@ mod tests {
         if let Some(prev) = &mut inst.previous {
             prev.assignment.retain(|_, (n, _)| *n != dead);
         }
-        let (r, report) = replan_delta(
-            &inst,
-            opts,
-            &mut state,
-            &ReplanDelta::switches([dead]),
-            None,
-        );
+        let (r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         assert_same(&r, &solve_heuristic(&inst, opts));
         assert!(report.warm);
         validate(&inst, &r).unwrap();
@@ -499,13 +481,7 @@ mod tests {
             if let Some(prev) = &mut inst.previous {
                 prev.assignment.retain(|_, (n, _)| *n != victim);
             }
-            let (delta_r, _) = replan_delta(
-                &inst,
-                opts,
-                &mut state,
-                &ReplanDelta::switches([victim]),
-                None,
-            );
+            let (delta_r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
             let full = solve_heuristic(&inst, opts);
             assert_same(&delta_r, &full);
             validate(&inst, &delta_r).unwrap();

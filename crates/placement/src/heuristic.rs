@@ -17,8 +17,7 @@
 //!
 //! # Performance engineering
 //!
-//! The solve is *incremental* and *parallel* (see DESIGN.md
-//! "Performance"):
+//! The solve is *incremental* (see DESIGN.md "Performance"):
 //!
 //! * Poll subjects are interned to dense `u32` ids once per solve
 //!   ([`SubjectInterner`]); the hot candidate loop never clones or
@@ -27,19 +26,14 @@
 //!   switch-wide `Σ max` poll total, so a `fits()` probe is O(polls of
 //!   the candidate seed) instead of O(subjects × entries on the switch).
 //!   Removing the max entry lazily rebuilds that one subject's max.
-//! * Steps 3 and 4 — the per-switch LPs (independent by construction)
-//!   and the read-only migration-benefit scan — fan out over a scoped
-//!   worker pool when [`HeuristicOptions::threads`] > 1. Workers claim
-//!   items off a shared cursor (no chunk imbalance), reuse one LP arena
-//!   each ([`LpScratch`]), and the benefit scan emits pre-sorted runs
-//!   merged k-way; every merge is deterministic in stable switch/seed
-//!   order, so the parallel result is bit-identical to the sequential
-//!   one (`prop_parallel.rs` pins this).
+//! * Step 3's per-switch LPs run one after another through a single
+//!   reused model arena ([`LpScratch`]); every float reduction runs in
+//!   stable switch/seed order, so repeated solves are bit-identical
+//!   (`prop_placement.rs` pins this).
 //! * Re-solves with a retained [`crate::delta::SolveState`] memoize the
 //!   per-switch LP outputs by exact input signature — see
 //!   [`crate::delta::replan_delta`].
 
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::Instant;
 
 use crate::fxhash::FxHashMap;
@@ -55,64 +49,21 @@ use crate::model::{
     count_migrations, utility_of, PlacementInstance, PlacementResult, SubjectInterner,
 };
 
-/// Heuristic knobs (ablation switches for the design-choice benches,
-/// plus the worker-pool width).
+/// Heuristic knobs: the ablation switches of the design-choice benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeuristicOptions {
     /// Step 3: LP-based resource redistribution.
     pub lp_redistribution: bool,
     /// Steps 4–5: migration pass.
     pub migration: bool,
-    /// Worker threads for the per-switch LP redistribution and the
-    /// migration-benefit scan. `0` and `1` both run fully sequentially
-    /// (today's exact behaviour); any larger value produces bit-identical
-    /// results through the deterministic merge, only faster.
-    pub threads: usize,
-    /// Minimum instance size (in seeds) before `threads > 1` actually
-    /// fans out. Below this the solve runs sequentially regardless of
-    /// `threads`: on small instances the scoped-pool spawn/join cost
-    /// outweighs the work it parallelizes, so `threads = 2` used to be
-    /// *slower* than `threads = 1`. Set to `0` to force the parallel
-    /// path at any size (the determinism proptests do this).
-    pub parallel_threshold: usize,
 }
-
-/// Default [`HeuristicOptions::parallel_threshold`]: roughly where the
-/// per-solve spawn/join overhead (~tens of µs per worker) drops below
-/// the per-seed LP + benefit-scan work it saves.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4000;
 
 impl Default for HeuristicOptions {
     fn default() -> Self {
         HeuristicOptions {
             lp_redistribution: true,
             migration: true,
-            threads: 1,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
-    }
-}
-
-impl HeuristicOptions {
-    /// Default options with an explicit worker-pool width.
-    pub fn with_threads(threads: usize) -> HeuristicOptions {
-        HeuristicOptions {
-            threads,
-            ..HeuristicOptions::default()
-        }
-    }
-}
-
-/// The worker-pool width a solve actually uses: the requested width,
-/// collapsed to 1 when the instance is below
-/// [`HeuristicOptions::parallel_threshold`]. Bit-identical either way
-/// (the proptests in `prop_parallel.rs` pin that), so this is purely a
-/// wall-clock decision.
-fn effective_threads(options: &HeuristicOptions, n_seeds: usize) -> usize {
-    if n_seeds < options.parallel_threshold {
-        1
-    } else {
-        options.threads.max(1)
     }
 }
 
@@ -330,152 +281,15 @@ impl SwitchState {
     }
 }
 
-/// Below this many work items the scoped pool is pure overhead; the
-/// sequential path is taken regardless of the thread knob (results are
-/// identical either way).
-const PARALLEL_MIN_ITEMS: usize = 8;
-
-/// Maps `f` over `items` on up to `threads` scoped workers. Each worker
-/// claims items one at a time off a shared atomic cursor (so uneven item
-/// costs — e.g. per-switch LPs of very different sizes — cannot leave a
-/// worker idle the way fixed contiguous chunks did) and reuses a single
-/// scratch value, built once by `mk_scratch`, across every item it
-/// claims. Results are scattered back into item order, so callers
-/// observe exactly the sequential output: `f` must be pure with respect
-/// to the result (the scratch is an arena, never an input).
-fn parallel_map_scratch<T, R, S, MS, F>(threads: usize, items: &[T], mk_scratch: MS, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    MS: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 || items.len() < PARALLEL_MIN_ITEMS {
-        let mut scratch = mk_scratch();
-        return items.iter().map(|t| f(&mut scratch, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let f = &f;
-        let mk_scratch = &mk_scratch;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut scratch = mk_scratch();
-                    let mut got: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        got.push((i, f(&mut scratch, item)));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("placement worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item produced exactly once"))
-        .collect()
-}
-
-/// [`parallel_map_scratch`] without a per-worker arena.
-fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_scratch(threads, items, || (), |_, t| f(t))
-}
-
 /// The migration-benefit comparator: decreasing benefit, `Equal` on any
 /// NaN so the sort never panics.
 fn benefit_cmp(a: &(f64, usize, SwitchId), b: &(f64, usize, SwitchId)) -> std::cmp::Ordering {
     b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
 }
 
-/// Enumerates per-seed benefit lists and returns them globally sorted by
-/// decreasing benefit, ties in enumeration order. Sequentially this is a
-/// flatten + stable sort; in parallel each worker scans one contiguous
-/// seed range and emits a pre-sorted run, and the runs are merged k-way
-/// with ties taken from the earliest run — which reproduces the stable
-/// sort of the concatenation bit for bit, without re-sorting (or
-/// re-hashing) the merged list.
-fn scan_benefits<F>(threads: usize, n_seeds: usize, scan: F) -> Vec<(f64, usize, SwitchId)>
-where
-    F: Fn(usize) -> Vec<(f64, usize, SwitchId)> + Sync,
-{
-    let threads = threads.max(1).min(n_seeds.max(1));
-    if threads == 1 || n_seeds < PARALLEL_MIN_ITEMS {
-        let mut out: Vec<(f64, usize, SwitchId)> = (0..n_seeds).flat_map(scan).collect();
-        out.sort_by(benefit_cmp);
-        return out;
-    }
-    let chunk = n_seeds.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n_seeds)
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(n_seeds))
-        .collect();
-    let scan = &scan;
-    let runs: Vec<Vec<(f64, usize, SwitchId)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut run: Vec<(f64, usize, SwitchId)> = range.flat_map(scan).collect();
-                    run.sort_by(benefit_cmp);
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("placement worker panicked"))
-            .collect()
-    });
-    // Stable k-way merge: among run heads, take the smallest under the
-    // comparator; on ties the earliest run wins, preserving enumeration
-    // order exactly like the stable sort of the flattened list.
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; runs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (ri, run) in runs.iter().enumerate() {
-            if cursors[ri] >= run.len() {
-                continue;
-            }
-            match best {
-                None => best = Some(ri),
-                Some(bi) => {
-                    if benefit_cmp(&run[cursors[ri]], &runs[bi][cursors[bi]])
-                        == std::cmp::Ordering::Less
-                    {
-                        best = Some(ri);
-                    }
-                }
-            }
-        }
-        let Some(bi) = best else { break };
-        out.push(runs[bi][cursors[bi]]);
-        cursors[bi] += 1;
-    }
-    out
-}
-
 /// Runs Alg. 1 on an instance.
 pub fn solve_heuristic(instance: &PlacementInstance, options: HeuristicOptions) -> PlacementResult {
-    solve_core(instance, options, None, None, None)
+    solve_core(instance, options, None, None)
 }
 
 /// [`solve_heuristic`] with per-phase telemetry: each of the greedy,
@@ -486,7 +300,7 @@ pub fn solve_heuristic_traced(
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
 ) -> PlacementResult {
-    solve_core(instance, options, None, telemetry, None)
+    solve_core(instance, options, telemetry, None)
 }
 
 /// A deliberately *generic* randomized construction: random task order,
@@ -596,16 +410,6 @@ pub fn solve_randomized(
     }
 }
 
-/// Alg. 1 with an optional explicit task order (used by the randomized
-/// restarts of the budgeted MILP fallback).
-pub fn solve_heuristic_ordered(
-    instance: &PlacementInstance,
-    options: HeuristicOptions,
-    task_order: Option<Vec<usize>>,
-) -> PlacementResult {
-    solve_core(instance, options, task_order, None, None)
-}
-
 /// The full Alg. 1 pipeline. When `delta` is given, the per-switch LP
 /// outputs of the redistribution phase are memoized in its cache:
 /// switches whose LP inputs (capacity, ordered residents and their
@@ -618,19 +422,18 @@ pub fn solve_heuristic_ordered(
 pub(crate) fn solve_core(
     instance: &PlacementInstance,
     options: HeuristicOptions,
-    task_order: Option<Vec<usize>>,
     telemetry: Option<&Telemetry>,
     mut delta: Option<&mut DeltaCtx>,
 ) -> PlacementResult {
     let start = Instant::now();
-    let threads = effective_threads(&options, instance.seeds.len());
     // One-time per-solve precomputation: interned subjects and each
     // seed's minimum feasible allocation (both invariant across phases).
-    // The min-allocation scan is pure per seed, so it fans out with the
-    // same worker pool as the later phases (step 2's feeding scan).
     let (_, interned) = SubjectInterner::for_instance(instance);
-    let min_alloc: Vec<Option<(Resources, f64)>> =
-        parallel_map(threads, &instance.seeds, |s| s.util.min_feasible());
+    let min_alloc: Vec<Option<(Resources, f64)>> = instance
+        .seeds
+        .iter()
+        .map(|s| s.util.min_feasible())
+        .collect();
     let mut states: FxHashMap<SwitchId, SwitchState> = instance
         .switches
         .iter()
@@ -654,17 +457,14 @@ pub(crate) fn solve_core(
     let mut dropped = Vec::new();
 
     // Step 1: sort tasks by decreasing minimum utility.
-    let order = task_order.unwrap_or_else(|| {
-        let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
-        let keys: Vec<f64> = (0..instance.tasks.len())
-            .map(|t| instance.task_min_utility(t))
-            .collect();
-        order.sort_by(|&a, &b| {
-            keys[b]
-                .partial_cmp(&keys[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order
+    let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
+    let keys: Vec<f64> = (0..instance.tasks.len())
+        .map(|t| instance.task_min_utility(t))
+        .collect();
+    order.sort_by(|&a, &b| {
+        keys[b]
+            .partial_cmp(&keys[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
 
     let release_lingering = |states: &mut FxHashMap<SwitchId, SwitchState>,
@@ -793,10 +593,8 @@ pub(crate) fn solve_core(
 
     // Step 3: LP redistribution per switch, then refresh the bookkeeping
     // so the migration pass sees the boosted allocations. The per-switch
-    // LPs are independent (the decomposition's whole point), so they fan
-    // out over the worker pool; updates merge in ascending switch order
-    // and touch disjoint seeds, so any thread count yields the same
-    // assignment.
+    // LPs are independent (the decomposition's whole point): updates
+    // apply in ascending switch order and touch disjoint seeds.
     let lp_start = Instant::now();
     if options.lp_redistribution {
         let mut work: Vec<(SwitchId, Vec<usize>)> = states
@@ -849,33 +647,20 @@ pub(crate) fn solve_core(
                     }
                 }
             }
-            let todo: Vec<(SwitchId, &Vec<usize>)> =
-                frontier.iter().map(|&i| (work[i].0, &work[i].1)).collect();
-            let updates: Vec<Vec<(usize, Resources)>> = {
-                let states = &states;
-                let assignment_view = &assignment;
-                let interned_view = &interned;
-                parallel_map_scratch(
-                    threads,
-                    &todo,
-                    LpScratch::new,
-                    |scratch, (n, seeds_here)| {
-                        redistribute_switch(
-                            instance,
-                            interned_view,
-                            *n,
-                            seeds_here,
-                            &states[n],
-                            assignment_view,
-                            scratch,
-                        )
-                    },
-                )
-            };
-            for (&i, ups) in frontier.iter().zip(updates) {
+            let mut scratch = LpScratch::new();
+            for &i in &frontier {
+                let (n, seeds_here) = &work[i];
+                let st = &states[n];
+                let ups = redistribute_switch(
+                    instance,
+                    &interned,
+                    *n,
+                    seeds_here,
+                    st,
+                    &assignment,
+                    &mut scratch,
+                );
                 if let Some(ctx) = &mut delta {
-                    let (n, seeds_here) = &work[i];
-                    let st = &states[n];
                     match LpCacheEntry::capture(&st.ares, seeds_here, &assignment, &ups) {
                         Some(entry) if st.lingering.is_empty() => {
                             ctx.cache.insert(*n, entry);
@@ -920,47 +705,36 @@ pub(crate) fn solve_core(
 
     // Steps 4–5: relocation by decreasing benefit. On re-optimization
     // this is migration (with double occupancy); on a fresh placement it
-    // is a free improvement pass over the greedy choices. The benefit
-    // scan only reads `states`/`assignment`, so it fans out across the
-    // pool; per-seed benefit lists concatenate in seed order, which is
-    // exactly the sequential enumeration order (the later stable sort
-    // preserves it for ties).
+    // is a free improvement pass over the greedy choices. Benefits are
+    // enumerated in seed order and sorted stably by decreasing benefit,
+    // so ties keep enumeration order.
     let migration_start = Instant::now();
     let mut migrations = 0;
     if options.migration {
-        let benefits: Vec<(f64, usize, SwitchId)> = {
-            let states = &states;
-            let assignment_view = &assignment;
-            let interned_view = &interned;
-            let min_alloc_view = &min_alloc;
-            scan_benefits(threads, assignment.len(), |s| {
-                let mut out = Vec::new();
-                let Some((cur, cur_res)) = &assignment_view[s] else {
-                    return out;
-                };
-                let seed = &instance.seeds[s];
-                let Some((min_res, _)) = &min_alloc_view[s] else {
-                    return out;
-                };
-                let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
-                for &n in &seed.candidates {
-                    if n == *cur {
-                        continue;
-                    }
-                    let Some(st) = states.get(&n) else { continue };
-                    if let Some(u) = achievable_utility(seed, &interned_view[s], min_res, st) {
-                        // Hysteresis: relocation must clearly pay (migration
-                        // costs state transfer and double occupancy; "without
-                        // unnecessary migration" per Alg. 1 step 2a), and the
-                        // benefit estimate is opportunistic, not exact.
-                        if u > cur_u * 1.15 + 1e-6 {
-                            out.push((u - cur_u, s, n));
-                        }
+        let mut benefits: Vec<(f64, usize, SwitchId)> = Vec::new();
+        for (s, slot) in assignment.iter().enumerate() {
+            let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
+                continue;
+            };
+            let seed = &instance.seeds[s];
+            let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
+            for &n in &seed.candidates {
+                if n == *cur {
+                    continue;
+                }
+                let Some(st) = states.get(&n) else { continue };
+                if let Some(u) = achievable_utility(seed, &interned[s], min_res, st) {
+                    // Hysteresis: relocation must clearly pay (migration
+                    // costs state transfer and double occupancy; "without
+                    // unnecessary migration" per Alg. 1 step 2a), and the
+                    // benefit estimate is opportunistic, not exact.
+                    if u > cur_u * 1.15 + 1e-6 {
+                        benefits.push((u - cur_u, s, n));
                     }
                 }
-                out
-            })
-        };
+            }
+        }
+        benefits.sort_by(benefit_cmp);
         for (_, s, n) in benefits {
             let seed = &instance.seeds[s];
             let Some((cur, cur_res)) = assignment[s] else {
@@ -1087,10 +861,9 @@ fn opportunistic_alloc(polls: &SeedPolls, st: &SwitchState, min_res: &Resources)
 /// stops paying for itself; greedy minimum allocations are kept instead.
 const LP_SEEDS_PER_SWITCH_CAP: usize = 150;
 
-/// Per-worker arena for the per-switch LPs: one [`Problem`] reused
-/// across every switch a worker claims, so the model's variable,
-/// constraint and objective buffers are allocated once per worker per
-/// solve instead of once per switch.
+/// Arena for the per-switch LPs: one [`Problem`] reused across every
+/// switch of a solve, so the model's variable, constraint and objective
+/// buffers are allocated once per solve instead of once per switch.
 pub(crate) struct LpScratch {
     p: Problem,
 }
@@ -1106,8 +879,7 @@ impl LpScratch {
 /// Solves one switch's redistribution LP and returns the accepted
 /// per-seed reallocations. Pure with respect to the shared solve state
 /// (reads `assignment`, never writes — the scratch is an arena, not an
-/// input), which is what lets step 3 fan the per-switch LPs out across
-/// the worker pool and memoize outputs by input signature.
+/// input), which is what lets step 3 memoize outputs by input signature.
 fn redistribute_switch(
     instance: &PlacementInstance,
     interned: &[Vec<(u32, Poly)>],
@@ -1253,26 +1025,6 @@ mod tests {
     use crate::model::{validate, PlacementSeed, PlacementTask, PreviousPlacement};
     use farm_almanac::analysis::{UtilAnalysis, UtilBranch};
 
-    #[test]
-    fn parallel_threshold_gates_fan_out() {
-        let opts = HeuristicOptions::with_threads(8);
-        // Below the threshold a wide pool collapses to sequential …
-        assert_eq!(effective_threads(&opts, 0), 1);
-        assert_eq!(effective_threads(&opts, DEFAULT_PARALLEL_THRESHOLD - 1), 1);
-        // … at and above it the requested width applies.
-        assert_eq!(effective_threads(&opts, DEFAULT_PARALLEL_THRESHOLD), 8);
-        assert_eq!(effective_threads(&opts, 100_000), 8);
-        // threshold 0 forces the parallel path at any size.
-        let forced = HeuristicOptions {
-            parallel_threshold: 0,
-            ..HeuristicOptions::with_threads(3)
-        };
-        assert_eq!(effective_threads(&forced, 1), 3);
-        // threads 0 and 1 stay sequential everywhere.
-        let seq = HeuristicOptions::with_threads(0);
-        assert_eq!(effective_threads(&seq, 100_000), 1);
-    }
-
     fn linear_util(min_vcpu: f64, cap: f64) -> UtilAnalysis {
         UtilAnalysis {
             branches: vec![UtilBranch {
@@ -1355,7 +1107,6 @@ mod tests {
             HeuristicOptions {
                 lp_redistribution: false,
                 migration: false,
-                ..HeuristicOptions::default()
             },
         );
         let with = solve_heuristic(
@@ -1363,7 +1114,6 @@ mod tests {
             HeuristicOptions {
                 lp_redistribution: true,
                 migration: false,
-                ..HeuristicOptions::default()
             },
         );
         validate(&inst, &with).unwrap();
@@ -1487,19 +1237,6 @@ mod tests {
             elapsed < std::time::Duration::from_secs(10),
             "heuristic too slow: {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn threaded_solve_is_bit_identical_to_sequential() {
-        let inst = instance(16, 4, 24);
-        let seq = solve_heuristic(&inst, HeuristicOptions::default());
-        for threads in [2, 3, 8] {
-            let par = solve_heuristic(&inst, HeuristicOptions::with_threads(threads));
-            assert_eq!(par.assignment, seq.assignment, "threads={threads}");
-            assert_eq!(par.utility.to_bits(), seq.utility.to_bits());
-            assert_eq!(par.migrations, seq.migrations);
-            assert_eq!(par.dropped_tasks, seq.dropped_tasks);
-        }
     }
 
     #[test]

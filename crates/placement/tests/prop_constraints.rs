@@ -47,7 +47,7 @@ proptest! {
         for (lp, mig) in [(false, false), (true, false)] {
             let r = solve_heuristic(
                 &inst,
-                HeuristicOptions { lp_redistribution: lp, migration: mig, ..HeuristicOptions::default() },
+                HeuristicOptions { lp_redistribution: lp, migration: mig },
             );
             prop_assert!(check_all(&inst, &r.assignment).is_ok(),
                 "lp={lp} mig={mig}: {:?}", check_all(&inst, &r.assignment));

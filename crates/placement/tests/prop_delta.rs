@@ -7,11 +7,12 @@
 //! migration count, same dropped tasks — and satisfy the independently
 //! re-derived C1–C4 checkers from `util`.
 //!
-//! Degrade and Submit deliberately pass an *empty* [`ReplanDelta`]: the
-//! bit-exact LP signatures must catch capacity and residency changes on
-//! their own. Tweak mutates a seed's polling *definition*, which the
-//! signature cannot see — that is exactly the case the `dirty_seeds`
-//! contract exists for, so it declares the seed dirty.
+//! Every event but one passes an *empty* [`ReplanDelta`]: the bit-exact
+//! LP signatures must catch capacity and residency changes, and switches
+//! leaving or rejoining the instance, on their own. Tweak mutates a
+//! seed's polling *definition*, which the signature cannot see — that is
+//! exactly the case the `dirty_seeds` contract exists for, so it
+//! declares the seed dirty.
 
 mod util;
 
@@ -89,7 +90,7 @@ fn apply(inst: &mut PlacementInstance, base: &PlacementInstance, ev: Churn) -> R
                     prev.assignment.retain(|_, (n, _)| *n != victim);
                 }
             }
-            ReplanDelta::switches([victim])
+            ReplanDelta::default()
         }
         Churn::Restore(i) => {
             let present: Vec<SwitchId> = inst.switches.iter().map(|(n, _)| *n).collect();
@@ -103,7 +104,7 @@ fn apply(inst: &mut PlacementInstance, base: &PlacementInstance, ev: Churn) -> R
             }
             let (n, ares) = *missing[i % missing.len()];
             inst.switches.push((n, ares));
-            ReplanDelta::switches([n])
+            ReplanDelta::default()
         }
         Churn::Submit(i) => {
             if inst.seeds.is_empty() {
@@ -169,6 +170,48 @@ proptest! {
             prop_assert!(report.warm);
             prop_assert!(check_all(&inst, &dr.assignment).is_ok(),
                 "step {} ({:?}): {:?}", step, ev, check_all(&inst, &dr.assignment));
+            r = dr;
+        }
+    }
+
+    /// The drain → uncordon shape: a switch leaves the instance with its
+    /// residents still naming it, other events pass, and it returns two
+    /// events later. The memo entry it had is purged while it is away and
+    /// nothing declares it on return; every step must still agree with
+    /// the full solve.
+    #[test]
+    fn a_switch_that_leaves_and_returns_still_matches_the_full_solve(
+        cfg in workload(),
+        victim in any::<usize>(),
+        between in proptest::collection::vec(churn_event(), 2..3),
+    ) {
+        let base = generate(&cfg);
+        let mut inst = base.clone();
+        let opts = HeuristicOptions::default();
+        let mut state = SolveState::new();
+        let (mut r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        let away = inst.switches[victim % inst.switches.len()];
+        let mut events = vec![Churn::Drain(victim)];
+        // Restore would bring the drained switch back early.
+        events.extend(between.into_iter().filter(|ev| !matches!(ev, Churn::Restore(_))));
+        for (step, ev) in events.into_iter().map(Some).chain([None]).enumerate() {
+            inst.previous = Some(as_previous(&r.assignment));
+            let delta = match ev {
+                Some(ev) => apply(&mut inst, &base, ev),
+                None => {
+                    if !inst.switches.iter().any(|(n, _)| *n == away.0) {
+                        inst.switches.push(away);
+                    }
+                    ReplanDelta::default()
+                }
+            };
+            let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
+            let full = solve_heuristic(&inst, opts);
+            prop_assert_eq!(&dr.assignment, &full.assignment, "step {} ({:?})", step, ev);
+            prop_assert_eq!(dr.utility.to_bits(), full.utility.to_bits(), "step {} ({:?})", step, ev);
+            prop_assert_eq!(dr.migrations, full.migrations, "step {} ({:?})", step, ev);
+            prop_assert_eq!(&dr.dropped_tasks, &full.dropped_tasks, "step {} ({:?})", step, ev);
+            prop_assert!(check_all(&inst, &dr.assignment).is_ok(), "step {} ({:?})", step, ev);
             r = dr;
         }
     }

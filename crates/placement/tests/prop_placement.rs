@@ -43,11 +43,11 @@ proptest! {
         let inst = generate(&cfg);
         let greedy = solve_heuristic(
             &inst,
-            HeuristicOptions { lp_redistribution: false, migration: false, ..HeuristicOptions::default() },
+            HeuristicOptions { lp_redistribution: false, migration: false },
         );
         let with_lp = solve_heuristic(
             &inst,
-            HeuristicOptions { lp_redistribution: true, migration: false, ..HeuristicOptions::default() },
+            HeuristicOptions { lp_redistribution: true, migration: false },
         );
         prop_assert!(validate(&inst, &greedy).is_ok());
         prop_assert!(validate(&inst, &with_lp).is_ok());
@@ -126,4 +126,42 @@ proptest! {
         prop_assert!(validate(&inst, &r).is_ok());
         prop_assert_eq!(r.placed(), 40, "dropped: {:?}", r.dropped_tasks);
     }
+
+    /// Repeated sequential solves of the same instance are themselves
+    /// bit-identical (no HashMap-iteration-order leakage into floats).
+    #[test]
+    fn repeated_solves_are_reproducible(cfg in workload()) {
+        let inst = generate(&cfg);
+        let a = solve_heuristic(&inst, HeuristicOptions::default());
+        let b = solve_heuristic(&inst, HeuristicOptions::default());
+        prop_assert_eq!(&a.assignment, &b.assignment);
+        prop_assert_eq!(a.utility.to_bits(), b.utility.to_bits());
+    }
+}
+
+/// Regression guard for the incremental engine: a 10k-seed paper-scale
+/// instance must solve comfortably inside a CI debug-build budget. The
+/// pre-incremental engine refolded every subject multiset per `fits()`
+/// probe, which blows this budget by an order of magnitude at 10k seeds.
+#[test]
+fn ten_thousand_seeds_within_ci_budget() {
+    let inst = generate(&WorkloadConfig {
+        n_switches: 1040,
+        n_tasks: 10,
+        n_seeds: 10_200,
+        ..WorkloadConfig::default()
+    });
+    let start = std::time::Instant::now();
+    let r = solve_heuristic(&inst, HeuristicOptions::default());
+    let elapsed = start.elapsed();
+    validate(&inst, &r).expect("paper-scale placement must be feasible");
+    assert_eq!(
+        r.placed(),
+        10_200,
+        "workload is sized to be fully placeable"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(30),
+        "10k-seed solve blew the CI budget: {elapsed:?}"
+    );
 }

@@ -123,12 +123,7 @@ fn crashed_switch_seeds_recover_elsewhere() {
     farm.deploy_task("mon", monitor_src(), &BTreeMap::new())
         .unwrap();
     assert_eq!(farm.deployed_seeds(), 1);
-    let (host, _) = farm
-        .seeder()
-        .placements()
-        .next()
-        .map(|(_, loc)| *loc)
-        .unwrap();
+    let (_, host, _) = farm.seeder().placements().next().unwrap();
 
     // Crash the hosting switch mid-run; never restart it.
     farm.set_fault_plan(FaultPlan::new().with(
@@ -196,12 +191,7 @@ fn restored_snapshot_preserves_seed_state() {
         .build();
     farm.deploy_task("mon", monitor_src(), &BTreeMap::new())
         .unwrap();
-    let (host, _) = farm
-        .seeder()
-        .placements()
-        .next()
-        .map(|(_, loc)| *loc)
-        .unwrap();
+    let (_, host, _) = farm.seeder().placements().next().unwrap();
     // Let the seed accumulate state and several heartbeat checkpoints,
     // then kill its host.
     farm.set_fault_plan(FaultPlan::new().with(
