@@ -29,6 +29,7 @@ use farm_netsim::traffic::Workload;
 use farm_netsim::types::{Proto, SwitchId};
 use farm_soil::{
     Endpoint, OutboundMessage, SeedId, SeedInstance, SeedSnapshot, Soil, SoilConfig, SoilStats,
+    TickReport,
 };
 use farm_telemetry::{
     Counter, Event, EventSink, Histogram, ReplanOutcome, Telemetry, UndeployReason,
@@ -494,12 +495,7 @@ impl Farm {
         self.harvesters.remove(name);
         for placed in seeds {
             if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, &placed) {
-                let _ = soil.undeploy_with_reason(
-                    placed.id,
-                    UndeployReason::TaskRemoved,
-                    self.now,
-                    switch,
-                );
+                let _ = soil.undeploy(placed.id, UndeployReason::TaskRemoved, self.now, switch);
             }
         }
         // Drop the task's snapshots and recovery entries too, so a
@@ -566,7 +562,7 @@ impl Farm {
                     // recovery-style import of the last stored snapshot,
                     // or a cold start for a seed never captured.
                     let snapshot = match host_mut(&mut self.soils, &mut self.network, &placed) {
-                        Some((soil, switch)) => Some(soil.undeploy_with_reason(
+                        Some((soil, switch)) => Some(soil.undeploy(
                             placed.id,
                             UndeployReason::Migration,
                             now,
@@ -587,7 +583,11 @@ impl Farm {
                             };
                             let (soil, switch) = soil_on(&mut self.soils, &mut self.network, *to)
                                 .expect("a planned target runs a soil");
-                            let id = soil.import(def, &key.task, *alloc, &snapshot, now, switch)?;
+                            let (id, report) =
+                                soil.import(def, &key.task, *alloc, &snapshot, now, switch)?;
+                            // Counted, not routed: what a migrated seed's
+                            // `enter` sends has never reached a harvester.
+                            let _ = take_report(&self.counters, report);
                             let bytes = snapshot
                                 .vars
                                 .iter()
@@ -615,8 +615,7 @@ impl Farm {
                             host_mut(&mut self.soils, &mut self.network, placed)
                         {
                             let report = soil.realloc(placed.id, *alloc, now, switch)?;
-                            self.counters.seed_errors.add(report.errors.len() as u64);
-                            outbound.extend(report.messages);
+                            outbound.extend(take_report(&self.counters, report));
                         }
                     }
                     None
@@ -627,12 +626,7 @@ impl Farm {
                         if let Some((soil, switch)) =
                             host_mut(&mut self.soils, &mut self.network, placed)
                         {
-                            let _ = soil.undeploy_with_reason(
-                                placed.id,
-                                UndeployReason::Replanned,
-                                now,
-                                switch,
-                            )?;
+                            soil.undeploy(placed.id, UndeployReason::Replanned, now, switch)?;
                         }
                     }
                     None
@@ -705,8 +699,7 @@ impl Farm {
         let (soil, switch) =
             soil_on(&mut self.soils, &mut self.network, to).expect("a planned target runs a soil");
         let (id, report) = soil.deploy(def, &key.task, alloc, now, switch)?;
-        self.counters.seed_errors.add(report.errors.len() as u64);
-        outbound.extend(report.messages);
+        outbound.extend(take_report(&self.counters, report));
         if let Some(item) = self.recovery.remove(key) {
             // A stale or mismatched snapshot falls back to the cold start
             // the deploy already performed.
@@ -768,8 +761,7 @@ impl Farm {
             if let Some(soil) = &mut self.soils[slot] {
                 let switch = self.network.switch_mut(swid).expect("switch exists");
                 let report = soil.offer_packets(pkts, self.now, switch);
-                self.counters.seed_errors.add(report.errors.len() as u64);
-                outbound.extend(report.messages);
+                outbound.extend(take_report(&self.counters, report));
             }
             pkts.clear();
         }
@@ -805,8 +797,7 @@ impl Farm {
             }
             let switch = self.network.switch_mut(id).expect("switch exists");
             let report = soil.advance(to, switch);
-            self.counters.seed_errors.add(report.errors.len() as u64);
-            outbound.extend(report.messages);
+            outbound.extend(take_report(&self.counters, report));
         }
         self.now = to;
         outbound.extend(self.process_recovery());
@@ -1010,7 +1001,7 @@ impl Farm {
         };
         let stale: Vec<SeedId> = soil.seeds().map(|s| s.id).collect();
         for sid in stale {
-            let _ = soil.undeploy_with_reason(sid, UndeployReason::Fenced, at, switch);
+            let _ = soil.undeploy(sid, UndeployReason::Fenced, at, switch);
         }
     }
 
@@ -1404,30 +1395,8 @@ impl Farm {
                     Endpoint::Machine { name, at } => {
                         self.counters.seed_messages.inc();
                         self.counters.seed_bytes.add(msg.bytes);
-                        let targets: Vec<SwitchId> = match at {
-                            Some(sw) => vec![*sw],
-                            None => self
-                                .network
-                                .switch_ids()
-                                .into_iter()
-                                .filter(|id| *id != msg.from_switch)
-                                .collect(),
-                        };
-                        for swid in targets {
-                            if let Some((soil, switch)) =
-                                soil_on(&mut self.soils, &mut self.network, swid)
-                            {
-                                let report = soil.deliver_to_machine(
-                                    name,
-                                    Some(&msg.from_machine),
-                                    &msg.value,
-                                    self.now,
-                                    switch,
-                                );
-                                self.counters.seed_errors.add(report.errors.len() as u64);
-                                next.extend(report.messages);
-                            }
-                        }
+                        let sender = (msg.from_machine.as_str(), msg.from_switch);
+                        next.extend(self.send_to_machine(name, *at, Some(sender), &msg.value));
                     }
                 }
             }
@@ -1450,24 +1419,47 @@ impl Farm {
                 self.counters
                     .control_bytes
                     .add(farm_soil::soil::value_bytes(&value));
-                let targets: Vec<SwitchId> = match at {
-                    Some(sw) => vec![sw],
-                    None => self.network.switch_ids(),
-                };
-                let mut out = Vec::new();
-                for swid in targets {
-                    if let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, swid)
-                    {
-                        let report =
-                            soil.deliver_to_machine(&machine, None, &value, self.now, switch);
-                        self.counters.seed_errors.add(report.errors.len() as u64);
-                        out.extend(report.messages);
-                    }
-                }
-                out
+                self.send_to_machine(&machine, at, None, &value)
             }
         }
     }
+
+    /// Delivers `value` to the seeds of `machine` on switch `at`, or on
+    /// every switch when `None` — except, for a message a seed sent
+    /// (`sender`: its machine and switch), the one it came from. Returns
+    /// what the receiving handlers sent in turn.
+    fn send_to_machine(
+        &mut self,
+        machine: &str,
+        at: Option<SwitchId>,
+        sender: Option<(&str, SwitchId)>,
+        value: &Value,
+    ) -> Vec<OutboundMessage> {
+        let targets: Vec<SwitchId> = match at {
+            Some(sw) => vec![sw],
+            None => self.network.switch_ids(),
+        };
+        let from_machine = sender.map(|(machine, _)| machine);
+        let mut out = Vec::new();
+        for swid in targets {
+            if at.is_none() && sender.is_some_and(|(_, from)| from == swid) {
+                continue;
+            }
+            if let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, swid) {
+                let report =
+                    soil.deliver_to_machine(machine, from_machine, value, self.now, switch);
+                out.extend(take_report(&self.counters, report));
+            }
+        }
+        out
+    }
+}
+
+/// Takes what one soil call produced: its handler errors are counted
+/// here, its messages are the caller's to route.
+fn take_report(counters: &FarmCounters, report: TickReport) -> Vec<OutboundMessage> {
+    counters.seed_errors.add(report.errors.len() as u64);
+    report.messages
 }
 
 /// A fresh soil for a switch, at boot and after a restart.
@@ -1743,6 +1735,24 @@ mod tests {
         let snap = farm.telemetry().snapshot();
         // Deploy + drain + uncordon = three timed replan rounds.
         assert!(snap.histogram("farm.replan_us").unwrap().count >= 3);
+    }
+
+    #[test]
+    fn an_imported_seeds_enter_errors_count_in_both_registries() {
+        // `enter` fails whenever it runs (an endless transition chain):
+        // at the deploy, and again when the drain imports the seed on
+        // its new switch.
+        const FLIP: &str = "machine Flip { place any;
+            state a { when (enter) do { transit b; } }
+            state b { when (enter) do { transit a; } } }";
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        farm.deploy_task("flip", FLIP, &BTreeMap::new()).unwrap();
+        let home = farm.seed_statuses()[0].switch;
+        let (_, evacuated) = farm.drain(home).unwrap();
+        assert_eq!(evacuated, 1);
+        let snap = farm.telemetry().snapshot();
+        assert_eq!(snap.counter("soil.seed_errors"), 2);
+        assert_eq!(snap.counter("farm.seed_errors"), 2);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! * [`farm`] — the [`farm::Farm`] facade: network + soils + seeder +
 //!   harvesters on one virtual clock, with message routing. Built via
 //!   [`farm::FarmBuilder`], which also attaches telemetry sinks.
-//! * [`metrics`] — the legacy cumulative-counters view, now computed
-//!   from the shared `farm-telemetry` registry.
 //! * [`error`] — the structured [`error::Error`] enum every fallible
 //!   API returns (`FarmError` remains as an alias).
 //!

@@ -302,7 +302,7 @@ pub struct FarmdConfig {
     /// while the daemon idles); `None` leaves virtual time op-driven.
     pub tick_interval: Option<Duration>,
     /// Deterministic churn injection: seed of a generated
-    /// [`farm_faults::FaultPlan`] over the leaf switches. `None` runs
+    /// `farm_faults::FaultPlan` over the leaf switches. `None` runs
     /// fault-free. Only effective alongside `tick_interval`.
     pub fault_seed: Option<u64>,
     /// Virtual-time offset before the first injected fault — a warmup

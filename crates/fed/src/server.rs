@@ -219,6 +219,33 @@ fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, Str
     Err(format!("pod `{pod}`: {last}"))
 }
 
+/// Asks every live pod in turn, in name order, and returns `(pod, base,
+/// answer)` for each. Owns the walk and the `fed.fanout_us` stopwatch
+/// and nothing else: folding the answers and what an error means are
+/// the caller's.
+fn fan_out<T>(
+    core: &mut Core,
+    mut ask: impl FnMut(&mut Core, &str) -> Result<T, String>,
+) -> Vec<(String, u64, Result<T, String>)> {
+    let started = Instant::now();
+    let live: Vec<(String, u64)> = core
+        .registry
+        .live()
+        .map(|(name, pod)| (name.clone(), pod.base))
+        .collect();
+    let answers = live
+        .into_iter()
+        .map(|(pod, base)| {
+            let answer = ask(core, &pod);
+            (pod, base, answer)
+        })
+        .collect();
+    core.telemetry
+        .latency_histogram("fed.fanout_us")
+        .record(started.elapsed().as_micros() as u64);
+    answers
+}
+
 /// Live pods in admission-preference order: fewest routed tasks first,
 /// name as the deterministic tie-break.
 fn placement_order(core: &Core) -> Vec<PodTarget> {
@@ -384,25 +411,17 @@ fn pod_seeds(core: &mut Core, pod: &str) -> Result<Vec<SeedDescriptor>, String> 
 /// globalize keys and switch ids, merge sorted, then window the merged
 /// listing with the same cursor semantics a single farmd serves.
 fn list_seeds(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
-    let started = Instant::now();
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
     let mut merged: Vec<SeedDescriptor> = Vec::new();
-    for pod in &live {
-        let base = core.registry.get(pod).map(|p| p.base).unwrap_or(0);
-        match pod_seeds(core, pod) {
+    for (pod, base, seeds) in fan_out(core, pod_seeds) {
+        match seeds {
             Ok(seeds) => merged.extend(seeds.into_iter().map(|mut d| {
                 d.key = format!("{pod}:{}", d.key);
                 d.switch += base as u32;
                 d
             })),
-            Err(_) => {
-                core.telemetry.counter("fed.fanout.errors").inc();
-            }
+            Err(_) => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
-    core.telemetry
-        .latency_histogram("fed.fanout_us")
-        .record(started.elapsed().as_micros() as u64);
     merged.sort_by(|a, b| a.key.cmp(&b.key));
     let (range, cursor) = page(from_index, limit, merged.len());
     let (next_index, total) = cursor.unwrap_or((0, 0));
@@ -485,28 +504,22 @@ fn pod_stats(core: &mut Core, pod: &str) -> Result<StatsDoc, String> {
 /// `pods_reached`). The merged counter map is cursor-paginated exactly
 /// like a single farmd's.
 fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
-    let started = Instant::now();
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
+    let answers = fan_out(core, pod_stats);
+    let live = answers.len();
     let mut merged = StatsDoc::default();
     let mut reached = 0u64;
-    for pod in &live {
-        let base = core.registry.get(pod).map(|p| p.base).unwrap_or(0);
-        match pod_stats(core, pod) {
+    for (_, base, doc) in answers {
+        match doc {
             Ok(doc) => {
                 reached += 1;
                 merged.fold(doc, base);
             }
-            Err(_) => {
-                core.telemetry.counter("fed.fanout.errors").inc();
-            }
+            Err(_) => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
-    core.telemetry
-        .latency_histogram("fed.fanout_us")
-        .record(started.elapsed().as_micros() as u64);
     merged.own = vec![
         ("pods_total".into(), (core.registry.len() as u64).into()),
-        ("pods_live".into(), (live.len() as u64).into()),
+        ("pods_live".into(), (live as u64).into()),
         ("pods_reached".into(), reached.into()),
     ];
     ControlReply::Json {
@@ -518,11 +531,9 @@ fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
 /// the coordinator's own `fed.*` registry. A pod whose body is not JSON
 /// counts as a fan-out error instead of corrupting the merged document.
 fn metrics_dump(core: &mut Core) -> ControlReply {
-    let started = Instant::now();
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
     let mut pods = Vec::new();
-    for pod in live {
-        match pod_op(core, &pod, ControlOp::MetricsDump) {
+    for (pod, _, reply) in fan_out(core, |core, pod| pod_op(core, pod, ControlOp::MetricsDump)) {
+        match reply {
             Ok(ControlReply::Json { body }) => match Json::parse(&body) {
                 Ok(dump) => pods.push((pod, dump)),
                 Err(_) => core.telemetry.counter("fed.fanout.errors").inc(),
@@ -530,9 +541,6 @@ fn metrics_dump(core: &mut Core) -> ControlReply {
             _ => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
-    core.telemetry
-        .latency_histogram("fed.fanout_us")
-        .record(started.elapsed().as_micros() as u64);
     let body = Json::obj([
         ("pods", Json::Obj(pods)),
         ("fed", core.telemetry.snapshot().to_json()),
@@ -570,11 +578,10 @@ fn route_switch_op(core: &mut Core, global: u32, drain: bool) -> ControlReply {
 }
 
 fn replan(core: &mut Core) -> ControlReply {
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
     let mut actions = 0u64;
     let mut dropped_tasks = 0u64;
-    for pod in &live {
-        match pod_op(core, pod, ControlOp::Replan) {
+    for (_, _, reply) in fan_out(core, |core, pod| pod_op(core, pod, ControlOp::Replan)) {
+        match reply {
             Ok(ControlReply::Replanned {
                 actions: a,
                 dropped_tasks: d,
@@ -582,9 +589,7 @@ fn replan(core: &mut Core) -> ControlReply {
                 actions += a;
                 dropped_tasks += d;
             }
-            _ => {
-                core.telemetry.counter("fed.fanout.errors").inc();
-            }
+            _ => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
     ControlReply::Replanned {
@@ -594,11 +599,10 @@ fn replan(core: &mut Core) -> ControlReply {
 }
 
 fn checkpoint(core: &mut Core) -> ControlReply {
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
     let mut seeds = 0u64;
     let mut errors: Vec<String> = Vec::new();
-    for pod in &live {
-        match pod_op(core, pod, ControlOp::Checkpoint) {
+    for (pod, _, reply) in fan_out(core, |core, pod| pod_op(core, pod, ControlOp::Checkpoint)) {
+        match reply {
             Ok(ControlReply::Checkpointed {
                 seeds: s,
                 persist_error,
@@ -623,11 +627,10 @@ fn checkpoint(core: &mut Core) -> ControlReply {
 }
 
 fn restore(core: &mut Core) -> ControlReply {
-    let live: Vec<String> = core.registry.live().map(|(n, _)| n.clone()).collect();
     let mut seeds = 0u64;
     let mut skipped = 0u64;
-    for pod in &live {
-        match pod_op(core, pod, ControlOp::Restore) {
+    for (_, _, reply) in fan_out(core, |core, pod| pod_op(core, pod, ControlOp::Restore)) {
+        match reply {
             Ok(ControlReply::Restored {
                 seeds: s,
                 skipped: k,
@@ -635,9 +638,7 @@ fn restore(core: &mut Core) -> ControlReply {
                 seeds += s;
                 skipped += k;
             }
-            _ => {
-                core.telemetry.counter("fed.fanout.errors").inc();
-            }
+            _ => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
     ControlReply::Restored { seeds, skipped }

@@ -1,10 +1,9 @@
 //! Telemetry-instrumented solver entry points.
 //!
-//! Thin wrappers around [`simplex::solve`](crate::simplex::solve) and
-//! [`solve_milp`](crate::milp::solve_milp) that time the solve, sample
-//! the `solver.phase_us` histogram and emit a
-//! [`Event::SolverPhase`](farm_telemetry::Event::SolverPhase). The
-//! untraced functions stay unchanged for callers without telemetry.
+//! Thin wrappers around [`simplex::solve`] and [`solve_milp`] that time
+//! the solve, sample the `solver.phase_us` histogram and emit a
+//! [`Event::SolverPhase`]. The untraced functions stay unchanged for
+//! callers without telemetry.
 
 use std::time::Instant;
 

@@ -114,7 +114,6 @@ struct Shared {
     addr: SocketAddr,
     cfg: NetConfig,
     outbox: SharedRingBuffer<Envelope>,
-    inbound: SharedRingBuffer<Envelope>,
     pending: Mutex<HashMap<u64, mpsc::SyncSender<Frame>>>,
     next_corr: AtomicU64,
     closed: AtomicBool,
@@ -157,7 +156,6 @@ impl Connection {
         let shared = Arc::new(Shared {
             addr,
             outbox: SharedRingBuffer::new(cfg.send_queue),
-            inbound: SharedRingBuffer::new(cfg.send_queue),
             pending: Mutex::new(HashMap::new()),
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
@@ -322,11 +320,6 @@ impl Connection {
         self.send(Frame::PollReport { reports })
     }
 
-    /// Next one-way frame pushed by the peer, if any arrives in time.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.shared.inbound.pop_timeout(timeout)
-    }
-
     /// Flushes the send queue (best effort) and stops the threads. The
     /// supervisor drains queued frames to the wire before closing the
     /// socket when a session is up.
@@ -337,7 +330,6 @@ impl Connection {
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
-        self.shared.inbound.close();
     }
 }
 
@@ -550,12 +542,9 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, dead: Arc<AtomicBool>
                     } else if matches!(env.frame, Frame::Shutdown) {
                         dead.store(true, Ordering::Relaxed);
                         return;
-                    } else {
-                        // Peer-initiated one-way traffic; a full inbound
-                        // queue sheds the oldest-unread semantics by
-                        // dropping the newcomer.
-                        let _ = shared.inbound.try_push(env);
                     }
+                    // Any other one-way frame from the peer is ignored:
+                    // a client has no reader for unsolicited traffic.
                 }
                 // A frame with an undecodable body: count it and keep
                 // the connection — the stream is still aligned. (A

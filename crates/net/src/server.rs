@@ -1,5 +1,5 @@
 //! The accepting side of the transport: a readiness-polling event-loop
-//! server (see [`crate::reactor`]) behind the same public surface the
+//! server (the crate-private `reactor` module) behind the same public surface the
 //! old thread-per-connection server exposed — `TcpBridge`, farmd and
 //! the integration tests run unchanged on it.
 //!

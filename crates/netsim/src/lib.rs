@@ -1,4 +1,4 @@
-//! Discrete-event data-center network simulator for the FARM reproduction.
+//! Deterministic data-center network simulator for the FARM reproduction.
 //!
 //! The FARM paper evaluates on real switches (Tofino/Accton/Arista) in a
 //! production SAP data center. That substrate is not available offline, so
@@ -12,12 +12,14 @@
 //! * [`controller`] — the SDN controller's `φ_path` path queries,
 //! * [`traffic`] — heavy-hitter / DDoS / port-scan / Zipf workloads with
 //!   the statistical features the paper reports,
-//! * [`engine`] — a generic virtual-time event queue, and
+//! * [`time`] — virtual instants and durations (`u64` nanoseconds), and
 //! * [`types`] — flows, prefixes and the filter-formula language shared
 //!   with the Almanac DSL.
 //!
 //! Everything is deterministic given workload seeds; no wall-clock time is
-//! consulted anywhere.
+//! consulted anywhere. The crate owns no clock: whoever drives it passes
+//! the instant in (`farm-core`'s fixed-tick loop, each soil's trigger
+//! deadlines).
 //!
 //! # Example
 //!
@@ -43,7 +45,6 @@
 
 pub mod controller;
 pub mod cpu;
-pub mod engine;
 pub mod network;
 pub mod pcie;
 pub mod switch;

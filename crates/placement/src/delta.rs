@@ -11,7 +11,7 @@
 //! allocations, and its lingering migration reservations. [`replan_delta`]
 //! runs the greedy, refresh and migration phases verbatim and only
 //! memoizes the LP outputs, keyed by a *bit-level* signature of those
-//! inputs ([`LpCacheEntry`]): every `f64` is compared via `to_bits`, the
+//! inputs (`LpCacheEntry`): every `f64` is compared via `to_bits`, the
 //! resident list is compared in order, and entries with lingering
 //! reservations are never memoized. A cache hit therefore replays the
 //! exact `Vec<(seed, Resources)>` the LP would have produced — not an

@@ -22,12 +22,12 @@
 //! * Poll subjects are interned to dense `u32` ids once per solve
 //!   ([`SubjectInterner`]); the hot candidate loop never clones or
 //!   hashes a `String`.
-//! * Each [`SwitchState`] caches the per-subject running max and the
+//! * Each `SwitchState` caches the per-subject running max and the
 //!   switch-wide `Σ max` poll total, so a `fits()` probe is O(polls of
 //!   the candidate seed) instead of O(subjects × entries on the switch).
 //!   Removing the max entry lazily rebuilds that one subject's max.
 //! * Step 3's per-switch LPs run one after another through a single
-//!   reused model arena ([`LpScratch`]); every float reduction runs in
+//!   reused model arena (`LpScratch`); every float reduction runs in
 //!   stable switch/seed order, so repeated solves are bit-identical
 //!   (`prop_placement.rs` pins this).
 //! * Re-solves with a retained [`crate::delta::SolveState`] memoize the

@@ -11,7 +11,7 @@
 //!
 //! The scenario replays through the ordinary netsim/soil/harvester path
 //! against the Almanac detection tasks named by [`suite`]; the scorer
-//! ([`score`]) matches harvester output against the planted truth and
+//! ([`mod@score`]) matches harvester output against the planted truth and
 //! computes per-task precision, recall, and time-to-detect. Everything
 //! is deterministic per seed: the same [`gen::ScenarioSpec`] always
 //! produces byte-identical traces, labels, and (through the

@@ -14,33 +14,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use farm_netsim::time::Dur;
-use farm_telemetry::{Event, Telemetry};
 use parking_lot::{Condvar, Mutex};
-
-/// Records one soil→seed channel delivery: bumps the `ipc.messages`
-/// counter, samples the `ipc.latency_us` histogram (the Fig. 10 metric)
-/// and emits an [`Event::ChannelDelivery`].
-pub fn record_ipc_delivery(
-    telemetry: &Telemetry,
-    switch: u32,
-    seed: u64,
-    bytes: u64,
-    at_ns: u64,
-    latency: Dur,
-) {
-    telemetry.counter("ipc.messages").inc();
-    telemetry.counter("ipc.bytes").add(bytes);
-    telemetry
-        .latency_histogram("ipc.latency_us")
-        .record(latency.as_nanos() / 1_000);
-    telemetry.emit_with(|| Event::ChannelDelivery {
-        at_ns,
-        switch,
-        seed,
-        bytes,
-        latency_ns: latency.as_nanos(),
-    });
-}
 
 /// How seeds execute on the switch (§ V-A b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -413,26 +387,60 @@ mod tests {
 
     #[test]
     fn ipc_deliveries_feed_the_latency_histogram() {
-        use farm_telemetry::RingBufferSink;
+        use crate::soil::{Soil, SoilConfig};
+        use farm_almanac::analysis::ConstEnv;
+        use farm_almanac::compile::{compile_machine, frontend};
+        use farm_netsim::controller::SdnController;
+        use farm_netsim::switch::{Resources, Switch, SwitchModel};
+        use farm_netsim::time::Time;
+        use farm_netsim::topology::Topology;
+        use farm_netsim::types::SwitchId;
+        use farm_telemetry::{Event, RingBufferSink, Telemetry};
 
+        // Every outbound message crosses the channel once, at the
+        // model's latency for the seeds deployed at that moment: two
+        // seeds that report on `enter`.
+        let model = SwitchModel::test_model(8);
+        let topo = Topology::spine_leaf(1, 2, model.clone(), model.clone());
+        let program = frontend(
+            "machine M { place any; state s { when (enter) do { send 7 to harvester; } } }",
+        )
+        .unwrap();
+        let ctl = SdnController::new(&topo);
+        let def = Arc::new(compile_machine(&program, "M", &ConstEnv::new(), &ctl).unwrap());
         let telemetry = Telemetry::new();
         let ring = Arc::new(RingBufferSink::new(8));
         telemetry.add_sink(ring.clone());
-        record_ipc_delivery(&telemetry, 2, 5, 48, 1_000, Dur::from_micros(3));
-        record_ipc_delivery(&telemetry, 2, 5, 48, 2_000, Dur::from_micros(9));
+        let mut soil = Soil::new(SwitchId(2), SoilConfig::default());
+        soil.set_telemetry(telemetry.clone());
+        let mut switch = Switch::new(SwitchId(2), model);
+        let alloc = Resources::new(1.0, 64.0, 4.0, 1.0);
+        for _ in 0..2 {
+            soil.deploy(def.clone(), "t", alloc, Time::ZERO, &mut switch)
+                .unwrap();
+        }
 
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("ipc.messages"), 2);
-        assert_eq!(snap.counter("ipc.bytes"), 96);
+        assert_eq!(snap.counter("ipc.bytes"), 16);
         let h = snap.histogram("ipc.latency_us").unwrap();
         assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 12);
-        assert!(matches!(
-            ring.events()[0],
-            farm_telemetry::Event::ChannelDelivery {
-                latency_ns: 3_000,
-                ..
-            }
-        ));
+        assert_eq!(h.sum, 6, "3 µs + 20 ns per deployed seed, in whole µs");
+        let comm = CommModel::default();
+        let deliveries: Vec<(u32, u64, u64)> = ring
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::ChannelDelivery {
+                    switch,
+                    bytes,
+                    latency_ns,
+                    ..
+                } => Some((*switch, *bytes, *latency_ns)),
+                _ => None,
+            })
+            .collect();
+        let latency = |seeds| comm.delivery_latency(seeds).as_nanos();
+        assert_eq!(deliveries, [(2, 8, latency(1)), (2, 8, latency(2))]);
     }
 }

@@ -8,9 +8,14 @@
 //! identical poll subjects across seeds** so the PCIe bus is crossed once
 //! (§ II-B b), applies local (re)actions to the monitoring TCAM region,
 //! supports migration via state snapshots, and accounts CPU/PCIe costs on
-//! the simulated switch. The [`channel`] module models the two seed
-//! execution modes (threads/processes) and channels (shared buffer/gRPC)
-//! of § VI-E, including a real shared-memory ring buffer.
+//! the simulated switch. It keeps one record per deployed seed (instance,
+//! task, deploy instant) beside the trigger table its scheduler walks, and
+//! counts a call's deliveries, polls, messages and seed errors once: into
+//! the [`TickReport`] the call returns, which one step folds into
+//! [`SoilStats`] and the `soil.*` instruments. The [`channel`] module
+//! models the two seed execution modes (threads/processes) and channels
+//! (shared buffer/gRPC) of § VI-E, including a real shared-memory ring
+//! buffer.
 //!
 //! # Example
 //!
@@ -44,6 +49,6 @@ pub mod channel;
 pub mod interp;
 pub mod soil;
 
-pub use channel::{record_ipc_delivery, ChannelKind, CommModel, ExecMode, SharedRingBuffer};
+pub use channel::{ChannelKind, CommModel, ExecMode, SharedRingBuffer};
 pub use interp::{Effect, Endpoint, SeedError, SeedEvent, SeedId, SeedInstance, SeedSnapshot};
 pub use soil::{OutboundMessage, ShedSeed, Soil, SoilConfig, SoilError, SoilStats, TickReport};

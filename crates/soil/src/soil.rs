@@ -7,6 +7,12 @@
 //! communication service. It also installs the monitoring-region `Count`
 //! rules backing flow-level polling subjects, reference-counted across
 //! seeds so shared subjects cost one TCAM entry.
+//!
+//! A deployed seed is one `SeedRecord` (instance, task, deploy instant)
+//! plus its rows in the trigger table. Every entry point — `deploy`,
+//! `realloc`, `advance`, `offer_packets`, `deliver_to_machine` — counts
+//! into the [`TickReport`] it returns and ends in `settle`, the one place
+//! a report becomes [`SoilStats`] and `soil.*` counters.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -23,7 +29,7 @@ use farm_netsim::types::{FilterFormula, PortSel, SwitchId};
 
 use farm_telemetry::{Counter, Event, Histogram, PressureResource, Telemetry, UndeployReason};
 
-use crate::channel::{record_ipc_delivery, CommModel};
+use crate::channel::CommModel;
 use crate::interp::{
     Effect, Endpoint, SeedError, SeedEvent, SeedHost, SeedId, SeedInstance, SeedSnapshot,
 };
@@ -157,16 +163,6 @@ pub struct TickReport {
     pub errors: Vec<(SeedId, SeedError)>,
 }
 
-impl TickReport {
-    fn merge(&mut self, other: TickReport) {
-        self.deliveries += other.deliveries;
-        self.asic_polls += other.asic_polls;
-        self.polls_saved += other.polls_saved;
-        self.messages.extend(other.messages);
-        self.errors.extend(other.errors);
-    }
-}
-
 /// Cumulative soil statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SoilStats {
@@ -246,16 +242,6 @@ impl SeedHost for SwitchHost<'_> {
     }
 }
 
-/// Maps the soil's resource kinds onto telemetry's dependency-free enum.
-fn pressure_resource(kind: ResourceKind) -> PressureResource {
-    match kind {
-        ResourceKind::VCpu => PressureResource::Cpu,
-        ResourceKind::RamMb => PressureResource::Ram,
-        ResourceKind::TcamEntries => PressureResource::Tcam,
-        ResourceKind::PciePoll => PressureResource::PciePoll,
-    }
-}
-
 fn to_rule_action(a: &ActionValue) -> RuleAction {
     match a {
         ActionValue::Drop => RuleAction::Drop,
@@ -293,30 +279,90 @@ pub fn value_bytes(v: &Value) -> u64 {
     }
 }
 
-/// Cached instrument handles so hot paths skip the registry name lookup.
+/// Every soil instrument as a cached handle, so no path takes the
+/// registry lock, plus the event emitters that carry the switch id.
 #[derive(Debug, Clone)]
 struct SoilInstruments {
     telemetry: Telemetry,
+    switch: u32,
+    seeds_deployed: Arc<Counter>,
+    seeds_undeployed: Arc<Counter>,
+    seeds_shed: Arc<Counter>,
     deliveries: Arc<Counter>,
     asic_polls: Arc<Counter>,
     polls_saved: Arc<Counter>,
     seed_errors: Arc<Counter>,
     messages_out: Arc<Counter>,
     poll_latency_us: Arc<Histogram>,
+    ipc_messages: Arc<Counter>,
+    ipc_bytes: Arc<Counter>,
+    ipc_latency_us: Arc<Histogram>,
 }
 
 impl SoilInstruments {
-    fn new(telemetry: Telemetry) -> SoilInstruments {
+    fn new(telemetry: Telemetry, switch: SwitchId) -> SoilInstruments {
         SoilInstruments {
+            switch: switch.0,
+            seeds_deployed: telemetry.counter("soil.seeds_deployed"),
+            seeds_undeployed: telemetry.counter("soil.seeds_undeployed"),
+            seeds_shed: telemetry.counter("soil.seeds_shed"),
             deliveries: telemetry.counter("soil.deliveries"),
             asic_polls: telemetry.counter("soil.asic_polls"),
             polls_saved: telemetry.counter("soil.polls_saved"),
             seed_errors: telemetry.counter("soil.seed_errors"),
             messages_out: telemetry.counter("soil.messages_out"),
             poll_latency_us: telemetry.latency_histogram("poll.latency_us"),
+            ipc_messages: telemetry.counter("ipc.messages"),
+            ipc_bytes: telemetry.counter("ipc.bytes"),
+            ipc_latency_us: telemetry.latency_histogram("ipc.latency_us"),
             telemetry,
         }
     }
+
+    /// One actual ASIC poll: a `poll.latency_us` sample and its event.
+    fn poll_issued(&self, seed: SeedId, subjects: usize, latency: Dur, now: Time) {
+        self.poll_latency_us.record(latency.as_nanos() / 1_000);
+        self.telemetry.emit_with(|| Event::PollIssued {
+            at_ns: now.as_nanos(),
+            switch: self.switch,
+            seed: seed.0,
+            subjects: subjects as u64,
+            latency_ns: latency.as_nanos(),
+        });
+    }
+
+    fn seed_errored(&self, seed: SeedId, err: &SeedError, now: Time) {
+        self.telemetry.emit_with(|| Event::SeedErrored {
+            at_ns: now.as_nanos(),
+            switch: self.switch,
+            seed: seed.0,
+            message: err.to_string(),
+        });
+    }
+
+    /// One soil→seed channel delivery: `ipc.messages`, `ipc.bytes`, a
+    /// sample of `ipc.latency_us` (the Fig. 10 metric) and its event.
+    fn channel_delivery(&self, seed: SeedId, bytes: u64, latency: Dur, now: Time) {
+        self.ipc_messages.inc();
+        self.ipc_bytes.add(bytes);
+        self.ipc_latency_us.record(latency.as_nanos() / 1_000);
+        self.telemetry.emit_with(|| Event::ChannelDelivery {
+            at_ns: now.as_nanos(),
+            switch: self.switch,
+            seed: seed.0,
+            bytes,
+            latency_ns: latency.as_nanos(),
+        });
+    }
+}
+
+/// One deployed seed's switch-local runtime, beside its rows in the
+/// trigger table.
+#[derive(Debug)]
+struct SeedRecord {
+    instance: SeedInstance,
+    task: String,
+    deployed_at: Time,
 }
 
 /// The per-switch soil instance.
@@ -324,9 +370,9 @@ impl SoilInstruments {
 pub struct Soil {
     switch_id: SwitchId,
     config: SoilConfig,
-    seeds: BTreeMap<SeedId, SeedInstance>,
-    tasks: HashMap<SeedId, String>,
-    deployed_at: HashMap<SeedId, Time>,
+    seeds: BTreeMap<SeedId, SeedRecord>,
+    /// The scheduler's table: every trigger of every seed, in deploy
+    /// order.
     triggers: Vec<TriggerSched>,
     /// Canonical rule pattern → installed Count rule + refcount.
     rule_refs: HashMap<String, (RuleId, usize)>,
@@ -343,8 +389,6 @@ impl Soil {
             switch_id,
             config,
             seeds: BTreeMap::new(),
-            tasks: HashMap::new(),
-            deployed_at: HashMap::new(),
             triggers: Vec::new(),
             rule_refs: HashMap::new(),
             next_id: 0,
@@ -358,7 +402,7 @@ impl Soil {
     /// IPC deliveries start updating the `soil.*` instruments and
     /// emitting [`Event`]s.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.instruments = Some(SoilInstruments::new(telemetry));
+        self.instruments = Some(SoilInstruments::new(telemetry, self.switch_id));
     }
 
     /// The switch this soil runs on.
@@ -378,12 +422,12 @@ impl Soil {
 
     /// Iterates deployed seeds.
     pub fn seeds(&self) -> impl Iterator<Item = &SeedInstance> {
-        self.seeds.values()
+        self.seeds.values().map(|r| &r.instance)
     }
 
     /// A deployed seed by id.
     pub fn seed(&self, id: SeedId) -> Option<&SeedInstance> {
-        self.seeds.get(&id)
+        self.seeds.get(&id).map(|r| &r.instance)
     }
 
     /// Cumulative statistics.
@@ -393,8 +437,7 @@ impl Soil {
 
     /// Sum of resources allocated to deployed seeds.
     pub fn resources_in_use(&self) -> Resources {
-        self.seeds
-            .values()
+        self.seeds()
             .fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()))
     }
 
@@ -458,20 +501,19 @@ impl Soil {
                 baseline: HashMap::new(),
             });
         }
-        // Install flow-level polling subjects as Count rules. Track both
-        // freshly installed rules and refcounts claimed on pre-existing
-        // ones, so a failure mid-deploy rolls back *everything* this
-        // deploy touched (a claimed refcount leaks the TCAM entry forever
-        // otherwise: the shared rule would never drop back to zero).
-        let mut installed: Vec<String> = Vec::new();
-        let mut claimed: Vec<String> = Vec::new();
+        // Install flow-level polling subjects as Count rules, one
+        // reference per trigger that names the subject. `taken` is every
+        // reference this deploy took — on a rule it installed or on one
+        // it found — so a failure mid-deploy releases exactly those (a
+        // leaked reference keeps the TCAM entry installed forever).
+        let mut taken: Vec<&str> = Vec::new();
         for s in scheds.iter().flat_map(|t| t.subjects.iter()) {
-            if let PollSubject::Rule(key) = s {
-                if let Some((_, refs)) = self.rule_refs.get_mut(key) {
-                    *refs += 1;
-                    claimed.push(key.clone());
-                    continue;
-                }
+            let PollSubject::Rule(key) = s else {
+                continue;
+            };
+            if let Some((_, refs)) = self.rule_refs.get_mut(key) {
+                *refs += 1;
+            } else {
                 let formula = scheds
                     .iter()
                     .filter(|t| t.subjects.contains(s))
@@ -485,117 +527,115 @@ impl Soil {
                 ) {
                     Ok(rid) => {
                         self.rule_refs.insert(key.clone(), (rid, 1));
-                        installed.push(key.clone());
                     }
                     Err(e) => {
-                        self.rollback_rules(&installed, &claimed, switch);
+                        for key in taken {
+                            self.release_rule(key, switch);
+                        }
                         return Err(SoilError::TcamInstall(e.to_string()));
                     }
                 }
             }
+            taken.push(key);
         }
 
-        let seed = SeedInstance::new(id, def, alloc);
-        self.seeds.insert(id, seed);
-        self.tasks.insert(id, task.to_string());
-        self.deployed_at.insert(id, now);
         let poll_interval_ns = scheds.iter().map(|t| t.ival.as_nanos()).min().unwrap_or(0);
+        self.seeds.insert(
+            id,
+            SeedRecord {
+                instance: SeedInstance::new(id, def, alloc),
+                task: task.to_string(),
+                deployed_at: now,
+            },
+        );
         self.triggers.extend(scheds);
         if let Some(ins) = &self.instruments {
-            ins.telemetry.counter("soil.seeds_deployed").inc();
-            let (switch_id, task) = (self.switch_id.0, task.to_string());
+            ins.seeds_deployed.inc();
             ins.telemetry.emit_with(|| Event::SeedDeployed {
                 at_ns: now.as_nanos(),
-                switch: switch_id,
+                switch: ins.switch,
                 seed: id.0,
-                task,
+                task: task.to_string(),
                 poll_interval_ns,
             });
         }
 
-        let report = self.deliver(id, &SeedEvent::Enter, now, switch, Dur::ZERO);
-        self.stats.deliveries += report.deliveries;
-        Ok((id, report))
+        let mut report = TickReport::default();
+        self.deliver(id, &SeedEvent::Enter, now, switch, Dur::ZERO, &mut report);
+        Ok((id, self.settle(report)))
     }
 
-    /// Undoes the TCAM side of a partially completed deploy: removes
-    /// rules it installed and releases refcounts it claimed on shared
-    /// rules (dropping those rules too when the count reaches zero).
-    fn rollback_rules(&mut self, installed: &[String], claimed: &[String], switch: &mut Switch) {
-        for key in installed {
-            if let Some((rid, _)) = self.rule_refs.remove(key) {
-                let _ = switch.tcam_mut().remove_rule(rid);
+    /// Drops one reference on a shared polling rule; the last one
+    /// removes the TCAM entry.
+    fn release_rule(&mut self, key: &str, switch: &mut Switch) {
+        if let Some((rid, refs)) = self.rule_refs.get_mut(key) {
+            *refs -= 1;
+            if *refs == 0 {
+                let _ = switch.tcam_mut().remove_rule(*rid);
+                self.rule_refs.remove(key);
             }
         }
-        for key in claimed {
-            if let Some((rid, refs)) = self.rule_refs.get_mut(key) {
-                *refs -= 1;
-                if *refs == 0 {
-                    let rid = *rid;
-                    self.rule_refs.remove(key);
-                    let _ = switch.tcam_mut().remove_rule(rid);
-                }
-            }
+    }
+
+    /// Folds a finished call's report into the cumulative statistics and
+    /// the instruments — the one place a delivery, a poll, a message or
+    /// a seed error is counted — and hands it on to the caller.
+    fn settle(&mut self, report: TickReport) -> TickReport {
+        let messages = report.messages.len() as u64;
+        self.stats.deliveries += report.deliveries;
+        self.stats.asic_polls += report.asic_polls;
+        self.stats.polls_saved += report.polls_saved;
+        self.stats.messages_out += messages;
+        if let Some(ins) = &self.instruments {
+            ins.deliveries.add(report.deliveries);
+            ins.asic_polls.add(report.asic_polls);
+            ins.polls_saved.add(report.polls_saved);
+            ins.messages_out.add(messages);
+            ins.seed_errors.add(report.errors.len() as u64);
         }
+        report
     }
 
     /// Removes a seed, returning its state snapshot (for migration).
+    /// `reason` and `now` are what the emitted [`Event::SeedUndeployed`]
+    /// records.
     ///
     /// # Errors
     ///
     /// Fails when the seed is unknown.
-    pub fn undeploy(&mut self, id: SeedId, switch: &mut Switch) -> Result<SeedSnapshot, SoilError> {
-        self.undeploy_with_reason(id, UndeployReason::TaskRemoved, Time::ZERO, switch)
-    }
-
-    /// [`Soil::undeploy`] with explicit event context: the reason and
-    /// instant recorded in the emitted [`Event::SeedUndeployed`].
-    pub fn undeploy_with_reason(
+    pub fn undeploy(
         &mut self,
         id: SeedId,
         reason: UndeployReason,
         now: Time,
         switch: &mut Switch,
     ) -> Result<SeedSnapshot, SoilError> {
-        let seed = self.seeds.remove(&id).ok_or(SoilError::UnknownSeed(id))?;
+        let SeedRecord { instance, task, .. } =
+            self.seeds.remove(&id).ok_or(SoilError::UnknownSeed(id))?;
         if let Some(ins) = &self.instruments {
-            ins.telemetry.counter("soil.seeds_undeployed").inc();
-            let task = self.tasks.get(&id).cloned().unwrap_or_default();
-            let switch_id = self.switch_id.0;
+            ins.seeds_undeployed.inc();
             ins.telemetry.emit_with(|| Event::SeedUndeployed {
                 at_ns: now.as_nanos(),
-                switch: switch_id,
+                switch: ins.switch,
                 seed: id.0,
                 task,
                 reason,
             });
         }
-        self.tasks.remove(&id);
-        self.deployed_at.remove(&id);
-        let removed: Vec<TriggerSched> = {
-            let (gone, keep): (Vec<_>, Vec<_>) =
-                self.triggers.drain(..).partition(|t| t.seed == id);
-            self.triggers = keep;
-            gone
-        };
-        for t in removed {
-            for s in &t.subjects {
-                if let PollSubject::Rule(key) = s {
-                    if let Some((rid, refs)) = self.rule_refs.get_mut(key) {
-                        *refs -= 1;
-                        if *refs == 0 {
-                            let rid = *rid;
-                            self.rule_refs.remove(key);
-                            let _ = switch.tcam_mut().remove_rule(rid);
-                        }
-                    }
-                }
+        let (gone, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.triggers)
+            .into_iter()
+            .partition(|t| t.seed == id);
+        self.triggers = keep;
+        for s in gone.iter().flat_map(|t| t.subjects.iter()) {
+            if let PollSubject::Rule(key) = s {
+                self.release_rule(key, switch);
             }
         }
-        Ok(seed.snapshot())
+        Ok(instance.snapshot())
     }
 
-    /// Imports a migrated seed: deploy + state restore.
+    /// Imports a migrated seed: deploy + state restore. The report is
+    /// the deploy's (the `enter` delivery runs before the restore).
     ///
     /// # Errors
     ///
@@ -608,15 +648,15 @@ impl Soil {
         snapshot: &SeedSnapshot,
         now: Time,
         switch: &mut Switch,
-    ) -> Result<SeedId, SoilError> {
-        let (id, _) = self.deploy(def, task, alloc, now, switch)?;
+    ) -> Result<(SeedId, TickReport), SoilError> {
+        let (id, report) = self.deploy(def, task, alloc, now, switch)?;
         if let Err(e) = self.restore_seed(id, snapshot) {
             // Don't leave a half-imported seed deployed: roll the deploy
             // back so the caller can retry or cold-start cleanly.
-            let _ = self.undeploy(id, switch);
+            let _ = self.undeploy(id, UndeployReason::TaskRemoved, now, switch);
             return Err(e);
         }
-        Ok(id)
+        Ok((id, report))
     }
 
     /// Restores a deployed seed's interpreter state from a snapshot
@@ -630,69 +670,9 @@ impl Soil {
         self.seeds
             .get_mut(&id)
             .ok_or(SoilError::UnknownSeed(id))?
+            .instance
             .restore(snapshot)
             .map_err(|e| SoilError::Restore(e.to_string()))
-    }
-
-    /// Sheds seeds until the deployed set fits `budget`, dropping the
-    /// highest [`SeedId`] (lowest priority: the most recently deployed)
-    /// first. Each shed seed is undeployed with a snapshot and a
-    /// structured [`SoilError::ResourcePressure`] reason so the control
-    /// plane can re-place it — the tick itself never fails.
-    pub fn shed_over_budget(
-        &mut self,
-        budget: Resources,
-        now: Time,
-        switch: &mut Switch,
-    ) -> Vec<ShedSeed> {
-        let mut shed = Vec::new();
-        loop {
-            let in_use = self.resources_in_use();
-            let Some(kind) = ResourceKind::ALL
-                .into_iter()
-                .find(|k| in_use.get(*k) > budget.get(*k) + 1e-9)
-            else {
-                break;
-            };
-            let Some(victim) = self.seeds.keys().next_back().copied() else {
-                break;
-            };
-            let task = self.tasks.get(&victim).cloned().unwrap_or_default();
-            let reason = SoilError::ResourcePressure {
-                resource: kind,
-                demand: in_use.get(kind),
-                budget: budget.get(kind),
-            };
-            if let Some(ins) = &self.instruments {
-                ins.telemetry.counter("soil.seeds_shed").inc();
-                let (switch_id, task, demand, budget_v) = (
-                    self.switch_id.0,
-                    task.clone(),
-                    in_use.get(kind),
-                    budget.get(kind),
-                );
-                ins.telemetry.emit_with(|| Event::SeedShed {
-                    at_ns: now.as_nanos(),
-                    switch: switch_id,
-                    seed: victim.0,
-                    task,
-                    resource: pressure_resource(kind),
-                    demand,
-                    budget: budget_v,
-                });
-            }
-            let Ok(snapshot) = self.undeploy_with_reason(victim, UndeployReason::Shed, now, switch)
-            else {
-                break;
-            };
-            shed.push(ShedSeed {
-                seed: victim,
-                task,
-                snapshot,
-                reason,
-            });
-        }
-        shed
     }
 
     /// Aggregate ASIC statistics-polling rate across all deployed seeds,
@@ -713,12 +693,14 @@ impl Soil {
             .sum()
     }
 
-    /// Sheds lowest-priority seeds while the aggregate polling rate
-    /// exceeds `polls_per_sec`. This is the degraded-PCIe companion of
-    /// [`Soil::shed_over_budget`]: it budgets the *polling rate* in
-    /// polls/second (the unit of [`ResourceKind::PciePoll`] capacities)
-    /// rather than granted allocations, so a degraded bus sheds exactly
-    /// the seeds whose polling it can no longer carry.
+    /// Sheds seeds while the aggregate polling rate exceeds
+    /// `polls_per_sec` (the unit of [`ResourceKind::PciePoll`]
+    /// capacities), dropping the highest [`SeedId`] (lowest priority:
+    /// the most recently deployed) first, so a degraded bus sheds exactly
+    /// the seeds whose polling it can no longer carry. Each shed seed is
+    /// undeployed with a snapshot and a structured
+    /// [`SoilError::ResourcePressure`] reason so the control plane can
+    /// re-place it — the tick itself never fails.
     pub fn shed_over_poll_budget(
         &mut self,
         polls_per_sec: f64,
@@ -731,37 +713,34 @@ impl Soil {
             if rate <= polls_per_sec + 1e-9 {
                 break;
             }
-            let Some(victim) = self.seeds.keys().next_back().copied() else {
+            let Some((&victim, record)) = self.seeds.last_key_value() else {
                 break;
             };
-            let task = self.tasks.get(&victim).cloned().unwrap_or_default();
-            let reason = SoilError::ResourcePressure {
-                resource: ResourceKind::PciePoll,
-                demand: rate,
-                budget: polls_per_sec,
-            };
+            let task = record.task.clone();
             if let Some(ins) = &self.instruments {
-                ins.telemetry.counter("soil.seeds_shed").inc();
-                let (switch_id, task) = (self.switch_id.0, task.clone());
+                ins.seeds_shed.inc();
                 ins.telemetry.emit_with(|| Event::SeedShed {
                     at_ns: now.as_nanos(),
-                    switch: switch_id,
+                    switch: ins.switch,
                     seed: victim.0,
-                    task,
-                    resource: pressure_resource(ResourceKind::PciePoll),
+                    task: task.clone(),
+                    resource: PressureResource::PciePoll,
                     demand: rate,
                     budget: polls_per_sec,
                 });
             }
-            let Ok(snapshot) = self.undeploy_with_reason(victim, UndeployReason::Shed, now, switch)
-            else {
+            let Ok(snapshot) = self.undeploy(victim, UndeployReason::Shed, now, switch) else {
                 break;
             };
             shed.push(ShedSeed {
                 seed: victim,
                 task,
                 snapshot,
-                reason,
+                reason: SoilError::ResourcePressure {
+                    resource: ResourceKind::PciePoll,
+                    demand: rate,
+                    budget: polls_per_sec,
+                },
             });
         }
         shed
@@ -781,9 +760,9 @@ impl Soil {
         now: Time,
         switch: &mut Switch,
     ) -> Result<TickReport, SoilError> {
-        let seed = self.seeds.get_mut(&id).ok_or(SoilError::UnknownSeed(id))?;
-        seed.set_allocated(alloc);
-        let def = Arc::clone(seed.def());
+        let record = self.seeds.get_mut(&id).ok_or(SoilError::UnknownSeed(id))?;
+        record.instance.set_allocated(alloc);
+        let def = Arc::clone(record.instance.def());
         for t in self.triggers.iter_mut().filter(|t| t.seed == id) {
             if let Some(analysis) = def.triggers.iter().find(|a| a.name == t.name) {
                 let ival_ms = analysis.ival.eval(&alloc);
@@ -798,8 +777,9 @@ impl Soil {
                 t.next_due = now + t.ival;
             }
         }
-        let report = self.deliver(id, &SeedEvent::Realloc, now, switch, Dur::ZERO);
-        Ok(report)
+        let mut report = TickReport::default();
+        self.deliver(id, &SeedEvent::Realloc, now, switch, Dur::ZERO, &mut report);
+        Ok(self.settle(report))
     }
 
     /// Current polling interval of a seed's trigger (ms), if scheduled.
@@ -831,11 +811,7 @@ impl Soil {
             switch.cpu_mut().schedule_round(due_idx.len() as u64);
             self.fire_round(&due_idx, due, switch, &mut report);
         }
-        self.stats.deliveries += report.deliveries;
-        self.stats.asic_polls += report.asic_polls;
-        self.stats.polls_saved += report.polls_saved;
-        self.stats.messages_out += report.messages.len() as u64;
-        report
+        self.settle(report)
     }
 
     /// Earliest pending (poll/time) trigger deadline.
@@ -874,14 +850,12 @@ impl Soil {
                 let (entries, latency) = self.poll_subjects(&self.triggers[first].subjects, switch);
                 report.asic_polls += 1;
                 report.polls_saved += size - 1;
-                self.observe_poll(self.triggers[first].seed, entries.len(), latency, now);
-                if size > 1 {
-                    if let Some(ins) = &self.instruments {
-                        ins.polls_saved.add(size - 1);
-                        let switch_id = self.switch_id.0;
+                if let Some(ins) = &self.instruments {
+                    ins.poll_issued(self.triggers[first].seed, entries.len(), latency, now);
+                    if size > 1 {
                         ins.telemetry.emit_with(|| Event::PollAggregated {
                             at_ns: now.as_nanos(),
-                            switch: switch_id,
+                            switch: ins.switch,
                             group: size,
                             saved: size - 1,
                         });
@@ -889,7 +863,12 @@ impl Soil {
                 }
                 for &i in rest {
                     if member(&self.triggers[i]) {
-                        report.merge(self.fire_poll(i, now, &entries, latency, size > 1, switch));
+                        if size > 1 {
+                            // Serving one more seed from a shared transfer.
+                            let cycles = self.config.comm.aggregation_cpu_cycles();
+                            switch.cpu_mut().charge_cycles(cycles);
+                        }
+                        self.fire_poll(i, now, &entries, latency, switch, report);
                     }
                 }
             } else {
@@ -898,8 +877,10 @@ impl Soil {
                         let (entries, latency) =
                             self.poll_subjects(&self.triggers[i].subjects, switch);
                         report.asic_polls += 1;
-                        self.observe_poll(self.triggers[i].seed, entries.len(), latency, now);
-                        report.merge(self.fire_poll(i, now, &entries, latency, false, switch));
+                        if let Some(ins) = &self.instruments {
+                            ins.poll_issued(self.triggers[i].seed, entries.len(), latency, now);
+                        }
+                        self.fire_poll(i, now, &entries, latency, switch, report);
                     }
                 }
             }
@@ -912,25 +893,8 @@ impl Soil {
             t.tick += 1;
             t.next_due = advance_deadline(t.next_due, t.ival, now);
             let payload = Value::Int(t.tick as i64);
-            report.merge(self.fire(i, payload, now, switch, Dur::ZERO));
+            self.fire(i, payload, now, switch, Dur::ZERO, report);
         }
-    }
-
-    /// Records one actual ASIC poll into the instruments.
-    fn observe_poll(&self, seed: SeedId, subjects: usize, latency: Dur, now: Time) {
-        let Some(ins) = &self.instruments else {
-            return;
-        };
-        ins.asic_polls.inc();
-        ins.poll_latency_us.record(latency.as_nanos() / 1_000);
-        let switch_id = self.switch_id.0;
-        ins.telemetry.emit_with(|| Event::PollIssued {
-            at_ns: now.as_nanos(),
-            switch: switch_id,
-            seed: seed.0,
-            subjects: subjects as u64,
-            latency_ns: latency.as_nanos(),
-        });
     }
 
     /// Delivers trigger `idx`'s event, carrying `payload`, to its seed.
@@ -943,18 +907,18 @@ impl Soil {
         now: Time,
         switch: &mut Switch,
         base_latency: Dur,
-    ) -> TickReport {
+        report: &mut TickReport,
+    ) {
         let t = &mut self.triggers[idx];
         let seed = t.seed;
         let event = SeedEvent::Trigger {
             name: std::mem::take(&mut t.name),
             payload,
         };
-        let report = self.deliver(seed, &event, now, switch, base_latency);
+        self.deliver(seed, &event, now, switch, base_latency, report);
         if let SeedEvent::Trigger { name, .. } = event {
             self.triggers[idx].name = name;
         }
-        report
     }
 
     fn fire_poll(
@@ -963,14 +927,9 @@ impl Soil {
         now: Time,
         entries: &[StatEntry],
         poll_latency: Dur,
-        aggregated: bool,
         switch: &mut Switch,
-    ) -> TickReport {
-        if aggregated {
-            switch
-                .cpu_mut()
-                .charge_cycles(self.config.comm.aggregation_cpu_cycles());
-        }
+        report: &mut TickReport,
+    ) {
         let t = &mut self.triggers[idx];
         t.next_due = advance_deadline(t.next_due, t.ival, now);
         // Convert cumulative counters into per-interval deltas against
@@ -996,7 +955,7 @@ impl Soil {
                 })
             })
             .collect();
-        self.fire(idx, Value::List(deltas), now, switch, poll_latency)
+        self.fire(idx, Value::List(deltas), now, switch, poll_latency, report);
     }
 
     fn poll_subjects(
@@ -1008,19 +967,12 @@ impl Soil {
         let mut latency = Dur::ZERO;
         for s in subjects {
             match s {
-                PollSubject::AllPorts => {
-                    let (stats, l) = switch.poll_ports(PortSel::Any);
-                    latency = latency.max(l);
-                    entries.extend(stats.into_iter().map(|ps| StatEntry {
-                        subject: StatSubject::Port(ps.port.0),
-                        tx_bytes: ps.counters.tx_bytes,
-                        rx_bytes: ps.counters.rx_bytes,
-                        tx_packets: ps.counters.tx_packets,
-                        rx_packets: ps.counters.rx_packets,
-                    }));
-                }
-                PollSubject::Port(p) => {
-                    let (stats, l) = switch.poll_ports(PortSel::Id(*p));
+                PollSubject::AllPorts | PollSubject::Port(_) => {
+                    let sel = match s {
+                        PollSubject::Port(p) => PortSel::Id(*p),
+                        _ => PortSel::Any,
+                    };
+                    let (stats, l) = switch.poll_ports(sel);
                     latency = latency.max(l);
                     entries.extend(stats.into_iter().map(|ps| StatEntry {
                         subject: StatSubject::Port(ps.port.0),
@@ -1085,12 +1037,10 @@ impl Soil {
                 t.next_due = now + t.ival;
                 let latency =
                     *mirrored.get_or_insert_with(|| switch.pcie_mut().request(pkt.len as u64));
-                report.merge(self.fire(i, Value::Packet(*pkt), now, switch, latency));
+                self.fire(i, Value::Packet(*pkt), now, switch, latency, &mut report);
             }
         }
-        self.stats.deliveries += report.deliveries;
-        self.stats.messages_out += report.messages.len() as u64;
-        report
+        self.settle(report)
     }
 
     /// Delivers a message from the harvester or another machine to every
@@ -1104,45 +1054,26 @@ impl Soil {
         switch: &mut Switch,
     ) -> TickReport {
         let ids: Vec<SeedId> = self
-            .seeds
-            .values()
+            .seeds()
             .filter(|s| s.machine_name() == machine)
             .map(|s| s.id)
             .collect();
         let mut report = TickReport::default();
-        for id in ids {
-            let step = self.deliver(
-                id,
-                &SeedEvent::Recv {
-                    from_machine: from_machine.map(str::to_string),
-                    value: value.clone(),
-                },
-                now,
-                switch,
-                Dur::ZERO,
-            );
-            report.merge(step);
+        if !ids.is_empty() {
+            let event = SeedEvent::Recv {
+                from_machine: from_machine.map(str::to_string),
+                value: value.clone(),
+            };
+            for id in ids {
+                self.deliver(id, &event, now, switch, Dur::ZERO, &mut report);
+            }
         }
-        self.stats.deliveries += report.deliveries;
-        self.stats.messages_out += report.messages.len() as u64;
-        report
+        self.settle(report)
     }
 
-    /// Records one seed runtime error into the instruments.
-    fn observe_seed_error(&self, id: SeedId, err: &SeedError, now: Time) {
-        let Some(ins) = &self.instruments else {
-            return;
-        };
-        ins.seed_errors.inc();
-        let switch_id = self.switch_id.0;
-        ins.telemetry.emit_with(|| Event::SeedErrored {
-            at_ns: now.as_nanos(),
-            switch: switch_id,
-            seed: id.0,
-            message: err.to_string(),
-        });
-    }
-
+    /// Runs one event through seed `id`'s handler and applies its
+    /// effects, counting into the caller's `report`; the entry point that
+    /// owns the report settles it.
     fn deliver(
         &mut self,
         id: SeedId,
@@ -1150,99 +1081,80 @@ impl Soil {
         now: Time,
         switch: &mut Switch,
         base_latency: Dur,
-    ) -> TickReport {
-        let mut report = TickReport::default();
-        let Some(seed) = self.seeds.get_mut(&id) else {
-            return report;
+        report: &mut TickReport,
+    ) {
+        let active_seeds = self.seeds.len();
+        let Some(record) = self.seeds.get_mut(&id) else {
+            return;
         };
-        let started = self.deployed_at.get(&id).copied().unwrap_or(Time::ZERO);
         let outcome = {
             let host = SwitchHost {
-                resources: seed.allocated(),
-                now_ms: now.since(started).as_millis() as i64,
+                resources: record.instance.allocated(),
+                now_ms: now.since(record.deployed_at).as_millis() as i64,
                 switch,
             };
-            seed.handle(event, &host)
+            record.instance.handle(event, &host)
         };
         report.deliveries += 1;
-        if let Some(ins) = &self.instruments {
-            ins.deliveries.inc();
-        }
-        match outcome {
-            Err(e) => {
-                self.observe_seed_error(id, &e, now);
-                report.errors.push((id, e));
+        let mut fail = |err: SeedError| {
+            if let Some(ins) = &self.instruments {
+                ins.seed_errored(id, &err, now);
             }
-            Ok(out) => {
-                let compute = Dur::from_secs_f64(
-                    (out.ops * self.config.cycles_per_op) as f64
-                        / switch.cpu().spec().freq_hz as f64,
-                );
-                switch
-                    .cpu_mut()
-                    .charge_cycles(out.ops * self.config.cycles_per_op);
-                switch
-                    .cpu_mut()
-                    .charge_cycles(self.config.comm.delivery_cpu_cycles());
-                let channel_latency = self.config.comm.delivery_latency(self.seeds.len());
-                for effect in out.effects {
-                    match effect {
-                        Effect::Send { to, value } => {
-                            let bytes = value_bytes(&value);
-                            if let Some(ins) = &self.instruments {
-                                ins.messages_out.inc();
-                                record_ipc_delivery(
-                                    &ins.telemetry,
-                                    self.switch_id.0,
-                                    id.0,
-                                    bytes,
-                                    now.as_nanos(),
-                                    channel_latency,
-                                );
-                            }
-                            // Only a message needs the names; most
-                            // deliveries send none.
-                            let machine = self.seeds.get(&id).map(SeedInstance::machine_name);
-                            report.messages.push(OutboundMessage {
-                                from_switch: self.switch_id,
-                                from_seed: id,
-                                from_machine: machine.unwrap_or_default().to_string(),
-                                task: self.tasks.get(&id).cloned().unwrap_or_default(),
-                                to,
-                                value,
-                                at: now,
-                                latency: base_latency + compute + channel_latency,
-                                bytes,
-                            });
-                        }
-                        Effect::AddRule(r) => {
-                            if let Err(e) = switch.tcam_mut().add_rule(
-                                TcamRegion::Monitoring,
-                                10,
-                                r.pattern,
-                                to_rule_action(&r.action),
-                            ) {
-                                let err = SeedError(e.to_string());
-                                self.observe_seed_error(id, &err, now);
-                                report.errors.push((id, err));
-                            }
-                        }
-                        Effect::RemoveRule(pattern) => {
-                            // Removing a rule that is already gone is not
-                            // an error for idempotent reactions.
-                            let _ = switch.tcam_mut().remove_by_pattern(&pattern);
-                        }
-                        Effect::Exec { iterations, .. } => {
-                            switch
-                                .cpu_mut()
-                                .charge_cycles(self.config.exec_cost_cycles * iterations as u64);
-                            self.stats.exec_iterations += iterations as u64;
-                        }
+            report.errors.push((id, err));
+        };
+        let out = match outcome {
+            Ok(out) => out,
+            Err(e) => return fail(e),
+        };
+        let cycles = out.ops * self.config.cycles_per_op;
+        let compute = Dur::from_secs_f64(cycles as f64 / switch.cpu().spec().freq_hz as f64);
+        switch.cpu_mut().charge_cycles(cycles);
+        switch
+            .cpu_mut()
+            .charge_cycles(self.config.comm.delivery_cpu_cycles());
+        let channel_latency = self.config.comm.delivery_latency(active_seeds);
+        for effect in out.effects {
+            match effect {
+                Effect::Send { to, value } => {
+                    let bytes = value_bytes(&value);
+                    if let Some(ins) = &self.instruments {
+                        ins.channel_delivery(id, bytes, channel_latency, now);
                     }
+                    report.messages.push(OutboundMessage {
+                        from_switch: self.switch_id,
+                        from_seed: id,
+                        from_machine: record.instance.machine_name().to_string(),
+                        task: record.task.clone(),
+                        to,
+                        value,
+                        at: now,
+                        latency: base_latency + compute + channel_latency,
+                        bytes,
+                    });
+                }
+                Effect::AddRule(r) => {
+                    if let Err(e) = switch.tcam_mut().add_rule(
+                        TcamRegion::Monitoring,
+                        10,
+                        r.pattern,
+                        to_rule_action(&r.action),
+                    ) {
+                        fail(SeedError(e.to_string()));
+                    }
+                }
+                Effect::RemoveRule(pattern) => {
+                    // Removing a rule that is already gone is not
+                    // an error for idempotent reactions.
+                    let _ = switch.tcam_mut().remove_by_pattern(&pattern);
+                }
+                Effect::Exec { iterations, .. } => {
+                    switch
+                        .cpu_mut()
+                        .charge_cycles(self.config.exec_cost_cycles * iterations as u64);
+                    self.stats.exec_iterations += iterations as u64;
                 }
             }
         }
-        report
     }
 }
 
@@ -1408,12 +1320,14 @@ mod tests {
             switch.tcam().region_used(TcamRegion::Monitoring),
             before + 1
         );
-        soil.undeploy(a, &mut switch).unwrap();
+        soil.undeploy(a, UndeployReason::TaskRemoved, Time::ZERO, &mut switch)
+            .unwrap();
         assert_eq!(
             switch.tcam().region_used(TcamRegion::Monitoring),
             before + 1
         );
-        soil.undeploy(b, &mut switch).unwrap();
+        soil.undeploy(b, UndeployReason::TaskRemoved, Time::ZERO, &mut switch)
+            .unwrap();
         assert_eq!(switch.tcam().region_used(TcamRegion::Monitoring), before);
     }
 
@@ -1463,7 +1377,8 @@ mod tests {
         // Regression: undeploying A must now drop the shared rule to
         // zero refs and free the TCAM entry. With the leak, B's claimed
         // refcount kept the entry installed forever.
-        soil.undeploy(a, &mut switch).unwrap();
+        soil.undeploy(a, UndeployReason::TaskRemoved, Time::ZERO, &mut switch)
+            .unwrap();
         assert_eq!(switch.tcam().region_used(TcamRegion::Monitoring), 0);
     }
 
@@ -1497,10 +1412,10 @@ mod tests {
                 .unwrap();
             ids.push(id);
         }
-        // Three seeds use 30 PCIe polls; a degraded budget of 12 keeps
-        // exactly one.
-        let budget = Resources::new(100.0, 10_000.0, 64.0, 12.0);
-        let shed = soil.shed_over_budget(budget, Time::from_millis(1), &mut switch);
+        // Three seeds poll 1 000 times a second each; a degraded bus
+        // carrying 1 200 polls/s keeps exactly one.
+        let budget = 1_200.0;
+        let shed = soil.shed_over_poll_budget(budget, Time::from_millis(1), &mut switch);
         assert_eq!(shed.len(), 2);
         // Highest SeedId (lowest priority) goes first.
         assert_eq!(shed[0].seed, ids[2]);
@@ -1516,7 +1431,7 @@ mod tests {
         assert!(soil.seed(ids[0]).is_some());
         // The fit now holds; shedding again is a no-op.
         assert!(soil
-            .shed_over_budget(budget, Time::from_millis(2), &mut switch)
+            .shed_over_poll_budget(budget, Time::from_millis(2), &mut switch)
             .is_empty());
         // Snapshots are restorable: re-import the shed seed elsewhere.
         let mut soil_b = Soil::new(SwitchId(1), SoilConfig::default());
@@ -1531,6 +1446,100 @@ mod tests {
                 &mut switch_b,
             )
             .unwrap();
+    }
+
+    /// Sends to the harvester on every kind of event a soil entry point
+    /// delivers; `Flip` fails its `enter` (an endless transition chain).
+    const CHATTY: &str = r#"
+machine Chatty {
+  place any;
+  time tick = 1;
+  probe udp = Probe { .ival = 1, .what = proto "udp" };
+  state s {
+    when (enter) do { send 1 to harvester; }
+    when (realloc) do { send 2 to harvester; }
+    when (tick) do { send 3 to harvester; }
+    when (udp as pkt) do { send 4 to harvester; }
+    when (recv long x from harvester) do { send x to harvester; }
+  }
+}
+machine Flip {
+  place any;
+  state a { when (enter) do { transit b; } }
+  state b { when (enter) do { transit a; } }
+}
+"#;
+
+    #[test]
+    fn every_entry_point_settles_its_report_into_stats_and_registry() {
+        let (mut soil, mut switch) = rig();
+        let telemetry = Telemetry::new();
+        soil.set_telemetry(telemetry.clone());
+        // What the returned reports add up to.
+        let (mut total, mut errors) = (SoilStats::default(), 0);
+        let mut check = |soil: &Soil, report: TickReport, what: &str| {
+            total.deliveries += report.deliveries;
+            total.asic_polls += report.asic_polls;
+            total.polls_saved += report.polls_saved;
+            total.messages_out += report.messages.len() as u64;
+            errors += report.errors.len() as u64;
+            assert_eq!(soil.stats(), total, "stats after {what}");
+            let snap = telemetry.snapshot();
+            let registry = SoilStats {
+                deliveries: snap.counter("soil.deliveries"),
+                asic_polls: snap.counter("soil.asic_polls"),
+                polls_saved: snap.counter("soil.polls_saved"),
+                messages_out: snap.counter("soil.messages_out"),
+                exec_iterations: 0,
+            };
+            assert_eq!(registry, total, "registry after {what}");
+            assert_eq!(snap.counter("soil.seed_errors"), errors, "{what}");
+            assert_eq!(snap.counter("ipc.messages"), total.messages_out, "{what}");
+        };
+
+        let (id, report) = soil
+            .deploy(
+                compile(CHATTY, "Chatty"),
+                "t",
+                alloc(),
+                Time::ZERO,
+                &mut switch,
+            )
+            .unwrap();
+        assert_eq!((report.deliveries, report.messages.len()), (1, 1));
+        check(&soil, report, "deploy");
+        let report = soil.realloc(id, alloc(), Time::ZERO, &mut switch).unwrap();
+        assert_eq!((report.deliveries, report.messages.len()), (1, 1));
+        check(&soil, report, "realloc");
+        // Two pollers sharing `port ANY`, and a seed whose `enter` fails.
+        let hh = compile(farm_almanac::programs::HEAVY_HITTER, "HH");
+        for def in [hh.clone(), hh, compile(CHATTY, "Flip")] {
+            let (_, report) = soil
+                .deploy(def, "t", alloc(), Time::ZERO, &mut switch)
+                .unwrap();
+            check(&soil, report, "deploy");
+        }
+        let report = soil.advance(Time::from_millis(3), &mut switch);
+        assert_eq!(
+            (report.asic_polls, report.polls_saved, report.messages.len()),
+            (3, 3, 3)
+        );
+        check(&soil, report, "advance");
+        let pkt = PacketRecord {
+            flow: FlowKey::udp(Ipv4::new(9, 9, 9, 9), 1, Ipv4::new(10, 1, 0, 1), 53),
+            len: 64,
+            syn: false,
+            fin: false,
+            ack: false,
+        };
+        let report = soil.offer_packets(&[pkt], Time::from_millis(3), &mut switch);
+        assert_eq!(report.messages.len(), 1);
+        check(&soil, report, "offer_packets");
+        let now = Time::from_millis(3);
+        let report = soil.deliver_to_machine("Chatty", None, &Value::Int(9), now, &mut switch);
+        assert_eq!(report.messages.len(), 1);
+        check(&soil, report, "deliver_to_machine");
+        assert_eq!((total.deliveries, total.messages_out, errors), (16, 7, 1));
     }
 
     #[test]
@@ -1644,11 +1653,13 @@ machine P {
             .unwrap();
         // Harvester retunes the threshold on A.
         soil_a.deliver_to_machine("HH", None, &Value::Int(777), Time::ZERO, &mut switch_a);
-        let snap = soil_a.undeploy(id, &mut switch_a).unwrap();
+        let snap = soil_a
+            .undeploy(id, UndeployReason::Migration, Time::ZERO, &mut switch_a)
+            .unwrap();
 
         let mut soil_b = Soil::new(SwitchId(1), SoilConfig::default());
         let mut switch_b = Switch::new(SwitchId(1), SwitchModel::test_model(8));
-        let new_id = soil_b
+        let (new_id, _) = soil_b
             .import(
                 def,
                 "hh",

@@ -6,32 +6,16 @@
 //! is left fully clean. This is the invariant FARM's crash recovery
 //! leans on when it restores orphans from their last checkpoint.
 
-use std::sync::Arc;
-
-use farm_almanac::analysis::ConstEnv;
-use farm_almanac::compile::{compile_machine, frontend, CompiledMachine};
 use farm_almanac::value::Value;
-use farm_netsim::controller::SdnController;
-use farm_netsim::switch::{Resources, Switch, SwitchModel};
+use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::time::{Dur, Time};
-use farm_netsim::topology::Topology;
-use farm_netsim::types::{FlowKey, Ipv4, PortId, SwitchId};
-use farm_soil::{Soil, SoilConfig};
+use farm_netsim::types::{FlowKey, Ipv4, PortId};
+use farm_telemetry::UndeployReason;
 use proptest::prelude::*;
 
-fn compile(src: &str, machine: &str) -> Arc<CompiledMachine> {
-    let topo = Topology::spine_leaf(1, 2, SwitchModel::test_model(8), SwitchModel::test_model(8));
-    let ctl = SdnController::new(&topo);
-    let program = frontend(src).unwrap();
-    Arc::new(compile_machine(&program, machine, &ConstEnv::new(), &ctl).unwrap())
-}
-
-fn rig(id: u32) -> (Soil, Switch) {
-    (
-        Soil::new(SwitchId(id), SoilConfig::default()),
-        Switch::new(SwitchId(id), SwitchModel::test_model(8)),
-    )
-}
+#[path = "util/rig.rs"]
+mod rig;
+use rig::{compile, rig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -48,7 +32,7 @@ proptest! {
 
         // Deploy on soil A, retune the threshold, and let the seed run
         // over arbitrary per-port traffic so it accumulates real state.
-        let (mut soil_a, mut switch_a) = rig(0);
+        let (mut soil_a, mut switch_a) = rig(0, SwitchModel::test_model(8));
         let (id, _) = soil_a
             .deploy(def.clone(), "hh", alloc, Time::ZERO, &mut switch_a)
             .unwrap();
@@ -75,7 +59,9 @@ proptest! {
         let vars_a = seed_a.snapshot().vars;
 
         let migrate_at = now + Dur::from_millis(migrate_after_ms);
-        let snap = soil_a.undeploy(id, &mut switch_a).unwrap();
+        let snap = soil_a
+            .undeploy(id, UndeployReason::Migration, now, &mut switch_a)
+            .unwrap();
 
         // The source soil forgets the seed entirely: no residual seeds,
         // no claimed resources, no scheduled polling.
@@ -85,8 +71,8 @@ proptest! {
         prop_assert!(soil_a.seed(id).is_none());
 
         // Import on a fresh soil B.
-        let (mut soil_b, mut switch_b) = rig(1);
-        let new_id = soil_b
+        let (mut soil_b, mut switch_b) = rig(1, SwitchModel::test_model(8));
+        let (new_id, _) = soil_b
             .import(def, "hh", alloc, &snap, migrate_at, &mut switch_b)
             .unwrap();
 
