@@ -1110,18 +1110,19 @@ impl Farm {
 
     /// Administratively cordons a switch — healthy, but the planner may
     /// no longer place on it — and replans so movable seeds migrate off.
-    /// Returns the plan and the number of seeds evacuated (seeds pinned
-    /// to the switch by `place all` / explicit constraints cannot move
-    /// and are dropped or kept by the planner as usual).
+    /// Returns the plan and the number of seeds evacuated. Seeds pinned
+    /// to the switch by `place all` / explicit constraints have nowhere
+    /// else to go: they hold their seat ([`Plan::held`]) and keep
+    /// running there, and the rest of their task is not touched.
     ///
-    /// A planner failure rolls the cordon back, leaving the farm as it
-    /// was.
+    /// A planner failure rolls back the cordon this call set (one an
+    /// earlier drain set stays), leaving the farm as it was.
     ///
     /// # Errors
     ///
     /// Planner or soil failures while evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
-        self.cordoned.insert(switch);
+        let newly_cordoned = self.cordoned.insert(switch);
         match self.replan() {
             Ok(plan) => {
                 let evacuated = plan
@@ -1132,7 +1133,9 @@ impl Farm {
                 Ok((plan, evacuated))
             }
             Err(e) => {
-                self.cordoned.remove(&switch);
+                if newly_cordoned {
+                    self.cordoned.remove(&switch);
+                }
                 Err(e)
             }
         }
@@ -1735,6 +1738,26 @@ mod tests {
         let snap = farm.telemetry().snapshot();
         // Deploy + drain + uncordon = three timed replan rounds.
         assert!(snap.histogram("farm.replan_us").unwrap().count >= 3);
+    }
+
+    #[test]
+    fn a_failed_drain_rolls_back_only_the_cordon_it_set() {
+        // Places (flat utility, nothing asks for PCIe) but cannot be
+        // planted: its poll interval is infinite at zero PCIe. Once it
+        // is in the catalog every replan fails at its deploy.
+        const UNPLANTABLE: &str = "machine Stuck { place any;
+            poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
+            state s { util (res) { return 1; } when (p as stats) do { } } }";
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        let ids = farm.network().switch_ids();
+        farm.drain(ids[2]).unwrap();
+        farm.deploy_task("stuck", UNPLANTABLE, &BTreeMap::new())
+            .unwrap_err();
+        // The operator's earlier cordon survives a second, failing drain
+        // of the same switch; the cordon a failing drain set does not.
+        farm.drain(ids[2]).unwrap_err();
+        farm.drain(ids[3]).unwrap_err();
+        assert_eq!(farm.cordoned_switches(), vec![ids[2]]);
     }
 
     #[test]

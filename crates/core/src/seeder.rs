@@ -15,7 +15,7 @@ use farm_netsim::types::SwitchId;
 use farm_placement::build::instance_from_tasks;
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
-use farm_placement::model::{PlacementResult, PreviousPlacement};
+use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement};
 use farm_soil::SeedId;
 use farm_telemetry::Telemetry;
 
@@ -65,6 +65,13 @@ pub struct Plan {
     pub result: PlacementResult,
     /// Names of tasks the optimizer dropped entirely.
     pub dropped_tasks: Vec<String>,
+    /// Seeds that hold their seat this round: none of their candidate
+    /// switches is live, so the round neither placed nor moved them and
+    /// `actions` has nothing for them. A held seed on a cordoned switch
+    /// keeps running, one lost with its switch stays with the recovery
+    /// queue, one never placed waits for the first plan that sees its
+    /// switch back. In key order.
+    pub held: Vec<SeedKey>,
     /// How much of the solve was served from the incremental solver's
     /// memo (see [`farm_placement::delta::replan_delta`]).
     pub delta: DeltaReport,
@@ -90,6 +97,19 @@ pub(crate) struct Placed {
     pub(crate) lost: bool,
 }
 
+/// What a planning round needs of the task catalog, derived once per
+/// catalog change instead of once per round.
+#[derive(Debug, Default)]
+struct Catalog {
+    /// One key per seed of every registered task, in instance order
+    /// (which is key order).
+    keys: Vec<SeedKey>,
+    /// Seeds and tasks of every registered task. Switches, previous
+    /// placement and task scopes are the round's
+    /// ([`PlacementInstance::begin_round`]).
+    instance: PlacementInstance,
+}
+
 /// The seeder's task catalog and placement memory.
 #[derive(Debug, Default)]
 pub struct Seeder {
@@ -102,9 +122,9 @@ pub struct Seeder {
     telemetry: Option<Telemetry>,
     /// Incremental-solver memory carried between planning rounds.
     solver_state: SolveState,
-    /// Seed keys of the previous round, in instance order — the old→new
-    /// index correspondence for [`SolveState::remap`].
-    last_keys: Vec<SeedKey>,
+    catalog: Catalog,
+    /// A task was registered or removed since `catalog` was derived.
+    catalog_stale: bool,
     /// Tasks whose *definitions* changed since the last plan. Residency
     /// and capacity changes are caught by the solver's input signatures;
     /// definition changes are not, so registration marks them here and
@@ -136,6 +156,7 @@ impl Seeder {
     pub fn register_task(&mut self, task: CompiledTask) {
         let machines = task.machines.iter().cloned().map(Arc::new).collect();
         self.dirty_tasks.insert(task.name.clone());
+        self.catalog_stale = true;
         self.tasks
             .insert(task.name.clone(), TaskEntry { task, machines });
     }
@@ -147,6 +168,7 @@ impl Seeder {
         // The task's seed indices vanish from the next instance; the
         // pre-plan remap drops every memo entry that mentions them.
         self.dirty_tasks.remove(name);
+        self.catalog_stale = true;
         self.tasks.remove(name).is_some()
     }
 
@@ -197,70 +219,92 @@ impl Seeder {
         }
     }
 
+    /// Re-derives the planning catalog from the task table and re-keys
+    /// the solver memory to the new seed numbering (a task registered or
+    /// removed shifts every index after it).
+    fn rebuild_catalog(&mut self) -> Result<(), String> {
+        let tasks: Vec<&CompiledTask> = self.tasks.values().map(|e| &e.task).collect();
+        let mut keys: Vec<SeedKey> = Vec::new();
+        for task in &tasks {
+            for (mi, m) in task.machines.iter().enumerate() {
+                keys.extend((0..m.seeds.len()).map(|si| SeedKey {
+                    task: task.name.clone(),
+                    machine: mi,
+                    seed: si,
+                }));
+            }
+        }
+        // The old instance goes first: two catalogs side by side would
+        // be the memory peak of a submit. Its keys stay for the remap.
+        self.catalog.instance = PlacementInstance::default();
+        let instance = instance_from_tasks(&tasks, &[], None)?;
+        let new_index: HashMap<&SeedKey, usize> =
+            keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
+        let map: Vec<Option<usize>> = self
+            .catalog
+            .keys
+            .iter()
+            .map(|k| new_index.get(k).copied())
+            .collect();
+        self.solver_state.remap(&map);
+        self.catalog = Catalog { keys, instance };
+        self.catalog_stale = false;
+        Ok(())
+    }
+
     /// Runs global placement over every registered task and diffs the
     /// result against the current deployment. Planning is incremental
     /// through the retained [`SolveState`]: the result is bit-identical
-    /// to a from-scratch solve, reuse only buys time.
+    /// to a from-scratch solve, reuse only buys time. A seed with no
+    /// live candidate holds its seat ([`Plan::held`]): it neither drops
+    /// its task nor appears in the actions.
     ///
     /// # Errors
     ///
     /// Propagates instance-construction failures (non-linear demands).
     pub fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Result<Plan, String> {
-        // Flatten tasks in deterministic order and build the key map.
-        let entries: Vec<&TaskEntry> = self.tasks.values().collect();
-        let task_refs: Vec<&CompiledTask> = entries.iter().map(|e| &e.task).collect();
-        let mut keys: Vec<SeedKey> = Vec::new();
-        for e in &entries {
-            for (mi, m) in e.task.machines.iter().enumerate() {
-                for si in 0..m.seeds.len() {
-                    keys.push(SeedKey {
-                        task: e.task.name.clone(),
-                        machine: mi,
-                        seed: si,
-                    });
-                }
-            }
+        if self.catalog_stale {
+            self.rebuild_catalog()?;
         }
+        let Catalog { keys, instance } = &mut self.catalog;
+        // The seed table and the keys are both in key order: one merge
+        // walk numbers the table's records.
         let mut previous = PreviousPlacement::default();
+        previous.assignment.reserve(self.placed.len());
+        let mut table = self.placed.iter().peekable();
         for (i, key) in keys.iter().enumerate() {
-            if let Some(p) = self.placed.get(key) {
+            while table.next_if(|(k, _)| *k < key).is_some() {}
+            if let Some((_, p)) = table.next_if(|(k, _)| *k == key) {
                 previous.assignment.insert(i, (p.switch, p.alloc));
             }
         }
         let has_previous = !previous.assignment.is_empty();
-        let instance = instance_from_tasks(&task_refs, switches, has_previous.then_some(previous))?;
-        // Re-key the solver memory to this round's seed numbering (tasks
-        // registered/removed since the last plan shift every index), then
-        // declare dirty whatever the signatures cannot detect.
-        if self.last_keys != keys {
-            let new_index: HashMap<&SeedKey, usize> =
-                keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
-            let map: Vec<Option<usize>> = self
-                .last_keys
-                .iter()
-                .map(|k| new_index.get(k).copied())
-                .collect();
-            self.solver_state.remap(&map);
-        }
+        let held = instance.begin_round(switches, has_previous.then_some(previous));
+        // Declare dirty whatever the signatures cannot detect.
         let dirty = keys
             .iter()
             .enumerate()
             .filter(|(_, k)| self.dirty_tasks.contains(&k.task));
         let delta = ReplanDelta::seeds(dirty.map(|(i, _)| i));
         let (result, report) = replan_delta(
-            &instance,
+            instance,
             self.options,
             &mut self.solver_state,
             &delta,
             self.telemetry.as_ref(),
         );
-        self.last_keys = keys.clone();
         self.dirty_tasks.clear();
 
         let mut actions = Vec::new();
+        let mut held_keys = Vec::with_capacity(held.len());
+        let mut held = held.into_iter().peekable();
         for (i, key) in keys.iter().enumerate() {
+            if held.next_if_eq(&i).is_some() {
+                held_keys.push(key.clone());
+                continue;
+            }
             let new = result.assignment[i];
-            // What the table said when the instance was built.
+            // What the table said when the round began.
             let old = instance
                 .previous
                 .as_ref()
@@ -303,6 +347,7 @@ impl Seeder {
             actions,
             result,
             dropped_tasks,
+            held: held_keys,
             delta: report,
         })
     }

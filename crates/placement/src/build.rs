@@ -11,6 +11,7 @@ use farm_almanac::compile::CompiledTask;
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 
+use crate::fxhash::FxHashSet;
 use crate::model::{
     PlacementInstance, PlacementSeed, PlacementTask, PollDemand, PreviousPlacement,
 };
@@ -25,7 +26,9 @@ pub fn subject_key(subject: &PollSubject) -> String {
     }
 }
 
-/// Builds a placement instance from compiled tasks.
+/// Builds a placement instance from compiled tasks: the catalog half
+/// (seeds and tasks, which only the task set decides) followed by
+/// [`PlacementInstance::begin_round`] for the round half.
 ///
 /// # Errors
 ///
@@ -39,7 +42,6 @@ pub fn instance_from_tasks(
     let mut seeds = Vec::new();
     let mut task_list = Vec::new();
     for (t, task) in tasks.iter().enumerate() {
-        let mut ids = Vec::new();
         for cm in &task.machines {
             let util = cm.util_of(&cm.initial_state);
             let mut polls = Vec::new();
@@ -67,10 +69,8 @@ pub fn instance_from_tasks(
                 }
             }
             for spec in &cm.seeds {
-                let id = seeds.len();
-                ids.push(id);
                 seeds.push(PlacementSeed {
-                    id,
+                    id: seeds.len(),
                     task: t,
                     candidates: spec.candidates.clone(),
                     util: util.clone(),
@@ -80,15 +80,54 @@ pub fn instance_from_tasks(
         }
         task_list.push(PlacementTask {
             name: task.name.clone(),
-            seeds: ids,
+            seeds: Vec::new(),
         });
     }
-    Ok(PlacementInstance {
-        switches: switches.to_vec(),
+    let mut instance = PlacementInstance {
+        switches: Vec::new(),
         tasks: task_list,
         seeds,
-        previous,
-    })
+        previous: None,
+    };
+    instance.begin_round(switches, previous);
+    Ok(instance)
+}
+
+impl PlacementInstance {
+    /// Points the instance at one planning round: this round's live
+    /// switches, the placement it starts from, and every task's seed
+    /// list scoped to the seeds that have somewhere to go.
+    ///
+    /// A seed none of whose candidates is among `switches` is *held*: it
+    /// is out of scope for the round, not a reason to drop its task. It
+    /// stays in [`PlacementInstance::seeds`] (seed numbering does not
+    /// move) but in no task's list, so C1 is all-or-nothing over the
+    /// seeds the round can place and the solver leaves the held ones
+    /// unassigned. Returns the held seeds in ascending order; what a
+    /// held seed means for whatever sits behind it is the caller's to
+    /// say (the seeder plans no action for it).
+    pub fn begin_round(
+        &mut self,
+        switches: &[(SwitchId, Resources)],
+        previous: Option<PreviousPlacement>,
+    ) -> Vec<usize> {
+        self.switches.clear();
+        self.switches.extend_from_slice(switches);
+        self.previous = previous;
+        let live: FxHashSet<SwitchId> = switches.iter().map(|(n, _)| *n).collect();
+        for task in &mut self.tasks {
+            task.seeds.clear();
+        }
+        let mut held = Vec::new();
+        for (s, seed) in self.seeds.iter().enumerate() {
+            if seed.candidates.iter().any(|n| live.contains(n)) {
+                self.tasks[seed.task].seeds.push(s);
+            } else {
+                held.push(s);
+            }
+        }
+        held
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +176,49 @@ mod tests {
         validate(&inst, &result).unwrap();
         assert_eq!(result.placed(), 5, "pinned seeds all place");
         assert!(result.utility > 0.0);
+    }
+
+    #[test]
+    fn a_seed_with_no_live_candidate_is_held_and_its_task_places_on_the_rest() {
+        let topo = Topology::spine_leaf(
+            2,
+            3,
+            SwitchModel::accton_as7712(),
+            SwitchModel::accton_as5712(),
+        );
+        let ctl = SdnController::new(&topo);
+        let task = compile_task(
+            "hh",
+            farm_almanac::programs::HEAVY_HITTER,
+            &Default::default(),
+            &ctl,
+        )
+        .unwrap();
+        let switches: Vec<(SwitchId, Resources)> = topo
+            .switches()
+            .iter()
+            .map(|n| (n.id, n.model.total_resources()))
+            .collect();
+        let mut inst = instance_from_tasks(&[&task], &switches, None).unwrap();
+        assert_eq!(inst.tasks[0].seeds, vec![0, 1, 2, 3, 4]);
+
+        // The first switch leaves the round: its pinned seed is held.
+        let held = inst.begin_round(&switches[1..], None);
+        assert_eq!(held, vec![0]);
+        assert_eq!(inst.seeds.len(), 5, "seed numbering does not move");
+        assert_eq!(inst.tasks[0].seeds, vec![1, 2, 3, 4]);
+        let result = solve_heuristic(&inst, HeuristicOptions::default());
+        validate(&inst, &result).unwrap();
+        assert!(
+            result.dropped_tasks.is_empty(),
+            "C1 is over the seeds in scope"
+        );
+        assert_eq!(result.placed(), 4);
+        assert!(result.assignment[0].is_none());
+
+        // And returns: the seed is in scope again.
+        assert!(inst.begin_round(&switches, None).is_empty());
+        assert_eq!(inst.tasks[0].seeds, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -28,11 +28,14 @@
 //! as probing, and the fallback keeps worst-case latency at the full
 //! solve's, never above it.
 
+use std::mem::size_of;
+use std::sync::Arc;
+
 use crate::fxhash::{FxHashMap, FxHashSet};
 
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
-use farm_telemetry::Telemetry;
+use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::heuristic::{solve_core, HeuristicOptions};
 use crate::model::{PlacementInstance, PlacementResult};
@@ -41,9 +44,39 @@ use crate::model::{PlacementInstance, PlacementResult};
 /// signature misses, probing buys little and a full recompute is taken.
 pub const DEFAULT_FRONTIER_LIMIT_PCT: u32 = 25;
 
-/// Bucket bounds of the `solver.delta_frontier` histogram (dirty-switch
-/// counts, so plain powers of two rather than latency buckets).
-const FRONTIER_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+/// Bucket bounds of the `solver.delta_frontier` and
+/// `solver.benefit_classes` histograms (switch counts, so plain powers
+/// of two rather than latency buckets).
+const SWITCH_COUNT_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+
+/// The `solver.*` instruments [`replan_delta`] reports into, looked up
+/// once per [`SolveState`] and registry rather than once per solve.
+#[derive(Debug)]
+struct Instruments {
+    /// The registry the handles came from: a state solved with another
+    /// telemetry handle takes its instruments from that one.
+    registry: Telemetry,
+    replans: Arc<Counter>,
+    fallbacks: Arc<Counter>,
+    frontier: Arc<Histogram>,
+    benefit_classes: Arc<Histogram>,
+    cache_entries: Arc<Gauge>,
+    cache_bytes: Arc<Gauge>,
+}
+
+impl Instruments {
+    fn new(t: &Telemetry) -> Instruments {
+        Instruments {
+            registry: t.clone(),
+            replans: t.counter("solver.replan_delta"),
+            fallbacks: t.counter("solver.delta_fallback_full"),
+            frontier: t.histogram("solver.delta_frontier", SWITCH_COUNT_BOUNDS),
+            benefit_classes: t.histogram("solver.benefit_classes", SWITCH_COUNT_BOUNDS),
+            cache_entries: t.gauge("solver.delta_cache_entries"),
+            cache_bytes: t.gauge("solver.delta_cache_bytes"),
+        }
+    }
+}
 
 fn bits(r: &Resources) -> [u64; 4] {
     [
@@ -164,6 +197,10 @@ pub struct DeltaReport {
     pub fallback_full: bool,
     /// False on the first (cold) solve of a [`SolveState`].
     pub warm: bool,
+    /// Switch-state classes the migration-benefit scan met (0 when the
+    /// migration pass is off): near the switch count on a heterogeneous
+    /// fabric, a handful on a homogeneous one.
+    pub benefit_classes: usize,
 }
 
 /// What changed since the last solve that the solver cannot see on its
@@ -206,6 +243,7 @@ pub struct SolveState {
     pub frontier_limit_pct: u32,
     /// Completed solves through this state (0 ⇒ next solve is cold).
     pub solves: u64,
+    instruments: Option<Instruments>,
 }
 
 impl Default for SolveState {
@@ -214,6 +252,7 @@ impl Default for SolveState {
             lp_cache: FxHashMap::default(),
             frontier_limit_pct: DEFAULT_FRONTIER_LIMIT_PCT,
             solves: 0,
+            instruments: None,
         }
     }
 }
@@ -227,6 +266,17 @@ impl SolveState {
     /// Number of switches with a memoized LP output.
     pub fn cached_switches(&self) -> usize {
         self.lp_cache.len()
+    }
+
+    /// Bytes the memo table holds: its slots plus every entry's resident
+    /// and update lists, by capacity.
+    pub fn cache_bytes(&self) -> usize {
+        let lists = |e: &LpCacheEntry| {
+            e.residents.capacity() * size_of::<(usize, [u64; 4])>()
+                + e.updates.capacity() * size_of::<(usize, Resources)>()
+        };
+        self.lp_cache.capacity() * size_of::<(SwitchId, LpCacheEntry)>()
+            + self.lp_cache.values().map(lists).sum::<usize>()
     }
 
     /// Drops every memoized output (the next solve runs cold but keeps
@@ -258,8 +308,11 @@ impl SolveState {
 /// options)` — plus a [`DeltaReport`] of how much work was reused.
 ///
 /// Telemetry (when given): `solver.replan_delta` counts calls,
-/// `solver.delta_fallback_full` counts fallbacks, and the
-/// `solver.delta_frontier` histogram records the dirty-frontier size.
+/// `solver.delta_fallback_full` counts fallbacks, the
+/// `solver.delta_frontier` and `solver.benefit_classes` histograms
+/// record the dirty-frontier size and the switch-state classes of the
+/// benefit scan, and the `solver.delta_cache_entries` /
+/// `solver.delta_cache_bytes` gauges say what the memo holds afterwards.
 pub fn replan_delta(
     instance: &PlacementInstance,
     options: HeuristicOptions,
@@ -298,12 +351,19 @@ pub fn replan_delta(
     report.warm = warm;
 
     if let Some(t) = telemetry {
-        t.counter("solver.replan_delta").inc();
-        if report.fallback_full {
-            t.counter("solver.delta_fallback_full").inc();
+        let same_registry = |i: &Instruments| std::ptr::eq(i.registry.registry(), t.registry());
+        if !state.instruments.as_ref().is_some_and(same_registry) {
+            state.instruments = Some(Instruments::new(t));
         }
-        t.histogram("solver.delta_frontier", FRONTIER_BOUNDS)
-            .record(report.frontier as u64);
+        let i = state.instruments.as_ref().expect("just set");
+        i.replans.inc();
+        if report.fallback_full {
+            i.fallbacks.inc();
+        }
+        i.frontier.record(report.frontier as u64);
+        i.benefit_classes.record(report.benefit_classes as u64);
+        i.cache_entries.set(state.lp_cache.len() as f64);
+        i.cache_bytes.set(state.cache_bytes() as f64);
     }
     (result, report)
 }
@@ -353,6 +413,8 @@ mod tests {
         assert!(!report.warm);
         assert_eq!(report.reused, 0);
         assert!(state.cached_switches() > 0);
+        assert!(state.cache_bytes() >= state.cached_switches() * size_of::<LpCacheEntry>());
+        assert!((1..=inst.switches.len()).contains(&report.benefit_classes));
         assert_eq!(state.solves, 1);
     }
 

@@ -30,13 +30,20 @@
 //!   reused model arena (`LpScratch`); every float reduction runs in
 //!   stable switch/seed order, so repeated solves are bit-identical
 //!   (`prop_placement.rs` pins this).
+//! * Step 4 evaluates a seed's migration benefit once per *switch-state
+//!   class* it meets, not once per candidate: switches whose `ares`,
+//!   `used`, poll total and per-subject maxima agree bit for bit give
+//!   the same answer (`classify_states`), and on a fabric of mostly
+//!   identical switches that is a handful of evaluations for a
+//!   thousand candidates.
 //! * Re-solves with a retained [`crate::delta::SolveState`] memoize the
 //!   per-switch LP outputs by exact input signature — see
 //!   [`crate::delta::replan_delta`].
 
+use std::hash::Hasher;
 use std::time::Instant;
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHasher};
 
 use farm_almanac::analysis::{Poly, UtilExpr};
 use farm_lp::{record_phase, Cmp, LinExpr, Problem, Sense};
@@ -94,6 +101,9 @@ struct SwitchState {
     /// Migration reservations: seed → previous allocation still occupying
     /// this switch while the seed's state transfers away.
     lingering: FxHashMap<usize, Resources>,
+    /// State class for the step-4 benefit scan; meaningful only between
+    /// [`classify_states`] and the first mutation after it.
+    class: u32,
 }
 
 impl SwitchState {
@@ -105,6 +115,7 @@ impl SwitchState {
             poll_total: 0.0,
             seeds: Vec::new(),
             lingering: FxHashMap::default(),
+            class: 0,
         }
     }
 
@@ -278,6 +289,42 @@ impl SwitchState {
         let mut v: Vec<(usize, Resources)> = self.lingering.iter().map(|(s, r)| (*s, *r)).collect();
         v.sort_unstable_by_key(|(s, _)| *s);
         v
+    }
+
+    /// Whether `other` reads the same to [`achievable_utility`]: that
+    /// function is pure in the seed and in exactly four things it takes
+    /// from the switch — `ares`, `used`, `poll_total` and each subject's
+    /// running max — and all four agree bit for bit (`to_bits`). `0.0`
+    /// and `-0.0`, or a subject at max `0.0` and an absent one, do not
+    /// agree: finer than needed, never coarser.
+    fn same_class(&self, other: &SwitchState) -> bool {
+        let bits = |r: &Resources| r.0.map(f64::to_bits);
+        bits(&self.ares) == bits(&other.ares)
+            && bits(&self.used) == bits(&other.used)
+            && self.poll_total.to_bits() == other.poll_total.to_bits()
+            && self.poll.len() == other.poll.len()
+            && self.poll.iter().all(|(subj, cell)| {
+                let same_max = |o: &PollCell| o.max.to_bits() == cell.max.to_bits();
+                other.poll.get(subj).is_some_and(same_max)
+            })
+    }
+
+    /// A hash equal for switches of the same class. The subjects fold in
+    /// by addition, so their (map) order does not matter.
+    fn class_hash(&self) -> u64 {
+        let mut hasher = FxHasher::default();
+        for x in self.ares.0.iter().chain(&self.used.0) {
+            hasher.write_u64(x.to_bits());
+        }
+        hasher.write_u64(self.poll_total.to_bits());
+        let subject = |(subj, cell): (&u32, &PollCell)| {
+            let mut h = FxHasher::default();
+            h.write_u32(*subj);
+            h.write_u64(cell.max.to_bits());
+            h.finish()
+        };
+        hasher.write_u64(self.poll.iter().map(subject).fold(0, u64::wrapping_add));
+        hasher.finish()
     }
 }
 
@@ -456,10 +503,17 @@ pub(crate) fn solve_core(
     let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
     let mut dropped = Vec::new();
 
-    // Step 1: sort tasks by decreasing minimum utility.
+    // Step 1: sort tasks by decreasing minimum utility — the sum
+    // `PlacementInstance::task_min_utility` takes, in the same order,
+    // over the values `min_alloc` already holds.
     let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
-    let keys: Vec<f64> = (0..instance.tasks.len())
-        .map(|t| instance.task_min_utility(t))
+    let keys: Vec<f64> = instance
+        .tasks
+        .iter()
+        .map(|task| {
+            let min_u = |&s: &usize| min_alloc[s].map_or(0.0, |(_, u)| u);
+            task.seeds.iter().map(min_u).sum()
+        })
         .collect();
     order.sort_by(|&a, &b| {
         keys[b]
@@ -597,10 +651,10 @@ pub(crate) fn solve_core(
     // apply in ascending switch order and touch disjoint seeds.
     let lp_start = Instant::now();
     if options.lp_redistribution {
-        let mut work: Vec<(SwitchId, Vec<usize>)> = states
+        let mut work: Vec<(SwitchId, &[usize])> = states
             .iter()
             .filter(|(_, st)| !st.seeds.is_empty())
-            .map(|(n, st)| (*n, st.seeds.clone()))
+            .map(|(n, st)| (*n, st.seeds.as_slice()))
             .collect();
         work.sort_unstable_by_key(|(n, _)| *n);
         let lp_switches = work.len() as u64;
@@ -612,7 +666,6 @@ pub(crate) fn solve_core(
             // memoized output. Everything that misses is the *dirty
             // frontier*; past the configured fraction the solve degrades
             // to a full recompute (the proven-equivalence fallback).
-            let mut planned: Vec<Option<Vec<(usize, Resources)>>> = vec![None; work.len()];
             let mut frontier: Vec<usize> = Vec::new();
             match &mut delta {
                 Some(ctx) if ctx.warm => {
@@ -623,16 +676,12 @@ pub(crate) fn solve_core(
                                 .cache
                                 .get(n)
                                 .is_some_and(|e| e.matches(&st.ares, seeds_here, &assignment));
-                        if hit {
-                            planned[i] =
-                                Some(ctx.cache.get(n).expect("probed entry").updates.clone());
-                        } else {
+                        if !hit {
                             frontier.push(i);
                         }
                     }
                     if frontier.len() * 100 > work.len() * ctx.frontier_limit_pct as usize {
                         ctx.report.fallback_full = true;
-                        planned.iter_mut().for_each(|p| *p = None);
                         frontier = (0..work.len()).collect();
                     }
                     ctx.report.lp_switches = work.len();
@@ -647,9 +696,19 @@ pub(crate) fn solve_core(
                     }
                 }
             }
+            // A switch's LP reads and writes the allocations of its own
+            // residents only, so each switch is finished — replayed from
+            // the memo or solved, then applied — before the next begins.
             let mut scratch = LpScratch::new();
-            for &i in &frontier {
-                let (n, seeds_here) = &work[i];
+            let mut frontier = frontier.into_iter().peekable();
+            for (i, (n, seeds_here)) in work.iter().enumerate() {
+                if frontier.next_if_eq(&i).is_none() {
+                    let ctx = delta.as_ref().expect("only a warm delta solve reuses");
+                    for (s, r) in &ctx.cache[n].updates {
+                        assignment[*s] = Some((*n, *r));
+                    }
+                    continue;
+                }
                 let st = &states[n];
                 let ups = redistribute_switch(
                     instance,
@@ -672,10 +731,7 @@ pub(crate) fn solve_core(
                         }
                     }
                 }
-                planned[i] = Some(ups);
-            }
-            for ((n, _), ups) in work.iter().zip(planned) {
-                for (s, r) in ups.expect("every switch planned or reused") {
+                for (s, r) in ups {
                     assignment[s] = Some((*n, r));
                 }
             }
@@ -711,28 +767,10 @@ pub(crate) fn solve_core(
     let migration_start = Instant::now();
     let mut migrations = 0;
     if options.migration {
-        let mut benefits: Vec<(f64, usize, SwitchId)> = Vec::new();
-        for (s, slot) in assignment.iter().enumerate() {
-            let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
-                continue;
-            };
-            let seed = &instance.seeds[s];
-            let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
-            for &n in &seed.candidates {
-                if n == *cur {
-                    continue;
-                }
-                let Some(st) = states.get(&n) else { continue };
-                if let Some(u) = achievable_utility(seed, &interned[s], min_res, st) {
-                    // Hysteresis: relocation must clearly pay (migration
-                    // costs state transfer and double occupancy; "without
-                    // unnecessary migration" per Alg. 1 step 2a), and the
-                    // benefit estimate is opportunistic, not exact.
-                    if u > cur_u * 1.15 + 1e-6 {
-                        benefits.push((u - cur_u, s, n));
-                    }
-                }
-            }
+        let (mut benefits, classes) =
+            scan_benefits(instance, &interned, &min_alloc, &assignment, &mut states);
+        if let Some(ctx) = &mut delta {
+            ctx.report.benefit_classes = classes;
         }
         benefits.sort_by(benefit_cmp);
         for (_, s, n) in benefits {
@@ -820,6 +858,99 @@ pub(crate) fn solve_core(
         dropped_tasks: dropped,
         assignment,
     }
+}
+
+/// Gives every switch its *state class* ([`SwitchState::class`]) and
+/// returns how many classes there are. Two switches share a class
+/// exactly when [`SwitchState::same_class`] says so: everything
+/// [`achievable_utility`] reads from a switch has the same bit pattern
+/// on both, so within a class the function returns the same bits for
+/// the same seed.
+///
+/// O(switches), no allocation per switch: a switch is hashed
+/// ([`SwitchState::class_hash`]) into a slot table and compared field
+/// for field against the first switch of the class found there — the
+/// hash only finds the candidate, the compare decides.
+fn classify_states(states: &mut FxHashMap<SwitchId, SwitchState>) -> usize {
+    let bits = (states.len() * 2)
+        .next_power_of_two()
+        .trailing_zeros()
+        .max(1);
+    let mut slots: Vec<u32> = vec![u32::MAX; 1 << bits];
+    // Per class, the first switch seen in it.
+    let mut firsts: Vec<&SwitchState> = Vec::new();
+    let mut class_of: Vec<u32> = Vec::with_capacity(states.len());
+    for st in states.values() {
+        // The hasher's last step is a multiply: its top bits mix best.
+        let mut slot = (st.class_hash() >> (64 - bits)) as usize;
+        class_of.push(loop {
+            let class = slots[slot];
+            if class == u32::MAX {
+                slots[slot] = firsts.len() as u32;
+                firsts.push(st);
+                break slots[slot];
+            }
+            if firsts[class as usize].same_class(st) {
+                break class;
+            }
+            slot = (slot + 1) & (slots.len() - 1);
+        });
+    }
+    let classes = firsts.len();
+    // Same map, untouched in between: same iteration order.
+    for (st, class) in states.values_mut().zip(class_of) {
+        st.class = class;
+    }
+    classes
+}
+
+/// Alg. 1 step 4: every placed seed's utility gain at each alternative
+/// candidate that clears the hysteresis, enumerated in seed order, then
+/// candidate order. Also returns the number of switch-state classes.
+///
+/// [`achievable_utility`] is evaluated once per seed and state class
+/// ([`classify_states`]), not once per candidate: on a fabric where most
+/// switches are in the same state, a `place any` seed's thousand
+/// candidates cost a handful of evaluations. Enumeration order and every
+/// pushed value are those of the per-candidate scan, bit for bit.
+fn scan_benefits(
+    instance: &PlacementInstance,
+    interned: &[Vec<(u32, Poly)>],
+    min_alloc: &[Option<(Resources, f64)>],
+    assignment: &[Option<(SwitchId, Resources)>],
+    states: &mut FxHashMap<SwitchId, SwitchState>,
+) -> (Vec<(f64, usize, SwitchId)>, usize) {
+    let classes = classify_states(states);
+    // Per class: the seed the slot was filled for, and what it got there.
+    let mut memo: Vec<(usize, Option<f64>)> = vec![(usize::MAX, None); classes];
+    let mut benefits: Vec<(f64, usize, SwitchId)> = Vec::new();
+    for (s, slot) in assignment.iter().enumerate() {
+        let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
+            continue;
+        };
+        let seed = &instance.seeds[s];
+        let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
+        for &n in &seed.candidates {
+            if n == *cur {
+                continue;
+            }
+            let Some(st) = states.get(&n) else { continue };
+            let slot = &mut memo[st.class as usize];
+            if slot.0 != s {
+                *slot = (s, achievable_utility(seed, &interned[s], min_res, st));
+            }
+            if let Some(u) = slot.1 {
+                // Hysteresis: relocation must clearly pay (migration
+                // costs state transfer and double occupancy; "without
+                // unnecessary migration" per Alg. 1 step 2a), and the
+                // benefit estimate is opportunistic, not exact.
+                if u > cur_u * 1.15 + 1e-6 {
+                    benefits.push((u - cur_u, s, n));
+                }
+            }
+        }
+    }
+    (benefits, classes)
 }
 
 /// Utility the seed could reach on a switch given its spare capacity
@@ -1271,6 +1402,152 @@ mod tests {
         for cell in st.poll.values() {
             let m = cell.entries.iter().copied().fold(0.0, f64::max);
             assert!((cell.max - m).abs() < 1e-12);
+        }
+    }
+
+    mod scan_property {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Step 4 as it was before state classes: one `achievable_utility`
+        /// per (seed, candidate). The oracle of the property below.
+        fn plain_scan(
+            instance: &PlacementInstance,
+            interned: &[Vec<(u32, Poly)>],
+            min_alloc: &[Option<(Resources, f64)>],
+            assignment: &[Option<(SwitchId, Resources)>],
+            states: &FxHashMap<SwitchId, SwitchState>,
+        ) -> Vec<(f64, usize, SwitchId)> {
+            let mut benefits = Vec::new();
+            for (s, slot) in assignment.iter().enumerate() {
+                let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
+                    continue;
+                };
+                let seed = &instance.seeds[s];
+                let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
+                for &n in &seed.candidates {
+                    if n == *cur {
+                        continue;
+                    }
+                    let Some(st) = states.get(&n) else { continue };
+                    if let Some(u) = achievable_utility(seed, &interned[s], min_res, st) {
+                        if u > cur_u * 1.15 + 1e-6 {
+                            benefits.push((u - cur_u, s, n));
+                        }
+                    }
+                }
+            }
+            benefits
+        }
+
+        /// Capacities a generated switch draws from, the first one half of
+        /// the time: few, so that switches repeat, and some differing from a
+        /// neighbour in one sign bit only.
+        const CAPACITIES: [[f64; 4]; 5] = [
+            [4.0, 8192.0, 64.0, 125.0],
+            [4.0, 8192.0, 64.0, 60.0],
+            [2.0, 8192.0, 0.0, 125.0],
+            [2.0, 8192.0, -0.0, 125.0],
+            [-0.0, 0.0, 0.0, 0.0],
+        ];
+
+        /// What already sits on a generated switch: `(subject, constant
+        /// demand, vCPU)` per resident; subject 2 polls nothing. Every field
+        /// of the class signature varies alone somewhere: `used` (3 / 5),
+        /// which subject holds which max under one total (3 / 4), which
+        /// subject holds the one max (7 / 8), a subject at max `0.0` beside
+        /// none at all (1 / 2), one state reached in two orders (3 / 6).
+        /// The totals sit close under the 125 polls/s most capacities have,
+        /// so that a seed's own demand decides whether it still fits.
+        const LOADS: [&[(u32, f64, f64)]; 9] = [
+            &[],
+            &[(0, 0.0, 0.5)],
+            &[(2, 0.0, 0.5)],
+            &[(0, 30.0, 0.5), (1, 90.0, 1.0)],
+            &[(0, 90.0, 0.5), (1, 30.0, 1.0)],
+            &[(0, 30.0, 1.0), (1, 90.0, 1.0)],
+            &[(1, 90.0, 1.0), (0, 30.0, 0.5)],
+            &[(0, 100.0, 0.5)],
+            &[(1, 100.0, 0.5)],
+        ];
+
+        fn constant_poll(subject: u32, polls_per_s: f64) -> Vec<(u32, Poly)> {
+            if subject < 2 {
+                vec![(subject, Poly::constant(polls_per_s))]
+            } else {
+                Vec::new()
+            }
+        }
+
+        /// One seed: candidate picks, poll subject with its constant
+        /// demand, minimum vCPU, and where it sits now (`None` =
+        /// unplaced) with how much vCPU.
+        type SeedRecipe = (Vec<usize>, u32, f64, f64, Option<usize>, f64);
+
+        fn seed_recipe() -> impl Strategy<Value = SeedRecipe> {
+            (
+                proptest::collection::vec(0usize..64, 2..10),
+                0u32..3,
+                0.0f64..120.0,
+                0.0f64..1.5,
+                prop_oneof![Just(None), (0usize..64).prop_map(Some)],
+                0.0f64..2.0,
+            )
+        }
+
+        proptest! {
+            /// The class-memoised scan pushes exactly what the
+            /// per-candidate scan pushes: same length, same order, same
+            /// bits — over switches that repeat each other's state, differ
+            /// from it in one sign bit, or carry a subject at max `0.0`.
+            #[test]
+            fn class_memoised_scan_matches_the_plain_scan(
+                switches in proptest::collection::vec(
+                    (prop_oneof![Just(0usize), 0usize..CAPACITIES.len()], 0usize..LOADS.len()),
+                    2..14,
+                ),
+                seeds in proptest::collection::vec(seed_recipe(), 1..8),
+            ) {
+                let mut states: FxHashMap<SwitchId, SwitchState> = FxHashMap::default();
+                for (i, &(cap, load)) in switches.iter().enumerate() {
+                    let mut st = SwitchState::new(Resources(CAPACITIES[cap]));
+                    for &(subject, demand, vcpu) in LOADS[load] {
+                        st.add_usage(
+                            &constant_poll(subject, demand),
+                            &Resources::new(vcpu, 0.0, 0.0, 0.0),
+                        );
+                    }
+                    states.insert(SwitchId(i as u32), st);
+                }
+                let id = |pick: usize| SwitchId((pick % switches.len()) as u32);
+                let mut instance = instance(1, 1, 1);
+                instance.seeds.clear();
+                let mut interned = Vec::new();
+                let mut assignment = Vec::new();
+                for (s, (picks, subject, demand, min_vcpu, home, vcpu)) in seeds.iter().enumerate() {
+                    instance.seeds.push(PlacementSeed {
+                        id: s,
+                        task: 0,
+                        candidates: picks.iter().map(|&p| id(p)).collect(),
+                        util: linear_util(*min_vcpu, 100.0),
+                        polls: Vec::new(),
+                    });
+                    interned.push(constant_poll(*subject, *demand));
+                    assignment.push(home.map(|h| (id(h), Resources::new(*vcpu, 0.0, 0.0, 0.0))));
+                }
+                let min_alloc: Vec<_> =
+                    instance.seeds.iter().map(|s| s.util.min_feasible()).collect();
+
+                let plain = plain_scan(&instance, &interned, &min_alloc, &assignment, &states);
+                let (memoised, classes) =
+                    scan_benefits(&instance, &interned, &min_alloc, &assignment, &mut states);
+
+                prop_assert!(classes <= switches.len());
+                let bits = |v: &[(f64, usize, SwitchId)]| -> Vec<(u64, usize, SwitchId)> {
+                    v.iter().map(|&(b, s, n)| (b.to_bits(), s, n)).collect()
+                };
+                prop_assert_eq!(bits(&memoised), bits(&plain));
+            }
         }
     }
 }

@@ -133,7 +133,7 @@ pub struct PreviousPlacement {
 }
 
 /// The optimization instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlacementInstance {
     /// `ares(n, r)` per switch.
     pub switches: Vec<(SwitchId, Resources)>,

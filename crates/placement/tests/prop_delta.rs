@@ -7,6 +7,15 @@
 //! migration count, same dropped tasks — and satisfy the independently
 //! re-derived C1–C4 checkers from `util`.
 //!
+//! Besides the Fig. 7 generator's seeds an instance carries up to two
+//! *fabric-wide* tasks, one single-candidate seed per switch — the
+//! `place all` shape. A switch that leaves takes such a task's only
+//! candidate there with it: unscoped, C1 drops the whole task (and the
+//! switch's return redeploys it), the largest single-event change an
+//! instance can see; scoped through [`PlacementInstance::begin_round`],
+//! as the seeder does it, the one seed is held and the task's list
+//! shrinks and grows between rounds under a retained memo.
+//!
 //! Every event but one passes an *empty* [`ReplanDelta`]: the bit-exact
 //! LP signatures must catch capacity and residency changes, and switches
 //! leaving or rejoining the instance, on their own. Tweak mutates a
@@ -19,22 +28,79 @@ mod util;
 use farm_netsim::types::SwitchId;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, HeuristicOptions};
-use farm_placement::model::PlacementInstance;
+use farm_placement::model::{PlacementInstance, PlacementSeed, PlacementTask};
 use farm_placement::workload::{generate, WorkloadConfig};
 use proptest::prelude::*;
 use util::{as_previous, check_all};
 
-fn workload() -> impl Strategy<Value = WorkloadConfig> {
-    (3usize..12, 1usize..4, 3usize..40, 0u64..10_000, 0.0f64..0.6).prop_map(
-        |(n_switches, n_tasks, n_seeds, rng_seed, pinned_fraction)| WorkloadConfig {
-            n_switches,
-            n_tasks,
-            n_seeds,
-            candidates_per_seed: 3,
-            pinned_fraction,
-            rng_seed,
-        },
+/// What one case is built from: the generator's config, how many
+/// fabric-wide tasks ride along, and whether every round is scoped to
+/// the seeds that have somewhere to go.
+#[derive(Debug, Clone)]
+struct Fabric {
+    cfg: WorkloadConfig,
+    fabric_wide: usize,
+    scoped: bool,
+}
+
+fn workload() -> impl Strategy<Value = Fabric> {
+    (
+        (3usize..12, 1usize..4, 3usize..40, 0u64..10_000, 0.0f64..0.6),
+        0usize..3,
+        any::<bool>(),
     )
+        .prop_map(
+            |((n_switches, n_tasks, n_seeds, rng_seed, pinned_fraction), fabric_wide, scoped)| {
+                Fabric {
+                    cfg: WorkloadConfig {
+                        n_switches,
+                        n_tasks,
+                        n_seeds,
+                        candidates_per_seed: 3,
+                        pinned_fraction,
+                        rng_seed,
+                    },
+                    fabric_wide,
+                    scoped,
+                }
+            },
+        )
+}
+
+impl Fabric {
+    /// The generated instance plus its fabric-wide tasks, whose seeds
+    /// take utility and polling from one of the generator's.
+    fn instance(&self) -> PlacementInstance {
+        let mut inst = generate(&self.cfg);
+        for t in 0..self.fabric_wide {
+            let shape = inst.seeds[t % inst.seeds.len()].clone();
+            let task = inst.tasks.len();
+            let first = inst.seeds.len();
+            for (i, (n, _)) in inst.switches.iter().enumerate() {
+                inst.seeds.push(PlacementSeed {
+                    id: first + i,
+                    task,
+                    candidates: vec![*n],
+                    ..shape.clone()
+                });
+            }
+            inst.tasks.push(PlacementTask {
+                name: format!("wide{t}"),
+                seeds: (first..inst.seeds.len()).collect(),
+            });
+        }
+        inst
+    }
+
+    /// Scopes the round the way the seeder does, when the case says so.
+    /// Returns the held seeds.
+    fn begin_round(&self, inst: &mut PlacementInstance) -> Vec<usize> {
+        if !self.scoped {
+            return Vec::new();
+        }
+        let (switches, previous) = (inst.switches.clone(), inst.previous.take());
+        inst.begin_round(&switches, previous)
+    }
 }
 
 /// One churn event. Indices are taken modulo the relevant population at
@@ -139,17 +205,15 @@ fn apply(inst: &mut PlacementInstance, base: &PlacementInstance, ev: Churn) -> R
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
     /// Churn replay: every incremental solve along a random event
     /// sequence is bit-identical to a from-scratch solve and satisfies
     /// the independent constraint checkers.
     #[test]
     fn delta_replans_match_full_solves_under_churn(
-        cfg in workload(),
+        fabric in workload(),
         events in proptest::collection::vec(churn_event(), 1..6),
     ) {
-        let base = generate(&cfg);
+        let base = fabric.instance();
         let mut inst = base.clone();
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
@@ -159,6 +223,7 @@ proptest! {
         for (step, &ev) in events.iter().enumerate() {
             inst.previous = Some(as_previous(&r.assignment));
             let delta = apply(&mut inst, &base, ev);
+            let held = fabric.begin_round(&mut inst);
             let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
             let full = solve_heuristic(&inst, opts);
             prop_assert_eq!(&dr.assignment, &full.assignment,
@@ -170,6 +235,8 @@ proptest! {
             prop_assert!(report.warm);
             prop_assert!(check_all(&inst, &dr.assignment).is_ok(),
                 "step {} ({:?}): {:?}", step, ev, check_all(&inst, &dr.assignment));
+            prop_assert!(held.iter().all(|&s| dr.assignment[s].is_none()),
+                "step {} ({:?}): a held seed was placed", step, ev);
             r = dr;
         }
     }
@@ -181,11 +248,11 @@ proptest! {
     /// the full solve.
     #[test]
     fn a_switch_that_leaves_and_returns_still_matches_the_full_solve(
-        cfg in workload(),
+        fabric in workload(),
         victim in any::<usize>(),
         between in proptest::collection::vec(churn_event(), 2..3),
     ) {
-        let base = generate(&cfg);
+        let base = fabric.instance();
         let mut inst = base.clone();
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
@@ -205,6 +272,7 @@ proptest! {
                     ReplanDelta::default()
                 }
             };
+            fabric.begin_round(&mut inst);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
             let full = solve_heuristic(&inst, opts);
             prop_assert_eq!(&dr.assignment, &full.assignment, "step {} ({:?})", step, ev);
@@ -221,10 +289,10 @@ proptest! {
     /// full recompute and must still match the from-scratch result.
     #[test]
     fn zero_frontier_budget_always_matches(
-        cfg in workload(),
+        fabric in workload(),
         events in proptest::collection::vec(churn_event(), 1..4),
     ) {
-        let base = generate(&cfg);
+        let base = fabric.instance();
         let mut inst = base.clone();
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
@@ -233,6 +301,7 @@ proptest! {
         for &ev in &events {
             inst.previous = Some(as_previous(&r.assignment));
             let delta = apply(&mut inst, &base, ev);
+            fabric.begin_round(&mut inst);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
             let full = solve_heuristic(&inst, opts);
             prop_assert_eq!(&dr.assignment, &full.assignment);

@@ -39,11 +39,11 @@ machine Mon {
 }
 "#;
 
-fn main() {
-    let seed: u64 = std::env::var("FARM_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
+/// Runs the walkthrough under churn seed `seed`: the farm as it ends,
+/// its event log, and how many seeds were deployed before the first
+/// fault. `tests/integration_faults.rs` includes this file to hold the
+/// very scenario printed here to "no seed is lost".
+pub fn run(seed: u64) -> (Farm, Arc<RingBufferSink>, usize) {
     let topology = Topology::spine_leaf(
         2,
         4,
@@ -124,6 +124,15 @@ fn main() {
         Time::from_millis(500),
         Dur::from_millis(1),
     );
+    (farm, log, deployed_at_start)
+}
+
+fn main() {
+    let seed: u64 = std::env::var("FARM_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7);
+    let (farm, log, deployed_at_start) = run(seed);
 
     // The fault / detection / recovery story, in event order.
     eprintln!("fault timeline (seed {seed}):");

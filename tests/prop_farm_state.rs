@@ -624,3 +624,46 @@ fn pinned_drain_in_the_crash_to_checkpoint_window_keeps_its_cordon() {
     assert_eq!(rover.state, "s", "live again, on {:?}", rover.switch);
     assert_ne!(rover.switch, SwitchId(4));
 }
+
+/// Held seats under I1–I5: two `place all` tasks and a rover; the
+/// rover's host is drained, a pinned pair is submitted under the cordon
+/// (one of its two switches is the cordoned one), another switch dies
+/// and an operator replans before the detector has fired. None of it
+/// undeploys a pinned seed, and once the cordon is lifted and the dead
+/// switch is back every seed of every task is placed.
+#[test]
+fn pinned_place_all_tasks_hold_their_seats_through_a_cordon_and_a_crash() {
+    let submit = |task, program| Op::Submit { task, program };
+    let ops = [
+        submit(0, 0),
+        submit(1, 0),
+        submit(2, 5),
+        Op::Drain(0),
+        Op::Advance(5),
+        submit(3, 2),
+        Op::Crash(4),
+        Op::Advance(10),
+        Op::Replan,
+        Op::Uncordon(0),
+        Op::Restart(4),
+        Op::Advance(60),
+    ];
+    let run = hold_invariants((2, 6), &ops);
+    let replanned_away = run
+        .stream()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                Event::SeedUndeployed {
+                    reason: farm_telemetry::UndeployReason::Replanned,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(replanned_away, 0);
+    assert_eq!(run.farm.recovery_pending(), 0);
+    assert_eq!(run.farm.deployed_seeds(), 8 + 8 + 1 + 2);
+    assert!(run.farm.seed_statuses().iter().all(|s| s.state != "lost"));
+}
