@@ -28,7 +28,6 @@ pub enum Phase {
     Parse,
     Typecheck,
     Analysis,
-    Xml,
 }
 
 impl fmt::Display for Phase {
@@ -38,7 +37,6 @@ impl fmt::Display for Phase {
             Phase::Parse => "parse",
             Phase::Typecheck => "typecheck",
             Phase::Analysis => "analysis",
-            Phase::Xml => "xml",
         };
         f.write_str(s)
     }

@@ -17,8 +17,8 @@
 //! [`typeck`] (inheritance flattening + validation) → [`analysis`]
 //! (placement sets, utility polynomials, poll subjects) → [`compile`]
 //! (the seeder front-end, which also runs [`lower`]: names resolved to
-//! slots for the seed VM), plus the [`xml`] interchange format, the
-//! canonical [`printer`], and the paper's 16 Tab. I use cases in
+//! slots for the seed VM), plus the canonical [`printer`] (the form
+//! programs are shipped in), and the paper's 16 Tab. I use cases in
 //! [`programs`]. Execution of compiled machines lives in `farm-soil`.
 //!
 //! # Example
@@ -51,7 +51,6 @@ pub mod printer;
 pub mod programs;
 pub mod typeck;
 pub mod value;
-pub mod xml;
 
 pub use compile::{
     compile_machine, compile_task, compile_task_with_diagnostics, frontend, CompileReport,

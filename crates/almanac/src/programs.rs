@@ -1465,11 +1465,6 @@ pub const USE_CASES: &[UseCase] = &[
     },
 ];
 
-/// Looks up a use case by machine name.
-pub fn use_case(machine: &str) -> Option<&'static UseCase> {
-    USE_CASES.iter().find(|u| u.machine == machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,10 @@
 //! Property-based round-trip tests: generated machines survive
-//! print → parse → print unchanged, and the XML interchange format
-//! preserves canonical source.
+//! print → parse → print unchanged.
 
 use farm_almanac::ast::*;
 use farm_almanac::error::Span;
 use farm_almanac::parser::parse;
 use farm_almanac::printer::{machine_to_source, program_to_source};
-use farm_almanac::xml::{machine_from_xml, machine_to_xml};
 use proptest::prelude::*;
 
 fn sp() -> Span {
@@ -226,33 +224,5 @@ proptest! {
         let src2 = program_to_source(&reparsed);
         let reparsed2 = parse(&src2).unwrap();
         prop_assert_eq!(src2, program_to_source(&reparsed2));
-    }
-
-    /// XML export/import preserves canonical source exactly.
-    #[test]
-    fn xml_round_trip(m in machine()) {
-        let src = machine_to_source(&m);
-        let parsed = parse(&src).unwrap().machines.remove(0);
-        let xml = machine_to_xml(&parsed);
-        let back = machine_from_xml(&xml)
-            .unwrap_or_else(|e| panic!("import failed: {e}\n{xml}"));
-        prop_assert_eq!(machine_to_source(&parsed), machine_to_source(&back));
-    }
-}
-
-/// Every Tab. I program also survives the XML round trip.
-#[test]
-fn use_cases_survive_xml() {
-    for u in farm_almanac::programs::USE_CASES {
-        let p = parse(u.source).unwrap();
-        for m in &p.machines {
-            let back = machine_from_xml(&machine_to_xml(m)).unwrap();
-            assert_eq!(
-                machine_to_source(m),
-                machine_to_source(&back),
-                "{} xml round trip",
-                u.name
-            );
-        }
     }
 }

@@ -106,14 +106,6 @@ impl CollectingHarvester {
             .filter(|a| *a >= t)
             .min()
     }
-
-    /// Total payload bytes received.
-    pub fn total_bytes(&self) -> u64 {
-        self.received
-            .iter()
-            .map(|m| farm_soil::soil::value_bytes(&m.value))
-            .sum()
-    }
 }
 
 impl Harvester for CollectingHarvester {

@@ -190,7 +190,7 @@ impl TcpBridge {
     /// Fire-and-forget liveness beacon for one heartbeat round.
     pub fn heartbeat(&self, switch: u32, at_ns: u64) {
         let seq = self.heartbeat_seq.fetch_add(1, Ordering::Relaxed);
-        let _ = self.conn.try_send(Frame::Heartbeat { switch, seq, at_ns });
+        let _ = self.conn.send(Frame::Heartbeat { switch, seq, at_ns });
     }
 }
 

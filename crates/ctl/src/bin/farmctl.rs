@@ -102,11 +102,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// A farmd session with bounded connection retry: ops that die on a
+/// A farmd session with bounded retry: ops that die on a
 /// connection-shaped error (`ECONNREFUSED` during an upgrade window, a
-/// timeout, a dropped session) are retried against a fresh connection
-/// with exponential backoff — the same 2× doubling shape farm-net's
-/// reconnect supervisor uses. Server-side rejections never retry.
+/// timeout, a dropped session) are asked again after an exponential
+/// backoff — the client redials by itself. Server-side rejections never
+/// retry.
 struct Session {
     addr: SocketAddr,
     retries: u64,
@@ -139,7 +139,6 @@ impl Session {
                     );
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(Duration::from_secs(1));
-                    self.client = CtlClient::connect(self.addr);
                 }
                 out => return out,
             }

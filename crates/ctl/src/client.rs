@@ -15,8 +15,10 @@ pub struct CtlClient {
 }
 
 impl CtlClient {
-    /// Connects with client-appropriate defaults (fast failure, no
-    /// endless reconnect storms).
+    /// A session under the name `farmctl` with a ten-second request
+    /// deadline. Nothing is dialed until the first op (or
+    /// [`CtlClient::wait_connected`]); a session the daemon ended is
+    /// redialed by the next op, so one client outlives daemon restarts.
     pub fn connect(addr: SocketAddr) -> CtlClient {
         CtlClient::connect_as(addr, "farmctl", Duration::from_secs(10))
     }
@@ -30,8 +32,6 @@ impl CtlClient {
         let cfg = NetConfig {
             node: node.into(),
             request_timeout,
-            max_reconnects: 2,
-            ..NetConfig::default()
         };
         let conn = Connection::connect(addr, cfg, &telemetry);
         CtlClient {
@@ -40,8 +40,8 @@ impl CtlClient {
         }
     }
 
-    /// Blocks until the underlying connection is established (or the
-    /// timeout passes); `true` when connected.
+    /// Dials until a session is up (or the timeout passes); `true`
+    /// when connected.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         self.conn.wait_connected(timeout)
     }

@@ -72,12 +72,12 @@ fn registration_loop(
             left = left.saturating_sub(d);
         }
     };
+    let client = CtlClient::connect_as(
+        fed.coordinator,
+        &format!("farmd/{}", fed.pod_name),
+        Duration::from_secs(5),
+    );
     'session: while !stop.load(Ordering::Relaxed) {
-        let client = CtlClient::connect_as(
-            fed.coordinator,
-            &format!("farmd/{}", fed.pod_name),
-            Duration::from_secs(5),
-        );
         match client.op(ControlOp::RegisterPod {
             name: fed.pod_name.clone(),
             addr: advertise.to_string(),
@@ -107,7 +107,7 @@ fn registration_loop(
             }) {
                 Ok(ControlReply::Ok) => beats.inc(),
                 // Unknown pod (coordinator restarted) or transport
-                // trouble: start a fresh session and re-register.
+                // trouble: register again.
                 Ok(_) | Err(_) => {
                     errors.inc();
                     registered.set(0.0);

@@ -36,11 +36,6 @@ impl LossSpec {
             ..LossSpec::HEALTHY
         }
     }
-
-    /// True when the channel impairs nothing.
-    pub fn is_healthy(&self) -> bool {
-        self.drop <= 0.0 && self.duplicate <= 0.0 && self.delay.is_zero()
-    }
 }
 
 impl Default for LossSpec {
@@ -80,11 +75,6 @@ impl LossModel {
     /// Current impairment parameters.
     pub fn spec(&self) -> LossSpec {
         self.spec
-    }
-
-    /// Replaces the impairment parameters, keeping the decision stream.
-    pub fn set_spec(&mut self, spec: LossSpec) {
-        self.spec = spec;
     }
 
     /// Rolls the fate of one delivery attempt.

@@ -42,8 +42,8 @@ pub type Fedd = Daemon<Core>;
 pub struct Core {
     config: FeddConfig,
     registry: Registry,
-    /// One cached control-plane session per pod; dropped and re-dialed
-    /// on transport failure or re-registration under a new address.
+    /// One control-plane session per pod, which redials by itself;
+    /// replaced only on re-registration under a new address.
     conns: BTreeMap<String, CtlClient>,
     /// Routing table: task → pods hosting (a part of) it.
     tasks: BTreeMap<String, Vec<String>>,
@@ -170,7 +170,7 @@ fn register_pod(
     let base = core
         .registry
         .register(name, addr, switches, quota, Instant::now());
-    // Any cached session may point at a dead predecessor; re-dial lazily.
+    // The session held for this name may point at a predecessor's address.
     core.conns.remove(name);
     ControlReply::PodRegistered { base }
 }
@@ -194,29 +194,22 @@ fn list_pods(core: &Core) -> ControlReply {
     ControlReply::Pods { pods }
 }
 
-/// One RPC to one pod, through the cached session; a transport failure
-/// drops the session and re-dials once before giving up.
+/// One RPC to one pod, through its session; a transport failure is
+/// asked once more (the session redials) before giving up.
 fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, String> {
     let Some(entry) = core.registry.get(pod) else {
         return Err(format!("unknown pod `{pod}`"));
     };
     let addr = entry.addr;
     let timeout = core.config.pod_timeout;
-    let mut last = String::new();
-    for _ in 0..2 {
-        let client = core
-            .conns
-            .entry(pod.to_string())
-            .or_insert_with(|| CtlClient::connect_as(addr, "fedd", timeout));
-        match client.op(op.clone()) {
-            Ok(reply) => return Ok(reply),
-            Err(e) => {
-                core.conns.remove(pod);
-                last = e.to_string();
-            }
-        }
-    }
-    Err(format!("pod `{pod}`: {last}"))
+    let client = core
+        .conns
+        .entry(pod.to_string())
+        .or_insert_with(|| CtlClient::connect_as(addr, "fedd", timeout));
+    client
+        .op(op.clone())
+        .or_else(|_| client.op(op))
+        .map_err(|e| format!("pod `{pod}`: {e}"))
 }
 
 /// Asks every live pod in turn, in name order, and returns `(pod, base,

@@ -220,11 +220,6 @@ impl Problem {
             .map(|(i, _)| i)
     }
 
-    /// True if the problem has at least one integer variable.
-    pub fn is_mip(&self) -> bool {
-        self.integer_vars().next().is_some()
-    }
-
     /// Tightens a variable's bounds (used by branch & bound).
     ///
     /// # Panics

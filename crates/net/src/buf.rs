@@ -3,8 +3,8 @@
 //! The reactor reads whatever the kernel has into a [`ByteRing`] and
 //! peels complete frames off the front with [`FrameDecoder::next`];
 //! partial frames simply stay buffered until more bytes arrive. The
-//! client's reader thread feeds the same decoder from blocking reads,
-//! so there is one frame reader: a fully framed but undecodable body is
+//! client [`Connection`](crate::Connection) feeds the same decoder from
+//! blocking reads, so there is one frame reader: a fully framed but undecodable body is
 //! surfaced as [`Decoded::Bad`] with the recovered request correlation
 //! id (the session survives), while a broken length prefix is a hard
 //! error because resync is impossible.

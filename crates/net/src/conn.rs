@@ -1,77 +1,57 @@
-//! The multiplexed client connection.
+//! The client connection: a blocking request/response session.
 //!
-//! A [`Connection`] owns a supervisor thread that dials the peer
-//! (retrying with exponential backoff), then runs a writer loop while
-//! a companion reader thread feeds inbound bytes to the same
-//! [`FrameDecoder`] the server's reactor uses. Outgoing frames
-//! pass through a bounded send queue — the backpressure boundary — and
-//! an [`Interceptor`] that may drop, duplicate or delay them.
-//! Request/response multiplexing uses correlation ids: any number of
-//! requests may be in flight; responses resolve them in any order.
+//! A [`Connection`] is one socket, one [`FrameDecoder`] (the same one
+//! the server's reactor uses) and one [`Interceptor`] behind one mutex,
+//! driven entirely by the thread that calls it — there is no background
+//! thread and no queue. A call dials if no session is held (one
+//! attempt), reads without blocking whatever the peer sent since the
+//! last call — so a goodbye or hang-up that arrived in the meantime is
+//! answered with a redial *before* any byte of the new frame is
+//! written — then writes the frame through the interceptor. A request
+//! goes on to read against its deadline until the response carrying its
+//! correlation id arrives. Calls from several threads take turns.
 //!
-//! Delivery semantics: one-way frames are at-most-once (a session drop
-//! loses whatever was in flight); requests are at-least-once *if the
-//! caller retries on timeout* — the transport itself never re-sends.
+//! Delivery semantics: one-way frames are at-most-once (the kernel's
+//! socket buffer is the only queue; a frame that finds no session and
+//! cannot dial one is a counted dead letter); requests are
+//! at-least-once *if the caller retries* — the transport itself never
+//! re-sends, and a reply that arrives after its request timed out is
+//! discarded, never handed to a later request.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use farm_soil::SharedRingBuffer;
 use farm_telemetry::Telemetry;
 
 use crate::buf::{Decoded, FrameDecoder};
-use crate::frame::{encode_envelope, Envelope, Frame, Report};
+use crate::frame::{encode_envelope, Envelope, Frame};
 use crate::interceptor::{Interceptor, Passthrough, Verdict};
 use crate::sock::NetCounters;
 use crate::wire::PROTOCOL_VERSION;
 
-/// Transport knobs. The defaults suit loopback control traffic.
+/// TCP connect timeout of one dial.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Pause between dials while [`Connection::wait_connected`] waits.
+const REDIAL_PAUSE: Duration = Duration::from_millis(20);
+
+/// Transport settings. The defaults suit loopback control traffic.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Name announced in the `Hello` preamble.
     pub node: String,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
-    /// Socket read timeout — the granularity at which reader/writer
-    /// threads notice shutdown; not a frame deadline.
-    pub read_timeout: Duration,
     /// Default deadline for [`Connection::request`].
     pub request_timeout: Duration,
-    /// Bounded send-queue capacity, frames. Full queue = backpressure:
-    /// `send` blocks, `try_send` dead-letters.
-    pub send_queue: usize,
-    /// Queued poll reports per [`Frame::PollReport`] flush.
-    pub batch_max: usize,
-    /// Max age of a queued poll report before the next queue operation
-    /// flushes the batch.
-    pub batch_linger: Duration,
-    /// First reconnect backoff; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Consecutive failed dials before the connection gives up.
-    pub max_reconnects: u32,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             node: "farm-node".into(),
-            connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(20),
             request_timeout: Duration::from_secs(2),
-            send_queue: 1024,
-            batch_max: 32,
-            batch_linger: Duration::from_millis(2),
-            backoff_base: Duration::from_millis(20),
-            backoff_max: Duration::from_secs(1),
-            max_reconnects: 10,
         }
     }
 }
@@ -79,13 +59,12 @@ impl Default for NetConfig {
 /// Transport-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// The connection was closed (locally) or gave up reconnecting.
+    /// The connection was closed locally.
     Closed,
-    /// `try_send` found the bounded send queue full.
-    QueueFull,
     /// A request got no response within its deadline.
     Timeout,
-    /// The session died while a request was in flight.
+    /// No session could be dialed, or the session died with the frame
+    /// in flight.
     Disconnected,
     /// The peer answered with an `Error` frame.
     Rejected(String),
@@ -95,9 +74,8 @@ impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::Closed => write!(f, "net: connection closed"),
-            NetError::QueueFull => write!(f, "net: send queue full"),
             NetError::Timeout => write!(f, "net: request timed out"),
-            NetError::Disconnected => write!(f, "net: peer disconnected mid-request"),
+            NetError::Disconnected => write!(f, "net: peer unreachable or disconnected"),
             NetError::Rejected(m) => write!(f, "net: peer rejected request: {m}"),
         }
     }
@@ -105,36 +83,29 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-struct BatchState {
-    reports: Vec<Report>,
-    oldest: Option<Instant>,
+/// One TCP session: the socket and whatever part of a frame has
+/// arrived on it.
+struct Session {
+    stream: TcpStream,
+    decoder: FrameDecoder,
 }
 
-struct Shared {
+/// What a call changes, behind the connection's one mutex.
+struct State {
+    session: Option<Session>,
+    interceptor: Box<dyn Interceptor>,
+    next_corr: u64,
+    /// A dial has succeeded before: the next one is a reconnect.
+    dialed: bool,
+    closed: bool,
+}
+
+/// A client connection to one peer. Dropping it says goodbye.
+pub struct Connection {
     addr: SocketAddr,
     cfg: NetConfig,
-    outbox: SharedRingBuffer<Envelope>,
-    pending: Mutex<HashMap<u64, mpsc::SyncSender<Frame>>>,
-    next_corr: AtomicU64,
-    closed: AtomicBool,
-    connected: AtomicBool,
     counters: NetCounters,
-    batch: Mutex<BatchState>,
-}
-
-impl Shared {
-    fn fail_pending(&self) {
-        // Dropping the senders makes every waiting `request` observe a
-        // disconnect instead of running out its full timeout.
-        self.pending.lock().expect("pending lock").clear();
-    }
-}
-
-/// A client connection to one peer. Cheap to move; dropping it flushes
-/// the send queue (best effort) and tears the threads down.
-pub struct Connection {
-    shared: Arc<Shared>,
-    supervisor: Option<thread::JoinHandle<()>>,
+    state: Mutex<State>,
 }
 
 impl Connection {
@@ -144,191 +115,253 @@ impl Connection {
     }
 
     /// Opens a connection whose outgoing frames pass through
-    /// `interceptor`. Dialing happens on the supervisor thread, so this
-    /// returns immediately even when the peer is down — frames queue
-    /// (up to the bound) until the dial succeeds.
+    /// `interceptor`. Nothing is dialed yet: the first call that needs
+    /// a session does that.
     pub fn connect_with(
         addr: SocketAddr,
         cfg: NetConfig,
         telemetry: &Telemetry,
         interceptor: Box<dyn Interceptor>,
     ) -> Connection {
-        let shared = Arc::new(Shared {
-            addr,
-            outbox: SharedRingBuffer::new(cfg.send_queue),
-            pending: Mutex::new(HashMap::new()),
-            next_corr: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
-            counters: NetCounters::new(telemetry),
-            batch: Mutex::new(BatchState {
-                reports: Vec::new(),
-                oldest: None,
-            }),
-            cfg,
-        });
-        let sup = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("farm-net-conn".into())
-                .spawn(move || supervise(shared, interceptor))
-                .expect("spawn connection supervisor")
-        };
         Connection {
-            shared,
-            supervisor: Some(sup),
+            addr,
+            cfg,
+            counters: NetCounters::new(telemetry),
+            state: Mutex::new(State {
+                session: None,
+                interceptor,
+                next_corr: 1,
+                dialed: false,
+                closed: false,
+            }),
         }
     }
 
-    /// True while a live TCP session exists.
-    pub fn is_connected(&self) -> bool {
-        self.shared.connected.load(Ordering::Relaxed)
+    /// The state, unless the connection is closed. A caller that
+    /// panicked inside a call may have left half a frame on the wire,
+    /// so a poisoned lock reads as closed too.
+    fn open_state(&self) -> Result<MutexGuard<'_, State>, NetError> {
+        match self.state.lock() {
+            Ok(state) if !state.closed => Ok(state),
+            _ => Err(NetError::Closed),
+        }
     }
 
-    /// Blocks until a session is up or `timeout` elapses.
+    /// True while a session is held. The peer may have ended it since
+    /// the last call; the next call finds out.
+    pub fn is_connected(&self) -> bool {
+        self.open_state().is_ok_and(|state| state.session.is_some())
+    }
+
+    /// Dials until a session is up or `timeout` elapses.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.is_connected() {
-                return true;
+        loop {
+            let up = self
+                .open_state()
+                .map(|mut state| self.ensure_session(&mut state));
+            if up != Ok(false) || Instant::now() >= deadline {
+                return up == Ok(true);
             }
-            thread::sleep(Duration::from_millis(1));
+            thread::sleep(REDIAL_PAUSE);
         }
-        self.is_connected()
     }
 
-    /// Frames currently waiting in the send queue.
-    pub fn queued(&self) -> usize {
-        self.shared.outbox.len()
-    }
-
-    /// Queues a one-way frame, blocking while the send queue is full
-    /// (the backpressure path).
+    /// Writes a one-way frame. The kernel's socket buffer is the
+    /// backpressure; a frame that finds no session and cannot dial one,
+    /// or whose write fails, is a dead letter (`net.dead_letters`).
     pub fn send(&self, frame: Frame) -> Result<(), NetError> {
-        if self.shared.closed.load(Ordering::Relaxed) {
-            return Err(NetError::Closed);
+        let mut state = self.open_state()?;
+        if self
+            .deliver(&mut state, &Envelope::one_way(frame))
+            .is_some()
+        {
+            return Ok(());
         }
-        self.shared
-            .outbox
-            .push(Envelope::one_way(frame))
-            .map_err(|_| NetError::Closed)
-    }
-
-    /// Queues a one-way frame without blocking; a full queue
-    /// dead-letters the frame (counted in `net.dead_letters`).
-    pub fn try_send(&self, frame: Frame) -> Result<(), NetError> {
-        if self.shared.closed.load(Ordering::Relaxed) {
-            return Err(NetError::Closed);
-        }
-        match self.shared.outbox.try_push(Envelope::one_way(frame)) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.shared.counters.dead_letters.inc();
-                if self.shared.outbox.is_closed() {
-                    Err(NetError::Closed)
-                } else {
-                    Err(NetError::QueueFull)
-                }
-            }
-        }
+        self.counters.dead_letters.inc();
+        Err(NetError::Disconnected)
     }
 
     /// Sends a request and blocks for its response (default deadline).
     pub fn request(&self, frame: Frame) -> Result<Frame, NetError> {
-        self.request_timeout(frame, self.shared.cfg.request_timeout)
+        self.request_timeout(frame, self.cfg.request_timeout)
     }
 
-    /// Sends a request and blocks for the response with `corr`elated
-    /// id until `timeout`. Concurrent requests multiplex freely.
+    /// Sends a request and blocks until the response with its
+    /// correlation id arrives or `timeout` elapses. A timeout keeps the
+    /// session; a hang-up drops it.
     pub fn request_timeout(&self, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
-        if self.shared.closed.load(Ordering::Relaxed) {
-            return Err(NetError::Closed);
-        }
-        let corr = self.shared.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.shared
-            .pending
-            .lock()
-            .expect("pending lock")
-            .insert(corr, tx);
         let start = Instant::now();
-        if let Err(e) = self
-            .shared
-            .outbox
-            .push(Envelope::request(corr, frame))
-            .map_err(|_| NetError::Closed)
-        {
-            self.shared
-                .pending
-                .lock()
-                .expect("pending lock")
-                .remove(&corr);
-            return Err(e);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(Frame::Error { message }) => Err(NetError::Rejected(message)),
-            Ok(frame) => {
-                self.shared.counters.rpcs.inc();
-                self.shared
-                    .counters
+        let mut state = self.open_state()?;
+        let corr = state.next_corr;
+        state.next_corr += 1;
+        let Some(session) = self.deliver(&mut state, &Envelope::request(corr, frame)) else {
+            return Err(NetError::Disconnected);
+        };
+        match self.read_until(session, Some(corr), Some(start + timeout)) {
+            Ok(Some(Frame::Error { message })) => Err(NetError::Rejected(message)),
+            Ok(Some(reply)) => {
+                self.counters.rpcs.inc();
+                self.counters
                     .rpc_latency_us
                     .record(start.elapsed().as_micros() as u64);
-                Ok(frame)
+                Ok(reply)
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.shared
-                    .pending
-                    .lock()
-                    .expect("pending lock")
-                    .remove(&corr);
-                self.shared.counters.rpc_timeouts.inc();
+            Ok(None) => {
+                self.counters.rpc_timeouts.inc();
                 Err(NetError::Timeout)
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(hung_up) => {
+                state.session = None;
+                Err(hung_up)
+            }
         }
     }
 
-    /// Adds a poll report to the aggregation buffer, flushing a
-    /// [`Frame::PollReport`] batch when it reaches `batch_max` entries
-    /// or the oldest entry exceeds `batch_linger`.
-    pub fn queue_report(&self, report: Report) -> Result<(), NetError> {
-        let due = {
-            let mut b = self.shared.batch.lock().expect("batch lock");
-            b.reports.push(report);
-            b.oldest.get_or_insert_with(Instant::now);
-            b.reports.len() >= self.shared.cfg.batch_max
-                || b.oldest
-                    .map(|t| t.elapsed() >= self.shared.cfg.batch_linger)
-                    .unwrap_or(false)
-        };
-        if due {
-            self.flush_reports()?;
-        }
-        Ok(())
-    }
-
-    /// Flushes any buffered poll reports as one batched frame.
-    pub fn flush_reports(&self) -> Result<(), NetError> {
-        let reports = {
-            let mut b = self.shared.batch.lock().expect("batch lock");
-            b.oldest = None;
-            std::mem::take(&mut b.reports)
-        };
-        if reports.is_empty() {
-            return Ok(());
-        }
-        self.send(Frame::PollReport { reports })
-    }
-
-    /// Flushes the send queue (best effort) and stops the threads. The
-    /// supervisor drains queued frames to the wire before closing the
-    /// socket when a session is up.
+    /// Says `Shutdown` on the session, if one is up, so the peer can
+    /// drop it without logging an error, and refuses every later call.
     pub fn close(&mut self) {
-        self.shared.closed.store(true, Ordering::Relaxed);
-        self.shared.outbox.close();
-        self.shared.fail_pending();
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
+        // Poisoned: half a frame may be on the wire; the socket just closes.
+        let Ok(state) = self.state.get_mut() else {
+            return;
+        };
+        state.closed = true;
+        if let Some(session) = state.session.take() {
+            let bye = Envelope::one_way(Frame::Shutdown);
+            write_frame(&self.counters, &session.stream, &bye, &mut Passthrough);
+            let _ = session.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Makes sure the next frame goes out on a live session. The held
+    /// one is first read, without blocking, for whatever the peer sent
+    /// while no request was waiting: a goodbye or a hang-up among it
+    /// ends that session here, before anything is written on it.
+    /// Without a live session, one dial.
+    fn ensure_session(&self, state: &mut State) -> bool {
+        if let Some(session) = &mut state.session {
+            let alive = session.stream.set_nonblocking(true).is_ok()
+                && self.read_until(session, None, None).is_ok()
+                && session.stream.set_nonblocking(false).is_ok();
+            if alive {
+                return true;
+            }
+            state.session = None;
+        }
+        self.dial(state)
+    }
+
+    /// One dial attempt plus the `Hello` preamble (not subject to
+    /// interception).
+    fn dial(&self, state: &mut State) -> bool {
+        let Ok(stream) = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) else {
+            self.counters.connect_failures.inc();
+            return false;
+        };
+        if state.dialed {
+            self.counters.reconnects.inc();
+        } else {
+            self.counters.connects.inc();
+        }
+        state.dialed = true;
+        let _ = stream.set_nodelay(true);
+        // A peer that stops reading must not hold a caller past its
+        // deadline once the socket buffer is full.
+        let _ = stream.set_write_timeout(Some(self.cfg.request_timeout));
+        let hello = Envelope::one_way(Frame::Hello {
+            node: self.cfg.node.clone(),
+            protocol: PROTOCOL_VERSION as u32,
+        });
+        let greeted = write_frame(&self.counters, &stream, &hello, &mut Passthrough);
+        state.session = greeted.then(|| Session {
+            stream,
+            decoder: FrameDecoder::new(),
+        });
+        greeted
+    }
+
+    /// Puts `env` on a live session, through the interceptor, and
+    /// returns that session; `None` when none could be had or the write
+    /// failed, which ends the session.
+    fn deliver<'s>(&self, state: &'s mut State, env: &Envelope) -> Option<&'s mut Session> {
+        if !self.ensure_session(state) {
+            return None;
+        }
+        let stream = &state.session.as_ref()?.stream;
+        if !write_frame(&self.counters, stream, env, state.interceptor.as_mut()) {
+            state.session = None;
+        }
+        state.session.as_mut()
+    }
+
+    /// Reads the session until the response to `want` is in hand
+    /// (`Some`), there is nothing more to read before `deadline`
+    /// (`None`; without a deadline the socket is non-blocking and that
+    /// means "nothing right now"), or the session is over (`Err`):
+    /// goodbye frame, end of stream, socket error or broken framing.
+    ///
+    /// Responses to any other correlation id answer requests that
+    /// already timed out and are skipped, as is every one-way frame but
+    /// `Shutdown`: a client has no reader for unsolicited traffic.
+    fn read_until(
+        &self,
+        session: &mut Session,
+        want: Option<u64>,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Frame>, NetError> {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match session.decoder.next() {
+                Ok(Some(Decoded::Frame(env, nbytes))) => {
+                    self.counters.bytes.add(nbytes as u64);
+                    self.counters.frames_received.inc();
+                    if env.response && want == Some(env.corr) {
+                        return Ok(Some(env.frame));
+                    }
+                    if !env.response && matches!(env.frame, Frame::Shutdown) {
+                        return Err(NetError::Disconnected);
+                    }
+                    continue;
+                }
+                // A frame with an undecodable body: count it and keep
+                // the session — the stream is still aligned. (A client
+                // has nothing to answer, so the recovered correlation
+                // id goes unused.)
+                Ok(Some(Decoded::Bad { nbytes, .. })) => {
+                    self.counters.bytes.add(nbytes as u64);
+                    self.counters.decode_errors.inc();
+                    continue;
+                }
+                Ok(None) => {}
+                // Broken framing: resync is impossible.
+                Err(_) => {
+                    self.counters.decode_errors.inc();
+                    return Err(NetError::Disconnected);
+                }
+            }
+            if let Some(deadline) = deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Ok(None);
+                }
+                let _ = session.stream.set_read_timeout(Some(left));
+            }
+            match session.stream.read(&mut chunk) {
+                Ok(0) => return Err(NetError::Disconnected),
+                Ok(n) => session.decoder.extend(&chunk[..n]),
+                Err(e) => match e.kind() {
+                    io::ErrorKind::Interrupted => {}
+                    // Blocking: the read timed out, and the deadline
+                    // check above is the exit. Non-blocking: nothing
+                    // to read right now.
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                        if deadline.is_none() {
+                            return Ok(None);
+                        }
+                    }
+                    _ => return Err(NetError::Disconnected),
+                },
+            }
         }
     }
 }
@@ -342,117 +375,23 @@ impl Drop for Connection {
 impl fmt::Debug for Connection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Connection")
-            .field("addr", &self.shared.addr)
+            .field("addr", &self.addr)
             .field("connected", &self.is_connected())
-            .field("queued", &self.queued())
             .finish()
     }
 }
 
-fn backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
-    let factor = 1u32 << attempt.min(10);
-    base.checked_mul(factor).unwrap_or(cap).min(cap)
-}
-
-/// Sleeps in small slices so a close() interrupts the backoff quickly.
-fn sleep_interruptible(total: Duration, closed: &AtomicBool) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !closed.load(Ordering::Relaxed) {
-        thread::sleep(Duration::from_millis(2).min(total));
-    }
-}
-
-fn supervise(shared: Arc<Shared>, mut interceptor: Box<dyn Interceptor>) {
-    let mut consecutive_failures = 0u32;
-    let mut ever_connected = false;
-    loop {
-        if shared.closed.load(Ordering::Relaxed) && shared.outbox.is_empty() {
-            break;
-        }
-        match TcpStream::connect_timeout(&shared.addr, shared.cfg.connect_timeout) {
-            Ok(stream) => {
-                consecutive_failures = 0;
-                if ever_connected {
-                    shared.counters.reconnects.inc();
-                } else {
-                    shared.counters.connects.inc();
-                }
-                ever_connected = true;
-                run_session(&shared, stream, interceptor.as_mut());
-                shared.fail_pending();
-                if shared.closed.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Err(_) => {
-                shared.counters.connect_failures.inc();
-                consecutive_failures += 1;
-                // A close() while the peer is unreachable gives up at
-                // once instead of riding out the backoff schedule.
-                if consecutive_failures > shared.cfg.max_reconnects
-                    || shared.closed.load(Ordering::Relaxed)
-                {
-                    break;
-                }
-                sleep_interruptible(
-                    backoff(
-                        shared.cfg.backoff_base,
-                        shared.cfg.backoff_max,
-                        consecutive_failures - 1,
-                    ),
-                    &shared.closed,
-                );
-            }
-        }
-    }
-    // Whatever is still queued can never be delivered.
-    shared.closed.store(true, Ordering::Relaxed);
-    shared.outbox.close();
-    while shared.outbox.pop_timeout(Duration::ZERO).is_some() {
-        shared.counters.dead_letters.inc();
-    }
-    shared.fail_pending();
-    shared.connected.store(false, Ordering::Relaxed);
-}
-
-/// One TCP session: writer loop on this thread, reader on a companion.
-/// Returns when the session dies or the connection closes.
-fn run_session(shared: &Arc<Shared>, stream: TcpStream, interceptor: &mut dyn Interceptor) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let dead = Arc::new(AtomicBool::new(false));
-    let reader = match stream.try_clone() {
-        Ok(rs) => {
-            let shared = Arc::clone(shared);
-            let dead = Arc::clone(&dead);
-            thread::Builder::new()
-                .name("farm-net-read".into())
-                .spawn(move || reader_loop(shared, rs, dead))
-                .ok()
-        }
-        Err(_) => None,
-    };
-    if reader.is_some() {
-        shared.connected.store(true, Ordering::Relaxed);
-        writer_loop(shared, &stream, interceptor, &dead);
-        shared.connected.store(false, Ordering::Relaxed);
-    }
-    dead.store(true, Ordering::Relaxed);
-    let _ = stream.shutdown(Shutdown::Both);
-    if let Some(h) = reader {
-        let _ = h.join();
-    }
-}
-
+/// Offers `env` to the interceptor and writes what it lets through.
+/// False when the socket refused the bytes.
 fn write_frame(
-    shared: &Shared,
+    counters: &NetCounters,
     stream: &TcpStream,
     env: &Envelope,
     interceptor: &mut dyn Interceptor,
 ) -> bool {
     match interceptor.on_send(env) {
         Verdict::Drop => {
-            shared.counters.dropped_frames.inc();
+            counters.dropped_frames.inc();
             true
         }
         Verdict::Deliver { copies, delay } => {
@@ -466,113 +405,12 @@ fn write_frame(
                 if w.write_all(&buf).is_err() {
                     return false;
                 }
-                shared.counters.bytes.add(buf.len() as u64);
-                shared.counters.frames_sent.inc();
+                counters.bytes.add(buf.len() as u64);
+                counters.frames_sent.inc();
             }
             true
         }
     }
-}
-
-fn writer_loop(
-    shared: &Arc<Shared>,
-    stream: &TcpStream,
-    interceptor: &mut dyn Interceptor,
-    dead: &AtomicBool,
-) {
-    // Session preamble (not subject to interception).
-    let hello = Envelope::one_way(Frame::Hello {
-        node: shared.cfg.node.clone(),
-        protocol: PROTOCOL_VERSION as u32,
-    });
-    if !write_frame(shared, stream, &hello, &mut Passthrough) {
-        return;
-    }
-    loop {
-        if dead.load(Ordering::Relaxed) {
-            return;
-        }
-        match shared.outbox.pop_timeout(Duration::from_millis(2)) {
-            Some(env) => {
-                if !write_frame(shared, stream, &env, interceptor) {
-                    return;
-                }
-            }
-            None => {
-                if shared.outbox.is_closed() && shared.outbox.is_empty() {
-                    // Graceful goodbye so the peer can drop the
-                    // connection without logging an error.
-                    let bye = Envelope::one_way(Frame::Shutdown);
-                    write_frame(shared, stream, &bye, &mut Passthrough);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Reads the socket into a [`FrameDecoder`] and dispatches every
-/// complete frame. Read timeouts are the ticks at which the `dead` flag
-/// is re-checked; whatever part of a frame has arrived stays buffered
-/// in the decoder across them.
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, dead: Arc<AtomicBool>) {
-    let mut decoder = FrameDecoder::new();
-    let mut scratch = vec![0u8; 16 * 1024];
-    while !dead.load(Ordering::Relaxed) {
-        match stream.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(n) => decoder.extend(&scratch[..n]),
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => break,
-        }
-        loop {
-            match decoder.next() {
-                Ok(Some(Decoded::Frame(env, nbytes))) => {
-                    shared.counters.bytes.add(nbytes as u64);
-                    shared.counters.frames_received.inc();
-                    if env.response {
-                        let waiter = shared
-                            .pending
-                            .lock()
-                            .expect("pending lock")
-                            .remove(&env.corr);
-                        if let Some(tx) = waiter {
-                            let _ = tx.try_send(env.frame);
-                        }
-                    } else if matches!(env.frame, Frame::Shutdown) {
-                        dead.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    // Any other one-way frame from the peer is ignored:
-                    // a client has no reader for unsolicited traffic.
-                }
-                // A frame with an undecodable body: count it and keep
-                // the connection — the stream is still aligned. (A
-                // client has nothing to answer, so the recovered
-                // correlation id goes unused.)
-                Ok(Some(Decoded::Bad { nbytes, .. })) => {
-                    shared.counters.bytes.add(nbytes as u64);
-                    shared.counters.decode_errors.inc();
-                }
-                Ok(None) => break,
-                // Broken framing: resync is impossible, drop the session.
-                Err(_) => {
-                    shared.counters.decode_errors.inc();
-                    dead.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-    }
-    dead.store(true, Ordering::Relaxed);
-}
-
-/// True for the error kinds a read timeout produces.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
 }
 
 #[cfg(test)]
@@ -580,6 +418,55 @@ mod tests {
     use super::*;
     use crate::wire::put_varint;
     use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// The peer's end of one session, hand-driven.
+    struct Peer {
+        stream: TcpStream,
+        decoder: FrameDecoder,
+    }
+
+    impl Peer {
+        fn accept(listener: &TcpListener) -> Peer {
+            let (stream, _) = listener.accept().expect("accept");
+            let _ = stream.set_nodelay(true);
+            Peer {
+                stream,
+                decoder: FrameDecoder::new(),
+            }
+        }
+
+        /// Correlation id of the next request, or `None` when the
+        /// client leaves without asking.
+        fn next_request(&mut self) -> Option<u64> {
+            let mut chunk = [0u8; 512];
+            loop {
+                match self.decoder.next().expect("clean stream") {
+                    Some(Decoded::Frame(env, _)) if env.corr != 0 => return Some(env.corr),
+                    Some(_) => continue,
+                    None => match self.stream.read(&mut chunk) {
+                        Ok(n) if n > 0 => self.decoder.extend(&chunk[..n]),
+                        _ => return None,
+                    },
+                }
+            }
+        }
+
+        fn answer(&mut self, corr: u64, node: &str) {
+            self.stream
+                .write_all(&reply_bytes(corr, node.into()))
+                .expect("write reply");
+        }
+    }
+
+    /// Runs `script` against a fresh loopback listener on its own thread.
+    fn scripted_peer(
+        script: impl FnOnce(TcpListener) + Send + 'static,
+    ) -> (SocketAddr, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        (addr, thread::spawn(move || script(listener)))
+    }
 
     /// A hand-driven peer: accepts one session, waits for the first
     /// request, lets `answer` write whatever bytes it likes for that
@@ -587,28 +474,12 @@ mod tests {
     fn raw_peer(
         answer: impl FnOnce(&mut TcpStream, u64) + Send + 'static,
     ) -> (SocketAddr, thread::JoinHandle<()>) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = listener.local_addr().expect("local addr");
-        let peer = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            let _ = stream.set_nodelay(true);
-            let mut decoder = FrameDecoder::new();
-            let mut chunk = [0u8; 512];
-            let corr = loop {
-                match decoder.next().expect("clean stream") {
-                    Some(Decoded::Frame(env, _)) if env.corr != 0 => break env.corr,
-                    Some(_) => continue,
-                    None => {
-                        let n = stream.read(&mut chunk).expect("read");
-                        assert!(n > 0, "client left before asking");
-                        decoder.extend(&chunk[..n]);
-                    }
-                }
-            };
-            answer(&mut stream, corr);
-            while matches!(stream.read(&mut chunk), Ok(n) if n > 0) {}
-        });
-        (addr, peer)
+        scripted_peer(move |listener| {
+            let mut peer = Peer::accept(&listener);
+            let corr = peer.next_request().expect("client left before asking");
+            answer(&mut peer.stream, corr);
+            while peer.next_request().is_some() {}
+        })
     }
 
     /// Any frame will do as a reply; `Hello` carries a string to size it.
@@ -624,14 +495,10 @@ mod tests {
 
     #[test]
     fn reader_reassembles_a_reply_dribbled_byte_by_byte() {
-        // One write per byte, pausing past the read timeout inside the
-        // length prefix and inside the body: whatever the reader holds
-        // when a read times out must still be there for the next one.
-        let cfg = NetConfig {
-            read_timeout: Duration::from_millis(1),
-            ..NetConfig::default()
-        };
-        let pause = cfg.read_timeout * 5;
+        // One write per byte, pausing inside the length prefix and
+        // inside the body: whatever the decoder holds when a read
+        // returns must still be there for the next one.
+        let pause = Duration::from_millis(5);
         let long = "x".repeat(300);
         let want = reply(long.clone());
         let (addr, peer) = raw_peer(move |stream, corr| {
@@ -645,7 +512,7 @@ mod tests {
             }
         });
         let telemetry = Telemetry::new();
-        let conn = Connection::connect(addr, cfg, &telemetry);
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
         let got = conn.request(Frame::Ack).expect("dribbled reply arrives");
         assert_eq!(got, want);
         assert_eq!(telemetry.snapshot().counter("net.decode_errors"), 0);
@@ -680,5 +547,110 @@ mod tests {
         assert_eq!(snap.counter("net.frames_received"), 1);
         drop(conn);
         peer.join().expect("peer thread");
+    }
+
+    #[test]
+    fn a_late_reply_is_not_handed_to_the_next_request() {
+        // The peer sits on the first request until the second one is on
+        // the wire, then answers both, oldest first.
+        let (addr, peer) = scripted_peer(|listener| {
+            let mut peer = Peer::accept(&listener);
+            let first = peer.next_request().expect("first request");
+            let second = peer.next_request().expect("second request");
+            peer.answer(first, "late");
+            peer.answer(second, "fresh");
+            while peer.next_request().is_some() {}
+        });
+        let telemetry = Telemetry::new();
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+        let timed_out = conn.request_timeout(Frame::Ack, Duration::from_millis(30));
+        assert_eq!(timed_out, Err(NetError::Timeout));
+        assert_eq!(conn.request(Frame::Ack), Ok(reply("fresh".into())));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("net.rpc_timeouts"), 1);
+        assert_eq!(snap.counter("net.rpcs"), 1);
+        assert_eq!(
+            snap.counter("net.reconnects"),
+            0,
+            "a timeout keeps the session"
+        );
+        drop(conn);
+        peer.join().expect("peer thread");
+    }
+
+    #[test]
+    fn a_session_ended_while_idle_is_redialled_before_the_next_request() {
+        // Once with a `Shutdown` goodbye, once with a bare hang-up.
+        for goodbye in [true, false] {
+            let (ended_tx, ended_rx) = mpsc::channel();
+            let (addr, peer) = scripted_peer(move |listener| {
+                let mut first = Peer::accept(&listener);
+                let corr = first.next_request().expect("first request");
+                first.answer(corr, "one");
+                if goodbye {
+                    let mut bye = Vec::new();
+                    encode_envelope(&Envelope::one_way(Frame::Shutdown), &mut bye);
+                    first.stream.write_all(&bye).expect("goodbye");
+                }
+                // Half-close: the client sees the end of the session,
+                // this side still sees anything the client writes on it.
+                first.stream.shutdown(Shutdown::Write).expect("half-close");
+                ended_tx.send(()).expect("client waits");
+                let mut second = Peer::accept(&listener);
+                let corr = second.next_request().expect("second request");
+                second.answer(corr, "two");
+                assert_eq!(
+                    first.next_request(),
+                    None,
+                    "nothing may be written on the session the peer ended"
+                );
+                while second.next_request().is_some() {}
+            });
+            let telemetry = Telemetry::new();
+            let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+            assert_eq!(conn.request(Frame::Ack), Ok(reply("one".into())));
+            ended_rx.recv().expect("peer ended the session");
+            assert_eq!(
+                conn.request(Frame::Ack),
+                Ok(reply("two".into())),
+                "no caller retry (goodbye: {goodbye})"
+            );
+            let snap = telemetry.snapshot();
+            assert_eq!(snap.counter("net.connects"), 1);
+            assert_eq!(snap.counter("net.reconnects"), 1);
+            assert_eq!(snap.counter("net.rpcs"), 2);
+            drop(conn);
+            peer.join().expect("peer thread");
+        }
+    }
+
+    #[test]
+    fn a_peer_dying_mid_request_disconnects_and_is_never_asked_twice() {
+        let (answered_tx, answered_rx) = mpsc::channel();
+        let (addr, peer) = scripted_peer(move |listener| {
+            let mut peer = Peer::accept(&listener);
+            peer.next_request().expect("the request");
+            drop(peer);
+            // By the time the client has its answer, a transport that
+            // re-sent would have dialed again.
+            answered_rx.recv().expect("client got its error");
+            listener.set_nonblocking(true).expect("nonblocking");
+            let redial = listener.accept().map(|_| ());
+            assert_eq!(
+                redial.map_err(|e| e.kind()),
+                Err(io::ErrorKind::WouldBlock),
+                "the request must reach the peer exactly once"
+            );
+        });
+        let telemetry = Telemetry::new();
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+        assert_eq!(conn.request(Frame::Ack), Err(NetError::Disconnected));
+        assert!(!conn.is_connected());
+        answered_tx.send(()).expect("peer waits");
+        peer.join().expect("peer thread");
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("net.connects"), 1);
+        assert_eq!(snap.counter("net.reconnects"), 0);
+        assert_eq!(snap.counter("net.rpc_timeouts"), 0);
     }
 }

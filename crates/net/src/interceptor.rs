@@ -1,6 +1,6 @@
 //! Pluggable send-path interceptors.
 //!
-//! An [`Interceptor`] sits between a connection's send queue and its
+//! An [`Interceptor`] sits between a connection's caller and its
 //! socket: every outgoing frame is offered to it and the returned
 //! [`Verdict`] decides whether the frame is written once, several
 //! times (duplication), after a delay, or not at all. This is how
@@ -30,9 +30,9 @@ impl Verdict {
     };
 }
 
-/// Decides the fate of outgoing frames. Implementations run on the
-/// connection's writer thread, so they may keep mutable state without
-/// locking.
+/// Decides the fate of outgoing frames. Implementations run under the
+/// connection's mutex, on whichever thread is sending, so they may keep
+/// mutable state without locking.
 pub trait Interceptor: Send {
     fn on_send(&mut self, env: &Envelope) -> Verdict;
 }

@@ -29,11 +29,11 @@
 //! * [`interceptor`] — the [`Interceptor`] send-path hook;
 //!   [`LossInterceptor`] applies `farm-faults`' deterministic loss
 //!   model (drop / duplicate / delay) to real frames.
-//! * [`conn`] / [`server`] — the runtime: a blocking [`Connection`]
-//!   with a bounded send queue (backpressure), batched poll-report
-//!   flushing, request/response multiplexing and exponential-backoff
-//!   reconnect, whose reader thread feeds a [`FrameDecoder`] rather
-//!   than framing by itself; a [`NetServer`] serving every session from
+//! * [`conn`] / [`server`] — the runtime: a blocking [`Connection`] —
+//!   one socket, one [`FrameDecoder`] and one [`Interceptor`] behind
+//!   one mutex, no thread and no queue of its own: request/response and
+//!   one-way sends on the caller's thread, redial on demand when the
+//!   peer ended the session; a [`NetServer`] serving every session from
 //!   one readiness-polling reactor thread plus a sticky worker pool.
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
@@ -128,58 +128,31 @@ mod tests {
     }
 
     #[test]
-    fn client_queues_frames_until_server_appears() {
+    fn request_fails_fast_while_nothing_listens_then_succeeds_once_the_peer_binds() {
         let telemetry = Telemetry::new();
-        // Reserve a port, then connect before anything listens on it.
+        // Reserve a port, then ask before anything listens on it.
         let probe = std::net::TcpListener::bind(loopback()).unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
 
-        let cfg = NetConfig {
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(20),
-            max_reconnects: 200,
-            ..NetConfig::default()
-        };
-        let conn = Connection::connect(addr, cfg, &telemetry);
-        conn.send(Frame::Heartbeat {
-            switch: 1,
-            seq: 1,
-            at_ns: 0,
-        })
-        .expect("queued while down");
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+        let asked = std::time::Instant::now();
+        assert_eq!(conn.request(Frame::Ack), Err(NetError::Disconnected));
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "one dial, not the request deadline: {:?}",
+            asked.elapsed()
+        );
         assert!(!conn.is_connected());
-        // Let the supervisor fail at least one dial before the server
-        // exists, so the reconnect path is genuinely exercised.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while telemetry.snapshot().counter("net.connect_failures") == 0 {
-            assert!(std::time::Instant::now() < deadline, "no dial attempted");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        assert!(telemetry.snapshot().counter("net.connect_failures") >= 1);
 
-        let got = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let got_h = Arc::clone(&got);
-        let server = NetServer::bind(
-            addr,
-            &telemetry,
-            Arc::new(move |env: &Envelope| {
-                if let Frame::Heartbeat { seq, .. } = env.frame {
-                    got_h.store(seq, std::sync::atomic::Ordering::Relaxed);
-                }
-                None
-            }),
-        )
-        .expect("bind");
-        assert!(conn.wait_connected(Duration::from_secs(5)), "reconnected");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.load(std::sync::atomic::Ordering::Relaxed) != 1 {
-            assert!(std::time::Instant::now() < deadline, "frame never arrived");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        let server =
+            NetServer::bind(addr, &telemetry, Arc::new(|_: &Envelope| None)).expect("bind");
+        assert_eq!(conn.request(Frame::Ack), Ok(Frame::Ack), "same Connection");
         drop(server);
         let snap = telemetry.snapshot();
-        assert!(snap.counter("net.connect_failures") >= 1);
         assert_eq!(snap.counter("net.connects"), 1);
+        assert_eq!(snap.counter("net.reconnects"), 0);
     }
 
     #[test]
@@ -242,37 +215,5 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-    }
-
-    #[test]
-    fn connection_gives_up_after_max_reconnects() {
-        let telemetry = Telemetry::new();
-        let probe = std::net::TcpListener::bind(loopback()).unwrap();
-        let addr = probe.local_addr().unwrap();
-        drop(probe);
-        let cfg = NetConfig {
-            connect_timeout: Duration::from_millis(50),
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(2),
-            max_reconnects: 3,
-            ..NetConfig::default()
-        };
-        let conn = Connection::connect(addr, cfg, &telemetry);
-        conn.try_send(Frame::Ack).expect("queued");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            // Once the supervisor gives up, sends fail with Closed and
-            // the queued frame has been dead-lettered.
-            match conn.try_send(Frame::Ack) {
-                Err(NetError::Closed) => break,
-                _ => {
-                    assert!(std::time::Instant::now() < deadline, "never gave up");
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("net.connect_failures"), 4);
-        assert!(snap.counter("net.dead_letters") >= 1);
     }
 }

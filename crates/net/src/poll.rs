@@ -36,10 +36,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// What a descriptor is ready for. `error` folds in hangup — the owner

@@ -15,7 +15,8 @@ pub(crate) struct NetCounters {
     pub frames_received: Arc<Counter>,
     /// Frames discarded by an interceptor (injected loss).
     pub dropped_frames: Arc<Counter>,
-    /// Frames rejected at a full send queue.
+    /// One-way frames that found no session and could not dial one, or
+    /// whose write failed.
     pub dead_letters: Arc<Counter>,
     pub connects: Arc<Counter>,
     pub reconnects: Arc<Counter>,

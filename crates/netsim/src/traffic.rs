@@ -136,11 +136,6 @@ impl HeavyHitterWorkload {
             .map(|(i, _)| PortId(i as u16))
             .collect()
     }
-
-    /// The flow carried by a port (for TCAM-level assertions in tests).
-    pub fn flow_of(&self, port: PortId) -> FlowKey {
-        self.flows[port.0 as usize]
-    }
 }
 
 impl Workload for HeavyHitterWorkload {

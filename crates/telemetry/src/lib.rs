@@ -119,13 +119,6 @@ impl Telemetry {
         self.sinks.read().expect("sink list poisoned").len()
     }
 
-    /// True when at least one sink is installed. Hot paths can use this
-    /// to skip expensive event construction, but prefer
-    /// [`Telemetry::emit_with`] which does so automatically.
-    pub fn has_sinks(&self) -> bool {
-        self.sink_count() > 0
-    }
-
     /// Delivers an already-built event to every sink.
     pub fn emit(&self, event: &Event) {
         for sink in self.sinks.read().expect("sink list poisoned").iter() {

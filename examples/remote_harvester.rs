@@ -4,12 +4,12 @@
 //!
 //! 1. a "harvester" process half — a [`NetServer`] on loopback that
 //!    decodes incoming poll-report frames;
-//! 2. a "soil" half — a [`Connection`] shipping batched reports through
+//! 2. a "soil" half — a [`Connection`] shipping report batches through
 //!    a [`LossInterceptor`] that drops and duplicates real frames;
-//! 3. a server outage — queued frames back up, the bounded send queue
-//!    overflows into dead letters, reconnect attempts back off;
-//! 4. recovery — the server rebinds, the client reconnects and drains
-//!    its queue.
+//! 3. a harvester outage — the client holds no queue, so every send
+//!    finds the session gone, fails its one dial and is a counted dead
+//!    letter at once;
+//! 4. recovery — the harvester rebinds and the next send redials.
 //!
 //! Run with: `cargo run --example remote_harvester`
 
@@ -23,6 +23,9 @@ use farm_faults::LossSpec;
 use farm_net::{Connection, Envelope, Frame, LossInterceptor, NetConfig, NetServer, Report};
 use farm_netsim::time::Dur;
 use farm_telemetry::Telemetry;
+
+/// Reports per `PollReport` frame.
+const BATCH: u64 = 8;
 
 /// Collects poll reports like a harvester would.
 fn harvester(received: Arc<AtomicU64>) -> Arc<dyn farm_net::FrameHandler> {
@@ -57,14 +60,24 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// One frame carrying reports `first .. first + BATCH`.
+fn batch(first: u64) -> Frame {
+    Frame::PollReport {
+        reports: (first..first + BATCH).map(sample_report).collect(),
+    }
+}
+
 fn main() {
+    // The soil side's registry; the harvester keeps its own so the
+    // accounting below is the client's alone.
     let telemetry = Telemetry::new();
+    let harvester_telemetry = Telemetry::new();
     let received = Arc::new(AtomicU64::new(0));
 
     // --- Phase 1: a harvester server and a lossy soil-side client. ---
     let mut server = NetServer::bind(
         "127.0.0.1:0".parse::<SocketAddr>().unwrap(),
-        &telemetry,
+        &harvester_telemetry,
         harvester(Arc::clone(&received)),
     )
     .expect("bind harvester endpoint");
@@ -81,57 +94,55 @@ fn main() {
     );
     let cfg = NetConfig {
         node: "leaf-soil".into(),
-        send_queue: 64,
-        batch_max: 8,
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(100),
-        max_reconnects: 500,
         ..NetConfig::default()
     };
     let mut conn = Connection::connect_with(addr, cfg, &telemetry, Box::new(lossy));
 
-    for seq in 0..200 {
-        conn.queue_report(sample_report(seq)).expect("queue report");
+    for first in (0..200).step_by(BATCH as usize) {
+        conn.send(batch(first)).expect("send batch");
     }
-    conn.flush_reports().expect("flush");
-    // ~20% of frames vanish on the lossy link; whatever arrives, arrives.
-    wait_for("first batches to land", || {
-        received.load(Ordering::Relaxed) >= 80 && conn.queued() == 0
+    // ~20% of frames vanish on the lossy link (a few arrive twice);
+    // whatever was written, arrives. The `Hello` preamble is the one
+    // written frame that carries no reports.
+    let snap = telemetry.snapshot();
+    let written = (snap.counter("net.frames_sent") - 1) * BATCH;
+    wait_for("written batches to land", || {
+        received.load(Ordering::Relaxed) == written
     });
     let after_lossy = received.load(Ordering::Relaxed);
     println!(
-        "lossy link: {after_lossy}/200 reports delivered ({} frames dropped on the wire)",
-        telemetry.snapshot().counter("net.dropped_frames")
+        "lossy link: {after_lossy} reports harvested of 200 sent ({} frames dropped on the wire)",
+        snap.counter("net.dropped_frames")
     );
+    assert!(snap.counter("net.dropped_frames") > 0, "the link is lossy");
 
     // --- Phase 2: the harvester goes down mid-run. ---
     server.shutdown();
     drop(server);
-    println!("harvester down; soil keeps reporting into its bounded queue");
-    let mut overflowed = 0u64;
-    for seq in 200..400 {
-        // try_send semantics: a full queue dead-letters instead of
-        // blocking the polling loop.
-        let frame = Frame::PollReport {
-            reports: vec![sample_report(seq)],
-        };
-        if conn.try_send(frame).is_err() {
-            overflowed += 1;
+    println!("harvester down; the soil keeps reporting");
+    let mut refused = 0u64;
+    for first in (200..400).step_by(BATCH as usize) {
+        // No queue to back up into: the send sees the session is gone,
+        // fails its dial and returns at once.
+        if conn.send(batch(first)).is_err() {
+            refused += 1;
         }
     }
     let snap = telemetry.snapshot();
     println!(
-        "outage: {overflowed} reports dead-lettered at the full queue (net.dead_letters={}), {} reconnect attempts so far",
+        "outage: {refused} batches dead-lettered (net.dead_letters={}), {} failed dials",
         snap.counter("net.dead_letters"),
         snap.counter("net.connect_failures"),
     );
-    assert!(overflowed > 0, "bounded queue must overflow during outage");
+    assert_eq!(refused, 200 / BATCH, "every send during the outage fails");
+    assert_eq!(snap.counter("net.dead_letters"), refused);
+    assert_eq!(received.load(Ordering::Relaxed), after_lossy);
 
     // --- Phase 3: the harvester comes back on the same address. ---
     let server = {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            match NetServer::bind(addr, &telemetry, harvester(Arc::clone(&received))) {
+            match NetServer::bind(addr, &harvester_telemetry, harvester(Arc::clone(&received))) {
                 Ok(s) => break s,
                 Err(e) if Instant::now() < deadline => {
                     // The old port can linger briefly; retry.
@@ -143,8 +154,13 @@ fn main() {
         }
     };
     println!("harvester back on {}", server.local_addr());
-    wait_for("reconnect", || conn.is_connected());
-    wait_for("queued reports to drain", || conn.queued() == 0);
+    for first in (400..600).step_by(BATCH as usize) {
+        // The first of these redials; the loss model may still drop it.
+        conn.send(batch(first)).expect("send after recovery");
+    }
+    wait_for("reports to land after recovery", || {
+        received.load(Ordering::Relaxed) > after_lossy
+    });
     conn.close();
 
     let snap = telemetry.snapshot();
@@ -153,7 +169,6 @@ fn main() {
     for key in [
         "net.bytes",
         "net.frames_sent",
-        "net.frames_received",
         "net.dropped_frames",
         "net.dead_letters",
         "net.connects",
@@ -163,12 +178,10 @@ fn main() {
         println!("{key:24} {}", snap.counter(key));
     }
     println!("reports harvested        {total}");
+    assert_eq!(snap.counter("net.connects"), 1);
     assert!(
         snap.counter("net.reconnects") >= 1,
-        "client must have reconnected after the outage"
+        "the first send after the outage must redial"
     );
-    assert!(
-        total > after_lossy,
-        "queued reports must drain on reconnect"
-    );
+    assert!(total > after_lossy, "reports flow again after the redial");
 }
