@@ -21,58 +21,49 @@
 use std::process::ExitCode;
 
 use farm_bench::detection::{bench_doc, drive, SCHEMA};
+use farm_bench::perf::{self, Flags, Limit, Rule, Section};
 use farm_scenario::{ScenarioClass, ScenarioScale, ScenarioSpec};
-use farm_telemetry::Json;
 
 struct Args {
-    smoke: bool,
+    flags: Flags,
     seeds: Vec<u64>,
     scenarios: Vec<ScenarioClass>,
-    out: String,
-    check: Option<String>,
-    max_regression: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
+    let defaults = Flags {
         smoke: false,
-        seeds: Vec::new(),
-        scenarios: Vec::new(),
+        iters: 0,
         out: "BENCH_detection.json".to_string(),
         check: None,
         max_regression: 2.0,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--seed" => args
-                .seeds
-                .push(val("--seed")?.parse().map_err(|e| format!("{e}"))?),
+    let mut seeds = Vec::new();
+    let mut scenarios = Vec::new();
+    let flags = perf::parse_flags(std::env::args().skip(1), defaults, |flag, val| {
+        match flag {
+            "--seed" => seeds.push(val()?.parse().map_err(|e| format!("{e}"))?),
             "--scenario" => {
-                let name = val("--scenario")?;
+                let name = val()?;
                 let class = ScenarioClass::from_name(&name)
                     .ok_or_else(|| format!("unknown scenario `{name}`"))?;
-                args.scenarios.push(class);
+                scenarios.push(class);
             }
-            "--out" => args.out = val("--out")?,
-            "--check" => args.check = Some(val("--check")?),
-            "--max-regression" => {
-                args.max_regression = val("--max-regression")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if seeds.is_empty() {
+        seeds.push(42);
     }
-    if args.seeds.is_empty() {
-        args.seeds.push(42);
+    if scenarios.is_empty() {
+        scenarios = ScenarioClass::ALL.to_vec();
     }
-    if args.scenarios.is_empty() {
-        args.scenarios = ScenarioClass::ALL.to_vec();
-    }
-    Ok(args)
+    Ok(Args {
+        flags,
+        seeds,
+        scenarios,
+    })
 }
 
 fn main() -> ExitCode {
@@ -83,7 +74,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let scale = if args.smoke {
+    let scale = if args.flags.smoke {
         ScenarioScale::Smoke
     } else {
         ScenarioScale::Full
@@ -125,91 +116,75 @@ fn main() -> ExitCode {
     }
 
     let doc = bench_doc(&runs);
-    if let Err(e) = std::fs::write(&args.out, doc.pretty()) {
-        eprintln!("detection_scale: cannot write {}: {e}", args.out);
+    if let Err(e) = perf::write_doc(&args.flags.out, &doc) {
+        eprintln!("detection_scale: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", args.out);
 
-    if let Some(baseline_path) = &args.check {
-        match check_regression(&doc, baseline_path, args.max_regression) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("detection_scale: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    let rules = [baseline_rules(args.flags.max_regression)];
+    let report = "{n} entries within limits (precision/recall drop <= 0.1, ttd <= {max}x)";
+    perf::verdict(
+        "detection_scale",
+        &args.flags,
+        &doc,
+        SCHEMA,
+        &rules,
+        report,
+        ok,
+    )
+}
+
+/// What `--check` holds a run to, per (scenario, scale, seed, task,
+/// system): precision and recall within 0.1 absolute of the baseline,
+/// mean time-to-detect within `max_regression ×`.
+fn baseline_rules(max_regression: f64) -> Section {
+    let no_lower = |field, breach| Rule {
+        field,
+        limit: Limit::Drop(0.1),
+        breach,
+        decimals: 2,
+    };
+    Section {
+        name: "entries",
+        key: &["scenario", "scale", "seed", "task", "system"],
+        label: "regression: {0}/{3}/{4}",
+        rules: vec![
+            no_lower("precision", "precision {new} vs baseline {base}"),
+            no_lower("recall", "recall {new} vs baseline {base}"),
+            Rule {
+                field: "mean_ttd_ms",
+                limit: Limit::Ratio(max_regression),
+                breach: "mean_ttd_ms {new} vs baseline {base} (> {limit}x)",
+                decimals: 0,
+            },
+        ],
     }
 }
 
-/// Compares against a committed baseline: each entry sharing (scenario,
-/// scale, seed, task, system) must keep precision and recall within 0.1
-/// absolute of the baseline and mean TTD within `max_regression ×`.
-fn check_regression(
-    doc: &Json,
-    baseline_path: &str,
-    max_regression: f64,
-) -> Result<String, String> {
-    let body = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = Json::parse(&body).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    if baseline.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("baseline {baseline_path} has a different schema"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use farm_telemetry::Json;
+
+    const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_detection.json");
+
+    #[test]
+    fn the_committed_baseline_passes_its_own_gate_and_a_lost_detection_is_named() {
+        let doc = perf::read_baseline(COMMITTED, SCHEMA).unwrap();
+        let rules = [baseline_rules(2.0)];
+        let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+        let tally = perf::check(&doc, COMMITTED, SCHEMA, &rules).unwrap();
+        assert_eq!(tally.compared, entries.len());
+
+        // flash_crowd / hh / farm at seed 7, recall 1.0 → 0.8: the
+        // member put first is the one `get` finds.
+        let worse = [("recall".to_string(), Json::from(0.8))]
+            .into_iter()
+            .chain(entries[0].as_obj().unwrap().iter().cloned());
+        let run = Json::obj([("entries", Json::Arr(vec![Json::Obj(worse.collect())]))]);
+        assert_eq!(
+            perf::check(&run, COMMITTED, SCHEMA, &rules).unwrap_err(),
+            "regression: flash_crowd/hh/farm recall 0.80 vs baseline 1.00"
+        );
     }
-    let key = |e: &Json| -> Option<(String, String, u64, String, String)> {
-        Some((
-            e.get("scenario")?.as_str()?.to_string(),
-            e.get("scale")?.as_str()?.to_string(),
-            e.get("seed")?.as_f64()? as u64,
-            e.get("task")?.as_str()?.to_string(),
-            e.get("system")?.as_str()?.to_string(),
-        ))
-    };
-    let base_entries = baseline
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no entries")?;
-    let mut compared = 0;
-    for entry in doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(k) = key(entry) else { continue };
-        let Some(base) = base_entries.iter().find(|b| key(b).as_ref() == Some(&k)) else {
-            continue; // configuration not in the baseline (e.g. smoke vs full)
-        };
-        compared += 1;
-        for metric in ["precision", "recall"] {
-            let new_v = entry.get(metric).and_then(Json::as_f64).unwrap_or(0.0);
-            let base_v = base.get(metric).and_then(Json::as_f64).unwrap_or(0.0);
-            if base_v - new_v > 0.1 {
-                return Err(format!(
-                    "regression: {}/{}/{} {metric} {new_v:.2} vs baseline {base_v:.2}",
-                    k.0, k.3, k.4
-                ));
-            }
-        }
-        let new_ttd = entry.get("mean_ttd_ms").and_then(Json::as_f64);
-        let base_ttd = base.get("mean_ttd_ms").and_then(Json::as_f64);
-        if let (Some(n), Some(b)) = (new_ttd, base_ttd) {
-            if n / b.max(1e-9) > max_regression {
-                return Err(format!(
-                    "regression: {}/{}/{} mean_ttd_ms {n:.0} vs baseline {b:.0} \
-                     (> {max_regression}x)",
-                    k.0, k.3, k.4
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(format!(
-            "no comparable entries between run and baseline {baseline_path}"
-        ));
-    }
-    Ok(format!(
-        "regression check vs {baseline_path}: {compared} entries within limits \
-         (precision/recall drop <= 0.1, ttd <= {max_regression}x)"
-    ))
 }

@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use farm_bench::perf::percentile;
+use farm_bench::perf::{self, percentile, Flags, Limit, Rule, Section};
 use farm_net::{encode_envelope, Decoded, Envelope, Frame, FrameDecoder, NetServer};
 use farm_telemetry::Json;
 use farm_telemetry::Telemetry;
@@ -44,44 +44,6 @@ use farm_telemetry::Telemetry;
 const SCHEMA: &str = "farm-bench/net_scale/v2";
 /// Spare descriptors left for the listener, epoll/pipe fds, stdio.
 const FD_HEADROOM: u64 = 64;
-
-struct Args {
-    smoke: bool,
-    iters: usize,
-    out: String,
-    check: Option<String>,
-    max_regression: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        smoke: false,
-        iters: 50,
-        out: "BENCH_net.json".to_string(),
-        check: None,
-        max_regression: 3.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--iters" => args.iters = val("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = val("--out")?,
-            "--check" => args.check = Some(val("--check")?),
-            "--max-regression" => {
-                args.max_regression = val("--max-regression")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".into());
-    }
-    Ok(args)
-}
 
 /// `RLIMIT_NOFILE` probe/raise, declared against the libc every Rust
 /// binary already links (same idiom as `farm_net::poll`).
@@ -319,7 +281,14 @@ fn run_scale(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let defaults = Flags {
+        smoke: false,
+        iters: 50,
+        out: "BENCH_net.json".to_string(),
+        check: None,
+        max_regression: 3.0,
+    };
+    let args = match perf::parse_flags(std::env::args().skip(1), defaults, |_, _| Ok(false)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("net_scale: {e}");
@@ -411,97 +380,70 @@ fn main() -> ExitCode {
         ("entries", Json::Arr(entries)),
     ]);
     doc.sort_keys();
-    if let Err(e) = std::fs::write(&args.out, doc.pretty()) {
-        eprintln!("net_scale: cannot write {}: {e}", args.out);
+    if let Err(e) = perf::write_doc(&args.out, &doc) {
+        eprintln!("net_scale: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", args.out);
 
-    if let Some(baseline_path) = &args.check {
-        match check_regression(&doc, baseline_path, args.max_regression) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("net_scale: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    let rules = [baseline_rules(args.max_regression)];
+    let report = "{n} entries, worst ratio {worst}x (limit {max}x)";
+    perf::verdict("net_scale", &args, &doc, SCHEMA, &rules, report, ok)
+}
+
+/// What `--check` holds a run to, per (conns, burst): `rpc_us.p50`
+/// within `max_regression ×` of the baseline and `frames_per_sec` above
+/// `baseline ÷ max_regression` — latency and throughput gate together so
+/// a change cannot trade one away silently.
+fn baseline_rules(max_regression: f64) -> Section {
+    Section {
+        name: "entries",
+        key: &["conns", "burst"],
+        label: "regression: conns={0} burst={1}",
+        rules: vec![
+            Rule {
+                field: "rpc_us.p50",
+                limit: Limit::Ratio(max_regression),
+                breach: "rpc p50 {new} us vs baseline {base} us ({by}x > {limit}x)",
+                decimals: 0,
+            },
+            Rule {
+                field: "frames_per_sec",
+                limit: Limit::InverseRatio(max_regression),
+                breach: "{new} frames/s vs baseline {base} ({by}x slower > {limit}x)",
+                decimals: 0,
+            },
+        ],
     }
 }
 
-/// Compares the run against a committed baseline: every entry sharing a
-/// (conns, burst) key must keep `rpc_us.p50` within `max_regression ×`
-/// of the baseline, and `frames_per_sec` above `baseline ÷
-/// max_regression` — latency and throughput gate together so a change
-/// cannot trade one away silently.
-fn check_regression(
-    doc: &Json,
-    baseline_path: &str,
-    max_regression: f64,
-) -> Result<String, String> {
-    let body = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = Json::parse(&body).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    if baseline.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("baseline {baseline_path} has a different schema"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+
+    #[test]
+    fn the_committed_baseline_passes_its_own_gate_and_a_slower_entry_is_named() {
+        let doc = perf::read_baseline(COMMITTED, SCHEMA).unwrap();
+        let rules = [baseline_rules(3.0)];
+        let tally = perf::check(&doc, COMMITTED, SCHEMA, &rules).unwrap();
+        assert_eq!((tally.compared, tally.worst), (6, 1.0));
+
+        // conns=256 burst=64 at a quarter of its frame rate, latency
+        // held: the member put first is the one `get` finds.
+        let entry = &doc.get("entries").and_then(Json::as_arr).unwrap()[1];
+        let base = entry.get("frames_per_sec").and_then(Json::as_f64).unwrap();
+        let slow = [("frames_per_sec".to_string(), Json::from(base / 4.0))]
+            .into_iter()
+            .chain(entry.as_obj().unwrap().iter().cloned());
+        let run = Json::obj([("entries", Json::Arr(vec![Json::Obj(slow.collect())]))]);
+        assert_eq!(
+            perf::check(&run, COMMITTED, SCHEMA, &rules).unwrap_err(),
+            format!(
+                "regression: conns=256 burst=64 {:.0} frames/s vs baseline {base:.0} \
+                 (4.00x slower > 3x)",
+                base / 4.0
+            )
+        );
     }
-    let key = |e: &Json| -> Option<(u64, u64)> {
-        Some((
-            e.get("conns")?.as_f64()? as u64,
-            e.get("burst")?.as_f64()? as u64,
-        ))
-    };
-    let p50_of = |e: &Json| {
-        e.get("rpc_us")
-            .and_then(|t| t.get("p50"))
-            .and_then(Json::as_f64)
-    };
-    let fps_of = |e: &Json| e.get("frames_per_sec").and_then(Json::as_f64);
-    let base_entries = baseline
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no entries")?;
-    let mut compared = 0;
-    let mut worst: f64 = 0.0;
-    for entry in doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(k) = key(entry) else { continue };
-        let Some(base) = base_entries.iter().find(|b| key(b) == Some(k)) else {
-            continue; // scale not in the baseline
-        };
-        let (conns, burst) = k;
-        compared += 1;
-        if let (Some(new_p50), Some(base_p50)) = (p50_of(entry), p50_of(base)) {
-            let ratio = new_p50 / base_p50.max(1e-9);
-            worst = worst.max(ratio);
-            if ratio > max_regression {
-                return Err(format!(
-                    "regression: conns={conns} burst={burst} rpc p50 {new_p50:.0} us vs \
-                     baseline {base_p50:.0} us ({ratio:.2}x > {max_regression}x)"
-                ));
-            }
-        }
-        if let (Some(new_fps), Some(base_fps)) = (fps_of(entry), fps_of(base)) {
-            let ratio = base_fps / new_fps.max(1e-9);
-            worst = worst.max(ratio);
-            if ratio > max_regression {
-                return Err(format!(
-                    "regression: conns={conns} burst={burst} {new_fps:.0} frames/s vs \
-                     baseline {base_fps:.0} ({ratio:.2}x slower > {max_regression}x)"
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(format!(
-            "no comparable entries between run and baseline {baseline_path}"
-        ));
-    }
-    Ok(format!(
-        "regression check vs {baseline_path}: {compared} entries, worst ratio {worst:.2}x \
-         (limit {max_regression}x)"
-    ))
 }

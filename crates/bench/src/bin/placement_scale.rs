@@ -20,10 +20,9 @@
 //!
 //! `--check` is the CI `bench-smoke` gate. It enforces two things:
 //!
-//! 1. every (seeds, switches) entry's p50 wall time stays within
-//!    `--max-regression` (default 2.0×) of the committed baseline (v1 or
-//!    v2 baselines both accepted; of a baseline written when the solver
-//!    still had a thread axis, only the `threads: 1` rows are read);
+//! 1. every (seeds, switches) entry's p50 wall time — and every churn
+//!    entry's delta p50 — stays within `--max-regression` (default
+//!    2.0×) of the committed baseline ([`baseline_rules`]);
 //! 2. every churn entry's delta-vs-full p50 speedup clears a floor —
 //!    5.0× at ≥ 10 000 seeds (the ISSUE acceptance bar), 2.0× below.
 
@@ -32,63 +31,51 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use farm_bench::perf::percentile;
+use farm_bench::perf::{self, percentile, Flags, Limit, Rule, Section};
+use farm_bench::support::as_previous;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, solve_heuristic_traced, HeuristicOptions};
-use farm_placement::model::{validate, PlacementInstance, PlacementResult, PreviousPlacement};
+use farm_placement::model::{validate, PlacementInstance, PlacementResult};
 use farm_placement::workload::{generate, WorkloadConfig};
 use farm_telemetry::Json;
 use farm_telemetry::{Event, RingBufferSink, Telemetry};
 
 const SCHEMA: &str = "farm-bench/placement_scale/v2";
-const SCHEMA_V1: &str = "farm-bench/placement_scale/v1";
 const PHASES: [&str; 3] = ["greedy", "lp_redistribution", "migration"];
 
 struct Args {
-    smoke: bool,
+    flags: Flags,
     churn: bool,
-    iters: usize,
     events: usize,
-    out: String,
-    check: Option<String>,
-    max_regression: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
+    let defaults = Flags {
         smoke: false,
-        churn: false,
         iters: 5,
-        events: 0, // resolved after parsing: 12 smoke / 40 full
         out: "BENCH_placement.json".to_string(),
         check: None,
         max_regression: 2.0,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--churn" => args.churn = true,
-            "--iters" => args.iters = val("--iters")?.parse().map_err(|e| format!("{e}"))?,
-            "--events" => args.events = val("--events")?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => args.out = val("--out")?,
-            "--check" => args.check = Some(val("--check")?),
-            "--max-regression" => {
-                args.max_regression = val("--max-regression")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+    let mut churn = false;
+    let mut events = None;
+    let flags = perf::parse_flags(std::env::args().skip(1), defaults, |flag, val| {
+        match flag {
+            "--churn" => churn = true,
+            "--events" => events = Some(val()?.parse().map_err(|e| format!("{e}"))?),
+            _ => return Ok(false),
         }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".into());
-    }
-    if args.events == 0 {
-        args.events = if args.smoke { 12 } else { 40 };
-    }
-    Ok(args)
+        Ok(true)
+    })?;
+    Ok(Args {
+        churn,
+        events: match events {
+            Some(n) if n > 0 => n,
+            _ if flags.smoke => 12,
+            _ => 40,
+        },
+        flags,
+    })
 }
 
 /// One timed solve: total wall micros plus per-phase micros drained from
@@ -127,18 +114,6 @@ fn pct_obj(samples: &[f64]) -> Json {
         ("p50", Json::from(percentile(samples, 0.50))),
         ("p95", Json::from(percentile(samples, 0.95))),
     ])
-}
-
-fn as_previous(
-    assignment: &[Option<(farm_netsim::types::SwitchId, farm_netsim::switch::Resources)>],
-) -> PreviousPlacement {
-    let mut prev = PreviousPlacement::default();
-    for (s, slot) in assignment.iter().enumerate() {
-        if let Some((n, res)) = slot {
-            prev.assignment.insert(s, (*n, *res));
-        }
-    }
-    prev
 }
 
 fn results_identical(a: &PlacementResult, b: &PlacementResult) -> bool {
@@ -289,7 +264,12 @@ fn main() -> ExitCode {
     };
     // (seeds, switches, tasks) scales; full mode tops out at the paper's
     // 10 200 × 1 040 regime, smoke keeps CI fast.
-    let scales: &[(usize, usize, usize)] = if args.smoke {
+    let Args {
+        flags,
+        churn,
+        events,
+    } = args;
+    let scales: &[(usize, usize, usize)] = if flags.smoke {
         &[(1_000, 128, 8)]
     } else {
         &[(1_000, 128, 8), (4_000, 512, 10), (10_200, 1_040, 10)]
@@ -308,13 +288,13 @@ fn main() -> ExitCode {
             n_seeds: seeds,
             ..WorkloadConfig::default()
         });
-        let mut totals = Vec::with_capacity(args.iters);
+        let mut totals = Vec::with_capacity(flags.iters);
         let mut phase_samples: BTreeMap<&'static str, Vec<f64>> =
             PHASES.iter().map(|p| (*p, Vec::new())).collect();
         // One discarded warmup solve so the first recorded iteration
         // does not pay cold caches / first-touch allocation.
         let (mut r, _, _, mut migration_items) = timed_solve(&inst);
-        for _ in 0..args.iters {
+        for _ in 0..flags.iters {
             let (result, total_us, phases, mig) = timed_solve(&inst);
             totals.push(total_us);
             for (p, us) in phases {
@@ -346,7 +326,7 @@ fn main() -> ExitCode {
             ("seeds", Json::from(seeds as f64)),
             ("switches", Json::from(switches as f64)),
             ("tasks", Json::from(tasks as f64)),
-            ("iters", Json::from(args.iters as f64)),
+            ("iters", Json::from(flags.iters as f64)),
             ("total_us", pct_obj(&totals)),
             ("phase_us", phase_us),
             ("objective", Json::from(r.utility)),
@@ -355,8 +335,8 @@ fn main() -> ExitCode {
             ("migration_moves", Json::from(migration_items as f64)),
             ("dropped_tasks", Json::from(r.dropped_tasks.len() as f64)),
         ]));
-        if args.churn {
-            let (entry, speedup) = churn_replay(&inst, seeds, switches, tasks, args.events);
+        if churn {
+            let (entry, speedup) = churn_replay(&inst, seeds, switches, tasks, events);
             churn_entries.push(entry);
             churn_speedups.push((seeds, speedup));
         }
@@ -368,13 +348,12 @@ fn main() -> ExitCode {
         ("churn", Json::Arr(churn_entries)),
     ]);
     doc.sort_keys();
-    if let Err(e) = std::fs::write(&args.out, doc.pretty()) {
-        eprintln!("placement_scale: cannot write {}: {e}", args.out);
+    if let Err(e) = perf::write_doc(&flags.out, &doc) {
+        eprintln!("placement_scale: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", args.out);
 
-    if args.check.is_some() {
+    if flags.check.is_some() {
         // Gate 2: churn speedup floors (on this run's own numbers).
         for &(seeds, speedup) in &churn_speedups {
             let floor = if seeds >= 10_000 { 5.0 } else { 2.0 };
@@ -397,113 +376,73 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(baseline_path) = &args.check {
-        match check_regression(&doc, baseline_path, args.max_regression) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("placement_scale: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let rules = baseline_rules(flags.max_regression);
+    let report = "{n} entries, worst ratio {worst}x (limit {max}x)";
+    perf::verdict("placement_scale", &flags, &doc, SCHEMA, &rules, report, ok)
 }
 
-/// Compares the run against a committed baseline: every entry sharing
-/// (seeds, switches) must keep `total_us.p50` within `max_regression ×`
-/// of the baseline. Accepts v1 and v2 baselines (v1 has no churn section;
-/// churn entries are compared when both sides carry them). Baselines
-/// from before the thread axis was removed carry a `threads` field per
-/// entry; only their single-threaded rows are comparable.
-fn check_regression(
-    doc: &Json,
-    baseline_path: &str,
-    max_regression: f64,
-) -> Result<String, String> {
-    let body = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = Json::parse(&body).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let schema = baseline.get("schema").and_then(Json::as_str);
-    if schema != Some(SCHEMA) && schema != Some(SCHEMA_V1) {
-        return Err(format!("baseline {baseline_path} has a different schema"));
-    }
-    let key = |e: &Json| -> Option<(u64, u64)> {
-        Some((
-            e.get("seeds")?.as_f64()? as u64,
-            e.get("switches")?.as_f64()? as u64,
-        ))
+/// What `--check` holds a run to, per (seeds, switches): the solve's
+/// `total_us.p50` and the churn replay's `delta_us.p50`, each within
+/// `max_regression ×` of the baseline's.
+fn baseline_rules(max_regression: f64) -> [Section; 2] {
+    let slower = |field, breach| Rule {
+        field,
+        limit: Limit::Ratio(max_regression),
+        breach,
+        decimals: 0,
     };
-    let single_threaded = |e: &Json| e.get("threads").and_then(Json::as_f64).unwrap_or(1.0) == 1.0;
-    let p50_of = |e: &Json, field: &str| {
-        e.get(field)
-            .and_then(|t| t.get("p50"))
-            .and_then(Json::as_f64)
-    };
-    let base_entries = baseline
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no entries")?;
-    let mut compared = 0;
-    let mut worst: f64 = 0.0;
-    for entry in doc.get("entries").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(k) = key(entry) else { continue };
-        let Some(new_p50) = p50_of(entry, "total_us") else {
-            continue;
-        };
-        let Some(base_p50) = base_entries
-            .iter()
-            .find(|b| key(b) == Some(k) && single_threaded(b))
-            .and_then(|b| p50_of(b, "total_us"))
-        else {
-            continue; // scale not in the baseline (e.g. smoke vs full)
-        };
-        let ratio = new_p50 / base_p50.max(1e-9);
-        compared += 1;
-        worst = worst.max(ratio);
-        if ratio > max_regression {
-            return Err(format!(
-                "regression: {}x{} p50 {new_p50:.0} us vs baseline {base_p50:.0} us \
-                 ({ratio:.2}x > {max_regression}x)",
-                k.0, k.1
-            ));
-        }
+    [
+        Section {
+            name: "entries",
+            key: &["seeds", "switches"],
+            label: "regression: {0}x{1}",
+            rules: vec![slower(
+                "total_us.p50",
+                "p50 {new} us vs baseline {base} us ({by}x > {limit}x)",
+            )],
+        },
+        Section {
+            name: "churn",
+            key: &["seeds", "switches"],
+            label: "churn regression: {0}x{1}",
+            rules: vec![slower(
+                "delta_us.p50",
+                "delta p50 {new} us vs baseline {base} us ({by}x > {limit}x)",
+            )],
+        },
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_placement.json");
+
+    #[test]
+    fn the_committed_baseline_passes_its_own_gate_and_a_slower_churn_entry_is_named() {
+        let doc = perf::read_baseline(COMMITTED, SCHEMA).unwrap();
+        let rules = baseline_rules(2.0);
+        let tally = perf::check(&doc, COMMITTED, SCHEMA, &rules).unwrap();
+        assert_eq!((tally.compared, tally.worst), (6, 1.0));
+
+        // The 4 000-seed churn replay with its delta p50 four times
+        // slower: the member put first is the one `get` finds.
+        let entry = &doc.get("churn").and_then(Json::as_arr).unwrap()[1];
+        let base = entry.get("delta_us").and_then(|d| d.get("p50")?.as_f64());
+        let base = base.unwrap();
+        let slow = Json::obj([("p50", Json::from(base * 4.0))]);
+        let slow = [("delta_us".to_string(), slow)]
+            .into_iter()
+            .chain(entry.as_obj().unwrap().iter().cloned());
+        let run = Json::obj([("churn", Json::Arr(vec![Json::Obj(slow.collect())]))]);
+        assert_eq!(
+            perf::check(&run, COMMITTED, SCHEMA, &rules).unwrap_err(),
+            format!(
+                "churn regression: 4000x512 delta p50 {:.0} us vs baseline {base:.0} us \
+                 (4.00x > 2x)",
+                base * 4.0
+            )
+        );
     }
-    // Churn regression: delta p50 against the baseline's, same limit.
-    let base_churn = baseline.get("churn").and_then(Json::as_arr).unwrap_or(&[]);
-    for entry in doc.get("churn").and_then(Json::as_arr).unwrap_or(&[]) {
-        let Some(k) = key(entry) else { continue };
-        let Some(new_p50) = p50_of(entry, "delta_us") else {
-            continue;
-        };
-        let Some(base_p50) = base_churn
-            .iter()
-            .find(|b| key(b) == Some(k))
-            .and_then(|b| p50_of(b, "delta_us"))
-        else {
-            continue;
-        };
-        let ratio = new_p50 / base_p50.max(1e-9);
-        compared += 1;
-        worst = worst.max(ratio);
-        if ratio > max_regression {
-            return Err(format!(
-                "churn regression: {}x{} delta p50 {new_p50:.0} us vs baseline {base_p50:.0} us \
-                 ({ratio:.2}x > {max_regression}x)",
-                k.0, k.1
-            ));
-        }
-    }
-    if compared == 0 {
-        return Err(format!(
-            "no comparable entries between run and baseline {baseline_path}"
-        ));
-    }
-    Ok(format!(
-        "regression check vs {baseline_path}: {compared} entries, worst ratio {worst:.2}x \
-         (limit {max_regression}x)"
-    ))
 }

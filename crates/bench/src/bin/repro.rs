@@ -1,14 +1,38 @@
 //! Reproduces the FARM paper's tables and figures as text output.
 //!
 //! ```text
-//! repro [tab1|tab4|fig4|fig5|fig6|fig7|fig8|fig9|fig10|tab5|all] [--full]
+//! repro [tab1|tab4|fig4|fig5|fig6|fig7|fig8|fig9|fig10|tab5|ablation|all] [--full]
 //! ```
 //!
 //! Quick mode (default) uses reduced axes/deadlines; `--full` runs the
 //! paper-scale study (notably Fig. 7 at 1 040 switches / 10 200 seeds).
 
 use farm_bench::support::render_table;
-use farm_bench::{fig10, fig4, fig5, fig6, fig7, fig8, fig9, tab1, tab4, tab5};
+use farm_bench::{ablation, fig10, fig4, fig5, fig6, fig7, fig8, fig9, tab1, tab4, tab5};
+
+type Experiment = (&'static str, fn(bool));
+
+/// Every experiment by the name the command line takes, in the order
+/// `all` prints them.
+const EXPERIMENTS: [Experiment; 11] = [
+    ("tab1", |_| run_tab1()),
+    ("tab4", |_| run_tab4()),
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("fig6", run_fig6),
+    ("fig7", run_fig7),
+    ("fig8", run_fig8),
+    ("fig9", run_fig9),
+    ("fig10", run_fig10),
+    ("tab5", |_| run_tab5()),
+    ("ablation", |_| run_ablation()),
+];
+
+/// Prints one table and the blank line that ends it.
+fn table(title: &str, headers: &[&str], rows: Vec<Vec<String>>) {
+    print!("{}", render_table(title, headers, &rows));
+    println!();
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,62 +43,25 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
 
-    let all = what == "all";
-    if all || what == "tab1" {
-        run_tab1();
+    let mut known = false;
+    for (name, run) in EXPERIMENTS {
+        if what == "all" || what == name {
+            run(full);
+            known = true;
+        }
     }
-    if all || what == "tab4" {
-        run_tab4();
-    }
-    if all || what == "fig4" {
-        run_fig4(full);
-    }
-    if all || what == "fig5" {
-        run_fig5(full);
-    }
-    if all || what == "fig6" {
-        run_fig6(full);
-    }
-    if all || what == "fig7" {
-        run_fig7(full);
-    }
-    if all || what == "fig8" {
-        run_fig8(full);
-    }
-    if all || what == "fig9" {
-        run_fig9(full);
-    }
-    if all || what == "fig10" {
-        run_fig10(full);
-    }
-    if all || what == "tab5" {
-        run_tab5();
-    }
-    if !all
-        && !matches!(
-            what,
-            "tab1"
-                | "tab4"
-                | "fig4"
-                | "fig5"
-                | "fig6"
-                | "fig7"
-                | "fig8"
-                | "fig9"
-                | "fig10"
-                | "tab5"
-        )
-    {
+    if !known {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
         eprintln!(
-            "unknown experiment `{what}`; expected one of tab1 tab4 fig4 fig5 fig6 fig7 \
-             fig8 fig9 fig10 tab5 all"
+            "unknown experiment `{what}`; expected one of {} all",
+            names.join(" ")
         );
         std::process::exit(2);
     }
 }
 
 fn run_tab1() {
-    let rows: Vec<Vec<String>> = tab1::run()
+    let rows = tab1::run()
         .into_iter()
         .map(|r| {
             vec![
@@ -85,21 +72,17 @@ fn run_tab1() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Tab. I — Almanac use cases (lines of code)",
-            &["use case", "ours", "paper seed", "paper harvester"],
-            &rows
-        )
+    table(
+        "Tab. I — Almanac use cases (lines of code)",
+        &["use case", "ours", "paper seed", "paper harvester"],
+        rows,
     );
-    println!();
 }
 
 fn run_tab4() {
     let measured = tab4::run();
     let paper = tab4::paper_values();
-    let rows: Vec<Vec<String>> = measured
+    let rows = measured
         .iter()
         .map(|r| {
             let paper_ms = paper
@@ -115,15 +98,11 @@ fn run_tab4() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Tab. 4 — HH detection time (ms)",
-            &["system", "type", "measured", "paper"],
-            &rows
-        )
+    table(
+        "Tab. 4 — HH detection time (ms)",
+        &["system", "type", "measured", "paper"],
+        rows,
     );
-    println!();
 }
 
 fn run_fig4(full: bool) {
@@ -132,7 +111,7 @@ fn run_fig4(full: bool) {
     } else {
         fig4::QUICK_PORTS
     };
-    let rows: Vec<Vec<String>> = fig4::run(axis)
+    let rows = fig4::run(axis)
         .into_iter()
         .map(|r| {
             vec![
@@ -144,15 +123,11 @@ fn run_fig4(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig. 4 — network load for HH detection (bits/s)",
-            &["ports", "FARM", "sFlow 1ms", "sFlow 10ms", "Sonata 75%aggr"],
-            &rows
-        )
+    table(
+        "Fig. 4 — network load for HH detection (bits/s)",
+        &["ports", "FARM", "sFlow 1ms", "sFlow 10ms", "Sonata 75%aggr"],
+        rows,
     );
-    println!();
 }
 
 fn run_fig5(full: bool) {
@@ -161,7 +136,7 @@ fn run_fig5(full: bool) {
     } else {
         fig5::QUICK_FLOWS
     };
-    let rows: Vec<Vec<String>> = fig5::run(axis)
+    let rows = fig5::run(axis)
         .into_iter()
         .map(|r| {
             vec![
@@ -171,15 +146,11 @@ fn run_fig5(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig. 5 — switch CPU load, 10 ms accuracy (% of one core)",
-            &["flows", "FARM", "sFlow"],
-            &rows
-        )
+    table(
+        "Fig. 5 — switch CPU load, 10 ms accuracy (% of one core)",
+        &["flows", "FARM", "sFlow"],
+        rows,
     );
-    println!();
 }
 
 fn run_fig6(full: bool) {
@@ -194,7 +165,7 @@ fn run_fig6(full: bool) {
         } else {
             panel.quick_axis()
         };
-        let rows: Vec<Vec<String>> = fig6::run(panel, axis)
+        let rows = fig6::run(panel, axis)
             .into_iter()
             .map(|r| {
                 vec![
@@ -204,18 +175,14 @@ fn run_fig6(full: bool) {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            render_table(
-                &format!(
-                    "Fig. 6 — {} (CPU % of one core / polling accuracy %)",
-                    panel.label()
-                ),
-                &["seeds", "CPU %", "accuracy %"],
-                &rows
-            )
+        table(
+            &format!(
+                "Fig. 6 — {} (CPU % of one core / polling accuracy %)",
+                panel.label()
+            ),
+            &["seeds", "CPU %", "accuracy %"],
+            rows,
         );
-        println!();
     }
 }
 
@@ -225,7 +192,7 @@ fn run_fig7(full: bool) {
     } else {
         fig7::Fig7Config::quick()
     };
-    let rows: Vec<Vec<String>> = fig7::run(&cfg)
+    let rows = fig7::run(&cfg)
         .into_iter()
         .map(|r| {
             vec![
@@ -239,26 +206,22 @@ fn run_fig7(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!(
-                "Fig. 7 — placement at scale ({} switches, {} tasks, {} runs/point)",
-                cfg.n_switches, cfg.n_tasks, cfg.runs_per_point
-            ),
-            &[
-                "seeds",
-                "FARM MU",
-                "FARM s",
-                "MILP-short MU",
-                "MILP-short s",
-                "MILP-long MU",
-                "MILP-long s",
-            ],
-            &rows
-        )
+    table(
+        &format!(
+            "Fig. 7 — placement at scale ({} switches, {} tasks, {} runs/point)",
+            cfg.n_switches, cfg.n_tasks, cfg.runs_per_point
+        ),
+        &[
+            "seeds",
+            "FARM MU",
+            "FARM s",
+            "MILP-short MU",
+            "MILP-short s",
+            "MILP-long MU",
+            "MILP-long s",
+        ],
+        rows,
     );
-    println!();
 }
 
 fn run_fig8(full: bool) {
@@ -267,7 +230,7 @@ fn run_fig8(full: bool) {
     } else {
         fig8::QUICK_SEEDS
     };
-    let rows: Vec<Vec<String>> = fig8::run(axis)
+    let rows = fig8::run(axis)
         .into_iter()
         .map(|r| {
             vec![
@@ -278,15 +241,11 @@ fn run_fig8(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig. 8 — PCIe vs ASIC utilization, 1 ms polls (%)",
-            &["seeds", "PCIe (no aggr)", "PCIe (aggr)", "ASIC"],
-            &rows
-        )
+    table(
+        "Fig. 8 — PCIe vs ASIC utilization, 1 ms polls (%)",
+        &["seeds", "PCIe (no aggr)", "PCIe (aggr)", "ASIC"],
+        rows,
     );
-    println!();
 }
 
 fn run_fig9(full: bool) {
@@ -295,7 +254,7 @@ fn run_fig9(full: bool) {
     } else {
         fig9::QUICK_SEEDS
     };
-    let rows: Vec<Vec<String>> = fig9::run(axis)
+    let rows = fig9::run(axis)
         .into_iter()
         .map(|r| {
             vec![
@@ -307,15 +266,11 @@ fn run_fig9(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig. 9 — soil CPU cost of aggregation (% of one core)",
-            &["seeds", "thr+aggr", "thr", "proc+aggr", "proc"],
-            &rows
-        )
+    table(
+        "Fig. 9 — soil CPU cost of aggregation (% of one core)",
+        &["seeds", "thr+aggr", "thr", "proc+aggr", "proc"],
+        rows,
     );
-    println!();
 }
 
 fn run_fig10(full: bool) {
@@ -336,20 +291,15 @@ fn run_fig10(full: bool) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Fig. 10 — soil↔seed delivery latency (µs)",
-            &[
-                "seeds",
-                "shared/thr",
-                "shared/proc",
-                "gRPC/thr",
-                "gRPC/proc"
-            ],
-            &rows
-        )
-    );
+    let headers = [
+        "seeds",
+        "shared/thr",
+        "shared/proc",
+        "gRPC/thr",
+        "gRPC/proc",
+    ];
+    let title = "Fig. 10 — soil↔seed delivery latency (µs)";
+    print!("{}", render_table(title, &headers, &rows));
     println!(
         "real shared ring buffer (2 threads, one hop): {:.2} µs\n",
         fig10::real_ring_buffer_round_trip(5000)
@@ -357,7 +307,7 @@ fn run_fig10(full: bool) {
 }
 
 fn run_tab5() {
-    let rows: Vec<Vec<String>> = tab5::run()
+    let rows = tab5::run()
         .into_iter()
         .map(|r| {
             vec![
@@ -371,13 +321,30 @@ fn run_tab5() {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(
-            "Tab. V — features of generic M&M solutions (● yes ◐ partial ○ no)",
-            &["system", "[DEC]", "[EXP]", "[OPT]", "[IND]", "react", "dynamic"],
-            &rows
-        )
+    table(
+        "Tab. V — features of generic M&M solutions (● yes ◐ partial ○ no)",
+        &[
+            "system", "[DEC]", "[EXP]", "[OPT]", "[IND]", "react", "dynamic",
+        ],
+        rows,
     );
-    println!();
+}
+
+fn run_ablation() {
+    let rows = ablation::run()
+        .into_iter()
+        .map(|(variant, r)| {
+            vec![
+                variant.to_string(),
+                format!("{:.0}", r.utility),
+                r.migrations.to_string(),
+                format!("{:.1}", r.runtime.as_secs_f64() * 1e3),
+            ]
+        })
+        .collect();
+    table(
+        "Ablation — Alg. 1 on a re-optimisation instance (600 seeds, 64 switches)",
+        &["variant", "MU", "migrations", "wall ms"],
+        rows,
+    );
 }

@@ -71,7 +71,7 @@ pub fn real_ring_buffer_round_trip(rounds: u32) -> f64 {
         std::thread::spawn(move || {
             for _ in 0..rounds {
                 if let Some(sent) = ping.pop_timeout(Duration::from_secs(5)) {
-                    let _ = pong.push(sent.elapsed());
+                    pong.push(sent.elapsed());
                 }
             }
         })
@@ -79,7 +79,7 @@ pub fn real_ring_buffer_round_trip(rounds: u32) -> f64 {
     let mut total = Duration::ZERO;
     let mut got = 0u32;
     for _ in 0..rounds {
-        let _ = ping.push(Instant::now());
+        ping.push(Instant::now());
         if let Some(one_way) = pong.pop_timeout(Duration::from_secs(5)) {
             total += one_way;
             got += 1;

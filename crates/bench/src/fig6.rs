@@ -10,7 +10,7 @@
 use farm_netsim::time::{Dur, Time};
 use farm_netsim::traffic::{HeavyHitterWorkload, HhConfig};
 
-use crate::support::{farm_with, hh_source_at, ml_source_at, no_externals, single_switch};
+use crate::support::{colocated, hh_source_at, ml_source_at};
 
 /// One bar of a Fig. 6 panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,19 +75,7 @@ const WINDOW_MS: u64 = 200;
 
 /// Measures one bar: `seeds` copies of the panel's task on one switch.
 pub fn measure(panel: Panel, seeds: usize) -> SeedScalingRow {
-    let mut farm = farm_with(single_switch(), Default::default());
-    let leaf = farm.network().topology().leaves().next().unwrap();
-    let src = panel.source(leaf.0);
-    let tasks: Vec<(String, String)> = (0..seeds).map(|i| (format!("t{i}"), src.clone())).collect();
-    let refs: Vec<(
-        &str,
-        &str,
-        std::collections::BTreeMap<String, farm_almanac::analysis::ConstEnv>,
-    )> = tasks
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str(), no_externals()))
-        .collect();
-    farm.deploy_tasks(&refs).unwrap();
+    let (mut farm, leaf) = colocated(seeds, Default::default(), |leaf| panel.source(leaf));
     // Warm up 20 ms, then measure.
     let mut hh = HeavyHitterWorkload::new(HhConfig {
         switch: leaf,

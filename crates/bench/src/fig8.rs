@@ -6,7 +6,7 @@
 use farm_netsim::pcie::PcieSpec;
 use farm_netsim::time::{Dur, Time};
 
-use crate::support::{farm_with, hh_source_at, no_externals, single_switch};
+use crate::support::{colocated, hh_source_at};
 use farm_soil::SoilConfig;
 
 /// One curve point: seeds polling TCAM statistics at 1 ms.
@@ -28,19 +28,7 @@ fn measure(seeds: usize, aggregation: bool) -> f64 {
         aggregation,
         ..SoilConfig::default()
     };
-    let mut farm = farm_with(single_switch(), cfg);
-    let leaf = farm.network().topology().leaves().next().unwrap();
-    let src = hh_source_at(1, leaf.0, i64::MAX / 4);
-    let tasks: Vec<(String, String)> = (0..seeds).map(|i| (format!("t{i}"), src.clone())).collect();
-    let refs: Vec<(
-        &str,
-        &str,
-        std::collections::BTreeMap<String, farm_almanac::analysis::ConstEnv>,
-    )> = tasks
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str(), no_externals()))
-        .collect();
-    farm.deploy_tasks(&refs).unwrap();
+    let (mut farm, leaf) = colocated(seeds, cfg, |leaf| hh_source_at(1, leaf, i64::MAX / 4));
     farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
     farm.network_mut()
         .switch_mut(leaf)

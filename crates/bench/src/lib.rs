@@ -2,7 +2,8 @@
 //! paper's evaluation (§ VI).
 //!
 //! Each module regenerates one artifact; the `repro` binary prints them
-//! as text tables:
+//! as text tables. [`perf`] is what the three `*_scale` gate bins share,
+//! [`detection`] the replay driver behind `detection_scale`.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -16,10 +17,12 @@
 //! | [`fig9`] | Fig. 9 — aggregation CPU cost, threads vs processes |
 //! | [`fig10`] | Fig. 10 — shared buffer vs gRPC latency |
 //! | [`tab5`] | Tab. V — feature matrix of generic M&M systems |
+//! | [`ablation`] | Alg. 1 with its optional steps switched off |
 //!
 //! Absolute numbers come from the simulator substrate; EXPERIMENTS.md
 //! records the paper-vs-measured comparison and which *shapes* hold.
 
+pub mod ablation;
 pub mod detection;
 pub mod fig10;
 pub mod fig4;

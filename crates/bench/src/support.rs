@@ -4,8 +4,10 @@
 use std::collections::BTreeMap;
 
 use farm_core::farm::{Farm, FarmConfig};
-use farm_netsim::switch::SwitchModel;
+use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::topology::Topology;
+use farm_netsim::types::SwitchId;
+use farm_placement::model::PreviousPlacement;
 use farm_soil::SoilConfig;
 
 /// The production-cluster stand-in of § VI-A b: a 20-switch spine-leaf
@@ -19,16 +21,6 @@ pub fn sap_cluster() -> Topology {
     )
 }
 
-/// A single-switch rig for switch-local microbenchmarks.
-pub fn single_switch() -> Topology {
-    Topology::spine_leaf(
-        1,
-        1,
-        SwitchModel::accton_as5712(),
-        SwitchModel::accton_as5712(),
-    )
-}
-
 /// Builds a FARM instance over a topology with the given soil config.
 pub fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
     Farm::new(
@@ -38,6 +30,34 @@ pub fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
             ..FarmConfig::default()
         },
     )
+}
+
+/// The rig of the co-location studies (Fig. 6, 8, 9): `seeds` copies of
+/// one program, each its own task, all on the leaf of a one-spine,
+/// one-leaf fabric of Accton AS5712s. `source` gets that leaf's id to
+/// pin the program to. Returns the farm and the leaf.
+pub fn colocated(
+    seeds: usize,
+    soil: SoilConfig,
+    source: impl FnOnce(u32) -> String,
+) -> (Farm, SwitchId) {
+    let model = SwitchModel::accton_as5712();
+    let mut farm = farm_with(Topology::spine_leaf(1, 1, model.clone(), model), soil);
+    let leaf = farm
+        .network()
+        .topology()
+        .leaves()
+        .next()
+        .expect("a spine-leaf fabric has a leaf");
+    let src = source(leaf.0);
+    let names: Vec<String> = (0..seeds).map(|i| format!("t{i}")).collect();
+    let tasks: Vec<_> = names
+        .iter()
+        .map(|n| (n.as_str(), src.as_str(), no_externals()))
+        .collect();
+    farm.deploy_tasks(&tasks)
+        .expect("the parametric sources compile and fit");
+    (farm, leaf)
 }
 
 /// A parametric HH machine polling every port at a fixed accuracy.
@@ -155,6 +175,17 @@ machine ML {{
 }}
 "#
     )
+}
+
+/// A solve's assignment as the previous placement of the next one.
+pub fn as_previous(assignment: &[Option<(SwitchId, Resources)>]) -> PreviousPlacement {
+    let mut prev = PreviousPlacement::default();
+    for (s, slot) in assignment.iter().enumerate() {
+        if let Some(seat) = slot {
+            prev.assignment.insert(s, *seat);
+        }
+    }
+    prev
 }
 
 /// No-external deployment helper.

@@ -38,8 +38,6 @@ use farm_telemetry::{
 pub use crate::error::{Error, FarmError};
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
 use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
-use crate::transport::TcpBridge;
-pub use crate::transport::TransportMode;
 
 /// Framework configuration.
 #[derive(Debug, Clone, Default)]
@@ -48,8 +46,6 @@ pub struct FarmConfig {
     pub soil: SoilConfig,
     /// Failure detection and recovery knobs.
     pub fault_tolerance: FaultToleranceConfig,
-    /// How deliveries travel: direct calls or real loopback TCP.
-    pub transport: TransportMode,
 }
 
 /// Failure detection and recovery knobs (§ "Failure model & recovery"
@@ -142,11 +138,10 @@ struct FarmCounters {
 
 impl FarmCounters {
     fn new(telemetry: &Telemetry) -> FarmCounters {
-        // Delivery-health counters other layers own: registered up front
-        // so a farm that never opens a transport reports them as 0, not
+        // A delivery-health counter farm-net owns: registered up front
+        // so a farm that never opens a connection reports it as 0, not
         // as absent.
         telemetry.counter("net.dead_letters");
-        telemetry.counter("transport.fallbacks");
         FarmCounters {
             collector_messages: telemetry.counter("farm.collector_messages"),
             collector_bytes: telemetry.counter("farm.collector_bytes"),
@@ -222,12 +217,6 @@ impl FarmBuilder {
         self
     }
 
-    /// Selects the delivery transport (see [`TransportMode`]).
-    pub fn with_transport(mut self, mode: TransportMode) -> FarmBuilder {
-        self.config.transport = mode;
-        self
-    }
-
     /// Registers a harvester for a task (replacing a previous one for
     /// the same task).
     pub fn with_harvester(mut self, task: impl Into<String>, h: Box<dyn Harvester>) -> FarmBuilder {
@@ -259,23 +248,10 @@ impl FarmBuilder {
         seeder.set_telemetry(telemetry.clone());
         let counters = FarmCounters::new(&telemetry);
         let ft = self.config.fault_tolerance;
-        let transport = match self.config.transport {
-            TransportMode::InProcess => None,
-            // A bind failure on loopback means the host is unusable for
-            // TCP entirely; degrade to in-process delivery and record it.
-            TransportMode::Tcp => match TcpBridge::new(&telemetry) {
-                Ok(bridge) => Some(bridge),
-                Err(_) => {
-                    telemetry.counter("transport.fallbacks").inc();
-                    None
-                }
-            },
-        };
         let mut farm = Farm {
             network,
             soils,
             seeder,
-            transport,
             harvesters: HashMap::new(),
             now: Time::ZERO,
             telemetry,
@@ -325,8 +301,6 @@ pub struct Farm {
     /// Task catalog and seed table: where every placed seed is, what it
     /// holds and what its soil calls it.
     seeder: Seeder,
-    /// Loopback TCP bridge when running under [`TransportMode::Tcp`].
-    transport: Option<TcpBridge>,
     harvesters: HashMap<String, Box<dyn Harvester>>,
     now: Time,
     telemetry: Telemetry,
@@ -572,15 +546,6 @@ impl Farm {
                     };
                     let (id, bytes) = match snapshot {
                         Some(snapshot) => {
-                            // Migration state travels the wire under TCP
-                            // mode; the destination imports the decoded
-                            // snapshot.
-                            let snapshot = match &self.transport {
-                                Some(bridge) => {
-                                    bridge.ship_snapshot(&key.task, *from, *to, snapshot)
-                                }
-                                None => snapshot,
-                            };
                             let (soil, switch) = soil_on(&mut self.soils, &mut self.network, *to)
                                 .expect("a planned target runs a soil");
                             let (id, report) =
@@ -954,10 +919,6 @@ impl Farm {
         for slot in 0..self.soils.len() {
             let id = self.network.topology().node_at(slot).id;
             if is_alive(id) {
-                // Reachable soils beacon over the real wire in TCP mode.
-                if let Some(bridge) = &self.transport {
-                    bridge.heartbeat(id.0, at.as_nanos());
-                }
                 self.missed.remove(&id);
                 if self.fenced.remove(&id) {
                     self.kill_stale_seeds(id, at);
@@ -1353,14 +1314,6 @@ impl Farm {
             }
             let mut next = Vec::new();
             for msg in messages.drain(..) {
-                // Under TCP transport the delivery rides the real wire
-                // first — encoded, sent over loopback, decoded — and the
-                // decoded copy is what gets routed. The codec is
-                // byte-exact, so both transports route equal messages.
-                let msg = match &self.transport {
-                    Some(bridge) => bridge.ship_message(msg),
-                    None => msg,
-                };
                 match &msg.to {
                     Endpoint::Harvester => {
                         // Harvester reports cross the (possibly impaired)
@@ -1414,10 +1367,6 @@ impl Farm {
     fn apply_command(&mut self, cmd: HarvesterCommand) -> Vec<OutboundMessage> {
         match cmd {
             HarvesterCommand::SendToMachine { machine, at, value } => {
-                let (machine, at, value) = match &self.transport {
-                    Some(bridge) => bridge.ship_directive(machine, at, value),
-                    None => (machine, at, value),
-                };
                 self.counters.control_messages.inc();
                 self.counters
                     .control_bytes

@@ -44,13 +44,11 @@ pub mod error;
 pub mod farm;
 pub mod harvester;
 pub mod seeder;
-pub mod transport;
 
 pub use error::{Error, FarmError};
 pub use farm::{external, Farm, FarmBuilder, FarmConfig, FaultToleranceConfig, SeedStatus};
 pub use harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
 pub use seeder::{Plan, PlannedAction, SeedKey, Seeder};
-pub use transport::TransportMode;
 
 /// One-stop imports for building and observing a farm.
 ///
@@ -64,7 +62,6 @@ pub mod prelude {
     };
     pub use crate::harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
     pub use crate::seeder::{Plan, PlannedAction, SeedKey, Seeder};
-    pub use crate::transport::TransportMode;
     pub use farm_almanac::value::Value;
     pub use farm_faults::{ChurnProfile, FaultKind, FaultPlan, LossSpec};
     pub use farm_netsim::switch::SwitchModel;

@@ -783,7 +783,6 @@ fn metrics_json(snap: &Snapshot) -> Json {
     let farm = |key: &str| snap.counter(&format!("farm.{key}"));
     let metrics = Json::obj(FARM.map(|key| (key, farm(key).into())))
         .with("net_dead_letters", snap.counter("net.dead_letters"))
-        .with("transport_fallbacks", snap.counter("transport.fallbacks"))
         .with(
             "total_network_bytes",
             farm("collector_bytes")
@@ -810,8 +809,8 @@ mod tests {
         assert!(parse_seed_key("t/mX/s1").is_none());
     }
 
-    /// The compact `MetricsDump` body for a fixed registry, as the parent
-    /// revision rendered it: same keys, same order, no whitespace.
+    /// The compact `MetricsDump` body for a fixed registry: these keys,
+    /// in this order, no whitespace.
     #[test]
     fn metrics_dump_body_is_pinned() {
         let t = Telemetry::new();
@@ -828,7 +827,7 @@ mod tests {
                 r#"{"metrics":{"collector_messages":0,"collector_bytes":5,"seed_messages":0,"#,
                 r#""seed_bytes":2,"control_messages":0,"control_bytes":0,"migrations":0,"#,
                 r#""migration_bytes":0,"seed_errors":0,"replans":0,"net_dead_letters":3,"#,
-                r#""transport_fallbacks":0,"total_network_bytes":7},"#,
+                r#""total_network_bytes":7},"#,
                 r#""registry":{"counters":{"farm.collector_bytes":5,"farm.seed_bytes":2,"#,
                 r#""net.dead_letters":3},"gauges":{"ckpt.bytes":1.5,"fed.pod.registered":1},"#,
                 r#""histograms":{"ctl.op_latency_us":{"count":1,"sum":40,"max":40,"p50":37.5,"#,

@@ -39,11 +39,8 @@
 
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::switch::Resources;
-use farm_netsim::time::{Dur, Time};
-use farm_netsim::types::{
-    FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto, SwitchId,
-};
-use farm_soil::{Endpoint, OutboundMessage, SeedId, SeedSnapshot};
+use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
+use farm_soil::SeedSnapshot;
 
 use crate::wire::{frame_prefix, put_varint, Ext, Reader, Wire, WireError, PROTOCOL_VERSION};
 
@@ -194,37 +191,6 @@ wire_struct! {
         /// Estimated serialized payload size the soil accounted.
         pub bytes: u64,
         pub value: Value,
-    }
-}
-
-impl Report {
-    /// Captures a harvester-bound [`OutboundMessage`].
-    pub fn from_outbound(msg: &OutboundMessage) -> Report {
-        Report {
-            task: msg.task.clone(),
-            from_switch: msg.from_switch.0,
-            from_seed: msg.from_seed.0,
-            from_machine: msg.from_machine.clone(),
-            at_ns: msg.at.as_nanos(),
-            latency_ns: msg.latency.as_nanos(),
-            bytes: msg.bytes,
-            value: msg.value.clone(),
-        }
-    }
-
-    /// Reconstructs the harvester-bound message on the receiving side.
-    pub fn into_outbound(self) -> OutboundMessage {
-        OutboundMessage {
-            from_switch: SwitchId(self.from_switch),
-            from_seed: SeedId(self.from_seed),
-            from_machine: self.from_machine,
-            task: self.task,
-            to: Endpoint::Harvester,
-            value: self.value,
-            at: Time::ZERO + Dur::from_nanos(self.at_ns),
-            latency: Dur::from_nanos(self.latency_ns),
-            bytes: self.bytes,
-        }
     }
 }
 
@@ -492,68 +458,6 @@ wire_enum! {
         9 "control" Control { op: ControlOp },
         /// Management answer (daemon → operator).
         10 "control_reply" ControlReply { reply: ControlReply },
-    }
-}
-
-impl Frame {
-    /// The frame that carries one soil delivery: a single-report
-    /// [`Frame::PollReport`] when it is harvester-bound, a
-    /// [`Frame::SeedMessage`] when it addresses another machine.
-    pub fn from_outbound(msg: &OutboundMessage) -> Frame {
-        match &msg.to {
-            Endpoint::Harvester => Frame::PollReport {
-                reports: vec![Report::from_outbound(msg)],
-            },
-            Endpoint::Machine { name, at } => Frame::SeedMessage {
-                task: msg.task.clone(),
-                from_switch: msg.from_switch.0,
-                from_seed: msg.from_seed.0,
-                from_machine: msg.from_machine.clone(),
-                to_machine: name.clone(),
-                at_switch: at.map(|s| s.0),
-                at_ns: msg.at.as_nanos(),
-                latency_ns: msg.latency.as_nanos(),
-                bytes: msg.bytes,
-                value: msg.value.clone(),
-            },
-        }
-    }
-
-    /// The soil deliveries a received frame carries, reconstructed:
-    /// one per report of a [`Frame::PollReport`], one for a
-    /// [`Frame::SeedMessage`], none for any other frame.
-    pub fn into_outbound(self) -> Vec<OutboundMessage> {
-        match self {
-            Frame::PollReport { reports } => {
-                reports.into_iter().map(Report::into_outbound).collect()
-            }
-            Frame::SeedMessage {
-                task,
-                from_switch,
-                from_seed,
-                from_machine,
-                to_machine,
-                at_switch,
-                at_ns,
-                latency_ns,
-                bytes,
-                value,
-            } => vec![OutboundMessage {
-                from_switch: SwitchId(from_switch),
-                from_seed: SeedId(from_seed),
-                from_machine,
-                task,
-                to: Endpoint::Machine {
-                    name: to_machine,
-                    at: at_switch.map(SwitchId),
-                },
-                value,
-                at: Time::ZERO + Dur::from_nanos(at_ns),
-                latency: Dur::from_nanos(latency_ns),
-                bytes,
-            }],
-            _ => Vec::new(),
-        }
     }
 }
 

@@ -21,14 +21,17 @@
 //!
 //! * **Per-connection FIFO.** Frames from one connection always land on
 //!   the same worker (`conn_id % workers`), so handler invocation order
-//!   matches arrival order — `TcpBridge` equivalence depends on it.
+//!   matches arrival order and a request's reply follows the handling
+//!   of every frame the client wrote ahead of it (the `Hello` of a
+//!   dial before the first request, report batches sent one-way before
+//!   the RPC that asks about them). `tests/fifo.rs` holds it.
 //! * **Write coalescing.** Replies accumulate in one contiguous
 //!   per-connection output ring; a flush is a single `write` of
 //!   everything pending, not a syscall per frame.
 //! * **Backpressure.** A connection whose output ring exceeds
 //!   [`OUTBUF_HIGH_WATER`] stops being read until the peer drains it;
 //!   read interest resumes once the ring shrinks below the mark.
-//! * **Error parity with the blocking server.** A fully framed but
+//! * **An error costs the session only when framing is lost.** A fully framed but
 //!   undecodable body answers requests with `Frame::Error` and keeps
 //!   the session; a broken length prefix sends a one-way `Error` and
 //!   hangs up; `Frame::Shutdown` ends the session immediately.

@@ -1,7 +1,7 @@
-//! The accepting side of the transport: a readiness-polling event-loop
-//! server (the crate-private `reactor` module) behind the same public surface the
-//! old thread-per-connection server exposed — `TcpBridge`, farmd and
-//! the integration tests run unchanged on it.
+//! The accepting side of the transport: the public surface
+//! ([`NetServer`], [`FrameHandler`]) over a readiness-polling event-loop
+//! server (the crate-private `reactor` module). farmd, fedd and the
+//! remote-harvester example all listen through it.
 //!
 //! One reactor thread multiplexes every session over the [`Poller`]
 //! abstraction; frames are decoded incrementally off a growable ring

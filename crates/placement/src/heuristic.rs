@@ -56,7 +56,7 @@ use crate::model::{
     count_migrations, utility_of, PlacementInstance, PlacementResult, SubjectInterner,
 };
 
-/// Heuristic knobs: the ablation switches of the design-choice benches.
+/// Heuristic knobs: the switches `repro ablation` flips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeuristicOptions {
     /// Step 3: LP-based resource redistribution.

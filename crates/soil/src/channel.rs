@@ -11,10 +11,10 @@
 //! demonstrates the shared-memory mechanism with real threads.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use farm_netsim::time::Dur;
-use parking_lot::{Condvar, Mutex};
 
 /// How seeds execute on the switch (§ V-A b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -97,23 +97,12 @@ impl CommModel {
 
 /// A bounded, blocking MPMC ring buffer — the "tailor-fitted shared
 /// memory buffer" used between soil and thread seeds.
-///
-/// Supports graceful shutdown: after [`close`](Self::close) producers
-/// get their item back immediately and consumers blocked in
-/// [`pop_timeout`](Self::pop_timeout) wake promptly, draining whatever
-/// is still queued before seeing `None`.
 #[derive(Debug)]
 pub struct SharedRingBuffer<T> {
-    inner: Mutex<RingState<T>>,
+    q: Mutex<VecDeque<T>>,
     capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
-}
-
-#[derive(Debug)]
-struct RingState<T> {
-    q: VecDeque<T>,
-    closed: bool,
 }
 
 impl<T> SharedRingBuffer<T> {
@@ -125,104 +114,89 @@ impl<T> SharedRingBuffer<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         SharedRingBuffer {
-            inner: Mutex::new(RingState {
-                q: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
+            q: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// Non-blocking push; returns the item back when full or closed.
+    /// The queue. A holder that panicked leaves it whole — every update
+    /// is one `VecDeque` push or pop — so a poisoned lock is taken over.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.q.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Non-blocking push; returns the item back when full.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut s = self.inner.lock();
-        if s.closed || s.q.len() >= self.capacity {
+        let mut q = self.queue();
+        if q.len() >= self.capacity {
             return Err(item);
         }
-        s.q.push_back(item);
-        drop(s);
+        q.push_back(item);
+        drop(q);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Blocking push; returns the item back if the buffer is (or gets)
-    /// closed while waiting for space.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut s = self.inner.lock();
-        while !s.closed && s.q.len() >= self.capacity {
-            self.not_full.wait(&mut s);
+    /// Blocking push: waits for space.
+    pub fn push(&self, item: T) {
+        let mut q = self.queue();
+        while q.len() >= self.capacity {
+            q = self
+                .not_full
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        if s.closed {
-            return Err(item);
-        }
-        s.q.push_back(item);
-        drop(s);
+        q.push_back(item);
+        drop(q);
         self.not_empty.notify_one();
-        Ok(())
     }
 
-    /// Non-blocking pop. Keeps draining queued items after close.
+    /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
-        let mut s = self.inner.lock();
-        let item = s.q.pop_front();
+        let mut q = self.queue();
+        let item = q.pop_front();
         if item.is_some() {
-            drop(s);
+            drop(q);
             self.not_full.notify_one();
         }
         item
     }
 
-    /// Pop with a timeout; `None` when it elapses empty or the buffer
-    /// is closed and drained.
+    /// Pop with a timeout; `None` when it elapses empty.
     ///
     /// Blocks on the condvar (no spinning) and re-waits until the full
     /// deadline on spurious wakeups or when a concurrent consumer races
-    /// the item away — a single `wait_for` would return early then.
-    /// A close() wakes every blocked consumer promptly.
+    /// the item away — a single timed wait would return early then.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.inner.lock();
-        while s.q.is_empty() {
-            if s.closed {
+        let deadline = Instant::now() + timeout;
+        let mut q = self.queue();
+        while q.is_empty() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return None;
             }
-            if self.not_empty.wait_until(&mut s, deadline).timed_out() {
-                return s.q.pop_front();
-            }
+            q = self
+                .not_empty
+                .wait_timeout(q, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let item = s.q.pop_front();
-        if item.is_some() {
-            drop(s);
-            self.not_full.notify_one();
-        }
+        let item = q.pop_front();
+        drop(q);
+        self.not_full.notify_one();
         item
-    }
-
-    /// Closes the buffer: subsequent pushes fail, blocked producers and
-    /// consumers wake promptly, queued items remain poppable.
-    pub fn close(&self) {
-        let mut s = self.inner.lock();
-        s.closed = true;
-        drop(s);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// True after [`close`](Self::close).
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
     }
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().q.len()
+        self.queue().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().q.is_empty()
+        self.queue().is_empty()
     }
 }
 
@@ -285,7 +259,7 @@ mod tests {
             let rb = Arc::clone(&rb);
             std::thread::spawn(move || {
                 for i in 0..1000 {
-                    rb.push(i).unwrap();
+                    rb.push(i);
                 }
             })
         };
@@ -302,7 +276,7 @@ mod tests {
     #[test]
     fn pop_timeout_elapses_on_empty_buffer() {
         let rb: SharedRingBuffer<u8> = SharedRingBuffer::new(1);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         assert_eq!(rb.pop_timeout(Duration::from_millis(10)), None);
         assert!(
             start.elapsed() >= Duration::from_millis(10),
@@ -320,14 +294,14 @@ mod tests {
             std::thread::spawn(move || rb.pop_timeout(Duration::from_secs(5)))
         };
         std::thread::sleep(Duration::from_millis(20));
-        rb.push(1).unwrap(); // wakes the waiter...
+        rb.push(1); // wakes the waiter...
         while rb.try_pop().is_none() {
             // ...but this thread may steal the item first.
             if waiter.is_finished() {
                 break;
             }
         }
-        rb.push(2).unwrap(); // the waiter must still get this one
+        rb.push(2); // the waiter must still get this one
         let got = waiter.join().unwrap();
         assert!(got.is_some(), "waiter returned before its deadline");
     }
@@ -335,54 +309,15 @@ mod tests {
     #[test]
     fn blocking_push_waits_for_space() {
         let rb: Arc<SharedRingBuffer<u32>> = Arc::new(SharedRingBuffer::new(1));
-        rb.push(1).unwrap();
+        rb.push(1);
         let pusher = {
             let rb = Arc::clone(&rb);
             std::thread::spawn(move || rb.push(2))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(rb.try_pop(), Some(1));
-        pusher.join().unwrap().unwrap();
+        pusher.join().unwrap();
         assert_eq!(rb.try_pop(), Some(2));
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumer_promptly() {
-        let rb: Arc<SharedRingBuffer<u32>> = Arc::new(SharedRingBuffer::new(4));
-        let waiter = {
-            let rb = Arc::clone(&rb);
-            std::thread::spawn(move || {
-                let start = std::time::Instant::now();
-                let got = rb.pop_timeout(Duration::from_secs(30));
-                (got, start.elapsed())
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        rb.close();
-        let (got, waited) = waiter.join().unwrap();
-        assert_eq!(got, None);
-        assert!(
-            waited < Duration::from_secs(5),
-            "close must wake the consumer long before its deadline, waited {waited:?}"
-        );
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer_and_returns_item() {
-        let rb: Arc<SharedRingBuffer<u32>> = Arc::new(SharedRingBuffer::new(1));
-        rb.push(1).unwrap();
-        let pusher = {
-            let rb = Arc::clone(&rb);
-            std::thread::spawn(move || rb.push(2))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        rb.close();
-        assert_eq!(pusher.join().unwrap(), Err(2));
-        // Queued items survive the close and drain normally.
-        assert_eq!(rb.pop_timeout(Duration::from_millis(5)), Some(1));
-        assert_eq!(rb.pop_timeout(Duration::from_millis(5)), None);
-        assert!(rb.is_closed());
-        assert_eq!(rb.try_push(3), Err(3));
     }
 
     #[test]
