@@ -208,7 +208,7 @@ fn run_scale(
 ) -> std::io::Result<ScaleResult> {
     let telemetry = Telemetry::new();
     // Every request gets an `Ack` from the event loop itself; the echo
-    // handler keeps the worker path (decode → handle → encode) honest.
+    // handler keeps the serving path (decode → handle → encode) honest.
     let handler = Arc::new(|env: &Envelope| Some(env.frame.clone()));
     let mut server = NetServer::bind("127.0.0.1:0".parse().unwrap(), &telemetry, handler)?;
     let addr = server.local_addr();

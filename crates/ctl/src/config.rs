@@ -220,11 +220,8 @@ pub struct ServerConfig {
     /// Address the control endpoint binds; port 0 picks an ephemeral
     /// port (see `Daemon::local_addr`).
     pub listen: SocketAddr,
-    /// How long a connection handler waits for the core to answer one
-    /// op before giving the client a structured error.
-    pub request_timeout: Duration,
-    /// Grace period between the shutdown op and severing sessions, so
-    /// in-flight replies drain.
+    /// Longest the core keeps flushing queued replies after a shutdown
+    /// before it severs the sessions.
     pub shutdown_drain: Duration,
     /// Optional PID file for external supervisors; written at startup,
     /// removed on graceful exit.
@@ -235,7 +232,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             listen: "127.0.0.1:0".parse().expect("loopback parses"),
-            request_timeout: Duration::from_secs(10),
             shutdown_drain: Duration::from_millis(100),
             pid_file: None,
         }
@@ -255,9 +251,10 @@ impl ServerConfig {
                 )
             })?;
         }
-        if let Some(ms) = t.u64("server.request_timeout_ms")? {
-            cfg.request_timeout = Duration::from_millis(ms.max(1));
-        }
+        // Retired: ops are served on the thread that reads them, so no
+        // hand-off is left to time out. Deployed files carry the key, so
+        // it is still accepted and type-checked.
+        t.u64("server.request_timeout_ms")?;
         if let Some(ms) = t.u64("server.shutdown_drain_ms")? {
             cfg.shutdown_drain = Duration::from_millis(ms);
         }
@@ -271,7 +268,7 @@ impl ServerConfig {
 /// Everything farmd needs to come up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmdConfig {
-    /// Listen address, handler timeout, shutdown drain, PID file.
+    /// Listen address, shutdown drain, PID file.
     pub server: ServerConfig,
     /// Optional JSON-lines event log (the audit trail on disk).
     pub event_log: Option<PathBuf>,
@@ -484,7 +481,6 @@ mod tests {
     fn full_config_round_trips() {
         let cfg = FarmdConfig::from_toml_str(FULL).unwrap();
         assert_eq!(cfg.server.listen, "127.0.0.1:4520".parse().unwrap());
-        assert_eq!(cfg.server.request_timeout, Duration::from_millis(2500));
         assert_eq!(cfg.server.shutdown_drain, Duration::from_millis(50));
         assert_eq!(
             cfg.event_log.as_deref(),

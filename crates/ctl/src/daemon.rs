@@ -1,37 +1,34 @@
-//! The daemon skeleton farmd and fedd share: a [`Core`] hosted behind a
-//! farm-net [`NetServer`], serving the versioned [`ControlOp`] surface.
+//! The daemon skeleton farmd and fedd share: a [`Core`] and the farm-net
+//! [`Reactor`] it listens through, both owned by one thread, serving
+//! the versioned [`ControlOp`] surface.
 //!
-//! Threading model: the core is not shared — it lives on one
-//! `<name>-core` thread that owns it outright. Connection handlers turn
-//! each [`Frame::Control`] into a [`Request`] over an mpsc channel and
-//! block (bounded) for the reply; the core serves ops strictly in
-//! arrival order, so every op observes a consistent state, and the
-//! loop's `recv_timeout` doubles as the core's ticker.
+//! Threading model: a daemon is two threads. `main` waits for signals;
+//! the `<name>-core` thread owns the core and the reactor outright and
+//! loops *turn the reactor (at most 5 ms) → tick the core*. A turn hands
+//! every [`Frame::Control`] it read straight to [`Core::serve`] — no
+//! queue, no hand-off — so ops are served strictly in arrival order,
+//! every op observes a consistent state, and the turn's timeout doubles
+//! as the core's ticker.
 //!
 //! Every op is audited: `<prefix>.ops`, `<prefix>.op.<kind>`,
 //! `<prefix>.rejected`, `<prefix>.op_latency_us`. A `Shutdown` op (or a
-//! signal, or [`Daemon::stop`]) ends the loop; ops already queued are
-//! still answered, then [`Core::drained`] runs.
+//! signal, or [`Daemon::stop`]) ends the loop; replies already queued
+//! get up to `shutdown_drain` to reach their sockets while later frames
+//! are refused, then [`Core::drained`] runs.
 
 use std::io;
 use std::marker::PhantomData;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use farm_net::{ControlOp, ControlReply, Envelope, Frame, NetServer};
+use farm_net::{ControlOp, ControlReply, Envelope, Frame, Reactor};
 use farm_telemetry::Telemetry;
 
 use crate::config::{err, ConfigError, ServerConfig};
-
-/// One queued control request: the op plus the handler's reply slot.
-pub struct Request {
-    pub op: ControlOp,
-    pub reply: mpsc::Sender<ControlReply>,
-}
 
 /// What a daemon supplies to the skeleton — only what actually differs
 /// between farmd and fedd.
@@ -44,16 +41,18 @@ pub trait Core: Sized + 'static {
 
     /// The `[server]` part of the daemon's configuration.
     fn server(config: &mut Self::Config) -> &mut ServerConfig;
-    /// Builds the core, on the core thread, before the endpoint binds.
+    /// Builds the core, on the core thread, once the listen address is
+    /// bound: a daemon that cannot listen never boots.
     fn boot(config: Self::Config) -> Self;
     /// The registry the op accounting and the transport report into.
     fn telemetry(&self) -> &Telemetry;
     /// Serves one op. Total: every failure becomes a structured reply,
     /// never a panic.
     fn serve(&mut self, op: &ControlOp) -> ControlReply;
-    /// Runs after every op and at least every 5 ms while idle.
+    /// Runs after every turn of the reactor: after the ops that turn
+    /// served, and at least every 5 ms while idle.
     fn tick(&mut self);
-    /// Runs once, after the queue was drained on shutdown.
+    /// Runs once, after the last reply was flushed on shutdown.
     fn drained(&mut self) {}
     /// Sees every accounted op after it was served.
     fn audit(&self, _kind: &'static str, _outcome: &'static str, _elapsed_us: u64) {}
@@ -69,150 +68,144 @@ pub trait Core: Sized + 'static {
     }
 }
 
-/// The core thread's loop: serve ops in order with their accounting,
-/// tick between them; on shutdown answer whatever the handlers already
-/// queued (they block on these replies), then let the core finish.
-pub fn run<C: Core>(core: &mut C, rx: &mpsc::Receiver<Request>, stop: &AtomicBool) {
+/// Longest wait of one turn, ms: the core's tick cadence while idle.
+const TURN_MS: i32 = 5;
+
+/// The core thread's loop: turn the reactor, serving the ops it read in
+/// order with their accounting, tick between turns; on shutdown keep
+/// turning until every queued reply reached its socket (at most
+/// `drain`), then let the core finish. The endpoint stays bound until
+/// `drained` returned, so a successor on the same address cannot boot
+/// from a checkpoint that is still being written.
+fn run<C: Core>(core: &mut C, reactor: &mut Reactor, stop: &AtomicBool, drain: Duration) {
     let telemetry = core.telemetry().clone();
     let prefix = C::PREFIX;
     let ops = telemetry.counter(&format!("{prefix}.ops"));
     let rejected = telemetry.counter(&format!("{prefix}.rejected"));
     let latency = telemetry.latency_histogram(&format!("{prefix}.op_latency_us"));
-    while !stop.load(Ordering::Relaxed) {
-        match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(Request { op, reply }) => {
-                let started = Instant::now();
-                let kind = op.kind();
-                ops.inc();
-                telemetry.counter(&format!("{prefix}.op.{kind}")).inc();
-                let out = core.serve(&op);
-                let elapsed_us = started.elapsed().as_micros() as u64;
-                latency.record(elapsed_us);
-                let outcome = match &out {
-                    ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {
-                        rejected.inc();
-                        "rejected"
-                    }
-                    _ => "ok",
-                };
-                core.audit(kind, outcome, elapsed_us);
-                let _ = reply.send(out);
-                if matches!(op, ControlOp::Shutdown) {
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // The daemon handle was dropped without a shutdown op.
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+    // A control op is served and accounted, or refused once the daemon
+    // is stopping; any other frame is left to the default `Ack`.
+    let answer = |core: &mut C, env: &Envelope| -> Option<Frame> {
+        let Frame::Control { op } = &env.frame else {
+            return None;
+        };
+        if stop.load(Ordering::Relaxed) {
+            return Some(Frame::Error {
+                message: format!("{} is shutting down", C::NAME),
+            });
         }
+        let started = Instant::now();
+        let kind = op.kind();
+        ops.inc();
+        telemetry.counter(&format!("{prefix}.op.{kind}")).inc();
+        let reply = core.serve(op);
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        latency.record(elapsed_us);
+        let outcome = match &reply {
+            ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {
+                rejected.inc();
+                "rejected"
+            }
+            _ => "ok",
+        };
+        core.audit(kind, outcome, elapsed_us);
+        if matches!(op, ControlOp::Shutdown) {
+            stop.store(true, Ordering::Relaxed);
+        }
+        Some(Frame::ControlReply { reply })
+    };
+    let turn = |core: &mut C, reactor: &mut Reactor| {
+        reactor.turn(TURN_MS, &mut |env| answer(core, env)).is_ok()
+    };
+    while !stop.load(Ordering::Relaxed) && turn(core, reactor) {
         core.tick();
     }
-    while let Ok(Request { op, reply }) = rx.try_recv() {
-        let out = match op {
-            ControlOp::Shutdown => ControlReply::Ok,
-            op => core.serve(&op),
-        };
-        let _ = reply.send(out);
-    }
+    // A poller that failed ends the daemon like a shutdown op would.
+    stop.store(true, Ordering::Relaxed);
+    let deadline = Instant::now() + drain;
+    while !reactor.flushed() && Instant::now() < deadline && turn(core, reactor) {}
     core.drained();
 }
 
-/// A running daemon: the core thread plus the listening control
+/// A running daemon: the core thread, which owns the listening control
 /// endpoint. `Farmd` and `Fedd` are this type over their cores.
 pub struct Daemon<C> {
-    server: NetServer,
+    local_addr: SocketAddr,
     /// The core thread and its companion, if any; empty once torn down.
     threads: Vec<thread::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    shutdown_drain: Duration,
     telemetry: Telemetry,
     _core: PhantomData<fn() -> C>,
 }
 
 impl<C: Core> Daemon<C> {
-    /// Boots the core on its thread, binds the control endpoint.
+    /// Binds the control endpoint and boots the core, both on the core
+    /// thread, and returns once it is serving.
     ///
     /// # Errors
     ///
-    /// Bind failures, or the core thread dying during construction.
+    /// Bind failures — reported before the core is booted, so nothing
+    /// the core writes (event log, checkpoint) is touched — or the core
+    /// thread dying during construction.
     pub fn start(mut config: C::Config) -> io::Result<Daemon<C>> {
         let name = C::NAME;
-        let server_config = C::server(&mut config).clone();
+        let ServerConfig {
+            listen,
+            shutdown_drain,
+            ..
+        } = C::server(&mut config).clone();
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<Request>();
-        let (ready_tx, ready_rx) = mpsc::channel::<Telemetry>();
+        let (ready_tx, ready_rx) = mpsc::channel::<io::Result<(Telemetry, SocketAddr)>>();
         let core = {
             let config = config.clone();
             let stop = Arc::clone(&stop);
             thread::Builder::new()
                 .name(format!("{name}-core"))
                 .spawn(move || {
-                    let mut core = C::boot(config);
-                    if ready_tx.send(core.telemetry().clone()).is_ok() {
-                        run(&mut core, &rx, &stop);
+                    let booted = TcpListener::bind(listen).and_then(|listener| {
+                        let core = C::boot(config);
+                        let reactor = Reactor::from_listener(listener, core.telemetry())?;
+                        Ok((core, reactor))
+                    });
+                    match booted {
+                        Ok((mut core, mut reactor)) => {
+                            let ready = (core.telemetry().clone(), reactor.local_addr());
+                            if ready_tx.send(Ok(ready)).is_ok() {
+                                run(&mut core, &mut reactor, &stop, shutdown_drain);
+                            }
+                        }
+                        Err(e) => {
+                            let _ = ready_tx.send(Err(e));
+                        }
                     }
                 })?
         };
-        let telemetry = ready_rx
+        let (telemetry, local_addr) = ready_rx
             .recv()
-            .map_err(|_| io::Error::other(format!("{name} core died during startup")))?;
-        let handler = {
-            // mpsc senders are Send but not Sync; handlers clone one out
-            // of the mutex per request.
-            let tx = Mutex::new(tx);
-            let stop = Arc::clone(&stop);
-            let wait = server_config.request_timeout;
-            let error = move |what: &str| {
-                Some(Frame::Error {
-                    message: format!("{name} {what}"),
-                })
-            };
-            Arc::new(move |env: &Envelope| -> Option<Frame> {
-                let Frame::Control { op } = &env.frame else {
-                    return None;
-                };
-                if stop.load(Ordering::Relaxed) {
-                    return error("is shutting down");
-                }
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sender = tx.lock().expect("core sender lock").clone();
-                let request = Request {
-                    op: op.clone(),
-                    reply: reply_tx,
-                };
-                if sender.send(request).is_err() {
-                    return error("core is gone");
-                }
-                match reply_rx.recv_timeout(wait) {
-                    Ok(reply) => Some(Frame::ControlReply { reply }),
-                    Err(_) => error("core did not answer in time"),
-                }
-            })
-        };
-        let server = NetServer::bind(server_config.listen, &telemetry, handler)?;
-        let mut threads = vec![core];
-        threads.extend(C::companion(
-            &config,
-            server.local_addr(),
-            &stop,
-            &telemetry,
-        )?);
-        Ok(Daemon {
-            server,
-            threads,
+            .map_err(|_| io::Error::other(format!("{name} core died during startup")))??;
+        // From here on a failure drops the daemon, which stops and joins
+        // the core thread.
+        let mut daemon = Daemon {
+            local_addr,
+            threads: vec![core],
             stop,
-            shutdown_drain: server_config.shutdown_drain,
             telemetry,
             _core: PhantomData,
-        })
+        };
+        daemon.threads.extend(C::companion(
+            &config,
+            local_addr,
+            &daemon.stop,
+            &daemon.telemetry,
+        )?);
+        Ok(daemon)
     }
 }
 
 impl<C> Daemon<C> {
     /// The bound control address (the chosen port when listening on :0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
+        self.local_addr
     }
 
     /// The core's telemetry handle (shared with the transport).
@@ -225,8 +218,7 @@ impl<C> Daemon<C> {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Blocks until a `Shutdown` op arrives, then drains and tears the
-    /// endpoint down.
+    /// Blocks until a `Shutdown` op arrives, then tears down.
     pub fn wait(mut self) {
         while !self.stopping() {
             thread::sleep(Duration::from_millis(20));
@@ -240,11 +232,11 @@ impl<C> Daemon<C> {
         self.teardown();
     }
 
+    /// Raises the stop flag and joins: the core thread drains its
+    /// output rings, runs `drained` and closes the endpoint on its way
+    /// out.
     fn teardown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // Let in-flight replies reach their sockets before severing.
-        thread::sleep(self.shutdown_drain);
-        self.server.shutdown();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -365,7 +357,7 @@ pub fn main<C: Core>(
     }
     eprintln!("{name}: {serving} on {}", daemon.local_addr());
     // Wait for either a served `Shutdown` op or a supervisor signal;
-    // both paths drain in-flight ops inside the core's teardown.
+    // either way the core thread flushes queued replies on its way out.
     while !daemon.stopping() && !SIGNALED.load(Ordering::Relaxed) {
         thread::sleep(Duration::from_millis(20));
     }

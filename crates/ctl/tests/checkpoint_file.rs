@@ -194,3 +194,36 @@ fn legacy_untagged_checkpoint_file_restores() {
     farmd.stop();
     let _ = std::fs::remove_file(&path);
 }
+
+/// A second farmd started by mistake on the live one's address must fail
+/// before it boots: booting truncates the event log, and a core that
+/// booted used to overwrite the live daemon's checkpoint with its own
+/// empty state on its way out.
+#[test]
+fn a_farmd_that_cannot_bind_touches_neither_checkpoint_nor_event_log() {
+    let ckpt = scratch_file("busy-port");
+    let log = scratch_file("busy-port-events");
+    std::fs::write(&ckpt, b"the live daemon's checkpoint").expect("write checkpoint");
+    std::fs::write(&log, b"the live daemon's events\n").expect("write event log");
+    let occupant = std::net::TcpListener::bind("127.0.0.1:0").expect("occupy a port");
+
+    let mut config = test_config(ckpt.clone());
+    config.server.listen = occupant.local_addr().expect("occupied address");
+    config.restore_on_boot = false;
+    config.event_log = Some(log.clone());
+    let err = Farmd::start(config).err().expect("the address is taken");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+
+    // Long enough for a core thread left running to reach its exit hook.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        std::fs::read(&ckpt).expect("checkpoint still there"),
+        b"the live daemon's checkpoint"
+    );
+    assert_eq!(
+        std::fs::read(&log).expect("event log still there"),
+        b"the live daemon's events\n"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&log);
+}

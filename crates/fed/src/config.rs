@@ -9,7 +9,7 @@ use farm_ctl::ConfigError;
 /// Everything fedd needs to come up.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeddConfig {
-    /// Listen address, handler timeout, shutdown drain, PID file — the
+    /// Listen address, shutdown drain, PID file — the
     /// same `[server]` keys farmd reads.
     pub server: ServerConfig,
     /// A pod whose last heartbeat is older than this is marked dead:
@@ -69,7 +69,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cfg.server.listen, "127.0.0.1:4600".parse().unwrap());
-        assert_eq!(cfg.server.request_timeout, Duration::from_millis(2500));
         assert_eq!(cfg.server.shutdown_drain, Duration::from_millis(50));
         assert_eq!(
             cfg.server.pid_file.as_deref(),

@@ -1,47 +1,17 @@
 //! The daemon skeleton (`farm_ctl::daemon`), run against both cores it
-//! hosts: the same fixed op sequence must leave the same accounting
-//! under each daemon's prefix, ops the handlers queued behind a
-//! `Shutdown` must still be answered (unaccounted, as a drain), and the
-//! after-drain hook must run exactly once.
+//! hosts, through real sockets: the same fixed op sequence must get the
+//! same reply kinds and leave the same accounting under each daemon's
+//! prefix, ops behind a `Shutdown` must be refused (unaccounted), and
+//! the after-drain hook must run exactly once.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-
-use farm_ctl::daemon::{run, Core, Request};
-use farm_ctl::FarmdConfig;
+use farm_ctl::daemon::{Core, Daemon};
+use farm_ctl::{CtlClient, FarmdConfig};
 use farm_fed::FeddConfig;
-use farm_net::{ControlOp, ControlReply};
+use farm_net::{ControlOp, ControlReply, NetError};
 use farm_telemetry::Snapshot;
 
-/// Queues `ops` as the connection handlers would, runs the core loop to
-/// completion on this thread, and returns every reply in order plus the
-/// core's final registry.
-fn drive<C: Core>(config: C::Config, ops: Vec<ControlOp>) -> (Vec<ControlReply>, Snapshot) {
-    let (tx, rx) = mpsc::channel();
-    let replies: Vec<mpsc::Receiver<ControlReply>> = ops
-        .into_iter()
-        .map(|op| {
-            let (reply, slot) = mpsc::channel();
-            tx.send(Request { op, reply }).expect("queue is open");
-            slot
-        })
-        .collect();
-    let stop = AtomicBool::new(false);
-    let mut core = C::boot(config);
-    run(&mut core, &rx, &stop);
-    assert!(
-        stop.load(Ordering::Relaxed),
-        "a served Shutdown sets the flag"
-    );
-    let replies = replies
-        .iter()
-        .map(|slot| slot.try_recv().expect("every queued op is answered"))
-        .collect();
-    (replies, core.telemetry().snapshot())
-}
-
 /// Six accounted ops (two of them rejected by either daemon), then two
-/// reads stuck behind the shutdown.
+/// reads behind the shutdown.
 fn sequence() -> Vec<ControlOp> {
     vec![
         ControlOp::list_all(),
@@ -57,15 +27,40 @@ fn sequence() -> Vec<ControlOp> {
     ]
 }
 
+/// Starts the daemon, sends the sequence over one client session, waits
+/// the daemon out, and returns the six replies plus the core's final
+/// registry.
+fn drive<C: Core>(config: C::Config) -> (Vec<ControlReply>, Snapshot) {
+    let daemon = Daemon::<C>::start(config).expect("start");
+    let telemetry = daemon.telemetry().clone();
+    let client = CtlClient::connect(daemon.local_addr());
+    let mut ops = sequence();
+    let late = ops.split_off(6);
+    let replies = ops
+        .into_iter()
+        .map(|op| client.op(op).expect("every op up to Shutdown is answered"))
+        .collect();
+    assert!(daemon.stopping(), "a served Shutdown sets the flag");
+    for op in late {
+        match client.op(op) {
+            Err(NetError::Rejected(why)) => assert!(why.contains("is shutting down"), "{why}"),
+            Err(NetError::Disconnected) => {}
+            other => panic!("an op behind Shutdown was answered: {other:?}"),
+        }
+    }
+    daemon.wait();
+    (replies, telemetry.snapshot())
+}
+
 fn check_accounting(prefix: &str, replies: &[ControlReply], snap: &Snapshot) {
     let kinds: Vec<&str> = replies.iter().map(ControlReply::kind).collect();
     assert_eq!(
         kinds,
-        ["seeds", "json", "json", "rejected", "rejected", "ok", "json", "seeds"],
+        ["seeds", "json", "json", "rejected", "rejected", "ok"],
         "{prefix}"
     );
     let counter = |name: &str| snap.counter(&format!("{prefix}.{name}"));
-    assert_eq!(counter("ops"), 6, "{prefix}: drained ops are not accounted");
+    assert_eq!(counter("ops"), 6, "{prefix}: refused ops are not accounted");
     assert_eq!(counter("rejected"), 2, "{prefix}");
     for op in &sequence()[..6] {
         assert_eq!(counter(&format!("op.{}", op.kind())), 1, "{prefix}");
@@ -84,14 +79,14 @@ fn both_cores_get_the_same_accounting_drain_and_final_hook() {
         checkpoint_path: Some(ckpt.clone()),
         ..FarmdConfig::default()
     };
-    let (replies, snap) = drive::<farm_ctl::server::Core>(farmd, sequence());
+    let (replies, snap) = drive::<farm_ctl::server::Core>(farmd);
     check_accounting("ctl", &replies, &snap);
     // farmd's after-drain hook is the final checkpoint: written once.
     assert_eq!(snap.counter("ckpt.writes"), 1);
     assert!(std::fs::read(&ckpt).is_ok_and(|bytes| bytes.starts_with(b"FARMCKP2")));
     let _ = std::fs::remove_file(&ckpt);
 
-    let (replies, snap) = drive::<farm_fed::server::Core>(FeddConfig::default(), sequence());
+    let (replies, snap) = drive::<farm_fed::server::Core>(FeddConfig::default());
     check_accounting("fed", &replies, &snap);
     assert_eq!(
         snap.counter("ckpt.writes"),

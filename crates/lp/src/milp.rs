@@ -39,16 +39,6 @@ impl Default for MilpOptions {
     }
 }
 
-impl MilpOptions {
-    /// Convenience constructor with only a time budget set.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        MilpOptions {
-            time_limit: Some(limit),
-            ..Default::default()
-        }
-    }
-}
-
 /// Outcome class of a branch & bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MilpStatus {
@@ -439,7 +429,11 @@ mod tests {
         }
         p.add_constraint(weight, Cmp::Le, 20.0);
         p.set_objective(obj);
-        let r = solve_milp(&p, &MilpOptions::with_time_limit(Duration::from_millis(5)));
+        let options = MilpOptions {
+            time_limit: Some(Duration::from_millis(5)),
+            ..MilpOptions::default()
+        };
+        let r = solve_milp(&p, &options);
         match r.status {
             MilpStatus::Optimal | MilpStatus::Feasible => {
                 assert!(r.objective.is_some());

@@ -33,8 +33,11 @@
 //!   one socket, one [`FrameDecoder`] and one [`Interceptor`] behind
 //!   one mutex, no thread and no queue of its own: request/response and
 //!   one-way sends on the caller's thread, redial on demand when the
-//!   peer ended the session; a [`NetServer`] serving every session from
-//!   one readiness-polling reactor thread plus a sticky worker pool.
+//!   peer ended the session; the accepting side is [`reactor`]'s
+//!   [`Reactor`], a value whose owner turns it and gets every frame
+//!   handed to it inline (farmd and fedd, on the thread that owns the
+//!   core), or [`NetServer`], that value plus the one thread turning it
+//!   for an owner with no loop of its own.
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
 //! namespace: `net.bytes`, `net.frames_sent` / `net.frames_received`,
@@ -49,7 +52,7 @@ pub mod frame;
 pub mod interceptor;
 pub mod poll;
 #[cfg(unix)]
-mod reactor;
+pub mod reactor;
 pub mod server;
 pub mod snapshot;
 mod sock;
@@ -63,6 +66,8 @@ pub use frame::{
 };
 pub use interceptor::{Interceptor, LossInterceptor, Passthrough, Verdict};
 pub use poll::{Interest, PollEvent, Poller, Readiness, Token};
+#[cfg(unix)]
+pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
 pub use snapshot::{
     decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, CheckpointLoad, VSeedSnapshot,

@@ -1,9 +1,10 @@
 //! A dependency-light readiness poller: raw `epoll_*` syscalls on
 //! Linux, POSIX `poll(2)` on other unix flavours (the kqueue-capable
 //! platforms fall back to it too), and an honest `Unsupported` stub
-//! elsewhere. This is the reactor's only window onto the kernel — no
-//! mio, no tokio, just the handful of FFI prototypes the event loop
-//! needs, declared against the libc every Rust binary already links.
+//! elsewhere. This is the [`Reactor`](crate::reactor::Reactor)'s only
+//! window onto the kernel — no mio, no tokio, just the handful of FFI
+//! prototypes the event loop needs, declared against the libc every
+//! Rust binary already links.
 //!
 //! The API is deliberately tiny: register a file descriptor with a
 //! [`Token`] and an [`Interest`], adjust it with `modify`, harvest
@@ -351,8 +352,8 @@ mod sys {
 pub use sys::Poller;
 
 /// Cross-thread wakeup for a [`Poller`]: one end registered with the
-/// reactor, the other poked by whoever wants the loop to run now
-/// (worker threads with finished replies, `shutdown`).
+/// reactor, the other poked by whoever wants a waiting turn to return
+/// now (`NetServer::shutdown`; nothing on the data path).
 #[cfg(unix)]
 pub struct Waker {
     tx: std::os::unix::net::UnixStream,
@@ -388,7 +389,7 @@ impl Waker {
         while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
-    /// A clone of the poke side, for handing to worker threads.
+    /// A clone of the poke side, for handing to another thread.
     pub fn handle(&self) -> io::Result<WakeHandle> {
         Ok(WakeHandle {
             tx: self.tx.try_clone()?,
@@ -396,7 +397,7 @@ impl Waker {
     }
 }
 
-/// The poke side of a [`Waker`], cheap to clone across threads.
+/// The poke side of a [`Waker`], for the thread that does not own it.
 #[cfg(unix)]
 pub struct WakeHandle {
     tx: std::os::unix::net::UnixStream,
@@ -407,15 +408,6 @@ impl WakeHandle {
     pub fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
-    }
-}
-
-#[cfg(unix)]
-impl Clone for WakeHandle {
-    fn clone(&self) -> WakeHandle {
-        WakeHandle {
-            tx: self.tx.try_clone().expect("clone waker"),
-        }
     }
 }
 

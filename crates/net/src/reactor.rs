@@ -1,201 +1,65 @@
-//! The readiness-polling server core: one reactor thread multiplexing
-//! every session over a [`Poller`], plus a small sticky worker pool
-//! that runs the (possibly blocking) [`FrameHandler`] off the event
-//! loop.
+//! The accepting side as a value: a [`Reactor`] owns the listener, the
+//! [`Poller`] and every session, and does nothing until its owner
+//! calls [`Reactor::turn`]. It spawns no thread and shares no state —
+//! whoever turns it serves the frames, on that thread, right there.
 //!
 //! ```text
-//!             ┌────────────────────────── reactor thread ─┐
+//!             ┌──────────────────────────── one turn ─────┐
 //!  listener ──┤ accept → register                         │
-//!  sockets  ──┤ readable → ByteRing → FrameDecoder ──┐    │
-//!             │ writable → flush coalesced outbuf    │    │
-//!             │ waker    → drain completed replies   │    │
-//!             └─────────────────────────────────────┬┴────┘
-//!                 jobs (conn_id % N, per-conn FIFO)  │
-//!             ┌── worker pool ─────────────────────▼─────┐
-//!             │ handler.handle(env) → encode reply →     │
-//!             │ completions queue → wake reactor         │
-//!             └──────────────────────────────────────────┘
+//!  sockets  ──┤ readable → ByteRing → FrameDecoder        │
+//!             │   → handler(env), inline, arrival order   │
+//!             │   → encode reply into the output ring     │
+//!             │ writable → flush coalesced output ring    │
+//!             └───────────────────────────────────────────┘
 //! ```
 //!
-//! Invariants the loop maintains:
+//! Invariants a turn maintains:
 //!
-//! * **Per-connection FIFO.** Frames from one connection always land on
-//!   the same worker (`conn_id % workers`), so handler invocation order
-//!   matches arrival order and a request's reply follows the handling
-//!   of every frame the client wrote ahead of it (the `Hello` of a
-//!   dial before the first request, report batches sent one-way before
-//!   the RPC that asks about them). `tests/fifo.rs` holds it.
+//! * **Per-connection FIFO.** A connection's frames are decoded and
+//!   handed to the handler in the order the client wrote them, and a
+//!   request's reply is queued only after every frame written ahead of
+//!   it has been handled (the `Hello` of a dial before the first
+//!   request, report batches sent one-way before the RPC that asks
+//!   about them). `tests/fifo.rs` holds it.
 //! * **Write coalescing.** Replies accumulate in one contiguous
 //!   per-connection output ring; a flush is a single `write` of
 //!   everything pending, not a syscall per frame.
 //! * **Backpressure.** A connection whose output ring exceeds
-//!   [`OUTBUF_HIGH_WATER`] stops being read until the peer drains it;
+//!   `OUTBUF_HIGH_WATER` (4 MiB) stops being read until the peer drains it;
 //!   read interest resumes once the ring shrinks below the mark.
 //! * **An error costs the session only when framing is lost.** A fully framed but
 //!   undecodable body answers requests with `Frame::Error` and keeps
 //!   the session; a broken length prefix sends a one-way `Error` and
 //!   hangs up; `Frame::Shutdown` ends the session immediately.
+//!
+//! The price of serving inline: while the handler runs, no other socket
+//! is read or flushed. The unflushed tail of a large reply and the
+//! `Ack` of another connection's `Hello` wait out the frame being
+//! handled — bounded by that handler call (`tests/inline.rs`).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 use farm_telemetry::{Gauge, Telemetry};
 
 use crate::buf::{ByteRing, Decoded, FrameDecoder};
 use crate::frame::{encode_envelope, Envelope, Frame};
 use crate::poll::{Interest, PollEvent, Poller, Token, WakeHandle, Waker};
-use crate::server::FrameHandler;
 use crate::sock::NetCounters;
 
 /// Stop reading a connection whose unflushed output exceeds this.
 const OUTBUF_HIGH_WATER: usize = 4 << 20;
-/// Reactor tick, ms — the stop flag is rechecked at least this often.
-const POLL_TICK_MS: i32 = 50;
 
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
 /// Connection ids start here; `Token(id)` ↔ connection `id`.
 const CONN_BASE: u64 = 2;
 
-/// One frame bound for the worker pool.
-struct Job {
-    conn: u64,
-    env: Envelope,
-}
-
-struct Shared {
-    stop: AtomicBool,
-    counters: NetCounters,
-    handler: Arc<dyn FrameHandler>,
-    /// Encoded replies finished by workers, waiting for the reactor to
-    /// fold them into per-connection output rings.
-    completions: Mutex<Vec<(u64, Vec<u8>)>>,
-}
-
-/// Owning handle the public [`crate::server::NetServer`] wraps.
-pub(crate) struct ReactorHandle {
-    shared: Arc<Shared>,
-    wake: WakeHandle,
-    local_addr: SocketAddr,
-    reactor: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl ReactorHandle {
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        self.wake.wake();
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Binds the listener and spawns the reactor thread plus worker pool.
-pub(crate) fn spawn(
-    addr: SocketAddr,
-    telemetry: &Telemetry,
-    handler: Arc<dyn FrameHandler>,
-) -> io::Result<ReactorHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
-    let mut poller = Poller::new()?;
-    let waker = Waker::new()?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-    poller.register(waker.fd(), TOKEN_WAKER, Interest::READ)?;
-    let wake = waker.handle()?;
-
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        counters: NetCounters::new(telemetry),
-        handler,
-        completions: Mutex::new(Vec::new()),
-    });
-
-    let n_workers = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8);
-    let mut senders = Vec::with_capacity(n_workers);
-    let mut workers = Vec::with_capacity(n_workers);
-    for i in 0..n_workers {
-        let (tx, rx) = mpsc::channel::<Job>();
-        senders.push(tx);
-        let shared = Arc::clone(&shared);
-        let wake = wake.clone();
-        workers.push(
-            thread::Builder::new()
-                .name(format!("farm-net-worker-{i}"))
-                .spawn(move || worker_loop(rx, shared, wake))
-                .expect("spawn net worker"),
-        );
-    }
-
-    let reactor = {
-        let shared = Arc::clone(&shared);
-        let open_conns = telemetry.gauge("net.server_conns");
-        thread::Builder::new()
-            .name("farm-net-reactor".into())
-            .spawn(move || {
-                Reactor {
-                    poller,
-                    waker,
-                    listener,
-                    shared,
-                    senders,
-                    conns: HashMap::new(),
-                    next_id: CONN_BASE,
-                    open_conns,
-                }
-                .run()
-            })
-            .expect("spawn net reactor")
-    };
-
-    Ok(ReactorHandle {
-        shared,
-        wake,
-        local_addr,
-        reactor: Some(reactor),
-        workers,
-    })
-}
-
-fn worker_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>, wake: WakeHandle) {
-    // The channel disconnects when the reactor drops its senders on
-    // shutdown; remaining queued jobs still run so no accepted frame is
-    // silently dropped.
-    while let Ok(job) = rx.recv() {
-        let answer = shared.handler.handle(&job.env);
-        if job.env.corr != 0 && !job.env.response {
-            let reply = Envelope::response(job.env.corr, answer.unwrap_or(Frame::Ack));
-            let mut buf = Vec::with_capacity(64);
-            encode_envelope(&reply, &mut buf);
-            shared
-                .completions
-                .lock()
-                .expect("completions lock")
-                .push((job.conn, buf));
-            wake.wake();
-        }
-    }
-}
+/// What a turn calls for each inbound frame.
+type Handler<'a> = dyn FnMut(&Envelope) -> Option<Frame> + 'a;
 
 /// Per-connection state machine.
 struct Conn {
@@ -207,52 +71,101 @@ struct Conn {
     closing: bool,
 }
 
-struct Reactor {
+/// A listening endpoint and its sessions, served by whoever calls
+/// [`turn`](Reactor::turn). Dropping it severs every session.
+pub struct Reactor {
     poller: Poller,
     waker: Waker,
     listener: TcpListener,
-    shared: Arc<Shared>,
-    senders: Vec<mpsc::Sender<Job>>,
+    local_addr: SocketAddr,
+    counters: NetCounters,
     conns: HashMap<u64, Conn>,
     next_id: u64,
     open_conns: Arc<Gauge>,
+    events: Vec<PollEvent>,
+    scratch: Vec<u8>,
 }
 
 impl Reactor {
-    fn run(mut self) {
-        let mut events: Vec<PollEvent> = Vec::with_capacity(256);
-        let mut scratch = vec![0u8; 64 * 1024];
-        loop {
-            events.clear();
-            if self.poller.wait(POLL_TICK_MS, &mut events).is_err() {
-                break;
-            }
-            if self.shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_WAKER => self.waker.drain(),
-                    TOKEN_LISTENER => self.accept_ready(),
-                    Token(id) => self.conn_ready(id, ev, &mut scratch),
-                }
-            }
-            self.drain_completions();
-        }
-        // Teardown: sever every session so blocked client RPCs fail
-        // fast, then drop the job senders so workers drain and exit.
-        for (_, conn) in self.conns.drain() {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        self.open_conns.set(0.0);
-        let _ = self.poller.deregister(self.listener.as_raw_fd());
-        self.senders.clear();
+    /// Binds `addr` (port 0 picks an ephemeral port — see
+    /// [`local_addr`](Self::local_addr)). Nothing is accepted until the
+    /// first turn; until then dials wait in the listen backlog.
+    pub fn bind(addr: SocketAddr, telemetry: &Telemetry) -> io::Result<Reactor> {
+        Reactor::from_listener(TcpListener::bind(addr)?, telemetry)
     }
 
-    /// Per-round accept cap. The listener is level-triggered, so a
-    /// backlog past the cap simply re-surfaces on the next poll round;
+    /// Serves a listener the caller bound already — for an owner that
+    /// must know it has the address before it builds what `telemetry`
+    /// belongs to.
+    pub fn from_listener(listener: TcpListener, telemetry: &Telemetry) -> io::Result<Reactor> {
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
+        let mut poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.register(waker.fd(), TOKEN_WAKER, Interest::READ)?;
+        Ok(Reactor {
+            poller,
+            waker,
+            listener,
+            local_addr,
+            counters: NetCounters::new(telemetry),
+            conns: HashMap::new(),
+            next_id: CONN_BASE,
+            open_conns: telemetry.gauge("net.server_conns"),
+            events: Vec::with_capacity(256),
+            scratch: vec![0u8; 64 * 1024],
+        })
+    }
+
+    /// The bound address — the port actually chosen when binding :0.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// A handle another thread can cut a waiting turn short with.
+    pub fn wake_handle(&self) -> io::Result<WakeHandle> {
+        self.waker.handle()
+    }
+
+    /// True when no connection holds output its socket has yet to take.
+    pub fn flushed(&self) -> bool {
+        self.conns.values().all(|c| c.out.is_empty())
+    }
+
+    /// One pass of the event loop: waits up to `timeout_ms` for
+    /// readiness, then accepts, reads, hands every complete frame to
+    /// `handler` in arrival order, queues the answers and flushes.
+    /// `Some(frame)` answers a request; `None` defers to the default
+    /// `Ack` for requests and is ignored for one-way frames.
+    ///
+    /// # Errors
+    ///
+    /// Only the poller's own failure; a session's I/O error ends that
+    /// session and nothing else.
+    pub fn turn(
+        &mut self,
+        timeout_ms: i32,
+        handler: &mut dyn FnMut(&Envelope) -> Option<Frame>,
+    ) -> io::Result<()> {
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        let waited = self.poller.wait(timeout_ms, &mut events);
+        for &ev in &events {
+            match ev.token {
+                TOKEN_WAKER => self.waker.drain(),
+                TOKEN_LISTENER => self.accept_ready(),
+                Token(id) => self.conn_ready(id, ev, handler),
+            }
+        }
+        self.events = events;
+        waited
+    }
+
+    /// Per-turn accept cap. The listener is level-triggered, so a
+    /// backlog past the cap simply re-surfaces on the next turn;
     /// bounding the batch keeps a connection storm from starving
-    /// established connections' I/O within the round.
+    /// established connections' I/O within the turn.
     const ACCEPT_BATCH: usize = 64;
 
     fn accept_ready(&mut self) {
@@ -288,7 +201,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // Transient accept failure (e.g. FD exhaustion): give
-                // the loop a tick rather than spinning.
+                // the loop a turn rather than spinning.
                 Err(_) => break,
             }
         }
@@ -298,82 +211,86 @@ impl Reactor {
         }
     }
 
-    fn conn_ready(&mut self, id: u64, ev: PollEvent, scratch: &mut [u8]) {
-        if !self.conns.contains_key(&id) {
+    fn conn_ready(&mut self, id: u64, ev: PollEvent, handler: &mut Handler<'_>) {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
-        }
-        if ev.readiness.readable && !self.conn_is_closing(id) && !self.read_conn(id, scratch) {
-            self.close_conn(id);
-            return;
-        }
-        if (ev.readiness.writable || self.conn_wants_flush(id)) && !self.flush_conn(id) {
-            self.close_conn(id);
-            return;
-        }
-        if ev.readiness.error {
-            self.close_conn(id);
+        };
+        // Read (unless reads are over), then flush what that queued; an
+        // error event still gets both, to drain what the kernel holds.
+        let reads = ev.readiness.readable && !conn.closing;
+        let alive = (!reads || conn.read(&self.counters, &mut self.scratch, handler))
+            && conn.flush(&mut self.poller, Token(id))
+            && !ev.readiness.error;
+        if !alive {
+            if let Some(conn) = self.conns.remove(&id) {
+                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+                self.open_conns.set(self.conns.len() as f64);
+            }
         }
     }
+}
 
-    fn conn_is_closing(&self, id: u64) -> bool {
-        self.conns.get(&id).map(|c| c.closing).unwrap_or(true)
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        // The sockets close with their fields; the gauge outlives them.
+        self.open_conns.set(0.0);
     }
+}
 
-    fn conn_wants_flush(&self, id: u64) -> bool {
-        self.conns
-            .get(&id)
-            .map(|c| !c.out.is_empty() || c.closing)
-            .unwrap_or(false)
-    }
-
-    /// Drains the socket into the decoder and dispatches every complete
-    /// frame. Returns false when the session is over.
-    fn read_conn(&mut self, id: u64, scratch: &mut [u8]) -> bool {
+impl Conn {
+    /// Drains the socket into the decoder, then handles every complete
+    /// frame and queues its answer. Returns false when the session is
+    /// over.
+    fn read(
+        &mut self,
+        counters: &NetCounters,
+        scratch: &mut [u8],
+        handler: &mut Handler<'_>,
+    ) -> bool {
         let mut peer_gone = false;
-        {
-            let conn = self.conns.get_mut(&id).expect("conn exists");
-            loop {
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        peer_gone = true;
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    peer_gone = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.decoder.extend(&scratch[..n]);
+                    // Paced reads: oversized inflows yield to the
+                    // rest of the loop (level-triggering re-arms).
+                    if self.decoder.buffered() > OUTBUF_HIGH_WATER {
                         break;
                     }
-                    Ok(n) => {
-                        conn.decoder.extend(&scratch[..n]);
-                        // Paced reads: oversized inflows yield to the
-                        // rest of the loop (level-triggering re-arms).
-                        if conn.decoder.buffered() > OUTBUF_HIGH_WATER {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        peer_gone = true;
-                        break;
-                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    peer_gone = true;
+                    break;
                 }
             }
         }
         loop {
-            let conn = self.conns.get_mut(&id).expect("conn exists");
-            match conn.decoder.next() {
+            match self.decoder.next() {
                 Ok(Some(Decoded::Frame(env, nbytes))) => {
-                    self.shared.counters.bytes.add(nbytes as u64);
-                    self.shared.counters.frames_received.inc();
+                    counters.bytes.add(nbytes as u64);
+                    counters.frames_received.inc();
                     if matches!(env.frame, Frame::Shutdown) {
                         return false;
                     }
-                    let worker = (id % self.senders.len() as u64) as usize;
-                    let _ = self.senders[worker].send(Job { conn: id, env });
+                    let answer = handler(&env);
+                    if env.corr != 0 && !env.response {
+                        let reply = Envelope::response(env.corr, answer.unwrap_or(Frame::Ack));
+                        self.queue(&reply, counters);
+                    }
                 }
                 Ok(Some(Decoded::Bad {
                     corr,
                     error,
                     nbytes,
                 })) => {
-                    self.shared.counters.bytes.add(nbytes as u64);
-                    self.shared.counters.decode_errors.inc();
+                    counters.bytes.add(nbytes as u64);
+                    counters.decode_errors.inc();
                     // The session survives an undecodable body; a
                     // recovered request corr gets a structured Error so
                     // the client sees `Rejected` instead of a timeout.
@@ -384,20 +301,19 @@ impl Reactor {
                                 message: format!("undecodable frame: {error}"),
                             },
                         );
-                        self.queue_reply(id, &reply);
+                        self.queue(&reply, counters);
                     }
                 }
                 Ok(None) => break,
                 Err(e) => {
                     // Broken framing: resync is impossible, so say why
                     // and hang up once the goodbye flushes.
-                    self.shared.counters.decode_errors.inc();
+                    counters.decode_errors.inc();
                     let bye = Envelope::one_way(Frame::Error {
                         message: format!("unrecoverable frame: {e}"),
                     });
-                    self.queue_reply(id, &bye);
-                    let conn = self.conns.get_mut(&id).expect("conn exists");
-                    conn.closing = true;
+                    self.queue(&bye, counters);
+                    self.closing = true;
                     break;
                 }
             }
@@ -405,85 +321,42 @@ impl Reactor {
         !peer_gone
     }
 
-    /// Encodes `env` into the connection's output ring, accounting the
-    /// send. The bytes leave on the next flush.
-    fn queue_reply(&mut self, id: u64, env: &Envelope) {
+    /// Encodes `env` into the output ring, accounting the send. The
+    /// bytes leave on the next flush.
+    fn queue(&mut self, env: &Envelope, counters: &NetCounters) {
         let mut buf = Vec::with_capacity(64);
         encode_envelope(env, &mut buf);
-        let conn = self.conns.get_mut(&id).expect("conn exists");
-        conn.out.extend(&buf);
-        self.shared.counters.bytes.add(buf.len() as u64);
-        self.shared.counters.frames_sent.inc();
+        self.out.extend(&buf);
+        counters.bytes.add(buf.len() as u64);
+        counters.frames_sent.inc();
     }
 
     /// Writes the coalesced output ring: one syscall moves everything
     /// pending (partial writes keep write interest armed). Returns
     /// false when the session is over.
-    fn flush_conn(&mut self, id: u64) -> bool {
-        let conn = match self.conns.get_mut(&id) {
-            Some(c) => c,
-            None => return true,
-        };
-        while !conn.out.is_empty() {
-            match conn.stream.write(conn.out.as_slice()) {
+    fn flush(&mut self, poller: &mut Poller, token: Token) -> bool {
+        while !self.out.is_empty() {
+            match self.stream.write(self.out.as_slice()) {
                 Ok(0) => return false,
-                Ok(n) => conn.out.consume(n),
+                Ok(n) => self.out.consume(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
-        if conn.closing && conn.out.is_empty() {
+        if self.closing && self.out.is_empty() {
             return false;
         }
         let want = Interest {
-            readable: !conn.closing && conn.out.len() < OUTBUF_HIGH_WATER,
-            writable: !conn.out.is_empty(),
+            readable: !self.closing && self.out.len() < OUTBUF_HIGH_WATER,
+            writable: !self.out.is_empty(),
         };
-        if want != conn.interest {
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), Token(id), want)
-                .is_err()
-            {
+        if want != self.interest {
+            if poller.modify(self.stream.as_raw_fd(), token, want).is_err() {
                 return false;
             }
-            conn.interest = want;
+            self.interest = want;
         }
         true
-    }
-
-    fn close_conn(&mut self, id: u64) {
-        if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.open_conns.set(self.conns.len() as f64);
-        }
-    }
-
-    /// Folds worker-finished replies into their connections' output
-    /// rings and flushes. Replies for connections that died in the
-    /// meantime are dropped, matching the blocking server (a reply to a
-    /// vanished peer went nowhere there too).
-    fn drain_completions(&mut self) {
-        let done: Vec<(u64, Vec<u8>)> = {
-            let mut lock = self.shared.completions.lock().expect("completions lock");
-            std::mem::take(&mut *lock)
-        };
-        let mut touched: Vec<u64> = Vec::new();
-        for (id, buf) in done {
-            if let Some(conn) = self.conns.get_mut(&id) {
-                conn.out.extend(&buf);
-                self.shared.counters.bytes.add(buf.len() as u64);
-                self.shared.counters.frames_sent.inc();
-                if !touched.contains(&id) {
-                    touched.push(id);
-                }
-            }
-        }
-        for id in touched {
-            if !self.flush_conn(id) {
-                self.close_conn(id);
-            }
-        }
     }
 }

@@ -1,26 +1,27 @@
-//! The accepting side of the transport: the public surface
-//! ([`NetServer`], [`FrameHandler`]) over a readiness-polling event-loop
-//! server (the crate-private `reactor` module). farmd, fedd and the
-//! remote-harvester example all listen through it.
+//! The accepting side of the transport for an owner that has no loop of
+//! its own: [`NetServer`] is a [`Reactor`] plus the one thread that
+//! turns it, calling a shared [`FrameHandler`]. The remote-harvester
+//! example, the benches and the tests listen through it; farmd and fedd
+//! turn their `Reactor` themselves, on the thread that owns the core.
 //!
-//! One reactor thread multiplexes every session over the [`Poller`]
-//! abstraction; frames are decoded incrementally off a growable ring
-//! and handed to the [`FrameHandler`] on a sticky worker pool (frames
-//! from one connection always hit the same worker, preserving arrival
-//! order), so a handler that blocks never stalls the event loop.
-//!
-//! [`Poller`]: crate::poll::Poller
+//! [`Reactor`]: crate::reactor::Reactor
 
 use std::net::SocketAddr;
+#[cfg(unix)]
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+#[cfg(unix)]
+use std::thread;
 
 use farm_telemetry::Telemetry;
 
 use crate::frame::{Envelope, Frame};
+#[cfg(unix)]
+use crate::{poll::WakeHandle, reactor::Reactor};
 
-/// Server-side frame dispatch. Called once per inbound frame from a
-/// worker thread; frames from one connection arrive in order, frames
-/// from different connections call concurrently.
+/// Server-side frame dispatch. Called once per inbound frame on the
+/// thread that turns the reactor; frames of all connections in arrival
+/// order, one at a time — a handler that blocks holds every session.
 ///
 /// Return `Some(frame)` to answer a request; `None` defers to the
 /// default `Ack` for requests and is ignored for one-way frames.
@@ -37,11 +38,22 @@ where
     }
 }
 
+/// Longest wait of one turn, ms — the stop flag is rechecked at least
+/// this often even if the wake is lost.
+#[cfg(unix)]
+const POLL_TICK_MS: i32 = 50;
+
 /// A listening endpoint: one event-loop thread serves every client.
 pub struct NetServer {
     local_addr: SocketAddr,
+    /// Set, then poked through the waker, to end the loop promptly.
     #[cfg(unix)]
-    inner: crate::reactor::ReactorHandle,
+    stop: Arc<AtomicBool>,
+    #[cfg(unix)]
+    wake: WakeHandle,
+    /// The thread turning the reactor; `None` once shut down.
+    #[cfg(unix)]
+    turner: Option<thread::JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -58,10 +70,27 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         #[cfg(unix)]
         {
-            let inner = crate::reactor::spawn(addr, telemetry, handler)?;
+            let mut reactor = Reactor::bind(addr, telemetry)?;
+            let local_addr = reactor.local_addr();
+            let wake = reactor.wake_handle()?;
+            let stop = Arc::new(AtomicBool::new(false));
+            let stopped = Arc::clone(&stop);
+            let turner = thread::Builder::new()
+                .name("farm-net-reactor".into())
+                .spawn(move || {
+                    // Dropping the reactor on the way out severs every
+                    // session, so blocked client RPCs fail fast.
+                    while !stopped.load(Ordering::Relaxed)
+                        && reactor
+                            .turn(POLL_TICK_MS, &mut |env| handler.handle(env))
+                            .is_ok()
+                    {}
+                })?;
             Ok(NetServer {
-                local_addr: inner.local_addr(),
-                inner,
+                local_addr,
+                stop,
+                wake,
+                turner: Some(turner),
             })
         }
         #[cfg(not(unix))]
@@ -76,10 +105,14 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Stops the event loop, severs open sessions, joins every thread.
+    /// Stops the event loop, severs open sessions, joins its thread.
     pub fn shutdown(&mut self) {
         #[cfg(unix)]
-        self.inner.shutdown();
+        if let Some(turner) = self.turner.take() {
+            self.stop.store(true, Ordering::Relaxed);
+            self.wake.wake();
+            let _ = turner.join();
+        }
     }
 }
 

@@ -174,11 +174,6 @@ impl Network {
         }
     }
 
-    /// Links currently down, endpoints sorted.
-    pub fn down_links(&self) -> impl Iterator<Item = (SwitchId, SwitchId)> + '_ {
-        self.links_down.iter().copied()
-    }
-
     /// The switches that are up and reachable from at least one up spine
     /// over up links (spines themselves only need to be up), ascending —
     /// one traversal of the fabric for the whole set. With no spines in
@@ -349,7 +344,6 @@ mod tests {
         assert!(net.is_link_up(spine, leaf));
         net.set_link_up(leaf, spine, false);
         assert!(!net.is_link_up(spine, leaf));
-        assert_eq!(net.down_links().count(), 1);
         net.set_link_up(spine, leaf, true);
         assert!(net.is_link_up(leaf, spine));
     }

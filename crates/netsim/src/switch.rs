@@ -104,15 +104,6 @@ impl Resources {
         }
         out
     }
-
-    /// True if every component of `self` is ≤ the matching component of
-    /// `other` (within `1e-9`).
-    pub fn fits_within(&self, other: &Resources) -> bool {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .all(|(a, b)| *a <= *b + 1e-9)
-    }
 }
 
 impl fmt::Display for Resources {
@@ -309,16 +300,6 @@ impl Switch {
         self.model.num_ports
     }
 
-    /// Free resources currently available to monitoring.
-    pub fn available_resources(&self) -> Resources {
-        let mut r = self.model.total_resources();
-        r.set(
-            ResourceKind::TcamEntries,
-            self.tcam.monitoring_free() as f64,
-        );
-        r
-    }
-
     /// Nominal platform resources scaled by live fault state: PCIe-poll
     /// capacity shrinks with the bus's injected degradation factor. This
     /// is the budget placement and shedding should plan against.
@@ -394,27 +375,6 @@ impl Switch {
         (stats, latency)
     }
 
-    /// Polls every monitoring-region TCAM rule's counters over PCIe.
-    /// Returns `(rule id, stats)` pairs and the transfer latency.
-    pub fn poll_monitoring_rules(
-        &mut self,
-    ) -> (Vec<(crate::tcam::RuleId, crate::tcam::RuleStats)>, Dur) {
-        let stats: Vec<_> = self
-            .tcam
-            .iter_stats()
-            .filter(|(r, _)| r.region == crate::tcam::TcamRegion::Monitoring)
-            .map(|(r, s)| (r.id, s))
-            .collect();
-        let latency = self
-            .pcie
-            .request(stats.len().max(1) as u64 * POLL_STAT_BYTES);
-        if let Some(t) = &self.telemetry {
-            t.counter("switch.rule_polls").inc();
-            t.counter("switch.rule_stats_read").add(stats.len() as u64);
-        }
-        (stats, latency)
-    }
-
     /// Resets per-window meters (CPU, PCIe) — counters persist.
     pub fn reset_meters(&mut self) {
         self.cpu.reset();
@@ -450,8 +410,8 @@ mod tests {
         sw.record_traffic(&a_flow(), Some(PortId(0)), Some(PortId(1)), 1500, 1);
         assert_eq!(sw.port_counters(PortId(0)).rx_bytes, 1500);
         assert_eq!(sw.port_counters(PortId(1)).tx_bytes, 1500);
-        let (rules, _) = sw.poll_monitoring_rules();
-        assert_eq!(rules[0].1.bytes, 1500);
+        let (_, stats) = sw.tcam().iter_stats().next().expect("the one rule");
+        assert_eq!(stats.bytes, 1500);
     }
 
     #[test]
@@ -471,22 +431,6 @@ mod tests {
         let (stats, _) = sw.poll_ports(PortSel::Id(2));
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].counters.tx_bytes, 100);
-    }
-
-    #[test]
-    fn available_resources_track_tcam_usage() {
-        let mut sw = test_switch();
-        let before = sw.available_resources().get(ResourceKind::TcamEntries);
-        sw.tcam_mut()
-            .add_rule(
-                TcamRegion::Monitoring,
-                0,
-                FilterFormula::True,
-                RuleAction::Count,
-            )
-            .unwrap();
-        let after = sw.available_resources().get(ResourceKind::TcamEntries);
-        assert_eq!(before - after, 1.0);
     }
 
     #[test]
@@ -525,8 +469,6 @@ mod tests {
         assert_eq!(a.add(&b).get(ResourceKind::VCpu), 3.0);
         let d = a.saturating_sub(&b);
         assert_eq!(d.get(ResourceKind::TcamEntries), 0.0);
-        assert!(b.fits_within(&Resources::new(1.0, 50.0, 20.0, 1.0)));
-        assert!(!a.fits_within(&b));
     }
 
     #[test]
