@@ -2,22 +2,24 @@
 //!
 //! Three analyses feed the placement optimizer:
 //!
-//! 1. [`place`] — resolves `place` directives into seeds and candidate
+//! 1. `place` — resolves `place` directives into seeds and candidate
 //!    switch sets (`π⟦·⟧` with the controller's `φ_path`),
-//! 2. [`util`] — converts `util` callbacks into resource-constraint
+//! 2. `util` — converts `util` callbacks into resource-constraint
 //!    polynomials `C^s(r̄)` and utility functions `u^s(r̄)`
 //!    (`κ^s⟦·⟧`, `ε^s⟦·⟧`),
-//! 3. [`poll`] — derives interval functions `y.ival(r̄)` and canonical
+//! 3. `poll` — derives interval functions `y.ival(r̄)` and canonical
 //!    polling subjects `y.what` (`φ_enc`) for aggregation.
 
 pub mod consteval;
-pub mod place;
-pub mod poll;
-pub mod poly;
-pub mod util;
+pub(crate) mod place;
+pub(crate) mod poll;
+pub(crate) mod poly;
+pub(crate) mod util;
 
 pub use consteval::{const_eval, ConstEnv};
-pub use place::{resolve_placements, SeedSpec};
-pub use poll::{analyze_trigger, encode_filter, PollSubject, TriggerAnalysis};
-pub use poly::{Poly, Ratio, UtilExpr};
-pub use util::{analyze_util, UtilAnalysis, UtilBranch};
+pub(crate) use place::{resolve_placements, SeedSpec};
+pub use poll::PollSubject;
+pub(crate) use poll::{analyze_trigger, TriggerAnalysis};
+pub use poly::{Poly, UtilExpr};
+pub(crate) use util::analyze_util;
+pub use util::{UtilAnalysis, UtilBranch};

@@ -37,7 +37,7 @@ pub struct SeedSpec {
 
 impl SeedSpec {
     /// A seed pinned to a single switch.
-    pub fn pinned(n: SwitchId) -> SeedSpec {
+    pub(crate) fn pinned(n: SwitchId) -> SeedSpec {
         SeedSpec {
             candidates: vec![n],
         }
@@ -50,7 +50,7 @@ impl SeedSpec {
 ///
 /// Analysis-phase errors when expressions are not deployment-time
 /// constants, reference unknown switches, or no directive yields any seed.
-pub fn resolve_placements(
+pub(crate) fn resolve_placements(
     machine: &Machine,
     consts: &ConstEnv,
     controller: &SdnController<'_>,

@@ -18,7 +18,7 @@ pub struct Poly {
 
 impl Poly {
     /// The zero polynomial.
-    pub const ZERO: Poly = Poly {
+    pub(crate) const ZERO: Poly = Poly {
         coeffs: [0.0; 4],
         constant: 0.0,
     };
@@ -39,7 +39,7 @@ impl Poly {
     }
 
     /// True when no resource coefficient is non-zero.
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         self.coeffs.iter().all(|c| *c == 0.0)
     }
 
@@ -65,7 +65,7 @@ impl Poly {
     }
 
     /// Component-wise difference.
-    pub fn sub(&self, other: &Poly) -> Poly {
+    pub(crate) fn sub(&self, other: &Poly) -> Poly {
         let mut out = *self;
         for i in 0..4 {
             out.coeffs[i] -= other.coeffs[i];
@@ -85,7 +85,7 @@ impl Poly {
     }
 
     /// Negation.
-    pub fn neg(&self) -> Poly {
+    pub(crate) fn neg(&self) -> Poly {
         self.scale(-1.0)
     }
 }
@@ -119,13 +119,13 @@ impl fmt::Display for Poly {
 /// plain linear function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ratio {
-    pub num: Poly,
-    pub den: Poly,
+    pub(crate) num: Poly,
+    pub(crate) den: Poly,
 }
 
 /// Error combining polynomials beyond linear/rational shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NonlinearError(pub String);
+pub(crate) struct NonlinearError(pub(crate) String);
 
 impl fmt::Display for NonlinearError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -141,7 +141,7 @@ impl std::error::Error for NonlinearError {}
 
 impl Ratio {
     /// A plain polynomial as a ratio.
-    pub fn from_poly(p: Poly) -> Ratio {
+    pub(crate) fn from_poly(p: Poly) -> Ratio {
         Ratio {
             num: p,
             den: Poly::constant(1.0),
@@ -149,13 +149,8 @@ impl Ratio {
     }
 
     /// A constant ratio.
-    pub fn constant(k: f64) -> Ratio {
+    pub(crate) fn constant(k: f64) -> Ratio {
         Ratio::from_poly(Poly::constant(k))
-    }
-
-    /// True when both sides are constants.
-    pub fn is_constant(&self) -> bool {
-        self.num.is_constant() && self.den.is_constant()
     }
 
     /// The plain polynomial view, if the denominator is constant.
@@ -197,7 +192,7 @@ impl Ratio {
     }
 
     /// `self + other`.
-    pub fn add(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
+    pub(crate) fn add(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
         if self.den == other.den {
             return Ratio {
                 num: self.num.add(&other.num),
@@ -220,12 +215,12 @@ impl Ratio {
     }
 
     /// `self - other`.
-    pub fn sub(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
+    pub(crate) fn sub(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
         self.add(&other.scale(-1.0))
     }
 
     /// Scales by a constant.
-    pub fn scale(&self, k: f64) -> Ratio {
+    pub(crate) fn scale(&self, k: f64) -> Ratio {
         Ratio {
             num: self.num.scale(k),
             den: self.den,
@@ -233,7 +228,7 @@ impl Ratio {
     }
 
     /// `self * other`.
-    pub fn mul(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
+    pub(crate) fn mul(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
         // (n1/d1)·(n2/d2): to stay rational-linear, at least one numerator
         // and one denominator pairing must be constant.
         let num = mul_polys(&self.num, &other.num)?;
@@ -242,7 +237,7 @@ impl Ratio {
     }
 
     /// `self / other`.
-    pub fn div(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
+    pub(crate) fn div(&self, other: &Ratio) -> Result<Ratio, NonlinearError> {
         self.mul(&other.recip())
     }
 }
@@ -298,16 +293,6 @@ impl UtilExpr {
                 v.extend(b.pieces());
                 v
             }
-        }
-    }
-
-    /// True when the expression contains no `max` (so it is concave and can
-    /// be linearized exactly in a maximization objective).
-    pub fn is_concave(&self) -> bool {
-        match self {
-            UtilExpr::Poly(_) => true,
-            UtilExpr::Min(a, b) => a.is_concave() && b.is_concave(),
-            UtilExpr::Max(_, _) => false,
         }
     }
 }
@@ -367,13 +352,11 @@ mod tests {
             Box::new(UtilExpr::Poly(Poly::var(ResourceKind::PciePoll))),
         );
         assert_eq!(e.eval(&r(3.0, 0.0, 0.0, 1.0)), 1.0);
-        assert!(e.is_concave());
         assert_eq!(e.pieces().len(), 2);
         let m = UtilExpr::Max(
             Box::new(e.clone()),
             Box::new(UtilExpr::Poly(Poly::constant(0.5))),
         );
-        assert!(!m.is_concave());
         assert_eq!(m.eval(&r(0.2, 0.0, 0.0, 0.1)), 0.5);
     }
 

@@ -34,7 +34,7 @@ pub struct UtilBranch {
 impl UtilAnalysis {
     /// A trivial analysis for states without `util`: always placeable with
     /// the given constant utility and no resource demands.
-    pub fn constant(utility: f64) -> UtilAnalysis {
+    pub(crate) fn constant(utility: f64) -> UtilAnalysis {
         UtilAnalysis {
             branches: vec![UtilBranch {
                 constraints: Vec::new(),
@@ -106,7 +106,7 @@ fn branch_min_point(b: &UtilBranch) -> Option<Resources> {
 ///
 /// Analysis-phase errors for non-linear expressions, `min`/`max` inside
 /// conditions, or fall-through `if` branches that do not return.
-pub fn analyze_util(decl: &UtilDecl, consts: &ConstEnv) -> Result<UtilAnalysis> {
+pub(crate) fn analyze_util(decl: &UtilDecl, consts: &ConstEnv) -> Result<UtilAnalysis> {
     let cx = Cx {
         param: &decl.param,
         consts,

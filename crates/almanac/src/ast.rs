@@ -14,11 +14,6 @@ impl Program {
     pub fn machine(&self, name: &str) -> Option<&Machine> {
         self.machines.iter().find(|m| m.name == name)
     }
-
-    /// Finds an auxiliary function by name.
-    pub fn function(&self, name: &str) -> Option<&FunDecl> {
-        self.functions.iter().find(|f| f.name == name)
-    }
 }
 
 /// An auxiliary function (`fundec` in the grammar).
@@ -26,9 +21,9 @@ impl Program {
 pub struct FunDecl {
     pub name: String,
     pub params: Vec<(Type, String)>,
-    pub ret: Option<Type>,
+    pub(crate) ret: Option<Type>,
     pub body: Vec<Action>,
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// A seed state machine.
@@ -51,7 +46,7 @@ impl Machine {
     }
 
     /// Trigger variables (time/poll/probe) declared on the machine.
-    pub fn trigger_vars(&self) -> impl Iterator<Item = &VarDecl> {
+    pub(crate) fn trigger_vars(&self) -> impl Iterator<Item = &VarDecl> {
         self.vars.iter().filter(|v| v.trigger().is_some())
     }
 }
@@ -79,7 +74,7 @@ pub enum Type {
 
 impl Type {
     /// Keyword spelling of the type.
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             Type::Bool => "bool",
             Type::Int => "int",
@@ -99,7 +94,7 @@ impl Type {
 
     /// True if a value of type `other` is acceptable where `self` is
     /// expected (int/long unify; everything matches `Any`).
-    pub fn accepts(self, other: Type) -> bool {
+    pub(crate) fn accepts(self, other: Type) -> bool {
         use Type::*;
         if self == Any || other == Any {
             return true;
@@ -138,7 +133,7 @@ pub enum TriggerType {
 }
 
 impl TriggerType {
-    pub fn keyword(self) -> &'static str {
+    pub(crate) fn keyword(self) -> &'static str {
         match self {
             TriggerType::Time => "time",
             TriggerType::Poll => "poll",
@@ -189,9 +184,9 @@ pub struct StateDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilDecl {
     /// Name bound to the resource-allocation argument.
-    pub param: String,
-    pub body: Vec<Action>,
-    pub span: Span,
+    pub(crate) param: String,
+    pub(crate) body: Vec<Action>,
+    pub(crate) span: Span,
 }
 
 /// An event handler (`ev`).
@@ -407,7 +402,7 @@ pub enum Action {
 
 impl Action {
     /// Source position of the statement.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             Action::Assign { span, .. }
             | Action::Transit { span, .. }

@@ -66,12 +66,12 @@ pub enum Op {
 pub struct Builtin {
     pub op: Op,
     pub name: &'static str,
-    pub params: &'static [Type],
+    pub(crate) params: &'static [Type],
     /// `None` means the call returns no value (unit).
-    pub ret: Option<Type>,
+    pub(crate) ret: Option<Type>,
     /// True when the first argument is mutated in place and must be an
     /// lvalue (a plain variable), e.g. `list_push`.
-    pub mutates_first_arg: bool,
+    pub(crate) mutates_first_arg: bool,
 }
 
 macro_rules! b {
@@ -212,7 +212,7 @@ pub const BUILTINS: &[Builtin] = &[
 ];
 
 /// Looks up a builtin by name.
-pub fn builtin(name: &str) -> Option<&'static Builtin> {
+pub(crate) fn builtin(name: &str) -> Option<&'static Builtin> {
     BUILTINS.iter().find(|b| b.name == name)
 }
 

@@ -25,7 +25,7 @@ use crate::typeck;
 use crate::value::Value;
 
 /// Utility assumed for states without a `util` callback.
-pub const DEFAULT_UTILITY: f64 = 1.0;
+pub(crate) const DEFAULT_UTILITY: f64 = 1.0;
 
 /// A fully compiled and analyzed machine, ready for placement and
 /// deployment.
@@ -40,7 +40,7 @@ pub struct CompiledMachine {
     /// Deployment-time constants: externals plus const initializers.
     pub consts: ConstEnv,
     /// Per-state utility analysis (`C^s`, `u^s`).
-    pub utils: BTreeMap<String, UtilAnalysis>,
+    pub(crate) utils: BTreeMap<String, UtilAnalysis>,
     /// Trigger variable analyses (poll/probe/time).
     pub triggers: Vec<TriggerAnalysis>,
     /// The seeds this machine instantiates and where each may go.
@@ -58,20 +58,6 @@ impl CompiledMachine {
             .cloned()
             .unwrap_or_else(|| UtilAnalysis::constant(DEFAULT_UTILITY))
     }
-
-    /// The machine's minimum utility — utility of the initial state at the
-    /// cheapest feasible allocation. Drives Alg. 1's task ordering.
-    pub fn min_utility(&self) -> f64 {
-        self.util_of(&self.initial_state)
-            .min_feasible()
-            .map(|(_, u)| u)
-            .unwrap_or(0.0)
-    }
-
-    /// Analysis of a trigger variable by name.
-    pub fn trigger(&self, name: &str) -> Option<&TriggerAnalysis> {
-        self.triggers.iter().find(|t| t.name == name)
-    }
 }
 
 /// A compiled M&M task: one or more machines deployed together.
@@ -85,15 +71,6 @@ impl CompiledTask {
     /// Total number of seeds across machines (`|S^t|`).
     pub fn num_seeds(&self) -> usize {
         self.machines.iter().map(|m| m.seeds.len()).sum()
-    }
-
-    /// Minimum utility of the task: the sum over machines of per-machine
-    /// minimum utility times their seed count.
-    pub fn min_utility(&self) -> f64 {
-        self.machines
-            .iter()
-            .map(|m| m.min_utility() * m.seeds.len() as f64)
-            .sum()
     }
 }
 
@@ -349,7 +326,8 @@ mod tests {
         assert_eq!(cm.utils.len(), 2);
         // min utility of observe: min(vCPU, PCIe) at vCPU=1, RAM=100 → 0
         // (PCIe unconstrained at 0).
-        assert_eq!(cm.min_utility(), 0.0);
+        let (_, u) = cm.util_of("observe").min_feasible().unwrap();
+        assert_eq!(u, 0.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct Span {
 }
 
 impl Span {
-    pub fn new(line: u32, col: u32) -> Span {
+    pub(crate) fn new(line: u32, col: u32) -> Span {
         Span { line, col }
     }
 }
@@ -51,7 +51,7 @@ pub struct AlmanacError {
 }
 
 impl AlmanacError {
-    pub fn new(phase: Phase, span: Span, message: impl Into<String>) -> AlmanacError {
+    pub(crate) fn new(phase: Phase, span: Span, message: impl Into<String>) -> AlmanacError {
         AlmanacError {
             phase,
             span,
@@ -60,17 +60,17 @@ impl AlmanacError {
     }
 
     /// Parse-phase error helper.
-    pub fn parse(span: Span, message: impl Into<String>) -> AlmanacError {
+    pub(crate) fn parse(span: Span, message: impl Into<String>) -> AlmanacError {
         AlmanacError::new(Phase::Parse, span, message)
     }
 
     /// Typecheck-phase error helper.
-    pub fn typeck(span: Span, message: impl Into<String>) -> AlmanacError {
+    pub(crate) fn typeck(span: Span, message: impl Into<String>) -> AlmanacError {
         AlmanacError::new(Phase::Typecheck, span, message)
     }
 
     /// Analysis-phase error helper.
-    pub fn analysis(span: Span, message: impl Into<String>) -> AlmanacError {
+    pub(crate) fn analysis(span: Span, message: impl Into<String>) -> AlmanacError {
         AlmanacError::new(Phase::Analysis, span, message)
     }
 }
@@ -84,7 +84,7 @@ impl fmt::Display for AlmanacError {
 impl std::error::Error for AlmanacError {}
 
 /// Pipeline result type.
-pub type Result<T> = std::result::Result<T, AlmanacError>;
+pub(crate) type Result<T> = std::result::Result<T, AlmanacError>;
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@ use crate::error::{AlmanacError, Phase, Result, Span};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Ident(String),
     Int(i64),
     Float(f64),
@@ -39,7 +39,7 @@ pub enum Tok {
 
 impl Tok {
     /// Human-readable description for diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier `{s}`"),
             Tok::Int(i) => format!("integer `{i}`"),
@@ -72,9 +72,9 @@ impl Tok {
 
 /// A token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
-    pub tok: Tok,
-    pub span: Span,
+pub(crate) struct SpannedTok {
+    pub(crate) tok: Tok,
+    pub(crate) span: Span,
 }
 
 /// Tokenizes an Almanac source file.
@@ -83,7 +83,7 @@ pub struct SpannedTok {
 ///
 /// Returns a lex-phase [`AlmanacError`] on unterminated strings/comments or
 /// unexpected characters.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<SpannedTok>> {
     let mut out = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0usize;

@@ -13,8 +13,8 @@
 //! * local (re)actions: TCAM rule updates, state transitions, messages to
 //!   other seeds or the task's harvester.
 //!
-//! The crate covers the full pipeline: [`lexer`] → [`parser`] →
-//! [`typeck`] (inheritance flattening + validation) → [`analysis`]
+//! The crate covers the full pipeline: `lexer` → [`parser`] →
+//! `typeck` (inheritance flattening + validation) → [`analysis`]
 //! (placement sets, utility polynomials, poll subjects) → [`compile`]
 //! (the seeder front-end, which also runs [`lower`]: names resolved to
 //! slots for the seed VM), plus the canonical [`printer`] (the form
@@ -39,22 +39,20 @@
 //! # Ok::<(), farm_almanac::error::AlmanacError>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod analysis;
 pub mod ast;
 pub mod builtins;
 pub mod compile;
 pub mod error;
-pub mod lexer;
+mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod printer;
 pub mod programs;
-pub mod typeck;
+mod typeck;
 pub mod value;
 
-pub use compile::{
-    compile_machine, compile_task, compile_task_with_diagnostics, frontend, CompileReport,
-    CompiledMachine, CompiledTask, MachineDiagnostic,
-};
-pub use error::{AlmanacError, Result};
-pub use value::Value;
+pub use compile::frontend;
+pub use error::AlmanacError;

@@ -108,10 +108,9 @@ pub struct Handler {
     pub body: Vec<Stmt>,
 }
 
-/// An auxiliary function. Arguments go to frame slots `0..params`.
+/// An auxiliary function. Arguments go to the first frame slots.
 #[derive(Debug, Clone)]
 pub struct Function {
-    pub params: u32,
     pub frame: u32,
     pub body: Vec<Stmt>,
 }
@@ -199,7 +198,7 @@ pub enum Expr {
 
 /// Lowers `machine` with the auxiliary `functions` visible to it;
 /// `consts` supplies the deployment-time initial values.
-pub fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv) -> LoweredMachine {
+pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv) -> LoweredMachine {
     let init: BTreeMap<&str, Value> = machine
         .vars
         .iter()
@@ -312,7 +311,6 @@ impl<'a> Context<'a> {
         }
         let body = scope.block(&f.body);
         Function {
-            params: f.params.len() as u32,
             frame: scope.frame,
             body,
         }

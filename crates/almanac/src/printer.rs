@@ -290,7 +290,7 @@ fn cmp_to_source(op: CmpOp) -> &'static str {
 
 /// Renders an expression with full parenthesization (unambiguous, so the
 /// round trip re-parses to the same tree).
-pub fn expr_to_source(e: &Expr) -> String {
+pub(crate) fn expr_to_source(e: &Expr) -> String {
     match e {
         Expr::Lit(l, _) => match l {
             Literal::Bool(b) => b.to_string(),

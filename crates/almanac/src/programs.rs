@@ -92,7 +92,7 @@ machine HH {
 /// Hierarchical heavy hitters by inheritance: reuses HH's polling and
 /// reaction machinery, overriding `observe` to also aggregate port groups
 /// (one hierarchy level above individual ports).
-pub const HIER_HH_INHERITED: &str = r#"
+pub(crate) const HIER_HH_INHERITED: &str = r#"
 fun getHH(list stats, long threshold): list {
   list result;
   int i = 0;
@@ -437,7 +437,7 @@ machine SynFlood {
 
 /// Partial TCP flow detection (NetQRE): flows that opened (SYN) but never
 /// completed (no FIN/ACK teardown) within a timeout.
-pub const PARTIAL_TCP_FLOW: &str = r#"
+pub(crate) const PARTIAL_TCP_FLOW: &str = r#"
 fun removeKey(list entries, string key): list {
   list updated;
   int i = 0;
@@ -509,7 +509,7 @@ machine PartialTcpFlow {
 
 /// Slowloris (slow DoS) detection: many long-lived, low-volume
 /// connections toward a protected service.
-pub const SLOWLORIS: &str = r#"
+pub(crate) const SLOWLORIS: &str = r#"
 fun slowConns(list stats, long maxBytes): int {
   int n = 0;
   int i = 0;
@@ -881,7 +881,7 @@ machine PortScan {
 
 /// DNS reflection/amplification defense: large UDP/53 responses toward
 /// victims that issued few requests.
-pub const DNS_REFLECTION: &str = r#"
+pub(crate) const DNS_REFLECTION: &str = r#"
 fun bumpBy(list counters, string key, int delta): list {
   list updated;
   bool found = false;
@@ -1056,7 +1056,7 @@ machine EntropyEstimation {
 /// FloodDefender: protects the SDN control plane and flow tables from
 /// table-miss flooding — the largest Tab. I task (four states: detection,
 /// table-miss engineering, packet filtering, recovery).
-pub const FLOOD_DEFENDER: &str = r#"
+pub(crate) const FLOOD_DEFENDER: &str = r#"
 fun distinctFlows(list seen, string key): list {
   list_push_unique(seen, key);
   return seen;

@@ -28,7 +28,7 @@ use crate::error::{AlmanacError, Result, Span};
 /// # Errors
 ///
 /// The first typecheck-phase error encountered, with its source span.
-pub fn check(program: &Program) -> Result<Program> {
+pub(crate) fn check(program: &Program) -> Result<Program> {
     let flattened = flatten(program)?;
     let mut fn_sigs: HashMap<String, (Vec<Type>, Option<Type>)> = HashMap::new();
     for f in &flattened.functions {
@@ -68,7 +68,7 @@ pub fn check(program: &Program) -> Result<Program> {
 /// Resolves `extends` chains: parent variables and events come first, child
 /// states override parent states by name, and the child's placement
 /// directives replace the parent's when present.
-pub fn flatten(program: &Program) -> Result<Program> {
+pub(crate) fn flatten(program: &Program) -> Result<Program> {
     let mut done: HashMap<String, Machine> = HashMap::new();
     let mut order = Vec::new();
     for m in &program.machines {

@@ -68,11 +68,11 @@ struct Agent {
 /// The centralized collector's accounting.
 #[derive(Debug, Default, Clone)]
 pub struct CollectorStats {
-    pub records_received: u64,
-    pub samples_received: u64,
+    pub(crate) records_received: u64,
+    pub(crate) samples_received: u64,
     pub bytes_received: u64,
     /// CPU cycles burned processing records.
-    pub cpu_cycles: u64,
+    pub(crate) cpu_cycles: u64,
 }
 
 /// A full sFlow deployment over the simulated fabric.

@@ -1,11 +1,12 @@
-//! Sonata/Newton baseline: stream-processing telemetry.
+//! Sonata baseline: stream-processing telemetry.
 //!
 //! Sonata partially compiles queries into the data plane and offloads the
 //! rest to a Spark Streaming backend; detection latency is dominated by
 //! query windowing plus micro-batch scheduling and shuffle stages —
 //! the source of the 3 427 ms HH figure in Tab. 4. Newton inherits the
-//! same architecture with dynamic query loading (modelled as a flag that
-//! removes the redeploy delay, § VII). Because Sonata cannot merge
+//! same architecture and the same detection latency (it only loads
+//! queries without a reboot, § VII), so it has no model of its own.
+//! Because Sonata cannot merge
 //! streams from several switches, its HH query is switch-local (noted in
 //! the paper's Tab. 4 footnote); stream tuples still cross the network to
 //! the stream processor, reduced by the achievable data-plane
@@ -56,23 +57,6 @@ impl Default for SonataConfig {
     }
 }
 
-impl SonataConfig {
-    /// Worst-case detection latency of the pipeline: a full window, batch
-    /// alignment, then the staged computation. With the defaults:
-    /// 1000 + 500 + 4·600 = 3900 ms (typical case ≈ 3400 ms — the Tab. 4
-    /// regime).
-    pub fn pipeline_latency(&self) -> Dur {
-        self.window
-            + self.batch_interval
-            + Dur::from_nanos(self.stage_latency.as_nanos() * self.stages as u64)
-    }
-
-    /// Minimum detection latency (window close straight into a batch).
-    pub fn min_latency(&self) -> Dur {
-        self.window + Dur::from_nanos(self.stage_latency.as_nanos() * self.stages as u64)
-    }
-}
-
 /// A detection produced by the stream backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SonataDetection {
@@ -84,10 +68,10 @@ pub struct SonataDetection {
 
 /// Stream-backend accounting.
 #[derive(Debug, Default, Clone)]
-pub struct StreamStats {
-    pub tuples_received: u64,
-    pub bytes_received: u64,
-    pub batches: u64,
+pub(crate) struct StreamStats {
+    pub(crate) tuples_received: u64,
+    pub(crate) bytes_received: u64,
+    pub(crate) batches: u64,
 }
 
 /// A Sonata deployment over the simulated fabric.
@@ -97,7 +81,7 @@ pub struct SonataSystem {
     /// Per (switch, port) bytes accumulated in the open window.
     window_bytes: HashMap<(SwitchId, PortId), u64>,
     window_close: Time,
-    pub stream: StreamStats,
+    pub(crate) stream: StreamStats,
     pub detections: Vec<SonataDetection>,
     switches: Vec<SwitchId>,
 }
@@ -188,25 +172,6 @@ impl SonataSystem {
     }
 }
 
-/// Newton: Sonata's architecture plus dynamic query loading. Detection
-/// latency matches Sonata; query (re)deployment avoids the switch reboot.
-#[derive(Debug)]
-pub struct NewtonSystem {
-    pub inner: SonataSystem,
-    /// Time to load a new query dynamically (vs Sonata's full recompile
-    /// and reboot).
-    pub query_load_latency: Dur,
-}
-
-impl NewtonSystem {
-    pub fn new(switches: &[SwitchId], cfg: SonataConfig) -> NewtonSystem {
-        NewtonSystem {
-            inner: SonataSystem::new(switches, cfg),
-            query_load_latency: Dur::from_millis(50),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,15 +179,28 @@ mod tests {
     use farm_netsim::topology::Topology;
     use farm_netsim::traffic::{HeavyHitterWorkload, HhConfig, Workload};
 
+    /// Window close straight into a batch, then the staged computation.
+    fn min_latency(cfg: &SonataConfig) -> Dur {
+        cfg.window + Dur::from_nanos(cfg.stage_latency.as_nanos() * cfg.stages as u64)
+    }
+
     #[test]
     fn pipeline_latency_matches_tab4_regime() {
-        let ms = SonataConfig::default().min_latency().as_millis();
+        // One heavy port in the first window: the result leaves the last
+        // stage a window, a batch alignment and four stages later.
+        let mut sonata = SonataSystem::new(&[SwitchId(0)], SonataConfig::default());
+        sonata
+            .window_bytes
+            .insert((SwitchId(0), PortId(0)), u64::MAX);
+        sonata.advance(Time::from_secs(1));
+        let ms = sonata.detections[0].at.as_nanos() / 1_000_000;
         assert!(
             (3000..4000).contains(&ms),
             "Sonata pipeline should be in the ~3.4 s regime, got {ms} ms"
         );
-        assert!(
-            SonataConfig::default().pipeline_latency() >= SonataConfig::default().min_latency()
+        assert_eq!(
+            sonata.detections[0].at,
+            Time::ZERO + min_latency(&SonataConfig::default())
         );
     }
 
@@ -255,7 +233,7 @@ mod tests {
             sonata.advance(now);
         }
         let det = sonata.first_detection_after(Time::ZERO, leaf).unwrap();
-        let expected_min = SonataConfig::default().min_latency();
+        let expected_min = min_latency(&SonataConfig::default());
         assert!(
             det >= Time::ZERO + expected_min,
             "detection {det} earlier than the pipeline allows ({expected_min})"
@@ -305,12 +283,5 @@ mod tests {
             net.switch(leaf).unwrap().pcie().bytes_requested() > 0,
             "mirroring must consume PCIe budget"
         );
-    }
-
-    #[test]
-    fn newton_loads_queries_without_reboot() {
-        let n = NewtonSystem::new(&[SwitchId(0)], SonataConfig::default());
-        assert!(n.query_load_latency < Dur::from_secs(1));
-        assert_eq!(n.inner.detections.len(), 0);
     }
 }

@@ -12,18 +12,18 @@
 //!   whose topology manager polls transceiver counters on a scheduling
 //!   loop (≈ 77 ms detection in Tab. 4).
 
-use farm_netsim::time::{Dur, Time};
+use farm_netsim::time::Dur;
 
 /// Planck's detection path: mirror-port serialization + sampling window +
 /// collector processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanckModel {
     /// Mirror-port drain/serialization delay.
-    pub mirror_delay: Dur,
+    pub(crate) mirror_delay: Dur,
     /// Sampling window the collector needs to confirm a heavy flow.
-    pub sample_window: Dur,
+    pub(crate) sample_window: Dur,
     /// Collector processing time.
-    pub processing: Dur,
+    pub(crate) processing: Dur,
 }
 
 impl PlanckModel {
@@ -40,11 +40,6 @@ impl PlanckModel {
     pub fn detection_latency(&self) -> Dur {
         self.mirror_delay + self.sample_window + self.processing
     }
-
-    /// Instant a heavy flow starting at `onset` is detected.
-    pub fn detect(&self, onset: Time) -> Time {
-        onset + self.detection_latency()
-    }
 }
 
 /// Helios' detection path: transceiver counter polling on the topology
@@ -52,9 +47,9 @@ impl PlanckModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeliosModel {
     /// Counter polling period of the topology manager.
-    pub poll_period: Dur,
+    pub(crate) poll_period: Dur,
     /// Demand estimation + scheduling computation.
-    pub estimation: Dur,
+    pub(crate) estimation: Dur,
 }
 
 impl HeliosModel {
@@ -70,11 +65,6 @@ impl HeliosModel {
     /// plus estimation).
     pub fn detection_latency(&self) -> Dur {
         self.poll_period + self.estimation
-    }
-
-    /// Instant a heavy flow starting at `onset` is detected.
-    pub fn detect(&self, onset: Time) -> Time {
-        onset + self.detection_latency()
     }
 }
 
@@ -92,15 +82,5 @@ mod tests {
     fn helios_matches_tab4() {
         let lat = HeliosModel::published().detection_latency();
         assert_eq!(lat.as_millis(), 77);
-    }
-
-    #[test]
-    fn detection_is_onset_plus_latency() {
-        let onset = Time::from_secs(2);
-        assert_eq!(
-            PlanckModel::at_10gbps().detect(onset),
-            onset + Dur::from_millis(4)
-        );
-        assert!(HeliosModel::published().detect(onset) > PlanckModel::at_10gbps().detect(onset));
     }
 }

@@ -32,7 +32,7 @@ pub struct TaskOutcome {
     /// `farm`, `sflow`, or `sonata`.
     pub system: &'static str,
     /// Post-window grace used when scoring, in milliseconds.
-    pub grace_ms: u64,
+    pub(crate) grace_ms: u64,
     pub score: TaskScore,
 }
 
@@ -41,21 +41,21 @@ pub struct TaskOutcome {
 pub struct ScenarioRun {
     pub class: &'static str,
     pub scale: &'static str,
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Traffic-event count of the replayed trace.
     pub events: u64,
     /// Packet count of the replayed trace.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Distinct flow keys in the trace (full multi_vector exceeds 1 M).
     pub distinct_flows: u64,
     /// Virtual length of the replay, milliseconds.
     pub virtual_ms: u64,
     /// Fabric-wide ASIC polls issued by the soils.
-    pub soil_asic_polls: u64,
+    pub(crate) soil_asic_polls: u64,
     /// Polls avoided by soil poll-aggregation.
-    pub soil_polls_saved: u64,
+    pub(crate) soil_polls_saved: u64,
     /// Trigger deliveries executed by the soils.
-    pub soil_deliveries: u64,
+    pub(crate) soil_deliveries: u64,
     pub tasks: Vec<TaskOutcome>,
 }
 

@@ -30,7 +30,7 @@ pub struct NetworkLoadRow {
 
 /// Measures FARM's collector traffic for a fabric with `ports` monitored
 /// ports, amortized over the HH churn interval.
-pub fn farm_bps(ports: u64) -> f64 {
+pub(crate) fn farm_bps(ports: u64) -> f64 {
     // One big switch hosting all monitored ports keeps the experiment
     // focused on collector bandwidth (which is what Fig. 4 plots).
     let mut model = SwitchModel::accton_as5712();

@@ -48,7 +48,7 @@ fn traffic(switch: farm_netsim::types::SwitchId, flows: u64) -> HeavyHitterWorkl
 }
 
 /// Measures FARM's switch CPU at 10 ms accuracy over `flows` flows.
-pub fn farm_cpu_percent(flows: u64) -> f64 {
+pub(crate) fn farm_cpu_percent(flows: u64) -> f64 {
     let topo = flows_topology(flows);
     let mut farm = farm_with(topo, Default::default());
     let leaf = farm.network().topology().leaves().next().unwrap();
@@ -68,11 +68,11 @@ pub fn farm_cpu_percent(flows: u64) -> f64 {
         Dur::from_millis(10),
     );
     let sw = farm.network().switch(leaf).unwrap();
-    sw.cpu().busy().as_secs_f64() / WINDOW.as_secs_f64() * 100.0
+    sw.cpu().load_percent(WINDOW)
 }
 
 /// Measures sFlow's switch CPU under the same traffic and accuracy.
-pub fn sflow_cpu_percent(flows: u64) -> f64 {
+pub(crate) fn sflow_cpu_percent(flows: u64) -> f64 {
     let topo = flows_topology(flows);
     let mut net = Network::new(topo);
     let leaf = net.topology().leaves().next().unwrap();
@@ -110,7 +110,7 @@ pub fn sflow_cpu_percent(flows: u64) -> f64 {
         sflow.advance(now, &mut net);
     }
     let sw = net.switch(leaf).unwrap();
-    sw.cpu().busy().as_secs_f64() / WINDOW.as_secs_f64() * 100.0
+    sw.cpu().load_percent(WINDOW)
 }
 
 /// Runs the figure.

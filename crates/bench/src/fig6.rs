@@ -74,7 +74,7 @@ impl Panel {
 const WINDOW_MS: u64 = 200;
 
 /// Measures one bar: `seeds` copies of the panel's task on one switch.
-pub fn measure(panel: Panel, seeds: usize) -> SeedScalingRow {
+pub(crate) fn measure(panel: Panel, seeds: usize) -> SeedScalingRow {
     let (mut farm, leaf) = colocated(seeds, Default::default(), |leaf| panel.source(leaf));
     // Warm up 20 ms, then measure.
     let mut hh = HeavyHitterWorkload::new(HhConfig {
@@ -91,7 +91,7 @@ pub fn measure(panel: Panel, seeds: usize) -> SeedScalingRow {
     );
     let sw = farm.network().switch(leaf).unwrap();
     let window = Dur::from_millis(WINDOW_MS);
-    let cpu_percent = sw.cpu().busy().as_secs_f64() / window.as_secs_f64() * 100.0;
+    let cpu_percent = sw.cpu().load_percent(window);
     let capacity = sw.cpu().spec().cores as f64 * 100.0;
     let accuracy_percent = (capacity / cpu_percent.max(1e-9)).min(1.0) * 100.0;
     SeedScalingRow {

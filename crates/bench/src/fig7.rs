@@ -18,12 +18,12 @@ use farm_placement::workload::{generate, WorkloadConfig};
 pub struct Fig7Config {
     pub n_switches: usize,
     pub n_tasks: usize,
-    pub seed_counts: Vec<usize>,
+    pub(crate) seed_counts: Vec<usize>,
     pub runs_per_point: usize,
     /// Short MILP deadline (paper: 1 s).
-    pub milp_short: Duration,
+    pub(crate) milp_short: Duration,
     /// Long MILP deadline (paper: 10 min; scaled down by default).
-    pub milp_long: Duration,
+    pub(crate) milp_long: Duration,
 }
 
 impl Fig7Config {

@@ -37,7 +37,7 @@ fn measure(seeds: usize, exec: ExecMode, aggregation: bool) -> f64 {
     farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
     farm.advance(Time::from_millis(WINDOW_MS));
     let sw = farm.network().switch(leaf).unwrap();
-    sw.cpu().busy().as_secs_f64() / Dur::from_millis(WINDOW_MS).as_secs_f64() * 100.0
+    sw.cpu().load_percent(Dur::from_millis(WINDOW_MS))
 }
 
 /// Runs the figure.

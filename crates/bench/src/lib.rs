@@ -22,6 +22,8 @@
 //! Absolute numbers come from the simulator substrate; EXPERIMENTS.md
 //! records the paper-vs-measured comparison and which *shapes* hold.
 
+#![warn(unreachable_pub)]
+
 pub mod ablation;
 pub mod detection;
 pub mod fig10;

@@ -12,7 +12,7 @@ use farm_soil::SoilConfig;
 
 /// The production-cluster stand-in of § VI-A b: a 20-switch spine-leaf
 /// fabric (4 spines + 16 leaves) of Accton-class switches.
-pub fn sap_cluster() -> Topology {
+pub(crate) fn sap_cluster() -> Topology {
     Topology::spine_leaf(
         4,
         16,
@@ -22,7 +22,7 @@ pub fn sap_cluster() -> Topology {
 }
 
 /// Builds a FARM instance over a topology with the given soil config.
-pub fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
+pub(crate) fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
     Farm::new(
         topology,
         FarmConfig {
@@ -36,7 +36,7 @@ pub fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
 /// one program, each its own task, all on the leaf of a one-spine,
 /// one-leaf fabric of Accton AS5712s. `source` gets that leaf's id to
 /// pin the program to. Returns the farm and the leaf.
-pub fn colocated(
+pub(crate) fn colocated(
     seeds: usize,
     soil: SoilConfig,
     source: impl FnOnce(u32) -> String,
@@ -63,7 +63,7 @@ pub fn colocated(
 /// A parametric HH machine polling every port at a fixed accuracy.
 /// `place any N` pins deployment to explicit switches so scaling studies
 /// control seed counts precisely.
-pub fn hh_source_at(accuracy_ms: u64, switch: u32, threshold: i64) -> String {
+pub(crate) fn hh_source_at(accuracy_ms: u64, switch: u32, threshold: i64) -> String {
     format!(
         r#"
 fun getHH(list stats, long threshold): list {{
@@ -110,7 +110,7 @@ machine HH {{
 /// (the production behaviour behind Fig. 4's "1 packet per minute per 100
 /// additional ports" — steady heavy hitters are reported once, reports
 /// follow HH-set churn).
-pub fn hh_change_source_at(accuracy_ms: u64, switch: u32, threshold: i64) -> String {
+pub(crate) fn hh_change_source_at(accuracy_ms: u64, switch: u32, threshold: i64) -> String {
     format!(
         r#"
 fun hitterPorts(list stats, long threshold): list {{
@@ -158,7 +158,7 @@ machine HH {{
 /// The CPU-intensive ML task of § VI-A c: statistics polling drives an
 /// SVR prediction (1000×1000 matrix multiplies) via `exec`, with an
 /// iteration count for the Fig. 6d partitioning.
-pub fn ml_source_at(accuracy_ms: u64, switch: u32, iterations: u32) -> String {
+pub(crate) fn ml_source_at(accuracy_ms: u64, switch: u32, iterations: u32) -> String {
     format!(
         r#"
 machine ML {{
@@ -189,7 +189,7 @@ pub fn as_previous(assignment: &[Option<(SwitchId, Resources)>]) -> PreviousPlac
 }
 
 /// No-external deployment helper.
-pub fn no_externals() -> BTreeMap<String, farm_almanac::analysis::ConstEnv> {
+pub(crate) fn no_externals() -> BTreeMap<String, farm_almanac::analysis::ConstEnv> {
     BTreeMap::new()
 }
 

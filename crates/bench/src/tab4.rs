@@ -41,7 +41,7 @@ fn traffic(switch: farm_netsim::types::SwitchId) -> HeavyHitterWorkload {
 }
 
 /// Measures FARM's detection time on the cluster.
-pub fn farm_detection_ms() -> f64 {
+pub(crate) fn farm_detection_ms() -> f64 {
     let topo = sap_cluster();
     let mut farm = farm_with(topo, Default::default());
     let leaf = farm.network().topology().leaves().next().unwrap();
@@ -59,7 +59,7 @@ pub fn farm_detection_ms() -> f64 {
 }
 
 /// Measures sFlow's detection time (RFC-typical 100 ms counter export).
-pub fn sflow_detection_ms() -> f64 {
+pub(crate) fn sflow_detection_ms() -> f64 {
     let topo = sap_cluster();
     let mut net = Network::new(topo);
     let leaf = net.topology().leaves().next().unwrap();
@@ -89,7 +89,7 @@ pub fn sflow_detection_ms() -> f64 {
 }
 
 /// Measures Sonata's detection time through the streaming pipeline.
-pub fn sonata_detection_ms() -> f64 {
+pub(crate) fn sonata_detection_ms() -> f64 {
     let topo = sap_cluster();
     let mut net = Network::new(topo);
     let leaf = net.topology().leaves().next().unwrap();

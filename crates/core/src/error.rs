@@ -28,10 +28,6 @@ pub enum Error {
     NotDeployed(String),
 }
 
-/// Historical name of [`Error`]; kept so existing `FarmError` call
-/// sites and `?` conversions keep compiling unchanged.
-pub type FarmError = Error;
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -35,7 +35,7 @@ use farm_telemetry::{
     Counter, Event, EventSink, Histogram, ReplanOutcome, Telemetry, UndeployReason,
 };
 
-pub use crate::error::{Error, FarmError};
+pub(crate) use crate::error::Error;
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
 use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
 
@@ -54,18 +54,18 @@ pub struct FarmConfig {
 pub struct FaultToleranceConfig {
     /// Soil heartbeat period. Each round checkpoints live seeds and
     /// drives the missed-heartbeat detector.
-    pub heartbeat_interval: Dur,
+    pub(crate) heartbeat_interval: Dur,
     /// Consecutive missed heartbeats before a switch is declared failed
     /// and its seeds are orphaned for re-placement.
-    pub miss_threshold: u32,
+    pub(crate) miss_threshold: u32,
     /// Re-placement attempts per orphaned seed before recovery is
     /// abandoned.
-    pub max_recovery_attempts: u32,
+    pub(crate) max_recovery_attempts: u32,
     /// Backoff before the first recovery retry; doubles per attempt.
-    pub recovery_backoff: Dur,
+    pub(crate) recovery_backoff: Dur,
     /// Extra delivery attempts for a harvester report dropped by a lossy
     /// control channel before it is dead-lettered.
-    pub delivery_retries: u32,
+    pub(crate) delivery_retries: u32,
 }
 
 impl Default for FaultToleranceConfig {
@@ -1340,7 +1340,7 @@ impl Farm {
                                 latency_ns: latency.as_nanos(),
                             });
                             if let Some(h) = self.harvesters.get_mut(&msg.task) {
-                                let mut ctx = HarvesterCtx::new(self.now);
+                                let mut ctx = HarvesterCtx::default();
                                 h.on_message(&msg, &mut ctx);
                                 for cmd in ctx.commands {
                                     next.extend(self.apply_command(cmd));
@@ -1366,12 +1366,12 @@ impl Farm {
 
     fn apply_command(&mut self, cmd: HarvesterCommand) -> Vec<OutboundMessage> {
         match cmd {
-            HarvesterCommand::SendToMachine { machine, at, value } => {
+            HarvesterCommand::SendToMachine { machine, value } => {
                 self.counters.control_messages.inc();
                 self.counters
                     .control_bytes
                     .add(farm_soil::soil::value_bytes(&value));
-                self.send_to_machine(&machine, at, None, &value)
+                self.send_to_machine(&machine, None, None, &value)
             }
         }
     }

@@ -14,45 +14,22 @@ use farm_soil::OutboundMessage;
 
 /// Action a harvester asks the framework to take.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HarvesterCommand {
-    /// Send a value to all seeds of a machine (or one switch's seed when
-    /// `at` is set).
-    SendToMachine {
-        machine: String,
-        at: Option<SwitchId>,
-        value: Value,
-    },
+pub(crate) enum HarvesterCommand {
+    /// Send a value to all seeds of a machine.
+    SendToMachine { machine: String, value: Value },
 }
 
 /// Per-delivery context handed to a harvester.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HarvesterCtx {
-    pub now: Time,
-    pub commands: Vec<HarvesterCommand>,
+    pub(crate) commands: Vec<HarvesterCommand>,
 }
 
 impl HarvesterCtx {
-    pub fn new(now: Time) -> HarvesterCtx {
-        HarvesterCtx {
-            now,
-            commands: Vec::new(),
-        }
-    }
-
     /// Queues a broadcast to every seed of `machine`.
-    pub fn send_to_machine(&mut self, machine: impl Into<String>, value: Value) {
+    pub(crate) fn send_to_machine(&mut self, machine: impl Into<String>, value: Value) {
         self.commands.push(HarvesterCommand::SendToMachine {
             machine: machine.into(),
-            at: None,
-            value,
-        });
-    }
-
-    /// Queues a message to the seed of `machine` on one switch.
-    pub fn send_to_seed_at(&mut self, machine: impl Into<String>, at: SwitchId, value: Value) {
-        self.commands.push(HarvesterCommand::SendToMachine {
-            machine: machine.into(),
-            at: Some(at),
             value,
         });
     }
@@ -71,9 +48,9 @@ pub trait Harvester: Send {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReceivedMessage {
     /// When the seed emitted it (virtual time).
-    pub at: Time,
+    pub(crate) at: Time,
     /// Switch-local latency until it hit the wire.
-    pub latency: Dur,
+    pub(crate) latency: Dur,
     pub from_switch: SwitchId,
     pub from_machine: String,
     pub value: Value,
@@ -135,9 +112,9 @@ pub struct HhThresholdHarvester {
     /// Raise the threshold when one report carries more hitters.
     pub max_hitters_per_report: usize,
     /// Lower the threshold after this many consecutive empty reports.
-    pub lower_after_quiet: u32,
+    pub(crate) lower_after_quiet: u32,
     quiet: u32,
-    pub reports: u64,
+    pub(crate) reports: u64,
     pub retunes: u64,
 }
 
@@ -189,55 +166,6 @@ impl Harvester for HhThresholdHarvester {
     }
 }
 
-/// DDoS harvester: tracks per-switch mitigation reports and releases the
-/// mitigation once every switch has been quiet for a grace period.
-#[derive(Debug)]
-pub struct DdosHarvester {
-    machine: String,
-    grace: Dur,
-    last_alarm: Option<(SwitchId, Time)>,
-    pub alarms: u64,
-    pub releases: u64,
-}
-
-impl DdosHarvester {
-    pub fn new(machine: impl Into<String>, grace: Dur) -> Self {
-        DdosHarvester {
-            machine: machine.into(),
-            grace,
-            last_alarm: None,
-            alarms: 0,
-            releases: 0,
-        }
-    }
-}
-
-impl Harvester for DdosHarvester {
-    fn on_message(&mut self, msg: &OutboundMessage, ctx: &mut HarvesterCtx) {
-        match &msg.value {
-            Value::List(victims) if !victims.is_empty() => {
-                self.alarms += 1;
-                self.last_alarm = Some((msg.from_switch, msg.at));
-            }
-            _ => {
-                // Quiet/recovery report: release when the grace period
-                // since the last alarm has elapsed.
-                if let Some((sw, at)) = self.last_alarm {
-                    if msg.at.since(at) >= self.grace {
-                        self.releases += 1;
-                        self.last_alarm = None;
-                        ctx.send_to_seed_at(self.machine.clone(), sw, Value::Str("release".into()));
-                    }
-                }
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +188,7 @@ mod tests {
     #[test]
     fn collecting_harvester_records_arrivals() {
         let mut h = CollectingHarvester::new();
-        let mut ctx = HarvesterCtx::new(Time::from_millis(1));
+        let mut ctx = HarvesterCtx::default();
         h.on_message(&msg(Value::Int(1), 5), &mut ctx);
         h.on_message(&msg(Value::Int(2), 9), &mut ctx);
         assert_eq!(h.received.len(), 2);
@@ -275,7 +203,7 @@ mod tests {
     fn hh_harvester_raises_threshold_on_noisy_reports() {
         let mut h = HhThresholdHarvester::new("HH", 1000);
         h.max_hitters_per_report = 2;
-        let mut ctx = HarvesterCtx::new(Time::ZERO);
+        let mut ctx = HarvesterCtx::default();
         let noisy = Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
         h.on_message(&msg(noisy, 1), &mut ctx);
         assert_eq!(h.threshold(), 2000);
@@ -283,7 +211,6 @@ mod tests {
             ctx.commands,
             vec![HarvesterCommand::SendToMachine {
                 machine: "HH".into(),
-                at: None,
                 value: Value::Int(2000)
             }]
         );
@@ -293,35 +220,11 @@ mod tests {
     fn hh_harvester_lowers_threshold_after_quiet_period() {
         let mut h = HhThresholdHarvester::new("HH", 1000);
         h.lower_after_quiet = 3;
-        let mut ctx = HarvesterCtx::new(Time::ZERO);
+        let mut ctx = HarvesterCtx::default();
         for i in 0..3 {
             h.on_message(&msg(Value::List(vec![]), i), &mut ctx);
         }
         assert_eq!(h.threshold(), 500);
         assert_eq!(ctx.commands.len(), 1);
-    }
-
-    #[test]
-    fn ddos_harvester_releases_after_grace() {
-        let mut h = DdosHarvester::new("DDoS", Dur::from_millis(100));
-        let mut ctx = HarvesterCtx::new(Time::ZERO);
-        h.on_message(
-            &msg(Value::List(vec![Value::Str("10.0.0.1".into())]), 10),
-            &mut ctx,
-        );
-        assert_eq!(h.alarms, 1);
-        // Quiet report before the grace elapses: no release.
-        h.on_message(&msg(Value::Int(0), 50), &mut ctx);
-        assert_eq!(h.releases, 0);
-        // After the grace: release to the alarming switch.
-        h.on_message(&msg(Value::Int(0), 150), &mut ctx);
-        assert_eq!(h.releases, 1);
-        assert!(matches!(
-            &ctx.commands[0],
-            HarvesterCommand::SendToMachine {
-                at: Some(SwitchId(3)),
-                ..
-            }
-        ));
     }
 }

@@ -4,12 +4,11 @@
 //! * [`seeder`] — the centralized control instance: task catalog, global
 //!   placement planning (via `farm-placement`), migration diffing.
 //! * [`harvester`] — per-task centralized components (collecting, HH
-//!   threshold tuning, DDoS release coordination).
+//!   threshold tuning).
 //! * [`farm`] — the [`farm::Farm`] facade: network + soils + seeder +
 //!   harvesters on one virtual clock, with message routing. Built via
 //!   [`farm::FarmBuilder`], which also attaches telemetry sinks.
-//! * [`error`] — the structured [`error::Error`] enum every fallible
-//!   API returns (`FarmError` remains as an alias).
+//! * [`Error`] — the structured enum every fallible API returns.
 //!
 //! # Example
 //!
@@ -40,15 +39,17 @@
 //! # Ok::<(), farm_core::Error>(())
 //! ```
 
-pub mod error;
+#![warn(unreachable_pub)]
+
+mod error;
 pub mod farm;
 pub mod harvester;
 pub mod seeder;
 
-pub use error::{Error, FarmError};
-pub use farm::{external, Farm, FarmBuilder, FarmConfig, FaultToleranceConfig, SeedStatus};
-pub use harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
-pub use seeder::{Plan, PlannedAction, SeedKey, Seeder};
+pub use error::Error;
+pub use farm::{Farm, FarmBuilder, FarmConfig, SeedStatus};
+pub use harvester::CollectingHarvester;
+pub use seeder::{PlannedAction, SeedKey};
 
 /// One-stop imports for building and observing a farm.
 ///
@@ -56,18 +57,12 @@ pub use seeder::{Plan, PlannedAction, SeedKey, Seeder};
 /// use farm_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::error::{Error, FarmError};
-    pub use crate::farm::{
-        external, Farm, FarmBuilder, FarmConfig, FaultToleranceConfig, SeedStatus,
-    };
-    pub use crate::harvester::{CollectingHarvester, Harvester, HarvesterCommand, HarvesterCtx};
-    pub use crate::seeder::{Plan, PlannedAction, SeedKey, Seeder};
-    pub use farm_almanac::value::Value;
-    pub use farm_faults::{ChurnProfile, FaultKind, FaultPlan, LossSpec};
+    pub use crate::farm::{Farm, FarmBuilder, FarmConfig, SeedStatus};
+    pub use crate::harvester::CollectingHarvester;
+    pub use crate::seeder::{PlannedAction, SeedKey};
+    pub use farm_faults::{ChurnProfile, FaultKind, FaultPlan};
     pub use farm_netsim::switch::SwitchModel;
     pub use farm_netsim::time::{Dur, Time};
     pub use farm_netsim::topology::Topology;
-    pub use farm_telemetry::{
-        Event, EventSink, JsonLinesSink, NullSink, RingBufferSink, Telemetry,
-    };
+    pub use farm_telemetry::{Event, JsonLinesSink, RingBufferSink, Telemetry};
 }

@@ -134,7 +134,7 @@ pub struct Seeder {
 
 impl Seeder {
     /// A seeder with default heuristic options.
-    pub fn new() -> Seeder {
+    pub(crate) fn new() -> Seeder {
         Seeder::default()
     }
 
@@ -145,7 +145,7 @@ impl Seeder {
 
     /// Attaches telemetry: planning rounds record `solver.phase_us`
     /// samples and emit [`farm_telemetry::Event::SolverPhase`] events.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
 
@@ -153,7 +153,7 @@ impl Seeder {
     /// task's seeds are marked dirty for the incremental solver: their
     /// utility/polling definitions may have changed in ways the solver's
     /// input signatures cannot see.
-    pub fn register_task(&mut self, task: CompiledTask) {
+    pub(crate) fn register_task(&mut self, task: CompiledTask) {
         let machines = task.machines.iter().cloned().map(Arc::new).collect();
         self.dirty_tasks.insert(task.name.clone());
         self.catalog_stale = true;
@@ -163,7 +163,7 @@ impl Seeder {
 
     /// Removes a task from the catalog together with its placement
     /// memory (the caller is responsible for undeploying the live seeds).
-    pub fn remove_task(&mut self, name: &str) -> bool {
+    pub(crate) fn remove_task(&mut self, name: &str) -> bool {
         self.placed.retain(|k, _| k.task != name);
         // The task's seed indices vanish from the next instance; the
         // pre-plan remap drops every memo entry that mentions them.
@@ -178,7 +178,7 @@ impl Seeder {
     }
 
     /// The compiled machine definition behind a seed key.
-    pub fn machine_of(&self, key: &SeedKey) -> Option<Arc<CompiledMachine>> {
+    pub(crate) fn machine_of(&self, key: &SeedKey) -> Option<Arc<CompiledMachine>> {
         self.tasks
             .get(&key.task)
             .and_then(|e| e.machines.get(key.machine))
@@ -262,7 +262,7 @@ impl Seeder {
     /// # Errors
     ///
     /// Propagates instance-construction failures (non-linear demands).
-    pub fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Result<Plan, String> {
+    pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Result<Plan, String> {
         if self.catalog_stale {
             self.rebuild_catalog()?;
         }
@@ -357,7 +357,7 @@ impl Seeder {
     /// id the lost soil knew each by, in key order. The next
     /// [`Seeder::plan`] sees those seeds as unplaced and proposes fresh
     /// deployments for them.
-    pub fn evict_switch(&mut self, switch: SwitchId) -> Vec<(SeedKey, SeedId)> {
+    pub(crate) fn evict_switch(&mut self, switch: SwitchId) -> Vec<(SeedKey, SeedId)> {
         let evicted: Vec<(SeedKey, SeedId)> = self
             .placed
             .iter()
@@ -373,7 +373,7 @@ impl Seeder {
     /// Drops the placement memory of a single seed (e.g. shed under
     /// resource pressure). Returns the id its soil knew it by, `None`
     /// for an unknown seed.
-    pub fn forget(&mut self, key: &SeedKey) -> Option<SeedId> {
+    pub(crate) fn forget(&mut self, key: &SeedKey) -> Option<SeedId> {
         self.placed.remove(key).map(|p| p.id)
     }
 
@@ -385,7 +385,7 @@ impl Seeder {
     /// # Panics
     ///
     /// Panics when a `Deploy` or `Migrate` is committed without an id.
-    pub fn commit(&mut self, action: &PlannedAction, planted: Option<SeedId>) {
+    pub(crate) fn commit(&mut self, action: &PlannedAction, planted: Option<SeedId>) {
         match action {
             PlannedAction::Deploy { key, to, alloc }
             | PlannedAction::Migrate { key, to, alloc, .. } => {

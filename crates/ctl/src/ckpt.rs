@@ -29,7 +29,7 @@ fn staging_path(path: &Path) -> PathBuf {
 /// restarted daemon) can never observe a partially written file through
 /// `path` — torn state is confined to the staging file, which a failed
 /// attempt leaves behind for the next successful write to replace.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = staging_path(path);
     let result = (|| {
         let mut f = fs::File::create(&tmp)?;

@@ -13,7 +13,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// 1-based line of the offending input (0 for file-level problems).
-    pub line: u32,
+    pub(crate) line: u32,
     pub message: String,
 }
 
@@ -30,7 +30,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Builds a [`ConfigError`] — shared by every consumer of [`Table`].
-pub fn err(line: u32, message: impl Into<String>) -> ConfigError {
+pub(crate) fn err(line: u32, message: impl Into<String>) -> ConfigError {
     ConfigError {
         line,
         message: message.into(),
@@ -39,7 +39,7 @@ pub fn err(line: u32, message: impl Into<String>) -> ConfigError {
 
 /// One parsed value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     Str(String),
     Int(i64),
     Float(f64),
@@ -106,7 +106,7 @@ impl Table {
         Ok(Table { entries })
     }
 
-    pub fn get(&self, key: &str) -> Option<&(u32, Value)> {
+    pub(crate) fn get(&self, key: &str) -> Option<&(u32, Value)> {
         self.entries.get(key)
     }
 
@@ -123,7 +123,7 @@ impl Table {
         Ok(())
     }
 
-    pub fn str(&mut self, key: &str) -> Result<Option<String>, ConfigError> {
+    pub(crate) fn str(&mut self, key: &str) -> Result<Option<String>, ConfigError> {
         match self.take_known(key) {
             None => Ok(None),
             Some((_, Value::Str(s))) => Ok(Some(s)),
@@ -147,7 +147,7 @@ impl Table {
         }
     }
 
-    pub fn bool(&mut self, key: &str) -> Result<Option<bool>, ConfigError> {
+    pub(crate) fn bool(&mut self, key: &str) -> Result<Option<bool>, ConfigError> {
         match self.take_known(key) {
             None => Ok(None),
             Some((_, Value::Bool(b))) => Ok(Some(b)),
@@ -158,7 +158,7 @@ impl Table {
         }
     }
 
-    pub fn f64(&mut self, key: &str) -> Result<Option<f64>, ConfigError> {
+    pub(crate) fn f64(&mut self, key: &str) -> Result<Option<f64>, ConfigError> {
         match self.take_known(key) {
             None => Ok(None),
             Some((_, Value::Float(x))) => Ok(Some(x)),
@@ -300,7 +300,8 @@ pub struct FarmdConfig {
     pub tick_interval: Option<Duration>,
     /// Deterministic churn injection: seed of a generated
     /// `farm_faults::FaultPlan` over the leaf switches. `None` runs
-    /// fault-free. Only effective alongside `tick_interval`.
+    /// fault-free. A file that sets it without `tick_interval` is
+    /// rejected: only the tick fires the plan.
     pub fault_seed: Option<u64>,
     /// Virtual-time offset before the first injected fault — a warmup
     /// window so submissions land on a healthy fabric before churn.
@@ -384,7 +385,17 @@ impl FarmdConfig {
         if let Some(ms) = t.u64("farm.tick_interval_ms")? {
             cfg.tick_interval = (ms > 0).then(|| Duration::from_millis(ms));
         }
+        let seed_line = line_of(&t, "faults.seed");
         if let Some(n) = t.u64("faults.seed")? {
+            // The plan fires from `Farm::advance`, and only the tick
+            // drives that in a daemon.
+            if cfg.tick_interval.is_none() {
+                return Err(err(
+                    seed_line,
+                    "`faults.seed` requires a non-zero `farm.tick_interval_ms`: \
+                     nothing else advances the clock the fault plan fires on",
+                ));
+            }
             cfg.fault_seed = Some(n);
         }
         if let Some(ms) = t.u64("faults.start_ms")? {
@@ -585,9 +596,27 @@ mod tests {
     }
 
     #[test]
+    fn faults_without_a_clock_are_rejected_at_the_seed_line() {
+        for src in [
+            "[faults]\nstart_ms = 500\nseed = 7\n",
+            "[farm]\ntick_interval_ms = 0\n[faults]\nstart_ms = 500\nseed = 7\n",
+        ] {
+            let e = FarmdConfig::from_toml_str(src).unwrap_err();
+            let seed_line = 1 + src.lines().position(|l| l == "seed = 7").unwrap() as u32;
+            assert_eq!(e.line, seed_line, "{e}");
+            assert!(e.message.contains("farm.tick_interval_ms"), "{e}");
+        }
+        // Section order in the file does not matter.
+        let cfg = FarmdConfig::from_toml_str("[faults]\nseed = 7\n[farm]\ntick_interval_ms = 5\n")
+            .unwrap();
+        assert_eq!(cfg.fault_seed, Some(7));
+    }
+
+    #[test]
     fn fault_churn_keys_parse() {
         let cfg = FarmdConfig::from_toml_str(
-            "[faults]\nseed = 1337\nstart_ms = 500\nmean_gap_ms = 15\nhorizon_ms = 2000\n",
+            "[farm]\ntick_interval_ms = 5\n\
+             [faults]\nseed = 1337\nstart_ms = 500\nmean_gap_ms = 15\nhorizon_ms = 2000\n",
         )
         .unwrap();
         assert_eq!(cfg.fault_seed, Some(1337));

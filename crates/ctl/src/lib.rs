@@ -17,13 +17,15 @@
 //! every served op is audited through `ctl.*` counters, the
 //! `ctl.op_latency_us` histogram, and `control-op` events.
 
-pub mod ckpt;
-pub mod client;
+#![warn(unreachable_pub)]
+
+mod ckpt;
+mod client;
 pub mod config;
 pub mod daemon;
 pub mod server;
 pub mod stats;
 
 pub use client::CtlClient;
-pub use config::{ConfigError, FarmdConfig, FedMembership, ServerConfig};
+pub use config::{ConfigError, FarmdConfig, ServerConfig};
 pub use server::Farmd;

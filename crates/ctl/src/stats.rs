@@ -34,13 +34,13 @@ pub fn page(from_index: u64, limit: u64, len: usize) -> (Range<usize>, Option<(u
 /// audit counters are one query away).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsDoc {
-    pub now_ns: u64,
-    pub tasks: Vec<String>,
-    pub seeds: u64,
-    pub switches: u64,
-    pub cordoned: Vec<u64>,
-    pub fenced: Vec<u64>,
-    pub recovery_pending: u64,
+    pub(crate) now_ns: u64,
+    pub(crate) tasks: Vec<String>,
+    pub(crate) seeds: u64,
+    pub(crate) switches: u64,
+    pub(crate) cordoned: Vec<u64>,
+    pub(crate) fenced: Vec<u64>,
+    pub(crate) recovery_pending: u64,
     /// What only the answering daemon knows, rendered between
     /// `recovery_pending` and `counters`: farmd's `replan` health object,
     /// fedd's `pods_*` counts. Not read back by [`StatsDoc::from_json`].

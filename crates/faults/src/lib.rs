@@ -7,7 +7,7 @@
 //! describes those failures as *data* so the rest of the system can apply
 //! them at simulated time and — crucially — replay them bit-for-bit:
 //!
-//! - [`FaultPlan`] / [`FaultEvent`] / [`FaultKind`]: an ordered schedule of
+//! - [`FaultPlan`] / `FaultEvent` / [`FaultKind`]: an ordered schedule of
 //!   failures and repairs, written explicitly or generated from a seed with
 //!   [`FaultPlan::churn`].
 //! - [`FaultInjector`]: a cursor the runtime drains as virtual time
@@ -15,7 +15,7 @@
 //! - [`LossSpec`] / [`LossModel`] / [`Delivery`]: per-message
 //!   drop/duplicate/delay decisions for lossy control channels, rolled from
 //!   a deterministic stream.
-//! - [`DetRng`]: the dependency-free SplitMix64 generator behind both.
+//! - `DetRng`: the dependency-free SplitMix64 generator behind both.
 //!
 //! Everything here is pure and deterministic: equal seeds and inputs yield
 //! identical schedules and decisions on every platform, so any failure found
@@ -34,10 +34,11 @@
 //! assert!(matches!(due[0].kind, FaultKind::SwitchCrash { .. }));
 //! ```
 
-pub mod loss;
-pub mod plan;
-pub mod rng;
+#![warn(unreachable_pub)]
+
+mod loss;
+mod plan;
+mod rng;
 
 pub use loss::{Delivery, LossModel, LossSpec};
-pub use plan::{ChurnProfile, FaultEvent, FaultInjector, FaultKind, FaultPlan};
-pub use rng::DetRng;
+pub use plan::{ChurnProfile, FaultInjector, FaultKind, FaultPlan};

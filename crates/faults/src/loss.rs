@@ -23,7 +23,7 @@ pub struct LossSpec {
 
 impl LossSpec {
     /// A perfectly healthy channel.
-    pub const HEALTHY: LossSpec = LossSpec {
+    pub(crate) const HEALTHY: LossSpec = LossSpec {
         drop: 0.0,
         duplicate: 0.0,
         delay: Dur::ZERO,
@@ -70,11 +70,6 @@ impl LossModel {
             spec,
             rng: DetRng::new(seed),
         }
-    }
-
-    /// Current impairment parameters.
-    pub fn spec(&self) -> LossSpec {
-        self.spec
     }
 
     /// Rolls the fate of one delivery attempt.

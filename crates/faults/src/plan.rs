@@ -191,21 +191,6 @@ impl FaultPlan {
         plan.sorted()
     }
 
-    /// Events in application order (time, then stable kind key).
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     fn sorted(mut self) -> FaultPlan {
         self.sort();
         self
@@ -243,11 +228,6 @@ impl FaultInjector {
     /// Instant of the next pending event, if any.
     pub fn next_at(&self) -> Option<Time> {
         self.plan.events.get(self.next).map(|e| e.at)
-    }
-
-    /// True when every event has been handed out.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.plan.events.len()
     }
 }
 
@@ -292,7 +272,7 @@ mod tests {
         assert_eq!(inj.take_due(Time::from_millis(5)).len(), 1);
         assert!(inj.take_due(Time::from_millis(5)).is_empty());
         assert_eq!(inj.take_due(Time::from_millis(60)).len(), 1);
-        assert!(inj.exhausted());
+        assert_eq!(inj.next_at(), None);
         assert_eq!(inj.next_at(), None);
     }
 
@@ -314,7 +294,7 @@ mod tests {
             ChurnProfile::default(),
         );
         assert_eq!(a, b);
-        assert!(!a.is_empty());
+        assert!(!a.events.is_empty());
         let c = FaultPlan::churn(
             78,
             &switches,
@@ -336,23 +316,23 @@ mod tests {
             ChurnProfile::default(),
         );
         let crashes = plan
-            .events()
+            .events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::SwitchCrash { .. }))
             .count();
         let restarts = plan
-            .events()
+            .events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::SwitchRestart { .. }))
             .count();
         assert_eq!(crashes, restarts);
         let degrades = plan
-            .events()
+            .events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::PcieDegrade { .. }))
             .count();
         let restores = plan
-            .events()
+            .events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::PcieRestore { .. }))
             .count();
@@ -368,6 +348,7 @@ mod tests {
             Time::from_secs(1),
             ChurnProfile::default()
         )
+        .events
         .is_empty());
         assert!(FaultPlan::churn(
             1,
@@ -376,6 +357,7 @@ mod tests {
             Time::from_secs(1),
             ChurnProfile::default()
         )
+        .events
         .is_empty());
     }
 }

@@ -10,18 +10,18 @@
 
 /// SplitMix64 generator with convenience helpers for fault decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetRng {
+pub(crate) struct DetRng {
     state: u64,
 }
 
 impl DetRng {
     /// Creates a generator from a seed. Equal seeds yield equal streams.
-    pub fn new(seed: u64) -> DetRng {
+    pub(crate) fn new(seed: u64) -> DetRng {
         DetRng { state: seed }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -30,7 +30,7 @@ impl DetRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         // 53 mantissa bits of the raw output.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -40,7 +40,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics when `n` is zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "DetRng::below(0)");
         // Multiply-shift bound (Lemire); bias is negligible for the small
         // ranges fault plans draw from.
@@ -48,7 +48,7 @@ impl DetRng {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
@@ -56,12 +56,6 @@ impl DetRng {
             return true;
         }
         self.next_f64() < p
-    }
-
-    /// Forks an independent stream (for per-subsystem decision making
-    /// that must not perturb the parent's sequence).
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64())
     }
 }
 
@@ -110,14 +104,5 @@ mod tests {
         let mut r = DetRng::new(5);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn fork_is_independent_of_parent_continuation() {
-        let mut a = DetRng::new(11);
-        let mut fork = a.fork();
-        let after_fork = a.next_u64();
-        // The fork's stream differs from the parent's continuation.
-        assert_ne!(fork.next_u64(), after_fork);
     }
 }

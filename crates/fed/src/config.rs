@@ -11,14 +11,14 @@ use farm_ctl::ConfigError;
 pub struct FeddConfig {
     /// Listen address, shutdown drain, PID file — the
     /// same `[server]` keys farmd reads.
-    pub server: ServerConfig,
+    pub(crate) server: ServerConfig,
     /// A pod whose last heartbeat is older than this is marked dead:
     /// fan-outs skip it and federated stats degrade to the survivors.
-    pub liveness_timeout: Duration,
+    pub(crate) liveness_timeout: Duration,
     /// Per-RPC timeout toward a pod daemon.
-    pub pod_timeout: Duration,
+    pub(crate) pod_timeout: Duration,
     /// Largest accepted Almanac submission, bytes.
-    pub max_program_bytes: usize,
+    pub(crate) max_program_bytes: usize,
 }
 
 impl Default for FeddConfig {

@@ -5,11 +5,11 @@
 //! speaks the exact same farm-net wire protocol — to its clients
 //! (`farmctl --fed`) *and* to the fleet of pod daemons it shards over.
 //!
-//! * [`registry`] — pod membership: registration manifests (switch
+//! * `registry` — pod membership: registration manifests (switch
 //!   count, headroom quota, wire address), heartbeat liveness, and the
 //!   contiguous global switch-id space the coordinator assigns
 //!   (`global = pod.base + local`).
-//! * [`split`] — cross-pod admission: an Almanac program whose `place`
+//! * `split` — cross-pod admission: an Almanac program whose `place`
 //!   set falls inside one pod routes there verbatim; one that spans
 //!   pods is split into per-pod sub-programs with switch ids rewritten
 //!   into each pod's local space.
@@ -26,12 +26,12 @@
 //! `fed.migrate.ok` / `fed.migrate.fail` counters, and the
 //! `fed.fanout_us` fan-out latency histogram.
 
-pub mod config;
-pub mod registry;
+#![warn(unreachable_pub)]
+
+mod config;
+mod registry;
 pub mod server;
-pub mod split;
+mod split;
 
 pub use config::FeddConfig;
-pub use registry::Registry;
 pub use server::Fedd;
-pub use split::{split_program, PodTarget, Route};

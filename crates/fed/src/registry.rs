@@ -18,32 +18,35 @@ use std::time::Instant;
 
 /// One registered pod.
 #[derive(Debug, Clone)]
-pub struct Pod {
+pub(crate) struct Pod {
     /// Wire address of the pod's farmd control endpoint.
-    pub addr: SocketAddr,
+    pub(crate) addr: SocketAddr,
     /// Switches the pod manages (local id space `0..switches`).
-    pub switches: u64,
+    pub(crate) switches: u64,
     /// Global switch-id base assigned at first registration.
-    pub base: u64,
+    pub(crate) base: u64,
     /// Admission headroom quota the pod advertised.
-    pub quota: f64,
+    pub(crate) quota: f64,
     /// Heartbeats observed since the last (re)registration.
-    pub beats: u64,
+    pub(crate) beats: u64,
     /// Last heartbeat (or registration) arrival.
-    pub last_beat: Instant,
+    pub(crate) last_beat: Instant,
     /// False once [`Registry::sweep`] finds the pod past the window.
-    pub live: bool,
+    pub(crate) live: bool,
 }
+
+/// One past the last global switch id: ids travel as `u32`.
+const GLOBAL_ID_SPACE: u64 = u32::MAX as u64 + 1;
 
 /// The pod table plus the global switch-id space allocator.
 #[derive(Debug, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     pods: BTreeMap<String, Pod>,
     next_base: u64,
 }
 
 impl Registry {
-    pub fn new() -> Registry {
+    pub(crate) fn new() -> Registry {
         Registry::default()
     }
 
@@ -52,19 +55,31 @@ impl Registry {
     /// unchanged; growing or shrinking the pod re-allocates a fresh
     /// slice at the end of the space — global ids are never re-used for
     /// a differently-shaped pod.
-    pub fn register(
+    ///
+    /// Global switch ids are `u32` on every other op, and `switches`
+    /// comes straight off the wire: a slice that would end past
+    /// `u32::MAX` is refused and the registry is left as it was.
+    pub(crate) fn register(
         &mut self,
         name: &str,
         addr: SocketAddr,
         switches: u64,
         quota: f64,
         now: Instant,
-    ) -> u64 {
+    ) -> Result<u64, String> {
         let base = match self.pods.get(name) {
             Some(prev) if prev.switches == switches => prev.base,
             _ => {
                 let base = self.next_base;
-                self.next_base += switches;
+                self.next_base = base
+                    .checked_add(switches)
+                    .filter(|&end| end <= GLOBAL_ID_SPACE)
+                    .ok_or_else(|| {
+                        format!(
+                            "{switches} switch(es) from base {base} would end past \
+                             the global switch-id space (u32)"
+                        )
+                    })?;
                 base
             }
         };
@@ -80,12 +95,12 @@ impl Registry {
                 live: true,
             },
         );
-        base
+        Ok(base)
     }
 
     /// Records one heartbeat; `false` when the pod is unknown (the
     /// coordinator restarted — the pod must re-register).
-    pub fn beat(&mut self, name: &str, now: Instant) -> bool {
+    pub(crate) fn beat(&mut self, name: &str, now: Instant) -> bool {
         match self.pods.get_mut(name) {
             Some(pod) => {
                 pod.beats += 1;
@@ -99,7 +114,7 @@ impl Registry {
 
     /// Marks every pod whose last beat is older than `window` dead.
     /// Returns `(total, live)` pod counts for the liveness gauges.
-    pub fn sweep(&mut self, window: std::time::Duration, now: Instant) -> (u64, u64) {
+    pub(crate) fn sweep(&mut self, window: std::time::Duration, now: Instant) -> (u64, u64) {
         let mut live = 0u64;
         for pod in self.pods.values_mut() {
             if now.duration_since(pod.last_beat) > window {
@@ -110,34 +125,30 @@ impl Registry {
         (self.pods.len() as u64, live)
     }
 
-    pub fn get(&self, name: &str) -> Option<&Pod> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Pod> {
         self.pods.get(name)
     }
 
     /// All pods, name-sorted (BTreeMap order).
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Pod)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&String, &Pod)> {
         self.pods.iter()
     }
 
     /// Live pods only, name-sorted.
-    pub fn live(&self) -> impl Iterator<Item = (&String, &Pod)> {
+    pub(crate) fn live(&self) -> impl Iterator<Item = (&String, &Pod)> {
         self.pods.iter().filter(|(_, p)| p.live)
     }
 
     /// Resolves a global switch id to `(pod name, local id)`.
-    pub fn locate(&self, global: u64) -> Option<(&String, u64)> {
+    pub(crate) fn locate(&self, global: u64) -> Option<(&String, u64)> {
         self.pods
             .iter()
             .find(|(_, p)| p.base <= global && global < p.base + p.switches)
             .map(|(name, p)| (name, global - p.base))
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pods.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pods.is_empty()
     }
 }
 
@@ -154,13 +165,13 @@ mod tests {
     fn bases_are_contiguous_and_sticky_across_re_registration() {
         let t0 = Instant::now();
         let mut r = Registry::new();
-        assert_eq!(r.register("a", addr(1), 5, 1.0, t0), 0);
-        assert_eq!(r.register("b", addr(2), 3, 1.0, t0), 5);
+        assert_eq!(r.register("a", addr(1), 5, 1.0, t0), Ok(0));
+        assert_eq!(r.register("b", addr(2), 3, 1.0, t0), Ok(5));
         // Same shape: the base survives a restart.
-        assert_eq!(r.register("a", addr(9), 5, 0.5, t0), 0);
+        assert_eq!(r.register("a", addr(9), 5, 0.5, t0), Ok(0));
         assert_eq!(r.get("a").unwrap().addr, addr(9));
         // Re-shaped: a fresh slice at the end, never an overlap.
-        assert_eq!(r.register("a", addr(9), 6, 0.5, t0), 8);
+        assert_eq!(r.register("a", addr(9), 6, 0.5, t0), Ok(8));
         assert_eq!(r.locate(9), Some((&"a".to_string(), 1)));
         assert_eq!(r.locate(6), Some((&"b".to_string(), 1)));
     }
@@ -169,8 +180,8 @@ mod tests {
     fn locate_maps_global_ids_into_pods() {
         let t0 = Instant::now();
         let mut r = Registry::new();
-        r.register("a", addr(1), 4, 1.0, t0);
-        r.register("b", addr(2), 2, 1.0, t0);
+        r.register("a", addr(1), 4, 1.0, t0).unwrap();
+        r.register("b", addr(2), 2, 1.0, t0).unwrap();
         assert_eq!(r.locate(0), Some((&"a".to_string(), 0)));
         assert_eq!(r.locate(3), Some((&"a".to_string(), 3)));
         assert_eq!(r.locate(4), Some((&"b".to_string(), 0)));
@@ -179,11 +190,38 @@ mod tests {
     }
 
     #[test]
+    fn a_window_past_the_u32_id_space_is_refused_and_changes_nothing() {
+        let t0 = Instant::now();
+        let mut r = Registry::new();
+        assert!(r.register("huge", addr(1), u64::MAX, 1.0, t0).is_err());
+        assert!(r.get("huge").is_none());
+        // The allocator did not move: the next pod still starts at 0,
+        // and a second one can neither overflow nor overlap it.
+        assert_eq!(r.register("a", addr(2), 4, 1.0, t0), Ok(0));
+        assert!(r.register("b", addr(3), u64::MAX, 1.0, t0).is_err());
+        assert!(r
+            .register("b", addr(3), GLOBAL_ID_SPACE - 3, 1.0, t0)
+            .is_err());
+        assert_eq!(
+            r.register("b", addr(3), GLOBAL_ID_SPACE - 4, 1.0, t0),
+            Ok(4)
+        );
+        assert_eq!(
+            r.locate(u32::MAX as u64),
+            Some((&"b".to_string(), GLOBAL_ID_SPACE - 5))
+        );
+        // A re-shape that no longer fits leaves the old entry in place.
+        assert!(r.register("a", addr(9), 5, 1.0, t0).is_err());
+        assert_eq!(r.get("a").unwrap().addr, addr(2));
+        assert_eq!(r.locate(3), Some((&"a".to_string(), 3)));
+    }
+
+    #[test]
     fn sweep_marks_stale_pods_dead_and_beats_revive() {
         let t0 = Instant::now();
         let mut r = Registry::new();
-        r.register("a", addr(1), 4, 1.0, t0);
-        r.register("b", addr(2), 4, 1.0, t0);
+        r.register("a", addr(1), 4, 1.0, t0).unwrap();
+        r.register("b", addr(2), 4, 1.0, t0).unwrap();
         let later = t0 + Duration::from_millis(500);
         assert!(r.beat("a", later));
         assert!(!r.beat("ghost", later));

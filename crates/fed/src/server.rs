@@ -1,4 +1,4 @@
-//! The fedd core: the pod [`Registry`] served through the daemon
+//! The fedd core: the pod `Registry` served through the daemon
 //! skeleton farmd runs on ([`farm_ctl::daemon`]) — the same versioned
 //! [`ControlOp`] surface a farmd serves, but federated over every
 //! registered pod.
@@ -13,7 +13,7 @@
 //! `Checkpoint` / `Restore`) merge every live pod's answer into one
 //! versioned reply with the existing cursor pagination, writes
 //! (`SubmitProgram`, `Drain`, `Uncordon`, `RemoveTask`) route through
-//! the [`split`](crate::split) engine or the global switch-id space. A
+//! the `split` engine or the global switch-id space. A
 //! dead pod degrades fan-outs to the survivors instead of wedging the
 //! coordinator.
 
@@ -167,9 +167,13 @@ fn register_pod(
             reason: "a pod must manage at least one switch".into(),
         };
     }
-    let base = core
+    let base = match core
         .registry
-        .register(name, addr, switches, quota, Instant::now());
+        .register(name, addr, switches, quota, Instant::now())
+    {
+        Ok(base) => base,
+        Err(reason) => return ControlReply::Rejected { reason },
+    };
     // The session held for this name may point at a predecessor's address.
     core.conns.remove(name);
     ControlReply::PodRegistered { base }

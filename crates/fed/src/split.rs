@@ -34,12 +34,12 @@ use farm_almanac::printer::program_to_source;
 /// programs (and broadcast-only programs with an empty explicit set)
 /// route to the first entry, so callers list pods by preference.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PodTarget {
-    pub name: String,
+pub(crate) struct PodTarget {
+    pub(crate) name: String,
     /// Global switch-id base (`global = base + local`).
-    pub base: u64,
+    pub(crate) base: u64,
     /// Local switch count (`0..switches` is the pod's id space).
-    pub switches: u64,
+    pub(crate) switches: u64,
 }
 
 impl PodTarget {
@@ -50,7 +50,7 @@ impl PodTarget {
 
 /// Where a program goes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Route {
+pub(crate) enum Route {
     /// The whole program to one pod. `source` is the original text
     /// verbatim when the pod's base is 0 (global ids already *are*
     /// local ids), and a localized rewrite otherwise.
@@ -66,7 +66,7 @@ pub enum Route {
 /// A human-readable rejection reason: parse failures, global ids
 /// outside every pod, un-partitionable constraints inside a span, or a
 /// machine violating the uniform-coverage rule.
-pub fn split_program(source: &str, pods: &[PodTarget]) -> Result<Route, String> {
+pub(crate) fn split_program(source: &str, pods: &[PodTarget]) -> Result<Route, String> {
     if pods.is_empty() {
         return Err("no live pods to place on".into());
     }

@@ -82,31 +82,12 @@ impl LinExpr {
     }
 
     /// Iterates over `(variable, coefficient)` pairs in variable order.
-    pub fn terms(&self) -> impl Iterator<Item = (Var, f64)> + '_ {
+    pub(crate) fn terms(&self) -> impl Iterator<Item = (Var, f64)> + '_ {
         self.terms.iter().map(|(v, c)| (*v, *c))
     }
 
-    /// Number of variables with a non-zero coefficient.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// True if the expression is a bare constant.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Evaluates the expression for a full assignment of problem variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a referenced variable index is out of range for `values`.
-    pub fn eval(&self, values: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|(v, c)| c * values[v.0]).sum::<f64>()
-    }
-
     /// Multiplies every coefficient and the constant by `k` in place.
-    pub fn scale(&mut self, k: f64) {
+    pub(crate) fn scale(&mut self, k: f64) {
         if k == 0.0 {
             self.terms.clear();
             self.constant = 0.0;
@@ -250,14 +231,14 @@ mod tests {
     fn merges_duplicate_terms() {
         let e = v(0) + v(0) + 1.0;
         assert_eq!(e.coefficient(v(0)), 2.0);
-        assert_eq!(e.len(), 1);
+        assert_eq!(e.terms.len(), 1);
         assert_eq!(e.constant(), 1.0);
     }
 
     #[test]
     fn cancelled_terms_are_removed() {
         let e = v(1) - v(1);
-        assert!(e.is_empty());
+        assert!(e.terms.is_empty());
         assert_eq!(e.coefficient(v(1)), 0.0);
     }
 
@@ -268,15 +249,8 @@ mod tests {
         assert_eq!(d.coefficient(v(0)), -2.0);
         assert_eq!(d.constant(), -3.0);
         let s = e * 0.0;
-        assert!(s.is_empty());
+        assert!(s.terms.is_empty());
         assert_eq!(s.constant(), 0.0);
-    }
-
-    #[test]
-    fn eval_matches_manual_computation() {
-        let e = 2.0 * v(0) - 0.5 * v(2) + 4.0;
-        let vals = [1.0, 99.0, 2.0];
-        assert_eq!(e.eval(&vals), 2.0 - 1.0 + 4.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Problem`] — a small modelling API (variables with bounds and
 //!   integrality, linear constraints, linear objective),
 //! * [`simplex`] — a dense two-phase primal simplex for linear programs,
-//! * [`milp`] — branch & bound with a time budget, rounding-based primal
+//! * `milp` — branch & bound with a time budget, rounding-based primal
 //!   heuristics and incumbent reporting, mirroring the "Gurobi with a 1 s /
 //!   10 min timeout" regimes of the paper's Fig. 7.
 //!
@@ -27,19 +27,20 @@
 //! assert!((sol.objective - 30.0).abs() < 1e-6);
 //! ```
 
-pub mod expr;
-pub mod milp;
-pub mod problem;
+#![warn(unreachable_pub)]
+
+mod expr;
+mod milp;
+mod problem;
 pub mod simplex;
-pub mod solution;
-pub mod trace;
+mod solution;
+mod trace;
 
 pub use expr::{LinExpr, Var};
-pub use milp::{solve_milp, MilpOptions, MilpResult, MilpStatus};
-pub use problem::{Cmp, Problem, Sense, VarKind};
-pub use solution::{Solution, SolveError, Status};
-pub use trace::{record_phase, solve_milp_traced, solve_traced};
+pub use milp::{solve_milp, MilpOptions, MilpStatus};
+pub use problem::{Cmp, Problem, Sense};
+pub use trace::record_phase;
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// integrality tests.
-pub const EPS: f64 = 1e-7;
+const EPS: f64 = 1e-7;

@@ -6,7 +6,7 @@
 //! feasible incumbent usually exists long before the tree is exhausted —
 //! this is what makes the "MILP with a short timeout" baseline of the FARM
 //! paper's Fig. 7 behave like Gurobi-with-deadline: it returns the best
-//! incumbent found so far together with the remaining optimality gap.
+//! incumbent found so far.
 
 use std::time::{Duration, Instant};
 
@@ -63,28 +63,6 @@ pub struct MilpResult {
     pub objective: Option<f64>,
     /// Variable values of the best incumbent, if any.
     pub values: Option<Vec<f64>>,
-    /// Best proven bound on the optimum (sense-relative: an upper bound for
-    /// maximization, lower for minimization). `NaN` when the root relaxation
-    /// never solved.
-    pub best_bound: f64,
-    /// Number of explored branch & bound nodes.
-    pub nodes: usize,
-    /// Wall time spent.
-    pub elapsed: Duration,
-}
-
-impl MilpResult {
-    /// Relative gap between incumbent and bound (0 when proven optimal,
-    /// `f64::INFINITY` when either side is missing).
-    pub fn gap(&self) -> f64 {
-        match self.objective {
-            Some(obj) if self.best_bound.is_finite() => {
-                let denom = obj.abs().max(1e-9);
-                ((self.best_bound - obj).abs() / denom).max(0.0)
-            }
-            _ => f64::INFINITY,
-        }
-    }
 }
 
 struct SearchState {
@@ -139,37 +117,17 @@ pub fn solve_milp(problem: &Problem, opts: &MilpOptions) -> MilpResult {
     };
 
     // Root relaxation.
-    let root = simplex::solve_with_limits(&work, limits);
-    let root_bound = match &root {
-        Ok(s) => s.objective,
-        Err(SolveError::Infeasible) => {
+    let root = match simplex::solve_with_limits(&work, limits) {
+        Ok(s) => s,
+        Err(e) => {
             return MilpResult {
-                status: MilpStatus::Infeasible,
+                status: match e {
+                    SolveError::Infeasible => MilpStatus::Infeasible,
+                    SolveError::Unbounded => MilpStatus::Unbounded,
+                    _ => MilpStatus::Unknown,
+                },
                 objective: None,
                 values: None,
-                best_bound: f64::NAN,
-                nodes: 1,
-                elapsed: start.elapsed(),
-            };
-        }
-        Err(SolveError::Unbounded) => {
-            return MilpResult {
-                status: MilpStatus::Unbounded,
-                objective: None,
-                values: None,
-                best_bound: f64::NAN,
-                nodes: 1,
-                elapsed: start.elapsed(),
-            };
-        }
-        Err(_) => {
-            return MilpResult {
-                status: MilpStatus::Unknown,
-                objective: None,
-                values: None,
-                best_bound: f64::NAN,
-                nodes: 1,
-                elapsed: start.elapsed(),
             };
         }
     };
@@ -188,18 +146,14 @@ pub fn solve_milp(problem: &Problem, opts: &MilpOptions) -> MilpResult {
     };
 
     if int_vars.is_empty() {
-        let s = root.expect("checked above");
         return MilpResult {
             status: MilpStatus::Optimal,
-            objective: Some(s.objective),
-            best_bound: s.objective,
-            values: Some(s.values),
-            nodes: 1,
-            elapsed: start.elapsed(),
+            objective: Some(root.objective),
+            values: Some(root.values),
         };
     }
 
-    branch(&mut work, &int_vars, &limits, &mut state, root.ok());
+    branch(&mut work, &int_vars, &limits, &mut state, Some(root));
 
     let status = if state.best_values.is_some() {
         if state.hit_limit {
@@ -216,9 +170,6 @@ pub fn solve_milp(problem: &Problem, opts: &MilpOptions) -> MilpResult {
         status,
         objective: state.best_values.is_some().then_some(state.best_obj),
         values: state.best_values,
-        best_bound: root_bound,
-        nodes: state.nodes,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -273,7 +224,7 @@ fn branch(
     int_vars: &[usize],
     limits: &Limits,
     state: &mut SearchState,
-    presolved: Option<crate::Solution>,
+    presolved: Option<crate::solution::Solution>,
 ) {
     if state.out_of_budget() {
         state.hit_limit = true;

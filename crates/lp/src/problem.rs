@@ -22,7 +22,7 @@ pub enum Cmp {
 
 /// Integrality class of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VarKind {
+pub(crate) enum VarKind {
     /// Real-valued within its bounds.
     Continuous,
     /// Integer-valued within its bounds (binary variables use bounds `[0,1]`).
@@ -31,24 +31,24 @@ pub enum VarKind {
 
 /// Definition of a single decision variable.
 #[derive(Debug, Clone)]
-pub struct VarDef {
-    pub name: String,
-    pub lower: f64,
-    pub upper: f64,
-    pub kind: VarKind,
+pub(crate) struct VarDef {
+    pub(crate) name: String,
+    pub(crate) lower: f64,
+    pub(crate) upper: f64,
+    pub(crate) kind: VarKind,
 }
 
 /// A single linear constraint in `coeffs · x  cmp  rhs` form.
 #[derive(Debug, Clone)]
-pub struct ConstraintDef {
-    pub coeffs: Vec<(usize, f64)>,
-    pub cmp: Cmp,
-    pub rhs: f64,
+pub(crate) struct ConstraintDef {
+    pub(crate) coeffs: Vec<(usize, f64)>,
+    pub(crate) cmp: Cmp,
+    pub(crate) rhs: f64,
 }
 
 impl ConstraintDef {
     /// Signed violation of the constraint at `values` (0 when satisfied).
-    pub fn violation(&self, values: &[f64]) -> f64 {
+    pub(crate) fn violation(&self, values: &[f64]) -> f64 {
         let lhs: f64 = self.coeffs.iter().map(|&(i, c)| c * values[i]).sum();
         match self.cmp {
             Cmp::Le => (lhs - self.rhs).max(0.0),
@@ -85,7 +85,7 @@ impl Problem {
     }
 
     /// Optimization direction.
-    pub fn sense(&self) -> Sense {
+    pub(crate) fn sense(&self) -> Sense {
         self.sense
     }
 
@@ -182,37 +182,32 @@ impl Problem {
     }
 
     /// Number of variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.vars.len()
     }
 
     /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
+    pub(crate) fn num_constraints(&self) -> usize {
         self.constraints.len()
     }
 
     /// Variable definitions, indexed by [`Var::index`].
-    pub fn vars(&self) -> &[VarDef] {
+    pub(crate) fn vars(&self) -> &[VarDef] {
         &self.vars
     }
 
     /// Constraint definitions.
-    pub fn constraints(&self) -> &[ConstraintDef] {
+    pub(crate) fn constraints(&self) -> &[ConstraintDef] {
         &self.constraints
     }
 
     /// Objective coefficients, indexed by variable.
-    pub fn objective(&self) -> &[f64] {
+    pub(crate) fn objective(&self) -> &[f64] {
         &self.objective
     }
 
-    /// Constant part of the objective.
-    pub fn objective_constant(&self) -> f64 {
-        self.objective_constant
-    }
-
     /// Indices of integer variables.
-    pub fn integer_vars(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn integer_vars(&self) -> impl Iterator<Item = usize> + '_ {
         self.vars
             .iter()
             .enumerate()
@@ -225,7 +220,7 @@ impl Problem {
     /// # Panics
     ///
     /// Panics if the variable is unknown.
-    pub fn set_bounds(&mut self, var: Var, lower: f64, upper: f64) {
+    pub(crate) fn set_bounds(&mut self, var: Var, lower: f64, upper: f64) {
         let d = &mut self.vars[var.0];
         d.lower = lower;
         d.upper = upper;
@@ -245,7 +240,7 @@ impl Problem {
     /// Maximum violation of bounds, constraints and integrality at `values`.
     ///
     /// Returns 0 for a feasible point (within `tol`).
-    pub fn max_violation(&self, values: &[f64], tol: f64) -> f64 {
+    pub(crate) fn max_violation(&self, values: &[f64], tol: f64) -> f64 {
         let mut worst: f64 = 0.0;
         for (d, &v) in self.vars.iter().zip(values) {
             worst = worst.max(d.lower - v).max(v - d.upper);
@@ -319,7 +314,7 @@ mod tests {
         assert_eq!(p.sense(), Sense::Minimize);
         assert_eq!(p.num_vars(), 0);
         assert_eq!(p.num_constraints(), 0);
-        assert_eq!(p.objective_constant(), 0.0);
+        assert_eq!(p.objective_constant, 0.0);
         // The reset arena builds a fresh model identical to a new one.
         let y = p.add_var_unnamed(0.0, 1.0);
         p.set_objective(LinExpr::from(y));

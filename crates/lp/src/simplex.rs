@@ -14,16 +14,16 @@
 use std::time::Instant;
 
 use crate::problem::{Cmp, Problem, Sense};
-use crate::solution::{Solution, SolveError, Status};
+use crate::solution::{Solution, SolveError};
 use crate::EPS;
 
 /// Hard limits for a simplex run.
 #[derive(Debug, Clone, Copy)]
-pub struct Limits {
+pub(crate) struct Limits {
     /// Maximum number of pivots across both phases.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// Optional wall-clock deadline.
-    pub deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
 }
 
 impl Default for Limits {
@@ -39,9 +39,9 @@ impl Default for Limits {
 ///
 /// # Errors
 ///
-/// [`SolveError::Infeasible`] / [`SolveError::Unbounded`] for the respective
-/// outcomes, [`SolveError::LimitReached`] if the iteration cap is hit, and
-/// [`SolveError::BadModel`] for NaN/infinite coefficients.
+/// `SolveError::Infeasible` / `SolveError::Unbounded` for the respective
+/// outcomes, `SolveError::LimitReached` if the iteration cap is hit, and
+/// `SolveError::BadModel` for NaN/infinite coefficients.
 pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
     solve_with_limits(problem, Limits::default())
 }
@@ -62,12 +62,15 @@ enum ColMap {
 /// # Errors
 ///
 /// See [`solve`].
-pub fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Solution, SolveError> {
+pub(crate) fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Solution, SolveError> {
     let n = problem.num_vars();
 
     for def in problem.vars() {
         if def.lower.is_nan() || def.upper.is_nan() {
-            return Err(SolveError::BadModel("NaN variable bound".into()));
+            return Err(SolveError::BadModel(format!(
+                "NaN bound on variable `{}`",
+                def.name
+            )));
         }
     }
     for c in problem.constraints() {
@@ -473,11 +476,7 @@ pub fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Solution, 
     }
     let _ = obj_shift;
     let objective = problem.objective_value(&values);
-    Ok(Solution {
-        status: Status::Optimal,
-        values,
-        objective,
-    })
+    Ok(Solution { values, objective })
 }
 
 #[cfg(test)]

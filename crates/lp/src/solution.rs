@@ -2,36 +2,9 @@
 
 use std::fmt;
 
-/// Outcome class of an LP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Status {
-    /// An optimal solution was found.
-    Optimal,
-    /// The feasible region is empty.
-    Infeasible,
-    /// The objective is unbounded in the optimization direction.
-    Unbounded,
-    /// The iteration or time limit was reached before convergence.
-    Limit,
-}
-
-impl fmt::Display for Status {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Status::Optimal => "optimal",
-            Status::Infeasible => "infeasible",
-            Status::Unbounded => "unbounded",
-            Status::Limit => "limit reached",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A successful LP solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
-    /// Always [`Status::Optimal`] for solutions returned by the simplex.
-    pub status: Status,
     /// Value per variable, indexed by [`crate::Var::index`].
     pub values: Vec<f64>,
     /// Objective value (including the problem's objective constant).

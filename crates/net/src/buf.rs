@@ -18,43 +18,36 @@ use crate::wire::{frame_prefix, WireError};
 /// bytes are reclaimed by shifting only when the dead prefix dominates
 /// the allocation, so steady-state streaming does no per-frame moves.
 #[derive(Debug, Default)]
-pub struct ByteRing {
+pub(crate) struct ByteRing {
     buf: Vec<u8>,
     start: usize,
 }
 
 impl ByteRing {
-    pub fn new() -> ByteRing {
+    pub(crate) fn new() -> ByteRing {
         ByteRing::default()
     }
 
-    pub fn with_capacity(n: usize) -> ByteRing {
-        ByteRing {
-            buf: Vec::with_capacity(n),
-            start: 0,
-        }
-    }
-
     /// Live (unconsumed) bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len() - self.start
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.start == self.buf.len()
     }
 
     /// The live bytes, front first.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf[self.start..]
     }
 
-    pub fn extend(&mut self, bytes: &[u8]) {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Discards `n` bytes off the front.
-    pub fn consume(&mut self, n: usize) {
+    pub(crate) fn consume(&mut self, n: usize) {
         self.start += n;
         debug_assert!(self.start <= self.buf.len());
         if self.start == self.buf.len() {
@@ -64,11 +57,6 @@ impl ByteRing {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-    }
-
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.start = 0;
     }
 }
 

@@ -190,7 +190,11 @@ impl Connection {
     /// Sends a request and blocks until the response with its
     /// correlation id arrives or `timeout` elapses. A timeout keeps the
     /// session; a hang-up drops it.
-    pub fn request_timeout(&self, frame: Frame, timeout: Duration) -> Result<Frame, NetError> {
+    pub(crate) fn request_timeout(
+        &self,
+        frame: Frame,
+        timeout: Duration,
+    ) -> Result<Frame, NetError> {
         let start = Instant::now();
         let mut state = self.open_state()?;
         let corr = state.next_corr;

@@ -556,7 +556,7 @@ pub fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
 ///
 /// Returns `Some(corr)` only for request frames (`corr != 0`, response
 /// flag clear) whose version and header fields parse; `None` otherwise.
-pub fn decode_request_corr(body: &[u8]) -> Option<u64> {
+pub(crate) fn decode_request_corr(body: &[u8]) -> Option<u64> {
     let (_tag, flags, corr) = envelope_header(&mut Reader::new(body)).ok()?;
     (corr != 0 && flags & FLAG_RESPONSE == 0).then_some(corr)
 }

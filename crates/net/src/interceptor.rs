@@ -24,7 +24,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// The common case: one copy, no delay.
-    pub const PASS: Verdict = Verdict::Deliver {
+    pub(crate) const PASS: Verdict = Verdict::Deliver {
         copies: 1,
         delay: Duration::ZERO,
     };
@@ -39,7 +39,7 @@ pub trait Interceptor: Send {
 
 /// Lets everything through untouched.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Passthrough;
+pub(crate) struct Passthrough;
 
 impl Interceptor for Passthrough {
     fn on_send(&mut self, _env: &Envelope) -> Verdict {
@@ -55,11 +55,11 @@ pub struct LossInterceptor {
     model: LossModel,
     /// Responses are never impaired by default so request/response
     /// benchmarking measures forward-path loss only.
-    pub impair_responses: bool,
+    pub(crate) impair_responses: bool,
 }
 
 impl LossInterceptor {
-    pub fn new(model: LossModel) -> LossInterceptor {
+    pub(crate) fn new(model: LossModel) -> LossInterceptor {
         LossInterceptor {
             model,
             impair_responses: false,

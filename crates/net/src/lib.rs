@@ -10,9 +10,9 @@
 //!   reader (which also holds the nesting bound), the one scan of a
 //!   frame's length prefix, and the crate-private `Wire` trait: "has a
 //!   wire form", implemented once per field type. Every decoder is
-//!   total: corrupt input yields a [`WireError`], never a panic or
+//!   total: corrupt input yields a `WireError`, never a panic or
 //!   unbounded allocation.
-//! * [`frame`] — the typed [`Frame`] enum and the [`Envelope`] that
+//! * `frame` — the typed [`Frame`] enum and the [`Envelope`] that
 //!   adds multiplexing metadata (correlation id + response flag). Each
 //!   message is declared once; its type, tag, `kind()`, codec and list
 //!   allocation bound follow from the declaration.
@@ -21,19 +21,19 @@
 //!   `Migrate` frames and checkpoint files, with `From` upgrades from
 //!   every older revision: one snapshot codec, one checkpoint reader
 //!   ([`decode_checkpoint_any`]) for every file generation.
-//! * [`buf`] / [`poll`] — event-loop plumbing: a growable [`ByteRing`],
+//! * `buf` / `poll` — event-loop plumbing: a growable `ByteRing`,
 //!   the incremental [`FrameDecoder`] (equivalent to the one-shot
 //!   decoder on any byte split; the only frame reader, on both ends of
-//!   a connection), and the [`Poller`] readiness abstraction (raw epoll
+//!   a connection), and the `Poller` readiness abstraction (raw epoll
 //!   on Linux, `poll(2)` on other unixes).
-//! * [`interceptor`] — the [`Interceptor`] send-path hook;
+//! * `interceptor` — the `Interceptor` send-path hook;
 //!   [`LossInterceptor`] applies `farm-faults`' deterministic loss
 //!   model (drop / duplicate / delay) to real frames.
-//! * [`conn`] / [`server`] — the runtime: a blocking [`Connection`] —
-//!   one socket, one [`FrameDecoder`] and one [`Interceptor`] behind
+//! * `conn` / `server` — the runtime: a blocking [`Connection`] —
+//!   one socket, one [`FrameDecoder`] and one `Interceptor` behind
 //!   one mutex, no thread and no queue of its own: request/response and
 //!   one-way sends on the caller's thread, redial on demand when the
-//!   peer ended the session; the accepting side is [`reactor`]'s
+//!   peer ended the session; the accepting side is `reactor`'s
 //!   [`Reactor`], a value whose owner turns it and gets every frame
 //!   handed to it inline (farmd and fedd, on the thread that owns the
 //!   core), or [`NetServer`], that value plus the one thread turning it
@@ -46,33 +46,32 @@
 //! `net.rpc_timeouts`, `net.decode_errors`, the `net.rpc_latency_us`
 //! histogram and the `net.server_conns` gauge.
 
-pub mod buf;
-pub mod conn;
-pub mod frame;
-pub mod interceptor;
-pub mod poll;
+#![warn(unreachable_pub)]
+
+mod buf;
+mod conn;
+mod frame;
+mod interceptor;
+mod poll;
 #[cfg(unix)]
-pub mod reactor;
-pub mod server;
+mod reactor;
+mod server;
 pub mod snapshot;
 mod sock;
 pub mod wire;
 
-pub use buf::{ByteRing, Decoded, FrameDecoder};
+pub use buf::{Decoded, FrameDecoder};
 pub use conn::{Connection, NetConfig, NetError};
 pub use frame::{
-    decode_body, decode_envelope, decode_request_corr, encode_envelope, ControlOp, ControlReply,
-    Diagnostic, Envelope, Frame, PodInfo, Report, SeedDescriptor,
+    decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, Diagnostic, Envelope,
+    Frame, PodInfo, Report, SeedDescriptor,
 };
-pub use interceptor::{Interceptor, LossInterceptor, Passthrough, Verdict};
-pub use poll::{Interest, PollEvent, Poller, Readiness, Token};
+pub use interceptor::LossInterceptor;
 #[cfg(unix)]
 pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
-pub use snapshot::{
-    decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, CheckpointLoad, VSeedSnapshot,
-};
-pub use wire::{crc32, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use snapshot::{decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, VSeedSnapshot};
+pub use wire::PROTOCOL_VERSION;
 
 // The snapshot payload type carried by `Migrate` frames and the fed
 // snapshot-bearing ops, re-exported so wire-level consumers don't need

@@ -19,23 +19,19 @@ use std::os::unix::io::RawFd;
 /// Caller-chosen identifier attached to a registered descriptor and
 /// handed back by [`Poller::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Token(pub u64);
+pub(crate) struct Token(pub(crate) u64);
 
 /// Which readiness edges a registration subscribes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    pub readable: bool,
-    pub writable: bool,
+pub(crate) struct Interest {
+    pub(crate) readable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
     };
 }
 
@@ -43,17 +39,17 @@ impl Interest {
 /// should try the pending I/O once (draining whatever the kernel still
 /// holds) and then tear the connection down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Readiness {
-    pub readable: bool,
-    pub writable: bool,
-    pub error: bool,
+pub(crate) struct Readiness {
+    pub(crate) readable: bool,
+    pub(crate) writable: bool,
+    pub(crate) error: bool,
 }
 
 /// One ready descriptor from a [`Poller::wait`] harvest.
 #[derive(Debug, Clone, Copy)]
-pub struct PollEvent {
-    pub token: Token,
-    pub readiness: Readiness,
+pub(crate) struct PollEvent {
+    pub(crate) token: Token,
+    pub(crate) readiness: Readiness,
 }
 
 #[cfg(target_os = "linux")]
@@ -117,13 +113,13 @@ mod sys {
         m
     }
 
-    pub struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
         events: Vec<EpollEvent>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
             Ok(Poller {
                 epfd,
@@ -131,7 +127,12 @@ mod sys {
             })
         }
 
-        pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             let mut ev = EpollEvent {
                 events: mask_of(interest),
                 data: token.0,
@@ -139,7 +140,12 @@ mod sys {
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(|_| ())
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             let mut ev = EpollEvent {
                 events: mask_of(interest),
                 data: token.0,
@@ -147,12 +153,12 @@ mod sys {
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) }).map(|_| ())
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let mut ev = EpollEvent { events: 0, data: 0 };
             cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<PollEvent>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<PollEvent>) -> io::Result<()> {
             let n = loop {
                 match cvt(unsafe {
                     epoll_wait(
@@ -228,13 +234,13 @@ mod sys {
         m
     }
 
-    pub struct Poller {
+    pub(crate) struct Poller {
         fds: Vec<PollFd>,
         tokens: Vec<Token>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             Ok(Poller {
                 fds: Vec::new(),
                 tokens: Vec::new(),
@@ -245,7 +251,12 @@ mod sys {
             self.fds.iter().position(|p| p.fd == fd)
         }
 
-        pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             if self.index_of(fd).is_some() {
                 return Err(io::ErrorKind::AlreadyExists.into());
             }
@@ -258,21 +269,26 @@ mod sys {
             Ok(())
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
             let i = self.index_of(fd).ok_or(io::ErrorKind::NotFound)?;
             self.fds[i].events = mask_of(interest);
             self.tokens[i] = token;
             Ok(())
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             let i = self.index_of(fd).ok_or(io::ErrorKind::NotFound)?;
             self.fds.swap_remove(i);
             self.tokens.swap_remove(i);
             Ok(())
         }
 
-        pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<PollEvent>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, timeout_ms: i32, out: &mut Vec<PollEvent>) -> io::Result<()> {
             if self.fds.is_empty() {
                 if timeout_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
@@ -321,48 +337,48 @@ mod sys {
 
     type RawFd = i32;
 
-    pub struct Poller;
+    pub(crate) struct Poller;
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "farm-net reactor needs a unix-like poller",
             ))
         }
 
-        pub fn register(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
+        pub(crate) fn register(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
 
-        pub fn modify(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&mut self, _: RawFd, _: Token, _: Interest) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
 
-        pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, _: RawFd) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
 
-        pub fn wait(&mut self, _: i32, _: &mut Vec<PollEvent>) -> io::Result<()> {
+        pub(crate) fn wait(&mut self, _: i32, _: &mut Vec<PollEvent>) -> io::Result<()> {
             Err(io::ErrorKind::Unsupported.into())
         }
     }
 }
 
-pub use sys::Poller;
+pub(crate) use sys::Poller;
 
 /// Cross-thread wakeup for a [`Poller`]: one end registered with the
 /// reactor, the other poked by whoever wants a waiting turn to return
 /// now (`NetServer::shutdown`; nothing on the data path).
 #[cfg(unix)]
-pub struct Waker {
+pub(crate) struct Waker {
     tx: std::os::unix::net::UnixStream,
     rx: std::os::unix::net::UnixStream,
 }
 
 #[cfg(unix)]
 impl Waker {
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -370,27 +386,20 @@ impl Waker {
     }
 
     /// The descriptor the reactor registers for readability.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         use std::os::unix::io::AsRawFd;
         self.rx.as_raw_fd()
     }
 
-    /// Pokes the poller. A full pipe means a wake is already pending,
-    /// which is all we need — the write is fire-and-forget.
-    pub fn wake(&self) {
-        use std::io::Write;
-        let _ = (&self.tx).write(&[1u8]);
-    }
-
     /// Swallows pending wake bytes so level-triggered polling settles.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         use std::io::Read;
         let mut buf = [0u8; 64];
         while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 
     /// A clone of the poke side, for handing to another thread.
-    pub fn handle(&self) -> io::Result<WakeHandle> {
+    pub(crate) fn handle(&self) -> io::Result<WakeHandle> {
         Ok(WakeHandle {
             tx: self.tx.try_clone()?,
         })
@@ -399,13 +408,15 @@ impl Waker {
 
 /// The poke side of a [`Waker`], for the thread that does not own it.
 #[cfg(unix)]
-pub struct WakeHandle {
+pub(crate) struct WakeHandle {
     tx: std::os::unix::net::UnixStream,
 }
 
 #[cfg(unix)]
 impl WakeHandle {
-    pub fn wake(&self) {
+    /// Pokes the poller. A full pipe means a wake is already pending,
+    /// which is all we need — the write is fire-and-forget.
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
     }
@@ -428,7 +439,8 @@ mod tests {
         // Nothing pending: a short wait times out empty.
         poller.wait(10, &mut events).expect("wait");
         assert!(events.is_empty());
-        waker.wake();
+        // Poked the way `NetServer::shutdown` does: through the handle.
+        waker.handle().expect("handle").wake();
         poller.wait(1000, &mut events).expect("wait");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, Token(7));
@@ -459,7 +471,14 @@ mod tests {
         let mut buf = [0u8; 8];
         let _ = (&b).read(&mut buf);
         poller
-            .modify(b.as_raw_fd(), Token(1), Interest::WRITE)
+            .modify(
+                b.as_raw_fd(),
+                Token(1),
+                Interest {
+                    readable: false,
+                    writable: true,
+                },
+            )
             .expect("modify");
         events.clear();
         poller.wait(1000, &mut events).expect("wait");

@@ -124,7 +124,7 @@ impl Reactor {
     }
 
     /// A handle another thread can cut a waiting turn short with.
-    pub fn wake_handle(&self) -> io::Result<WakeHandle> {
+    pub(crate) fn wake_handle(&self) -> io::Result<WakeHandle> {
         self.waker.handle()
     }
 

@@ -50,7 +50,7 @@ use farm_soil::SeedSnapshot;
 use crate::wire::{crc32, put_varint, Reader, Wire, WireError};
 
 /// Magic prefix of a versioned checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FARMCKP1";
+pub(crate) const CHECKPOINT_MAGIC: &[u8; 8] = b"FARMCKP1";
 
 /// Magic prefix of a record-framed (CRC-checked, salvageable) file.
 pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"FARMCKP2";
@@ -67,16 +67,6 @@ pub enum VSeedSnapshot {
 }
 
 impl VSeedSnapshot {
-    /// The revision stamped on newly encoded snapshots.
-    pub const CURRENT_VERSION: u8 = 1;
-
-    /// The revision this value carries.
-    pub fn version(&self) -> u8 {
-        match self {
-            VSeedSnapshot::V1(_) => 1,
-        }
-    }
-
     /// Upgrades through every revision to the current in-memory shape.
     pub fn into_latest(self) -> SeedSnapshot {
         match self {
@@ -122,7 +112,7 @@ pub fn encode_vsnapshot(v: &VSeedSnapshot, out: &mut Vec<u8>) {
 }
 
 /// Decodes a snapshot, versioned or legacy-untagged (see module docs).
-pub fn decode_vsnapshot(r: &mut Reader<'_>) -> Result<VSeedSnapshot, WireError> {
+pub(crate) fn decode_vsnapshot(r: &mut Reader<'_>) -> Result<VSeedSnapshot, WireError> {
     if r.peek_u8()? != VERSIONED {
         // Legacy untagged payload: first byte is the machine-name
         // length varint, which is never zero.
@@ -377,7 +367,7 @@ mod tests {
     #[test]
     fn from_upgrades_are_lossless_both_ways() {
         let v: VSeedSnapshot = sample().into();
-        assert_eq!(v.version(), VSeedSnapshot::CURRENT_VERSION);
+        assert!(matches!(v, VSeedSnapshot::V1(_)));
         let back: SeedSnapshot = v.into();
         assert_eq!(back, sample());
     }

@@ -10,26 +10,26 @@ use farm_telemetry::{Counter, Histogram, Telemetry};
 #[derive(Clone)]
 pub(crate) struct NetCounters {
     /// Octets this endpoint moved on the wire, both directions.
-    pub bytes: Arc<Counter>,
-    pub frames_sent: Arc<Counter>,
-    pub frames_received: Arc<Counter>,
+    pub(crate) bytes: Arc<Counter>,
+    pub(crate) frames_sent: Arc<Counter>,
+    pub(crate) frames_received: Arc<Counter>,
     /// Frames discarded by an interceptor (injected loss).
-    pub dropped_frames: Arc<Counter>,
+    pub(crate) dropped_frames: Arc<Counter>,
     /// One-way frames that found no session and could not dial one, or
     /// whose write failed.
-    pub dead_letters: Arc<Counter>,
-    pub connects: Arc<Counter>,
-    pub reconnects: Arc<Counter>,
-    pub connect_failures: Arc<Counter>,
-    pub rpcs: Arc<Counter>,
-    pub rpc_timeouts: Arc<Counter>,
-    pub decode_errors: Arc<Counter>,
+    pub(crate) dead_letters: Arc<Counter>,
+    pub(crate) connects: Arc<Counter>,
+    pub(crate) reconnects: Arc<Counter>,
+    pub(crate) connect_failures: Arc<Counter>,
+    pub(crate) rpcs: Arc<Counter>,
+    pub(crate) rpc_timeouts: Arc<Counter>,
+    pub(crate) decode_errors: Arc<Counter>,
     /// Request → response round-trip, microseconds (real time).
-    pub rpc_latency_us: Arc<Histogram>,
+    pub(crate) rpc_latency_us: Arc<Histogram>,
 }
 
 impl NetCounters {
-    pub fn new(telemetry: &Telemetry) -> NetCounters {
+    pub(crate) fn new(telemetry: &Telemetry) -> NetCounters {
         NetCounters {
             bytes: telemetry.counter("net.bytes"),
             frames_sent: telemetry.counter("net.frames_sent"),

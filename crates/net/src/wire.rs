@@ -1,5 +1,5 @@
 //! Low-level wire primitives: LEB128 varints, zigzag signed integers,
-//! length-prefixed strings, a bounds-checked [`Reader`], and the `Wire`
+//! length-prefixed strings, a bounds-checked `Reader`, and the `Wire`
 //! trait every field and message type of the protocol implements once.
 //!
 //! Every decoder in this crate is **total**: arbitrary (truncated,
@@ -14,10 +14,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Hard cap on one frame's body, bytes. Larger length prefixes are
 /// rejected before any allocation happens.
-pub const MAX_FRAME_LEN: usize = 16 << 20;
+pub(crate) const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Maximum nesting depth for recursive payloads (values, filters).
-pub const MAX_DEPTH: usize = 48;
+pub(crate) const MAX_DEPTH: usize = 48;
 
 /// Decoding failure. `Truncated` doubles as "need more bytes" for
 /// streaming callers; every other variant is a hard protocol error.
@@ -25,7 +25,7 @@ pub const MAX_DEPTH: usize = 48;
 pub enum WireError {
     /// Input ended before the value did.
     Truncated,
-    /// A length prefix exceeds [`MAX_FRAME_LEN`].
+    /// A length prefix exceeds `MAX_FRAME_LEN`.
     TooLarge(u64),
     /// The frame announces a protocol version we do not speak.
     Version(u8),
@@ -35,7 +35,7 @@ pub enum WireError {
     Utf8,
     /// A varint ran past 10 bytes.
     VarintOverflow,
-    /// Recursive payload nests deeper than [`MAX_DEPTH`].
+    /// Recursive payload nests deeper than `MAX_DEPTH`.
     Depth,
     /// A scalar field is outside its legal range (e.g. prefix len > 32).
     Range(&'static str),
@@ -85,7 +85,7 @@ const CRC32_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE) of `bytes` — the per-record integrity check framing
 /// `FARMCKP2` checkpoint entries.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
@@ -107,12 +107,12 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends a zigzag-encoded signed varint.
-pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_ivarint(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Appends an IEEE-754 double as 8 little-endian bytes.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
@@ -123,13 +123,13 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends a bool as one byte.
-pub fn put_bool(out: &mut Vec<u8>, b: bool) {
+pub(crate) fn put_bool(out: &mut Vec<u8>, b: bool) {
     out.push(b as u8);
 }
 
 /// Bounds-checked cursor over a received frame body.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     /// Recursive decodes currently open (see [`Reader::nested`]).
@@ -137,7 +137,7 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader {
             buf,
             pos: 0,
@@ -162,16 +162,16 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Bytes consumed so far.
-    pub fn consumed(&self) -> usize {
+    pub(crate) fn consumed(&self) -> usize {
         self.pos
     }
 
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
         Ok(b)
@@ -179,11 +179,11 @@ impl<'a> Reader<'a> {
 
     /// The next byte without consuming it — used to discriminate tagged
     /// encodings from legacy untagged ones (e.g. versioned snapshots).
-    pub fn peek_u8(&self) -> Result<u8, WireError> {
+    pub(crate) fn peek_u8(&self) -> Result<u8, WireError> {
         self.buf.get(self.pos).copied().ok_or(WireError::Truncated)
     }
 
-    pub fn bool(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -194,7 +194,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn varint(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for shift in 0..10 {
             let byte = self.u8()?;
@@ -210,12 +210,12 @@ impl<'a> Reader<'a> {
         Err(WireError::VarintOverflow)
     }
 
-    pub fn ivarint(&mut self) -> Result<i64, WireError> {
+    pub(crate) fn ivarint(&mut self) -> Result<i64, WireError> {
         let z = self.varint()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         let bytes = self.take(8)?;
         let mut arr = [0u8; 8];
         arr.copy_from_slice(bytes);
@@ -224,7 +224,7 @@ impl<'a> Reader<'a> {
 
     /// A length prefix that must be satisfiable by the remaining bytes,
     /// assuming each element costs at least `min_elem_bytes`.
-    pub fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+    pub(crate) fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.varint()?;
         let need = n.saturating_mul(min_elem_bytes.max(1) as u64);
         if need > self.remaining() as u64 {
@@ -233,13 +233,13 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    pub fn str(&mut self) -> Result<String, WireError> {
+    pub(crate) fn str(&mut self) -> Result<String, WireError> {
         let n = self.len_prefix(1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Utf8)
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -249,7 +249,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fails unless the whole buffer was consumed.
-    pub fn finish(&self) -> Result<(), WireError> {
+    pub(crate) fn finish(&self) -> Result<(), WireError> {
         match self.remaining() {
             0 => Ok(()),
             n => Err(WireError::Trailing(n)),

@@ -4,7 +4,7 @@
 //! SDN controller for the set of paths matching a closed filter formula —
 //! the paper's `φ_path(·)` helper (§ III-B). This module implements that
 //! query against the simulated topology: source/destination prefixes select
-//! leaf sets, and the ECMP path enumeration of [`Topology::paths`] supplies
+//! leaf sets, and the ECMP path enumeration of `Topology::paths` supplies
 //! the path family.
 
 use crate::topology::Topology;
@@ -20,11 +20,6 @@ impl<'a> SdnController<'a> {
     /// Wraps a topology.
     pub fn new(topology: &'a Topology) -> Self {
         SdnController { topology }
-    }
-
-    /// The topology this controller manages.
-    pub fn topology(&self) -> &Topology {
-        self.topology
     }
 
     /// `φ_path(ex_c)`: every switch-level path whose endpoints can carry

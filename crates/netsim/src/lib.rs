@@ -8,7 +8,7 @@
 //! * [`switch`] — switches with port counters, a region-divided [`tcam`],
 //!   a bandwidth-limited [`pcie`] polling bus (8 Mbit/s vs a 100 Gbit/s
 //!   ASIC — the 1:12500 ratio of the paper's Fig. 8) and a control-plane
-//!   [`cpu`] meter,
+//!   `cpu` meter,
 //! * [`controller`] — the SDN controller's `φ_path` path queries,
 //! * [`traffic`] — heavy-hitter / DDoS / port-scan / Zipf workloads with
 //!   the statistical features the paper reports,
@@ -43,8 +43,10 @@
 //! assert!(latency > Dur::ZERO);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod controller;
-pub mod cpu;
+mod cpu;
 pub mod network;
 pub mod pcie;
 pub mod switch;
@@ -53,11 +55,3 @@ pub mod time;
 pub mod topology;
 pub mod traffic;
 pub mod types;
-
-pub use network::{Network, TrafficEvent};
-pub use switch::{ResourceKind, Resources, Switch, SwitchModel};
-pub use time::{Dur, Time};
-pub use topology::Topology;
-pub use types::{
-    FilterAtom, FilterFormula, FlowKey, Ipv4, PortId, PortSel, Prefix, Proto, SwitchId,
-};

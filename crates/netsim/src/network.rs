@@ -19,7 +19,7 @@ pub struct TrafficEvent {
 }
 
 /// The simulated fabric with live per-switch state. Per-switch state is
-/// addressed by the topology's slot ([`Topology::slot_of`]): position in
+/// addressed by the topology's slot (`Topology::slot_of`): position in
 /// ascending id order.
 #[derive(Debug)]
 pub struct Network {
@@ -125,7 +125,7 @@ impl Network {
 
     /// Attaches a telemetry handle to every switch (PCIe and polling
     /// instruments). The handle is retained so switches recreated after a
-    /// crash ([`Network::reset_switch`]) stay instrumented.
+    /// crash (`Network::reset_switch`) stay instrumented.
     pub fn set_telemetry(&mut self, telemetry: &farm_telemetry::Telemetry) {
         self.telemetry = Some(telemetry.clone());
         for sw in &mut self.switches {
@@ -149,15 +149,6 @@ impl Network {
             self.reset_switch(id);
         }
         self.up[slot] = up;
-    }
-
-    /// Ids of currently crashed switches, in order.
-    pub fn down_switches(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.up)
-            .filter(|(_, up)| !**up)
-            .map(|(id, _)| *id)
     }
 
     /// True when the (undirected) link between `a` and `b` carries traffic.
@@ -237,7 +228,7 @@ impl Network {
     /// Replaces a switch with a factory-fresh instance of the same model
     /// (cold boot: empty TCAM, zeroed counters and meters), re-attaching
     /// telemetry when configured.
-    pub fn reset_switch(&mut self, id: SwitchId) {
+    pub(crate) fn reset_switch(&mut self, id: SwitchId) {
         let Some(slot) = self.slot_of(id) else {
             return;
         };
@@ -246,13 +237,6 @@ impl Network {
             fresh.set_telemetry(t.clone());
         }
         self.switches[slot] = fresh;
-    }
-
-    /// Resets the per-window meters (CPU, PCIe) of every switch.
-    pub fn reset_meters(&mut self) {
-        for sw in &mut self.switches {
-            sw.reset_meters();
-        }
     }
 }
 
@@ -322,7 +306,7 @@ mod tests {
 
         net.set_switch_up(leaf, false);
         assert!(!net.is_up(leaf));
-        assert_eq!(net.down_switches().collect::<Vec<_>>(), vec![leaf]);
+        assert_eq!(net.up.iter().filter(|up| !**up).count(), 1);
         net.apply_traffic(std::slice::from_ref(&ev));
 
         net.set_switch_up(leaf, true);
@@ -441,7 +425,7 @@ mod tests {
             net.set_switch_up(id, false);
         }
         assert!(net.reachable().is_empty());
-        assert_eq!(net.down_switches().count(), ids.len());
+        assert!(ids.iter().all(|&id| !net.is_up(id)));
         for &id in &ids {
             net.set_switch_up(id, true);
             assert_eq!(net.switch(id).unwrap().id(), id);

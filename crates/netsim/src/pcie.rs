@@ -15,9 +15,9 @@ use crate::time::Dur;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcieSpec {
     /// Sustainable statistics-polling throughput over PCIe, bits/s.
-    pub poll_capacity_bps: u64,
+    pub(crate) poll_capacity_bps: u64,
     /// ASIC forwarding bandwidth, bits/s (for the Fig. 8 ratio).
-    pub asic_bps: u64,
+    pub(crate) asic_bps: u64,
 }
 
 impl PcieSpec {
@@ -38,7 +38,7 @@ impl PcieSpec {
 }
 
 /// Base service latency of a single small PCIe read when idle.
-pub const PCIE_BASE_LATENCY: Dur = Dur::from_micros(10);
+pub(crate) const PCIE_BASE_LATENCY: Dur = Dur::from_micros(10);
 
 /// Tracks PCIe polling traffic over a measurement window.
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ pub struct PcieBus {
 
 impl PcieBus {
     /// A bus with a 1-second reporting window.
-    pub fn new(spec: PcieSpec) -> PcieBus {
+    pub(crate) fn new(spec: PcieSpec) -> PcieBus {
         PcieBus {
             spec,
             window: Dur::from_secs(1),
@@ -74,14 +74,9 @@ impl PcieBus {
     /// Attaches a telemetry handle; subsequent requests update the
     /// `pcie.*` counters and saturation transitions emit
     /// [`Event::PcieSaturation`] tagged with `switch_id`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry, switch_id: u32) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry, switch_id: u32) {
         self.telemetry = Some(telemetry);
         self.switch_id = switch_id;
-    }
-
-    /// Static description.
-    pub fn spec(&self) -> PcieSpec {
-        self.spec
     }
 
     /// Sets the measurement window.
@@ -113,12 +108,12 @@ impl PcieBus {
     }
 
     /// Current degradation factor (`1.0` = healthy).
-    pub fn degradation(&self) -> f64 {
+    pub(crate) fn degradation(&self) -> f64 {
         self.degradation
     }
 
     /// Capacity after degradation, bits/s.
-    pub fn effective_capacity_bps(&self) -> f64 {
+    pub(crate) fn effective_capacity_bps(&self) -> f64 {
         self.spec.poll_capacity_bps as f64 * self.degradation
     }
 
@@ -146,7 +141,7 @@ impl PcieBus {
 
     /// Extra delay from contention: `base · ρ/(1-ρ)`, capped at 1000× base
     /// once the bus saturates.
-    pub fn queueing_delay(&self) -> Dur {
+    pub(crate) fn queueing_delay(&self) -> Dur {
         let rho = self.utilization().min(0.999);
         let factor = (rho / (1.0 - rho)).min(1000.0);
         PCIE_BASE_LATENCY.mul_f64(factor)
@@ -154,7 +149,7 @@ impl PcieBus {
 
     /// Offered polling load relative to capacity (1.0 = saturated; can
     /// exceed 1 when demand outstrips the bus).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let offered_bps = self.bytes_requested as f64 * 8.0 / self.window.as_secs_f64();
         offered_bps / self.effective_capacity_bps()
     }
@@ -165,7 +160,7 @@ impl PcieBus {
     }
 
     /// True when offered load exceeds 95 % of capacity.
-    pub fn is_congested(&self) -> bool {
+    pub(crate) fn is_congested(&self) -> bool {
         self.utilization() > 0.95
     }
 
@@ -181,7 +176,7 @@ impl PcieBus {
 
     /// Resets window counters (and reports saturation recovery if the
     /// previous window was congested).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.bytes_requested = 0;
         self.requests = 0;
         self.observe_saturation();

@@ -130,19 +130,6 @@ pub struct SwitchModel {
 }
 
 impl SwitchModel {
-    /// APS BF2556X-1T: Tofino ASIC, Xeon 8-core, 32 GB (platform (i)).
-    pub fn aps_bf2556x() -> SwitchModel {
-        SwitchModel {
-            name: "APS BF2556X-1T".into(),
-            cpu: CpuSpec::xeon_8c(),
-            ram_mb: 32 * 1024,
-            tcam_capacity: 4096,
-            tcam_monitoring_reserve: 1024,
-            pcie: PcieSpec::measured(),
-            num_ports: 56,
-        }
-    }
-
     /// Accton AS5712: Atom quad-core, 8 GB (platform (ii)).
     pub fn accton_as5712() -> SwitchModel {
         SwitchModel {
@@ -162,19 +149,6 @@ impl SwitchModel {
             name: "Accton AS7712".into(),
             ram_mb: 16 * 1024,
             ..SwitchModel::accton_as5712()
-        }
-    }
-
-    /// Arista 7280QRA-C36S: AMD quad-core, 8 GB (platform (iv)).
-    pub fn arista_7280qra() -> SwitchModel {
-        SwitchModel {
-            name: "Arista 7280QRA-C36S".into(),
-            cpu: CpuSpec::amd_gx_4c(),
-            ram_mb: 8 * 1024,
-            tcam_capacity: 2048,
-            tcam_monitoring_reserve: 512,
-            pcie: PcieSpec::measured(),
-            num_ports: 36,
         }
     }
 
@@ -260,10 +234,6 @@ impl Switch {
         self.id
     }
 
-    pub fn model(&self) -> &SwitchModel {
-        &self.model
-    }
-
     pub fn tcam(&self) -> &Tcam {
         &self.tcam
     }
@@ -290,14 +260,9 @@ impl Switch {
 
     /// Attaches a telemetry handle: PCIe requests and port/rule polls on
     /// this switch start updating `pcie.*`/`switch.*` instruments.
-    pub fn set_telemetry(&mut self, telemetry: farm_telemetry::Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: farm_telemetry::Telemetry) {
         self.telemetry = Some(telemetry.clone());
         self.pcie.set_telemetry(telemetry, self.id.0);
-    }
-
-    /// Number of physical ports.
-    pub fn num_ports(&self) -> u16 {
-        self.model.num_ports
     }
 
     /// Nominal platform resources scaled by live fault state: PCIe-poll
@@ -439,7 +404,7 @@ mod tests {
         let nominal = sw.effective_resources().get(ResourceKind::PciePoll);
         assert_eq!(
             nominal,
-            sw.model().total_resources().get(ResourceKind::PciePoll)
+            sw.model.total_resources().get(ResourceKind::PciePoll)
         );
         sw.pcie_mut().set_degradation(0.5);
         let degraded = sw.effective_resources().get(ResourceKind::PciePoll);
@@ -447,19 +412,19 @@ mod tests {
         // Other kinds are untouched.
         assert_eq!(
             sw.effective_resources().get(ResourceKind::VCpu),
-            sw.model().total_resources().get(ResourceKind::VCpu)
+            sw.model.total_resources().get(ResourceKind::VCpu)
         );
     }
 
     #[test]
     fn platform_models_match_paper_specs() {
-        assert_eq!(SwitchModel::aps_bf2556x().cpu.cores, 8);
+        assert_eq!(SwitchModel::accton_as5712().cpu.cores, 4);
         assert_eq!(SwitchModel::accton_as5712().ram_mb, 8 * 1024);
         assert_eq!(
             SwitchModel::accton_as7712().ram_mb,
             2 * SwitchModel::accton_as5712().ram_mb
         );
-        assert_eq!(SwitchModel::arista_7280qra().num_ports, 36);
+        assert_eq!(SwitchModel::accton_as7712().num_ports, 54);
     }
 
     #[test]

@@ -262,13 +262,8 @@ impl Tcam {
         }
     }
 
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Entries available to the given region.
-    pub fn region_capacity(&self, region: TcamRegion) -> usize {
+    pub(crate) fn region_capacity(&self, region: TcamRegion) -> usize {
         match region {
             TcamRegion::Monitoring => self.monitoring_reserve,
             TcamRegion::Forwarding => self.capacity - self.monitoring_reserve,
@@ -369,13 +364,6 @@ impl Tcam {
     /// Looks up a rule by id.
     pub fn rule(&self, id: RuleId) -> Option<&TcamRule> {
         self.rules.iter().find(|r| r.id == id)
-    }
-
-    /// First monitoring rule with an equal pattern (`getTCAMRule(filter)`).
-    pub fn rule_by_pattern(&self, pattern: &FilterFormula) -> Option<&TcamRule> {
-        self.rules
-            .iter()
-            .find(|r| r.region == TcamRegion::Monitoring && &r.pattern == pattern)
     }
 
     /// All installed rules, highest priority first.
@@ -569,9 +557,9 @@ mod tests {
         let p = pat("10.0.1.0/24");
         t.add_rule(TcamRegion::Monitoring, 0, p.clone(), RuleAction::Count)
             .unwrap();
-        assert!(t.rule_by_pattern(&p).is_some());
+        assert_eq!(t.rules().len(), 1);
         t.remove_by_pattern(&p).unwrap();
-        assert!(t.rule_by_pattern(&p).is_none());
+        assert!(t.rules().is_empty());
         assert_eq!(t.remove_by_pattern(&p), Err(TcamError::NoSuchRule));
     }
 

@@ -30,11 +30,6 @@ impl Time {
         Time(ms * 1_000_000)
     }
 
-    /// Instant `us` microseconds after start.
-    pub const fn from_micros(us: u64) -> Time {
-        Time(us * 1_000)
-    }
-
     /// Nanoseconds since start.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -134,7 +134,7 @@ impl Topology {
     /// Rank of `id` among the switch ids in ascending order, `None` for
     /// an unknown switch. Ids may be sparse; the builders number switches
     /// contiguously, which makes this a single probe.
-    pub fn slot_of(&self, id: SwitchId) -> Option<usize> {
+    pub(crate) fn slot_of(&self, id: SwitchId) -> Option<usize> {
         let first = self.by_id.first()?.0;
         let guess = id.0.wrapping_sub(first.0) as usize;
         if self.by_id.get(guess).is_some_and(|e| e.0 == id) {
@@ -143,7 +143,7 @@ impl Topology {
         self.by_id.binary_search_by_key(&id, |e| e.0).ok()
     }
 
-    /// The node in slot `slot` (see [`Topology::slot_of`]).
+    /// The node in slot `slot` (see `Topology::slot_of`).
     ///
     /// # Panics
     ///
@@ -198,16 +198,8 @@ impl Topology {
             .map(|n| n.id)
     }
 
-    /// Leaf owning the subnet containing `ip`.
-    pub fn leaf_of(&self, ip: Ipv4) -> Option<SwitchId> {
-        self.nodes
-            .iter()
-            .find(|n| n.prefix.is_some_and(|p| p.contains(ip)))
-            .map(|n| n.id)
-    }
-
     /// Leaves whose subnet overlaps `prefix`.
-    pub fn leaves_overlapping(&self, prefix: &Prefix) -> Vec<SwitchId> {
+    pub(crate) fn leaves_overlapping(&self, prefix: &Prefix) -> Vec<SwitchId> {
         self.nodes
             .iter()
             .filter(|n| n.prefix.is_some_and(|p| p.overlaps(prefix)))
@@ -229,7 +221,7 @@ impl Topology {
     /// All switch-level paths between two leaves. In a spine-leaf fabric
     /// this is `[src]` for intra-leaf traffic and `[src, spine_i, dst]`
     /// for every spine otherwise (the ECMP set).
-    pub fn paths(&self, src: SwitchId, dst: SwitchId) -> Vec<Vec<SwitchId>> {
+    pub(crate) fn paths(&self, src: SwitchId, dst: SwitchId) -> Vec<Vec<SwitchId>> {
         if src == dst {
             return vec![vec![src]];
         }
@@ -305,12 +297,15 @@ mod tests {
         let leaves: Vec<_> = t.leaves().collect();
         for (i, &l) in leaves.iter().enumerate() {
             let ip = t.host_ip(l, 0).unwrap();
-            assert_eq!(t.leaf_of(ip), Some(l), "leaf {i}");
+            assert_eq!(t.leaves_overlapping(&Prefix::host(ip)), [l], "leaf {i}");
         }
         // Host ips from different leaves resolve differently.
         let a = t.host_ip(leaves[0], 5).unwrap();
         let b = t.host_ip(leaves[1], 5).unwrap();
-        assert_ne!(t.leaf_of(a), t.leaf_of(b));
+        assert_ne!(
+            t.leaves_overlapping(&Prefix::host(a)),
+            t.leaves_overlapping(&Prefix::host(b))
+        );
     }
 
     #[test]
@@ -373,7 +368,7 @@ mod tests {
         assert_eq!(t.len(), 1040);
         let last_leaf = t.leaves().last().unwrap();
         let ip = t.host_ip(last_leaf, 3).unwrap();
-        assert_eq!(t.leaf_of(ip), Some(last_leaf));
+        assert_eq!(t.leaves_overlapping(&Prefix::host(ip)), [last_leaf]);
     }
 
     #[test]

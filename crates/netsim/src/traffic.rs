@@ -221,13 +221,8 @@ impl DdosWorkload {
     }
 
     /// True once the attack is active at `now`.
-    pub fn attack_active(&self, now: Time) -> bool {
+    pub(crate) fn attack_active(&self, now: Time) -> bool {
         now >= self.cfg.onset
-    }
-
-    /// The victim address.
-    pub fn victim(&self) -> Ipv4 {
-        self.cfg.victim
     }
 }
 
@@ -397,11 +392,6 @@ impl ZipfFlowWorkload {
             .collect();
         ZipfFlowWorkload { cfg, flows }
     }
-
-    /// The flows and their rate shares (descending).
-    pub fn flows(&self) -> &[(FlowKey, f64)] {
-        &self.flows
-    }
 }
 
 impl Workload for ZipfFlowWorkload {
@@ -438,24 +428,9 @@ impl CompositeWorkload {
         CompositeWorkload::default()
     }
 
-    /// Adds a component workload (builder style).
-    pub fn with(mut self, w: Box<dyn Workload>) -> CompositeWorkload {
-        self.parts.push(w);
-        self
-    }
-
     /// Adds a component workload.
     pub fn push(&mut self, w: Box<dyn Workload>) {
         self.parts.push(w);
-    }
-
-    /// Number of composed parts.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
     }
 }
 
@@ -491,11 +466,6 @@ impl TraceWorkload {
     pub fn new(mut events: Vec<(Time, TrafficEvent)>) -> TraceWorkload {
         events.sort_by_key(|(t, _)| *t);
         TraceWorkload { events, cursor: 0 }
-    }
-
-    /// Events not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
     }
 }
 
@@ -557,11 +527,6 @@ impl PacketSampler {
         let n = self.credit / self.rate;
         self.credit %= self.rate;
         n
-    }
-
-    /// The configured 1-in-N rate.
-    pub fn rate(&self) -> u64 {
-        self.rate
     }
 }
 
@@ -667,24 +632,23 @@ mod tests {
             n_flows: 100,
             ..Default::default()
         });
-        let total: f64 = w.flows().iter().map(|(_, s)| s).sum();
+        let total: f64 = w.flows.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(w.flows()[0].1 > w.flows()[99].1 * 10.0);
+        assert!(w.flows[0].1 > w.flows[99].1 * 10.0);
     }
 
     #[test]
     fn composite_merges_parts_in_order() {
-        let mut c = CompositeWorkload::new()
-            .with(Box::new(PortScanWorkload::new(PortScanConfig {
-                ports_per_sec: 100,
-                ..Default::default()
-            })))
-            .with(Box::new(DdosWorkload::new(DdosConfig {
-                onset: Time::ZERO,
-                n_sources: 3,
-                ..Default::default()
-            })));
-        assert_eq!(c.len(), 2);
+        let mut c = CompositeWorkload::new();
+        c.push(Box::new(PortScanWorkload::new(PortScanConfig {
+            ports_per_sec: 100,
+            ..Default::default()
+        })));
+        c.push(Box::new(DdosWorkload::new(DdosConfig {
+            onset: Time::ZERO,
+            n_sources: 3,
+            ..Default::default()
+        })));
         let events = c.advance(Time::ZERO, Dur::from_millis(100));
         // 10 scan probes, then background + 3 flood sources.
         assert_eq!(events.len(), 14);
@@ -708,7 +672,7 @@ mod tests {
         };
         // Out of order on purpose: TraceWorkload sorts.
         let mut t = TraceWorkload::new(vec![ev(25), ev(5), ev(15)]);
-        assert_eq!(t.remaining(), 3);
+        assert_eq!(t.cursor, 0);
         let first = t.advance(Time::ZERO, Dur::from_millis(10));
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].bytes, 5);
@@ -718,7 +682,7 @@ mod tests {
         let third = t.advance(Time::from_millis(20), Dur::from_millis(10));
         assert_eq!(third.len(), 1);
         assert_eq!(third[0].bytes, 25);
-        assert_eq!(t.remaining(), 0);
+        assert_eq!(t.cursor, 3);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Ipv4 {
     }
 
     /// The four octets, most significant first.
-    pub const fn octets(self) -> [u8; 4] {
+    pub(crate) const fn octets(self) -> [u8; 4] {
         [
             (self.0 >> 24) as u8,
             (self.0 >> 16) as u8,
@@ -54,7 +54,7 @@ impl fmt::Display for Ipv4 {
 
 /// Error parsing an address or prefix from text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseAddrError(pub String);
+pub struct ParseAddrError(pub(crate) String);
 
 impl fmt::Display for ParseAddrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -125,12 +125,12 @@ impl Prefix {
     }
 
     /// True if `ip` falls inside this prefix.
-    pub fn contains(&self, ip: Ipv4) -> bool {
+    pub(crate) fn contains(&self, ip: Ipv4) -> bool {
         (ip.0 & Self::mask(self.len)) == self.addr.0
     }
 
     /// True if the two prefixes share any address.
-    pub fn overlaps(&self, other: &Prefix) -> bool {
+    pub(crate) fn overlaps(&self, other: &Prefix) -> bool {
         let len = self.len.min(other.len);
         (self.addr.0 & Self::mask(len)) == (other.addr.0 & Self::mask(len))
     }
@@ -169,7 +169,7 @@ pub enum Proto {
 
 impl Proto {
     /// IANA protocol number (the byte a TCAM matches on).
-    pub const fn number(self) -> u8 {
+    pub(crate) const fn number(self) -> u8 {
         match self {
             Proto::Tcp => 6,
             Proto::Udp => 17,
@@ -276,7 +276,7 @@ pub enum FilterAtom {
 impl FilterAtom {
     /// True if a flow satisfies this atom. [`FilterAtom::IfPort`] atoms
     /// constrain polling subjects rather than flows and always match here.
-    pub fn matches_flow(&self, flow: &FlowKey) -> bool {
+    pub(crate) fn matches_flow(&self, flow: &FlowKey) -> bool {
         match self {
             FilterAtom::SrcIp(p) => p.contains(flow.src),
             FilterAtom::DstIp(p) => p.contains(flow.dst),
@@ -385,7 +385,7 @@ impl FilterFormula {
     }
 
     /// First destination-prefix constraint in the formula, if any.
-    pub fn dst_prefix(&self) -> Option<Prefix> {
+    pub(crate) fn dst_prefix(&self) -> Option<Prefix> {
         self.atoms().iter().find_map(|a| match a {
             FilterAtom::DstIp(p) => Some(*p),
             _ => None,

@@ -18,7 +18,7 @@ use crate::model::{
 
 /// Canonical subject key shared across machines/tasks so the optimizer
 /// sees aggregation opportunities (§ IV-B).
-pub fn subject_key(subject: &PollSubject) -> String {
+pub(crate) fn subject_key(subject: &PollSubject) -> String {
     match subject {
         PollSubject::AllPorts => "ports:ANY".to_string(),
         PollSubject::Port(i) => format!("ports:{i}"),

@@ -17,7 +17,7 @@
 //! exact `Vec<(seed, Resources)>` the LP would have produced — not an
 //! approximation of it — so the delta solve's assignment, utility bits,
 //! migration count and dropped-task list are identical to
-//! [`crate::solve_heuristic`] on the same instance. `prop_delta.rs`
+//! `crate::solve_heuristic` on the same instance. `prop_delta.rs`
 //! pins this under random churn.
 //!
 //! The *dirty frontier* is the set of switches whose signature misses
@@ -42,7 +42,7 @@ use crate::model::{PlacementInstance, PlacementResult};
 
 /// Default [`SolveState::frontier_limit_pct`]: past this fraction of
 /// signature misses, probing buys little and a full recompute is taken.
-pub const DEFAULT_FRONTIER_LIMIT_PCT: u32 = 25;
+pub(crate) const DEFAULT_FRONTIER_LIMIT_PCT: u32 = 25;
 
 /// Bucket bounds of the `solver.delta_frontier` and
 /// `solver.benefit_classes` histograms (switch counts, so plain powers
@@ -200,7 +200,7 @@ pub struct DeltaReport {
     /// Switch-state classes the migration-benefit scan met (0 when the
     /// migration pass is off): near the switch count on a heterogeneous
     /// fabric, a handful on a homogeneous one.
-    pub benefit_classes: usize,
+    pub(crate) benefit_classes: usize,
 }
 
 /// What changed since the last solve that the solver cannot see on its
@@ -216,7 +216,7 @@ pub struct ReplanDelta {
     /// Seed indices (into the *current* instance) whose definition
     /// changed; every memo entry mentioning one is invalidated before
     /// probing.
-    pub dirty_seeds: Vec<usize>,
+    pub(crate) dirty_seeds: Vec<usize>,
 }
 
 impl ReplanDelta {
@@ -225,11 +225,6 @@ impl ReplanDelta {
         ReplanDelta {
             dirty_seeds: dirty.into_iter().collect(),
         }
-    }
-
-    /// True when nothing was declared dirty (pure re-solve).
-    pub fn is_empty(&self) -> bool {
-        self.dirty_seeds.is_empty()
     }
 }
 
@@ -242,7 +237,7 @@ pub struct SolveState {
     /// switches miss the cache, recompute everything.
     pub frontier_limit_pct: u32,
     /// Completed solves through this state (0 ⇒ next solve is cold).
-    pub solves: u64,
+    pub(crate) solves: u64,
     instruments: Option<Instruments>,
 }
 
@@ -263,28 +258,15 @@ impl SolveState {
         SolveState::default()
     }
 
-    /// Number of switches with a memoized LP output.
-    pub fn cached_switches(&self) -> usize {
-        self.lp_cache.len()
-    }
-
     /// Bytes the memo table holds: its slots plus every entry's resident
     /// and update lists, by capacity.
-    pub fn cache_bytes(&self) -> usize {
+    pub(crate) fn cache_bytes(&self) -> usize {
         let lists = |e: &LpCacheEntry| {
             e.residents.capacity() * size_of::<(usize, [u64; 4])>()
                 + e.updates.capacity() * size_of::<(usize, Resources)>()
         };
         self.lp_cache.capacity() * size_of::<(SwitchId, LpCacheEntry)>()
             + self.lp_cache.values().map(lists).sum::<usize>()
-    }
-
-    /// Drops every memoized output (the next solve runs cold but keeps
-    /// counting as warm for reporting only if `solves` stays — reset
-    /// that too, so fallback accounting restarts cleanly).
-    pub fn clear(&mut self) {
-        self.lp_cache.clear();
-        self.solves = 0;
     }
 
     /// Rewrites cached seed indices after the instance was rebuilt with
@@ -304,8 +286,8 @@ impl SolveState {
 }
 
 /// Re-solves `instance` incrementally through `state`. Returns the
-/// placement — bit-identical to [`crate::solve_heuristic`]`(instance,
-/// options)` — plus a [`DeltaReport`] of how much work was reused.
+/// placement — bit-identical to `solve_heuristic(instance, options)` —
+/// plus a [`DeltaReport`] of how much work was reused.
 ///
 /// Telemetry (when given): `solver.replan_delta` counts calls,
 /// `solver.delta_fallback_full` counts fallbacks, the
@@ -412,8 +394,8 @@ mod tests {
         assert_same(&r, &full);
         assert!(!report.warm);
         assert_eq!(report.reused, 0);
-        assert!(state.cached_switches() > 0);
-        assert!(state.cache_bytes() >= state.cached_switches() * size_of::<LpCacheEntry>());
+        assert!(!state.lp_cache.is_empty());
+        assert!(state.cache_bytes() >= state.lp_cache.len() * size_of::<LpCacheEntry>());
         assert!((1..=inst.switches.len()).contains(&report.benefit_classes));
         assert_eq!(state.solves, 1);
     }
@@ -488,7 +470,7 @@ mod tests {
         let Some((home, _)) = r0.assignment.iter().flatten().next() else {
             panic!("nothing placed");
         };
-        let before = state.cached_switches();
+        let before = state.lp_cache.len();
         // Find a seed hosted on `home` and dirty it: the entry for that
         // switch must be gone before the next probe.
         let s = r0
@@ -500,7 +482,7 @@ mod tests {
         // The purged switch recomputed (and likely re-captured); the
         // observable contract is equivalence, checked via the report of
         // a *fresh* state on the same instance being no better.
-        assert!(state.cached_switches() >= 1);
+        assert!(!state.lp_cache.is_empty());
         assert!(before >= 1);
     }
 
@@ -516,7 +498,7 @@ mod tests {
         state.lp_cache.insert(SwitchId(2), e);
         // Seed 0 → 5, seed 2 → 0; everything survives under new indices.
         state.remap(&[Some(5), None, Some(0)]);
-        assert_eq!(state.cached_switches(), 2);
+        assert_eq!(state.lp_cache.len(), 2);
         let e1 = &state.lp_cache[&SwitchId(1)];
         assert_eq!(
             e1.residents.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
@@ -525,7 +507,7 @@ mod tests {
         assert_eq!(e1.updates[0].0, 0);
         // Dropping seed 2 kills both entries (they mention it).
         state.remap(&[Some(5), None, None]);
-        assert_eq!(state.cached_switches(), 0);
+        assert_eq!(state.lp_cache.len(), 0);
     }
 
     #[test]

@@ -66,11 +66,11 @@ impl Hasher for FxHasher {
 }
 
 /// Zero-sized builder: every map built from it hashes identically.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` with the fixed fast hasher (construct via `::default()`).
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` with the fixed fast hasher (construct via `::default()`).
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+pub(crate) type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

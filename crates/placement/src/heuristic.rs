@@ -20,7 +20,7 @@
 //! The solve is *incremental* (see DESIGN.md "Performance"):
 //!
 //! * Poll subjects are interned to dense `u32` ids once per solve
-//!   ([`SubjectInterner`]); the hot candidate loop never clones or
+//!   (`SubjectInterner`); the hot candidate loop never clones or
 //!   hashes a `String`.
 //! * Each `SwitchState` caches the per-subject running max and the
 //!   switch-wide `Σ max` poll total, so a `fits()` probe is O(polls of
@@ -503,9 +503,8 @@ pub(crate) fn solve_core(
     let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
     let mut dropped = Vec::new();
 
-    // Step 1: sort tasks by decreasing minimum utility — the sum
-    // `PlacementInstance::task_min_utility` takes, in the same order,
-    // over the values `min_alloc` already holds.
+    // Step 1: sort tasks by decreasing minimum utility — the sum of
+    // their seeds' cheapest-feasible utilities, which `min_alloc` holds.
     let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
     let keys: Vec<f64> = instance
         .tasks

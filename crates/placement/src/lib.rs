@@ -34,20 +34,18 @@
 //! assert!(result.utility > 0.0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod build;
 pub mod delta;
-pub mod fxhash;
+mod fxhash;
 pub mod heuristic;
 pub mod milp;
 pub mod model;
 pub mod workload;
 
 pub use build::instance_from_tasks;
-pub use delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
-pub use heuristic::{solve_heuristic, solve_heuristic_traced, HeuristicOptions};
-pub use milp::{solve_placement_milp, MilpPlacementOptions, MilpPlacementResult};
-pub use model::{
-    validate, PlacementInstance, PlacementResult, PlacementSeed, PlacementTask, PollDemand,
-    PreviousPlacement, SubjectInterner,
-};
+pub use delta::{replan_delta, ReplanDelta, SolveState};
+pub use heuristic::{solve_heuristic_traced, HeuristicOptions};
+pub use model::{validate, PlacementInstance, PlacementResult, PreviousPlacement};
 pub use workload::{generate, WorkloadConfig};

@@ -51,8 +51,6 @@ pub struct MilpPlacementResult {
     pub result: PlacementResult,
     /// True when the exact branch & bound produced the assignment.
     pub exact: bool,
-    /// Branch & bound status when exact solving ran.
-    pub status: Option<MilpStatus>,
 }
 
 /// Solves placement via MILP with a deadline, falling back to budgeted
@@ -91,7 +89,6 @@ pub fn solve_placement_milp(
                     assignment,
                 },
                 exact: true,
-                status: Some(r.status),
             };
         }
     }
@@ -105,7 +102,6 @@ pub fn solve_placement_milp(
     MilpPlacementResult {
         result,
         exact: false,
-        status: None,
     }
 }
 
@@ -119,7 +115,7 @@ pub fn solve_placement_milp(
 /// quality in Fig. 7.
 ///
 /// [`farm_placement::heuristic::solve_randomized`]: crate::heuristic::solve_randomized
-pub fn solve_budgeted(
+pub(crate) fn solve_budgeted(
     instance: &PlacementInstance,
     budget: Duration,
     seed: u64,
@@ -465,7 +461,6 @@ mod tests {
         let inst = tiny_instance();
         let r = solve_placement_milp(&inst, &MilpPlacementOptions::default());
         assert!(r.exact, "tiny instance must use the exact path");
-        assert_eq!(r.status, Some(MilpStatus::Optimal));
         validate(&inst, &r.result).unwrap();
         assert_eq!(r.result.placed(), 3);
         // Optimum: 6 vCPU shared by 3 seeds capped at (2, 2, 4); best is

@@ -35,56 +35,32 @@ pub struct PollDemand {
 /// subjects per candidate probe (§ IV-D scale regime: 10 200 seeds
 /// probing up to 1 040 switches each).
 #[derive(Debug, Clone, Default)]
-pub struct SubjectInterner {
+pub(crate) struct SubjectInterner {
     ids: HashMap<String, u32>,
-    names: Vec<String>,
 }
 
 impl SubjectInterner {
     /// An empty interner.
-    pub fn new() -> SubjectInterner {
+    pub(crate) fn new() -> SubjectInterner {
         SubjectInterner::default()
     }
 
     /// Id of `subject`, allocating the next dense id on first sight.
-    pub fn intern(&mut self, subject: &str) -> u32 {
+    pub(crate) fn intern(&mut self, subject: &str) -> u32 {
         if let Some(&id) = self.ids.get(subject) {
             return id;
         }
-        let id = self.names.len() as u32;
+        let id = self.ids.len() as u32;
         self.ids.insert(subject.to_string(), id);
-        self.names.push(subject.to_string());
         id
-    }
-
-    /// Id of an already-interned subject.
-    pub fn get(&self, subject: &str) -> Option<u32> {
-        self.ids.get(subject).copied()
-    }
-
-    /// Subject string behind an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    pub fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
-    }
-
-    /// Number of distinct subjects interned.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether no subject has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Interns every subject of an instance and returns, per seed, its
     /// polling demands keyed by subject id. The result is indexed by
     /// seed id and shared by every phase of a solve.
-    pub fn for_instance(instance: &PlacementInstance) -> (SubjectInterner, Vec<Vec<(u32, Poly)>>) {
+    pub(crate) fn for_instance(
+        instance: &PlacementInstance,
+    ) -> (SubjectInterner, Vec<Vec<(u32, Poly)>>) {
         let mut interner = SubjectInterner::new();
         let polls = instance
             .seeds
@@ -145,27 +121,11 @@ pub struct PlacementInstance {
 
 impl PlacementInstance {
     /// Available resources of a switch.
-    pub fn ares(&self, n: SwitchId) -> Option<Resources> {
+    pub(crate) fn ares(&self, n: SwitchId) -> Option<Resources> {
         self.switches
             .iter()
             .find(|(id, _)| *id == n)
             .map(|(_, r)| *r)
-    }
-
-    /// Minimum utility of a task (Alg. 1 step 1's sort key): the sum of
-    /// its seeds' cheapest-feasible utilities.
-    pub fn task_min_utility(&self, task: usize) -> f64 {
-        self.tasks[task]
-            .seeds
-            .iter()
-            .map(|&s| {
-                self.seeds[s]
-                    .util
-                    .min_feasible()
-                    .map(|(_, u)| u)
-                    .unwrap_or(0.0)
-            })
-            .sum()
     }
 }
 
@@ -208,7 +168,7 @@ pub fn utility_of(
 }
 
 /// Counts migrations relative to the instance's previous placement.
-pub fn count_migrations(
+pub(crate) fn count_migrations(
     instance: &PlacementInstance,
     assignment: &[Option<(SwitchId, Resources)>],
 ) -> usize {
@@ -518,14 +478,5 @@ mod tests {
         let err = validate(&inst, &result).unwrap_err();
         assert!(err.contains("C4"), "{err}");
         assert_eq!(count_migrations(&inst, &result.assignment), 1);
-    }
-
-    #[test]
-    fn task_min_utility_orders_tasks() {
-        let inst = small_instance();
-        // Task 0: two seeds, each min utility 1.0 (vCPU ≥ 1) → 2.0.
-        // Task 1: one seed with min utility 2.0.
-        assert_eq!(inst.task_min_utility(0), 2.0);
-        assert_eq!(inst.task_min_utility(1), 2.0);
     }
 }

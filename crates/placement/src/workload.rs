@@ -49,7 +49,7 @@ impl Default for WorkloadConfig {
 /// Accton-class monitoring capacity (§ VI-A platforms (ii)/(iii)):
 /// 4 vCPU, 8 GB RAM, 512 monitoring TCAM entries, and the 8 Mbit/s PCIe
 /// polling budget (= 62 500 polls/s at 16 B per counter read).
-pub fn accton_capacity() -> Resources {
+pub(crate) fn accton_capacity() -> Resources {
     Resources::new(4.0, 8192.0, 512.0, 62_500.0)
 }
 

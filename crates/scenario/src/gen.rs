@@ -105,7 +105,7 @@ pub struct ScenarioEnv {
 
 impl ScenarioEnv {
     /// The `j`-th host address behind the leaf.
-    pub fn host(&self, j: u32) -> Ipv4 {
+    pub(crate) fn host(&self, j: u32) -> Ipv4 {
         Ipv4(self.prefix.addr.0 + j)
     }
 }
@@ -123,7 +123,7 @@ pub struct TaskBinding {
 /// A fully composed scenario, ready to replay.
 pub struct Scenario {
     /// `<class>-<scale>`, e.g. `flash_crowd-smoke`.
-    pub name: String,
+    pub(crate) name: String,
     pub class: ScenarioClass,
     pub scale: ScenarioScale,
     pub seed: u64,
@@ -181,43 +181,43 @@ impl ScenarioSpec {
 
 /// A scheduled multiplicative surge on a set of ports.
 #[derive(Debug, Clone)]
-pub struct Surge {
-    pub ports: Vec<PortId>,
-    pub start: Time,
-    pub end: Time,
-    pub factor: f64,
+pub(crate) struct Surge {
+    pub(crate) ports: Vec<PortId>,
+    pub(crate) start: Time,
+    pub(crate) end: Time,
+    pub(crate) factor: f64,
 }
 
 /// Configuration of a [`PortBaseline`].
 #[derive(Debug, Clone)]
-pub struct PortBaselineCfg {
-    pub switch: SwitchId,
+pub(crate) struct PortBaselineCfg {
+    pub(crate) switch: SwitchId,
     /// Ports `0..n_ports` each carry one long-lived flow.
-    pub n_ports: u16,
+    pub(crate) n_ports: u16,
     /// Steady per-port byte rate, bits/s.
-    pub rate_bps: u64,
+    pub(crate) rate_bps: u64,
     /// Sinusoidal drift amplitude as a fraction of `rate_bps`
     /// (0 disables drift).
-    pub drift_amp: f64,
+    pub(crate) drift_amp: f64,
     /// Period of the drift sinusoid.
-    pub drift_period: Dur,
+    pub(crate) drift_period: Dur,
     /// Scheduled surges (flash crowds, volume bursts, churn epochs).
-    pub surges: Vec<Surge>,
-    pub seed: u64,
+    pub(crate) surges: Vec<Surge>,
+    pub(crate) seed: u64,
 }
 
 /// Steady per-port transmit traffic with multiplicative jitter, optional
 /// slow sinusoidal drift, and scheduled surges. One MTU-sized long-lived
 /// TCP flow per port (so probe-based detectors ignore it).
 #[derive(Debug)]
-pub struct PortBaseline {
+pub(crate) struct PortBaseline {
     cfg: PortBaselineCfg,
     rng: StdRng,
     flows: Vec<FlowKey>,
 }
 
 impl PortBaseline {
-    pub fn new(cfg: PortBaselineCfg) -> PortBaseline {
+    pub(crate) fn new(cfg: PortBaselineCfg) -> PortBaseline {
         let rng = StdRng::seed_from_u64(cfg.seed);
         let flows = (0..cfg.n_ports)
             .map(|p| {
@@ -269,38 +269,38 @@ impl Workload for PortBaseline {
 
 /// Configuration of a [`FlowChurn`].
 #[derive(Debug, Clone)]
-pub struct FlowChurnCfg {
-    pub switch: SwitchId,
+pub(crate) struct FlowChurnCfg {
+    pub(crate) switch: SwitchId,
     /// Transmit ports cycled round-robin; empty → events carry none.
-    pub tx_ports: Vec<PortId>,
-    pub rx_port: Option<PortId>,
-    pub dst: Ipv4,
-    pub dst_port: u16,
-    pub proto: Proto,
+    pub(crate) tx_ports: Vec<PortId>,
+    pub(crate) rx_port: Option<PortId>,
+    pub(crate) dst: Ipv4,
+    pub(crate) dst_port: u16,
+    pub(crate) proto: Proto,
     /// Bytes carried by each fresh flow's event.
-    pub bytes_per_flow: u64,
+    pub(crate) bytes_per_flow: u64,
     /// Average packet size (drives SYN classification: TCP ≤ 128 bytes
     /// is treated as a connection attempt by the probe path).
-    pub pkt_bytes: u64,
+    pub(crate) pkt_bytes: u64,
     /// Fresh flows per tick.
-    pub flows_per_tick: u32,
+    pub(crate) flows_per_tick: u32,
     /// Active window; `None` runs for the whole scenario.
-    pub window: Option<(Time, Time)>,
+    pub(crate) window: Option<(Time, Time)>,
     /// Fresh sources are `src_base + k` for a global counter `k`.
-    pub src_base: Ipv4,
+    pub(crate) src_base: Ipv4,
 }
 
 /// High-churn traffic: every tick introduces `flows_per_tick` flows from
 /// never-before-seen sources. This is what pushes full-scale traces to
 /// million-flow cardinality without million-event baselines.
 #[derive(Debug)]
-pub struct FlowChurn {
+pub(crate) struct FlowChurn {
     cfg: FlowChurnCfg,
     counter: u32,
 }
 
 impl FlowChurn {
-    pub fn new(cfg: FlowChurnCfg) -> FlowChurn {
+    pub(crate) fn new(cfg: FlowChurnCfg) -> FlowChurn {
         FlowChurn { cfg, counter: 0 }
     }
 }
@@ -344,18 +344,18 @@ impl Workload for FlowChurn {
 /// A windowed port scan: one source sweeping destination ports with
 /// 64-byte TCP SYN probes.
 #[derive(Debug)]
-pub struct ScanBurst {
-    pub switch: SwitchId,
-    pub rx_port: PortId,
-    pub src: Ipv4,
-    pub dst: Ipv4,
-    pub window: (Time, Time),
-    pub probes_per_tick: u32,
+pub(crate) struct ScanBurst {
+    pub(crate) switch: SwitchId,
+    pub(crate) rx_port: PortId,
+    pub(crate) src: Ipv4,
+    pub(crate) dst: Ipv4,
+    pub(crate) window: (Time, Time),
+    pub(crate) probes_per_tick: u32,
     next_port: u16,
 }
 
 impl ScanBurst {
-    pub fn new(
+    pub(crate) fn new(
         switch: SwitchId,
         rx_port: PortId,
         src: Ipv4,
@@ -403,13 +403,13 @@ impl Workload for ScanBurst {
 /// A windowed SSH brute force: repeated 64-byte SYNs to port 22 from one
 /// source.
 #[derive(Debug)]
-pub struct SshBrute {
-    pub switch: SwitchId,
-    pub rx_port: PortId,
-    pub src: Ipv4,
-    pub dst: Ipv4,
-    pub window: (Time, Time),
-    pub attempts_per_tick: u32,
+pub(crate) struct SshBrute {
+    pub(crate) switch: SwitchId,
+    pub(crate) rx_port: PortId,
+    pub(crate) src: Ipv4,
+    pub(crate) dst: Ipv4,
+    pub(crate) window: (Time, Time),
+    pub(crate) attempts_per_tick: u32,
 }
 
 impl Workload for SshBrute {

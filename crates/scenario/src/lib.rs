@@ -6,7 +6,7 @@
 //! builds a [`gen::Scenario`]: a composed traffic workload (flash
 //! crowds, diurnal drift, coordinated multi-vector attacks, high-churn
 //! heavy-hitter sets, DiG-style sub-ms microbursts) together with
-//! planted ground-truth labels ([`truth::GroundTruth`]) — attack
+//! planted ground-truth labels (`truth::GroundTruth`) — attack
 //! windows, offending flow keys, and heavy-set membership over time.
 //!
 //! The scenario replays through the ordinary netsim/soil/harvester path
@@ -17,12 +17,12 @@
 //! produces byte-identical traces, labels, and (through the
 //! deterministic simulator) scores.
 
-pub mod gen;
+#![warn(unreachable_pub)]
+
+mod gen;
 pub mod score;
 pub mod suite;
-pub mod truth;
+mod truth;
 
-pub use gen::{Scenario, ScenarioClass, ScenarioEnv, ScenarioScale, ScenarioSpec, TaskBinding};
-pub use score::{score, Alarm, TaskScore};
-pub use suite::TaskDef;
-pub use truth::{AttackKind, GroundTruth, LabelWindow, TruthKey};
+pub use gen::{Scenario, ScenarioClass, ScenarioEnv, ScenarioScale, ScenarioSpec};
+pub use truth::{AttackKind, TruthKey};

@@ -30,16 +30,6 @@ pub struct Alarm {
     pub keys: BTreeSet<TruthKey>,
 }
 
-impl Alarm {
-    /// An alarm that names no keys.
-    pub fn at(at: Time) -> Alarm {
-        Alarm {
-            at,
-            keys: BTreeSet::new(),
-        }
-    }
-}
-
 /// Detection quality of one task on one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskScore {
@@ -148,6 +138,16 @@ mod tests {
     use super::*;
     use crate::truth::AttackKind;
     use farm_netsim::types::PortId;
+
+    impl Alarm {
+        /// An alarm that names no keys.
+        fn at(at: Time) -> Alarm {
+            Alarm {
+                at,
+                keys: BTreeSet::new(),
+            }
+        }
+    }
 
     fn window(start_ms: u64, end_ms: u64, keys: &[TruthKey]) -> LabelWindow {
         LabelWindow {

@@ -21,7 +21,7 @@ pub struct TaskDef {
     /// Task name used at deploy time (and in benchmark JSON).
     pub name: &'static str,
     /// Machine the program declares (externals are keyed by it).
-    pub machine: &'static str,
+    pub(crate) machine: &'static str,
     /// Almanac source text.
     pub source: &'static str,
     /// Decodes one harvester message value. `None` means the message is
@@ -129,7 +129,7 @@ fn nonempty_list_alarm(v: &Value) -> Option<BTreeSet<TruthKey>> {
 }
 
 /// Per-port heavy-hitter detection (Tab. I row 1).
-pub static HH_TASK: TaskDef = TaskDef {
+pub(crate) static HH_TASK: TaskDef = TaskDef {
     name: "hh",
     machine: "HH",
     source: programs::HEAVY_HITTER,
@@ -137,7 +137,7 @@ pub static HH_TASK: TaskDef = TaskDef {
 };
 
 /// Standalone two-level hierarchical heavy hitters.
-pub static HHH2_TASK: TaskDef = TaskDef {
+pub(crate) static HHH2_TASK: TaskDef = TaskDef {
     name: "hhh2",
     machine: "HHH2",
     source: programs::HIER_HH_STANDALONE,
@@ -161,7 +161,7 @@ pub static PORTSCAN_TASK: TaskDef = TaskDef {
 };
 
 /// SSH brute-force detection (repeated dst-port-22 SYNs per source).
-pub static SSH_TASK: TaskDef = TaskDef {
+pub(crate) static SSH_TASK: TaskDef = TaskDef {
     name: "ssh_brute",
     machine: "SshBruteForce",
     source: programs::SSH_BRUTE_FORCE,
@@ -169,7 +169,7 @@ pub static SSH_TASK: TaskDef = TaskDef {
 };
 
 /// KISS-style aggregate volume anomaly (EWMA mean/deviation).
-pub static KISS_VOLUME_TASK: TaskDef = TaskDef {
+pub(crate) static KISS_VOLUME_TASK: TaskDef = TaskDef {
     name: "kiss_volume",
     machine: "KissVolume",
     source: programs::KISS_VOLUME_ANOMALY,
@@ -177,7 +177,7 @@ pub static KISS_VOLUME_TASK: TaskDef = TaskDef {
 };
 
 /// KISS-style per-port spike detection (per-port EWMA baselines).
-pub static KISS_SPIKE_TASK: TaskDef = TaskDef {
+pub(crate) static KISS_SPIKE_TASK: TaskDef = TaskDef {
     name: "kiss_spike",
     machine: "KissPortSpike",
     source: programs::KISS_PORT_SPIKE,
@@ -185,28 +185,31 @@ pub static KISS_SPIKE_TASK: TaskDef = TaskDef {
 };
 
 /// DiG-style sub-ms microburst watcher.
-pub static DIG_TASK: TaskDef = TaskDef {
+pub(crate) static DIG_TASK: TaskDef = TaskDef {
     name: "dig_microburst",
     machine: "DigMicroburst",
     source: programs::DIG_MICROBURST,
     extract: ports_of_ints,
 };
 
-fn env_for(machine: &str, pairs: &[(&str, Value)]) -> BTreeMap<String, ConstEnv> {
+fn env_for(task: &TaskDef, pairs: &[(&str, Value)]) -> BTreeMap<String, ConstEnv> {
     let mut m = BTreeMap::new();
-    m.insert(machine.to_string(), farm_almanac::compile::externals(pairs));
+    m.insert(
+        task.machine.to_string(),
+        farm_almanac::compile::externals(pairs),
+    );
     m
 }
 
 /// Externals for [`HH_TASK`]: per-poll tx-byte threshold.
-pub fn hh_externals(threshold: i64) -> BTreeMap<String, ConstEnv> {
-    env_for("HH", &[("threshold", Value::Int(threshold))])
+pub(crate) fn hh_externals(threshold: i64) -> BTreeMap<String, ConstEnv> {
+    env_for(&HH_TASK, &[("threshold", Value::Int(threshold))])
 }
 
 /// Externals for [`HHH2_TASK`]: leaf/inner thresholds and group size.
-pub fn hhh2_externals(leaf: i64, inner: i64, group_size: i64) -> BTreeMap<String, ConstEnv> {
+pub(crate) fn hhh2_externals(leaf: i64, inner: i64, group_size: i64) -> BTreeMap<String, ConstEnv> {
     env_for(
-        "HHH2",
+        &HHH2_TASK,
         &[
             ("leafThreshold", Value::Int(leaf)),
             ("innerThreshold", Value::Int(inner)),
@@ -223,7 +226,7 @@ pub fn ddos_externals(
     sustain: i64,
 ) -> BTreeMap<String, ConstEnv> {
     env_for(
-        "DDoS",
+        &DDOS_TASK,
         &[
             ("protectedPrefix", Value::Str(prefix.to_string())),
             ("volumeThreshold", Value::Int(volume_threshold)),
@@ -234,22 +237,19 @@ pub fn ddos_externals(
 
 /// Externals for [`PORTSCAN_TASK`]: distinct-port count per window.
 pub fn portscan_externals(port_limit: i64) -> BTreeMap<String, ConstEnv> {
-    env_for("PortScan", &[("portLimit", Value::Int(port_limit))])
+    env_for(&PORTSCAN_TASK, &[("portLimit", Value::Int(port_limit))])
 }
 
 /// Externals for [`SSH_TASK`]: SYN attempts per window before blocking.
-pub fn ssh_externals(attempt_limit: i64) -> BTreeMap<String, ConstEnv> {
-    env_for(
-        "SshBruteForce",
-        &[("attemptLimit", Value::Int(attempt_limit))],
-    )
+pub(crate) fn ssh_externals(attempt_limit: i64) -> BTreeMap<String, ConstEnv> {
+    env_for(&SSH_TASK, &[("attemptLimit", Value::Int(attempt_limit))])
 }
 
 /// Externals for [`KISS_VOLUME_TASK`]: deviation multiplier and warmup
 /// sample count.
-pub fn kiss_volume_externals(sigma: f64, warmup: i64) -> BTreeMap<String, ConstEnv> {
+pub(crate) fn kiss_volume_externals(sigma: f64, warmup: i64) -> BTreeMap<String, ConstEnv> {
     env_for(
-        "KissVolume",
+        &KISS_VOLUME_TASK,
         &[
             ("sigma", Value::Float(sigma)),
             ("warmup", Value::Int(warmup)),
@@ -259,13 +259,13 @@ pub fn kiss_volume_externals(sigma: f64, warmup: i64) -> BTreeMap<String, ConstE
 
 /// Externals for [`KISS_SPIKE_TASK`]: baseline multiplier, warmup, and
 /// the absolute floor below which spikes are ignored.
-pub fn kiss_spike_externals(
+pub(crate) fn kiss_spike_externals(
     factor: f64,
     warmup: i64,
     min_bytes: f64,
 ) -> BTreeMap<String, ConstEnv> {
     env_for(
-        "KissPortSpike",
+        &KISS_SPIKE_TASK,
         &[
             ("factor", Value::Float(factor)),
             ("warmup", Value::Int(warmup)),
@@ -275,8 +275,8 @@ pub fn kiss_spike_externals(
 }
 
 /// Externals for [`DIG_TASK`]: per-poll tx-byte burst threshold.
-pub fn dig_externals(burst_bytes: i64) -> BTreeMap<String, ConstEnv> {
-    env_for("DigMicroburst", &[("burstBytes", Value::Int(burst_bytes))])
+pub(crate) fn dig_externals(burst_bytes: i64) -> BTreeMap<String, ConstEnv> {
+    env_for(&DIG_TASK, &[("burstBytes", Value::Int(burst_bytes))])
 }
 
 #[cfg(test)]

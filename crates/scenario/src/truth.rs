@@ -24,21 +24,6 @@ pub enum AttackKind {
     Microburst,
 }
 
-impl AttackKind {
-    /// Stable lowercase identifier (used in benchmark JSON).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AttackKind::FlashCrowd => "flash_crowd",
-            AttackKind::VolumeBurst => "volume_burst",
-            AttackKind::Ddos => "ddos",
-            AttackKind::PortScan => "port_scan",
-            AttackKind::SshBruteForce => "ssh_brute_force",
-            AttackKind::HeavyHitter => "heavy_hitter",
-            AttackKind::Microburst => "microburst",
-        }
-    }
-}
-
 /// An offending entity a detector can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TruthKey {
@@ -68,7 +53,7 @@ impl LabelWindow {
     /// True when an alarm at `t` counts as detecting this window:
     /// inside the window, or within the post-window `grace` that absorbs
     /// polling intervals and report latency.
-    pub fn covers(&self, t: Time, grace: Dur) -> bool {
+    pub(crate) fn covers(&self, t: Time, grace: Dur) -> bool {
         t >= self.start && t <= self.end + grace
     }
 }
@@ -80,7 +65,7 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    pub fn push(&mut self, w: LabelWindow) {
+    pub(crate) fn push(&mut self, w: LabelWindow) {
         self.windows.push(w);
     }
 

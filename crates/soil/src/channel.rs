@@ -75,7 +75,7 @@ impl CommModel {
     }
 
     /// CPU cycles the soil spends delivering one event to one seed.
-    pub fn delivery_cpu_cycles(&self) -> u64 {
+    pub(crate) fn delivery_cpu_cycles(&self) -> u64 {
         match (self.exec, self.channel) {
             (ExecMode::Threads, ChannelKind::SharedBuffer) => 300,
             (ExecMode::Threads, ChannelKind::Grpc) => 18_000,
@@ -87,7 +87,7 @@ impl CommModel {
     /// Extra soil CPU cycles for aggregating one poll request on behalf of
     /// one seed (Fig. 9): free-ish for threads (the soil and seeds share an
     /// address space), expensive for processes (marshal + copy).
-    pub fn aggregation_cpu_cycles(&self) -> u64 {
+    pub(crate) fn aggregation_cpu_cycles(&self) -> u64 {
         match self.exec {
             ExecMode::Threads => 150,
             ExecMode::Processes => 22_000,
@@ -127,18 +127,6 @@ impl<T> SharedRingBuffer<T> {
         self.q.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Non-blocking push; returns the item back when full.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.queue();
-        if q.len() >= self.capacity {
-            return Err(item);
-        }
-        q.push_back(item);
-        drop(q);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocking push: waits for space.
     pub fn push(&self, item: T) {
         let mut q = self.queue();
@@ -151,17 +139,6 @@ impl<T> SharedRingBuffer<T> {
         q.push_back(item);
         drop(q);
         self.not_empty.notify_one();
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut q = self.queue();
-        let item = q.pop_front();
-        if item.is_some() {
-            drop(q);
-            self.not_full.notify_one();
-        }
-        item
     }
 
     /// Pop with a timeout; `None` when it elapses empty.
@@ -187,16 +164,6 @@ impl<T> SharedRingBuffer<T> {
         drop(q);
         self.not_full.notify_one();
         item
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.queue().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue().is_empty()
     }
 }
 
@@ -243,13 +210,13 @@ mod tests {
     #[test]
     fn ring_buffer_fifo_and_capacity() {
         let rb = SharedRingBuffer::new(2);
-        rb.try_push(1).unwrap();
-        rb.try_push(2).unwrap();
-        assert_eq!(rb.try_push(3), Err(3));
-        assert_eq!(rb.try_pop(), Some(1));
-        assert_eq!(rb.try_pop(), Some(2));
-        assert_eq!(rb.try_pop(), None);
-        assert!(rb.is_empty());
+        rb.push(1);
+        rb.push(2);
+        assert_eq!(rb.queue().len(), rb.capacity);
+        assert_eq!(rb.pop_timeout(Duration::ZERO), Some(1));
+        assert_eq!(rb.pop_timeout(Duration::ZERO), Some(2));
+        assert_eq!(rb.pop_timeout(Duration::ZERO), None);
+        assert!(rb.queue().is_empty());
     }
 
     #[test]
@@ -286,7 +253,7 @@ mod tests {
 
     #[test]
     fn pop_timeout_survives_a_racing_consumer() {
-        // A notified waiter whose item was raced away by try_pop must
+        // A notified waiter whose item was raced away by another pop must
         // keep waiting for the next item instead of returning None.
         let rb: Arc<SharedRingBuffer<u32>> = Arc::new(SharedRingBuffer::new(4));
         let waiter = {
@@ -295,7 +262,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         rb.push(1); // wakes the waiter...
-        while rb.try_pop().is_none() {
+        while rb.pop_timeout(Duration::ZERO).is_none() {
             // ...but this thread may steal the item first.
             if waiter.is_finished() {
                 break;
@@ -315,9 +282,9 @@ mod tests {
             std::thread::spawn(move || rb.push(2))
         };
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rb.try_pop(), Some(1));
+        assert_eq!(rb.pop_timeout(Duration::ZERO), Some(1));
         pusher.join().unwrap();
-        assert_eq!(rb.try_pop(), Some(2));
+        assert_eq!(rb.pop_timeout(Duration::ZERO), Some(2));
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl SeedInstance {
     }
 
     /// The machine definition.
-    pub fn def(&self) -> &Arc<CompiledMachine> {
+    pub(crate) fn def(&self) -> &Arc<CompiledMachine> {
         &self.def
     }
 
@@ -213,7 +213,7 @@ impl SeedInstance {
 
     /// Updates the allocation (the caller should deliver
     /// [`SeedEvent::Realloc`]).
-    pub fn set_allocated(&mut self, r: Resources) {
+    pub(crate) fn set_allocated(&mut self, r: Resources) {
         self.allocated = r;
     }
 

@@ -12,7 +12,7 @@
 //! task, deploy instant) beside the trigger table its scheduler walks, and
 //! counts a call's deliveries, polls, messages and seed errors once: into
 //! the [`TickReport`] the call returns, which one step folds into
-//! [`SoilStats`] and the `soil.*` instruments. The [`channel`] module
+//! [`SoilStats`] and the `soil.*` instruments. The `channel` module
 //! models the two seed execution modes (threads/processes) and channels
 //! (shared buffer/gRPC) of § VI-E, including a real shared-memory ring
 //! buffer.
@@ -45,10 +45,12 @@
 //! assert!(soil.seed(seed).is_some());
 //! ```
 
-pub mod channel;
+#![warn(unreachable_pub)]
+
+mod channel;
 pub mod interp;
 pub mod soil;
 
 pub use channel::{ChannelKind, CommModel, ExecMode, SharedRingBuffer};
 pub use interp::{Effect, Endpoint, SeedError, SeedEvent, SeedId, SeedInstance, SeedSnapshot};
-pub use soil::{OutboundMessage, ShedSeed, Soil, SoilConfig, SoilError, SoilStats, TickReport};
+pub use soil::{OutboundMessage, Soil, SoilConfig, SoilError, SoilStats, TickReport};

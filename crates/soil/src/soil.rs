@@ -123,11 +123,11 @@ impl fmt::Display for SoilError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedSeed {
     pub seed: SeedId,
-    pub task: String,
+    pub(crate) task: String,
     /// State captured at shed time, for warm recovery.
     pub snapshot: SeedSnapshot,
     /// The structured [`SoilError::ResourcePressure`] that forced the shed.
-    pub reason: SoilError,
+    pub(crate) reason: SoilError,
 }
 
 impl std::error::Error for SoilError {}
@@ -169,7 +169,7 @@ pub struct SoilStats {
     pub deliveries: u64,
     pub asic_polls: u64,
     pub polls_saved: u64,
-    pub exec_iterations: u64,
+    pub(crate) exec_iterations: u64,
     pub messages_out: u64,
 }
 
@@ -408,11 +408,6 @@ impl Soil {
     /// The switch this soil runs on.
     pub fn switch_id(&self) -> SwitchId {
         self.switch_id
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &SoilConfig {
-        &self.config
     }
 
     /// Number of deployed seeds.

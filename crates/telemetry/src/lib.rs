@@ -7,8 +7,8 @@
 //! flow through:
 //!
 //! * a **typed event stream** — [`Event`] — with pluggable
-//!   [`EventSink`]s ([`NullSink`], [`RingBufferSink`], [`JsonLinesSink`]);
-//! * an **instrument registry** — [`Registry`] — of named [`Counter`]s,
+//!   [`EventSink`]s ([`RingBufferSink`], [`JsonLinesSink`]);
+//! * an **instrument registry** — `Registry` — of named [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s with p50/p99 accessors;
 //! * a [`Telemetry`] handle bundling the two, cloned cheaply (`Arc`
 //!   inside) into every layer of the stack;
@@ -38,21 +38,22 @@
 //! assert_eq!(ring.events().len(), 1);
 //! ```
 
-pub mod event;
-pub mod json;
-pub mod registry;
-pub mod sink;
+#![warn(unreachable_pub)]
+
+mod event;
+mod json;
+mod registry;
+mod sink;
 
 pub use event::{Event, PressureResource, ReplanOutcome, UndeployReason};
 pub use json::Json;
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, LATENCY_US_BOUNDS,
-};
-pub use sink::{EventSink, JsonLinesSink, NullSink, RingBufferSink};
+pub use registry::{Counter, Gauge, Histogram, Snapshot};
+pub use sink::{EventSink, JsonLinesSink, RingBufferSink};
 
+use registry::Registry;
 use std::sync::{Arc, RwLock};
 
-/// Shared handle over one [`Registry`] plus a set of [`EventSink`]s.
+/// Shared handle over one `Registry` plus a set of [`EventSink`]s.
 ///
 /// Cloning is cheap (two `Arc`s); every clone observes the same
 /// instruments and sinks. Instrument updates are lock-free; event
@@ -84,27 +85,27 @@ impl Telemetry {
         &self.registry
     }
 
-    /// Shorthand for [`Registry::counter`].
+    /// Shorthand for `Registry::counter`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         self.registry.counter(name)
     }
 
-    /// Shorthand for [`Registry::gauge`].
+    /// Shorthand for `Registry::gauge`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.registry.gauge(name)
     }
 
-    /// Shorthand for [`Registry::histogram`].
+    /// Shorthand for `Registry::histogram`.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
         self.registry.histogram(name, bounds)
     }
 
-    /// Shorthand for [`Registry::latency_histogram`].
+    /// Shorthand for `Registry::latency_histogram`.
     pub fn latency_histogram(&self, name: &str) -> Arc<Histogram> {
         self.registry.latency_histogram(name)
     }
 
-    /// Shorthand for [`Registry::snapshot`].
+    /// Shorthand for `Registry::snapshot`.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
     }
@@ -115,15 +116,8 @@ impl Telemetry {
     }
 
     /// Number of installed sinks.
-    pub fn sink_count(&self) -> usize {
+    pub(crate) fn sink_count(&self) -> usize {
         self.sinks.read().expect("sink list poisoned").len()
-    }
-
-    /// Delivers an already-built event to every sink.
-    pub fn emit(&self, event: &Event) {
-        for sink in self.sinks.read().expect("sink list poisoned").iter() {
-            sink.record(event);
-        }
     }
 
     /// Builds the event lazily and delivers it — the closure only runs
@@ -177,7 +171,7 @@ mod tests {
             }
         });
         assert_eq!(built.load(Ordering::Relaxed), 0);
-        t.add_sink(Arc::new(NullSink));
+        t.add_sink(Arc::new(RingBufferSink::new(1)));
         t.emit_with(|| {
             built.fetch_add(1, Ordering::Relaxed);
             Event::SolverPhase {

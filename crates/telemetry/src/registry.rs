@@ -29,7 +29,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -47,7 +47,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -72,7 +72,7 @@ pub struct Histogram {
 
 /// Default bucket bounds for latency-style histograms, microseconds:
 /// 1µs .. ~100s in roughly 2.5× steps.
-pub const LATENCY_US_BOUNDS: &[u64] = &[
+pub(crate) const LATENCY_US_BOUNDS: &[u64] = &[
     1,
     2,
     5,
@@ -102,7 +102,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[u64]) -> Histogram {
+    pub(crate) fn new(bounds: &[u64]) -> Histogram {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -131,29 +131,23 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest recorded sample, 0 when empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        let n = self.count();
-        (n > 0).then(|| self.sum() as f64 / n as f64)
     }
 
     /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
     /// inside the winning bucket. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
             return None;
@@ -184,31 +178,18 @@ impl Histogram {
     }
 
     /// Median estimate.
-    pub fn p50(&self) -> Option<f64> {
+    pub(crate) fn p50(&self) -> Option<f64> {
         self.quantile(0.50)
     }
 
     /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<f64> {
+    pub(crate) fn p95(&self) -> Option<f64> {
         self.quantile(0.95)
     }
 
     /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<f64> {
+    pub(crate) fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-
-    /// Per-bucket `(upper_bound, count)` pairs; the final pair uses
-    /// `u64::MAX` as the overflow bound.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                (bound, c.load(Ordering::Relaxed))
-            })
-            .collect()
     }
 }
 
@@ -237,14 +218,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time copy of every instrument in a [`Registry`].
+/// Point-in-time copy of every instrument in a `Registry`.
 ///
 /// Keys are the dotted instrument names, so new instruments show up
 /// without an API change.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -288,13 +269,8 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
     /// Returns the counter named `name`, creating it if needed.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock().expect("counter registry poisoned");
         if let Some(c) = map.get(name) {
             return Arc::clone(c);
@@ -305,7 +281,7 @@ impl Registry {
     }
 
     /// Returns the gauge named `name`, creating it if needed.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.gauges.lock().expect("gauge registry poisoned");
         if let Some(g) = map.get(name) {
             return Arc::clone(g);
@@ -317,7 +293,7 @@ impl Registry {
 
     /// Returns the histogram named `name`, creating it with `bounds` if
     /// needed. An existing histogram keeps its original bounds.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
         let mut map = self.histograms.lock().expect("histogram registry poisoned");
         if let Some(h) = map.get(name) {
             return Arc::clone(h);
@@ -329,12 +305,12 @@ impl Registry {
 
     /// Returns the histogram named `name` with the default latency
     /// bounds ([`LATENCY_US_BOUNDS`], microsecond samples).
-    pub fn latency_histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn latency_histogram(&self, name: &str) -> Arc<Histogram> {
         self.histogram(name, LATENCY_US_BOUNDS)
     }
 
     /// Copies every instrument into a [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let counters = self
             .counters
             .lock()
@@ -382,7 +358,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_share_handles() {
-        let r = Registry::new();
+        let r = Registry::default();
         let a = r.counter("x");
         let b = r.counter("x");
         a.add(3);
@@ -394,7 +370,7 @@ mod tests {
 
     #[test]
     fn gauges_are_last_write_wins() {
-        let r = Registry::new();
+        let r = Registry::default();
         r.gauge("u").set(0.25);
         r.gauge("u").set(0.75);
         assert_eq!(r.snapshot().gauge("u"), Some(0.75));
@@ -408,11 +384,8 @@ mod tests {
         }
         // Buckets: <=10 gets {1,10}; <=100 gets {11,100}; <=1000 empty;
         // overflow gets {5000}.
-        let buckets = h.buckets();
-        assert_eq!(buckets[0], (10, 2));
-        assert_eq!(buckets[1], (100, 2));
-        assert_eq!(buckets[2], (1000, 0));
-        assert_eq!(buckets[3], (u64::MAX, 1));
+        let counts: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, [2, 2, 0, 1]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1 + 10 + 11 + 100 + 5000);
         assert_eq!(h.max(), 5000);
@@ -458,7 +431,6 @@ mod tests {
         let h = Histogram::new(&[10]);
         assert_eq!(h.p50(), None);
         assert_eq!(h.p99(), None);
-        assert_eq!(h.mean(), None);
         assert_eq!(h.count(), 0);
     }
 
@@ -470,11 +442,11 @@ mod tests {
 
     #[test]
     fn registry_histogram_keeps_first_bounds() {
-        let r = Registry::new();
+        let r = Registry::default();
         let h1 = r.histogram("lat", &[10, 100]);
         let h2 = r.histogram("lat", &[999]);
         h1.record(50);
         assert_eq!(h2.count(), 1, "same instrument must be returned");
-        assert_eq!(h2.buckets().len(), 3);
+        assert_eq!(h2.bounds, [10, 100]);
     }
 }

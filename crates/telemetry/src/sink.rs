@@ -2,9 +2,8 @@
 //!
 //! A sink receives every [`Event`] emitted anywhere in the stack. Sinks
 //! must be cheap and non-blocking: they run inline on simulation hot
-//! paths. Three implementations ship here — [`NullSink`] (drop
-//! everything), [`RingBufferSink`] (keep the last N in memory) and
-//! [`JsonLinesSink`] (serialize to any `Write`).
+//! paths. Two implementations ship here — [`RingBufferSink`] (keep the
+//! last N in memory) and [`JsonLinesSink`] (serialize to any `Write`).
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -18,14 +17,6 @@ use crate::json::Json;
 pub trait EventSink: Send + Sync {
     /// Handles one event.
     fn record(&self, event: &Event);
-}
-
-/// Discards every event. Useful as an explicit "no observer" marker.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&self, _event: &Event) {}
 }
 
 /// Keeps the most recent `capacity` events in memory, dropping the
@@ -80,15 +71,6 @@ impl RingBufferSink {
     /// True when no events are retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops all retained events (the overflow count is kept).
-    pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("ring sink poisoned")
-            .events
-            .clear();
     }
 }
 
@@ -158,7 +140,7 @@ json_from_debug!(UndeployReason, ReplanOutcome, PressureResource);
 /// `{"event":"<kind>",...fields}`, fields in the order listed here (the
 /// declaration order). The patterns are exhaustive, so a new field
 /// cannot be left out of the log silently.
-pub fn to_json_line(event: &Event) -> String {
+pub(crate) fn to_json_line(event: &Event) -> String {
     macro_rules! line {
         ($($variant:ident { $($field:ident),* })*) => {
             match event {$(
@@ -227,9 +209,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seeds, [2, 3, 4], "oldest events are dropped first");
-        sink.clear();
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 2, "clear keeps the overflow count");
     }
 
     #[test]
@@ -255,10 +234,5 @@ mod tests {
         let line = to_json_line(&e);
         assert!(line.contains("bad \\\"value\\\"\\nline2"));
         assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn null_sink_ignores_everything() {
-        NullSink.record(&deploy(0));
     }
 }
