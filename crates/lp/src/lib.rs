@@ -7,7 +7,10 @@
 //!
 //! * [`Problem`] — a small modelling API (variables with bounds and
 //!   integrality, linear constraints, linear objective),
-//! * [`simplex`] — a dense two-phase primal simplex for linear programs,
+//! * [`simplex`] — a bounded-variable two-phase primal simplex for linear
+//!   programs: variable bounds live on the columns and single-variable
+//!   rows are folded into them, so the dense tableau has one row per
+//!   remaining constraint,
 //! * `milp` — branch & bound with a time budget, rounding-based primal
 //!   heuristics and incumbent reporting, mirroring the "Gurobi with a 1 s /
 //!   10 min timeout" regimes of the paper's Fig. 7.

@@ -1,8 +1,9 @@
 //! Branch & bound for mixed-integer linear programs.
 //!
 //! Depth-first branch & bound over the integer variables of a
-//! [`Problem`], using the two-phase simplex of [`crate::simplex`] for node
-//! relaxations. A rounding-and-fix primal heuristic runs at every node so a
+//! [`Problem`], using the bounded-variable simplex of [`crate::simplex`]
+//! for node relaxations: a branch tightens a column's bounds, it adds no
+//! row. A rounding-and-fix primal heuristic runs at every node so a
 //! feasible incumbent usually exists long before the tree is exhausted —
 //! this is what makes the "MILP with a short timeout" baseline of the FARM
 //! paper's Fig. 7 behave like Gurobi-with-deadline: it returns the best

@@ -1,11 +1,22 @@
-//! Dense two-phase primal simplex.
+//! Bounded-variable two-phase primal simplex on a dense tableau.
 //!
-//! The solver converts a [`Problem`] (ignoring integrality) to standard form
-//! `min c·x  s.t.  Ax = b, x ≥ 0` by shifting variable lower bounds to zero,
-//! splitting free variables, turning finite upper bounds into rows, and
-//! adding slack/surplus/artificial columns. Phase 1 minimizes the sum of
-//! artificials; phase 2 optimizes the user objective carried along in a
-//! second cost row.
+//! Bounds live on the columns, not in rows: every column carries `[l, u]`
+//! implicitly, a nonbasic column sits at its lower or its upper bound (a
+//! free one at zero), and the ratio test limits a step by the bounds of
+//! the basic columns on either side and by the entering column's own
+//! opposite bound, which it may reach by a *bound flip* — a step with no
+//! pivot.
+//!
+//! Before the tableau is built, a constraint with one nonzero coefficient
+//! is folded into its variable's bounds; bounds that cross by more than
+//! the feasibility tolerance make the problem infeasible. Every remaining
+//! constraint is one row with one slack column whose bounds say the
+//! comparison (`≤`: `[0, ∞)`, `≥`: `(-∞, 0]`, `=`: `[0, 0]`).
+//!
+//! Phase 1 starts from every nonbasic column at its finite bound nearest
+//! zero. Only the rows that point violates get an artificial column, and
+//! phase 1 minimizes their sum; phase 2 optimizes the user objective,
+//! carried along in a second cost row.
 //!
 //! Pivoting uses Dantzig's rule with an automatic switch to Bland's rule
 //! (which guarantees termination) once the iteration count grows, plus an
@@ -17,10 +28,15 @@ use crate::problem::{Cmp, Problem, Sense};
 use crate::solution::{Solution, SolveError};
 use crate::EPS;
 
+/// A bound crossing or a phase-1 residual up to this size still counts as
+/// feasible.
+const FEAS_TOL: f64 = 1e-6;
+
 /// Hard limits for a simplex run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Limits {
-    /// Maximum number of pivots across both phases.
+    /// Maximum number of iterations (pivots and bound flips) across both
+    /// phases.
     pub(crate) max_iterations: usize,
     /// Optional wall-clock deadline.
     pub(crate) deadline: Option<Instant>,
@@ -46,25 +62,12 @@ pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
     solve_with_limits(problem, Limits::default())
 }
 
-/// Mapping from an original variable to standard-form columns.
-#[derive(Debug, Clone, Copy)]
-enum ColMap {
-    /// `x = lower + col`
-    Shifted { col: usize, lower: f64 },
-    /// `x = upper - col`
-    Mirrored { col: usize, upper: f64 },
-    /// `x = pos - neg` (free variable)
-    Split { pos: usize, neg: usize },
-}
-
 /// Solves the LP relaxation of `problem` under explicit limits.
 ///
 /// # Errors
 ///
 /// See [`solve`].
 pub(crate) fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Solution, SolveError> {
-    let n = problem.num_vars();
-
     for def in problem.vars() {
         if def.lower.is_nan() || def.upper.is_nan() {
             return Err(SolveError::BadModel(format!(
@@ -82,200 +85,227 @@ pub(crate) fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Sol
         return Err(SolveError::BadModel("non-finite objective".into()));
     }
 
-    // --- Map original variables to non-negative standard-form columns. ---
-    let mut maps: Vec<ColMap> = Vec::with_capacity(n);
-    let mut ncols = 0usize;
-    // (col, upper-bound-in-col-space) rows to add.
-    let mut ub_rows: Vec<(usize, f64)> = Vec::new();
-    for def in problem.vars() {
-        let (l, u) = (def.lower, def.upper);
-        if l.is_finite() {
-            let col = ncols;
-            ncols += 1;
-            maps.push(ColMap::Shifted { col, lower: l });
-            if u.is_finite() {
-                ub_rows.push((col, u - l));
-            }
-        } else if u.is_finite() {
-            let col = ncols;
-            ncols += 1;
-            maps.push(ColMap::Mirrored { col, upper: u });
-        } else {
-            let pos = ncols;
-            let neg = ncols + 1;
-            ncols += 2;
-            maps.push(ColMap::Split { pos, neg });
-        }
-    }
-    let nstruct = ncols;
-
-    // --- Build rows: (dense coeffs over struct cols, cmp, rhs). ---
-    struct Row {
-        coeffs: Vec<f64>,
-        cmp: Cmp,
-        rhs: f64,
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(problem.num_constraints() + ub_rows.len());
+    // --- Column bounds, with single-variable rows folded in. ---
+    let n = problem.num_vars();
+    let mut lo: Vec<f64> = problem.vars().iter().map(|d| d.lower).collect();
+    let mut hi: Vec<f64> = problem.vars().iter().map(|d| d.upper).collect();
+    let mut rows = Vec::with_capacity(problem.num_constraints());
     for c in problem.constraints() {
-        let mut coeffs = vec![0.0; nstruct];
-        let mut rhs = c.rhs;
-        for &(vi, a) in &c.coeffs {
-            match maps[vi] {
-                ColMap::Shifted { col, lower } => {
-                    coeffs[col] += a;
-                    rhs -= a * lower;
-                }
-                ColMap::Mirrored { col, upper } => {
-                    coeffs[col] -= a;
-                    rhs -= a * upper;
-                }
-                ColMap::Split { pos, neg } => {
-                    coeffs[pos] += a;
-                    coeffs[neg] -= a;
+        let mut nonzero = c.coeffs.iter().filter(|&&(_, a)| a != 0.0);
+        match (nonzero.next(), nonzero.next()) {
+            (None, _) => {
+                // `0 cmp rhs` holds or fails whatever the variables are.
+                let (l, u) = slack_bounds(c.cmp);
+                if c.rhs < l - FEAS_TOL || c.rhs > u + FEAS_TOL {
+                    return Err(SolveError::Infeasible);
                 }
             }
-        }
-        rows.push(Row {
-            coeffs,
-            cmp: c.cmp,
-            rhs,
-        });
-    }
-    for &(col, ub) in &ub_rows {
-        let mut coeffs = vec![0.0; nstruct];
-        coeffs[col] = 1.0;
-        rows.push(Row {
-            coeffs,
-            cmp: Cmp::Le,
-            rhs: ub,
-        });
-    }
-
-    // Normalize rhs ≥ 0.
-    for r in rows.iter_mut() {
-        if r.rhs < 0.0 {
-            for a in r.coeffs.iter_mut() {
-                *a = -*a;
+            (Some(&(j, a)), None) => {
+                let bound = c.rhs / a;
+                let (floor, ceiling) = match (c.cmp, a > 0.0) {
+                    (Cmp::Eq, _) => (true, true),
+                    (Cmp::Le, true) | (Cmp::Ge, false) => (false, true),
+                    (Cmp::Ge, true) | (Cmp::Le, false) => (true, false),
+                };
+                if floor {
+                    lo[j] = lo[j].max(bound);
+                }
+                if ceiling {
+                    hi[j] = hi[j].min(bound);
+                }
             }
-            r.rhs = -r.rhs;
-            r.cmp = match r.cmp {
-                Cmp::Le => Cmp::Ge,
-                Cmp::Ge => Cmp::Le,
-                Cmp::Eq => Cmp::Eq,
-            };
+            _ => rows.push(c),
         }
     }
-
+    for (l, u) in lo.iter_mut().zip(hi.iter_mut()) {
+        if *l > *u {
+            if *l - *u > FEAS_TOL {
+                return Err(SolveError::Infeasible);
+            }
+            let mid = 0.5 * (*l + *u);
+            (*l, *u) = (mid, mid);
+        }
+    }
     let m = rows.len();
-    // Column layout: [struct | slack/surplus | artificial].
-    let mut nslack = 0usize;
-    for r in &rows {
-        if r.cmp != Cmp::Eq {
-            nslack += 1;
-        }
-    }
-    let mut nart = 0usize;
-    for r in &rows {
-        if r.cmp != Cmp::Le {
-            nart += 1;
-        }
-    }
-    let total = nstruct + nslack + nart;
-    let art_start = nstruct + nslack;
 
-    // Tableau: m rows × (total + 1); last column is rhs.
-    let width = total + 1;
+    // --- Starting point: every structural column at its finite bound
+    // nearest zero, a free one at zero. ---
+    let mut x: Vec<f64> = lo
+        .iter()
+        .zip(&hi)
+        .map(|(&l, &u)| match (l.is_finite(), u.is_finite()) {
+            (true, true) if u.abs() < l.abs() => u,
+            (true, _) => l,
+            (false, true) => u,
+            (false, false) => 0.0,
+        })
+        .collect();
+    // The slack value each row asks for there; a row gets an artificial
+    // column exactly when that value lies outside its slack's bounds.
+    let need: Vec<f64> = rows
+        .iter()
+        .map(|c| c.rhs - c.coeffs.iter().map(|&(j, a)| a * x[j]).sum::<f64>())
+        .collect();
+    for c in &rows {
+        let (l, u) = slack_bounds(c.cmp);
+        lo.push(l);
+        hi.push(u);
+    }
+    let violated = |i: usize| need[i] < lo[n + i] || need[i] > hi[n + i];
+    let nart = (0..m).filter(|&i| violated(i)).count();
+
+    // --- Tableau: [structural | slack | artificial], written in place. ---
+    let art_start = n + m;
+    let width = art_start + nart;
     let mut tab = vec![0.0f64; m * width];
-    let mut basis = vec![usize::MAX; m];
-    {
-        let mut next_slack = nstruct;
-        let mut next_art = art_start;
-        for (i, r) in rows.iter().enumerate() {
-            let row = &mut tab[i * width..(i + 1) * width];
-            row[..nstruct].copy_from_slice(&r.coeffs);
-            row[total] = r.rhs;
-            match r.cmp {
-                Cmp::Le => {
-                    row[next_slack] = 1.0;
-                    basis[i] = next_slack;
-                    next_slack += 1;
-                }
-                Cmp::Ge => {
-                    row[next_slack] = -1.0;
-                    next_slack += 1;
-                    row[next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-                Cmp::Eq => {
-                    row[next_art] = 1.0;
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-            }
+    let mut basis = vec![0usize; m];
+    x.resize(width, 0.0);
+    let mut next_art = art_start;
+    for i in 0..m {
+        let row = &mut tab[i * width..(i + 1) * width];
+        let s = need[i];
+        // A violated row is negated where needed so that its artificial
+        // enters with coefficient +1 at the value |s|.
+        let sign = if violated(i) && s < 0.0 { -1.0 } else { 1.0 };
+        for &(j, a) in &rows[i].coeffs {
+            row[j] += sign * a;
+        }
+        row[n + i] = sign;
+        if violated(i) {
+            row[next_art] = 1.0;
+            basis[i] = next_art;
+            x[next_art] = s.abs();
+            next_art += 1;
+        } else {
+            basis[i] = n + i;
+            x[n + i] = s;
         }
     }
+    lo.resize(width, 0.0);
+    hi.resize(width, f64::INFINITY);
+    let mut t = Tableau {
+        m,
+        width,
+        tab,
+        basis,
+        x,
+        lo,
+        hi,
+        scratch: vec![0.0; width],
+    };
 
-    // Objective in minimization form over struct columns.
+    // Objective in minimization form over structural columns.
     let sense_factor = match problem.sense() {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
-    let mut phase2 = vec![0.0f64; width]; // cost row: c_j, last entry tracks -obj
-    let mut obj_shift = 0.0; // constant from bound shifting
-    for (vi, &c) in problem.objective().iter().enumerate() {
-        let c = sense_factor * c;
-        if c == 0.0 {
-            continue;
-        }
-        match maps[vi] {
-            ColMap::Shifted { col, lower } => {
-                phase2[col] += c;
-                obj_shift += c * lower;
-            }
-            ColMap::Mirrored { col, upper } => {
-                phase2[col] -= c;
-                obj_shift += c * upper;
-            }
-            ColMap::Split { pos, neg } => {
-                phase2[pos] += c;
-                phase2[neg] -= c;
-            }
-        }
-    }
-
-    // Phase-1 cost row: sum of artificials, reduced by the initial basis.
-    let mut phase1 = vec![0.0f64; width];
-    phase1[art_start..total].fill(1.0);
-    for (i, &b) in basis.iter().enumerate().take(m) {
-        if b >= art_start {
-            // Subtract the basic artificial's row to zero its reduced cost.
-            let (head, tail) = tab.split_at(i * width);
-            let _ = head;
-            let row = &tail[..width];
-            for j in 0..width {
-                phase1[j] -= row[j];
-            }
-        }
+    let mut phase2 = vec![0.0f64; width];
+    for (d, &c) in phase2.iter_mut().zip(problem.objective()) {
+        *d = sense_factor * c;
     }
 
     let mut iterations = 0usize;
-    // Normalized pivot row, copied out once per pivot. Reused across all
-    // pivots of both phases; updating rows against this aliasing-free
-    // slice (instead of indexing back into `tab`) lets the row updates
-    // vectorize and saves a per-iteration allocation.
-    let mut scratch = vec![0.0f64; width];
 
-    // Runs the simplex loop on cost row `cost`, restricting entering columns
-    // to `..col_limit`. Returns Ok(true) on optimality, Err on unbounded.
-    let pivot_loop = |tab: &mut Vec<f64>,
-                      basis: &mut Vec<usize>,
-                      cost: &mut Vec<f64>,
-                      other_cost: &mut Option<&mut Vec<f64>>,
-                      scratch: &mut [f64],
-                      col_limit: usize,
-                      iterations: &mut usize|
-     -> Result<(), SolveError> {
+    // --- Phase 1 ---
+    if nart > 0 {
+        // Sum of artificials, reduced by the initial basis.
+        let mut phase1 = vec![0.0f64; width];
+        phase1[art_start..].fill(1.0);
+        for i in 0..m {
+            if t.basis[i] >= art_start {
+                let row = &t.tab[i * width..(i + 1) * width];
+                for (d, &a) in phase1.iter_mut().zip(row) {
+                    *d -= a;
+                }
+            }
+        }
+        // Artificial columns never re-enter the basis: restrict entering
+        // columns to the structural + slack range.
+        t.optimize(
+            &mut phase1,
+            Some(phase2.as_mut_slice()),
+            art_start,
+            &limits,
+            &mut iterations,
+        )
+        .map_err(|e| match e {
+            // Phase-1 objective is bounded below by 0; "unbounded" here means
+            // numerical trouble, surface as limit.
+            SolveError::Unbounded => SolveError::LimitReached,
+            other => other,
+        })?;
+        if t.x[art_start..].iter().sum::<f64>() > FEAS_TOL {
+            return Err(SolveError::Infeasible);
+        }
+        // Drive remaining artificials out of the basis when possible; an
+        // artificial left in a redundant row is pinned at zero.
+        for i in 0..m {
+            let art = t.basis[i];
+            if art < art_start {
+                continue;
+            }
+            match (0..art_start).find(|&j| t.tab[i * width + j].abs() > 1e-9) {
+                Some(j) => {
+                    let dx = t.x[art] / t.tab[i * width + j];
+                    t.step(j, dx);
+                    t.x[art] = 0.0;
+                    t.pivot(i, j, &mut phase2, None);
+                }
+                None => t.hi[art] = 0.0,
+            }
+        }
+    }
+
+    // --- Phase 2 (entering columns restricted to non-artificials). ---
+    t.optimize(&mut phase2, None, art_start, &limits, &mut iterations)?;
+
+    let mut values = t.x;
+    values.truncate(n);
+    let objective = problem.objective_value(&values);
+    Ok(Solution { values, objective })
+}
+
+/// Bounds of the slack `s` in `a·x + s = rhs` that make the row say `cmp`.
+fn slack_bounds(cmp: Cmp) -> (f64, f64) {
+    match cmp {
+        Cmp::Le => (0.0, f64::INFINITY),
+        Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+        Cmp::Eq => (0.0, 0.0),
+    }
+}
+
+/// The dense tableau `B⁻¹·[A | slack | artificial]` with the current value
+/// of every column beside it (basic values are not a right-hand side: a
+/// nonbasic column may sit at a nonzero bound).
+struct Tableau {
+    m: usize,
+    width: usize,
+    tab: Vec<f64>,
+    /// Column basic in each row.
+    basis: Vec<usize>,
+    /// Current value of every column.
+    x: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// Normalized pivot row, copied out once per pivot. Updating rows
+    /// against this aliasing-free slice (instead of indexing back into
+    /// `tab`) lets the row updates vectorize.
+    scratch: Vec<f64>,
+}
+
+impl Tableau {
+    /// Runs simplex iterations on the reduced-cost row `cost`, entering
+    /// only columns below `col_limit`, until no column improves it.
+    /// `other` is a second cost row kept reduced against the same basis.
+    fn optimize(
+        &mut self,
+        cost: &mut [f64],
+        mut other: Option<&mut [f64]>,
+        col_limit: usize,
+        limits: &Limits,
+        iterations: &mut usize,
+    ) -> Result<(), SolveError> {
+        let width = self.width;
         loop {
             if *iterations >= limits.max_iterations {
                 return Err(SolveError::LimitReached);
@@ -286,197 +316,118 @@ pub(crate) fn solve_with_limits(problem: &Problem, limits: Limits) -> Result<Sol
                 }
             }
             let bland = *iterations > limits.max_iterations / 2;
-            // Entering column.
+            // Entering column and direction: up from a column below its
+            // upper bound with negative reduced cost, down from one above
+            // its lower bound with positive reduced cost.
             let mut enter = usize::MAX;
-            let mut best = -EPS;
-            for (j, &c) in cost.iter().enumerate().take(col_limit) {
-                if c < -EPS {
+            let mut dir = 0.0;
+            let mut best = EPS;
+            for (j, &d) in cost.iter().enumerate().take(col_limit) {
+                let (gain, up) = if d < -EPS && self.x[j] < self.hi[j] {
+                    (-d, true)
+                } else if d > EPS && self.x[j] > self.lo[j] {
+                    (d, false)
+                } else {
+                    continue;
+                };
+                if gain > best || bland {
+                    best = gain;
+                    enter = j;
+                    dir = if up { 1.0 } else { -1.0 };
                     if bland {
-                        enter = j;
                         break;
-                    }
-                    if c < best {
-                        best = c;
-                        enter = j;
                     }
                 }
             }
             if enter == usize::MAX {
                 return Ok(()); // optimal for this phase
             }
-            // Ratio test.
+            // Ratio test over the basic columns' bounds.
             let mut leave = usize::MAX;
             let mut best_ratio = f64::INFINITY;
-            for i in 0..m {
-                let a = tab[i * width + enter];
-                if a > EPS {
-                    let ratio = tab[i * width + total] / a;
-                    if ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && leave != usize::MAX
-                            && basis[i] < basis[leave])
-                    {
-                        best_ratio = ratio;
-                        leave = i;
-                    }
-                }
-            }
-            if leave == usize::MAX {
-                return Err(SolveError::Unbounded);
-            }
-            // Pivot on (leave, enter).
-            let piv = tab[leave * width + enter];
-            let lrow_start = leave * width;
-            {
-                let lrow = &mut tab[lrow_start..lrow_start + width];
-                for v in lrow.iter_mut() {
-                    *v /= piv;
-                }
-                scratch.copy_from_slice(lrow);
-            }
-            for i in 0..m {
-                if i == leave {
+            for i in 0..self.m {
+                let a = dir * self.tab[i * width + enter];
+                let b = self.basis[i];
+                let room = if a > EPS {
+                    self.x[b] - self.lo[b]
+                } else if a < -EPS {
+                    self.hi[b] - self.x[b]
+                } else {
+                    continue;
+                };
+                if room == f64::INFINITY {
                     continue;
                 }
-                let row = &mut tab[i * width..(i + 1) * width];
-                let f = row[enter];
-                if f != 0.0 {
-                    for (x, &s) in row.iter_mut().zip(scratch.iter()) {
-                        *x -= f * s;
-                    }
+                let ratio = room.max(0.0) / a.abs();
+                if ratio < best_ratio - EPS
+                    || (ratio < best_ratio + EPS && leave != usize::MAX && b < self.basis[leave])
+                {
+                    best_ratio = ratio;
+                    leave = i;
                 }
             }
-            let f = cost[enter];
-            if f != 0.0 {
-                for (x, &s) in cost.iter_mut().zip(scratch.iter()) {
-                    *x -= f * s;
+            // The entering column's own opposite bound: a flip, no pivot.
+            let flip = self.hi[enter] - self.lo[enter];
+            if flip <= best_ratio {
+                if flip == f64::INFINITY {
+                    return Err(SolveError::Unbounded);
                 }
+                self.step(enter, dir * flip);
+                self.x[enter] = if dir > 0.0 {
+                    self.hi[enter]
+                } else {
+                    self.lo[enter]
+                };
+            } else {
+                let b = self.basis[leave];
+                let falls = dir * self.tab[leave * width + enter] > 0.0;
+                self.step(enter, dir * best_ratio);
+                self.x[b] = if falls { self.lo[b] } else { self.hi[b] };
+                self.pivot(leave, enter, cost, other.as_deref_mut());
             }
-            if let Some(oc) = other_cost.as_deref_mut() {
-                let f = oc[enter];
-                if f != 0.0 {
-                    for (x, &s) in oc.iter_mut().zip(scratch.iter()) {
-                        *x -= f * s;
-                    }
-                }
-            }
-            basis[leave] = enter;
             *iterations += 1;
         }
-    };
+    }
 
-    // --- Phase 1 ---
-    if nart > 0 {
-        let mut p2 = Some(&mut phase2);
-        // Artificial columns never re-enter the basis: restrict entering
-        // columns to the structural + slack range.
-        pivot_loop(
-            &mut tab,
-            &mut basis,
-            &mut phase1,
-            &mut p2,
-            &mut scratch,
-            art_start,
-            &mut iterations,
-        )
-        .map_err(|e| match e {
-            // Phase-1 objective is bounded below by 0; "unbounded" here means
-            // numerical trouble, surface as limit.
-            SolveError::Unbounded => SolveError::LimitReached,
-            other => other,
-        })?;
-        // -phase1[width-1] is the phase-1 objective value.
-        let p1_obj = -phase1[total];
-        if p1_obj > 1e-6 {
-            return Err(SolveError::Infeasible);
-        }
-        // Drive remaining artificials out of the basis when possible.
-        for i in 0..m {
-            if basis[i] >= art_start {
-                let mut pivot_col = usize::MAX;
-                for j in 0..art_start {
-                    if tab[i * width + j].abs() > 1e-9 {
-                        pivot_col = j;
-                        break;
-                    }
-                }
-                if let Some(j) = (pivot_col != usize::MAX).then_some(pivot_col) {
-                    let piv = tab[i * width + j];
-                    {
-                        let row = &mut tab[i * width..(i + 1) * width];
-                        for v in row.iter_mut() {
-                            *v /= piv;
-                        }
-                        scratch.copy_from_slice(row);
-                    }
-                    for i2 in 0..m {
-                        if i2 != i {
-                            let row = &mut tab[i2 * width..(i2 + 1) * width];
-                            let f = row[j];
-                            if f != 0.0 {
-                                for (x, &s) in row.iter_mut().zip(scratch.iter()) {
-                                    *x -= f * s;
-                                }
-                            }
-                        }
-                    }
-                    let f = phase2[j];
-                    if f != 0.0 {
-                        for (x, &s) in phase2.iter_mut().zip(scratch.iter()) {
-                            *x -= f * s;
-                        }
-                    }
-                    basis[i] = j;
-                }
-                // else: redundant row; artificial stays basic at value 0.
+    /// Moves column `j` by `dx` and the basic columns with it.
+    fn step(&mut self, j: usize, dx: f64) {
+        for i in 0..self.m {
+            let a = self.tab[i * self.width + j];
+            if a != 0.0 {
+                self.x[self.basis[i]] -= a * dx;
             }
         }
+        self.x[j] += dx;
     }
 
-    // --- Phase 2 (entering columns restricted to non-artificials). ---
-    // `phase2` already has reduced costs w.r.t. the current basis for all
-    // columns that entered during phase 1; re-reduce basic columns that were
-    // basic from the start (slacks) — their cost is 0, so nothing to do.
-    // However, struct columns basic in the initial basis are impossible, and
-    // phase2 was updated on every pivot, so it is consistent.
-    for i in 0..m {
-        let b = basis[i];
-        if b < art_start && phase2[b].abs() > EPS {
-            let f = phase2[b];
-            for k in 0..width {
-                phase2[k] -= f * tab[i * width + k];
+    /// Pivots column `enter` into the basis at row `leave`, keeping the
+    /// cost rows reduced.
+    fn pivot(&mut self, leave: usize, enter: usize, cost: &mut [f64], other: Option<&mut [f64]>) {
+        let width = self.width;
+        let lrow = &mut self.tab[leave * width..(leave + 1) * width];
+        let piv = lrow[enter];
+        for v in lrow.iter_mut() {
+            *v /= piv;
+        }
+        self.scratch.copy_from_slice(lrow);
+        for (i, row) in self.tab.chunks_exact_mut(width).enumerate() {
+            let f = row[enter];
+            if i != leave && f != 0.0 {
+                for (v, &s) in row.iter_mut().zip(&self.scratch) {
+                    *v -= f * s;
+                }
             }
         }
-    }
-    let mut none_cost: Option<&mut Vec<f64>> = None;
-    pivot_loop(
-        &mut tab,
-        &mut basis,
-        &mut phase2,
-        &mut none_cost,
-        &mut scratch,
-        art_start,
-        &mut iterations,
-    )?;
-
-    // --- Extract solution. ---
-    let mut col_values = vec![0.0f64; total];
-    for i in 0..m {
-        if basis[i] < total {
-            col_values[basis[i]] = tab[i * width + total];
+        for c in std::iter::once(cost).chain(other) {
+            let f = c[enter];
+            if f != 0.0 {
+                for (v, &s) in c.iter_mut().zip(&self.scratch) {
+                    *v -= f * s;
+                }
+            }
         }
+        self.basis[leave] = enter;
     }
-    let mut values = vec![0.0f64; n];
-    for (vi, map) in maps.iter().enumerate() {
-        values[vi] = match *map {
-            ColMap::Shifted { col, lower } => lower + col_values[col],
-            ColMap::Mirrored { col, upper } => upper - col_values[col],
-            ColMap::Split { pos, neg } => col_values[pos] - col_values[neg],
-        };
-    }
-    let _ = obj_shift;
-    let objective = problem.objective_value(&values);
-    Ok(Solution { values, objective })
 }
 
 #[cfg(test)]
@@ -605,5 +556,73 @@ mod tests {
         p.set_objective(x + 100.0);
         let s = solve(&p).unwrap();
         assert!((s.objective - 102.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_bound_flip_moves_a_column_without_a_pivot() {
+        // max x + y, x ∈ [0, 2], y ∈ [0, 3], x + y ≤ 10: both columns
+        // reach their upper bounds by flips and the slack stays basic.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 2.0);
+        let y = p.add_var("y", 0.0, 3.0);
+        p.add_constraint(x + y, Cmp::Le, 10.0);
+        p.set_objective(x + 2.0 * y);
+        let s = solve(&p).unwrap();
+        assert_eq!((s.value(x), s.value(y)), (2.0, 3.0));
+        assert_eq!(s.objective, 8.0);
+    }
+
+    #[test]
+    fn an_optimum_may_hold_a_column_at_its_upper_bound() {
+        // max 3x + y, x ∈ [0, 4], x + y ≤ 6, y ≥ 0: x nonbasic at its
+        // upper bound, y basic at 2.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 4.0);
+        let y = p.add_var("y", 0.0, f64::INFINITY);
+        p.add_constraint(x + y, Cmp::Le, 6.0);
+        p.set_objective(3.0 * x + y);
+        let s = solve(&p).unwrap();
+        assert!((s.value(x) - 4.0).abs() < 1e-12);
+        assert!((s.value(y) - 2.0).abs() < 1e-12);
+        assert!((s.objective - 14.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_crossing_singleton_row_is_infeasible_not_a_panic() {
+        // x ∈ [0, 3] and the row 2x ≥ 8 fold to x ∈ [4, 3].
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 3.0);
+        let y = p.add_var("y", 0.0, 1.0);
+        p.add_constraint(2.0 * x, Cmp::Ge, 8.0);
+        p.add_constraint(x + y, Cmp::Le, 5.0);
+        p.set_objective(x + y);
+        assert_eq!(solve(&p), Err(SolveError::Infeasible));
+    }
+
+    #[test]
+    fn singleton_rows_fold_into_bounds() {
+        // -x ≥ -2 is x ≤ 2; 3y = 6 fixes y; x ≤ 5 is looser than the row.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 5.0);
+        let y = p.add_var("y", 0.0, 10.0);
+        p.add_constraint(-1.0 * x, Cmp::Ge, -2.0);
+        p.add_constraint(3.0 * y, Cmp::Eq, 6.0);
+        p.add_constraint(x + y, Cmp::Le, 100.0);
+        p.set_objective(x + y);
+        let s = solve(&p).unwrap();
+        assert_eq!((s.value(x), s.value(y)), (2.0, 2.0));
+    }
+
+    #[test]
+    fn only_violated_rows_get_an_artificial() {
+        // x + y ≥ -1 holds at the origin, x + y ≥ 1 does not.
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 0.0, 5.0);
+        let y = p.add_var("y", 0.0, 5.0);
+        p.add_constraint(x + y, Cmp::Ge, -1.0);
+        p.add_constraint(x + 2.0 * y, Cmp::Ge, 1.0);
+        p.set_objective(2.0 * x + 3.0 * y);
+        let s = solve(&p).unwrap();
+        assert!((s.objective - 1.5).abs() < 1e-9, "{}", s.objective);
     }
 }

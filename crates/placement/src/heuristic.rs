@@ -991,20 +991,44 @@ fn opportunistic_alloc(polls: &SeedPolls, st: &SwitchState, min_res: &Resources)
 /// stops paying for itself; greedy minimum allocations are kept instead.
 const LP_SEEDS_PER_SWITCH_CAP: usize = 150;
 
-/// Arena for the per-switch LPs: one [`Problem`] reused across every
-/// switch of a solve, so the model's variable, constraint and objective
+/// Arena for the per-switch LPs: one [`Problem`] and the variable handles
+/// of one switch's model, reused across every switch of a solve, so the
 /// buffers are allocated once per solve instead of once per switch.
 pub(crate) struct LpScratch {
     p: Problem,
+    /// Each seed of the switch, by its position in `seeds_here` (`None`:
+    /// no utility branch, nothing to re-solve).
+    seeds: Vec<Option<SeedLp>>,
+    /// The switch's distinct poll subjects, ascending, and the `pollres`
+    /// variable of each.
+    subjects: Vec<u32>,
+    poll_vars: Vec<farm_lp::Var>,
+}
+
+/// One seed's part of a switch LP.
+struct SeedLp {
+    /// Its resource variables, by [`ResourceKind::index`].
+    vars: [farm_lp::Var; 4],
+    /// Some utility piece of its branch grows with the PCIe budget.
+    values_polling: bool,
 }
 
 impl LpScratch {
     pub(crate) fn new() -> LpScratch {
         LpScratch {
             p: Problem::new(Sense::Maximize),
+            seeds: Vec::new(),
+            subjects: Vec::new(),
+            poll_vars: Vec::new(),
         }
     }
 }
+
+/// Objective weight of the poll-rate tie-break, per unit of a seed's PCIe
+/// budget: far below the utility gradients of the shipped programs (1 per
+/// unit for `DigMicroburst`), above the simplex's pricing tolerance
+/// (1e-7).
+const POLL_TIE_BREAK: f64 = 1e-6;
 
 /// Solves one switch's redistribution LP and returns the accepted
 /// per-seed reallocations. Pure with respect to the shared solve state
@@ -1044,16 +1068,18 @@ fn redistribute_switch(
         .sum();
     let poll_cap = (st.ares.get(ResourceKind::PciePoll) - lingering_poll).max(0.0);
 
-    scratch.p.reset(Sense::Maximize);
-    let p = &mut scratch.p;
-    let mut res_vars: FxHashMap<usize, Vec<farm_lp::Var>> = FxHashMap::default();
+    let LpScratch {
+        p,
+        seeds,
+        subjects,
+        poll_vars,
+    } = scratch;
+    p.reset(Sense::Maximize);
+    seeds.clear();
     let mut objective = LinExpr::new();
     for &s in seeds_here {
         let seed = &instance.seeds[s];
-        let vars: Vec<farm_lp::Var> = ResourceKind::ALL
-            .iter()
-            .map(|k| p.add_var_unnamed(0.0, cap.get(*k)))
-            .collect();
+        let vars = ResourceKind::ALL.map(|k| p.add_var_unnamed(0.0, cap.get(k)));
         let u = p.add_var_unnamed(0.0, 1e9);
         objective += LinExpr::from(u);
         let cur = assignment[s].as_ref().map(|(_, r)| *r).unwrap_or_default();
@@ -1063,52 +1089,82 @@ fn redistribute_switch(
             .iter()
             .find(|b| b.constraints.iter().all(|c| c.eval(&cur) >= -1e-9))
             .or_else(|| seed.util.branches.first());
-        let Some(branch) = branch else { continue };
+        let Some(branch) = branch else {
+            seeds.push(None);
+            continue;
+        };
         for c in &branch.constraints {
             p.add_constraint(poly_expr(c, &vars), Cmp::Ge, 0.0);
         }
+        let mut values_polling = false;
         for piece in utility_pieces(&branch.utility) {
+            values_polling |= piece.coeffs[ResourceKind::PciePoll.index()] > 0.0;
             let e = poly_expr(&piece, &vars);
             p.add_constraint(LinExpr::from(u) - e, Cmp::Le, 0.0);
         }
-        res_vars.insert(s, vars);
+        seeds.push(Some(SeedLp {
+            vars,
+            values_polling,
+        }));
     }
     for k in ResourceKind::ALL {
         if k == ResourceKind::PciePoll {
             continue;
         }
         let mut total = LinExpr::new();
-        for &s in seeds_here {
-            if let Some(vars) = res_vars.get(&s) {
-                total.add_term(vars[k.index()], 1.0);
-            }
+        for lp in seeds.iter().flatten() {
+            total.add_term(lp.vars[k.index()], 1.0);
         }
         p.add_constraint(total, Cmp::Le, cap.get(k));
     }
     // Aggregated polling: pollres_p ≥ demand_s ∀ s; Σ pollres ≤ cap.
-    let mut subjects: Vec<u32> = seeds_here
-        .iter()
-        .flat_map(|&s| interned[s].iter().map(|(subj, _)| *subj))
-        .collect();
+    //
+    // The utility prices a seed's PCIe budget only up to where it binds;
+    // past that every value is optimal and the vertex would decide. A
+    // seed whose utility grows with its PCIe budget is paid a tie-break
+    // for each unit of it, and each subject it polls charges twice that
+    // per unit of `pollres` the seed's demand would raise: so the seed
+    // polls at the rate its subjects are polled at anyway (polling is
+    // aggregated, the switch pays the largest demand on each), and no
+    // subject is polled faster for it.
+    subjects.clear();
+    subjects.extend(
+        seeds_here
+            .iter()
+            .flat_map(|&s| interned[s].iter().map(|(subj, _)| *subj)),
+    );
     subjects.sort_unstable();
     subjects.dedup();
     let mut poll_sum = LinExpr::new();
-    let poll_vars: FxHashMap<u32, farm_lp::Var> = subjects
-        .iter()
-        .map(|&subj| {
-            let v = p.add_var_unnamed(0.0, f64::INFINITY);
-            poll_sum.add_term(v, 1.0);
-            (subj, v)
-        })
-        .collect();
-    for &s in seeds_here {
-        let Some(vars) = res_vars.get(&s) else {
+    poll_vars.clear();
+    for _ in 0..subjects.len() {
+        let v = p.add_var_unnamed(0.0, f64::INFINITY);
+        poll_sum.add_term(v, 1.0);
+        poll_vars.push(v);
+    }
+    let slot = |subj: &u32| {
+        subjects
+            .binary_search(subj)
+            .expect("subject collected above")
+    };
+    for (&s, lp) in seeds_here.iter().zip(seeds.iter()) {
+        let Some(lp) = lp else {
             continue;
         };
+        let mut tie_break = false;
         for (subj, demand) in &interned[s] {
-            let pv = poll_vars[subj];
-            let demand = poly_expr(demand, vars);
+            let pv = poll_vars[slot(subj)];
+            let per_unit = demand.coeffs[ResourceKind::PciePoll.index()];
+            if lp.values_polling && per_unit > 0.0 {
+                objective.add_term(pv, -2.0 * POLL_TIE_BREAK / per_unit);
+                tie_break = true;
+            }
+            let demand = poly_expr(demand, &lp.vars);
             p.add_constraint(LinExpr::from(pv) - demand, Cmp::Ge, 0.0);
+        }
+        if tie_break {
+            let pcie = lp.vars[ResourceKind::PciePoll.index()];
+            objective.add_term(pcie, POLL_TIE_BREAK);
         }
     }
     p.add_constraint(poll_sum, Cmp::Le, poll_cap);
@@ -1118,11 +1174,11 @@ fn redistribute_switch(
         return Vec::new(); // keep the greedy allocations
     };
     let mut updates = Vec::new();
-    for &s in seeds_here {
-        if let Some(vars) = res_vars.get(&s) {
+    for (&s, lp) in seeds_here.iter().zip(seeds.iter()) {
+        if let Some(lp) = lp {
             let mut r = Resources::ZERO;
             for k in ResourceKind::ALL {
-                r.set(k, sol.value(vars[k.index()]).max(0.0));
+                r.set(k, sol.value(lp.vars[k.index()]).max(0.0));
             }
             if instance.seeds[s].util.eval(&r).is_some() {
                 updates.push((s, r));
@@ -1227,6 +1283,93 @@ mod tests {
         assert_eq!(r.dropped_tasks, Vec::<usize>::new());
         assert_eq!(r.placed(), 12);
         assert!(r.utility > 0.0);
+    }
+
+    #[test]
+    fn a_seed_that_values_polling_polls_at_its_subjects_aggregated_rate() {
+        // Two seeds share one poll subject on one switch. `fast` is worth
+        // its PCIe budget and demands 1 000 polls/s per unit, so it takes
+        // the whole poll capacity (62 500 / 1 000 = 62.5). `slow` is worth
+        // min(vCPU, PCIe) and demands 100 per unit; its vCPU caps it at 3,
+        // so the LP is indifferent to its PCIe anywhere in [3, 625]. The
+        // switch polls the subject at 62 500/s anyway, so `slow` gets 625.
+        // When `fast` is worth at most 10 units the subject is polled at
+        // 10 000/s and `slow` gets 100, not the 625 the spare poll
+        // capacity would allow.
+        let pcie = |k: f64| Poly {
+            coeffs: [0.0, 0.0, 0.0, k],
+            constant: 0.0,
+        };
+        let at_least = |k: ResourceKind, min: f64| {
+            let mut p = Poly::var(k);
+            p.constant = -min;
+            p
+        };
+        let seed = |id: usize, util: UtilExpr, per_unit: f64, domain: Vec<Poly>| PlacementSeed {
+            id,
+            task: id,
+            candidates: vec![SwitchId(0)],
+            util: UtilAnalysis {
+                branches: vec![UtilBranch {
+                    constraints: domain,
+                    utility: util,
+                }],
+            },
+            polls: vec![crate::model::PollDemand {
+                subject: "ports".into(),
+                demand: pcie(per_unit),
+            }],
+        };
+        let solve = |fast_util: UtilExpr| {
+            let fast = seed(
+                0,
+                fast_util,
+                1000.0,
+                vec![
+                    at_least(ResourceKind::VCpu, 1.0),
+                    at_least(ResourceKind::PciePoll, 1.0),
+                ],
+            );
+            let slow = seed(
+                1,
+                UtilExpr::Min(
+                    Box::new(UtilExpr::Poly(Poly::var(ResourceKind::VCpu))),
+                    Box::new(UtilExpr::Poly(Poly::var(ResourceKind::PciePoll))),
+                ),
+                100.0,
+                vec![
+                    at_least(ResourceKind::VCpu, 1.0),
+                    at_least(ResourceKind::RamMb, 100.0),
+                ],
+            );
+            let inst = PlacementInstance {
+                switches: vec![(SwitchId(0), Resources::new(4.0, 16384.0, 512.0, 62500.0))],
+                tasks: (0..2)
+                    .map(|t| PlacementTask {
+                        name: format!("t{t}"),
+                        seeds: vec![t],
+                    })
+                    .collect(),
+                seeds: vec![fast, slow],
+                previous: None,
+            };
+            let r = solve_heuristic(&inst, HeuristicOptions::default());
+            validate(&inst, &r).unwrap();
+            let pcie = |s: usize| r.assignment[s].unwrap().1.get(ResourceKind::PciePoll);
+            (
+                pcie(0),
+                pcie(1),
+                r.assignment[1].unwrap().1.get(ResourceKind::VCpu),
+                r.utility,
+            )
+        };
+        let uncapped = UtilExpr::Poly(Poly::var(ResourceKind::PciePoll));
+        assert_eq!(solve(uncapped.clone()), (62.5, 625.0, 3.0, 62.5 + 3.0));
+        let capped = UtilExpr::Min(
+            Box::new(uncapped),
+            Box::new(UtilExpr::Poly(Poly::constant(10.0))),
+        );
+        assert_eq!(solve(capped), (10.0, 100.0, 3.0, 10.0 + 3.0));
     }
 
     #[test]
