@@ -23,8 +23,6 @@ pub struct MilpOptions {
     pub time_limit: Option<Duration>,
     /// Maximum number of explored nodes.
     pub max_nodes: usize,
-    /// Relative optimality gap at which the search stops early.
-    pub rel_gap: f64,
     /// Per-node simplex iteration cap.
     pub node_iterations: usize,
 }
@@ -34,7 +32,6 @@ impl Default for MilpOptions {
         MilpOptions {
             time_limit: None,
             max_nodes: 100_000,
-            rel_gap: 1e-6,
             node_iterations: 200_000,
         }
     }
@@ -43,7 +40,7 @@ impl Default for MilpOptions {
 /// Outcome class of a branch & bound run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MilpStatus {
-    /// Proven optimal (tree exhausted or gap closed).
+    /// Proven optimal (tree exhausted).
     Optimal,
     /// A feasible incumbent exists but optimality was not proven in budget.
     Feasible,

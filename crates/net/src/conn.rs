@@ -1,15 +1,15 @@
 //! The client connection: a blocking request/response session.
 //!
-//! A [`Connection`] is one socket, one [`FrameDecoder`] (the same one
-//! the server's reactor uses) and one [`Interceptor`] behind one mutex,
-//! driven entirely by the thread that calls it — there is no background
-//! thread and no queue. A call dials if no session is held (one
-//! attempt), reads without blocking whatever the peer sent since the
-//! last call — so a goodbye or hang-up that arrived in the meantime is
-//! answered with a redial *before* any byte of the new frame is
-//! written — then writes the frame through the interceptor. A request
-//! goes on to read against its deadline until the response carrying its
-//! correlation id arrives. Calls from several threads take turns.
+//! A [`Connection`] is one socket and one [`FrameDecoder`] (the same one
+//! the server's reactor uses) behind one mutex, driven entirely by the
+//! thread that calls it — there is no background thread and no queue. A
+//! call dials if no session is held (one attempt), reads without
+//! blocking whatever the peer sent since the last call — so a goodbye or
+//! hang-up that arrived in the meantime is answered with a redial
+//! *before* any byte of the new frame is written — then writes the
+//! frame. A request goes on to read against its deadline until the
+//! response carrying its correlation id arrives. Calls from several
+//! threads take turns.
 //!
 //! Delivery semantics: one-way frames are at-most-once (the kernel's
 //! socket buffer is the only queue; a frame that finds no session and
@@ -29,7 +29,6 @@ use farm_telemetry::Telemetry;
 
 use crate::buf::{Decoded, FrameDecoder};
 use crate::frame::{encode_envelope, Envelope, Frame};
-use crate::interceptor::{Interceptor, Passthrough, Verdict};
 use crate::sock::NetCounters;
 use crate::wire::PROTOCOL_VERSION;
 
@@ -93,7 +92,6 @@ struct Session {
 /// What a call changes, behind the connection's one mutex.
 struct State {
     session: Option<Session>,
-    interceptor: Box<dyn Interceptor>,
     next_corr: u64,
     /// A dial has succeeded before: the next one is a reconnect.
     dialed: bool,
@@ -109,27 +107,15 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Opens a connection with no interceptor.
+    /// Opens a connection. Nothing is dialed yet: the first call that
+    /// needs a session does that.
     pub fn connect(addr: SocketAddr, cfg: NetConfig, telemetry: &Telemetry) -> Connection {
-        Connection::connect_with(addr, cfg, telemetry, Box::new(Passthrough))
-    }
-
-    /// Opens a connection whose outgoing frames pass through
-    /// `interceptor`. Nothing is dialed yet: the first call that needs
-    /// a session does that.
-    pub fn connect_with(
-        addr: SocketAddr,
-        cfg: NetConfig,
-        telemetry: &Telemetry,
-        interceptor: Box<dyn Interceptor>,
-    ) -> Connection {
         Connection {
             addr,
             cfg,
             counters: NetCounters::new(telemetry),
             state: Mutex::new(State {
                 session: None,
-                interceptor,
                 next_corr: 1,
                 dialed: false,
                 closed: false,
@@ -232,7 +218,7 @@ impl Connection {
         state.closed = true;
         if let Some(session) = state.session.take() {
             let bye = Envelope::one_way(Frame::Shutdown);
-            write_frame(&self.counters, &session.stream, &bye, &mut Passthrough);
+            write_frame(&self.counters, &session.stream, &bye);
             let _ = session.stream.shutdown(Shutdown::Both);
         }
     }
@@ -255,8 +241,7 @@ impl Connection {
         self.dial(state)
     }
 
-    /// One dial attempt plus the `Hello` preamble (not subject to
-    /// interception).
+    /// One dial attempt plus the `Hello` preamble.
     fn dial(&self, state: &mut State) -> bool {
         let Ok(stream) = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) else {
             self.counters.connect_failures.inc();
@@ -276,7 +261,7 @@ impl Connection {
             node: self.cfg.node.clone(),
             protocol: PROTOCOL_VERSION as u32,
         });
-        let greeted = write_frame(&self.counters, &stream, &hello, &mut Passthrough);
+        let greeted = write_frame(&self.counters, &stream, &hello);
         state.session = greeted.then(|| Session {
             stream,
             decoder: FrameDecoder::new(),
@@ -284,15 +269,15 @@ impl Connection {
         greeted
     }
 
-    /// Puts `env` on a live session, through the interceptor, and
-    /// returns that session; `None` when none could be had or the write
-    /// failed, which ends the session.
+    /// Puts `env` on a live session and returns that session; `None`
+    /// when none could be had or the write failed, which ends the
+    /// session.
     fn deliver<'s>(&self, state: &'s mut State, env: &Envelope) -> Option<&'s mut Session> {
         if !self.ensure_session(state) {
             return None;
         }
         let stream = &state.session.as_ref()?.stream;
-        if !write_frame(&self.counters, stream, env, state.interceptor.as_mut()) {
+        if !write_frame(&self.counters, stream, env) {
             state.session = None;
         }
         state.session.as_mut()
@@ -385,36 +370,17 @@ impl fmt::Debug for Connection {
     }
 }
 
-/// Offers `env` to the interceptor and writes what it lets through.
-/// False when the socket refused the bytes.
-fn write_frame(
-    counters: &NetCounters,
-    stream: &TcpStream,
-    env: &Envelope,
-    interceptor: &mut dyn Interceptor,
-) -> bool {
-    match interceptor.on_send(env) {
-        Verdict::Drop => {
-            counters.dropped_frames.inc();
-            true
-        }
-        Verdict::Deliver { copies, delay } => {
-            if !delay.is_zero() {
-                thread::sleep(delay);
-            }
-            let mut buf = Vec::with_capacity(128);
-            encode_envelope(env, &mut buf);
-            let mut w = stream;
-            for _ in 0..copies {
-                if w.write_all(&buf).is_err() {
-                    return false;
-                }
-                counters.bytes.add(buf.len() as u64);
-                counters.frames_sent.inc();
-            }
-            true
-        }
+/// Writes `env` on `stream`. False when the socket refused the bytes.
+fn write_frame(counters: &NetCounters, stream: &TcpStream, env: &Envelope) -> bool {
+    let mut buf = Vec::with_capacity(128);
+    encode_envelope(env, &mut buf);
+    let mut w = stream;
+    if w.write_all(&buf).is_err() {
+        return false;
     }
+    counters.bytes.add(buf.len() as u64);
+    counters.frames_sent.inc();
+    true
 }
 
 #[cfg(test)]
@@ -440,13 +406,12 @@ mod tests {
             }
         }
 
-        /// Correlation id of the next request, or `None` when the
-        /// client leaves without asking.
-        fn next_request(&mut self) -> Option<u64> {
+        /// The next frame, or `None` when the client leaves.
+        fn next_frame(&mut self) -> Option<Envelope> {
             let mut chunk = [0u8; 512];
             loop {
                 match self.decoder.next().expect("clean stream") {
-                    Some(Decoded::Frame(env, _)) if env.corr != 0 => return Some(env.corr),
+                    Some(Decoded::Frame(env, _)) => return Some(env),
                     Some(_) => continue,
                     None => match self.stream.read(&mut chunk) {
                         Ok(n) if n > 0 => self.decoder.extend(&chunk[..n]),
@@ -454,6 +419,14 @@ mod tests {
                     },
                 }
             }
+        }
+
+        /// Correlation id of the next request, or `None` when the
+        /// client leaves without asking.
+        fn next_request(&mut self) -> Option<u64> {
+            std::iter::from_fn(|| self.next_frame())
+                .find(|env| env.corr != 0)
+                .map(|env| env.corr)
         }
 
         fn answer(&mut self, corr: u64, node: &str) {
@@ -551,6 +524,38 @@ mod tests {
         assert_eq!(snap.counter("net.frames_received"), 1);
         drop(conn);
         peer.join().expect("peer thread");
+    }
+
+    #[test]
+    fn a_send_that_finds_no_peer_is_one_dead_letter_and_writes_nothing() {
+        // Reserve a port, then send before anything listens on it.
+        let probe = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = probe.local_addr().expect("local addr");
+        drop(probe);
+        let telemetry = Telemetry::new();
+        let conn = Connection::connect(addr, NetConfig::default(), &telemetry);
+        let beat = Frame::Heartbeat {
+            switch: 1,
+            seq: 2,
+            at_ns: 3,
+        };
+        assert_eq!(conn.send(beat.clone()), Err(NetError::Disconnected));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("net.dead_letters"), 1);
+        assert!(snap.counter("net.connect_failures") >= 1);
+        assert_eq!(snap.counter("net.frames_sent"), 0, "nothing written");
+        assert_eq!(snap.counter("net.bytes"), 0, "nothing written");
+
+        // Once a peer binds, the next send dials and lands.
+        let listener = TcpListener::bind(addr).expect("rebind the reserved port");
+        conn.send(beat.clone()).expect("the next send lands");
+        let mut peer = Peer::accept(&listener);
+        let hello = peer.next_frame().expect("preamble").frame;
+        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+        assert_eq!(peer.next_frame().map(|env| env.frame), Some(beat));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("net.connects"), 1);
+        assert_eq!(snap.counter("net.dead_letters"), 1);
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //!   same [`PROTOCOL_VERSION`]. A peer that predates it answers with a
 //!   typed [`WireError::Tag`] and keeps its stream aligned — never a
 //!   panic, never a desync.
+//! * A tag whose message was deleted is reserved and never reused: a
+//!   released peer may still send it, and must get that same typed
+//!   error rather than a different message. [`Frame`] tags 2–5 are
+//!   reserved (the retired `PollReport`, `HarvesterDirective`,
+//!   `SeedMessage` and `Migrate`).
 //! * A field added to a released message goes after the `;` of its
 //!   variant, as a *trailing optional extension*: written only when it
 //!   differs from its default, read only when bytes remain, so the
@@ -174,24 +179,6 @@ macro_rules! tag_then_payload {
 
 fn bad_tag<T>(what: &'static str, tag: u8) -> Result<T, WireError> {
     Err(WireError::Tag { what, tag })
-}
-
-wire_struct! {
-    /// One seed→harvester report riding a [`Frame::PollReport`] batch.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Report {
-        pub task: String,
-        pub from_switch: u32,
-        pub from_seed: u64,
-        pub from_machine: String,
-        /// Emission instant, virtual nanoseconds.
-        pub at_ns: u64,
-        /// Switch-local latency until the report hit the wire.
-        pub latency_ns: u64,
-        /// Estimated serialized payload size the soil accounted.
-        pub bytes: u64,
-        pub value: Value,
-    }
 }
 
 wire_enum! {
@@ -418,36 +405,9 @@ wire_enum! {
     pub enum Frame: "frame" {
         /// Connection preamble: who is talking and which protocol revision.
         0 "hello" Hello { node: String, protocol: u32 },
-        /// Soil liveness beacon.
+        /// Liveness beacon.
         1 "heartbeat" Heartbeat { switch: u32, seq: u64, at_ns: u64 },
-        /// Batched seed→harvester poll reports (one or many per frame).
-        2 "poll_report" PollReport { reports: Vec<Report> },
-        /// Harvester→seed command, optionally pinned to one switch.
-        3 "harvester_directive" HarvesterDirective {
-            machine: String,
-            at_switch: Option<u32>,
-            value: Value,
-        },
-        /// Seed→seed message (broadcast when `at_switch` is `None`).
-        4 "seed_message" SeedMessage {
-            task: String,
-            from_switch: u32,
-            from_seed: u64,
-            from_machine: String,
-            to_machine: String,
-            at_switch: Option<u32>,
-            at_ns: u64,
-            latency_ns: u64,
-            bytes: u64,
-            value: Value,
-        },
-        /// Seed migration payload: the full state snapshot in transit.
-        5 "migrate" Migrate {
-            task: String,
-            from_switch: u32,
-            to_switch: u32,
-            snapshot: SeedSnapshot,
-        },
+        // 2–5: reserved (see the module docs).
         /// Positive acknowledgement (default response frame).
         6 "ack" Ack,
         /// Negative acknowledgement with a reason.
@@ -843,7 +803,7 @@ impl Wire for StatEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{put_str, MAX_DEPTH, MAX_FRAME_LEN};
+    use crate::wire::{MAX_DEPTH, MAX_FRAME_LEN};
 
     fn round_trip(env: &Envelope) -> Envelope {
         let mut buf = Vec::new();
@@ -872,95 +832,54 @@ mod tests {
     }
 
     #[test]
-    fn poll_report_with_nested_values_round_trips() {
-        let report = Report {
-            task: "hh".into(),
-            from_switch: 3,
-            from_seed: 11,
-            from_machine: "HH".into(),
-            at_ns: 5_000,
-            latency_ns: 120_000,
-            bytes: 48,
-            value: Value::List(vec![
-                Value::Pair(
-                    Box::new(Value::Str("10.0.0.1".into())),
-                    Box::new(Value::Int(-77)),
+    fn migrate_snapshot_round_trips() {
+        // The import leg of a cross-pod migration: seed state with
+        // nested values in transit.
+        let snapshot = SeedSnapshot {
+            machine: "HH".into(),
+            state: "Monitor".into(),
+            vars: vec![
+                ("threshold".into(), Value::Int(1000)),
+                (
+                    "rule".into(),
+                    Value::Rule(RuleValue {
+                        pattern: FilterFormula::Atom(FilterAtom::DstPort(443)),
+                        action: ActionValue::RateLimit(1_000_000),
+                    }),
                 ),
-                Value::Float(2.5),
-                Value::Stat(StatEntry {
-                    subject: StatSubject::Port(9),
-                    tx_bytes: 1,
-                    rx_bytes: 2,
-                    tx_packets: 3,
-                    rx_packets: 4,
-                }),
-            ]),
+                (
+                    "top".into(),
+                    Value::List(vec![
+                        Value::Pair(
+                            Box::new(Value::Str("10.0.0.1".into())),
+                            Box::new(Value::Int(-77)),
+                        ),
+                        Value::Float(2.5),
+                        Value::Stat(StatEntry {
+                            subject: StatSubject::Port(9),
+                            tx_bytes: 1,
+                            rx_bytes: 2,
+                            tx_packets: 3,
+                            rx_packets: 4,
+                        }),
+                    ]),
+                ),
+            ],
         };
         let env = Envelope::request(
-            9,
-            Frame::PollReport {
-                reports: vec![report.clone(), report],
-            },
-        );
-        assert_eq!(round_trip(&env), env);
-    }
-
-    #[test]
-    fn migrate_snapshot_round_trips() {
-        let env = Envelope::request(
             1,
-            Frame::Migrate {
-                task: "hh".into(),
-                from_switch: 0,
-                to_switch: 4,
-                snapshot: SeedSnapshot {
-                    machine: "HH".into(),
-                    state: "Monitor".into(),
-                    vars: vec![
-                        ("threshold".into(), Value::Int(1000)),
-                        (
-                            "rule".into(),
-                            Value::Rule(RuleValue {
-                                pattern: FilterFormula::Atom(FilterAtom::DstPort(443)),
-                                action: ActionValue::RateLimit(1_000_000),
-                            }),
-                        ),
+            Frame::Control {
+                op: ControlOp::SubmitWithSnapshot {
+                    name: "hh".into(),
+                    source: "machine HH { }".into(),
+                    seeds: vec![
+                        ("hh/m0/s0".into(), snapshot.clone()),
+                        ("hh/m0/s1".into(), snapshot),
                     ],
                 },
             },
         );
         assert_eq!(round_trip(&env), env);
-    }
-
-    #[test]
-    fn legacy_unversioned_migrate_still_decodes() {
-        // The pre-versioning Migrate encoding carried the snapshot
-        // untagged; a peer speaking that revision must still be heard.
-        let snapshot = SeedSnapshot {
-            machine: "HH".into(),
-            state: "Monitor".into(),
-            vars: vec![("threshold".into(), Value::Int(7))],
-        };
-        let mut body = vec![PROTOCOL_VERSION, 5, 0];
-        put_varint(&mut body, 3); // corr
-        put_str(&mut body, "hh");
-        put_varint(&mut body, 1); // from_switch
-        put_varint(&mut body, 2); // to_switch
-        put_str(&mut body, &snapshot.machine);
-        put_str(&mut body, &snapshot.state);
-        put_varint(&mut body, 1);
-        put_str(&mut body, "threshold");
-        Value::Int(7).put(&mut body);
-        let env = decode_body(&body).expect("legacy migrate decodes");
-        assert_eq!(
-            env.frame,
-            Frame::Migrate {
-                task: "hh".into(),
-                from_switch: 1,
-                to_switch: 2,
-                snapshot,
-            }
-        );
     }
 
     #[test]
@@ -1099,9 +1018,6 @@ mod tests {
                 reply: ControlReply::CompileFailed {
                     diagnostics: vec![smallest()],
                 },
-            },
-            Frame::PollReport {
-                reports: vec![smallest()],
             },
         ] {
             let env = Envelope::response(6, frame);

@@ -1,8 +1,10 @@
 //! # farm-net — the wire-protocol transport
 //!
-//! A dependency-light TCP transport carrying FARM's control traffic
-//! (poll reports, harvester directives, heartbeats, seed messages,
-//! migration snapshots) as length-prefixed, versioned binary frames.
+//! A dependency-light TCP transport carrying what crosses a process
+//! boundary — farmctl ↔ farmd and fedd ↔ pods: control ops and their
+//! replies, cross-pod migration snapshots among them — as
+//! length-prefixed, versioned binary frames. Seed↔harvester and
+//! seed↔seed traffic stays inside one `Farm` and never reaches a socket.
 //!
 //! Layer map, bottom-up:
 //!
@@ -17,8 +19,8 @@
 //!   message is declared once; its type, tag, `kind()`, codec and list
 //!   allocation bound follow from the declaration.
 //!   `encode(decode(bytes))` is byte-exact.
-//! * [`snapshot`] — the versioned [`VSeedSnapshot`] payload riding
-//!   `Migrate` frames and checkpoint files, with `From` upgrades from
+//! * [`snapshot`] — the versioned [`VSeedSnapshot`] payload riding the
+//!   migration ops and checkpoint files, with `From` upgrades from
 //!   every older revision: one snapshot codec, one checkpoint reader
 //!   ([`decode_checkpoint_any`]) for every file generation.
 //! * `buf` / `poll` — event-loop plumbing: a growable `ByteRing`,
@@ -26,14 +28,11 @@
 //!   decoder on any byte split; the only frame reader, on both ends of
 //!   a connection), and the `Poller` readiness abstraction (raw epoll
 //!   on Linux, `poll(2)` on other unixes).
-//! * `interceptor` — the `Interceptor` send-path hook;
-//!   [`LossInterceptor`] applies `farm-faults`' deterministic loss
-//!   model (drop / duplicate / delay) to real frames.
 //! * `conn` / `server` — the runtime: a blocking [`Connection`] —
-//!   one socket, one [`FrameDecoder`] and one `Interceptor` behind
-//!   one mutex, no thread and no queue of its own: request/response and
-//!   one-way sends on the caller's thread, redial on demand when the
-//!   peer ended the session; the accepting side is `reactor`'s
+//!   one socket and one [`FrameDecoder`] behind one mutex, no thread
+//!   and no queue of its own: request/response and one-way sends on
+//!   the caller's thread, redial on demand when the peer ended the
+//!   session; the accepting side is `reactor`'s
 //!   [`Reactor`], a value whose owner turns it and gets every frame
 //!   handed to it inline (farmd and fedd, on the thread that owns the
 //!   core), or [`NetServer`], that value plus the one thread turning it
@@ -41,17 +40,16 @@
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
 //! namespace: `net.bytes`, `net.frames_sent` / `net.frames_received`,
-//! `net.dropped_frames`, `net.dead_letters`, `net.connects` /
-//! `net.reconnects` / `net.connect_failures`, `net.rpcs`,
-//! `net.rpc_timeouts`, `net.decode_errors`, the `net.rpc_latency_us`
-//! histogram and the `net.server_conns` gauge.
+//! `net.dead_letters`, `net.connects` / `net.reconnects` /
+//! `net.connect_failures`, `net.rpcs`, `net.rpc_timeouts`,
+//! `net.decode_errors`, the `net.rpc_latency_us` histogram and the
+//! `net.server_conns` gauge.
 
 #![warn(unreachable_pub)]
 
 mod buf;
 mod conn;
 mod frame;
-mod interceptor;
 mod poll;
 #[cfg(unix)]
 mod reactor;
@@ -64,18 +62,17 @@ pub use buf::{Decoded, FrameDecoder};
 pub use conn::{Connection, NetConfig, NetError};
 pub use frame::{
     decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, Diagnostic, Envelope,
-    Frame, PodInfo, Report, SeedDescriptor,
+    Frame, PodInfo, SeedDescriptor,
 };
-pub use interceptor::LossInterceptor;
 #[cfg(unix)]
 pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
 pub use snapshot::{decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, VSeedSnapshot};
 pub use wire::PROTOCOL_VERSION;
 
-// The snapshot payload type carried by `Migrate` frames and the fed
-// snapshot-bearing ops, re-exported so wire-level consumers don't need
-// a direct farm-soil dependency.
+// The snapshot payload type carried by the fed snapshot-bearing ops,
+// re-exported so wire-level consumers don't need a direct farm-soil
+// dependency.
 pub use farm_soil::SeedSnapshot;
 
 #[cfg(test)]
@@ -157,31 +154,6 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("net.connects"), 1);
         assert_eq!(snap.counter("net.reconnects"), 0);
-    }
-
-    #[test]
-    fn rpc_through_full_loss_times_out_and_is_counted() {
-        let telemetry = Telemetry::new();
-        let server =
-            NetServer::bind(loopback(), &telemetry, Arc::new(|_: &Envelope| None)).expect("bind");
-        let cfg = NetConfig {
-            request_timeout: Duration::from_millis(50),
-            ..NetConfig::default()
-        };
-        let conn = Connection::connect_with(
-            server.local_addr(),
-            cfg,
-            &telemetry,
-            Box::new(LossInterceptor::from_spec(
-                farm_faults::LossSpec::dropping(1.0),
-                1,
-            )),
-        );
-        let got = conn.request(Frame::Ack);
-        assert_eq!(got, Err(NetError::Timeout));
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("net.rpc_timeouts"), 1);
-        assert!(snap.counter("net.dropped_frames") >= 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The accepting side of the transport for an owner that has no loop of
 //! its own: [`NetServer`] is a [`Reactor`] plus the one thread that
-//! turns it, calling a shared [`FrameHandler`]. The remote-harvester
-//! example, the benches and the tests listen through it; farmd and fedd
-//! turn their `Reactor` themselves, on the thread that owns the core.
+//! turns it, calling a shared [`FrameHandler`]. The benches and the
+//! tests listen through it; farmd and fedd turn their `Reactor`
+//! themselves, on the thread that owns the core.
 //!
 //! [`Reactor`]: crate::reactor::Reactor
 

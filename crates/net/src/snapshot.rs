@@ -4,7 +4,7 @@
 //! a migration or a checkpoint. Its wire encoding used to be untagged,
 //! which strands saved state the moment the schema moves. This module
 //! wraps it in [`VSeedSnapshot`] — an explicit version enum with `From`
-//! upgrades from every older revision — so `Migrate` frames and
+//! upgrades from every older revision — so migration ops and
 //! checkpoint files can evolve without breaking old payloads.
 //!
 //! ## Wire discrimination
@@ -142,7 +142,7 @@ impl Wire for VSeedSnapshot {
     }
 }
 
-/// In a frame (`Migrate`, the keyed lists of `SubmitWithSnapshot` and
+/// In a frame (the keyed lists of `SubmitWithSnapshot` and
 /// `TaskExport`) the in-memory shape travels stamped with the current
 /// revision, and whatever revision arrives is upgraded on the way in.
 impl Wire for SeedSnapshot {

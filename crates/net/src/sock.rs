@@ -13,8 +13,6 @@ pub(crate) struct NetCounters {
     pub(crate) bytes: Arc<Counter>,
     pub(crate) frames_sent: Arc<Counter>,
     pub(crate) frames_received: Arc<Counter>,
-    /// Frames discarded by an interceptor (injected loss).
-    pub(crate) dropped_frames: Arc<Counter>,
     /// One-way frames that found no session and could not dial one, or
     /// whose write failed.
     pub(crate) dead_letters: Arc<Counter>,
@@ -34,7 +32,6 @@ impl NetCounters {
             bytes: telemetry.counter("net.bytes"),
             frames_sent: telemetry.counter("net.frames_sent"),
             frames_received: telemetry.counter("net.frames_received"),
-            dropped_frames: telemetry.counter("net.dropped_frames"),
             dead_letters: telemetry.counter("net.dead_letters"),
             connects: telemetry.counter("net.connects"),
             reconnects: telemetry.counter("net.reconnects"),

@@ -378,30 +378,6 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
-/// `0` = `None`, `1` + value = `Some`.
-impl<T: Wire> Wire for Option<T> {
-    const MIN_LEN: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Option<T>, WireError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::get(r, what)?)),
-            tag => Err(WireError::Tag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-}
-
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
     fn put(&self, out: &mut Vec<u8>) {

@@ -9,10 +9,11 @@
 //! never edited; a new variant or extension form adds a row.
 
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
+use farm_net::wire::WireError;
 use farm_net::{
     decode_checkpoint_any, decode_envelope, encode_checkpoint_doc, encode_envelope, CheckpointDoc,
-    ControlOp, ControlReply, Diagnostic, Envelope, Frame, PodInfo, Report, SeedDescriptor,
-    SeedSnapshot, VSeedSnapshot,
+    ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder, PodInfo,
+    SeedDescriptor, SeedSnapshot, VSeedSnapshot,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -124,40 +125,6 @@ fn every_value_tag() -> Value {
     ])
 }
 
-fn report() -> Report {
-    Report {
-        task: "hh".into(),
-        from_switch: 3,
-        from_seed: 11,
-        from_machine: "HH".into(),
-        at_ns: 5_000,
-        latency_ns: 120_000,
-        bytes: 48,
-        value: Value::List(vec![
-            Value::Pair(
-                Box::new(Value::Str("10.0.0.1".into())),
-                Box::new(Value::Int(-77)),
-            ),
-            Value::Float(2.5),
-        ]),
-    }
-}
-
-fn seed_message(at_switch: Option<u32>) -> Frame {
-    Frame::SeedMessage {
-        task: "hh".into(),
-        from_switch: 3,
-        from_seed: 11,
-        from_machine: "HH".into(),
-        to_machine: "Agg".into(),
-        at_switch,
-        at_ns: 7_000_000,
-        latency_ns: 11_000,
-        bytes: 42,
-        value: Value::Int(-4),
-    }
-}
-
 fn snapshot() -> SeedSnapshot {
     SeedSnapshot {
         machine: "HH".into(),
@@ -203,13 +170,6 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         // ---- frames ------------------------------------------------
         (Envelope::one_way(Frame::Hello { node: "pod-a".into(), protocol: 1 }), "0b0100000005706f642d6101"),
         (Envelope::one_way(Frame::Heartbeat { switch: 7, seq: 42, at_ns: 1_000_000 }), "0901010000072ac0843d"),
-        (Envelope::request(9, Frame::PollReport { reports: vec![report(), report()] }), "530102000902026868030b0248488827c0a9073005020c040831302e302e302e31029901030000000000000440026868030b0248488827c0a9073005020c040831302e302e302e31029901030000000000000440"),
-        (Envelope::one_way(Frame::PollReport { reports: vec![] }), "050102000000"),
-        (Envelope::request(2, Frame::HarvesterDirective { machine: "HH".into(), at_switch: None, value: Value::Float(0.25) }), "11010300020248480003000000000000d03f"),
-        (Envelope::request(u64::MAX, Frame::HarvesterDirective { machine: "HH".into(), at_switch: Some(3), value: every_value_tag() }), "d801010300ffffffffffffffffff0102484801030512000101029901030000000000000440040831302e302e302e31050006818080508280805000d0860316dc0b050703040200808080500802018182a0850c20050304020280080203bb030403020401020500040205012f03000108000801c0843d0802050803080409020402040a000000000000f03f0000000000005940000000000000000000000000000029400b0009010203040b010c6473745f706f727420343433ffffffffffffffffff0100ac0280010c04016b0c02ffffffffffffffffff010100"),
-        (Envelope::request(3, seed_message(None)), "1a01040003026868030b0248480341676700c09fab03f8552a0207"),
-        (Envelope::request(3, seed_message(Some(u32::MAX))), "1f01040003026868030b0248480341676701ffffffff0fc09fab03f8552a0207"),
-        (Envelope::request(1, Frame::Migrate { task: "hh".into(), from_switch: 0, to_switch: 4, snapshot: snapshot() }), "320105000102686800040001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"),
         (Envelope::response(17, Frame::Ack), "0401060111"),
         (Envelope::response(300, Frame::Error { message: "boom".into() }), "0a010701ac0204626f6f6d"),
         (Envelope::one_way(Frame::Shutdown), "0401080000"),
@@ -265,6 +225,8 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (reply(ControlReply::Migrated { task: "mon".into(), from_pod: "pod-a".into(), to_pod: "pod-b".into(), seeds: 4 }), "16010a01050d036d6f6e05706f642d6105706f642d6204"),
         (reply(ControlReply::TaskExport { source: SOURCE.into(), seeds: vec![("mon/m0/s0".into(), snapshot())] }), "5e010a01050e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d01096d6f6e2f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"),
         (reply(ControlReply::TaskExport { source: String::new(), seeds: vec![] }), "07010a01050e0000"),
+        // The whole value tree travels only inside seed snapshots.
+        (reply(ControlReply::TaskExport { source: String::new(), seeds: vec![("mon/m0/s0".into(), SeedSnapshot { machine: "HH".into(), state: "Monitor".into(), vars: vec![("every".into(), every_value_tag())] })] }), "eb01010a01050e0001096d6f6e2f6d302f73300001024848074d6f6e69746f72010565766572790512000101029901030000000000000440040831302e302e302e31050006818080508280805000d0860316dc0b050703040200808080500802018182a0850c20050304020280080203bb030403020401020500040205012f03000108000801c0843d0802050803080409020402040a000000000000f03f0000000000005940000000000000000000000000000029400b0009010203040b010c6473745f706f727420343433ffffffffffffffffff0100ac0280010c04016b0c02ffffffffffffffffff010100"),
     ]
 }
 
@@ -303,7 +265,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
         seen.dedup();
         seen.len()
     };
-    assert_eq!(kinds(|f| Some(f.kind())), 11, "frame variants");
+    assert_eq!(kinds(|f| Some(f.kind())), 7, "frame variants");
     assert_eq!(
         kinds(|f| match f {
             Frame::Control { op } => Some(op.kind()),
@@ -320,6 +282,45 @@ fn every_message_encodes_to_its_pinned_bytes() {
         15,
         "control reply variants"
     );
+}
+
+/// Frame tags 2–5 are reserved: their messages were deleted, and these
+/// are the bytes a released peer sent for them (one row per tag, as the
+/// table pinned them).
+#[rustfmt::skip]
+const RETIRED: [(u8, &str); 4] = [
+    (2, "050102000000"), // PollReport, no reports
+    (3, "11010300020248480003000000000000d03f"), // HarvesterDirective
+    (4, "1a01040003026868030b0248480341676700c09fab03f8552a0207"), // SeedMessage
+    (5, "320105000102686800040001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"), // Migrate
+];
+
+#[test]
+fn retired_frame_tags_are_a_typed_error_and_the_stream_stays_aligned() {
+    let next = Envelope::one_way(Frame::Heartbeat {
+        switch: 7,
+        seq: 42,
+        at_ns: 1_000_000,
+    });
+    for (tag, bytes) in RETIRED {
+        let retired = unhex(bytes);
+        let want = WireError::Tag { what: "frame", tag };
+        assert_eq!(decode_envelope(&retired).err(), Some(want.clone()));
+        let mut stream = retired.clone();
+        encode_envelope(&next, &mut stream);
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&stream);
+        match decoder.next() {
+            Ok(Some(Decoded::Bad { error, nbytes, .. })) => {
+                assert_eq!((error, nbytes), (want, retired.len()), "tag {tag}");
+            }
+            other => panic!("tag {tag}: expected Bad, got {other:?}"),
+        }
+        match decoder.next() {
+            Ok(Some(Decoded::Frame(env, _))) => assert_eq!(env, next, "tag {tag}"),
+            other => panic!("tag {tag}: expected the next frame, got {other:?}"),
+        }
+    }
 }
 
 fn checkpoint_snapshot() -> VSeedSnapshot {

@@ -16,7 +16,7 @@ use farm_net::wire::WireError;
 use farm_net::{
     decode_body, decode_checkpoint_any, decode_envelope, encode_checkpoint_doc, encode_envelope,
     CheckpointDoc, ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder,
-    PodInfo, Report, SeedDescriptor, VSeedSnapshot, PROTOCOL_VERSION,
+    PodInfo, SeedDescriptor, VSeedSnapshot, PROTOCOL_VERSION,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -159,41 +159,11 @@ fn value_strategy(depth: u32) -> BoxedStrategy<Value> {
     .boxed()
 }
 
-fn report_strategy() -> BoxedStrategy<Report> {
-    (
-        "[a-z]{1,8}",
-        any::<u32>(),
-        any::<u64>(),
-        "[A-Z]{1,6}",
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        value_strategy(2),
-    )
-        .prop_map(
-            |(task, from_switch, from_seed, from_machine, (at, lat, bytes), value)| Report {
-                task,
-                from_switch,
-                from_seed,
-                from_machine,
-                at_ns: at,
-                latency_ns: lat,
-                bytes,
-                value,
-            },
-        )
-        .boxed()
-}
-
-fn option_u32_strategy() -> BoxedStrategy<Option<u32>> {
-    (0u8..2, any::<u32>())
-        .prop_map(|(some, v)| if some == 1 { Some(v) } else { None })
-        .boxed()
-}
-
 fn snapshot_strategy() -> BoxedStrategy<SeedSnapshot> {
     (
         "[A-Z][a-z]{0,6}",
         "[a-z]{1,8}",
-        vec(("[a-z]{1,8}", value_strategy(1)), 0..4),
+        vec(("[a-z]{1,8}", value_strategy(2)), 0..4),
     )
         .prop_map(|(machine, state, vars)| SeedSnapshot {
             machine,
@@ -408,60 +378,6 @@ fn frame_strategy() -> BoxedStrategy<Frame> {
         ("[a-z-]{1,10}", any::<u32>()).prop_map(|(node, protocol)| Frame::Hello { node, protocol }),
         (any::<u32>(), any::<u64>(), any::<u64>())
             .prop_map(|(switch, seq, at_ns)| Frame::Heartbeat { switch, seq, at_ns }),
-        vec(report_strategy(), 0..4).prop_map(|reports| Frame::PollReport { reports }),
-        ("[A-Z]{1,6}", option_u32_strategy(), value_strategy(2)).prop_map(
-            |(machine, at_switch, value)| Frame::HarvesterDirective {
-                machine,
-                at_switch,
-                value,
-            }
-        ),
-        (
-            (
-                "[a-z]{1,8}",
-                any::<u32>(),
-                any::<u64>(),
-                "[A-Z]{1,6}",
-                "[A-Z]{1,6}"
-            ),
-            (
-                option_u32_strategy(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>()
-            ),
-            value_strategy(2),
-        )
-            .prop_map(
-                |(
-                    (task, from_switch, from_seed, from_machine, to_machine),
-                    (at_switch, at_ns, latency_ns, bytes),
-                    value,
-                )| Frame::SeedMessage {
-                    task,
-                    from_switch,
-                    from_seed,
-                    from_machine,
-                    to_machine,
-                    at_switch,
-                    at_ns,
-                    latency_ns,
-                    bytes,
-                    value,
-                }
-            ),
-        (
-            "[a-z]{1,8}",
-            any::<u32>(),
-            any::<u32>(),
-            snapshot_strategy()
-        )
-            .prop_map(|(task, from_switch, to_switch, snapshot)| Frame::Migrate {
-                task,
-                from_switch,
-                to_switch,
-                snapshot,
-            }),
         Just(Frame::Ack),
         "[ -~]{0,24}".prop_map(|message| Frame::Error { message }),
         Just(Frame::Shutdown),
