@@ -11,7 +11,8 @@
 //! definition tweaks), timing a from-scratch `solve_heuristic` against
 //! `replan_delta` through a retained `SolveState` on *identical*
 //! inputs, asserting bit-equality of the two placements in-harness and
-//! recording full/delta p50/p95 wall times plus frontier statistics.
+//! recording full/delta p50/p95 wall times plus frontier and greedy-replay
+//! statistics.
 //!
 //! ```text
 //! placement_scale [--smoke] [--churn] [--iters N] [--events N]
@@ -150,6 +151,7 @@ fn churn_replay(
         PHASES.iter().map(|p| (*p, Vec::new())).collect();
     let mut frontiers = Vec::with_capacity(events);
     let mut reused = Vec::with_capacity(events);
+    let (mut replayed, mut executed, mut rebuilt) = (Vec::new(), Vec::new(), Vec::new());
     let mut fallbacks = 0usize;
     let mut identical = true;
     for i in 0..events {
@@ -206,6 +208,9 @@ fn churn_replay(
         }
         frontiers.push(report.frontier as f64);
         reused.push(report.reused as f64);
+        replayed.push(report.steps_replayed as f64);
+        executed.push(report.steps_executed as f64);
+        rebuilt.push(report.switches_rebuilt as f64);
         if report.fallback_full {
             fallbacks += 1;
         }
@@ -221,6 +226,12 @@ fn churn_replay(
         full_p50,
         delta_p50,
         percentile(&frontiers, 0.50),
+    );
+    println!(
+        "  churn greedy p50: {:.0} steps replayed, {:.0} executed, {:.0} switches rebuilt",
+        percentile(&replayed, 0.50),
+        percentile(&executed, 0.50),
+        percentile(&rebuilt, 0.50),
     );
     println!(
         "  churn delta phases p50:{}",
@@ -248,6 +259,9 @@ fn churn_replay(
         ("speedup_delta_vs_full", Json::from(speedup)),
         ("frontier", pct_obj(&frontiers)),
         ("reused", pct_obj(&reused)),
+        ("steps_replayed", pct_obj(&replayed)),
+        ("steps_executed", pct_obj(&executed)),
+        ("switches_rebuilt", pct_obj(&rebuilt)),
         ("fallback_full", Json::from(fallbacks as f64)),
         ("identical_to_full_solve", Json::Bool(identical)),
     ]);

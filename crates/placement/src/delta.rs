@@ -1,26 +1,55 @@
 //! Incremental re-planning: [`replan_delta`] re-solves an instance with
-//! a [`SolveState`] retained from the previous solve, memoizing the
-//! per-switch LP redistribution — the phase that dominates full-solve
-//! latency at paper scale (~85 % of the 10 200-seed solve).
+//! a [`SolveState`] retained from the previous solve. Steps 1–3 of
+//! Alg. 1 follow the change instead of re-deriving the instance; step 4
+//! onwards runs as in a from-scratch solve.
 //!
 //! # Why this is *exactly* equivalent to a from-scratch solve
 //!
-//! Alg. 1's step 3 solves one LP per switch, and that LP is a **pure
-//! function** of exactly three inputs: the switch's capacity `ares`, its
-//! residents in greedy processing order with their post-greedy
-//! allocations, and its lingering migration reservations. [`replan_delta`]
-//! runs the greedy, refresh and migration phases verbatim and only
-//! memoizes the LP outputs, keyed by a *bit-level* signature of those
-//! inputs (`LpCacheEntry`): every `f64` is compared via `to_bits`, the
-//! resident list is compared in order, and entries with lingering
-//! reservations are never memoized. A cache hit therefore replays the
-//! exact `Vec<(seed, Resources)>` the LP would have produced — not an
-//! approximation of it — so the delta solve's assignment, utility bits,
-//! migration count and dropped-task list are identical to
-//! `crate::solve_heuristic` on the same instance. `prop_delta.rs`
-//! pins this under random churn.
+//! **Per-seed products.** A seed's interned poll subjects and its
+//! minimum feasible allocation are functions of its definition. They are
+//! kept per seed, follow the seed through [`SolveState::remap`], and are
+//! recomputed for seeds the caller declares dirty and for seeds new to
+//! the state. Subject ids are first-seen order over the seeds, as a
+//! from-scratch solve numbers them; when the kept ids no longer are, the
+//! subjects are renumbered and everything that depends on them starts
+//! cold.
 //!
-//! The *dirty frontier* is the set of switches whose signature misses
+//! **Step 2 as per-switch op logs.** The lingering reservations and the
+//! greedy pass change a switch only through five ops — reserve, release,
+//! place, unplace, restore — each a seed id and a kind whose values come
+//! from that seed's inputs (products and previous seat). A switch's state
+//! is therefore a function of its capacity and its op sequence. Each
+//! switch keeps the log of its last solve; while a solve's ops match it
+//! (same seed, same kind, and the seed *clean*: not dirty, same previous
+//! seat bits), the switch is at a known prefix and its state need not be
+//! built. A greedy *step* (one seed, in task order) reads its home switch
+//! or, when it scans, every present candidate; its outcome is a function
+//! of the seed's inputs and the states it read. A clean seed whose
+//! switches are all at exactly the prefix they were at when its step last
+//! ran therefore gets the same outcome: the step is *replayed* — its
+//! recorded outcome copied, no probe run. Any other step *executes*
+//! against states rebuilt from the switch's capacity plus the matched
+//! prefix. A switch whose ops diverge stays dirty for the rest of the
+//! solve; one that left, rejoined or changed capacity has diverged from
+//! op 0; one whose whole log matched keeps its state from the last solve
+//! untouched.
+//!
+//! **Step 3.** Each switch's LP is a **pure function** of exactly three
+//! inputs: the switch's capacity `ares`, its residents in greedy
+//! processing order with their post-greedy allocations, and its
+//! lingering migration reservations. Its outputs are memoized, keyed by
+//! a *bit-level* signature of those inputs (`LpCacheEntry`): every `f64`
+//! is compared via `to_bits`, the resident list is compared in order, and
+//! entries with lingering reservations are never memoized. A cache hit
+//! therefore replays the exact `Vec<(seed, Resources)>` the LP would have
+//! produced. The post-LP refresh then runs only on switches whose greedy
+//! state was rebuilt or whose LP ran; any other switch already holds its
+//! result from the last solve. So the delta solve's assignment, utility
+//! bits, migration count and dropped-task list are identical to
+//! `crate::solve_heuristic` on the same instance. `prop_delta.rs` pins
+//! this under random churn.
+//!
+//! The *dirty frontier* is the set of switches whose LP signature misses
 //! (plus everything the caller invalidated via [`ReplanDelta`]). When
 //! the frontier exceeds [`SolveState::frontier_limit_pct`] percent of
 //! the LP-bearing switches, the solve degrades to a full recompute
@@ -37,16 +66,16 @@ use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::heuristic::{solve_core, HeuristicOptions};
-use crate::model::{PlacementInstance, PlacementResult};
+use crate::heuristic::{solve_core, HeuristicOptions, SeedPolls, SwitchState};
+use crate::model::{PlacementInstance, PlacementResult, SubjectInterner};
 
 /// Default [`SolveState::frontier_limit_pct`]: past this fraction of
 /// signature misses, probing buys little and a full recompute is taken.
 pub(crate) const DEFAULT_FRONTIER_LIMIT_PCT: u32 = 25;
 
-/// Bucket bounds of the `solver.delta_frontier` and
-/// `solver.benefit_classes` histograms (switch counts, so plain powers
-/// of two rather than latency buckets).
+/// Bucket bounds of the `solver.delta_frontier`, `solver.benefit_classes`
+/// and `solver.switches_rebuilt` histograms (switch counts, so plain
+/// powers of two rather than latency buckets).
 const SWITCH_COUNT_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 
 /// The `solver.*` instruments [`replan_delta`] reports into, looked up
@@ -60,6 +89,9 @@ struct Instruments {
     fallbacks: Arc<Counter>,
     frontier: Arc<Histogram>,
     benefit_classes: Arc<Histogram>,
+    steps_replayed: Arc<Counter>,
+    steps_executed: Arc<Counter>,
+    switches_rebuilt: Arc<Histogram>,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
 }
@@ -72,6 +104,9 @@ impl Instruments {
             fallbacks: t.counter("solver.delta_fallback_full"),
             frontier: t.histogram("solver.delta_frontier", SWITCH_COUNT_BOUNDS),
             benefit_classes: t.histogram("solver.benefit_classes", SWITCH_COUNT_BOUNDS),
+            steps_replayed: t.counter("solver.greedy_steps_replayed"),
+            steps_executed: t.counter("solver.greedy_steps_executed"),
+            switches_rebuilt: t.histogram("solver.switches_rebuilt", SWITCH_COUNT_BOUNDS),
             cache_entries: t.gauge("solver.delta_cache_entries"),
             cache_bytes: t.gauge("solver.delta_cache_bytes"),
         }
@@ -87,6 +122,11 @@ fn bits(r: &Resources) -> [u64; 4] {
     ]
 }
 
+/// Bytes a `Vec` holds, by capacity.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
+}
+
 /// Memoized output of one switch's redistribution LP, keyed by the
 /// bit-exact signature of its inputs. See the module docs for why this
 /// signature is complete: `redistribute_switch` reads nothing else.
@@ -94,11 +134,20 @@ fn bits(r: &Resources) -> [u64; 4] {
 pub(crate) struct LpCacheEntry {
     /// `ares` of the switch at capture time (bit pattern).
     ares: [u64; 4],
-    /// Residents in greedy push order with their post-greedy allocations
-    /// (bit patterns) — the `assignment` values the LP read.
-    residents: Vec<(usize, [u64; 4])>,
-    /// The LP's accepted reallocations, replayed verbatim on a hit.
-    pub(crate) updates: Vec<(usize, Resources)>,
+    /// Residents in greedy push order.
+    residents: Vec<LpResident>,
+}
+
+/// One resident of a memoized switch LP.
+#[derive(Debug, Clone, Copy)]
+struct LpResident {
+    seed: u32,
+    /// The LP reallocated it, to `update`.
+    updated: bool,
+    /// Its post-greedy allocation (bit pattern) — the `assignment` value
+    /// the LP read.
+    greedy: [u64; 4],
+    update: Resources,
 }
 
 impl LpCacheEntry {
@@ -108,19 +157,27 @@ impl LpCacheEntry {
     /// reconstruct from the signature alone).
     pub(crate) fn capture(
         ares: &Resources,
-        seeds_here: &[usize],
+        seeds_here: &[u32],
         assignment: &[Option<(SwitchId, Resources)>],
         updates: &[(usize, Resources)],
     ) -> Option<LpCacheEntry> {
+        // The LP reports its reallocations in resident order.
+        let mut updates = updates.iter().peekable();
         let mut residents = Vec::with_capacity(seeds_here.len());
-        for &s in seeds_here {
-            let (_, res) = assignment.get(s)?.as_ref()?;
-            residents.push((s, bits(res)));
+        for &seed in seeds_here {
+            let (_, res) = assignment.get(seed as usize)?.as_ref()?;
+            let update = updates.next_if(|(s, _)| *s == seed as usize);
+            residents.push(LpResident {
+                seed,
+                updated: update.is_some(),
+                greedy: bits(res),
+                update: update.map_or(Resources::ZERO, |(_, r)| *r),
+            });
         }
+        debug_assert!(updates.next().is_none());
         Some(LpCacheEntry {
             ares: bits(ares),
             residents,
-            updates: updates.to_vec(),
         })
     }
 
@@ -129,56 +186,49 @@ impl LpCacheEntry {
     pub(crate) fn matches(
         &self,
         ares: &Resources,
-        seeds_here: &[usize],
+        seeds_here: &[u32],
         assignment: &[Option<(SwitchId, Resources)>],
     ) -> bool {
         if self.ares != bits(ares) || self.residents.len() != seeds_here.len() {
             return false;
         }
-        self.residents
-            .iter()
-            .zip(seeds_here)
-            .all(|((cached_s, cached_bits), &s)| {
-                *cached_s == s
-                    && assignment
-                        .get(s)
-                        .and_then(|a| a.as_ref())
-                        .is_some_and(|(_, res)| bits(res) == *cached_bits)
-            })
+        self.residents.iter().zip(seeds_here).all(|(cached, &s)| {
+            cached.seed == s
+                && assignment
+                    .get(s as usize)
+                    .and_then(|a| a.as_ref())
+                    .is_some_and(|(_, res)| bits(res) == cached.greedy)
+        })
+    }
+
+    /// The LP's accepted reallocations, replayed verbatim on a hit.
+    pub(crate) fn updates(&self) -> impl Iterator<Item = (usize, Resources)> + '_ {
+        let updated = self.residents.iter().filter(|r| r.updated);
+        updated.map(|r| (r.seed as usize, r.update))
     }
 
     fn mentions_any(&self, seeds: &FxHashSet<usize>) -> bool {
-        self.residents.iter().any(|(s, _)| seeds.contains(s))
-            || self.updates.iter().any(|(s, _)| seeds.contains(s))
+        self.residents
+            .iter()
+            .any(|r| seeds.contains(&(r.seed as usize)))
     }
 
-    fn remap(&self, map: &[Option<usize>]) -> Option<LpCacheEntry> {
-        let residents = self
-            .residents
-            .iter()
-            .map(|(s, b)| Some((*map.get(*s)?.as_ref()?, *b)))
-            .collect::<Option<Vec<_>>>()?;
-        let updates = self
-            .updates
-            .iter()
-            .map(|(s, r)| Some((*map.get(*s)?.as_ref()?, *r)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(LpCacheEntry {
-            ares: self.ares,
-            residents,
-            updates,
+    /// Rewrites the seed indices; false, leaving the entry half-rewritten,
+    /// when one has no new index.
+    fn remap(&mut self, map: &[Option<usize>]) -> bool {
+        self.residents.iter_mut().all(|r| {
+            let new = map.get(r.seed as usize).copied().flatten();
+            new.map(|new| r.seed = new as u32).is_some()
         })
     }
 }
 
-/// Mutable per-solve view handed to `solve_core`: the cache (moved out
-/// of the [`SolveState`] for the duration of the solve), the fallback
-/// threshold, and the report filled in by the LP phase.
+/// Mutable per-solve view handed to `solve_core`: the fallback
+/// threshold, and the report filled in by the solve.
 pub(crate) struct DeltaCtx {
-    pub(crate) cache: FxHashMap<SwitchId, LpCacheEntry>,
     pub(crate) frontier_limit_pct: u32,
     /// A cold state (first solve) computes and captures everything; only
-    /// warm solves probe the cache.
+    /// warm solves probe the memo.
     pub(crate) warm: bool,
     pub(crate) report: DeltaReport,
 }
@@ -197,6 +247,14 @@ pub struct DeltaReport {
     pub fallback_full: bool,
     /// False on the first (cold) solve of a [`SolveState`].
     pub warm: bool,
+    /// Greedy steps (one per seed the pass reached) whose outcome was
+    /// copied from the last solve without a probe.
+    pub steps_replayed: usize,
+    /// Greedy steps that probed their switches.
+    pub steps_executed: usize,
+    /// Switches whose greedy state was rebuilt from their op log rather
+    /// than kept from the last solve.
+    pub switches_rebuilt: usize,
     /// Switch-state classes the migration-benefit scan met (0 when the
     /// migration pass is off): near the switch count on a heterogeneous
     /// fabric, a handful on a homogeneous one.
@@ -206,16 +264,17 @@ pub struct DeltaReport {
 /// What changed since the last solve that the solver cannot see on its
 /// own. Capacity, residency, previous-placement moves and switches that
 /// left or rejoined the instance are all caught by the bit-exact
-/// signatures (a switch absent from the instance loses its memo entry, a
-/// returning one has none) and are not declared. Callers **must** declare
-/// seeds whose utility or polling *definitions* changed (re-registration
-/// of a task), because definitions are read through the seed id and
-/// identical-looking signatures would otherwise replay stale LP outputs.
+/// signatures and op logs, and are not declared. Callers **must**
+/// declare seeds whose *definitions* changed (re-registration of a
+/// task): utility, polling and candidate set are read through the seed
+/// id, so identical-looking signatures would otherwise replay stale LP
+/// outputs and greedy outcomes. A changed candidate set is such a
+/// definition change.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplanDelta {
     /// Seed indices (into the *current* instance) whose definition
     /// changed; every memo entry mentioning one is invalidated before
-    /// probing.
+    /// probing, and the seed's products are recomputed.
     pub(crate) dirty_seeds: Vec<usize>,
 }
 
@@ -228,11 +287,824 @@ impl ReplanDelta {
     }
 }
 
-/// Solver state retained between [`replan_delta`] calls: the per-switch
-/// LP memo table plus the fallback knob.
+/// One op of step 2 on one switch: a seed id and an [`OpKind`], packed
+/// as `seed << 3 | kind` (so below [`MAX_SEEDS`] seeds). Its values come
+/// from that seed's inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Op(u32);
+
+/// Seeds an [`Op`] can name.
+const MAX_SEEDS: usize = 1 << 29;
+
+/// What an [`Op`] does to its switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    /// Reserve the seed's previous allocation (lingering).
+    Reserve,
+    /// The seed stays home: release that reservation.
+    Release,
+    /// Place the seed at its minimum allocation.
+    Place,
+    /// Its task failed: undo the placement,
+    Unplace,
+    /// and restore the reservation a home stay released.
+    Restore,
+}
+
+impl Op {
+    pub(crate) fn new(seed: usize, kind: OpKind) -> Op {
+        Op((seed as u32) << 3 | kind as u32)
+    }
+
+    fn seed(self) -> usize {
+        (self.0 >> 3) as usize
+    }
+
+    fn kind(self) -> OpKind {
+        match self.0 & 7 {
+            0 => OpKind::Reserve,
+            1 => OpKind::Release,
+            2 => OpKind::Place,
+            3 => OpKind::Unplace,
+            _ => OpKind::Restore,
+        }
+    }
+
+    fn with_seed(self, seed: usize) -> Op {
+        Op::new(seed, self.kind())
+    }
+}
+
+/// What a greedy step decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// No feasible switch: the task fails.
+    Fail,
+    /// Stays on its previous switch (slot).
+    Home(usize),
+    /// Placed on another switch (slot).
+    Placed(usize),
+}
+
+/// Per-seed flags: the products are current,
+const KNOWN: u8 = 1;
+/// the seed has a feasible allocation,
+const FEASIBLE: u8 = 2;
+/// its step may replay (products and previous seat as last solve),
+const CLEAN: u8 = 4;
+/// and, transiently, the previous placement names it.
+const SEEN: u8 = 8;
+
+/// [`Seeds::seat_slot`] of a seed without a previous seat.
+const NO_SEAT: u32 = u32::MAX;
+
+/// Per-seed inputs of the greedy pass, indexed by seed.
+#[derive(Debug, Default)]
+pub(crate) struct Seeds {
+    subjects: SubjectInterner,
+    /// Seed `s` polls subjects `ids[at[s]..at[s + 1]]`, in the order of
+    /// its `PollDemand`s.
+    at: Vec<u32>,
+    ids: Vec<u32>,
+    /// Each `FEASIBLE` seed's minimum feasible allocation and its utility.
+    min_res: Vec<Resources>,
+    min_u: Vec<f64>,
+    /// Each seed's previous seat — the switch's slot, or [`NO_SEAT`], and
+    /// the allocation — as of the current (or last) solve.
+    seat_slot: Vec<u32>,
+    seat_res: Vec<Resources>,
+    flags: Vec<u8>,
+}
+
+impl Seeds {
+    pub(crate) fn polls<'a>(&'a self, instance: &'a PlacementInstance, s: usize) -> SeedPolls<'a> {
+        let ids = &self.ids[self.at[s] as usize..self.at[s + 1] as usize];
+        SeedPolls::new(ids, &instance.seeds[s].polls)
+    }
+
+    /// The seed's minimum feasible allocation and its utility.
+    pub(crate) fn min_alloc(&self, s: usize) -> Option<(Resources, f64)> {
+        (self.flags[s] & FEASIBLE != 0).then(|| (self.min_res[s], self.min_u[s]))
+    }
+
+    pub(crate) fn min_res(&self, s: usize) -> Resources {
+        debug_assert!(self.flags[s] & FEASIBLE != 0);
+        self.min_res[s]
+    }
+
+    /// The slot of the seed's previous switch, if it has a seat.
+    pub(crate) fn seat(&self, s: usize) -> Option<usize> {
+        let slot = self.seat_slot[s];
+        (slot != NO_SEAT).then_some(slot as usize)
+    }
+
+    fn clean(&self, s: usize) -> bool {
+        self.flags[s] & CLEAN != 0
+    }
+
+    fn len(&self) -> usize {
+        self.flags.len()
+    }
+
+    /// Brings the products up to `instance`: seeds not known (new, or
+    /// declared dirty) get theirs computed, and start unclean. Returns
+    /// true when the subject ids had to be renumbered.
+    fn update(&mut self, instance: &PlacementInstance) -> bool {
+        let n = instance.seeds.len();
+        self.flags.resize(n, 0);
+        self.min_res.resize(n, Resources::ZERO);
+        self.min_u.resize(n, 0.0);
+        self.seat_slot.resize(n, NO_SEAT);
+        self.seat_res.resize(n, Resources::ZERO);
+        for f in &mut self.flags {
+            *f = if *f & KNOWN != 0 {
+                *f & FEASIBLE | KNOWN | CLEAN
+            } else {
+                0
+            };
+        }
+        let unknown = |s: usize| self.flags[s] & KNOWN == 0;
+        let span = |s: usize| self.at[s] as usize..self.at[s + 1] as usize;
+        let in_place = self.at.len() == n + 1
+            && (0..n).all(|s| !unknown(s) || span(s).len() == instance.seeds[s].polls.len());
+        if !in_place {
+            // Lay the ids out afresh: known seeds keep theirs, the others
+            // get room for theirs.
+            let polls = instance.seeds.iter().map(|s| s.polls.len()).sum();
+            let (mut at, mut ids) = (Vec::with_capacity(n + 1), Vec::with_capacity(polls));
+            at.push(0);
+            for (s, seed) in instance.seeds.iter().enumerate() {
+                if unknown(s) {
+                    ids.resize(ids.len() + seed.polls.len(), 0);
+                } else {
+                    ids.extend_from_slice(&self.ids[span(s)]);
+                }
+                at.push(ids.len() as u32);
+            }
+            (self.at, self.ids) = (at, ids);
+        }
+        for (s, seed) in instance.seeds.iter().enumerate() {
+            if self.flags[s] & KNOWN != 0 {
+                continue;
+            }
+            let ids = &mut self.ids[self.at[s] as usize..self.at[s + 1] as usize];
+            for (id, p) in ids.iter_mut().zip(&seed.polls) {
+                *id = self.subjects.intern(&p.subject);
+            }
+            self.flags[s] = KNOWN;
+            if let Some((res, u)) = seed.util.min_feasible() {
+                (self.min_res[s], self.min_u[s]) = (res, u);
+                self.flags[s] |= FEASIBLE;
+            }
+        }
+        if first_seen(&self.ids) {
+            return false;
+        }
+        // Ids from an older numbering (a subject no seed polls any more,
+        // or a new one seen before an older one): number afresh.
+        self.subjects = SubjectInterner::default();
+        let mut moved = false;
+        for (s, seed) in instance.seeds.iter().enumerate() {
+            let ids = &mut self.ids[self.at[s] as usize..self.at[s + 1] as usize];
+            for (id, p) in ids.iter_mut().zip(&seed.polls) {
+                let fresh = self.subjects.intern(&p.subject);
+                moved |= *id != fresh;
+                *id = fresh;
+            }
+        }
+        moved
+    }
+
+    /// Takes this solve's previous seats from the instance. A seed whose
+    /// seat differs in any bit from the last solve's is not clean.
+    fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches) {
+        if let Some(prev) = &instance.previous {
+            for (&s, &(n, res)) in &prev.assignment {
+                let Some(flags) = self.flags.get_mut(s) else {
+                    continue;
+                };
+                *flags |= SEEN;
+                let slot = self.seat_slot[s];
+                let same = slot != NO_SEAT
+                    && switches.ids[slot as usize] == n
+                    && bits(&self.seat_res[s]) == bits(&res);
+                if !same {
+                    *flags &= !CLEAN;
+                    self.seat_slot[s] = switches.slot(n) as u32;
+                    self.seat_res[s] = res;
+                }
+            }
+        }
+        for (flags, slot) in self.flags.iter_mut().zip(&mut self.seat_slot) {
+            if *flags & SEEN == 0 && *slot != NO_SEAT {
+                *flags &= !CLEAN;
+                *slot = NO_SEAT;
+            }
+            *flags &= !SEEN;
+        }
+    }
+
+    /// Moves every seed to its new index (`src[new] = Some(old)`).
+    fn remap(&mut self, src: &[Option<usize>]) {
+        let old: Vec<Option<usize>> = src.iter().map(|o| o.filter(|&o| o < self.len())).collect();
+        let kept = |o: &Option<usize>| o.map_or(0, |o| self.flags[o] & (KNOWN | FEASIBLE));
+        let flags: Vec<u8> = old.iter().map(kept).collect();
+        let (mut at, mut ids) = (vec![0], Vec::with_capacity(self.ids.len()));
+        for (new, o) in old.iter().enumerate() {
+            if flags[new] & KNOWN != 0 {
+                let o = o.expect("a known seed has an old index");
+                ids.extend_from_slice(&self.ids[self.at[o] as usize..self.at[o + 1] as usize]);
+            }
+            at.push(ids.len() as u32);
+        }
+        fn carry<T: Copy>(v: &[T], old: &[Option<usize>], none: T) -> Vec<T> {
+            old.iter().map(|o| o.map_or(none, |o| v[o])).collect()
+        }
+        self.min_res = carry(&self.min_res, &old, Resources::ZERO);
+        self.min_u = carry(&self.min_u, &old, 0.0);
+        self.seat_slot = carry(&self.seat_slot, &old, NO_SEAT);
+        self.seat_res = carry(&self.seat_res, &old, Resources::ZERO);
+        (self.flags, self.at, self.ids) = (flags, at, ids);
+    }
+
+    fn bytes(&self) -> usize {
+        self.subjects.bytes()
+            + vec_bytes(&self.at)
+            + vec_bytes(&self.ids)
+            + vec_bytes(&self.min_res)
+            + vec_bytes(&self.min_u)
+            + vec_bytes(&self.seat_slot)
+            + vec_bytes(&self.seat_res)
+            + vec_bytes(&self.flags)
+    }
+}
+
+/// Whether `ids` are numbered in first-seen order: each id is either
+/// one seen before or the next new one.
+fn first_seen(ids: &[u32]) -> bool {
+    let mut next = 0;
+    for &id in ids {
+        if id == next {
+            next += 1;
+        } else if id > next {
+            return false;
+        }
+    }
+    true
+}
+
+/// Where a switch stands in the current solve's greedy pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Not in this round.
+    Absent,
+    /// Every op so far matched the log; the state is not built.
+    Clean,
+    /// Every op so far matched the log; the state is built at that prefix.
+    Live,
+    /// The ops departed from the log, which now holds this solve's ops;
+    /// the state is built.
+    Diverged,
+}
+
+/// Per-switch state and op logs, indexed by *slot*: a switch keeps its
+/// slot for the life of the memo, whether or not it is in the round.
+#[derive(Debug, Default)]
+pub(crate) struct Switches {
+    slot_of: FxHashMap<SwitchId, u32>,
+    pub(crate) ids: Vec<SwitchId>,
+    pub(crate) states: Vec<SwitchState>,
+    logs: Vec<Vec<Op>>,
+    /// The memoized LP of each switch (only a delta solve memoizes).
+    pub(crate) lp: Vec<Option<LpCacheEntry>>,
+    /// `states[i]` is the state after step 3 of the ops in `logs[i]`.
+    settled: Vec<bool>,
+    mode: Vec<Mode>,
+    /// Ops matched so far this solve, while `Clean` or `Live`.
+    cursor: Vec<u32>,
+    /// This solve built the state instead of keeping the settled one.
+    pub(crate) touched: Vec<bool>,
+    /// In this round but not the last.
+    joined: Vec<bool>,
+    any_joined: bool,
+    /// The round's slots by ascending switch id.
+    pub(crate) order: Vec<usize>,
+}
+
+impl Switches {
+    /// A round of the given switches in the given states.
+    #[cfg(test)]
+    pub(crate) fn of(states: Vec<(SwitchId, SwitchState)>) -> Switches {
+        let mut switches = Switches::default();
+        for (n, st) in states {
+            let i = switches.slot(n);
+            switches.states[i] = st;
+            switches.mode[i] = Mode::Diverged;
+            switches.order.push(i);
+        }
+        switches.order.sort_unstable_by_key(|&i| switches.ids[i]);
+        switches
+    }
+
+    /// The switch's slot, allocated (not in the round) on first sight.
+    fn slot(&mut self, n: SwitchId) -> usize {
+        let next = self.ids.len() as u32;
+        let i = *self.slot_of.entry(n).or_insert(next) as usize;
+        if i == self.ids.len() {
+            self.ids.push(n);
+            self.states.push(SwitchState::new(Resources::ZERO));
+            self.logs.push(Vec::new());
+            self.lp.push(None);
+            self.settled.push(false);
+            self.mode.push(Mode::Absent);
+            self.cursor.push(0);
+            self.touched.push(false);
+            self.joined.push(false);
+        }
+        i
+    }
+
+    pub(crate) fn is_present(&self, i: usize) -> bool {
+        self.mode[i] != Mode::Absent
+    }
+
+    /// The slot of `n` if it is in the round.
+    pub(crate) fn present_slot(&self, n: SwitchId) -> Option<usize> {
+        let i = *self.slot_of.get(&n)? as usize;
+        self.is_present(i).then_some(i)
+    }
+
+    /// Op count of a switch still at a prefix of its log; `None` once it
+    /// diverged or when it is not in the round.
+    fn prefix(&self, i: usize) -> Option<u32> {
+        matches!(self.mode[i], Mode::Clean | Mode::Live).then_some(self.cursor[i])
+    }
+
+    fn joined(&self, n: SwitchId) -> bool {
+        self.slot_of
+            .get(&n)
+            .is_some_and(|&i| self.joined[i as usize])
+    }
+
+    /// Starts a solve over the instance's switches. One whose capacity
+    /// bits and presence match the last solve starts `Clean` at op 0;
+    /// one that joined, or changed capacity, has diverged from op 0.
+    fn begin(&mut self, instance: &PlacementInstance) {
+        // Until the last loop, `joined` says whether a slot was in the
+        // last round and `touched` whether it is in this one.
+        for i in 0..self.ids.len() {
+            self.joined[i] = self.is_present(i);
+            self.touched[i] = false;
+            self.mode[i] = Mode::Absent;
+        }
+        for (n, ares) in &instance.switches {
+            let i = self.slot(*n);
+            let same = self.joined[i] && bits(&self.states[i].ares) == bits(ares);
+            // A switch listed twice takes its last capacity, from op 0.
+            self.mode[i] = if same && !self.touched[i] {
+                Mode::Clean
+            } else {
+                self.logs[i].clear();
+                self.states[i].reset(*ares);
+                self.settled[i] = false;
+                Mode::Diverged
+            };
+            self.touched[i] = true;
+            self.cursor[i] = 0;
+        }
+        self.any_joined = false;
+        let mut reorder = false;
+        for i in 0..self.ids.len() {
+            let (was, now) = (self.joined[i], self.touched[i]);
+            if was && !now {
+                self.logs[i] = Vec::new();
+                self.lp[i] = None;
+                self.states[i] = SwitchState::new(Resources::ZERO);
+                self.settled[i] = false;
+            }
+            self.joined[i] = now && !was;
+            self.any_joined |= self.joined[i];
+            reorder |= now != was;
+            self.touched[i] = false;
+        }
+        if reorder {
+            self.order = (0..self.ids.len())
+                .filter(|&i| self.is_present(i))
+                .collect();
+            self.order.sort_unstable_by_key(|&i| self.ids[i]);
+            self.shrink();
+        }
+    }
+
+    /// Gives back the slot vectors' spare capacity.
+    fn shrink(&mut self) {
+        self.ids.shrink_to_fit();
+        self.states.shrink_to_fit();
+        self.logs.shrink_to_fit();
+        self.lp.shrink_to_fit();
+        self.settled.shrink_to_fit();
+        self.mode.shrink_to_fit();
+        self.cursor.shrink_to_fit();
+        self.touched.shrink_to_fit();
+        self.joined.shrink_to_fit();
+    }
+
+    /// Builds the state of a `Clean` switch at its matched prefix.
+    fn materialize(&mut self, i: usize, seeds: &Seeds, instance: &PlacementInstance) {
+        if self.mode[i] != Mode::Clean {
+            return;
+        }
+        self.mode[i] = Mode::Live;
+        let st = &mut self.states[i];
+        st.reset(st.ares);
+        for &op in &self.logs[i][..self.cursor[i] as usize] {
+            apply(st, op, seeds, instance);
+        }
+    }
+
+    /// Appends `op` to switch `i`'s ops this solve.
+    fn emit(&mut self, i: usize, op: Op, seeds: &Seeds, instance: &PlacementInstance) {
+        debug_assert!(self.is_present(i));
+        if let Some(at) = self.prefix(i) {
+            let at = at as usize;
+            if self.logs[i].get(at) == Some(&op) && seeds.clean(op.seed()) {
+                self.cursor[i] += 1;
+                if self.mode[i] == Mode::Live {
+                    apply(&mut self.states[i], op, seeds, instance);
+                }
+                return;
+            }
+            self.materialize(i, seeds, instance);
+            self.logs[i].truncate(at);
+            self.mode[i] = Mode::Diverged;
+        }
+        self.logs[i].push(op);
+        apply(&mut self.states[i], op, seeds, instance);
+    }
+
+    /// Ends step 2: every switch of the round holds its greedy state.
+    /// One whose whole log matched keeps its settled state; the others
+    /// are built (where not already) and marked touched. Returns how
+    /// many were.
+    pub(crate) fn settle_greedy(&mut self, seeds: &Seeds, instance: &PlacementInstance) -> usize {
+        let mut rebuilt = 0;
+        for k in 0..self.order.len() {
+            let i = self.order[k];
+            if let Some(at) = self.prefix(i) {
+                let whole = at as usize == self.logs[i].len();
+                if whole && self.mode[i] == Mode::Clean && self.settled[i] {
+                    continue;
+                }
+                self.logs[i].truncate(at as usize);
+                self.materialize(i, seeds, instance);
+            }
+            self.touched[i] = true;
+            rebuilt += 1;
+        }
+        rebuilt
+    }
+
+    /// Ends step 3: every state of the round is settled.
+    pub(crate) fn settle(&mut self) {
+        for &i in &self.order {
+            self.settled[i] = true;
+            if self.touched[i] {
+                self.states[i].shrink();
+                self.logs[i].shrink_to_fit();
+            }
+        }
+    }
+
+    /// The migration pass changed switch `i` after step 3.
+    pub(crate) fn unsettle(&mut self, i: usize) {
+        self.settled[i] = false;
+    }
+
+    /// Rewrites the seed indices in every log, state and LP memo entry; a
+    /// switch that mentions an unmapped seed forgets its log and settled
+    /// state, an entry that does is dropped.
+    fn remap(&mut self, map: &[Option<usize>]) {
+        for i in 0..self.ids.len() {
+            if !self.lp[i].as_mut().is_some_and(|e| e.remap(map)) {
+                self.lp[i] = None;
+            }
+            let log = &mut self.logs[i];
+            let mapped = log
+                .iter_mut()
+                .all(|op| match map.get(op.seed()).copied().flatten() {
+                    Some(new) => {
+                        *op = op.with_seed(new);
+                        true
+                    }
+                    None => false,
+                });
+            if !(mapped && self.states[i].remap(map)) {
+                self.logs[i] = Vec::new();
+                self.settled[i] = false;
+            }
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.slot_of.capacity() * size_of::<(SwitchId, u32)>()
+            + vec_bytes(&self.ids)
+            + vec_bytes(&self.states)
+            + self
+                .states
+                .iter()
+                .map(SwitchState::heap_bytes)
+                .sum::<usize>()
+            + vec_bytes(&self.logs)
+            + self.logs.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.lp)
+            + self
+                .lp
+                .iter()
+                .flatten()
+                .map(|e| vec_bytes(&e.residents))
+                .sum::<usize>()
+            + vec_bytes(&self.settled)
+            + vec_bytes(&self.mode)
+            + vec_bytes(&self.cursor)
+            + vec_bytes(&self.touched)
+            + vec_bytes(&self.joined)
+            + vec_bytes(&self.order)
+    }
+}
+
+/// Applies one op to a built state, with the values of its seed's
+/// current inputs.
+fn apply(st: &mut SwitchState, op: Op, seeds: &Seeds, instance: &PlacementInstance) {
+    let s = op.seed();
+    let polls = seeds.polls(instance, s);
+    match op.kind() {
+        OpKind::Reserve | OpKind::Restore => st.reserve(s, polls, seeds.seat_res[s]),
+        OpKind::Release => st.release(s, polls),
+        OpKind::Place => st.place(s, polls, &seeds.min_res(s)),
+        OpKind::Unplace => st.unplace(s, polls, &seeds.min_res(s)),
+    }
+}
+
+/// The record of a greedy step that scanned its candidates: where its
+/// `(slot, op count)` reads are, and where it went. A step that stayed
+/// home needs none — the release right after the read is its record, in
+/// the home switch's log.
+#[derive(Debug, Clone, Copy)]
+struct Scan {
+    seed: u32,
+    /// The slot it was placed on, or [`FAIL`].
+    outcome: u32,
+    at: u32,
+    len: u32,
+}
+
+/// [`Scan::outcome`] of a step that found no switch.
+const FAIL: u32 = u32::MAX;
+
+/// The scan records of the last solve, and those this solve writes.
+#[derive(Debug, Default)]
+struct Steps {
+    /// The last solve's scans, ascending by seed once a solve begins,
+    /// and their reads.
+    scans: Vec<Scan>,
+    reads: Vec<(u32, u32)>,
+    next_scans: Vec<Scan>,
+    next_reads: Vec<(u32, u32)>,
+    /// The reads of the step being probed.
+    pending: Vec<(u32, u32)>,
+    replayed: usize,
+    executed: usize,
+}
+
+impl Steps {
+    fn begin(&mut self) {
+        self.scans.sort_unstable_by_key(|r| r.seed);
+        (self.replayed, self.executed) = (0, 0);
+    }
+
+    /// This solve's records become the ones the next solve replays.
+    fn end(&mut self) {
+        self.scans = std::mem::take(&mut self.next_scans);
+        self.reads = std::mem::take(&mut self.next_reads);
+    }
+
+    /// The last solve's record of seed `s`, with its reads.
+    fn scan(&self, s: usize) -> Option<(Scan, &[(u32, u32)])> {
+        let k = self.scans.binary_search_by_key(&(s as u32), |r| r.seed);
+        let scan = self.scans[k.ok()?];
+        Some((
+            scan,
+            &self.reads[scan.at as usize..(scan.at + scan.len) as usize],
+        ))
+    }
+
+    /// Writes this solve's record of the step just probed, whose reads
+    /// are pending.
+    fn record(&mut self, seed: usize, outcome: u32) {
+        let Steps {
+            next_scans,
+            next_reads,
+            pending,
+            ..
+        } = self;
+        next_scans.push(Scan {
+            seed: seed as u32,
+            outcome,
+            at: next_reads.len() as u32,
+            len: pending.len() as u32,
+        });
+        next_reads.append(pending);
+    }
+
+    /// Carries a record of the last solve over to this one.
+    fn carry(&mut self, scan: Scan) {
+        let Steps {
+            reads,
+            next_scans,
+            next_reads,
+            ..
+        } = self;
+        next_scans.push(Scan {
+            at: next_reads.len() as u32,
+            ..scan
+        });
+        next_reads.extend_from_slice(&reads[scan.at as usize..(scan.at + scan.len) as usize]);
+    }
+
+    fn remap(&mut self, map: &[Option<usize>]) {
+        self.scans.retain_mut(|r| {
+            let new = map.get(r.seed as usize).copied().flatten();
+            new.map(|new| r.seed = new as u32).is_some()
+        });
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.scans)
+            + vec_bytes(&self.reads)
+            + vec_bytes(&self.next_scans)
+            + vec_bytes(&self.next_reads)
+            + vec_bytes(&self.pending)
+    }
+}
+
+/// What the solve keeps of itself: the greedy pass's per-seed products,
+/// per-switch op logs and states, and scan records. A from-scratch solve
+/// runs through a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct Memo {
+    pub(crate) seeds: Seeds,
+    pub(crate) switches: Switches,
+    steps: Steps,
+    /// The options of the last solve: the settled states depend on them.
+    options: Option<HeuristicOptions>,
+}
+
+impl Memo {
+    /// Seeds whose definition changed get their products recomputed,
+    /// and every LP memo entry naming one is dropped.
+    fn declare_dirty(&mut self, dirty: &[usize]) {
+        for &s in dirty {
+            if let Some(flags) = self.seeds.flags.get_mut(s) {
+                *flags &= !KNOWN;
+            }
+        }
+        if !dirty.is_empty() {
+            let dirty: FxHashSet<usize> = dirty.iter().copied().collect();
+            for entry in &mut self.switches.lp {
+                if entry.as_ref().is_some_and(|e| e.mentions_any(&dirty)) {
+                    *entry = None;
+                }
+            }
+        }
+    }
+
+    /// Starts a solve of `instance`.
+    ///
+    /// # Panics
+    ///
+    /// When the instance has [`MAX_SEEDS`] seeds or more.
+    pub(crate) fn begin(&mut self, instance: &PlacementInstance, options: HeuristicOptions) {
+        assert!(
+            instance.seeds.len() < MAX_SEEDS,
+            "{} seeds: an op names at most {MAX_SEEDS}",
+            instance.seeds.len()
+        );
+        // Seeds vanished without a remap, or most slots name switches
+        // long gone: start over.
+        if instance.seeds.len() < self.seeds.len()
+            || self.switches.ids.len() > 2 * instance.switches.len() + 64
+        {
+            *self = Memo::default();
+        }
+        // Renumbered subjects: the states and logs speak the old ids, and
+        // an LP memoized under them may order its variables differently.
+        if self.seeds.update(instance) {
+            (self.switches, self.steps) = (Switches::default(), Steps::default());
+            self.seeds.seat_slot.fill(NO_SEAT);
+        }
+        self.switches.begin(instance);
+        self.seeds.seat_previous(instance, &mut self.switches);
+        if self.options != Some(options) {
+            self.switches.settled.fill(false);
+            self.options = Some(options);
+        }
+        self.steps.begin();
+    }
+
+    /// Appends `op` to switch `i`'s log.
+    pub(crate) fn emit(&mut self, instance: &PlacementInstance, i: usize, op: Op) {
+        self.switches.emit(i, op, &self.seeds, instance);
+    }
+
+    /// The outcome of seed `s`'s step in the last solve, if the step may
+    /// replay: the seed is clean, and every switch the step read then is
+    /// at exactly the op prefix it read it at.
+    pub(crate) fn replay(&mut self, instance: &PlacementInstance, s: usize) -> Option<Outcome> {
+        if !self.seeds.clean(s) {
+            return None;
+        }
+        let sw = &self.switches;
+        if let Some(h) = self.seeds.seat(s) {
+            let release = Op::new(s, OpKind::Release);
+            if sw
+                .prefix(h)
+                .is_some_and(|at| sw.logs[h].get(at as usize) == Some(&release))
+            {
+                self.steps.replayed += 1;
+                return Some(Outcome::Home(h));
+            }
+        }
+        let (scan, reads) = self.steps.scan(s)?;
+        let joined = || instance.seeds[s].candidates.iter().any(|&n| sw.joined(n));
+        if reads
+            .iter()
+            .any(|&(i, at)| sw.prefix(i as usize) != Some(at))
+            || (sw.any_joined && joined())
+        {
+            return None;
+        }
+        self.steps.carry(scan);
+        self.steps.replayed += 1;
+        Some(match scan.outcome {
+            FAIL => Outcome::Fail,
+            i => Outcome::Placed(i as usize),
+        })
+    }
+
+    /// Builds switch `i`'s state for a probe and notes the op count it
+    /// was read at.
+    pub(crate) fn read(&mut self, instance: &PlacementInstance, i: usize) {
+        let sw = &mut self.switches;
+        sw.materialize(i, &self.seeds, instance);
+        let at = sw.prefix(i).unwrap_or(sw.logs[i].len() as u32);
+        self.steps.pending.push((i as u32, at));
+    }
+
+    /// Records the outcome of seed `s`'s probed step with its reads.
+    pub(crate) fn record(&mut self, s: usize, outcome: Outcome) {
+        match outcome {
+            Outcome::Home(_) => self.steps.pending.clear(),
+            Outcome::Placed(i) => self.steps.record(s, i as u32),
+            Outcome::Fail => self.steps.record(s, FAIL),
+        }
+        self.steps.executed += 1;
+    }
+
+    /// Ends step 2 ([`Switches::settle_greedy`]); returns how many
+    /// switches were rebuilt.
+    pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> usize {
+        self.steps.end();
+        self.switches.settle_greedy(&self.seeds, instance)
+    }
+
+    /// Greedy steps replayed and executed this solve.
+    pub(crate) fn steps_run(&self) -> (usize, usize) {
+        (self.steps.replayed, self.steps.executed)
+    }
+
+    fn remap(&mut self, map: &[Option<usize>]) {
+        let len = map.iter().flatten().max().map_or(0, |m| m + 1);
+        let mut src = vec![None; len];
+        for (old, new) in map.iter().enumerate() {
+            if let Some(new) = new {
+                src[*new] = Some(old);
+            }
+        }
+        self.seeds.remap(&src);
+        self.steps.remap(map);
+        self.switches.remap(map);
+    }
+
+    fn bytes(&self) -> usize {
+        self.seeds.bytes() + self.switches.bytes() + self.steps.bytes()
+    }
+}
+
+/// Solver state retained between [`replan_delta`] calls: the greedy
+/// pass's memory with each switch's LP memo entry, and the fallback knob.
 #[derive(Debug)]
 pub struct SolveState {
-    lp_cache: FxHashMap<SwitchId, LpCacheEntry>,
+    memo: Memo,
     /// Fallback threshold: when more than this percentage of LP-bearing
     /// switches miss the cache, recompute everything.
     pub frontier_limit_pct: u32,
@@ -244,7 +1116,7 @@ pub struct SolveState {
 impl Default for SolveState {
     fn default() -> SolveState {
         SolveState {
-            lp_cache: FxHashMap::default(),
+            memo: Memo::default(),
             frontier_limit_pct: DEFAULT_FRONTIER_LIMIT_PCT,
             solves: 0,
             instruments: None,
@@ -258,30 +1130,27 @@ impl SolveState {
         SolveState::default()
     }
 
-    /// Bytes the memo table holds: its slots plus every entry's resident
-    /// and update lists, by capacity.
+    /// Bytes the state holds, by capacity: the greedy memory and the LP
+    /// memo entries with their resident lists.
     pub(crate) fn cache_bytes(&self) -> usize {
-        let lists = |e: &LpCacheEntry| {
-            e.residents.capacity() * size_of::<(usize, [u64; 4])>()
-                + e.updates.capacity() * size_of::<(usize, Resources)>()
-        };
-        self.lp_cache.capacity() * size_of::<(SwitchId, LpCacheEntry)>()
-            + self.lp_cache.values().map(lists).sum::<usize>()
+        self.memo.bytes()
     }
 
-    /// Rewrites cached seed indices after the instance was rebuilt with
+    /// LP memo entries held.
+    fn lp_entries(&self) -> impl Iterator<Item = &LpCacheEntry> {
+        self.memo.switches.lp.iter().flatten()
+    }
+
+    /// Rewrites retained seed indices after the instance was rebuilt with
     /// a different seed numbering. `map[old] = Some(new)` keeps a seed
-    /// under its new index; `None` (or out-of-range `old`) drops every
-    /// entry mentioning it. Callers that rebuild instances per solve
-    /// (e.g. the seeder flattening its task table) call this with the
-    /// old→new correspondence so unrelated switches keep their memo.
+    /// under its new index — its products, previous seat and last step
+    /// move with it; `None` (or out-of-range `old`) drops it, and every
+    /// memo entry and switch log mentioning it. Callers that rebuild
+    /// instances per solve (e.g. the seeder flattening its task table)
+    /// call this with the old→new correspondence so unrelated switches
+    /// keep their memo.
     pub fn remap(&mut self, map: &[Option<usize>]) {
-        let remapped: FxHashMap<SwitchId, LpCacheEntry> = self
-            .lp_cache
-            .drain()
-            .filter_map(|(n, e)| Some((n, e.remap(map)?)))
-            .collect();
-        self.lp_cache = remapped;
+        self.memo.remap(map);
     }
 }
 
@@ -290,11 +1159,14 @@ impl SolveState {
 /// plus a [`DeltaReport`] of how much work was reused.
 ///
 /// Telemetry (when given): `solver.replan_delta` counts calls,
-/// `solver.delta_fallback_full` counts fallbacks, the
-/// `solver.delta_frontier` and `solver.benefit_classes` histograms
-/// record the dirty-frontier size and the switch-state classes of the
-/// benefit scan, and the `solver.delta_cache_entries` /
-/// `solver.delta_cache_bytes` gauges say what the memo holds afterwards.
+/// `solver.delta_fallback_full` counts fallbacks,
+/// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` count
+/// greedy steps, the `solver.delta_frontier`, `solver.switches_rebuilt`
+/// and `solver.benefit_classes` histograms record the dirty-frontier
+/// size, the switches whose greedy state was rebuilt and the switch-state
+/// classes of the benefit scan, and the `solver.delta_cache_entries` /
+/// `solver.delta_cache_bytes` gauges say what the LP memo holds and what
+/// the whole state retains afterwards.
 pub fn replan_delta(
     instance: &PlacementInstance,
     options: HeuristicOptions,
@@ -302,23 +1174,13 @@ pub fn replan_delta(
     delta: &ReplanDelta,
     telemetry: Option<&Telemetry>,
 ) -> (PlacementResult, DeltaReport) {
-    // Purge before probing: absent switches (evicted, crashed or
-    // cordoned), entries mentioning a dirty seed, and entries whose seed
-    // indices fall outside the rebuilt instance (stale numbering the
-    // caller did not remap).
-    let live: FxHashSet<SwitchId> = instance.switches.iter().map(|(n, _)| *n).collect();
-    let dirty_seeds: FxHashSet<usize> = delta.dirty_seeds.iter().copied().collect();
-    let n_seeds = instance.seeds.len();
-    state.lp_cache.retain(|n, e| {
-        live.contains(n)
-            && !e.mentions_any(&dirty_seeds)
-            && e.residents.iter().all(|(s, _)| *s < n_seeds)
-            && e.updates.iter().all(|(s, _)| *s < n_seeds)
-    });
+    // Purge before probing: entries mentioning a dirty seed. A switch
+    // absent from the instance (evicted, crashed or cordoned) loses its
+    // entry when the solve begins.
+    state.memo.declare_dirty(&delta.dirty_seeds);
 
     let warm = state.solves > 0;
     let mut ctx = DeltaCtx {
-        cache: std::mem::take(&mut state.lp_cache),
         frontier_limit_pct: state.frontier_limit_pct,
         warm,
         report: DeltaReport {
@@ -326,11 +1188,15 @@ pub fn replan_delta(
             ..DeltaReport::default()
         },
     };
-    let result = solve_core(instance, options, telemetry, Some(&mut ctx));
-    state.lp_cache = ctx.cache;
+    let result = solve_core(
+        instance,
+        options,
+        telemetry,
+        &mut state.memo,
+        Some(&mut ctx),
+    );
     state.solves += 1;
-    let mut report = ctx.report;
-    report.warm = warm;
+    let report = ctx.report;
 
     if let Some(t) = telemetry {
         let same_registry = |i: &Instruments| std::ptr::eq(i.registry.registry(), t.registry());
@@ -344,7 +1210,10 @@ pub fn replan_delta(
         }
         i.frontier.record(report.frontier as u64);
         i.benefit_classes.record(report.benefit_classes as u64);
-        i.cache_entries.set(state.lp_cache.len() as f64);
+        i.steps_replayed.add(report.steps_replayed as u64);
+        i.steps_executed.add(report.steps_executed as u64);
+        i.switches_rebuilt.record(report.switches_rebuilt as u64);
+        i.cache_entries.set(state.lp_entries().count() as f64);
         i.cache_bytes.set(state.cache_bytes() as f64);
     }
     (result, report)
@@ -394,8 +1263,9 @@ mod tests {
         assert_same(&r, &full);
         assert!(!report.warm);
         assert_eq!(report.reused, 0);
-        assert!(!state.lp_cache.is_empty());
-        assert!(state.cache_bytes() >= state.lp_cache.len() * size_of::<LpCacheEntry>());
+        let entries = state.lp_entries().count();
+        assert!(entries > 0);
+        assert!(state.cache_bytes() >= entries * size_of::<LpCacheEntry>());
         assert!((1..=inst.switches.len()).contains(&report.benefit_classes));
         assert_eq!(state.solves, 1);
     }
@@ -463,51 +1333,81 @@ mod tests {
 
     #[test]
     fn dirty_seed_purges_entries_mentioning_it() {
-        let inst = small_instance(9);
+        // Twin states through the same rounds, until a round changes
+        // nothing; then one of them declares a seed dirty. Its definition
+        // did not really change, so neither may the placement — but the
+        // memo must not be trusted for it.
+        let mut inst = small_instance(9);
+        let opts = HeuristicOptions::default();
+        let (mut clean, mut dirty) = (SolveState::new(), SolveState::new());
+        for _ in 0..3 {
+            let (r, _) = replan_delta(&inst, opts, &mut clean, &ReplanDelta::default(), None);
+            let (twin, _) = replan_delta(&inst, opts, &mut dirty, &ReplanDelta::default(), None);
+            assert_same(&twin, &r);
+            as_previous(&mut inst, &r);
+        }
+        // A seed whose switch's LP is memoized.
+        let entry = dirty.lp_entries().find(|e| !e.residents.is_empty());
+        let s = entry.expect("a memoized LP").residents[0].seed as usize;
+
+        let (_, calm) = replan_delta(&inst, opts, &mut clean, &ReplanDelta::default(), None);
+        assert_eq!((calm.frontier, calm.steps_executed), (0, 0), "{calm:?}");
+        let (r, report) = replan_delta(&inst, opts, &mut dirty, &ReplanDelta::seeds([s]), None);
+        assert_same(&r, &solve_heuristic(&inst, opts));
+        // The seed's switch re-ran its LP ...
+        assert!(report.frontier >= 1, "{report:?}");
+        // ... and the seed's greedy step executed: it is the one thing
+        // that differs from the twin, which replayed every step.
+        assert!(report.steps_executed >= 1, "{report:?}");
+        assert_eq!(
+            report.steps_replayed + report.steps_executed,
+            calm.steps_replayed
+        );
+    }
+
+    #[test]
+    fn a_stable_world_replays_every_step_and_rebuilds_nothing() {
+        let mut inst = small_instance(4);
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
-        let (r0, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
-        let Some((home, _)) = r0.assignment.iter().flatten().next() else {
-            panic!("nothing placed");
-        };
-        let before = state.lp_cache.len();
-        // Find a seed hosted on `home` and dirty it: the entry for that
-        // switch must be gone before the next probe.
-        let s = r0
-            .assignment
-            .iter()
-            .position(|a| a.as_ref().is_some_and(|(n, _)| n == home))
-            .expect("resident seed");
-        let (_, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::seeds([s]), None);
-        // The purged switch recomputed (and likely re-captured); the
-        // observable contract is equivalence, checked via the report of
-        // a *fresh* state on the same instance being no better.
-        assert!(!state.lp_cache.is_empty());
-        assert!(before >= 1);
+        let (mut r, cold) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert_eq!(cold.steps_replayed, 0);
+        assert_eq!(cold.switches_rebuilt, inst.switches.len());
+        // The first warm round gives every seed a previous seat; the
+        // second sees nothing new.
+        for _ in 0..2 {
+            as_previous(&mut inst, &r);
+            r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        }
+        as_previous(&mut inst, &r);
+        let (again, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert_same(&again, &solve_heuristic(&inst, opts));
+        assert_eq!(report.steps_executed, 0, "{report:?}");
+        assert_eq!(report.switches_rebuilt, 0, "{report:?}");
+        assert_eq!(report.steps_replayed, cold.steps_executed);
     }
 
     #[test]
     fn remap_rewrites_indices_and_drops_unmapped_seeds() {
-        let e = LpCacheEntry {
-            ares: [0; 4],
-            residents: vec![(0, [1; 4]), (2, [2; 4])],
-            updates: vec![(2, Resources::ZERO)],
-        };
+        let greedy = |v: f64| Some((SwitchId(1), Resources::new(v, 0.0, 0.0, 0.0)));
+        let assignment = [greedy(1.0), None, greedy(2.0)];
+        let update = Resources::new(3.0, 0.0, 0.0, 0.0);
+        let e = LpCacheEntry::capture(&Resources::ZERO, &[0, 2], &assignment, &[(2, update)]);
         let mut state = SolveState::new();
-        state.lp_cache.insert(SwitchId(1), e.clone());
-        state.lp_cache.insert(SwitchId(2), e);
+        for n in [SwitchId(1), SwitchId(2)] {
+            let i = state.memo.switches.slot(n);
+            state.memo.switches.lp[i] = e.clone();
+        }
         // Seed 0 → 5, seed 2 → 0; everything survives under new indices.
         state.remap(&[Some(5), None, Some(0)]);
-        assert_eq!(state.lp_cache.len(), 2);
-        let e1 = &state.lp_cache[&SwitchId(1)];
-        assert_eq!(
-            e1.residents.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![5, 0]
-        );
-        assert_eq!(e1.updates[0].0, 0);
+        assert_eq!(state.lp_entries().count(), 2);
+        let e1 = state.lp_entries().next().unwrap();
+        let seeds: Vec<u32> = e1.residents.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, vec![5, 0]);
+        assert_eq!(e1.updates().collect::<Vec<_>>(), vec![(0, update)]);
         // Dropping seed 2 kills both entries (they mention it).
         state.remap(&[Some(5), None, None]);
-        assert_eq!(state.lp_cache.len(), 0);
+        assert_eq!(state.lp_entries().count(), 0);
     }
 
     #[test]

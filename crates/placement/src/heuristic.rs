@@ -19,31 +19,41 @@
 //!
 //! The solve is *incremental* (see DESIGN.md "Performance"):
 //!
-//! * Poll subjects are interned to dense `u32` ids once per solve
-//!   (`SubjectInterner`); the hot candidate loop never clones or
-//!   hashes a `String`.
+//! * Poll subjects are interned to dense `u32` ids in first-seen order
+//!   (`SubjectInterner`); the hot candidate loop never clones or hashes
+//!   a `String`. Ids and each seed's minimum feasible allocation are
+//!   per-seed products a retained [`crate::delta::SolveState`] keeps.
 //! * Each `SwitchState` caches the per-subject running max and the
 //!   switch-wide `Σ max` poll total, so a `fits()` probe is O(polls of
 //!   the candidate seed) instead of O(subjects × entries on the switch).
-//!   Removing the max entry lazily rebuilds that one subject's max.
+//!   Removing the max entry lazily rebuilds that one subject's max. Its
+//!   subjects and lingering reservations are small sorted vectors.
+//! * Step 2 runs as one ordered op log per switch (reserve, release,
+//!   place, unplace, restore). A switch's state is a function of its
+//!   capacity and its ops, so a seed whose inputs did not change and
+//!   whose switches are at the op prefix they were at last solve replays
+//!   its last outcome without a probe, and a switch whose whole log
+//!   matched keeps its state from the last solve untouched
+//!   ([`crate::delta`]). A from-scratch solve is the same loop with
+//!   nothing to replay.
 //! * Step 3's per-switch LPs run one after another through a single
 //!   reused model arena (`LpScratch`); every float reduction runs in
 //!   stable switch/seed order, so repeated solves are bit-identical
-//!   (`prop_placement.rs` pins this).
+//!   (`prop_placement.rs` pins this). Re-solves memoize the LP outputs
+//!   by exact input signature, and refresh only the switches whose
+//!   greedy state or LP changed.
 //! * Step 4 evaluates a seed's migration benefit once per *switch-state
 //!   class* it meets, not once per candidate: switches whose `ares`,
 //!   `used`, poll total and per-subject maxima agree bit for bit give
 //!   the same answer (`classify_states`), and on a fabric of mostly
 //!   identical switches that is a handful of evaluations for a
 //!   thousand candidates.
-//! * Re-solves with a retained [`crate::delta::SolveState`] memoize the
-//!   per-switch LP outputs by exact input signature — see
-//!   [`crate::delta::replan_delta`].
 
 use std::hash::Hasher;
+use std::mem::size_of;
 use std::time::Instant;
 
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHasher;
 
 use farm_almanac::analysis::{Poly, UtilExpr};
 use farm_lp::{record_phase, Cmp, LinExpr, Problem, Sense};
@@ -51,10 +61,8 @@ use farm_netsim::switch::{ResourceKind, Resources};
 use farm_netsim::types::SwitchId;
 use farm_telemetry::Telemetry;
 
-use crate::delta::{DeltaCtx, LpCacheEntry};
-use crate::model::{
-    count_migrations, utility_of, PlacementInstance, PlacementResult, SubjectInterner,
-};
+use crate::delta::{DeltaCtx, LpCacheEntry, Memo, Op, OpKind, Outcome, Seeds, Switches};
+use crate::model::{count_migrations, utility_of, PlacementInstance, PlacementResult, PollDemand};
 
 /// Heuristic knobs: the switches `repro ablation` flips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,64 +82,129 @@ impl Default for HeuristicOptions {
     }
 }
 
-/// Interned polling demands of one seed: `(subject id, demand poly)`.
-type SeedPolls = [(u32, Poly)];
+/// Interned polling demands of one seed: its subject ids, paired in
+/// order with its [`PollDemand`]s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeedPolls<'a> {
+    ids: &'a [u32],
+    demands: &'a [PollDemand],
+}
+
+impl<'a> SeedPolls<'a> {
+    pub(crate) fn new(ids: &'a [u32], demands: &'a [PollDemand]) -> SeedPolls<'a> {
+        debug_assert_eq!(ids.len(), demands.len());
+        SeedPolls { ids, demands }
+    }
+
+    fn iter(self) -> impl Iterator<Item = (u32, &'a Poly)> {
+        let demands = self.demands.iter().map(|p| &p.demand);
+        self.ids.iter().copied().zip(demands)
+    }
+}
 
 /// Aggregated demand multiset of one subject on one switch, with the
 /// cached running max (consumption is the max — § IV-B aggregation).
-#[derive(Debug, Clone, Default)]
+/// Its `len` entries sit in [`SwitchState::entries`] after those of the
+/// subjects before it.
+#[derive(Debug, Clone)]
 struct PollCell {
-    entries: Vec<f64>,
+    subject: u32,
+    len: u32,
     max: f64,
 }
 
 /// Per-switch bookkeeping during the solve.
 #[derive(Debug, Clone)]
-struct SwitchState {
-    ares: Resources,
+pub(crate) struct SwitchState {
+    pub(crate) ares: Resources,
     /// Non-poll resources in use (live seeds + lingering reservations).
     used: Resources,
-    /// Poll demands per interned subject; consumption is the cached max.
-    poll: FxHashMap<u32, PollCell>,
+    /// Poll demands per interned subject, ascending by subject;
+    /// consumption is the cached max.
+    poll: Vec<PollCell>,
+    /// Every cell's demand entries, cell by cell.
+    entries: Vec<f64>,
     /// Cached `Σ_subject max(entries)` — the switch's aggregated poll
     /// consumption, maintained incrementally so `fits()` never refolds.
     poll_total: f64,
-    /// Seeds currently hosted.
-    seeds: Vec<usize>,
-    /// Migration reservations: seed → previous allocation still occupying
-    /// this switch while the seed's state transfers away.
-    lingering: FxHashMap<usize, Resources>,
-    /// State class for the step-4 benefit scan; meaningful only between
-    /// [`classify_states`] and the first mutation after it.
-    class: u32,
+    /// Seeds currently hosted, in the order they arrived.
+    pub(crate) seeds: Vec<u32>,
+    /// Migration reservations, ascending by seed: each seed's previous
+    /// allocation still occupying this switch while its state transfers
+    /// away.
+    lingering: Vec<(usize, Resources)>,
 }
 
 impl SwitchState {
-    fn new(ares: Resources) -> SwitchState {
+    pub(crate) fn new(ares: Resources) -> SwitchState {
         SwitchState {
             ares,
             used: Resources::ZERO,
-            poll: FxHashMap::default(),
+            poll: Vec::new(),
+            entries: Vec::new(),
             poll_total: 0.0,
             seeds: Vec::new(),
-            lingering: FxHashMap::default(),
-            class: 0,
+            lingering: Vec::new(),
         }
     }
 
+    /// Back to [`SwitchState::new`]`(ares)`, keeping the buffers.
+    pub(crate) fn reset(&mut self, ares: Resources) {
+        self.ares = ares;
+        self.reset_usage();
+        self.seeds.clear();
+        self.lingering.clear();
+    }
+
+    /// Gives back the buffers' spare capacity.
+    pub(crate) fn shrink(&mut self) {
+        self.poll.shrink_to_fit();
+        self.entries.shrink_to_fit();
+        self.seeds.shrink_to_fit();
+        self.lingering.shrink_to_fit();
+    }
+
+    /// Heap bytes the state holds, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.poll.capacity() * size_of::<PollCell>()
+            + self.entries.capacity() * size_of::<f64>()
+            + self.seeds.capacity() * size_of::<u32>()
+            + self.lingering.capacity() * size_of::<(usize, Resources)>()
+    }
+
+    fn cell_index(&self, subject: u32) -> Result<usize, usize> {
+        self.poll.binary_search_by_key(&subject, |c| c.subject)
+    }
+
+    fn cell(&self, subject: u32) -> Option<&PollCell> {
+        self.cell_index(subject).ok().map(|i| &self.poll[i])
+    }
+
+    /// Where cell `i`'s entries are in [`SwitchState::entries`].
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = self.poll[..i].iter().map(|c| c.len as usize).sum();
+        start..start + self.poll[i].len as usize
+    }
+
+    /// The seed's lingering reservation here, if any.
+    fn lingering(&self, seed: usize) -> Option<&Resources> {
+        let i = self.lingering.binary_search_by_key(&seed, |(s, _)| *s);
+        i.ok().map(|i| &self.lingering[i].1)
+    }
+
     /// Extra aggregated polling the seed would add at allocation `res`.
-    fn poll_delta(&self, polls: &SeedPolls, res: &Resources) -> f64 {
+    fn poll_delta(&self, polls: SeedPolls, res: &Resources) -> f64 {
         polls
             .iter()
             .map(|(subj, demand)| {
                 let d = demand.eval(res).max(0.0);
-                let cur = self.poll.get(subj).map(|c| c.max).unwrap_or(0.0);
+                let cur = self.cell(subj).map(|c| c.max).unwrap_or(0.0);
                 (d - cur).max(0.0)
             })
             .sum()
     }
 
-    fn fits(&self, polls: &SeedPolls, res: &Resources) -> bool {
+    fn fits(&self, polls: SeedPolls, res: &Resources) -> bool {
         for k in ResourceKind::ALL {
             if k == ResourceKind::PciePoll {
                 continue;
@@ -152,7 +225,7 @@ impl SwitchState {
     /// order — but without cloning the per-switch bookkeeping. The greedy
     /// home-stay check runs this once per previously-placed seed, so the
     /// clone it replaces used to dominate the greedy phase on re-solves.
-    fn fits_after_release(&self, polls: &SeedPolls, prev: &Resources, res: &Resources) -> bool {
+    fn fits_after_release(&self, polls: SeedPolls, prev: &Resources, res: &Resources) -> bool {
         for k in ResourceKind::ALL {
             if k == ResourceKind::PciePoll {
                 continue;
@@ -165,15 +238,16 @@ impl SwitchState {
         // Simulate the removal on copies of only the touched subjects,
         // applying the same incremental poll_total adjustments in the
         // order `remove_usage` would. An emptied cell stays in `touched`
-        // with no entries, standing in for the removed map slot.
+        // with no entries, standing in for the removed cell.
         let mut touched: Vec<(u32, Vec<f64>, f64)> = Vec::new();
         let mut poll_total = self.poll_total;
-        for (subj, demand) in polls {
+        for (subj, demand) in polls.iter() {
             let d = demand.eval(prev).max(0.0);
-            let idx = match touched.iter().position(|(s, _, _)| s == subj) {
+            let idx = match touched.iter().position(|(s, _, _)| *s == subj) {
                 Some(i) => Some(i),
-                None => self.poll.get(subj).map(|c| {
-                    touched.push((*subj, c.entries.clone(), c.max));
+                None => self.cell_index(subj).ok().map(|i| {
+                    let entries = self.entries[self.span(i)].to_vec();
+                    touched.push((subj, entries, self.poll[i].max));
                     touched.len() - 1
                 }),
             };
@@ -194,9 +268,9 @@ impl SwitchState {
             }
         }
         let mut delta = 0.0;
-        for (subj, demand) in polls {
+        for (subj, demand) in polls.iter() {
             let d = demand.eval(res).max(0.0);
-            let cur = match touched.iter().find(|(s, _, _)| s == subj) {
+            let cur = match touched.iter().find(|(s, _, _)| *s == subj) {
                 Some((_, entries, max)) => {
                     if entries.is_empty() {
                         0.0
@@ -204,23 +278,34 @@ impl SwitchState {
                         *max
                     }
                 }
-                None => self.poll.get(subj).map(|c| c.max).unwrap_or(0.0),
+                None => self.cell(subj).map(|c| c.max).unwrap_or(0.0),
             };
             delta += (d - cur).max(0.0);
         }
         poll_total + delta <= self.ares.get(ResourceKind::PciePoll) + 1e-9
     }
 
-    fn add_usage(&mut self, polls: &SeedPolls, res: &Resources) {
+    fn add_usage(&mut self, polls: SeedPolls, res: &Resources) {
         for k in ResourceKind::ALL {
             if k != ResourceKind::PciePoll {
                 self.used.0[k.index()] += res.get(k);
             }
         }
-        for (subj, demand) in polls {
+        for (subj, demand) in polls.iter() {
             let d = demand.eval(res).max(0.0);
-            let cell = self.poll.entry(*subj).or_default();
-            cell.entries.push(d);
+            let i = self.cell_index(subj).unwrap_or_else(|i| {
+                let cell = PollCell {
+                    subject: subj,
+                    len: 0,
+                    max: 0.0,
+                };
+                self.poll.insert(i, cell);
+                i
+            });
+            let end = self.span(i).end;
+            self.entries.insert(end, d);
+            let cell = &mut self.poll[i];
+            cell.len += 1;
             if d > cell.max {
                 self.poll_total += d - cell.max;
                 cell.max = d;
@@ -228,48 +313,111 @@ impl SwitchState {
         }
     }
 
-    fn remove_usage(&mut self, polls: &SeedPolls, res: &Resources) {
+    fn remove_usage(&mut self, polls: SeedPolls, res: &Resources) {
         for k in ResourceKind::ALL {
             if k != ResourceKind::PciePoll {
                 self.used.0[k.index()] = (self.used.get(k) - res.get(k)).max(0.0);
             }
         }
-        for (subj, demand) in polls {
+        for (subj, demand) in polls.iter() {
             let d = demand.eval(res).max(0.0);
-            if let Some(cell) = self.poll.get_mut(subj) {
-                if let Some(pos) = cell.entries.iter().position(|x| (x - d).abs() < 1e-12) {
-                    cell.entries.swap_remove(pos);
-                    if cell.entries.is_empty() {
-                        self.poll_total -= cell.max;
-                        self.poll.remove(subj);
-                    } else if d >= cell.max - 1e-12 {
-                        // The (possibly tied) max left: rebuild this one
-                        // subject's max lazily.
-                        let new_max = cell.entries.iter().copied().fold(0.0, f64::max);
-                        self.poll_total += new_max - cell.max;
-                        cell.max = new_max;
-                    }
-                }
+            let Ok(i) = self.cell_index(subj) else {
+                continue;
+            };
+            let span = self.span(i);
+            let entries = &mut self.entries[span.clone()];
+            let Some(pos) = entries.iter().position(|x| (x - d).abs() < 1e-12) else {
+                continue;
+            };
+            // `swap_remove` within the cell's entries.
+            entries.swap(pos, span.len() - 1);
+            self.entries.remove(span.end - 1);
+            let cell = &mut self.poll[i];
+            cell.len -= 1;
+            if cell.len == 0 {
+                self.poll_total -= cell.max;
+                self.poll.remove(i);
+            } else if d >= cell.max - 1e-12 {
+                // The (possibly tied) max left: rebuild this one
+                // subject's max lazily.
+                let entries = &self.entries[span.start..span.end - 1];
+                let new_max = entries.iter().copied().fold(0.0, f64::max);
+                self.poll_total += new_max - cell.max;
+                cell.max = new_max;
             }
         }
     }
 
     /// Drops all usage bookkeeping (used + poll cells) but keeps the
-    /// hosted-seed and lingering sets, for the post-LP refresh.
+    /// hosted-seed and lingering sets.
     fn reset_usage(&mut self) {
         self.used = Resources::ZERO;
         self.poll.clear();
+        self.entries.clear();
         self.poll_total = 0.0;
     }
 
-    fn place(&mut self, seed_id: usize, polls: &SeedPolls, res: &Resources) {
-        self.add_usage(polls, res);
-        self.seeds.push(seed_id);
+    /// The post-LP refresh: usage re-derived from the residents' current
+    /// allocations and then the lingering reservations, in stored order.
+    fn refresh<'p>(
+        &mut self,
+        polls: impl Fn(usize) -> SeedPolls<'p>,
+        assignment: &[Option<(SwitchId, Resources)>],
+    ) {
+        self.reset_usage();
+        for i in 0..self.seeds.len() {
+            let s = self.seeds[i] as usize;
+            if let Some((_, res)) = assignment[s] {
+                self.add_usage(polls(s), &res);
+            }
+        }
+        for i in 0..self.lingering.len() {
+            let (s, res) = self.lingering[i];
+            self.add_usage(polls(s), &res);
+        }
     }
 
-    fn unplace(&mut self, seed_id: usize, polls: &SeedPolls, res: &Resources) {
+    pub(crate) fn place(&mut self, seed_id: usize, polls: SeedPolls, res: &Resources) {
+        self.add_usage(polls, res);
+        self.seeds.push(seed_id as u32);
+    }
+
+    pub(crate) fn unplace(&mut self, seed_id: usize, polls: SeedPolls, res: &Resources) {
         self.remove_usage(polls, res);
-        self.seeds.retain(|&x| x != seed_id);
+        self.seeds.retain(|&x| x as usize != seed_id);
+    }
+
+    /// Reserves the seed's previous allocation `res` here (lingering).
+    pub(crate) fn reserve(&mut self, seed: usize, polls: SeedPolls, res: Resources) {
+        self.add_usage(polls, &res);
+        match self.lingering.binary_search_by_key(&seed, |(s, _)| *s) {
+            Ok(i) => self.lingering[i].1 = res,
+            Err(i) => self.lingering.insert(i, (seed, res)),
+        }
+    }
+
+    /// Releases the seed's lingering reservation here, if it has one.
+    pub(crate) fn release(&mut self, seed: usize, polls: SeedPolls) {
+        if let Ok(i) = self.lingering.binary_search_by_key(&seed, |(s, _)| *s) {
+            let (_, res) = self.lingering.remove(i);
+            self.remove_usage(polls, &res);
+        }
+    }
+
+    /// Rewrites the seed indices held here (`map[old] = Some(new)`);
+    /// false, leaving the state half-rewritten, when one has no new index.
+    pub(crate) fn remap(&mut self, map: &[Option<usize>]) -> bool {
+        let new = |s: usize| map.get(s).copied().flatten();
+        let ok = self
+            .seeds
+            .iter_mut()
+            .all(|s| new(*s as usize).map(|n| *s = n as u32).is_some())
+            && self
+                .lingering
+                .iter_mut()
+                .all(|(s, _)| new(*s).map(|n| *s = n).is_some());
+        self.lingering.sort_unstable_by_key(|(s, _)| *s);
+        ok
     }
 
     /// Remaining capacity for opportunistic allocation estimates.
@@ -280,15 +428,6 @@ impl SwitchState {
             (self.ares.get(ResourceKind::PciePoll) - self.poll_total).max(0.0),
         );
         s
-    }
-
-    /// Lingering reservations in ascending seed order — every float
-    /// reduction over them must run in this stable order so repeated
-    /// solves are bit-identical (HashMap iteration order is not).
-    fn lingering_sorted(&self) -> Vec<(usize, Resources)> {
-        let mut v: Vec<(usize, Resources)> = self.lingering.iter().map(|(s, r)| (*s, *r)).collect();
-        v.sort_unstable_by_key(|(s, _)| *s);
-        v
     }
 
     /// Whether `other` reads the same to [`achievable_utility`]: that
@@ -303,23 +442,24 @@ impl SwitchState {
             && bits(&self.used) == bits(&other.used)
             && self.poll_total.to_bits() == other.poll_total.to_bits()
             && self.poll.len() == other.poll.len()
-            && self.poll.iter().all(|(subj, cell)| {
-                let same_max = |o: &PollCell| o.max.to_bits() == cell.max.to_bits();
-                other.poll.get(subj).is_some_and(same_max)
-            })
+            && self
+                .poll
+                .iter()
+                .zip(&other.poll)
+                .all(|(a, b)| a.subject == b.subject && a.max.to_bits() == b.max.to_bits())
     }
 
     /// A hash equal for switches of the same class. The subjects fold in
-    /// by addition, so their (map) order does not matter.
+    /// by addition, so their order does not matter.
     fn class_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
         for x in self.ares.0.iter().chain(&self.used.0) {
             hasher.write_u64(x.to_bits());
         }
         hasher.write_u64(self.poll_total.to_bits());
-        let subject = |(subj, cell): (&u32, &PollCell)| {
+        let subject = |cell: &PollCell| {
             let mut h = FxHasher::default();
-            h.write_u32(*subj);
+            h.write_u32(cell.subject);
             h.write_u64(cell.max.to_bits());
             h.finish()
         };
@@ -336,7 +476,7 @@ fn benefit_cmp(a: &(f64, usize, SwitchId), b: &(f64, usize, SwitchId)) -> std::c
 
 /// Runs Alg. 1 on an instance.
 pub fn solve_heuristic(instance: &PlacementInstance, options: HeuristicOptions) -> PlacementResult {
-    solve_core(instance, options, None, None)
+    solve_core(instance, options, None, &mut Memo::default(), None)
 }
 
 /// [`solve_heuristic`] with per-phase telemetry: each of the greedy,
@@ -347,7 +487,7 @@ pub fn solve_heuristic_traced(
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
 ) -> PlacementResult {
-    solve_core(instance, options, telemetry, None)
+    solve_core(instance, options, telemetry, &mut Memo::default(), None)
 }
 
 /// A deliberately *generic* randomized construction: random task order,
@@ -365,84 +505,61 @@ pub fn solve_randomized(
     use rand::seq::SliceRandom;
     use rand::{RngExt, SeedableRng};
     let start = Instant::now();
-    let (_, interned) = SubjectInterner::for_instance(instance);
-    let min_alloc: Vec<Option<(Resources, f64)>> = instance
-        .seeds
-        .iter()
-        .map(|s| s.util.min_feasible())
-        .collect();
+    let mut memo = Memo::default();
+    memo.begin(instance, HeuristicOptions::default());
+    let Memo {
+        seeds, switches, ..
+    } = &mut memo;
+    let polls = |s: usize| seeds.polls(instance, s);
     let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed);
-    let mut states: FxHashMap<SwitchId, SwitchState> = instance
-        .switches
-        .iter()
-        .map(|(n, ares)| (*n, SwitchState::new(*ares)))
-        .collect();
     let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
     let mut dropped = Vec::new();
     let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
     order.shuffle(&mut rng);
     for &t in &order {
-        let mut placed_here: Vec<(usize, SwitchId, Resources)> = Vec::new();
+        let mut placed_here: Vec<(usize, usize, Resources)> = Vec::new();
         let mut ok = true;
         for &s in &instance.tasks[t].seeds {
-            let Some((min_res, _)) = min_alloc[s] else {
+            let Some((min_res, _)) = seeds.min_alloc(s) else {
                 ok = false;
                 break;
             };
             // Candidates absent from the instance (e.g. crashed switches
             // excluded from this solve) are simply not feasible.
-            let feasible: Vec<SwitchId> = instance.seeds[s]
+            let feasible: Vec<usize> = instance.seeds[s]
                 .candidates
                 .iter()
-                .copied()
-                .filter(|n| {
-                    states
-                        .get(n)
-                        .is_some_and(|st| st.fits(&interned[s], &min_res))
-                })
+                .filter_map(|n| switches.present_slot(*n))
+                .filter(|&i| switches.states[i].fits(polls(s), &min_res))
                 .collect();
             if feasible.is_empty() {
                 ok = false;
                 break;
             }
-            let n = feasible[rng.random_range(0..feasible.len())];
-            states
-                .get_mut(&n)
-                .expect("known switch")
-                .place(s, &interned[s], &min_res);
-            placed_here.push((s, n, min_res));
+            let i = feasible[rng.random_range(0..feasible.len())];
+            switches.states[i].place(s, polls(s), &min_res);
+            placed_here.push((s, i, min_res));
         }
         if ok {
-            for (s, n, res) in placed_here {
-                assignment[s] = Some((n, res));
+            for (s, i, res) in placed_here {
+                assignment[s] = Some((switches.ids[i], res));
             }
         } else {
-            for (s, n, res) in placed_here {
-                states
-                    .get_mut(&n)
-                    .expect("known switch")
-                    .unplace(s, &interned[s], &res);
+            for (s, i, res) in placed_here {
+                switches.states[i].unplace(s, polls(s), &res);
             }
             dropped.push(t);
         }
     }
     if lp_polish {
-        let mut switch_ids: Vec<SwitchId> = states.keys().copied().collect();
-        switch_ids.sort_unstable();
         let mut scratch = LpScratch::new();
-        for n in switch_ids {
-            let seeds_here = states[&n].seeds.clone();
-            if !seeds_here.is_empty() {
-                for (s, r) in redistribute_switch(
-                    instance,
-                    &interned,
-                    n,
-                    &seeds_here,
-                    &states[&n],
-                    &assignment,
-                    &mut scratch,
-                ) {
-                    assignment[s] = Some((n, r));
+        for &i in &switches.order {
+            let st = &switches.states[i];
+            if !st.seeds.is_empty() {
+                let updates =
+                    redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
+                for (s, r) in updates {
+                    assignment[s] = Some((switches.ids[i], r));
                 }
             }
         }
@@ -457,60 +574,16 @@ pub fn solve_randomized(
     }
 }
 
-/// The full Alg. 1 pipeline. When `delta` is given, the per-switch LP
-/// outputs of the redistribution phase are memoized in its cache:
-/// switches whose LP inputs (capacity, ordered residents and their
-/// greedy allocations, no lingering reservations) are bit-identical to
-/// the cached run reuse the cached output — `redistribute_switch` is a
-/// pure function of exactly those inputs, so the reuse is exact, not
-/// approximate. Everything else (greedy, state refresh, migration) runs
-/// verbatim, which is what makes `replan_delta` provably equivalent to
-/// a from-scratch solve.
-pub(crate) fn solve_core(
-    instance: &PlacementInstance,
-    options: HeuristicOptions,
-    telemetry: Option<&Telemetry>,
-    mut delta: Option<&mut DeltaCtx>,
-) -> PlacementResult {
-    let start = Instant::now();
-    // One-time per-solve precomputation: interned subjects and each
-    // seed's minimum feasible allocation (both invariant across phases).
-    let (_, interned) = SubjectInterner::for_instance(instance);
-    let min_alloc: Vec<Option<(Resources, f64)>> = instance
-        .seeds
-        .iter()
-        .map(|s| s.util.min_feasible())
-        .collect();
-    let mut states: FxHashMap<SwitchId, SwitchState> = instance
-        .switches
-        .iter()
-        .map(|(n, ares)| (*n, SwitchState::new(*ares)))
-        .collect();
-    // Reserve previous allocations as migration lingering; released when a
-    // seed is re-placed on its previous switch. Applied in ascending seed
-    // order so float accumulation is reproducible across solves.
-    if let Some(prev) = &instance.previous {
-        let mut prev_sorted: Vec<(usize, (SwitchId, Resources))> =
-            prev.assignment.iter().map(|(s, a)| (*s, *a)).collect();
-        prev_sorted.sort_unstable_by_key(|(s, _)| *s);
-        for (s, (n, res)) in prev_sorted {
-            if let Some(st) = states.get_mut(&n) {
-                st.add_usage(&interned[s], &res);
-                st.lingering.insert(s, res);
-            }
-        }
-    }
-    let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
-    let mut dropped = Vec::new();
-
-    // Step 1: sort tasks by decreasing minimum utility — the sum of
-    // their seeds' cheapest-feasible utilities, which `min_alloc` holds.
+/// Step 1: task indices by decreasing minimum utility — the sum of their
+/// seeds' cheapest-feasible utilities, which `min_alloc` holds. Stable,
+/// so ties keep task order.
+fn task_order(instance: &PlacementInstance, seeds: &Seeds) -> Vec<usize> {
     let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
     let keys: Vec<f64> = instance
         .tasks
         .iter()
         .map(|task| {
-            let min_u = |&s: &usize| min_alloc[s].map_or(0.0, |(_, u)| u);
+            let min_u = |&s: &usize| seeds.min_alloc(s).map_or(0.0, |(_, u)| u);
             task.seeds.iter().map(min_u).sum()
         })
         .collect();
@@ -519,121 +592,161 @@ pub(crate) fn solve_core(
             .partial_cmp(&keys[a])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
+    order
+}
 
-    let release_lingering = |states: &mut FxHashMap<SwitchId, SwitchState>,
-                             interned: &[Vec<(u32, Poly)>],
-                             s: usize,
-                             n: SwitchId| {
-        if let Some(st) = states.get_mut(&n) {
-            if let Some(res) = st.lingering.remove(&s) {
-                st.remove_usage(&interned[s], &res);
+/// Steps 1–2: lingering reservations, then greedy placement per task,
+/// all-or-nothing. Every change to a switch goes through
+/// [`Memo::emit`] as one op of that switch's log; each seed's step is
+/// replayed from the memo when its inputs and the switches it read are
+/// as they were last solve ([`Memo::replay`]), and probed otherwise.
+fn greedy(
+    instance: &PlacementInstance,
+    memo: &mut Memo,
+) -> (Vec<Option<(SwitchId, Resources)>>, Vec<usize>) {
+    // Reserve previous allocations as migration lingering; released when
+    // a seed is re-placed on its previous switch. Applied in ascending
+    // seed order so float accumulation is reproducible across solves.
+    for s in 0..instance.seeds.len() {
+        if let Some(i) = memo.seeds.seat(s) {
+            if memo.switches.is_present(i) {
+                memo.emit(instance, i, Op::new(s, OpKind::Reserve));
             }
         }
-    };
-
-    // Step 2: greedy placement per task, all-or-nothing.
-    for &t in &order {
-        let mut placed_here: Vec<(usize, SwitchId, Resources, bool)> = Vec::new();
-        let mut seed_ids = instance.tasks[t].seeds.clone();
+    }
+    let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
+    let mut dropped = Vec::new();
+    let mut seed_ids = Vec::new();
+    let mut placed_here: Vec<(usize, usize, bool)> = Vec::new();
+    for t in task_order(instance, &memo.seeds) {
+        seed_ids.clear();
+        seed_ids.extend_from_slice(&instance.tasks[t].seeds);
         seed_ids.sort_by_key(|&s| instance.seeds[s].candidates.len());
+        placed_here.clear();
         let mut ok = true;
         for &s in &seed_ids {
-            let seed = &instance.seeds[s];
-            let Some((min_res, _)) = min_alloc[s] else {
-                ok = false;
-                break;
-            };
-            let prev_switch = instance
-                .previous
-                .as_ref()
-                .and_then(|p| p.assignment.get(&s))
-                .map(|(n, _)| *n)
-                .filter(|n| seed.candidates.contains(n));
-            // Staying home releases the lingering reservation first, so
-            // feasibility there is checked against the released state.
-            // Home wins unconditionally when feasible (its score is
-            // +inf), so probe it first and skip scoring the other
-            // candidates entirely — selection and all state mutations
-            // are exactly those of scanning the full candidate list.
-            let mut best: Option<(SwitchId, f64, bool)> = None;
-            if let Some(h) = prev_switch {
-                if let Some(st) = states.get(&h) {
-                    let feasible = match st.lingering.get(&s) {
-                        Some(prev_res) => {
-                            let prev_res = *prev_res;
-                            st.fits_after_release(&interned[s], &prev_res, &min_res)
-                        }
-                        None => st.fits(&interned[s], &min_res),
-                    };
-                    if feasible {
-                        best = Some((h, f64::INFINITY, true));
-                    }
-                }
-            }
-            if best.is_none() {
-                for &n in &seed.candidates {
-                    // A candidate the instance does not offer (crashed or
-                    // otherwise excluded switch) cannot host the seed;
-                    // the home switch was already probed and found
-                    // infeasible (or absent) above.
-                    if prev_switch == Some(n) {
-                        continue;
-                    }
-                    let Some(st) = states.get(&n) else { continue };
-                    if !st.fits(&interned[s], &min_res) {
-                        continue;
-                    }
-                    // Step 2a: "choose such s that adds the most to the
-                    // utility" — score by the utility achievable on this
-                    // switch given its spare capacity, discounted by the
-                    // extra polling the placement would cost.
-                    let poll_cap = st.ares.get(ResourceKind::PciePoll).max(1e-9);
-                    let score = achievable_utility(seed, &interned[s], &min_res, st).unwrap_or(0.0)
-                        - st.poll_delta(&interned[s], &min_res) / poll_cap;
-                    if best.as_ref().is_none_or(|(_, b, _)| score > *b) {
-                        best = Some((n, score, false));
-                    }
-                }
-            }
-            match best {
-                Some((n, _, home)) => {
-                    if home {
-                        release_lingering(&mut states, &interned, s, n);
-                    }
-                    states
-                        .get_mut(&n)
-                        .expect("known switch")
-                        .place(s, &interned[s], &min_res);
-                    placed_here.push((s, n, min_res, home));
-                }
+            let outcome = match memo.replay(instance, s) {
+                Some(outcome) => outcome,
                 None => {
+                    let outcome = probe(instance, memo, s);
+                    memo.record(s, outcome);
+                    outcome
+                }
+            };
+            let (i, home) = match outcome {
+                Outcome::Fail => {
                     ok = false;
                     break;
                 }
+                Outcome::Home(i) => (i, true),
+                Outcome::Placed(i) => (i, false),
+            };
+            if home {
+                memo.emit(instance, i, Op::new(s, OpKind::Release));
             }
+            memo.emit(instance, i, Op::new(s, OpKind::Place));
+            placed_here.push((s, i, home));
         }
         if ok {
-            for (s, n, res, _) in placed_here {
-                assignment[s] = Some((n, res));
+            for &(s, i, _) in &placed_here {
+                assignment[s] = Some((memo.switches.ids[i], memo.seeds.min_res(s)));
             }
         } else {
-            for (s, n, res, home) in placed_here {
-                let st = states.get_mut(&n).expect("known switch");
-                st.unplace(s, &interned[s], &res);
+            for &(s, i, home) in &placed_here {
+                memo.emit(instance, i, Op::new(s, OpKind::Unplace));
                 if home {
                     // Restore the reservation we released.
-                    if let Some(prev) = &instance.previous {
-                        if let Some((pn, pres)) = prev.assignment.get(&s) {
-                            if *pn == n {
-                                st.add_usage(&interned[s], pres);
-                                st.lingering.insert(s, *pres);
-                            }
-                        }
-                    }
+                    memo.emit(instance, i, Op::new(s, OpKind::Restore));
                 }
             }
             dropped.push(t);
         }
+    }
+    (assignment, dropped)
+}
+
+/// One greedy step run for real: where seed `s` goes given the switches
+/// as they stand. Every switch it looks at goes through [`Memo::read`],
+/// which builds the state and notes the op count it was read at.
+fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
+    let Some((min_res, _)) = memo.seeds.min_alloc(s) else {
+        return Outcome::Fail;
+    };
+    let seed = &instance.seeds[s];
+    let home = memo
+        .seeds
+        .seat(s)
+        .filter(|&i| seed.candidates.contains(&memo.switches.ids[i]));
+    // Staying home releases the lingering reservation first, so
+    // feasibility there is checked against the released state. Home wins
+    // unconditionally when feasible (its score is +inf), so probe it
+    // first and skip scoring the other candidates entirely — selection
+    // and all state mutations are exactly those of scanning the full
+    // candidate list.
+    if let Some(h) = home.filter(|&h| memo.switches.is_present(h)) {
+        memo.read(instance, h);
+        let st = &memo.switches.states[h];
+        let polls = memo.seeds.polls(instance, s);
+        let feasible = match st.lingering(s) {
+            Some(prev_res) => st.fits_after_release(polls, prev_res, &min_res),
+            None => st.fits(polls, &min_res),
+        };
+        if feasible {
+            return Outcome::Home(h);
+        }
+    }
+    let mut best: Option<(usize, f64)> = None;
+    for &n in &seed.candidates {
+        // A candidate the instance does not offer (crashed or otherwise
+        // excluded switch) cannot host the seed; the home switch was
+        // already probed and found infeasible (or absent) above.
+        let Some(i) = memo.switches.present_slot(n) else {
+            continue;
+        };
+        if home == Some(i) {
+            continue;
+        }
+        memo.read(instance, i);
+        let st = &memo.switches.states[i];
+        let polls = memo.seeds.polls(instance, s);
+        if !st.fits(polls, &min_res) {
+            continue;
+        }
+        // Step 2a: "choose such s that adds the most to the utility" —
+        // score by the utility achievable on this switch given its spare
+        // capacity, discounted by the extra polling the placement would
+        // cost.
+        let poll_cap = st.ares.get(ResourceKind::PciePoll).max(1e-9);
+        let score = achievable_utility(seed, polls, &min_res, st).unwrap_or(0.0)
+            - st.poll_delta(polls, &min_res) / poll_cap;
+        if best.as_ref().is_none_or(|(_, b)| score > *b) {
+            best = Some((i, score));
+        }
+    }
+    best.map_or(Outcome::Fail, |(i, _)| Outcome::Placed(i))
+}
+
+/// The full Alg. 1 pipeline over the retained `memo` (a fresh one for a
+/// from-scratch solve). When `delta` is given, the per-switch LP outputs
+/// of the redistribution phase are memoized in its cache: switches whose
+/// LP inputs (capacity, ordered residents and their greedy allocations,
+/// no lingering reservations) are bit-identical to the cached run reuse
+/// the cached output — `redistribute_switch` is a pure function of
+/// exactly those inputs, so the reuse is exact, not approximate.
+pub(crate) fn solve_core(
+    instance: &PlacementInstance,
+    options: HeuristicOptions,
+    telemetry: Option<&Telemetry>,
+    memo: &mut Memo,
+    mut delta: Option<&mut DeltaCtx>,
+) -> PlacementResult {
+    let start = Instant::now();
+    memo.begin(instance, options);
+    let (mut assignment, dropped) = greedy(instance, memo);
+    let rebuilt = memo.end_greedy(instance);
+    if let Some(ctx) = &mut delta {
+        (ctx.report.steps_replayed, ctx.report.steps_executed) = memo.steps_run();
+        ctx.report.switches_rebuilt = rebuilt;
     }
     if let Some(t) = telemetry {
         record_phase(
@@ -643,6 +756,10 @@ pub(crate) fn solve_core(
             instance.tasks.len() as u64,
         );
     }
+    let Memo {
+        seeds, switches, ..
+    } = memo;
+    let polls = |s: usize| seeds.polls(instance, s);
 
     // Step 3: LP redistribution per switch, then refresh the bookkeeping
     // so the migration pass sees the boosted allocations. The per-switch
@@ -650,89 +767,75 @@ pub(crate) fn solve_core(
     // apply in ascending switch order and touch disjoint seeds.
     let lp_start = Instant::now();
     if options.lp_redistribution {
-        let mut work: Vec<(SwitchId, &[usize])> = states
+        let work: Vec<usize> = switches
+            .order
             .iter()
-            .filter(|(_, st)| !st.seeds.is_empty())
-            .map(|(n, st)| (*n, st.seeds.as_slice()))
+            .copied()
+            .filter(|&i| !switches.states[i].seeds.is_empty())
             .collect();
-        work.sort_unstable_by_key(|(n, _)| *n);
         let lp_switches = work.len() as u64;
-        {
-            // Cache probe (delta path): a switch whose LP inputs are
-            // bit-identical to the memoized run — same capacity, same
-            // residents in the same greedy order, same greedy
-            // allocations, no lingering reservations — reuses the
-            // memoized output. Everything that misses is the *dirty
-            // frontier*; past the configured fraction the solve degrades
-            // to a full recompute (the proven-equivalence fallback).
-            let mut frontier: Vec<usize> = Vec::new();
-            match &mut delta {
-                Some(ctx) if ctx.warm => {
-                    for (i, (n, seeds_here)) in work.iter().enumerate() {
-                        let st = &states[n];
-                        let hit = st.lingering.is_empty()
-                            && ctx
-                                .cache
-                                .get(n)
-                                .is_some_and(|e| e.matches(&st.ares, seeds_here, &assignment));
-                        if !hit {
-                            frontier.push(i);
-                        }
+        // Cache probe (delta path): a switch whose LP inputs are
+        // bit-identical to the memoized run — same capacity, same
+        // residents in the same greedy order, same greedy allocations,
+        // no lingering reservations — reuses the memoized output.
+        // Everything that misses is the *dirty frontier*; past the
+        // configured fraction the solve degrades to a full recompute
+        // (the proven-equivalence fallback).
+        let mut frontier: Vec<usize> = Vec::new();
+        match &mut delta {
+            Some(ctx) if ctx.warm => {
+                for (k, &i) in work.iter().enumerate() {
+                    let st = &switches.states[i];
+                    let hit = st.lingering.is_empty()
+                        && switches.lp[i]
+                            .as_ref()
+                            .is_some_and(|e| e.matches(&st.ares, &st.seeds, &assignment));
+                    if !hit {
+                        frontier.push(k);
                     }
-                    if frontier.len() * 100 > work.len() * ctx.frontier_limit_pct as usize {
-                        ctx.report.fallback_full = true;
-                        frontier = (0..work.len()).collect();
-                    }
-                    ctx.report.lp_switches = work.len();
-                    ctx.report.frontier = frontier.len();
-                    ctx.report.reused = work.len() - frontier.len();
                 }
-                _ => {
+                if frontier.len() * 100 > work.len() * ctx.frontier_limit_pct as usize {
+                    ctx.report.fallback_full = true;
                     frontier = (0..work.len()).collect();
-                    if let Some(ctx) = &mut delta {
-                        ctx.report.lp_switches = work.len();
-                        ctx.report.frontier = work.len();
-                    }
+                }
+                ctx.report.lp_switches = work.len();
+                ctx.report.frontier = frontier.len();
+                ctx.report.reused = work.len() - frontier.len();
+            }
+            _ => {
+                frontier = (0..work.len()).collect();
+                if let Some(ctx) = &mut delta {
+                    ctx.report.lp_switches = work.len();
+                    ctx.report.frontier = work.len();
                 }
             }
-            // A switch's LP reads and writes the allocations of its own
-            // residents only, so each switch is finished — replayed from
-            // the memo or solved, then applied — before the next begins.
-            let mut scratch = LpScratch::new();
-            let mut frontier = frontier.into_iter().peekable();
-            for (i, (n, seeds_here)) in work.iter().enumerate() {
-                if frontier.next_if_eq(&i).is_none() {
-                    let ctx = delta.as_ref().expect("only a warm delta solve reuses");
-                    for (s, r) in &ctx.cache[n].updates {
-                        assignment[*s] = Some((*n, *r));
-                    }
-                    continue;
+        }
+        // A switch's LP reads and writes the allocations of its own
+        // residents only, so each switch is finished — replayed from the
+        // memo or solved, then applied — before the next begins.
+        let mut scratch = LpScratch::new();
+        let mut frontier = frontier.into_iter().peekable();
+        for (k, &i) in work.iter().enumerate() {
+            let n = switches.ids[i];
+            if frontier.next_if_eq(&k).is_none() {
+                let entry = switches.lp[i].as_ref().expect("only a hit reuses");
+                for (s, r) in entry.updates() {
+                    assignment[s] = Some((n, r));
                 }
-                let st = &states[n];
-                let ups = redistribute_switch(
-                    instance,
-                    &interned,
-                    *n,
-                    seeds_here,
-                    st,
-                    &assignment,
-                    &mut scratch,
-                );
-                if let Some(ctx) = &mut delta {
-                    match LpCacheEntry::capture(&st.ares, seeds_here, &assignment, &ups) {
-                        Some(entry) if st.lingering.is_empty() => {
-                            ctx.cache.insert(*n, entry);
-                        }
-                        // Lingering reservations (or an unplaced resident)
-                        // make the LP inputs non-canonical: never memoize.
-                        _ => {
-                            ctx.cache.remove(n);
-                        }
-                    }
-                }
-                for (s, r) in ups {
-                    assignment[s] = Some((*n, r));
-                }
+                continue;
+            }
+            switches.touched[i] = true;
+            let st = &switches.states[i];
+            let ups =
+                redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
+            if delta.is_some() {
+                // Lingering reservations (or an unplaced resident) make
+                // the LP inputs non-canonical: never memoize.
+                switches.lp[i] = LpCacheEntry::capture(&st.ares, &st.seeds, &assignment, &ups)
+                    .filter(|_| st.lingering.is_empty());
+            }
+            for (s, r) in ups {
+                assignment[s] = Some((n, r));
             }
         }
         if let Some(t) = telemetry {
@@ -743,20 +846,15 @@ pub(crate) fn solve_core(
                 lp_switches,
             );
         }
-        for st in states.values_mut() {
-            let seeds = st.seeds.clone();
-            let lingering = st.lingering_sorted();
-            st.reset_usage();
-            for &s in &seeds {
-                if let Some((_, res)) = &assignment[s] {
-                    st.add_usage(&interned[s], res);
-                }
-            }
-            for (s, res) in &lingering {
-                st.add_usage(&interned[*s], res);
+        // A switch whose greedy state and LP output are those of the last
+        // solve already holds this refresh's result.
+        for &i in &switches.order {
+            if switches.touched[i] {
+                switches.states[i].refresh(polls, &assignment);
             }
         }
     }
+    switches.settle();
 
     // Steps 4–5: relocation by decreasing benefit. On re-optimization
     // this is migration (with double occupancy); on a fresh placement it
@@ -766,8 +864,13 @@ pub(crate) fn solve_core(
     let migration_start = Instant::now();
     let mut migrations = 0;
     if options.migration {
-        let (mut benefits, classes) =
-            scan_benefits(instance, &interned, &min_alloc, &assignment, &mut states);
+        let (mut benefits, classes) = scan_benefits(
+            instance,
+            polls,
+            |s| seeds.min_alloc(s),
+            &assignment,
+            switches,
+        );
         if let Some(ctx) = &mut delta {
             ctx.report.benefit_classes = classes;
         }
@@ -780,14 +883,15 @@ pub(crate) fn solve_core(
             if cur == n {
                 continue;
             }
-            let Some((min_res, _)) = min_alloc[s] else {
+            let Some((min_res, _)) = seeds.min_alloc(s) else {
                 continue;
             };
-            let Some(target) = states.get(&n) else {
+            let Some(to) = switches.present_slot(n) else {
                 continue;
             };
-            let res = opportunistic_alloc(&interned[s], target, &min_res);
-            if !target.fits(&interned[s], &res) {
+            let target = &switches.states[to];
+            let res = opportunistic_alloc(polls(s), target, &min_res);
+            if !target.fits(polls(s), &res) {
                 continue;
             }
             // Commit only when the *realized* allocation clears the same
@@ -798,42 +902,36 @@ pub(crate) fn solve_core(
             if new_u <= cur_u * 1.15 + 1e-6 {
                 continue;
             }
+            let Some(from) = switches.present_slot(cur) else {
+                continue;
+            };
             // Double occupancy must fit at the source too: migrating away
             // swaps the live allocation for the *previous* reservation,
             // which can be larger when the LP shrank the seed this round
             // (its released headroom went to co-residents). Re-seating
             // the old reservation would then oversubscribe the source —
             // skip the move instead (C4 over a cheaper migration).
-            if let Some((_, pres)) = instance
+            let previous = instance
                 .previous
                 .as_ref()
                 .and_then(|p| p.assignment.get(&s))
-                .filter(|(pn, _)| *pn == cur)
-            {
-                let Some(src) = states.get(&cur) else {
-                    continue;
-                };
-                if !src.fits_after_release(&interned[s], &cur_res, pres) {
+                .filter(|(pn, _)| *pn == cur);
+            if let Some((_, pres)) = previous {
+                if !switches.states[from].fits_after_release(polls(s), &cur_res, pres) {
                     continue;
                 }
             }
             // Commit: occupy the target; on the source, swap the live
             // allocation for the lingering reservation (the *previous*
             // allocation stays until state transfer completes).
-            states
-                .get_mut(&n)
-                .expect("known switch")
-                .place(s, &interned[s], &res);
-            let src = states.get_mut(&cur).expect("known switch");
-            src.unplace(s, &interned[s], &cur_res);
-            if let Some(prev) = &instance.previous {
-                if let Some((pn, pres)) = prev.assignment.get(&s) {
-                    if *pn == cur {
-                        src.add_usage(&interned[s], pres);
-                        src.lingering.insert(s, *pres);
-                    }
-                }
+            switches.states[to].place(s, polls(s), &res);
+            let src = &mut switches.states[from];
+            src.unplace(s, polls(s), &cur_res);
+            if let Some((_, pres)) = previous {
+                src.reserve(s, polls(s), *pres);
             }
+            switches.unsettle(to);
+            switches.unsettle(from);
             assignment[s] = Some((n, res));
             if instance.previous.is_some() {
                 migrations += 1;
@@ -859,48 +957,44 @@ pub(crate) fn solve_core(
     }
 }
 
-/// Gives every switch its *state class* ([`SwitchState::class`]) and
-/// returns how many classes there are. Two switches share a class
-/// exactly when [`SwitchState::same_class`] says so: everything
-/// [`achievable_utility`] reads from a switch has the same bit pattern
-/// on both, so within a class the function returns the same bits for
-/// the same seed.
+/// The *state class* of every switch of the round, by slot, and how
+/// many classes there are. Two switches share a class exactly when
+/// [`SwitchState::same_class`] says so: everything [`achievable_utility`]
+/// reads from a switch has the same bit pattern on both, so within a
+/// class the function returns the same bits for the same seed.
 ///
 /// O(switches), no allocation per switch: a switch is hashed
 /// ([`SwitchState::class_hash`]) into a slot table and compared field
 /// for field against the first switch of the class found there — the
 /// hash only finds the candidate, the compare decides.
-fn classify_states(states: &mut FxHashMap<SwitchId, SwitchState>) -> usize {
-    let bits = (states.len() * 2)
+fn classify_states(switches: &Switches) -> (Vec<u32>, usize) {
+    let states = &switches.states;
+    let bits = (switches.order.len() * 2)
         .next_power_of_two()
         .trailing_zeros()
         .max(1);
     let mut slots: Vec<u32> = vec![u32::MAX; 1 << bits];
     // Per class, the first switch seen in it.
-    let mut firsts: Vec<&SwitchState> = Vec::new();
-    let mut class_of: Vec<u32> = Vec::with_capacity(states.len());
-    for st in states.values() {
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut class_of: Vec<u32> = vec![u32::MAX; states.len()];
+    for &i in &switches.order {
+        let st = &states[i];
         // The hasher's last step is a multiply: its top bits mix best.
         let mut slot = (st.class_hash() >> (64 - bits)) as usize;
-        class_of.push(loop {
+        class_of[i] = loop {
             let class = slots[slot];
             if class == u32::MAX {
                 slots[slot] = firsts.len() as u32;
-                firsts.push(st);
+                firsts.push(i);
                 break slots[slot];
             }
-            if firsts[class as usize].same_class(st) {
+            if states[firsts[class as usize]].same_class(st) {
                 break class;
             }
             slot = (slot + 1) & (slots.len() - 1);
-        });
+        };
     }
-    let classes = firsts.len();
-    // Same map, untouched in between: same iteration order.
-    for (st, class) in states.values_mut().zip(class_of) {
-        st.class = class;
-    }
-    classes
+    (class_of, firsts.len())
 }
 
 /// Alg. 1 step 4: every placed seed's utility gain at each alternative
@@ -912,19 +1006,19 @@ fn classify_states(states: &mut FxHashMap<SwitchId, SwitchState>) -> usize {
 /// switches are in the same state, a `place any` seed's thousand
 /// candidates cost a handful of evaluations. Enumeration order and every
 /// pushed value are those of the per-candidate scan, bit for bit.
-fn scan_benefits(
+fn scan_benefits<'p>(
     instance: &PlacementInstance,
-    interned: &[Vec<(u32, Poly)>],
-    min_alloc: &[Option<(Resources, f64)>],
+    polls: impl Fn(usize) -> SeedPolls<'p>,
+    min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
     assignment: &[Option<(SwitchId, Resources)>],
-    states: &mut FxHashMap<SwitchId, SwitchState>,
+    switches: &Switches,
 ) -> (Vec<(f64, usize, SwitchId)>, usize) {
-    let classes = classify_states(states);
+    let (class_of, classes) = classify_states(switches);
     // Per class: the seed the slot was filled for, and what it got there.
     let mut memo: Vec<(usize, Option<f64>)> = vec![(usize::MAX, None); classes];
     let mut benefits: Vec<(f64, usize, SwitchId)> = Vec::new();
     for (s, slot) in assignment.iter().enumerate() {
-        let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
+        let (Some((cur, cur_res)), Some((min_res, _))) = (slot, min_alloc(s)) else {
             continue;
         };
         let seed = &instance.seeds[s];
@@ -933,10 +1027,13 @@ fn scan_benefits(
             if n == *cur {
                 continue;
             }
-            let Some(st) = states.get(&n) else { continue };
-            let slot = &mut memo[st.class as usize];
+            let Some(i) = switches.present_slot(n) else {
+                continue;
+            };
+            let st = &switches.states[i];
+            let slot = &mut memo[class_of[i] as usize];
             if slot.0 != s {
-                *slot = (s, achievable_utility(seed, &interned[s], min_res, st));
+                *slot = (s, achievable_utility(seed, polls(s), &min_res, st));
             }
             if let Some(u) = slot.1 {
                 // Hysteresis: relocation must clearly pay (migration
@@ -957,7 +1054,7 @@ fn scan_benefits(
 /// opportunistic allocation instead of a full LP).
 fn achievable_utility(
     seed: &crate::model::PlacementSeed,
-    polls: &SeedPolls,
+    polls: SeedPolls,
     min_res: &Resources,
     st: &SwitchState,
 ) -> Option<f64> {
@@ -970,7 +1067,7 @@ fn achievable_utility(
 
 /// Minimum allocation plus half the switch's spare capacity (capped so the
 /// result still fits; the head-room is left for later seeds).
-fn opportunistic_alloc(polls: &SeedPolls, st: &SwitchState, min_res: &Resources) -> Resources {
+fn opportunistic_alloc(polls: SeedPolls, st: &SwitchState, min_res: &Resources) -> Resources {
     let spare = st.spare();
     let mut res = *min_res;
     for k in ResourceKind::ALL {
@@ -984,9 +1081,6 @@ fn opportunistic_alloc(polls: &SeedPolls, st: &SwitchState, min_res: &Resources)
     }
 }
 
-/// Step 3: re-solve one switch's resource split as an LP — maximize the
-/// sum of (linearized, concave) seed utilities subject to the switch's
-/// capacities and aggregated polling.
 /// Above this many co-located seeds the per-switch LP's dense tableau
 /// stops paying for itself; greedy minimum allocations are kept instead.
 const LP_SEEDS_PER_SWITCH_CAP: usize = 150;
@@ -1030,15 +1124,16 @@ impl LpScratch {
 /// (1e-7).
 const POLL_TIE_BREAK: f64 = 1e-6;
 
-/// Solves one switch's redistribution LP and returns the accepted
-/// per-seed reallocations. Pure with respect to the shared solve state
-/// (reads `assignment`, never writes — the scratch is an arena, not an
-/// input), which is what lets step 3 memoize outputs by input signature.
-fn redistribute_switch(
+/// Step 3: re-solve one switch's resource split as an LP — maximize the
+/// sum of (linearized, concave) seed utilities subject to the switch's
+/// capacities and aggregated polling — and return the accepted per-seed
+/// reallocations. Pure with respect to the shared solve state (reads
+/// `assignment`, never writes — the scratch is an arena, not an input),
+/// which is what lets step 3 memoize outputs by input signature.
+fn redistribute_switch<'p>(
     instance: &PlacementInstance,
-    interned: &[Vec<(u32, Poly)>],
-    _n: SwitchId,
-    seeds_here: &[usize],
+    polls: impl Fn(usize) -> SeedPolls<'p>,
+    seeds_here: &[u32],
     st: &SwitchState,
     assignment: &[Option<(SwitchId, Resources)>],
     scratch: &mut LpScratch,
@@ -1048,19 +1143,19 @@ fn redistribute_switch(
     }
     // Capacity net of lingering reservations, reduced in ascending seed
     // order (bit-reproducible float accumulation).
-    let lingering = st.lingering_sorted();
     let mut cap = st.ares;
-    for (_, res) in &lingering {
+    for (_, res) in &st.lingering {
         for k in ResourceKind::ALL {
             if k != ResourceKind::PciePoll {
                 cap.0[k.index()] = (cap.get(k) - res.get(k)).max(0.0);
             }
         }
     }
-    let lingering_poll: f64 = lingering
+    let lingering_poll: f64 = st
+        .lingering
         .iter()
         .map(|(s, res)| {
-            interned[*s]
+            polls(*s)
                 .iter()
                 .map(|(_, demand)| demand.eval(res).max(0.0))
                 .sum::<f64>()
@@ -1078,6 +1173,7 @@ fn redistribute_switch(
     seeds.clear();
     let mut objective = LinExpr::new();
     for &s in seeds_here {
+        let s = s as usize;
         let seed = &instance.seeds[s];
         let vars = ResourceKind::ALL.map(|k| p.add_var_unnamed(0.0, cap.get(k)));
         let u = p.add_var_unnamed(0.0, 1e9);
@@ -1131,7 +1227,7 @@ fn redistribute_switch(
     subjects.extend(
         seeds_here
             .iter()
-            .flat_map(|&s| interned[s].iter().map(|(subj, _)| *subj)),
+            .flat_map(|&s| polls(s as usize).ids.iter().copied()),
     );
     subjects.sort_unstable();
     subjects.dedup();
@@ -1152,8 +1248,8 @@ fn redistribute_switch(
             continue;
         };
         let mut tie_break = false;
-        for (subj, demand) in &interned[s] {
-            let pv = poll_vars[slot(subj)];
+        for (subj, demand) in polls(s as usize).iter() {
+            let pv = poll_vars[slot(&subj)];
             let per_unit = demand.coeffs[ResourceKind::PciePoll.index()];
             if lp.values_polling && per_unit > 0.0 {
                 objective.add_term(pv, -2.0 * POLL_TIE_BREAK / per_unit);
@@ -1180,8 +1276,8 @@ fn redistribute_switch(
             for k in ResourceKind::ALL {
                 r.set(k, sol.value(lp.vars[k.index()]).max(0.0));
             }
-            if instance.seeds[s].util.eval(&r).is_some() {
-                updates.push((s, r));
+            if instance.seeds[s as usize].util.eval(&r).is_some() {
+                updates.push((s as usize, r));
             }
         }
     }
@@ -1517,33 +1613,33 @@ mod tests {
         // Exercise add/remove cycles (including removing the max entry)
         // and cross-check the cached totals against a from-scratch fold.
         let inst = instance(1, 6, 2);
-        let (_, interned) = SubjectInterner::for_instance(&inst);
+        // Seed i polls its task's one subject: task 0 is id 0, task 1 id 1.
+        let ids: Vec<[u32; 1]> = inst.seeds.iter().map(|s| [s.task as u32]).collect();
+        let polls = |i: usize| SeedPolls::new(&ids[i], &inst.seeds[i].polls);
         let mut st = SwitchState::new(Resources::new(64.0, 1e6, 1e3, 1e5));
         let allocs: Vec<Resources> = (0..inst.seeds.len())
             .map(|i| Resources::new(1.0, 10.0, 0.0, 10.0 * (i as f64 + 1.0)))
             .collect();
         for (i, r) in allocs.iter().enumerate() {
-            st.add_usage(&interned[i], r);
+            st.add_usage(polls(i), r);
         }
         // Remove the largest-demand seeds first so the cached max must be
         // rebuilt, then a middle one, then re-add.
         for &i in &[11usize, 10, 5] {
-            st.remove_usage(&interned[i], &allocs[i]);
+            st.remove_usage(polls(i), &allocs[i]);
         }
-        st.add_usage(&interned[5], &allocs[5]);
-        let refold: f64 = st
-            .poll
-            .values()
-            .map(|c| c.entries.iter().copied().fold(0.0, f64::max))
-            .sum();
+        st.add_usage(polls(5), &allocs[5]);
+        let max_of = |i: usize| st.entries[st.span(i)].iter().copied().fold(0.0, f64::max);
+        let refold: f64 = (0..st.poll.len()).map(max_of).sum();
         assert!(
             (st.poll_total - refold).abs() < 1e-9,
             "cached {} vs refold {refold}",
             st.poll_total
         );
-        for cell in st.poll.values() {
-            let m = cell.entries.iter().copied().fold(0.0, f64::max);
-            assert!((cell.max - m).abs() < 1e-12);
+        assert!(st.poll.windows(2).all(|w| w[0].subject < w[1].subject));
+        assert_eq!(st.entries.len(), 10, "two seeds out, one back in");
+        for (i, cell) in st.poll.iter().enumerate() {
+            assert!((cell.max - max_of(i)).abs() < 1e-12);
         }
     }
 
@@ -1553,12 +1649,12 @@ mod tests {
 
         /// Step 4 as it was before state classes: one `achievable_utility`
         /// per (seed, candidate). The oracle of the property below.
-        fn plain_scan(
+        fn plain_scan<'p>(
             instance: &PlacementInstance,
-            interned: &[Vec<(u32, Poly)>],
+            polls: impl Fn(usize) -> SeedPolls<'p>,
             min_alloc: &[Option<(Resources, f64)>],
             assignment: &[Option<(SwitchId, Resources)>],
-            states: &FxHashMap<SwitchId, SwitchState>,
+            states: &Switches,
         ) -> Vec<(f64, usize, SwitchId)> {
             let mut benefits = Vec::new();
             for (s, slot) in assignment.iter().enumerate() {
@@ -1571,8 +1667,11 @@ mod tests {
                     if n == *cur {
                         continue;
                     }
-                    let Some(st) = states.get(&n) else { continue };
-                    if let Some(u) = achievable_utility(seed, &interned[s], min_res, st) {
+                    let Some(i) = states.present_slot(n) else {
+                        continue;
+                    };
+                    let st = &states.states[i];
+                    if let Some(u) = achievable_utility(seed, polls(s), min_res, st) {
                         if u > cur_u * 1.15 + 1e-6 {
                             benefits.push((u - cur_u, s, n));
                         }
@@ -1613,11 +1712,16 @@ mod tests {
             &[(1, 100.0, 0.5)],
         ];
 
-        fn constant_poll(subject: u32, polls_per_s: f64) -> Vec<(u32, Poly)> {
+        /// A seed's interned subject ids and demands.
+        fn constant_poll(subject: u32, polls_per_s: f64) -> (Vec<u32>, Vec<PollDemand>) {
             if subject < 2 {
-                vec![(subject, Poly::constant(polls_per_s))]
+                let demand = PollDemand {
+                    subject: format!("s{subject}"),
+                    demand: Poly::constant(polls_per_s),
+                };
+                (vec![subject], vec![demand])
             } else {
-                Vec::new()
+                (Vec::new(), Vec::new())
             }
         }
 
@@ -1650,39 +1754,43 @@ mod tests {
                 ),
                 seeds in proptest::collection::vec(seed_recipe(), 1..8),
             ) {
-                let mut states: FxHashMap<SwitchId, SwitchState> = FxHashMap::default();
+                let mut states = Vec::new();
                 for (i, &(cap, load)) in switches.iter().enumerate() {
                     let mut st = SwitchState::new(Resources(CAPACITIES[cap]));
                     for &(subject, demand, vcpu) in LOADS[load] {
+                        let (ids, demands) = constant_poll(subject, demand);
                         st.add_usage(
-                            &constant_poll(subject, demand),
+                            SeedPolls::new(&ids, &demands),
                             &Resources::new(vcpu, 0.0, 0.0, 0.0),
                         );
                     }
-                    states.insert(SwitchId(i as u32), st);
+                    states.push((SwitchId(i as u32), st));
                 }
+                let states = Switches::of(states);
                 let id = |pick: usize| SwitchId((pick % switches.len()) as u32);
                 let mut instance = instance(1, 1, 1);
                 instance.seeds.clear();
-                let mut interned = Vec::new();
+                let mut ids = Vec::new();
                 let mut assignment = Vec::new();
                 for (s, (picks, subject, demand, min_vcpu, home, vcpu)) in seeds.iter().enumerate() {
+                    let (subjects, polls) = constant_poll(*subject, *demand);
                     instance.seeds.push(PlacementSeed {
                         id: s,
                         task: 0,
                         candidates: picks.iter().map(|&p| id(p)).collect(),
                         util: linear_util(*min_vcpu, 100.0),
-                        polls: Vec::new(),
+                        polls,
                     });
-                    interned.push(constant_poll(*subject, *demand));
+                    ids.push(subjects);
                     assignment.push(home.map(|h| (id(h), Resources::new(*vcpu, 0.0, 0.0, 0.0))));
                 }
+                let polls = |s: usize| SeedPolls::new(&ids[s], &instance.seeds[s].polls);
                 let min_alloc: Vec<_> =
                     instance.seeds.iter().map(|s| s.util.min_feasible()).collect();
 
-                let plain = plain_scan(&instance, &interned, &min_alloc, &assignment, &states);
+                let plain = plain_scan(&instance, polls, &min_alloc, &assignment, &states);
                 let (memoised, classes) =
-                    scan_benefits(&instance, &interned, &min_alloc, &assignment, &mut states);
+                    scan_benefits(&instance, polls, |s| min_alloc[s], &assignment, &states);
 
                 prop_assert!(classes <= switches.len());
                 let bits = |v: &[(f64, usize, SwitchId)]| -> Vec<(u64, usize, SwitchId)> {

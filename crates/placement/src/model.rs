@@ -30,21 +30,17 @@ pub struct PollDemand {
 
 /// Interns canonical poll-subject strings to dense `u32` ids.
 ///
-/// One interner is shared across a whole solve so the hot paths compare
-/// and hash plain integers instead of cloning and hashing `String`
-/// subjects per candidate probe (§ IV-D scale regime: 10 200 seeds
-/// probing up to 1 040 switches each).
+/// The solver's hot paths compare and hash plain integers instead of
+/// cloning and hashing `String` subjects per candidate probe (§ IV-D
+/// scale regime: 10 200 seeds probing up to 1 040 switches each). Ids
+/// are handed out in first-seen order, so interning an instance's seeds
+/// in seed order numbers its subjects the same way on every solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SubjectInterner {
-    ids: HashMap<String, u32>,
+    ids: FxHashMap<String, u32>,
 }
 
 impl SubjectInterner {
-    /// An empty interner.
-    pub(crate) fn new() -> SubjectInterner {
-        SubjectInterner::default()
-    }
-
     /// Id of `subject`, allocating the next dense id on first sight.
     pub(crate) fn intern(&mut self, subject: &str) -> u32 {
         if let Some(&id) = self.ids.get(subject) {
@@ -55,24 +51,10 @@ impl SubjectInterner {
         id
     }
 
-    /// Interns every subject of an instance and returns, per seed, its
-    /// polling demands keyed by subject id. The result is indexed by
-    /// seed id and shared by every phase of a solve.
-    pub(crate) fn for_instance(
-        instance: &PlacementInstance,
-    ) -> (SubjectInterner, Vec<Vec<(u32, Poly)>>) {
-        let mut interner = SubjectInterner::new();
-        let polls = instance
-            .seeds
-            .iter()
-            .map(|seed| {
-                seed.polls
-                    .iter()
-                    .map(|p| (interner.intern(&p.subject), p.demand))
-                    .collect()
-            })
-            .collect();
-        (interner, polls)
+    /// Bytes held: the table's slots plus every key's text.
+    pub(crate) fn bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<(String, u32)>()
+            + self.ids.keys().map(String::capacity).sum::<usize>()
     }
 }
 

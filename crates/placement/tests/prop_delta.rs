@@ -16,15 +16,19 @@
 //! as the seeder does it, the one seed is held and the task's list
 //! shrinks and grows between rounds under a retained memo.
 //!
-//! Every event but one passes an *empty* [`ReplanDelta`]: the bit-exact
-//! LP signatures must catch capacity and residency changes, and switches
-//! leaving or rejoining the instance, on their own. Tweak mutates a
-//! seed's polling *definition*, which the signature cannot see — that is
-//! exactly the case the `dirty_seeds` contract exists for, so it
-//! declares the seed dirty.
+//! Most events pass an *empty* [`ReplanDelta`]: the bit-exact LP
+//! signatures and the greedy op logs must catch capacity and residency
+//! changes, and switches leaving or rejoining the instance, on their own.
+//! Tweak and Recandidate change a seed's *definition* (its polling, its
+//! candidate set), which neither can see — that is exactly the case the
+//! `dirty_seeds` contract exists for, so they declare the seed dirty.
+//! Retask rebuilds the catalog with a task removed or inserted mid-way,
+//! renumbering every seed after it, and remaps the retained state the
+//! way the seeder does.
 
 mod util;
 
+use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, HeuristicOptions};
@@ -34,13 +38,24 @@ use proptest::prelude::*;
 use util::{as_previous, check_all};
 
 /// What one case is built from: the generator's config, how many
-/// fabric-wide tasks ride along, and whether every round is scoped to
-/// the seeds that have somewhere to go.
+/// fabric-wide tasks ride along, whether every round is scoped to the
+/// seeds that have somewhere to go, what share of its vCPU each switch
+/// offers, and whether every third seed's domain couples vCPU and RAM.
+///
+/// A seed whose seat holds at least its minimum allocation always fits
+/// back home, whatever else changed on the switch. A coupled domain
+/// (`vCPU + RAM / 1000 ≥ a`) breaks that: the minimum point is pure
+/// vCPU, while the LP may meet the constraint with RAM and give the
+/// vCPU to co-residents. On a tight fabric such a seed's home stops
+/// fitting, tasks drop and seeds migrate — the greedy decisions a stale
+/// memo would get wrong.
 #[derive(Debug, Clone)]
 struct Fabric {
     cfg: WorkloadConfig,
     fabric_wide: usize,
     scoped: bool,
+    vcpu_share: f64,
+    coupled: bool,
 }
 
 fn workload() -> impl Strategy<Value = Fabric> {
@@ -48,9 +63,17 @@ fn workload() -> impl Strategy<Value = Fabric> {
         (3usize..12, 1usize..4, 3usize..40, 0u64..10_000, 0.0f64..0.6),
         0usize..3,
         any::<bool>(),
+        prop_oneof![Just(1.0), Just(0.3), Just(0.12)],
+        any::<bool>(),
     )
         .prop_map(
-            |((n_switches, n_tasks, n_seeds, rng_seed, pinned_fraction), fabric_wide, scoped)| {
+            |(
+                (n_switches, n_tasks, n_seeds, rng_seed, pinned_fraction),
+                fabric_wide,
+                scoped,
+                vcpu_share,
+                coupled,
+            )| {
                 Fabric {
                     cfg: WorkloadConfig {
                         n_switches,
@@ -62,16 +85,28 @@ fn workload() -> impl Strategy<Value = Fabric> {
                     },
                     fabric_wide,
                     scoped,
+                    vcpu_share,
+                    coupled,
                 }
             },
         )
 }
 
 impl Fabric {
-    /// The generated instance plus its fabric-wide tasks, whose seeds
-    /// take utility and polling from one of the generator's.
+    /// The generated instance, its switches cut to their vCPU share and
+    /// its domains coupled as the case says, plus its fabric-wide tasks,
+    /// whose seeds take utility and polling from one of the generator's.
     fn instance(&self) -> PlacementInstance {
         let mut inst = generate(&self.cfg);
+        for (_, ares) in &mut inst.switches {
+            ares.0[0] *= self.vcpu_share;
+        }
+        if self.coupled {
+            for seed in inst.seeds.iter_mut().step_by(3) {
+                let vcpu = &mut seed.util.branches[0].constraints[0];
+                vcpu.coeffs[ResourceKind::RamMb.index()] = 0.001;
+            }
+        }
         for t in 0..self.fabric_wide {
             let shape = inst.seeds[t % inst.seeds.len()].clone();
             let task = inst.tasks.len();
@@ -127,23 +162,38 @@ enum Churn {
     /// a different constant. Invisible to the signatures, so the seed
     /// is declared dirty.
     Tweak(usize),
+    /// Definition change: a seed gains or loses a candidate switch.
+    /// Declared dirty, like any definition change.
+    Recandidate(usize),
+    /// Catalog rebuild: a task is removed (even) or a copy of one is
+    /// inserted before it (odd), the seeds laid out task by task as the
+    /// seeder's catalog is, and the state remapped old → new. The copy's
+    /// seeds are new, and declared dirty as a registration's are.
+    Retask(usize),
 }
 
 fn churn_event() -> impl Strategy<Value = Churn> {
-    (0usize..6, any::<usize>()).prop_map(|(kind, i)| match kind {
+    (0usize..8, any::<usize>()).prop_map(|(kind, i)| match kind {
         0 => Churn::Evict(i),
         1 => Churn::Drain(i),
         2 => Churn::Restore(i),
         3 => Churn::Submit(i),
         4 => Churn::Degrade(i),
-        _ => Churn::Tweak(i),
+        5 => Churn::Tweak(i),
+        6 => Churn::Recandidate(i),
+        _ => Churn::Retask(i),
     })
 }
 
 /// Applies one event to the instance, returning what the caller would
 /// declare dirty. Events that cannot apply (last switch, no polls, …)
 /// degrade to a no-op with an empty delta — still a valid replan.
-fn apply(inst: &mut PlacementInstance, base: &PlacementInstance, ev: Churn) -> ReplanDelta {
+fn apply(
+    inst: &mut PlacementInstance,
+    base: &PlacementInstance,
+    state: &mut SolveState,
+    ev: Churn,
+) -> ReplanDelta {
     match ev {
         Churn::Evict(i) | Churn::Drain(i) => {
             if inst.switches.len() <= 1 {
@@ -201,7 +251,73 @@ fn apply(inst: &mut PlacementInstance, base: &PlacementInstance, ev: Churn) -> R
             p.demand.constant += 0.1;
             ReplanDelta::seeds([s])
         }
+        Churn::Recandidate(i) => {
+            let s = i % inst.seeds.len();
+            let n = base.switches[i / 7 % base.switches.len()].0;
+            let candidates = &mut inst.seeds[s].candidates;
+            if !candidates.contains(&n) {
+                candidates.push(n);
+            } else if candidates.len() > 1 {
+                candidates.retain(|c| *c != n);
+            }
+            ReplanDelta::seeds([s])
+        }
+        Churn::Retask(i) => retask(inst, state, i),
     }
+}
+
+/// [`Churn::Retask`].
+fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> ReplanDelta {
+    let n_tasks = inst.tasks.len();
+    let t = i / 2 % n_tasks;
+    // (old task, is a copy) in the rebuilt catalog's order.
+    let mut order: Vec<(usize, bool)> = (0..n_tasks).map(|t| (t, false)).collect();
+    if i.is_multiple_of(2) && n_tasks > 1 {
+        order.remove(t);
+    } else {
+        order.insert(t, (t, true));
+    }
+    let mut map = vec![None; inst.seeds.len()];
+    let (mut seeds, mut tasks, mut dirty) = (Vec::new(), Vec::new(), Vec::new());
+    for (new_task, &(old_task, copy)) in order.iter().enumerate() {
+        let mut ids = Vec::new();
+        for (s, seed) in inst.seeds.iter().enumerate() {
+            if seed.task != old_task {
+                continue;
+            }
+            let id = seeds.len();
+            if copy {
+                dirty.push(id);
+            } else {
+                map[s] = Some(id);
+            }
+            seeds.push(PlacementSeed {
+                id,
+                task: new_task,
+                ..seed.clone()
+            });
+            ids.push(id);
+        }
+        let name = &inst.tasks[old_task].name;
+        tasks.push(PlacementTask {
+            name: if copy {
+                format!("{name}+")
+            } else {
+                name.clone()
+            },
+            seeds: ids,
+        });
+    }
+    if let Some(prev) = &mut inst.previous {
+        let old = std::mem::take(&mut prev.assignment);
+        prev.assignment = old
+            .into_iter()
+            .filter_map(|(s, seat)| Some((map[s]?, seat)))
+            .collect();
+    }
+    (inst.seeds, inst.tasks) = (seeds, tasks);
+    state.remap(&map);
+    ReplanDelta::seeds(dirty)
 }
 
 proptest! {
@@ -222,7 +338,7 @@ proptest! {
         prop_assert!(!report.warm);
         for (step, &ev) in events.iter().enumerate() {
             inst.previous = Some(as_previous(&r.assignment));
-            let delta = apply(&mut inst, &base, ev);
+            let delta = apply(&mut inst, &base, &mut state, ev);
             let held = fabric.begin_round(&mut inst);
             let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
             let full = solve_heuristic(&inst, opts);
@@ -264,7 +380,7 @@ proptest! {
         for (step, ev) in events.into_iter().map(Some).chain([None]).enumerate() {
             inst.previous = Some(as_previous(&r.assignment));
             let delta = match ev {
-                Some(ev) => apply(&mut inst, &base, ev),
+                Some(ev) => apply(&mut inst, &base, &mut state, ev),
                 None => {
                     if !inst.switches.iter().any(|(n, _)| *n == away.0) {
                         inst.switches.push(away);
@@ -300,7 +416,7 @@ proptest! {
         let (mut r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         for &ev in &events {
             inst.previous = Some(as_previous(&r.assignment));
-            let delta = apply(&mut inst, &base, ev);
+            let delta = apply(&mut inst, &base, &mut state, ev);
             fabric.begin_round(&mut inst);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
             let full = solve_heuristic(&inst, opts);
