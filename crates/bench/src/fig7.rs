@@ -98,7 +98,6 @@ pub fn run(cfg: &Fig7Config) -> Vec<Fig7Row> {
                     &inst,
                     &MilpPlacementOptions {
                         time_limit: cfg.milp_short,
-                        ..Default::default()
                     },
                 );
                 validate(&inst, &short.result).expect("milp-short result must be feasible");
@@ -109,7 +108,6 @@ pub fn run(cfg: &Fig7Config) -> Vec<Fig7Row> {
                     &inst,
                     &MilpPlacementOptions {
                         time_limit: cfg.milp_long,
-                        ..Default::default()
                     },
                 );
                 validate(&inst, &long.result).expect("milp-long result must be feasible");

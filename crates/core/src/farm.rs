@@ -385,11 +385,6 @@ impl Farm {
         &self.seeder
     }
 
-    /// Mutable seeder access (heuristic options for ablations).
-    pub fn seeder_mut(&mut self) -> &mut Seeder {
-        &mut self.seeder
-    }
-
     /// The telemetry handle shared by every layer: registry of
     /// counters/gauges/histograms plus the event-sink fan-out.
     pub fn telemetry(&self) -> &Telemetry {

@@ -117,7 +117,6 @@ pub struct Seeder {
     /// The seed table: one record per placed seed. Key order is the
     /// order every listing, event and checkpoint walk sees.
     placed: BTreeMap<SeedKey, Placed>,
-    options: HeuristicOptions,
     /// Solver-phase timings land here when set (see [`Seeder::set_telemetry`]).
     telemetry: Option<Telemetry>,
     /// Incremental-solver memory carried between planning rounds.
@@ -126,21 +125,16 @@ pub struct Seeder {
     /// A task was registered or removed since `catalog` was derived.
     catalog_stale: bool,
     /// Tasks whose *definitions* changed since the last plan. Residency
-    /// and capacity changes are caught by the solver's input signatures;
-    /// definition changes are not, so registration marks them here and
-    /// the next plan declares every affected seed dirty.
+    /// and capacity changes are caught by the solver's per-switch op
+    /// logs; definition changes are not, so registration marks them here
+    /// and the next plan declares every affected seed dirty.
     dirty_tasks: BTreeSet<String>,
 }
 
 impl Seeder {
-    /// A seeder with default heuristic options.
+    /// An empty seeder. It plans with the default heuristic options.
     pub(crate) fn new() -> Seeder {
         Seeder::default()
-    }
-
-    /// Overrides the heuristic options (ablations).
-    pub fn set_options(&mut self, options: HeuristicOptions) {
-        self.options = options;
     }
 
     /// Attaches telemetry: planning rounds record `solver.phase_us`
@@ -152,7 +146,7 @@ impl Seeder {
     /// Registers a compiled task (replacing any same-named task). The
     /// task's seeds are marked dirty for the incremental solver: their
     /// utility/polling definitions may have changed in ways the solver's
-    /// input signatures cannot see.
+    /// op logs cannot see.
     pub(crate) fn register_task(&mut self, task: CompiledTask) {
         let machines = task.machines.iter().cloned().map(Arc::new).collect();
         self.dirty_tasks.insert(task.name.clone());
@@ -166,7 +160,8 @@ impl Seeder {
     pub(crate) fn remove_task(&mut self, name: &str) -> bool {
         self.placed.retain(|k, _| k.task != name);
         // The task's seed indices vanish from the next instance; the
-        // pre-plan remap drops every memo entry that mentions them.
+        // pre-plan remap drops every switch log and LP output that
+        // mentions them.
         self.dirty_tasks.remove(name);
         self.catalog_stale = true;
         self.tasks.remove(name).is_some()
@@ -280,7 +275,7 @@ impl Seeder {
         }
         let has_previous = !previous.assignment.is_empty();
         let held = instance.begin_round(switches, has_previous.then_some(previous));
-        // Declare dirty whatever the signatures cannot detect.
+        // Declare dirty whatever the op logs cannot detect.
         let dirty = keys
             .iter()
             .enumerate()
@@ -288,7 +283,7 @@ impl Seeder {
         let delta = ReplanDelta::seeds(dirty.map(|(i, _)| i));
         let (result, report) = replan_delta(
             instance,
-            self.options,
+            HeuristicOptions::default(),
             &mut self.solver_state,
             &delta,
             self.telemetry.as_ref(),
@@ -574,13 +569,13 @@ mod tests {
         let p2 = seeder.plan(&caps).unwrap();
         assert!(p2.delta.warm);
         commit_all(&mut seeder, &p2);
-        // By the third round the world is stable: the per-switch LP memo
-        // captured on round two must serve round three.
+        // By the third round the world is stable: the LP outputs round
+        // two stored must serve round three.
         let p3 = seeder.plan(&caps).unwrap();
         assert!(p3.delta.warm);
         assert!(
             p3.delta.reused > 0 && !p3.delta.fallback_full,
-            "stable replan should reuse memoized LPs: {:?}",
+            "stable replan should replay stored LPs: {:?}",
             p3.delta
         );
     }

@@ -198,8 +198,10 @@ fn list_pods(core: &Core) -> ControlReply {
     ControlReply::Pods { pods }
 }
 
-/// One RPC to one pod, through its session; a transport failure is
-/// asked once more (the session redials) before giving up.
+/// One RPC to one pod, through its session, asked exactly once: a
+/// request that timed out may still have run on the pod, so no failure
+/// is re-sent. A session the pod ended is redialled by the session
+/// itself before it writes.
 fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, String> {
     let Some(entry) = core.registry.get(pod) else {
         return Err(format!("unknown pod `{pod}`"));
@@ -210,10 +212,7 @@ fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, Str
         .conns
         .entry(pod.to_string())
         .or_insert_with(|| CtlClient::connect_as(addr, "fedd", timeout));
-    client
-        .op(op.clone())
-        .or_else(|_| client.op(op))
-        .map_err(|e| format!("pod `{pod}`: {e}"))
+    client.op(op).map_err(|e| format!("pod `{pod}`: {e}"))
 }
 
 /// Asks every live pod in turn, in name order, and returns `(pod, base,
@@ -806,5 +805,72 @@ fn migrate(core: &mut Core, task: &str, to_pod: &str) -> ControlReply {
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::thread;
+    use std::time::Duration;
+
+    use farm_net::{encode_envelope, Decoded, Envelope, Frame, FrameDecoder};
+
+    #[test]
+    fn a_pod_request_that_times_out_reaches_the_pod_once() {
+        let timeout = Duration::from_millis(100);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        // A pod that answers every request after fedd stopped waiting,
+        // and counts the requests until fedd leaves.
+        let pod = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut decoder = FrameDecoder::new();
+            let mut chunk = [0u8; 4096];
+            let mut requests = 0;
+            loop {
+                match decoder.next().expect("clean stream") {
+                    Some(Decoded::Frame(env, _)) if env.corr != 0 => {
+                        requests += 1;
+                        thread::sleep(timeout + Duration::from_millis(50));
+                        let ok = Frame::ControlReply {
+                            reply: ControlReply::Ok,
+                        };
+                        let mut wire = Vec::new();
+                        encode_envelope(&Envelope::response(env.corr, ok), &mut wire);
+                        let _ = stream.write_all(&wire);
+                    }
+                    Some(_) => {}
+                    None => match stream.read(&mut chunk) {
+                        Ok(n) if n > 0 => decoder.extend(&chunk[..n]),
+                        _ => return requests,
+                    },
+                }
+            }
+        });
+        let mut core = <Core as daemon::Core>::boot(FeddConfig {
+            pod_timeout: timeout,
+            ..FeddConfig::default()
+        });
+        let registered = serve_op(
+            &mut core,
+            &ControlOp::RegisterPod {
+                name: "p".into(),
+                addr: addr.to_string(),
+                switches: 1,
+                quota: 1.0,
+            },
+        );
+        assert!(matches!(registered, ControlReply::PodRegistered { .. }));
+        let removed = pod_op(&mut core, "p", ControlOp::RemoveTask { task: "t".into() });
+        assert!(
+            removed.as_ref().is_err_and(|e| e.contains("timed out")),
+            "{removed:?}"
+        );
+        // Dropping the core says goodbye on the session.
+        drop(core);
+        assert_eq!(pod.join().expect("pod thread"), 1);
     }
 }

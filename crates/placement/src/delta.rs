@@ -34,33 +34,31 @@
 //! op 0; one whose whole log matched keeps its state from the last solve
 //! untouched.
 //!
-//! **Step 3.** Each switch's LP is a **pure function** of exactly three
-//! inputs: the switch's capacity `ares`, its residents in greedy
-//! processing order with their post-greedy allocations, and its
-//! lingering migration reservations. Its outputs are memoized, keyed by
-//! a *bit-level* signature of those inputs (`LpCacheEntry`): every `f64`
-//! is compared via `to_bits`, the resident list is compared in order, and
-//! entries with lingering reservations are never memoized. A cache hit
-//! therefore replays the exact `Vec<(seed, Resources)>` the LP would have
-//! produced. The post-LP refresh then runs only on switches whose greedy
-//! state was rebuilt or whose LP ran; any other switch already holds its
-//! result from the last solve. So the delta solve's assignment, utility
-//! bits, migration count and dropped-task list are identical to
-//! `crate::solve_heuristic` on the same instance. `prop_delta.rs` pins
-//! this under random churn.
-//!
-//! The *dirty frontier* is the set of switches whose LP signature misses
-//! (plus everything the caller invalidated via [`ReplanDelta`]). When
-//! the frontier exceeds [`SolveState::frontier_limit_pct`] percent of
-//! the LP-bearing switches, the solve degrades to a full recompute
-//! (`fallback_full`) — at that point re-running every LP costs the same
-//! as probing, and the fallback keeps worst-case latency at the full
-//! solve's, never above it.
+//! **Step 3.** Each switch's LP is a **pure function** of the switch's
+//! capacity, its residents in greedy order at their minimum allocations,
+//! its standing reservations in seed order, and those seeds' inputs —
+//! all of it what the switch's ops leave behind. So the op log is the
+//! LP's key as well. A switch replays the `(seed, Resources)` updates its
+//! LP produced last solve when its ops matched the whole log, or when they
+//! diverged but leave the same residents in the same order and the same
+//! reservations as the log did, with every resident's products kept and
+//! every reservation's seed clean: a seed that leaves its seat and comes
+//! straight back adds a reserve/release pair to the log and nothing to
+//! the LP. Any other switch (changed residents or reservations, joined,
+//! changed capacity, or without stored updates) runs its LP and stores
+//! the result, and a switch without residents stores nothing, so what is
+//! stored is always the last solve's. With step 3 off nothing is stored,
+//! which is why an options change drops it all. The post-LP refresh then
+//! runs only on switches whose greedy state was rebuilt or whose LP ran;
+//! any other switch already holds its result from the last solve. So the
+//! delta solve's assignment, utility bits, migration count and
+//! dropped-task list are identical to `crate::solve_heuristic` on the
+//! same instance. `prop_delta.rs` pins this under random churn.
 
 use std::mem::size_of;
 use std::sync::Arc;
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
@@ -68,10 +66,6 @@ use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::heuristic::{solve_core, HeuristicOptions, SeedPolls, SwitchState};
 use crate::model::{PlacementInstance, PlacementResult, SubjectInterner};
-
-/// Default [`SolveState::frontier_limit_pct`]: past this fraction of
-/// signature misses, probing buys little and a full recompute is taken.
-pub(crate) const DEFAULT_FRONTIER_LIMIT_PCT: u32 = 25;
 
 /// Bucket bounds of the `solver.delta_frontier`, `solver.benefit_classes`
 /// and `solver.switches_rebuilt` histograms (switch counts, so plain
@@ -127,123 +121,16 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
 }
 
-/// Memoized output of one switch's redistribution LP, keyed by the
-/// bit-exact signature of its inputs. See the module docs for why this
-/// signature is complete: `redistribute_switch` reads nothing else.
-#[derive(Debug, Clone)]
-pub(crate) struct LpCacheEntry {
-    /// `ares` of the switch at capture time (bit pattern).
-    ares: [u64; 4],
-    /// Residents in greedy push order.
-    residents: Vec<LpResident>,
-}
-
-/// One resident of a memoized switch LP.
-#[derive(Debug, Clone, Copy)]
-struct LpResident {
-    seed: u32,
-    /// The LP reallocated it, to `update`.
-    updated: bool,
-    /// Its post-greedy allocation (bit pattern) — the `assignment` value
-    /// the LP read.
-    greedy: [u64; 4],
-    update: Resources,
-}
-
-impl LpCacheEntry {
-    /// Captures the signature + output after a fresh LP run. Returns
-    /// `None` when any resident is unplaced (non-canonical input — the
-    /// LP read a default allocation that a later solve cannot
-    /// reconstruct from the signature alone).
-    pub(crate) fn capture(
-        ares: &Resources,
-        seeds_here: &[u32],
-        assignment: &[Option<(SwitchId, Resources)>],
-        updates: &[(usize, Resources)],
-    ) -> Option<LpCacheEntry> {
-        // The LP reports its reallocations in resident order.
-        let mut updates = updates.iter().peekable();
-        let mut residents = Vec::with_capacity(seeds_here.len());
-        for &seed in seeds_here {
-            let (_, res) = assignment.get(seed as usize)?.as_ref()?;
-            let update = updates.next_if(|(s, _)| *s == seed as usize);
-            residents.push(LpResident {
-                seed,
-                updated: update.is_some(),
-                greedy: bits(res),
-                update: update.map_or(Resources::ZERO, |(_, r)| *r),
-            });
-        }
-        debug_assert!(updates.next().is_none());
-        Some(LpCacheEntry {
-            ares: bits(ares),
-            residents,
-        })
-    }
-
-    /// Bit-exact probe: same capacity, same residents in the same order,
-    /// same greedy allocations.
-    pub(crate) fn matches(
-        &self,
-        ares: &Resources,
-        seeds_here: &[u32],
-        assignment: &[Option<(SwitchId, Resources)>],
-    ) -> bool {
-        if self.ares != bits(ares) || self.residents.len() != seeds_here.len() {
-            return false;
-        }
-        self.residents.iter().zip(seeds_here).all(|(cached, &s)| {
-            cached.seed == s
-                && assignment
-                    .get(s as usize)
-                    .and_then(|a| a.as_ref())
-                    .is_some_and(|(_, res)| bits(res) == cached.greedy)
-        })
-    }
-
-    /// The LP's accepted reallocations, replayed verbatim on a hit.
-    pub(crate) fn updates(&self) -> impl Iterator<Item = (usize, Resources)> + '_ {
-        let updated = self.residents.iter().filter(|r| r.updated);
-        updated.map(|r| (r.seed as usize, r.update))
-    }
-
-    fn mentions_any(&self, seeds: &FxHashSet<usize>) -> bool {
-        self.residents
-            .iter()
-            .any(|r| seeds.contains(&(r.seed as usize)))
-    }
-
-    /// Rewrites the seed indices; false, leaving the entry half-rewritten,
-    /// when one has no new index.
-    fn remap(&mut self, map: &[Option<usize>]) -> bool {
-        self.residents.iter_mut().all(|r| {
-            let new = map.get(r.seed as usize).copied().flatten();
-            new.map(|new| r.seed = new as u32).is_some()
-        })
-    }
-}
-
-/// Mutable per-solve view handed to `solve_core`: the fallback
-/// threshold, and the report filled in by the solve.
-pub(crate) struct DeltaCtx {
-    pub(crate) frontier_limit_pct: u32,
-    /// A cold state (first solve) computes and captures everything; only
-    /// warm solves probe the memo.
-    pub(crate) warm: bool,
-    pub(crate) report: DeltaReport,
-}
-
 /// What one [`replan_delta`] call did, for telemetry and the churn bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
     /// Switches that carried an LP this solve.
     pub lp_switches: usize,
-    /// Switches whose LP actually ran (signature miss or fallback).
+    /// Switches whose LP ran.
     pub frontier: usize,
-    /// Switches whose memoized LP output was replayed.
+    /// Switches whose stored LP output was replayed.
     pub reused: usize,
-    /// True when the frontier exceeded the limit and the solve degraded
-    /// to a full recompute.
+    /// A warm solve in which no LP-bearing switch could replay.
     pub fallback_full: bool,
     /// False on the first (cold) solve of a [`SolveState`].
     pub warm: bool,
@@ -263,18 +150,17 @@ pub struct DeltaReport {
 
 /// What changed since the last solve that the solver cannot see on its
 /// own. Capacity, residency, previous-placement moves and switches that
-/// left or rejoined the instance are all caught by the bit-exact
-/// signatures and op logs, and are not declared. Callers **must**
-/// declare seeds whose *definitions* changed (re-registration of a
-/// task): utility, polling and candidate set are read through the seed
-/// id, so identical-looking signatures would otherwise replay stale LP
-/// outputs and greedy outcomes. A changed candidate set is such a
-/// definition change.
+/// left or rejoined the instance are all caught by the op logs, and are
+/// not declared. Callers **must** declare seeds whose *definitions*
+/// changed (re-registration of a task): utility, polling and candidate
+/// set are read through the seed id, so identical-looking logs would
+/// otherwise replay stale greedy outcomes and LP outputs. A changed
+/// candidate set is such a definition change.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplanDelta {
     /// Seed indices (into the *current* instance) whose definition
-    /// changed; every memo entry mentioning one is invalidated before
-    /// probing, and the seed's products are recomputed.
+    /// changed: their products are recomputed, and no op of theirs
+    /// matches a log.
     pub(crate) dirty_seeds: Vec<usize>,
 }
 
@@ -350,10 +236,12 @@ pub(crate) enum Outcome {
 const KNOWN: u8 = 1;
 /// the seed has a feasible allocation,
 const FEASIBLE: u8 = 2;
+/// the products are the last solve's (not new, not declared dirty),
+const KEPT: u8 = 4;
 /// its step may replay (products and previous seat as last solve),
-const CLEAN: u8 = 4;
+const CLEAN: u8 = 8;
 /// and, transiently, the previous placement names it.
-const SEEN: u8 = 8;
+const SEEN: u8 = 16;
 
 /// [`Seeds::seat_slot`] of a seed without a previous seat.
 const NO_SEAT: u32 = u32::MAX;
@@ -398,6 +286,10 @@ impl Seeds {
         (slot != NO_SEAT).then_some(slot as usize)
     }
 
+    fn kept(&self, s: usize) -> bool {
+        self.flags[s] & KEPT != 0
+    }
+
     fn clean(&self, s: usize) -> bool {
         self.flags[s] & CLEAN != 0
     }
@@ -418,7 +310,7 @@ impl Seeds {
         self.seat_res.resize(n, Resources::ZERO);
         for f in &mut self.flags {
             *f = if *f & KNOWN != 0 {
-                *f & FEASIBLE | KNOWN | CLEAN
+                *f & FEASIBLE | KNOWN | KEPT | CLEAN
             } else {
                 0
             };
@@ -558,25 +450,34 @@ fn first_seen(ids: &[u32]) -> bool {
 enum Mode {
     /// Not in this round.
     Absent,
-    /// Every op so far matched the log; the state is not built.
+    /// Every op so far matched the log (after step 2: the whole log);
+    /// the state is not built.
     Clean,
-    /// Every op so far matched the log; the state is built at that prefix.
+    /// Every op so far matched the log (after step 2: the whole log);
+    /// the state is built at that prefix.
     Live,
     /// The ops departed from the log, which now holds this solve's ops;
     /// the state is built.
     Diverged,
 }
 
-/// Per-switch state and op logs, indexed by *slot*: a switch keeps its
-/// slot for the life of the memo, whether or not it is in the round.
+/// Per-switch state, op logs and LP outputs, indexed by *slot*: a switch
+/// keeps its slot for the life of the memo, whether or not it is in the
+/// round.
 #[derive(Debug, Default)]
 pub(crate) struct Switches {
     slot_of: FxHashMap<SwitchId, u32>,
     pub(crate) ids: Vec<SwitchId>,
     pub(crate) states: Vec<SwitchState>,
     logs: Vec<Vec<Op>>,
-    /// The memoized LP of each switch (only a delta solve memoizes).
-    pub(crate) lp: Vec<Option<LpCacheEntry>>,
+    /// The updates `(seed, allocation)` each switch's LP produced last
+    /// solve, over the state its log then built. See
+    /// [`Switches::replays_lp`].
+    pub(crate) lp: Vec<Option<Vec<(usize, Resources)>>>,
+    /// Where this solve's ops left the last solve's log, and the ops of
+    /// that log they replaced; until step 3 has compared what each log
+    /// leaves on the switch.
+    prior: Vec<Option<(u32, Vec<Op>)>>,
     /// `states[i]` is the state after step 3 of the ops in `logs[i]`.
     settled: Vec<bool>,
     mode: Vec<Mode>,
@@ -615,6 +516,7 @@ impl Switches {
             self.states.push(SwitchState::new(Resources::ZERO));
             self.logs.push(Vec::new());
             self.lp.push(None);
+            self.prior.push(None);
             self.settled.push(false);
             self.mode.push(Mode::Absent);
             self.cursor.push(0);
@@ -702,6 +604,7 @@ impl Switches {
         self.states.shrink_to_fit();
         self.logs.shrink_to_fit();
         self.lp.shrink_to_fit();
+        self.prior.shrink_to_fit();
         self.settled.shrink_to_fit();
         self.mode.shrink_to_fit();
         self.cursor.shrink_to_fit();
@@ -735,17 +638,25 @@ impl Switches {
                 return;
             }
             self.materialize(i, seeds, instance);
-            self.logs[i].truncate(at);
-            self.mode[i] = Mode::Diverged;
+            self.diverge(i, at);
         }
         self.logs[i].push(op);
         apply(&mut self.states[i], op, seeds, instance);
     }
 
+    /// Switch `i`'s ops left its log after `at` matched: the rest of the
+    /// log goes to `prior`.
+    fn diverge(&mut self, i: usize, at: usize) {
+        let tail = self.logs[i].split_off(at);
+        self.prior[i] = Some((at as u32, tail));
+        self.mode[i] = Mode::Diverged;
+    }
+
     /// Ends step 2: every switch of the round holds its greedy state.
     /// One whose whole log matched keeps its settled state; the others
-    /// are built (where not already) and marked touched. Returns how
-    /// many were.
+    /// are built (where not already) and marked touched, and one whose
+    /// ops stopped short of its log has diverged. Returns how many were
+    /// built.
     pub(crate) fn settle_greedy(&mut self, seeds: &Seeds, instance: &PlacementInstance) -> usize {
         let mut rebuilt = 0;
         for k in 0..self.order.len() {
@@ -755,8 +666,10 @@ impl Switches {
                 if whole && self.mode[i] == Mode::Clean && self.settled[i] {
                     continue;
                 }
-                self.logs[i].truncate(at as usize);
                 self.materialize(i, seeds, instance);
+                if !whole {
+                    self.diverge(i, at as usize);
+                }
             }
             self.touched[i] = true;
             rebuilt += 1;
@@ -768,6 +681,7 @@ impl Switches {
     pub(crate) fn settle(&mut self) {
         for &i in &self.order {
             self.settled[i] = true;
+            self.prior[i] = None;
             if self.touched[i] {
                 self.states[i].shrink();
                 self.logs[i].shrink_to_fit();
@@ -775,31 +689,53 @@ impl Switches {
         }
     }
 
-    /// The migration pass changed switch `i` after step 3.
+    /// After step 2: whether switch `i` replays the LP output it stored
+    /// last solve, because the LP would read the same now. It reads the
+    /// switch's capacity, residents in order, standing reservations and
+    /// those seeds' inputs, so it would when the ops matched the whole
+    /// log, or when they left the same residents in the same order and
+    /// the same reservations as the log did, on the same capacity (a
+    /// switch that changed capacity has no prior log), with every
+    /// resident's products kept and every reservation's seed clean.
+    pub(crate) fn replays_lp(&self, i: usize, seeds: &Seeds) -> bool {
+        self.lp[i].is_some()
+            && match (self.mode[i], &self.prior[i]) {
+                (Mode::Clean | Mode::Live, _) => true,
+                (Mode::Diverged, Some((at, tail))) => {
+                    let log = &self.logs[i][..*at as usize];
+                    let (residents, reserved) = leaves(log.iter().chain(tail));
+                    let st = &self.states[i];
+                    residents == st.seeds
+                        && reserved.iter().eq(st.lingering_seeds())
+                        && residents.iter().all(|&s| seeds.kept(s as usize))
+                        && reserved.iter().all(|&s| seeds.clean(s))
+                }
+                _ => false,
+            }
+    }
+
+    /// The migration pass changed switch `i` after step 3. Its LP output
+    /// stays: the LP read the post-greedy state.
     pub(crate) fn unsettle(&mut self, i: usize) {
         self.settled[i] = false;
     }
 
-    /// Rewrites the seed indices in every log, state and LP memo entry; a
-    /// switch that mentions an unmapped seed forgets its log and settled
-    /// state, an entry that does is dropped.
+    /// Rewrites the seed indices in every log, state and stored LP
+    /// output; a switch that mentions an unmapped seed forgets its log,
+    /// LP output and settled state.
     fn remap(&mut self, map: &[Option<usize>]) {
+        let new = |s: usize| map.get(s).copied().flatten();
         for i in 0..self.ids.len() {
-            if !self.lp[i].as_mut().is_some_and(|e| e.remap(map)) {
-                self.lp[i] = None;
-            }
-            let log = &mut self.logs[i];
-            let mapped = log
+            let log = self.logs[i]
                 .iter_mut()
-                .all(|op| match map.get(op.seed()).copied().flatten() {
-                    Some(new) => {
-                        *op = op.with_seed(new);
-                        true
-                    }
-                    None => false,
-                });
-            if !(mapped && self.states[i].remap(map)) {
+                .all(|op| new(op.seed()).map(|s| *op = op.with_seed(s)).is_some());
+            let lp = self.lp[i]
+                .iter_mut()
+                .flatten()
+                .all(|(s, _)| new(*s).map(|n| *s = n).is_some());
+            if !(log && lp && self.states[i].remap(map)) {
                 self.logs[i] = Vec::new();
+                self.lp[i] = None;
                 self.settled[i] = false;
             }
         }
@@ -817,12 +753,7 @@ impl Switches {
             + vec_bytes(&self.logs)
             + self.logs.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.lp)
-            + self
-                .lp
-                .iter()
-                .flatten()
-                .map(|e| vec_bytes(&e.residents))
-                .sum::<usize>()
+            + self.lp.iter().flatten().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.settled)
             + vec_bytes(&self.mode)
             + vec_bytes(&self.cursor)
@@ -830,6 +761,31 @@ impl Switches {
             + vec_bytes(&self.joined)
             + vec_bytes(&self.order)
     }
+}
+
+/// What `ops` leave on a switch: its residents in the order they came,
+/// and the seeds whose reservation stands, ascending — as
+/// [`SwitchState`]'s `place`, `unplace`, `reserve` and `release` keep them.
+fn leaves<'a>(ops: impl Iterator<Item = &'a Op>) -> (Vec<u32>, Vec<usize>) {
+    let (mut residents, mut reserved) = (Vec::new(), Vec::new());
+    for op in ops {
+        let s = op.seed();
+        match op.kind() {
+            OpKind::Place => residents.push(s as u32),
+            OpKind::Unplace => residents.retain(|&r| r as usize != s),
+            OpKind::Reserve | OpKind::Restore => {
+                if let Err(k) = reserved.binary_search(&s) {
+                    reserved.insert(k, s);
+                }
+            }
+            OpKind::Release => {
+                if let Ok(k) = reserved.binary_search(&s) {
+                    reserved.remove(k);
+                }
+            }
+        }
+    }
+    (residents, reserved)
 }
 
 /// Applies one op to a built state, with the values of its seed's
@@ -948,32 +904,25 @@ impl Steps {
 }
 
 /// What the solve keeps of itself: the greedy pass's per-seed products,
-/// per-switch op logs and states, and scan records. A from-scratch solve
-/// runs through a fresh one.
+/// per-switch op logs, states and LP outputs, and scan records. A
+/// from-scratch solve runs through a fresh one.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     pub(crate) seeds: Seeds,
     pub(crate) switches: Switches,
     steps: Steps,
-    /// The options of the last solve: the settled states depend on them.
+    /// The options of the last solve: the settled states and which LP
+    /// outputs are current depend on them.
     options: Option<HeuristicOptions>,
 }
 
 impl Memo {
-    /// Seeds whose definition changed get their products recomputed,
-    /// and every LP memo entry naming one is dropped.
+    /// Seeds whose definition changed get their products recomputed;
+    /// until then they are not clean, so no op of theirs matches a log.
     fn declare_dirty(&mut self, dirty: &[usize]) {
         for &s in dirty {
             if let Some(flags) = self.seeds.flags.get_mut(s) {
                 *flags &= !KNOWN;
-            }
-        }
-        if !dirty.is_empty() {
-            let dirty: FxHashSet<usize> = dirty.iter().copied().collect();
-            for entry in &mut self.switches.lp {
-                if entry.as_ref().is_some_and(|e| e.mentions_any(&dirty)) {
-                    *entry = None;
-                }
             }
         }
     }
@@ -997,15 +946,18 @@ impl Memo {
             *self = Memo::default();
         }
         // Renumbered subjects: the states and logs speak the old ids, and
-        // an LP memoized under them may order its variables differently.
+        // an LP solved under them may order its variables differently.
         if self.seeds.update(instance) {
             (self.switches, self.steps) = (Switches::default(), Steps::default());
             self.seeds.seat_slot.fill(NO_SEAT);
         }
         self.switches.begin(instance);
         self.seeds.seat_previous(instance, &mut self.switches);
+        // The settled states depend on the options, and a solve with
+        // step 3 off replaces no stored LP output.
         if self.options != Some(options) {
             self.switches.settled.fill(false);
+            self.switches.lp.fill(None);
             self.options = Some(options);
         }
         self.steps.begin();
@@ -1101,27 +1053,13 @@ impl Memo {
 }
 
 /// Solver state retained between [`replan_delta`] calls: the greedy
-/// pass's memory with each switch's LP memo entry, and the fallback knob.
-#[derive(Debug)]
+/// pass's memory with each switch's last LP output.
+#[derive(Debug, Default)]
 pub struct SolveState {
     memo: Memo,
-    /// Fallback threshold: when more than this percentage of LP-bearing
-    /// switches miss the cache, recompute everything.
-    pub frontier_limit_pct: u32,
     /// Completed solves through this state (0 ⇒ next solve is cold).
     pub(crate) solves: u64,
     instruments: Option<Instruments>,
-}
-
-impl Default for SolveState {
-    fn default() -> SolveState {
-        SolveState {
-            memo: Memo::default(),
-            frontier_limit_pct: DEFAULT_FRONTIER_LIMIT_PCT,
-            solves: 0,
-            instruments: None,
-        }
-    }
 }
 
 impl SolveState {
@@ -1130,14 +1068,14 @@ impl SolveState {
         SolveState::default()
     }
 
-    /// Bytes the state holds, by capacity: the greedy memory and the LP
-    /// memo entries with their resident lists.
+    /// Bytes the state holds, by capacity: the greedy memory and the
+    /// stored LP outputs.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.memo.bytes()
     }
 
-    /// LP memo entries held.
-    fn lp_entries(&self) -> impl Iterator<Item = &LpCacheEntry> {
+    /// Stored LP outputs.
+    fn lp_outputs(&self) -> impl Iterator<Item = &Vec<(usize, Resources)>> {
         self.memo.switches.lp.iter().flatten()
     }
 
@@ -1145,7 +1083,7 @@ impl SolveState {
     /// a different seed numbering. `map[old] = Some(new)` keeps a seed
     /// under its new index — its products, previous seat and last step
     /// move with it; `None` (or out-of-range `old`) drops it, and every
-    /// memo entry and switch log mentioning it. Callers that rebuild
+    /// switch log and LP output mentioning it. Callers that rebuild
     /// instances per solve (e.g. the seeder flattening its task table)
     /// call this with the old→new correspondence so unrelated switches
     /// keep their memo.
@@ -1159,14 +1097,14 @@ impl SolveState {
 /// plus a [`DeltaReport`] of how much work was reused.
 ///
 /// Telemetry (when given): `solver.replan_delta` counts calls,
-/// `solver.delta_fallback_full` counts fallbacks,
+/// `solver.delta_fallback_full` counts warm solves that replayed no LP,
 /// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` count
 /// greedy steps, the `solver.delta_frontier`, `solver.switches_rebuilt`
-/// and `solver.benefit_classes` histograms record the dirty-frontier
-/// size, the switches whose greedy state was rebuilt and the switch-state
-/// classes of the benefit scan, and the `solver.delta_cache_entries` /
-/// `solver.delta_cache_bytes` gauges say what the LP memo holds and what
-/// the whole state retains afterwards.
+/// and `solver.benefit_classes` histograms record the LPs run, the
+/// switches whose greedy state was rebuilt and the switch-state classes
+/// of the benefit scan, and the `solver.delta_cache_entries` /
+/// `solver.delta_cache_bytes` gauges say how many LP outputs are stored
+/// and what the whole state retains afterwards.
 pub fn replan_delta(
     instance: &PlacementInstance,
     options: HeuristicOptions,
@@ -1174,29 +1112,11 @@ pub fn replan_delta(
     delta: &ReplanDelta,
     telemetry: Option<&Telemetry>,
 ) -> (PlacementResult, DeltaReport) {
-    // Purge before probing: entries mentioning a dirty seed. A switch
-    // absent from the instance (evicted, crashed or cordoned) loses its
-    // entry when the solve begins.
     state.memo.declare_dirty(&delta.dirty_seeds);
-
-    let warm = state.solves > 0;
-    let mut ctx = DeltaCtx {
-        frontier_limit_pct: state.frontier_limit_pct,
-        warm,
-        report: DeltaReport {
-            warm,
-            ..DeltaReport::default()
-        },
-    };
-    let result = solve_core(
-        instance,
-        options,
-        telemetry,
-        &mut state.memo,
-        Some(&mut ctx),
-    );
+    let (result, mut report) = solve_core(instance, options, telemetry, &mut state.memo);
+    report.warm = state.solves > 0;
+    report.fallback_full = report.warm && report.lp_switches > 0 && report.reused == 0;
     state.solves += 1;
-    let report = ctx.report;
 
     if let Some(t) = telemetry {
         let same_registry = |i: &Instruments| std::ptr::eq(i.registry.registry(), t.registry());
@@ -1213,7 +1133,7 @@ pub fn replan_delta(
         i.steps_replayed.add(report.steps_replayed as u64);
         i.steps_executed.add(report.steps_executed as u64);
         i.switches_rebuilt.record(report.switches_rebuilt as u64);
-        i.cache_entries.set(state.lp_entries().count() as f64);
+        i.cache_entries.set(state.lp_outputs().count() as f64);
         i.cache_bytes.set(state.cache_bytes() as f64);
     }
     (result, report)
@@ -1263,9 +1183,11 @@ mod tests {
         assert_same(&r, &full);
         assert!(!report.warm);
         assert_eq!(report.reused, 0);
-        let entries = state.lp_entries().count();
-        assert!(entries > 0);
-        assert!(state.cache_bytes() >= entries * size_of::<LpCacheEntry>());
+        assert_eq!(state.lp_outputs().count(), report.lp_switches);
+        assert_eq!(report.frontier, report.lp_switches);
+        let updates: usize = state.lp_outputs().map(Vec::len).sum();
+        assert!(updates > 0);
+        assert!(state.cache_bytes() >= updates * size_of::<(usize, Resources)>());
         assert!((1..=inst.switches.len()).contains(&report.benefit_classes));
         assert_eq!(state.solves, 1);
     }
@@ -1277,11 +1199,8 @@ mod tests {
         let mut state = SolveState::new();
         let (r0, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         as_previous(&mut inst, &r0);
-        // A stable replan holds every seed at home with its previous
-        // allocation; since home allocations equal the greedy minimums
-        // only when the LP left them there, the signatures may shift on
-        // the first warm solve — but the *second* warm solve of the
-        // same world must be a full reuse.
+        // The first warm solve gives every seed a previous seat, so every
+        // log diverges; the second sees the seats of the first.
         let (r1, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         assert_same(&r1, &solve_heuristic(&inst, opts));
         as_previous(&mut inst, &r1);
@@ -1314,29 +1233,70 @@ mod tests {
     }
 
     #[test]
-    fn zero_limit_forces_full_fallback_yet_stays_equivalent() {
+    fn a_change_on_every_switch_replays_no_lp_and_reports_fallback() {
         let mut inst = small_instance(5);
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
-        state.frontier_limit_pct = 0;
         let (r0, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         as_previous(&mut inst, &r0);
-        // Degrade every switch slightly so every signature misses.
+        replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        // Degrade every switch slightly: every log diverges from op 0.
         for (_, ares) in &mut inst.switches {
             ares.0[0] *= 0.999;
         }
         let (r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         assert!(report.fallback_full, "{report:?}");
         assert_eq!(report.reused, 0);
+        assert_eq!(report.frontier, report.lp_switches);
         assert_same(&r, &solve_heuristic(&inst, opts));
+    }
+
+    #[test]
+    fn one_state_solves_under_every_option_set() {
+        // The previous placement stays fixed, so what changes between
+        // solves is the options and, before the LP-less and the
+        // migration-less solve, every switch's vCPU (it grows by 10 %):
+        // the solve after each of those sees the logs that solve wrote.
+        let on = HeuristicOptions::default();
+        let mut inst = small_instance(13);
+        let r0 = solve_heuristic(&inst, on);
+        as_previous(&mut inst, &r0);
+        let lp_off = HeuristicOptions {
+            lp_redistribution: false,
+            ..on
+        };
+        let migration_off = HeuristicOptions {
+            migration: false,
+            ..on
+        };
+        let mut state = SolveState::new();
+        let rounds = [
+            (on, false),
+            (lp_off, true),
+            (on, false),
+            (migration_off, true),
+            (on, false),
+        ];
+        for (round, (opts, grow)) in rounds.into_iter().enumerate() {
+            if grow {
+                for (_, ares) in &mut inst.switches {
+                    ares.0[0] *= 1.1;
+                }
+            }
+            let (r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            let full = solve_heuristic(&inst, opts);
+            assert_eq!(r.assignment, full.assignment, "round {round}: {opts:?}");
+            assert_same(&r, &full);
+            assert!(r.utility > 0.0, "round {round}: nothing placed");
+        }
     }
 
     #[test]
     fn dirty_seed_purges_entries_mentioning_it() {
         // Twin states through the same rounds, until a round changes
         // nothing; then one of them declares a seed dirty. Its definition
-        // did not really change, so neither may the placement — but the
-        // memo must not be trusted for it.
+        // did not really change, so neither may the placement — but no
+        // op of it may match a log, and no LP output it is in replays.
         let mut inst = small_instance(9);
         let opts = HeuristicOptions::default();
         let (mut clean, mut dirty) = (SolveState::new(), SolveState::new());
@@ -1346,9 +1306,9 @@ mod tests {
             assert_same(&twin, &r);
             as_previous(&mut inst, &r);
         }
-        // A seed whose switch's LP is memoized.
-        let entry = dirty.lp_entries().find(|e| !e.residents.is_empty());
-        let s = entry.expect("a memoized LP").residents[0].seed as usize;
+        // A seed an LP output names.
+        let updated = dirty.lp_outputs().find_map(|ups| ups.first());
+        let s = updated.expect("an LP that updated a seed").0;
 
         let (_, calm) = replan_delta(&inst, opts, &mut clean, &ReplanDelta::default(), None);
         assert_eq!((calm.frontier, calm.steps_executed), (0, 0), "{calm:?}");
@@ -1363,6 +1323,46 @@ mod tests {
             report.steps_replayed + report.steps_executed,
             calm.steps_replayed
         );
+    }
+
+    #[test]
+    fn a_reservation_that_comes_or_changes_reruns_its_switch_lp() {
+        // A seed whose previous seat is on a switch it may not use leaves
+        // its reservation standing there, beside the same residents (it
+        // holds RAM only, which no home stay is short of): the switch's
+        // LP reads it. It comes, stays, then changes bits.
+        let opts = HeuristicOptions::default();
+        let mut inst = small_instance(17);
+        let mut state = SolveState::new();
+        let mut r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        for _ in 0..3 {
+            as_previous(&mut inst, &r);
+            r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        }
+        let (a, _) = r.assignment[0].expect("seed 0 placed");
+        let x = (0..inst.seeds.len())
+            .find(|&s| !inst.seeds[s].candidates.contains(&a))
+            .expect("a seed that may not use seed 0's switch");
+        for (round, ram) in [16.0, 16.0, 8.0].into_iter().enumerate() {
+            as_previous(&mut inst, &r);
+            let seat = (a, Resources::new(0.0, ram, 0.0, 1.0));
+            inst.previous
+                .as_mut()
+                .expect("set")
+                .assignment
+                .insert(x, seat);
+            let (next, report) =
+                replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            assert_same(&next, &solve_heuristic(&inst, opts));
+            // Only the switch whose reservation came or changed re-runs.
+            let changed = round != 1;
+            assert_eq!(
+                report.frontier,
+                usize::from(changed),
+                "round {round}: {report:?}"
+            );
+            r = next;
+        }
     }
 
     #[test]
@@ -1389,25 +1389,31 @@ mod tests {
 
     #[test]
     fn remap_rewrites_indices_and_drops_unmapped_seeds() {
-        let greedy = |v: f64| Some((SwitchId(1), Resources::new(v, 0.0, 0.0, 0.0)));
-        let assignment = [greedy(1.0), None, greedy(2.0)];
         let update = Resources::new(3.0, 0.0, 0.0, 0.0);
-        let e = LpCacheEntry::capture(&Resources::ZERO, &[0, 2], &assignment, &[(2, update)]);
         let mut state = SolveState::new();
-        for n in [SwitchId(1), SwitchId(2)] {
-            let i = state.memo.switches.slot(n);
-            state.memo.switches.lp[i] = e.clone();
+        let switches = &mut state.memo.switches;
+        for (n, seed) in [(SwitchId(1), 0), (SwitchId(2), 2)] {
+            let i = switches.slot(n);
+            switches.lp[i] = Some(vec![(seed, update)]);
         }
-        // Seed 0 → 5, seed 2 → 0; everything survives under new indices.
+        // A switch whose LP read seeds 0 and 2 reserved, in that order.
+        let i = switches.slot(SwitchId(3));
+        for s in [0, 2] {
+            switches.states[i].reserve(s, SeedPolls::new(&[], &[]), Resources::ZERO);
+        }
+        switches.lp[i] = Some(Vec::new());
+        let seeds = |state: &SolveState| -> Vec<usize> {
+            state.lp_outputs().flatten().map(|(s, _)| *s).collect()
+        };
+        // Seed 0 → 5, seed 2 → 0: both updates survive under new indices;
+        // the reservations would now come in the other order.
         state.remap(&[Some(5), None, Some(0)]);
-        assert_eq!(state.lp_entries().count(), 2);
-        let e1 = state.lp_entries().next().unwrap();
-        let seeds: Vec<u32> = e1.residents.iter().map(|r| r.seed).collect();
-        assert_eq!(seeds, vec![5, 0]);
-        assert_eq!(e1.updates().collect::<Vec<_>>(), vec![(0, update)]);
-        // Dropping seed 2 kills both entries (they mention it).
-        state.remap(&[Some(5), None, None]);
-        assert_eq!(state.lp_entries().count(), 0);
+        assert_eq!(seeds(&state), vec![5, 0]);
+        assert_eq!(state.lp_outputs().count(), 2);
+        // Dropping seed 0 (formerly 2) drops the output that names it.
+        state.remap(&[None, None, None, None, None, Some(5)]);
+        assert_eq!(seeds(&state), vec![5]);
+        assert_eq!(state.lp_outputs().count(), 1);
     }
 
     #[test]

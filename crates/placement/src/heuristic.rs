@@ -39,9 +39,11 @@
 //! * Step 3's per-switch LPs run one after another through a single
 //!   reused model arena (`LpScratch`); every float reduction runs in
 //!   stable switch/seed order, so repeated solves are bit-identical
-//!   (`prop_placement.rs` pins this). Re-solves memoize the LP outputs
-//!   by exact input signature, and refresh only the switches whose
-//!   greedy state or LP changed.
+//!   (`prop_placement.rs` pins this). A switch's LP reads only what its
+//!   op log leaves on it, so a switch whose ops leave the same residents
+//!   and reservations as last solve replays its last LP output instead
+//!   of solving, and the post-LP refresh runs only where the greedy
+//!   state or the LP changed.
 //! * Step 4 evaluates a seed's migration benefit once per *switch-state
 //!   class* it meets, not once per candidate: switches whose `ares`,
 //!   `used`, poll total and per-subject maxima agree bit for bit give
@@ -61,7 +63,7 @@ use farm_netsim::switch::{ResourceKind, Resources};
 use farm_netsim::types::SwitchId;
 use farm_telemetry::Telemetry;
 
-use crate::delta::{DeltaCtx, LpCacheEntry, Memo, Op, OpKind, Outcome, Seeds, Switches};
+use crate::delta::{DeltaReport, Memo, Op, OpKind, Outcome, Seeds, Switches};
 use crate::model::{count_migrations, utility_of, PlacementInstance, PlacementResult, PollDemand};
 
 /// Heuristic knobs: the switches `repro ablation` flips.
@@ -184,6 +186,11 @@ impl SwitchState {
     fn span(&self, i: usize) -> std::ops::Range<usize> {
         let start = self.poll[..i].iter().map(|c| c.len as usize).sum();
         start..start + self.poll[i].len as usize
+    }
+
+    /// The seeds with a lingering reservation here, ascending.
+    pub(crate) fn lingering_seeds(&self) -> impl Iterator<Item = &usize> {
+        self.lingering.iter().map(|(s, _)| s)
     }
 
     /// The seed's lingering reservation here, if any.
@@ -405,7 +412,8 @@ impl SwitchState {
     }
 
     /// Rewrites the seed indices held here (`map[old] = Some(new)`);
-    /// false, leaving the state half-rewritten, when one has no new index.
+    /// false, leaving the state half-rewritten, when one has no new index
+    /// or the reservations change order (the LP reads them in order).
     pub(crate) fn remap(&mut self, map: &[Option<usize>]) -> bool {
         let new = |s: usize| map.get(s).copied().flatten();
         let ok = self
@@ -415,7 +423,8 @@ impl SwitchState {
             && self
                 .lingering
                 .iter_mut()
-                .all(|(s, _)| new(*s).map(|n| *s = n).is_some());
+                .all(|(s, _)| new(*s).map(|n| *s = n).is_some())
+            && self.lingering.is_sorted_by_key(|(s, _)| *s);
         self.lingering.sort_unstable_by_key(|(s, _)| *s);
         ok
     }
@@ -476,7 +485,7 @@ fn benefit_cmp(a: &(f64, usize, SwitchId), b: &(f64, usize, SwitchId)) -> std::c
 
 /// Runs Alg. 1 on an instance.
 pub fn solve_heuristic(instance: &PlacementInstance, options: HeuristicOptions) -> PlacementResult {
-    solve_core(instance, options, None, &mut Memo::default(), None)
+    solve_core(instance, options, None, &mut Memo::default()).0
 }
 
 /// [`solve_heuristic`] with per-phase telemetry: each of the greedy,
@@ -487,7 +496,7 @@ pub fn solve_heuristic_traced(
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
 ) -> PlacementResult {
-    solve_core(instance, options, telemetry, &mut Memo::default(), None)
+    solve_core(instance, options, telemetry, &mut Memo::default()).0
 }
 
 /// A deliberately *generic* randomized construction: random task order,
@@ -727,27 +736,20 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
 }
 
 /// The full Alg. 1 pipeline over the retained `memo` (a fresh one for a
-/// from-scratch solve). When `delta` is given, the per-switch LP outputs
-/// of the redistribution phase are memoized in its cache: switches whose
-/// LP inputs (capacity, ordered residents and their greedy allocations,
-/// no lingering reservations) are bit-identical to the cached run reuse
-/// the cached output — `redistribute_switch` is a pure function of
-/// exactly those inputs, so the reuse is exact, not approximate.
+/// from-scratch solve), with a report of what it replayed. The report's
+/// `warm` and `fallback_full` are the caller's to fill in.
 pub(crate) fn solve_core(
     instance: &PlacementInstance,
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
     memo: &mut Memo,
-    mut delta: Option<&mut DeltaCtx>,
-) -> PlacementResult {
+) -> (PlacementResult, DeltaReport) {
     let start = Instant::now();
+    let mut report = DeltaReport::default();
     memo.begin(instance, options);
     let (mut assignment, dropped) = greedy(instance, memo);
-    let rebuilt = memo.end_greedy(instance);
-    if let Some(ctx) = &mut delta {
-        (ctx.report.steps_replayed, ctx.report.steps_executed) = memo.steps_run();
-        ctx.report.switches_rebuilt = rebuilt;
-    }
+    report.switches_rebuilt = memo.end_greedy(instance);
+    (report.steps_replayed, report.steps_executed) = memo.steps_run();
     if let Some(t) = telemetry {
         record_phase(
             t,
@@ -763,78 +765,32 @@ pub(crate) fn solve_core(
 
     // Step 3: LP redistribution per switch, then refresh the bookkeeping
     // so the migration pass sees the boosted allocations. The per-switch
-    // LPs are independent (the decomposition's whole point): updates
-    // apply in ascending switch order and touch disjoint seeds.
+    // LPs are independent (the decomposition's whole point): a switch's
+    // LP reads and writes the allocations of its own residents only, so
+    // each switch is finished — its LP output replayed or solved and
+    // stored, then applied — before the next begins.
     let lp_start = Instant::now();
     if options.lp_redistribution {
-        let work: Vec<usize> = switches
-            .order
-            .iter()
-            .copied()
-            .filter(|&i| !switches.states[i].seeds.is_empty())
-            .collect();
-        let lp_switches = work.len() as u64;
-        // Cache probe (delta path): a switch whose LP inputs are
-        // bit-identical to the memoized run — same capacity, same
-        // residents in the same greedy order, same greedy allocations,
-        // no lingering reservations — reuses the memoized output.
-        // Everything that misses is the *dirty frontier*; past the
-        // configured fraction the solve degrades to a full recompute
-        // (the proven-equivalence fallback).
-        let mut frontier: Vec<usize> = Vec::new();
-        match &mut delta {
-            Some(ctx) if ctx.warm => {
-                for (k, &i) in work.iter().enumerate() {
-                    let st = &switches.states[i];
-                    let hit = st.lingering.is_empty()
-                        && switches.lp[i]
-                            .as_ref()
-                            .is_some_and(|e| e.matches(&st.ares, &st.seeds, &assignment));
-                    if !hit {
-                        frontier.push(k);
-                    }
-                }
-                if frontier.len() * 100 > work.len() * ctx.frontier_limit_pct as usize {
-                    ctx.report.fallback_full = true;
-                    frontier = (0..work.len()).collect();
-                }
-                ctx.report.lp_switches = work.len();
-                ctx.report.frontier = frontier.len();
-                ctx.report.reused = work.len() - frontier.len();
-            }
-            _ => {
-                frontier = (0..work.len()).collect();
-                if let Some(ctx) = &mut delta {
-                    ctx.report.lp_switches = work.len();
-                    ctx.report.frontier = work.len();
-                }
-            }
-        }
-        // A switch's LP reads and writes the allocations of its own
-        // residents only, so each switch is finished — replayed from the
-        // memo or solved, then applied — before the next begins.
         let mut scratch = LpScratch::new();
-        let mut frontier = frontier.into_iter().peekable();
-        for (k, &i) in work.iter().enumerate() {
-            let n = switches.ids[i];
-            if frontier.next_if_eq(&k).is_none() {
-                let entry = switches.lp[i].as_ref().expect("only a hit reuses");
-                for (s, r) in entry.updates() {
-                    assignment[s] = Some((n, r));
-                }
+        for k in 0..switches.order.len() {
+            let i = switches.order[k];
+            let st = &switches.states[i];
+            if st.seeds.is_empty() {
+                switches.lp[i] = None;
                 continue;
             }
-            switches.touched[i] = true;
-            let st = &switches.states[i];
-            let ups =
-                redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
-            if delta.is_some() {
-                // Lingering reservations (or an unplaced resident) make
-                // the LP inputs non-canonical: never memoize.
-                switches.lp[i] = LpCacheEntry::capture(&st.ares, &st.seeds, &assignment, &ups)
-                    .filter(|_| st.lingering.is_empty());
+            report.lp_switches += 1;
+            if switches.replays_lp(i, seeds) {
+                report.reused += 1;
+            } else {
+                let ups =
+                    redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
+                switches.lp[i] = Some(ups);
+                switches.touched[i] = true;
+                report.frontier += 1;
             }
-            for (s, r) in ups {
+            let n = switches.ids[i];
+            for &(s, r) in switches.lp[i].iter().flatten() {
                 assignment[s] = Some((n, r));
             }
         }
@@ -843,7 +799,7 @@ pub(crate) fn solve_core(
                 t,
                 "lp_redistribution",
                 lp_start.elapsed().as_nanos() as u64,
-                lp_switches,
+                report.lp_switches as u64,
             );
         }
         // A switch whose greedy state and LP output are those of the last
@@ -871,9 +827,7 @@ pub(crate) fn solve_core(
             &assignment,
             switches,
         );
-        if let Some(ctx) = &mut delta {
-            ctx.report.benefit_classes = classes;
-        }
+        report.benefit_classes = classes;
         benefits.sort_by(benefit_cmp);
         for (_, s, n) in benefits {
             let seed = &instance.seeds[s];
@@ -948,13 +902,14 @@ pub(crate) fn solve_core(
     }
 
     let utility = utility_of(instance, &assignment);
-    PlacementResult {
+    let result = PlacementResult {
         utility,
         migrations: migrations.max(count_migrations(instance, &assignment)),
         runtime: start.elapsed(),
         dropped_tasks: dropped,
         assignment,
-    }
+    };
+    (result, report)
 }
 
 /// The *state class* of every switch of the round, by slot, and how
@@ -1129,7 +1084,8 @@ const POLL_TIE_BREAK: f64 = 1e-6;
 /// capacities and aggregated polling — and return the accepted per-seed
 /// reallocations. Pure with respect to the shared solve state (reads
 /// `assignment`, never writes — the scratch is an arena, not an input),
-/// which is what lets step 3 memoize outputs by input signature.
+/// which is what lets a switch whose ops leave it as they did last solve
+/// replay its last output.
 fn redistribute_switch<'p>(
     instance: &PlacementInstance,
     polls: impl Fn(usize) -> SeedPolls<'p>,
@@ -1269,7 +1225,7 @@ fn redistribute_switch<'p>(
     let Ok(sol) = farm_lp::simplex::solve(p) else {
         return Vec::new(); // keep the greedy allocations
     };
-    let mut updates = Vec::new();
+    let mut updates = Vec::with_capacity(seeds_here.len());
     for (&s, lp) in seeds_here.iter().zip(seeds.iter()) {
         if let Some(lp) = lp {
             let mut r = Resources::ZERO;

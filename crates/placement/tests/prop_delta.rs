@@ -16,11 +16,12 @@
 //! as the seeder does it, the one seed is held and the task's list
 //! shrinks and grows between rounds under a retained memo.
 //!
-//! Most events pass an *empty* [`ReplanDelta`]: the bit-exact LP
-//! signatures and the greedy op logs must catch capacity and residency
-//! changes, and switches leaving or rejoining the instance, on their own.
-//! Tweak and Recandidate change a seed's *definition* (its polling, its
-//! candidate set), which neither can see — that is exactly the case the
+//! Most events pass an *empty* [`ReplanDelta`]: the per-switch op logs,
+//! which decide both which greedy steps replay and which switch LPs
+//! re-run, must catch capacity and residency changes, and switches
+//! leaving or rejoining the instance, on their own. Tweak and
+//! Recandidate change a seed's *definition* (its polling, its candidate
+//! set), which a log cannot see — that is exactly the case the
 //! `dirty_seeds` contract exists for, so they declare the seed dirty.
 //! Retask rebuilds the catalog with a task removed or inserted mid-way,
 //! renumbering every seed after it, and remaps the retained state the
@@ -28,6 +29,7 @@
 
 mod util;
 
+use farm_almanac::analysis::UtilExpr;
 use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
@@ -153,14 +155,14 @@ enum Churn {
     Restore(usize),
     /// Fresh submission: one seed loses its previous placement and is
     /// placed as if newly submitted. Empty delta — residency changes
-    /// must be caught by the LP signatures alone.
+    /// must be caught by the op logs alone.
     Submit(usize),
     /// Capacity degradation: a switch loses 10 % vCPU. Empty delta —
-    /// the `ares` bits in the signature must catch it.
+    /// the switch's `ares` bits must catch it.
     Degrade(usize),
-    /// Definition change: a seed's polling demand is re-registered with
-    /// a different constant. Invisible to the signatures, so the seed
-    /// is declared dirty.
+    /// Definition change: a seed is re-registered with another polling
+    /// constant and a utility capped 10 % lower. Invisible to the logs,
+    /// so the seed is declared dirty.
     Tweak(usize),
     /// Definition change: a seed gains or loses a candidate switch.
     /// Declared dirty, like any definition change.
@@ -245,10 +247,16 @@ fn apply(
                 return ReplanDelta::default();
             }
             let s = i % inst.seeds.len();
-            let Some(p) = inst.seeds[s].polls.first_mut() else {
+            let seed = &mut inst.seeds[s];
+            let Some(p) = seed.polls.first_mut() else {
                 return ReplanDelta::default();
             };
             p.demand.constant += 0.1;
+            if let UtilExpr::Min(_, cap) = &mut seed.util.branches[0].utility {
+                if let UtilExpr::Poly(cap) = cap.as_mut() {
+                    cap.constant *= 0.9;
+                }
+            }
             ReplanDelta::seeds([s])
         }
         Churn::Recandidate(i) => {
@@ -359,9 +367,9 @@ proptest! {
 
     /// The drain → uncordon shape: a switch leaves the instance with its
     /// residents still naming it, other events pass, and it returns two
-    /// events later. The memo entry it had is purged while it is away and
-    /// nothing declares it on return; every step must still agree with
-    /// the full solve.
+    /// events later. Its log and LP output are dropped while it is away
+    /// and nothing declares it on return; every step must still agree
+    /// with the full solve.
     #[test]
     fn a_switch_that_leaves_and_returns_still_matches_the_full_solve(
         fabric in workload(),
@@ -396,32 +404,6 @@ proptest! {
             prop_assert_eq!(dr.migrations, full.migrations, "step {} ({:?})", step, ev);
             prop_assert_eq!(&dr.dropped_tasks, &full.dropped_tasks, "step {} ({:?})", step, ev);
             prop_assert!(check_all(&inst, &dr.assignment).is_ok(), "step {} ({:?})", step, ev);
-            r = dr;
-        }
-    }
-
-    /// The fallback path is equivalence-preserving too: with a zero
-    /// frontier budget every warm solve with any miss degrades to a
-    /// full recompute and must still match the from-scratch result.
-    #[test]
-    fn zero_frontier_budget_always_matches(
-        fabric in workload(),
-        events in proptest::collection::vec(churn_event(), 1..4),
-    ) {
-        let base = fabric.instance();
-        let mut inst = base.clone();
-        let opts = HeuristicOptions::default();
-        let mut state = SolveState::new();
-        state.frontier_limit_pct = 0;
-        let (mut r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
-        for &ev in &events {
-            inst.previous = Some(as_previous(&r.assignment));
-            let delta = apply(&mut inst, &base, &mut state, ev);
-            fabric.begin_round(&mut inst);
-            let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
-            let full = solve_heuristic(&inst, opts);
-            prop_assert_eq!(&dr.assignment, &full.assignment);
-            prop_assert_eq!(dr.utility.to_bits(), full.utility.to_bits());
             r = dr;
         }
     }

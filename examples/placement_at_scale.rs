@@ -43,7 +43,6 @@ fn main() {
             &inst,
             &MilpPlacementOptions {
                 time_limit: Duration::from_secs(limit),
-                ..Default::default()
             },
         );
         validate(&inst, &m.result).expect("MILP result satisfies C1-C4");

@@ -11,7 +11,6 @@ use farm_netsim::switch::SwitchModel;
 use farm_netsim::time::{Dur, Time};
 use farm_netsim::topology::Topology;
 use farm_netsim::types::SwitchId;
-use farm_placement::heuristic::HeuristicOptions;
 
 fn fabric(leaves: usize) -> Topology {
     Topology::spine_leaf(
@@ -93,7 +92,6 @@ machine Big {
 #[test]
 fn reoptimization_migrates_seed_state() {
     let mut farm = Farm::new(fabric(4), FarmConfig::default());
-    farm.seeder_mut().set_options(HeuristicOptions::default());
     for i in 0..6 {
         farm.deploy_task(&format!("flex{i}"), flexible_task_src(), &BTreeMap::new())
             .unwrap();
