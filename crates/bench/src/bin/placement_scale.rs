@@ -11,8 +11,8 @@
 //! definition tweaks), timing a from-scratch `solve_heuristic` against
 //! `replan_delta` through a retained `SolveState` on *identical*
 //! inputs, asserting bit-equality of the two placements in-harness and
-//! recording full/delta p50/p95 wall times plus frontier and greedy-replay
-//! statistics.
+//! recording full/delta p50/p95 wall times plus frontier, greedy-replay
+//! and benefit-pair statistics.
 //!
 //! ```text
 //! placement_scale [--smoke] [--churn] [--iters N] [--events N]
@@ -152,6 +152,7 @@ fn churn_replay(
     let mut frontiers = Vec::with_capacity(events);
     let mut reused = Vec::with_capacity(events);
     let (mut replayed, mut executed, mut rebuilt) = (Vec::new(), Vec::new(), Vec::new());
+    let mut pairs = Vec::with_capacity(events);
     let mut fallbacks = 0usize;
     let mut identical = true;
     for i in 0..events {
@@ -211,6 +212,7 @@ fn churn_replay(
         replayed.push(report.steps_replayed as f64);
         executed.push(report.steps_executed as f64);
         rebuilt.push(report.switches_rebuilt as f64);
+        pairs.push(report.pairs_evaluated as f64);
         if report.fallback_full {
             fallbacks += 1;
         }
@@ -228,10 +230,12 @@ fn churn_replay(
         percentile(&frontiers, 0.50),
     );
     println!(
-        "  churn greedy p50: {:.0} steps replayed, {:.0} executed, {:.0} switches rebuilt",
+        "  churn greedy p50: {:.0} steps replayed, {:.0} executed, {:.0} switches rebuilt; \
+         {:.0} benefit pairs evaluated",
         percentile(&replayed, 0.50),
         percentile(&executed, 0.50),
         percentile(&rebuilt, 0.50),
+        percentile(&pairs, 0.50),
     );
     println!(
         "  churn delta phases p50:{}",
@@ -262,6 +266,7 @@ fn churn_replay(
         ("steps_replayed", pct_obj(&replayed)),
         ("steps_executed", pct_obj(&executed)),
         ("switches_rebuilt", pct_obj(&rebuilt)),
+        ("pairs_evaluated", pct_obj(&pairs)),
         ("fallback_full", Json::from(fallbacks as f64)),
         ("identical_to_full_solve", Json::Bool(identical)),
     ]);

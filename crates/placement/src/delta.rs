@@ -1,7 +1,9 @@
 //! Incremental re-planning: [`replan_delta`] re-solves an instance with
-//! a [`SolveState`] retained from the previous solve. Steps 1–3 of
-//! Alg. 1 follow the change instead of re-deriving the instance; step 4
-//! onwards runs as in a from-scratch solve.
+//! a [`SolveState`] retained from the previous solve. Every step of
+//! Alg. 1 follows the change instead of re-deriving the instance: steps
+//! 1–3 through per-switch op logs, step 4 and the tally through per-seed
+//! records of the last scan. Step 5 commits from the benefit list as a
+//! from-scratch solve does.
 //!
 //! # Why this is *exactly* equivalent to a from-scratch solve
 //!
@@ -50,10 +52,34 @@
 //! stored is always the last solve's. With step 3 off nothing is stored,
 //! which is why an options change drops it all. The post-LP refresh then
 //! runs only on switches whose greedy state was rebuilt or whose LP ran;
-//! any other switch already holds its result from the last solve. So the
-//! delta solve's assignment, utility bits, migration count and
+//! any other switch already holds its result from the last solve.
+//!
+//! **Step 4.** A seed's benefit at a candidate is a pure function of the
+//! seed's products, its post-step-3 seat (switch and allocation bits)
+//! and the candidate's post-step-3 state. Each seed keeps the seat it
+//! was scanned at last solve, its utility there and the benefits it
+//! pushed (`Scans`). A switch's post-step-3 state is the last solve's
+//! unless it was built this solve and its LP, if any, ran rather than
+//! replayed (`Switches::moved`): a switch that replays its LP output
+//! is refreshed from the same residents in the same order, the same
+//! reservations and the same allocations. Step 5 changes states but
+//! logs no op, and a switch it changed is built again next solve, so
+//! what it did never reaches the next scan. A seed that is
+//! kept, at the seat it was scanned at, copies its benefits; only the
+//! positions of its candidates that moved, joined or left — found
+//! through a per-switch index of (seed, position) pairs — are evaluated
+//! again. Any other placed seed evaluates every position. The records
+//! follow [`SolveState::remap`], are dropped for seeds that are new or
+//! declared dirty, and are dropped with the slots on a subject
+//! renumbering and on an options change. The objective sums the
+//! recorded utilities where the final allocation is the scanned one,
+//! and the migration count reads the seats.
+//!
+//! So the delta solve's assignment, utility bits, migration count and
 //! dropped-task list are identical to `crate::solve_heuristic` on the
-//! same instance. `prop_delta.rs` pins this under random churn.
+//! same instance. `prop_delta.rs` pins this under random churn, and
+//! `heuristic::tests::scan_property` holds a rescan to the
+//! per-candidate scan.
 
 use std::mem::size_of;
 use std::sync::Arc;
@@ -65,12 +91,17 @@ use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::heuristic::{solve_core, HeuristicOptions, SeedPolls, SwitchState};
-use crate::model::{PlacementInstance, PlacementResult, SubjectInterner};
+use crate::model::{PlacementInstance, PlacementResult, PlacementSeed, SubjectInterner};
 
-/// Bucket bounds of the `solver.delta_frontier`, `solver.benefit_classes`
-/// and `solver.switches_rebuilt` histograms (switch counts, so plain
-/// powers of two rather than latency buckets).
+/// Bucket bounds of the `solver.delta_frontier` and
+/// `solver.switches_rebuilt` histograms (switch counts, so plain powers
+/// of two rather than latency buckets).
 const SWITCH_COUNT_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+
+/// Bucket bounds of the `solver.benefit_pairs_evaluated` histogram:
+/// (seed, candidate) pairs, from none in a stable world to every pair of
+/// a cold Fig. 7 solve.
+const PAIR_COUNT_BOUNDS: &[u64] = &[0, 1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
 /// The `solver.*` instruments [`replan_delta`] reports into, looked up
 /// once per [`SolveState`] and registry rather than once per solve.
@@ -82,7 +113,7 @@ struct Instruments {
     replans: Arc<Counter>,
     fallbacks: Arc<Counter>,
     frontier: Arc<Histogram>,
-    benefit_classes: Arc<Histogram>,
+    pairs_evaluated: Arc<Histogram>,
     steps_replayed: Arc<Counter>,
     steps_executed: Arc<Counter>,
     switches_rebuilt: Arc<Histogram>,
@@ -97,7 +128,7 @@ impl Instruments {
             replans: t.counter("solver.replan_delta"),
             fallbacks: t.counter("solver.delta_fallback_full"),
             frontier: t.histogram("solver.delta_frontier", SWITCH_COUNT_BOUNDS),
-            benefit_classes: t.histogram("solver.benefit_classes", SWITCH_COUNT_BOUNDS),
+            pairs_evaluated: t.histogram("solver.benefit_pairs_evaluated", PAIR_COUNT_BOUNDS),
             steps_replayed: t.counter("solver.greedy_steps_replayed"),
             steps_executed: t.counter("solver.greedy_steps_executed"),
             switches_rebuilt: t.histogram("solver.switches_rebuilt", SWITCH_COUNT_BOUNDS),
@@ -142,10 +173,13 @@ pub struct DeltaReport {
     /// Switches whose greedy state was rebuilt from their op log rather
     /// than kept from the last solve.
     pub switches_rebuilt: usize,
-    /// Switch-state classes the migration-benefit scan met (0 when the
-    /// migration pass is off): near the switch count on a heterogeneous
-    /// fabric, a handful on a homogeneous one.
-    pub(crate) benefit_classes: usize,
+    /// (seed, candidate) pairs whose migration benefit step 4 evaluated
+    /// rather than copied from the last solve: every pair on a cold
+    /// solve, none in a world that did not change (0 when the migration
+    /// pass is off).
+    pub pairs_evaluated: usize,
+    /// Seeds step 5 relocated.
+    pub relocated: usize,
 }
 
 /// What changed since the last solve that the solver cannot see on its
@@ -286,6 +320,11 @@ impl Seeds {
         (slot != NO_SEAT).then_some(slot as usize)
     }
 
+    /// The allocation of the seed's previous seat (see [`Seeds::seat`]).
+    pub(crate) fn seat_res(&self, s: usize) -> Resources {
+        self.seat_res[s]
+    }
+
     fn kept(&self, s: usize) -> bool {
         self.flags[s] & KEPT != 0
     }
@@ -409,9 +448,6 @@ impl Seeds {
             }
             at.push(ids.len() as u32);
         }
-        fn carry<T: Copy>(v: &[T], old: &[Option<usize>], none: T) -> Vec<T> {
-            old.iter().map(|o| o.map_or(none, |o| v[o])).collect()
-        }
         self.min_res = carry(&self.min_res, &old, Resources::ZERO);
         self.min_u = carry(&self.min_u, &old, 0.0);
         self.seat_slot = carry(&self.seat_slot, &old, NO_SEAT);
@@ -429,6 +465,12 @@ impl Seeds {
             + vec_bytes(&self.seat_res)
             + vec_bytes(&self.flags)
     }
+}
+
+/// A per-seed vector in the new numbering: `old[new]` is the seed's old
+/// index, or `None` for a seed that takes `none`.
+fn carry<T: Copy>(v: &[T], old: &[Option<usize>], none: T) -> Vec<T> {
+    old.iter().map(|o| o.map_or(none, |o| v[o])).collect()
 }
 
 /// Whether `ids` are numbered in first-seen order: each id is either
@@ -485,26 +527,42 @@ pub(crate) struct Switches {
     cursor: Vec<u32>,
     /// This solve built the state instead of keeping the settled one.
     pub(crate) touched: Vec<bool>,
+    /// After step 3, the state may differ from the last solve's after
+    /// step 3: it was built, and its LP, if any, ran rather than
+    /// replayed. (One that replayed its LP is refreshed from the same
+    /// residents, reservations and allocations as last solve.)
+    pub(crate) moved: Vec<bool>,
     /// In this round but not the last.
     joined: Vec<bool>,
     any_joined: bool,
+    /// In the last round but not this one.
+    pub(crate) left: Vec<usize>,
     /// The round's slots by ascending switch id.
     pub(crate) order: Vec<usize>,
 }
 
 impl Switches {
-    /// A round of the given switches in the given states.
+    /// The next round: the given switches in the given states, moved
+    /// where the flag says the state changed since the last round or the
+    /// switch joined, as a solve leaves them after step 3.
     #[cfg(test)]
-    pub(crate) fn of(states: Vec<(SwitchId, SwitchState)>) -> Switches {
-        let mut switches = Switches::default();
-        for (n, st) in states {
-            let i = switches.slot(n);
-            switches.states[i] = st;
-            switches.mode[i] = Mode::Diverged;
-            switches.order.push(i);
+    pub(crate) fn round(&mut self, states: Vec<(SwitchId, SwitchState, bool)>) {
+        let was: Vec<bool> = (0..self.ids.len()).map(|i| self.is_present(i)).collect();
+        self.mode.fill(Mode::Absent);
+        for (n, st, changed) in states {
+            let i = self.slot(n);
+            self.states[i] = st;
+            self.mode[i] = Mode::Diverged;
+            self.joined[i] = !was.get(i).copied().unwrap_or(false);
+            self.moved[i] = changed || self.joined[i];
         }
-        switches.order.sort_unstable_by_key(|&i| switches.ids[i]);
-        switches
+        self.left = (0..was.len())
+            .filter(|&i| was[i] && !self.is_present(i))
+            .collect();
+        self.order = (0..self.ids.len())
+            .filter(|&i| self.is_present(i))
+            .collect();
+        self.order.sort_unstable_by_key(|&i| self.ids[i]);
     }
 
     /// The switch's slot, allocated (not in the round) on first sight.
@@ -521,6 +579,7 @@ impl Switches {
             self.mode.push(Mode::Absent);
             self.cursor.push(0);
             self.touched.push(false);
+            self.moved.push(false);
             self.joined.push(false);
         }
         i
@@ -557,6 +616,7 @@ impl Switches {
         for i in 0..self.ids.len() {
             self.joined[i] = self.is_present(i);
             self.touched[i] = false;
+            self.moved[i] = false;
             self.mode[i] = Mode::Absent;
         }
         for (n, ares) in &instance.switches {
@@ -575,6 +635,7 @@ impl Switches {
             self.cursor[i] = 0;
         }
         self.any_joined = false;
+        self.left.clear();
         let mut reorder = false;
         for i in 0..self.ids.len() {
             let (was, now) = (self.joined[i], self.touched[i]);
@@ -583,6 +644,7 @@ impl Switches {
                 self.lp[i] = None;
                 self.states[i] = SwitchState::new(Resources::ZERO);
                 self.settled[i] = false;
+                self.left.push(i);
             }
             self.joined[i] = now && !was;
             self.any_joined |= self.joined[i];
@@ -609,6 +671,7 @@ impl Switches {
         self.mode.shrink_to_fit();
         self.cursor.shrink_to_fit();
         self.touched.shrink_to_fit();
+        self.moved.shrink_to_fit();
         self.joined.shrink_to_fit();
     }
 
@@ -671,7 +734,7 @@ impl Switches {
                     self.diverge(i, at as usize);
                 }
             }
-            self.touched[i] = true;
+            (self.touched[i], self.moved[i]) = (true, true);
             rebuilt += 1;
         }
         rebuilt
@@ -758,7 +821,9 @@ impl Switches {
             + vec_bytes(&self.mode)
             + vec_bytes(&self.cursor)
             + vec_bytes(&self.touched)
+            + vec_bytes(&self.moved)
             + vec_bytes(&self.joined)
+            + vec_bytes(&self.left)
             + vec_bytes(&self.order)
     }
 }
@@ -903,16 +968,275 @@ impl Steps {
     }
 }
 
+/// One migration benefit of step 4: seed `seed` would gain `benefit` at
+/// its candidate number `pos`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Benefit {
+    pub(crate) benefit: f64,
+    pub(crate) seed: u32,
+    pub(crate) pos: u32,
+}
+
+/// Per-seed flags of [`Scans`]: the seed's record is the last scan's,
+const SCANNED: u8 = 1;
+/// its utility there was `Some`,
+const UTIL_SOME: u8 = 2;
+/// and the index holds every (seed, position) pair of its candidates.
+const INDEXED: u8 = 4;
+
+/// Step 4's memory. Per seed, flat and seed-indexed: the seat (switch
+/// and allocation bits) the seed was scanned at last solve, its utility
+/// there, and the benefits it pushed, in candidate order. Per switch
+/// slot: the (seed, position) pairs of the indexed seeds' candidates that
+/// name it, so a switch that changed finds the pairs it affects without
+/// a walk over any candidate list.
+#[derive(Debug, Default)]
+pub(crate) struct Scans {
+    seat: Vec<SwitchId>,
+    res: Vec<Resources>,
+    util: Vec<f64>,
+    flags: Vec<u8>,
+    /// The last scan's benefits, ascending by (seed, position).
+    pub(crate) benefits: Vec<Benefit>,
+    next: Vec<Benefit>,
+    /// Per slot, ascending; pairs of a seed whose candidates changed stay
+    /// until their switch changes, and are dropped then.
+    by_slot: Vec<Vec<(u32, u32)>>,
+}
+
+impl Scans {
+    /// Starts a solve of `n` seeds. A seed whose products are not the
+    /// last solve's (`kept` false, seed by seed: new, or declared dirty)
+    /// loses its record and its place in the index.
+    pub(crate) fn begin(&mut self, n: usize, kept: impl Iterator<Item = bool>) {
+        self.seat.resize(n, SwitchId(0));
+        self.res.resize(n, Resources::ZERO);
+        self.util.resize(n, 0.0);
+        self.flags.resize(n, 0);
+        for (flags, kept) in self.flags.iter_mut().zip(kept) {
+            if !kept {
+                *flags = 0;
+            }
+        }
+    }
+
+    /// Drops every record; the index stays.
+    fn forget(&mut self) {
+        for flags in &mut self.flags {
+            *flags &= INDEXED;
+        }
+        self.benefits.clear();
+    }
+
+    /// Moves every record to the seed's new index (`map[old] = Some(new)`,
+    /// `src[new] = Some(old)`) and drops the unmapped seeds' records.
+    pub(crate) fn remap(&mut self, map: &[Option<usize>], src: &[Option<usize>]) {
+        let old: Vec<Option<usize>> = src
+            .iter()
+            .map(|o| o.filter(|&o| o < self.flags.len()))
+            .collect();
+        self.seat = carry(&self.seat, &old, SwitchId(0));
+        self.res = carry(&self.res, &old, Resources::ZERO);
+        self.util = carry(&self.util, &old, 0.0);
+        self.flags = carry(&self.flags, &old, 0);
+        let new = |s: &mut u32| {
+            let n = map.get(*s as usize).copied().flatten();
+            n.map(|n| *s = n as u32).is_some()
+        };
+        self.benefits.retain_mut(|b| new(&mut b.seed));
+        if !self.benefits.is_sorted_by_key(|b| (b.seed, b.pos)) {
+            self.benefits.sort_unstable_by_key(|b| (b.seed, b.pos));
+        }
+        for pairs in &mut self.by_slot {
+            pairs.retain_mut(|(s, _)| new(s));
+            if !pairs.is_sorted() {
+                pairs.sort_unstable();
+            }
+        }
+    }
+
+    /// Before a scan: indexes every seed scanned last solve and not yet
+    /// indexed, then returns the pairs whose switch's state may have
+    /// changed since that scan — [`Switches::moved`] (which covers a
+    /// switch step 5 unsettled, since step 5 logs no op, and one that
+    /// joined), or left — ascending.
+    pub(crate) fn prepare(
+        &mut self,
+        instance: &PlacementInstance,
+        switches: &mut Switches,
+    ) -> Vec<(u32, u32)> {
+        let Scans { flags, by_slot, .. } = self;
+        for (s, flags) in flags.iter_mut().enumerate() {
+            if *flags & (SCANNED | INDEXED) != SCANNED {
+                continue;
+            }
+            *flags |= INDEXED;
+            for (pos, &n) in instance.seeds[s].candidates.iter().enumerate() {
+                let i = switches.slot(n);
+                if by_slot.len() <= i {
+                    by_slot.resize_with(i + 1, Vec::new);
+                }
+                let pairs = &mut by_slot[i];
+                let pair = (s as u32, pos as u32);
+                if let Err(k) = pairs.binary_search(&pair) {
+                    // Grown by an eighth, not doubled: the index is kept.
+                    if pairs.len() == pairs.capacity() {
+                        pairs.reserve_exact(pairs.len() / 8 + 1);
+                    }
+                    pairs.insert(k, pair);
+                }
+            }
+        }
+        let mut changed = Vec::new();
+        let moved = switches.order.iter().filter(|&&i| switches.moved[i]);
+        for &i in moved.chain(&switches.left) {
+            let Some(pairs) = by_slot.get_mut(i) else {
+                continue;
+            };
+            let n = switches.ids[i];
+            let names = |&(s, pos): &(u32, u32)| {
+                let seed = instance.seeds.get(s as usize);
+                seed.and_then(|seed| seed.candidates.get(pos as usize)) == Some(&n)
+            };
+            if !pairs.iter().all(names) {
+                pairs.retain(names);
+            }
+            changed.extend_from_slice(pairs);
+        }
+        changed.sort_unstable();
+        changed
+    }
+
+    /// Step 4's walk over the seeds in order. A seed scanned last solve at
+    /// the seat it holds now, to the bit, copies the benefits it pushed
+    /// then and re-evaluates only the positions whose switch changed
+    /// since (`changed`, from [`Scans::prepare`]); any other placed seed
+    /// evaluates every position, and becomes scanned at its seat.
+    /// `benefit(s, min_res, i, cur_u)` is seed `s`'s benefit at the
+    /// present switch of slot `i`, if one clears the hysteresis. The
+    /// benefits land in [`Scans::benefits`]; returns the pairs evaluated.
+    pub(crate) fn scan(
+        &mut self,
+        instance: &PlacementInstance,
+        assignment: &[Option<(SwitchId, Resources)>],
+        switches: &Switches,
+        changed: &[(u32, u32)],
+        min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
+        mut benefit: impl FnMut(usize, &Resources, usize, f64) -> Option<f64>,
+    ) -> usize {
+        let Scans {
+            seat,
+            res,
+            util,
+            flags,
+            benefits,
+            next,
+            ..
+        } = self;
+        next.clear();
+        let (mut at_benefit, mut at_change, mut pairs) = (0, 0, 0);
+        for (s, slot) in assignment.iter().enumerate() {
+            let olds = run(benefits, &mut at_benefit, s, |b| b.seed);
+            let changes = run(changed, &mut at_change, s, |c| c.0);
+            let Some((cur, cur_res)) = slot else {
+                flags[s] &= !SCANNED;
+                continue;
+            };
+            let kept_res = flags[s] & SCANNED != 0 && bits(&res[s]) == bits(cur_res);
+            let same = kept_res && seat[s] == *cur;
+            if same && changes.is_empty() {
+                next.extend_from_slice(&benefits[olds]);
+                continue;
+            }
+            let Some((min_res, _)) = min_alloc(s) else {
+                flags[s] &= !SCANNED;
+                continue;
+            };
+            let seed = &instance.seeds[s];
+            if !kept_res {
+                let u = seed.util.eval(cur_res);
+                (res[s], util[s]) = (*cur_res, u.unwrap_or(0.0));
+                flags[s] = flags[s] & INDEXED | if u.is_some() { UTIL_SOME } else { 0 };
+            }
+            (seat[s], flags[s]) = (*cur, flags[s] | SCANNED);
+            let cur_u = util[s];
+            let mut eval = |pos: usize, next: &mut Vec<Benefit>| {
+                let n = seed.candidates[pos];
+                if n == *cur {
+                    return;
+                }
+                let Some(i) = switches.present_slot(n) else {
+                    return;
+                };
+                pairs += 1;
+                if let Some(benefit) = benefit(s, &min_res, i, cur_u) {
+                    let (seed, pos) = (s as u32, pos as u32);
+                    next.push(Benefit { benefit, seed, pos });
+                }
+            };
+            if same {
+                let mut olds = benefits[olds].iter().copied().peekable();
+                for &(_, pos) in &changed[changes] {
+                    while let Some(b) = olds.next_if(|b| b.pos < pos) {
+                        next.push(b);
+                    }
+                    olds.next_if(|b| b.pos == pos);
+                    eval(pos as usize, next);
+                }
+                next.extend(olds);
+            } else {
+                for pos in 0..seed.candidates.len() {
+                    eval(pos, next);
+                }
+            }
+        }
+        std::mem::swap(benefits, next);
+        pairs
+    }
+
+    /// The utility of seed `s` at `res`: the one its record holds when
+    /// `res` is the allocation it was scanned at, to the bit.
+    pub(crate) fn utility(&self, seed: &PlacementSeed, s: usize, res: &Resources) -> Option<f64> {
+        if self.flags[s] & SCANNED != 0 && bits(&self.res[s]) == bits(res) {
+            return (self.flags[s] & UTIL_SOME != 0).then_some(self.util[s]);
+        }
+        seed.util.eval(res)
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.seat)
+            + vec_bytes(&self.res)
+            + vec_bytes(&self.util)
+            + vec_bytes(&self.flags)
+            + vec_bytes(&self.benefits)
+            + vec_bytes(&self.next)
+            + vec_bytes(&self.by_slot)
+            + self.by_slot.iter().map(vec_bytes).sum::<usize>()
+    }
+}
+
+/// The run of `v`'s items from `*at` whose key is `s`, as a range;
+/// `*at` moves past it. `v` is ascending by key, and `s` only grows
+/// from one call to the next.
+fn run<T>(v: &[T], at: &mut usize, s: usize, key: impl Fn(&T) -> u32) -> std::ops::Range<usize> {
+    let start = *at;
+    while v.get(*at).is_some_and(|x| key(x) as usize == s) {
+        *at += 1;
+    }
+    start..*at
+}
+
 /// What the solve keeps of itself: the greedy pass's per-seed products,
-/// per-switch op logs, states and LP outputs, and scan records. A
-/// from-scratch solve runs through a fresh one.
+/// per-switch op logs, states and LP outputs and greedy step records,
+/// and step 4's records. A from-scratch solve runs through a fresh one.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     pub(crate) seeds: Seeds,
     pub(crate) switches: Switches,
     steps: Steps,
-    /// The options of the last solve: the settled states and which LP
-    /// outputs are current depend on them.
+    pub(crate) scans: Scans,
+    /// The options of the last solve: the settled states, which LP
+    /// outputs are current and what step 4 saw depend on them.
     options: Option<HeuristicOptions>,
 }
 
@@ -947,20 +1271,26 @@ impl Memo {
         }
         // Renumbered subjects: the states and logs speak the old ids, and
         // an LP solved under them may order its variables differently.
+        // The slots start over with them.
         if self.seeds.update(instance) {
-            (self.switches, self.steps) = (Switches::default(), Steps::default());
+            self.switches = Switches::default();
+            (self.steps, self.scans) = (Steps::default(), Scans::default());
             self.seeds.seat_slot.fill(NO_SEAT);
         }
         self.switches.begin(instance);
         self.seeds.seat_previous(instance, &mut self.switches);
-        // The settled states depend on the options, and a solve with
-        // step 3 off replaces no stored LP output.
+        // The settled states depend on the options, a solve with step 3
+        // off replaces no stored LP output, and one with step 4 off
+        // scans nothing.
         if self.options != Some(options) {
             self.switches.settled.fill(false);
             self.switches.lp.fill(None);
+            self.scans.forget();
             self.options = Some(options);
         }
         self.steps.begin();
+        let kept = self.seeds.flags.iter().map(|f| f & KEPT != 0);
+        self.scans.begin(instance.seeds.len(), kept);
     }
 
     /// Appends `op` to switch `i`'s log.
@@ -1035,25 +1365,33 @@ impl Memo {
     }
 
     fn remap(&mut self, map: &[Option<usize>]) {
-        let len = map.iter().flatten().max().map_or(0, |m| m + 1);
-        let mut src = vec![None; len];
-        for (old, new) in map.iter().enumerate() {
-            if let Some(new) = new {
-                src[*new] = Some(old);
-            }
-        }
+        let src = sources(map);
         self.seeds.remap(&src);
         self.steps.remap(map);
         self.switches.remap(map);
+        self.scans.remap(map, &src);
     }
 
     fn bytes(&self) -> usize {
-        self.seeds.bytes() + self.switches.bytes() + self.steps.bytes()
+        self.seeds.bytes() + self.switches.bytes() + self.steps.bytes() + self.scans.bytes()
     }
 }
 
+/// The inverse of a remap: `src[new] = Some(old)` for `map[old] = Some(new)`.
+pub(crate) fn sources(map: &[Option<usize>]) -> Vec<Option<usize>> {
+    let len = map.iter().flatten().max().map_or(0, |m| m + 1);
+    let mut src = vec![None; len];
+    for (old, new) in map.iter().enumerate() {
+        if let Some(new) = new {
+            src[*new] = Some(old);
+        }
+    }
+    src
+}
+
 /// Solver state retained between [`replan_delta`] calls: the greedy
-/// pass's memory with each switch's last LP output.
+/// pass's memory with each switch's last LP output, and the last
+/// benefit scan.
 #[derive(Debug, Default)]
 pub struct SolveState {
     memo: Memo,
@@ -1068,8 +1406,8 @@ impl SolveState {
         SolveState::default()
     }
 
-    /// Bytes the state holds, by capacity: the greedy memory and the
-    /// stored LP outputs.
+    /// Bytes the state holds, by capacity: the greedy memory, the stored
+    /// LP outputs and the scan records.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.memo.bytes()
     }
@@ -1081,9 +1419,9 @@ impl SolveState {
 
     /// Rewrites retained seed indices after the instance was rebuilt with
     /// a different seed numbering. `map[old] = Some(new)` keeps a seed
-    /// under its new index — its products, previous seat and last step
-    /// move with it; `None` (or out-of-range `old`) drops it, and every
-    /// switch log and LP output mentioning it. Callers that rebuild
+    /// under its new index — its products, previous seat, last step and
+    /// last scan move with it; `None` (or out-of-range `old`) drops it,
+    /// and every switch log and LP output mentioning it. Callers that rebuild
     /// instances per solve (e.g. the seeder flattening its task table)
     /// call this with the old→new correspondence so unrelated switches
     /// keep their memo.
@@ -1100,9 +1438,9 @@ impl SolveState {
 /// `solver.delta_fallback_full` counts warm solves that replayed no LP,
 /// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` count
 /// greedy steps, the `solver.delta_frontier`, `solver.switches_rebuilt`
-/// and `solver.benefit_classes` histograms record the LPs run, the
-/// switches whose greedy state was rebuilt and the switch-state classes
-/// of the benefit scan, and the `solver.delta_cache_entries` /
+/// and `solver.benefit_pairs_evaluated` histograms record the LPs run,
+/// the switches whose greedy state was rebuilt and the (seed, candidate)
+/// pairs step 4 evaluated, and the `solver.delta_cache_entries` /
 /// `solver.delta_cache_bytes` gauges say how many LP outputs are stored
 /// and what the whole state retains afterwards.
 pub fn replan_delta(
@@ -1129,7 +1467,7 @@ pub fn replan_delta(
             i.fallbacks.inc();
         }
         i.frontier.record(report.frontier as u64);
-        i.benefit_classes.record(report.benefit_classes as u64);
+        i.pairs_evaluated.record(report.pairs_evaluated as u64);
         i.steps_replayed.add(report.steps_replayed as u64);
         i.steps_executed.add(report.steps_executed as u64);
         i.switches_rebuilt.record(report.switches_rebuilt as u64);
@@ -1143,7 +1481,7 @@ pub fn replan_delta(
 mod tests {
     use super::*;
     use crate::heuristic::solve_heuristic;
-    use crate::model::{validate, PreviousPlacement};
+    use crate::model::{validate, PlacementTask, PreviousPlacement};
     use crate::workload::{generate, WorkloadConfig};
 
     fn small_instance(seed: u64) -> PlacementInstance {
@@ -1188,7 +1526,7 @@ mod tests {
         let updates: usize = state.lp_outputs().map(Vec::len).sum();
         assert!(updates > 0);
         assert!(state.cache_bytes() >= updates * size_of::<(usize, Resources)>());
-        assert!((1..=inst.switches.len()).contains(&report.benefit_classes));
+        assert!(report.pairs_evaluated > 0, "{report:?}");
         assert_eq!(state.solves, 1);
     }
 
@@ -1385,6 +1723,93 @@ mod tests {
         assert_eq!(report.steps_executed, 0, "{report:?}");
         assert_eq!(report.switches_rebuilt, 0, "{report:?}");
         assert_eq!(report.steps_replayed, cold.steps_executed);
+    }
+
+    #[test]
+    fn a_stable_world_rescans_no_pair() {
+        let mut inst = small_instance(4);
+        let opts = HeuristicOptions::default();
+        let mut state = SolveState::new();
+        let (mut r, cold) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert!(cold.pairs_evaluated > 0, "{cold:?}");
+        let mut warm = Vec::new();
+        for _ in 0..3 {
+            as_previous(&mut inst, &r);
+            let (next, report) =
+                replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            assert_same(&next, &solve_heuristic(&inst, opts));
+            warm.push(report);
+            r = next;
+        }
+        // The third warm solve of an unchanged world copies every
+        // benefit and reads every utility from the records.
+        let third = warm[2];
+        assert_eq!(third.pairs_evaluated, 0, "{warm:?}");
+        assert_eq!(third.relocated, 0, "{warm:?}");
+        let utility: f64 = r
+            .assignment
+            .iter()
+            .enumerate()
+            .filter_map(|(s, a)| inst.seeds[s].util.eval(&a.as_ref()?.1))
+            .sum();
+        assert_eq!(r.utility.to_bits(), utility.to_bits());
+    }
+
+    #[test]
+    fn a_catalog_rebuild_is_not_a_rescan() {
+        // A stable world, then a one-seed task registered in front of the
+        // others, as a submit rebuilds the seeder's catalog: every seed
+        // moves up one index and the state is remapped. The records move
+        // with the seeds, so the scan evaluates the new seed's pairs and
+        // those of the switches it changed, not every pair again.
+        let mut inst = small_instance(6);
+        let opts = HeuristicOptions::default();
+        let mut state = SolveState::new();
+        let (mut r, cold) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        for _ in 0..3 {
+            as_previous(&mut inst, &r);
+            r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        }
+        let mut seeds = vec![PlacementSeed {
+            id: 0,
+            task: 0,
+            ..inst.seeds[0].clone()
+        }];
+        for seed in &inst.seeds {
+            let (id, task) = (seed.id + 1, seed.task + 1);
+            seeds.push(PlacementSeed {
+                id,
+                task,
+                ..seed.clone()
+            });
+        }
+        let mut tasks = vec![PlacementTask {
+            name: "new".into(),
+            seeds: vec![0],
+        }];
+        for task in &inst.tasks {
+            let seeds = task.seeds.iter().map(|s| s + 1).collect();
+            tasks.push(PlacementTask {
+                seeds,
+                ..task.clone()
+            });
+        }
+        (inst.seeds, inst.tasks) = (seeds, tasks);
+        let map: Vec<Option<usize>> = (1..inst.seeds.len()).map(Some).collect();
+        state.remap(&map);
+        let mut prev = PreviousPlacement::default();
+        for (s, slot) in r.assignment.iter().enumerate() {
+            if let Some(seat) = slot {
+                prev.assignment.insert(s + 1, *seat);
+            }
+        }
+        inst.previous = Some(prev);
+        let (next, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::seeds([0]), None);
+        assert_same(&next, &solve_heuristic(&inst, opts));
+        assert!(
+            report.pairs_evaluated * 2 < cold.pairs_evaluated,
+            "{report:?} against {cold:?}"
+        );
     }
 
     #[test]

@@ -44,18 +44,16 @@
 //!   and reservations as last solve replays its last LP output instead
 //!   of solving, and the post-LP refresh runs only where the greedy
 //!   state or the LP changed.
-//! * Step 4 evaluates a seed's migration benefit once per *switch-state
-//!   class* it meets, not once per candidate: switches whose `ares`,
-//!   `used`, poll total and per-subject maxima agree bit for bit give
-//!   the same answer (`classify_states`), and on a fabric of mostly
-//!   identical switches that is a handful of evaluations for a
-//!   thousand candidates.
+//! * Step 4 follows the change too: a seed at the seat (switch and
+//!   allocation bits) it was scanned at last solve copies the benefits
+//!   it pushed then, and only the (seed, candidate) pairs of new, dirty
+//!   or moved seeds and of switches whose post-step-3 state may have
+//!   changed are evaluated ([`crate::delta`]). The objective and the
+//!   migration count read the same per-seed records instead of
+//!   re-evaluating every utility and hashing every previous seat.
 
-use std::hash::Hasher;
 use std::mem::size_of;
 use std::time::Instant;
-
-use crate::fxhash::FxHasher;
 
 use farm_almanac::analysis::{Poly, UtilExpr};
 use farm_lp::{record_phase, Cmp, LinExpr, Problem, Sense};
@@ -63,7 +61,7 @@ use farm_netsim::switch::{ResourceKind, Resources};
 use farm_netsim::types::SwitchId;
 use farm_telemetry::Telemetry;
 
-use crate::delta::{DeltaReport, Memo, Op, OpKind, Outcome, Seeds, Switches};
+use crate::delta::{Benefit, DeltaReport, Memo, Op, OpKind, Outcome, Scans, Seeds, Switches};
 use crate::model::{count_migrations, utility_of, PlacementInstance, PlacementResult, PollDemand};
 
 /// Heuristic knobs: the switches `repro ablation` flips.
@@ -438,49 +436,14 @@ impl SwitchState {
         );
         s
     }
-
-    /// Whether `other` reads the same to [`achievable_utility`]: that
-    /// function is pure in the seed and in exactly four things it takes
-    /// from the switch — `ares`, `used`, `poll_total` and each subject's
-    /// running max — and all four agree bit for bit (`to_bits`). `0.0`
-    /// and `-0.0`, or a subject at max `0.0` and an absent one, do not
-    /// agree: finer than needed, never coarser.
-    fn same_class(&self, other: &SwitchState) -> bool {
-        let bits = |r: &Resources| r.0.map(f64::to_bits);
-        bits(&self.ares) == bits(&other.ares)
-            && bits(&self.used) == bits(&other.used)
-            && self.poll_total.to_bits() == other.poll_total.to_bits()
-            && self.poll.len() == other.poll.len()
-            && self
-                .poll
-                .iter()
-                .zip(&other.poll)
-                .all(|(a, b)| a.subject == b.subject && a.max.to_bits() == b.max.to_bits())
-    }
-
-    /// A hash equal for switches of the same class. The subjects fold in
-    /// by addition, so their order does not matter.
-    fn class_hash(&self) -> u64 {
-        let mut hasher = FxHasher::default();
-        for x in self.ares.0.iter().chain(&self.used.0) {
-            hasher.write_u64(x.to_bits());
-        }
-        hasher.write_u64(self.poll_total.to_bits());
-        let subject = |cell: &PollCell| {
-            let mut h = FxHasher::default();
-            h.write_u32(cell.subject);
-            h.write_u64(cell.max.to_bits());
-            h.finish()
-        };
-        hasher.write_u64(self.poll.iter().map(subject).fold(0, u64::wrapping_add));
-        hasher.finish()
-    }
 }
 
 /// The migration-benefit comparator: decreasing benefit, `Equal` on any
 /// NaN so the sort never panics.
-fn benefit_cmp(a: &(f64, usize, SwitchId), b: &(f64, usize, SwitchId)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
+fn benefit_cmp(a: &Benefit, b: &Benefit) -> std::cmp::Ordering {
+    b.benefit
+        .partial_cmp(&a.benefit)
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// Runs Alg. 1 on an instance.
@@ -759,7 +722,10 @@ pub(crate) fn solve_core(
         );
     }
     let Memo {
-        seeds, switches, ..
+        seeds,
+        switches,
+        scans,
+        ..
     } = memo;
     let polls = |s: usize| seeds.polls(instance, s);
 
@@ -781,12 +747,13 @@ pub(crate) fn solve_core(
             }
             report.lp_switches += 1;
             if switches.replays_lp(i, seeds) {
+                switches.moved[i] = false;
                 report.reused += 1;
             } else {
                 let ups =
                     redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
                 switches.lp[i] = Some(ups);
-                switches.touched[i] = true;
+                (switches.touched[i], switches.moved[i]) = (true, true);
                 report.frontier += 1;
             }
             let n = switches.ids[i];
@@ -820,17 +787,20 @@ pub(crate) fn solve_core(
     let migration_start = Instant::now();
     let mut migrations = 0;
     if options.migration {
-        let (mut benefits, classes) = scan_benefits(
+        report.pairs_evaluated = scan_benefits(
             instance,
             polls,
             |s| seeds.min_alloc(s),
             &assignment,
             switches,
+            scans,
         );
-        report.benefit_classes = classes;
+        let mut benefits = scans.benefits.clone();
         benefits.sort_by(benefit_cmp);
-        for (_, s, n) in benefits {
+        for Benefit { seed: s, pos, .. } in benefits {
+            let s = s as usize;
             let seed = &instance.seeds[s];
+            let n = seed.candidates[pos as usize];
             let Some((cur, cur_res)) = assignment[s] else {
                 continue;
             };
@@ -851,7 +821,7 @@ pub(crate) fn solve_core(
             // Commit only when the *realized* allocation clears the same
             // hysteresis the estimate did — a migration must strictly pay
             // for its state transfer and double occupancy.
-            let cur_u = seed.util.eval(&cur_res).unwrap_or(0.0);
+            let cur_u = scans.utility(seed, s, &cur_res).unwrap_or(0.0);
             let new_u = seed.util.eval(&res).unwrap_or(0.0);
             if new_u <= cur_u * 1.15 + 1e-6 {
                 continue;
@@ -865,12 +835,11 @@ pub(crate) fn solve_core(
             // (its released headroom went to co-residents). Re-seating
             // the old reservation would then oversubscribe the source —
             // skip the move instead (C4 over a cheaper migration).
-            let previous = instance
-                .previous
-                .as_ref()
-                .and_then(|p| p.assignment.get(&s))
-                .filter(|(pn, _)| *pn == cur);
-            if let Some((_, pres)) = previous {
+            let previous = seeds
+                .seat(s)
+                .filter(|&i| switches.ids[i] == cur)
+                .map(|_| seeds.seat_res(s));
+            if let Some(pres) = &previous {
                 if !switches.states[from].fits_after_release(polls(s), &cur_res, pres) {
                     continue;
                 }
@@ -881,12 +850,13 @@ pub(crate) fn solve_core(
             switches.states[to].place(s, polls(s), &res);
             let src = &mut switches.states[from];
             src.unplace(s, polls(s), &cur_res);
-            if let Some((_, pres)) = previous {
-                src.reserve(s, polls(s), *pres);
+            if let Some(pres) = previous {
+                src.reserve(s, polls(s), pres);
             }
             switches.unsettle(to);
             switches.unsettle(from);
             assignment[s] = Some((n, res));
+            report.relocated += 1;
             if instance.previous.is_some() {
                 migrations += 1;
             }
@@ -901,10 +871,27 @@ pub(crate) fn solve_core(
         }
     }
 
-    let utility = utility_of(instance, &assignment);
+    // The objective, as `utility_of` sums it, from step 4's records; and
+    // the seeds placed away from their previous seat.
+    let utility = assignment
+        .iter()
+        .enumerate()
+        .filter_map(|(s, a)| {
+            let (_, res) = a.as_ref()?;
+            scans.utility(&instance.seeds[s], s, res)
+        })
+        .sum();
+    let off_seat = assignment
+        .iter()
+        .enumerate()
+        .filter(|(s, a)| match (seeds.seat(*s), a) {
+            (Some(i), Some((n, _))) => switches.ids[i] != *n,
+            _ => false,
+        })
+        .count();
     let result = PlacementResult {
         utility,
-        migrations: migrations.max(count_migrations(instance, &assignment)),
+        migrations: migrations.max(off_seat),
         runtime: start.elapsed(),
         dropped_tasks: dropped,
         assignment,
@@ -912,96 +899,39 @@ pub(crate) fn solve_core(
     (result, report)
 }
 
-/// The *state class* of every switch of the round, by slot, and how
-/// many classes there are. Two switches share a class exactly when
-/// [`SwitchState::same_class`] says so: everything [`achievable_utility`]
-/// reads from a switch has the same bit pattern on both, so within a
-/// class the function returns the same bits for the same seed.
-///
-/// O(switches), no allocation per switch: a switch is hashed
-/// ([`SwitchState::class_hash`]) into a slot table and compared field
-/// for field against the first switch of the class found there — the
-/// hash only finds the candidate, the compare decides.
-fn classify_states(switches: &Switches) -> (Vec<u32>, usize) {
-    let states = &switches.states;
-    let bits = (switches.order.len() * 2)
-        .next_power_of_two()
-        .trailing_zeros()
-        .max(1);
-    let mut slots: Vec<u32> = vec![u32::MAX; 1 << bits];
-    // Per class, the first switch seen in it.
-    let mut firsts: Vec<usize> = Vec::new();
-    let mut class_of: Vec<u32> = vec![u32::MAX; states.len()];
-    for &i in &switches.order {
-        let st = &states[i];
-        // The hasher's last step is a multiply: its top bits mix best.
-        let mut slot = (st.class_hash() >> (64 - bits)) as usize;
-        class_of[i] = loop {
-            let class = slots[slot];
-            if class == u32::MAX {
-                slots[slot] = firsts.len() as u32;
-                firsts.push(i);
-                break slots[slot];
-            }
-            if states[firsts[class as usize]].same_class(st) {
-                break class;
-            }
-            slot = (slot + 1) & (slots.len() - 1);
-        };
-    }
-    (class_of, firsts.len())
-}
-
 /// Alg. 1 step 4: every placed seed's utility gain at each alternative
 /// candidate that clears the hysteresis, enumerated in seed order, then
-/// candidate order. Also returns the number of switch-state classes.
+/// candidate order, into [`Scans::benefits`]. Returns the (seed,
+/// candidate) pairs evaluated.
 ///
-/// [`achievable_utility`] is evaluated once per seed and state class
-/// ([`classify_states`]), not once per candidate: on a fabric where most
-/// switches are in the same state, a `place any` seed's thousand
-/// candidates cost a handful of evaluations. Enumeration order and every
-/// pushed value are those of the per-candidate scan, bit for bit.
+/// [`achievable_utility`] is pure in the seed and the candidate's state,
+/// and the hysteresis reads the seed's current allocation. So a pair
+/// whose seed has the products and the post-step-3 seat (switch and
+/// allocation bits) it was scanned at last solve, on a switch whose
+/// state is the one that scan read, pushes what it pushed then: it is
+/// copied ([`Scans::scan`]). Only the pairs of a seed that is new, dirty
+/// or moved, and those of a candidate whose state may have changed (built
+/// with its LP run rather than replayed, or joined) or that left, are
+/// evaluated. The pushed list is the per-candidate scan's, bit for bit.
 fn scan_benefits<'p>(
     instance: &PlacementInstance,
     polls: impl Fn(usize) -> SeedPolls<'p>,
     min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
     assignment: &[Option<(SwitchId, Resources)>],
-    switches: &Switches,
-) -> (Vec<(f64, usize, SwitchId)>, usize) {
-    let (class_of, classes) = classify_states(switches);
-    // Per class: the seed the slot was filled for, and what it got there.
-    let mut memo: Vec<(usize, Option<f64>)> = vec![(usize::MAX, None); classes];
-    let mut benefits: Vec<(f64, usize, SwitchId)> = Vec::new();
-    for (s, slot) in assignment.iter().enumerate() {
-        let (Some((cur, cur_res)), Some((min_res, _))) = (slot, min_alloc(s)) else {
-            continue;
-        };
+    switches: &mut Switches,
+    scans: &mut Scans,
+) -> usize {
+    let changed = scans.prepare(instance, switches);
+    let benefit = |s: usize, min_res: &Resources, i: usize, cur_u: f64| {
         let seed = &instance.seeds[s];
-        let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
-        for &n in &seed.candidates {
-            if n == *cur {
-                continue;
-            }
-            let Some(i) = switches.present_slot(n) else {
-                continue;
-            };
-            let st = &switches.states[i];
-            let slot = &mut memo[class_of[i] as usize];
-            if slot.0 != s {
-                *slot = (s, achievable_utility(seed, polls(s), &min_res, st));
-            }
-            if let Some(u) = slot.1 {
-                // Hysteresis: relocation must clearly pay (migration
-                // costs state transfer and double occupancy; "without
-                // unnecessary migration" per Alg. 1 step 2a), and the
-                // benefit estimate is opportunistic, not exact.
-                if u > cur_u * 1.15 + 1e-6 {
-                    benefits.push((u - cur_u, s, n));
-                }
-            }
-        }
-    }
-    (benefits, classes)
+        let u = achievable_utility(seed, polls(s), min_res, &switches.states[i])?;
+        // Hysteresis: relocation must clearly pay (migration costs state
+        // transfer and double occupancy; "without unnecessary migration"
+        // per Alg. 1 step 2a), and the benefit estimate is opportunistic,
+        // not exact.
+        (u > cur_u * 1.15 + 1e-6).then_some(u - cur_u)
+    };
+    scans.scan(instance, assignment, switches, &changed, min_alloc, benefit)
 }
 
 /// Utility the seed could reach on a switch given its spare capacity
@@ -1601,23 +1531,21 @@ mod tests {
 
     mod scan_property {
         use super::*;
+        use crate::delta::sources;
         use proptest::prelude::*;
 
-        /// Step 4 as it was before state classes: one `achievable_utility`
-        /// per (seed, candidate). The oracle of the property below.
-        fn plain_scan<'p>(
-            instance: &PlacementInstance,
-            polls: impl Fn(usize) -> SeedPolls<'p>,
-            min_alloc: &[Option<(Resources, f64)>],
-            assignment: &[Option<(SwitchId, Resources)>],
-            states: &Switches,
-        ) -> Vec<(f64, usize, SwitchId)> {
+        /// A pushed benefit with its bits: (benefit, seed, candidate).
+        type Pushed = (u64, usize, SwitchId);
+
+        /// Step 4 with no memory: one `achievable_utility` per (seed,
+        /// candidate), every scan. The oracle of the properties below.
+        fn plain_scan(world: &World, states: &Switches) -> Vec<Pushed> {
             let mut benefits = Vec::new();
-            for (s, slot) in assignment.iter().enumerate() {
-                let (Some((cur, cur_res)), Some((min_res, _))) = (slot, &min_alloc[s]) else {
+            for (s, slot) in world.assignment.iter().enumerate() {
+                let (Some((cur, cur_res)), Some((min_res, _))) = (slot, world.min_alloc(s)) else {
                     continue;
                 };
-                let seed = &instance.seeds[s];
+                let seed = &world.instance.seeds[s];
                 let cur_u = seed.util.eval(cur_res).unwrap_or(0.0);
                 for &n in &seed.candidates {
                     if n == *cur {
@@ -1627,14 +1555,212 @@ mod tests {
                         continue;
                     };
                     let st = &states.states[i];
-                    if let Some(u) = achievable_utility(seed, polls(s), min_res, st) {
+                    if let Some(u) = achievable_utility(seed, world.polls(s), &min_res, st) {
                         if u > cur_u * 1.15 + 1e-6 {
-                            benefits.push((u - cur_u, s, n));
+                            benefits.push(((u - cur_u).to_bits(), s, n));
                         }
                     }
                 }
             }
             benefits
+        }
+
+        /// [`scan_benefits`] through `scans`, in the oracle's terms.
+        fn scan(world: &World, switches: &mut Switches, scans: &mut Scans) -> Vec<Pushed> {
+            let instance = &world.instance;
+            scans.begin(instance.seeds.len(), world.kept.iter().copied());
+            let polls = |s: usize| world.polls(s);
+            let min_alloc = |s: usize| world.min_alloc(s);
+            scan_benefits(
+                instance,
+                polls,
+                min_alloc,
+                &world.assignment,
+                switches,
+                scans,
+            );
+            let pushed = |b: &Benefit| {
+                let s = b.seed as usize;
+                let n = instance.seeds[s].candidates[b.pos as usize];
+                (b.benefit.to_bits(), s, n)
+            };
+            scans.benefits.iter().map(pushed).collect()
+        }
+
+        /// Generated seeds, where they sit, and which of them kept their
+        /// definition since the last scan.
+        #[derive(Default)]
+        struct World {
+            instance: PlacementInstance,
+            /// Each seed's interned subjects.
+            ids: Vec<Vec<u32>>,
+            assignment: Vec<Option<(SwitchId, Resources)>>,
+            kept: Vec<bool>,
+        }
+
+        impl World {
+            fn polls(&self, s: usize) -> SeedPolls<'_> {
+                SeedPolls::new(&self.ids[s], &self.instance.seeds[s].polls)
+            }
+
+            fn min_alloc(&self, s: usize) -> Option<(Resources, f64)> {
+                self.instance.seeds[s].util.min_feasible()
+            }
+
+            /// Adds a seed from its recipe, on a fabric of `m` switch ids.
+            fn push(&mut self, recipe: &SeedRecipe, m: usize) {
+                let (picks, subject, demand, min_vcpu, home, vcpu) = recipe;
+                let id = |pick: usize| SwitchId((pick % m) as u32);
+                let (subjects, polls) = constant_poll(*subject, *demand);
+                self.instance.seeds.push(PlacementSeed {
+                    id: self.ids.len(),
+                    task: 0,
+                    candidates: picks.iter().map(|&p| id(p)).collect(),
+                    util: linear_util(*min_vcpu, 100.0),
+                    polls,
+                });
+                self.ids.push(subjects);
+                let seat = |h: &usize| (id(*h), Resources::new(*vcpu, 0.0, 0.0, 0.0));
+                self.assignment.push(home.as_ref().map(seat));
+                self.kept.push(false);
+            }
+
+            /// Renumbers the seeds as a catalog rebuild might: rotated by
+            /// `k`, reversed when `k` is odd, one dropped when `k` is a
+            /// multiple of three. Returns `map[old] = Some(new)`.
+            fn renumber(&mut self, k: usize) -> Vec<Option<usize>> {
+                let n = self.ids.len();
+                let mut order: Vec<usize> = (0..n).collect();
+                order.rotate_left(k % n);
+                if k % 2 == 1 {
+                    order.reverse();
+                }
+                if k.is_multiple_of(3) && n > 1 {
+                    order.remove(k / 2 % n);
+                }
+                let mut map = vec![None; n];
+                for (new, &old) in order.iter().enumerate() {
+                    map[old] = Some(new);
+                }
+                fn take<T: Clone>(v: &[T], order: &[usize]) -> Vec<T> {
+                    order.iter().map(|&o| v[o].clone()).collect()
+                }
+                self.instance.seeds = take(&self.instance.seeds, &order);
+                self.ids = take(&self.ids, &order);
+                self.assignment = take(&self.assignment, &order);
+                self.kept = take(&self.kept, &order);
+                map
+            }
+        }
+
+        /// A generated switch's state: capacity and load picks.
+        fn switch_state(cap: usize, load: usize) -> SwitchState {
+            let mut st = SwitchState::new(Resources(CAPACITIES[cap]));
+            for &(subject, demand, vcpu) in LOADS[load] {
+                let (ids, demands) = constant_poll(subject, demand);
+                st.add_usage(
+                    SeedPolls::new(&ids, &demands),
+                    &Resources::new(vcpu, 0.0, 0.0, 0.0),
+                );
+            }
+            st
+        }
+
+        /// A capacity pick: the first capacity half of the time.
+        fn capacity() -> impl Strategy<Value = usize> {
+            prop_oneof![Just(0usize), 0usize..CAPACITIES.len()]
+        }
+
+        /// A generated fabric, one entry per switch id: capacity and load
+        /// picks, whether it is in the round, and whether its state
+        /// changed since the last round.
+        type Fabric = Vec<(usize, usize, bool, bool)>;
+
+        /// The round a fabric describes.
+        fn round(fabric: &Fabric) -> Vec<(SwitchId, SwitchState, bool)> {
+            let present = fabric.iter().enumerate().filter(|(_, f)| f.2);
+            let state = |(n, &(cap, load, _, changed))| {
+                (SwitchId(n as u32), switch_state(cap, load), changed)
+            };
+            present.map(state).collect()
+        }
+
+        /// A vCPU amount: one of two round values half of the time, so
+        /// that seeds share seats to the bit.
+        fn vcpu() -> impl Strategy<Value = f64> {
+            prop_oneof![Just(0.5), Just(1.0), 0.0f64..2.0]
+        }
+
+        /// A change between two scans: what kind (see
+        /// [`an_incremental_rescan_matches_the_plain_scan`]), which seed or
+        /// switch, a capacity and a load pick, a demand, and a vCPU amount.
+        type Change = (usize, usize, usize, usize, f64, f64);
+
+        fn change() -> impl Strategy<Value = Change> {
+            (
+                0usize..8,
+                any::<usize>(),
+                capacity(),
+                0usize..LOADS.len(),
+                0.0f64..120.0,
+                vcpu(),
+            )
+        }
+
+        /// Applies one change to the world, the fabric of `m` switch ids
+        /// and, for a renumbering, the records.
+        fn apply(world: &mut World, fabric: &mut Fabric, scans: &mut Scans, change: Change) {
+            let (kind, k, cap, load, demand, vcpu) = change;
+            let m = fabric.len();
+            let id = |pick: usize| SwitchId((pick % m) as u32);
+            let s = k % world.ids.len();
+            match kind {
+                0 => fabric[k % m] = (cap, load, fabric[k % m].2, true),
+                1 => fabric[k % m].2 ^= true,
+                2 => {
+                    let seat = (id(k / 7), Resources::new(vcpu, 0.0, 0.0, 0.0));
+                    world.assignment[s] = (k % 5 != 0).then_some(seat);
+                }
+                3 => {
+                    if let Some((_, res)) = &mut world.assignment[s] {
+                        res.set(ResourceKind::VCpu, vcpu);
+                    }
+                }
+                4 => {
+                    let seed = &mut world.instance.seeds[s];
+                    seed.util = linear_util(vcpu * 0.75, 100.0);
+                    if let Some(p) = seed.polls.first_mut() {
+                        p.demand = Poly::constant(demand);
+                    }
+                    world.kept[s] = false;
+                }
+                5 => {
+                    let picks = vec![k, k / 3, k / 11];
+                    let recipe = (
+                        picks,
+                        (k % 3) as u32,
+                        demand,
+                        vcpu * 0.75,
+                        Some(k / 13),
+                        vcpu,
+                    );
+                    world.push(&recipe, m);
+                }
+                6 => {
+                    let candidates = &mut world.instance.seeds[s].candidates;
+                    let n = id(k / 5);
+                    if !candidates.contains(&n) {
+                        candidates.push(n);
+                    } else if candidates.len() > 1 {
+                        candidates.retain(|&c| c != n);
+                    }
+                    world.kept[s] = false;
+                }
+                _ => {
+                    let map = world.renumber(k);
+                    scans.remap(&map, &sources(&map));
+                }
+            }
         }
 
         /// Capacities a generated switch draws from, the first one half of
@@ -1693,66 +1819,106 @@ mod tests {
                 0.0f64..120.0,
                 0.0f64..1.5,
                 prop_oneof![Just(None), (0usize..64).prop_map(Some)],
-                0.0f64..2.0,
+                vcpu(),
             )
         }
 
+        /// A seed given a candidate more is declared dirty and scanned
+        /// whole; on the scan after, its new candidate's pair must be in
+        /// the index, or a change to that switch goes unseen.
+        #[test]
+        fn a_redefined_seed_is_indexed_again() {
+            // Switch 0 hosts the seed; switch 1 starts empty, then fills.
+            let mut fabric: Fabric = vec![(0, 0, true, true), (0, 0, true, true)];
+            let mut world = World::default();
+            world.push(&(vec![0], 0, 10.0, 0.5, Some(0), 1.0), 2);
+            let (mut switches, mut scans) = (Switches::default(), Scans::default());
+            let mut rescan = |world: &mut World, fabric: &mut Fabric| {
+                switches.round(round(fabric));
+                let pushed = scan(world, &mut switches, &mut scans);
+                assert_eq!(pushed, plain_scan(world, &switches));
+                world.kept.fill(true);
+                for f in fabric.iter_mut() {
+                    f.3 = false;
+                }
+                pushed
+            };
+            // The second scan indexes the seed's one candidate.
+            for _ in 0..2 {
+                assert!(rescan(&mut world, &mut fabric).is_empty());
+            }
+            world.instance.seeds[0].candidates.push(SwitchId(1));
+            world.kept[0] = false;
+            assert_eq!(rescan(&mut world, &mut fabric).len(), 1);
+            fabric[1] = (CAPACITIES.len() - 1, 0, true, true);
+            assert!(rescan(&mut world, &mut fabric).is_empty());
+        }
+
         proptest! {
-            /// The class-memoised scan pushes exactly what the
+            /// A scan with no records pushes exactly what the
             /// per-candidate scan pushes: same length, same order, same
             /// bits — over switches that repeat each other's state, differ
             /// from it in one sign bit, or carry a subject at max `0.0`.
             #[test]
-            fn class_memoised_scan_matches_the_plain_scan(
-                switches in proptest::collection::vec(
-                    (prop_oneof![Just(0usize), 0usize..CAPACITIES.len()], 0usize..LOADS.len()),
+            fn a_cold_scan_matches_the_plain_scan(
+                switches in proptest::collection::vec((capacity(), 0usize..LOADS.len()), 2..14),
+                seeds in proptest::collection::vec(seed_recipe(), 1..8),
+            ) {
+                let fabric: Fabric =
+                    switches.iter().map(|&(cap, load)| (cap, load, true, true)).collect();
+                let mut states = Switches::default();
+                states.round(round(&fabric));
+                let mut world = World::default();
+                for recipe in &seeds {
+                    world.push(recipe, switches.len());
+                }
+                let pushed = scan(&world, &mut states, &mut Scans::default());
+                prop_assert_eq!(pushed, plain_scan(&world, &states));
+            }
+
+            /// Scan, change things, rescan through the same records, twice:
+            /// each rescan pushes exactly what the per-candidate scan
+            /// pushes. Before a rescan a switch's state changes (0), a
+            /// switch leaves or joins (1), a seed moves or is unplaced (2),
+            /// is reallocated on its switch (3), is redefined (4) or given
+            /// a candidate more or one fewer (6) and declared dirty, or is
+            /// new (5), or the seeds are renumbered and the records
+            /// remapped (7). Candidates may name switches not in a round,
+            /// and seeds often share a seat to the bit.
+            #[test]
+            fn an_incremental_rescan_matches_the_plain_scan(
+                universe in proptest::collection::vec(
+                    (capacity(), 0usize..LOADS.len(), any::<bool>()),
                     2..14,
                 ),
                 seeds in proptest::collection::vec(seed_recipe(), 1..8),
+                rounds in proptest::collection::vec(
+                    proptest::collection::vec(change(), 0..6),
+                    2usize,
+                ),
             ) {
-                let mut states = Vec::new();
-                for (i, &(cap, load)) in switches.iter().enumerate() {
-                    let mut st = SwitchState::new(Resources(CAPACITIES[cap]));
-                    for &(subject, demand, vcpu) in LOADS[load] {
-                        let (ids, demands) = constant_poll(subject, demand);
-                        st.add_usage(
-                            SeedPolls::new(&ids, &demands),
-                            &Resources::new(vcpu, 0.0, 0.0, 0.0),
-                        );
+                let mut fabric: Fabric =
+                    universe.iter().map(|&(cap, load, present)| (cap, load, present, true)).collect();
+                let mut world = World::default();
+                for recipe in &seeds {
+                    world.push(recipe, fabric.len());
+                }
+                let (mut switches, mut scans) = (Switches::default(), Scans::default());
+                switches.round(round(&fabric));
+                let cold = scan(&world, &mut switches, &mut scans);
+                prop_assert_eq!(cold, plain_scan(&world, &switches));
+                for (r, changes) in rounds.iter().enumerate() {
+                    world.kept.fill(true);
+                    for f in &mut fabric {
+                        f.3 = false;
                     }
-                    states.push((SwitchId(i as u32), st));
+                    for &change in changes {
+                        apply(&mut world, &mut fabric, &mut scans, change);
+                    }
+                    switches.round(round(&fabric));
+                    let warm = scan(&world, &mut switches, &mut scans);
+                    prop_assert_eq!(warm, plain_scan(&world, &switches), "rescan {}", r + 1);
                 }
-                let states = Switches::of(states);
-                let id = |pick: usize| SwitchId((pick % switches.len()) as u32);
-                let mut instance = instance(1, 1, 1);
-                instance.seeds.clear();
-                let mut ids = Vec::new();
-                let mut assignment = Vec::new();
-                for (s, (picks, subject, demand, min_vcpu, home, vcpu)) in seeds.iter().enumerate() {
-                    let (subjects, polls) = constant_poll(*subject, *demand);
-                    instance.seeds.push(PlacementSeed {
-                        id: s,
-                        task: 0,
-                        candidates: picks.iter().map(|&p| id(p)).collect(),
-                        util: linear_util(*min_vcpu, 100.0),
-                        polls,
-                    });
-                    ids.push(subjects);
-                    assignment.push(home.map(|h| (id(h), Resources::new(*vcpu, 0.0, 0.0, 0.0))));
-                }
-                let polls = |s: usize| SeedPolls::new(&ids[s], &instance.seeds[s].polls);
-                let min_alloc: Vec<_> =
-                    instance.seeds.iter().map(|s| s.util.min_feasible()).collect();
-
-                let plain = plain_scan(&instance, polls, &min_alloc, &assignment, &states);
-                let (memoised, classes) =
-                    scan_benefits(&instance, polls, |s| min_alloc[s], &assignment, &states);
-
-                prop_assert!(classes <= switches.len());
-                let bits = |v: &[(f64, usize, SwitchId)]| -> Vec<(u64, usize, SwitchId)> {
-                    v.iter().map(|&(b, s, n)| (b.to_bits(), s, n)).collect()
-                };
-                prop_assert_eq!(bits(&memoised), bits(&plain));
             }
         }
     }

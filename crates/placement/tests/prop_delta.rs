@@ -26,6 +26,11 @@
 //! Retask rebuilds the catalog with a task removed or inserted mid-way,
 //! renumbering every seed after it, and remaps the retained state the
 //! way the seeder does.
+//!
+//! The churn property also checks that its cases still reach the code
+//! that follows the change past step 3: across them, some warm solve
+//! relocates a seed in step 5, and some evaluates fewer benefit pairs in
+//! step 4 than a cold solve of the same instance.
 
 mod util;
 
@@ -34,9 +39,10 @@ use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, HeuristicOptions};
-use farm_placement::model::{PlacementInstance, PlacementSeed, PlacementTask};
+use farm_placement::model::{utility_of, PlacementInstance, PlacementSeed, PlacementTask};
 use farm_placement::workload::{generate, WorkloadConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 use util::{as_previous, check_all};
 
 /// What one case is built from: the generator's config, how many
@@ -328,43 +334,90 @@ fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> Rep
     ReplanDelta::seeds(dirty)
 }
 
-proptest! {
-    /// Churn replay: every incremental solve along a random event
-    /// sequence is bit-identical to a from-scratch solve and satisfies
-    /// the independent constraint checkers.
-    #[test]
-    fn delta_replans_match_full_solves_under_churn(
-        fabric in workload(),
-        events in proptest::collection::vec(churn_event(), 1..6),
-    ) {
-        let base = fabric.instance();
-        let mut inst = base.clone();
-        let opts = HeuristicOptions::default();
-        let mut state = SolveState::new();
-        let (mut r, report) =
-            replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
-        prop_assert!(!report.warm);
-        for (step, &ev) in events.iter().enumerate() {
-            inst.previous = Some(as_previous(&r.assignment));
-            let delta = apply(&mut inst, &base, &mut state, ev);
-            let held = fabric.begin_round(&mut inst);
-            let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
-            let full = solve_heuristic(&inst, opts);
-            prop_assert_eq!(&dr.assignment, &full.assignment,
-                "step {} ({:?}): assignments diverge", step, ev);
-            prop_assert_eq!(dr.utility.to_bits(), full.utility.to_bits(),
-                "step {} ({:?}): utility {} vs {}", step, ev, dr.utility, full.utility);
-            prop_assert_eq!(dr.migrations, full.migrations, "step {} ({:?})", step, ev);
-            prop_assert_eq!(&dr.dropped_tasks, &full.dropped_tasks, "step {} ({:?})", step, ev);
-            prop_assert!(report.warm);
-            prop_assert!(check_all(&inst, &dr.assignment).is_ok(),
-                "step {} ({:?}): {:?}", step, ev, check_all(&inst, &dr.assignment));
-            prop_assert!(held.iter().all(|&s| dr.assignment[s].is_none()),
-                "step {} ({:?}): a held seed was placed", step, ev);
-            r = dr;
-        }
-    }
+/// What the warm solves of all churn cases reached, so that the property
+/// can say its cases still exercise step 5 and the incremental scan.
+#[derive(Debug, Default)]
+struct Reach {
+    /// Seeds step 5 relocated.
+    relocated: usize,
+    /// Warm solves that evaluated fewer benefit pairs than a cold solve
+    /// of the same instance.
+    fewer_pairs: usize,
+}
 
+/// Churn replay: every incremental solve along a random event sequence
+/// is bit-identical to a from-scratch solve and satisfies the
+/// independent constraint checkers. Across the cases, some warm solve
+/// relocates a seed in step 5, and some evaluates fewer benefit pairs
+/// than its cold twin.
+#[test]
+fn delta_replans_match_full_solves_under_churn() {
+    let mut reach = Reach::default();
+    TestRunner::new(ProptestConfig::default()).run_cases(|rng| {
+        let fabric = workload().generate(rng);
+        let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
+        churn_case(&fabric, &events, &mut reach);
+    });
+    assert!(reach.relocated > 0, "no warm solve relocated: {reach:?}");
+    assert!(
+        reach.fewer_pairs > 0,
+        "no warm scan saved a pair: {reach:?}"
+    );
+}
+
+/// One case of [`delta_replans_match_full_solves_under_churn`].
+fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
+    let base = fabric.instance();
+    let mut inst = base.clone();
+    let opts = HeuristicOptions::default();
+    let mut state = SolveState::new();
+    let (mut r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+    assert!(!report.warm);
+    for (step, &ev) in events.iter().enumerate() {
+        inst.previous = Some(as_previous(&r.assignment));
+        let delta = apply(&mut inst, &base, &mut state, ev);
+        let held = fabric.begin_round(&mut inst);
+        let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
+        let full = solve_heuristic(&inst, opts);
+        let fresh = &ReplanDelta::default();
+        let (_, cold) = replan_delta(&inst, opts, &mut SolveState::new(), fresh, None);
+        assert_eq!(
+            &dr.assignment, &full.assignment,
+            "step {step} ({ev:?}): assignments diverge"
+        );
+        assert_eq!(
+            dr.utility.to_bits(),
+            full.utility.to_bits(),
+            "step {step} ({ev:?}): utility {} vs {}",
+            dr.utility,
+            full.utility
+        );
+        assert_eq!(dr.migrations, full.migrations, "step {step} ({ev:?})");
+        assert_eq!(dr.dropped_tasks, full.dropped_tasks, "step {step} ({ev:?})");
+        // The objective is read from step 4's records: it must be the
+        // one the model computes from the assignment.
+        assert_eq!(
+            dr.utility.to_bits(),
+            utility_of(&inst, &dr.assignment).to_bits(),
+            "step {step} ({ev:?})"
+        );
+        assert!(report.warm);
+        assert!(
+            check_all(&inst, &dr.assignment).is_ok(),
+            "step {step} ({ev:?}): {:?}",
+            check_all(&inst, &dr.assignment)
+        );
+        assert!(
+            held.iter().all(|&s| dr.assignment[s].is_none()),
+            "step {step} ({ev:?}): a held seed was placed"
+        );
+        reach.relocated += report.relocated;
+        reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
+        r = dr;
+    }
+}
+
+proptest! {
     /// The drain → uncordon shape: a switch leaves the instance with its
     /// residents still naming it, other events pass, and it returns two
     /// events later. Its log and LP output are dropped while it is away

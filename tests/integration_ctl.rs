@@ -113,12 +113,12 @@ fn submit_list_drain_stats_shutdown_over_loopback() {
         ControlReply::Json { body } => {
             assert!(body.contains("\"net_dead_letters\""), "{body}");
             assert!(body.contains("\"ctl.op_latency_us\""), "{body}");
-            // What the incremental solver holds and how alike the
-            // fabric's switches are, after the submit and the drain.
+            // What the incremental solver holds and how many benefit
+            // pairs it evaluated, after the submit and the drain.
             for solver in [
                 "\"solver.delta_cache_entries\":1",
                 "\"solver.delta_cache_bytes\":",
-                "\"solver.benefit_classes\":{\"count\":2",
+                "\"solver.benefit_pairs_evaluated\":{\"count\":2",
             ] {
                 assert!(body.contains(solver), "metrics missing {solver}: {body}");
             }
