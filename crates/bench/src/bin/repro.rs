@@ -1,14 +1,25 @@
-//! Reproduces the FARM paper's tables and figures as text output.
+//! Reproduces the FARM paper's tables and figures as text output, and
+//! three beyond-paper studies that check their own answer.
 //!
 //! ```text
-//! repro [tab1|tab4|fig4|fig5|fig6|fig7|fig8|fig9|fig10|tab5|ablation|all] [--full]
+//! repro [tab1|tab4|fig4|fig5|fig6|fig7|fig8|fig9|fig10|tab5|ablation|churn|net|detection|all] [--full]
 //! ```
 //!
 //! Quick mode (default) uses reduced axes/deadlines; `--full` runs the
 //! paper-scale study (notably Fig. 7 at 1 040 switches / 10 200 seeds).
+//! Exits 1 when an experiment's answer is wrong (`churn`: a delta solve
+//! that is not the from-scratch one, `net`: a connection the event loop
+//! did not hold, `detection`: a FARM task below its quality floors), and
+//! 2, printing the usage line, on any argument it does not understand.
 
+use std::process::ExitCode;
+
+use farm_bench::detection::{drive, PRECISION_FLOOR, RECALL_FLOOR};
 use farm_bench::support::render_table;
-use farm_bench::{ablation, fig10, fig4, fig5, fig6, fig7, fig8, fig9, tab1, tab4, tab5};
+use farm_bench::{
+    ablation, churn, fig10, fig4, fig5, fig6, fig7, fig8, fig9, net, tab1, tab4, tab5,
+};
+use farm_scenario::{ScenarioClass, ScenarioScale, ScenarioSpec};
 
 type Experiment = (&'static str, fn(bool));
 
@@ -28,36 +39,74 @@ const EXPERIMENTS: [Experiment; 11] = [
     ("ablation", |_| run_ablation()),
 ];
 
+/// A study that checks its own answer; `Err` names what was wrong.
+type Checked = (&'static str, fn(bool) -> Result<(), String>);
+
+/// The checked studies, printed after the experiments.
+const CHECKED: [Checked; 3] = [
+    ("churn", run_churn),
+    ("net", run_net),
+    ("detection", run_detection),
+];
+
+fn names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS
+        .iter()
+        .map(|e| e.0)
+        .chain(CHECKED.iter().map(|e| e.0))
+}
+
 /// Prints one table and the blank line that ends it.
 fn table(title: &str, headers: &[&str], rows: Vec<Vec<String>>) {
     print!("{}", render_table(title, headers, &rows));
     println!();
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+fn usage() -> String {
+    let names: Vec<&str> = names().collect();
+    format!("usage: repro [{}|all] [--full]", names.join("|"))
+}
 
-    let mut known = false;
-    for (name, run) in EXPERIMENTS {
-        if what == "all" || what == name {
-            run(full);
-            known = true;
+/// The experiment named (`all` when none is) and whether `--full` was
+/// given; `Err` on an unknown flag, an unknown name or a second name.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(String, bool), String> {
+    let (mut what, mut full) = (None, false);
+    for arg in args {
+        match arg.as_str() {
+            "--full" => full = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            name if what.is_some() => return Err(format!("a second experiment `{name}`")),
+            name if name == "all" || names().any(|n| n == name) => what = Some(name.to_string()),
+            name => return Err(format!("unknown experiment `{name}`")),
         }
     }
-    if !known {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!(
-            "unknown experiment `{what}`; expected one of {} all",
-            names.join(" ")
-        );
-        std::process::exit(2);
+    Ok((what.unwrap_or_else(|| "all".into()), full))
+}
+
+fn main() -> ExitCode {
+    let (what, full) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let picked = |name| what == "all" || what == name;
+    for (name, run) in EXPERIMENTS {
+        if picked(name) {
+            run(full);
+        }
     }
+    let mut code = ExitCode::SUCCESS;
+    for (name, run) in CHECKED {
+        if picked(name) {
+            if let Err(e) = run(full) {
+                eprintln!("repro {name}: {e}");
+                code = ExitCode::FAILURE;
+            }
+        }
+    }
+    code
 }
 
 fn run_tab1() {
@@ -347,4 +396,158 @@ fn run_ablation() {
         &["variant", "MU", "migrations", "wall ms"],
         rows,
     );
+}
+
+fn run_churn(full: bool) -> Result<(), String> {
+    let (scales, events) = if full { churn::FULL } else { churn::QUICK };
+    let rows = churn::run(scales, events);
+    let cells = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.seeds.to_string(),
+                r.switches.to_string(),
+                format!("{:.2}", r.full_ms[0]),
+                format!("{:.2}", r.full_ms[1]),
+                format!("{:.2}", r.delta_ms[0]),
+                format!("{:.2}", r.delta_ms[1]),
+                format!("{:.1}x", r.full_ms[0] / r.delta_ms[0].max(1e-9)),
+                format!("{:.0}", r.frontier_p50),
+                format!("{:.0}", r.steps_run_p50),
+                format!("{:.0}", r.switches_rebuilt_p50),
+                r.fallbacks.to_string(),
+                match r.diverged {
+                    0 => "yes".to_string(),
+                    n => format!("NO at {n}"),
+                },
+            ]
+        })
+        .collect();
+    let title = format!(
+        "Churn replay — {events} single-seed events, full vs delta solve (wall ms; \
+         switch LPs run, greedy steps run and switches rebuilt per event, p50)"
+    );
+    let headers = [
+        "seeds",
+        "switches",
+        "full p50",
+        "full p95",
+        "delta p50",
+        "delta p95",
+        "speedup",
+        "LPs run",
+        "steps run",
+        "rebuilt",
+        "fallbacks",
+        "identical",
+    ];
+    table(&title, &headers, cells);
+    if rows.iter().any(|r| r.diverged > 0) {
+        return Err("a delta solve differs from the full one (`identical`)".into());
+    }
+    Ok(())
+}
+
+fn run_net(full: bool) -> Result<(), String> {
+    let (conns, bursts, iters) = if full { net::FULL } else { net::QUICK };
+    let rows = net::run(conns, bursts, iters)?;
+    let cells = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.conns.to_string(),
+                r.chatty.to_string(),
+                r.burst.to_string(),
+                format!("{:.0}", r.rpc_us[0]),
+                format!("{:.0}", r.rpc_us[1]),
+                format!("{:.0}", r.frames_per_sec),
+                format!("{:.2}", r.bytes_per_sec / 1e6),
+                r.held.to_string(),
+            ]
+        })
+        .collect();
+    let title = "Transport — NetServer on loopback (RPC round trip µs, frames/s, MB/s)";
+    let headers = [
+        "conns", "chatty", "burst", "rpc p50", "rpc p99", "frames/s", "MB/s", "held",
+    ];
+    table(title, &headers, cells);
+    if rows.iter().any(|r| r.held < r.conns) {
+        return Err("the event loop did not hold every connection (`held`)".into());
+    }
+    Ok(())
+}
+
+fn run_detection(full: bool) -> Result<(), String> {
+    let scale = if full {
+        ScenarioScale::Full
+    } else {
+        ScenarioScale::Smoke
+    };
+    let mut wrong = Vec::new();
+    for class in ScenarioClass::ALL {
+        let spec = ScenarioSpec {
+            class,
+            scale,
+            seed: 42,
+        };
+        let run = drive(&spec).map_err(|e| format!("{}: {e}", class.name()))?;
+        let rows = run
+            .tasks
+            .iter()
+            .map(|t| {
+                vec![
+                    t.task.clone(),
+                    t.system.to_string(),
+                    format!("{:.2}", t.score.precision),
+                    format!("{:.2}", t.score.recall),
+                    t.score
+                        .mean_ttd_ms
+                        .map_or("-".to_string(), |v| format!("{v:.1}")),
+                    t.score.alarms.to_string(),
+                    t.score.windows.to_string(),
+                    t.grace_ms.to_string(),
+                ]
+            })
+            .collect::<Vec<_>>();
+        let title = format!(
+            "Detection — {} ({}, seed {}): {} events, {} packets, {} flows, {} ms virtual \
+             (TTD and grace in ms)",
+            run.class,
+            run.scale,
+            run.seed,
+            run.events,
+            run.packets,
+            run.distinct_flows,
+            run.virtual_ms
+        );
+        let headers = [
+            "task",
+            "system",
+            "precision",
+            "recall",
+            "TTD",
+            "alarms",
+            "windows",
+            "grace",
+        ];
+        print!("{}", render_table(&title, &headers, &rows));
+        println!(
+            "soil: {} ASIC polls, {} saved by aggregation, {} deliveries\n",
+            run.soil_asic_polls, run.soil_polls_saved, run.soil_deliveries
+        );
+        wrong.extend(
+            run.tasks
+                .iter()
+                .filter(|t| {
+                    t.system == "farm"
+                        && (t.score.recall < RECALL_FLOOR || t.score.precision < PRECISION_FLOOR)
+                })
+                .map(|t| format!("{}/{}", run.class, t.task)),
+        );
+    }
+    if !wrong.is_empty() {
+        let floors = format!("recall {RECALL_FLOOR} / precision {PRECISION_FLOOR}");
+        return Err(format!("below {floors}: {}", wrong.join(", ")));
+    }
+    Ok(())
 }

@@ -4,9 +4,8 @@
 //! FARM stack (netsim → soil → harvester) *and* through the sFlow/Sonata
 //! baseline models on an identical second fabric, then scores every
 //! system's alarms against the scenario's planted ground truth. Shared
-//! by the `detection_scale` benchmark binary and the
-//! `detection_quality` integration tests so both always measure the
-//! same pipeline.
+//! by `repro detection` and the `detection_quality` integration tests so
+//! both always measure the same pipeline.
 
 use std::collections::HashSet;
 
@@ -22,8 +21,6 @@ use farm_netsim::types::FlowKey;
 use farm_scenario::score::{score, Alarm, TaskScore};
 use farm_scenario::{ScenarioEnv, ScenarioSpec, TruthKey};
 
-use farm_telemetry::Json;
-
 /// Scoring outcome of one (task, system) pair on one scenario.
 #[derive(Debug, Clone)]
 pub struct TaskOutcome {
@@ -32,7 +29,7 @@ pub struct TaskOutcome {
     /// `farm`, `sflow`, or `sonata`.
     pub system: &'static str,
     /// Post-window grace used when scoring, in milliseconds.
-    pub(crate) grace_ms: u64,
+    pub grace_ms: u64,
     pub score: TaskScore,
 }
 
@@ -41,23 +38,29 @@ pub struct TaskOutcome {
 pub struct ScenarioRun {
     pub class: &'static str,
     pub scale: &'static str,
-    pub(crate) seed: u64,
+    pub seed: u64,
     /// Traffic-event count of the replayed trace.
     pub events: u64,
     /// Packet count of the replayed trace.
-    pub(crate) packets: u64,
+    pub packets: u64,
     /// Distinct flow keys in the trace (full multi_vector exceeds 1 M).
     pub distinct_flows: u64,
     /// Virtual length of the replay, milliseconds.
     pub virtual_ms: u64,
     /// Fabric-wide ASIC polls issued by the soils.
-    pub(crate) soil_asic_polls: u64,
+    pub soil_asic_polls: u64,
     /// Polls avoided by soil poll-aggregation.
-    pub(crate) soil_polls_saved: u64,
+    pub soil_polls_saved: u64,
     /// Trigger deliveries executed by the soils.
-    pub(crate) soil_deliveries: u64,
+    pub soil_deliveries: u64,
     pub tasks: Vec<TaskOutcome>,
 }
+
+/// Every FARM task must detect at least this share of its planted
+/// windows …
+pub const RECALL_FLOOR: f64 = 0.9;
+/// … and at least this share of its alarms must fall inside one.
+pub const PRECISION_FLOOR: f64 = 0.8;
 
 /// The fabric every scenario replays on (paper-scale models, small
 /// enough for CI).
@@ -241,92 +244,4 @@ pub fn drive(spec: &ScenarioSpec) -> Result<ScenarioRun, String> {
         soil_deliveries: soil.deliveries,
         tasks,
     })
-}
-
-/// Schema tag of the `BENCH_detection.json` document.
-pub const SCHEMA: &str = "farm-bench/detection_scale/v1";
-
-fn entry_json(run: &ScenarioRun, t: &TaskOutcome) -> Json {
-    Json::obj([
-        ("scenario", Json::Str(run.class.into())),
-        ("scale", Json::Str(run.scale.into())),
-        ("seed", Json::from(run.seed as f64)),
-        ("task", Json::Str(t.task.clone())),
-        ("system", Json::Str(t.system.into())),
-        ("windows", Json::from(t.score.windows as f64)),
-        ("detected", Json::from(t.score.detected as f64)),
-        ("alarms", Json::from(t.score.alarms as f64)),
-        ("true_alarms", Json::from(t.score.true_alarms as f64)),
-        ("precision", Json::from(t.score.precision)),
-        ("recall", Json::from(t.score.recall)),
-        ("mean_ttd_ms", t.score.mean_ttd_ms.into()),
-        ("key_precision", t.score.key_precision.into()),
-        ("key_recall", t.score.key_recall.into()),
-        ("grace_ms", Json::from(t.grace_ms as f64)),
-    ])
-}
-
-fn scenario_json(run: &ScenarioRun) -> Json {
-    Json::obj([
-        ("scenario", Json::Str(run.class.into())),
-        ("scale", Json::Str(run.scale.into())),
-        ("seed", Json::from(run.seed as f64)),
-        ("events", Json::from(run.events as f64)),
-        ("packets", Json::from(run.packets as f64)),
-        ("distinct_flows", Json::from(run.distinct_flows as f64)),
-        ("virtual_ms", Json::from(run.virtual_ms as f64)),
-        ("soil_asic_polls", Json::from(run.soil_asic_polls as f64)),
-        ("soil_polls_saved", Json::from(run.soil_polls_saved as f64)),
-        ("soil_deliveries", Json::from(run.soil_deliveries as f64)),
-    ])
-}
-
-/// The full `BENCH_detection.json` document for a set of replays — one
-/// `entries` row per (scenario, task, system) plus one `scenarios` row
-/// of trace statistics per replay. Keys are sorted and float formatting
-/// comes from [`Json::pretty`], so equal runs serialize byte-identically.
-pub fn bench_doc(runs: &[ScenarioRun]) -> Json {
-    let mut entries = Vec::new();
-    let mut scenarios = Vec::new();
-    for run in runs {
-        for t in &run.tasks {
-            entries.push(entry_json(run, t));
-        }
-        scenarios.push(scenario_json(run));
-    }
-    let mut doc = Json::obj([
-        ("schema", Json::Str(SCHEMA.into())),
-        ("entries", Json::Arr(entries)),
-        ("scenarios", Json::Arr(scenarios)),
-    ]);
-    doc.sort_keys();
-    doc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use farm_scenario::{ScenarioClass, ScenarioScale};
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "interpreter-bound replay; run with --release (CI: detection-smoke)"
-    )]
-    fn drive_smoke_flash_crowd_scores_every_task() {
-        let run = drive(&ScenarioSpec {
-            class: ScenarioClass::FlashCrowd,
-            scale: ScenarioScale::Smoke,
-            seed: 7,
-        })
-        .unwrap();
-        // 3 farm tasks + 2 baseline rows.
-        assert_eq!(run.tasks.len(), 5);
-        assert!(run.events > 0 && run.distinct_flows > 0);
-        assert!(run.soil_asic_polls > 0);
-        for t in &run.tasks {
-            assert!((0.0..=1.0).contains(&t.score.precision), "{t:?}");
-            assert!((0.0..=1.0).contains(&t.score.recall), "{t:?}");
-        }
-    }
 }

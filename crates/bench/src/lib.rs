@@ -2,8 +2,8 @@
 //! paper's evaluation (§ VI).
 //!
 //! Each module regenerates one artifact; the `repro` binary prints them
-//! as text tables. [`perf`] is what the three `*_scale` gate bins share,
-//! [`detection`] the replay driver behind `detection_scale`.
+//! as text tables. The last three rows are beyond the paper, and `repro`
+//! fails when their answer is wrong.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -18,6 +18,9 @@
 //! | [`fig10`] | Fig. 10 — shared buffer vs gRPC latency |
 //! | [`tab5`] | Tab. V — feature matrix of generic M&M systems |
 //! | [`ablation`] | Alg. 1 with its optional steps switched off |
+//! | [`churn`] | Single-seed churn: delta replan ≡ from-scratch solve, and its cost |
+//! | [`net`] | The socket event loop under thousands of connections |
+//! | [`detection`] | Scenario replays scored: FARM vs sFlow/Sonata precision, recall, TTD |
 //!
 //! Absolute numbers come from the simulator substrate; EXPERIMENTS.md
 //! records the paper-vs-measured comparison and which *shapes* hold.
@@ -25,6 +28,7 @@
 #![warn(unreachable_pub)]
 
 pub mod ablation;
+pub mod churn;
 pub mod detection;
 pub mod fig10;
 pub mod fig4;
@@ -33,7 +37,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod perf;
+pub mod net;
 pub mod support;
 pub mod tab1;
 pub mod tab4;

@@ -1,5 +1,5 @@
 //! Shared experiment infrastructure: fabric builders, FARM task sources,
-//! and table rendering.
+//! sample percentiles and table rendering.
 
 use std::collections::BTreeMap;
 
@@ -178,7 +178,7 @@ machine ML {{
 }
 
 /// A solve's assignment as the previous placement of the next one.
-pub fn as_previous(assignment: &[Option<(SwitchId, Resources)>]) -> PreviousPlacement {
+pub(crate) fn as_previous(assignment: &[Option<(SwitchId, Resources)>]) -> PreviousPlacement {
     let mut prev = PreviousPlacement::default();
     for (s, slot) in assignment.iter().enumerate() {
         if let Some(seat) = slot {
@@ -186,6 +186,22 @@ pub fn as_previous(assignment: &[Option<(SwitchId, Resources)>]) -> PreviousPlac
         }
     }
     prev
+}
+
+/// Exact percentile over raw samples, linear between the two nearest
+/// ranks.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
+    assert!(!samples.is_empty(), "percentile of no samples");
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let frac = pos - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// No-external deployment helper.
@@ -237,6 +253,16 @@ mod tests {
         frontend(&hh_change_source_at(10, 1, 100_000)).unwrap();
         frontend(&ml_source_at(1, 0, 1)).unwrap();
         frontend(&ml_source_at(10, 2, 10)).unwrap();
+    }
+
+    #[test]
+    fn percentile_interpolates() {
+        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert!((percentile(&s, 0.50) - 50.5).abs() < 1e-9);
+        assert!((percentile(&s, 0.95) - 95.05).abs() < 1e-9);
+        assert_eq!(percentile(&[7.0], 0.95), 7.0);
+        assert_eq!(percentile(&s, 0.0), 1.0);
+        assert_eq!(percentile(&s, 1.0), 100.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl ScenarioClass {
         ScenarioClass::Microburst,
     ];
 
-    /// Stable identifier used in benchmark JSON and CLI flags.
+    /// Stable identifier used in `repro detection`'s table.
     pub fn name(&self) -> &'static str {
         match self {
             ScenarioClass::FlashCrowd => "flash_crowd",

@@ -2,9 +2,9 @@
 //! the scenarios, how their externals are built, and how their harvester
 //! messages are decoded into [`Alarm`](crate::score::Alarm) keys.
 //!
-//! Examples (`ddos_mitigation`, `portscan_detection`) and the
-//! `detection_scale` benchmark both load task definitions from here, so
-//! the program under demonstration is always the program under test.
+//! Examples (`ddos_mitigation`, `portscan_detection`), `repro detection`
+//! and the `detection_quality` tests all load task definitions from here,
+//! so the program under demonstration is always the program under test.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,7 +18,7 @@ use crate::truth::TruthKey;
 /// One deployable detection task: the Almanac source, the machine it
 /// declares, and a decoder turning its harvester messages into alarms.
 pub struct TaskDef {
-    /// Task name used at deploy time (and in benchmark JSON).
+    /// Task name used at deploy time (and in `repro detection`'s table).
     pub name: &'static str,
     /// Machine the program declares (externals are keyed by it).
     pub(crate) machine: &'static str,

@@ -2,7 +2,7 @@
 //! ordered objects, one compact writer (`Display`), one pretty writer
 //! ([`Json::pretty`]) and one total parser ([`Json::parse`]). It carries
 //! the `Stats` / `MetricsDump` bodies between farmd, fedd and farmctl,
-//! the JSON-lines event log and the committed `BENCH_*.json` baselines.
+//! and the JSON-lines event log.
 //!
 //! Integer text parses to [`Json::U64`] / [`Json::I64`], so counters and
 //! nanosecond clocks above 2⁵³ survive a parse → merge → render hop; and
@@ -128,19 +128,6 @@ impl Json {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
-        }
-    }
-
-    /// Sorts every object's members by key, recursively — for documents
-    /// committed next to the code, where a stable order keeps diffs small.
-    pub fn sort_keys(&mut self) {
-        match self {
-            Json::Arr(items) => items.iter_mut().for_each(Json::sort_keys),
-            Json::Obj(members) => {
-                members.sort_by(|a, b| a.0.cmp(&b.0));
-                members.iter_mut().for_each(|(_, v)| v.sort_keys());
-            }
-            _ => {}
         }
     }
 

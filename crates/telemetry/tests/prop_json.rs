@@ -1,8 +1,8 @@
 //! The one JSON, searched: parse ∘ render is the identity for both
-//! writers over generated documents, rendering is a fixed point even
-//! where values are not (whole floats re-read as integers), the parser
-//! is total on mutated documents, and the committed `BENCH_*.json`
-//! baselines survive parse → pretty byte for byte.
+//! writers over generated documents (`parse_inverts_both_writers`, so a
+//! document this module wrote survives parse → pretty byte for byte),
+//! rendering is a fixed point even where values are not (whole floats
+//! re-read as integers), and the parser is total on mutated documents.
 
 use farm_telemetry::Json;
 use proptest::collection::vec;
@@ -106,22 +106,4 @@ fn non_finite_numbers_render_as_null() {
         f64::NEG_INFINITY.into(),
     ]);
     assert_eq!(doc.to_string(), "[null,null,null]");
-}
-
-/// `*_scale --out` files keep diffing cleanly against the committed
-/// baselines only if reading one and writing it back changes nothing.
-#[test]
-fn committed_baselines_survive_parse_then_pretty() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    for name in [
-        "BENCH_placement.json",
-        "BENCH_net.json",
-        "BENCH_detection.json",
-    ] {
-        let text = std::fs::read_to_string(format!("{root}/{name}")).expect(name);
-        let mut doc = Json::parse(&text).expect(name);
-        assert_eq!(doc.pretty(), text, "{name}: parse → pretty");
-        doc.sort_keys();
-        assert_eq!(doc.pretty(), text, "{name}: committed keys are sorted");
-    }
 }
