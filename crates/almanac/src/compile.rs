@@ -33,9 +33,9 @@ pub(crate) const DEFAULT_UTILITY: f64 = 1.0;
 pub struct CompiledMachine {
     /// Flattened, type-checked machine definition.
     pub machine: Machine,
-    /// The machine and the auxiliary functions visible to it in the
-    /// slot-resolved form the seed VM executes (shared, so cloning a
-    /// compiled machine does not copy its code).
+    /// The machine and the auxiliary functions visible to it as the flat
+    /// register code the seed VM runs (shared, so cloning a compiled
+    /// machine does not copy its code).
     pub lowered: Arc<LoweredMachine>,
     /// Deployment-time constants: externals plus const initializers.
     pub consts: ConstEnv,

@@ -16,10 +16,11 @@
 //! The crate covers the full pipeline: `lexer` → [`parser`] →
 //! `typeck` (inheritance flattening + validation) → [`analysis`]
 //! (placement sets, utility polynomials, poll subjects) → [`compile`]
-//! (the seeder front-end, which also runs [`lower`]: names resolved to
-//! slots for the seed VM), plus the canonical [`printer`] (the form
-//! programs are shipped in), and the paper's 16 Tab. I use cases in
-//! [`programs`]. Execution of compiled machines lives in `farm-soil`.
+//! (the seeder front-end, which also runs [`lower`]: handlers and
+//! functions turned into the flat register code the seed VM runs), plus
+//! the canonical [`printer`] (the form programs are shipped in), and the
+//! paper's 16 Tab. I use cases in [`programs`]. Execution of compiled
+//! machines lives in `farm-soil`.
 //!
 //! # Example
 //!

@@ -1,30 +1,42 @@
-//! Lowering: a checked machine → the slot-resolved form the seed VM runs.
+//! Lowering: a checked machine → the flat register code the seed VM runs.
 //!
 //! The seed interpreter in `farm-soil` runs one handler per poll of every
-//! seed on every switch, so nothing on that path may look a name up. This
-//! pass runs once per [`crate::compile::CompiledMachine`] and resolves
-//! every name ahead of time:
+//! seed on every switch, so nothing on that path may look a name up or
+//! walk a tree. This pass runs once per
+//! [`crate::compile::CompiledMachine`] and turns every handler and
+//! auxiliary function into one [`Body`]: a `Vec` of [`Inst`]s over
+//! operands that are frame slots, global slots, temporaries and a
+//! constant pool ([`Src`], [`Dst`]).
 //!
-//! * machine variables → dense global slots ([`Place::Global`]; the name
-//!   table, sorted so snapshots need no sort, stays here in the def),
-//! * handler/function parameters and block-scoped locals → frame slots
-//!   ([`Place::Local`]) with a statically known frame size — every
-//!   declaration gets its own slot, so shadowing and per-iteration
-//!   re-initialisation of loop-body locals fall out of plain scoping,
-//! * states → `u32` ids with a per-state handler table (state handlers
-//!   first, then the machine-level ones they may override),
-//! * user functions → indices, runtime-library calls → [`Op`] tags,
-//!   literals → prebuilt [`Value`]s.
+//! * Machine variables → dense global slots (the name table, sorted so
+//!   snapshots need no sort, stays here in the def).
+//! * Handler/function parameters, block-scoped locals and temporaries →
+//!   frame slots with a statically known frame size. A declaration gets
+//!   a slot for the life of its block and re-initialises it every time it
+//!   runs, so shadowing and fresh loop-body locals fall out of scoping.
+//! * A bound payload the handler never writes, and a parameter the
+//!   function never writes, is read in place ([`Src::Ref`]) instead of
+//!   being copied into the frame.
+//! * `if`, `while`, `and` and `or` → jumps; states → `u32` ids with a
+//!   per-state handler table; user functions → indices; runtime-library
+//!   calls → [`Op`] tags; literals → the constant pool.
 //!
-//! The tree keeps one node per source expression and statement, because
-//! the VM charges abstract CPU cost per node evaluated and that cost model
-//! is part of the simulator's observable behaviour.
+//! Each instruction carries its static abstract cost ([`Inst::cost`]):
+//! 1 per source expression node and 2 per statement, attached to an
+//! instruction that runs exactly when that node or statement is
+//! evaluated. The cost model is part of the simulator's observable
+//! behaviour; only the `len/4 + 1` list-scan charge is left to run time.
+//!
+//! Evaluation order is the source order of an eager evaluator: an operand
+//! that is a plain variable is read where it lives, unless an operand
+//! evaluated after it may write variables (a user-function call or a
+//! list-mutating builtin) — then it is copied first.
 //!
 //! Lowering is total. The type checker accepts a few names the runtime
 //! never binds (state-level variables, trigger variables read as values);
 //! those, and anything an unchecked program gets wrong, lower to
-//! [`Expr::Fail`] nodes carrying the runtime error they raise when — and
-//! only when — they are evaluated.
+//! [`Kind::Fail`] instructions carrying the runtime error they raise when
+//! — and only when — they run.
 
 use std::collections::BTreeMap;
 
@@ -33,8 +45,8 @@ use farm_netsim::types::{FilterAtom, FilterFormula, PortSel};
 
 use crate::analysis::ConstEnv;
 use crate::ast::{
-    self, Action, BinOp, DeclKind, EventDecl, FilterExpr, FunDecl, Literal, Machine, MsgEndpoint,
-    Trigger, Type, UnOp, VarDecl,
+    self, Action, BinOp, CmpOp, DeclKind, EventDecl, FilterExpr, FunDecl, Literal, Machine,
+    MsgEndpoint, Trigger, Type, UnOp, VarDecl,
 };
 use crate::builtins::{builtin, Op};
 use crate::value::{ActionValue, Value};
@@ -52,14 +64,20 @@ pub struct LoweredMachine {
     pub states: Vec<State>,
     /// Every event handler of the machine, referenced by [`State::handlers`].
     pub handlers: Vec<Handler>,
-    /// Auxiliary functions, referenced by [`Expr::CallFn`].
+    /// Auxiliary functions, referenced by [`Kind::CallFn`].
     pub functions: Vec<Function>,
+    /// Constant pool ([`Src::Const`]); entry 0 is unit.
+    pub consts: Vec<Value>,
+    /// Names and messages instructions refer to by index.
+    pub strings: Vec<String>,
+    /// Argument lists of [`Kind::CallFn`], back to back.
+    pub args: Vec<Src>,
 }
 
 impl LoweredMachine {
     /// Global slot of a machine variable.
     pub fn global_slot(&self, name: &str) -> Option<usize> {
-        self.globals.binary_search_by(|g| g.as_str().cmp(name)).ok()
+        global_slot(&self.globals, name)
     }
 
     /// Id of a state.
@@ -97,59 +115,85 @@ pub enum On {
     },
 }
 
+/// How a handler sees its event's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bind {
+    /// Not bound.
+    None,
+    /// Never written: read in place as reference 0.
+    InPlace,
+    /// Written by the handler: copied into frame slot 0.
+    Copy,
+}
+
 /// An event handler.
 #[derive(Debug, Clone)]
 pub struct Handler {
     pub on: On,
-    /// The event's payload is bound: it goes to frame slot 0.
-    pub binds: bool,
-    /// Frame slots the body needs (the bound payload included).
-    pub frame: u32,
-    pub body: Vec<Stmt>,
+    pub bind: Bind,
+    pub body: Body,
 }
 
-/// An auxiliary function. Arguments go to the first frame slots.
+/// How an argument reaches a function parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// Moved or copied into the callee's next parameter slot.
+    Value,
+    /// Never written by the function: read where the caller holds it,
+    /// as the callee's next reference.
+    InPlace,
+}
+
+/// An auxiliary function.
 #[derive(Debug, Clone)]
 pub struct Function {
-    pub frame: u32,
-    pub body: Vec<Stmt>,
+    /// One entry per parameter, in order. Frame slots go to the
+    /// [`Pass::Value`] ones from slot 0, references to the
+    /// [`Pass::InPlace`] ones from reference 0.
+    pub params: Vec<Pass>,
+    pub body: Body,
 }
 
-/// A resolved variable.
+/// The code of one handler or function.
+#[derive(Debug, Clone)]
+pub struct Body {
+    /// Frame slots the code needs: parameters, locals, temporaries.
+    pub frame: u32,
+    /// Ends with [`Kind::Return`].
+    pub code: Vec<Inst>,
+}
+
+/// Where an instruction reads a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Place {
+pub enum Src {
+    /// Frame slot of a variable.
+    Local(u32),
+    /// Frame slot of an intermediate result, read by exactly one
+    /// instruction, which may move it out.
+    Temp(u32),
     /// Slot of the seed's machine variables.
     Global(u32),
-    /// Slot of the running handler's or function's frame.
+    /// Entry of [`LoweredMachine::consts`].
+    Const(u32),
+    /// The running frame's `i`-th value read in place: the handler's
+    /// payload or a [`Pass::InPlace`] parameter.
+    Ref(u32),
+}
+
+/// Where an instruction writes its result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dst {
+    /// Frame slot.
     Local(u32),
+    /// Slot of the seed's machine variables.
+    Global(u32),
 }
 
-/// A statement.
-#[derive(Debug, Clone)]
-pub enum Stmt {
-    /// `x = e;`, or a local declaration with an initialiser.
-    Set(Place, Expr),
-    /// A local declaration without initialiser.
-    Init(u32, Value),
-    /// An expression evaluated for its effects (also `p.ival = e;`, whose
-    /// rescheduling is the soil's business, not the VM's).
-    Eval(Expr),
-    Transit(u32),
-    If(Expr, Vec<Stmt>, Vec<Stmt>),
-    While(Expr, Vec<Stmt>),
-    Return(Option<Expr>),
-    /// `send e to harvester;` when `to` is `None`.
-    Send {
-        value: Expr,
-        to: Option<SendTo>,
-    },
-}
-
-/// Destination of a `send … to M[@switch]`.
-#[derive(Debug, Clone)]
-pub struct SendTo {
-    pub machine: String,
-    pub at: Option<Expr>,
+/// One instruction and the abstract cost charged when it runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Inst {
+    pub cost: u32,
+    pub kind: Kind,
 }
 
 /// Which header field a filter atom constrains.
@@ -163,37 +207,134 @@ pub enum FilterField {
     IfPort,
 }
 
-/// An expression.
-#[derive(Debug, Clone)]
-pub enum Expr {
-    Const(Value),
-    Var(Place),
-    Not(Box<Expr>),
-    Neg(Box<Expr>),
-    Binary(BinOp, Box<Expr>, Box<Expr>),
-    Filter(FilterField, Box<Expr>),
+/// What an instruction does. Jump targets are indices into the body's
+/// code; names and messages index [`LoweredMachine::strings`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Kind {
+    /// Nothing; carries the cost of a statement that computes nothing.
+    Nop,
+    /// `dst = src`: moves a temporary, copies anything else.
+    Move {
+        dst: Dst,
+        src: Src,
+    },
+    Not {
+        dst: Dst,
+        a: Src,
+    },
+    Neg {
+        dst: Dst,
+        a: Src,
+    },
+    Binary {
+        op: BinOp,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    /// `a` is the left side of `or` (`or`) or `and`: when it is the bool
+    /// that decides the result, stores it and goes to `end`.
+    Short {
+        or: bool,
+        dst: Dst,
+        a: Src,
+        end: u32,
+    },
+    Filter {
+        field: FilterField,
+        dst: Dst,
+        a: Src,
+    },
     /// `base.field`; `resource` is the field's meaning on a `res()` value.
     Field {
-        base: Box<Expr>,
-        field: String,
+        dst: Dst,
+        base: Src,
         resource: Option<ResourceKind>,
+        name: u32,
     },
-    /// `Rule { .pattern = …, .act = … }`, fields in source order.
-    Rule(Vec<(String, Expr)>),
-    /// Runtime-library call; the argument count matches the signature.
-    Call(Op, Vec<Expr>),
-    /// A list builtin that mutates variable `name` in place (`target` is
-    /// `None` when the runtime binds no such variable).
+    /// Checks one field of a `Rule { … }` literal right after it is
+    /// evaluated.
+    RuleField {
+        src: Src,
+        name: u32,
+    },
+    /// Builds a `Rule { … }` from its checked fields (the last of each
+    /// name; `None` when the literal lacks it).
+    Rule {
+        dst: Dst,
+        pattern: Option<Src>,
+        act: Option<Src>,
+    },
+    /// Runtime-library call with at most two arguments; a missing one is
+    /// `Src::Const(0)` (unit).
+    Call {
+        op: Op,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    /// A list builtin that mutates `target` in place.
     Mutate {
         op: Op,
-        name: String,
-        target: Option<Place>,
-        arg: Option<Box<Expr>>,
+        target: Dst,
+        arg: Option<Src>,
+        name: u32,
     },
-    /// Call of [`LoweredMachine::functions`]`[i]`.
-    CallFn(u32, Vec<Expr>),
-    /// Raises this runtime error when evaluated.
-    Fail(String),
+    /// Fails when no further call fits on the call stack; runs before a
+    /// call's arguments are evaluated.
+    Depth,
+    /// Calls [`LoweredMachine::functions`]`[f]` with the arguments at
+    /// `args..` in [`LoweredMachine::args`].
+    CallFn {
+        f: u32,
+        dst: Dst,
+        args: u32,
+    },
+    Jump {
+        to: u32,
+    },
+    /// Part of an `if`: goes to `to` when `test` comes out as `sense`.
+    Branch {
+        test: Test,
+        sense: bool,
+        to: u32,
+    },
+    /// `while`: goes to `exit` unless `test` holds, else counts one
+    /// iteration in frame slot `counter` (zeroed on loop entry) and fails
+    /// past the iteration limit.
+    Loop {
+        test: Test,
+        exit: u32,
+        counter: u32,
+    },
+    /// Ends the handler and enters state `state`.
+    Transit {
+        state: u32,
+    },
+    /// Ends the handler, or returns `value` (unit if `None`) to the caller.
+    Return {
+        value: Option<Src>,
+    },
+    /// `send value to harvester` (`to` is `None`) or to machine `to`,
+    /// at switch `at` if given.
+    Send {
+        value: Src,
+        to: Option<u32>,
+        at: Option<Src>,
+    },
+    /// Raises this runtime error.
+    Fail {
+        message: u32,
+    },
+}
+
+/// The condition of an `if` or a `while`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Test {
+    /// A value that must be a bool.
+    Bool(Src),
+    /// A comparison, which is the condition's own node.
+    Cmp(CmpOp, Src, Src),
 }
 
 /// Lowers `machine` with the auxiliary `functions` visible to it;
@@ -212,15 +353,36 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         })
         .collect();
     let globals: Vec<String> = init.keys().map(|n| n.to_string()).collect();
-    let cx = Context {
+    let mut cx = Context {
         globals: &globals,
         machine,
         functions,
+        passes: Vec::new(),
+    };
+    cx.passes = functions
+        .iter()
+        .map(|f| {
+            f.params
+                .iter()
+                .map(|(_, p)| {
+                    if cx.writes(&f.body, p) {
+                        Pass::Value
+                    } else {
+                        Pass::InPlace
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut pools = Pools {
+        consts: vec![Value::Unit],
+        strings: Vec::new(),
+        args: Vec::new(),
     };
 
     let mut handlers = Vec::new();
     let mut add = |ev: &EventDecl| {
-        handlers.push(cx.handler(ev));
+        handlers.push(cx.handler(ev, &mut pools));
         handlers.len() as u32 - 1
     };
     let shared: Vec<u32> = machine.events.iter().map(&mut add).collect();
@@ -237,13 +399,20 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
                 .collect(),
         })
         .collect();
-    let functions = functions.iter().map(|f| cx.function(f)).collect();
+    let functions = functions
+        .iter()
+        .zip(&cx.passes)
+        .map(|(f, params)| cx.function(f, params, &mut pools))
+        .collect();
     LoweredMachine {
         init: init.into_values().collect(),
         globals,
         states,
         handlers,
         functions,
+        consts: pools.consts,
+        strings: pools.strings,
+        args: pools.args,
     }
 }
 
@@ -274,12 +443,21 @@ struct Context<'a> {
     globals: &'a [String],
     machine: &'a Machine,
     functions: &'a [FunDecl],
+    /// How each function takes each parameter.
+    passes: Vec<Vec<Pass>>,
+}
+
+/// The machine-wide tables instructions index into.
+struct Pools {
+    consts: Vec<Value>,
+    strings: Vec<String>,
+    args: Vec<Src>,
 }
 
 impl<'a> Context<'a> {
-    fn handler(&self, ev: &'a EventDecl) -> Handler {
-        let mut scope = Scope::new(self);
-        let (on, bind) = match &ev.trigger {
+    fn handler(&self, ev: &'a EventDecl, pools: &mut Pools) -> Handler {
+        let mut em = Emitter::new(self, pools, false);
+        let (on, name) = match &ev.trigger {
             Trigger::Enter => (On::Enter, None),
             Trigger::Exit => (On::Exit, None),
             Trigger::Realloc => (On::Realloc, None),
@@ -292,104 +470,317 @@ impl<'a> Context<'a> {
                 (On::Recv { ty: *ty, from }, Some(bind.as_str()))
             }
         };
-        if let Some(name) = bind {
-            scope.declare(name);
-        }
-        let body = scope.block(&ev.actions);
+        let bind = match name {
+            None => Bind::None,
+            Some(name) if self.writes(&ev.actions, name) => {
+                em.declare_slot(name);
+                Bind::Copy
+            }
+            Some(name) => {
+                em.declare_ref(name);
+                Bind::InPlace
+            }
+        };
         Handler {
             on,
-            binds: bind.is_some(),
-            frame: scope.frame,
-            body,
+            bind,
+            body: em.finish(&ev.actions),
         }
     }
 
-    fn function(&self, f: &'a FunDecl) -> Function {
-        let mut scope = Scope::new(self);
-        for (_, name) in &f.params {
-            scope.declare(name);
+    fn function(&self, f: &'a FunDecl, params: &[Pass], pools: &mut Pools) -> Function {
+        let mut em = Emitter::new(self, pools, true);
+        for ((_, name), pass) in f.params.iter().zip(params) {
+            match pass {
+                Pass::Value => em.declare_slot(name),
+                Pass::InPlace => em.declare_ref(name),
+            }
         }
-        let body = scope.block(&f.body);
         Function {
-            frame: scope.frame,
-            body,
-        }
-    }
-}
-
-/// Name resolution inside one handler or function body.
-struct Scope<'a> {
-    cx: &'a Context<'a>,
-    /// Visible locals, innermost last; a block forgets its own on exit.
-    locals: Vec<(&'a str, u32)>,
-    /// Frame slots handed out so far.
-    frame: u32,
-}
-
-impl<'a> Scope<'a> {
-    fn new(cx: &'a Context<'a>) -> Scope<'a> {
-        Scope {
-            cx,
-            locals: Vec::new(),
-            frame: 0,
+            params: params.to_vec(),
+            body: em.finish(&f.body),
         }
     }
 
-    fn declare(&mut self, name: &'a str) -> u32 {
-        let slot = self.frame;
-        self.frame += 1;
-        self.locals.push((name, slot));
-        slot
-    }
-
-    /// Locals shadow machine variables, inner blocks shadow outer ones.
-    fn resolve(&self, name: &str) -> Option<Place> {
-        if let Some((_, slot)) = self.locals.iter().rev().find(|(n, _)| *n == name) {
-            return Some(Place::Local(*slot));
+    /// Whether `e` can only evaluate to a bool, if it evaluates at all.
+    fn boolish(&self, e: &ast::Expr) -> bool {
+        match e {
+            ast::Expr::Lit(Literal::Bool(_), _) | ast::Expr::Binary(BinOp::Cmp(_), ..) => true,
+            ast::Expr::Unary(UnOp::Not, a, _) => self.boolish(a),
+            ast::Expr::Binary(BinOp::And | BinOp::Or, a, b, _) => {
+                self.boolish(a) && self.boolish(b)
+            }
+            ast::Expr::Call { name, .. } => {
+                !self.is_function(name) && builtin(name).is_some_and(|b| b.ret == Some(Type::Bool))
+            }
+            _ => false,
         }
-        global_slot(self.cx.globals, name).map(|i| Place::Global(i as u32))
     }
 
-    fn block(&mut self, actions: &'a [Action]) -> Vec<Stmt> {
-        let mark = self.locals.len();
-        let mut stmts = Vec::with_capacity(actions.len());
-        for a in actions {
-            self.stmt(a, &mut stmts);
-        }
-        self.locals.truncate(mark);
-        stmts
+    fn is_function(&self, name: &str) -> bool {
+        self.functions.iter().any(|f| f.name == name)
     }
 
-    fn stmt(&mut self, a: &'a Action, out: &mut Vec<Stmt>) {
-        let stmt = match a {
-            Action::Local(v) => match &v.init {
-                // The initialiser still sees the name's outer meaning.
-                Some(init) => {
-                    let init = self.expr(init);
-                    Stmt::Set(Place::Local(self.declare(&v.name)), init)
+    /// A call to `name` with these arguments mutates the variable it names
+    /// first (user functions come before builtins of the same name).
+    fn mutated<'e>(&self, name: &str, args: &'e [ast::Expr]) -> Option<&'e str> {
+        let Some(ast::Expr::Var(var, _)) = args.first() else {
+            return None;
+        };
+        let mutates = !self.is_function(name) && builtin(name).is_some_and(|b| b.mutates_first_arg);
+        mutates.then_some(var)
+    }
+
+    /// Whether `actions` may assign or mutate a variable called `name`
+    /// (any variable of that name, shadowed or not).
+    fn writes(&self, actions: &[Action], name: &str) -> bool {
+        let expr = |e: &ast::Expr| {
+            any_node(e, &|n| match n {
+                ast::Expr::Call { name: f, args, .. } => {
+                    matches!(args.first(), Some(ast::Expr::Var(v, _)) if v == name)
+                        && self.mutated(f, args).is_some()
                 }
-                None => Stmt::Init(self.declare(&v.name), default_value(v)),
-            },
+                _ => false,
+            })
+        };
+        actions.iter().any(|a| match a {
+            Action::Local(v) => v.init.as_ref().is_some_and(expr),
             Action::Assign {
                 target,
                 field,
                 value,
                 ..
-            } => {
-                let value = self.expr(value);
-                match (field, self.resolve(target)) {
-                    (Some(_), _) => Stmt::Eval(value),
-                    (None, Some(place)) => Stmt::Set(place, value),
-                    (None, None) => {
-                        out.push(Stmt::Eval(value));
-                        fail(format!("assignment to unknown variable `{target}`"))
+            } => (target == name && field.is_none()) || expr(value),
+            Action::Transit { .. } => false,
+            Action::If {
+                cond,
+                then_branch,
+                else_branch,
+                ..
+            } => expr(cond) || self.writes(then_branch, name) || self.writes(else_branch, name),
+            Action::While { cond, body, .. } => expr(cond) || self.writes(body, name),
+            Action::Return { value, .. } => value.as_ref().is_some_and(expr),
+            Action::Send { value, to, .. } => {
+                expr(value) || matches!(to, MsgEndpoint::Machine { at: Some(at), .. } if expr(at))
+            }
+            Action::ExprStmt { expr: e, .. } => expr(e),
+        })
+    }
+
+    /// Whether evaluating `e` may write a variable: it calls a user
+    /// function or a list-mutating builtin.
+    fn may_write(&self, e: &ast::Expr) -> bool {
+        any_node(e, &|n| match n {
+            ast::Expr::Call { name, .. } => {
+                self.is_function(name) || builtin(name).is_some_and(|b| b.mutates_first_arg)
+            }
+            _ => false,
+        })
+    }
+}
+
+/// Whether `pred` holds for `e` or any expression inside it.
+fn any_node(e: &ast::Expr, pred: &dyn Fn(&ast::Expr) -> bool) -> bool {
+    pred(e)
+        || match e {
+            ast::Expr::Lit(..) | ast::Expr::Var(..) => false,
+            ast::Expr::Filter(f, _) => match f {
+                FilterExpr::SrcIp(x)
+                | FilterExpr::DstIp(x)
+                | FilterExpr::SrcPort(x)
+                | FilterExpr::DstPort(x)
+                | FilterExpr::Proto(x)
+                | FilterExpr::IfPort(x) => any_node(x, pred),
+                FilterExpr::IfPortAny => false,
+            },
+            ast::Expr::Unary(_, x, _) | ast::Expr::Field(x, _, _) => any_node(x, pred),
+            ast::Expr::Binary(_, a, b, _) => any_node(a, pred) || any_node(b, pred),
+            ast::Expr::Call { args, .. } => args.iter().any(|a| any_node(a, pred)),
+            ast::Expr::StructLit { fields, .. } => fields.iter().any(|(_, x)| any_node(x, pred)),
+        }
+}
+
+/// Code generation for one handler or function body.
+struct Emitter<'a, 'p> {
+    cx: &'a Context<'a>,
+    pools: &'p mut Pools,
+    in_function: bool,
+    /// Visible variables, innermost last: a frame slot or a reference.
+    locals: Vec<(&'a str, Src)>,
+    /// References handed out so far.
+    refs: u32,
+    /// Next free frame slot; slots above it are free.
+    next: u32,
+    /// Frame slots needed so far.
+    frame: u32,
+    code: Vec<Inst>,
+    /// Cost of nodes evaluated since the last instruction was emitted; the
+    /// next instruction carries it.
+    pending: u32,
+}
+
+impl<'a, 'p> Emitter<'a, 'p> {
+    fn new(cx: &'a Context<'a>, pools: &'p mut Pools, in_function: bool) -> Emitter<'a, 'p> {
+        Emitter {
+            cx,
+            pools,
+            in_function,
+            locals: Vec::new(),
+            refs: 0,
+            next: 0,
+            frame: 0,
+            code: Vec::new(),
+            pending: 0,
+        }
+    }
+
+    fn finish(mut self, actions: &'a [Action]) -> Body {
+        self.block(actions);
+        self.emit(Kind::Return { value: None });
+        Body {
+            frame: self.frame,
+            code: self.code,
+        }
+    }
+
+    fn declare_slot(&mut self, name: &'a str) {
+        let slot = self.slot();
+        self.locals.push((name, Src::Local(slot)));
+    }
+
+    fn declare_ref(&mut self, name: &'a str) {
+        self.locals.push((name, Src::Ref(self.refs)));
+        self.refs += 1;
+    }
+
+    /// A free frame slot; it stays taken until `next` is reset below it.
+    fn slot(&mut self) -> u32 {
+        let slot = self.next;
+        self.next += 1;
+        self.frame = self.frame.max(self.next);
+        slot
+    }
+
+    fn emit(&mut self, kind: Kind) -> usize {
+        let cost = std::mem::take(&mut self.pending);
+        self.code.push(Inst { cost, kind });
+        self.code.len() - 1
+    }
+
+    /// Position of the next instruction as a jump target. Cost still
+    /// pending belongs to the path falling through to it, so it is
+    /// charged before.
+    fn label(&mut self) -> u32 {
+        if self.pending > 0 {
+            self.emit(Kind::Nop);
+        }
+        self.code.len() as u32
+    }
+
+    fn patch(&mut self, at: usize, target: u32) {
+        match &mut self.code[at].kind {
+            Kind::Jump { to }
+            | Kind::Branch { to, .. }
+            | Kind::Loop { exit: to, .. }
+            | Kind::Short { end: to, .. } => *to = target,
+            other => unreachable!("patching a non-jump {other:?}"),
+        }
+    }
+
+    fn patch_all(&mut self, jumps: Vec<usize>, target: u32) {
+        for at in jumps {
+            self.patch(at, target);
+        }
+    }
+
+    fn konst(&mut self, v: Value) -> Src {
+        self.pools.consts.push(v);
+        Src::Const(self.pools.consts.len() as u32 - 1)
+    }
+
+    fn string(&mut self, s: String) -> u32 {
+        let at = match self.pools.strings.iter().position(|x| *x == s) {
+            Some(i) => i,
+            None => {
+                self.pools.strings.push(s);
+                self.pools.strings.len() - 1
+            }
+        };
+        at as u32
+    }
+
+    fn fail(&mut self, message: String) {
+        let message = self.string(message);
+        self.emit(Kind::Fail { message });
+    }
+
+    /// Locals shadow machine variables, inner blocks shadow outer ones.
+    fn resolve(&self, name: &str) -> Option<Src> {
+        if let Some((_, src)) = self.locals.iter().rev().find(|(n, _)| *n == name) {
+            return Some(*src);
+        }
+        global_slot(self.cx.globals, name).map(|i| Src::Global(i as u32))
+    }
+
+    /// Where a write to `name` goes. Payloads and parameters the body
+    /// writes live in slots, so a written name never resolves to a
+    /// reference.
+    fn resolve_dst(&self, name: &str) -> Option<Dst> {
+        match self.resolve(name)? {
+            Src::Local(i) => Some(Dst::Local(i)),
+            Src::Global(i) => Some(Dst::Global(i)),
+            other => unreachable!("write to `{name}` resolved to {other:?}"),
+        }
+    }
+
+    fn block(&mut self, actions: &'a [Action]) {
+        let (locals, next) = (self.locals.len(), self.next);
+        for a in actions {
+            self.stmt(a);
+        }
+        self.locals.truncate(locals);
+        self.next = next;
+    }
+
+    fn stmt(&mut self, a: &'a Action) {
+        self.pending += 2;
+        match a {
+            Action::Local(v) => {
+                // The initialiser still sees the name's outer meaning.
+                let slot = self.slot();
+                match &v.init {
+                    Some(init) => self.expr_into(init, Dst::Local(slot)),
+                    None => {
+                        let src = self.konst(default_value(v));
+                        self.emit(Kind::Move {
+                            dst: Dst::Local(slot),
+                            src,
+                        });
                     }
                 }
+                self.locals.push((&v.name, Src::Local(slot)));
             }
+            Action::Assign {
+                target,
+                field,
+                value,
+                ..
+            } => match (field, self.resolve_dst(target)) {
+                // `p.ival = e;`: rescheduling is the soil's business.
+                (Some(_), _) => self.discard(value),
+                (None, Some(dst)) => self.expr_into(value, dst),
+                (None, None) => {
+                    self.discard(value);
+                    self.fail(format!("assignment to unknown variable `{target}`"));
+                }
+            },
             Action::Transit { state, .. } => {
                 match self.cx.machine.states.iter().position(|s| s.name == *state) {
-                    Some(id) => Stmt::Transit(id as u32),
-                    None => fail(format!("transit to unknown state `{state}`")),
+                    Some(_) if self.in_function => self.fail("transit inside function".into()),
+                    Some(id) => {
+                        self.emit(Kind::Transit { state: id as u32 });
+                    }
+                    None => self.fail(format!("transit to unknown state `{state}`")),
                 }
             }
             Action::If {
@@ -397,44 +788,222 @@ impl<'a> Scope<'a> {
                 then_branch,
                 else_branch,
                 ..
-            } => Stmt::If(
-                self.expr(cond),
-                self.block(then_branch),
-                self.block(else_branch),
-            ),
-            Action::While { cond, body, .. } => Stmt::While(self.expr(cond), self.block(body)),
-            Action::Return { value, .. } => Stmt::Return(value.as_ref().map(|e| self.expr(e))),
-            Action::Send { value, to, .. } => Stmt::Send {
-                value: self.expr(value),
-                to: match to {
-                    MsgEndpoint::Harvester => None,
-                    MsgEndpoint::Machine { name, at } => Some(SendTo {
-                        machine: name.clone(),
-                        at: at.as_ref().map(|e| self.expr(e)),
-                    }),
-                },
-            },
-            Action::ExprStmt { expr, .. } => Stmt::Eval(self.expr(expr)),
-        };
-        out.push(stmt);
+            } => {
+                let jumps = self.jump_if(cond, false);
+                self.block(then_branch);
+                if else_branch.is_empty() {
+                    let end = self.label();
+                    self.patch_all(jumps, end);
+                } else {
+                    let skip = self.emit(Kind::Jump { to: 0 });
+                    let other = self.label();
+                    self.patch_all(jumps, other);
+                    self.block(else_branch);
+                    let end = self.label();
+                    self.patch(skip, end);
+                }
+            }
+            Action::While { cond, body, .. } => {
+                let counter = self.slot();
+                let zero = self.konst(Value::Int(0));
+                self.emit(Kind::Move {
+                    dst: Dst::Local(counter),
+                    src: zero,
+                });
+                let head = self.label();
+                let test = self.test(cond);
+                let exit = self.emit(Kind::Loop {
+                    test,
+                    exit: 0,
+                    counter,
+                });
+                self.next = counter + 1;
+                self.block(body);
+                self.emit(Kind::Jump { to: head });
+                let end = self.label();
+                self.patch(exit, end);
+                self.next = counter;
+            }
+            Action::Return { value, .. } => {
+                let next = self.next;
+                let value = value.as_ref().map(|e| self.operand(e));
+                self.emit(Kind::Return { value });
+                self.next = next;
+            }
+            Action::Send { value, to, .. } => {
+                let next = self.next;
+                let (to, at) = match to {
+                    MsgEndpoint::Harvester => (None, None),
+                    MsgEndpoint::Machine { name, at } => {
+                        (Some(self.string(name.clone())), at.as_ref())
+                    }
+                };
+                let (value, at) = match at {
+                    None => (self.operand(value), None),
+                    Some(at) => {
+                        let [value, at] = self.operands([value, at]);
+                        (value, Some(at))
+                    }
+                };
+                self.emit(Kind::Send { value, to, at });
+                self.next = next;
+            }
+            Action::ExprStmt { expr, .. } => self.discard(expr),
+        }
     }
 
-    fn boxed(&self, e: &ast::Expr) -> Box<Expr> {
-        Box::new(self.expr(e))
+    /// Evaluates the condition of an `if` or a `while`. Its temporaries
+    /// stay taken until the caller resets `next`.
+    fn test(&mut self, cond: &ast::Expr) -> Test {
+        match cond {
+            ast::Expr::Binary(BinOp::Cmp(c), a, b, _) => {
+                self.pending += 1;
+                let [a, b] = self.operands([&**a, &**b]);
+                Test::Cmp(*c, a, b)
+            }
+            _ => Test::Bool(self.operand(cond)),
+        }
     }
 
-    fn expr(&self, e: &ast::Expr) -> Expr {
+    /// Emits the jumps an `if` takes when `cond` comes out as `sense`,
+    /// falling through otherwise, and returns them for patching. `not`,
+    /// `and` and `or` over operands that can only be bools become jumps
+    /// of their own; anything else is evaluated and tested.
+    fn jump_if(&mut self, cond: &ast::Expr, sense: bool) -> Vec<usize> {
+        match cond {
+            ast::Expr::Unary(UnOp::Not, a, _) if self.cx.boolish(a) => {
+                self.pending += 1;
+                self.jump_if(a, !sense)
+            }
+            ast::Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _)
+                if self.cx.boolish(a) && self.cx.boolish(b) =>
+            {
+                self.pending += 1;
+                // The left side decides `and` when false, `or` when true.
+                let decides = *op == BinOp::Or;
+                if decides == sense {
+                    let mut jumps = self.jump_if(a, sense);
+                    jumps.extend(self.jump_if(b, sense));
+                    jumps
+                } else {
+                    let decided = self.jump_if(a, decides);
+                    let jumps = self.jump_if(b, sense);
+                    let end = self.label();
+                    self.patch_all(decided, end);
+                    jumps
+                }
+            }
+            _ => {
+                let next = self.next;
+                let test = self.test(cond);
+                let jump = self.emit(Kind::Branch { test, sense, to: 0 });
+                self.next = next;
+                vec![jump]
+            }
+        }
+    }
+
+    /// Evaluates `e` for its effects only.
+    fn discard(&mut self, e: &'a ast::Expr) {
+        let next = self.next;
         match e {
-            ast::Expr::Lit(l, _) => Expr::Const(match l {
+            ast::Expr::Call { name, args, .. } if self.cx.mutated(name, args).is_some() => {
+                self.pending += 1;
+                self.mutate(name, args);
+            }
+            _ => {
+                self.operand(e);
+            }
+        }
+        self.next = next;
+    }
+
+    /// Evaluates `e` and says where its value is: variables and constants
+    /// are read where they are, anything else lands in a new temporary.
+    /// The temporary stays taken until the caller resets `next`.
+    fn operand(&mut self, e: &ast::Expr) -> Src {
+        if let Some(src) = self.direct(e) {
+            return src;
+        }
+        let slot = self.slot();
+        self.expr_into(e, Dst::Local(slot));
+        Src::Temp(slot)
+    }
+
+    /// Evaluates `args` in order; an argument that is a variable a later
+    /// argument may write is copied when it is evaluated.
+    fn operands<const N: usize>(&mut self, args: [&ast::Expr; N]) -> [Src; N] {
+        let mut srcs = [Src::Const(0); N];
+        for (i, e) in args.iter().enumerate() {
+            let src = self.operand(e);
+            srcs[i] = self.guard(src, args[i + 1..].iter().copied());
+        }
+        srcs
+    }
+
+    /// `src`, or a copy of it when it is a variable that an expression
+    /// evaluated after it (one of `later`) may write.
+    fn guard<'e>(&mut self, src: Src, mut later: impl Iterator<Item = &'e ast::Expr>) -> Src {
+        match src {
+            Src::Local(_) | Src::Global(_) if later.any(|e| self.cx.may_write(e)) => self.pin(src),
+            _ => src,
+        }
+    }
+
+    /// A copy of a variable operand in a temporary.
+    fn pin(&mut self, src: Src) -> Src {
+        let (Src::Local(_) | Src::Global(_)) = src else {
+            return src;
+        };
+        let slot = self.slot();
+        self.emit(Kind::Move {
+            dst: Dst::Local(slot),
+            src,
+        });
+        Src::Temp(slot)
+    }
+
+    /// The operand of an expression that needs no instruction: a variable
+    /// or a constant (its one node of cost is left pending).
+    fn direct(&mut self, e: &ast::Expr) -> Option<Src> {
+        let value = match e {
+            ast::Expr::Lit(l, _) => match l {
                 Literal::Bool(b) => Value::Bool(*b),
                 Literal::Int(i) => Value::Int(*i),
                 Literal::Float(f) => Value::Float(*f),
                 Literal::Str(s) => Value::Str(s.clone()),
-            }),
-            ast::Expr::Var(name, _) => match self.resolve(name) {
-                Some(place) => Expr::Var(place),
-                None => Expr::Fail(format!("unknown variable `{name}`")),
             },
+            ast::Expr::Var(name, _) => {
+                self.pending += 1;
+                return Some(match self.resolve(name) {
+                    Some(src) => src,
+                    None => {
+                        self.fail(format!("unknown variable `{name}`"));
+                        Src::Const(0)
+                    }
+                });
+            }
+            ast::Expr::Filter(FilterExpr::IfPortAny, _) => {
+                Value::Filter(FilterFormula::Atom(FilterAtom::IfPort(PortSel::Any)))
+            }
+            // Poll/Probe literals configure the soil's scheduler; to the
+            // VM they are unit, their fields never evaluated.
+            ast::Expr::StructLit { name, .. } if name != "Rule" => Value::Unit,
+            _ => return None,
+        };
+        self.pending += 1;
+        Some(self.konst(value))
+    }
+
+    /// Evaluates `e` into `dst`, which only the last instruction writes.
+    fn expr_into(&mut self, e: &ast::Expr, dst: Dst) {
+        if let Some(src) = self.direct(e) {
+            self.emit(Kind::Move { dst, src });
+            return;
+        }
+        self.pending += 1;
+        let next = self.next;
+        match e {
             ast::Expr::Filter(f, _) => {
                 let (field, arg) = match f {
                     FilterExpr::SrcIp(e) => (FilterField::SrcIp, e),
@@ -443,62 +1012,147 @@ impl<'a> Scope<'a> {
                     FilterExpr::DstPort(e) => (FilterField::DstPort, e),
                     FilterExpr::Proto(e) => (FilterField::Proto, e),
                     FilterExpr::IfPort(e) => (FilterField::IfPort, e),
-                    FilterExpr::IfPortAny => {
-                        let any = FilterAtom::IfPort(PortSel::Any);
-                        return Expr::Const(Value::Filter(FilterFormula::Atom(any)));
-                    }
+                    FilterExpr::IfPortAny => unreachable!("a constant"),
                 };
-                Expr::Filter(field, self.boxed(arg))
+                let a = self.operand(arg);
+                self.emit(Kind::Filter { field, dst, a });
             }
-            ast::Expr::Unary(UnOp::Not, inner, _) => Expr::Not(self.boxed(inner)),
-            ast::Expr::Unary(UnOp::Neg, inner, _) => Expr::Neg(self.boxed(inner)),
-            ast::Expr::Binary(op, a, b, _) => Expr::Binary(*op, self.boxed(a), self.boxed(b)),
-            ast::Expr::Field(base, field, _) => Expr::Field {
-                base: self.boxed(base),
-                field: field.clone(),
-                resource: ResourceKind::from_field_name(field),
-            },
-            ast::Expr::StructLit { name, fields, .. } if name == "Rule" => Expr::Rule(
-                fields
-                    .iter()
-                    .map(|(f, e)| (f.clone(), self.expr(e)))
-                    .collect(),
-            ),
-            // Poll/Probe literals configure the soil's scheduler; to the
-            // VM they are unit, their fields never evaluated.
-            ast::Expr::StructLit { .. } => Expr::Const(Value::Unit),
-            ast::Expr::Call { name, args, .. } => self.call(name, args),
+            ast::Expr::Unary(op, inner, _) => {
+                let a = self.operand(inner);
+                self.emit(match op {
+                    UnOp::Not => Kind::Not { dst, a },
+                    UnOp::Neg => Kind::Neg { dst, a },
+                });
+            }
+            ast::Expr::Binary(op, a, b, _) if matches!(op, BinOp::And | BinOp::Or) => {
+                let a = self.operand(a);
+                let a = self.guard(a, std::iter::once(&**b));
+                let short = self.emit(Kind::Short {
+                    or: *op == BinOp::Or,
+                    dst,
+                    a,
+                    end: 0,
+                });
+                let b = self.operand(b);
+                self.emit(Kind::Binary { op: *op, dst, a, b });
+                let end = self.label();
+                self.patch(short, end);
+            }
+            ast::Expr::Binary(op, a, b, _) => {
+                let [a, b] = self.operands([&**a, &**b]);
+                self.emit(Kind::Binary { op: *op, dst, a, b });
+            }
+            ast::Expr::Field(base, field, _) => {
+                let base = self.operand(base);
+                let name = self.string(field.clone());
+                self.emit(Kind::Field {
+                    dst,
+                    base,
+                    resource: ResourceKind::from_field_name(field),
+                    name,
+                });
+            }
+            ast::Expr::StructLit { fields, .. } => {
+                let (mut pattern, mut act) = (None, None);
+                for (i, (field, e)) in fields.iter().enumerate() {
+                    let src = self.operand(e);
+                    let src = self.guard(src, fields[i + 1..].iter().map(|(_, later)| later));
+                    let name = self.string(field.clone());
+                    self.emit(Kind::RuleField { src, name });
+                    match field.as_str() {
+                        "pattern" => pattern = Some(src),
+                        "act" => act = Some(src),
+                        _ => {}
+                    }
+                }
+                self.emit(Kind::Rule { dst, pattern, act });
+            }
+            ast::Expr::Call { name, args, .. } => self.call(name, args, dst),
+            ast::Expr::Lit(..) | ast::Expr::Var(..) => unreachable!("direct operands"),
         }
+        self.next = next;
     }
 
-    fn call(&self, name: &str, args: &[ast::Expr]) -> Expr {
+    fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) {
         // User functions first (the checker forbids shadowing builtins).
-        if let Some(i) = self.cx.functions.iter().position(|f| f.name == name) {
-            return Expr::CallFn(i as u32, args.iter().map(|a| self.expr(a)).collect());
+        if let Some(f) = self.cx.functions.iter().position(|f| f.name == name) {
+            self.emit(Kind::Depth);
+            let passes = &self.cx.passes[f];
+            let mut srcs = Vec::with_capacity(args.len());
+            for (i, e) in args.iter().enumerate() {
+                let src = self.operand(e);
+                let src = match src {
+                    // A global read in place could change under the callee.
+                    Src::Global(_) if passes.get(i) == Some(&Pass::InPlace) => self.pin(src),
+                    _ => self.guard(src, args[i + 1..].iter()),
+                };
+                srcs.push(src);
+            }
+            // Only an unchecked program gets the count wrong: a missing
+            // argument reads as unit, an extra one is dropped.
+            srcs.resize(passes.len(), Src::Const(0));
+            let at = self.pools.args.len() as u32;
+            self.pools.args.extend(srcs);
+            self.emit(Kind::CallFn {
+                f: f as u32,
+                dst,
+                args: at,
+            });
+            return;
         }
         let Some(b) = builtin(name) else {
-            return Expr::Fail(format!("unknown builtin `{name}`"));
+            return self.fail(format!("unknown builtin `{name}`"));
         };
         if args.len() != b.params.len() {
-            return Expr::Fail(format!("bad arguments to `{name}`"));
+            return self.fail(format!("bad arguments to `{name}`"));
         }
-        if !b.mutates_first_arg {
-            return Expr::Call(b.op, args.iter().map(|a| self.expr(a)).collect());
+        if b.mutates_first_arg {
+            self.mutate(name, args);
+            let unit = Src::Const(0);
+            self.emit(Kind::Move { dst, src: unit });
+            return;
+        }
+        let (a, b_) = match args {
+            [] => (Src::Const(0), Src::Const(0)),
+            [x] => (self.operand(x), Src::Const(0)),
+            [x, y] => {
+                let [a, b] = self.operands([x, y]);
+                (a, b)
+            }
+            _ => unreachable!("runtime-library calls take at most two arguments"),
+        };
+        self.emit(Kind::Call {
+            op: b.op,
+            dst,
+            a,
+            b: b_,
+        });
+    }
+
+    /// A list builtin applied to the variable it names; the call node's
+    /// cost is already pending.
+    fn mutate(&mut self, name: &str, args: &[ast::Expr]) {
+        let Some(b) = builtin(name) else {
+            unreachable!("only called for builtins")
+        };
+        if args.len() != b.params.len() {
+            return self.fail(format!("bad arguments to `{name}`"));
         }
         let ast::Expr::Var(var, _) = &args[0] else {
-            return Expr::Fail(format!("`{name}` needs a variable argument"));
+            return self.fail(format!("`{name}` needs a variable argument"));
         };
-        Expr::Mutate {
+        let arg = args.get(1).map(|a| self.operand(a));
+        let Some(target) = self.resolve_dst(var) else {
+            return self.fail(format!("unknown list `{var}`"));
+        };
+        let name = self.string(var.clone());
+        self.emit(Kind::Mutate {
             op: b.op,
-            name: var.clone(),
-            target: self.resolve(var),
-            arg: args.get(1).map(|a| self.boxed(a)),
-        }
+            target,
+            arg,
+            name,
+        });
     }
-}
-
-fn fail(message: String) -> Stmt {
-    Stmt::Eval(Expr::Fail(message))
 }
 
 #[cfg(test)]
@@ -509,6 +1163,10 @@ mod tests {
     fn lowered(src: &str) -> LoweredMachine {
         let program = frontend(src).unwrap();
         lower(&program.machines[0], &program.functions, &ConstEnv::new())
+    }
+
+    fn kinds(body: &Body) -> Vec<&Kind> {
+        body.code.iter().map(|i| &i.kind).collect()
     }
 
     #[test]
@@ -548,7 +1206,7 @@ mod tests {
         };
         assert_eq!(on(0), [&On::Enter, &On::Realloc]);
         assert_eq!(on(1), [&On::Realloc]);
-        assert!(matches!(lm.handlers[1].body[0], Stmt::Transit(1)));
+        assert_eq!(lm.handlers[1].body.code[0].kind, Kind::Transit { state: 1 });
     }
 
     #[test]
@@ -563,24 +1221,116 @@ mod tests {
                      long x = x + n;
                      if (x > 0) then { long x = 7; x = 8; }
                      x = 9;
+                     if (x > 1) then { long y = 3; y = 4; }
                    }
                  }
                }"#,
         );
         let h = &lm.handlers[0];
-        assert!(h.binds);
-        assert_eq!(h.frame, 3);
-        // The initialiser reads the machine variable, then the local
-        // (slot 1, after the payload in slot 0) shadows it.
-        let Stmt::Set(Place::Local(1), Expr::Binary(_, lhs, _)) = &h.body[0] else {
-            panic!("{:?}", h.body[0]);
+        // The payload is never written: read in place, no frame slot.
+        assert_eq!(h.bind, Bind::InPlace);
+        // The initialiser reads the machine variable and the payload and
+        // writes the new local's slot itself.
+        assert!(matches!(
+            h.body.code[0].kind,
+            Kind::Binary {
+                dst: Dst::Local(0),
+                a: Src::Global(0),
+                b: Src::Ref(0),
+                ..
+            }
+        ));
+        // The inner `x` takes the slot after the outer one for the life of
+        // its block; `y`, declared after that block ended, reuses it.
+        let moves: Vec<Dst> = h
+            .body
+            .code
+            .iter()
+            .filter_map(|i| match i.kind {
+                Kind::Move { dst, .. } => Some(dst),
+                _ => None,
+            })
+            .collect();
+        let (outer, inner) = (Dst::Local(0), Dst::Local(1));
+        assert_eq!(moves, [inner, inner, outer, inner, inner]);
+        assert_eq!(h.body.frame, 2);
+    }
+
+    #[test]
+    fn costs_add_up_to_two_per_statement_and_one_per_expression_node() {
+        let lm = lowered(
+            r#"machine M {
+                 place any;
+                 long x = 1;
+                 bool small;
+                 time tick = 5;
+                 state s {
+                   when (tick) do {
+                     x = x + 2 * x;                 // 2 + 5
+                     x;                             // 2 + 1
+                     small = x > 0 and x < 9;       // 2 + 7 (both sides)
+                     if (x > 0 and x < 9) then {    // 2 + 7 (both sides)
+                       x = 0;                       // 2 + 1
+                     }
+                   }
+                 }
+               }"#,
+        );
+        let code = &lm.handlers[0].body.code;
+        let total: u32 = code.iter().map(|i| i.cost).sum();
+        assert_eq!(total, 7 + 3 + 9 + 9 + 3);
+        // The right side of `and` is charged only when it runs: as a
+        // value, past the short circuit ...
+        let short = code
+            .iter()
+            .position(|i| matches!(i.kind, Kind::Short { .. }))
+            .unwrap();
+        let Kind::Short { end, .. } = code[short].kind else {
+            unreachable!()
         };
-        assert!(matches!(**lhs, Expr::Var(Place::Global(0))));
-        let Stmt::If(_, then, _) = &h.body[1] else {
-            panic!("{:?}", h.body[1]);
+        let right: u32 = code[short + 1..end as usize].iter().map(|i| i.cost).sum();
+        assert_eq!(right, 3);
+        // ... and as a condition, by the second of its two jumps to the
+        // end of the `if`.
+        let branches: Vec<(u32, &Kind)> = code
+            .iter()
+            .filter(|i| matches!(i.kind, Kind::Branch { .. }))
+            .map(|i| (i.cost, &i.kind))
+            .collect();
+        let [(6, Kind::Branch { to: a, .. }), (3, Kind::Branch { to: b, .. })] = branches[..]
+        else {
+            panic!("{branches:?}")
         };
-        assert!(matches!(then[1], Stmt::Set(Place::Local(2), _)));
-        assert!(matches!(h.body[2], Stmt::Set(Place::Local(1), _)));
+        assert_eq!(a, b);
+        assert_eq!(code[*a as usize - 1].cost, 3, "`x = 0;` ends the `if`");
+    }
+
+    #[test]
+    fn written_payloads_and_parameters_are_copied_the_rest_read_in_place() {
+        let program = frontend(
+            r#"fun f(list a, long b): long { b = b + list_len(a); return b; }
+               machine M {
+                 place any;
+                 poll p = Poll { .ival = 1, .what = port ANY };
+                 long seen = 0;
+                 state s {
+                   when (p as stats) do { seen = f(stats, seen); }
+                   when (recv list xs from harvester) do { list_clear(xs); }
+                 }
+               }"#,
+        )
+        .unwrap();
+        let lm = lower(&program.machines[0], &program.functions, &ConstEnv::new());
+        assert_eq!(lm.functions[0].params, [Pass::InPlace, Pass::Value]);
+        assert_eq!(lm.handlers[0].bind, Bind::InPlace);
+        assert_eq!(lm.handlers[1].bind, Bind::Copy);
+        // `seen` is passed by value: the call copies it, no pin needed.
+        assert!(kinds(&lm.handlers[0].body).contains(&&Kind::CallFn {
+            f: 0,
+            dst: Dst::Global(0),
+            args: 0
+        }));
+        assert_eq!(lm.args, [Src::Ref(0), Src::Global(0)]);
     }
 
     #[test]
@@ -594,14 +1344,22 @@ mod tests {
                  }
                }"#,
         );
-        let body = &lm.handlers[0].body;
-        assert!(matches!(
-            &body[0],
-            Stmt::Eval(Expr::Mutate { target: None, .. })
-        ));
-        assert!(matches!(&body[1], Stmt::Eval(Expr::Fail(m)) if m.contains("unknown variable")));
-        assert!(
-            matches!(&body[2], Stmt::Eval(Expr::Fail(m)) if m.contains("assignment to unknown"))
+        let failures: Vec<&str> = lm.handlers[0]
+            .body
+            .code
+            .iter()
+            .filter_map(|i| match i.kind {
+                Kind::Fail { message } => Some(lm.strings[message as usize].as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            failures,
+            [
+                "unknown list `mine`",
+                "unknown variable `mine`",
+                "assignment to unknown variable `mine`"
+            ]
         );
     }
 }

@@ -7,24 +7,32 @@
 //! CPU meter. State transitions fire `exit`/`enter` handlers with a chain
 //! cap so misbehaving seeds cannot livelock a switch.
 //!
-//! What runs is the slot-resolved form [`farm_almanac::lower`] builds once
-//! per compiled machine: machine variables are a `Vec<Value>` indexed by
-//! global slot, a handler or function call is one flat frame on a value
-//! stack, and no name is looked up while a handler runs. Operands that
-//! are plain variables or constants are borrowed, not copied, so walking
-//! a list of port statistics copies only the elements it hands out. The
-//! abstract cost — 1 per expression node, 2 per statement, `len/4 + 1`
-//! per list scan — is charged from that tree and is part of the
-//! simulator's observable behaviour.
+//! What runs is the flat register code [`farm_almanac::lower`] emits once
+//! per compiled machine: one instruction vector per handler and function,
+//! over frame slots, global slots, temporaries and a constant pool, with
+//! `if`, `while`, `and` and `or` lowered to jumps. [`SeedInstance::handle`]
+//! runs it in one `loop { match }` — a call pushes a frame record instead
+//! of recursing — on a value stack, reference list and call stack the
+//! seed keeps between deliveries, so a quiet poll allocates nothing.
+//! Plain variables and constants are read where they live, and a payload
+//! or parameter the code never writes is read in place, so walking a list
+//! of port statistics copies only the elements it hands out. Int and bool
+//! operands take typed fast paths; everything else goes to
+//! [`binary_op`], the compiler's constant evaluator. Each instruction
+//! carries its static abstract cost (1 per source expression node, 2 per
+//! statement); only the `len/4 + 1` list-scan charge is counted here. The
+//! cost is part of the simulator's observable behaviour.
 
 use std::fmt;
 use std::sync::Arc;
 
 use farm_almanac::analysis::consteval::binary_op;
-use farm_almanac::ast::{BinOp, Type};
+use farm_almanac::ast::{BinOp, CmpOp, Type};
 use farm_almanac::builtins::{Op, BUILTINS};
 use farm_almanac::compile::CompiledMachine;
-use farm_almanac::lower::{Expr, FilterField, LoweredMachine, On, Place, Stmt};
+use farm_almanac::lower::{
+    Bind, Body, Dst, FilterField, Kind, LoweredMachine, On, Pass, Src, Test,
+};
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel, Prefix, Proto, SwitchId};
@@ -174,6 +182,16 @@ pub struct SeedInstance {
     vars: Vec<Value>,
     allocated: Resources,
     stats: SeedStats,
+    scratch: Scratch,
+}
+
+/// The buffers a delivery runs in, kept between deliveries so that a
+/// handler run allocates nothing of its own once they have grown.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    stack: Vec<Value>,
+    refs: Vec<Ref>,
+    calls: Vec<Frame>,
 }
 
 impl SeedInstance {
@@ -188,6 +206,7 @@ impl SeedInstance {
             def,
             allocated,
             stats: SeedStats::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -277,6 +296,11 @@ impl SeedInstance {
     pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
         let mut out = Outcome::default();
         self.stats.events_handled += 1;
+        let payload = match event {
+            SeedEvent::Trigger { payload: v, .. } | SeedEvent::Recv { value: v, .. } => v,
+            _ => &UNIT,
+        };
+        let Scratch { stack, refs, calls } = std::mem::take(&mut self.scratch);
         let mut vm = Vm {
             code: &self.def.lowered,
             globals: &mut self.vars,
@@ -284,11 +308,20 @@ impl SeedInstance {
             transitions: &mut self.stats.transitions,
             host,
             out: &mut out,
-            stack: Vec::new(),
+            payload,
+            stack,
+            refs,
             base: 0,
-            depth: 0,
+            ref_base: 0,
+            calls,
         };
-        vm.dispatch(event, 0)?;
+        let done = vm.dispatch(event, 0);
+        self.scratch = Scratch {
+            stack: vm.stack,
+            refs: vm.refs,
+            calls: vm.calls,
+        };
+        done?;
         self.stats.ops += out.ops;
         self.stats.messages_sent += out
             .effects
@@ -334,72 +367,104 @@ fn value_has_type(v: &Value, t: Type) -> bool {
     }
 }
 
-/// Control flow result of running a block.
+/// How a handler run ended.
 enum Flow {
     Normal,
-    Return(Value),
     Transit(u32),
 }
 
-/// An evaluated operand: a variable or constant is referred to, not
-/// copied, until someone needs to own it.
-enum Operand<'c> {
-    Owned(Value),
-    Const(&'c Value),
-    Place(Place),
+/// What a [`Src::Ref`] reads.
+#[derive(Debug, Clone, Copy)]
+enum Ref {
+    /// A slot of the value stack: a caller's variable or temporary.
+    Stack(usize),
+    /// The delivered event's payload.
+    Payload,
+    /// An entry of the constant pool.
+    Const(u32),
 }
 
-impl Operand<'_> {
-    fn get<'v>(&'v self, vm: &'v Vm<'_, '_>) -> &'v Value {
-        match self {
-            Operand::Owned(v) => v,
-            Operand::Const(v) => v,
-            Operand::Place(p) => vm.place(*p),
-        }
-    }
-
-    fn take(self, vm: &Vm<'_, '_>) -> Value {
-        match self {
-            Operand::Owned(v) => v,
-            Operand::Const(v) => v.clone(),
-            Operand::Place(p) => vm.place(p).clone(),
-        }
-    }
+/// A caller waiting for a function to return.
+#[derive(Debug, Clone)]
+struct Frame {
+    /// The function it runs, `None` for the handler.
+    function: Option<u32>,
+    pc: usize,
+    base: usize,
+    ref_base: usize,
+    dst: Dst,
 }
 
-/// One event delivery in progress: `'c` is the shared lowered code, `'s`
-/// the seed being run.
-struct Vm<'c, 's> {
-    code: &'c LoweredMachine,
-    globals: &'s mut [Value],
-    state: &'s mut u32,
-    transitions: &'s mut u64,
-    host: &'s dyn SeedHost,
-    out: &'s mut Outcome,
+/// The payload of an event that carries none.
+static UNIT: Value = Value::Unit;
+
+/// One event delivery in progress, over code and seed state borrowed for
+/// `'a`.
+struct Vm<'a> {
+    code: &'a LoweredMachine,
+    globals: &'a mut [Value],
+    state: &'a mut u32,
+    transitions: &'a mut u64,
+    host: &'a dyn SeedHost,
+    out: &'a mut Outcome,
+    payload: &'a Value,
     /// Frames of the running handler and the functions it is inside of.
     stack: Vec<Value>,
-    /// Start of the innermost frame in `stack`.
+    /// What those frames read in place.
+    refs: Vec<Ref>,
+    /// Start of the innermost frame in `stack` and in `refs`.
     base: usize,
-    depth: usize,
+    ref_base: usize,
+    calls: Vec<Frame>,
 }
 
-impl<'c> Vm<'c, '_> {
-    fn charge(&mut self, ops: u64) {
-        self.out.ops += ops;
-    }
-
-    fn place(&self, p: Place) -> &Value {
-        match p {
-            Place::Global(i) => &self.globals[i as usize],
-            Place::Local(i) => &self.stack[self.base + i as usize],
+impl<'a> Vm<'a> {
+    #[inline(always)]
+    fn get(&self, src: Src) -> &Value {
+        match src {
+            Src::Local(i) | Src::Temp(i) => &self.stack[self.base + i as usize],
+            Src::Global(i) => &self.globals[i as usize],
+            Src::Const(i) => &self.code.consts[i as usize],
+            Src::Ref(i) => match self.refs[self.ref_base + i as usize] {
+                Ref::Stack(at) => &self.stack[at],
+                Ref::Payload => self.payload,
+                Ref::Const(i) => &self.code.consts[i as usize],
+            },
         }
     }
 
-    fn place_mut(&mut self, p: Place) -> &mut Value {
-        match p {
-            Place::Global(i) => &mut self.globals[i as usize],
-            Place::Local(i) => &mut self.stack[self.base + i as usize],
+    /// An owned value: a temporary is moved out, anything else copied.
+    #[inline(always)]
+    fn take(&mut self, src: Src) -> Value {
+        match src {
+            Src::Temp(i) => std::mem::replace(&mut self.stack[self.base + i as usize], Value::Unit),
+            _ => copy(self.get(src)),
         }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, dst: Dst, v: Value) {
+        store(
+            match dst {
+                Dst::Local(i) => &mut self.stack[self.base + i as usize],
+                Dst::Global(i) => &mut self.globals[i as usize],
+            },
+            v,
+        );
+    }
+
+    /// Where a callee reads an argument passed in place.
+    fn reference(&self, src: Src) -> Ref {
+        match src {
+            Src::Local(i) | Src::Temp(i) => Ref::Stack(self.base + i as usize),
+            Src::Ref(i) => self.refs[self.ref_base + i as usize],
+            Src::Const(i) => Ref::Const(i),
+            Src::Global(_) => unreachable!("lowering copies a global passed in place"),
+        }
+    }
+
+    fn string(&self, i: u32) -> &'a str {
+        &self.code.strings[i as usize]
     }
 
     /// Runs the handler the current state has for `event`, if any, and
@@ -419,16 +484,17 @@ impl<'c> Vm<'c, '_> {
         else {
             return Ok(()); // no handler in this state: event is dropped
         };
-        self.base = 0;
-        self.stack.resize(handler.frame as usize, Value::Unit);
-        if handler.binds {
-            if let SeedEvent::Trigger { payload: v, .. } | SeedEvent::Recv { value: v, .. } = event
-            {
-                self.stack[0] = v.clone();
-            }
+        (self.base, self.ref_base) = (0, 0);
+        self.stack.resize(handler.body.frame as usize, Value::Unit);
+        match handler.bind {
+            Bind::None => {}
+            Bind::InPlace => self.refs.push(Ref::Payload),
+            Bind::Copy => self.stack[0] = self.payload.clone(),
         }
-        let flow = self.block(&handler.body);
+        let flow = self.run(&handler.body);
         self.stack.clear();
+        self.refs.clear();
+        self.calls.clear();
         if let Flow::Transit(next) = flow? {
             self.out.transitioned = true;
             *self.transitions += 1;
@@ -439,232 +505,224 @@ impl<'c> Vm<'c, '_> {
         Ok(())
     }
 
-    fn block(&mut self, stmts: &'c [Stmt]) -> Result<Flow, SeedError> {
-        for s in stmts {
-            self.charge(2);
-            match s {
-                Stmt::Set(place, value) => {
-                    let v = self.eval(value)?;
-                    *self.place_mut(*place) = v;
+    /// Runs a handler body, and the functions it calls, to its end.
+    fn run(&mut self, handler: &'a Body) -> Result<Flow, SeedError> {
+        let code = self.code;
+        let (mut function, mut body) = (None, handler);
+        // Static costs, charged to `out` when the run ends: a run that
+        // fails charges nothing, since its outcome is dropped.
+        let (mut pc, mut ops) = (0, 0u64);
+        loop {
+            let inst = &body.code[pc];
+            pc += 1;
+            ops += u64::from(inst.cost);
+            match &inst.kind {
+                Kind::Nop => {}
+                Kind::Move { dst, src } => {
+                    let v = self.take(*src);
+                    self.set(*dst, v);
                 }
-                Stmt::Init(slot, v) => *self.place_mut(Place::Local(*slot)) = v.clone(),
-                Stmt::Eval(e) => {
-                    self.operand(e)?;
-                }
-                Stmt::Transit(state) => return Ok(Flow::Transit(*state)),
-                Stmt::If(cond, then_branch, else_branch) => {
-                    let c = self
-                        .operand(cond)?
-                        .get(self)
-                        .as_bool()
-                        .ok_or_else(|| SeedError("if condition is not a bool".into()))?;
-                    let flow = self.block(if c { then_branch } else { else_branch })?;
-                    if !matches!(flow, Flow::Normal) {
-                        return Ok(flow);
-                    }
-                }
-                Stmt::While(cond, body) => {
-                    let mut iters = 0u64;
-                    loop {
-                        let c = self
-                            .operand(cond)?
-                            .get(self)
-                            .as_bool()
-                            .ok_or_else(|| SeedError("while condition is not a bool".into()))?;
-                        if !c {
-                            break;
-                        }
-                        iters += 1;
-                        if iters > MAX_LOOP_ITERS {
-                            return Err(SeedError("loop iteration limit exceeded".into()));
-                        }
-                        let flow = self.block(body)?;
-                        if !matches!(flow, Flow::Normal) {
-                            return Ok(flow);
-                        }
-                    }
-                }
-                Stmt::Return(value) => {
-                    let v = match value {
-                        Some(e) => self.eval(e)?,
-                        None => Value::Unit,
+                Kind::Not { dst, a } => {
+                    let v = match self.get(*a) {
+                        Value::Bool(b) => Value::Bool(!b),
+                        Value::Filter(f) => Value::Filter(f.clone().not()),
+                        other => return Err(SeedError(format!("`not` on {}", other.type_name()))),
                     };
-                    return Ok(Flow::Return(v));
+                    self.set(*dst, v);
                 }
-                Stmt::Send { value, to } => {
-                    let value = self.eval(value)?;
-                    let to = match to {
-                        None => Endpoint::Harvester,
-                        Some(dest) => {
-                            let at = match &dest.at {
-                                None => None,
-                                Some(e) => {
-                                    let id =
-                                        self.operand(e)?.get(self).as_int().ok_or_else(|| {
-                                            SeedError("@destination is not an integer".into())
-                                        })?;
-                                    Some(SwitchId(id as u32))
-                                }
-                            };
-                            Endpoint::Machine {
-                                name: dest.machine.clone(),
-                                at,
-                            }
+                Kind::Neg { dst, a } => {
+                    let v = match self.get(*a) {
+                        Value::Int(i) => Value::Int(-i),
+                        Value::Float(f) => Value::Float(-f),
+                        other => {
+                            return Err(SeedError(format!("negation of {}", other.type_name())))
                         }
                     };
-                    self.out.effects.push(Effect::Send { to, value });
+                    self.set(*dst, v);
                 }
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    /// Evaluates to an owned value.
-    fn eval(&mut self, e: &'c Expr) -> Result<Value, SeedError> {
-        Ok(self.operand(e)?.take(self))
-    }
-
-    /// Evaluates without copying what is already stored somewhere.
-    fn operand(&mut self, e: &'c Expr) -> Result<Operand<'c>, SeedError> {
-        self.charge(1);
-        Ok(match e {
-            Expr::Const(v) => Operand::Const(v),
-            Expr::Var(p) => Operand::Place(*p),
-            _ => Operand::Owned(self.compute(e)?),
-        })
-    }
-
-    fn compute(&mut self, e: &'c Expr) -> Result<Value, SeedError> {
-        match e {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(p) => Ok(self.place(*p).clone()),
-            Expr::Fail(message) => Err(SeedError(message.clone())),
-            Expr::Not(inner) => match self.eval(inner)? {
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                Value::Filter(f) => Ok(Value::Filter(f.not())),
-                other => Err(SeedError(format!("`not` on {}", other.type_name()))),
-            },
-            Expr::Neg(inner) => match self.eval(inner)? {
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(SeedError(format!("negation of {}", other.type_name()))),
-            },
-            Expr::Binary(op, a, b) => {
-                let a = self.operand(a)?;
-                // Short-circuit booleans.
-                if let (BinOp::And | BinOp::Or, Value::Bool(x)) = (op, a.get(self)) {
-                    if *x == (*op == BinOp::Or) {
-                        return Ok(Value::Bool(*x));
+                Kind::Binary { op, dst, a, b } => {
+                    let v = binary(*op, self.get(*a), self.get(*b))?;
+                    self.set(*dst, v);
+                }
+                Kind::Short { or, dst, a, end } => {
+                    if let Value::Bool(x) = *self.get(*a) {
+                        if x == *or {
+                            self.set(*dst, Value::Bool(x));
+                            pc = *end as usize;
+                        }
                     }
                 }
-                let b = self.operand(b)?;
-                binary_op(*op, a.get(self), b.get(self)).map_err(SeedError)
-            }
-            Expr::Field {
-                base,
-                field,
-                resource,
-            } => match (self.operand(base)?.get(self), resource) {
-                (Value::Resources(r), Some(kind)) => Ok(Value::Float(r.get(*kind))),
-                (Value::Resources(_), None) => {
-                    Err(SeedError(format!("unknown resource field {field}")))
+                Kind::Filter { field, dst, a } => {
+                    let atom = filter_atom(*field, self.get(*a))?;
+                    self.set(*dst, Value::Filter(FilterFormula::Atom(atom)));
                 }
-                (other, _) => Err(SeedError(format!(
-                    "no field `.{field}` on {}",
-                    other.type_name()
-                ))),
-            },
-            Expr::Rule(fields) => {
-                let mut pattern = None;
-                let mut action = None;
-                for (name, value) in fields {
-                    match (name.as_str(), self.eval(value)?) {
-                        ("pattern", Value::Filter(f)) => pattern = Some(f),
-                        ("act", Value::Action(a)) => action = Some(a),
-                        (f, other) => {
+                Kind::Field {
+                    dst,
+                    base,
+                    resource,
+                    name,
+                } => {
+                    let v = match (self.get(*base), resource) {
+                        (Value::Resources(r), Some(kind)) => Value::Float(r.get(*kind)),
+                        (Value::Resources(_), None) => {
+                            let field = self.string(*name);
+                            return Err(SeedError(format!("unknown resource field {field}")));
+                        }
+                        (other, _) => {
                             return Err(SeedError(format!(
-                                "bad Rule field .{f} = {}",
+                                "no field `.{}` on {}",
+                                self.string(*name),
                                 other.type_name()
                             )))
                         }
+                    };
+                    self.set(*dst, v);
+                }
+                Kind::RuleField { src, name } => {
+                    let field = self.string(*name);
+                    rule_field(field, self.get(*src))?;
+                }
+                Kind::Rule { dst, pattern, act } => {
+                    let pattern = match pattern.map(|s| self.take(s)) {
+                        Some(Value::Filter(f)) => f,
+                        Some(other) => return Err(rule_field("pattern", &other).unwrap_err()),
+                        None => return Err(SeedError("Rule without .pattern".into())),
+                    };
+                    let action = match act.map(|s| self.take(s)) {
+                        Some(Value::Action(a)) => a,
+                        Some(other) => return Err(rule_field("act", &other).unwrap_err()),
+                        None => return Err(SeedError("Rule without .act".into())),
+                    };
+                    self.set(*dst, Value::Rule(RuleValue { pattern, action }));
+                }
+                Kind::Call { op, dst, a, b } => {
+                    let v = self.call_builtin(*op, *a, *b)?;
+                    self.set(*dst, v);
+                }
+                Kind::Mutate {
+                    op,
+                    target,
+                    arg,
+                    name,
+                } => {
+                    let arg = arg.map(|s| self.take(s));
+                    let slot = match *target {
+                        Dst::Local(i) => &mut self.stack[self.base + i as usize],
+                        Dst::Global(i) => &mut self.globals[i as usize],
+                    };
+                    let Value::List(items) = slot else {
+                        let name = &code.strings[*name as usize];
+                        return Err(SeedError(format!("`{name}` is not a list")));
+                    };
+                    self.out.ops += items.len() as u64 / 4 + 1;
+                    mutate_list(*op, items, arg)?;
+                }
+                Kind::Depth => {
+                    if self.calls.len() >= MAX_CALL_DEPTH {
+                        return Err(SeedError("call depth exceeded".into()));
                     }
                 }
-                Ok(Value::Rule(RuleValue {
-                    pattern: pattern.ok_or_else(|| SeedError("Rule without .pattern".into()))?,
-                    action: action.ok_or_else(|| SeedError("Rule without .act".into()))?,
-                }))
+                Kind::CallFn { f, dst, args } => {
+                    let callee = &code.functions[*f as usize];
+                    let (base, ref_base) = (self.stack.len(), self.refs.len());
+                    self.stack
+                        .resize(base + callee.body.frame as usize, Value::Unit);
+                    let mut slot = base;
+                    for (pass, &src) in callee.params.iter().zip(&code.args[*args as usize..]) {
+                        match pass {
+                            Pass::Value => {
+                                self.stack[slot] = self.take(src);
+                                slot += 1;
+                            }
+                            Pass::InPlace => {
+                                let r = self.reference(src);
+                                self.refs.push(r);
+                            }
+                        }
+                    }
+                    self.calls.push(Frame {
+                        function,
+                        pc,
+                        base: self.base,
+                        ref_base: self.ref_base,
+                        dst: *dst,
+                    });
+                    (self.base, self.ref_base) = (base, ref_base);
+                    (function, body, pc) = (Some(*f), &callee.body, 0);
+                }
+                Kind::Jump { to } => pc = *to as usize,
+                Kind::Branch { test, sense, to } => {
+                    if self.test(*test, "if")? == *sense {
+                        pc = *to as usize;
+                    }
+                }
+                Kind::Loop {
+                    test,
+                    exit,
+                    counter,
+                } => {
+                    if !self.test(*test, "while")? {
+                        pc = *exit as usize;
+                        continue;
+                    }
+                    let slot = &mut self.stack[self.base + *counter as usize];
+                    let iters = slot.as_int().unwrap_or(0) + 1;
+                    if iters as u64 > MAX_LOOP_ITERS {
+                        return Err(SeedError("loop iteration limit exceeded".into()));
+                    }
+                    store(slot, Value::Int(iters));
+                }
+                Kind::Transit { state } => {
+                    self.out.ops += ops;
+                    return Ok(Flow::Transit(*state));
+                }
+                Kind::Return { value } => {
+                    let Some(caller) = self.calls.pop() else {
+                        self.out.ops += ops;
+                        return Ok(Flow::Normal);
+                    };
+                    let v = value.map_or(Value::Unit, |s| self.take(s));
+                    self.stack.truncate(self.base);
+                    self.refs.truncate(self.ref_base);
+                    (self.base, self.ref_base) = (caller.base, caller.ref_base);
+                    function = caller.function;
+                    body = function.map_or(handler, |f| &code.functions[f as usize].body);
+                    pc = caller.pc;
+                    self.set(caller.dst, v);
+                }
+                Kind::Send { value, to, at } => {
+                    let to = match to {
+                        None => Endpoint::Harvester,
+                        Some(machine) => Endpoint::Machine {
+                            name: self.string(*machine).to_string(),
+                            at: match at {
+                                None => None,
+                                Some(at) => Some(switch_id(self.get(*at))?),
+                            },
+                        },
+                    };
+                    let value = self.take(*value);
+                    self.out.effects.push(Effect::Send { to, value });
+                }
+                Kind::Fail { message } => return Err(SeedError(self.string(*message).into())),
             }
-            Expr::Filter(field, arg) => {
-                let arg = self.operand(arg)?;
-                filter_atom(*field, arg.get(self)).map(|a| Value::Filter(FilterFormula::Atom(a)))
-            }
-            Expr::CallFn(f, args) => self.call_function(*f, args),
-            Expr::Mutate {
-                op,
-                name,
-                target,
-                arg,
-            } => {
-                let arg = match arg {
-                    Some(e) => Some(self.eval(e)?),
-                    None => None,
-                };
-                let Some(target) = target else {
-                    return Err(SeedError(format!("unknown list `{name}`")));
-                };
-                let len = match self.place(*target) {
-                    Value::List(items) => items.len(),
-                    _ => return Err(SeedError(format!("`{name}` is not a list"))),
-                };
-                self.charge(len as u64 / 4 + 1);
-                let Value::List(items) = self.place_mut(*target) else {
-                    unreachable!("checked to be a list above");
-                };
-                mutate_list(*op, items, arg)
-            }
-            Expr::Call(op, args) => self.call_builtin(*op, args),
         }
     }
 
-    fn call_function(&mut self, f: u32, args: &'c [Expr]) -> Result<Value, SeedError> {
-        if self.depth >= MAX_CALL_DEPTH {
-            return Err(SeedError("call depth exceeded".into()));
-        }
-        let code = self.code;
-        let function = &code.functions[f as usize];
-        // Arguments are evaluated in the caller's frame and land where
-        // the callee's frame starts.
-        let frame = self.stack.len();
-        for a in args {
-            let v = self.eval(a)?;
-            self.stack.push(v);
-        }
-        self.stack
-            .resize(frame + function.frame as usize, Value::Unit);
-        let caller = std::mem::replace(&mut self.base, frame);
-        self.depth += 1;
-        let flow = self.block(&function.body);
-        self.depth -= 1;
-        self.base = caller;
-        self.stack.truncate(frame);
-        match flow? {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal => Ok(Value::Unit),
-            Flow::Transit(_) => Err(SeedError("transit inside function".into())),
-        }
+    /// Whether the condition of an `if` or a `while` (`what`) holds.
+    fn test(&self, test: Test, what: &str) -> Result<bool, SeedError> {
+        let v = match test {
+            Test::Bool(src) => self.get(src),
+            Test::Cmp(c, a, b) => match (self.get(a), self.get(b)) {
+                (Value::Int(x), Value::Int(y)) => return Ok(compare(c, *x as f64, *y as f64)),
+                (x, y) => &binary_op(BinOp::Cmp(c), x, y).map_err(SeedError)?,
+            },
+        };
+        v.as_bool()
+            .ok_or_else(|| SeedError(format!("{what} condition is not a bool")))
     }
 
-    fn call_builtin(&mut self, op: Op, args: &'c [Expr]) -> Result<Value, SeedError> {
-        // The signatures take at most two arguments (lowering checked the
-        // count); a missing one reads as unit and fails its type test.
-        let a = match args.first() {
-            Some(e) => self.operand(e)?,
-            None => Operand::Owned(Value::Unit),
-        };
-        let b = match args.get(1) {
-            Some(e) => self.operand(e)?,
-            None => Operand::Owned(Value::Unit),
-        };
+    fn call_builtin(&mut self, op: Op, a: Src, b: Src) -> Result<Value, SeedError> {
         let bad = || {
             let name = BUILTINS.iter().find(|b| b.op == op).map_or("?", |b| b.name);
             SeedError(format!("bad arguments to `{name}`"))
@@ -672,43 +730,43 @@ impl<'c> Vm<'c, '_> {
         // Effects first: they own their operands.
         match op {
             Op::AddTcamRule => {
-                let Value::Rule(r) = a.take(self) else {
+                let Value::Rule(r) = self.take(a) else {
                     return Err(bad());
                 };
                 self.out.effects.push(Effect::AddRule(r));
                 return Ok(Value::Unit);
             }
             Op::RemoveTcamRule => {
-                let Value::Filter(f) = a.take(self) else {
+                let Value::Filter(f) = self.take(a) else {
                     return Err(bad());
                 };
                 self.out.effects.push(Effect::RemoveRule(f));
                 return Ok(Value::Unit);
             }
             Op::Exec | Op::ExecN => {
-                let iterations = match (op, b.get(self)) {
+                let iterations = match (op, self.get(b)) {
                     (Op::Exec, _) => 1,
-                    (_, Value::Int(n)) => (*n).max(0) as u32,
+                    (_, Value::Int(n)) => u32::try_from((*n).max(0)).unwrap_or(u32::MAX),
                     _ => return Err(bad()),
                 };
-                let Value::Str(cmd) = a.take(self) else {
+                let Value::Str(cmd) = self.take(a) else {
                     return Err(bad());
                 };
                 self.out.effects.push(Effect::Exec { cmd, iterations });
                 return Ok(Value::Unit);
             }
             Op::ListContains => {
-                let items = a.get(self).as_list().ok_or_else(bad)?;
-                let (found, len) = (items.contains(b.get(self)), items.len());
-                self.charge(len as u64 / 4 + 1);
+                let items = self.get(a).as_list().ok_or_else(bad)?;
+                let (found, len) = (items.contains(self.get(b)), items.len());
+                self.out.ops += len as u64 / 4 + 1;
                 return Ok(Value::Bool(found));
             }
             Op::Pair => {
-                let (first, second) = (a.take(self), b.take(self));
+                let (first, second) = (self.take(a), self.take(b));
                 return Ok(Value::Pair(Box::new(first), Box::new(second)));
             }
             Op::Rule => {
-                return match (a.take(self), b.take(self)) {
+                return match (self.take(a), self.take(b)) {
                     (Value::Filter(pattern), Value::Action(action)) => {
                         Ok(Value::Rule(RuleValue { pattern, action }))
                     }
@@ -718,7 +776,7 @@ impl<'c> Vm<'c, '_> {
             _ => {}
         }
         // Everything else only reads.
-        let (x, y) = (a.get(self), b.get(self));
+        let (x, y) = (self.get(a), self.get(b));
         let num = |v: &Value| v.as_f64().ok_or_else(bad);
         let stat = |v: &Value, field: fn(&StatEntry) -> u64| match v {
             Value::Stat(s) => Ok(Value::Int(field(s) as i64)),
@@ -758,7 +816,7 @@ impl<'c> Vm<'c, '_> {
                 let i = y.as_int().ok_or_else(bad)?;
                 items
                     .get(usize::try_from(i).map_err(|_| bad())?)
-                    .cloned()
+                    .map(copy)
                     .ok_or_else(|| SeedError(format!("index {i} out of bounds")))
             }
             Op::PairFirst => match x {
@@ -816,7 +874,7 @@ impl<'c> Vm<'c, '_> {
                 },
                 _ => Err(bad()),
             },
-            // Lowered to `Expr::Mutate`, or returned from above.
+            // Lowered to `Kind::Mutate`, or returned from above.
             Op::ListPush
             | Op::ListPushUnique
             | Op::ListClear
@@ -855,6 +913,107 @@ fn mutate_list(op: Op, items: &mut Vec<Value>, arg: Option<Value>) -> Result<Val
         (other, _) => return Err(SeedError(format!("{other:?} does not mutate a list"))),
     }
     Ok(Value::Unit)
+}
+
+/// `v.clone()`, inline for the scalars and port statistics a handler
+/// copies most.
+#[inline(always)]
+fn copy(v: &Value) -> Value {
+    match v {
+        Value::Bool(b) => Value::Bool(*b),
+        Value::Int(i) => Value::Int(*i),
+        Value::Float(f) => Value::Float(*f),
+        Value::Stat(StatEntry {
+            subject: StatSubject::Port(port),
+            tx_bytes,
+            rx_bytes,
+            tx_packets,
+            rx_packets,
+        }) => Value::Stat(StatEntry {
+            subject: StatSubject::Port(*port),
+            tx_bytes: *tx_bytes,
+            rx_bytes: *rx_bytes,
+            tx_packets: *tx_packets,
+            rx_packets: *rx_packets,
+        }),
+        _ => v.clone(),
+    }
+}
+
+/// `*slot = v`, without a destructor call when `slot` holds a scalar.
+#[inline(always)]
+fn store(slot: &mut Value, v: Value) {
+    if matches!(
+        slot,
+        Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_)
+    ) {
+        std::mem::forget(std::mem::replace(slot, v));
+    } else {
+        *slot = v;
+    }
+}
+
+/// `a op b`: ints and bools take a typed fast path, everything else — and
+/// every int case the fast path cannot finish (overflow, division by
+/// zero) — goes to the compiler's constant evaluator, whose semantics and
+/// error texts are the language's.
+fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, SeedError> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => {
+            let v = match op {
+                BinOp::Add => x.checked_add(*y).map(Value::Int),
+                BinOp::Sub => x.checked_sub(*y).map(Value::Int),
+                BinOp::Mul => x.checked_mul(*y).map(Value::Int),
+                BinOp::Div => x.checked_div(*y).map(Value::Int),
+                // Numbers compare as floats, ints included.
+                BinOp::Cmp(c) => Some(Value::Bool(compare(c, *x as f64, *y as f64))),
+                BinOp::And | BinOp::Or => None,
+            };
+            if let Some(v) = v {
+                return Ok(v);
+            }
+        }
+        (Value::Bool(x), Value::Bool(y)) => match op {
+            BinOp::And => return Ok(Value::Bool(*x && *y)),
+            BinOp::Or => return Ok(Value::Bool(*x || *y)),
+            _ => {}
+        },
+        _ => {}
+    }
+    binary_op(op, a, b).map_err(SeedError)
+}
+
+fn compare(c: CmpOp, x: f64, y: f64) -> bool {
+    match c {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Le => x <= y,
+        CmpOp::Ge => x >= y,
+        CmpOp::Lt => x < y,
+        CmpOp::Gt => x > y,
+    }
+}
+
+/// Checks a `Rule { … }` field: `.pattern` takes a filter, `.act` an
+/// action, and there is no other field.
+fn rule_field(field: &str, v: &Value) -> Result<(), SeedError> {
+    match (field, v) {
+        ("pattern", Value::Filter(_)) | ("act", Value::Action(_)) => Ok(()),
+        _ => Err(SeedError(format!(
+            "bad Rule field .{field} = {}",
+            v.type_name()
+        ))),
+    }
+}
+
+/// The switch a `send … to M@e` names.
+fn switch_id(v: &Value) -> Result<SwitchId, SeedError> {
+    let id = v
+        .as_int()
+        .ok_or_else(|| SeedError("@destination is not an integer".into()))?;
+    u32::try_from(id)
+        .map(SwitchId)
+        .map_err(|_| SeedError(format!("@destination {id} is not a switch id")))
 }
 
 fn filter_atom(field: FilterField, v: &Value) -> Result<FilterAtom, SeedError> {

@@ -1,20 +1,23 @@
 //! Property-based tests of the seed interpreter.
 //!
 //! The main one is differential: the VM in `farm_soil::interp` runs the
-//! slot-resolved form of a machine, `util/reference_interp.rs` walks its
+//! flat register code of a machine, `util/reference_interp.rs` walks its
 //! AST the way the interpreter used to, and for every event of a
 //! generated sequence both must produce the same effects, abstract cost,
 //! statistics, state, variables and error text — over every catalog
 //! program (all Tab. I use cases and the anomaly detectors) and the
-//! benchmark's own programs. Hand-written machines cover the scoping and
-//! limit corners the catalog does not reach. The older properties (HH
+//! benchmark's own programs. Hand-written machines cover the scoping,
+//! limit and range corners the catalog does not reach. The older properties (HH
 //! against a Rust oracle, migration round trips, determinism) stay.
 
+#[path = "util/corpus.rs"]
+mod corpus;
 #[path = "util/reference_interp.rs"]
 mod reference_interp;
 
 use std::sync::Arc;
 
+use corpus::corpus;
 use farm_almanac::analysis::{ConstEnv, PollSubject};
 use farm_almanac::ast::{Program, TriggerType};
 use farm_almanac::compile::{compile_machine, frontend, CompiledMachine};
@@ -22,9 +25,9 @@ use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatS
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::topology::Topology;
-use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel};
+use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, SwitchId};
 use farm_soil::interp::{stats_payload, FixedHost, SeedEvent, SeedId, SeedInstance};
-use farm_soil::Effect;
+use farm_soil::{Effect, Endpoint};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use reference_interp::RefSeed;
@@ -47,33 +50,6 @@ fn stat(port: u16, tx_bytes: u64) -> StatEntry {
         tx_packets: tx_bytes / 1500,
         rx_packets: 0,
     }
-}
-
-/// Every program the differential test covers: the catalog, plus
-/// whatever the benchmark ships under `crates/benchmark/programs/`.
-fn corpus() -> Vec<(String, String)> {
-    let mut sources: Vec<(String, String)> = farm_almanac::programs::USE_CASES
-        .iter()
-        .map(|u| (u.machine.to_string(), u.source.to_string()))
-        .chain(
-            farm_almanac::programs::ANOMALY_PROGRAMS
-                .iter()
-                .map(|(m, s)| (m.to_string(), s.to_string())),
-        )
-        .collect();
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../benchmark/programs");
-    let mut shipped: Vec<_> = std::fs::read_dir(dir)
-        .expect("benchmark programs directory")
-        .map(|e| e.expect("directory entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "alm"))
-        .collect();
-    shipped.sort();
-    assert!(!shipped.is_empty(), "no benchmark programs under {dir}");
-    for path in shipped {
-        let source = std::fs::read_to_string(&path).expect("readable program");
-        sources.push((path.display().to_string(), source));
-    }
-    sources
 }
 
 /// One step of a generated sequence, before it is fitted to a machine
@@ -375,6 +351,63 @@ fn tick(name: &str, n: i64) -> SeedEvent {
 }
 
 #[test]
+fn payloads_and_parameters_read_in_place_and_jumping_conditions_behave_like_the_walker() {
+    // `touch` writes its parameter (a copy), `peek` does not (read in
+    // place, recursively, from the payload, a global and a temporary);
+    // conditions mix bool-only operands, which become jumps, with plain
+    // variables, which are tested as values.
+    let vm = assert_same_on(
+        r#"fun touch(list xs): long { list_push(xs, 9); return list_len(xs); }
+           fun peek(list xs, long k): long {
+             if (k <= 0) then { return list_len(xs); }
+             return peek(xs, k - 1) + 1;
+           }
+           machine M {
+             place any;
+             time t = 5;
+             list seen;
+             long total = 0;
+             bool flag = false;
+             state s {
+               when (t as n) do {
+                 list_push(seen, n);
+                 total = touch(seen) + peek(seen, n) + peek(pair_second(pair(n, seen)), 2);
+                 if (not (total > 5) or flag and list_len(seen) < 3) then { flag = not flag; }
+                 if (is_list_empty(seen) or not is_list_empty(seen) and total >= 0) then {
+                   total = total + 1;
+                 }
+                 if (flag or n > 2) then { total = total * 2; } else { total = 0 - total; }
+                 if (not flag) then { total = total + 1000; }
+                 while (list_len(seen) > 3 and n < 9) { list_remove_at(seen, 0); }
+               }
+               when (recv list xs from harvester) do {
+                 seen = xs;
+                 total = touch(xs) + peek(xs, 1);
+                 list_clear(xs);
+                 total = total + list_len(xs);
+               }
+             }
+           }"#,
+        &[
+            tick("t", 1),
+            tick("t", 4),
+            SeedEvent::Recv {
+                from_machine: None,
+                value: Value::List(vec![Value::Int(5), Value::Int(6)]),
+            },
+            tick("t", 0),
+            tick("t", 7),
+            tick("t", 64),
+            tick("t", 3),
+        ],
+    );
+    assert_eq!(
+        vm.var("seen").and_then(|v| v.as_list()).map(<[_]>::len),
+        Some(3)
+    );
+}
+
+#[test]
 fn shadowed_locals_in_nested_blocks_resolve_like_the_walker() {
     let vm = assert_same_on(
         r#"machine M {
@@ -535,6 +568,72 @@ fn mutation_builtins_hit_the_local_or_the_machine_variable_they_name() {
         ],
     );
     assert_eq!(vm.var("kept"), Some(&Value::List(vec![Value::Int(0)])));
+}
+
+#[test]
+fn exec_counts_beyond_u32_saturate_instead_of_wrapping() {
+    let src = r#"
+        machine M {
+          place any;
+          time t = 5;
+          state s {
+            when (t as n) do {
+              if (n == 0) then { exec_n("job", 4294967296); }
+              if (n == 1) then { exec_n("job", 9223372036854775807); }
+              if (n == 2) then { exec_n("job", 4294967295); }
+              if (n == 3) then { exec_n("job", 0 - 3); }
+            }
+          }
+        }"#;
+    let events: Vec<SeedEvent> = (0..=3).map(|n| tick("t", n)).collect();
+    let mut vm = assert_same_on(src, &events);
+    let iterations: Vec<u32> = events
+        .iter()
+        .map(
+            |e| match vm.handle(e, &FixedHost::default()).unwrap().effects[..] {
+                [Effect::Exec { iterations, .. }] => iterations,
+                ref other => panic!("{other:?}"),
+            },
+        )
+        .collect();
+    assert_eq!(iterations, [u32::MAX, u32::MAX, u32::MAX, 0]);
+}
+
+#[test]
+fn a_send_to_a_switch_id_outside_u32_fails_naming_it() {
+    let src = r#"
+        machine M {
+          place any;
+          time t = 5;
+          state s {
+            when (t as n) do {
+              if (n == 0) then { send 1 to M@(0 - 1); }
+              if (n == 1) then { send 1 to M@4294967299; }
+              if (n == 2) then { send 1 to M@4294967295; }
+              if (n == 3) then { send 1 to M@3; }
+            }
+          }
+        }"#;
+    let events: Vec<SeedEvent> = (0..=3).map(|n| tick("t", n)).collect();
+    let mut vm = assert_same_on(src, &events);
+    let host = FixedHost::default();
+    let mut run = |n| vm.handle(&tick("t", n), &host);
+    assert_eq!(run(0).unwrap_err().0, "@destination -1 is not a switch id");
+    assert_eq!(
+        run(1).unwrap_err().0,
+        "@destination 4294967299 is not a switch id"
+    );
+    for (n, id) in [(2, u32::MAX), (3, 3)] {
+        let out = run(n).unwrap();
+        let [Effect::Send {
+            to: Endpoint::Machine { at, .. },
+            ..
+        }] = &out.effects[..]
+        else {
+            panic!("{:?}", out.effects)
+        };
+        assert_eq!(*at, Some(SwitchId(id)));
+    }
 }
 
 #[test]

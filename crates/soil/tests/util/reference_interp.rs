@@ -2,9 +2,11 @@
 //! `farm_soil::interp` replaced, kept as it was — `HashMap<String, Value>`
 //! variables, a scope stack pushed and popped per block, every read a
 //! clone — and stripped to a pure function of (compiled machine, state,
-//! variables, event, host). `prop_interp.rs` runs it beside the real VM
-//! and demands equal effects, cost, statistics, state, variables and
-//! error text. Slow on purpose; never linked into the product.
+//! variables, event, host). It changes only where the language does: an
+//! `exec_n` count beyond `u32` saturates, and a `send … to M@e` whose
+//! switch id is outside `u32` fails. `prop_interp.rs` runs it beside the
+//! real VM and demands equal effects, cost, statistics, state, variables
+//! and error text. Slow on purpose; never linked into the product.
 
 use std::collections::HashMap;
 
@@ -390,7 +392,9 @@ impl Interp<'_, '_> {
                                     let id = self.eval(e, scope)?.as_int().ok_or_else(|| {
                                         SeedError("@destination is not an integer".into())
                                     })?;
-                                    Some(SwitchId(id as u32))
+                                    Some(SwitchId(u32::try_from(id).map_err(|_| {
+                                        SeedError(format!("@destination {id} is not a switch id"))
+                                    })?))
                                 }
                             };
                             Endpoint::Machine {
@@ -782,7 +786,7 @@ impl Interp<'_, '_> {
                 (Value::Str(cmd), Value::Int(n)) => {
                     self.out.effects.push(Effect::Exec {
                         cmd: cmd.clone(),
-                        iterations: (*n).max(0) as u32,
+                        iterations: u32::try_from((*n).max(0)).unwrap_or(u32::MAX),
                     });
                     Ok(Value::Unit)
                 }
