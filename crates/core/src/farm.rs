@@ -410,7 +410,8 @@ impl Farm {
 
     /// Compiles and deploys an M&M task: parse/check/analyze the Almanac
     /// source, register it, and re-run global placement (which deploys
-    /// the new seeds and may migrate existing ones).
+    /// the new seeds and may migrate existing ones). A failure leaves the
+    /// task unregistered ([`Farm::deploy_compiled`]).
     ///
     /// # Errors
     ///
@@ -425,14 +426,15 @@ impl Farm {
             let ctl = SdnController::new(self.network.topology());
             compile_task(name, source, externals, &ctl)?
         };
-        self.seeder.register_task(task);
-        self.replan()
+        self.deploy(vec![task])
     }
 
-    /// Compiles and registers several tasks, then runs a *single* global
-    /// placement round — the efficient path for deploying fleets (the
-    /// paper's seeder also batches: placement runs when inputs change,
-    /// not per seed).
+    /// Compiles every task, then registers them all and runs a *single*
+    /// global placement round — the efficient path for deploying fleets
+    /// (the paper's seeder also batches: placement runs when inputs
+    /// change, not per seed). A compile error registers none of them; a
+    /// later failure leaves none of them registered
+    /// ([`Farm::deploy_compiled`]).
     ///
     /// # Errors
     ///
@@ -441,19 +443,48 @@ impl Farm {
         &mut self,
         tasks: &[(&str, &str, BTreeMap<String, ConstEnv>)],
     ) -> Result<Plan, Error> {
-        for (name, source, externals) in tasks {
-            let task = {
-                let ctl = SdnController::new(self.network.topology());
-                compile_task(name, source, externals, &ctl)?
-            };
-            self.seeder.register_task(task);
+        let ctl = SdnController::new(self.network.topology());
+        let compiled = tasks
+            .iter()
+            .map(|(name, source, externals)| compile_task(name, source, externals, &ctl))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.deploy(compiled)
+    }
+
+    /// Registers `tasks` and replans. On any failure every task this
+    /// call registered is withdrawn again — a same-named task one of them
+    /// replaced goes with it — and whatever the round planted for them
+    /// is undeployed, the way [`Farm::drain`] rolls back its cordon.
+    fn deploy(&mut self, tasks: Vec<CompiledTask>) -> Result<Plan, Error> {
+        let mut registered = Vec::with_capacity(tasks.len());
+        let result = tasks
+            .into_iter()
+            .try_for_each(|task| {
+                let name = task.name.clone();
+                self.seeder.register_task(task)?;
+                registered.push(name);
+                Ok(())
+            })
+            .and_then(|()| self.replan());
+        if result.is_err() {
+            for name in &registered {
+                self.withdraw(name);
+            }
         }
-        self.replan()
+        result
     }
 
     /// Removes a task: undeploys its seeds, in key order, and drops its
     /// harvester.
     pub fn remove_task(&mut self, name: &str) -> Result<(), Error> {
+        self.withdraw(name);
+        self.harvesters.remove(name);
+        Ok(())
+    }
+
+    /// Unregisters a task and undeploys its seeds, in key order, with
+    /// its snapshots and recovery entries. Its harvester stays.
+    fn withdraw(&mut self, name: &str) {
         let seeds: Vec<Placed> = self
             .seeder
             .table()
@@ -461,7 +492,6 @@ impl Farm {
             .map(|(_, p)| *p)
             .collect();
         self.seeder.remove_task(name);
-        self.harvesters.remove(name);
         for placed in seeds {
             if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, &placed) {
                 let _ = soil.undeploy(placed.id, UndeployReason::TaskRemoved, self.now, switch);
@@ -472,7 +502,6 @@ impl Farm {
         // into later checkpoint files or restores.
         self.checkpoints.retain(|k, _| k.task != name);
         self.recovery.retain(|k, _| k.task != name);
-        Ok(())
     }
 
     /// Re-runs global placement over every registered task and executes
@@ -487,23 +516,7 @@ impl Farm {
     pub fn replan(&mut self) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
         let caps = self.live_capacities();
-        let plan = match self.seeder.plan(&caps) {
-            Ok(plan) => plan,
-            Err(msg) => {
-                self.counters.replans.inc();
-                self.counters
-                    .replan_us
-                    .record(started.elapsed().as_micros() as u64);
-                let at_ns = self.now.as_nanos();
-                self.telemetry.emit_with(|| Event::ReplanCompleted {
-                    at_ns,
-                    outcome: ReplanOutcome::Failed,
-                    actions: 0,
-                    dropped_tasks: 0,
-                });
-                return Err(Error::Planner(msg));
-            }
-        };
+        let plan = self.seeder.plan(&caps);
         let now = self.now;
         let mut outbound = Vec::new();
         for action in &plan.actions {
@@ -1001,7 +1014,7 @@ impl Farm {
             return Vec::new();
         }
         let caps = self.live_capacities();
-        let plan = self.seeder.plan(&caps).ok();
+        let plan = self.seeder.plan(&caps);
         let mut outbound = Vec::new();
         for key in due {
             let Some(item) = self.recovery.get_mut(&key) else {
@@ -1013,11 +1026,9 @@ impl Farm {
             // base × 2^(attempts-1).
             let factor = 1u64 << (attempts - 1).min(16);
             item.next_at = now + Dur::from_nanos(self.ft.recovery_backoff.as_nanos() * factor);
-            let target = plan.as_ref().and_then(|p| {
-                p.actions.iter().find_map(|a| match a {
-                    PlannedAction::Deploy { key: k, to, alloc } if *k == key => Some((*to, *alloc)),
-                    _ => None,
-                })
+            let target = plan.actions.iter().find_map(|a| match a {
+                PlannedAction::Deploy { key: k, to, alloc } if *k == key => Some((*to, *alloc)),
+                _ => None,
             });
             // A landed recovery leaves the queue inside `plant`.
             if let Some((to, alloc)) = target {
@@ -1058,10 +1069,11 @@ impl Farm {
     ///
     /// # Errors
     ///
-    /// Placement failures or soil errors while executing the plan.
+    /// Placement failures or soil errors while executing the plan. Either
+    /// withdraws the task again: its name is free, nothing it planted
+    /// keeps running, and a same-named task it replaced is gone.
     pub fn deploy_compiled(&mut self, task: CompiledTask) -> Result<Plan, Error> {
-        self.seeder.register_task(task);
-        self.replan()
+        self.deploy(vec![task])
     }
 
     /// Administratively cordons a switch — healthy, but the planner may
@@ -1071,12 +1083,12 @@ impl Farm {
     /// else to go: they hold their seat ([`Plan::held`]) and keep
     /// running there, and the rest of their task is not touched.
     ///
-    /// A planner failure rolls back the cordon this call set (one an
+    /// A failure rolls back the cordon this call set (one an
     /// earlier drain set stays), leaving the farm as it was.
     ///
     /// # Errors
     ///
-    /// Planner or soil failures while evacuating.
+    /// Soil failures while evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
         let newly_cordoned = self.cordoned.insert(switch);
         match self.replan() {
@@ -1101,7 +1113,7 @@ impl Farm {
     ///
     /// # Errors
     ///
-    /// Planner or soil failures while executing the plan.
+    /// Soil failures while executing the plan.
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
         self.cordoned.remove(&switch);
         self.replan()
@@ -1684,24 +1696,89 @@ mod tests {
         assert!(snap.histogram("farm.replan_us").unwrap().count >= 3);
     }
 
+    /// Places (flat utility, nothing asks for PCIe) but cannot be
+    /// planted: its poll interval is infinite at zero PCIe.
+    const UNPLANTABLE: &str = "machine Stuck { place any;
+        poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
+        state s { util (res) { return 1; } when (p as stats) do { } } }";
+
     #[test]
     fn a_failed_drain_rolls_back_only_the_cordon_it_set() {
-        // Places (flat utility, nothing asks for PCIe) but cannot be
-        // planted: its poll interval is infinite at zero PCIe. Once it
-        // is in the catalog every replan fails at its deploy.
-        const UNPLANTABLE: &str = "machine Stuck { place any;
-            poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
-            state s { util (res) { return 1; } when (p as stats) do { } } }";
         let mut farm = Farm::new(fabric(), FarmConfig::default());
         let ids = farm.network().switch_ids();
         farm.drain(ids[2]).unwrap();
-        farm.deploy_task("stuck", UNPLANTABLE, &BTreeMap::new())
-            .unwrap_err();
+        // Pinned to a cordoned switch, the unplantable seed holds its
+        // seat and the deploy succeeds. Once the cordon lifts, every
+        // replan fails at its deploy.
+        farm.drain(ids[3]).unwrap();
+        let pinned = UNPLANTABLE.replace("place any", &format!("place all {}", ids[3].0));
+        farm.deploy_task("stuck", &pinned, &BTreeMap::new())
+            .unwrap();
+        farm.uncordon(ids[3]).unwrap_err();
         // The operator's earlier cordon survives a second, failing drain
         // of the same switch; the cordon a failing drain set does not.
         farm.drain(ids[2]).unwrap_err();
-        farm.drain(ids[3]).unwrap_err();
+        farm.drain(ids[4]).unwrap_err();
         assert_eq!(farm.cordoned_switches(), vec![ids[2]]);
+    }
+
+    #[test]
+    fn a_failed_deploy_withdraws_its_task_and_what_it_planted() {
+        // One machine plants on every switch, the other on none: the
+        // plan deploys the first five seeds, then fails.
+        let half = format!("machine Fine {{ place all; state s {{ }} }}\n{UNPLANTABLE}");
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        farm.deploy_task("half", &half, &BTreeMap::new())
+            .unwrap_err();
+        assert!(farm.seeder().task_names().is_empty());
+        assert_eq!(farm.deployed_seeds(), 0);
+        let ids = farm.network().switch_ids();
+        let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();
+        assert_eq!(hosted, 0, "the planted half is undeployed again");
+        // The name is free again, and the batch path rolls back alike.
+        farm.deploy_tasks(&[
+            (
+                "ok",
+                "machine M { place any; state s { } }",
+                BTreeMap::new(),
+            ),
+            ("half", &half, BTreeMap::new()),
+        ])
+        .unwrap_err();
+        assert!(farm.seeder().task_names().is_empty());
+        farm.deploy_task(
+            "half",
+            "machine M { place any; state s { } }",
+            &BTreeMap::new(),
+        )
+        .unwrap();
+        assert_eq!(farm.seeder().task_names(), vec!["half".to_string()]);
+        assert_eq!(farm.deployed_seeds(), 1);
+    }
+
+    #[test]
+    fn a_failed_replacement_withdraws_the_task_it_replaced_and_keeps_its_harvester() {
+        let half = format!("machine Fine {{ place all; state s {{ }} }}\n{UNPLANTABLE}");
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        farm.deploy_task(
+            "half",
+            "machine M { place any; state s { } }",
+            &BTreeMap::new(),
+        )
+        .unwrap();
+        farm.set_harvester("half", Box::new(CollectingHarvester::new()));
+        assert_eq!(farm.deployed_seeds(), 1);
+        // The replacement plants its first machine, then fails: the
+        // rollback withdraws the name, so the replaced definition and
+        // its running seed go too. The caller's harvester stays.
+        farm.deploy_task("half", &half, &BTreeMap::new())
+            .unwrap_err();
+        assert!(farm.seeder().task_names().is_empty());
+        assert_eq!(farm.deployed_seeds(), 0);
+        let ids = farm.network().switch_ids();
+        let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();
+        assert_eq!(hosted, 0);
+        assert!(farm.harvester::<CollectingHarvester>("half").is_some());
     }
 
     #[test]

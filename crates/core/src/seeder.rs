@@ -6,13 +6,14 @@
 //! deployments, migrations, reallocations and withdrawals that the
 //! [`crate::farm::Farm`] facade executes against the soils.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use farm_almanac::compile::{CompiledMachine, CompiledTask};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
-use farm_placement::build::instance_from_tasks;
+use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement};
@@ -77,12 +78,6 @@ pub struct Plan {
     pub delta: DeltaReport,
 }
 
-#[derive(Debug)]
-struct TaskEntry {
-    task: CompiledTask,
-    machines: Vec<Arc<CompiledMachine>>,
-}
-
 /// One placed seed: where it is, what it holds, and the name its soil
 /// knows it by.
 #[derive(Debug, Clone, Copy)]
@@ -97,23 +92,50 @@ pub(crate) struct Placed {
     pub(crate) lost: bool,
 }
 
-/// What a planning round needs of the task catalog, derived once per
-/// catalog change instead of once per round.
+/// What a planning round needs of the task catalog, kept in step with
+/// the task table: a registration splices one task's rows in, a removal
+/// splices them out, and no other task's rows are touched.
 #[derive(Debug, Default)]
 struct Catalog {
     /// One key per seed of every registered task, in instance order
     /// (which is key order).
     keys: Vec<SeedKey>,
-    /// Seeds and tasks of every registered task. Switches, previous
-    /// placement and task scopes are the round's
-    /// ([`PlacementInstance::begin_round`]).
+    /// Seeds and tasks of every registered task, as
+    /// [`farm_placement::build::instance_from_tasks`] lays them out over
+    /// the task table. Switches, previous placement and task scopes are
+    /// the round's ([`PlacementInstance::begin_round`]).
     instance: PlacementInstance,
+}
+
+impl Catalog {
+    /// Where `name`'s seeds sit in key order (empty when it has none),
+    /// and the index its task row has or would have.
+    fn position(&self, name: &str) -> (Range<usize>, usize) {
+        let start = self.keys.partition_point(|k| k.task.as_str() < name);
+        let end = start + self.keys[start..].partition_point(|k| k.task == name);
+        let t = self
+            .instance
+            .tasks
+            .partition_point(|r| r.name.as_str() < name);
+        (start..end, t)
+    }
+
+    /// Replaces `name`'s rows (none when it is not in the catalog) with
+    /// `new` (none removes the task) and returns the old → new seed map
+    /// ([`PlacementInstance::splice_task`]).
+    fn splice(&mut self, name: &str, new: Option<(Vec<SeedKey>, TaskRows)>) -> Vec<Option<usize>> {
+        let (old, t) = self.position(name);
+        let (keys, rows) = new.unzip();
+        self.keys.splice(old.clone(), keys.unwrap_or_default());
+        self.instance.splice_task(t, old, rows)
+    }
 }
 
 /// The seeder's task catalog and placement memory.
 #[derive(Debug, Default)]
 pub struct Seeder {
-    tasks: BTreeMap<String, TaskEntry>,
+    /// Every registered task's machines, by task name.
+    tasks: BTreeMap<String, Vec<Arc<CompiledMachine>>>,
     /// The seed table: one record per placed seed. Key order is the
     /// order every listing, event and checkpoint walk sees.
     placed: BTreeMap<SeedKey, Placed>,
@@ -122,13 +144,6 @@ pub struct Seeder {
     /// Incremental-solver memory carried between planning rounds.
     solver_state: SolveState,
     catalog: Catalog,
-    /// A task was registered or removed since `catalog` was derived.
-    catalog_stale: bool,
-    /// Tasks whose *definitions* changed since the last plan. Residency
-    /// and capacity changes are caught by the solver's per-switch op
-    /// logs; definition changes are not, so registration marks them here
-    /// and the next plan declares every affected seed dirty.
-    dirty_tasks: BTreeSet<String>,
 }
 
 impl Seeder {
@@ -143,28 +158,60 @@ impl Seeder {
         self.telemetry = Some(telemetry);
     }
 
-    /// Registers a compiled task (replacing any same-named task). The
-    /// task's seeds are marked dirty for the incremental solver: their
-    /// utility/polling definitions may have changed in ways the solver's
-    /// op logs cannot see.
-    pub(crate) fn register_task(&mut self, task: CompiledTask) {
-        let machines = task.machines.iter().cloned().map(Arc::new).collect();
-        self.dirty_tasks.insert(task.name.clone());
-        self.catalog_stale = true;
-        self.tasks
-            .insert(task.name.clone(), TaskEntry { task, machines });
+    /// Registers a compiled task (replacing any same-named task, which
+    /// is a removal followed by an insertion). Only this task's rows are
+    /// built; they are spliced into the planning catalog at the task's
+    /// place in key order, and the seeds after them shift. The solver
+    /// memory follows the shift; the new seeds have no old index, so it
+    /// holds nothing on them and their definitions need no declaring
+    /// (nor do a replaced task's, whose old indices map to nothing).
+    ///
+    /// # Errors
+    ///
+    /// Instance-construction failures (non-linear demands); the seeder
+    /// is then left as it was.
+    pub(crate) fn register_task(&mut self, task: CompiledTask) -> Result<(), String> {
+        let name = task.name.clone();
+        // A same-named task's rows start where the new ones will.
+        let (at, t) = self.catalog.position(&name);
+        let rows = task_rows(&task, t, at.start)?;
+        let keys = task
+            .machines
+            .iter()
+            .enumerate()
+            .flat_map(|(machine, m)| {
+                let task = &name;
+                (0..m.seeds.len()).map(move |seed| SeedKey {
+                    task: task.clone(),
+                    machine,
+                    seed,
+                })
+            })
+            .collect();
+        let map = self.catalog.splice(&name, Some((keys, rows)));
+        self.solver_state.remap(&map);
+        let machines = task.machines.into_iter().map(Arc::new).collect();
+        self.tasks.insert(name, machines);
+        Ok(())
     }
 
     /// Removes a task from the catalog together with its placement
     /// memory (the caller is responsible for undeploying the live seeds).
     pub(crate) fn remove_task(&mut self, name: &str) -> bool {
+        if self.tasks.remove(name).is_none() {
+            return false;
+        }
         self.placed.retain(|k, _| k.task != name);
-        // The task's seed indices vanish from the next instance; the
-        // pre-plan remap drops every switch log and LP output that
-        // mentions them.
-        self.dirty_tasks.remove(name);
-        self.catalog_stale = true;
-        self.tasks.remove(name).is_some()
+        // The task's seed indices vanish: the remap drops every switch
+        // log and LP output that mentions them.
+        let map = self.catalog.splice(name, None);
+        self.solver_state.remap(&map);
+        true
+    }
+
+    /// Whether a task of that name is registered.
+    pub fn has_task(&self, name: &str) -> bool {
+        self.tasks.contains_key(name)
     }
 
     /// Registered task names in deterministic order.
@@ -176,7 +223,7 @@ impl Seeder {
     pub(crate) fn machine_of(&self, key: &SeedKey) -> Option<Arc<CompiledMachine>> {
         self.tasks
             .get(&key.task)
-            .and_then(|e| e.machines.get(key.machine))
+            .and_then(|machines| machines.get(key.machine))
             .cloned()
     }
 
@@ -214,53 +261,13 @@ impl Seeder {
         }
     }
 
-    /// Re-derives the planning catalog from the task table and re-keys
-    /// the solver memory to the new seed numbering (a task registered or
-    /// removed shifts every index after it).
-    fn rebuild_catalog(&mut self) -> Result<(), String> {
-        let tasks: Vec<&CompiledTask> = self.tasks.values().map(|e| &e.task).collect();
-        let mut keys: Vec<SeedKey> = Vec::new();
-        for task in &tasks {
-            for (mi, m) in task.machines.iter().enumerate() {
-                keys.extend((0..m.seeds.len()).map(|si| SeedKey {
-                    task: task.name.clone(),
-                    machine: mi,
-                    seed: si,
-                }));
-            }
-        }
-        // The old instance goes first: two catalogs side by side would
-        // be the memory peak of a submit. Its keys stay for the remap.
-        self.catalog.instance = PlacementInstance::default();
-        let instance = instance_from_tasks(&tasks, &[], None)?;
-        let new_index: HashMap<&SeedKey, usize> =
-            keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
-        let map: Vec<Option<usize>> = self
-            .catalog
-            .keys
-            .iter()
-            .map(|k| new_index.get(k).copied())
-            .collect();
-        self.solver_state.remap(&map);
-        self.catalog = Catalog { keys, instance };
-        self.catalog_stale = false;
-        Ok(())
-    }
-
     /// Runs global placement over every registered task and diffs the
     /// result against the current deployment. Planning is incremental
     /// through the retained [`SolveState`]: the result is bit-identical
     /// to a from-scratch solve, reuse only buys time. A seed with no
     /// live candidate holds its seat ([`Plan::held`]): it neither drops
     /// its task nor appears in the actions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates instance-construction failures (non-linear demands).
-    pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Result<Plan, String> {
-        if self.catalog_stale {
-            self.rebuild_catalog()?;
-        }
+    pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Plan {
         let Catalog { keys, instance } = &mut self.catalog;
         // The seed table and the keys are both in key order: one merge
         // walk numbers the table's records.
@@ -275,20 +282,15 @@ impl Seeder {
         }
         let has_previous = !previous.assignment.is_empty();
         let held = instance.begin_round(switches, has_previous.then_some(previous));
-        // Declare dirty whatever the op logs cannot detect.
-        let dirty = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| self.dirty_tasks.contains(&k.task));
-        let delta = ReplanDelta::seeds(dirty.map(|(i, _)| i));
+        // A definition change is always a splice, which the remap has
+        // already shown the memory: nothing is left to declare dirty.
         let (result, report) = replan_delta(
             instance,
             HeuristicOptions::default(),
             &mut self.solver_state,
-            &delta,
+            &ReplanDelta::default(),
             self.telemetry.as_ref(),
         );
-        self.dirty_tasks.clear();
 
         let mut actions = Vec::new();
         let mut held_keys = Vec::with_capacity(held.len());
@@ -338,13 +340,13 @@ impl Seeder {
             .iter()
             .map(|&t| instance.tasks[t].name.clone())
             .collect();
-        Ok(Plan {
+        Plan {
             actions,
             result,
             dropped_tasks,
             held: held_keys,
             delta: report,
-        })
+        }
     }
 
     /// Drops the placement memory of every seed on `switch` (the switch
@@ -448,8 +450,8 @@ mod tests {
         )
         .unwrap();
         let mut seeder = Seeder::new();
-        seeder.register_task(task);
-        let plan = seeder.plan(&capacities(&topo)).unwrap();
+        seeder.register_task(task).unwrap();
+        let plan = seeder.plan(&capacities(&topo));
         assert_eq!(plan.actions.len(), 5);
         assert!(plan
             .actions
@@ -471,11 +473,11 @@ mod tests {
         )
         .unwrap();
         let mut seeder = Seeder::new();
-        seeder.register_task(task);
+        seeder.register_task(task).unwrap();
         let caps = capacities(&topo);
-        let plan = seeder.plan(&caps).unwrap();
+        let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
-        let plan2 = seeder.plan(&caps).unwrap();
+        let plan2 = seeder.plan(&caps);
         let disruptive: Vec<_> = plan2
             .actions
             .iter()
@@ -504,15 +506,15 @@ mod tests {
         )
         .unwrap();
         let mut seeder = Seeder::new();
-        seeder.register_task(task);
+        seeder.register_task(task).unwrap();
         let caps = capacities(&topo);
-        let plan = seeder.plan(&caps).unwrap();
+        let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
         assert!(seeder.remove_task("hh"));
         // With the task gone from the catalog the plan no longer knows the
         // seeds; the Farm facade undeploys orphans (see farm.rs). The
         // seeder itself reports no actions for unknown keys.
-        let plan = seeder.plan(&caps).unwrap();
+        let plan = seeder.plan(&caps);
         assert!(plan.actions.is_empty());
     }
 
@@ -528,9 +530,9 @@ mod tests {
         )
         .unwrap();
         let mut seeder = Seeder::new();
-        seeder.register_task(task);
+        seeder.register_task(task).unwrap();
         let caps = capacities(&topo);
-        let plan = seeder.plan(&caps).unwrap();
+        let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
         let total = seeder.placements().count();
         let victim = seeder.placements().next().unwrap().1;
@@ -540,7 +542,7 @@ mod tests {
         assert_eq!(seeder.placements().count(), total - evicted.len());
         assert!(seeder.placements().all(|(_, n, _)| n != victim));
         // The next plan re-deploys exactly the evicted seeds.
-        let plan = seeder.plan(&caps).unwrap();
+        let plan = seeder.plan(&caps);
         let deploys: Vec<_> = plan
             .actions
             .iter()
@@ -561,17 +563,17 @@ mod tests {
         )
         .unwrap();
         let mut seeder = Seeder::new();
-        seeder.register_task(task);
+        seeder.register_task(task).unwrap();
         let caps = capacities(&topo);
-        let p1 = seeder.plan(&caps).unwrap();
+        let p1 = seeder.plan(&caps);
         assert!(!p1.delta.warm, "first plan is cold");
         commit_all(&mut seeder, &p1);
-        let p2 = seeder.plan(&caps).unwrap();
+        let p2 = seeder.plan(&caps);
         assert!(p2.delta.warm);
         commit_all(&mut seeder, &p2);
         // By the third round the world is stable: the LP outputs round
         // two stored must serve round three.
-        let p3 = seeder.plan(&caps).unwrap();
+        let p3 = seeder.plan(&caps);
         assert!(p3.delta.warm);
         assert!(
             p3.delta.reused > 0 && !p3.delta.fallback_full,
@@ -589,11 +591,146 @@ mod tests {
             ("hh", farm_almanac::programs::HEAVY_HITTER),
             ("traffic-change", farm_almanac::programs::TRAFFIC_CHANGE),
         ] {
-            seeder.register_task(compile_task(name, src, &Default::default(), &ctl).unwrap());
+            seeder
+                .register_task(compile_task(name, src, &Default::default(), &ctl).unwrap())
+                .unwrap();
         }
-        let plan = seeder.plan(&capacities(&topo)).unwrap();
+        let plan = seeder.plan(&capacities(&topo));
         // Both `place all` tasks: 5 + 5 deployments.
         assert_eq!(plan.actions.len(), 10);
         assert!(plan.dropped_tasks.is_empty());
+    }
+
+    /// The splice keeps the catalog equal to a rebuild, and the
+    /// remapped solver memory plans as a fresh seeder does.
+    mod catalog_property {
+        use super::*;
+        use farm_placement::build::instance_from_tasks;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// Names that land before, between and after one another,
+        /// prefixes included.
+        const NAMES: [&str; 6] = ["a", "w4", "w40", "w41", "w5", "z"];
+
+        /// `IVAL` becomes the name's index plus one, so that every task
+        /// of these two programs polls at its own rate.
+        const HUNGRY: &str = "machine Hungry { place any;
+            poll p = Poll { .ival = IVAL, .what = port ANY };
+            state s { util (res) { if (res.vCPU >= 1 and res.RAM >= 100) then
+                { return min(res.vCPU, res.PCIe); } } when (p as stats) do { } } }";
+        const DUO: &str = "machine Rover { place any; state s { } }
+            machine Post { place any 1, 2;
+            poll p = Poll { .ival = IVAL, .what = port ANY };
+            state s { util (res) { if (res.vCPU >= 1 and res.RAM >= 100) then
+                { return min(res.vCPU, 1); } } when (p as stats) do { } } }";
+        const PROGRAMS: [&str; 4] = [
+            farm_almanac::programs::HEAVY_HITTER,
+            farm_almanac::programs::TRAFFIC_CHANGE,
+            HUNGRY,
+            DUO,
+        ];
+
+        /// Every name compiled with every program, once per test binary.
+        fn compiled(name: usize, program: usize) -> CompiledTask {
+            static TASKS: OnceLock<Vec<Vec<CompiledTask>>> = OnceLock::new();
+            TASKS.get_or_init(|| {
+                let topo = fabric();
+                let ctl = SdnController::new(&topo);
+                NAMES
+                    .iter()
+                    .enumerate()
+                    .map(|(i, name)| {
+                        PROGRAMS
+                            .iter()
+                            .map(|src| {
+                                let src = src.replace("IVAL", &(i + 1).to_string());
+                                compile_task(name, &src, &Default::default(), &ctl).unwrap()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })[name][program]
+                .clone()
+        }
+
+        /// The catalog `instance_from_tasks` builds over the task table.
+        fn check_catalog(seeder: &Seeder, table: &BTreeMap<usize, usize>) {
+            let tasks: Vec<CompiledTask> = table.iter().map(|(&n, &p)| compiled(n, p)).collect();
+            let expected =
+                instance_from_tasks(&tasks.iter().collect::<Vec<_>>(), &[], None).unwrap();
+            let keys: Vec<SeedKey> = tasks
+                .iter()
+                .flat_map(|t| {
+                    t.machines.iter().enumerate().flat_map(move |(machine, m)| {
+                        (0..m.seeds.len()).map(move |seed| SeedKey {
+                            task: t.name.clone(),
+                            machine,
+                            seed,
+                        })
+                    })
+                })
+                .collect();
+            let Catalog {
+                keys: got,
+                instance,
+            } = &seeder.catalog;
+            assert_eq!(got, &keys, "keys");
+            assert_eq!(instance.seeds, expected.seeds, "seed rows");
+            // A task row's seed list is the next round's to scope.
+            let names =
+                |i: &PlacementInstance| i.tasks.iter().map(|t| t.name.clone()).collect::<Vec<_>>();
+            assert_eq!(names(instance), names(&expected), "task rows");
+            assert_eq!(seeder.task_names(), names(&expected));
+        }
+
+        fn assert_same_plan(warm: &Plan, cold: &Plan) {
+            assert_eq!(warm.actions, cold.actions);
+            assert_eq!(warm.held, cold.held);
+            assert_eq!(warm.dropped_tasks, cold.dropped_tasks);
+            assert_eq!(warm.result.assignment, cold.result.assignment);
+            assert_eq!(warm.result.utility.to_bits(), cold.result.utility.to_bits());
+            assert_eq!(warm.result.migrations, cold.result.migrations);
+        }
+
+        proptest! {
+            /// Each step registers program `p` under a name (a
+            /// replacement when the name is taken) or, for `p` past the
+            /// programs, removes the name; then both seeders plan over
+            /// the switches the mask keeps live.
+            #[test]
+            fn spliced_catalog_equals_rebuilt_catalog(
+                steps in proptest::collection::vec((0..NAMES.len(), 0..PROGRAMS.len() + 2, 0u8..32), 1..16),
+            ) {
+                let topo = fabric();
+                let all = capacities(&topo);
+                let mut seeder = Seeder::new();
+                let mut table = BTreeMap::new();
+                for (name, program, mask) in steps {
+                    if program < PROGRAMS.len() {
+                        seeder.register_task(compiled(name, program)).unwrap();
+                        table.insert(name, program);
+                    } else {
+                        assert_eq!(seeder.remove_task(NAMES[name]), table.remove(&name).is_some());
+                    }
+                    check_catalog(&seeder, &table);
+
+                    let mut fresh = Seeder::new();
+                    for (&n, &p) in &table {
+                        fresh.register_task(compiled(n, p)).unwrap();
+                    }
+                    fresh.placed = seeder.placed.clone();
+                    let live: Vec<_> = all
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, c)| *c)
+                        .collect();
+                    let plan = seeder.plan(&live);
+                    assert_same_plan(&plan, &fresh.plan(&live));
+                    commit_all(&mut seeder, &plan);
+                }
+            }
+        }
     }
 }

@@ -332,7 +332,7 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
             seeds,
         } => submit_with_snapshot(core, name, source, seeds),
         ControlOp::RemoveTask { task } => {
-            if !farm.seeder().task_names().iter().any(|t| t == task) {
+            if !farm.seeder().has_task(task) {
                 return ControlReply::Rejected {
                     reason: format!("no task `{task}`"),
                 };
@@ -363,7 +363,7 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
 /// keeps running — removal is a separate op, so a failed import on the
 /// target pod leaves the source pod intact.
 fn export_task(core: &mut Core, task: &str) -> ControlReply {
-    if !core.farm.seeder().task_names().iter().any(|t| t == task) {
+    if !core.farm.seeder().has_task(task) {
         return ControlReply::Rejected {
             reason: format!("no task `{task}`"),
         };
@@ -425,7 +425,7 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
             reason: format!("bad task name `{name}` (want [A-Za-z0-9_-]+)"),
         };
     }
-    if farm.seeder().task_names().iter().any(|t| t == name) {
+    if farm.seeder().has_task(name) {
         return ControlReply::Rejected {
             reason: format!("task `{name}` is already deployed"),
         };
@@ -535,9 +535,8 @@ fn checkpoint(core: &mut Core) -> ControlReply {
     if let Some(path) = &core.config.checkpoint_path {
         // Drop catalog entries whose task has since been evicted or
         // drained away entirely; the file mirrors the live farm.
-        let live = core.farm.seeder().task_names();
-        core.programs
-            .retain(|name, _| live.iter().any(|t| t == name));
+        let seeder = core.farm.seeder();
+        core.programs.retain(|name, _| seeder.has_task(name));
         let doc = CheckpointDoc {
             programs: core
                 .programs
@@ -652,7 +651,7 @@ fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, VSeedSnapshot)>) -
 /// control is deliberately bypassed: these tasks were admitted before
 /// the restart.
 fn redeploy_program(core: &mut Core, name: &str, source: &str) {
-    if core.farm.seeder().task_names().iter().any(|t| t == name) {
+    if core.farm.seeder().has_task(name) {
         core.programs
             .entry(name.to_string())
             .or_insert_with(|| source.to_string());
@@ -834,6 +833,22 @@ mod tests {
                 r#""p95":48.75,"p99":49.75},"farm.replan_us":{"count":0,"sum":0,"max":0}}}}"#,
             )
         );
+    }
+
+    #[test]
+    fn a_rejected_submit_leaves_the_name_free() {
+        // Places (flat utility) but cannot be planted: its poll interval
+        // is infinite at the zero PCIe the planner gives it.
+        const UNPLANTABLE: &str = "machine Stuck { place any;
+            poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
+            state s { util (res) { return 1; } when (p as stats) do { } } }";
+        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default());
+        let reply = submit(&mut core, "w1", UNPLANTABLE);
+        assert!(matches!(reply, ControlReply::Rejected { .. }), "{reply:?}");
+        assert!(!core.farm.seeder().has_task("w1"));
+        let reply = submit(&mut core, "w1", "machine M { place any; state s { } }");
+        assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
+        assert!(core.programs.contains_key("w1"));
     }
 
     #[test]

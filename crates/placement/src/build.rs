@@ -6,6 +6,8 @@
 //! trigger analysis (`demand(r̄) = 1000 / ival_ms(r̄)` polls per second,
 //! linear by construction).
 
+use std::ops::Range;
+
 use farm_almanac::analysis::{PollSubject, Poly};
 use farm_almanac::compile::CompiledTask;
 use farm_netsim::switch::Resources;
@@ -27,7 +29,8 @@ pub(crate) fn subject_key(subject: &PollSubject) -> String {
 }
 
 /// Builds a placement instance from compiled tasks: the catalog half
-/// (seeds and tasks, which only the task set decides) followed by
+/// (seeds and tasks, which only the task set decides; one
+/// [`task_rows`] per task) followed by
 /// [`PlacementInstance::begin_round`] for the round half.
 ///
 /// # Errors
@@ -39,61 +42,133 @@ pub fn instance_from_tasks(
     switches: &[(SwitchId, Resources)],
     previous: Option<PreviousPlacement>,
 ) -> Result<PlacementInstance, String> {
-    let mut seeds = Vec::new();
-    let mut task_list = Vec::new();
+    let mut instance = PlacementInstance::default();
     for (t, task) in tasks.iter().enumerate() {
-        for cm in &task.machines {
-            let util = cm.util_of(&cm.initial_state);
-            let mut polls = Vec::new();
-            for trig in &cm.triggers {
-                if trig.kind != farm_almanac::ast::TriggerType::Poll {
-                    continue;
-                }
-                // demand(r̄) = 1000 / ival_ms(r̄) polls per second.
-                let demand: Poly = trig
-                    .ival
-                    .recip()
-                    .as_poly()
-                    .map(|p| p.scale(1000.0))
-                    .ok_or_else(|| {
-                        format!(
-                            "trigger `{}` of `{}` has non-linear polling demand",
-                            trig.name, cm.machine.name
-                        )
-                    })?;
-                for s in &trig.subjects {
-                    polls.push(PollDemand {
-                        subject: subject_key(s),
-                        demand,
-                    });
-                }
-            }
-            for spec in &cm.seeds {
-                seeds.push(PlacementSeed {
-                    id: seeds.len(),
-                    task: t,
-                    candidates: spec.candidates.clone(),
-                    util: util.clone(),
-                    polls: polls.clone(),
-                });
-            }
-        }
-        task_list.push(PlacementTask {
-            name: task.name.clone(),
-            seeds: Vec::new(),
-        });
+        let rows = task_rows(task, t, instance.seeds.len())?;
+        instance.seeds.extend(rows.seeds);
+        instance.tasks.push(rows.task);
     }
-    let mut instance = PlacementInstance {
-        switches: Vec::new(),
-        tasks: task_list,
-        seeds,
-        previous: None,
-    };
     instance.begin_round(switches, previous);
     Ok(instance)
 }
 
+/// One task's rows of a placement instance.
+#[derive(Debug)]
+pub struct TaskRows {
+    /// Its seeds, machine by machine and seed by seed within a machine.
+    pub seeds: Vec<PlacementSeed>,
+    /// Its task row, with the round-scoped seed list empty.
+    pub task: PlacementTask,
+}
+
+/// The rows `task` contributes to an instance as its task `t`, its seeds
+/// numbered from `first`: per seed the candidate set, the utility
+/// branches of its machine's initial state and the machine's polling
+/// demands.
+///
+/// # Errors
+///
+/// As [`instance_from_tasks`].
+pub fn task_rows(task: &CompiledTask, t: usize, first: usize) -> Result<TaskRows, String> {
+    let mut seeds = Vec::new();
+    for cm in &task.machines {
+        let util = cm.util_of(&cm.initial_state);
+        let mut polls = Vec::new();
+        for trig in &cm.triggers {
+            if trig.kind != farm_almanac::ast::TriggerType::Poll {
+                continue;
+            }
+            // demand(r̄) = 1000 / ival_ms(r̄) polls per second.
+            let demand: Poly = trig
+                .ival
+                .recip()
+                .as_poly()
+                .map(|p| p.scale(1000.0))
+                .ok_or_else(|| {
+                    format!(
+                        "trigger `{}` of `{}` has non-linear polling demand",
+                        trig.name, cm.machine.name
+                    )
+                })?;
+            for s in &trig.subjects {
+                polls.push(PollDemand {
+                    subject: subject_key(s),
+                    demand,
+                });
+            }
+        }
+        for spec in &cm.seeds {
+            seeds.push(PlacementSeed {
+                id: first + seeds.len(),
+                task: t,
+                candidates: spec.candidates.clone(),
+                util: util.clone(),
+                polls: polls.clone(),
+            });
+        }
+    }
+    let task = PlacementTask {
+        name: task.name.clone(),
+        seeds: Vec::new(),
+    };
+    Ok(TaskRows { seeds, task })
+}
+
 impl PlacementInstance {
+    /// Splices task `t`'s rows, the seeds in `seeds` being that task's:
+    /// `rows` replace them and the task row when that row has their
+    /// task's name, and are inserted before row `t` otherwise (`seeds`
+    /// then empty); `None` removes them. `rows` are numbered as task `t`
+    /// from `seeds.start` ([`task_rows`]). The seeds after the splice are
+    /// renumbered and, when a task row came or went, move one task on or
+    /// back; the task rows' seed lists are the round's
+    /// ([`PlacementInstance::begin_round`]) and are left as they are.
+    ///
+    /// Returns the old → new seed map for [`crate::delta::SolveState::remap`]:
+    /// a seed before the splice keeps its index, a spliced-out one maps
+    /// to nothing, and one after it shifts by the splice's change in
+    /// length.
+    pub fn splice_task(
+        &mut self,
+        t: usize,
+        seeds: Range<usize>,
+        rows: Option<TaskRows>,
+    ) -> Vec<Option<usize>> {
+        let (removed, added) = (seeds.len(), rows.as_ref().map_or(0, |r| r.seeds.len()));
+        let map = (0..self.seeds.len())
+            .map(|i| match i {
+                _ if i < seeds.start => Some(i),
+                _ if i < seeds.end => None,
+                _ => Some(i - removed + added),
+            })
+            .collect();
+        let (new, task) = match rows {
+            Some(rows) => (rows.seeds, Some(rows.task)),
+            None => (Vec::new(), None),
+        };
+        let after = seeds.start + added;
+        self.seeds.splice(seeds, new);
+        let (inserted, dropped) = match task {
+            Some(task) if self.tasks.get(t).is_some_and(|r| r.name == task.name) => {
+                self.tasks[t] = task;
+                (false, false)
+            }
+            Some(task) => {
+                self.tasks.insert(t, task);
+                (true, false)
+            }
+            None => {
+                self.tasks.remove(t);
+                (false, true)
+            }
+        };
+        for seed in &mut self.seeds[after..] {
+            seed.id = seed.id + added - removed;
+            seed.task = seed.task + usize::from(inserted) - usize::from(dropped);
+        }
+        map
+    }
+
     /// Points the instance at one planning round: this round's live
     /// switches, the placement it starts from, and every task's seed
     /// list scoped to the seeds that have somewhere to go.

@@ -186,10 +186,12 @@ pub struct DeltaReport {
 /// own. Capacity, residency, previous-placement moves and switches that
 /// left or rejoined the instance are all caught by the op logs, and are
 /// not declared. Callers **must** declare seeds whose *definitions*
-/// changed (re-registration of a task): utility, polling and candidate
+/// changed under an unchanged index: utility, polling and candidate
 /// set are read through the seed id, so identical-looking logs would
 /// otherwise replay stale greedy outcomes and LP outputs. A changed
-/// candidate set is such a definition change.
+/// candidate set is such a definition change. (A seed that
+/// [`SolveState::remap`] gives a new index no old one maps to is new to
+/// the solver, and needs no declaring.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplanDelta {
     /// Seed indices (into the *current* instance) whose definition
@@ -1421,10 +1423,12 @@ impl SolveState {
     /// a different seed numbering. `map[old] = Some(new)` keeps a seed
     /// under its new index — its products, previous seat, last step and
     /// last scan move with it; `None` (or out-of-range `old`) drops it,
-    /// and every switch log and LP output mentioning it. Callers that rebuild
-    /// instances per solve (e.g. the seeder flattening its task table)
-    /// call this with the old→new correspondence so unrelated switches
-    /// keep their memo.
+    /// and every switch log and LP output mentioning it. A new index no
+    /// old one maps to starts with no memory, so a seed that is new or
+    /// redefined under it needs no dirty declaration. Callers that
+    /// renumber their instance between solves (e.g. the seeder splicing
+    /// a task into or out of its catalog) call this with the old→new
+    /// correspondence so unrelated switches keep their memo.
     pub fn remap(&mut self, map: &[Option<usize>]) {
         self.memo.remap(map);
     }
@@ -1758,7 +1762,7 @@ mod tests {
     #[test]
     fn a_catalog_rebuild_is_not_a_rescan() {
         // A stable world, then a one-seed task registered in front of the
-        // others, as a submit rebuilds the seeder's catalog: every seed
+        // others, as a submit splices into the seeder's catalog: every seed
         // moves up one index and the state is remapped. The records move
         // with the seeds, so the scan evaluates the new seed's pairs and
         // those of the switches it changed, not every pair again.

@@ -59,7 +59,7 @@ impl SubjectInterner {
 }
 
 /// One seed to place.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementSeed {
     /// Index into [`PlacementInstance::seeds`].
     pub id: usize,
@@ -74,7 +74,7 @@ pub struct PlacementSeed {
 }
 
 /// One task; placing it means placing *all* of its seeds (C1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementTask {
     pub name: String,
     /// Indices of this task's seeds.

@@ -23,9 +23,14 @@
 //! Recandidate change a seed's *definition* (its polling, its candidate
 //! set), which a log cannot see — that is exactly the case the
 //! `dirty_seeds` contract exists for, so they declare the seed dirty.
-//! Retask rebuilds the catalog with a task removed or inserted mid-way,
-//! renumbering every seed after it, and remaps the retained state the
-//! way the seeder does.
+//! Retask splices a task out of the instance or a copy of one in
+//! mid-way with the seeder's [`PlacementInstance::splice_task`],
+//! shifting every seed after it, and remaps the retained state by that
+//! shift the way the seeder does (a case's first Retask also lays the
+//! generator's interleaved seeds out task by task, as the seeder's
+//! catalog is). The copy's seeds are new indices, and like the
+//! seeder's they are not declared: the remap leaves the state nothing
+//! on them.
 //!
 //! The churn property also checks that its cases still reach the code
 //! that follows the change past step 3: across them, some warm solve
@@ -37,6 +42,7 @@ mod util;
 use farm_almanac::analysis::UtilExpr;
 use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
+use farm_placement::build::TaskRows;
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, HeuristicOptions};
 use farm_placement::model::{utility_of, PlacementInstance, PlacementSeed, PlacementTask};
@@ -104,6 +110,7 @@ impl Fabric {
     /// The generated instance, its switches cut to their vCPU share and
     /// its domains coupled as the case says, plus its fabric-wide tasks,
     /// whose seeds take utility and polling from one of the generator's.
+    /// The generator interleaves its tasks' seeds.
     fn instance(&self) -> PlacementInstance {
         let mut inst = generate(&self.cfg);
         for (_, ares) in &mut inst.switches {
@@ -173,10 +180,11 @@ enum Churn {
     /// Definition change: a seed gains or loses a candidate switch.
     /// Declared dirty, like any definition change.
     Recandidate(usize),
-    /// Catalog rebuild: a task is removed (even) or a copy of one is
-    /// inserted before it (odd), the seeds laid out task by task as the
-    /// seeder's catalog is, and the state remapped old → new. The copy's
-    /// seeds are new, and declared dirty as a registration's are.
+    /// Catalog splice: a task is removed (even) or a copy of one is
+    /// inserted before it (odd), through
+    /// [`PlacementInstance::splice_task`] as the seeder's catalog does.
+    /// The seeds after it shift, and the state is remapped by that
+    /// shift. The copy's seeds are new indices, not declared dirty.
     Retask(usize),
 }
 
@@ -280,48 +288,33 @@ fn apply(
     }
 }
 
-/// [`Churn::Retask`].
+/// [`Churn::Retask`]. The seeder's catalog is laid out task by task,
+/// so the first Retask of a case lays the generator's interleaved seeds
+/// out so; the state is remapped once, by both renumberings together.
 fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> ReplanDelta {
+    let mut map = lay_out_by_task(inst);
     let n_tasks = inst.tasks.len();
     let t = i / 2 % n_tasks;
-    // (old task, is a copy) in the rebuilt catalog's order.
-    let mut order: Vec<(usize, bool)> = (0..n_tasks).map(|t| (t, false)).collect();
-    if i.is_multiple_of(2) && n_tasks > 1 {
-        order.remove(t);
+    let start = inst.seeds.partition_point(|s| s.task < t);
+    let end = inst.seeds.partition_point(|s| s.task <= t);
+    let shift = if i.is_multiple_of(2) && n_tasks > 1 {
+        inst.splice_task(t, start..end, None)
     } else {
-        order.insert(t, (t, true));
-    }
-    let mut map = vec![None; inst.seeds.len()];
-    let (mut seeds, mut tasks, mut dirty) = (Vec::new(), Vec::new(), Vec::new());
-    for (new_task, &(old_task, copy)) in order.iter().enumerate() {
-        let mut ids = Vec::new();
-        for (s, seed) in inst.seeds.iter().enumerate() {
-            if seed.task != old_task {
-                continue;
-            }
-            let id = seeds.len();
-            if copy {
-                dirty.push(id);
-            } else {
-                map[s] = Some(id);
-            }
-            seeds.push(PlacementSeed {
-                id,
-                task: new_task,
-                ..seed.clone()
-            });
-            ids.push(id);
-        }
-        let name = &inst.tasks[old_task].name;
-        tasks.push(PlacementTask {
-            name: if copy {
-                format!("{name}+")
-            } else {
-                name.clone()
+        // A copy of task `t` before it: the same seeds at the same
+        // indices, under another name.
+        let copy = TaskRows {
+            seeds: inst.seeds[start..end].to_vec(),
+            task: PlacementTask {
+                name: format!("{}+", inst.tasks[t].name),
+                seeds: Vec::new(),
             },
-            seeds: ids,
-        });
+        };
+        inst.splice_task(t, start..start, Some(copy))
+    };
+    for new in &mut map {
+        *new = new.and_then(|s| shift[s]);
     }
+    list_seeds(inst);
     if let Some(prev) = &mut inst.previous {
         let old = std::mem::take(&mut prev.assignment);
         prev.assignment = old
@@ -329,9 +322,39 @@ fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> Rep
             .filter_map(|(s, seat)| Some((map[s]?, seat)))
             .collect();
     }
-    (inst.seeds, inst.tasks) = (seeds, tasks);
     state.remap(&map);
-    ReplanDelta::seeds(dirty)
+    ReplanDelta::default()
+}
+
+/// Orders the seeds task by task, keeping their order within a task,
+/// and returns the old → new map.
+fn lay_out_by_task(inst: &mut PlacementInstance) -> Vec<Option<usize>> {
+    let mut order: Vec<usize> = (0..inst.seeds.len()).collect();
+    order.sort_by_key(|&s| inst.seeds[s].task);
+    let mut map = vec![None; order.len()];
+    let old = std::mem::take(&mut inst.seeds);
+    inst.seeds = order
+        .iter()
+        .enumerate()
+        .map(|(id, &s)| {
+            map[s] = Some(id);
+            PlacementSeed {
+                id,
+                ..old[s].clone()
+            }
+        })
+        .collect();
+    map
+}
+
+/// Sets every task's seed list to its seeds, ascending.
+fn list_seeds(inst: &mut PlacementInstance) {
+    for task in &mut inst.tasks {
+        task.seeds.clear();
+    }
+    for seed in &inst.seeds {
+        inst.tasks[seed.task].seeds.push(seed.id);
+    }
 }
 
 /// What the warm solves of all churn cases reached, so that the property

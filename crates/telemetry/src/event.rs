@@ -45,8 +45,6 @@ pub enum ReplanOutcome {
     Full,
     /// Some tasks had to be dropped.
     Partial,
-    /// The solver failed outright.
-    Failed,
 }
 
 /// One observable state change somewhere in the FARM stack.

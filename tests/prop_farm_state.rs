@@ -236,10 +236,14 @@ impl Run {
                     return;
                 }
                 let program = PROGRAMS[program];
-                let _ = self
+                // A failed deploy leaves no task behind.
+                if self
                     .farm
-                    .deploy_task(&name, &program.source(&name), &BTreeMap::new());
-                self.registered.insert(name, program);
+                    .deploy_task(&name, &program.source(&name), &BTreeMap::new())
+                    .is_ok()
+                {
+                    self.registered.insert(name, program);
+                }
             }
             Op::Remove(task) => {
                 let name = format!("t{task}");
