@@ -272,9 +272,10 @@ pub struct FarmdConfig {
     pub server: ServerConfig,
     /// Optional JSON-lines event log (the audit trail on disk).
     pub event_log: Option<PathBuf>,
-    /// Optional checkpoint file: `Checkpoint` ops persist every seed's
-    /// versioned snapshot here, and `Restore` ops reload it (including
-    /// files written by the pre-versioning layout).
+    /// Optional checkpoint file: `Checkpoint` ops persist the program
+    /// catalog and every seed's versioned snapshot here as `FARMCKP2`,
+    /// and `Restore` ops reload it; a file of any other layout is
+    /// rejected, not read.
     pub checkpoint_path: Option<PathBuf>,
     /// Periodic checkpoint cadence (needs `checkpoint_path`); `None`
     /// disables the ticker and leaves checkpoints manual.

@@ -21,8 +21,8 @@ use farm_almanac::compile::compile_task_with_diagnostics;
 use farm_core::prelude::*;
 use farm_core::seeder::SeedKey;
 use farm_net::{
-    decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, ControlOp, ControlReply,
-    Diagnostic, SeedDescriptor, VSeedSnapshot,
+    decode_checkpoint, encode_checkpoint_doc, CheckpointDoc, ControlOp, ControlReply, Diagnostic,
+    SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
@@ -392,17 +392,13 @@ fn submit_with_snapshot(
     core: &mut Core,
     name: &str,
     source: &str,
-    seeds: &[(String, farm_net::SeedSnapshot)],
+    seeds: &[(String, SeedSnapshot)],
 ) -> ControlReply {
     let submitted = submit(core, name, source);
     if !matches!(submitted, ControlReply::Submitted { .. }) {
         return submitted;
     }
-    core.farm.import_checkpoints(
-        seeds
-            .iter()
-            .filter_map(|(key, snap)| parse_seed_key(key).map(|parsed| (parsed, snap.clone()))),
-    );
+    import_seed_entries(&mut core.farm, seeds.to_vec());
     core.farm.restore_seeds_for(name);
     submitted
 }
@@ -547,7 +543,7 @@ fn checkpoint(core: &mut Core) -> ControlReply {
                 .farm
                 .export_checkpoints()
                 .into_iter()
-                .map(|(key, snap)| (key.to_string(), VSeedSnapshot::from(snap)))
+                .map(|(key, snap)| (key.to_string(), snap))
                 .collect(),
         };
         let bytes = encode_checkpoint_doc(&doc);
@@ -574,11 +570,12 @@ fn checkpoint(core: &mut Core) -> ControlReply {
 }
 
 /// `Restore`: when a checkpoint path is configured and the file exists,
-/// reloads it (any generation: salvageable `FARMCKP2`, strict
-/// `FARMCKP1`, pre-versioning legacy). Program records recompile and
-/// re-place any task missing from the live catalog — this is what lets
-/// a freshly started daemon come back whole — then snapshots land in
-/// the checkpoint store and live seeds roll back to them.
+/// reloads it — a `FARMCKP2` file, salvaging what a damaged one still
+/// holds; any other file is rejected and the live seeds stay as they
+/// are. Program records recompile and re-place any task missing from
+/// the live catalog — this is what lets a freshly started daemon come
+/// back whole — then snapshots land in the checkpoint store and live
+/// seeds roll back to them.
 ///
 /// Entries whose seed key no longer parses are counted into `skipped`
 /// and the `ctl.restore_skipped` counter instead of vanishing.
@@ -587,7 +584,7 @@ fn restore(core: &mut Core) -> ControlReply {
     let mut skipped = 0u64;
     if let Some(path) = core.config.checkpoint_path.clone() {
         match std::fs::read(&path) {
-            Ok(bytes) => match decode_checkpoint_any(&bytes) {
+            Ok(bytes) => match decode_checkpoint(&bytes) {
                 Ok(load) => {
                     if load.salvaged || load.corrupt_records > 0 {
                         let recovered = load.doc.programs.len() + load.doc.seeds.len();
@@ -608,7 +605,7 @@ fn restore(core: &mut Core) -> ControlReply {
                 }
                 Err(e) => {
                     return ControlReply::Rejected {
-                        reason: format!("{}: corrupt checkpoint file: {e}", path.display()),
+                        reason: format!("{}: {e}", path.display()),
                     }
                 }
             },
@@ -621,26 +618,27 @@ fn restore(core: &mut Core) -> ControlReply {
             }
         }
     }
-    if skipped > 0 {
-        telemetry.counter("ctl.restore_skipped").add(skipped);
-    }
     ControlReply::Restored {
         seeds: core.farm.restore_seeds() as u64,
         skipped,
     }
 }
 
-/// Loads checkpoint-file seed entries into the farm's checkpoint store,
-/// returning how many were dropped for unparseable keys.
-fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, VSeedSnapshot)>) -> u64 {
+/// Loads keyed seed snapshots — a checkpoint file's or a migration
+/// import's — into the farm's checkpoint store, returning how many were
+/// dropped for unparseable keys (also counted in `ctl.restore_skipped`).
+fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, SeedSnapshot)>) -> u64 {
     let mut skipped = 0u64;
     farm.import_checkpoints(entries.into_iter().filter_map(|(key, snap)| {
         let Some(parsed) = parse_seed_key(&key) else {
             skipped += 1;
             return None;
         };
-        Some((parsed, snap.into_latest()))
+        Some((parsed, snap))
     }));
+    if skipped > 0 {
+        farm.telemetry().counter("ctl.restore_skipped").add(skipped);
+    }
     skipped
 }
 
@@ -849,6 +847,25 @@ mod tests {
         let reply = submit(&mut core, "w1", "machine M { place any; state s { } }");
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         assert!(core.programs.contains_key("w1"));
+    }
+
+    #[test]
+    fn a_migration_import_counts_a_bad_seed_key() {
+        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default());
+        let snap = SeedSnapshot {
+            machine: "M".into(),
+            state: "s".into(),
+            vars: vec![],
+        };
+        let seeds = [
+            ("w1/m0/s0".to_string(), snap.clone()),
+            ("not-a-seed-key".to_string(), snap),
+        ];
+        let source = "machine M { place any; state s { } }";
+        let reply = submit_with_snapshot(&mut core, "w1", source, &seeds);
+        assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
+        let registry = core.farm.telemetry().snapshot();
+        assert_eq!(registry.counter("ctl.restore_skipped"), 1);
     }
 
     #[test]

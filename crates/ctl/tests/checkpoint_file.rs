@@ -1,17 +1,14 @@
 //! Checkpoint-file persistence: farmd writes self-verifying `FARMCKP2`
 //! checkpoint files (CRC-framed records, salvageable after torn
-//! writes), and `Restore` accepts those plus both older generations —
-//! versioned `FARMCKP1` and the pre-versioning legacy layout (no magic,
-//! untagged snapshot bodies).
+//! writes), `Restore` reads them back, and any other file is rejected
+//! by name with the live seeds left as they were.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use farm_ctl::{CtlClient, Farmd, FarmdConfig, ServerConfig};
-use farm_net::snapshot::{encode_vsnapshot, VSeedSnapshot, CHECKPOINT_MAGIC_V2};
-use farm_net::wire::{put_str, put_varint};
-use farm_net::{decode_checkpoint_any, ControlOp, ControlReply};
-use farm_soil::SeedSnapshot;
+use farm_net::snapshot::CHECKPOINT_MAGIC;
+use farm_net::{decode_checkpoint, ControlOp, ControlReply};
 
 const WATCHER: &str = include_str!("../../../examples/load_watcher.alm");
 
@@ -83,13 +80,13 @@ fn checkpoint_writes_versioned_file_and_restore_round_trips() {
     }
     let bytes = std::fs::read(&path).expect("checkpoint file written");
     assert!(
-        bytes.starts_with(CHECKPOINT_MAGIC_V2),
+        bytes.starts_with(CHECKPOINT_MAGIC),
         "file must lead with the FARMCKP2 magic, got {:?}",
         &bytes[..bytes.len().min(8)]
     );
     // The file carries the program catalog alongside the seed, so a
     // cold restart can recompile and replant everything.
-    let load = decode_checkpoint_any(&bytes).expect("decode our own file");
+    let load = decode_checkpoint(&bytes).expect("decode our own file");
     assert!(!load.salvaged, "a completed write has no torn tail");
     assert_eq!(load.doc.seeds.len(), 1);
     assert_eq!(load.doc.programs.len(), 1);
@@ -125,7 +122,7 @@ fn truncated_v2_checkpoint_salvages_intact_prefix() {
     // Tear off the tail of the final record (the seed snapshot); the
     // program record before it stays CRC-valid.
     let torn = &bytes[..bytes.len() - 3];
-    let load = decode_checkpoint_any(torn).expect("torn v2 still decodes");
+    let load = decode_checkpoint(torn).expect("torn v2 still decodes");
     assert!(load.salvaged, "a torn tail must raise the salvage flag");
     assert_eq!(load.doc.programs.len(), 1, "intact program record kept");
     assert!(load.doc.seeds.is_empty(), "damaged seed record dropped");
@@ -146,50 +143,48 @@ fn truncated_v2_checkpoint_salvages_intact_prefix() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A checkpoint file saved before snapshots grew version tags — plain
-/// count + key + untagged `SeedSnapshot` body, no magic — must restore
-/// into a live farmd through the `VSeedSnapshot` upgrade path.
+/// Files of the retired layouts — `FARMCKP1`, and the untagged one
+/// before it — each holding a new value for the live seed: `Restore`
+/// rejects them, naming what it found, and the seed keeps its state.
 #[test]
-fn legacy_untagged_checkpoint_file_restores() {
-    let path = scratch_file("legacy");
+fn older_generation_files_are_rejected_and_live_seeds_stay() {
+    let path = scratch_file("retired");
     let _ = std::fs::remove_file(&path);
     let farmd = Farmd::start(test_config(path.clone())).expect("start farmd");
     let client = CtlClient::connect(farmd.local_addr());
     submit_watcher(&client);
-
     let seed = only_seed(&client);
-    let (desc, _) = describe(&client, &seed.key);
+    let (desc, before) = describe(&client, &seed.key);
 
-    // Hand-build the pre-versioning layout. The untagged body is the
-    // versioned encoding minus its 2-byte (marker + version) prefix.
-    let snap = SeedSnapshot {
-        machine: desc.machine.clone(),
-        state: desc.state.clone(),
-        vars: vec![(
-            "threshold".to_string(),
-            farm_almanac::value::Value::Int(4242),
-        )],
-    };
-    let mut versioned = Vec::new();
-    encode_vsnapshot(&VSeedSnapshot::V1(snap), &mut versioned);
-    let mut legacy = Vec::new();
-    put_varint(&mut legacy, 1);
-    put_str(&mut legacy, &seed.key);
-    legacy.extend_from_slice(&versioned[2..]);
-    std::fs::write(&path, &legacy).expect("write legacy checkpoint");
-
-    match client.op(ControlOp::Restore).expect("restore rpc") {
-        ControlReply::Restored { seeds, skipped } => {
-            assert_eq!(seeds, 1);
-            assert_eq!(skipped, 0);
-        }
-        other => panic!("restore answered {other:?}"),
+    // One entry, `key` + snapshot `threshold = 4242`, as the retired
+    // writers laid it out; every string here is shorter than 128 bytes,
+    // so each length prefix is one byte.
+    let mut untagged = vec![1];
+    for s in [&seed.key, &desc.machine, &desc.state] {
+        untagged.push(s.len() as u8);
+        untagged.extend_from_slice(s.as_bytes());
     }
-    let (_, vars) = describe(&client, &seed.key);
-    assert!(
-        vars.iter().any(|(n, v)| n == "threshold" && v == "4242"),
-        "legacy snapshot var must land in the live seed, got {vars:?}"
-    );
+    untagged.extend_from_slice(b"\x01\x09threshold\x02\xa4\x42");
+    let key_end = 2 + seed.key.len();
+    let farmckp1 = [
+        b"FARMCKP1",
+        &untagged[..key_end],
+        &[0, 1],
+        &untagged[key_end..],
+    ]
+    .concat();
+
+    for (file, found) in [
+        (farmckp1, "a FARMCKP1 file"),
+        (untagged, "no FARMCKP2 magic"),
+    ] {
+        std::fs::write(&path, &file).expect("write retired checkpoint");
+        match client.op(ControlOp::Restore).expect("restore rpc") {
+            ControlReply::Rejected { reason } => assert!(reason.contains(found), "{reason}"),
+            other => panic!("restore answered {other:?}"),
+        }
+        assert_eq!(describe(&client, &seed.key), (desc.clone(), before.clone()));
+    }
     drop(client);
     farmd.stop();
     let _ = std::fs::remove_file(&path);

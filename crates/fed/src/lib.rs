@@ -18,7 +18,7 @@
 //!   per pod, serving federated reads
 //!   (fan-out + merge, cursor pagination preserved), all-or-nothing
 //!   split submission, and cross-pod seed migration over the existing
-//!   `VSeedSnapshot` export/import ops.
+//!   export/import ops, which carry version-tagged seed snapshots.
 //!
 //! Everything the coordinator does is audited under the `fed.*`
 //! telemetry family: `fed.pods.total` / `fed.pods.live` gauges,

@@ -19,10 +19,10 @@
 //!   message is declared once; its type, tag, `kind()`, codec and list
 //!   allocation bound follow from the declaration.
 //!   `encode(decode(bytes))` is byte-exact.
-//! * [`snapshot`] — the versioned [`VSeedSnapshot`] payload riding the
-//!   migration ops and checkpoint files, with `From` upgrades from
-//!   every older revision: one snapshot codec, one checkpoint reader
-//!   ([`decode_checkpoint_any`]) for every file generation.
+//! * [`snapshot`] — the version-tagged [`SeedSnapshot`] codec riding
+//!   the migration ops and checkpoint files, and the one checkpoint
+//!   file generation, `FARMCKP2`: one writer
+//!   ([`encode_checkpoint_doc`]), one reader ([`decode_checkpoint`]).
 //! * `buf` / `poll` — event-loop plumbing: a growable `ByteRing`,
 //!   the incremental [`FrameDecoder`] (equivalent to the one-shot
 //!   decoder on any byte split; the only frame reader, on both ends of
@@ -67,7 +67,7 @@ pub use frame::{
 #[cfg(unix)]
 pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
-pub use snapshot::{decode_checkpoint_any, encode_checkpoint_doc, CheckpointDoc, VSeedSnapshot};
+pub use snapshot::{decode_checkpoint, encode_checkpoint_doc, CheckpointDoc};
 pub use wire::PROTOCOL_VERSION;
 
 // The snapshot payload type carried by the fed snapshot-bearing ops,

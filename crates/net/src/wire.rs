@@ -41,6 +41,8 @@ pub enum WireError {
     Range(&'static str),
     /// The frame body decoded cleanly but bytes were left over.
     Trailing(usize),
+    /// A checkpoint file that is not `FARMCKP2`; names what was found.
+    Checkpoint(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -55,6 +57,7 @@ impl fmt::Display for WireError {
             WireError::Depth => write!(f, "wire: payload nests too deep"),
             WireError::Range(what) => write!(f, "wire: {what} out of range"),
             WireError::Trailing(n) => write!(f, "wire: {n} trailing bytes after frame"),
+            WireError::Checkpoint(found) => write!(f, "wire: refused checkpoint: {found}"),
         }
     }
 }
@@ -94,7 +97,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Appends an unsigned LEB128 varint (1–10 bytes).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -117,7 +120,7 @@ pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
@@ -175,12 +178,6 @@ impl<'a> Reader<'a> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
         Ok(b)
-    }
-
-    /// The next byte without consuming it — used to discriminate tagged
-    /// encodings from legacy untagged ones (e.g. versioned snapshots).
-    pub(crate) fn peek_u8(&self) -> Result<u8, WireError> {
-        self.buf.get(self.pos).copied().ok_or(WireError::Truncated)
     }
 
     pub(crate) fn bool(&mut self) -> Result<bool, WireError> {

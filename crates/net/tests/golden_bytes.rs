@@ -1,5 +1,6 @@
 //! Golden bytes: one pinned encoding per message variant and per
-//! optional-extension form, plus one checkpoint file of each generation.
+//! optional-extension form, one checkpoint file, and the bytes of the
+//! retired layouts the decoders must refuse.
 //!
 //! The round-trip property (`tests/prop_codec.rs`) cannot see a
 //! symmetric mistake — two fields swapped in both directions, a tag
@@ -11,9 +12,9 @@
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_net::wire::WireError;
 use farm_net::{
-    decode_checkpoint_any, decode_envelope, encode_checkpoint_doc, encode_envelope, CheckpointDoc,
+    decode_checkpoint, decode_envelope, encode_checkpoint_doc, encode_envelope, CheckpointDoc,
     ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder, PodInfo,
-    SeedDescriptor, SeedSnapshot, VSeedSnapshot,
+    SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -323,34 +324,39 @@ fn retired_frame_tags_are_a_typed_error_and_the_stream_stays_aligned() {
     }
 }
 
-fn checkpoint_snapshot() -> VSeedSnapshot {
-    VSeedSnapshot::V1(SeedSnapshot {
+fn checkpoint_snapshot() -> SeedSnapshot {
+    SeedSnapshot {
         machine: "HH".into(),
         state: "Monitor".into(),
         vars: vec![
             ("threshold".into(), Value::Int(1000)),
             ("label".into(), Value::Str("hot".into())),
         ],
-    })
+    }
 }
 
-fn checkpoint_seeds() -> Vec<(String, VSeedSnapshot)> {
+fn checkpoint_seeds() -> Vec<(String, SeedSnapshot)> {
     vec![
         ("hh/m0/s0".to_string(), checkpoint_snapshot()),
         ("hh/m0/s1".to_string(), checkpoint_snapshot()),
     ]
 }
 
-/// The current generation, written and read.
+/// The one generation, written and read.
 const FARMCKP2: &str = "4641524d434b5032041307fd5a96000268680e6d616368696e65204848207b207d1329c1bef400026c770e6d616368696e65204c57207b207d3047739e9b010868682f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f7430ee7817d5010868682f6d302f73310001024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f74";
-/// Read-only: the last writer of this layout was retired with PR 7's
-/// `FARMCKP2`; these bytes came out of it.
+/// Refused: the layout `FARMCKP2` replaced; these bytes came out of its
+/// last writer.
 const FARMCKP1: &str = "4641524d434b5031020868682f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f740868682f6d302f73310001024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f74";
-/// Read-only: the pre-versioning layout (no magic, untagged snapshots).
+/// Refused: the pre-versioning layout (no magic, untagged snapshots).
 const UNTAGGED: &str = "020868682f6d302f7330024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f740868682f6d302f7331024848074d6f6e69746f7202097468726573686f6c6402d00f056c6162656c0403686f74";
+/// Refused: a `SubmitWithSnapshot { name: "mon", source: "", seeds:
+/// [("mon/m0/s0", HH/Monitor, no vars)] }` whose snapshot lacks the
+/// `0x00` marker and version, as written before snapshots were tagged.
+const UNTAGGED_SUBMIT: &str =
+    "210109000510036d6f6e0001096d6f6e2f6d302f7330024848074d6f6e69746f7200";
 
 #[test]
-fn every_checkpoint_generation_reads_its_pinned_bytes() {
+fn farmckp2_reads_its_pinned_bytes_and_older_generations_are_refused() {
     let doc = CheckpointDoc {
         programs: vec![
             ("hh".to_string(), "machine HH { }".to_string()),
@@ -363,18 +369,29 @@ fn every_checkpoint_generation_reads_its_pinned_bytes() {
         FARMCKP2,
         "FARMCKP2 drifted"
     );
-    let load = decode_checkpoint_any(&unhex(FARMCKP2)).expect("FARMCKP2 decodes");
-    assert_eq!((load.format, load.salvaged), (2, false));
+    let load = decode_checkpoint(&unhex(FARMCKP2)).expect("FARMCKP2 decodes");
+    assert!(!load.salvaged);
     assert_eq!((load.corrupt_records, load.unknown_records), (0, 0));
     assert_eq!(load.doc, doc);
 
-    for (format, bytes) in [(1, FARMCKP1), (0, UNTAGGED)] {
-        let load = decode_checkpoint_any(&unhex(bytes)).expect("old generation decodes");
-        assert_eq!(load.format, format);
-        assert!(
-            load.doc.programs.is_empty(),
-            "format {format} has no catalog"
-        );
-        assert_eq!(load.doc.seeds, checkpoint_seeds(), "format {format}");
+    for (bytes, found) in [
+        (unhex(FARMCKP1), "a FARMCKP1 file"),
+        (unhex(UNTAGGED), "no FARMCKP2 magic"),
+        (vec![0x00], "no FARMCKP2 magic"),
+    ] {
+        let refused = decode_checkpoint(&bytes).expect_err(found);
+        assert_eq!(refused, WireError::Checkpoint(found));
+        assert!(refused.to_string().contains(found), "{refused}");
     }
+}
+
+#[test]
+fn an_untagged_snapshot_in_a_frame_is_a_marker_error() {
+    assert_eq!(
+        decode_envelope(&unhex(UNTAGGED_SUBMIT)).err(),
+        Some(WireError::Tag {
+            what: "snapshot marker",
+            tag: 2
+        })
+    );
 }

@@ -68,11 +68,6 @@ impl ScenarioClass {
             ScenarioClass::Microburst => "microburst",
         }
     }
-
-    /// Parses a [`name`](Self::name) back into a class.
-    pub fn from_name(s: &str) -> Option<ScenarioClass> {
-        ScenarioClass::ALL.into_iter().find(|c| c.name() == s)
-    }
 }
 
 /// How big a scenario to compose.
@@ -1016,14 +1011,6 @@ mod tests {
             n_ports: 48,
             prefix: "10.0.1.0/24".parse().unwrap(),
         }
-    }
-
-    #[test]
-    fn class_names_round_trip() {
-        for c in ScenarioClass::ALL {
-            assert_eq!(ScenarioClass::from_name(c.name()), Some(c));
-        }
-        assert_eq!(ScenarioClass::from_name("nope"), None);
     }
 
     #[test]

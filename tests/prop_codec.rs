@@ -5,8 +5,7 @@
 //!
 //! The strategies are written by hand on purpose — they carry what the
 //! wire declarations in `frame.rs` do not know (identifier shapes, the
-//! all-zero cursor, the non-empty machine names legacy-snapshot
-//! discrimination relies on). What keeps them complete is
+//! all-zero cursor). What keeps them complete is
 //! `generators_cover_every_tag_the_decoders_know` at the bottom.
 
 use std::collections::BTreeSet;
@@ -14,9 +13,9 @@ use std::collections::BTreeSet;
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
 use farm_net::wire::WireError;
 use farm_net::{
-    decode_body, decode_checkpoint_any, decode_envelope, encode_checkpoint_doc, encode_envelope,
+    decode_body, decode_checkpoint, decode_envelope, encode_checkpoint_doc, encode_envelope,
     CheckpointDoc, ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder,
-    PodInfo, SeedDescriptor, VSeedSnapshot, PROTOCOL_VERSION,
+    PodInfo, SeedDescriptor, PROTOCOL_VERSION,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -161,7 +160,7 @@ fn value_strategy(depth: u32) -> BoxedStrategy<Value> {
 
 fn snapshot_strategy() -> BoxedStrategy<SeedSnapshot> {
     (
-        "[A-Z][a-z]{0,6}",
+        "[a-z]{0,8}",
         "[a-z]{1,8}",
         vec(("[a-z]{1,8}", value_strategy(2)), 0..4),
     )
@@ -390,14 +389,42 @@ fn checkpoint_doc_strategy() -> BoxedStrategy<CheckpointDoc> {
         vec(("[a-z_]{1,10}", "[ -~]{0,48}"), 0..4),
         vec(("[a-z/0-9]{1,16}", snapshot_strategy()), 0..5),
     )
-        .prop_map(|(programs, seeds)| CheckpointDoc {
-            programs,
-            seeds: seeds
-                .into_iter()
-                .map(|(key, snap)| (key, VSeedSnapshot::V1(snap)))
-                .collect(),
-        })
+        .prop_map(|(programs, seeds)| CheckpointDoc { programs, seeds })
         .boxed()
+}
+
+/// Byte strings that do not start with `FARMCKP2`: a retired or damaged
+/// magic, a real file with one magic byte changed, or no magic at all,
+/// followed by bytes that are short and mostly zero as often as not
+/// (so `[0x00]` and the empty `FARMCKP1` file come up) or arbitrary.
+fn not_a_checkpoint_strategy() -> BoxedStrategy<Vec<u8>> {
+    let head = prop_oneof![
+        Just(Vec::new()),
+        Just(b"FARMCKP1".to_vec()),
+        (0usize..8).prop_map(|n| b"FARMCKP2"[..n].to_vec()),
+        (0usize..8, 1u8..=255).prop_map(|(at, flip)| {
+            let mut magic = b"FARMCKP2".to_vec();
+            magic[at] ^= flip;
+            magic
+        }),
+    ];
+    let tail = prop_oneof![
+        vec(prop_oneof![Just(0u8), Just(0u8), any::<u8>()], 0..3),
+        vec(any::<u8>(), 0..256),
+    ];
+    let file = (checkpoint_doc_strategy(), 0usize..8, 1u8..=255).prop_map(|(doc, at, flip)| {
+        let mut bytes = encode_checkpoint_doc(&doc);
+        bytes[at] ^= flip;
+        bytes
+    });
+    prop_oneof![
+        (head, tail).prop_map(|(head, tail)| [head, tail].concat()),
+        file,
+    ]
+    .prop_filter("starts with the magic", |bytes| {
+        !bytes.starts_with(b"FARMCKP2")
+    })
+    .boxed()
 }
 
 fn envelope_strategy() -> BoxedStrategy<Envelope> {
@@ -527,8 +554,7 @@ proptest! {
     #[test]
     fn checkpoint_v2_round_trips(doc in checkpoint_doc_strategy()) {
         let bytes = encode_checkpoint_doc(&doc);
-        let load = decode_checkpoint_any(&bytes).expect("intact file decodes");
-        prop_assert_eq!(load.format, 2);
+        let load = decode_checkpoint(&bytes).expect("intact file decodes");
         prop_assert!(!load.salvaged);
         prop_assert_eq!(load.corrupt_records, 0);
         prop_assert_eq!(load.doc, doc);
@@ -545,7 +571,7 @@ proptest! {
     ) {
         let bytes = encode_checkpoint_doc(&doc);
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        match decode_checkpoint_any(&bytes[..cut]) {
+        match decode_checkpoint(&bytes[..cut]) {
             Ok(load) => {
                 prop_assert!(load.doc.programs.len() <= doc.programs.len());
                 prop_assert!(load.doc.seeds.len() <= doc.seeds.len());
@@ -559,9 +585,8 @@ proptest! {
                     cut, bytes.len()
                 );
             }
-            // Cuts inside the 8-byte magic stop looking like v2 at all;
-            // those fall through to the strict legacy decoders and come
-            // back as a typed error, which is equally acceptable.
+            // A cut inside the 8-byte magic leaves no checkpoint to
+            // salvage: the file is refused with the typed error.
             Err(_) => prop_assert!(cut < 8, "v2 body cut at {} must salvage", cut),
         }
     }
@@ -578,12 +603,25 @@ proptest! {
         let mut bytes = encode_checkpoint_doc(&doc);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        if let Ok(load) = decode_checkpoint_any(&bytes) {
+        if let Ok(load) = decode_checkpoint(&bytes) {
             // However the damage lands, nothing is invented out of thin
             // air beyond what the original document contained.
             prop_assert!(load.doc.programs.len() <= doc.programs.len());
             prop_assert!(load.doc.seeds.len() <= doc.seeds.len());
         }
+    }
+
+    /// Only `FARMCKP2` is read: any other byte string is refused with
+    /// the typed error naming what it found, never loaded as an empty
+    /// or partial checkpoint.
+    #[test]
+    fn anything_without_the_magic_is_refused(bytes in not_a_checkpoint_strategy()) {
+        let found = if bytes.starts_with(b"FARMCKP1") {
+            "a FARMCKP1 file"
+        } else {
+            "no FARMCKP2 magic"
+        };
+        prop_assert_eq!(decode_checkpoint(&bytes).err(), Some(WireError::Checkpoint(found)));
     }
 
     /// Mixed-version federation: a decoder that predates the fed tags

@@ -23,7 +23,7 @@ use std::process::Child;
 use std::time::{Duration, Instant};
 
 use farm_ctl::CtlClient;
-use farm_net::{decode_checkpoint_any, CheckpointDoc, ControlOp, ControlReply};
+use farm_net::{decode_checkpoint, CheckpointDoc, ControlOp, ControlReply};
 
 #[path = "util/mod.rs"]
 mod util;
@@ -125,14 +125,13 @@ fn rendered_vars(doc: &CheckpointDoc) -> BTreeMap<String, (String, Vec<(String, 
     doc.seeds
         .iter()
         .map(|(key, snap)| {
-            let snap = snap.clone().into_latest();
             let mut vars: Vec<(String, String)> = snap
                 .vars
                 .iter()
                 .map(|(n, v)| (n.clone(), v.to_string()))
                 .collect();
             vars.sort();
-            (key.clone(), (snap.state, vars))
+            (key.clone(), (snap.state.clone(), vars))
         })
         .collect()
 }
@@ -145,7 +144,7 @@ fn wait_for_full_checkpoint(path: &Path) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(load) = decode_checkpoint_any(&bytes) {
+            if let Ok(load) = decode_checkpoint(&bytes) {
                 if load.doc.seeds.len() == TASKS * SEEDS_PER_TASK
                     && load.doc.programs.len() == TASKS
                 {
@@ -208,7 +207,7 @@ fn sigkill_mid_churn_loses_no_seed_state() {
     // Ground truth: whatever checkpoint the dead daemon last completed.
     // Atomic write means the file always decodes as a whole document.
     let bytes = std::fs::read(&ckpt).expect("checkpoint survives the kill");
-    let load = decode_checkpoint_any(&bytes).expect("post-kill checkpoint decodes");
+    let load = decode_checkpoint(&bytes).expect("post-kill checkpoint decodes");
     assert!(
         !load.salvaged,
         "an atomically renamed file has no torn tail"
@@ -327,7 +326,7 @@ fn sigterm_drains_writes_final_checkpoint_and_exits_3() {
     assert_eq!(status.code(), Some(3), "signal exit is distinct (code 3)");
 
     let bytes = std::fs::read(&ckpt).expect("final checkpoint written on TERM");
-    let load = decode_checkpoint_any(&bytes).expect("final checkpoint decodes");
+    let load = decode_checkpoint(&bytes).expect("final checkpoint decodes");
     assert_eq!(load.doc.programs.len(), 1);
     assert_eq!(load.doc.seeds.len(), SEEDS_PER_TASK);
     assert!(!pid_file.exists(), "pid file removed on graceful exit");
