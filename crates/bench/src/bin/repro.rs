@@ -414,6 +414,7 @@ fn run_churn(full: bool) -> Result<(), String> {
                 format!("{:.1}x", r.full_ms[0] / r.delta_ms[0].max(1e-9)),
                 format!("{:.0}", r.frontier_p50),
                 format!("{:.0}", r.steps_run_p50),
+                format!("{:.0}", r.steps_visited_p50),
                 format!("{:.0}", r.switches_rebuilt_p50),
                 r.fallbacks.to_string(),
                 match r.diverged {
@@ -425,7 +426,7 @@ fn run_churn(full: bool) -> Result<(), String> {
         .collect();
     let title = format!(
         "Churn replay — {events} single-seed events, full vs delta solve (wall ms; \
-         switch LPs run, greedy steps run and switches rebuilt per event, p50)"
+         switch LPs run, greedy steps run and visited and switches rebuilt per event, p50)"
     );
     let headers = [
         "seeds",
@@ -437,6 +438,7 @@ fn run_churn(full: bool) -> Result<(), String> {
         "speedup",
         "LPs run",
         "steps run",
+        "steps visited",
         "rebuilt",
         "fallbacks",
         "identical",

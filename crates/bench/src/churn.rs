@@ -42,6 +42,8 @@ pub struct ChurnRow {
     pub frontier_p50: f64,
     /// Greedy steps that probed (the rest replayed).
     pub steps_run_p50: f64,
+    /// Greedy steps the pass visited (the rest it did not look at).
+    pub steps_visited_p50: f64,
     pub switches_rebuilt_p50: f64,
     /// Warm solves in which no LP-bearing switch could replay.
     pub fallbacks: usize,
@@ -91,6 +93,7 @@ fn replay(mut inst: PlacementInstance, events: usize) -> ChurnRow {
 
     let (mut full_ms, mut delta_ms) = (Vec::new(), Vec::new());
     let (mut frontier, mut steps_run, mut rebuilt) = (Vec::new(), Vec::new(), Vec::new());
+    let mut steps_visited = Vec::new();
     let mut fallbacks = 0;
     let mut diverged = 0;
     for i in 0..events {
@@ -121,6 +124,7 @@ fn replay(mut inst: PlacementInstance, events: usize) -> ChurnRow {
         diverged += usize::from(!identical(&warm, &full));
         frontier.push(report.frontier as f64);
         steps_run.push(report.steps_executed as f64);
+        steps_visited.push(report.steps_visited as f64);
         rebuilt.push(report.switches_rebuilt as f64);
         fallbacks += usize::from(report.fallback_full);
         last = warm;
@@ -132,6 +136,7 @@ fn replay(mut inst: PlacementInstance, events: usize) -> ChurnRow {
         delta_ms: p50_p95(&delta_ms),
         frontier_p50: percentile(&frontier, 0.50),
         steps_run_p50: percentile(&steps_run, 0.50),
+        steps_visited_p50: percentile(&steps_visited, 0.50),
         switches_rebuilt_p50: percentile(&rebuilt, 0.50),
         fallbacks,
         diverged,

@@ -40,7 +40,7 @@ fn one_named_experiment_runs_alone() {
 
 /// The quick churn replay: every delta solve matches the full one, and
 /// the delta solve re-runs one switch LP of 128 and a sliver of the
-/// greedy steps.
+/// greedy steps, and visits a sliver of them.
 #[test]
 fn the_quick_churn_replay_is_identical_and_local() {
     let out = repro(&["churn"]);
@@ -48,10 +48,11 @@ fn the_quick_churn_replay_is_identical_and_local() {
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     let row = stdout.lines().nth(3).expect("one row").split_whitespace();
     let cells: Vec<&str> = row.collect();
-    let [seeds, switches, .., lps, steps, _, _, identical] = cells[..] else {
+    let [seeds, switches, .., lps, steps, visited, _, _, identical] = cells[..] else {
         panic!("{stdout}");
     };
     assert_eq!((seeds, switches, identical), ("1000", "128", "yes"));
     assert_eq!(lps, "1", "{stdout}");
     assert!(steps.parse::<usize>().unwrap() < 100, "{stdout}");
+    assert!(visited.parse::<usize>().unwrap() < 100, "{stdout}");
 }

@@ -1,9 +1,9 @@
 //! Incremental re-planning: [`replan_delta`] re-solves an instance with
 //! a [`SolveState`] retained from the previous solve. Every step of
 //! Alg. 1 follows the change instead of re-deriving the instance: steps
-//! 1–3 through per-switch op logs, step 4 and the tally through per-seed
-//! records of the last scan. Step 5 commits from the benefit list as a
-//! from-scratch solve does.
+//! 1–3 through per-switch op logs and a worklist of greedy steps, step 4
+//! and the tally through per-seed records of the last scan. Step 5
+//! commits from the benefit list as a from-scratch solve does.
 //!
 //! # Why this is *exactly* equivalent to a from-scratch solve
 //!
@@ -16,25 +16,53 @@
 //! subjects are renumbered and everything that depends on them starts
 //! cold.
 //!
+//! **Step 1 as a kept order.** The greedy visits its *steps* — one per
+//! seed, task by task in decreasing minimum utility, a task's seeds by
+//! candidate count — in the order the last solve kept. A task's key and
+//! step order are derived again only when its member list differs from
+//! the kept one or one of its seeds is new or dirty, and the whole order
+//! only when one of those changed it. A new order whose surviving steps
+//! keep their relative order and their tasks is the old one with steps
+//! added and removed: the added steps are visited, and a removed step's
+//! ops no longer fit the order, so their switches start over. Any other
+//! new order is *scrambled*: every log starts over and every step is
+//! visited.
+//!
 //! **Step 2 as per-switch op logs.** The lingering reservations and the
 //! greedy pass change a switch only through five ops — reserve, release,
 //! place, unplace, restore — each a seed id and a kind whose values come
 //! from that seed's inputs (products and previous seat). A switch's state
-//! is therefore a function of its capacity and its op sequence. Each
-//! switch keeps the log of its last solve; while a solve's ops match it
-//! (same seed, same kind, and the seed *clean*: not dirty, same previous
-//! seat bits), the switch is at a known prefix and its state need not be
-//! built. A greedy *step* (one seed, in task order) reads its home switch
-//! or, when it scans, every present candidate; its outcome is a function
-//! of the seed's inputs and the states it read. A clean seed whose
-//! switches are all at exactly the prefix they were at when its step last
-//! ran therefore gets the same outcome: the step is *replayed* — its
-//! recorded outcome copied, no probe run. Any other step *executes*
-//! against states rebuilt from the switch's capacity plus the matched
-//! prefix. A switch whose ops diverge stays dirty for the rest of the
-//! solve; one that left, rejoined or changed capacity has diverged from
-//! op 0; one whose whole log matched keeps its state from the last solve
-//! untouched.
+//! is therefore a function of its capacity and its op sequence, and every
+//! op has a place in the pass: the reserve section first, then each step's
+//! release and place, then, after a task's last step, the unplace and
+//! restore of its all-or-nothing close. Each switch keeps the log of its
+//! last solve in that order. A step's outcome is a function of the seed's
+//! inputs and the states it read: its home switch, or every present
+//! candidate when it scanned.
+//!
+//! The pass *visits* only the steps on a worklist, in order: the steps of
+//! seeds that are not clean (dirty, new, or with other previous-seat
+//! bits), the readers of switches that joined, left, changed capacity or
+//! start over, and the steps new to the order. A visited step
+//! whose seed is clean and none of whose read switches has *diverged*
+//! replays its recorded outcome; any other executes against states built
+//! from the switch's capacity plus its log up to that step. A switch
+//! diverges when a visited step's ops on it differ from the ones it
+//! logged last solve (a seat change, a dirty seed on its seat, or a
+//! capacity change diverges it from op 0, and its reserve section is
+//! written again from the seeds seated there). From then on its log is
+//! rewritten, and every later step that read it last solve — found
+//! through the per-switch (seed, position) index of candidates — joins
+//! the worklist. A task with a visited step writes its close again, and
+//! a step whose outcome turns to or from failure puts the rest of its
+//! task on the worklist. So every op that lands on a diverged switch
+//! comes from a visited step. A step that is not visited read only
+//! switches that had not diverged before it: the states it read are the
+//! last solve's, its outcome stands, and its ops are in the logs of the
+//! switches they landed on, at the place they have this solve too. A
+//! switch whose log did not diverge keeps its state from the last solve
+//! untouched. A from-scratch solve is the case where every switch joined
+//! and every step is on the worklist.
 //!
 //! **Step 3.** Each switch's LP is a **pure function** of the switch's
 //! capacity, its residents in greedy order at their minimum allocations,
@@ -50,30 +78,40 @@
 //! changed capacity, or without stored updates) runs its LP and stores
 //! the result, and a switch without residents stores nothing, so what is
 //! stored is always the last solve's. With step 3 off nothing is stored,
-//! which is why an options change drops it all. The post-LP refresh then
-//! runs only on switches whose greedy state was rebuilt or whose LP ran;
-//! any other switch already holds its result from the last solve.
+//! which is why an options change drops it all. The post-step-3
+//! assignment is kept between solves and patched: the seeds whose step
+//! changed what it placed, and the residents of switches whose greedy
+//! state was rebuilt. The post-LP refresh runs only on switches whose
+//! greedy state was rebuilt or whose LP ran; any other switch already
+//! holds its result from the last solve.
 //!
 //! **Step 4.** A seed's benefit at a candidate is a pure function of the
 //! seed's products, its post-step-3 seat (switch and allocation bits)
-//! and the candidate's post-step-3 state. Each seed keeps the seat it
-//! was scanned at last solve, its utility there and the benefits it
-//! pushed (`Scans`). A switch's post-step-3 state is the last solve's
-//! unless it was built this solve and its LP, if any, ran rather than
-//! replayed (`Switches::moved`): a switch that replays its LP output
+//! and the candidate's post-step-3 state. Each seed keeps whether it
+//! was scanned at the seat the kept assignment holds, its utility there
+//! and the benefits it pushed (`Scans`); a write that changes a seat
+//! notes the one it replaced. A switch's post-step-3 state is the last
+//! solve's unless it was built this solve and its LP, if any, ran rather
+//! than replayed (`Switches::moved`): a switch that replays its LP output
 //! is refreshed from the same residents in the same order, the same
 //! reservations and the same allocations. Step 5 changes states but
 //! logs no op, and a switch it changed is built again next solve, so
-//! what it did never reaches the next scan. A seed that is
-//! kept, at the seat it was scanned at, copies its benefits; only the
-//! positions of its candidates that moved, joined or left — found
-//! through a per-switch index of (seed, position) pairs — are evaluated
-//! again. Any other placed seed evaluates every position. The records
-//! follow [`SolveState::remap`], are dropped for seeds that are new or
-//! declared dirty, and are dropped with the slots on a subject
-//! renumbering and on an options change. The objective sums the
-//! recorded utilities where the final allocation is the scanned one,
-//! and the migration count reads the seats.
+//! what it did never reaches the next scan. Only seeds whose post-step-3
+//! seat was written this solve, or that have a candidate that moved,
+//! joined or left — found through the per-switch (seed, position) index
+//! — are scanned; every other seed's benefits are copied as a block. A
+//! kept seed at the seat it was scanned at evaluates only the positions
+//! that changed; any other placed seed evaluates every position. The
+//! records follow [`SolveState::remap`], are dropped for seeds that are
+//! new or declared dirty, and are dropped with the slots on a subject
+//! renumbering and on an options change.
+//!
+//! **Tally.** Each seed keeps the utility at its final allocation (the
+//! recorded one where that is the scanned allocation) and whether it sits
+//! off its previous seat. Both are written again for the seeds whose
+//! seat, step or allocation moved this solve or whom step 5 moved this
+//! solve or the last; the objective is their sum in seed order, as
+//! `utility_of` sums it.
 //!
 //! So the delta solve's assignment, utility bits, migration count and
 //! dropped-task list are identical to `crate::solve_heuristic` on the
@@ -116,6 +154,7 @@ struct Instruments {
     pairs_evaluated: Arc<Histogram>,
     steps_replayed: Arc<Counter>,
     steps_executed: Arc<Counter>,
+    steps_visited: Arc<Counter>,
     switches_rebuilt: Arc<Histogram>,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
@@ -131,6 +170,7 @@ impl Instruments {
             pairs_evaluated: t.histogram("solver.benefit_pairs_evaluated", PAIR_COUNT_BOUNDS),
             steps_replayed: t.counter("solver.greedy_steps_replayed"),
             steps_executed: t.counter("solver.greedy_steps_executed"),
+            steps_visited: t.counter("solver.greedy_steps_visited"),
             switches_rebuilt: t.histogram("solver.switches_rebuilt", SWITCH_COUNT_BOUNDS),
             cache_entries: t.gauge("solver.delta_cache_entries"),
             cache_bytes: t.gauge("solver.delta_cache_bytes"),
@@ -147,6 +187,91 @@ fn bits(r: &Resources) -> [u64; 4] {
     ]
 }
 
+/// One seed's slot of an assignment: its switch and allocation.
+pub(crate) type Slot = Option<(SwitchId, Resources)>;
+
+/// The post-step-3 assignment, kept between solves as each seed's
+/// switch slot (or [`NO_SEAT`]) and allocation, and what this solve
+/// changed of it.
+#[derive(Debug, Default)]
+pub(crate) struct Post {
+    at: Vec<u32>,
+    res: Vec<Resources>,
+    /// The seeds a write changed this solve, each with the slot and
+    /// allocation it had before the first such write.
+    changed: Vec<(u32, u32, Resources)>,
+    written: Vec<bool>,
+    /// Whether changes are noted: not on a full solve, which scans and
+    /// tallies every seed.
+    track: bool,
+}
+
+impl Post {
+    /// Seed `s`'s allocation, if it is placed.
+    pub(crate) fn res(&self, s: usize) -> Option<Resources> {
+        (self.at[s] != NO_SEAT).then_some(self.res[s])
+    }
+
+    /// Sets seed `s`'s switch slot and allocation, noting what they were
+    /// when the bits change.
+    pub(crate) fn write(&mut self, s: usize, v: Option<(usize, Resources)>) {
+        let (at, res) = v.map_or((NO_SEAT, Resources::ZERO), |(i, r)| (i as u32, r));
+        if self.at[s] == at && (at == NO_SEAT || bits(&self.res[s]) == bits(&res)) {
+            return;
+        }
+        if self.track && !self.written[s] {
+            self.written[s] = true;
+            self.changed.push((s as u32, self.at[s], self.res[s]));
+        }
+        (self.at[s], self.res[s]) = (at, res);
+    }
+
+    /// The assignment slot of switch slot `at` (or [`NO_SEAT`]) and `res`.
+    fn slot(at: u32, res: Resources, ids: &[SwitchId]) -> Slot {
+        (at != NO_SEAT).then(|| (ids[at as usize], res))
+    }
+
+    /// Seed `s`'s slot of the assignment.
+    pub(crate) fn get(&self, s: usize, ids: &[SwitchId]) -> Slot {
+        Post::slot(self.at[s], self.res[s], ids)
+    }
+
+    /// The whole assignment.
+    pub(crate) fn assignment(&self, ids: &[SwitchId]) -> Vec<Slot> {
+        let slot = |(&at, &res): (&u32, &Resources)| Post::slot(at, res, ids);
+        self.at.iter().zip(&self.res).map(slot).collect()
+    }
+
+    fn resize(&mut self, n: usize) {
+        self.at.resize(n, NO_SEAT);
+        self.res.resize(n, Resources::ZERO);
+        self.written.resize(n, false);
+    }
+
+    /// Starts the next solve's record of changes.
+    fn settle(&mut self) {
+        for &(s, ..) in &self.changed {
+            self.written[s as usize] = false;
+        }
+        self.changed.clear();
+        self.changed.shrink_to(64);
+    }
+
+    fn remap(&mut self, old: &[Option<usize>]) {
+        self.settle();
+        self.at = carry(&self.at, old, NO_SEAT);
+        self.res = carry(&self.res, old, Resources::ZERO);
+        self.written = vec![false; self.at.len()];
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.at)
+            + vec_bytes(&self.res)
+            + vec_bytes(&self.changed)
+            + vec_bytes(&self.written)
+    }
+}
+
 /// Bytes a `Vec` holds, by capacity.
 fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
@@ -159,17 +284,25 @@ pub struct DeltaReport {
     pub lp_switches: usize,
     /// Switches whose LP ran.
     pub frontier: usize,
-    /// Switches whose stored LP output was replayed.
+    /// Switches whose kept LP output was replayed.
     pub reused: usize,
     /// A warm solve in which no LP-bearing switch could replay.
     pub fallback_full: bool,
     /// False on the first (cold) solve of a [`SolveState`].
     pub warm: bool,
     /// Greedy steps (one per seed the pass reached) whose outcome was
-    /// copied from the last solve without a probe.
+    /// kept from the last solve without a probe, whether the pass
+    /// visited them or not.
     pub steps_replayed: usize,
     /// Greedy steps that probed their switches.
     pub steps_executed: usize,
+    /// Greedy steps the pass visited: the worklist's steps, each of
+    /// which replayed, executed or found its task already failed. Every
+    /// step on a cold solve, none in a world that did not change.
+    pub steps_visited: usize,
+    /// Visited steps of clean seeds that joined the worklist during the
+    /// pass, because an earlier step diverged a switch they read.
+    pub steps_cascaded: usize,
     /// Switches whose greedy state was rebuilt from their op log rather
     /// than kept from the last solve.
     pub switches_rebuilt: usize,
@@ -268,15 +401,40 @@ pub(crate) enum Outcome {
     Placed(usize),
 }
 
+/// A seed's step record: the slot its step went to, with [`HOME`] set
+/// for a home stay; or [`FAILED`]; or [`NOT_RUN`] when its task failed
+/// before it (or it never ran).
+const NOT_RUN: u32 = u32::MAX;
+const FAILED: u32 = u32::MAX - 1;
+const HOME: u32 = 1 << 31;
+
+fn record_of(o: Outcome) -> u32 {
+    match o {
+        Outcome::Fail => FAILED,
+        Outcome::Home(i) => i as u32 | HOME,
+        Outcome::Placed(i) => i as u32,
+    }
+}
+
+/// The slot a record's step went to, and whether it stayed home.
+fn landing(r: u32) -> Option<(usize, bool)> {
+    match r {
+        NOT_RUN | FAILED => None,
+        r => Some(((r & !HOME) as usize, r & HOME != 0)),
+    }
+}
+
 /// Per-seed flags: the products are current,
 const KNOWN: u8 = 1;
 /// the seed has a feasible allocation,
 const FEASIBLE: u8 = 2;
 /// the products are the last solve's (not new, not declared dirty),
 const KEPT: u8 = 4;
-/// its step may replay (products and previous seat as last solve),
+/// its ops match its logged ones (products and previous seat as last
+/// solve),
 const CLEAN: u8 = 8;
-/// and, transiently, the previous placement names it.
+/// and the previous placement named it in a solve of the parity this bit
+/// has (see [`Seeds::seat_previous`]).
 const SEEN: u8 = 16;
 
 /// [`Seeds::seat_slot`] of a seed without a previous seat.
@@ -297,7 +455,14 @@ pub(crate) struct Seeds {
     /// the allocation — as of the current (or last) solve.
     seat_slot: Vec<u32>,
     seat_res: Vec<Resources>,
+    /// Seeds with a seat.
+    seated: usize,
     flags: Vec<u8>,
+    /// Seeds that are not `KNOWN`: declared dirty, or new.
+    unknown: Vec<u32>,
+    /// This solve's seeds that are not `CLEAN`; they are clean again at
+    /// the start of the next one unless something else says otherwise.
+    unclean: Vec<u32>,
 }
 
 impl Seeds {
@@ -339,27 +504,54 @@ impl Seeds {
         self.flags.len()
     }
 
-    /// Brings the products up to `instance`: seeds not known (new, or
-    /// declared dirty) get theirs computed, and start unclean. Returns
-    /// true when the subject ids had to be renumbered.
-    fn update(&mut self, instance: &PlacementInstance) -> bool {
+    /// The seed's ops no longer match its logged ones.
+    fn soil(&mut self, s: usize) {
+        if self.flags[s] & CLEAN != 0 {
+            self.flags[s] &= !CLEAN;
+            self.unclean.push(s as u32);
+        }
+    }
+
+    /// The seed's products are stale.
+    fn forget(&mut self, s: usize) {
+        if self.flags[s] & KNOWN != 0 {
+            self.flags[s] &= !KNOWN;
+            self.unknown.push(s as u32);
+        }
+    }
+
+    /// Brings the products up to `instance`: the last solve's unclean
+    /// seeds are clean again, and seeds not known (new, or declared
+    /// dirty) get theirs computed and start unclean. Returns the seeds
+    /// computed, ascending, and whether the subject ids had to be
+    /// renumbered.
+    fn update(&mut self, instance: &PlacementInstance) -> (Vec<u32>, bool) {
         let n = instance.seeds.len();
+        let len = self.len();
         self.flags.resize(n, 0);
         self.min_res.resize(n, Resources::ZERO);
         self.min_u.resize(n, 0.0);
         self.seat_slot.resize(n, NO_SEAT);
         self.seat_res.resize(n, Resources::ZERO);
-        for f in &mut self.flags {
-            *f = if *f & KNOWN != 0 {
-                *f & FEASIBLE | KNOWN | KEPT | CLEAN
-            } else {
-                0
-            };
+        self.unknown.extend(len as u32..n as u32);
+        for s in std::mem::take(&mut self.unclean) {
+            let flags = &mut self.flags[s as usize];
+            if *flags & KNOWN != 0 {
+                *flags |= KEPT | CLEAN;
+            }
         }
-        let unknown = |s: usize| self.flags[s] & KNOWN == 0;
+        let mut fresh = std::mem::take(&mut self.unknown);
+        fresh.sort_unstable();
+        fresh.dedup();
+        fresh.retain(|&s| (s as usize) < n && self.flags[s as usize] & KNOWN == 0);
+        if fresh.is_empty() {
+            return (fresh, false);
+        }
         let span = |s: usize| self.at[s] as usize..self.at[s + 1] as usize;
         let in_place = self.at.len() == n + 1
-            && (0..n).all(|s| !unknown(s) || span(s).len() == instance.seeds[s].polls.len());
+            && fresh
+                .iter()
+                .all(|&s| span(s as usize).len() == instance.seeds[s as usize].polls.len());
         if !in_place {
             // Lay the ids out afresh: known seeds keep theirs, the others
             // get room for theirs.
@@ -367,7 +559,7 @@ impl Seeds {
             let (mut at, mut ids) = (Vec::with_capacity(n + 1), Vec::with_capacity(polls));
             at.push(0);
             for (s, seed) in instance.seeds.iter().enumerate() {
-                if unknown(s) {
+                if self.flags[s] & KNOWN == 0 {
                     ids.resize(ids.len() + seed.polls.len(), 0);
                 } else {
                     ids.extend_from_slice(&self.ids[span(s)]);
@@ -376,22 +568,21 @@ impl Seeds {
             }
             (self.at, self.ids) = (at, ids);
         }
-        for (s, seed) in instance.seeds.iter().enumerate() {
-            if self.flags[s] & KNOWN != 0 {
-                continue;
-            }
+        for &s in &fresh {
+            let (s, seed) = (s as usize, &instance.seeds[s as usize]);
             let ids = &mut self.ids[self.at[s] as usize..self.at[s + 1] as usize];
             for (id, p) in ids.iter_mut().zip(&seed.polls) {
                 *id = self.subjects.intern(&p.subject);
             }
-            self.flags[s] = KNOWN;
+            self.flags[s] = KNOWN | self.flags[s] & SEEN;
+            self.unclean.push(s as u32);
             if let Some((res, u)) = seed.util.min_feasible() {
                 (self.min_res[s], self.min_u[s]) = (res, u);
                 self.flags[s] |= FEASIBLE;
             }
         }
         if first_seen(&self.ids) {
-            return false;
+            return (fresh, false);
         }
         // Ids from an older numbering (a subject no seed polls any more,
         // or a new one seen before an older one): number afresh.
@@ -405,42 +596,60 @@ impl Seeds {
                 *id = fresh;
             }
         }
-        moved
+        (fresh, moved)
     }
 
-    /// Takes this solve's previous seats from the instance. A seed whose
-    /// seat differs in any bit from the last solve's is not clean.
-    fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches) {
+    /// Takes this solve's previous seats from the instance (`solve`
+    /// numbers the solve). A seed whose seat differs in any bit from the
+    /// last solve's is not clean, and the switches it left and took
+    /// rewrite their reserve sections. A seed the previous placement no
+    /// longer names loses its seat; every seated seed was named last
+    /// solve, so one not named now is one whose `SEEN` bit is not this
+    /// solve's parity.
+    fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches, solve: u32) {
+        let parity = if solve.is_multiple_of(2) { SEEN } else { 0 };
+        let mut still = 0;
+        let mut seated = self.seated;
         if let Some(prev) = &instance.previous {
             for (&s, &(n, res)) in &prev.assignment {
-                let Some(flags) = self.flags.get_mut(s) else {
+                if s >= self.len() {
                     continue;
-                };
-                *flags |= SEEN;
+                }
+                self.flags[s] = self.flags[s] & !SEEN | parity;
                 let slot = self.seat_slot[s];
+                still += usize::from(slot != NO_SEAT);
                 let same = slot != NO_SEAT
                     && switches.ids[slot as usize] == n
                     && bits(&self.seat_res[s]) == bits(&res);
                 if !same {
-                    *flags &= !CLEAN;
-                    self.seat_slot[s] = switches.slot(n) as u32;
+                    self.soil(s);
+                    let to = switches.slot(n);
+                    switches.move_seat(s, (slot != NO_SEAT).then_some(slot as usize), Some(to));
+                    seated += usize::from(slot == NO_SEAT);
+                    self.seat_slot[s] = to as u32;
                     self.seat_res[s] = res;
                 }
             }
         }
-        for (flags, slot) in self.flags.iter_mut().zip(&mut self.seat_slot) {
-            if *flags & SEEN == 0 && *slot != NO_SEAT {
-                *flags &= !CLEAN;
-                *slot = NO_SEAT;
+        if still < self.seated {
+            // Some seat is no longer in the previous placement.
+            for s in 0..self.len() {
+                let slot = self.seat_slot[s];
+                if slot != NO_SEAT && self.flags[s] & SEEN != parity {
+                    self.soil(s);
+                    switches.move_seat(s, Some(slot as usize), None);
+                    self.seat_slot[s] = NO_SEAT;
+                    seated -= 1;
+                }
             }
-            *flags &= !SEEN;
         }
+        self.seated = seated;
     }
 
     /// Moves every seed to its new index (`src[new] = Some(old)`).
     fn remap(&mut self, src: &[Option<usize>]) {
         let old: Vec<Option<usize>> = src.iter().map(|o| o.filter(|&o| o < self.len())).collect();
-        let kept = |o: &Option<usize>| o.map_or(0, |o| self.flags[o] & (KNOWN | FEASIBLE));
+        let kept = |o: &Option<usize>| o.map_or(0, |o| self.flags[o] & (KNOWN | FEASIBLE | SEEN));
         let flags: Vec<u8> = old.iter().map(kept).collect();
         let (mut at, mut ids) = (vec![0], Vec::with_capacity(self.ids.len()));
         for (new, o) in old.iter().enumerate() {
@@ -454,6 +663,13 @@ impl Seeds {
         self.min_u = carry(&self.min_u, &old, 0.0);
         self.seat_slot = carry(&self.seat_slot, &old, NO_SEAT);
         self.seat_res = carry(&self.seat_res, &old, Resources::ZERO);
+        self.seated = self.seat_slot.iter().filter(|&&s| s != NO_SEAT).count();
+        // Every seed starts unclean; the known ones are clean again at
+        // the next solve.
+        self.unclean = (0..flags.len() as u32).collect();
+        self.unknown = (0..flags.len() as u32)
+            .filter(|&s| flags[s as usize] & KNOWN == 0)
+            .collect();
         (self.flags, self.at, self.ids) = (flags, at, ids);
     }
 
@@ -466,6 +682,8 @@ impl Seeds {
             + vec_bytes(&self.seat_slot)
             + vec_bytes(&self.seat_res)
             + vec_bytes(&self.flags)
+            + vec_bytes(&self.unknown)
+            + vec_bytes(&self.unclean)
     }
 }
 
@@ -489,18 +707,355 @@ fn first_seen(ids: &[u32]) -> bool {
     true
 }
 
+/// [`Order::step_of`] of a seed that is in no task's list.
+const NO_STEP: u32 = u32::MAX;
+
+/// One task's run of steps in [`Order::steps`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Its index in the instance's task list.
+    task: u32,
+    start: u32,
+    end: u32,
+    /// Its step-1 key, to the bit.
+    key: u64,
+    /// Its first failed step, or `end`: the steps before it placed their
+    /// seeds, and those after it did not run.
+    fail: u32,
+    /// The task was dropped last solve, so its seeds' post-step-3 slots
+    /// are empty.
+    dropped: bool,
+}
+
+/// The sort key of an op in the pass: the reserve section by seed, then
+/// step `k`'s release and place, then the close of a task that ends
+/// before step `end`.
+fn step_key(k: usize) -> u64 {
+    (2 * k as u64 + 1) << 32
+}
+
+fn close_key(end: usize) -> u64 {
+    (2 * end as u64) << 32
+}
+
+/// Step 1 as the last solve left it: the greedy's steps in order, task by
+/// task, and where each seed's step is.
+#[derive(Debug, Default)]
+struct Order {
+    /// The seeds in step order.
+    steps: Vec<u32>,
+    /// Each run's task's seed list as the instance gave it, at the run's
+    /// place.
+    members: Vec<usize>,
+    /// Each seed's step, or [`NO_STEP`].
+    step_of: Vec<u32>,
+    runs: Vec<Run>,
+    /// Some seed has more than one step, and so one record for two: the
+    /// next solve starts over.
+    repeats: bool,
+}
+
+/// What [`Order::update`] found.
+#[derive(Debug, Default)]
+struct Reorder {
+    /// The steps that stayed did not keep their order, or their tasks:
+    /// every log starts over and every step is visited.
+    scrambled: bool,
+    /// Steps that go on the worklist: new in the order, or of a task
+    /// whose failed step went away.
+    pending: Vec<usize>,
+    /// Seeds whose step went away.
+    gone: Vec<u32>,
+    /// Slots holding a close that can no longer be derived again.
+    closes: Vec<usize>,
+}
+
+impl Order {
+    /// The run of step `k`.
+    fn run_of(&self, k: usize) -> usize {
+        self.runs.partition_point(|r| (r.end as usize) <= k)
+    }
+
+    /// The op's sort key in this order, or `None` when its seed has no
+    /// step for it.
+    fn key(&self, op: Op) -> Option<u64> {
+        let s = op.seed();
+        let kind = op.kind() as u64;
+        if op.kind() == OpKind::Reserve {
+            return Some((s as u64) << 3);
+        }
+        let k = *self.step_of.get(s)?;
+        if k == NO_STEP {
+            return None;
+        }
+        Some(match op.kind() {
+            OpKind::Release | OpKind::Place => step_key(k as usize) | kind,
+            _ => {
+                let end = self.runs[self.run_of(k as usize)].end as usize;
+                close_key(end) | (k as u64) << 3 | kind
+            }
+        })
+    }
+
+    /// Brings the order up to `instance`. When every task with seeds
+    /// lists the seeds of its run and none of them is in `fresh` (new or
+    /// dirty), or derives the same key and steps again, the order stays.
+    /// Otherwise it is laid out again, and compared with the old one:
+    /// when the steps that stayed kept their order and their tasks, the
+    /// new ones go on the worklist and each task keeps its fail point
+    /// (`outcome` holds the records); when not, the order is scrambled.
+    fn update(
+        &mut self,
+        instance: &PlacementInstance,
+        seeds: &Seeds,
+        fresh: &[u32],
+        outcome: &[u32],
+    ) -> Reorder {
+        let n = instance.seeds.len();
+        self.step_of.resize(n, NO_STEP);
+        let mut redo = vec![false; self.runs.len()];
+        for &s in fresh {
+            let k = self.step_of[s as usize];
+            if k != NO_STEP {
+                redo[self.run_of(k as usize)] = true;
+            }
+        }
+        let min_u = |&s: &usize| seeds.min_alloc(s).map_or(0.0, |(_, u)| u);
+        let key = |t: usize| -> f64 { instance.tasks[t].seeds.iter().map(min_u).sum() };
+        let sorted = |t: usize| {
+            let mut ids = instance.tasks[t].seeds.clone();
+            ids.sort_by_key(|&s| instance.seeds[s].candidates.len());
+            ids
+        };
+        // The run of a task that lists the same seeds as it did, and
+        // whether none of them is new or dirty (its key and steps stand).
+        let runs: Vec<Option<(Run, bool)>> = instance
+            .tasks
+            .iter()
+            .map(|task| {
+                let k = *self.step_of.get(*task.seeds.first()?)?;
+                let r = (k != NO_STEP).then(|| self.run_of(k as usize))?;
+                let run = self.runs[r];
+                let members = &self.members[run.start as usize..run.end as usize];
+                (members == &task.seeds[..]).then_some((run, !redo[r]))
+            })
+            .collect();
+        // The order stays when every task with seeds keeps its run in its
+        // place, deriving the same key and steps where a seed changed.
+        let busy = instance.tasks.iter().filter(|t| !t.seeds.is_empty());
+        let mut same = busy.count() == self.runs.len();
+        for (t, task) in instance.tasks.iter().enumerate() {
+            if !same || task.seeds.is_empty() {
+                continue;
+            }
+            same = match runs[t] {
+                Some((run, kept)) if run.task as usize == t => {
+                    let steps = &self.steps[run.start as usize..run.end as usize];
+                    kept || run.key == key(t).to_bits()
+                        && steps.iter().zip(sorted(t)).all(|(&a, b)| a as usize == b)
+                }
+                _ => false,
+            };
+        }
+        let mut re = Reorder::default();
+        if same {
+            // Same steps in the same places: the new and dirty seeds'
+            // steps go on the worklist as unclean ones.
+            return re;
+        }
+        // Lay the order out again: a kept run keeps its key and steps.
+        let kept = |t: usize| runs[t].filter(|r| r.1).map(|r| r.0);
+        let keys: Vec<f64> = (0..instance.tasks.len())
+            .map(|t| kept(t).map_or_else(|| key(t), |run| f64::from_bits(run.key)))
+            .collect();
+        let mut tasks: Vec<usize> = (0..instance.tasks.len()).collect();
+        tasks.sort_by(|&a, &b| {
+            keys[b]
+                .partial_cmp(&keys[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let old_step_of = std::mem::replace(&mut self.step_of, vec![NO_STEP; n]);
+        let old_steps = std::mem::take(&mut self.steps);
+        let old_runs = std::mem::take(&mut self.runs);
+        (self.members, self.repeats) = (Vec::new(), false);
+        for t in tasks {
+            if instance.tasks[t].seeds.is_empty() {
+                continue;
+            }
+            let start = self.steps.len() as u32;
+            let ids: Vec<usize> = match kept(t) {
+                Some(run) => old_steps[run.start as usize..run.end as usize]
+                    .iter()
+                    .map(|&s| s as usize)
+                    .collect(),
+                None => sorted(t),
+            };
+            for s in ids {
+                self.repeats |= self.step_of[s] != NO_STEP;
+                self.step_of[s] = self.steps.len() as u32;
+                self.steps.push(s as u32);
+            }
+            self.members.extend_from_slice(&instance.tasks[t].seeds);
+            let end = self.steps.len() as u32;
+            let (task, key) = (t as u32, keys[t].to_bits());
+            let (fail, dropped) = (end, false);
+            self.runs.push(Run {
+                task,
+                start,
+                end,
+                key,
+                fail,
+                dropped,
+            });
+        }
+        self.steps.shrink_to_fit();
+        self.members.shrink_to_fit();
+        re.gone = (0..n.min(old_step_of.len()))
+            .filter(|&s| old_step_of[s] != NO_STEP && self.step_of[s] == NO_STEP)
+            .map(|s| s as u32)
+            .collect();
+        // The steps that stayed: in their old order, each old run's in
+        // one new run and each new run's from one old run?
+        let mut from = vec![None; self.runs.len()];
+        let mut to = vec![None; old_runs.len()];
+        let (mut last, mut ro) = (None, 0);
+        'steps: for (rn, run) in self.runs.iter().enumerate() {
+            for k in run.start as usize..run.end as usize {
+                let ko = old_step_of.get(self.steps[k] as usize).copied();
+                let Some(ko) = ko.filter(|&ko| ko != NO_STEP) else {
+                    re.pending.push(k);
+                    continue;
+                };
+                if last >= Some(ko) {
+                    re.scrambled = true;
+                    break 'steps;
+                }
+                while old_runs[ro].end <= ko {
+                    ro += 1;
+                }
+                re.scrambled |=
+                    *from[rn].get_or_insert(ro) != ro || *to[ro].get_or_insert(rn) != rn;
+                last = Some(ko);
+            }
+        }
+        if re.scrambled {
+            return re;
+        }
+        // Each task keeps its fail point where its failed step stayed;
+        // where that step went, the close it left is checked from op 0
+        // and the steps it stopped run.
+        for (rn, run) in self.runs.iter_mut().enumerate() {
+            let Some(old) = from[rn].map(|ro| old_runs[ro]) else {
+                continue;
+            };
+            run.dropped = old.dropped;
+            if old.fail == old.end {
+                continue;
+            }
+            let failed = old_steps[old.fail as usize] as usize;
+            match self.step_of.get(failed) {
+                Some(&k) if k != NO_STEP => run.fail = k,
+                _ => {
+                    for &s in &old_steps[old.start as usize..old.fail as usize] {
+                        let rec = outcome.get(s as usize).copied().unwrap_or(NOT_RUN);
+                        re.closes.extend(landing(rec).map(|(i, _)| i));
+                    }
+                    re.pending.extend(run.start as usize..run.end as usize);
+                }
+            }
+        }
+        re
+    }
+
+    /// Moves every seed to its new index (`map[old] = Some(new)`,
+    /// `src[new] = Some(old)`). A task that lost a seed is derived again.
+    fn remap(&mut self, map: &[Option<usize>], src: &[Option<usize>]) {
+        let new = |s: usize| map.get(s).copied().flatten();
+        let old: Vec<Option<usize>> = src
+            .iter()
+            .map(|o| o.filter(|&o| o < self.step_of.len()))
+            .collect();
+        self.step_of = carry(&self.step_of, &old, NO_STEP);
+        for (s, m) in self.steps.iter_mut().zip(&mut self.members) {
+            // A dropped seed leaves a seed id no task lists, so the run no
+            // longer matches its task.
+            *s = new(*s as usize).map_or(u32::MAX, |n| n as u32);
+            *m = new(*m).unwrap_or(usize::MAX);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.steps)
+            + vec_bytes(&self.members)
+            + vec_bytes(&self.step_of)
+            + vec_bytes(&self.runs)
+    }
+}
+
+/// The greedy's worklist: pending steps, one bit each, walked by
+/// ascending step.
+#[derive(Debug, Default)]
+struct Pending {
+    words: Vec<u64>,
+}
+
+impl Pending {
+    fn reset(&mut self, steps: usize) {
+        self.words.clear();
+        self.words.resize(steps.div_ceil(64), 0);
+    }
+
+    fn set(&mut self, k: usize) {
+        self.words[k / 64] |= 1 << (k % 64);
+    }
+
+    fn has(&self, k: usize) -> bool {
+        self.words[k / 64] & 1 << (k % 64) != 0
+    }
+
+    /// Sets steps `from..to`.
+    fn set_range(&mut self, from: usize, to: usize) {
+        for k in from..to {
+            self.set(k);
+        }
+    }
+
+    /// The first pending step in `from..to`, taken off the list.
+    fn take(&mut self, from: usize, to: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.words.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                let k = w * 64 + word.trailing_zeros() as usize;
+                if k >= to {
+                    return None;
+                }
+                self.words[w] &= !(1 << (k % 64));
+                return Some(k);
+            }
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            word = self.words[w];
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        vec_bytes(&self.words)
+    }
+}
+
 /// Where a switch stands in the current solve's greedy pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Not in this round.
     Absent,
-    /// Every op so far matched the log (after step 2: the whole log);
-    /// the state is not built.
+    /// Its log has not diverged; the state is not built.
     Clean,
-    /// Every op so far matched the log (after step 2: the whole log);
-    /// the state is built at that prefix.
+    /// Its log has not diverged; the state is built up to `cursor`.
     Live,
-    /// The ops departed from the log, which now holds this solve's ops;
+    /// Its ops departed from the log, which now holds this solve's ops;
     /// the state is built.
     Diverged,
 }
@@ -514,33 +1069,45 @@ pub(crate) struct Switches {
     pub(crate) ids: Vec<SwitchId>,
     pub(crate) states: Vec<SwitchState>,
     logs: Vec<Vec<Op>>,
-    /// The updates `(seed, allocation)` each switch's LP produced last
-    /// solve, over the state its log then built. See
-    /// [`Switches::replays_lp`].
-    pub(crate) lp: Vec<Option<Vec<(usize, Resources)>>>,
+    /// Whether the switch's residents hold, in the post-step-3
+    /// assignment, the allocations its LP gave them over the state its
+    /// log built last solve. See [`Switches::replays_lp`].
+    lp: Vec<bool>,
+    /// Switches whose `lp` is set.
+    lp_count: usize,
     /// Where this solve's ops left the last solve's log, and the ops of
     /// that log they replaced; until step 3 has compared what each log
     /// leaves on the switch.
     prior: Vec<Option<(u32, Vec<Op>)>>,
     /// `states[i]` is the state after step 3 of the ops in `logs[i]`.
     settled: Vec<bool>,
+    /// Slots whose `settled` went false since the last solve began.
+    unsettled: Vec<usize>,
     mode: Vec<Mode>,
-    /// Ops matched so far this solve, while `Clean` or `Live`.
+    /// Ops of the log applied to a `Live` state.
     cursor: Vec<u32>,
-    /// This solve built the state instead of keeping the settled one.
+    /// This solve built the state instead of keeping the settled one;
+    /// the slot is in `active`.
     pub(crate) touched: Vec<bool>,
+    /// The slots touched this solve.
+    pub(crate) active: Vec<usize>,
     /// After step 3, the state may differ from the last solve's after
     /// step 3: it was built, and its LP, if any, ran rather than
     /// replayed. (One that replayed its LP is refreshed from the same
     /// residents, reservations and allocations as last solve.)
     pub(crate) moved: Vec<bool>,
-    /// In this round but not the last.
-    joined: Vec<bool>,
-    any_joined: bool,
     /// In the last round but not this one.
     pub(crate) left: Vec<usize>,
-    /// The round's slots by ascending switch id.
-    pub(crate) order: Vec<usize>,
+    gone: Vec<bool>,
+    /// Slots whose log starts over this solve: joined, changed capacity,
+    /// or a reserve section that changed. See [`Memo::reserve`].
+    restarted: Vec<usize>,
+    /// This solve's `(slot, seed)` seats that were not last solve's.
+    arrivals: Vec<(u32, u32)>,
+    /// Slots whose log a remap dropped: they start over at op 0.
+    forgot: Vec<usize>,
+    /// The instance's switch list as the last solve saw it.
+    last: Vec<(SwitchId, Resources)>,
 }
 
 impl Switches {
@@ -551,38 +1118,36 @@ impl Switches {
     pub(crate) fn round(&mut self, states: Vec<(SwitchId, SwitchState, bool)>) {
         let was: Vec<bool> = (0..self.ids.len()).map(|i| self.is_present(i)).collect();
         self.mode.fill(Mode::Absent);
+        self.active.clear();
         for (n, st, changed) in states {
             let i = self.slot(n);
             self.states[i] = st;
             self.mode[i] = Mode::Diverged;
-            self.joined[i] = !was.get(i).copied().unwrap_or(false);
-            self.moved[i] = changed || self.joined[i];
+            let joined = !was.get(i).copied().unwrap_or(false);
+            self.moved[i] = changed || joined;
+            self.active.push(i);
         }
         self.left = (0..was.len())
             .filter(|&i| was[i] && !self.is_present(i))
             .collect();
-        self.order = (0..self.ids.len())
-            .filter(|&i| self.is_present(i))
-            .collect();
-        self.order.sort_unstable_by_key(|&i| self.ids[i]);
     }
 
     /// The switch's slot, allocated (not in the round) on first sight.
-    fn slot(&mut self, n: SwitchId) -> usize {
+    pub(crate) fn slot(&mut self, n: SwitchId) -> usize {
         let next = self.ids.len() as u32;
         let i = *self.slot_of.entry(n).or_insert(next) as usize;
         if i == self.ids.len() {
             self.ids.push(n);
             self.states.push(SwitchState::new(Resources::ZERO));
             self.logs.push(Vec::new());
-            self.lp.push(None);
+            self.lp.push(false);
             self.prior.push(None);
             self.settled.push(false);
             self.mode.push(Mode::Absent);
             self.cursor.push(0);
             self.touched.push(false);
             self.moved.push(false);
-            self.joined.push(false);
+            self.gone.push(false);
         }
         i
     }
@@ -597,69 +1162,136 @@ impl Switches {
         self.is_present(i).then_some(i)
     }
 
-    /// Op count of a switch still at a prefix of its log; `None` once it
-    /// diverged or when it is not in the round.
-    fn prefix(&self, i: usize) -> Option<u32> {
-        matches!(self.mode[i], Mode::Clean | Mode::Live).then_some(self.cursor[i])
-    }
-
-    fn joined(&self, n: SwitchId) -> bool {
+    /// Whether what a step reads of switch `n` may differ from the last
+    /// solve at this point of the pass: it diverged before, joined, or
+    /// left.
+    fn changed(&self, n: SwitchId) -> bool {
         self.slot_of
             .get(&n)
-            .is_some_and(|&i| self.joined[i as usize])
+            .is_some_and(|&i| self.changed_slot(i as usize))
+    }
+
+    fn changed_slot(&self, i: usize) -> bool {
+        self.mode[i] == Mode::Diverged || self.gone[i]
+    }
+
+    /// Marks slot `i` built this solve.
+    fn touch(&mut self, i: usize) {
+        if !self.touched[i] {
+            self.touched[i] = true;
+            self.active.push(i);
+        }
+    }
+
+    /// Sets whether switch `i`'s residents hold its LP's output.
+    pub(crate) fn set_lp(&mut self, i: usize, lp: bool) {
+        self.lp_count = self.lp_count + usize::from(lp) - usize::from(self.lp[i]);
+        self.lp[i] = lp;
+    }
+
+    /// Switches whose residents hold their LP's output.
+    pub(crate) fn lp_count(&self) -> usize {
+        self.lp_count
+    }
+
+    /// Moves seed `s`'s previous seat from slot `from` to slot `to`:
+    /// both rewrite their reserve sections.
+    fn move_seat(&mut self, s: usize, from: Option<usize>, to: Option<usize>) {
+        if let Some(i) = from {
+            self.restart(i);
+        }
+        if let Some(i) = to {
+            // A switch without its last log walks the seeds instead.
+            if self.mode[i] == Mode::Clean || self.prior[i].is_some() {
+                self.arrivals.push((i as u32, s as u32));
+            }
+            self.restart(i);
+        }
+    }
+
+    /// Switch `i`'s ops depart from its log at op 0: the whole log goes
+    /// to `prior`, and its reserve section is written again.
+    fn restart(&mut self, i: usize) {
+        if self.mode[i] != Mode::Clean {
+            return;
+        }
+        let log = std::mem::take(&mut self.logs[i]);
+        self.prior[i] = Some((0, log));
+        let st = &mut self.states[i];
+        st.reset(st.ares);
+        self.mode[i] = Mode::Diverged;
+        self.restarted.push(i);
+        self.touch(i);
     }
 
     /// Starts a solve over the instance's switches. One whose capacity
-    /// bits and presence match the last solve starts `Clean` at op 0;
-    /// one that joined, or changed capacity, has diverged from op 0.
+    /// bits and presence match the last solve starts `Clean`; one that
+    /// joined, or changed capacity, starts over at op 0.
     fn begin(&mut self, instance: &PlacementInstance) {
-        // Until the last loop, `joined` says whether a slot was in the
+        for k in 0..self.active.len() {
+            let i = self.active[k];
+            (self.touched[i], self.moved[i], self.cursor[i]) = (false, false, 0);
+            if self.mode[i] != Mode::Absent {
+                self.mode[i] = Mode::Clean;
+            }
+        }
+        self.active.clear();
+        for &i in &self.left {
+            self.gone[i] = false;
+        }
+        self.left.clear();
+        self.restarted.clear();
+        let same = self.last.len() == instance.switches.len()
+            && self
+                .last
+                .iter()
+                .zip(&instance.switches)
+                .all(|(a, b)| a.0 == b.0 && bits(&a.1) == bits(&b.1));
+        if same {
+            return;
+        }
+        self.last.clone_from(&instance.switches);
+        // Until the last loop, `moved` says whether a slot was in the
         // last round and `touched` whether it is in this one.
         for i in 0..self.ids.len() {
-            self.joined[i] = self.is_present(i);
-            self.touched[i] = false;
-            self.moved[i] = false;
+            self.moved[i] = self.is_present(i);
             self.mode[i] = Mode::Absent;
         }
         for (n, ares) in &instance.switches {
             let i = self.slot(*n);
-            let same = self.joined[i] && bits(&self.states[i].ares) == bits(ares);
+            let same = self.moved[i] && bits(&self.states[i].ares) == bits(ares);
             // A switch listed twice takes its last capacity, from op 0.
             self.mode[i] = if same && !self.touched[i] {
                 Mode::Clean
             } else {
                 self.logs[i].clear();
                 self.states[i].reset(*ares);
+                self.prior[i] = None;
                 self.settled[i] = false;
                 Mode::Diverged
             };
             self.touched[i] = true;
-            self.cursor[i] = 0;
         }
-        self.any_joined = false;
-        self.left.clear();
-        let mut reorder = false;
         for i in 0..self.ids.len() {
-            let (was, now) = (self.joined[i], self.touched[i]);
+            let (was, now) = (self.moved[i], self.touched[i]);
             if was && !now {
                 self.logs[i] = Vec::new();
-                self.lp[i] = None;
+                self.set_lp(i, false);
                 self.states[i] = SwitchState::new(Resources::ZERO);
                 self.settled[i] = false;
+                self.gone[i] = true;
                 self.left.push(i);
             }
-            self.joined[i] = now && !was;
-            self.any_joined |= self.joined[i];
-            reorder |= now != was;
-            self.touched[i] = false;
+            if now && self.mode[i] == Mode::Diverged {
+                self.restarted.push(i);
+            }
+            (self.touched[i], self.moved[i]) = (false, false);
         }
-        if reorder {
-            self.order = (0..self.ids.len())
-                .filter(|&i| self.is_present(i))
-                .collect();
-            self.order.sort_unstable_by_key(|&i| self.ids[i]);
-            self.shrink();
+        for k in 0..self.restarted.len() {
+            let i = self.restarted[k];
+            self.touch(i);
         }
+        self.shrink();
     }
 
     /// Gives back the slot vectors' spare capacity.
@@ -674,88 +1306,105 @@ impl Switches {
         self.cursor.shrink_to_fit();
         self.touched.shrink_to_fit();
         self.moved.shrink_to_fit();
-        self.joined.shrink_to_fit();
+        self.gone.shrink_to_fit();
     }
 
-    /// Builds the state of a `Clean` switch at its matched prefix.
-    fn materialize(&mut self, i: usize, seeds: &Seeds, instance: &PlacementInstance) {
-        if self.mode[i] != Mode::Clean {
-            return;
-        }
-        self.mode[i] = Mode::Live;
-        let st = &mut self.states[i];
-        st.reset(st.ares);
-        for &op in &self.logs[i][..self.cursor[i] as usize] {
-            apply(st, op, seeds, instance);
-        }
-    }
-
-    /// Appends `op` to switch `i`'s ops this solve.
-    fn emit(&mut self, i: usize, op: Op, seeds: &Seeds, instance: &PlacementInstance) {
-        debug_assert!(self.is_present(i));
-        if let Some(at) = self.prefix(i) {
-            let at = at as usize;
-            if self.logs[i].get(at) == Some(&op) && seeds.clean(op.seed()) {
-                self.cursor[i] += 1;
-                if self.mode[i] == Mode::Live {
-                    apply(&mut self.states[i], op, seeds, instance);
-                }
-                return;
+    /// Builds the state of an undiverged switch up to the ops before
+    /// `key`.
+    fn materialize(
+        &mut self,
+        i: usize,
+        key: u64,
+        order: &Order,
+        seeds: &Seeds,
+        instance: &PlacementInstance,
+    ) {
+        match self.mode[i] {
+            Mode::Clean => {
+                self.mode[i] = Mode::Live;
+                let st = &mut self.states[i];
+                st.reset(st.ares);
+                self.cursor[i] = 0;
+                self.touch(i);
             }
-            self.materialize(i, seeds, instance);
-            self.diverge(i, at);
+            Mode::Live => {}
+            _ => return,
         }
-        self.logs[i].push(op);
-        apply(&mut self.states[i], op, seeds, instance);
+        let log = &self.logs[i];
+        let mut at = self.cursor[i] as usize;
+        while at < log.len() && (key == u64::MAX || order.key(log[at]).is_some_and(|k| k < key)) {
+            apply(&mut self.states[i], log[at], seeds, instance);
+            at += 1;
+        }
+        self.cursor[i] = at as u32;
     }
 
-    /// Switch `i`'s ops left its log after `at` matched: the rest of the
-    /// log goes to `prior`.
-    fn diverge(&mut self, i: usize, at: usize) {
+    /// Switch `i`'s ops depart from its log at `key`: the log's ops from
+    /// there on go to `prior`. Returns false when it had diverged already.
+    fn diverge(
+        &mut self,
+        i: usize,
+        key: u64,
+        order: &Order,
+        seeds: &Seeds,
+        instance: &PlacementInstance,
+    ) -> bool {
+        if !matches!(self.mode[i], Mode::Clean | Mode::Live) {
+            return false;
+        }
+        self.materialize(i, key, order, seeds, instance);
+        let at = self.cursor[i] as usize;
         let tail = self.logs[i].split_off(at);
         self.prior[i] = Some((at as u32, tail));
         self.mode[i] = Mode::Diverged;
+        true
+    }
+
+    /// Appends `op` to the log of switch `i`, if it has diverged: an
+    /// undiverged log holds it already.
+    fn emit(&mut self, i: usize, op: Op, seeds: &Seeds, instance: &PlacementInstance) {
+        if self.mode[i] == Mode::Diverged {
+            self.logs[i].push(op);
+            apply(&mut self.states[i], op, seeds, instance);
+        }
     }
 
     /// Ends step 2: every switch of the round holds its greedy state.
-    /// One whose whole log matched keeps its settled state; the others
-    /// are built (where not already) and marked touched, and one whose
-    /// ops stopped short of its log has diverged. Returns how many were
-    /// built.
-    pub(crate) fn settle_greedy(&mut self, seeds: &Seeds, instance: &PlacementInstance) -> usize {
-        let mut rebuilt = 0;
-        for k in 0..self.order.len() {
-            let i = self.order[k];
-            if let Some(at) = self.prefix(i) {
-                let whole = at as usize == self.logs[i].len();
-                if whole && self.mode[i] == Mode::Clean && self.settled[i] {
-                    continue;
-                }
-                self.materialize(i, seeds, instance);
-                if !whole {
-                    self.diverge(i, at as usize);
-                }
+    /// One whose log did not diverge and whose state is settled keeps it;
+    /// the others are built (where not already) and marked moved.
+    /// Returns how many were built.
+    fn settle_greedy(
+        &mut self,
+        order: &Order,
+        seeds: &Seeds,
+        instance: &PlacementInstance,
+    ) -> usize {
+        for i in std::mem::take(&mut self.unsettled) {
+            if self.is_present(i) && !self.settled[i] {
+                self.touch(i);
             }
-            (self.touched[i], self.moved[i]) = (true, true);
-            rebuilt += 1;
         }
-        rebuilt
+        for k in 0..self.active.len() {
+            let i = self.active[k];
+            self.materialize(i, u64::MAX, order, seeds, instance);
+            self.moved[i] = true;
+        }
+        self.active.len()
     }
 
     /// Ends step 3: every state of the round is settled.
     pub(crate) fn settle(&mut self) {
-        for &i in &self.order {
+        for &i in &self.active {
             self.settled[i] = true;
             self.prior[i] = None;
-            if self.touched[i] {
-                self.states[i].shrink();
-                self.logs[i].shrink_to_fit();
-            }
+            self.states[i].shrink();
+            self.logs[i].shrink_to_fit();
         }
     }
 
-    /// After step 2: whether switch `i` replays the LP output it stored
-    /// last solve, because the LP would read the same now. It reads the
+    /// After step 2: whether switch `i` replays the LP output its
+    /// residents hold from last solve, because the LP would read the same
+    /// now. It reads the
     /// switch's capacity, residents in order, standing reservations and
     /// those seeds' inputs, so it would when the ops matched the whole
     /// log, or when they left the same residents in the same order and
@@ -763,7 +1412,7 @@ impl Switches {
     /// switch that changed capacity has no prior log), with every
     /// resident's products kept and every reservation's seed clean.
     pub(crate) fn replays_lp(&self, i: usize, seeds: &Seeds) -> bool {
-        self.lp[i].is_some()
+        self.lp[i]
             && match (self.mode[i], &self.prior[i]) {
                 (Mode::Clean | Mode::Live, _) => true,
                 (Mode::Diverged, Some((at, tail))) => {
@@ -782,26 +1431,26 @@ impl Switches {
     /// The migration pass changed switch `i` after step 3. Its LP output
     /// stays: the LP read the post-greedy state.
     pub(crate) fn unsettle(&mut self, i: usize) {
-        self.settled[i] = false;
+        if self.settled[i] {
+            self.settled[i] = false;
+            self.unsettled.push(i);
+        }
     }
 
-    /// Rewrites the seed indices in every log, state and stored LP
-    /// output; a switch that mentions an unmapped seed forgets its log,
-    /// LP output and settled state.
+    /// Rewrites the seed indices in every log and state; a switch that
+    /// mentions an unmapped seed forgets its log, LP output and settled
+    /// state.
     fn remap(&mut self, map: &[Option<usize>]) {
         let new = |s: usize| map.get(s).copied().flatten();
         for i in 0..self.ids.len() {
             let log = self.logs[i]
                 .iter_mut()
                 .all(|op| new(op.seed()).map(|s| *op = op.with_seed(s)).is_some());
-            let lp = self.lp[i]
-                .iter_mut()
-                .flatten()
-                .all(|(s, _)| new(*s).map(|n| *s = n).is_some());
-            if !(log && lp && self.states[i].remap(map)) {
+            if !(log && self.states[i].remap(map)) {
                 self.logs[i] = Vec::new();
-                self.lp[i] = None;
-                self.settled[i] = false;
+                self.set_lp(i, false);
+                self.unsettle(i);
+                self.forgot.push(i);
             }
         }
     }
@@ -818,15 +1467,19 @@ impl Switches {
             + vec_bytes(&self.logs)
             + self.logs.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.lp)
-            + self.lp.iter().flatten().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.settled)
+            + vec_bytes(&self.unsettled)
             + vec_bytes(&self.mode)
             + vec_bytes(&self.cursor)
             + vec_bytes(&self.touched)
+            + vec_bytes(&self.active)
             + vec_bytes(&self.moved)
-            + vec_bytes(&self.joined)
             + vec_bytes(&self.left)
-            + vec_bytes(&self.order)
+            + vec_bytes(&self.gone)
+            + vec_bytes(&self.restarted)
+            + vec_bytes(&self.forgot)
+            + vec_bytes(&self.arrivals)
+            + vec_bytes(&self.last)
     }
 }
 
@@ -868,108 +1521,6 @@ fn apply(st: &mut SwitchState, op: Op, seeds: &Seeds, instance: &PlacementInstan
     }
 }
 
-/// The record of a greedy step that scanned its candidates: where its
-/// `(slot, op count)` reads are, and where it went. A step that stayed
-/// home needs none — the release right after the read is its record, in
-/// the home switch's log.
-#[derive(Debug, Clone, Copy)]
-struct Scan {
-    seed: u32,
-    /// The slot it was placed on, or [`FAIL`].
-    outcome: u32,
-    at: u32,
-    len: u32,
-}
-
-/// [`Scan::outcome`] of a step that found no switch.
-const FAIL: u32 = u32::MAX;
-
-/// The scan records of the last solve, and those this solve writes.
-#[derive(Debug, Default)]
-struct Steps {
-    /// The last solve's scans, ascending by seed once a solve begins,
-    /// and their reads.
-    scans: Vec<Scan>,
-    reads: Vec<(u32, u32)>,
-    next_scans: Vec<Scan>,
-    next_reads: Vec<(u32, u32)>,
-    /// The reads of the step being probed.
-    pending: Vec<(u32, u32)>,
-    replayed: usize,
-    executed: usize,
-}
-
-impl Steps {
-    fn begin(&mut self) {
-        self.scans.sort_unstable_by_key(|r| r.seed);
-        (self.replayed, self.executed) = (0, 0);
-    }
-
-    /// This solve's records become the ones the next solve replays.
-    fn end(&mut self) {
-        self.scans = std::mem::take(&mut self.next_scans);
-        self.reads = std::mem::take(&mut self.next_reads);
-    }
-
-    /// The last solve's record of seed `s`, with its reads.
-    fn scan(&self, s: usize) -> Option<(Scan, &[(u32, u32)])> {
-        let k = self.scans.binary_search_by_key(&(s as u32), |r| r.seed);
-        let scan = self.scans[k.ok()?];
-        Some((
-            scan,
-            &self.reads[scan.at as usize..(scan.at + scan.len) as usize],
-        ))
-    }
-
-    /// Writes this solve's record of the step just probed, whose reads
-    /// are pending.
-    fn record(&mut self, seed: usize, outcome: u32) {
-        let Steps {
-            next_scans,
-            next_reads,
-            pending,
-            ..
-        } = self;
-        next_scans.push(Scan {
-            seed: seed as u32,
-            outcome,
-            at: next_reads.len() as u32,
-            len: pending.len() as u32,
-        });
-        next_reads.append(pending);
-    }
-
-    /// Carries a record of the last solve over to this one.
-    fn carry(&mut self, scan: Scan) {
-        let Steps {
-            reads,
-            next_scans,
-            next_reads,
-            ..
-        } = self;
-        next_scans.push(Scan {
-            at: next_reads.len() as u32,
-            ..scan
-        });
-        next_reads.extend_from_slice(&reads[scan.at as usize..(scan.at + scan.len) as usize]);
-    }
-
-    fn remap(&mut self, map: &[Option<usize>]) {
-        self.scans.retain_mut(|r| {
-            let new = map.get(r.seed as usize).copied().flatten();
-            new.map(|new| r.seed = new as u32).is_some()
-        });
-    }
-
-    fn bytes(&self) -> usize {
-        vec_bytes(&self.scans)
-            + vec_bytes(&self.reads)
-            + vec_bytes(&self.next_scans)
-            + vec_bytes(&self.next_reads)
-            + vec_bytes(&self.pending)
-    }
-}
-
 /// One migration benefit of step 4: seed `seed` would gain `benefit` at
 /// its candidate number `pos`.
 #[derive(Debug, Clone, Copy)]
@@ -986,16 +1537,16 @@ const UTIL_SOME: u8 = 2;
 /// and the index holds every (seed, position) pair of its candidates.
 const INDEXED: u8 = 4;
 
-/// Step 4's memory. Per seed, flat and seed-indexed: the seat (switch
-/// and allocation bits) the seed was scanned at last solve, its utility
-/// there, and the benefits it pushed, in candidate order. Per switch
+/// Step 4's memory. Per seed, flat and seed-indexed: whether the seed
+/// was scanned at the post-step-3 seat (switch and allocation bits) it
+/// holds, its utility there, and the benefits it pushed, in candidate
+/// order. Per switch
 /// slot: the (seed, position) pairs of the indexed seeds' candidates that
-/// name it, so a switch that changed finds the pairs it affects without
-/// a walk over any candidate list.
+/// name it, so a switch that changed finds the pairs it affects — and
+/// the greedy steps that read it — without a walk over any candidate
+/// list.
 #[derive(Debug, Default)]
 pub(crate) struct Scans {
-    seat: Vec<SwitchId>,
-    res: Vec<Resources>,
     util: Vec<f64>,
     flags: Vec<u8>,
     /// The last scan's benefits, ascending by (seed, position).
@@ -1004,21 +1555,20 @@ pub(crate) struct Scans {
     /// Per slot, ascending; pairs of a seed whose candidates changed stay
     /// until their switch changes, and are dropped then.
     by_slot: Vec<Vec<(u32, u32)>>,
+    /// Between [`Scans::prepare`] and [`Scans::scan`]: the pairs whose
+    /// switch changed, ascending.
+    changed: Vec<(u32, u32)>,
 }
 
 impl Scans {
     /// Starts a solve of `n` seeds. A seed whose products are not the
-    /// last solve's (`kept` false, seed by seed: new, or declared dirty)
-    /// loses its record and its place in the index.
-    pub(crate) fn begin(&mut self, n: usize, kept: impl Iterator<Item = bool>) {
-        self.seat.resize(n, SwitchId(0));
-        self.res.resize(n, Resources::ZERO);
+    /// last solve's (in `fresh`: new, or declared dirty) loses its record
+    /// and its place in the index.
+    pub(crate) fn begin(&mut self, n: usize, fresh: &[u32]) {
         self.util.resize(n, 0.0);
         self.flags.resize(n, 0);
-        for (flags, kept) in self.flags.iter_mut().zip(kept) {
-            if !kept {
-                *flags = 0;
-            }
+        for &s in fresh {
+            self.flags[s as usize] = 0;
         }
     }
 
@@ -1030,6 +1580,43 @@ impl Scans {
         self.benefits.clear();
     }
 
+    /// Indexes every candidate of the listed seeds not yet indexed.
+    pub(crate) fn index(
+        &mut self,
+        seeds: &[u32],
+        instance: &PlacementInstance,
+        switches: &mut Switches,
+    ) {
+        let Scans { flags, by_slot, .. } = self;
+        for &s in seeds {
+            let s = s as usize;
+            if flags[s] & INDEXED != 0 {
+                continue;
+            }
+            flags[s] |= INDEXED;
+            for (pos, &n) in instance.seeds[s].candidates.iter().enumerate() {
+                let i = switches.slot(n);
+                if by_slot.len() <= i {
+                    by_slot.resize_with(i + 1, Vec::new);
+                }
+                let pairs = &mut by_slot[i];
+                let pair = (s as u32, pos as u32);
+                if let Err(k) = pairs.binary_search(&pair) {
+                    // Grown by an eighth, not doubled: the index is kept.
+                    if pairs.len() == pairs.capacity() {
+                        pairs.reserve_exact(pairs.len() / 8 + 1);
+                    }
+                    pairs.insert(k, pair);
+                }
+            }
+        }
+    }
+
+    /// The indexed (seed, position) pairs naming slot `i`.
+    fn readers(&self, i: usize) -> &[(u32, u32)] {
+        self.by_slot.get(i).map_or(&[], Vec::as_slice)
+    }
+
     /// Moves every record to the seed's new index (`map[old] = Some(new)`,
     /// `src[new] = Some(old)`) and drops the unmapped seeds' records.
     pub(crate) fn remap(&mut self, map: &[Option<usize>], src: &[Option<usize>]) {
@@ -1037,8 +1624,6 @@ impl Scans {
             .iter()
             .map(|o| o.filter(|&o| o < self.flags.len()))
             .collect();
-        self.seat = carry(&self.seat, &old, SwitchId(0));
-        self.res = carry(&self.res, &old, Resources::ZERO);
         self.util = carry(&self.util, &old, 0.0);
         self.flags = carry(&self.flags, &old, 0);
         let new = |s: &mut u32| {
@@ -1057,40 +1642,16 @@ impl Scans {
         }
     }
 
-    /// Before a scan: indexes every seed scanned last solve and not yet
-    /// indexed, then returns the pairs whose switch's state may have
-    /// changed since that scan — [`Switches::moved`] (which covers a
+    /// Before a scan: collects the pairs whose switch's state may have
+    /// changed since the last scan — [`Switches::moved`] (which covers a
     /// switch step 5 unsettled, since step 5 logs no op, and one that
     /// joined), or left — ascending.
-    pub(crate) fn prepare(
-        &mut self,
-        instance: &PlacementInstance,
-        switches: &mut Switches,
-    ) -> Vec<(u32, u32)> {
-        let Scans { flags, by_slot, .. } = self;
-        for (s, flags) in flags.iter_mut().enumerate() {
-            if *flags & (SCANNED | INDEXED) != SCANNED {
-                continue;
-            }
-            *flags |= INDEXED;
-            for (pos, &n) in instance.seeds[s].candidates.iter().enumerate() {
-                let i = switches.slot(n);
-                if by_slot.len() <= i {
-                    by_slot.resize_with(i + 1, Vec::new);
-                }
-                let pairs = &mut by_slot[i];
-                let pair = (s as u32, pos as u32);
-                if let Err(k) = pairs.binary_search(&pair) {
-                    // Grown by an eighth, not doubled: the index is kept.
-                    if pairs.len() == pairs.capacity() {
-                        pairs.reserve_exact(pairs.len() / 8 + 1);
-                    }
-                    pairs.insert(k, pair);
-                }
-            }
-        }
-        let mut changed = Vec::new();
-        let moved = switches.order.iter().filter(|&&i| switches.moved[i]);
+    pub(crate) fn prepare(&mut self, instance: &PlacementInstance, switches: &Switches) {
+        let Scans {
+            by_slot, changed, ..
+        } = self;
+        changed.clear();
+        let moved = switches.active.iter().filter(|&&i| switches.moved[i]);
         for &i in moved.chain(&switches.left) {
             let Some(pairs) = by_slot.get_mut(i) else {
                 continue;
@@ -1106,46 +1667,73 @@ impl Scans {
             changed.extend_from_slice(pairs);
         }
         changed.sort_unstable();
-        changed
     }
 
-    /// Step 4's walk over the seeds in order. A seed scanned last solve at
-    /// the seat it holds now, to the bit, copies the benefits it pushed
-    /// then and re-evaluates only the positions whose switch changed
-    /// since (`changed`, from [`Scans::prepare`]); any other placed seed
-    /// evaluates every position, and becomes scanned at its seat.
-    /// `benefit(s, min_res, i, cur_u)` is seed `s`'s benefit at the
-    /// present switch of slot `i`, if one clears the hysteresis. The
-    /// benefits land in [`Scans::benefits`]; returns the pairs evaluated.
+    /// Step 4's walk over the seeds in `visit` (ascending: those whose
+    /// seat was written since the last scan, each with the seat it held
+    /// then, or whose record was dropped; `None`: every seed, at the seat
+    /// it holds) and those with a changed pair (from [`Scans::prepare`]);
+    /// every other seed keeps the
+    /// benefits it pushed last scan, at the seat it holds. A seed scanned
+    /// last solve at the seat it holds now, to the bit, copies the
+    /// benefits it pushed then and re-evaluates only its changed
+    /// positions; any other placed seed evaluates every position, and
+    /// becomes scanned at its seat. `benefit(s, min_res, i, cur_u)` is
+    /// seed `s`'s benefit at the present switch of slot `i`, if one clears
+    /// the hysteresis. The benefits land in [`Scans::benefits`]; returns
+    /// the pairs evaluated.
     pub(crate) fn scan(
         &mut self,
         instance: &PlacementInstance,
-        assignment: &[Option<(SwitchId, Resources)>],
+        assignment: impl Fn(usize) -> Slot,
         switches: &Switches,
-        changed: &[(u32, u32)],
+        visit: Option<&[(u32, Slot)]>,
         min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
         mut benefit: impl FnMut(usize, &Resources, usize, f64) -> Option<f64>,
     ) -> usize {
         let Scans {
-            seat,
-            res,
             util,
             flags,
             benefits,
             next,
+            changed,
             ..
         } = self;
         next.clear();
-        let (mut at_benefit, mut at_change, mut pairs) = (0, 0, 0);
-        for (s, slot) in assignment.iter().enumerate() {
+        let (mut at_benefit, mut at_change, mut at_visit, mut pairs) = (0, 0, 0, 0);
+        let every = instance.seeds.len();
+        loop {
+            let v = match visit {
+                Some(visit) => visit.get(at_visit).map(|v| v.0 as usize),
+                None => (at_visit < every).then_some(at_visit),
+            };
+            let c = changed.get(at_change).map(|c| c.0 as usize);
+            let s = match (v, c) {
+                (None, None) => break,
+                (v, c) => v.unwrap_or(usize::MAX).min(c.unwrap_or(usize::MAX)),
+            };
+            let now = assignment(s);
+            let mut was = &now;
+            match visit {
+                Some(visit) => {
+                    while let Some((_, at)) = visit.get(at_visit).filter(|v| v.0 as usize == s) {
+                        (was, at_visit) = (at, at_visit + 1);
+                    }
+                }
+                None => at_visit += usize::from(v == Some(s)),
+            }
+            let from = at_benefit;
+            at_benefit += benefits[from..].partition_point(|b| (b.seed as usize) < s);
+            next.extend_from_slice(&benefits[from..at_benefit]);
             let olds = run(benefits, &mut at_benefit, s, |b| b.seed);
             let changes = run(changed, &mut at_change, s, |c| c.0);
-            let Some((cur, cur_res)) = slot else {
+            let Some((cur, cur_res)) = &now else {
                 flags[s] &= !SCANNED;
                 continue;
             };
-            let kept_res = flags[s] & SCANNED != 0 && bits(&res[s]) == bits(cur_res);
-            let same = kept_res && seat[s] == *cur;
+            let was = was.as_ref().filter(|_| flags[s] & SCANNED != 0);
+            let kept_res = was.is_some_and(|(_, res)| bits(res) == bits(cur_res));
+            let same = kept_res && was.is_some_and(|(seat, _)| seat == cur);
             if same && changes.is_empty() {
                 next.extend_from_slice(&benefits[olds]);
                 continue;
@@ -1157,10 +1745,10 @@ impl Scans {
             let seed = &instance.seeds[s];
             if !kept_res {
                 let u = seed.util.eval(cur_res);
-                (res[s], util[s]) = (*cur_res, u.unwrap_or(0.0));
+                util[s] = u.unwrap_or(0.0);
                 flags[s] = flags[s] & INDEXED | if u.is_some() { UTIL_SOME } else { 0 };
             }
-            (seat[s], flags[s]) = (*cur, flags[s] | SCANNED);
+            flags[s] |= SCANNED;
             let cur_u = util[s];
             let mut eval = |pos: usize, next: &mut Vec<Benefit>| {
                 let n = seed.candidates[pos];
@@ -1192,26 +1780,35 @@ impl Scans {
                 }
             }
         }
+        next.extend_from_slice(&benefits[at_benefit..]);
         std::mem::swap(benefits, next);
+        changed.clear();
         pairs
     }
 
     /// The utility of seed `s` at `res`: the one its record holds when
-    /// `res` is the allocation it was scanned at, to the bit.
-    pub(crate) fn utility(&self, seed: &PlacementSeed, s: usize, res: &Resources) -> Option<f64> {
-        if self.flags[s] & SCANNED != 0 && bits(&self.res[s]) == bits(res) {
+    /// `res` is `at`, the allocation of the post-step-3 seat where the
+    /// last scan saw it, to the bit.
+    pub(crate) fn utility(
+        &self,
+        seed: &PlacementSeed,
+        s: usize,
+        at: Option<Resources>,
+        res: &Resources,
+    ) -> Option<f64> {
+        let scanned = at.filter(|_| self.flags[s] & SCANNED != 0);
+        if scanned.is_some_and(|at| bits(&at) == bits(res)) {
             return (self.flags[s] & UTIL_SOME != 0).then_some(self.util[s]);
         }
         seed.util.eval(res)
     }
 
     fn bytes(&self) -> usize {
-        vec_bytes(&self.seat)
-            + vec_bytes(&self.res)
-            + vec_bytes(&self.util)
+        vec_bytes(&self.util)
             + vec_bytes(&self.flags)
             + vec_bytes(&self.benefits)
             + vec_bytes(&self.next)
+            + vec_bytes(&self.changed)
             + vec_bytes(&self.by_slot)
             + self.by_slot.iter().map(vec_bytes).sum::<usize>()
     }
@@ -1229,14 +1826,46 @@ fn run<T>(v: &[T], at: &mut usize, s: usize, key: impl Fn(&T) -> u32) -> std::op
 }
 
 /// What the solve keeps of itself: the greedy pass's per-seed products,
-/// per-switch op logs, states and LP outputs and greedy step records,
-/// and step 4's records. A from-scratch solve runs through a fresh one.
+/// step order and step records, per-switch op logs, states and LP
+/// outputs, the post-step-3 assignment, step 4's records and the tally.
+/// A from-scratch solve runs through a fresh one.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     pub(crate) seeds: Seeds,
     pub(crate) switches: Switches,
-    steps: Steps,
+    order: Order,
+    /// Each seed's step record (see [`NOT_RUN`]), updated in place.
+    outcome: Vec<u32>,
+    pending: Pending,
+    /// The steps a divergence put on the worklist this solve.
+    cascade: Pending,
     pub(crate) scans: Scans,
+    /// Seeds new or dirty last solve, whose candidates are indexed once
+    /// they are kept.
+    unindexed: Vec<u32>,
+    /// The post-step-3 assignment, kept between solves.
+    pub(crate) post: Post,
+    /// This solve's visited steps and their records before the visit, in
+    /// step order.
+    visited: Vec<(u32, u32)>,
+    /// Per seed, its utility at its final allocation (`-0.0` when it has
+    /// none, which leaves a sum as it is) and whether it sits off its
+    /// previous seat; and how many do.
+    pub(crate) final_u: Vec<f64>,
+    off_seat: Vec<bool>,
+    off_count: usize,
+    /// Seeds step 5 relocated last solve, then this solve's.
+    pub(crate) relocated: Vec<u32>,
+    /// This solve scans and tallies every seed.
+    pub(crate) full: bool,
+    /// The key of the step being visited: a probe reads states built up
+    /// to it.
+    at: u64,
+    replayed: usize,
+    executed: usize,
+    cascaded: usize,
+    /// Solves begun, whose parity [`Seeds::seat_previous`] reads.
+    solve: u32,
     /// The options of the last solve: the settled states, which LP
     /// outputs are current and what step 4 saw depend on them.
     options: Option<HeuristicOptions>,
@@ -1247,13 +1876,14 @@ impl Memo {
     /// until then they are not clean, so no op of theirs matches a log.
     fn declare_dirty(&mut self, dirty: &[usize]) {
         for &s in dirty {
-            if let Some(flags) = self.seeds.flags.get_mut(s) {
-                *flags &= !KNOWN;
+            if s < self.seeds.len() {
+                self.seeds.forget(s);
             }
         }
     }
 
-    /// Starts a solve of `instance`.
+    /// Starts a solve of `instance`: brings the seeds, switches, seats
+    /// and step order up to it and fills the worklist.
     ///
     /// # Panics
     ///
@@ -1264,118 +1894,524 @@ impl Memo {
             "{} seeds: an op names at most {MAX_SEEDS}",
             instance.seeds.len()
         );
-        // Seeds vanished without a remap, or most slots name switches
-        // long gone: start over.
-        if instance.seeds.len() < self.seeds.len()
+        let n = instance.seeds.len();
+        // Seeds vanished without a remap, most slots name switches long
+        // gone, or a seed had two steps: start over.
+        if n < self.seeds.len()
             || self.switches.ids.len() > 2 * instance.switches.len() + 64
+            || self.order.repeats
         {
             *self = Memo::default();
         }
-        // Renumbered subjects: the states and logs speak the old ids, and
-        // an LP solved under them may order its variables differently.
-        // The slots start over with them.
-        if self.seeds.update(instance) {
-            self.switches = Switches::default();
-            (self.steps, self.scans) = (Steps::default(), Scans::default());
+        self.solve = self.solve.wrapping_add(1);
+        let (fresh, renumbered) = self.seeds.update(instance);
+        let cold = self.outcome.is_empty() || renumbered;
+        if renumbered {
+            // The states and logs speak the old ids, and an LP solved
+            // under them may order its variables differently: everything
+            // but the products starts over.
+            let seeds = std::mem::take(&mut self.seeds);
+            *self = Memo {
+                seeds,
+                solve: self.solve,
+                ..Memo::default()
+            };
             self.seeds.seat_slot.fill(NO_SEAT);
+            self.seeds.seated = 0;
         }
-        self.switches.begin(instance);
-        self.seeds.seat_previous(instance, &mut self.switches);
+        let sw = &mut self.switches;
+        sw.begin(instance);
+        for i in std::mem::take(&mut sw.forgot) {
+            // Its reserve section is not in its (dropped) log either.
+            sw.restart(i);
+            sw.prior[i] = None;
+        }
+        self.seeds.seat_previous(instance, sw, self.solve);
+        for &s in &fresh {
+            if let Some(i) = self.seeds.seat(s as usize) {
+                sw.restart(i);
+            }
+        }
         // The settled states depend on the options, a solve with step 3
-        // off replaces no stored LP output, and one with step 4 off
+        // off keeps no LP output, and one with step 4 off
         // scans nothing.
         if self.options != Some(options) {
-            self.switches.settled.fill(false);
-            self.switches.lp.fill(None);
+            for i in 0..sw.ids.len() {
+                sw.set_lp(i, false);
+                sw.unsettle(i);
+            }
             self.scans.forget();
             self.options = Some(options);
+            self.full = true;
         }
-        self.steps.begin();
-        let kept = self.seeds.flags.iter().map(|f| f & KEPT != 0);
-        self.scans.begin(instance.seeds.len(), kept);
+        self.full |= cold;
+        self.scans.begin(n, &fresh);
+        let kept: Vec<u32> = std::mem::take(&mut self.unindexed)
+            .into_iter()
+            .filter(|&s| (s as usize) < n && self.seeds.kept(s as usize))
+            .collect();
+        self.scans.index(&kept, instance, sw);
+        self.outcome.resize(n, NOT_RUN);
+        self.post.resize(n);
+        self.final_u.resize(n, -0.0);
+        self.off_seat.resize(n, false);
+        self.visited.clear();
+
+        self.post.track = !self.full;
+        let re = self
+            .order
+            .update(instance, &self.seeds, &fresh, &self.outcome);
+        // The steps that stayed keep their order, so the logs keep theirs
+        // but for the ops of a step that went: its switch starts over, as
+        // every switch does when the order is scrambled.
+        for &s in &re.gone {
+            let s = s as usize;
+            if let Some((i, _)) = landing(self.outcome[s]) {
+                sw.restart(i);
+            }
+            self.outcome[s] = NOT_RUN;
+            self.post.write(s, None);
+        }
+        for &i in &re.closes {
+            sw.restart(i);
+        }
+        // A scrambled order keeps no task's drop, so every post-step-3
+        // slot is written again, from the greedy, and every LP runs.
+        if re.scrambled {
+            for i in 0..sw.ids.len() {
+                sw.restart(i);
+                sw.set_lp(i, false);
+            }
+            self.scans.forget();
+            (self.full, self.post.track) = (true, false);
+        }
+        let cold = cold || re.scrambled;
+        let steps = self.order.steps.len();
+        self.pending.reset(steps);
+        self.cascade.reset(steps);
+        if cold {
+            self.pending.set_range(0, steps);
+        } else {
+            for &k in &re.pending {
+                self.pending.set(k);
+            }
+            for &s in &self.seeds.unclean {
+                let k = self.order.step_of[s as usize];
+                if k != NO_STEP {
+                    self.pending.set(k as usize);
+                }
+            }
+            for &i in sw.restarted.iter().chain(&sw.left) {
+                for &(s, _) in self.scans.readers(i) {
+                    let k = self
+                        .order
+                        .step_of
+                        .get(s as usize)
+                        .copied()
+                        .unwrap_or(NO_STEP);
+                    if k != NO_STEP {
+                        self.pending.set(k as usize);
+                    }
+                }
+            }
+        }
+        self.unindexed = if cold { (0..n as u32).collect() } else { fresh };
     }
 
-    /// Appends `op` to switch `i`'s log.
-    pub(crate) fn emit(&mut self, instance: &PlacementInstance, i: usize, op: Op) {
-        self.switches.emit(i, op, &self.seeds, instance);
+    /// The greedy's steps later than `first` that read switch `i` last
+    /// solve go on the worklist.
+    fn enqueue_readers(&mut self, i: usize, first: usize) {
+        for &(s, _) in self.scans.readers(i) {
+            let k = self
+                .order
+                .step_of
+                .get(s as usize)
+                .copied()
+                .unwrap_or(NO_STEP);
+            if k != NO_STEP && k as usize >= first {
+                self.pending.set(k as usize);
+                self.cascade.set(k as usize);
+            }
+        }
     }
 
-    /// The outcome of seed `s`'s step in the last solve, if the step may
-    /// replay: the seed is clean, and every switch the step read then is
-    /// at exactly the op prefix it read it at.
-    pub(crate) fn replay(&mut self, instance: &PlacementInstance, s: usize) -> Option<Outcome> {
-        if !self.seeds.clean(s) {
+    /// Switch `i`'s ops depart from its log at `key`; the steps from
+    /// `first` on that read it last solve are visited.
+    fn diverge(&mut self, instance: &PlacementInstance, i: usize, key: u64, first: usize) {
+        let Memo {
+            switches,
+            order,
+            seeds,
+            ..
+        } = self;
+        if switches.diverge(i, key, order, seeds, instance) {
+            self.enqueue_readers(i, first);
+        }
+    }
+
+    /// Steps 1–2: the reserve sections that start over, then the steps on
+    /// the worklist, task by task, each followed by its task's close when
+    /// the task had a visited step. `probe` runs a step for real. Returns
+    /// the dropped tasks in step order.
+    pub(crate) fn greedy(
+        &mut self,
+        instance: &PlacementInstance,
+        probe: fn(&PlacementInstance, &mut Memo, usize) -> Outcome,
+    ) -> Vec<usize> {
+        self.reserve(instance);
+        (self.replayed, self.executed, self.cascaded) = (0, 0, 0);
+        let (mut reached, mut dropped) = (0, Vec::new());
+        for r in 0..self.order.runs.len() {
+            let Run {
+                task, start, end, ..
+            } = self.order.runs[r];
+            let (start, end) = (start as usize, end as usize);
+            let mut fail = self.order.runs[r].fail as usize;
+            let first = self.visited.len();
+            let mut from = start;
+            while let Some(k) = self.pending.take(from, end) {
+                from = k + 1;
+                let s = self.order.steps[k] as usize;
+                let old = self.outcome[s];
+                self.cascaded += usize::from(self.cascade.has(k) && self.seeds.clean(s));
+                let new = if k > fail {
+                    NOT_RUN
+                } else {
+                    self.at = step_key(k);
+                    match self.replay(instance, s, old) {
+                        Some(kept) => kept,
+                        None => {
+                            self.executed += 1;
+                            record_of(probe(instance, self, s))
+                        }
+                    }
+                };
+                self.visited.push((k as u32, old));
+                if (old == FAILED) != (new == FAILED) {
+                    // The task fails elsewhere now: the rest of its steps
+                    // run or stop.
+                    self.pending.set_range(k + 1, end);
+                }
+                if k <= fail {
+                    if new == FAILED {
+                        fail = k;
+                    } else if old == FAILED {
+                        fail = end;
+                    }
+                }
+                self.outcome[s] = new;
+                self.step_ops(instance, k, s, old, new);
+            }
+            if self.visited.len() > first || self.full {
+                self.close(instance, r, fail, first);
+            }
+            reached += (fail + 1).min(end) - start;
+            if fail < end {
+                dropped.push(task as usize);
+            }
+        }
+        self.replayed = reached - self.executed;
+        dropped
+    }
+
+    /// Writes the reserve sections of the switches that start over: the
+    /// seeds seated there, ascending. One with its last log (a reserve
+    /// section that changed) takes them from that log's reserve section,
+    /// less the seats that left, plus `arrivals`; the others (joined,
+    /// changed capacity, log dropped) from one walk over the seeds.
+    fn reserve(&mut self, instance: &PlacementInstance) {
+        let Memo {
+            switches: sw,
+            seeds,
+            ..
+        } = self;
+        let mut arrivals = std::mem::take(&mut sw.arrivals);
+        arrivals.sort_unstable();
+        let mut walk = false;
+        for k in 0..sw.restarted.len() {
+            let i = sw.restarted[k];
+            let Some((_, log)) = &sw.prior[i] else {
+                walk = true;
+                continue;
+            };
+            let stayed = log
+                .iter()
+                .take_while(|op| op.kind() == OpKind::Reserve)
+                .map(|op| op.seed() as u32)
+                .filter(|&s| seeds.seat_slot[s as usize] == i as u32);
+            let at = arrivals.partition_point(|a| a.0 < i as u32);
+            let came = arrivals[at..].iter().take_while(|a| a.0 == i as u32);
+            let mut seated: Vec<u32> = stayed.chain(came.map(|a| a.1)).collect();
+            seated.sort_unstable();
+            seated.dedup();
+            for s in seated {
+                sw.emit(i, Op::new(s as usize, OpKind::Reserve), seeds, instance);
+            }
+        }
+        if walk {
+            for s in 0..seeds.len() {
+                let Some(i) = seeds.seat(s) else {
+                    continue;
+                };
+                if sw.mode[i] == Mode::Diverged && sw.prior[i].is_none() {
+                    sw.emit(i, Op::new(s, OpKind::Reserve), seeds, instance);
+                }
+            }
+        }
+        arrivals.clear();
+        arrivals.shrink_to(64);
+        sw.arrivals = arrivals;
+    }
+
+    /// The record seed `s`'s step keeps, if it may: the seed is clean,
+    /// and no switch its step read last solve (its home, or every
+    /// candidate when it scanned) has diverged before it, joined or left.
+    fn replay(&self, instance: &PlacementInstance, s: usize, old: u32) -> Option<u32> {
+        if !self.seeds.clean(s) || old == NOT_RUN {
             return None;
         }
         let sw = &self.switches;
-        if let Some(h) = self.seeds.seat(s) {
-            let release = Op::new(s, OpKind::Release);
-            if sw
-                .prefix(h)
-                .is_some_and(|at| sw.logs[h].get(at as usize) == Some(&release))
-            {
-                self.steps.replayed += 1;
-                return Some(Outcome::Home(h));
+        let read_changed = match landing(old) {
+            Some((h, true)) => sw.changed_slot(h),
+            _ => instance.seeds[s].candidates.iter().any(|&n| sw.changed(n)),
+        };
+        (!read_changed).then_some(old)
+    }
+
+    /// Step `k` (seed `s`) went from record `old` to `new`: a switch it
+    /// left or took diverges there, and one that diverged takes its ops.
+    fn step_ops(&mut self, instance: &PlacementInstance, k: usize, s: usize, old: u32, new: u32) {
+        let (was, now) = (landing(old), landing(new));
+        if old != new || !self.seeds.clean(s) {
+            for (i, _) in was.into_iter().chain(now) {
+                self.diverge(instance, i, step_key(k), k + 1);
             }
         }
-        let (scan, reads) = self.steps.scan(s)?;
-        let joined = || instance.seeds[s].candidates.iter().any(|&n| sw.joined(n));
-        if reads
-            .iter()
-            .any(|&(i, at)| sw.prefix(i as usize) != Some(at))
-            || (sw.any_joined && joined())
-        {
-            return None;
+        if let Some((i, home)) = now {
+            if home {
+                let op = Op::new(s, OpKind::Release);
+                self.switches.emit(i, op, &self.seeds, instance);
+            }
+            let op = Op::new(s, OpKind::Place);
+            self.switches.emit(i, op, &self.seeds, instance);
         }
-        self.steps.carry(scan);
-        self.steps.replayed += 1;
-        Some(match scan.outcome {
-            FAIL => Outcome::Fail,
-            i => Outcome::Placed(i as usize),
-        })
     }
 
-    /// Builds switch `i`'s state for a probe and notes the op count it
-    /// was read at.
+    /// Ends run `r`, which had a visited step (its first at
+    /// `visited[first]`) and now fails at `fail`: its close is compared
+    /// with the last solve's switch by switch and written where a switch
+    /// diverged, and the `post` slots of the steps whose placement
+    /// changed are rewritten.
+    fn close(&mut self, instance: &PlacementInstance, r: usize, fail: usize, first: usize) {
+        let run = self.order.runs[r];
+        let (start, end, was) = (run.start as usize, run.end as usize, run.fail as usize);
+        (self.order.runs[r].fail, self.order.runs[r].dropped) = (fail as u32, fail < end);
+        let visited = &self.visited[first..];
+        if was < end || fail < end {
+            let old_of = |j: usize| match visited.binary_search_by_key(&(j as u32), |v| v.0) {
+                Ok(x) => visited[x].1,
+                Err(_) => self.outcome[self.order.steps[j] as usize],
+            };
+            // A task that failed at `fail` unplaces the steps before it.
+            let undo = |fail: usize, rec: &dyn Fn(usize) -> u32| {
+                let mut ops: Vec<(usize, Op)> = Vec::new();
+                for j in (fail < end).then_some(start..fail).into_iter().flatten() {
+                    let s = self.order.steps[j] as usize;
+                    if let Some((i, home)) = landing(rec(j)) {
+                        ops.push((i, Op::new(s, OpKind::Unplace)));
+                        if home {
+                            ops.push((i, Op::new(s, OpKind::Restore)));
+                        }
+                    }
+                }
+                ops.sort_by_key(|&(i, _)| i);
+                ops
+            };
+            let olds = undo(was, &old_of);
+            let news = undo(fail, &|j| self.outcome[self.order.steps[j] as usize]);
+            let mut moved = Vec::new();
+            let (mut a, mut b) = (0, 0);
+            while a < olds.len() || b < news.len() {
+                let i = olds.get(a).map_or(usize::MAX, |o| o.0);
+                let i = i.min(news.get(b).map_or(usize::MAX, |o| o.0));
+                let (a0, b0) = (a, b);
+                while olds.get(a).is_some_and(|o| o.0 == i) {
+                    a += 1;
+                }
+                while news.get(b).is_some_and(|o| o.0 == i) {
+                    b += 1;
+                }
+                let clean = news[b0..b]
+                    .iter()
+                    .all(|&(_, op)| self.seeds.clean(op.seed()));
+                if olds[a0..a] != news[b0..b] || !clean {
+                    moved.push(i);
+                }
+            }
+            for i in moved {
+                self.diverge(instance, i, close_key(end), end);
+            }
+            for (i, op) in news {
+                self.switches.emit(i, op, &self.seeds, instance);
+            }
+        }
+        // The post-step-3 slots of steps whose placement changed.
+        let ok = fail == end;
+        let placed = |memo: &Memo, s: usize| {
+            let at = landing(memo.outcome[s]).filter(|_| ok);
+            at.map(|(i, _)| (i, memo.seeds.min_res(s)))
+        };
+        if self.full || run.dropped == ok {
+            for j in start..end {
+                let s = self.order.steps[j] as usize;
+                let v = placed(self, s);
+                self.post.write(s, v);
+            }
+        } else {
+            for x in first..self.visited.len() {
+                let (k, old) = self.visited[x];
+                let s = self.order.steps[k as usize] as usize;
+                // A home stay or a placement on the same switch puts the
+                // seed there at the same allocation.
+                let at = |r: u32| landing(r).map(|(i, _)| i);
+                if at(old) != at(self.outcome[s]) || !self.seeds.kept(s) {
+                    let v = placed(self, s);
+                    self.post.write(s, v);
+                }
+            }
+        }
+    }
+
+    /// Builds switch `i`'s state for a probe of the step being visited.
     pub(crate) fn read(&mut self, instance: &PlacementInstance, i: usize) {
-        let sw = &mut self.switches;
-        sw.materialize(i, &self.seeds, instance);
-        let at = sw.prefix(i).unwrap_or(sw.logs[i].len() as u32);
-        self.steps.pending.push((i as u32, at));
-    }
-
-    /// Records the outcome of seed `s`'s probed step with its reads.
-    pub(crate) fn record(&mut self, s: usize, outcome: Outcome) {
-        match outcome {
-            Outcome::Home(_) => self.steps.pending.clear(),
-            Outcome::Placed(i) => self.steps.record(s, i as u32),
-            Outcome::Fail => self.steps.record(s, FAIL),
-        }
-        self.steps.executed += 1;
+        let Memo {
+            switches,
+            order,
+            seeds,
+            at,
+            ..
+        } = self;
+        switches.materialize(i, *at, order, seeds, instance);
     }
 
     /// Ends step 2 ([`Switches::settle_greedy`]); returns how many
     /// switches were rebuilt.
     pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> usize {
-        self.steps.end();
-        self.switches.settle_greedy(&self.seeds, instance)
+        self.switches
+            .settle_greedy(&self.order, &self.seeds, instance)
     }
 
-    /// Greedy steps replayed and executed this solve.
-    pub(crate) fn steps_run(&self) -> (usize, usize) {
-        (self.steps.replayed, self.steps.executed)
+    /// Greedy steps replayed, executed, visited and cascaded this solve.
+    pub(crate) fn steps_run(&self) -> (usize, usize, usize, usize) {
+        let (replayed, executed) = (self.replayed, self.executed);
+        (replayed, executed, self.visited.len(), self.cascaded)
+    }
+
+    /// The seeds step 4 scans, each with the post-step-3 slot it held
+    /// at the last scan: those whose slot changed or whose record went;
+    /// `None` on a full solve, which scans every seed with no records.
+    pub(crate) fn to_scan(&self) -> Option<Vec<(u32, Slot)>> {
+        if self.full {
+            return None;
+        }
+        let ids = &self.switches.ids;
+        let mut v: Vec<(u32, Slot)> = self.unindexed.iter().map(|&s| (s, None)).collect();
+        let changed = self.post.changed.iter();
+        v.extend(changed.map(|&(s, at, res)| (s, Post::slot(at, res, ids))));
+        // A stable sort: a changed seed's old slot comes last, and wins.
+        v.sort_by_key(|v| v.0);
+        Some(v)
+    }
+
+    /// The tally over the final `assignment`: rewrites the per-seed
+    /// utility and seat flag of every seed that may have moved (all on a
+    /// full solve), and returns the objective summed in seed order and
+    /// the seeds off their previous seat.
+    pub(crate) fn tally(
+        &mut self,
+        instance: &PlacementInstance,
+        assignment: &[Option<(SwitchId, Resources)>],
+        relocated: Vec<u32>,
+    ) -> (f64, usize) {
+        let last = std::mem::replace(&mut self.relocated, relocated);
+        let redo = |memo: &mut Memo, s: usize| {
+            let (u, off) = match &assignment[s] {
+                Some((n, res)) => (
+                    memo.scans
+                        .utility(&instance.seeds[s], s, memo.post.res(s), res)
+                        .unwrap_or(-0.0),
+                    memo.seeds
+                        .seat(s)
+                        .is_some_and(|i| memo.switches.ids[i] != *n),
+                ),
+                None => (-0.0, false),
+            };
+            memo.final_u[s] = u;
+            memo.off_count = memo.off_count + usize::from(off) - usize::from(memo.off_seat[s]);
+            memo.off_seat[s] = off;
+        };
+        if self.full {
+            for s in 0..assignment.len() {
+                redo(self, s);
+            }
+        } else {
+            let visited = self
+                .visited
+                .iter()
+                .map(|&(k, _)| self.order.steps[k as usize]);
+            let mut seeds: Vec<u32> = visited.collect();
+            seeds.extend(self.post.changed.iter().map(|&(s, ..)| s));
+            seeds.extend(&self.unindexed);
+            seeds.extend(&self.seeds.unclean);
+            seeds.extend(&last);
+            seeds.extend(&self.relocated);
+            seeds.sort_unstable();
+            seeds.dedup();
+            for s in seeds {
+                redo(self, s as usize);
+            }
+        }
+        self.full = false;
+        self.post.settle();
+        self.visited.clear();
+        self.visited.shrink_to(64);
+        (self.final_u.iter().sum(), self.off_count)
     }
 
     fn remap(&mut self, map: &[Option<usize>]) {
         let src = sources(map);
+        let old: Vec<Option<usize>> = src
+            .iter()
+            .map(|o| o.filter(|&o| o < self.outcome.len()))
+            .collect();
+        let new = |s: &u32| map.get(*s as usize).copied().flatten().map(|n| n as u32);
         self.seeds.remap(&src);
-        self.steps.remap(map);
+        self.order.remap(map, &src);
         self.switches.remap(map);
         self.scans.remap(map, &src);
+        self.outcome = carry(&self.outcome, &old, NOT_RUN);
+        self.post.remap(&old);
+        self.final_u = carry(&self.final_u, &old, -0.0);
+        self.off_seat = carry(&self.off_seat, &old, false);
+        self.off_count = self.off_seat.iter().filter(|&&o| o).count();
+        self.unindexed = self.unindexed.iter().filter_map(new).collect();
+        self.relocated = self.relocated.iter().filter_map(new).collect();
     }
 
     fn bytes(&self) -> usize {
-        self.seeds.bytes() + self.switches.bytes() + self.steps.bytes() + self.scans.bytes()
+        self.seeds.bytes()
+            + self.switches.bytes()
+            + self.order.bytes()
+            + vec_bytes(&self.outcome)
+            + self.pending.bytes()
+            + self.cascade.bytes()
+            + self.scans.bytes()
+            + vec_bytes(&self.unindexed)
+            + self.post.bytes()
+            + vec_bytes(&self.visited)
+            + vec_bytes(&self.final_u)
+            + vec_bytes(&self.off_seat)
+            + vec_bytes(&self.relocated)
     }
 }
 
@@ -1414,9 +2450,9 @@ impl SolveState {
         self.memo.bytes()
     }
 
-    /// Stored LP outputs.
-    fn lp_outputs(&self) -> impl Iterator<Item = &Vec<(usize, Resources)>> {
-        self.memo.switches.lp.iter().flatten()
+    /// Switches whose residents hold their LP's output.
+    fn lp_outputs(&self) -> usize {
+        self.memo.switches.lp_count()
     }
 
     /// Rewrites retained seed indices after the instance was rebuilt with
@@ -1440,10 +2476,11 @@ impl SolveState {
 ///
 /// Telemetry (when given): `solver.replan_delta` counts calls,
 /// `solver.delta_fallback_full` counts warm solves that replayed no LP,
-/// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` count
-/// greedy steps, the `solver.delta_frontier`, `solver.switches_rebuilt`
-/// and `solver.benefit_pairs_evaluated` histograms record the LPs run,
-/// the switches whose greedy state was rebuilt and the (seed, candidate)
+/// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` /
+/// `solver.greedy_steps_visited` count greedy steps, the
+/// `solver.delta_frontier`, `solver.switches_rebuilt` and
+/// `solver.benefit_pairs_evaluated` histograms record the LPs run, the
+/// switches whose greedy state was rebuilt and the (seed, candidate)
 /// pairs step 4 evaluated, and the `solver.delta_cache_entries` /
 /// `solver.delta_cache_bytes` gauges say how many LP outputs are stored
 /// and what the whole state retains afterwards.
@@ -1474,8 +2511,9 @@ pub fn replan_delta(
         i.pairs_evaluated.record(report.pairs_evaluated as u64);
         i.steps_replayed.add(report.steps_replayed as u64);
         i.steps_executed.add(report.steps_executed as u64);
+        i.steps_visited.add(report.steps_visited as u64);
         i.switches_rebuilt.record(report.switches_rebuilt as u64);
-        i.cache_entries.set(state.lp_outputs().count() as f64);
+        i.cache_entries.set(state.lp_outputs() as f64);
         i.cache_bytes.set(state.cache_bytes() as f64);
     }
     (result, report)
@@ -1525,11 +2563,18 @@ mod tests {
         assert_same(&r, &full);
         assert!(!report.warm);
         assert_eq!(report.reused, 0);
-        assert_eq!(state.lp_outputs().count(), report.lp_switches);
+        assert_eq!(state.lp_outputs(), report.lp_switches);
         assert_eq!(report.frontier, report.lp_switches);
-        let updates: usize = state.lp_outputs().map(Vec::len).sum();
+        // The LP outputs live in the kept post-step-3 assignment.
+        let memo = &state.memo;
+        let updates = (0..inst.seeds.len())
+            .filter(|&s| {
+                let res = memo.post.res(s);
+                res.is_some_and(|r| bits(&r) != bits(&memo.seeds.min_res(s)))
+            })
+            .count();
         assert!(updates > 0);
-        assert!(state.cache_bytes() >= updates * size_of::<(usize, Resources)>());
+        assert!(state.cache_bytes() >= inst.seeds.len() * size_of::<Resources>());
         assert!(report.pairs_evaluated > 0, "{report:?}");
         assert_eq!(state.solves, 1);
     }
@@ -1648,9 +2693,11 @@ mod tests {
             assert_same(&twin, &r);
             as_previous(&mut inst, &r);
         }
-        // A seed an LP output names.
-        let updated = dirty.lp_outputs().find_map(|ups| ups.first());
-        let s = updated.expect("an LP that updated a seed").0;
+        // A resident of a switch whose residents hold its LP's output.
+        let sw = &dirty.memo.switches;
+        let lp = (0..sw.ids.len()).filter(|&i| sw.lp[i]);
+        let resident = lp.flat_map(|i| sw.states[i].seeds.first()).next();
+        let s = *resident.expect("an LP over a resident") as usize;
 
         let (_, calm) = replan_delta(&inst, opts, &mut clean, &ReplanDelta::default(), None);
         assert_eq!((calm.frontier, calm.steps_executed), (0, 0), "{calm:?}");
@@ -1725,8 +2772,101 @@ mod tests {
         let (again, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         assert_same(&again, &solve_heuristic(&inst, opts));
         assert_eq!(report.steps_executed, 0, "{report:?}");
+        assert_eq!(report.steps_visited, 0, "{report:?}");
         assert_eq!(report.switches_rebuilt, 0, "{report:?}");
         assert_eq!(report.steps_replayed, cold.steps_executed);
+    }
+
+    /// A world solved twice more with nothing changed: the state, the
+    /// instance and its last result.
+    fn settled(seed: u64) -> (SolveState, PlacementInstance, PlacementResult) {
+        let mut inst = small_instance(seed);
+        let opts = HeuristicOptions::default();
+        let mut state = SolveState::new();
+        let mut r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        for _ in 0..3 {
+            as_previous(&mut inst, &r);
+            r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        }
+        as_previous(&mut inst, &r);
+        (state, inst, r)
+    }
+
+    #[test]
+    fn a_one_seed_tweak_visits_the_seed_and_its_seats_readers() {
+        // A seed declared dirty without a real change: its products are
+        // recomputed, its home's reserve section is written again, and
+        // the steps that read that switch are visited. Nothing decides
+        // otherwise, so nothing else diverges and nothing cascades.
+        let (mut state, inst, r) = settled(8);
+        let opts = HeuristicOptions::default();
+        let s = (0..inst.seeds.len())
+            .find(|&s| r.assignment[s].is_some())
+            .expect("a placed seed");
+        let home = r.assignment[s].expect("placed").0;
+        let readers = (0..inst.seeds.len())
+            .filter(|&x| x == s || inst.seeds[x].candidates.contains(&home))
+            .count();
+        let (next, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::seeds([s]), None);
+        assert_same(&next, &solve_heuristic(&inst, opts));
+        assert_eq!(report.steps_visited, readers, "{report:?}");
+        assert_eq!(report.steps_cascaded, 0, "{report:?}");
+    }
+
+    #[test]
+    fn a_seat_change_rebuilds_both_reserve_sections() {
+        // A seed's previous seat moves to a switch it is not placed on:
+        // its reservation leaves the old seat's reserve section and joins
+        // the new one's, and both switches' logs say so.
+        let (mut state, mut inst, r) = settled(10);
+        let opts = HeuristicOptions::default();
+        let s = (0..inst.seeds.len())
+            .find(|&s| r.assignment[s].is_some())
+            .expect("a placed seed");
+        let (from, res) = r.assignment[s].expect("placed");
+        let (to, _) = *inst
+            .switches
+            .iter()
+            .find(|(n, _)| *n != from)
+            .expect("another switch");
+        inst.previous
+            .as_mut()
+            .expect("set")
+            .assignment
+            .insert(s, (to, res));
+        let (next, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert_same(&next, &solve_heuristic(&inst, opts));
+        let sw = &state.memo.switches;
+        let reserves = |n: SwitchId| {
+            let log = &sw.logs[sw.present_slot(n).expect("present")];
+            log.contains(&Op::new(s, OpKind::Reserve))
+        };
+        assert!(!reserves(from) && reserves(to));
+    }
+
+    #[test]
+    fn a_seed_listed_in_two_tasks_still_matches_the_full_solve() {
+        // Two steps of one seed share one record, so the state keeps
+        // nothing of such an instance: each solve starts over.
+        let mut inst = small_instance(2);
+        let extra = inst.tasks[0].seeds[0];
+        inst.tasks[1].seeds.push(extra);
+        let opts = HeuristicOptions::default();
+        let mut state = SolveState::new();
+        let mut r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        for round in 0..3 {
+            as_previous(&mut inst, &r);
+            if round == 1 {
+                inst.previous
+                    .as_mut()
+                    .expect("set")
+                    .assignment
+                    .remove(&extra);
+            }
+            let (next, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            assert_same(&next, &solve_heuristic(&inst, opts));
+            r = next;
+        }
     }
 
     #[test]
@@ -1818,31 +2958,35 @@ mod tests {
 
     #[test]
     fn remap_rewrites_indices_and_drops_unmapped_seeds() {
-        let update = Resources::new(3.0, 0.0, 0.0, 0.0);
+        let none = SeedPolls::new(&[], &[]);
         let mut state = SolveState::new();
         let switches = &mut state.memo.switches;
+        // Seeds 0 and 2 each the one resident of a switch with an LP.
         for (n, seed) in [(SwitchId(1), 0), (SwitchId(2), 2)] {
             let i = switches.slot(n);
-            switches.lp[i] = Some(vec![(seed, update)]);
+            switches.states[i].place(seed, none, &Resources::ZERO);
+            switches.set_lp(i, true);
         }
         // A switch whose LP read seeds 0 and 2 reserved, in that order.
         let i = switches.slot(SwitchId(3));
         for s in [0, 2] {
-            switches.states[i].reserve(s, SeedPolls::new(&[], &[]), Resources::ZERO);
+            switches.states[i].reserve(s, none, Resources::ZERO);
         }
-        switches.lp[i] = Some(Vec::new());
-        let seeds = |state: &SolveState| -> Vec<usize> {
-            state.lp_outputs().flatten().map(|(s, _)| *s).collect()
+        switches.set_lp(i, true);
+        let seeds = |state: &SolveState| -> Vec<u32> {
+            let sw = &state.memo.switches;
+            let lp = (0..sw.ids.len()).filter(|&i| sw.lp[i]);
+            lp.flat_map(|i| sw.states[i].seeds.clone()).collect()
         };
-        // Seed 0 → 5, seed 2 → 0: both updates survive under new indices;
-        // the reservations would now come in the other order.
+        // Seed 0 → 5, seed 2 → 0: both residents keep their outputs under
+        // new indices; the reservations would now come in the other order.
         state.remap(&[Some(5), None, Some(0)]);
         assert_eq!(seeds(&state), vec![5, 0]);
-        assert_eq!(state.lp_outputs().count(), 2);
-        // Dropping seed 0 (formerly 2) drops the output that names it.
+        assert_eq!(state.lp_outputs(), 2);
+        // Dropping seed 0 (formerly 2) drops the output over it.
         state.remap(&[None, None, None, None, None, Some(5)]);
         assert_eq!(seeds(&state), vec![5]);
-        assert_eq!(state.lp_outputs().count(), 1);
+        assert_eq!(state.lp_outputs(), 1);
     }
 
     #[test]

@@ -29,27 +29,28 @@
 //!   Removing the max entry lazily rebuilds that one subject's max. Its
 //!   subjects and lingering reservations are small sorted vectors.
 //! * Step 2 runs as one ordered op log per switch (reserve, release,
-//!   place, unplace, restore). A switch's state is a function of its
-//!   capacity and its ops, so a seed whose inputs did not change and
-//!   whose switches are at the op prefix they were at last solve replays
-//!   its last outcome without a probe, and a switch whose whole log
-//!   matched keeps its state from the last solve untouched
-//!   ([`crate::delta`]). A from-scratch solve is the same loop with
-//!   nothing to replay.
+//!   place, unplace, restore) and a worklist of steps. A switch's state
+//!   is a function of its capacity and its ops, so only the steps of
+//!   changed seeds and the later readers of switches whose ops diverged
+//!   are visited; a visited seed whose inputs did not change and none of
+//!   whose switches diverged before it keeps its last outcome without a
+//!   probe, and a switch whose log did not diverge keeps its state from
+//!   the last solve untouched ([`crate::delta`]). A from-scratch solve
+//!   is the same loop with every step on the worklist.
 //! * Step 3's per-switch LPs run one after another through a single
 //!   reused model arena (`LpScratch`); every float reduction runs in
 //!   stable switch/seed order, so repeated solves are bit-identical
 //!   (`prop_placement.rs` pins this). A switch's LP reads only what its
 //!   op log leaves on it, so a switch whose ops leave the same residents
-//!   and reservations as last solve replays its last LP output instead
-//!   of solving, and the post-LP refresh runs only where the greedy
-//!   state or the LP changed.
-//! * Step 4 follows the change too: a seed at the seat (switch and
-//!   allocation bits) it was scanned at last solve copies the benefits
-//!   it pushed then, and only the (seed, candidate) pairs of new, dirty
-//!   or moved seeds and of switches whose post-step-3 state may have
-//!   changed are evaluated ([`crate::delta`]). The objective and the
-//!   migration count read the same per-seed records instead of
+//!   and reservations as last solve keeps its last LP output (held in the
+//!   kept post-step-3 assignment) instead of solving, a switch whose
+//!   state was not rebuilt is not looked at, and the post-LP refresh runs
+//!   only where the greedy state or the LP changed.
+//! * Step 4 follows the change too: only new, dirty or moved seeds and
+//!   the (seed, candidate) pairs of switches whose post-step-3 state may
+//!   have changed are looked at; every other seed's benefits are copied
+//!   ([`crate::delta`]). The objective and the migration count are kept
+//!   per seed and rewritten for the seeds that moved, instead of
 //!   re-evaluating every utility and hashing every previous seat.
 
 use std::mem::size_of;
@@ -61,7 +62,7 @@ use farm_netsim::switch::{ResourceKind, Resources};
 use farm_netsim::types::SwitchId;
 use farm_telemetry::Telemetry;
 
-use crate::delta::{Benefit, DeltaReport, Memo, Op, OpKind, Outcome, Scans, Seeds, Switches};
+use crate::delta::{Benefit, DeltaReport, Memo, Outcome, Scans, Slot, Switches};
 use crate::model::{count_migrations, utility_of, PlacementInstance, PlacementResult, PollDemand};
 
 /// Heuristic knobs: the switches `repro ablation` flips.
@@ -363,16 +364,17 @@ impl SwitchState {
     }
 
     /// The post-LP refresh: usage re-derived from the residents' current
-    /// allocations and then the lingering reservations, in stored order.
+    /// allocations (`res_of`) and then the lingering reservations, in
+    /// stored order.
     fn refresh<'p>(
         &mut self,
         polls: impl Fn(usize) -> SeedPolls<'p>,
-        assignment: &[Option<(SwitchId, Resources)>],
+        res_of: impl Fn(usize) -> Option<Resources>,
     ) {
         self.reset_usage();
         for i in 0..self.seeds.len() {
             let s = self.seeds[i] as usize;
-            if let Some((_, res)) = assignment[s] {
+            if let Some(res) = res_of(s) {
                 self.add_usage(polls(s), &res);
             }
         }
@@ -525,11 +527,13 @@ pub fn solve_randomized(
     }
     if lp_polish {
         let mut scratch = LpScratch::new();
-        for &i in &switches.order {
+        // A fresh memo starts every switch over: `active` is the round.
+        for &i in &switches.active {
             let st = &switches.states[i];
             if !st.seeds.is_empty() {
+                let cur = |s: usize| assignment[s].map(|(_, r)| r);
                 let updates =
-                    redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
+                    redistribute_switch(instance, polls, &st.seeds, st, cur, &mut scratch);
                 for (s, r) in updates {
                     assignment[s] = Some((switches.ids[i], r));
                 }
@@ -546,100 +550,9 @@ pub fn solve_randomized(
     }
 }
 
-/// Step 1: task indices by decreasing minimum utility — the sum of their
-/// seeds' cheapest-feasible utilities, which `min_alloc` holds. Stable,
-/// so ties keep task order.
-fn task_order(instance: &PlacementInstance, seeds: &Seeds) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..instance.tasks.len()).collect();
-    let keys: Vec<f64> = instance
-        .tasks
-        .iter()
-        .map(|task| {
-            let min_u = |&s: &usize| seeds.min_alloc(s).map_or(0.0, |(_, u)| u);
-            task.seeds.iter().map(min_u).sum()
-        })
-        .collect();
-    order.sort_by(|&a, &b| {
-        keys[b]
-            .partial_cmp(&keys[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
-}
-
-/// Steps 1–2: lingering reservations, then greedy placement per task,
-/// all-or-nothing. Every change to a switch goes through
-/// [`Memo::emit`] as one op of that switch's log; each seed's step is
-/// replayed from the memo when its inputs and the switches it read are
-/// as they were last solve ([`Memo::replay`]), and probed otherwise.
-fn greedy(
-    instance: &PlacementInstance,
-    memo: &mut Memo,
-) -> (Vec<Option<(SwitchId, Resources)>>, Vec<usize>) {
-    // Reserve previous allocations as migration lingering; released when
-    // a seed is re-placed on its previous switch. Applied in ascending
-    // seed order so float accumulation is reproducible across solves.
-    for s in 0..instance.seeds.len() {
-        if let Some(i) = memo.seeds.seat(s) {
-            if memo.switches.is_present(i) {
-                memo.emit(instance, i, Op::new(s, OpKind::Reserve));
-            }
-        }
-    }
-    let mut assignment: Vec<Option<(SwitchId, Resources)>> = vec![None; instance.seeds.len()];
-    let mut dropped = Vec::new();
-    let mut seed_ids = Vec::new();
-    let mut placed_here: Vec<(usize, usize, bool)> = Vec::new();
-    for t in task_order(instance, &memo.seeds) {
-        seed_ids.clear();
-        seed_ids.extend_from_slice(&instance.tasks[t].seeds);
-        seed_ids.sort_by_key(|&s| instance.seeds[s].candidates.len());
-        placed_here.clear();
-        let mut ok = true;
-        for &s in &seed_ids {
-            let outcome = match memo.replay(instance, s) {
-                Some(outcome) => outcome,
-                None => {
-                    let outcome = probe(instance, memo, s);
-                    memo.record(s, outcome);
-                    outcome
-                }
-            };
-            let (i, home) = match outcome {
-                Outcome::Fail => {
-                    ok = false;
-                    break;
-                }
-                Outcome::Home(i) => (i, true),
-                Outcome::Placed(i) => (i, false),
-            };
-            if home {
-                memo.emit(instance, i, Op::new(s, OpKind::Release));
-            }
-            memo.emit(instance, i, Op::new(s, OpKind::Place));
-            placed_here.push((s, i, home));
-        }
-        if ok {
-            for &(s, i, _) in &placed_here {
-                assignment[s] = Some((memo.switches.ids[i], memo.seeds.min_res(s)));
-            }
-        } else {
-            for &(s, i, home) in &placed_here {
-                memo.emit(instance, i, Op::new(s, OpKind::Unplace));
-                if home {
-                    // Restore the reservation we released.
-                    memo.emit(instance, i, Op::new(s, OpKind::Restore));
-                }
-            }
-            dropped.push(t);
-        }
-    }
-    (assignment, dropped)
-}
-
 /// One greedy step run for real: where seed `s` goes given the switches
 /// as they stand. Every switch it looks at goes through [`Memo::read`],
-/// which builds the state and notes the op count it was read at.
+/// which builds the state as it stands at this step.
 fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
     let Some((min_res, _)) = memo.seeds.min_alloc(s) else {
         return Outcome::Fail;
@@ -709,10 +622,17 @@ pub(crate) fn solve_core(
 ) -> (PlacementResult, DeltaReport) {
     let start = Instant::now();
     let mut report = DeltaReport::default();
+    // Steps 1–2: lingering reservations, then greedy placement per task,
+    // all-or-nothing, through the memo's worklist ([`Memo::greedy`]).
     memo.begin(instance, options);
-    let (mut assignment, dropped) = greedy(instance, memo);
+    let dropped = memo.greedy(instance, probe);
     report.switches_rebuilt = memo.end_greedy(instance);
-    (report.steps_replayed, report.steps_executed) = memo.steps_run();
+    (
+        report.steps_replayed,
+        report.steps_executed,
+        report.steps_visited,
+        report.steps_cascaded,
+    ) = memo.steps_run();
     if let Some(t) = telemetry {
         record_phase(
             t,
@@ -721,46 +641,50 @@ pub(crate) fn solve_core(
             instance.tasks.len() as u64,
         );
     }
-    let Memo {
-        seeds,
-        switches,
-        scans,
-        ..
-    } = memo;
-    let polls = |s: usize| seeds.polls(instance, s);
 
     // Step 3: LP redistribution per switch, then refresh the bookkeeping
     // so the migration pass sees the boosted allocations. The per-switch
     // LPs are independent (the decomposition's whole point): a switch's
     // LP reads and writes the allocations of its own residents only, so
     // each switch is finished — its LP output replayed or solved and
-    // stored, then applied — before the next begins.
+    // stored, then applied — before the next begins. A switch whose
+    // greedy state was kept holds its residents' slots from last solve.
     let lp_start = Instant::now();
     if options.lp_redistribution {
+        let Memo {
+            seeds,
+            switches,
+            post,
+            ..
+        } = &mut *memo;
+        let polls = |s: usize| seeds.polls(instance, s);
         let mut scratch = LpScratch::new();
-        for k in 0..switches.order.len() {
-            let i = switches.order[k];
+        for k in 0..switches.active.len() {
+            let i = switches.active[k];
             let st = &switches.states[i];
             if st.seeds.is_empty() {
-                switches.lp[i] = None;
+                switches.set_lp(i, false);
                 continue;
             }
-            report.lp_switches += 1;
             if switches.replays_lp(i, seeds) {
+                // Its residents hold the output from last solve.
                 switches.moved[i] = false;
-                report.reused += 1;
-            } else {
-                let ups =
-                    redistribute_switch(instance, polls, &st.seeds, st, &assignment, &mut scratch);
-                switches.lp[i] = Some(ups);
-                (switches.touched[i], switches.moved[i]) = (true, true);
-                report.frontier += 1;
+                continue;
             }
-            let n = switches.ids[i];
-            for &(s, r) in switches.lp[i].iter().flatten() {
-                assignment[s] = Some((n, r));
+            for &s in &st.seeds {
+                let s = s as usize;
+                post.write(s, Some((i, seeds.min_res(s))));
             }
+            let cur = |s: usize| post.res(s);
+            let ups = redistribute_switch(instance, polls, &st.seeds, st, cur, &mut scratch);
+            for (s, r) in ups {
+                post.write(s, Some((i, r)));
+            }
+            switches.set_lp(i, true);
+            report.frontier += 1;
         }
+        report.lp_switches = switches.lp_count();
+        report.reused = report.lp_switches - report.frontier;
         if let Some(t) = telemetry {
             record_phase(
                 t,
@@ -771,13 +695,11 @@ pub(crate) fn solve_core(
         }
         // A switch whose greedy state and LP output are those of the last
         // solve already holds this refresh's result.
-        for &i in &switches.order {
-            if switches.touched[i] {
-                switches.states[i].refresh(polls, &assignment);
-            }
+        for &i in &switches.active {
+            switches.states[i].refresh(polls, |s| post.res(s));
         }
     }
-    switches.settle();
+    memo.switches.settle();
 
     // Steps 4–5: relocation by decreasing benefit. On re-optimization
     // this is migration (with double occupancy); on a fresh placement it
@@ -786,14 +708,26 @@ pub(crate) fn solve_core(
     // so ties keep enumeration order.
     let migration_start = Instant::now();
     let mut migrations = 0;
+    let mut assignment = memo.post.assignment(&memo.switches.ids);
+    let mut relocated = Vec::new();
     if options.migration {
+        let visit = memo.to_scan();
+        let Memo {
+            seeds,
+            switches,
+            scans,
+            post,
+            ..
+        } = &mut *memo;
+        let polls = |s: usize| seeds.polls(instance, s);
         report.pairs_evaluated = scan_benefits(
             instance,
             polls,
             |s| seeds.min_alloc(s),
-            &assignment,
+            |s| post.get(s, &switches.ids),
             switches,
             scans,
+            visit.as_deref(),
         );
         let mut benefits = scans.benefits.clone();
         benefits.sort_by(benefit_cmp);
@@ -821,7 +755,7 @@ pub(crate) fn solve_core(
             // Commit only when the *realized* allocation clears the same
             // hysteresis the estimate did — a migration must strictly pay
             // for its state transfer and double occupancy.
-            let cur_u = scans.utility(seed, s, &cur_res).unwrap_or(0.0);
+            let cur_u = scans.utility(seed, s, post.res(s), &cur_res).unwrap_or(0.0);
             let new_u = seed.util.eval(&res).unwrap_or(0.0);
             if new_u <= cur_u * 1.15 + 1e-6 {
                 continue;
@@ -856,11 +790,12 @@ pub(crate) fn solve_core(
             switches.unsettle(to);
             switches.unsettle(from);
             assignment[s] = Some((n, res));
-            report.relocated += 1;
+            relocated.push(s as u32);
             if instance.previous.is_some() {
                 migrations += 1;
             }
         }
+        report.relocated = relocated.len();
         if let Some(t) = telemetry {
             record_phase(
                 t,
@@ -873,22 +808,7 @@ pub(crate) fn solve_core(
 
     // The objective, as `utility_of` sums it, from step 4's records; and
     // the seeds placed away from their previous seat.
-    let utility = assignment
-        .iter()
-        .enumerate()
-        .filter_map(|(s, a)| {
-            let (_, res) = a.as_ref()?;
-            scans.utility(&instance.seeds[s], s, res)
-        })
-        .sum();
-    let off_seat = assignment
-        .iter()
-        .enumerate()
-        .filter(|(s, a)| match (seeds.seat(*s), a) {
-            (Some(i), Some((n, _))) => switches.ids[i] != *n,
-            _ => false,
-        })
-        .count();
+    let (utility, off_seat) = memo.tally(instance, &assignment, relocated);
     let result = PlacementResult {
         utility,
         migrations: migrations.max(off_seat),
@@ -912,16 +832,19 @@ pub(crate) fn solve_core(
 /// copied ([`Scans::scan`]). Only the pairs of a seed that is new, dirty
 /// or moved, and those of a candidate whose state may have changed (built
 /// with its LP run rather than replayed, or joined) or that left, are
-/// evaluated. The pushed list is the per-candidate scan's, bit for bit.
+/// evaluated, and only seeds in `visit` (whose seat may have changed) or
+/// with such a pair are walked at all. The pushed list is the
+/// per-candidate scan's, bit for bit.
 fn scan_benefits<'p>(
     instance: &PlacementInstance,
     polls: impl Fn(usize) -> SeedPolls<'p>,
     min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
-    assignment: &[Option<(SwitchId, Resources)>],
-    switches: &mut Switches,
+    assignment: impl Fn(usize) -> Slot,
+    switches: &Switches,
     scans: &mut Scans,
+    visit: Option<&[(u32, Slot)]>,
 ) -> usize {
-    let changed = scans.prepare(instance, switches);
+    scans.prepare(instance, switches);
     let benefit = |s: usize, min_res: &Resources, i: usize, cur_u: f64| {
         let seed = &instance.seeds[s];
         let u = achievable_utility(seed, polls(s), min_res, &switches.states[i])?;
@@ -931,7 +854,7 @@ fn scan_benefits<'p>(
         // not exact.
         (u > cur_u * 1.15 + 1e-6).then_some(u - cur_u)
     };
-    scans.scan(instance, assignment, switches, &changed, min_alloc, benefit)
+    scans.scan(instance, assignment, switches, visit, min_alloc, benefit)
 }
 
 /// Utility the seed could reach on a switch given its spare capacity
@@ -1012,8 +935,9 @@ const POLL_TIE_BREAK: f64 = 1e-6;
 /// Step 3: re-solve one switch's resource split as an LP — maximize the
 /// sum of (linearized, concave) seed utilities subject to the switch's
 /// capacities and aggregated polling — and return the accepted per-seed
-/// reallocations. Pure with respect to the shared solve state (reads
-/// `assignment`, never writes — the scratch is an arena, not an input),
+/// reallocations. Pure with respect to the shared solve state (reads each
+/// resident's current allocation through `cur`, never writes — the
+/// scratch is an arena, not an input),
 /// which is what lets a switch whose ops leave it as they did last solve
 /// replay its last output.
 fn redistribute_switch<'p>(
@@ -1021,7 +945,7 @@ fn redistribute_switch<'p>(
     polls: impl Fn(usize) -> SeedPolls<'p>,
     seeds_here: &[u32],
     st: &SwitchState,
-    assignment: &[Option<(SwitchId, Resources)>],
+    cur: impl Fn(usize) -> Option<Resources>,
     scratch: &mut LpScratch,
 ) -> Vec<(usize, Resources)> {
     if seeds_here.len() > LP_SEEDS_PER_SWITCH_CAP {
@@ -1064,7 +988,7 @@ fn redistribute_switch<'p>(
         let vars = ResourceKind::ALL.map(|k| p.add_var_unnamed(0.0, cap.get(k)));
         let u = p.add_var_unnamed(0.0, 1e9);
         objective += LinExpr::from(u);
-        let cur = assignment[s].as_ref().map(|(_, r)| *r).unwrap_or_default();
+        let cur = cur(s).unwrap_or_default();
         let branch = seed
             .util
             .branches
@@ -1565,26 +1489,36 @@ mod tests {
             benefits
         }
 
-        /// [`scan_benefits`] through `scans`, in the oracle's terms.
-        fn scan(world: &World, switches: &mut Switches, scans: &mut Scans) -> Vec<Pushed> {
+        /// [`scan_benefits`] through `scans`, in the oracle's terms, with
+        /// every seed's seat at the last scan; the seats become the last.
+        fn scan(world: &mut World, switches: &mut Switches, scans: &mut Scans) -> Vec<Pushed> {
             let instance = &world.instance;
-            scans.begin(instance.seeds.len(), world.kept.iter().copied());
+            let n = instance.seeds.len() as u32;
+            let fresh: Vec<u32> = (0..n).filter(|&s| !world.kept[s as usize]).collect();
+            let every: Vec<u32> = (0..n).collect();
+            scans.begin(instance.seeds.len(), &fresh);
+            scans.index(&every, instance, switches);
+            let visit: Vec<(u32, Slot)> =
+                every.iter().map(|&s| (s, world.last[s as usize])).collect();
             let polls = |s: usize| world.polls(s);
             let min_alloc = |s: usize| world.min_alloc(s);
             scan_benefits(
                 instance,
                 polls,
                 min_alloc,
-                &world.assignment,
+                |s| world.assignment[s],
                 switches,
                 scans,
+                Some(&visit),
             );
             let pushed = |b: &Benefit| {
                 let s = b.seed as usize;
                 let n = instance.seeds[s].candidates[b.pos as usize];
                 (b.benefit.to_bits(), s, n)
             };
-            scans.benefits.iter().map(pushed).collect()
+            let pushed = scans.benefits.iter().map(pushed).collect();
+            world.last.clone_from(&world.assignment);
+            pushed
         }
 
         /// Generated seeds, where they sit, and which of them kept their
@@ -1595,6 +1529,8 @@ mod tests {
             /// Each seed's interned subjects.
             ids: Vec<Vec<u32>>,
             assignment: Vec<Option<(SwitchId, Resources)>>,
+            /// Where each seed sat at the last scan.
+            last: Vec<Slot>,
             kept: Vec<bool>,
         }
 
@@ -1622,6 +1558,7 @@ mod tests {
                 self.ids.push(subjects);
                 let seat = |h: &usize| (id(*h), Resources::new(*vcpu, 0.0, 0.0, 0.0));
                 self.assignment.push(home.as_ref().map(seat));
+                self.last.push(None);
                 self.kept.push(false);
             }
 
@@ -1648,6 +1585,7 @@ mod tests {
                 self.instance.seeds = take(&self.instance.seeds, &order);
                 self.ids = take(&self.ids, &order);
                 self.assignment = take(&self.assignment, &order);
+                self.last = take(&self.last, &order);
                 self.kept = take(&self.kept, &order);
                 map
             }
@@ -1835,7 +1773,7 @@ mod tests {
             let (mut switches, mut scans) = (Switches::default(), Scans::default());
             let mut rescan = |world: &mut World, fabric: &mut Fabric| {
                 switches.round(round(fabric));
-                let pushed = scan(world, &mut switches, &mut scans);
+                let pushed = scan(&mut *world, &mut switches, &mut scans);
                 assert_eq!(pushed, plain_scan(world, &switches));
                 world.kept.fill(true);
                 for f in fabric.iter_mut() {
@@ -1872,7 +1810,7 @@ mod tests {
                 for recipe in &seeds {
                     world.push(recipe, switches.len());
                 }
-                let pushed = scan(&world, &mut states, &mut Scans::default());
+                let pushed = scan(&mut world, &mut states, &mut Scans::default());
                 prop_assert_eq!(pushed, plain_scan(&world, &states));
             }
 
@@ -1905,7 +1843,7 @@ mod tests {
                 }
                 let (mut switches, mut scans) = (Switches::default(), Scans::default());
                 switches.round(round(&fabric));
-                let cold = scan(&world, &mut switches, &mut scans);
+                let cold = scan(&mut world, &mut switches, &mut scans);
                 prop_assert_eq!(cold, plain_scan(&world, &switches));
                 for (r, changes) in rounds.iter().enumerate() {
                     world.kept.fill(true);
@@ -1916,7 +1854,7 @@ mod tests {
                         apply(&mut world, &mut fabric, &mut scans, change);
                     }
                     switches.round(round(&fabric));
-                    let warm = scan(&world, &mut switches, &mut scans);
+                    let warm = scan(&mut world, &mut switches, &mut scans);
                     prop_assert_eq!(warm, plain_scan(&world, &switches), "rescan {}", r + 1);
                 }
             }

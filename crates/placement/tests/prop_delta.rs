@@ -33,9 +33,12 @@
 //! on them.
 //!
 //! The churn property also checks that its cases still reach the code
-//! that follows the change past step 3: across them, some warm solve
-//! relocates a seed in step 5, and some evaluates fewer benefit pairs in
-//! step 4 than a cold solve of the same instance.
+//! that follows the change: across them, some warm solve visits a clean
+//! seed's greedy step only because an earlier step diverged a switch it
+//! read (the worklist's cascade), some flips a task between placed and
+//! dropped (its close written again), some relocates a seed in step 5,
+//! and some evaluates fewer benefit pairs in step 4 than a cold solve of
+//! the same instance.
 
 mod util;
 
@@ -358,9 +361,15 @@ fn list_seeds(inst: &mut PlacementInstance) {
 }
 
 /// What the warm solves of all churn cases reached, so that the property
-/// can say its cases still exercise step 5 and the incremental scan.
+/// can say its cases still exercise the worklist's cascade and closes,
+/// step 5 and the incremental scan.
 #[derive(Debug, Default)]
 struct Reach {
+    /// Visited steps of clean seeds that a divergence put on the
+    /// worklist.
+    cascaded: usize,
+    /// Tasks a warm solve turned from placed to dropped or back.
+    flipped: usize,
     /// Seeds step 5 relocated.
     relocated: usize,
     /// Warm solves that evaluated fewer benefit pairs than a cold solve
@@ -371,8 +380,9 @@ struct Reach {
 /// Churn replay: every incremental solve along a random event sequence
 /// is bit-identical to a from-scratch solve and satisfies the
 /// independent constraint checkers. Across the cases, some warm solve
-/// relocates a seed in step 5, and some evaluates fewer benefit pairs
-/// than its cold twin.
+/// visits a step through a cascade, some flips a task, some relocates a
+/// seed in step 5, and some evaluates fewer benefit pairs than its cold
+/// twin.
 #[test]
 fn delta_replans_match_full_solves_under_churn() {
     let mut reach = Reach::default();
@@ -381,6 +391,8 @@ fn delta_replans_match_full_solves_under_churn() {
         let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
         churn_case(&fabric, &events, &mut reach);
     });
+    assert!(reach.cascaded > 0, "no warm solve cascaded: {reach:?}");
+    assert!(reach.flipped > 0, "no warm solve flipped a task: {reach:?}");
     assert!(reach.relocated > 0, "no warm solve relocated: {reach:?}");
     assert!(
         reach.fewer_pairs > 0,
@@ -396,8 +408,15 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
     let mut state = SolveState::new();
     let (mut r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
     assert!(!report.warm);
+    let names = |inst: &PlacementInstance, dropped: &[usize]| -> Vec<String> {
+        dropped
+            .iter()
+            .map(|&t| inst.tasks[t].name.clone())
+            .collect()
+    };
     for (step, &ev) in events.iter().enumerate() {
         inst.previous = Some(as_previous(&r.assignment));
+        let (was_dropped, was_tasks) = (names(&inst, &r.dropped_tasks), inst.tasks.clone());
         let delta = apply(&mut inst, &base, &mut state, ev);
         let held = fabric.begin_round(&mut inst);
         let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
@@ -434,6 +453,14 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
             held.iter().all(|&s| dr.assignment[s].is_none()),
             "step {step} ({ev:?}): a held seed was placed"
         );
+        let now_dropped = names(&inst, &dr.dropped_tasks);
+        reach.cascaded += report.steps_cascaded;
+        reach.flipped += inst
+            .tasks
+            .iter()
+            .filter(|t| was_tasks.iter().any(|w| w.name == t.name))
+            .filter(|t| was_dropped.contains(&t.name) != now_dropped.contains(&t.name))
+            .count();
         reach.relocated += report.relocated;
         reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
         r = dr;

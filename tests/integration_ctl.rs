@@ -113,9 +113,11 @@ fn submit_list_drain_stats_shutdown_over_loopback() {
         ControlReply::Json { body } => {
             assert!(body.contains("\"net_dead_letters\""), "{body}");
             assert!(body.contains("\"ctl.op_latency_us\""), "{body}");
-            // What the incremental solver holds and how many benefit
-            // pairs it evaluated, after the submit and the drain.
+            // What the incremental solver holds, how many benefit pairs
+            // it evaluated and greedy steps it visited, after the submit
+            // and the drain.
             for solver in [
+                "\"solver.greedy_steps_visited\":",
                 "\"solver.delta_cache_entries\":1",
                 "\"solver.delta_cache_bytes\":",
                 "\"solver.benefit_pairs_evaluated\":{\"count\":2",
