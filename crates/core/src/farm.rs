@@ -451,17 +451,22 @@ impl Farm {
         self.deploy(compiled)
     }
 
-    /// Registers `tasks` and replans. On any failure every task this
-    /// call registered is withdrawn again — a same-named task one of them
-    /// replaced goes with it — and whatever the round planted for them
-    /// is undeployed, the way [`Farm::drain`] rolls back its cordon.
+    /// Registers `tasks` and replans. A same-named task already
+    /// registered is withdrawn, seeds and all (its harvester stays), once
+    /// the new definition has been accepted: a replacement starts its own
+    /// seeds, and a rejected one changes nothing. On any failure every
+    /// task this call registered is withdrawn again and whatever the
+    /// round planted for them is undeployed, the way [`Farm::drain`]
+    /// rolls back its cordon.
     fn deploy(&mut self, tasks: Vec<CompiledTask>) -> Result<Plan, Error> {
         let mut registered = Vec::with_capacity(tasks.len());
         let result = tasks
             .into_iter()
             .try_for_each(|task| {
                 let name = task.name.clone();
-                self.seeder.register_task(task)?;
+                if let Some(replaced) = self.seeder.register_task(task)? {
+                    self.undeploy_withdrawn(&name, replaced);
+                }
                 registered.push(name);
                 Ok(())
             })
@@ -485,13 +490,14 @@ impl Farm {
     /// Unregisters a task and undeploys its seeds, in key order, with
     /// its snapshots and recovery entries. Its harvester stays.
     fn withdraw(&mut self, name: &str) {
-        let seeds: Vec<Placed> = self
-            .seeder
-            .table()
-            .filter(|(k, _)| k.task == name)
-            .map(|(_, p)| *p)
-            .collect();
-        self.seeder.remove_task(name);
+        let seeds = self.seeder.remove_task(name).unwrap_or_default();
+        self.undeploy_withdrawn(name, seeds);
+    }
+
+    /// Undeploys `seeds`, the records of task `name` the seeder has
+    /// just let go, in order, and drops the task's snapshots and
+    /// recovery entries.
+    fn undeploy_withdrawn(&mut self, name: &str, seeds: Vec<Placed>) {
         for placed in seeds {
             if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, &placed) {
                 let _ = soil.undeploy(placed.id, UndeployReason::TaskRemoved, self.now, switch);
@@ -1613,6 +1619,74 @@ mod tests {
         let home = rover_home.switch;
         let (_, evacuated) = farm.drain(home).unwrap();
         assert!(evacuated >= 1);
+    }
+
+    #[test]
+    fn a_replacement_undeploys_the_seeds_of_the_task_it_replaces() {
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        farm.deploy_task(
+            "t",
+            "machine Fine { place all; state s { } }",
+            &BTreeMap::new(),
+        )
+        .unwrap();
+        assert_eq!(farm.deployed_seeds(), 5);
+        farm.deploy_task(
+            "t",
+            "machine M { place any; state s { } }",
+            &BTreeMap::new(),
+        )
+        .unwrap();
+        let ids = farm.network().switch_ids();
+        let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();
+        assert_eq!(hosted, 1, "the replaced task's five seeds are gone");
+        let statuses = farm.seed_statuses();
+        assert_eq!(statuses.len(), 1, "{statuses:?}");
+        assert_eq!(statuses[0].machine, "M");
+    }
+
+    #[test]
+    fn a_rejected_replacement_leaves_the_running_task_alone() {
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        let src = farm_almanac::programs::HEAVY_HITTER;
+        farm.deploy_task("t", src, &BTreeMap::new()).unwrap();
+        let before = farm.seed_statuses();
+        assert_eq!(before.len(), 5);
+        // The same task with its polling interval turned upside down
+        // (PCIe/10 for 10/PCIe): a demand `1/ival` that is not linear,
+        // which the placement rows reject.
+        let ctl = SdnController::new(farm.network().topology());
+        let mut task = compile_task("t", src, &BTreeMap::new(), &ctl).unwrap();
+        for trigger in &mut task.machines[0].triggers {
+            trigger.ival = trigger.ival.recip();
+        }
+        assert!(farm.deploy(vec![task]).is_err());
+        assert_eq!(farm.seed_statuses(), before);
+        let ids = farm.network().switch_ids();
+        let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();
+        assert_eq!(hosted, 5, "the running task keeps its seeds");
+        assert_eq!(farm.seeder().task_names(), ["t"]);
+    }
+
+    #[test]
+    fn removing_a_task_leaves_tasks_with_adjacent_names_alone() {
+        // `w1` < `w1-x` < `w10` in key order: the removal's range over
+        // `w1`'s keys must stop at its own.
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        for name in ["w1", "w10", "w1-x"] {
+            farm.deploy_task(name, farm_almanac::programs::HEAVY_HITTER, &BTreeMap::new())
+                .unwrap();
+        }
+        assert_eq!(farm.deployed_seeds(), 15);
+        farm.remove_task("w1").unwrap();
+        let statuses = farm.seed_statuses();
+        let tasks: Vec<&str> = statuses.iter().map(|s| s.key.task.as_str()).collect();
+        assert_eq!(tasks, [["w1-x"; 5], ["w10"; 5]].concat());
+        assert!(statuses.iter().all(|s| s.machine == "HH"), "{statuses:?}");
+        for id in farm.network().switch_ids() {
+            assert_eq!(farm.soil(id).unwrap().num_seeds(), 2, "{id:?}");
+        }
+        assert_eq!(farm.seeder().task_names(), ["w1-x", "w10"]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! [`crate::farm::Farm`] facade executes against the soils.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
+use std::time::Instant;
 
 use farm_almanac::compile::{CompiledMachine, CompiledTask};
 use farm_netsim::switch::Resources;
@@ -16,9 +17,9 @@ use farm_netsim::types::SwitchId;
 use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
-use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement};
+use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement, Seat, Seats};
 use farm_soil::SeedId;
-use farm_telemetry::Telemetry;
+use farm_telemetry::{Histogram, Telemetry};
 
 /// Stable identity of one seed across re-optimizations.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,6 +29,18 @@ pub struct SeedKey {
     pub machine: usize,
     /// Index of the seed within its machine's placement spec.
     pub seed: usize,
+}
+
+impl SeedKey {
+    /// Every key of task `name`, first to last in key order.
+    fn of_task(name: &str) -> RangeInclusive<SeedKey> {
+        let key = |n| SeedKey {
+            task: name.to_string(),
+            machine: n,
+            seed: n,
+        };
+        key(0)..=key(usize::MAX)
+    }
 }
 
 impl std::fmt::Display for SeedKey {
@@ -105,6 +118,11 @@ struct Catalog {
     /// the task table. Switches, previous placement and task scopes are
     /// the round's ([`PlacementInstance::begin_round`]).
     instance: PlacementInstance,
+    /// The seed table's seat of each key, index-aligned with `keys`: the
+    /// previous placement a round hands the solver as it is. A splice
+    /// splices it; a commit, an eviction or a forgotten seed writes the
+    /// one seat it changed.
+    seats: Seats,
 }
 
 impl Catalog {
@@ -122,12 +140,28 @@ impl Catalog {
 
     /// Replaces `name`'s rows (none when it is not in the catalog) with
     /// `new` (none removes the task) and returns the old → new seed map
-    /// ([`PlacementInstance::splice_task`]).
+    /// ([`PlacementInstance::splice_task`]). A registration inserts a
+    /// task the catalog does not hold, so its new keys have no seats.
     fn splice(&mut self, name: &str, new: Option<(Vec<SeedKey>, TaskRows)>) -> Vec<Option<usize>> {
         let (old, t) = self.position(name);
         let (keys, rows) = new.unzip();
-        self.keys.splice(old.clone(), keys.unwrap_or_default());
+        let keys = keys.unwrap_or_default();
+        debug_assert!(keys.is_empty() || old.is_empty(), "a task registered twice");
+        self.seats
+            .splice(old.clone(), std::iter::repeat_n(None, keys.len()));
+        self.keys.splice(old.clone(), keys);
         self.instance.splice_task(t, old, rows)
+    }
+
+    /// Writes `key`'s seat, if the key is in the catalog.
+    fn seat(&mut self, key: &SeedKey, seat: Option<Seat>) {
+        let Ok(i) = self.keys.binary_search(key) else {
+            return;
+        };
+        match seat {
+            Some(seat) => self.seats.insert(i, seat),
+            None => self.seats.remove(&i),
+        };
     }
 }
 
@@ -144,6 +178,9 @@ pub struct Seeder {
     /// Incremental-solver memory carried between planning rounds.
     solver_state: SolveState,
     catalog: Catalog,
+    /// `seeder.splice_us`: one catalog splice and the solver memory's
+    /// remap, per registration or removal.
+    splice_us: Option<Arc<Histogram>>,
 }
 
 impl Seeder {
@@ -155,26 +192,44 @@ impl Seeder {
     /// Attaches telemetry: planning rounds record `solver.phase_us`
     /// samples and emit [`farm_telemetry::Event::SolverPhase`] events.
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.splice_us = Some(telemetry.latency_histogram("seeder.splice_us"));
         self.telemetry = Some(telemetry);
     }
 
-    /// Registers a compiled task (replacing any same-named task, which
-    /// is a removal followed by an insertion). Only this task's rows are
-    /// built; they are spliced into the planning catalog at the task's
-    /// place in key order, and the seeds after them shift. The solver
-    /// memory follows the shift; the new seeds have no old index, so it
-    /// holds nothing on them and their definitions need no declaring
-    /// (nor do a replaced task's, whose old indices map to nothing).
+    /// Splices `name`'s rows ([`Catalog::splice`]) and remaps the solver
+    /// memory to the new numbering, timed into `seeder.splice_us`.
+    fn splice(&mut self, name: &str, new: Option<(Vec<SeedKey>, TaskRows)>) {
+        let started = Instant::now();
+        let map = self.catalog.splice(name, new);
+        self.solver_state.remap(&map);
+        if let Some(h) = &self.splice_us {
+            h.record(started.elapsed().as_micros() as u64);
+        }
+    }
+
+    /// Registers a compiled task. Only this task's rows are built; they
+    /// are spliced into the planning catalog at the task's place in key
+    /// order, and the seeds after them shift. The solver memory follows
+    /// the shift; the new seeds have no old index, so it holds nothing on
+    /// them and their definitions need no declaring. A same-named task is
+    /// replaced: once the new rows are built, it is removed as by
+    /// [`Seeder::remove_task`], and its seed records are returned for the
+    /// caller to undeploy; `None` when no task had the name.
     ///
     /// # Errors
     ///
-    /// Instance-construction failures (non-linear demands); the seeder
-    /// is then left as it was.
-    pub(crate) fn register_task(&mut self, task: CompiledTask) -> Result<(), String> {
+    /// Instance-construction failures (non-linear demands); the seeder,
+    /// and a task it would have replaced, are then left as they were.
+    pub(crate) fn register_task(
+        &mut self,
+        task: CompiledTask,
+    ) -> Result<Option<Vec<Placed>>, String> {
         let name = task.name.clone();
-        // A same-named task's rows start where the new ones will.
+        // A same-named task's rows start where the new ones will once it
+        // is removed.
         let (at, t) = self.catalog.position(&name);
         let rows = task_rows(&task, t, at.start)?;
+        let replaced = self.remove_task(&name);
         let keys = task
             .machines
             .iter()
@@ -188,25 +243,25 @@ impl Seeder {
                 })
             })
             .collect();
-        let map = self.catalog.splice(&name, Some((keys, rows)));
-        self.solver_state.remap(&map);
+        self.splice(&name, Some((keys, rows)));
         let machines = task.machines.into_iter().map(Arc::new).collect();
         self.tasks.insert(name, machines);
-        Ok(())
+        Ok(replaced)
     }
 
     /// Removes a task from the catalog together with its placement
-    /// memory (the caller is responsible for undeploying the live seeds).
-    pub(crate) fn remove_task(&mut self, name: &str) -> bool {
-        if self.tasks.remove(name).is_none() {
-            return false;
-        }
-        self.placed.retain(|k, _| k.task != name);
+    /// memory and returns its seed records in key order, for the caller
+    /// to undeploy; `None` when no task of that name is registered.
+    pub(crate) fn remove_task(&mut self, name: &str) -> Option<Vec<Placed>> {
+        self.tasks.remove(name)?;
+        let keys: Vec<SeedKey> = (self.placed.range(SeedKey::of_task(name)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let records = keys.iter().filter_map(|k| self.placed.remove(k)).collect();
         // The task's seed indices vanish: the remap drops every switch
         // log and LP output that mentions them.
-        let map = self.catalog.splice(name, None);
-        self.solver_state.remap(&map);
-        true
+        self.splice(name, None);
+        Some(records)
     }
 
     /// Whether a task of that name is registered.
@@ -268,20 +323,17 @@ impl Seeder {
     /// live candidate holds its seat ([`Plan::held`]): it neither drops
     /// its task nor appears in the actions.
     pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Plan {
-        let Catalog { keys, instance } = &mut self.catalog;
-        // The seed table and the keys are both in key order: one merge
-        // walk numbers the table's records.
-        let mut previous = PreviousPlacement::default();
-        previous.assignment.reserve(self.placed.len());
-        let mut table = self.placed.iter().peekable();
-        for (i, key) in keys.iter().enumerate() {
-            while table.next_if(|(k, _)| *k < key).is_some() {}
-            if let Some((_, p)) = table.next_if(|(k, _)| *k == key) {
-                previous.assignment.insert(i, (p.switch, p.alloc));
-            }
-        }
-        let has_previous = !previous.assignment.is_empty();
-        let held = instance.begin_round(switches, has_previous.then_some(previous));
+        let Catalog {
+            keys,
+            instance,
+            seats,
+        } = &mut self.catalog;
+        // The catalog's seats are the previous placement: they go to the
+        // round as they are, and come back after the diff.
+        let previous = (!seats.is_empty()).then(|| PreviousPlacement {
+            assignment: std::mem::take(seats),
+        });
+        let held = instance.begin_round(switches, previous);
         // A definition change is always a splice, which the remap has
         // already shown the memory: nothing is left to declare dirty.
         let (result, report) = replan_delta(
@@ -340,6 +392,9 @@ impl Seeder {
             .iter()
             .map(|&t| instance.tasks[t].name.clone())
             .collect();
+        if let Some(previous) = instance.previous.take() {
+            *seats = previous.assignment;
+        }
         Plan {
             actions,
             result,
@@ -363,6 +418,7 @@ impl Seeder {
             .collect();
         for (key, _) in &evicted {
             self.placed.remove(key);
+            self.catalog.seat(key, None);
         }
         evicted
     }
@@ -371,7 +427,9 @@ impl Seeder {
     /// resource pressure). Returns the id its soil knew it by, `None`
     /// for an unknown seed.
     pub(crate) fn forget(&mut self, key: &SeedKey) -> Option<SeedId> {
-        self.placed.remove(key).map(|p| p.id)
+        let placed = self.placed.remove(key)?;
+        self.catalog.seat(key, None);
+        Some(placed.id)
     }
 
     /// Records that a planned action was executed (keeps the seed table
@@ -393,14 +451,17 @@ impl Seeder {
                     lost: false,
                 };
                 self.placed.insert(key.clone(), placed);
+                self.catalog.seat(key, Some((*to, *alloc)));
             }
             PlannedAction::Realloc { key, alloc } => {
                 if let Some(p) = self.placed.get_mut(key) {
                     p.alloc = *alloc;
+                    self.catalog.seat(key, Some((p.switch, *alloc)));
                 }
             }
             PlannedAction::Undeploy { key, .. } => {
                 self.placed.remove(key);
+                self.catalog.seat(key, None);
             }
         }
     }
@@ -510,7 +571,7 @@ mod tests {
         let caps = capacities(&topo);
         let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
-        assert!(seeder.remove_task("hh"));
+        assert!(seeder.remove_task("hh").is_some());
         // With the task gone from the catalog the plan no longer knows the
         // seeds; the Farm facade undeploys orphans (see farm.rs). The
         // seeder itself reports no actions for unknown keys.
@@ -674,14 +735,30 @@ mod tests {
             let Catalog {
                 keys: got,
                 instance,
+                seats,
             } = &seeder.catalog;
             assert_eq!(got, &keys, "keys");
+            assert_eq!(seats, &table_seats(seeder), "seats");
             assert_eq!(instance.seeds, expected.seeds, "seed rows");
             // A task row's seed list is the next round's to scope.
             let names =
                 |i: &PlacementInstance| i.tasks.iter().map(|t| t.name.clone()).collect::<Vec<_>>();
             assert_eq!(names(instance), names(&expected), "task rows");
             assert_eq!(seeder.task_names(), names(&expected));
+        }
+
+        /// The seats of the catalog's keys, from a walk over the seed
+        /// table beside the keys.
+        fn table_seats(seeder: &Seeder) -> Seats {
+            let mut table = seeder.placed.iter().peekable();
+            let mut seats = Seats::default();
+            for (i, key) in seeder.catalog.keys.iter().enumerate() {
+                while table.next_if(|(k, _)| *k < key).is_some() {}
+                if let Some((_, p)) = table.next_if(|(k, _)| *k == key) {
+                    seats.insert(i, (p.switch, p.alloc));
+                }
+            }
+            seats
         }
 
         fn assert_same_plan(warm: &Plan, cold: &Plan) {
@@ -694,24 +771,30 @@ mod tests {
         }
 
         proptest! {
-            /// Each step registers program `p` under a name (a
-            /// replacement when the name is taken) or, for `p` past the
+            /// Each step registers program `p` under a name (when the
+            /// name is taken, a removal of the old task and a fresh
+            /// insertion, as `Farm` replaces one) or, for `p` past the
             /// programs, removes the name; then both seeders plan over
-            /// the switches the mask keeps live.
+            /// the switches the mask keeps live, and the plan is
+            /// committed. Last, `lose` may evict one switch's seeds, or
+            /// forget the first seed, as a crash does.
             #[test]
             fn spliced_catalog_equals_rebuilt_catalog(
-                steps in proptest::collection::vec((0..NAMES.len(), 0..PROGRAMS.len() + 2, 0u8..32), 1..16),
+                steps in proptest::collection::vec(
+                    (0..NAMES.len(), 0..PROGRAMS.len() + 2, 0u8..32, 0usize..10),
+                    1..16,
+                ),
             ) {
                 let topo = fabric();
                 let all = capacities(&topo);
                 let mut seeder = Seeder::new();
                 let mut table = BTreeMap::new();
-                for (name, program, mask) in steps {
+                for (name, program, mask, lose) in steps {
                     if program < PROGRAMS.len() {
                         seeder.register_task(compiled(name, program)).unwrap();
                         table.insert(name, program);
                     } else {
-                        assert_eq!(seeder.remove_task(NAMES[name]), table.remove(&name).is_some());
+                        assert_eq!(seeder.remove_task(NAMES[name]).is_some(), table.remove(&name).is_some());
                     }
                     check_catalog(&seeder, &table);
 
@@ -720,6 +803,7 @@ mod tests {
                         fresh.register_task(compiled(n, p)).unwrap();
                     }
                     fresh.placed = seeder.placed.clone();
+                    fresh.catalog.seats = table_seats(&fresh);
                     let live: Vec<_> = all
                         .iter()
                         .enumerate()
@@ -729,6 +813,16 @@ mod tests {
                     let plan = seeder.plan(&live);
                     assert_same_plan(&plan, &fresh.plan(&live));
                     commit_all(&mut seeder, &plan);
+                    check_catalog(&seeder, &table);
+                    if let Some(&(n, _)) = all.get(lose) {
+                        seeder.evict_switch(n);
+                    } else if lose == all.len() {
+                        let first = seeder.placed.keys().next().cloned();
+                        if let Some(key) = first {
+                            seeder.forget(&key);
+                        }
+                    }
+                    check_catalog(&seeder, &table);
                 }
             }
         }

@@ -16,6 +16,22 @@
 //! subjects are renumbered and everything that depends on them starts
 //! cold.
 //!
+//! **The remap.** Everything kept per seed is indexed by seed, so a
+//! caller that renumbers its seeds hands [`SolveState::remap`] the
+//! old → new map. The remap finds the first seed the map moves or drops,
+//! `first`: every seed before it keeps its index, and none of its
+//! records is touched. The per-seed vectors scatter their entries from
+//! `first` on to the new indices; a new index no kept seed takes is a
+//! seed new to the state. Each switch's `(seed, position)` index and the
+//! benefit list are rewritten from their first pair at or past `first`,
+//! and are sorted again only when the rewrite left them out of order;
+//! only the log ops and states that name a seed from `first` on are
+//! rewritten, and a switch whose log names a dropped seed starts over.
+//! A catalog splice moves the seeds after the spliced task, so the
+//! remap costs what those seeds hold; a general permutation is the case
+//! `first = 0`. Renaming a seed changes no value a step or an LP reads:
+//! every record keeps its meaning under the new index.
+//!
 //! **Step 1 as a kept order.** The greedy visits its *steps* — one per
 //! seed, task by task in decreasing minimum utility, a task's seeds by
 //! candidate count — in the order the last solve kept. A task's key and
@@ -40,6 +56,12 @@
 //! inputs and the states it read: its home switch, or every present
 //! candidate when it scanned.
 //!
+//! **Previous seats** come as a dense table, one slot per seed
+//! ([`crate::model::Seats`]), walked in seed order beside the seats the
+//! last solve saw; a seat that came, went or changed bits makes its seed
+//! unclean, and the switches it left and took rewrite their reserve
+//! sections.
+//!
 //! The pass *visits* only the steps on a worklist, in order: the steps of
 //! seeds that are not clean (dirty, new, or with other previous-seat
 //! bits), the readers of switches that joined, left, changed capacity or
@@ -63,6 +85,17 @@
 //! switch whose log did not diverge keeps its state from the last solve
 //! untouched. A from-scratch solve is the case where every switch joined
 //! and every step is on the worklist.
+//!
+//! **Read-only probes.** A probe that reads an undiverged switch needs
+//! its state as it stands before the step: that is the capacity plus the
+//! log's ops before the step's key, built in the state's one probe
+//! buffer (a probe looks at one switch at a time; a later read of the
+//! same switch goes on from where the buffer stands). The switch's own
+//! state — the last solve's after step 3 — is left as it is, so a switch
+//! that is only read is not rebuilt: step 2's end, step 3's refresh and
+//! step 4 do not visit it ([`DeltaReport::switches_read`] counts them). A
+//! switch that diverges takes the buffer, built up to the divergence, as
+//! its state, and from then on is rebuilt as any diverged switch is.
 //!
 //! **Step 3.** Each switch's LP is a **pure function** of the switch's
 //! capacity, its residents in greedy order at their minimum allocations,
@@ -156,6 +189,7 @@ struct Instruments {
     steps_executed: Arc<Counter>,
     steps_visited: Arc<Counter>,
     switches_rebuilt: Arc<Histogram>,
+    switches_read: Arc<Counter>,
     cache_entries: Arc<Gauge>,
     cache_bytes: Arc<Gauge>,
 }
@@ -172,6 +206,7 @@ impl Instruments {
             steps_executed: t.counter("solver.greedy_steps_executed"),
             steps_visited: t.counter("solver.greedy_steps_visited"),
             switches_rebuilt: t.histogram("solver.switches_rebuilt", SWITCH_COUNT_BOUNDS),
+            switches_read: t.counter("solver.switches_read"),
             cache_entries: t.gauge("solver.delta_cache_entries"),
             cache_bytes: t.gauge("solver.delta_cache_bytes"),
         }
@@ -257,11 +292,11 @@ impl Post {
         self.changed.shrink_to(64);
     }
 
-    fn remap(&mut self, old: &[Option<usize>]) {
+    fn remap(&mut self, r: &Remap) {
         self.settle();
-        self.at = carry(&self.at, old, NO_SEAT);
-        self.res = carry(&self.res, old, Resources::ZERO);
-        self.written = vec![false; self.at.len()];
+        r.apply(&mut self.at, NO_SEAT);
+        r.apply(&mut self.res, Resources::ZERO);
+        r.apply(&mut self.written, false);
     }
 
     fn bytes(&self) -> usize {
@@ -275,6 +310,141 @@ impl Post {
 /// Bytes a `Vec` holds, by capacity.
 fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
+}
+
+/// A renumbering of the seeds (`map[old] = Some(new)`; `None`, or an
+/// old index past the map, drops the seed), seen from the first seed it
+/// moves: every seed before `first` keeps its index, so a remap rewrites
+/// only what is kept of the seeds from `first` on. A catalog splice
+/// moves the seeds after the spliced task, each by the same shift; a
+/// general permutation is the case `first = 0`.
+#[derive(Debug)]
+pub(crate) struct Remap<'a> {
+    map: &'a [Option<usize>],
+    /// The first old index the map moves or drops.
+    first: usize,
+    /// The per-seed vectors' length.
+    len: usize,
+    /// The old index of each new index from `first` on; `None` for one
+    /// no kept seed takes, a seed new to the state.
+    src: Vec<Option<usize>>,
+}
+
+impl<'a> Remap<'a> {
+    /// The renumbering `map` of per-seed vectors `len` long.
+    pub(crate) fn new(map: &'a [Option<usize>], len: usize) -> Remap<'a> {
+        let at = |o: usize| map.get(o).copied().flatten();
+        let first = (0..len).find(|&o| at(o) != Some(o)).unwrap_or(len);
+        let mut src = Vec::new();
+        for o in first..len {
+            let Some(n) = at(o) else {
+                continue;
+            };
+            if src.len() <= n - first {
+                src.resize(n - first + 1, None);
+            }
+            src[n - first] = Some(o);
+        }
+        Remap {
+            map,
+            first,
+            len,
+            src,
+        }
+    }
+
+    /// Whether no seed moves: the vectors stay as they are.
+    fn identity(&self) -> bool {
+        self.first == self.len
+    }
+
+    /// The per-seed vectors' length after.
+    fn new_len(&self) -> usize {
+        self.first + self.src.len()
+    }
+
+    /// The new indices from `first` on that no kept seed takes.
+    fn holes(&self) -> impl Iterator<Item = usize> + '_ {
+        let first = self.first;
+        (self.src.iter().enumerate()).filter_map(move |(k, o)| o.is_none().then_some(first + k))
+    }
+
+    /// The new index of old seed `s`.
+    fn seed(&self, s: usize) -> Option<usize> {
+        if s < self.first {
+            return Some(s);
+        }
+        self.map.get(s).copied().flatten()
+    }
+
+    /// [`Remap::seed`] of a seed id held as a `u32`.
+    fn id(&self, s: u32) -> Option<u32> {
+        self.seed(s as usize).map(|n| n as u32)
+    }
+
+    /// Moves a per-seed vector to the new numbering: the entries from
+    /// `first` on are taken off and scattered to their new indices, and
+    /// a new index no kept seed takes holds `none`. The entries before
+    /// `first` stay where they are.
+    fn apply<T: Copy>(&self, v: &mut Vec<T>, none: T) {
+        debug_assert_eq!(v.len(), self.len, "a per-seed vector of another length");
+        if self.identity() {
+            return;
+        }
+        let tail = v.split_off(self.first);
+        let new_len = self.new_len();
+        grow(v, new_len);
+        v.resize(new_len, none);
+        for (o, x) in (self.first..).zip(tail) {
+            if let Some(n) = self.seed(o) {
+                v[n] = x;
+            }
+        }
+    }
+
+    /// Rewrites a list ascending by (seed, position): the items from the
+    /// first seed at or past `first` on take their seed's new index, the
+    /// dropped seeds' items go, and the tail is sorted again if the map
+    /// put it out of order.
+    fn ascending<T: SeedPair>(&self, v: &mut Vec<T>) {
+        let from = v.partition_point(|x| (x.pair().0 as usize) < self.first);
+        let mut keep = from;
+        for k in from..v.len() {
+            if let Some(n) = self.id(v[k].pair().0) {
+                v[k].set_seed(n);
+                v.swap(keep, k);
+                keep += 1;
+            }
+        }
+        v.truncate(keep);
+        if !v[from..].is_sorted_by_key(T::pair) {
+            v[from..].sort_unstable_by_key(T::pair);
+        }
+    }
+}
+
+/// Makes room for `len` items in `v`, growing it by an eighth at least
+/// rather than doubling it: the per-seed vectors are kept between solves.
+fn grow<T>(v: &mut Vec<T>, len: usize) {
+    if len > v.capacity() {
+        v.reserve_exact((len - v.len()).max(v.len() / 8));
+    }
+}
+
+/// An item of a list kept ascending by (seed, candidate position).
+trait SeedPair {
+    fn pair(&self) -> (u32, u32);
+    fn set_seed(&mut self, s: u32);
+}
+
+impl SeedPair for (u32, u32) {
+    fn pair(&self) -> (u32, u32) {
+        *self
+    }
+
+    fn set_seed(&mut self, s: u32) {
+        self.0 = s;
+    }
 }
 
 /// What one [`replan_delta`] call did, for telemetry and the churn bench.
@@ -306,6 +476,9 @@ pub struct DeltaReport {
     /// Switches whose greedy state was rebuilt from their op log rather
     /// than kept from the last solve.
     pub switches_rebuilt: usize,
+    /// Undiverged switches a probe read, in a buffer built from their op
+    /// log, and that kept their state from the last solve.
+    pub switches_read: usize,
     /// (seed, candidate) pairs whose migration benefit step 4 evaluated
     /// rather than copied from the last solve: every pair on a cold
     /// solve, none in a world that did not change (0 when the migration
@@ -430,12 +603,9 @@ const KNOWN: u8 = 1;
 const FEASIBLE: u8 = 2;
 /// the products are the last solve's (not new, not declared dirty),
 const KEPT: u8 = 4;
-/// its ops match its logged ones (products and previous seat as last
-/// solve),
+/// and its ops match its logged ones (products and previous seat as last
+/// solve).
 const CLEAN: u8 = 8;
-/// and the previous placement named it in a solve of the parity this bit
-/// has (see [`Seeds::seat_previous`]).
-const SEEN: u8 = 16;
 
 /// [`Seeds::seat_slot`] of a seed without a previous seat.
 const NO_SEAT: u32 = u32::MAX;
@@ -455,8 +625,6 @@ pub(crate) struct Seeds {
     /// the allocation — as of the current (or last) solve.
     seat_slot: Vec<u32>,
     seat_res: Vec<Resources>,
-    /// Seeds with a seat.
-    seated: usize,
     flags: Vec<u8>,
     /// Seeds that are not `KNOWN`: declared dirty, or new.
     unknown: Vec<u32>,
@@ -547,26 +715,37 @@ impl Seeds {
         if fresh.is_empty() {
             return (fresh, false);
         }
-        let span = |s: usize| self.at[s] as usize..self.at[s + 1] as usize;
-        let in_place = self.at.len() == n + 1
-            && fresh
-                .iter()
-                .all(|&s| span(s as usize).len() == instance.seeds[s as usize].polls.len());
-        if !in_place {
-            // Lay the ids out afresh: known seeds keep theirs, the others
-            // get room for theirs.
-            let polls = instance.seeds.iter().map(|s| s.polls.len()).sum();
-            let (mut at, mut ids) = (Vec::with_capacity(n + 1), Vec::with_capacity(polls));
-            at.push(0);
-            for (s, seed) in instance.seeds.iter().enumerate() {
-                if self.flags[s] & KNOWN == 0 {
-                    ids.resize(ids.len() + seed.polls.len(), 0);
-                } else {
-                    ids.extend_from_slice(&self.ids[span(s)]);
-                }
-                at.push(ids.len() as u32);
+        // The ids stand in place up to the first computed seed without
+        // room for its polls (one new to the layout has none); from there
+        // they are laid out again: known seeds keep theirs, the others get
+        // room for theirs.
+        let fits = |s: usize| {
+            s + 1 < self.at.len()
+                && (self.at[s + 1] - self.at[s]) as usize == instance.seeds[s].polls.len()
+        };
+        if let Some(&from) = fresh.iter().find(|&&s| !fits(s as usize)) {
+            if self.at.is_empty() {
+                self.at.push(0);
             }
-            (self.at, self.ids) = (at, ids);
+            let from = (from as usize).min(self.at.len() - 1);
+            let base = self.at[from] as usize;
+            let old_at = self.at.split_off(from + 1);
+            let old_ids = self.ids.split_off(base);
+            let polls = instance.seeds[from..].iter().map(|s| s.polls.len()).sum();
+            self.ids.reserve_exact(polls);
+            self.at.reserve_exact(n - from);
+            let mut start = base;
+            for (s, seed) in instance.seeds.iter().enumerate().skip(from) {
+                if self.flags[s] & KNOWN == 0 {
+                    self.ids.resize(self.ids.len() + seed.polls.len(), 0);
+                } else {
+                    let end = old_at[s - from] as usize;
+                    self.ids
+                        .extend_from_slice(&old_ids[start - base..end - base]);
+                }
+                start = old_at.get(s - from).map_or(start, |&a| a as usize);
+                self.at.push(self.ids.len() as u32);
+            }
         }
         for &s in &fresh {
             let (s, seed) = (s as usize, &instance.seeds[s as usize]);
@@ -574,7 +753,7 @@ impl Seeds {
             for (id, p) in ids.iter_mut().zip(&seed.polls) {
                 *id = self.subjects.intern(&p.subject);
             }
-            self.flags[s] = KNOWN | self.flags[s] & SEEN;
+            self.flags[s] = KNOWN;
             self.unclean.push(s as u32);
             if let Some((res, u)) = seed.util.min_feasible() {
                 (self.min_res[s], self.min_u[s]) = (res, u);
@@ -599,78 +778,76 @@ impl Seeds {
         (fresh, moved)
     }
 
-    /// Takes this solve's previous seats from the instance (`solve`
-    /// numbers the solve). A seed whose seat differs in any bit from the
-    /// last solve's is not clean, and the switches it left and took
-    /// rewrite their reserve sections. A seed the previous placement no
-    /// longer names loses its seat; every seated seed was named last
-    /// solve, so one not named now is one whose `SEEN` bit is not this
-    /// solve's parity.
-    fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches, solve: u32) {
-        let parity = if solve.is_multiple_of(2) { SEEN } else { 0 };
-        let mut still = 0;
-        let mut seated = self.seated;
-        if let Some(prev) = &instance.previous {
-            for (&s, &(n, res)) in &prev.assignment {
-                if s >= self.len() {
-                    continue;
+    /// Takes this solve's previous seats from the instance's seat table,
+    /// walked in seed order beside the kept seats. A seed whose seat
+    /// came, went or differs in any bit from the last solve's is not
+    /// clean, and the switches it left and took rewrite their reserve
+    /// sections.
+    fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches) {
+        let seats = instance
+            .previous
+            .as_ref()
+            .map_or(&[][..], |p| p.assignment.slots());
+        for s in 0..self.len() {
+            let slot = self.seat_slot[s];
+            let seat = seats.get(s).copied().flatten();
+            let same = match seat {
+                Some((n, res)) => {
+                    slot != NO_SEAT
+                        && switches.ids[slot as usize] == n
+                        && bits(&self.seat_res[s]) == bits(&res)
                 }
-                self.flags[s] = self.flags[s] & !SEEN | parity;
-                let slot = self.seat_slot[s];
-                still += usize::from(slot != NO_SEAT);
-                let same = slot != NO_SEAT
-                    && switches.ids[slot as usize] == n
-                    && bits(&self.seat_res[s]) == bits(&res);
-                if !same {
-                    self.soil(s);
-                    let to = switches.slot(n);
-                    switches.move_seat(s, (slot != NO_SEAT).then_some(slot as usize), Some(to));
-                    seated += usize::from(slot == NO_SEAT);
-                    self.seat_slot[s] = to as u32;
-                    self.seat_res[s] = res;
-                }
+                None => slot == NO_SEAT,
+            };
+            if same {
+                continue;
+            }
+            self.soil(s);
+            let from = (slot != NO_SEAT).then_some(slot as usize);
+            let to = seat.map(|(n, res)| (switches.slot(n), res));
+            switches.move_seat(s, from, to.map(|(i, _)| i));
+            self.seat_slot[s] = to.map_or(NO_SEAT, |(i, _)| i as u32);
+            if let Some((_, res)) = to {
+                self.seat_res[s] = res;
             }
         }
-        if still < self.seated {
-            // Some seat is no longer in the previous placement.
-            for s in 0..self.len() {
-                let slot = self.seat_slot[s];
-                if slot != NO_SEAT && self.flags[s] & SEEN != parity {
-                    self.soil(s);
-                    switches.move_seat(s, Some(slot as usize), None);
-                    self.seat_slot[s] = NO_SEAT;
-                    seated -= 1;
-                }
-            }
-        }
-        self.seated = seated;
     }
 
-    /// Moves every seed to its new index (`src[new] = Some(old)`).
-    fn remap(&mut self, src: &[Option<usize>]) {
-        let old: Vec<Option<usize>> = src.iter().map(|o| o.filter(|&o| o < self.len())).collect();
-        let kept = |o: &Option<usize>| o.map_or(0, |o| self.flags[o] & (KNOWN | FEASIBLE | SEEN));
-        let flags: Vec<u8> = old.iter().map(kept).collect();
-        let (mut at, mut ids) = (vec![0], Vec::with_capacity(self.ids.len()));
-        for (new, o) in old.iter().enumerate() {
-            if flags[new] & KNOWN != 0 {
-                let o = o.expect("a known seed has an old index");
-                ids.extend_from_slice(&self.ids[self.at[o] as usize..self.at[o + 1] as usize]);
-            }
-            at.push(ids.len() as u32);
+    /// Moves the seeds from `r.first` on to their new indices: their
+    /// products, seats and flags, and the subject-id spans past the
+    /// first moved seed's. A new index no kept seed takes is unknown.
+    fn remap(&mut self, r: &Remap) {
+        if r.identity() {
+            return;
         }
-        self.min_res = carry(&self.min_res, &old, Resources::ZERO);
-        self.min_u = carry(&self.min_u, &old, 0.0);
-        self.seat_slot = carry(&self.seat_slot, &old, NO_SEAT);
-        self.seat_res = carry(&self.seat_res, &old, Resources::ZERO);
-        self.seated = self.seat_slot.iter().filter(|&&s| s != NO_SEAT).count();
-        // Every seed starts unclean; the known ones are clean again at
-        // the next solve.
-        self.unclean = (0..flags.len() as u32).collect();
-        self.unknown = (0..flags.len() as u32)
-            .filter(|&s| flags[s as usize] & KNOWN == 0)
-            .collect();
-        (self.flags, self.at, self.ids) = (flags, at, ids);
+        debug_assert_eq!(self.at.len(), self.len() + 1);
+        grow(&mut self.at, r.new_len() + 1);
+        let old_at = self.at.split_off(r.first + 1);
+        let base = self.at[r.first] as usize;
+        let old_ids = self.ids.split_off(base);
+        let span = |o: usize| {
+            let start = if o == r.first {
+                base
+            } else {
+                old_at[o - r.first - 1] as usize
+            };
+            start - base..old_at[o - r.first] as usize - base
+        };
+        r.apply(&mut self.min_res, Resources::ZERO);
+        r.apply(&mut self.min_u, 0.0);
+        r.apply(&mut self.seat_slot, NO_SEAT);
+        r.apply(&mut self.seat_res, Resources::ZERO);
+        r.apply(&mut self.flags, 0);
+        for (n, &o) in (r.first..).zip(&r.src) {
+            if let Some(o) = o.filter(|_| self.flags[n] & KNOWN != 0) {
+                self.ids.extend_from_slice(&old_ids[span(o)]);
+            }
+            self.at.push(self.ids.len() as u32);
+        }
+        let moved = |s: &mut u32| r.id(*s).map(|n| *s = n).is_some();
+        self.unclean.retain_mut(moved);
+        self.unknown.retain_mut(moved);
+        self.unknown.extend(r.holes().map(|n| n as u32));
     }
 
     fn bytes(&self) -> usize {
@@ -685,12 +862,6 @@ impl Seeds {
             + vec_bytes(&self.unknown)
             + vec_bytes(&self.unclean)
     }
-}
-
-/// A per-seed vector in the new numbering: `old[new]` is the seed's old
-/// index, or `None` for a seed that takes `none`.
-fn carry<T: Copy>(v: &[T], old: &[Option<usize>], none: T) -> Vec<T> {
-    old.iter().map(|o| o.map_or(none, |o| v[o])).collect()
 }
 
 /// Whether `ids` are numbered in first-seen order: each id is either
@@ -967,20 +1138,23 @@ impl Order {
         re
     }
 
-    /// Moves every seed to its new index (`map[old] = Some(new)`,
-    /// `src[new] = Some(old)`). A task that lost a seed is derived again.
-    fn remap(&mut self, map: &[Option<usize>], src: &[Option<usize>]) {
-        let new = |s: usize| map.get(s).copied().flatten();
-        let old: Vec<Option<usize>> = src
-            .iter()
-            .map(|o| o.filter(|&o| o < self.step_of.len()))
-            .collect();
-        self.step_of = carry(&self.step_of, &old, NO_STEP);
+    /// Moves the seeds from `r.first` on to their new indices. A task
+    /// that lost a seed is derived again.
+    fn remap(&mut self, r: &Remap) {
+        r.apply(&mut self.step_of, NO_STEP);
+        if r.identity() {
+            return;
+        }
+        let first = r.first as u32;
         for (s, m) in self.steps.iter_mut().zip(&mut self.members) {
             // A dropped seed leaves a seed id no task lists, so the run no
             // longer matches its task.
-            *s = new(*s as usize).map_or(u32::MAX, |n| n as u32);
-            *m = new(*m).unwrap_or(usize::MAX);
+            if *s >= first {
+                *s = r.id(*s).unwrap_or(u32::MAX);
+            }
+            if *m >= r.first {
+                *m = r.seed(*m).unwrap_or(usize::MAX);
+            }
         }
     }
 
@@ -1046,14 +1220,44 @@ impl Pending {
     }
 }
 
+/// [`Probe::slot`] of a probe buffer that holds no switch's state.
+const NO_PROBE: usize = usize::MAX;
+
+/// The state a probe reads on an undiverged switch, built from the
+/// switch's log in a buffer of its own so that the switch's state stays
+/// the settled one. A probe looks at one switch at a time, so one buffer
+/// serves every read: it holds the last switch read, built up to the
+/// last key, and a later read of the same switch goes on from there.
+#[derive(Debug)]
+struct Probe {
+    state: SwitchState,
+    /// The slot whose state it holds, or [`NO_PROBE`].
+    slot: usize,
+    /// The key it is built up to, and the log ops that took.
+    key: u64,
+    cursor: u32,
+}
+
+impl Default for Probe {
+    fn default() -> Probe {
+        Probe {
+            state: SwitchState::new(Resources::ZERO),
+            slot: NO_PROBE,
+            key: 0,
+            cursor: 0,
+        }
+    }
+}
+
 /// Where a switch stands in the current solve's greedy pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Not in this round.
     Absent,
-    /// Its log has not diverged; the state is not built.
+    /// Its log has not diverged; its state is the last solve's.
     Clean,
-    /// Its log has not diverged; the state is built up to `cursor`.
+    /// Its log has not diverged, and a probe read it; its own state is
+    /// still the last solve's ([`Probe`]).
     Live,
     /// Its ops departed from the log, which now holds this solve's ops;
     /// the state is built.
@@ -1084,8 +1288,9 @@ pub(crate) struct Switches {
     /// Slots whose `settled` went false since the last solve began.
     unsettled: Vec<usize>,
     mode: Vec<Mode>,
-    /// Ops of the log applied to a `Live` state.
-    cursor: Vec<u32>,
+    probe: Probe,
+    /// The slots a probe read this solve: the `Live` ones.
+    read: Vec<usize>,
     /// This solve built the state instead of keeping the settled one;
     /// the slot is in `active`.
     pub(crate) touched: Vec<bool>,
@@ -1144,7 +1349,6 @@ impl Switches {
             self.prior.push(None);
             self.settled.push(false);
             self.mode.push(Mode::Absent);
-            self.cursor.push(0);
             self.touched.push(false);
             self.moved.push(false);
             self.gone.push(false);
@@ -1230,7 +1434,7 @@ impl Switches {
     fn begin(&mut self, instance: &PlacementInstance) {
         for k in 0..self.active.len() {
             let i = self.active[k];
-            (self.touched[i], self.moved[i], self.cursor[i]) = (false, false, 0);
+            (self.touched[i], self.moved[i]) = (false, false);
             if self.mode[i] != Mode::Absent {
                 self.mode[i] = Mode::Clean;
             }
@@ -1303,14 +1507,25 @@ impl Switches {
         self.prior.shrink_to_fit();
         self.settled.shrink_to_fit();
         self.mode.shrink_to_fit();
-        self.cursor.shrink_to_fit();
         self.touched.shrink_to_fit();
         self.moved.shrink_to_fit();
         self.gone.shrink_to_fit();
     }
 
+    /// The state a probe of the step being visited reads on slot `i`
+    /// (built by [`Memo::read`]): the probe buffer for a `Live` switch,
+    /// any other switch's own state.
+    pub(crate) fn state(&self, i: usize) -> &SwitchState {
+        if self.mode[i] == Mode::Live {
+            debug_assert_eq!(self.probe.slot, i, "a probe reads the switch it built");
+            return &self.probe.state;
+        }
+        &self.states[i]
+    }
+
     /// Builds the state of an undiverged switch up to the ops before
-    /// `key`.
+    /// `key` in the probe buffer: from where the buffer stands when it
+    /// holds this switch at an earlier key, from its capacity otherwise.
     fn materialize(
         &mut self,
         i: usize,
@@ -1322,21 +1537,32 @@ impl Switches {
         match self.mode[i] {
             Mode::Clean => {
                 self.mode[i] = Mode::Live;
-                let st = &mut self.states[i];
-                st.reset(st.ares);
-                self.cursor[i] = 0;
-                self.touch(i);
+                self.read.push(i);
             }
             Mode::Live => {}
             _ => return,
         }
+        let probe = &mut self.probe;
+        if probe.slot != i || probe.key > key {
+            probe.state.reset(self.states[i].ares);
+            (probe.slot, probe.cursor) = (i, 0);
+        }
+        probe.key = key;
         let log = &self.logs[i];
-        let mut at = self.cursor[i] as usize;
+        let mut at = probe.cursor as usize;
         while at < log.len() && (key == u64::MAX || order.key(log[at]).is_some_and(|k| k < key)) {
-            apply(&mut self.states[i], log[at], seeds, instance);
+            apply(&mut probe.state, log[at], seeds, instance);
             at += 1;
         }
-        self.cursor[i] = at as u32;
+        probe.cursor = at as u32;
+    }
+
+    /// The probe buffer, built for `Live` switch `i`, becomes its state,
+    /// which this solve now builds; the last solve's is the next buffer.
+    fn adopt(&mut self, i: usize) {
+        std::mem::swap(&mut self.states[i], &mut self.probe.state);
+        self.probe.slot = NO_PROBE;
+        self.touch(i);
     }
 
     /// Switch `i`'s ops depart from its log at `key`: the log's ops from
@@ -1353,7 +1579,8 @@ impl Switches {
             return false;
         }
         self.materialize(i, key, order, seeds, instance);
-        let at = self.cursor[i] as usize;
+        let at = self.probe.cursor as usize;
+        self.adopt(i);
         let tail = self.logs[i].split_off(at);
         self.prior[i] = Some((at as u32, tail));
         self.mode[i] = Mode::Diverged;
@@ -1370,15 +1597,16 @@ impl Switches {
     }
 
     /// Ends step 2: every switch of the round holds its greedy state.
-    /// One whose log did not diverge and whose state is settled keeps it;
-    /// the others are built (where not already) and marked moved.
-    /// Returns how many were built.
+    /// One whose log did not diverge and whose state is settled keeps it,
+    /// whether or not a probe read it; the others are built (where not
+    /// already) and marked moved. Returns how many were built and how
+    /// many others a probe read.
     fn settle_greedy(
         &mut self,
         order: &Order,
         seeds: &Seeds,
         instance: &PlacementInstance,
-    ) -> usize {
+    ) -> (usize, usize) {
         for i in std::mem::take(&mut self.unsettled) {
             if self.is_present(i) && !self.settled[i] {
                 self.touch(i);
@@ -1386,10 +1614,24 @@ impl Switches {
         }
         for k in 0..self.active.len() {
             let i = self.active[k];
-            self.materialize(i, u64::MAX, order, seeds, instance);
+            if matches!(self.mode[i], Mode::Clean | Mode::Live) {
+                self.materialize(i, u64::MAX, order, seeds, instance);
+                self.adopt(i);
+            }
             self.moved[i] = true;
         }
-        self.active.len()
+        // The switches probes only read are clean again.
+        let mut read = 0;
+        for k in 0..self.read.len() {
+            let i = self.read[k];
+            read += usize::from(!self.touched[i]);
+            if self.mode[i] == Mode::Live {
+                self.mode[i] = Mode::Clean;
+            }
+        }
+        self.read.clear();
+        self.probe.slot = NO_PROBE;
+        (self.active.len(), read)
     }
 
     /// Ends step 3: every state of the round is settled.
@@ -1437,16 +1679,19 @@ impl Switches {
         }
     }
 
-    /// Rewrites the seed indices in every log and state; a switch that
-    /// mentions an unmapped seed forgets its log, LP output and settled
-    /// state.
-    fn remap(&mut self, map: &[Option<usize>]) {
-        let new = |s: usize| map.get(s).copied().flatten();
+    /// Rewrites the seed indices from `r.first` on in every log and
+    /// state; a switch that mentions a dropped seed forgets its log, LP
+    /// output and settled state.
+    fn remap(&mut self, r: &Remap) {
+        if r.identity() {
+            return;
+        }
+        let first = r.first;
         for i in 0..self.ids.len() {
-            let log = self.logs[i]
-                .iter_mut()
-                .all(|op| new(op.seed()).map(|s| *op = op.with_seed(s)).is_some());
-            if !(log && self.states[i].remap(map)) {
+            let log = self.logs[i].iter_mut().all(|op| {
+                op.seed() < first || r.seed(op.seed()).map(|s| *op = op.with_seed(s)).is_some()
+            });
+            if !(log && self.states[i].remap(|s| r.seed(s))) {
                 self.logs[i] = Vec::new();
                 self.set_lp(i, false);
                 self.unsettle(i);
@@ -1470,7 +1715,9 @@ impl Switches {
             + vec_bytes(&self.settled)
             + vec_bytes(&self.unsettled)
             + vec_bytes(&self.mode)
-            + vec_bytes(&self.cursor)
+            + size_of::<Probe>()
+            + self.probe.state.heap_bytes()
+            + vec_bytes(&self.read)
             + vec_bytes(&self.touched)
             + vec_bytes(&self.active)
             + vec_bytes(&self.moved)
@@ -1530,6 +1777,16 @@ pub(crate) struct Benefit {
     pub(crate) pos: u32,
 }
 
+impl SeedPair for Benefit {
+    fn pair(&self) -> (u32, u32) {
+        (self.seed, self.pos)
+    }
+
+    fn set_seed(&mut self, s: u32) {
+        self.seed = s;
+    }
+}
+
 /// Per-seed flags of [`Scans`]: the seed's record is the last scan's,
 const SCANNED: u8 = 1;
 /// its utility there was `Some`,
@@ -1570,6 +1827,12 @@ impl Scans {
         for &s in fresh {
             self.flags[s as usize] = 0;
         }
+    }
+
+    /// Seeds the records cover.
+    #[cfg(test)]
+    pub(crate) fn seeds(&self) -> usize {
+        self.flags.len()
     }
 
     /// Drops every record; the index stays.
@@ -1617,28 +1880,18 @@ impl Scans {
         self.by_slot.get(i).map_or(&[], Vec::as_slice)
     }
 
-    /// Moves every record to the seed's new index (`map[old] = Some(new)`,
-    /// `src[new] = Some(old)`) and drops the unmapped seeds' records.
-    pub(crate) fn remap(&mut self, map: &[Option<usize>], src: &[Option<usize>]) {
-        let old: Vec<Option<usize>> = src
-            .iter()
-            .map(|o| o.filter(|&o| o < self.flags.len()))
-            .collect();
-        self.util = carry(&self.util, &old, 0.0);
-        self.flags = carry(&self.flags, &old, 0);
-        let new = |s: &mut u32| {
-            let n = map.get(*s as usize).copied().flatten();
-            n.map(|n| *s = n as u32).is_some()
-        };
-        self.benefits.retain_mut(|b| new(&mut b.seed));
-        if !self.benefits.is_sorted_by_key(|b| (b.seed, b.pos)) {
-            self.benefits.sort_unstable_by_key(|b| (b.seed, b.pos));
+    /// Moves the records of the seeds from `r.first` on to their new
+    /// indices and drops the dropped seeds' records: in each list only
+    /// the pairs from the first such seed on are rewritten.
+    pub(crate) fn remap(&mut self, r: &Remap) {
+        r.apply(&mut self.util, 0.0);
+        r.apply(&mut self.flags, 0);
+        if r.identity() {
+            return;
         }
+        r.ascending(&mut self.benefits);
         for pairs in &mut self.by_slot {
-            pairs.retain_mut(|(s, _)| new(s));
-            if !pairs.is_sorted() {
-                pairs.sort_unstable();
-            }
+            r.ascending(pairs);
         }
     }
 
@@ -1864,8 +2117,6 @@ pub(crate) struct Memo {
     replayed: usize,
     executed: usize,
     cascaded: usize,
-    /// Solves begun, whose parity [`Seeds::seat_previous`] reads.
-    solve: u32,
     /// The options of the last solve: the settled states, which LP
     /// outputs are current and what step 4 saw depend on them.
     options: Option<HeuristicOptions>,
@@ -1903,7 +2154,6 @@ impl Memo {
         {
             *self = Memo::default();
         }
-        self.solve = self.solve.wrapping_add(1);
         let (fresh, renumbered) = self.seeds.update(instance);
         let cold = self.outcome.is_empty() || renumbered;
         if renumbered {
@@ -1913,11 +2163,9 @@ impl Memo {
             let seeds = std::mem::take(&mut self.seeds);
             *self = Memo {
                 seeds,
-                solve: self.solve,
                 ..Memo::default()
             };
             self.seeds.seat_slot.fill(NO_SEAT);
-            self.seeds.seated = 0;
         }
         let sw = &mut self.switches;
         sw.begin(instance);
@@ -1926,7 +2174,7 @@ impl Memo {
             sw.restart(i);
             sw.prior[i] = None;
         }
-        self.seeds.seat_previous(instance, sw, self.solve);
+        self.seeds.seat_previous(instance, sw);
         for &s in &fresh {
             if let Some(i) = self.seeds.seat(s as usize) {
                 sw.restart(i);
@@ -2295,8 +2543,8 @@ impl Memo {
     }
 
     /// Ends step 2 ([`Switches::settle_greedy`]); returns how many
-    /// switches were rebuilt.
-    pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> usize {
+    /// switches were rebuilt and how many others a probe read.
+    pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> (usize, usize) {
         self.switches
             .settle_greedy(&self.order, &self.seeds, instance)
     }
@@ -2378,24 +2626,25 @@ impl Memo {
         (self.final_u.iter().sum(), self.off_count)
     }
 
-    fn remap(&mut self, map: &[Option<usize>]) {
-        let src = sources(map);
-        let old: Vec<Option<usize>> = src
-            .iter()
-            .map(|o| o.filter(|&o| o < self.outcome.len()))
-            .collect();
-        let new = |s: &u32| map.get(*s as usize).copied().flatten().map(|n| n as u32);
-        self.seeds.remap(&src);
-        self.order.remap(map, &src);
-        self.switches.remap(map);
-        self.scans.remap(map, &src);
-        self.outcome = carry(&self.outcome, &old, NOT_RUN);
-        self.post.remap(&old);
-        self.final_u = carry(&self.final_u, &old, -0.0);
-        self.off_seat = carry(&self.off_seat, &old, false);
-        self.off_count = self.off_seat.iter().filter(|&&o| o).count();
-        self.unindexed = self.unindexed.iter().filter_map(new).collect();
-        self.relocated = self.relocated.iter().filter_map(new).collect();
+    /// Moves what is kept of the seeds from `r.first` on to their new
+    /// indices; the seeds before it and their records stay as they are.
+    fn remap(&mut self, r: &Remap) {
+        if r.identity() {
+            return;
+        }
+        let dropped = (r.first..self.outcome.len()).filter(|&s| r.seed(s).is_none());
+        self.off_count -= dropped.filter(|&s| self.off_seat[s]).count();
+        self.seeds.remap(r);
+        self.order.remap(r);
+        self.switches.remap(r);
+        self.scans.remap(r);
+        r.apply(&mut self.outcome, NOT_RUN);
+        self.post.remap(r);
+        r.apply(&mut self.final_u, -0.0);
+        r.apply(&mut self.off_seat, false);
+        let moved = |s: &mut u32| r.id(*s).map(|n| *s = n).is_some();
+        self.unindexed.retain_mut(moved);
+        self.relocated.retain_mut(moved);
     }
 
     fn bytes(&self) -> usize {
@@ -2413,18 +2662,6 @@ impl Memo {
             + vec_bytes(&self.off_seat)
             + vec_bytes(&self.relocated)
     }
-}
-
-/// The inverse of a remap: `src[new] = Some(old)` for `map[old] = Some(new)`.
-pub(crate) fn sources(map: &[Option<usize>]) -> Vec<Option<usize>> {
-    let len = map.iter().flatten().max().map_or(0, |m| m + 1);
-    let mut src = vec![None; len];
-    for (old, new) in map.iter().enumerate() {
-        if let Some(new) = new {
-            src[*new] = Some(old);
-        }
-    }
-    src
 }
 
 /// Solver state retained between [`replan_delta`] calls: the greedy
@@ -2464,9 +2701,12 @@ impl SolveState {
     /// redefined under it needs no dirty declaration. Callers that
     /// renumber their instance between solves (e.g. the seeder splicing
     /// a task into or out of its catalog) call this with the old→new
-    /// correspondence so unrelated switches keep their memo.
+    /// correspondence so unrelated switches keep their memo. The seeds
+    /// before the first one the map moves are not touched: the cost is
+    /// what the moved seeds hold.
     pub fn remap(&mut self, map: &[Option<usize>]) {
-        self.memo.remap(map);
+        let r = Remap::new(map, self.memo.outcome.len());
+        self.memo.remap(&r);
     }
 }
 
@@ -2477,7 +2717,8 @@ impl SolveState {
 /// Telemetry (when given): `solver.replan_delta` counts calls,
 /// `solver.delta_fallback_full` counts warm solves that replayed no LP,
 /// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` /
-/// `solver.greedy_steps_visited` count greedy steps, the
+/// `solver.greedy_steps_visited` count greedy steps,
+/// `solver.switches_read` the switches a probe only read, the
 /// `solver.delta_frontier`, `solver.switches_rebuilt` and
 /// `solver.benefit_pairs_evaluated` histograms record the LPs run, the
 /// switches whose greedy state was rebuilt and the (seed, candidate)
@@ -2513,6 +2754,7 @@ pub fn replan_delta(
         i.steps_executed.add(report.steps_executed as u64);
         i.steps_visited.add(report.steps_visited as u64);
         i.switches_rebuilt.record(report.switches_rebuilt as u64);
+        i.switches_read.add(report.switches_read as u64);
         i.cache_entries.set(state.lp_outputs() as f64);
         i.cache_bytes.set(state.cache_bytes() as f64);
     }
@@ -2956,6 +3198,142 @@ mod tests {
         );
     }
 
+    /// Everything the state keeps of seed `s`, to the bit.
+    fn records_of(state: &SolveState, s: usize) -> Vec<u64> {
+        let m = &state.memo;
+        let mut v = vec![
+            u64::from(m.seeds.flags[s]),
+            m.seeds.min_u[s].to_bits(),
+            u64::from(m.seeds.seat_slot[s]),
+            u64::from(m.outcome[s]),
+            u64::from(m.post.at[s]),
+            m.final_u[s].to_bits(),
+            u64::from(m.off_seat[s]),
+            u64::from(m.order.step_of[s]),
+            m.scans.util[s].to_bits(),
+            u64::from(m.scans.flags[s]),
+        ];
+        for r in [m.seeds.min_res[s], m.seeds.seat_res[s], m.post.res[s]] {
+            v.extend(bits(&r));
+        }
+        let ids = &m.seeds.ids[m.seeds.at[s] as usize..m.seeds.at[s + 1] as usize];
+        v.extend(ids.iter().map(|&id| u64::from(id)));
+        v
+    }
+
+    #[test]
+    fn a_splice_remap_keeps_the_seeds_before_it_bit_for_bit() {
+        // A world, then a one-seed task spliced in at the middle
+        // of the seed list, as the seeder splices a submitted task: the
+        // seeds before it keep their indices, their records, their
+        // benefits and their index pairs, to the bit.
+        // A world whose first switch grew eightfold after a solve: the
+        // next scan finds benefits (a settled world has none left), one
+        // of them in the first half of the seeds.
+        let solved = |k: u64| {
+            let mut inst = small_instance(k);
+            let mut state = SolveState::new();
+            let opts = HeuristicOptions::default();
+            let r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+            as_previous(&mut inst, &r);
+            for x in &mut inst.switches[0].1 .0 {
+                *x *= 8.0;
+            }
+            let r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+            (state, inst, r)
+        };
+        let has_benefit = |(state, inst, _): &(SolveState, PlacementInstance, _)| {
+            let half = inst.seeds.len() / 2;
+            let benefits = &state.memo.scans.benefits;
+            benefits.iter().any(|b| (b.seed as usize) < half)
+        };
+        let world = (12..60).map(solved).find(has_benefit);
+        let (mut state, mut inst, r) = world.expect("a world with a benefit");
+        let opts = HeuristicOptions::default();
+        let (n, p) = (inst.seeds.len(), inst.seeds.len() / 2);
+        let kept = |state: &SolveState| {
+            let scans = &state.memo.scans;
+            let records: Vec<Vec<u64>> = (0..p).map(|s| records_of(state, s)).collect();
+            let before = |&(s, _): &(u32, u32)| (s as usize) < p;
+            let pairs: Vec<Vec<(u32, u32)>> = (scans.by_slot.iter())
+                .map(|pairs| pairs.iter().copied().filter(before).collect())
+                .collect();
+            let benefits: Vec<(u64, u32, u32)> = (scans.benefits.iter())
+                .filter(|b| (b.seed as usize) < p)
+                .map(|b| (b.benefit.to_bits(), b.seed, b.pos))
+                .collect();
+            (records, pairs, benefits)
+        };
+        let before = kept(&state);
+        assert!(before.1.iter().any(|pairs| !pairs.is_empty()));
+        assert!(!before.2.is_empty(), "a benefit before the splice");
+
+        let seed = PlacementSeed {
+            id: p,
+            task: inst.tasks.len(),
+            ..inst.seeds[p].clone()
+        };
+        inst.seeds.insert(p, seed);
+        for seed in &mut inst.seeds[p + 1..] {
+            seed.id += 1;
+        }
+        let shift = |s: usize| if s < p { s } else { s + 1 };
+        for task in &mut inst.tasks {
+            task.seeds.iter_mut().for_each(|s| *s = shift(*s));
+        }
+        inst.tasks.push(PlacementTask {
+            name: "spliced".into(),
+            seeds: vec![p],
+        });
+        let map: Vec<Option<usize>> = (0..n).map(|s| Some(shift(s))).collect();
+        state.remap(&map);
+        let after = kept(&state);
+        assert_eq!(after.0, before.0, "records");
+        assert_eq!(after.1, before.1, "index pairs");
+        assert_eq!(after.2, before.2, "benefits");
+
+        let seats = r.assignment.iter().enumerate();
+        let seats = seats.filter_map(|(s, slot)| Some((shift(s), (*slot)?)));
+        inst.previous = Some(PreviousPlacement {
+            assignment: seats.collect(),
+        });
+        let (next, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert_same(&next, &solve_heuristic(&inst, opts));
+    }
+
+    #[test]
+    fn one_new_movable_seed_rebuilds_only_the_switch_it_lands_on() {
+        // A settled world, then one seed that may go anywhere, in a task
+        // of its own whose key is the lowest, so its step comes last and
+        // nothing after it reads what it changes. Its probe reads every
+        // switch; only the one it lands on is rebuilt, and every other
+        // keeps its settled state.
+        let (mut state, mut inst, _) = settled(14);
+        let opts = HeuristicOptions::default();
+        let min_u = |s: &PlacementSeed| s.util.min_feasible().map_or(f64::MAX, |(_, u)| u);
+        let light = (inst.seeds.iter())
+            .min_by(|a, b| min_u(a).total_cmp(&min_u(b)))
+            .expect("a seed");
+        let s = inst.seeds.len();
+        let seed = PlacementSeed {
+            id: s,
+            task: inst.tasks.len(),
+            candidates: inst.switches.iter().map(|&(n, _)| n).collect(),
+            ..light.clone()
+        };
+        inst.seeds.push(seed);
+        inst.tasks.push(PlacementTask {
+            name: "any".into(),
+            seeds: vec![s],
+        });
+        let (next, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        assert_same(&next, &solve_heuristic(&inst, opts));
+        assert!(next.assignment[s].is_some(), "the new seed is placed");
+        assert_eq!(report.steps_visited, 1, "{report:?}");
+        assert_eq!(report.switches_rebuilt, 1, "{report:?}");
+        assert_eq!(report.switches_read, inst.switches.len() - 1, "{report:?}");
+    }
+
     #[test]
     fn remap_rewrites_indices_and_drops_unmapped_seeds() {
         let none = SeedPolls::new(&[], &[]);
@@ -2980,11 +3358,15 @@ mod tests {
         };
         // Seed 0 → 5, seed 2 → 0: both residents keep their outputs under
         // new indices; the reservations would now come in the other order.
-        state.remap(&[Some(5), None, Some(0)]);
+        // The state has solved no instance: only the switches hold seeds.
+        let remap = |state: &mut SolveState, map: &[Option<usize>]| {
+            state.memo.switches.remap(&Remap::new(map, map.len()));
+        };
+        remap(&mut state, &[Some(5), None, Some(0)]);
         assert_eq!(seeds(&state), vec![5, 0]);
         assert_eq!(state.lp_outputs(), 2);
         // Dropping seed 0 (formerly 2) drops the output over it.
-        state.remap(&[None, None, None, None, None, Some(5)]);
+        remap(&mut state, &[None, None, None, None, None, Some(5)]);
         assert_eq!(seeds(&state), vec![5]);
         assert_eq!(state.lp_outputs(), 1);
     }

@@ -1,8 +1,8 @@
 //! Deterministic integer hashing for the solver's hot maps.
 //!
-//! The solver's inner loops (per-poll `PollCell` bookkeeping, per-seed
-//! lingering reservations, per-switch state lookups, previous-placement
-//! probes) hash millions of 4–8 byte integer keys per solve. std's
+//! The solver's maps (interned poll subjects, the switch-slot table,
+//! the round's live-switch set) hash 4–8 byte integer keys and short
+//! strings on every solve. std's
 //! default `RandomState` pays SipHash's full mixing schedule for every
 //! one of them *and* seeds itself randomly per process, which makes map
 //! iteration order vary across runs. The solver never relies on map
@@ -20,7 +20,7 @@ const SEED: u64 = 0x517c_c1b7_2722_0a95;
 /// collision-resistant against adversarial keys — the solver only hashes
 /// its own dense small integers, where quality is a non-issue.
 #[derive(Default)]
-pub struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]

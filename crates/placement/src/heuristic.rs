@@ -411,11 +411,10 @@ impl SwitchState {
         }
     }
 
-    /// Rewrites the seed indices held here (`map[old] = Some(new)`);
-    /// false, leaving the state half-rewritten, when one has no new index
-    /// or the reservations change order (the LP reads them in order).
-    pub(crate) fn remap(&mut self, map: &[Option<usize>]) -> bool {
-        let new = |s: usize| map.get(s).copied().flatten();
+    /// Rewrites the seed indices held here (`new(old)`); false, leaving
+    /// the state half-rewritten, when one has no new index or the
+    /// reservations change order (the LP reads them in order).
+    pub(crate) fn remap(&mut self, new: impl Fn(usize) -> Option<usize>) -> bool {
         let ok = self
             .seeds
             .iter_mut()
@@ -570,7 +569,7 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
     // candidate list.
     if let Some(h) = home.filter(|&h| memo.switches.is_present(h)) {
         memo.read(instance, h);
-        let st = &memo.switches.states[h];
+        let st = memo.switches.state(h);
         let polls = memo.seeds.polls(instance, s);
         let feasible = match st.lingering(s) {
             Some(prev_res) => st.fits_after_release(polls, prev_res, &min_res),
@@ -592,7 +591,7 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
             continue;
         }
         memo.read(instance, i);
-        let st = &memo.switches.states[i];
+        let st = memo.switches.state(i);
         let polls = memo.seeds.polls(instance, s);
         if !st.fits(polls, &min_res) {
             continue;
@@ -626,7 +625,7 @@ pub(crate) fn solve_core(
     // all-or-nothing, through the memo's worklist ([`Memo::greedy`]).
     memo.begin(instance, options);
     let dropped = memo.greedy(instance, probe);
-    report.switches_rebuilt = memo.end_greedy(instance);
+    (report.switches_rebuilt, report.switches_read) = memo.end_greedy(instance);
     (
         report.steps_replayed,
         report.steps_executed,
@@ -1455,7 +1454,7 @@ mod tests {
 
     mod scan_property {
         use super::*;
-        use crate::delta::sources;
+        use crate::delta::Remap;
         use proptest::prelude::*;
 
         /// A pushed benefit with its bits: (benefit, seed, candidate).
@@ -1696,7 +1695,7 @@ mod tests {
                 }
                 _ => {
                     let map = world.renumber(k);
-                    scans.remap(&map, &sources(&map));
+                    scans.remap(&Remap::new(&map, scans.seeds()));
                 }
             }
         }

@@ -10,6 +10,7 @@
 //! aggregation benefit of § IV-B) and migration double-occupancy.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Duration;
 
 use crate::fxhash::FxHashMap;
@@ -84,10 +85,113 @@ pub struct PlacementTask {
 /// A previous placement (`plc'`/`res'`) for migration-aware optimization.
 #[derive(Debug, Clone, Default)]
 pub struct PreviousPlacement {
-    /// Per seed id: previous switch and allocation. Keyed with the fixed
-    /// fast hasher — the greedy home probe and the migration pass look a
-    /// seed up here for every placed seed of every solve.
-    pub assignment: FxHashMap<usize, (SwitchId, Resources)>,
+    /// Per seed id: previous switch and allocation, as a dense table the
+    /// solver reads in seed order and a caller can keep between rounds
+    /// (the seeder keeps it index-aligned with its catalog).
+    pub assignment: Seats,
+}
+
+/// One seed's previous seat: its switch and allocation.
+pub type Seat = (SwitchId, Resources);
+
+/// A seat per seed id, or none: a dense table indexed by seed, with the
+/// map-shaped `insert` / `remove` / `get` / `retain` / `len` of a
+/// `HashMap<usize, Seat>`. [`Seats::iter`] walks the seated seeds in
+/// ascending seed order.
+#[derive(Debug, Clone, Default)]
+pub struct Seats {
+    /// `seats[s]` is seed `s`'s seat; seeds past the end have none.
+    seats: Vec<Option<Seat>>,
+    /// Seeds with a seat.
+    len: usize,
+}
+
+impl Seats {
+    /// Gives seed `s` `seat`; returns the seat it replaced.
+    pub fn insert(&mut self, s: usize, seat: Seat) -> Option<Seat> {
+        if self.seats.len() <= s {
+            self.seats.resize(s + 1, None);
+        }
+        let old = self.seats[s].replace(seat);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Takes seed `s`'s seat away; returns it.
+    pub fn remove(&mut self, s: &usize) -> Option<Seat> {
+        let old = self.seats.get_mut(*s)?.take();
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
+    /// Seed `s`'s seat.
+    pub fn get(&self, s: &usize) -> Option<&Seat> {
+        self.seats.get(*s)?.as_ref()
+    }
+
+    /// Keeps the seats `keep` says yes to.
+    pub fn retain(&mut self, mut keep: impl FnMut(&usize, &mut Seat) -> bool) {
+        for (s, slot) in self.seats.iter_mut().enumerate() {
+            if slot.as_mut().is_some_and(|seat| !keep(&s, seat)) {
+                *slot = None;
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The seated seeds and their seats, ascending by seed.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Seat)> {
+        let seats = self.seats.iter().enumerate();
+        seats.filter_map(|(s, slot)| Some((s, slot.as_ref()?)))
+    }
+
+    /// Seeds with a seat.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// No seed has a seat.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Seed `s`'s slot of the table (`None` past its end): what the
+    /// solver walks, seed by seed.
+    pub(crate) fn slots(&self) -> &[Option<Seat>] {
+        &self.seats
+    }
+
+    /// Replaces the slots of seeds `range` with `with`, shifting the
+    /// seeds after it, as a catalog splices one task's seeds.
+    pub fn splice(&mut self, range: Range<usize>, with: impl IntoIterator<Item = Option<Seat>>) {
+        if self.seats.len() < range.end {
+            self.seats.resize(range.end, None);
+        }
+        let mut came = 0;
+        let with = with
+            .into_iter()
+            .inspect(|seat| came += usize::from(seat.is_some()));
+        let gone = self.seats.splice(range, with).flatten().count();
+        self.len = self.len + came - gone;
+    }
+}
+
+/// Two tables are equal when they seat the same seeds the same way,
+/// however far each one's slots reach.
+impl PartialEq for Seats {
+    fn eq(&self, other: &Seats) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl FromIterator<(usize, Seat)> for Seats {
+    fn from_iter<I: IntoIterator<Item = (usize, Seat)>>(iter: I) -> Seats {
+        let mut seats = Seats::default();
+        for (s, seat) in iter {
+            seats.insert(s, seat);
+        }
+        seats
+    }
 }
 
 /// The optimization instance.
@@ -436,6 +540,67 @@ mod tests {
         // as a plain resource; the aggregated model accepts it because
         // max(60, 60) = 60 ≤ 100.
         validate(&inst, &result).unwrap();
+    }
+
+    fn seat(n: u32, vcpu: f64) -> Seat {
+        (SwitchId(n), Resources::new(vcpu, 0.0, 0.0, 0.0))
+    }
+
+    #[test]
+    fn seats_replace_and_remove_like_a_map() {
+        let mut seats = Seats::default();
+        assert!(seats.is_empty());
+        assert_eq!(seats.insert(3, seat(1, 1.0)), None);
+        assert_eq!(seats.insert(3, seat(2, 2.0)), Some(seat(1, 1.0)));
+        assert_eq!(seats.len(), 1);
+        assert_eq!(seats.get(&3), Some(&seat(2, 2.0)));
+        // Absent seeds, below and past the table's end, have no seat.
+        assert_eq!(seats.remove(&1), None);
+        assert_eq!(seats.remove(&40), None);
+        assert_eq!(seats.get(&40), None);
+        assert_eq!(seats.len(), 1);
+        assert_eq!(seats.remove(&3), Some(seat(2, 2.0)));
+        assert_eq!(seats.remove(&3), None);
+        assert!(seats.is_empty());
+    }
+
+    #[test]
+    fn seats_walk_in_seed_order_and_retain() {
+        let mut seats: Seats = [(7, seat(0, 7.0)), (2, seat(1, 2.0)), (5, seat(0, 5.0))]
+            .into_iter()
+            .collect();
+        assert_eq!(seats.len(), 3);
+        let order: Vec<usize> = seats.iter().map(|(s, _)| s).collect();
+        assert_eq!(order, [2, 5, 7]);
+        seats.retain(|_, (n, _)| *n != SwitchId(0));
+        assert_eq!(seats.len(), 1);
+        let left: Vec<(usize, Seat)> = seats.iter().map(|(s, x)| (s, *x)).collect();
+        assert_eq!(left, [(2, seat(1, 2.0))]);
+        // Equal tables seat the same seeds, whatever their slots reach.
+        let mut other = Seats::default();
+        other.insert(9, seat(3, 1.0));
+        other.remove(&9);
+        other.insert(2, seat(1, 2.0));
+        assert_eq!(seats, other);
+    }
+
+    #[test]
+    fn seats_splice_shifts_the_seeds_after_the_range() {
+        let mut seats: Seats = [(0, seat(0, 0.0)), (1, seat(1, 1.0)), (3, seat(3, 3.0))]
+            .into_iter()
+            .collect();
+        // Seed 1 leaves, two come in its place, and seed 3 moves to 4.
+        seats.splice(1..2, [None, Some(seat(9, 9.0))]);
+        let walk: Vec<(usize, Seat)> = seats.iter().map(|(s, x)| (s, *x)).collect();
+        assert_eq!(
+            walk,
+            [(0, seat(0, 0.0)), (2, seat(9, 9.0)), (4, seat(3, 3.0))]
+        );
+        assert_eq!(seats.len(), 3);
+        // A splice past the table's end grows it.
+        seats.splice(8..8, [Some(seat(5, 5.0))]);
+        assert_eq!(seats.get(&8), Some(&seat(5, 5.0)));
+        assert_eq!(seats.len(), 4);
     }
 
     #[test]

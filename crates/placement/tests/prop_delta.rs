@@ -212,6 +212,7 @@ fn apply(
     base: &PlacementInstance,
     state: &mut SolveState,
     ev: Churn,
+    reach: &mut Reach,
 ) -> ReplanDelta {
     match ev {
         Churn::Evict(i) | Churn::Drain(i) => {
@@ -287,14 +288,19 @@ fn apply(
             }
             ReplanDelta::seeds([s])
         }
-        Churn::Retask(i) => retask(inst, state, i),
+        Churn::Retask(i) => retask(inst, state, i, reach),
     }
 }
 
 /// [`Churn::Retask`]. The seeder's catalog is laid out task by task,
 /// so the first Retask of a case lays the generator's interleaved seeds
 /// out so; the state is remapped once, by both renumberings together.
-fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> ReplanDelta {
+fn retask(
+    inst: &mut PlacementInstance,
+    state: &mut SolveState,
+    i: usize,
+    reach: &mut Reach,
+) -> ReplanDelta {
     let mut map = lay_out_by_task(inst);
     let n_tasks = inst.tasks.len();
     let t = i / 2 % n_tasks;
@@ -321,10 +327,14 @@ fn retask(inst: &mut PlacementInstance, state: &mut SolveState, i: usize) -> Rep
     if let Some(prev) = &mut inst.previous {
         let old = std::mem::take(&mut prev.assignment);
         prev.assignment = old
-            .into_iter()
-            .filter_map(|(s, seat)| Some((map[s]?, seat)))
+            .iter()
+            .filter_map(|(s, &seat)| Some((map[s]?, seat)))
             .collect();
     }
+    // The first seed the remap moves: a splice past the first task
+    // keeps the seeds before it where they are.
+    let first = (0..map.len()).find(|&o| map[o] != Some(o));
+    reach.spliced += usize::from(first.is_some_and(|f| f > 0));
     state.remap(&map);
     ReplanDelta::default()
 }
@@ -375,14 +385,20 @@ struct Reach {
     /// Warm solves that evaluated fewer benefit pairs than a cold solve
     /// of the same instance.
     fewer_pairs: usize,
+    /// Remaps whose first moved seed `first` has `0 < first < n`: a
+    /// splice that leaves the seeds before it in place.
+    spliced: usize,
+    /// Undiverged switches a warm solve's probes read without rebuilding.
+    read: usize,
 }
 
 /// Churn replay: every incremental solve along a random event sequence
 /// is bit-identical to a from-scratch solve and satisfies the
 /// independent constraint checkers. Across the cases, some warm solve
 /// visits a step through a cascade, some flips a task, some relocates a
-/// seed in step 5, and some evaluates fewer benefit pairs than its cold
-/// twin.
+/// seed in step 5, some evaluates fewer benefit pairs than its cold
+/// twin, some follows a remap that keeps a prefix of the seeds in place,
+/// and some reads a switch without rebuilding it.
 #[test]
 fn delta_replans_match_full_solves_under_churn() {
     let mut reach = Reach::default();
@@ -398,6 +414,8 @@ fn delta_replans_match_full_solves_under_churn() {
         reach.fewer_pairs > 0,
         "no warm scan saved a pair: {reach:?}"
     );
+    assert!(reach.spliced > 0, "no remap kept a prefix: {reach:?}");
+    assert!(reach.read > 0, "no probe only read a switch: {reach:?}");
 }
 
 /// One case of [`delta_replans_match_full_solves_under_churn`].
@@ -417,7 +435,7 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
     for (step, &ev) in events.iter().enumerate() {
         inst.previous = Some(as_previous(&r.assignment));
         let (was_dropped, was_tasks) = (names(&inst, &r.dropped_tasks), inst.tasks.clone());
-        let delta = apply(&mut inst, &base, &mut state, ev);
+        let delta = apply(&mut inst, &base, &mut state, ev, reach);
         let held = fabric.begin_round(&mut inst);
         let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
         let full = solve_heuristic(&inst, opts);
@@ -463,6 +481,7 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
             .count();
         reach.relocated += report.relocated;
         reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
+        reach.read += report.switches_read;
         r = dr;
     }
 }
@@ -491,7 +510,7 @@ proptest! {
         for (step, ev) in events.into_iter().map(Some).chain([None]).enumerate() {
             inst.previous = Some(as_previous(&r.assignment));
             let delta = match ev {
-                Some(ev) => apply(&mut inst, &base, &mut state, ev),
+                Some(ev) => apply(&mut inst, &base, &mut state, ev, &mut Reach::default()),
                 None => {
                     if !inst.switches.iter().any(|(n, _)| *n == away.0) {
                         inst.switches.push(away);

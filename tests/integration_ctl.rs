@@ -114,10 +114,13 @@ fn submit_list_drain_stats_shutdown_over_loopback() {
             assert!(body.contains("\"net_dead_letters\""), "{body}");
             assert!(body.contains("\"ctl.op_latency_us\""), "{body}");
             // What the incremental solver holds, how many benefit pairs
-            // it evaluated and greedy steps it visited, after the submit
-            // and the drain.
+            // it evaluated, greedy steps it visited and switches it only
+            // read, after the submit and the drain; and the submit's
+            // catalog splice.
             for solver in [
                 "\"solver.greedy_steps_visited\":",
+                "\"solver.switches_read\":",
+                "\"seeder.splice_us\":{\"count\":1",
                 "\"solver.delta_cache_entries\":1",
                 "\"solver.delta_cache_bytes\":",
                 "\"solver.benefit_pairs_evaluated\":{\"count\":2",
