@@ -393,7 +393,7 @@ impl Farm {
 
     /// Number of deployed seeds across the fabric.
     pub fn deployed_seeds(&self) -> usize {
-        self.seeder.table().len()
+        self.seeder.deployed_seeds()
     }
 
     /// Registers (or replaces) the harvester of a task.
@@ -499,7 +499,7 @@ impl Farm {
     /// recovery entries.
     fn undeploy_withdrawn(&mut self, name: &str, seeds: Vec<Placed>) {
         for placed in seeds {
-            if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, &placed) {
+            if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, placed) {
                 let _ = soil.undeploy(placed.id, UndeployReason::TaskRemoved, self.now, switch);
             }
         }
@@ -540,7 +540,7 @@ impl Farm {
                         .seeder
                         .machine_of(key)
                         .ok_or_else(|| Error::UnknownMachine(key.to_string()))?;
-                    let placed = *self
+                    let placed = self
                         .seeder
                         .placed(key)
                         .ok_or_else(|| Error::NotDeployed(key.to_string()))?;
@@ -549,7 +549,7 @@ impl Farm {
                     // yet. The migration then degrades into a
                     // recovery-style import of the last stored snapshot,
                     // or a cold start for a seed never captured.
-                    let snapshot = match host_mut(&mut self.soils, &mut self.network, &placed) {
+                    let snapshot = match host_mut(&mut self.soils, &mut self.network, placed) {
                         Some((soil, switch)) => Some(soil.undeploy(
                             placed.id,
                             UndeployReason::Migration,
@@ -1146,7 +1146,7 @@ impl Farm {
         Some(self.status_of(key, placed))
     }
 
-    fn status_of(&self, key: &SeedKey, placed: &Placed) -> SeedStatus {
+    fn status_of(&self, key: &SeedKey, placed: Placed) -> SeedStatus {
         let (machine, state) = match live(&self.soils, &self.network, placed) {
             Some(seed) => (seed.machine_name().to_string(), seed.state().to_string()),
             // Placed per the seeder but not live on the soil: the host
@@ -1206,17 +1206,17 @@ impl Farm {
 
     /// Loads checkpoint entries (e.g. parsed back from a checkpoint
     /// file) into the store [`Farm::restore_seeds`] reads, replacing
-    /// same-key entries. Returns how many were loaded.
+    /// same-key entries. Only a seed of a registered task is loaded, so
+    /// no export carries a snapshot of a task it has no program for.
+    /// Returns how many entries were left out for naming no such seed.
     pub fn import_checkpoints(
         &mut self,
         entries: impl IntoIterator<Item = (SeedKey, SeedSnapshot)>,
     ) -> usize {
-        let mut loaded = 0;
-        for (key, snap) in entries {
-            self.checkpoints.insert(key, snap);
-            loaded += 1;
-        }
-        loaded
+        let (known, unknown): (Vec<_>, Vec<_>) =
+            (entries.into_iter()).partition(|(key, _)| self.seeder.has_seed(key));
+        self.checkpoints.extend(known);
+        unknown.len()
     }
 
     /// Rolls every live seed back to its last checkpoint (from heartbeat
@@ -1453,14 +1453,10 @@ fn soil_on<'a>(
 fn live<'a>(
     soils: &'a [Option<Soil>],
     network: &Network,
-    placed: &Placed,
+    placed: Placed,
 ) -> Option<&'a SeedInstance> {
-    if placed.lost {
-        return None;
-    }
-    soils[network.slot_of(placed.switch)?]
-        .as_ref()?
-        .seed(placed.id)
+    let soil = soils[network.slot_of(placed.switch)?].as_ref()?;
+    soil.seed(placed.id).filter(|_| !placed.lost)
 }
 
 /// [`live`] for callers that act on the seed: the soil hosting it, and
@@ -1468,12 +1464,9 @@ fn live<'a>(
 fn host_mut<'a>(
     soils: &'a mut [Option<Soil>],
     network: &'a mut Network,
-    placed: &Placed,
+    placed: Placed,
 ) -> Option<(&'a mut Soil, &'a mut Switch)> {
-    if placed.lost {
-        return None;
-    }
-    soil_on(soils, network, placed.switch)
+    soil_on(soils, network, placed.switch).filter(|_| !placed.lost)
 }
 
 /// Puts a live seed's current state into the snapshot store: the first
@@ -1509,7 +1502,7 @@ pub fn external(pairs: &[(&str, Value)]) -> ConstEnv {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::harvester::CollectingHarvester;
     use farm_netsim::switch::SwitchModel;
@@ -1517,7 +1510,8 @@ mod tests {
     use farm_netsim::types::{FlowKey, Ipv4, PortId};
     use farm_telemetry::RingBufferSink;
 
-    fn fabric() -> Topology {
+    /// The two-spine, three-leaf fabric the unit tests run on.
+    pub(crate) fn fabric() -> Topology {
         Topology::spine_leaf(
             2,
             3,

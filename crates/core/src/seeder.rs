@@ -5,9 +5,12 @@
 //! optimization over *all* co-deployed tasks, producing a plan of
 //! deployments, migrations, reallocations and withdrawals that the
 //! [`crate::farm::Farm`] facade executes against the soils.
+//!
+//! The catalog is the seed table: one row per seed of every registered
+//! task, in key order, and one per task. Rows appear and vanish only in
+//! `Catalog::splice`; every other writer changes a row in place.
 
-use std::collections::BTreeMap;
-use std::ops::{Range, RangeInclusive};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -17,7 +20,7 @@ use farm_netsim::types::SwitchId;
 use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
-use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement, Seat, Seats};
+use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement, Seats};
 use farm_soil::SeedId;
 use farm_telemetry::{Histogram, Telemetry};
 
@@ -29,18 +32,6 @@ pub struct SeedKey {
     pub machine: usize,
     /// Index of the seed within its machine's placement spec.
     pub seed: usize,
-}
-
-impl SeedKey {
-    /// Every key of task `name`, first to last in key order.
-    fn of_task(name: &str) -> RangeInclusive<SeedKey> {
-        let key = |n| SeedKey {
-            task: name.to_string(),
-            machine: n,
-            seed: n,
-        };
-        key(0)..=key(usize::MAX)
-    }
 }
 
 impl std::fmt::Display for SeedKey {
@@ -92,7 +83,7 @@ pub struct Plan {
 }
 
 /// One placed seed: where it is, what it holds, and the name its soil
-/// knows it by.
+/// knows it by. A view of one seated catalog row, built when read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placed {
     pub(crate) switch: SwitchId,
@@ -105,24 +96,31 @@ pub(crate) struct Placed {
     pub(crate) lost: bool,
 }
 
-/// What a planning round needs of the task catalog, kept in step with
-/// the task table: a registration splices one task's rows in, a removal
-/// splices them out, and no other task's rows are touched.
+/// A task's rows as a registration splices them in.
+type NewTask = (TaskRows, Vec<Arc<CompiledMachine>>);
+
+/// The task catalog and seed table: columns of seed rows, index-aligned
+/// with `keys`, and columns of task rows, index-aligned with
+/// `instance.tasks`. A registration splices one task's rows in, a
+/// removal splices them out, and no other task's rows are touched.
 #[derive(Debug, Default)]
 struct Catalog {
     /// One key per seed of every registered task, in instance order
     /// (which is key order).
     keys: Vec<SeedKey>,
     /// Seeds and tasks of every registered task, as
-    /// [`farm_placement::build::instance_from_tasks`] lays them out over
-    /// the task table. Switches, previous placement and task scopes are
-    /// the round's ([`PlacementInstance::begin_round`]).
+    /// [`farm_placement::build::instance_from_tasks`] lays them out.
+    /// Switches, previous placement and task scopes are the round's
+    /// ([`PlacementInstance::begin_round`]).
     instance: PlacementInstance,
-    /// The seed table's seat of each key, index-aligned with `keys`: the
-    /// previous placement a round hands the solver as it is. A splice
-    /// splices it; a commit, an eviction or a forgotten seed writes the
-    /// one seat it changed.
+    /// Each seed's switch and allocation, `None` while it is not placed:
+    /// the previous placement a round hands the solver as it is.
     seats: Seats,
+    /// Each seed's soil-local id and whether that soil died; read only
+    /// where the seed has a seat.
+    ids: Vec<(SeedId, bool)>,
+    /// Each task's machines.
+    machines: Vec<Vec<Arc<CompiledMachine>>>,
 }
 
 impl Catalog {
@@ -138,41 +136,57 @@ impl Catalog {
         (start..end, t)
     }
 
-    /// Replaces `name`'s rows (none when it is not in the catalog) with
-    /// `new` (none removes the task) and returns the old → new seed map
-    /// ([`PlacementInstance::splice_task`]). A registration inserts a
-    /// task the catalog does not hold, so its new keys have no seats.
-    fn splice(&mut self, name: &str, new: Option<(Vec<SeedKey>, TaskRows)>) -> Vec<Option<usize>> {
-        let (old, t) = self.position(name);
-        let (keys, rows) = new.unzip();
-        let keys = keys.unwrap_or_default();
-        debug_assert!(keys.is_empty() || old.is_empty(), "a task registered twice");
-        self.seats
-            .splice(old.clone(), std::iter::repeat_n(None, keys.len()));
-        self.keys.splice(old.clone(), keys);
-        self.instance.splice_task(t, old, rows)
+    /// `name`'s task row.
+    fn task(&self, name: &str) -> Option<usize> {
+        let t = self.position(name).1;
+        (self.instance.tasks.get(t)?.name == name).then_some(t)
     }
 
-    /// Writes `key`'s seat, if the key is in the catalog.
-    fn seat(&mut self, key: &SeedKey, seat: Option<Seat>) {
-        let Ok(i) = self.keys.binary_search(key) else {
-            return;
-        };
-        match seat {
-            Some(seat) => self.seats.insert(i, seat),
-            None => self.seats.remove(&i),
-        };
+    /// Seed row `i`, when the seed is placed.
+    fn placed(&self, i: usize) -> Option<Placed> {
+        let &(switch, alloc) = self.seats.get(&i)?;
+        let (id, lost) = self.ids[i];
+        Some(Placed {
+            switch,
+            alloc,
+            id,
+            lost,
+        })
+    }
+
+    /// Inserts task `name` with the rows and machines of `new` at its
+    /// place in key order, its seeds not placed, or, for `None`, removes
+    /// task `name`: every column in the same call. Returns the old → new
+    /// seed map ([`PlacementInstance::splice_task`]) and the records of
+    /// the seeds spliced out, in key order.
+    fn splice(&mut self, name: &str, new: Option<NewTask>) -> (Vec<Option<usize>>, Vec<Placed>) {
+        debug_assert_eq!(new.is_some(), self.task(name).is_none(), "{name}");
+        let (old, t) = self.position(name);
+        let gone = old.clone().filter_map(|i| self.placed(i)).collect();
+        let (rows, machines) = new.unzip();
+        let keys: Vec<SeedKey> = (machines.iter().flatten().enumerate())
+            .flat_map(|(machine, m)| (0..m.seeds.len()).map(move |seed| (machine, seed)))
+            .map(|(machine, seed)| SeedKey {
+                task: name.to_string(),
+                machine,
+                seed,
+            })
+            .collect();
+        let added = keys.len();
+        self.seats
+            .splice(old.clone(), std::iter::repeat_n(None, added));
+        self.ids
+            .splice(old.clone(), std::iter::repeat_n((SeedId(0), false), added));
+        self.keys.splice(old.clone(), keys);
+        self.machines
+            .splice(t..t + usize::from(machines.is_none()), machines);
+        (self.instance.splice_task(t, old, rows), gone)
     }
 }
 
 /// The seeder's task catalog and placement memory.
 #[derive(Debug, Default)]
 pub struct Seeder {
-    /// Every registered task's machines, by task name.
-    tasks: BTreeMap<String, Vec<Arc<CompiledMachine>>>,
-    /// The seed table: one record per placed seed. Key order is the
-    /// order every listing, event and checkpoint walk sees.
-    placed: BTreeMap<SeedKey, Placed>,
     /// Solver-phase timings land here when set (see [`Seeder::set_telemetry`]).
     telemetry: Option<Telemetry>,
     /// Incremental-solver memory carried between planning rounds.
@@ -198,13 +212,15 @@ impl Seeder {
 
     /// Splices `name`'s rows ([`Catalog::splice`]) and remaps the solver
     /// memory to the new numbering, timed into `seeder.splice_us`.
-    fn splice(&mut self, name: &str, new: Option<(Vec<SeedKey>, TaskRows)>) {
+    /// Returns the records of the seeds spliced out.
+    fn splice(&mut self, name: &str, new: Option<NewTask>) -> Vec<Placed> {
         let started = Instant::now();
-        let map = self.catalog.splice(name, new);
+        let (map, gone) = self.catalog.splice(name, new);
         self.solver_state.remap(&map);
         if let Some(h) = &self.splice_us {
             h.record(started.elapsed().as_micros() as u64);
         }
+        gone
     }
 
     /// Registers a compiled task. Only this task's rows are built; they
@@ -230,22 +246,8 @@ impl Seeder {
         let (at, t) = self.catalog.position(&name);
         let rows = task_rows(&task, t, at.start)?;
         let replaced = self.remove_task(&name);
-        let keys = task
-            .machines
-            .iter()
-            .enumerate()
-            .flat_map(|(machine, m)| {
-                let task = &name;
-                (0..m.seeds.len()).map(move |seed| SeedKey {
-                    task: task.clone(),
-                    machine,
-                    seed,
-                })
-            })
-            .collect();
-        self.splice(&name, Some((keys, rows)));
         let machines = task.machines.into_iter().map(Arc::new).collect();
-        self.tasks.insert(name, machines);
+        self.splice(&name, Some((rows, machines)));
         Ok(replaced)
     }
 
@@ -253,66 +255,72 @@ impl Seeder {
     /// memory and returns its seed records in key order, for the caller
     /// to undeploy; `None` when no task of that name is registered.
     pub(crate) fn remove_task(&mut self, name: &str) -> Option<Vec<Placed>> {
-        self.tasks.remove(name)?;
-        let keys: Vec<SeedKey> = (self.placed.range(SeedKey::of_task(name)))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let records = keys.iter().filter_map(|k| self.placed.remove(k)).collect();
+        self.catalog.task(name)?;
         // The task's seed indices vanish: the remap drops every switch
         // log and LP output that mentions them.
-        self.splice(name, None);
-        Some(records)
+        Some(self.splice(name, None))
     }
 
     /// Whether a task of that name is registered.
     pub fn has_task(&self, name: &str) -> bool {
-        self.tasks.contains_key(name)
+        self.catalog.task(name).is_some()
     }
 
     /// Registered task names in deterministic order.
     pub fn task_names(&self) -> Vec<String> {
-        self.tasks.keys().cloned().collect()
+        let tasks = &self.catalog.instance.tasks;
+        tasks.iter().map(|r| r.name.clone()).collect()
+    }
+
+    /// Whether `key` is a seed of a registered task, placed or not.
+    pub(crate) fn has_seed(&self, key: &SeedKey) -> bool {
+        self.catalog.keys.binary_search(key).is_ok()
     }
 
     /// The compiled machine definition behind a seed key.
     pub(crate) fn machine_of(&self, key: &SeedKey) -> Option<Arc<CompiledMachine>> {
-        self.tasks
-            .get(&key.task)
-            .and_then(|machines| machines.get(key.machine))
-            .cloned()
+        let t = self.catalog.task(&key.task)?;
+        self.catalog.machines[t].get(key.machine).cloned()
     }
 
     /// All currently placed seeds with their switch and allocation, in
     /// key order.
     pub fn placements(&self) -> impl Iterator<Item = (&SeedKey, SwitchId, Resources)> {
-        self.placed.iter().map(|(k, p)| (k, p.switch, p.alloc))
+        self.table().map(|(k, p)| (k, p.switch, p.alloc))
     }
 
-    /// The seed table in key order.
-    pub(crate) fn table(&self) -> impl ExactSizeIterator<Item = (&SeedKey, &Placed)> {
-        self.placed.iter()
+    /// The seed table's placed seeds in key order.
+    pub(crate) fn table(&self) -> impl Iterator<Item = (&SeedKey, Placed)> {
+        let catalog = &self.catalog;
+        (catalog.seats.iter()).filter_map(|(i, _)| Some((&catalog.keys[i], catalog.placed(i)?)))
     }
 
-    /// One record of the seed table.
-    pub(crate) fn placed(&self, key: &SeedKey) -> Option<&Placed> {
-        self.placed.get(key)
+    /// Number of placed seeds.
+    pub(crate) fn deployed_seeds(&self) -> usize {
+        self.catalog.seats.len()
+    }
+
+    /// One placed seed's record.
+    pub(crate) fn placed(&self, key: &SeedKey) -> Option<Placed> {
+        let i = self.catalog.keys.binary_search(key).ok()?;
+        self.catalog.placed(i)
     }
 
     /// The live seed a soil knows as `id` on `switch` (a soil reports
     /// what it shed by its own ids).
     pub(crate) fn key_of(&self, switch: SwitchId, id: SeedId) -> Option<&SeedKey> {
-        self.placed
-            .iter()
+        self.table()
             .find(|(_, p)| p.switch == switch && p.id == id && !p.lost)
             .map(|(k, _)| k)
     }
 
-    /// The soil on `switch` died: every record there keeps its place —
-    /// the detector has not fired yet, the planner still counts the seed
-    /// as resident — but its id is void.
+    /// The soil on `switch` died: every row there keeps its seat — the
+    /// detector has not fired yet, the planner still counts the seed as
+    /// resident — but its id is void.
     pub(crate) fn soil_lost(&mut self, switch: SwitchId) {
-        for p in self.placed.values_mut().filter(|p| p.switch == switch) {
-            p.lost = true;
+        let Catalog { seats, ids, .. } = &mut self.catalog;
+        for (i, _) in seats.iter().filter(|(_, seat)| seat.0 == switch) {
+            ids[i].1 = true;
         }
     }
 
@@ -327,6 +335,7 @@ impl Seeder {
             keys,
             instance,
             seats,
+            ..
         } = &mut self.catalog;
         // The catalog's seats are the previous placement: they go to the
         // round as they are, and come back after the diff.
@@ -404,36 +413,32 @@ impl Seeder {
         }
     }
 
-    /// Drops the placement memory of every seed on `switch` (the switch
-    /// crashed or was declared failed) and returns their keys, with the
-    /// id the lost soil knew each by, in key order. The next
-    /// [`Seeder::plan`] sees those seeds as unplaced and proposes fresh
-    /// deployments for them.
+    /// Takes the seat of every seed on `switch` (the switch crashed or
+    /// was declared failed) and returns their keys, with the id the lost
+    /// soil knew each by, in key order. The next [`Seeder::plan`] sees
+    /// those seeds as unplaced and proposes fresh deployments for them.
     pub(crate) fn evict_switch(&mut self, switch: SwitchId) -> Vec<(SeedKey, SeedId)> {
-        let evicted: Vec<(SeedKey, SeedId)> = self
-            .placed
-            .iter()
+        let evicted: Vec<(SeedKey, SeedId)> = (self.table())
             .filter(|(_, p)| p.switch == switch)
             .map(|(k, p)| (k.clone(), p.id))
             .collect();
         for (key, _) in &evicted {
-            self.placed.remove(key);
-            self.catalog.seat(key, None);
+            self.forget(key);
         }
         evicted
     }
 
-    /// Drops the placement memory of a single seed (e.g. shed under
-    /// resource pressure). Returns the id its soil knew it by, `None`
-    /// for an unknown seed.
+    /// Takes the seat of a single seed (e.g. shed under resource
+    /// pressure). Returns the id its soil knew it by, `None` for a seed
+    /// that is not placed.
     pub(crate) fn forget(&mut self, key: &SeedKey) -> Option<SeedId> {
-        let placed = self.placed.remove(key)?;
-        self.catalog.seat(key, None);
-        Some(placed.id)
+        let i = self.catalog.keys.binary_search(key).ok()?;
+        self.catalog.seats.remove(&i)?;
+        Some(self.catalog.ids[i].0)
     }
 
-    /// Records that a planned action was executed (keeps the seed table
-    /// in sync). `planted` is the id the target soil handed back for the
+    /// Records that a planned action was executed: writes the one row it
+    /// changed. `planted` is the id the target soil handed back for the
     /// seed a `Deploy` or `Migrate` put there; the other actions plant
     /// nothing and ignore it.
     ///
@@ -441,27 +446,27 @@ impl Seeder {
     ///
     /// Panics when a `Deploy` or `Migrate` is committed without an id.
     pub(crate) fn commit(&mut self, action: &PlannedAction, planted: Option<SeedId>) {
+        let (PlannedAction::Deploy { key, .. }
+        | PlannedAction::Migrate { key, .. }
+        | PlannedAction::Realloc { key, .. }
+        | PlannedAction::Undeploy { key, .. }) = action;
+        let Ok(i) = self.catalog.keys.binary_search(key) else {
+            return;
+        };
+        let Catalog { seats, ids, .. } = &mut self.catalog;
         match action {
-            PlannedAction::Deploy { key, to, alloc }
-            | PlannedAction::Migrate { key, to, alloc, .. } => {
-                let placed = Placed {
-                    switch: *to,
-                    alloc: *alloc,
-                    id: planted.expect("a planted seed commits with its soil-local id"),
-                    lost: false,
-                };
-                self.placed.insert(key.clone(), placed);
-                self.catalog.seat(key, Some((*to, *alloc)));
+            PlannedAction::Deploy { to, alloc, .. } | PlannedAction::Migrate { to, alloc, .. } => {
+                let id = planted.expect("a planted seed commits with its soil-local id");
+                seats.insert(i, (*to, *alloc));
+                ids[i] = (id, false);
             }
-            PlannedAction::Realloc { key, alloc } => {
-                if let Some(p) = self.placed.get_mut(key) {
-                    p.alloc = *alloc;
-                    self.catalog.seat(key, Some((p.switch, *alloc)));
+            PlannedAction::Realloc { alloc, .. } => {
+                if let Some(&(switch, _)) = seats.get(&i) {
+                    seats.insert(i, (switch, *alloc));
                 }
             }
-            PlannedAction::Undeploy { key, .. } => {
-                self.placed.remove(key);
-                self.catalog.seat(key, None);
+            PlannedAction::Undeploy { .. } => {
+                seats.remove(&i);
             }
         }
     }
@@ -470,19 +475,10 @@ impl Seeder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::farm::tests::fabric;
     use farm_almanac::compile::compile_task;
     use farm_netsim::controller::SdnController;
-    use farm_netsim::switch::SwitchModel;
     use farm_netsim::topology::Topology;
-
-    fn fabric() -> Topology {
-        Topology::spine_leaf(
-            2,
-            3,
-            SwitchModel::accton_as7712(),
-            SwitchModel::accton_as5712(),
-        )
-    }
 
     /// Commits a whole plan the way the farm does, minus the soils: ids
     /// are made up, one per action.
@@ -499,43 +495,35 @@ mod tests {
             .collect()
     }
 
+    fn deploys(plan: &Plan) -> usize {
+        let deploy = |a: &&PlannedAction| matches!(a, PlannedAction::Deploy { .. });
+        plan.actions.iter().filter(deploy).count()
+    }
+
+    /// A seeder holding the heavy-hitter task as "hh", and the fabric's
+    /// switches to plan over.
+    fn hh_seeder() -> (Seeder, Vec<(SwitchId, Resources)>) {
+        let topo = fabric();
+        let hh = farm_almanac::programs::HEAVY_HITTER;
+        let task = compile_task("hh", hh, &Default::default(), &SdnController::new(&topo));
+        let mut seeder = Seeder::new();
+        seeder.register_task(task.unwrap()).unwrap();
+        (seeder, capacities(&topo))
+    }
+
     #[test]
     fn first_plan_deploys_every_seed() {
-        let topo = fabric();
-        let ctl = SdnController::new(&topo);
-        let task = compile_task(
-            "hh",
-            farm_almanac::programs::HEAVY_HITTER,
-            &Default::default(),
-            &ctl,
-        )
-        .unwrap();
-        let mut seeder = Seeder::new();
-        seeder.register_task(task).unwrap();
-        let plan = seeder.plan(&capacities(&topo));
+        let (mut seeder, caps) = hh_seeder();
+        let plan = seeder.plan(&caps);
         assert_eq!(plan.actions.len(), 5);
-        assert!(plan
-            .actions
-            .iter()
-            .all(|a| matches!(a, PlannedAction::Deploy { .. })));
+        assert_eq!(deploys(&plan), 5);
         commit_all(&mut seeder, &plan);
         assert_eq!(seeder.placements().count(), 5);
     }
 
     #[test]
     fn replanning_unchanged_world_is_a_noop() {
-        let topo = fabric();
-        let ctl = SdnController::new(&topo);
-        let task = compile_task(
-            "hh",
-            farm_almanac::programs::HEAVY_HITTER,
-            &Default::default(),
-            &ctl,
-        )
-        .unwrap();
-        let mut seeder = Seeder::new();
-        seeder.register_task(task).unwrap();
-        let caps = capacities(&topo);
+        let (mut seeder, caps) = hh_seeder();
         let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
         let plan2 = seeder.plan(&caps);
@@ -557,18 +545,7 @@ mod tests {
 
     #[test]
     fn removing_a_task_undeploys_its_seeds() {
-        let topo = fabric();
-        let ctl = SdnController::new(&topo);
-        let task = compile_task(
-            "hh",
-            farm_almanac::programs::HEAVY_HITTER,
-            &Default::default(),
-            &ctl,
-        )
-        .unwrap();
-        let mut seeder = Seeder::new();
-        seeder.register_task(task).unwrap();
-        let caps = capacities(&topo);
+        let (mut seeder, caps) = hh_seeder();
         let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
         assert!(seeder.remove_task("hh").is_some());
@@ -581,18 +558,7 @@ mod tests {
 
     #[test]
     fn evicting_a_switch_forgets_only_its_seeds() {
-        let topo = fabric();
-        let ctl = SdnController::new(&topo);
-        let task = compile_task(
-            "hh",
-            farm_almanac::programs::HEAVY_HITTER,
-            &Default::default(),
-            &ctl,
-        )
-        .unwrap();
-        let mut seeder = Seeder::new();
-        seeder.register_task(task).unwrap();
-        let caps = capacities(&topo);
+        let (mut seeder, caps) = hh_seeder();
         let plan = seeder.plan(&caps);
         commit_all(&mut seeder, &plan);
         let total = seeder.placements().count();
@@ -603,29 +569,37 @@ mod tests {
         assert_eq!(seeder.placements().count(), total - evicted.len());
         assert!(seeder.placements().all(|(_, n, _)| n != victim));
         // The next plan re-deploys exactly the evicted seeds.
+        assert_eq!(deploys(&seeder.plan(&caps)), evicted.len());
+    }
+
+    #[test]
+    fn a_lost_soils_rows_keep_their_seats_but_answer_to_no_id() {
+        let (mut seeder, caps) = hh_seeder();
         let plan = seeder.plan(&caps);
-        let deploys: Vec<_> = plan
-            .actions
-            .iter()
-            .filter(|a| matches!(a, PlannedAction::Deploy { .. }))
+        commit_all(&mut seeder, &plan);
+        let victim = seeder.placements().next().unwrap().1;
+        let rows: Vec<(SeedKey, SeedId)> = (seeder.table())
+            .filter(|(_, p)| p.switch == victim)
+            .map(|(k, p)| (k.clone(), p.id))
             .collect();
-        assert_eq!(deploys.len(), evicted.len());
+        assert!(!rows.is_empty());
+        let (other, p) = seeder.table().find(|(_, p)| p.switch != victim).unwrap();
+        let other = other.clone();
+
+        seeder.soil_lost(victim);
+        for (_, id) in &rows {
+            assert_eq!(seeder.key_of(victim, *id), None, "a lost id names no seed");
+        }
+        assert_eq!(seeder.key_of(p.switch, p.id), Some(&other));
+        // Still residents: the round deploys nothing in their place.
+        let plan = seeder.plan(&caps);
+        assert_eq!(deploys(&plan), 0, "{:?}", plan.actions);
+        assert_eq!(seeder.evict_switch(victim), rows);
     }
 
     #[test]
     fn warm_replans_reuse_the_solver_memo() {
-        let topo = fabric();
-        let ctl = SdnController::new(&topo);
-        let task = compile_task(
-            "hh",
-            farm_almanac::programs::HEAVY_HITTER,
-            &Default::default(),
-            &ctl,
-        )
-        .unwrap();
-        let mut seeder = Seeder::new();
-        seeder.register_task(task).unwrap();
-        let caps = capacities(&topo);
+        let (mut seeder, caps) = hh_seeder();
         let p1 = seeder.plan(&caps);
         assert!(!p1.delta.warm, "first plan is cold");
         commit_all(&mut seeder, &p1);
@@ -645,29 +619,25 @@ mod tests {
 
     #[test]
     fn co_deployed_tasks_plan_together() {
-        let topo = fabric();
+        let (mut seeder, caps) = hh_seeder();
+        let (topo, src) = (fabric(), farm_almanac::programs::TRAFFIC_CHANGE);
         let ctl = SdnController::new(&topo);
-        let mut seeder = Seeder::new();
-        for (name, src) in [
-            ("hh", farm_almanac::programs::HEAVY_HITTER),
-            ("traffic-change", farm_almanac::programs::TRAFFIC_CHANGE),
-        ] {
-            seeder
-                .register_task(compile_task(name, src, &Default::default(), &ctl).unwrap())
-                .unwrap();
-        }
-        let plan = seeder.plan(&capacities(&topo));
+        let task = compile_task("traffic-change", src, &Default::default(), &ctl);
+        seeder.register_task(task.unwrap()).unwrap();
+        let plan = seeder.plan(&caps);
         // Both `place all` tasks: 5 + 5 deployments.
         assert_eq!(plan.actions.len(), 10);
         assert!(plan.dropped_tasks.is_empty());
     }
 
-    /// The splice keeps the catalog equal to a rebuild, and the
-    /// remapped solver memory plans as a fresh seeder does.
+    /// The splice keeps the catalog equal to a rebuild and the seed
+    /// table equal to a model of it, and the remapped solver memory
+    /// plans as a fresh seeder does.
     mod catalog_property {
         use super::*;
         use farm_placement::build::instance_from_tasks;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
         use std::sync::OnceLock;
 
         /// Names that land before, between and after one another,
@@ -715,50 +685,70 @@ mod tests {
                 .clone()
         }
 
-        /// The catalog `instance_from_tasks` builds over the task table.
-        fn check_catalog(seeder: &Seeder, table: &BTreeMap<usize, usize>) {
+        /// What the seed table should hold: each placed seed's switch,
+        /// allocation and soil-local id, kept from the plans committed,
+        /// the records handed back and the seats evicted or forgotten.
+        type Model = BTreeMap<SeedKey, (SwitchId, Resources, SeedId)>;
+
+        /// Every key's machine, the catalog `instance_from_tasks` builds
+        /// over the task table, and the seed table the model holds.
+        fn check_catalog(seeder: &Seeder, table: &BTreeMap<usize, usize>, model: &Model) {
             let tasks: Vec<CompiledTask> = table.iter().map(|(&n, &p)| compiled(n, p)).collect();
             let expected =
                 instance_from_tasks(&tasks.iter().collect::<Vec<_>>(), &[], None).unwrap();
-            let keys: Vec<SeedKey> = tasks
-                .iter()
-                .flat_map(|t| {
-                    t.machines.iter().enumerate().flat_map(move |(machine, m)| {
-                        (0..m.seeds.len()).map(move |seed| SeedKey {
-                            task: t.name.clone(),
+            let mut keys = Vec::new();
+            for t in &tasks {
+                for (machine, m) in t.machines.iter().enumerate() {
+                    for seed in 0..m.seeds.len() {
+                        let task = t.name.clone();
+                        let key = SeedKey {
+                            task,
                             machine,
                             seed,
-                        })
-                    })
-                })
-                .collect();
-            let Catalog {
-                keys: got,
-                instance,
-                seats,
-            } = &seeder.catalog;
-            assert_eq!(got, &keys, "keys");
-            assert_eq!(seats, &table_seats(seeder), "seats");
-            assert_eq!(instance.seeds, expected.seeds, "seed rows");
-            // A task row's seed list is the next round's to scope.
-            let names =
-                |i: &PlacementInstance| i.tasks.iter().map(|t| t.name.clone()).collect::<Vec<_>>();
-            assert_eq!(names(instance), names(&expected), "task rows");
-            assert_eq!(seeder.task_names(), names(&expected));
-        }
-
-        /// The seats of the catalog's keys, from a walk over the seed
-        /// table beside the keys.
-        fn table_seats(seeder: &Seeder) -> Seats {
-            let mut table = seeder.placed.iter().peekable();
-            let mut seats = Seats::default();
-            for (i, key) in seeder.catalog.keys.iter().enumerate() {
-                while table.next_if(|(k, _)| *k < key).is_some() {}
-                if let Some((_, p)) = table.next_if(|(k, _)| *k == key) {
-                    seats.insert(i, (p.switch, p.alloc));
+                        };
+                        let got = seeder.machine_of(&key).expect("every key has a machine");
+                        assert!(Arc::ptr_eq(&got.lowered, &m.lowered), "{key}'s machine");
+                        keys.push(key);
+                    }
                 }
             }
-            seats
+            let (got, instance) = (&seeder.catalog.keys, &seeder.catalog.instance);
+            assert_eq!(got, &keys, "keys");
+            assert_eq!(instance.seeds, expected.seeds, "seed rows");
+            // A task row's seed list is the next round's to scope.
+            let names: Vec<_> = expected.tasks.iter().map(|t| t.name.clone()).collect();
+            assert_eq!(seeder.task_names(), names, "task rows");
+
+            let placed: Model = (seeder.table())
+                .map(|(k, p)| (k.clone(), (p.switch, p.alloc, p.id)))
+                .collect();
+            assert_eq!(&placed, model, "seed table");
+            assert!(
+                (seeder.placements()).eq(model.iter().map(|(k, &(n, a, _))| (k, n, a))),
+                "placements"
+            );
+            assert_eq!(seeder.deployed_seeds(), model.len());
+        }
+
+        /// [`commit_all`], and the same plan written into the model.
+        fn commit(seeder: &mut Seeder, model: &mut Model, plan: &Plan) {
+            for (i, a) in plan.actions.iter().enumerate() {
+                seeder.commit(a, Some(SeedId(i as u64)));
+                match a {
+                    PlannedAction::Deploy { key, to, alloc }
+                    | PlannedAction::Migrate { key, to, alloc, .. } => {
+                        model.insert(key.clone(), (*to, *alloc, SeedId(i as u64)));
+                    }
+                    PlannedAction::Realloc { key, alloc } => {
+                        if let Some(row) = model.get_mut(key) {
+                            row.1 = *alloc;
+                        }
+                    }
+                    PlannedAction::Undeploy { key, .. } => {
+                        model.remove(key);
+                    }
+                }
+            }
         }
 
         fn assert_same_plan(warm: &Plan, cold: &Plan) {
@@ -789,21 +779,32 @@ mod tests {
                 let all = capacities(&topo);
                 let mut seeder = Seeder::new();
                 let mut table = BTreeMap::new();
+                let mut model = Model::new();
                 for (name, program, mask, lose) in steps {
-                    if program < PROGRAMS.len() {
-                        seeder.register_task(compiled(name, program)).unwrap();
-                        table.insert(name, program);
+                    let (gone, had) = if program < PROGRAMS.len() {
+                        let gone = seeder.register_task(compiled(name, program)).unwrap();
+                        (gone, table.insert(name, program))
                     } else {
-                        assert_eq!(seeder.remove_task(NAMES[name]).is_some(), table.remove(&name).is_some());
-                    }
-                    check_catalog(&seeder, &table);
+                        (seeder.remove_task(NAMES[name]), table.remove(&name))
+                    };
+                    assert_eq!(gone.is_some(), had.is_some());
+                    // The records handed back are the task's, in key order.
+                    let records = gone.unwrap_or_default().into_iter().map(|p| (p.switch, p.alloc, p.id));
+                    let (out, kept): (Model, Model) = std::mem::take(&mut model)
+                        .into_iter()
+                        .partition(|(k, _)| k.task == NAMES[name]);
+                    model = kept;
+                    assert!(records.eq(out.into_values()));
+                    check_catalog(&seeder, &table, &model);
 
                     let mut fresh = Seeder::new();
                     for (&n, &p) in &table {
                         fresh.register_task(compiled(n, p)).unwrap();
                     }
-                    fresh.placed = seeder.placed.clone();
-                    fresh.catalog.seats = table_seats(&fresh);
+                    for (key, &(to, alloc, id)) in &model {
+                        let key = key.clone();
+                        fresh.commit(&PlannedAction::Deploy { key, to, alloc }, Some(id));
+                    }
                     let live: Vec<_> = all
                         .iter()
                         .enumerate()
@@ -812,17 +813,22 @@ mod tests {
                         .collect();
                     let plan = seeder.plan(&live);
                     assert_same_plan(&plan, &fresh.plan(&live));
-                    commit_all(&mut seeder, &plan);
-                    check_catalog(&seeder, &table);
+                    commit(&mut seeder, &mut model, &plan);
+                    check_catalog(&seeder, &table, &model);
                     if let Some(&(n, _)) = all.get(lose) {
-                        seeder.evict_switch(n);
+                        let here: Vec<_> = (model.iter())
+                            .filter(|(_, row)| row.0 == n)
+                            .map(|(k, row)| (k.clone(), row.2))
+                            .collect();
+                        model.retain(|_, row| row.0 != n);
+                        assert_eq!(seeder.evict_switch(n), here);
                     } else if lose == all.len() {
-                        let first = seeder.placed.keys().next().cloned();
+                        let first = model.keys().next().cloned();
                         if let Some(key) = first {
-                            seeder.forget(&key);
+                            assert_eq!(seeder.forget(&key), model.remove(&key).map(|row| row.2));
                         }
                     }
-                    check_catalog(&seeder, &table);
+                    check_catalog(&seeder, &table, &model);
                 }
             }
         }

@@ -347,7 +347,7 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
             println!("restored {seeds} seed(s)");
             if *skipped != 0 {
                 eprintln!(
-                    "farmctl: warning: {skipped} checkpoint entr(ies) skipped (bad seed key)"
+                    "farmctl: warning: {skipped} checkpoint entr(ies) skipped (bad seed key or unregistered task)"
                 );
             }
         }

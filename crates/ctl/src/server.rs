@@ -577,8 +577,10 @@ fn checkpoint(core: &mut Core) -> ControlReply {
 /// back whole — then snapshots land in the checkpoint store and live
 /// seeds roll back to them.
 ///
-/// Entries whose seed key no longer parses are counted into `skipped`
-/// and the `ctl.restore_skipped` counter instead of vanishing.
+/// Entries whose seed key no longer parses, or names no seed of a
+/// registered task (its program record failed to recompile), are
+/// counted into `skipped` and the `ctl.restore_skipped` counter instead
+/// of vanishing, and the store does not keep them.
 fn restore(core: &mut Core) -> ControlReply {
     let telemetry = core.farm.telemetry().clone();
     let mut skipped = 0u64;
@@ -626,16 +628,15 @@ fn restore(core: &mut Core) -> ControlReply {
 
 /// Loads keyed seed snapshots — a checkpoint file's or a migration
 /// import's — into the farm's checkpoint store, returning how many were
-/// dropped for unparseable keys (also counted in `ctl.restore_skipped`).
+/// dropped for an unparseable key or one that names no seed of a
+/// registered task ([`Farm::import_checkpoints`]); both are counted in
+/// `ctl.restore_skipped`.
 fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, SeedSnapshot)>) -> u64 {
-    let mut skipped = 0u64;
-    farm.import_checkpoints(entries.into_iter().filter_map(|(key, snap)| {
-        let Some(parsed) = parse_seed_key(&key) else {
-            skipped += 1;
-            return None;
-        };
-        Some((parsed, snap))
-    }));
+    let total = entries.len();
+    let parsed: Vec<_> = (entries.into_iter())
+        .filter_map(|(key, snap)| Some((parse_seed_key(&key)?, snap)))
+        .collect();
+    let skipped = (total - parsed.len() + farm.import_checkpoints(parsed)) as u64;
     if skipped > 0 {
         farm.telemetry().counter("ctl.restore_skipped").add(skipped);
     }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use farm_ctl::{CtlClient, Farmd, FarmdConfig, ServerConfig};
 use farm_net::snapshot::CHECKPOINT_MAGIC;
-use farm_net::{decode_checkpoint, ControlOp, ControlReply};
+use farm_net::{decode_checkpoint, encode_checkpoint_doc, ControlOp, ControlReply};
 
 const WATCHER: &str = include_str!("../../../examples/load_watcher.alm");
 
@@ -140,6 +140,52 @@ fn truncated_v2_checkpoint_salvages_intact_prefix() {
     }
     drop(client);
     farmd.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A program record that no longer compiles leaves its task
+/// unregistered on the next boot: its seed records are skipped, not
+/// kept in the snapshot store, so the next checkpoint file holds no
+/// snapshot of a task it has no program for.
+#[test]
+fn seeds_of_a_task_that_fails_to_restore_are_skipped_not_written_back() {
+    let path = scratch_file("broken-program");
+    let _ = std::fs::remove_file(&path);
+    let first = Farmd::start(test_config(path.clone())).expect("start farmd");
+    let client = CtlClient::connect(first.local_addr());
+    submit_watcher(&client);
+    match client.op(ControlOp::Checkpoint).expect("checkpoint rpc") {
+        ControlReply::Checkpointed { seeds: 1, .. } => {}
+        other => panic!("checkpoint answered {other:?}"),
+    }
+    drop(client);
+    first.stop();
+
+    let bytes = std::fs::read(&path).expect("checkpoint file written");
+    let mut doc = decode_checkpoint(&bytes).expect("decode our own file").doc;
+    assert_eq!(doc.seeds.len(), 1);
+    doc.programs[0].1 = "machine Broken {".into();
+    std::fs::write(&path, encode_checkpoint_doc(&doc)).expect("write broken checkpoint");
+
+    let second = Farmd::start(test_config(path.clone())).expect("start farmd");
+    let client = CtlClient::connect(second.local_addr());
+    match client.op(ControlOp::Restore).expect("restore rpc") {
+        ControlReply::Restored { seeds, skipped } => {
+            assert_eq!(seeds, 0);
+            assert_eq!(skipped, 1, "the seed of the unregistered task");
+        }
+        other => panic!("restore answered {other:?}"),
+    }
+    match client.op(ControlOp::Checkpoint).expect("checkpoint rpc") {
+        ControlReply::Checkpointed { seeds: 0, .. } => {}
+        other => panic!("checkpoint answered {other:?}"),
+    }
+    let load = decode_checkpoint(&std::fs::read(&path).expect("checkpoint file written"))
+        .expect("decode our own file");
+    assert!(load.doc.programs.is_empty(), "{:?}", load.doc.programs);
+    assert!(load.doc.seeds.is_empty(), "{:?}", load.doc.seeds);
+    drop(client);
+    second.stop();
     let _ = std::fs::remove_file(&path);
 }
 

@@ -115,13 +115,11 @@ pub fn task_rows(task: &CompiledTask, t: usize, first: usize) -> Result<TaskRows
 }
 
 impl PlacementInstance {
-    /// Splices task `t`'s rows, the seeds in `seeds` being that task's:
-    /// `rows` replace them and the task row when that row has their
-    /// task's name, and are inserted before row `t` otherwise (`seeds`
-    /// then empty); `None` removes them. `rows` are numbered as task `t`
-    /// from `seeds.start` ([`task_rows`]). The seeds after the splice are
-    /// renumbered and, when a task row came or went, move one task on or
-    /// back; the task rows' seed lists are the round's
+    /// Splices task `t`'s rows: `rows`, numbered as task `t` from
+    /// `seeds.start` ([`task_rows`]), are inserted before row `t`
+    /// (`seeds` then empty); `None` removes task `t`, whose seeds are
+    /// `seeds`. The seeds after the splice are renumbered and move one
+    /// task on or back; the task rows' seed lists are the round's
     /// ([`PlacementInstance::begin_round`]) and are left as they are.
     ///
     /// Returns the old → new seed map for [`crate::delta::SolveState::remap`]:
@@ -142,29 +140,26 @@ impl PlacementInstance {
                 _ => Some(i - removed + added),
             })
             .collect();
-        let (new, task) = match rows {
-            Some(rows) => (rows.seeds, Some(rows.task)),
-            None => (Vec::new(), None),
-        };
-        let after = seeds.start + added;
-        self.seeds.splice(seeds, new);
-        let (inserted, dropped) = match task {
-            Some(task) if self.tasks.get(t).is_some_and(|r| r.name == task.name) => {
-                self.tasks[t] = task;
-                (false, false)
-            }
-            Some(task) => {
-                self.tasks.insert(t, task);
-                (true, false)
+        let inserted = rows.is_some();
+        let new = match rows {
+            Some(rows) => {
+                self.tasks.insert(t, rows.task);
+                rows.seeds
             }
             None => {
                 self.tasks.remove(t);
-                (false, true)
+                Vec::new()
             }
         };
+        let after = seeds.start + added;
+        self.seeds.splice(seeds, new);
         for seed in &mut self.seeds[after..] {
             seed.id = seed.id + added - removed;
-            seed.task = seed.task + usize::from(inserted) - usize::from(dropped);
+            seed.task = if inserted {
+                seed.task + 1
+            } else {
+                seed.task - 1
+            };
         }
         map
     }
