@@ -23,13 +23,7 @@ pub(crate) fn sap_cluster() -> Topology {
 
 /// Builds a FARM instance over a topology with the given soil config.
 pub(crate) fn farm_with(topology: Topology, soil: SoilConfig) -> Farm {
-    Farm::new(
-        topology,
-        FarmConfig {
-            soil,
-            ..FarmConfig::default()
-        },
-    )
+    Farm::new(topology, FarmConfig { soil })
 }
 
 /// The rig of the co-location studies (Fig. 6, 8, 9): `seeds` copies of

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use farm_almanac::AlmanacError;
+use farm_netsim::types::SwitchId;
 use farm_soil::SoilError;
 
 /// Framework-level failure.
@@ -26,6 +27,8 @@ pub enum Error {
     UnknownMachine(String),
     /// A plan acted on a seed that is not currently deployed.
     NotDeployed(String),
+    /// An operator named a switch the fabric does not have.
+    UnknownSwitch(SwitchId),
 }
 
 impl fmt::Display for Error {
@@ -38,6 +41,7 @@ impl fmt::Display for Error {
                 write!(f, "farm error: unknown machine for {key}")
             }
             Error::NotDeployed(key) => write!(f, "farm error: {key} is not deployed"),
+            Error::UnknownSwitch(id) => write!(f, "farm error: no switch {} in the fabric", id.0),
         }
     }
 }

@@ -1,10 +1,12 @@
 //! The `Farm` facade: the whole framework wired together.
 //!
-//! Owns the simulated [`Network`], one [`Soil`] per switch, the
-//! [`Seeder`] and the per-task harvesters, and drives everything on
-//! virtual time: traffic application, probe sampling, trigger scheduling,
-//! message routing (seed ↔ seed and seed ↔ harvester), harvester
-//! commands, and placement (re)optimization with live migrations.
+//! Owns the simulated [`Network`], one row per switch (its [`Soil`] and
+//! what the heartbeat detector, the operator and the control channel
+//! know of it), the [`Seeder`] and the per-task harvesters, and drives
+//! everything on virtual time: traffic application, probe sampling,
+//! trigger scheduling, message routing (seed ↔ seed and seed ↔
+//! harvester), harvester commands, and placement (re)optimization with
+//! live migrations.
 //!
 //! Construction goes through [`FarmBuilder`] (also reachable as
 //! [`Farm::builder`]): topology, configuration, harvesters and telemetry
@@ -13,7 +15,7 @@
 //! so one registry accumulates the whole stack's counters and
 //! histograms and one sink set observes the whole event stream.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use farm_almanac::analysis::ConstEnv;
@@ -44,49 +46,29 @@ use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
 pub struct FarmConfig {
     /// Soil configuration applied to every switch.
     pub soil: SoilConfig,
-    /// Failure detection and recovery knobs.
-    pub fault_tolerance: FaultToleranceConfig,
 }
 
-/// Failure detection and recovery knobs (§ "Failure model & recovery"
-/// in DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultToleranceConfig {
-    /// Soil heartbeat period. Each round checkpoints live seeds and
-    /// drives the missed-heartbeat detector.
-    pub(crate) heartbeat_interval: Dur,
-    /// Consecutive missed heartbeats before a switch is declared failed
-    /// and its seeds are orphaned for re-placement.
-    pub(crate) miss_threshold: u32,
-    /// Re-placement attempts per orphaned seed before recovery is
-    /// abandoned.
-    pub(crate) max_recovery_attempts: u32,
-    /// Backoff before the first recovery retry; doubles per attempt.
-    pub(crate) recovery_backoff: Dur,
-    /// Extra delivery attempts for a harvester report dropped by a lossy
-    /// control channel before it is dead-lettered.
-    pub(crate) delivery_retries: u32,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        FaultToleranceConfig {
-            heartbeat_interval: Dur::from_millis(10),
-            miss_threshold: 3,
-            max_recovery_attempts: 5,
-            recovery_backoff: Dur::from_millis(5),
-            delivery_retries: 3,
-        }
-    }
-}
+/// Soil heartbeat period. Each round checkpoints live seeds and drives
+/// the missed-heartbeat detector.
+const HEARTBEAT_INTERVAL: Dur = Dur::from_millis(10);
+/// Consecutive missed heartbeats before a switch is declared failed and
+/// its seeds are orphaned for re-placement.
+const MISS_THRESHOLD: u32 = 3;
+/// Re-placement attempts per orphaned seed before recovery is abandoned.
+const MAX_RECOVERY_ATTEMPTS: u32 = 5;
+/// Backoff before the first recovery retry; doubles per attempt.
+const RECOVERY_BACKOFF: Dur = Dur::from_millis(5);
+/// Extra delivery attempts for a harvester report dropped by a lossy
+/// control channel before it is dead-lettered.
+const DELIVERY_RETRIES: u32 = 3;
 
 /// Base seed for control-channel loss decision streams; per-switch
 /// models fork off it so runs replay identically.
 const LOSS_SEED_BASE: u64 = 0xFA12_5EED;
 
 /// One orphaned or shed seed awaiting re-placement. Its last known
-/// state, when it has one, stays where every snapshot lives: in
-/// [`Farm`]'s snapshot store.
+/// state, when it has one, stays where every snapshot lives: in its
+/// seed table row.
 #[derive(Debug, Clone)]
 struct RecoveryItem {
     /// When the seed's host was lost (crash instant when known,
@@ -96,6 +78,28 @@ struct RecoveryItem {
     attempts: u32,
     /// Earliest instant of the next attempt (exponential backoff).
     next_at: Time,
+}
+
+/// One switch's state, at the switch's [`Network::slot_of`].
+#[derive(Default)]
+struct SwitchRow {
+    /// The soil running on the switch. A crash empties it, a restart
+    /// refills it.
+    soil: Option<Soil>,
+    /// Consecutive missed heartbeats while the switch is unreachable.
+    missed: u32,
+    /// Declared failed: its stale seeds are killed when (if) it rejoins,
+    /// and it hosts nothing until then.
+    fenced: bool,
+    /// Administratively cordoned ([`Farm::drain`]): healthy but excluded
+    /// from placement until [`Farm::uncordon`].
+    cordoned: bool,
+    /// Crash instant while the switch is affected (starts the MTTR clock
+    /// for the seeds it hosted).
+    down_since: Option<Time>,
+    /// Control-channel impairment of this switch (wins over
+    /// `global_loss`).
+    loss: Option<LossModel>,
 }
 
 /// Maximum message-routing rounds per step (seed→harvester→seed→… chains).
@@ -239,35 +243,30 @@ impl FarmBuilder {
         }
         let mut network = Network::new(self.topology);
         network.set_telemetry(&telemetry);
-        let soils: Vec<Option<Soil>> = network
+        let rows: Vec<SwitchRow> = network
             .switches()
-            .map(|sw| Some(new_soil(sw.id(), self.config.soil, &telemetry)))
+            .map(|sw| SwitchRow {
+                soil: Some(new_soil(sw.id(), self.config.soil, &telemetry)),
+                ..SwitchRow::default()
+            })
             .collect();
-        let n_switches = soils.len();
+        let n_switches = rows.len();
         let mut seeder = Seeder::new();
         seeder.set_telemetry(telemetry.clone());
         let counters = FarmCounters::new(&telemetry);
-        let ft = self.config.fault_tolerance;
         let mut farm = Farm {
             network,
-            soils,
+            rows,
             seeder,
             harvesters: HashMap::new(),
             now: Time::ZERO,
             telemetry,
             counters,
             soil_config: self.config.soil,
-            ft,
             injector: FaultInjector::new(self.fault_plan),
-            heartbeat_due: Time::ZERO + ft.heartbeat_interval,
-            missed: BTreeMap::new(),
-            fenced: BTreeSet::new(),
-            cordoned: BTreeSet::new(),
-            down_since: BTreeMap::new(),
-            checkpoints: HashMap::new(),
+            heartbeat_due: Time::ZERO + HEARTBEAT_INTERVAL,
             recovery: BTreeMap::new(),
             global_loss: None,
-            switch_loss: BTreeMap::new(),
             sampled: vec![Vec::new(); n_switches],
             sampled_slots: Vec::new(),
         };
@@ -294,12 +293,11 @@ pub struct SeedStatus {
 /// The assembled FARM framework over a simulated fabric.
 pub struct Farm {
     network: Network,
-    /// One soil per switch, addressed by [`Network::slot_of`] like the
-    /// switches themselves. A crash empties the slot, a restart refills
-    /// it.
-    soils: Vec<Option<Soil>>,
+    /// One row per switch, addressed by [`Network::slot_of`] like the
+    /// switches themselves, so slot order is id order.
+    rows: Vec<SwitchRow>,
     /// Task catalog and seed table: where every placed seed is, what it
-    /// holds and what its soil calls it.
+    /// holds, what its soil calls it and its last known state.
     seeder: Seeder,
     harvesters: HashMap<String, Box<dyn Harvester>>,
     now: Time,
@@ -308,32 +306,13 @@ pub struct Farm {
     /// Kept so switches restarting after a crash get a fresh soil with
     /// the same configuration.
     soil_config: SoilConfig,
-    ft: FaultToleranceConfig,
     injector: FaultInjector,
     /// Next heartbeat round.
     heartbeat_due: Time,
-    /// Consecutive missed heartbeats per unreachable switch.
-    missed: BTreeMap<SwitchId, u32>,
-    /// Switches declared failed; their stale seeds are killed when (if)
-    /// they rejoin, and they host nothing until then.
-    fenced: BTreeSet<SwitchId>,
-    /// Switches administratively cordoned ([`Farm::drain`]): healthy but
-    /// excluded from placement until [`Farm::uncordon`].
-    cordoned: BTreeSet<SwitchId>,
-    /// Crash instant per currently-affected switch (starts the MTTR
-    /// clock for the seeds it hosted).
-    down_since: BTreeMap<SwitchId, Time>,
-    /// The snapshot store: a seed's last known state, from its first
-    /// capture (heartbeat, [`Farm::checkpoint_seeds`], shed, import)
-    /// until a newer capture overwrites it or its task is removed.
-    /// Orphaning, recovery and migration read it and leave it alone.
-    checkpoints: HashMap<SeedKey, SeedSnapshot>,
     /// Orphaned/shed seeds awaiting re-placement.
     recovery: BTreeMap<SeedKey, RecoveryItem>,
     /// Control-channel impairment for the whole management network.
     global_loss: Option<LossModel>,
-    /// Control-channel impairment per switch (wins over `global_loss`).
-    switch_loss: BTreeMap<SwitchId, LossModel>,
     /// Scratch of [`Farm::apply_traffic`]: sampled packets per network
     /// slot, emptied (capacity kept) by the end of every call.
     sampled: Vec<Vec<PacketRecord>>,
@@ -371,13 +350,24 @@ impl Farm {
 
     /// The soil running on a switch.
     pub fn soil(&self, id: SwitchId) -> Option<&Soil> {
-        self.soils[self.network.slot_of(id)?].as_ref()
+        self.row(id)?.soil.as_ref()
+    }
+
+    /// The row of switch `id`, `None` for a switch the fabric lacks.
+    fn row(&self, id: SwitchId) -> Option<&SwitchRow> {
+        self.rows.get(self.network.slot_of(id)?)
+    }
+
+    /// [`Farm::row`], to write.
+    fn row_mut(&mut self, id: SwitchId) -> Option<&mut SwitchRow> {
+        self.rows.get_mut(self.network.slot_of(id)?)
     }
 
     /// Fabric-wide soil statistics (summed across every switch) —
     /// poll-aggregation savings, ASIC polls, deliveries.
     pub fn soil_stats(&self) -> SoilStats {
-        self.soils.iter().flatten().map(|s| s.stats()).sum()
+        let soils = self.rows.iter().filter_map(|r| r.soil.as_ref());
+        soils.map(|s| s.stats()).sum()
     }
 
     /// The seeder (task catalog and placements).
@@ -495,18 +485,14 @@ impl Farm {
     }
 
     /// Undeploys `seeds`, the records of task `name` the seeder has
-    /// just let go, in order, and drops the task's snapshots and
-    /// recovery entries.
+    /// just let go (its snapshots went with its rows), in order, and
+    /// drops the task's recovery entries.
     fn undeploy_withdrawn(&mut self, name: &str, seeds: Vec<Placed>) {
         for placed in seeds {
-            if let Some((soil, switch)) = host_mut(&mut self.soils, &mut self.network, placed) {
+            if let Some((soil, switch)) = host_mut(&mut self.rows, &mut self.network, placed) {
                 let _ = soil.undeploy(placed.id, UndeployReason::TaskRemoved, self.now, switch);
             }
         }
-        // Drop the task's snapshots and recovery entries too, so a
-        // removed (e.g. migrated-away) task cannot leak stale snapshots
-        // into later checkpoint files or restores.
-        self.checkpoints.retain(|k, _| k.task != name);
         self.recovery.retain(|k, _| k.task != name);
     }
 
@@ -549,18 +535,18 @@ impl Farm {
                     // yet. The migration then degrades into a
                     // recovery-style import of the last stored snapshot,
                     // or a cold start for a seed never captured.
-                    let snapshot = match host_mut(&mut self.soils, &mut self.network, placed) {
+                    let snapshot = match host_mut(&mut self.rows, &mut self.network, placed) {
                         Some((soil, switch)) => Some(soil.undeploy(
                             placed.id,
                             UndeployReason::Migration,
                             now,
                             switch,
                         )?),
-                        None => self.checkpoints.get(key).cloned(),
+                        None => self.seeder.snapshot(key).cloned(),
                     };
                     let (id, bytes) = match snapshot {
                         Some(snapshot) => {
-                            let (soil, switch) = soil_on(&mut self.soils, &mut self.network, *to)
+                            let (soil, switch) = soil_on(&mut self.rows, &mut self.network, *to)
                                 .expect("a planned target runs a soil");
                             let (id, report) =
                                 soil.import(def, &key.task, *alloc, &snapshot, now, switch)?;
@@ -591,7 +577,7 @@ impl Farm {
                 PlannedAction::Realloc { key, alloc } => {
                     if let Some(placed) = self.seeder.placed(key) {
                         if let Some((soil, switch)) =
-                            host_mut(&mut self.soils, &mut self.network, placed)
+                            host_mut(&mut self.rows, &mut self.network, placed)
                         {
                             let report = soil.realloc(placed.id, *alloc, now, switch)?;
                             outbound.extend(take_report(&self.counters, report));
@@ -603,7 +589,7 @@ impl Farm {
                     if let Some(placed) = self.seeder.placed(key) {
                         // A lost host already took the seed with it.
                         if let Some((soil, switch)) =
-                            host_mut(&mut self.soils, &mut self.network, placed)
+                            host_mut(&mut self.rows, &mut self.network, placed)
                         {
                             soil.undeploy(placed.id, UndeployReason::Replanned, now, switch)?;
                         }
@@ -676,16 +662,14 @@ impl Farm {
             .ok_or_else(|| Error::UnknownMachine(key.to_string()))?;
         let now = self.now;
         let (soil, switch) =
-            soil_on(&mut self.soils, &mut self.network, to).expect("a planned target runs a soil");
+            soil_on(&mut self.rows, &mut self.network, to).expect("a planned target runs a soil");
         let (id, report) = soil.deploy(def, &key.task, alloc, now, switch)?;
         outbound.extend(take_report(&self.counters, report));
         if let Some(item) = self.recovery.remove(key) {
             // A stale or mismatched snapshot falls back to the cold start
             // the deploy already performed.
-            let cold_start = self
-                .checkpoints
-                .get(key)
-                .is_none_or(|snap| soil.restore_seed(id, snap).is_err());
+            let cold_start =
+                (self.seeder.snapshot(key)).is_none_or(|snap| soil.restore_seed(id, snap).is_err());
             let mttr = now.since(item.lost_at);
             self.counters.recoveries.inc();
             self.counters.mttr_us.record(mttr.as_nanos() / 1_000);
@@ -737,7 +721,7 @@ impl Farm {
         let mut outbound = Vec::new();
         for &(swid, slot) in &self.sampled_slots {
             let pkts = &mut self.sampled[slot];
-            if let Some(soil) = &mut self.soils[slot] {
+            if let Some(soil) = &mut self.rows[slot].soil {
                 let switch = self.network.switch_mut(swid).expect("switch exists");
                 let report = soil.offer_packets(pkts, self.now, switch);
                 outbound.extend(take_report(&self.counters, report));
@@ -763,13 +747,13 @@ impl Farm {
                 (Some(f), None) => self.apply_due_faults(f),
                 (None, Some(h)) | (Some(_), Some(h)) => {
                     self.heartbeat_round(h);
-                    self.heartbeat_due = h + self.ft.heartbeat_interval;
+                    self.heartbeat_due = h + HEARTBEAT_INTERVAL;
                 }
                 (None, None) => break,
             }
         }
         let mut outbound = Vec::new();
-        for soil in self.soils.iter_mut().flatten() {
+        for soil in self.rows.iter_mut().filter_map(|r| r.soil.as_mut()) {
             let id = soil.switch_id();
             if !self.network.is_up(id) {
                 continue;
@@ -791,7 +775,7 @@ impl Farm {
         self.network
             .reachable()
             .into_iter()
-            .filter(|id| !self.fenced.contains(id) && !self.cordoned.contains(id))
+            .filter(|&id| self.row(id).is_some_and(|r| !r.fenced && !r.cordoned))
             .map(|id| {
                 let sw = self.network.switch(id).expect("switch exists");
                 (id, sw.effective_resources())
@@ -816,11 +800,11 @@ impl Farm {
                 self.network.set_switch_up(switch, false);
                 // The soil runtime dies with the switch: every seed on it
                 // is lost along with its un-checkpointed state.
-                if let Some(slot) = self.network.slot_of(switch) {
-                    self.soils[slot] = None;
+                if let Some(row) = self.row_mut(switch) {
+                    row.soil = None;
+                    row.down_since.get_or_insert(at);
                 }
                 self.seeder.soil_lost(switch);
-                self.down_since.entry(switch).or_insert(at);
                 self.telemetry.emit_with(|| Event::SwitchCrashed {
                     at_ns,
                     switch: switch.0,
@@ -831,10 +815,11 @@ impl Farm {
                     return;
                 }
                 self.network.set_switch_up(switch, true);
-                if let Some(slot) = self.network.slot_of(switch) {
-                    self.soils[slot] = Some(new_soil(switch, self.soil_config, &self.telemetry));
+                let soil = new_soil(switch, self.soil_config, &self.telemetry);
+                if let Some(row) = self.row_mut(switch) {
+                    row.soil = Some(soil);
+                    row.missed = 0;
                 }
-                self.missed.remove(&switch);
                 self.telemetry.emit_with(|| Event::SwitchRestarted {
                     at_ns,
                     switch: switch.0,
@@ -858,14 +843,18 @@ impl Farm {
             }
             FaultKind::ControlLoss { switch, spec } => match switch {
                 Some(sw) => {
-                    self.switch_loss
-                        .insert(sw, LossModel::new(spec, LOSS_SEED_BASE ^ (sw.0 as u64 + 1)));
+                    let seed = LOSS_SEED_BASE ^ (sw.0 as u64 + 1);
+                    if let Some(row) = self.row_mut(sw) {
+                        row.loss = Some(LossModel::new(spec, seed));
+                    }
                 }
                 None => self.global_loss = Some(LossModel::new(spec, LOSS_SEED_BASE)),
             },
             FaultKind::ControlHeal { switch } => match switch {
                 Some(sw) => {
-                    self.switch_loss.remove(&sw);
+                    if let Some(row) = self.row_mut(sw) {
+                        row.loss = None;
+                    }
                 }
                 None => self.global_loss = None,
             },
@@ -878,7 +867,7 @@ impl Farm {
                 // the surviving polling rate fits the degraded bus; shed
                 // seeds re-enter placement through the recovery queue.
                 let budget = sw.effective_resources().get(ResourceKind::PciePoll);
-                let shed = match soil_on(&mut self.soils, &mut self.network, switch) {
+                let shed = match soil_on(&mut self.rows, &mut self.network, switch) {
                     Some((soil, sw)) => soil.shed_over_poll_budget(budget, at, sw),
                     None => Vec::new(),
                 };
@@ -887,7 +876,7 @@ impl Farm {
                         continue;
                     };
                     self.seeder.forget(&key);
-                    self.checkpoints.insert(key.clone(), s.snapshot);
+                    self.seeder.set_snapshot(&key, s.snapshot);
                     self.recovery.insert(
                         key,
                         RecoveryItem {
@@ -915,26 +904,29 @@ impl Farm {
         let alive = self.network.reachable();
         let is_alive = |id: SwitchId| alive.binary_search(&id).is_ok();
         // One walk over the seed table captures every seed an alive soil
-        // still hosts and sets aside the ones it lost (orphaning mutates
-        // the table): the soil answers heartbeats but the seed is gone —
-        // the switch restarted cold before the detector fired.
+        // still hosts into its row and sets aside the ones it lost
+        // (orphaning mutates the table): the soil answers heartbeats but
+        // the seed is gone — the switch restarted cold before the
+        // detector fired.
         let mut lost: Vec<(SwitchId, SeedKey)> = Vec::new();
-        for (key, placed) in self.seeder.table() {
+        let (rows, network) = (&self.rows, &self.network);
+        self.seeder.store_snapshots(|key, placed| {
             if !is_alive(placed.switch) {
-                continue;
+                return None;
             }
-            match live(&self.soils, &self.network, placed) {
-                Some(seed) => capture(&mut self.checkpoints, key, seed),
-                None => lost.push((placed.switch, key.clone())),
+            let seed = live(rows, network, placed);
+            if seed.is_none() {
+                lost.push((placed.switch, key.clone()));
             }
-        }
+            Some(seed?.snapshot())
+        });
         lost.sort();
         let mut lost = lost.into_iter().peekable();
-        for slot in 0..self.soils.len() {
+        for slot in 0..self.rows.len() {
             let id = self.network.topology().node_at(slot).id;
             if is_alive(id) {
-                self.missed.remove(&id);
-                if self.fenced.remove(&id) {
+                self.rows[slot].missed = 0;
+                if std::mem::take(&mut self.rows[slot].fenced) {
                     self.kill_stale_seeds(id, at);
                 }
                 while let Some((_, key)) = lost.next_if(|(host, _)| *host == id) {
@@ -942,15 +934,13 @@ impl Farm {
                         self.orphan_seed(key, sid, id, at);
                     }
                 }
-                self.down_since.remove(&id);
+                self.rows[slot].down_since = None;
             } else {
-                let missed = {
-                    let m = self.missed.entry(id).or_insert(0);
-                    *m += 1;
-                    *m
-                };
-                if missed >= self.ft.miss_threshold && !self.fenced.contains(&id) {
-                    self.fenced.insert(id);
+                let row = &mut self.rows[slot];
+                row.missed += 1;
+                let missed = row.missed;
+                if missed >= MISS_THRESHOLD && !row.fenced {
+                    row.fenced = true;
                     let at_ns = at.as_nanos();
                     self.telemetry.emit_with(|| Event::SwitchDeclaredFailed {
                         at_ns,
@@ -971,7 +961,7 @@ impl Farm {
     /// replacements live elsewhere and keeping the originals would
     /// double-run the task (split brain).
     fn kill_stale_seeds(&mut self, id: SwitchId, at: Time) {
-        let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, id) else {
+        let Some((soil, switch)) = soil_on(&mut self.rows, &mut self.network, id) else {
             return;
         };
         let stale: Vec<SeedId> = soil.seeds().map(|s| s.id).collect();
@@ -984,9 +974,9 @@ impl Farm {
     /// emits [`Event::SeedOrphaned`]. `sid` is what the lost soil called
     /// it.
     fn orphan_seed(&mut self, key: SeedKey, sid: SeedId, from: SwitchId, at: Time) {
-        let lost_at = self.down_since.get(&from).copied().unwrap_or(at);
+        let lost_at = self.row(from).and_then(|r| r.down_since).unwrap_or(at);
         let (at_ns, task) = (at.as_nanos(), key.task.clone());
-        let has_snapshot = self.checkpoints.contains_key(&key);
+        let has_snapshot = self.seeder.snapshot(&key).is_some();
         self.telemetry.emit_with(|| Event::SeedOrphaned {
             at_ns,
             switch: from.0,
@@ -1006,7 +996,7 @@ impl Farm {
 
     /// Attempts to re-place every due orphaned/shed seed through the
     /// regular placement heuristic. Seeds that cannot be placed yet back
-    /// off exponentially; after `max_recovery_attempts` recovery is
+    /// off exponentially; after [`MAX_RECOVERY_ATTEMPTS`] recovery is
     /// abandoned with an event.
     fn process_recovery(&mut self) -> Vec<OutboundMessage> {
         let now = self.now;
@@ -1031,7 +1021,7 @@ impl Farm {
             // Exponential backoff should this attempt fail too:
             // base × 2^(attempts-1).
             let factor = 1u64 << (attempts - 1).min(16);
-            item.next_at = now + Dur::from_nanos(self.ft.recovery_backoff.as_nanos() * factor);
+            item.next_at = now + Dur::from_nanos(RECOVERY_BACKOFF.as_nanos() * factor);
             let target = plan.actions.iter().find_map(|a| match a {
                 PlannedAction::Deploy { key: k, to, alloc } if *k == key => Some((*to, *alloc)),
                 _ => None,
@@ -1044,7 +1034,7 @@ impl Farm {
                     continue;
                 }
             }
-            if attempts >= self.ft.max_recovery_attempts {
+            if attempts >= MAX_RECOVERY_ATTEMPTS {
                 let (at_ns, task) = (now.as_nanos(), key.task.clone());
                 let seed = key.seed as u64;
                 self.telemetry.emit_with(|| Event::RecoveryAbandoned {
@@ -1064,9 +1054,18 @@ impl Farm {
         self.recovery.len()
     }
 
-    /// Switches currently declared failed by the heartbeat detector.
+    /// Switches currently declared failed by the heartbeat detector, in
+    /// id order.
     pub fn fenced_switches(&self) -> Vec<SwitchId> {
-        self.fenced.iter().copied().collect()
+        self.switches_where(|r| r.fenced)
+    }
+
+    /// The switches whose row `pick` selects, in id order.
+    fn switches_where(&self, pick: impl Fn(&SwitchRow) -> bool) -> Vec<SwitchId> {
+        let rows = self.network.switches().zip(&self.rows);
+        rows.filter(|(_, row)| pick(row))
+            .map(|(sw, _)| sw.id())
+            .collect()
     }
 
     /// Registers an already-compiled task and replans — the deployment
@@ -1094,9 +1093,12 @@ impl Farm {
     ///
     /// # Errors
     ///
-    /// Soil failures while evacuating.
+    /// [`Error::UnknownSwitch`] for a switch the fabric does not have,
+    /// before anything is cordoned or replanned; soil failures while
+    /// evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
-        let newly_cordoned = self.cordoned.insert(switch);
+        let slot = (self.network.slot_of(switch)).ok_or(Error::UnknownSwitch(switch))?;
+        let newly_cordoned = !std::mem::replace(&mut self.rows[slot].cordoned, true);
         match self.replan() {
             Ok(plan) => {
                 let evacuated = plan
@@ -1108,7 +1110,7 @@ impl Farm {
             }
             Err(e) => {
                 if newly_cordoned {
-                    self.cordoned.remove(&switch);
+                    self.rows[slot].cordoned = false;
                 }
                 Err(e)
             }
@@ -1119,15 +1121,18 @@ impl Farm {
     ///
     /// # Errors
     ///
-    /// Soil failures while executing the plan.
+    /// [`Error::UnknownSwitch`] for a switch the fabric does not have,
+    /// before anything is replanned; soil failures while executing the
+    /// plan.
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
-        self.cordoned.remove(&switch);
+        let row = self.row_mut(switch).ok_or(Error::UnknownSwitch(switch))?;
+        row.cordoned = false;
         self.replan()
     }
 
-    /// Switches currently cordoned by [`Farm::drain`].
+    /// Switches currently cordoned by [`Farm::drain`], in id order.
     pub fn cordoned_switches(&self) -> Vec<SwitchId> {
-        self.cordoned.iter().copied().collect()
+        self.switches_where(|r| r.cordoned)
     }
 
     /// Control-plane inventory: one [`SeedStatus`] per placed seed, in
@@ -1147,7 +1152,7 @@ impl Farm {
     }
 
     fn status_of(&self, key: &SeedKey, placed: Placed) -> SeedStatus {
-        let (machine, state) = match live(&self.soils, &self.network, placed) {
+        let (machine, state) = match live(&self.rows, &self.network, placed) {
             Some(seed) => (seed.machine_name().to_string(), seed.state().to_string()),
             // Placed per the seeder but not live on the soil: the host
             // crashed and recovery has not landed it yet.
@@ -1165,7 +1170,7 @@ impl Farm {
     /// The variable bindings of one live seed, rendered as strings in
     /// name order (the `DescribeSeed` control surface).
     pub fn seed_vars(&self, key: &SeedKey) -> Option<Vec<(String, String)>> {
-        let seed = live(&self.soils, &self.network, self.seeder.placed(key)?)?;
+        let seed = live(&self.rows, &self.network, self.seeder.placed(key)?)?;
         let mut vars: Vec<(String, String)> = seed
             .snapshot()
             .vars
@@ -1176,47 +1181,36 @@ impl Farm {
         Some(vars)
     }
 
-    /// Checkpoints every live seed into the snapshot store the heartbeat
-    /// rounds also feed. Returns the number captured.
+    /// Checkpoints every live seed into its seed table row, as the
+    /// heartbeat rounds do. Returns the number captured.
     pub fn checkpoint_seeds(&mut self) -> usize {
-        let mut captured = 0;
-        for (key, placed) in self.seeder.table() {
-            if let Some(seed) = live(&self.soils, &self.network, placed) {
-                capture(&mut self.checkpoints, key, seed);
-                captured += 1;
-            }
-        }
-        captured
+        let (rows, network) = (&self.rows, &self.network);
+        (self.seeder).store_snapshots(|_, placed| Some(live(rows, network, placed)?.snapshot()))
     }
 
-    /// The snapshot store as portable entries, sorted by the key's
+    /// Every stored snapshot as a portable entry, sorted by the key's
     /// display form — what the daemon persists into a checkpoint file.
-    /// A seed sitting in the recovery queue is in it like any other, so
+    /// A seed sitting in the recovery queue has one like any other, so
     /// a daemon that dies mid-recovery still has every crashed seed's
     /// state in its final file.
     pub fn export_checkpoints(&self) -> Vec<(SeedKey, SeedSnapshot)> {
-        let mut out: Vec<(SeedKey, SeedSnapshot)> = self
-            .checkpoints
-            .iter()
-            .map(|(k, s)| (k.clone(), s.clone()))
-            .collect();
-        out.sort_by_cached_key(|(k, _)| k.to_string());
-        out
+        self.seeder.export_snapshots()
     }
 
     /// Loads checkpoint entries (e.g. parsed back from a checkpoint
-    /// file) into the store [`Farm::restore_seeds`] reads, replacing
-    /// same-key entries. Only a seed of a registered task is loaded, so
-    /// no export carries a snapshot of a task it has no program for.
-    /// Returns how many entries were left out for naming no such seed.
+    /// file) into the seed table rows [`Farm::restore_seeds`] reads,
+    /// replacing their snapshots. Only a seed of a registered task has a
+    /// row, so no export carries a snapshot of a task it has no program
+    /// for. Returns how many entries were left out for naming no row.
     pub fn import_checkpoints(
         &mut self,
         entries: impl IntoIterator<Item = (SeedKey, SeedSnapshot)>,
     ) -> usize {
-        let (known, unknown): (Vec<_>, Vec<_>) =
-            (entries.into_iter()).partition(|(key, _)| self.seeder.has_seed(key));
-        self.checkpoints.extend(known);
-        unknown.len()
+        let mut unknown = 0;
+        for (key, snap) in entries {
+            unknown += usize::from(!self.seeder.set_snapshot(&key, snap));
+        }
+        unknown
     }
 
     /// Rolls every live seed back to its last checkpoint (from heartbeat
@@ -1241,10 +1235,10 @@ impl Farm {
     fn restore_where(&mut self, wanted: impl Fn(&SeedKey) -> bool) -> usize {
         let mut restored = 0;
         for (key, placed) in self.seeder.table() {
-            let Some(snap) = self.checkpoints.get(key).filter(|_| wanted(key)) else {
+            let Some(snap) = self.seeder.snapshot(key).filter(|_| wanted(key)) else {
                 continue;
             };
-            if let Some((soil, _)) = host_mut(&mut self.soils, &mut self.network, placed) {
+            if let Some((soil, _)) = host_mut(&mut self.rows, &mut self.network, placed) {
                 if soil.restore_seed(placed.id, snap).is_ok() {
                     restored += 1;
                 }
@@ -1261,14 +1255,13 @@ impl Farm {
 
     /// Rolls the control-channel loss model for one harvester delivery
     /// (the per-switch model wins over the global one). Dropped sends
-    /// retry up to `delivery_retries` times; after that the report is
+    /// retry up to [`DELIVERY_RETRIES`] times; after that the report is
     /// dead-lettered. Returns the copies to deliver (0 = dead-lettered)
     /// plus the channel's added delay.
     fn roll_delivery(&mut self, from: SwitchId, task: &str) -> (u8, Dur) {
-        let Some(model) = self
-            .switch_loss
-            .get_mut(&from)
-            .or(self.global_loss.as_mut())
+        let slot = self.network.slot_of(from);
+        let Some(model) =
+            (slot.and_then(|slot| self.rows[slot].loss.as_mut())).or(self.global_loss.as_mut())
         else {
             return (1, Dur::ZERO);
         };
@@ -1280,7 +1273,7 @@ impl Farm {
                     attempt += 1;
                     let at_ns = self.now.as_nanos();
                     let task = task.to_string();
-                    if attempt > self.ft.delivery_retries as u64 {
+                    if attempt > DELIVERY_RETRIES as u64 {
                         self.counters.dead_letters.inc();
                         self.telemetry.emit_with(|| Event::DeliveryDeadLettered {
                             at_ns,
@@ -1410,7 +1403,7 @@ impl Farm {
             if at.is_none() && sender.is_some_and(|(_, from)| from == swid) {
                 continue;
             }
-            if let Some((soil, switch)) = soil_on(&mut self.soils, &mut self.network, swid) {
+            if let Some((soil, switch)) = soil_on(&mut self.rows, &mut self.network, swid) {
                 let report =
                     soil.deliver_to_machine(machine, from_machine, value, self.now, switch);
                 out.extend(take_report(&self.counters, report));
@@ -1435,50 +1428,34 @@ fn new_soil(id: SwitchId, config: SoilConfig, telemetry: &Telemetry) -> Soil {
 }
 
 /// The soil on a switch together with the switch — the pair every soil
-/// call takes. `None` for an unknown switch or an empty slot (crashed
-/// and not restarted).
+/// call takes. `None` for an unknown switch or a row without a soil
+/// (crashed and not restarted).
 fn soil_on<'a>(
-    soils: &'a mut [Option<Soil>],
+    rows: &'a mut [SwitchRow],
     network: &'a mut Network,
     id: SwitchId,
 ) -> Option<(&'a mut Soil, &'a mut Switch)> {
-    let soil = soils[network.slot_of(id)?].as_mut()?;
+    let soil = rows[network.slot_of(id)?].soil.as_mut()?;
     Some((soil, network.switch_mut(id)?))
 }
 
 /// The join from a seed-table record to the running seed: the soil in
-/// the record's switch slot, asked for the record's soil-local id.
+/// the record's switch row, asked for the record's soil-local id.
 /// `None` for a seed that is placed but not live — its soil died with
 /// the switch.
-fn live<'a>(
-    soils: &'a [Option<Soil>],
-    network: &Network,
-    placed: Placed,
-) -> Option<&'a SeedInstance> {
-    let soil = soils[network.slot_of(placed.switch)?].as_ref()?;
+fn live<'a>(rows: &'a [SwitchRow], network: &Network, placed: Placed) -> Option<&'a SeedInstance> {
+    let soil = rows[network.slot_of(placed.switch)?].soil.as_ref()?;
     soil.seed(placed.id).filter(|_| !placed.lost)
 }
 
 /// [`live`] for callers that act on the seed: the soil hosting it, and
 /// the switch.
 fn host_mut<'a>(
-    soils: &'a mut [Option<Soil>],
+    rows: &'a mut [SwitchRow],
     network: &'a mut Network,
     placed: Placed,
 ) -> Option<(&'a mut Soil, &'a mut Switch)> {
-    soil_on(soils, network, placed.switch).filter(|_| !placed.lost)
-}
-
-/// Puts a live seed's current state into the snapshot store: the first
-/// capture inserts, later ones overwrite.
-fn capture(store: &mut HashMap<SeedKey, SeedSnapshot>, key: &SeedKey, seed: &SeedInstance) {
-    let snap = seed.snapshot();
-    match store.get_mut(key) {
-        Some(stored) => *stored = snap,
-        None => {
-            store.insert(key.clone(), snap);
-        }
-    }
+    soil_on(rows, network, placed.switch).filter(|_| !placed.lost)
 }
 
 /// Synthesizes a sampled packet from a flow-level traffic event. TCP
@@ -1774,6 +1751,13 @@ pub(crate) mod tests {
     fn a_failed_drain_rolls_back_only_the_cordon_it_set() {
         let mut farm = Farm::new(fabric(), FarmConfig::default());
         let ids = farm.network().switch_ids();
+        // A switch the fabric lacks is refused before a cordon or a
+        // replan (which would count in `farm.replans`).
+        let unknown = |id| Error::UnknownSwitch(SwitchId(id));
+        assert_eq!(farm.drain(SwitchId(999)).unwrap_err(), unknown(999));
+        assert_eq!(farm.uncordon(SwitchId(12345)).unwrap_err(), unknown(12345));
+        assert!(farm.cordoned_switches().is_empty());
+        assert_eq!(farm.telemetry().snapshot().counter("farm.replans"), 0);
         farm.drain(ids[2]).unwrap();
         // Pinned to a cordoned switch, the unplantable seed holds its
         // seat and the deploy succeeds. Once the cordon lifts, every

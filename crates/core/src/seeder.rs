@@ -7,8 +7,10 @@
 //! [`crate::farm::Farm`] facade executes against the soils.
 //!
 //! The catalog is the seed table: one row per seed of every registered
-//! task, in key order, and one per task. Rows appear and vanish only in
-//! `Catalog::splice`; every other writer changes a row in place.
+//! task, in key order, and one per task. A seed's row holds its seat,
+//! the name its soil knows it by and its last known state. Rows appear
+//! and vanish only in `Catalog::splice`; every other writer changes a
+//! row in place.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement, Seats};
-use farm_soil::SeedId;
+use farm_soil::{SeedId, SeedSnapshot};
 use farm_telemetry::{Histogram, Telemetry};
 
 /// Stable identity of one seed across re-optimizations.
@@ -119,6 +121,10 @@ struct Catalog {
     /// Each seed's soil-local id and whether that soil died; read only
     /// where the seed has a seat.
     ids: Vec<(SeedId, bool)>,
+    /// Each seed's last known state, from its first capture (heartbeat,
+    /// checkpoint, shed, import) until a newer one or the splice that
+    /// takes the row out. Boxed: a row without one costs a word.
+    snapshots: Vec<Option<Box<SeedSnapshot>>>,
     /// Each task's machines.
     machines: Vec<Vec<Arc<CompiledMachine>>>,
 }
@@ -177,6 +183,8 @@ impl Catalog {
             .splice(old.clone(), std::iter::repeat_n(None, added));
         self.ids
             .splice(old.clone(), std::iter::repeat_n((SeedId(0), false), added));
+        self.snapshots
+            .splice(old.clone(), std::iter::repeat_n(None, added));
         self.keys.splice(old.clone(), keys);
         self.machines
             .splice(t..t + usize::from(machines.is_none()), machines);
@@ -272,11 +280,6 @@ impl Seeder {
         tasks.iter().map(|r| r.name.clone()).collect()
     }
 
-    /// Whether `key` is a seed of a registered task, placed or not.
-    pub(crate) fn has_seed(&self, key: &SeedKey) -> bool {
-        self.catalog.keys.binary_search(key).is_ok()
-    }
-
     /// The compiled machine definition behind a seed key.
     pub(crate) fn machine_of(&self, key: &SeedKey) -> Option<Arc<CompiledMachine>> {
         let t = self.catalog.task(&key.task)?;
@@ -312,6 +315,52 @@ impl Seeder {
         self.table()
             .find(|(_, p)| p.switch == switch && p.id == id && !p.lost)
             .map(|(k, _)| k)
+    }
+
+    /// Offers every placed seed to `capture` in key order, and stores
+    /// what it returns as that seed's snapshot. Returns how many it
+    /// stored.
+    pub(crate) fn store_snapshots(
+        &mut self,
+        mut capture: impl FnMut(&SeedKey, Placed) -> Option<SeedSnapshot>,
+    ) -> usize {
+        let c = &mut self.catalog;
+        let mut stored = 0;
+        for i in 0..c.keys.len() {
+            if let Some(snap) = c.placed(i).and_then(|placed| capture(&c.keys[i], placed)) {
+                **c.snapshots[i].get_or_insert_with(Box::default) = snap;
+                stored += 1;
+            }
+        }
+        stored
+    }
+
+    /// Stores `snap` as `key`'s snapshot, placed or not; `false` when no
+    /// registered task has that seed.
+    pub(crate) fn set_snapshot(&mut self, key: &SeedKey, snap: SeedSnapshot) -> bool {
+        let Ok(i) = self.catalog.keys.binary_search(key) else {
+            return false;
+        };
+        **self.catalog.snapshots[i].get_or_insert_with(Box::default) = snap;
+        true
+    }
+
+    /// `key`'s stored snapshot.
+    pub(crate) fn snapshot(&self, key: &SeedKey) -> Option<&SeedSnapshot> {
+        let i = self.catalog.keys.binary_search(key).ok()?;
+        self.catalog.snapshots[i].as_deref()
+    }
+
+    /// Every stored snapshot as a portable entry, sorted by the key's
+    /// display form, which is not key order: `w4-x/m0/s0` sorts before
+    /// `w4/m0/s0`, and `s10` before `s2`.
+    pub(crate) fn export_snapshots(&self) -> Vec<(SeedKey, SeedSnapshot)> {
+        let rows = self.catalog.keys.iter().zip(&self.catalog.snapshots);
+        let mut out: Vec<(SeedKey, SeedSnapshot)> = rows
+            .filter_map(|(k, s)| Some((k.clone(), s.as_deref()?.clone())))
+            .collect();
+        out.sort_by_cached_key(|(k, _)| k.to_string());
+        out
     }
 
     /// The soil on `switch` died: every row there keeps its seat — the
@@ -641,8 +690,9 @@ mod tests {
         use std::sync::OnceLock;
 
         /// Names that land before, between and after one another,
-        /// prefixes included.
-        const NAMES: [&str; 6] = ["a", "w4", "w40", "w41", "w5", "z"];
+        /// prefixes included; `w4-x` sorts after `w4` as a key and
+        /// before it in display form.
+        const NAMES: [&str; 7] = ["a", "w4", "w4-x", "w40", "w41", "w5", "z"];
 
         /// `IVAL` becomes the name's index plus one, so that every task
         /// of these two programs polls at its own rate.
@@ -690,9 +740,19 @@ mod tests {
         /// the records handed back and the seats evicted or forgotten.
         type Model = BTreeMap<SeedKey, (SwitchId, Resources, SeedId)>;
 
+        /// What the snapshot column should hold: every snapshot written
+        /// since its task was registered.
+        type Snapshots = BTreeMap<SeedKey, SeedSnapshot>;
+
         /// Every key's machine, the catalog `instance_from_tasks` builds
-        /// over the task table, and the seed table the model holds.
-        fn check_catalog(seeder: &Seeder, table: &BTreeMap<usize, usize>, model: &Model) {
+        /// over the task table, the seed table the model holds, and the
+        /// snapshot column `snaps` holds.
+        fn check_catalog(
+            seeder: &Seeder,
+            table: &BTreeMap<usize, usize>,
+            model: &Model,
+            snaps: &Snapshots,
+        ) {
             let tasks: Vec<CompiledTask> = table.iter().map(|(&n, &p)| compiled(n, p)).collect();
             let expected =
                 instance_from_tasks(&tasks.iter().collect::<Vec<_>>(), &[], None).unwrap();
@@ -728,6 +788,15 @@ mod tests {
                 "placements"
             );
             assert_eq!(seeder.deployed_seeds(), model.len());
+
+            assert_eq!(seeder.catalog.snapshots.len(), keys.len(), "snapshot rows");
+            let mut want: Vec<(SeedKey, SeedSnapshot)> = snaps.clone().into_iter().collect();
+            want.sort_by_key(|(k, _)| k.to_string());
+            assert_eq!(
+                seeder.export_snapshots(),
+                want,
+                "snapshot column, in display order"
+            );
         }
 
         /// [`commit_all`], and the same plan written into the model.
@@ -766,12 +835,14 @@ mod tests {
             /// insertion, as `Farm` replaces one) or, for `p` past the
             /// programs, removes the name; then both seeders plan over
             /// the switches the mask keeps live, and the plan is
-            /// committed. Last, `lose` may evict one switch's seeds, or
-            /// forget the first seed, as a crash does.
+            /// committed. Then `lose` may evict one switch's seeds, or
+            /// forget the first seed, as a crash does. Last, `write`
+            /// may store a snapshot for one placed seed, as a heartbeat
+            /// does, or import one for the name's first key.
             #[test]
             fn spliced_catalog_equals_rebuilt_catalog(
                 steps in proptest::collection::vec(
-                    (0..NAMES.len(), 0..PROGRAMS.len() + 2, 0u8..32, 0usize..10),
+                    (0..NAMES.len(), 0..PROGRAMS.len() + 2, 0u8..32, 0usize..10, 0usize..12),
                     1..16,
                 ),
             ) {
@@ -780,7 +851,8 @@ mod tests {
                 let mut seeder = Seeder::new();
                 let mut table = BTreeMap::new();
                 let mut model = Model::new();
-                for (name, program, mask, lose) in steps {
+                let mut snaps = Snapshots::new();
+                for (step, (name, program, mask, lose, write)) in steps.into_iter().enumerate() {
                     let (gone, had) = if program < PROGRAMS.len() {
                         let gone = seeder.register_task(compiled(name, program)).unwrap();
                         (gone, table.insert(name, program))
@@ -795,7 +867,8 @@ mod tests {
                         .partition(|(k, _)| k.task == NAMES[name]);
                     model = kept;
                     assert!(records.eq(out.into_values()));
-                    check_catalog(&seeder, &table, &model);
+                    snaps.retain(|k, _| k.task != NAMES[name]);
+                    check_catalog(&seeder, &table, &model, &snaps);
 
                     let mut fresh = Seeder::new();
                     for (&n, &p) in &table {
@@ -814,7 +887,7 @@ mod tests {
                     let plan = seeder.plan(&live);
                     assert_same_plan(&plan, &fresh.plan(&live));
                     commit(&mut seeder, &mut model, &plan);
-                    check_catalog(&seeder, &table, &model);
+                    check_catalog(&seeder, &table, &model, &snaps);
                     if let Some(&(n, _)) = all.get(lose) {
                         let here: Vec<_> = (model.iter())
                             .filter(|(_, row)| row.0 == n)
@@ -828,7 +901,21 @@ mod tests {
                             assert_eq!(seeder.forget(&key), model.remove(&key).map(|row| row.2));
                         }
                     }
-                    check_catalog(&seeder, &table, &model);
+                    let machine = format!("step {step}");
+                    let snap = SeedSnapshot { machine, ..SeedSnapshot::default() };
+                    if let Some(key) = model.keys().nth(write).cloned() {
+                        let stored = seeder.store_snapshots(|k, _| (*k == key).then(|| snap.clone()));
+                        assert_eq!(stored, 1);
+                        snaps.insert(key, snap);
+                    } else if write == 11 {
+                        let key = SeedKey { task: NAMES[name].into(), machine: 0, seed: 0 };
+                        let registered = table.contains_key(&name);
+                        assert_eq!(seeder.set_snapshot(&key, snap.clone()), registered);
+                        if registered {
+                            snaps.insert(key, snap);
+                        }
+                    }
+                    check_catalog(&seeder, &table, &model, &snaps);
                 }
             }
         }

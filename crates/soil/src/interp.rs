@@ -157,7 +157,7 @@ impl SeedHost for FixedHost {
 
 /// Portable snapshot of a seed's mutable state (used for migration:
 /// "transferring its state over from the source switch", § IV-B a).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeedSnapshot {
     pub machine: String,
     pub state: String,

@@ -208,6 +208,19 @@ fn bad_submissions_come_back_structured() {
         ControlReply::Rejected { reason } => assert!(reason.contains("what"), "{reason}"),
         other => panic!("describe answered {other:?}"),
     }
+
+    // A switch the fabric lacks: rejected, and nothing is cordoned.
+    match client
+        .op(ControlOp::Drain { switch: 999 })
+        .expect("drain rpc")
+    {
+        ControlReply::Rejected { reason } => assert!(reason.contains("999"), "{reason}"),
+        other => panic!("drain answered {other:?}"),
+    }
+    match client.op(ControlOp::stats_all()).expect("stats rpc") {
+        ControlReply::Json { body } => assert!(body.contains(r#""cordoned":[]"#), "{body}"),
+        other => panic!("stats answered {other:?}"),
+    }
     farmd.stop();
 }
 

@@ -215,6 +215,28 @@ fn crashed_switch_seeds_recover_elsewhere() {
 }
 
 #[test]
+fn a_switch_that_answers_again_starts_its_miss_count_over() {
+    // A leaf cut off from both spines misses the heartbeats at 10 and
+    // 20 ms, answers at 30 and misses at 40: never three in a row. Cut
+    // off from 55 to 85 ms it misses three.
+    let topology = fabric(3);
+    let (spines, leaf) = (topology.spines().collect::<Vec<_>>(), SwitchId(2));
+    let mut plan = FaultPlan::new();
+    for (down, up) in [(1, 25), (35, 45), (55, 85)] {
+        for &a in &spines {
+            let b = leaf;
+            plan = (plan.with(Time::from_millis(down), FaultKind::LinkDown { a, b }))
+                .with(Time::from_millis(up), FaultKind::LinkUp { a, b });
+        }
+    }
+    let mut farm = FarmBuilder::new(topology).with_fault_plan(plan).build();
+    farm.advance(Time::from_millis(45));
+    assert!(farm.fenced_switches().is_empty());
+    farm.advance(Time::from_millis(80));
+    assert_eq!(farm.fenced_switches(), vec![leaf]);
+}
+
+#[test]
 fn restored_snapshot_preserves_seed_state() {
     let events = Arc::new(RingBufferSink::new(65_536));
     let mut farm = FarmBuilder::new(fabric(4))

@@ -1,9 +1,11 @@
 //! Farm state invariants under generated operator and fault sequences.
 //!
 //! Every case builds a 3–8 switch fabric and replays a generated sequence
-//! of submit / remove / drain / uncordon / crash (of any switch, or of a
-//! task's host) / restart / PCIe degrade and restore / link down and up /
-//! advance / checkpoint / restore / replan / seeded churn. After every operation, through the public API
+//! of submit / remove / drain and uncordon (of any switch, or of one the
+//! fabric lacks) / crash (of any switch, or of a task's host) / restart /
+//! PCIe degrade and restore / link down and up / control-channel loss and
+//! heal (fabric-wide, or of one switch) / advance / checkpoint / restore /
+//! replan / seeded churn. After every operation, through the public API
 //! only:
 //!
 //! * **I1** every `seed_statuses()` entry that is not `lost` names an up
@@ -18,9 +20,11 @@
 //! * **I4** `export_checkpoints()` has one entry per key, sorted by
 //!   display form, every key of a registered task;
 //! * **I5** the same sequence twice gives the same event stream, modulo
-//!   the two wall-clock events.
+//!   the two wall-clock events;
+//! * **I6** `cordoned_switches()` and `fenced_switches()` are ascending,
+//!   without duplicates, and name only switches of the topology.
 //!
-//! A second property holds the snapshot store to its contract: a key that
+//! A second property holds the snapshots to their contract: a key that
 //! has had an exportable snapshot keeps one for as long as its task is
 //! registered.
 //!
@@ -32,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use farm_core::prelude::*;
+use farm_faults::LossSpec;
 use farm_netsim::types::SwitchId;
 use proptest::prelude::*;
 
@@ -52,15 +57,19 @@ enum Program {
     Duo,
     /// `place any;` with no demands at all: fits wherever it is put.
     Rover,
+    /// `place all;`, reporting to its harvester on every poll: its
+    /// reports cross the control channel the loss ops impair.
+    Report,
 }
 
-const PROGRAMS: [Program; 6] = [
+const PROGRAMS: [Program; 7] = [
     Program::All,
     Program::Any,
     Program::PinAll,
     Program::PinAny,
     Program::Duo,
     Program::Rover,
+    Program::Report,
 ];
 
 /// Utility that grows with the allocation: the LP hands such a seed
@@ -81,6 +90,7 @@ impl Program {
             Program::PinAny => vec![format!("PinAny_{task}")],
             Program::Duo => vec![format!("Scout_{task}"), format!("Post_{task}")],
             Program::Rover => vec![format!("Rover_{task}")],
+            Program::Report => vec![format!("Report_{task}")],
         }
     }
 
@@ -100,6 +110,12 @@ impl Program {
             )
         };
         let rover = |name: &str| format!("machine {name} {{ place any; state s {{ }} }}\n");
+        let report = |name: &str| {
+            format!(
+                "machine {name} {{\n  place all;\n  poll p = Poll {{ .ival = 4, .what = port ANY }};\n  \
+                 long n = 0;\n  state s {{\n    {MODEST}\n    when (p as stats) do {{ n = n + 1; send n to harvester; }}\n  }}\n}}\n"
+            )
+        };
         match self {
             Program::All => flipper(&names[0], "place all;"),
             Program::Any => counter(&names[0], "place any;", HUNGRY),
@@ -107,13 +123,14 @@ impl Program {
             Program::PinAny => counter(&names[0], "place any 1, 2;", HUNGRY),
             Program::Duo => rover(&names[0]) + &counter(&names[1], "place all 1;", MODEST),
             Program::Rover => rover(&names[0]),
+            Program::Report => report(&names[0]),
         }
     }
 
     /// Seeds the program asks for on an `n`-switch fabric.
     fn seeds(self, n_switches: usize) -> usize {
         match self {
-            Program::All => n_switches,
+            Program::All | Program::Report => n_switches,
             Program::Any | Program::PinAny | Program::Rover => 1,
             Program::PinAll | Program::Duo => 2,
         }
@@ -148,10 +165,15 @@ enum Op {
         seed: u64,
         ms: u64,
     },
+    /// Impairs the control channel of switch `Some(i)`, or of the whole
+    /// fabric.
+    ControlLoss(Option<usize>),
+    /// Heals what a `ControlLoss` of the same scope impaired.
+    ControlHeal(Option<usize>),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0usize..19, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
+    (0usize..21, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
         0..=2 => Op::Submit {
             task: i % 4,
             program: (x % PROGRAMS.len() as u64) as usize,
@@ -169,10 +191,12 @@ fn op() -> impl Strategy<Value = Op> {
         15 => [Op::Checkpoint, Op::Restore, Op::Replan][i % 3],
         16 => Op::Replan,
         17 => Op::CrashHost(i % 4),
-        _ => Op::Churn {
+        18 => Op::Churn {
             seed: x,
             ms: 20 + x % 60,
         },
+        19 => Op::ControlLoss((x % 2 == 0).then_some(i)),
+        _ => Op::ControlHeal((x % 2 == 0).then_some(i)),
     })
 }
 
@@ -218,6 +242,17 @@ impl Run {
         self.ids[i % self.ids.len()]
     }
 
+    /// A switch of the fabric, or one in `ids.len() + 1` times a switch
+    /// it lacks: what an operator may name.
+    fn named(&self, i: usize) -> SwitchId {
+        let n = self.ids.len();
+        if i % (n + 1) == n {
+            SwitchId(999)
+        } else {
+            self.ids[i % (n + 1)]
+        }
+    }
+
     /// Injects one fault at the current instant.
     fn fault(&mut self, kind: FaultKind) {
         let now = self.farm.now();
@@ -252,10 +287,10 @@ impl Run {
                 }
             }
             Op::Drain(i) => {
-                let _ = self.farm.drain(self.switch(i));
+                let _ = self.farm.drain(self.named(i));
             }
             Op::Uncordon(i) => {
-                let _ = self.farm.uncordon(self.switch(i));
+                let _ = self.farm.uncordon(self.named(i));
             }
             Op::Crash(i) => self.fault(FaultKind::SwitchCrash {
                 switch: self.switch(i),
@@ -286,6 +321,17 @@ impl Run {
                 let (a, b) = self.links[i % self.links.len()];
                 self.fault(FaultKind::LinkUp { a, b });
             }
+            Op::ControlLoss(scope) => self.fault(FaultKind::ControlLoss {
+                switch: scope.map(|i| self.switch(i)),
+                spec: LossSpec {
+                    drop: 0.5,
+                    duplicate: 0.25,
+                    delay: Dur::from_millis(1),
+                },
+            }),
+            Op::ControlHeal(scope) => self.fault(FaultKind::ControlHeal {
+                switch: scope.map(|i| self.switch(i)),
+            }),
             Op::Advance(ms) => {
                 let to = self.farm.now() + Dur::from_millis(ms);
                 self.farm.advance(to);
@@ -322,7 +368,7 @@ impl Run {
         program.machines(&key.task)[key.machine].clone()
     }
 
-    /// I1–I4 against the farm's current state.
+    /// I1–I4 and I6 against the farm's current state.
     fn check(&self, step: usize, op: Op) {
         let farm = &self.farm;
         let ctx = format!("after step {step} ({op:?})");
@@ -403,6 +449,18 @@ impl Run {
             exported.windows(2).all(|w| w[0] < w[1]),
             "I4 {ctx}: not sorted or not unique: {exported:?}"
         );
+
+        // I6.
+        for (what, list) in [("cordoned", farm.cordoned_switches()), ("fenced", fenced)] {
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "I6 {ctx}: {what} not ascending or not unique: {list:?}"
+            );
+            assert!(
+                list.iter().all(|id| self.ids.contains(id)),
+                "I6 {ctx}: {what} names a switch the fabric lacks: {list:?}"
+            );
+        }
     }
 
     /// The event stream minus the two events that carry wall-clock time.
@@ -415,7 +473,7 @@ impl Run {
     }
 }
 
-/// I1–I4 after every step, I5 over the whole run. Returns the run for
+/// I1–I4 and I6 after every step, I5 over the whole run. Returns the run for
 /// sequence-specific assertions.
 fn hold_invariants(fabric: (usize, usize), ops: &[Op]) -> Run {
     let mut run = Run::new(fabric);
@@ -670,4 +728,36 @@ fn pinned_place_all_tasks_hold_their_seats_through_a_cordon_and_a_crash() {
     assert_eq!(run.farm.recovery_pending(), 0);
     assert_eq!(run.farm.deployed_seeds(), 8 + 8 + 1 + 2);
     assert!(run.farm.seed_statuses().iter().all(|s| s.state != "lost"));
+}
+
+/// The switches whose harvester reports were retried after `ops` on a
+/// two-spine, three-leaf fabric.
+fn retried_from(ops: &[Op]) -> BTreeSet<u32> {
+    let run = hold_invariants((2, 3), ops);
+    let retried = |e: Event| match e {
+        Event::DeliveryRetried { from_switch, .. } => Some(from_switch),
+        _ => None,
+    };
+    run.stream().into_iter().filter_map(retried).collect()
+}
+
+/// The loss ops reach the right switches: a switch's loss impairs that
+/// switch's reports only, and a fabric-wide loss, once the switch's own
+/// is healed, impairs every switch's.
+#[test]
+fn pinned_control_loss_impairs_its_own_scope() {
+    let report = Op::Submit {
+        task: 0,
+        program: 6,
+    };
+    let one = retried_from(&[report, Op::ControlLoss(Some(1)), Op::Advance(40)]);
+    assert_eq!(one, BTreeSet::from([1]));
+    let every = retried_from(&[
+        report,
+        Op::ControlLoss(Some(1)),
+        Op::ControlHeal(Some(1)),
+        Op::ControlLoss(None),
+        Op::Advance(40),
+    ]);
+    assert_eq!(every, (0..5).collect());
 }
