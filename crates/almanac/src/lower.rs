@@ -20,6 +20,22 @@
 //! * `if`, `while`, `and` and `or` → jumps; states → `u32` ids with a
 //!   per-state handler table; user functions → indices; runtime-library
 //!   calls → [`Op`] tags; literals → the constant pool.
+//! * The list and number builtins a per-port scan runs on every entry get
+//!   arms of their own ([`Kind::ListLen`], [`Kind::ListGet`],
+//!   [`Kind::ToFloat`]), and `stat_<field>(list_get(l, i))` is one
+//!   [`Kind::StatField`] that reads the field where the entry lies.
+//! * Arithmetic and comparisons whose operands lowering proves are ints
+//!   or floats → the typed [`Kind::Int`], [`Kind::Float`] and
+//!   [`Kind::Cmp`]. A proof is about the *runtime tag*, not the declared
+//!   type (`float x = 5` stores an int, `recv float` accepts one, and a
+//!   restored snapshot may put anything in a machine variable): literals,
+//!   builtins whose result tag is fixed, typed arithmetic over proven
+//!   operands, and locals whose every store is proven. A body is lowered
+//!   again, with the local unproven, when a store disproves one. Machine
+//!   variables, list elements and payloads are never proven; they go to
+//!   [`Kind::Binary`], which the VM runs with inline number checks before
+//!   the generic path. The VM checks the tag on the typed arms too, and
+//!   takes the generic path when it is not what lowering proved.
 //!
 //! Each instruction carries its static abstract cost ([`Inst::cost`]):
 //! 1 per source expression node and 2 per statement, attached to an
@@ -39,6 +55,7 @@
 //! — and only when — they run.
 
 use std::collections::BTreeMap;
+use std::ptr;
 
 use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel};
@@ -226,11 +243,60 @@ pub enum Kind {
         dst: Dst,
         a: Src,
     },
+    /// `a op b`, any operands: and/or, and arithmetic or comparison on
+    /// an operand whose tag lowering could not prove.
     Binary {
         op: BinOp,
         dst: Dst,
         a: Src,
         b: Src,
+    },
+    /// `a op b` for `+ - * /` on operands lowering proved are ints.
+    Int {
+        op: BinOp,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    /// `a op b` for `+ - * /` on operands lowering proved are numbers,
+    /// at least one of them a float.
+    Float {
+        op: BinOp,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    /// `a c b` on operands lowering proved are numbers.
+    Cmp {
+        c: CmpOp,
+        dst: Dst,
+        a: Src,
+        b: Src,
+    },
+    /// `list_len(a)`.
+    ListLen {
+        dst: Dst,
+        a: Src,
+    },
+    /// `list_get(list, index)`.
+    ListGet {
+        dst: Dst,
+        list: Src,
+        index: Src,
+    },
+    /// `to_float(a)`.
+    ToFloat {
+        dst: Dst,
+        a: Src,
+    },
+    /// `op(list_get(list, index))` for a statistics accessor `op`
+    /// (`stat_port`, `stat_tx_bytes`, …): one field of the entry, read
+    /// where the entry lies.
+    StatField {
+        op: Op,
+        dst: Dst,
+        list: Src,
+        index: Src,
     },
     /// `a` is the left side of `or` (`or`) or `and`: when it is the bool
     /// that decides the result, stores it and goes to `end`.
@@ -335,6 +401,9 @@ pub enum Test {
     Bool(Src),
     /// A comparison, which is the condition's own node.
     Cmp(CmpOp, Src, Src),
+    /// `a c list_len(list)`: a comparison with the length of a list, the
+    /// head of every scan over a poll's entries.
+    Len(CmpOp, Src, Src),
 }
 
 /// Lowers `machine` with the auxiliary `functions` visible to it;
@@ -456,7 +525,6 @@ struct Pools {
 
 impl<'a> Context<'a> {
     fn handler(&self, ev: &'a EventDecl, pools: &mut Pools) -> Handler {
-        let mut em = Emitter::new(self, pools, false);
         let (on, name) = match &ev.trigger {
             Trigger::Enter => (On::Enter, None),
             Trigger::Exit => (On::Exit, None),
@@ -470,50 +538,61 @@ impl<'a> Context<'a> {
                 (On::Recv { ty: *ty, from }, Some(bind.as_str()))
             }
         };
-        let bind = match name {
-            None => Bind::None,
-            Some(name) if self.writes(&ev.actions, name) => {
-                em.declare_slot(name);
-                Bind::Copy
-            }
-            Some(name) => {
-                em.declare_ref(name);
-                Bind::InPlace
-            }
+        let (bind, params) = match name {
+            None => (Bind::None, Vec::new()),
+            Some(name) if self.writes(&ev.actions, name) => (Bind::Copy, vec![(name, Pass::Value)]),
+            Some(name) => (Bind::InPlace, vec![(name, Pass::InPlace)]),
         };
         Handler {
             on,
             bind,
-            body: em.finish(&ev.actions),
+            body: self.body(pools, false, &params, &ev.actions),
         }
     }
 
     fn function(&self, f: &'a FunDecl, params: &[Pass], pools: &mut Pools) -> Function {
-        let mut em = Emitter::new(self, pools, true);
-        for ((_, name), pass) in f.params.iter().zip(params) {
-            match pass {
-                Pass::Value => em.declare_slot(name),
-                Pass::InPlace => em.declare_ref(name),
-            }
-        }
+        let names: Vec<(&str, Pass)> = f
+            .params
+            .iter()
+            .map(|(_, n)| n.as_str())
+            .zip(params.iter().copied())
+            .collect();
         Function {
             params: params.to_vec(),
-            body: em.finish(&f.body),
+            body: self.body(pools, true, &names, &f.body),
         }
     }
 
-    /// Whether `e` can only evaluate to a bool, if it evaluates at all.
-    fn boolish(&self, e: &ast::Expr) -> bool {
-        match e {
-            ast::Expr::Lit(Literal::Bool(_), _) | ast::Expr::Binary(BinOp::Cmp(_), ..) => true,
-            ast::Expr::Unary(UnOp::Not, a, _) => self.boolish(a),
-            ast::Expr::Binary(BinOp::And | BinOp::Or, a, b, _) => {
-                self.boolish(a) && self.boolish(b)
+    /// Lowers one handler or function body whose parameters (the payload
+    /// of a handler) are `params`. A local whose tag lowering proved from
+    /// its declaration but a later store disproves is unproven, and the
+    /// body lowered again: the code emitted before the store read it as
+    /// proven.
+    fn body(
+        &self,
+        pools: &mut Pools,
+        in_function: bool,
+        params: &[(&str, Pass)],
+        actions: &[Action],
+    ) -> Body {
+        let mut unproven = Vec::new();
+        loop {
+            let mark = (pools.consts.len(), pools.strings.len(), pools.args.len());
+            let mut em = Emitter::new(self, pools, in_function, &unproven);
+            for &(name, pass) in params {
+                match pass {
+                    Pass::Value => em.declare_slot(name),
+                    Pass::InPlace => em.declare_ref(name),
+                }
             }
-            ast::Expr::Call { name, .. } => {
-                !self.is_function(name) && builtin(name).is_some_and(|b| b.ret == Some(Type::Bool))
+            let (body, disproved) = em.finish(actions);
+            if disproved.is_empty() {
+                return body;
             }
-            _ => false,
+            pools.consts.truncate(mark.0);
+            pools.strings.truncate(mark.1);
+            pools.args.truncate(mark.2);
+            unproven.extend(disproved);
         }
     }
 
@@ -600,19 +679,88 @@ fn any_node(e: &ast::Expr, pred: &dyn Fn(&ast::Expr) -> bool) -> bool {
         }
 }
 
+/// What lowering proved about a value's runtime tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Int,
+    Float,
+    Bool,
+    /// Not proven: anything, including a number or a bool.
+    Unknown,
+}
+
+impl Tag {
+    fn of(v: &Value) -> Tag {
+        match v {
+            Value::Int(_) => Tag::Int,
+            Value::Float(_) => Tag::Float,
+            Value::Bool(_) => Tag::Bool,
+            _ => Tag::Unknown,
+        }
+    }
+
+    fn number(self) -> bool {
+        matches!(self, Tag::Int | Tag::Float)
+    }
+
+    /// The tag of a runtime-library call's result, where the library
+    /// always returns the same one (or fails).
+    fn of_result(op: Op) -> Tag {
+        match op {
+            Op::ListLen
+            | Op::Now
+            | Op::ToInt
+            | Op::StatPort
+            | Op::StatTxBytes
+            | Op::StatRxBytes
+            | Op::StatTxPackets
+            | Op::StatRxPackets
+            | Op::PktSrcPort
+            | Op::PktDstPort
+            | Op::PktLen => Tag::Int,
+            Op::Min | Op::Max | Op::Abs | Op::Log2 | Op::ToFloat => Tag::Float,
+            Op::IsListEmpty
+            | Op::ListContains
+            | Op::PktIsSyn
+            | Op::PktIsFin
+            | Op::PktIsAck
+            | Op::FilterMatches
+            | Op::StrContains => Tag::Bool,
+            _ => Tag::Unknown,
+        }
+    }
+}
+
+/// The statistics accessors a [`Kind::StatField`] reads.
+fn stat_field(op: Op) -> bool {
+    matches!(
+        op,
+        Op::StatPort | Op::StatTxBytes | Op::StatRxBytes | Op::StatTxPackets | Op::StatRxPackets
+    )
+}
+
 /// Code generation for one handler or function body.
 struct Emitter<'a, 'p> {
     cx: &'a Context<'a>,
     pools: &'p mut Pools,
     in_function: bool,
-    /// Visible variables, innermost last: a frame slot or a reference.
-    locals: Vec<(&'a str, Src)>,
+    /// Visible variables, innermost last: a frame slot or a reference,
+    /// and the declaration of a block-scoped local.
+    locals: Vec<(&'a str, Src, Option<&'a VarDecl>)>,
     /// References handed out so far.
     refs: u32,
     /// Next free frame slot; slots above it are free.
     next: u32,
     /// Frame slots needed so far.
     frame: u32,
+    /// Proven tag of each frame slot: a local's for its life, a
+    /// temporary's from the instruction that writes it.
+    tags: Vec<Tag>,
+    /// Locals an earlier lowering of this body found a store that does
+    /// not hold their tag: never proven.
+    unproven: &'p [&'a VarDecl],
+    /// Locals this lowering found such a store for.
+    disproved: Vec<&'a VarDecl>,
     code: Vec<Inst>,
     /// Cost of nodes evaluated since the last instruction was emitted; the
     /// next instruction carries it.
@@ -620,7 +768,12 @@ struct Emitter<'a, 'p> {
 }
 
 impl<'a, 'p> Emitter<'a, 'p> {
-    fn new(cx: &'a Context<'a>, pools: &'p mut Pools, in_function: bool) -> Emitter<'a, 'p> {
+    fn new(
+        cx: &'a Context<'a>,
+        pools: &'p mut Pools,
+        in_function: bool,
+        unproven: &'p [&'a VarDecl],
+    ) -> Emitter<'a, 'p> {
         Emitter {
             cx,
             pools,
@@ -629,36 +782,54 @@ impl<'a, 'p> Emitter<'a, 'p> {
             refs: 0,
             next: 0,
             frame: 0,
+            tags: Vec::new(),
+            unproven,
+            disproved: Vec::new(),
             code: Vec::new(),
             pending: 0,
         }
     }
 
-    fn finish(mut self, actions: &'a [Action]) -> Body {
+    /// The body, and the locals whose proof a store disproved.
+    fn finish(mut self, actions: &'a [Action]) -> (Body, Vec<&'a VarDecl>) {
         self.block(actions);
         self.emit(Kind::Return { value: None });
-        Body {
+        let body = Body {
             frame: self.frame,
             code: self.code,
-        }
+        };
+        (body, self.disproved)
     }
 
     fn declare_slot(&mut self, name: &'a str) {
         let slot = self.slot();
-        self.locals.push((name, Src::Local(slot)));
+        self.locals.push((name, Src::Local(slot), None));
     }
 
     fn declare_ref(&mut self, name: &'a str) {
-        self.locals.push((name, Src::Ref(self.refs)));
+        self.locals.push((name, Src::Ref(self.refs), None));
         self.refs += 1;
     }
 
-    /// A free frame slot; it stays taken until `next` is reset below it.
+    /// A free frame slot, proven nothing; it stays taken until `next` is
+    /// reset below it.
     fn slot(&mut self) -> u32 {
         let slot = self.next;
         self.next += 1;
         self.frame = self.frame.max(self.next);
+        self.tags
+            .resize(self.tags.len().max(self.next as usize), Tag::Unknown);
+        self.tags[slot as usize] = Tag::Unknown;
         slot
+    }
+
+    /// What lowering proved about the value `src` reads.
+    fn tag(&self, src: Src) -> Tag {
+        match src {
+            Src::Const(i) => Tag::of(&self.pools.consts[i as usize]),
+            Src::Local(i) | Src::Temp(i) => self.tags[i as usize],
+            Src::Global(_) | Src::Ref(_) => Tag::Unknown,
+        }
     }
 
     fn emit(&mut self, kind: Kind) -> usize {
@@ -709,14 +880,15 @@ impl<'a, 'p> Emitter<'a, 'p> {
         at as u32
     }
 
-    fn fail(&mut self, message: String) {
+    fn fail(&mut self, message: String) -> Tag {
         let message = self.string(message);
         self.emit(Kind::Fail { message });
+        Tag::Unknown
     }
 
     /// Locals shadow machine variables, inner blocks shadow outer ones.
     fn resolve(&self, name: &str) -> Option<Src> {
-        if let Some((_, src)) = self.locals.iter().rev().find(|(n, _)| *n == name) {
+        if let Some((_, src, _)) = self.locals.iter().rev().find(|(n, ..)| *n == name) {
             return Some(*src);
         }
         global_slot(self.cx.globals, name).map(|i| Src::Global(i as u32))
@@ -730,6 +902,21 @@ impl<'a, 'p> Emitter<'a, 'p> {
             Src::Local(i) => Some(Dst::Local(i)),
             Src::Global(i) => Some(Dst::Global(i)),
             other => unreachable!("write to `{name}` resolved to {other:?}"),
+        }
+    }
+
+    /// Notes a store of a value tagged `tag` to `name`: a local proven
+    /// another tag is disproved.
+    fn stored(&mut self, name: &str, tag: Tag) {
+        let Some(&(_, Src::Local(slot), Some(decl))) =
+            self.locals.iter().rev().find(|(n, ..)| *n == name)
+        else {
+            return;
+        };
+        let proven = self.tags[slot as usize];
+        if proven != Tag::Unknown && proven != tag {
+            self.disproved.push(decl);
+            self.tags[slot as usize] = Tag::Unknown;
         }
     }
 
@@ -748,7 +935,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             Action::Local(v) => {
                 // The initialiser still sees the name's outer meaning.
                 let slot = self.slot();
-                match &v.init {
+                let tag = match &v.init {
                     Some(init) => self.expr_into(init, Dst::Local(slot)),
                     None => {
                         let src = self.konst(default_value(v));
@@ -756,9 +943,12 @@ impl<'a, 'p> Emitter<'a, 'p> {
                             dst: Dst::Local(slot),
                             src,
                         });
+                        self.tag(src)
                     }
-                }
-                self.locals.push((&v.name, Src::Local(slot)));
+                };
+                let unproven = self.unproven.iter().any(|u| ptr::eq(*u, v));
+                self.tags[slot as usize] = if unproven { Tag::Unknown } else { tag };
+                self.locals.push((&v.name, Src::Local(slot), Some(v)));
             }
             Action::Assign {
                 target,
@@ -768,7 +958,10 @@ impl<'a, 'p> Emitter<'a, 'p> {
             } => match (field, self.resolve_dst(target)) {
                 // `p.ival = e;`: rescheduling is the soil's business.
                 (Some(_), _) => self.discard(value),
-                (None, Some(dst)) => self.expr_into(value, dst),
+                (None, Some(dst)) => {
+                    let tag = self.expr_into(value, dst);
+                    self.stored(target, tag);
+                }
                 (None, None) => {
                     self.discard(value);
                     self.fail(format!("assignment to unknown variable `{target}`"));
@@ -776,11 +969,15 @@ impl<'a, 'p> Emitter<'a, 'p> {
             },
             Action::Transit { state, .. } => {
                 match self.cx.machine.states.iter().position(|s| s.name == *state) {
-                    Some(_) if self.in_function => self.fail("transit inside function".into()),
+                    Some(_) if self.in_function => {
+                        self.fail("transit inside function".into());
+                    }
                     Some(id) => {
                         self.emit(Kind::Transit { state: id as u32 });
                     }
-                    None => self.fail(format!("transit to unknown state `{state}`")),
+                    None => {
+                        self.fail(format!("transit to unknown state `{state}`"));
+                    }
                 }
             }
             Action::If {
@@ -855,13 +1052,42 @@ impl<'a, 'p> Emitter<'a, 'p> {
     /// Evaluates the condition of an `if` or a `while`. Its temporaries
     /// stay taken until the caller resets `next`.
     fn test(&mut self, cond: &ast::Expr) -> Test {
-        match cond {
-            ast::Expr::Binary(BinOp::Cmp(c), a, b, _) => {
-                self.pending += 1;
-                let [a, b] = self.operands([&**a, &**b]);
-                Test::Cmp(*c, a, b)
+        let ast::Expr::Binary(BinOp::Cmp(c), a, b, _) = cond else {
+            return Test::Bool(self.operand(cond));
+        };
+        self.pending += 1;
+        if let ast::Expr::Call { name, args, .. } = &**b {
+            if let [list] = &args[..] {
+                if name == "list_len" && !self.cx.is_function(name) {
+                    let a = self.operand(a);
+                    let a = self.guard(a, std::iter::once(&**b));
+                    // The `list_len` node, evaluated by the test.
+                    self.pending += 1;
+                    return Test::Len(*c, a, self.operand(list));
+                }
             }
-            _ => Test::Bool(self.operand(cond)),
+        }
+        let [a, b] = self.operands([&**a, &**b]);
+        Test::Cmp(*c, a, b)
+    }
+
+    /// Whether `e` can only evaluate to a bool, if it evaluates at all:
+    /// by its shape, or because it names a local proven to hold one.
+    fn boolish(&self, e: &ast::Expr) -> bool {
+        match e {
+            ast::Expr::Lit(Literal::Bool(_), _) | ast::Expr::Binary(BinOp::Cmp(_), ..) => true,
+            ast::Expr::Var(name, _) => {
+                matches!(self.resolve(name), Some(src @ Src::Local(_)) if self.tag(src) == Tag::Bool)
+            }
+            ast::Expr::Unary(UnOp::Not, a, _) => self.boolish(a),
+            ast::Expr::Binary(BinOp::And | BinOp::Or, a, b, _) => {
+                self.boolish(a) && self.boolish(b)
+            }
+            ast::Expr::Call { name, .. } => {
+                !self.cx.is_function(name)
+                    && builtin(name).is_some_and(|b| b.ret == Some(Type::Bool))
+            }
+            _ => false,
         }
     }
 
@@ -871,12 +1097,12 @@ impl<'a, 'p> Emitter<'a, 'p> {
     /// of their own; anything else is evaluated and tested.
     fn jump_if(&mut self, cond: &ast::Expr, sense: bool) -> Vec<usize> {
         match cond {
-            ast::Expr::Unary(UnOp::Not, a, _) if self.cx.boolish(a) => {
+            ast::Expr::Unary(UnOp::Not, a, _) if self.boolish(a) => {
                 self.pending += 1;
                 self.jump_if(a, !sense)
             }
             ast::Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _)
-                if self.cx.boolish(a) && self.cx.boolish(b) =>
+                if self.boolish(a) && self.boolish(b) =>
             {
                 self.pending += 1;
                 // The left side decides `and` when false, `or` when true.
@@ -926,7 +1152,8 @@ impl<'a, 'p> Emitter<'a, 'p> {
             return src;
         }
         let slot = self.slot();
-        self.expr_into(e, Dst::Local(slot));
+        let tag = self.expr_into(e, Dst::Local(slot));
+        self.tags[slot as usize] = tag;
         Src::Temp(slot)
     }
 
@@ -960,6 +1187,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             dst: Dst::Local(slot),
             src,
         });
+        self.tags[slot as usize] = self.tag(src);
         Src::Temp(slot)
     }
 
@@ -995,15 +1223,17 @@ impl<'a, 'p> Emitter<'a, 'p> {
         Some(self.konst(value))
     }
 
-    /// Evaluates `e` into `dst`, which only the last instruction writes.
-    fn expr_into(&mut self, e: &ast::Expr, dst: Dst) {
+    /// Evaluates `e` into `dst`, which only the last instruction writes
+    /// (and the short circuit of `and`/`or`), and returns what lowering
+    /// proved about the value stored.
+    fn expr_into(&mut self, e: &ast::Expr, dst: Dst) -> Tag {
         if let Some(src) = self.direct(e) {
             self.emit(Kind::Move { dst, src });
-            return;
+            return self.tag(src);
         }
         self.pending += 1;
         let next = self.next;
-        match e {
+        let tag = match e {
             ast::Expr::Filter(f, _) => {
                 let (field, arg) = match f {
                     FilterExpr::SrcIp(e) => (FilterField::SrcIp, e),
@@ -1016,6 +1246,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 };
                 let a = self.operand(arg);
                 self.emit(Kind::Filter { field, dst, a });
+                Tag::Unknown
             }
             ast::Expr::Unary(op, inner, _) => {
                 let a = self.operand(inner);
@@ -1023,6 +1254,11 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     UnOp::Not => Kind::Not { dst, a },
                     UnOp::Neg => Kind::Neg { dst, a },
                 });
+                match (op, self.tag(a)) {
+                    (UnOp::Not, Tag::Bool) => Tag::Bool,
+                    (UnOp::Neg, tag @ (Tag::Int | Tag::Float)) => tag,
+                    _ => Tag::Unknown,
+                }
             }
             ast::Expr::Binary(op, a, b, _) if matches!(op, BinOp::And | BinOp::Or) => {
                 let a = self.operand(a);
@@ -1037,20 +1273,44 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 self.emit(Kind::Binary { op: *op, dst, a, b });
                 let end = self.label();
                 self.patch(short, end);
+                if self.tag(a) == Tag::Bool && self.tag(b) == Tag::Bool {
+                    Tag::Bool
+                } else {
+                    Tag::Unknown
+                }
             }
             ast::Expr::Binary(op, a, b, _) => {
                 let [a, b] = self.operands([&**a, &**b]);
-                self.emit(Kind::Binary { op: *op, dst, a, b });
+                let (x, y) = (self.tag(a), self.tag(b));
+                let op = *op;
+                let (kind, tag) = match op {
+                    // Numbers compare as floats, ints included.
+                    BinOp::Cmp(c) if x.number() && y.number() => {
+                        (Kind::Cmp { c, dst, a, b }, Tag::Bool)
+                    }
+                    BinOp::Cmp(_) => (Kind::Binary { op, dst, a, b }, Tag::Bool),
+                    _ if x == Tag::Int && y == Tag::Int => (Kind::Int { op, dst, a, b }, Tag::Int),
+                    _ if x.number() && y.number() => (Kind::Float { op, dst, a, b }, Tag::Float),
+                    _ => (Kind::Binary { op, dst, a, b }, Tag::Unknown),
+                };
+                self.emit(kind);
+                tag
             }
             ast::Expr::Field(base, field, _) => {
                 let base = self.operand(base);
                 let name = self.string(field.clone());
+                let resource = ResourceKind::from_field_name(field);
                 self.emit(Kind::Field {
                     dst,
                     base,
-                    resource: ResourceKind::from_field_name(field),
+                    resource,
                     name,
                 });
+                // A resource field is a float; anything else fails.
+                match resource {
+                    Some(_) => Tag::Float,
+                    None => Tag::Unknown,
+                }
             }
             ast::Expr::StructLit { fields, .. } => {
                 let (mut pattern, mut act) = (None, None);
@@ -1066,14 +1326,16 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     }
                 }
                 self.emit(Kind::Rule { dst, pattern, act });
+                Tag::Unknown
             }
             ast::Expr::Call { name, args, .. } => self.call(name, args, dst),
             ast::Expr::Lit(..) | ast::Expr::Var(..) => unreachable!("direct operands"),
-        }
+        };
         self.next = next;
+        tag
     }
 
-    fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) {
+    fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) -> Tag {
         // User functions first (the checker forbids shadowing builtins).
         if let Some(f) = self.cx.functions.iter().position(|f| f.name == name) {
             self.emit(Kind::Depth);
@@ -1098,7 +1360,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 dst,
                 args: at,
             });
-            return;
+            return Tag::Unknown;
         }
         let Some(b) = builtin(name) else {
             return self.fail(format!("unknown builtin `{name}`"));
@@ -1110,7 +1372,30 @@ impl<'a, 'p> Emitter<'a, 'p> {
             self.mutate(name, args);
             let unit = Src::Const(0);
             self.emit(Kind::Move { dst, src: unit });
-            return;
+            return Tag::Unknown;
+        }
+        if let [ast::Expr::Call {
+            name: inner,
+            args: entry,
+            ..
+        }] = args
+        {
+            if stat_field(b.op)
+                && inner == "list_get"
+                && entry.len() == 2
+                && !self.cx.is_function(inner)
+            {
+                // The `list_get` node, evaluated by the same instruction.
+                self.pending += 1;
+                let [list, index] = self.operands([&entry[0], &entry[1]]);
+                self.emit(Kind::StatField {
+                    op: b.op,
+                    dst,
+                    list,
+                    index,
+                });
+                return Tag::Int;
+            }
         }
         let (a, b_) = match args {
             [] => (Src::Const(0), Src::Const(0)),
@@ -1121,12 +1406,17 @@ impl<'a, 'p> Emitter<'a, 'p> {
             }
             _ => unreachable!("runtime-library calls take at most two arguments"),
         };
-        self.emit(Kind::Call {
-            op: b.op,
-            dst,
-            a,
-            b: b_,
+        self.emit(match b.op {
+            Op::ListLen => Kind::ListLen { dst, a },
+            Op::ListGet => Kind::ListGet {
+                dst,
+                list: a,
+                index: b_,
+            },
+            Op::ToFloat => Kind::ToFloat { dst, a },
+            op => Kind::Call { op, dst, a, b: b_ },
         });
+        Tag::of_result(b.op)
     }
 
     /// A list builtin applied to the variable it names; the call node's
@@ -1136,14 +1426,17 @@ impl<'a, 'p> Emitter<'a, 'p> {
             unreachable!("only called for builtins")
         };
         if args.len() != b.params.len() {
-            return self.fail(format!("bad arguments to `{name}`"));
+            self.fail(format!("bad arguments to `{name}`"));
+            return;
         }
         let ast::Expr::Var(var, _) = &args[0] else {
-            return self.fail(format!("`{name}` needs a variable argument"));
+            self.fail(format!("`{name}` needs a variable argument"));
+            return;
         };
         let arg = args.get(1).map(|a| self.operand(a));
         let Some(target) = self.resolve_dst(var) else {
-            return self.fail(format!("unknown list `{var}`"));
+            self.fail(format!("unknown list `{var}`"));
+            return;
         };
         let name = self.string(var.clone());
         self.emit(Kind::Mutate {
@@ -1331,6 +1624,103 @@ mod tests {
             args: 0
         }));
         assert_eq!(lm.args, [Src::Ref(0), Src::Global(0)]);
+    }
+
+    #[test]
+    fn a_scan_reads_stats_in_place_and_counts_on_typed_arms() {
+        let program = frontend(crate::programs::HEAVY_HITTER).unwrap();
+        let lm = lower(&program.machines[0], &program.functions, &ConstEnv::new());
+        // getHH: `while (i < list_len(stats))` is one test, the
+        // `stat_tx_bytes(list_get(stats, i))` one read, `i = i + 1` an int add.
+        let code = kinds(&lm.functions[0].body);
+        assert!(code.iter().any(|k| matches!(
+            k,
+            Kind::Loop {
+                test: Test::Len(CmpOp::Lt, Src::Local(_), Src::Ref(0)),
+                ..
+            }
+        )));
+        assert!(code.iter().any(|k| matches!(
+            k,
+            Kind::StatField {
+                op: Op::StatTxBytes,
+                list: Src::Ref(0),
+                ..
+            }
+        )));
+        assert!(code
+            .iter()
+            .any(|k| matches!(k, Kind::Int { op: BinOp::Add, .. })));
+        assert!(!code
+            .iter()
+            .any(|k| matches!(k, Kind::Call { .. } | Kind::Binary { .. })));
+    }
+
+    /// The `Kind::Int` / `Kind::Float` / `Kind::Binary` each `dst`
+    /// global is computed by, in order.
+    fn arithmetic(body: &Body) -> Vec<&'static str> {
+        (body.code.iter())
+            .filter_map(|i| match i.kind {
+                Kind::Int { .. } => Some("int"),
+                Kind::Float { .. } => Some("float"),
+                Kind::Binary { .. } => Some("any"),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runtime_tags_are_proven_from_stores_not_declared_types() {
+        let lm = lowered(
+            r#"machine M {
+                 place any;
+                 time t = 5;
+                 float g = 1.0;
+                 float out = 0.0;
+                 state s {
+                   when (t as n) do {
+                     float x = 5;
+                     out = x / 2;                 // an int: `float` coerces nothing
+                     out = x * 0.5;               // int and float
+                     out = g * 2.0;               // a machine variable: unproven
+                     out = n + 1;                 // the payload: unproven
+                     out = to_float(n) - 1;       // a builtin's fixed tag
+                   }
+                 }
+               }"#,
+        );
+        let code = &lm.handlers[0].body;
+        assert_eq!(arithmetic(code), ["int", "float", "any", "any", "float"]);
+    }
+
+    #[test]
+    fn a_store_that_disproves_a_local_lowers_the_body_again() {
+        let lm = lowered(
+            r#"machine M {
+                 place any;
+                 time t = 5;
+                 long out = 0;
+                 state s {
+                   when (t as n) do {
+                     long k = 1;
+                     long j = 1;
+                     int i = 0;
+                     while (i < 3) {
+                       out = k + 1;               // k: disproved below
+                       out = j + 1;               // j: every store an int
+                       k = pair_first(pair(n, i));
+                       j = j * 2;
+                       i = i + 1;
+                     }
+                   }
+                 }
+               }"#,
+        );
+        let code = &lm.handlers[0].body;
+        assert_eq!(arithmetic(code), ["any", "int", "int", "int"]);
+        // The first lowering's constants were dropped with its code: unit,
+        // eight literals and the loop counter's zero.
+        assert_eq!(lm.consts.len(), 1 + 8 + 1);
     }
 
     #[test]

@@ -910,15 +910,16 @@ impl Farm {
         // detector fired.
         let mut lost: Vec<(SwitchId, SeedKey)> = Vec::new();
         let (rows, network) = (&self.rows, &self.network);
-        self.seeder.store_snapshots(|key, placed| {
+        self.seeder.store_snapshots(|key, placed, snap| {
             if !is_alive(placed.switch) {
-                return None;
+                return false;
             }
-            let seed = live(rows, network, placed);
-            if seed.is_none() {
+            let Some(seed) = live(rows, network, placed) else {
                 lost.push((placed.switch, key.clone()));
-            }
-            Some(seed?.snapshot())
+                return false;
+            };
+            seed.snapshot_into(snap);
+            true
         });
         lost.sort();
         let mut lost = lost.into_iter().peekable();
@@ -1185,7 +1186,13 @@ impl Farm {
     /// heartbeat rounds do. Returns the number captured.
     pub fn checkpoint_seeds(&mut self) -> usize {
         let (rows, network) = (&self.rows, &self.network);
-        (self.seeder).store_snapshots(|_, placed| Some(live(rows, network, placed)?.snapshot()))
+        (self.seeder).store_snapshots(|_, placed, snap| {
+            let Some(seed) = live(rows, network, placed) else {
+                return false;
+            };
+            seed.snapshot_into(snap);
+            true
+        })
     }
 
     /// Every stored snapshot as a portable entry, sorted by the key's

@@ -317,19 +317,26 @@ impl Seeder {
             .map(|(k, _)| k)
     }
 
-    /// Offers every placed seed to `capture` in key order, and stores
-    /// what it returns as that seed's snapshot. Returns how many it
-    /// stored.
+    /// Offers every placed seed to `capture` in key order, with its row's
+    /// snapshot to write over (a default one if the row has none yet).
+    /// `capture` returns whether it wrote one; a row it declines keeps
+    /// what it had. Returns how many it stored.
     pub(crate) fn store_snapshots(
         &mut self,
-        mut capture: impl FnMut(&SeedKey, Placed) -> Option<SeedSnapshot>,
+        mut capture: impl FnMut(&SeedKey, Placed, &mut SeedSnapshot) -> bool,
     ) -> usize {
         let c = &mut self.catalog;
         let mut stored = 0;
         for i in 0..c.keys.len() {
-            if let Some(snap) = c.placed(i).and_then(|placed| capture(&c.keys[i], placed)) {
-                **c.snapshots[i].get_or_insert_with(Box::default) = snap;
+            let Some(placed) = c.placed(i) else {
+                continue;
+            };
+            let fresh = c.snapshots[i].is_none();
+            let snap = c.snapshots[i].get_or_insert_with(Box::default);
+            if capture(&c.keys[i], placed, snap) {
                 stored += 1;
+            } else if fresh {
+                c.snapshots[i] = None;
             }
         }
         stored
@@ -904,7 +911,13 @@ mod tests {
                     let machine = format!("step {step}");
                     let snap = SeedSnapshot { machine, ..SeedSnapshot::default() };
                     if let Some(key) = model.keys().nth(write).cloned() {
-                        let stored = seeder.store_snapshots(|k, _| (*k == key).then(|| snap.clone()));
+                        let stored = seeder.store_snapshots(|k, _, out| {
+                            let write = *k == key;
+                            if write {
+                                out.clone_from(&snap);
+                            }
+                            write
+                        });
                         assert_eq!(stored, 1);
                         snaps.insert(key, snap);
                     } else if write == 11 {

@@ -315,28 +315,45 @@ impl Switch {
     }
 
     /// Polls port statistics over the PCIe bus, charging its bandwidth.
-    /// Returns the snapshots and the transfer latency.
+    /// Returns the snapshots and the transfer latency. A port the switch
+    /// lacks is not read: no snapshot, no PCIe charge, zero latency.
     pub fn poll_ports(&mut self, sel: PortSel) -> (Vec<PortStat>, Dur) {
-        let stats: Vec<PortStat> = match sel {
-            PortSel::Any => self
-                .ports
-                .iter()
-                .enumerate()
-                .map(|(i, c)| PortStat {
-                    port: PortId(i as u16),
-                    counters: *c,
-                })
-                .collect(),
-            PortSel::Id(i) => vec![PortStat {
-                port: PortId(i),
-                counters: self.ports[i as usize],
-            }],
+        let (stats, latency) = self.poll_ports_iter(sel);
+        (stats.collect(), latency)
+    }
+
+    /// [`Switch::poll_ports`] without collecting the snapshots: they come
+    /// in port order from the iterator, which reads the counters where
+    /// they are.
+    pub fn poll_ports_iter(
+        &mut self,
+        sel: PortSel,
+    ) -> (impl ExactSizeIterator<Item = PortStat> + '_, Dur) {
+        let n = self.ports.len();
+        let (ports, latency) = match sel {
+            PortSel::Id(i) if usize::from(i) >= n => (n..n, Dur::ZERO),
+            _ => {
+                let ports = match sel {
+                    PortSel::Any => 0..n,
+                    PortSel::Id(i) => usize::from(i)..usize::from(i) + 1,
+                };
+                let read = ports.len() as u64;
+                let latency = self.pcie.request(read * POLL_STAT_BYTES);
+                if let Some(t) = &self.telemetry {
+                    t.counter("switch.port_polls").inc();
+                    t.counter("switch.port_stats_read").add(read);
+                }
+                (ports, latency)
+            }
         };
-        let latency = self.pcie.request(stats.len() as u64 * POLL_STAT_BYTES);
-        if let Some(t) = &self.telemetry {
-            t.counter("switch.port_polls").inc();
-            t.counter("switch.port_stats_read").add(stats.len() as u64);
-        }
+        let first = ports.start;
+        let stats = self.ports[ports]
+            .iter()
+            .enumerate()
+            .map(move |(k, c)| PortStat {
+                port: PortId((first + k) as u16),
+                counters: *c,
+            });
         (stats, latency)
     }
 
@@ -396,6 +413,20 @@ mod tests {
         let (stats, _) = sw.poll_ports(PortSel::Id(2));
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].counters.tx_bytes, 100);
+    }
+
+    #[test]
+    fn polling_a_port_the_switch_lacks_reads_and_charges_nothing() {
+        let mut sw = test_switch();
+        let before = (sw.pcie().bytes_requested(), sw.pcie().requests());
+        let (stats, latency) = sw.poll_ports(PortSel::Id(4));
+        assert!(stats.is_empty());
+        assert_eq!(latency, Dur::ZERO);
+        let (stats, _) = sw.poll_ports(PortSel::Id(u16::MAX));
+        assert!(stats.is_empty());
+        assert_eq!((sw.pcie().bytes_requested(), sw.pcie().requests()), before);
+        let (stats, _) = sw.poll_ports(PortSel::Id(3));
+        assert_eq!(stats.len(), 1);
     }
 
     #[test]

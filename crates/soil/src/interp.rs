@@ -16,9 +16,14 @@
 //! seed keeps between deliveries, so a quiet poll allocates nothing.
 //! Plain variables and constants are read where they live, and a payload
 //! or parameter the code never writes is read in place, so walking a list
-//! of port statistics copies only the elements it hands out. Int and bool
-//! operands take typed fast paths; everything else goes to
-//! [`binary_op`], the compiler's constant evaluator. Each instruction
+//! of port statistics copies only the elements it hands out — and reading
+//! one field of an entry (`StatField`) copies nothing. Arithmetic runs on
+//! three kinds of arm: typed int, float and compare arms for operands
+//! lowering proved the tag of, the guarded `Binary` arm for the rest,
+//! which tests ints, mixed numbers and bools inline, and — whenever an
+//! arm's operands are not what it expects, or it cannot finish (overflow,
+//! division by zero) — [`binary_op`], the compiler's constant evaluator,
+//! whose semantics and error texts are the language's. Each instruction
 //! carries its static abstract cost (1 per source expression node, 2 per
 //! statement); only the `len/4 + 1` list-scan charge is counted here. The
 //! cost is part of the simulator's observable behaviour.
@@ -249,11 +254,29 @@ impl SeedInstance {
     /// Captures the mutable state for migration. Variables come out
     /// sorted by name: global slots are assigned in that order.
     pub fn snapshot(&self) -> SeedSnapshot {
-        let names = self.def.lowered.globals.iter().cloned();
-        SeedSnapshot {
-            machine: self.def.machine.name.clone(),
-            state: self.state().to_string(),
-            vars: names.zip(self.vars.iter().cloned()).collect(),
+        let mut snap = SeedSnapshot::default();
+        self.snapshot_into(&mut snap);
+        snap
+    }
+
+    /// [`SeedInstance::snapshot`] written over `snap`, reusing the
+    /// strings, the variable list and the list capacity it already owns:
+    /// capturing the same seed again allocates only for what grew.
+    pub fn snapshot_into(&self, snap: &mut SeedSnapshot) {
+        snap.machine.clone_from(&self.def.machine.name);
+        snap.state
+            .clone_from(&self.def.lowered.states[self.state as usize].name);
+        let names = &self.def.lowered.globals;
+        snap.vars.truncate(names.len());
+        snap.vars.reserve_exact(names.len() - snap.vars.len());
+        for (i, (name, value)) in names.iter().zip(&self.vars).enumerate() {
+            match snap.vars.get_mut(i) {
+                Some((n, v)) => {
+                    n.clone_from(name);
+                    assign(v, value);
+                }
+                None => snap.vars.push((name.clone(), value.clone())),
+            }
         }
     }
 
@@ -541,8 +564,70 @@ impl<'a> Vm<'a> {
                     self.set(*dst, v);
                 }
                 Kind::Binary { op, dst, a, b } => {
-                    let v = binary(*op, self.get(*a), self.get(*b))?;
+                    let (x, y) = (self.get(*a), self.get(*b));
+                    let v = match guarded(*op, x, y) {
+                        Some(v) => v,
+                        None => generic(*op, x, y)?,
+                    };
                     self.set(*dst, v);
+                }
+                Kind::Int { op, dst, a, b } => {
+                    let (x, y) = (self.get(*a), self.get(*b));
+                    let v = match (x, y) {
+                        (Value::Int(x), Value::Int(y)) => int_arith(*op, *x, *y).map(Value::Int),
+                        _ => None,
+                    };
+                    let v = match v {
+                        Some(v) => v,
+                        None => generic(*op, x, y)?,
+                    };
+                    self.set(*dst, v);
+                }
+                Kind::Float { op, dst, a, b } => {
+                    let (x, y) = (self.get(*a), self.get(*b));
+                    let v = match (number(x), number(y)) {
+                        (Some(x), Some(y)) => float_arith(*op, x, y).map(Value::Float),
+                        _ => None,
+                    };
+                    let v = match v {
+                        Some(v) => v,
+                        None => generic(*op, x, y)?,
+                    };
+                    self.set(*dst, v);
+                }
+                Kind::Cmp { c, dst, a, b } => {
+                    let (x, y) = (self.get(*a), self.get(*b));
+                    let v = match (number(x), number(y)) {
+                        (Some(x), Some(y)) => Value::Bool(compare(*c, x, y)),
+                        _ => generic(BinOp::Cmp(*c), x, y)?,
+                    };
+                    self.set(*dst, v);
+                }
+                Kind::ListLen { dst, a } => {
+                    let Value::List(items) = self.get(*a) else {
+                        return Err(bad_arguments(Op::ListLen));
+                    };
+                    let len = items.len() as i64;
+                    self.set(*dst, Value::Int(len));
+                }
+                Kind::ListGet { dst, list, index } => {
+                    let v = copy(list_get(self.get(*list), self.get(*index))?);
+                    self.set(*dst, v);
+                }
+                Kind::ToFloat { dst, a } => {
+                    let Some(x) = number(self.get(*a)) else {
+                        return Err(bad_arguments(Op::ToFloat));
+                    };
+                    self.set(*dst, Value::Float(x));
+                }
+                Kind::StatField {
+                    op,
+                    dst,
+                    list,
+                    index,
+                } => {
+                    let v = stat_field(*op, self.get(*list), self.get(*index))?;
+                    self.set(*dst, Value::Int(v));
                 }
                 Kind::Short { or, dst, a, end } => {
                     if let Value::Bool(x) = *self.get(*a) {
@@ -666,7 +751,10 @@ impl<'a> Vm<'a> {
                         continue;
                     }
                     let slot = &mut self.stack[self.base + *counter as usize];
-                    let iters = slot.as_int().unwrap_or(0) + 1;
+                    let iters = match slot {
+                        Value::Int(n) => *n + 1,
+                        _ => 1,
+                    };
                     if iters as u64 > MAX_LOOP_ITERS {
                         return Err(SeedError("loop iteration limit exceeded".into()));
                     }
@@ -710,23 +798,34 @@ impl<'a> Vm<'a> {
     }
 
     /// Whether the condition of an `if` or a `while` (`what`) holds.
+    #[inline(always)]
     fn test(&self, test: Test, what: &str) -> Result<bool, SeedError> {
         let v = match test {
             Test::Bool(src) => self.get(src),
-            Test::Cmp(c, a, b) => match (self.get(a), self.get(b)) {
-                (Value::Int(x), Value::Int(y)) => return Ok(compare(c, *x as f64, *y as f64)),
-                (x, y) => &binary_op(BinOp::Cmp(c), x, y).map_err(SeedError)?,
-            },
+            Test::Cmp(c, a, b) => {
+                let (x, y) = (self.get(a), self.get(b));
+                return match (number(x), number(y)) {
+                    (Some(x), Some(y)) => Ok(compare(c, x, y)),
+                    _ => condition(&generic(BinOp::Cmp(c), x, y)?, what),
+                };
+            }
+            Test::Len(c, a, list) => {
+                let Value::List(items) = self.get(list) else {
+                    return Err(bad_arguments(Op::ListLen));
+                };
+                let len = items.len() as i64;
+                let x = self.get(a);
+                return match number(x) {
+                    Some(x) => Ok(compare(c, x, len as f64)),
+                    None => condition(&generic(BinOp::Cmp(c), x, &Value::Int(len))?, what),
+                };
+            }
         };
-        v.as_bool()
-            .ok_or_else(|| SeedError(format!("{what} condition is not a bool")))
+        condition(v, what)
     }
 
     fn call_builtin(&mut self, op: Op, a: Src, b: Src) -> Result<Value, SeedError> {
-        let bad = || {
-            let name = BUILTINS.iter().find(|b| b.op == op).map_or("?", |b| b.name);
-            SeedError(format!("bad arguments to `{name}`"))
-        };
+        let bad = || bad_arguments(op);
         // Effects first: they own their operands.
         match op {
             Op::AddTcamRule => {
@@ -789,7 +888,6 @@ impl<'a> Vm<'a> {
             Op::Max => Ok(Value::Float(num(x)?.max(num(y)?))),
             Op::Abs => Ok(Value::Float(num(x)?.abs())),
             Op::Log2 => Ok(Value::Float(num(x)?.log2())),
-            Op::ToFloat => Ok(Value::Float(num(x)?)),
             Op::ToInt => Ok(Value::Int(match x {
                 Value::Int(i) => *i,
                 Value::Float(f) => *f as i64,
@@ -809,16 +907,7 @@ impl<'a> Vm<'a> {
                 (Value::Str(a), Value::Str(b)) => Ok(Value::Bool(a.contains(b.as_str()))),
                 _ => Err(bad()),
             },
-            Op::ListLen => Ok(Value::Int(x.as_list().ok_or_else(bad)?.len() as i64)),
             Op::IsListEmpty => Ok(Value::Bool(x.as_list().ok_or_else(bad)?.is_empty())),
-            Op::ListGet => {
-                let items = x.as_list().ok_or_else(bad)?;
-                let i = y.as_int().ok_or_else(bad)?;
-                items
-                    .get(usize::try_from(i).map_err(|_| bad())?)
-                    .map(copy)
-                    .ok_or_else(|| SeedError(format!("index {i} out of bounds")))
-            }
             Op::PairFirst => match x {
                 Value::Pair(first, _) => Ok((**first).clone()),
                 _ => Err(bad()),
@@ -874,8 +963,11 @@ impl<'a> Vm<'a> {
                 },
                 _ => Err(bad()),
             },
-            // Lowered to `Kind::Mutate`, or returned from above.
-            Op::ListPush
+            // Lowered to arms of their own, or returned from above.
+            Op::ListLen
+            | Op::ListGet
+            | Op::ToFloat
+            | Op::ListPush
             | Op::ListPushUnique
             | Op::ListClear
             | Op::ListRemoveAt
@@ -892,7 +984,7 @@ impl<'a> Vm<'a> {
 
 /// Applies a mutating list builtin to the list it names; a failing one
 /// leaves the list as it was.
-fn mutate_list(op: Op, items: &mut Vec<Value>, arg: Option<Value>) -> Result<Value, SeedError> {
+fn mutate_list(op: Op, items: &mut Vec<Value>, arg: Option<Value>) -> Result<(), SeedError> {
     match (op, arg) {
         (Op::ListPush, Some(v)) => items.push(v),
         (Op::ListPushUnique, Some(v)) => {
@@ -912,7 +1004,7 @@ fn mutate_list(op: Op, items: &mut Vec<Value>, arg: Option<Value>) -> Result<Val
         }
         (other, _) => return Err(SeedError(format!("{other:?} does not mutate a list"))),
     }
-    Ok(Value::Unit)
+    Ok(())
 }
 
 /// `v.clone()`, inline for the scalars and port statistics a handler
@@ -940,6 +1032,23 @@ fn copy(v: &Value) -> Value {
     }
 }
 
+/// `*dst = src.clone()`, reusing the string or list `dst` holds when
+/// `src` is one too.
+fn assign(dst: &mut Value, src: &Value) {
+    match (dst, src) {
+        (Value::Str(d), Value::Str(s)) => d.clone_from(s),
+        (Value::List(d), Value::List(s)) => {
+            d.truncate(s.len());
+            let kept = d.len();
+            for (d, s) in d.iter_mut().zip(s) {
+                assign(d, s);
+            }
+            d.extend(s[kept..].iter().cloned());
+        }
+        (dst, src) => *dst = src.clone(),
+    }
+}
+
 /// `*slot = v`, without a destructor call when `slot` holds a scalar.
 #[inline(always)]
 fn store(slot: &mut Value, v: Value) {
@@ -953,34 +1062,125 @@ fn store(slot: &mut Value, v: Value) {
     }
 }
 
-/// `a op b`: ints and bools take a typed fast path, everything else — and
-/// every int case the fast path cannot finish (overflow, division by
-/// zero) — goes to the compiler's constant evaluator, whose semantics and
-/// error texts are the language's.
-fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, SeedError> {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => {
-            let v = match op {
-                BinOp::Add => x.checked_add(*y).map(Value::Int),
-                BinOp::Sub => x.checked_sub(*y).map(Value::Int),
-                BinOp::Mul => x.checked_mul(*y).map(Value::Int),
-                BinOp::Div => x.checked_div(*y).map(Value::Int),
-                // Numbers compare as floats, ints included.
-                BinOp::Cmp(c) => Some(Value::Bool(compare(c, *x as f64, *y as f64))),
-                BinOp::And | BinOp::Or => None,
-            };
-            if let Some(v) = v {
-                return Ok(v);
-            }
-        }
-        (Value::Bool(x), Value::Bool(y)) => match op {
-            BinOp::And => return Ok(Value::Bool(*x && *y)),
-            BinOp::Or => return Ok(Value::Bool(*x || *y)),
-            _ => {}
+/// `a op b` where the operands are ints, numbers or bools and the
+/// operation finishes: the tag tests the guarded `Binary` arm makes
+/// inline. `None` for everything else, which [`generic`] evaluates.
+#[inline(always)]
+fn guarded(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
+    match (op, a, b) {
+        (BinOp::And, Value::Bool(x), Value::Bool(y)) => Some(Value::Bool(*x && *y)),
+        (BinOp::Or, Value::Bool(x), Value::Bool(y)) => Some(Value::Bool(*x || *y)),
+        (BinOp::And | BinOp::Or, ..) => None,
+        // Numbers compare as floats, ints included.
+        (BinOp::Cmp(c), ..) => match (number(a), number(b)) {
+            (Some(x), Some(y)) => Some(Value::Bool(compare(c, x, y))),
+            _ => None,
         },
-        _ => {}
+        (_, Value::Int(x), Value::Int(y)) => int_arith(op, *x, *y).map(Value::Int),
+        _ => match (number(a), number(b)) {
+            (Some(x), Some(y)) => float_arith(op, x, y).map(Value::Float),
+            _ => None,
+        },
     }
+}
+
+/// `a op b` by the compiler's constant evaluator, whose semantics and
+/// error texts are the language's: what every arm falls back to.
+#[cold]
+fn generic(op: BinOp, a: &Value, b: &Value) -> Result<Value, SeedError> {
     binary_op(op, a, b).map_err(SeedError)
+}
+
+/// The bool an `if` or `while` condition (`what`) evaluated to.
+#[inline(always)]
+fn condition(v: &Value, what: &str) -> Result<bool, SeedError> {
+    match v {
+        Value::Bool(b) => Ok(*b),
+        _ => Err(not_a_bool(what)),
+    }
+}
+
+#[cold]
+fn not_a_bool(what: &str) -> SeedError {
+    SeedError(format!("{what} condition is not a bool"))
+}
+
+/// The number a value holds, ints widened.
+#[inline(always)]
+fn number(v: &Value) -> Option<f64> {
+    match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    }
+}
+
+/// `x op y` for `+ - * /` on ints; `None` on overflow and division by
+/// zero, which the generic path reports.
+#[inline(always)]
+fn int_arith(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    match op {
+        BinOp::Add => x.checked_add(y),
+        BinOp::Sub => x.checked_sub(y),
+        BinOp::Mul => x.checked_mul(y),
+        BinOp::Div => x.checked_div(y),
+        BinOp::Cmp(_) | BinOp::And | BinOp::Or => None,
+    }
+}
+
+/// `x op y` for `+ - * /` on numbers; `None` on division by zero, which
+/// the generic path reports.
+#[inline(always)]
+fn float_arith(op: BinOp, x: f64, y: f64) -> Option<f64> {
+    match op {
+        BinOp::Add => Some(x + y),
+        BinOp::Sub => Some(x - y),
+        BinOp::Mul => Some(x * y),
+        BinOp::Div if y != 0.0 => Some(x / y),
+        _ => None,
+    }
+}
+
+/// `list_get(items, index)`, in place.
+#[inline(always)]
+fn list_get<'v>(items: &'v Value, index: &Value) -> Result<&'v Value, SeedError> {
+    let (Value::List(items), Value::Int(i)) = (items, index) else {
+        return Err(bad_arguments(Op::ListGet));
+    };
+    let at = usize::try_from(*i).map_err(|_| bad_arguments(Op::ListGet))?;
+    items.get(at).ok_or_else(|| out_of_bounds(*i))
+}
+
+#[cold]
+fn out_of_bounds(i: i64) -> SeedError {
+    SeedError(format!("index {i} out of bounds"))
+}
+
+/// `op(list_get(items, index))` for a statistics accessor `op`, with the
+/// errors of the two calls it fuses.
+#[inline(always)]
+fn stat_field(op: Op, items: &Value, index: &Value) -> Result<i64, SeedError> {
+    let Value::Stat(s) = list_get(items, index)? else {
+        return Err(bad_arguments(op));
+    };
+    Ok(match op {
+        Op::StatPort => match s.subject {
+            StatSubject::Port(p) => i64::from(p),
+            StatSubject::Rule(_) => -1,
+        },
+        Op::StatTxBytes => s.tx_bytes as i64,
+        Op::StatRxBytes => s.rx_bytes as i64,
+        Op::StatTxPackets => s.tx_packets as i64,
+        Op::StatRxPackets => s.rx_packets as i64,
+        _ => return Err(bad_arguments(op)),
+    })
+}
+
+/// The error of a runtime-library call given arguments it cannot take.
+#[cold]
+fn bad_arguments(op: Op) -> SeedError {
+    let name = BUILTINS.iter().find(|b| b.op == op).map_or("?", |b| b.name);
+    SeedError(format!("bad arguments to `{name}`"))
 }
 
 fn compare(c: CmpOp, x: f64, y: f64) -> bool {
@@ -1233,6 +1433,39 @@ mod tests {
         other.restore(&snap).unwrap();
         assert_eq!(other.var("threshold"), Some(&Value::Int(42)));
         assert_eq!(other.state(), seed.state());
+    }
+
+    #[test]
+    fn a_capture_over_an_old_snapshot_equals_a_fresh_one() {
+        let mut seed = hh_instance();
+        let host = FixedHost::default();
+        let poll = |tx: &[u64]| SeedEvent::Trigger {
+            name: "pollStats".into(),
+            payload: stats_payload(
+                tx.iter()
+                    .enumerate()
+                    .map(|(p, &b)| stat(p as u16, b))
+                    .collect(),
+            ),
+        };
+        let retune = SeedEvent::Recv {
+            from_machine: None,
+            value: Value::Int(10),
+        };
+        // Over another machine's snapshot with more variables, then over
+        // the seed's own while its lists grow, shrink and change type.
+        let mut snap = SeedSnapshot {
+            machine: "SomethingLonger".into(),
+            state: "elsewhere".into(),
+            vars: vec![("z".into(), Value::Str("old".into())); 5],
+        };
+        for event in [retune, poll(&[50, 5, 70]), poll(&[90]), poll(&[1, 2])] {
+            seed.handle(&event, &host).unwrap();
+            seed.snapshot_into(&mut snap);
+            assert_eq!(snap, seed.snapshot());
+        }
+        let hitters = |s: &SeedSnapshot| s.vars.iter().find(|(n, _)| n == "hitters").cloned();
+        assert_eq!(hitters(&snap).map(|(_, v)| v), Some(Value::List(vec![])));
     }
 
     #[test]

@@ -212,8 +212,17 @@ struct TriggerSched {
     tick: u64,
     /// Last-seen cumulative counters per subject: poll events deliver
     /// *deltas since the previous poll* (monitoring semantics — counters
-    /// on real ASICs are cumulative since boot).
-    baseline: HashMap<StatSubject, [u64; 4]>,
+    /// on real ASICs are cumulative since boot). Positional: entry `i`
+    /// is the subject the last poll delivered at position `i`, so a poll
+    /// whose subjects come in the order they came last time — every poll
+    /// of a trigger, once its subjects exist — finds each one where it
+    /// looks first. Otherwise it is a map in a list ([`rebase`]): a
+    /// subject found elsewhere is swapped into place, one never seen is
+    /// added (and delivers absolute counters), none is ever dropped.
+    baseline: Vec<(StatSubject, [u64; 4])>,
+    /// The list the last poll delivered, handed back by the delivery so
+    /// the next poll rewrites it in place. Empty until the first poll.
+    payload: Vec<Value>,
 }
 
 struct SwitchHost<'a> {
@@ -376,6 +385,10 @@ pub struct Soil {
     triggers: Vec<TriggerSched>,
     /// Canonical rule pattern → installed Count rule + refcount.
     rule_refs: HashMap<String, (RuleId, usize)>,
+    /// What one ASIC poll read, and the triggers one scheduling round
+    /// fires: kept between calls.
+    entries: Vec<StatEntry>,
+    due: Vec<usize>,
     next_id: u64,
     next_group: u32,
     stats: SoilStats,
@@ -391,6 +404,8 @@ impl Soil {
             seeds: BTreeMap::new(),
             triggers: Vec::new(),
             rule_refs: HashMap::new(),
+            entries: Vec::new(),
+            due: Vec::new(),
             next_id: 0,
             next_group: 0,
             stats: SoilStats::default(),
@@ -493,7 +508,8 @@ impl Soil {
                 ival: Dur::from_secs_f64(ival_ms / 1000.0),
                 next_due: now + Dur::from_secs_f64(ival_ms / 1000.0),
                 tick: 0,
-                baseline: HashMap::new(),
+                baseline: Vec::new(),
+                payload: Vec::new(),
             });
         }
         // Install flow-level polling subjects as Count rules, one
@@ -789,7 +805,7 @@ impl Soil {
     /// timer (aggregating identical poll subjects when enabled).
     pub fn advance(&mut self, to: Time, switch: &mut Switch) -> TickReport {
         let mut report = TickReport::default();
-        let mut due_idx: Vec<usize> = Vec::new();
+        let mut due_idx = std::mem::take(&mut self.due);
         while let Some(due) = self.next_deadline() {
             if due > to {
                 break;
@@ -806,6 +822,7 @@ impl Soil {
             switch.cpu_mut().schedule_round(due_idx.len() as u64);
             self.fire_round(&due_idx, due, switch, &mut report);
         }
+        self.due = due_idx;
         self.settle(report)
     }
 
@@ -831,6 +848,7 @@ impl Soil {
         report: &mut TickReport,
     ) {
         let is_due_poll = |t: &TriggerSched| t.kind == TriggerType::Poll && t.next_due <= now;
+        let mut entries = std::mem::take(&mut self.entries);
         for (k, &first) in due_idx.iter().enumerate() {
             // Firing moves a trigger's deadline past `now`, so a poll
             // that is still due has not been served by an earlier group.
@@ -842,7 +860,8 @@ impl Soil {
             let member = |t: &TriggerSched| is_due_poll(t) && t.group == group;
             if self.config.aggregation {
                 let size = rest.iter().filter(|&&i| member(&self.triggers[i])).count() as u64;
-                let (entries, latency) = self.poll_subjects(&self.triggers[first].subjects, switch);
+                let subjects = &self.triggers[first].subjects;
+                let latency = self.poll_subjects(subjects, switch, &mut entries);
                 report.asic_polls += 1;
                 report.polls_saved += size - 1;
                 if let Some(ins) = &self.instruments {
@@ -869,8 +888,8 @@ impl Soil {
             } else {
                 for &i in rest {
                     if member(&self.triggers[i]) {
-                        let (entries, latency) =
-                            self.poll_subjects(&self.triggers[i].subjects, switch);
+                        let subjects = &self.triggers[i].subjects;
+                        let latency = self.poll_subjects(subjects, switch, &mut entries);
                         report.asic_polls += 1;
                         if let Some(ins) = &self.instruments {
                             ins.poll_issued(self.triggers[i].seed, entries.len(), latency, now);
@@ -880,6 +899,7 @@ impl Soil {
                 }
             }
         }
+        self.entries = entries;
         for &i in due_idx {
             let t = &mut self.triggers[i];
             if t.kind != TriggerType::Time {
@@ -892,9 +912,10 @@ impl Soil {
         }
     }
 
-    /// Delivers trigger `idx`'s event, carrying `payload`, to its seed.
-    /// The event takes the trigger's name for the call and hands it back
-    /// (`SeedEvent` owns its strings), so firing copies no name.
+    /// Delivers trigger `idx`'s event, carrying `payload`, to its seed,
+    /// and returns the payload. The event takes the trigger's name for
+    /// the call and hands it back (`SeedEvent` owns its strings), so
+    /// firing copies no name.
     fn fire(
         &mut self,
         idx: usize,
@@ -903,7 +924,7 @@ impl Soil {
         switch: &mut Switch,
         base_latency: Dur,
         report: &mut TickReport,
-    ) {
+    ) -> Value {
         let t = &mut self.triggers[idx];
         let seed = t.seed;
         let event = SeedEvent::Trigger {
@@ -911,9 +932,11 @@ impl Soil {
             payload,
         };
         self.deliver(seed, &event, now, switch, base_latency, report);
-        if let SeedEvent::Trigger { name, .. } = event {
-            self.triggers[idx].name = name;
-        }
+        let SeedEvent::Trigger { name, payload } = event else {
+            unreachable!("built above")
+        };
+        self.triggers[idx].name = name;
+        payload
     }
 
     fn fire_poll(
@@ -929,36 +952,55 @@ impl Soil {
         t.next_due = advance_deadline(t.next_due, t.ival, now);
         // Convert cumulative counters into per-interval deltas against
         // this trigger's own baseline (the first poll delivers absolute
-        // values; each trigger keeps its own view under aggregation).
-        let deltas = entries
-            .iter()
-            .map(|e| {
-                let cur = [e.tx_bytes, e.rx_bytes, e.tx_packets, e.rx_packets];
-                let prev = match t.baseline.get_mut(&e.subject) {
-                    Some(seen) => std::mem::replace(seen, cur),
-                    None => {
-                        t.baseline.insert(e.subject.clone(), cur);
-                        [0; 4]
+        // values; each trigger keeps its own view under aggregation),
+        // written over the list the last poll delivered.
+        let mut payload = std::mem::take(&mut t.payload);
+        payload.truncate(entries.len());
+        // Grown once, to the size it keeps: a trigger's polls read the
+        // same subjects every time.
+        payload.reserve_exact(entries.len() - payload.len());
+        t.baseline
+            .reserve_exact(entries.len().saturating_sub(t.baseline.len()));
+        for (i, e) in entries.iter().enumerate() {
+            let cur = [e.tx_bytes, e.rx_bytes, e.tx_packets, e.rx_packets];
+            let prev = rebase(&mut t.baseline, i, &e.subject, cur);
+            let [tx_bytes, rx_bytes, tx_packets, rx_packets] =
+                std::array::from_fn(|k| cur[k].saturating_sub(prev[k]));
+            match payload.get_mut(i) {
+                Some(Value::Stat(s)) if s.subject == e.subject => {
+                    (s.tx_bytes, s.rx_bytes) = (tx_bytes, rx_bytes);
+                    (s.tx_packets, s.rx_packets) = (tx_packets, rx_packets);
+                }
+                slot => {
+                    let delta = Value::Stat(StatEntry {
+                        subject: e.subject.clone(),
+                        tx_bytes,
+                        rx_bytes,
+                        tx_packets,
+                        rx_packets,
+                    });
+                    match slot {
+                        Some(slot) => *slot = delta,
+                        None => payload.push(delta),
                     }
-                };
-                Value::Stat(StatEntry {
-                    subject: e.subject.clone(),
-                    tx_bytes: cur[0].saturating_sub(prev[0]),
-                    rx_bytes: cur[1].saturating_sub(prev[1]),
-                    tx_packets: cur[2].saturating_sub(prev[2]),
-                    rx_packets: cur[3].saturating_sub(prev[3]),
-                })
-            })
-            .collect();
-        self.fire(idx, Value::List(deltas), now, switch, poll_latency, report);
+                }
+            }
+        }
+        let payload = Value::List(payload);
+        if let Value::List(list) = self.fire(idx, payload, now, switch, poll_latency, report) {
+            self.triggers[idx].payload = list;
+        }
     }
 
+    /// Reads `subjects` off the switch into `entries` (cleared first) and
+    /// returns the transfer latency.
     fn poll_subjects(
         &self,
         subjects: &[PollSubject],
         switch: &mut Switch,
-    ) -> (Vec<StatEntry>, Dur) {
-        let mut entries = Vec::new();
+        entries: &mut Vec<StatEntry>,
+    ) -> Dur {
+        entries.clear();
         let mut latency = Dur::ZERO;
         for s in subjects {
             match s {
@@ -967,9 +1009,9 @@ impl Soil {
                         PollSubject::Port(p) => PortSel::Id(*p),
                         _ => PortSel::Any,
                     };
-                    let (stats, l) = switch.poll_ports(sel);
+                    let (stats, l) = switch.poll_ports_iter(sel);
                     latency = latency.max(l);
-                    entries.extend(stats.into_iter().map(|ps| StatEntry {
+                    entries.extend(stats.map(|ps| StatEntry {
                         subject: StatSubject::Port(ps.port.0),
                         tx_bytes: ps.counters.tx_bytes,
                         rx_bytes: ps.counters.rx_bytes,
@@ -995,7 +1037,7 @@ impl Soil {
                 }
             }
         }
-        (entries, latency)
+        latency
     }
 
     /// Offers sampled packets to probe triggers (rate-limited by each
@@ -1153,6 +1195,34 @@ impl Soil {
     }
 }
 
+/// Swaps `cur` in as `subject`'s counters in a trigger's `baseline` and
+/// returns the ones it replaces — zeros for a subject never seen —
+/// leaving `subject` at position `at` unless an earlier position of the
+/// same poll already holds it.
+fn rebase(
+    baseline: &mut Vec<(StatSubject, [u64; 4])>,
+    at: usize,
+    subject: &StatSubject,
+    cur: [u64; 4],
+) -> [u64; 4] {
+    if let Some((seen, counters)) = baseline.get_mut(at) {
+        if seen == subject {
+            return std::mem::replace(counters, cur);
+        }
+    }
+    let (j, prev) = match baseline.iter().position(|(seen, _)| seen == subject) {
+        Some(j) => (j, std::mem::replace(&mut baseline[j].1, cur)),
+        None => {
+            baseline.push((subject.clone(), cur));
+            (baseline.len() - 1, [0; 4])
+        }
+    };
+    if at < j {
+        baseline.swap(at, j);
+    }
+    prev
+}
+
 /// Advances a periodic deadline past `now` without drift (catching up in
 /// whole periods when the scheduler fell behind).
 fn advance_deadline(due: Time, ival: Dur, now: Time) -> Time {
@@ -1220,6 +1290,66 @@ mod tests {
             .rules()
             .iter()
             .any(|r| r.region == TcamRegion::Monitoring && r.priority == 10));
+    }
+
+    #[test]
+    fn polling_a_port_the_switch_lacks_delivers_an_empty_list() {
+        let (mut soil, mut switch) = rig();
+        let def = compile(
+            r#"machine Far {
+                 place any;
+                 poll p = Poll { .ival = 1, .what = port 99 };
+                 state s { when (p as stats) do { send list_len(stats) to harvester; } }
+               }"#,
+            "Far",
+        );
+        soil.deploy(def, "far", alloc(), Time::ZERO, &mut switch)
+            .unwrap();
+        let requests = switch.pcie().requests();
+        let report = soil.advance(Time::from_millis(3), &mut switch);
+        assert_eq!(report.errors, vec![]);
+        let sent: Vec<&Value> = report.messages.iter().map(|m| &m.value).collect();
+        assert_eq!(sent, [&Value::Int(0); 3]);
+        assert_eq!(switch.pcie().requests(), requests, "nothing read");
+    }
+
+    #[test]
+    fn the_positional_baseline_is_a_map_whatever_order_subjects_come_in() {
+        let port = StatSubject::Port;
+        let rule = |k: &str| StatSubject::Rule(k.into());
+        let polls: Vec<Vec<StatSubject>> = vec![
+            vec![port(0), port(1), rule("a")],
+            vec![port(0), port(1), rule("a")],
+            vec![rule("a"), port(1)],
+            vec![port(1), port(1), port(2), port(0)],
+            vec![],
+            vec![port(2), rule("b"), rule("a"), port(0), port(1)],
+            vec![port(0), port(1), rule("a")],
+        ];
+        let mut baseline = Vec::new();
+        let mut model: HashMap<StatSubject, [u64; 4]> = HashMap::new();
+        for (n, subjects) in polls.iter().enumerate() {
+            for (at, subject) in subjects.iter().enumerate() {
+                let cur = [n as u64 * 10 + at as u64, 0, 1, n as u64];
+                let want = model.insert(subject.clone(), cur).unwrap_or([0; 4]);
+                assert_eq!(
+                    rebase(&mut baseline, at, subject, cur),
+                    want,
+                    "poll {n} at {at}"
+                );
+            }
+            let mut seen: Vec<_> = baseline.iter().map(|(s, c)| (s.clone(), *c)).collect();
+            let mut want: Vec<_> = model.iter().map(|(s, c)| (s.clone(), *c)).collect();
+            seen.sort_by_key(|(s, _)| format!("{s:?}"));
+            want.sort_by_key(|(s, _)| format!("{s:?}"));
+            assert_eq!(seen, want, "after poll {n}");
+        }
+        // The last poll came in an order seen before: every subject sits
+        // where the next such poll looks first.
+        assert_eq!(
+            baseline[..3].iter().map(|(s, _)| s).collect::<Vec<_>>(),
+            [&port(0), &port(1), &rule("a")]
+        );
     }
 
     #[test]

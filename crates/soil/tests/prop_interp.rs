@@ -80,6 +80,14 @@ enum Step {
     /// Snapshot the VM's seed and restore it into fresh seeds on both
     /// sides: migration in the middle of a sequence.
     Migrate,
+    /// Restore, on both sides, a snapshot whose `global`-th declared
+    /// machine variable holds `value`: whatever its declared type, as a
+    /// checkpoint may. No store the VM's typed arms rely on is proven
+    /// for a machine variable, so they must meet any tag.
+    Retag {
+        global: usize,
+        value: Value,
+    },
 }
 
 fn packets() -> impl Strategy<Value = PacketRecord> {
@@ -140,6 +148,19 @@ fn values() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// What a [`Step::Retag`] writes: any value of [`values`], except that
+/// a number keeps to 1..=64 (tag unchanged). A machine variable that
+/// bounds a loop (`buckets`, `groupSize`) would otherwise run that loop
+/// to its 1 000 000-iteration limit, in both interpreters, at every
+/// later poll: minutes per case, for a tag the property already has.
+fn retag_values() -> impl Strategy<Value = Value> {
+    values().prop_map(|v| match v {
+        Value::Int(i) => Value::Int(i.rem_euclid(64) + 1),
+        Value::Float(f) => Value::Float(f.rem_euclid(64.0) + 0.5),
+        other => other,
+    })
+}
+
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let entries =
         |max| proptest::collection::vec((0u16..64, 0u64..4_000_000, 0u64..4_000_000), 0..=max);
@@ -164,7 +185,11 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
             value,
         })
     };
+    let retag =
+        || (0usize..16, retag_values()).prop_map(|(global, value)| Step::Retag { global, value });
     let step = prop_oneof![
+        retag(),
+        retag(),
         fire(),
         fire(),
         fire(),
@@ -189,7 +214,7 @@ fn event_for(step: &Step, program: &Program, def: &CompiledMachine) -> Option<Se
         Step::Enter => SeedEvent::Enter,
         Step::Exit => SeedEvent::Exit,
         Step::Realloc => SeedEvent::Realloc,
-        Step::Migrate => return None,
+        Step::Migrate | Step::Retag { .. } => return None,
         Step::Stray => SeedEvent::Trigger {
             name: "noSuchTrigger".into(),
             payload: Value::Int(1),
@@ -266,6 +291,17 @@ fn assert_same_behaviour(label: &str, program: &Program, machine: &str, steps: &
     for (i, step) in first.iter().chain(steps).enumerate() {
         let at = format!("{label}/{machine}, step {i} ({step:?})");
         host.now_ms += 7;
+        if let Step::Retag { global, value } = step {
+            let mut snap = vm.snapshot();
+            let n = snap.vars.len();
+            if let Some((_, slot)) = snap.vars.get_mut(global % n.max(1)) {
+                *slot = value.clone();
+            }
+            vm.restore(&snap).unwrap();
+            walker.restore(&snap);
+            assert_eq!(vm.snapshot().vars, walker.sorted_vars(), "vars at {at}");
+            continue;
+        }
         let Some(event) = event_for(step, program, &def) else {
             let snap = vm.snapshot();
             vm = SeedInstance::new(SeedId(2), def.clone(), alloc);
@@ -633,6 +669,82 @@ fn a_send_to_a_switch_id_outside_u32_fails_naming_it() {
             panic!("{:?}", out.effects)
         };
         assert_eq!(*at, Some(SwitchId(id)));
+    }
+}
+
+#[test]
+fn typed_arms_follow_runtime_tags_not_declared_types() {
+    // `float x = 5` stores an int (stores do not coerce), so `x / 2` is
+    // integer division; ints compare through f64, so 2^53 + 1 == 2^53;
+    // a `recv float` handler takes an int.
+    let vm = assert_same_on(
+        r#"machine T {
+             place any;
+             time t = 5;
+             float half = 0.0;
+             bool same = false;
+             bool branched = false;
+             long big = 9007199254740993;
+             float got = 0.0;
+             state s {
+               when (t as n) do {
+                 float x = 5;
+                 half = x / 2;
+                 same = big == 9007199254740992;
+                 if (big == 9007199254740992) then { branched = true; }
+               }
+               when (recv float v from harvester) do { got = v / 2; }
+             }
+           }"#,
+        &[
+            tick("t", 1),
+            SeedEvent::Recv {
+                from_machine: None,
+                value: Value::Int(7),
+            },
+        ],
+    );
+    assert_eq!(vm.var("half"), Some(&Value::Int(2)));
+    assert_eq!(vm.var("same"), Some(&Value::Bool(true)));
+    assert_eq!(vm.var("branched"), Some(&Value::Bool(true)));
+    assert_eq!(vm.var("got"), Some(&Value::Int(3)));
+}
+
+#[test]
+fn a_condition_on_an_int_fails_as_the_int_it_is() {
+    // `i` is proven an int, and `not i` is a `not` on an int, not a
+    // condition that is not a bool; `b` is proven a bool by its
+    // declaration until the store of an int disproves it, after which
+    // `not b` is a `not` on an int too.
+    let program = farm_almanac::parser::parse(
+        r#"machine N {
+             place any;
+             time t = 5;
+             long seen = 0;
+             state s {
+               when (t as n) do {
+                 int i = 7;
+                 if (n == 0) then { if (not i) then { seen = 1; } }
+                 bool b = true;
+                 int j = 0;
+                 while (j < 2) {
+                   if (not b) then { seen = seen + 1; }
+                   b = pair_first(pair(n, j));
+                   j = j + 1;
+                 }
+               }
+             }
+           }"#,
+    )
+    .unwrap();
+    assert_same_on_program(&program, &[tick("t", 0), tick("t", 1)]);
+    let def = compile_in(&program, "N");
+    let mut seed = SeedInstance::new(SeedId(1), def, Resources::ZERO);
+    for n in [0, 1] {
+        let err = seed
+            .handle(&tick("t", n), &FixedHost::default())
+            .unwrap_err();
+        assert_eq!(err.0, "`not` on int", "tick {n}");
     }
 }
 

@@ -19,15 +19,22 @@
 //! * **S4** `poll_rate_per_sec()` is Σ 1/ival over the live seeds' poll
 //!   triggers, and 0 on an empty soil;
 //! * **S5** `next_deadline()` is `None` exactly when no live seed has a
-//!   poll or time trigger — no trigger outlives its seed.
+//!   poll or time trigger — no trigger outlives its seed;
+//! * **S6** every payload the reporting machine `Echo` sends equals what
+//!   a model of poll deltas gives: per trigger of every seed, a map from
+//!   subject to the cumulative counters it last delivered (a subject
+//!   never delivered gives its absolute counters). Echo polls ports, a
+//!   port the switch lacks, every port and a flow rule, so seeds
+//!   deployed at different times share each aggregation group while
+//!   keeping their own baselines.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use farm_almanac::analysis::PollSubject;
 use farm_almanac::ast::TriggerType;
 use farm_almanac::compile::CompiledMachine;
-use farm_almanac::value::{PacketRecord, Value};
+use farm_almanac::value::{PacketRecord, StatEntry, StatSubject, Value};
 use farm_netsim::switch::{Resources, Switch, SwitchModel};
 use farm_netsim::tcam::TcamRegion;
 use farm_netsim::time::{Dur, Time};
@@ -80,9 +87,20 @@ machine Flip {
   state a { when (enter) do { transit b; } }
   state b { when (enter) do { transit a; } }
 }
+machine Echo {
+  place any;
+  poll p = Poll { .ival = 2, .what = port 3 or port 99 or port 1 };
+  poll q = Poll { .ival = 3, .what = dstIP "10.0.1.0/24" };
+  poll a = Poll { .ival = 10/res().PCIe, .what = port ANY };
+  state s {
+    when (p as stats) do { send pair("p", stats) to harvester; }
+    when (q as stats) do { send pair("q", stats) to harvester; }
+    when (a as stats) do { send pair("a", stats) to harvester; }
+  }
+}
 "#;
 
-const MACHINES: [&str; 7] = [
+const MACHINES: [&str; 8] = [
     "HH",
     "SshBruteForce",
     "Web",
@@ -90,6 +108,7 @@ const MACHINES: [&str; 7] = [
     "Trio",
     "Chatty",
     "Flip",
+    "Echo",
 ];
 
 fn catalog() -> Vec<Arc<CompiledMachine>> {
@@ -169,6 +188,11 @@ struct Harness {
     errors: u64,
     /// Snapshots undeploys and sheds handed back.
     captured: Vec<SeedSnapshot>,
+    /// S6's model: per (seed, trigger), the cumulative counters each
+    /// subject last delivered.
+    delivered: HashMap<(SeedId, String), HashMap<StatSubject, [u64; 4]>>,
+    /// Echo payloads checked against the model so far.
+    echoed: usize,
 }
 
 impl Harness {
@@ -189,6 +213,76 @@ impl Harness {
             total: SoilStats::default(),
             errors: 0,
             captured: Vec::new(),
+            delivered: HashMap::new(),
+            echoed: 0,
+        }
+    }
+
+    /// What the switch holds for `subjects` right now, in poll order:
+    /// ports it lacks and rules nobody installed read as nothing.
+    fn counters(&self, subjects: &[PollSubject]) -> Vec<(StatSubject, [u64; 4])> {
+        let mut out = Vec::new();
+        let port = |p: u16| {
+            let c = self.switch.port_counters(PortId(p));
+            let cur = [c.tx_bytes, c.rx_bytes, c.tx_packets, c.rx_packets];
+            (StatSubject::Port(p), cur)
+        };
+        for subject in subjects {
+            match subject {
+                PollSubject::AllPorts => out.extend((0..8).map(port)),
+                PollSubject::Port(p) if *p < 8 => out.push(port(*p)),
+                PollSubject::Port(_) => {}
+                PollSubject::Rule(key) => {
+                    let tcam = self.switch.tcam();
+                    let rule = tcam.rules().iter().find(|r| {
+                        r.region == TcamRegion::Monitoring
+                            && r.priority == 0
+                            && r.pattern.to_string() == *key
+                    });
+                    if let Some(stats) = rule.and_then(|r| tcam.stats(r.id)) {
+                        let cur = [stats.bytes, 0, stats.packets, 0];
+                        out.push((StatSubject::Rule(key.clone()), cur));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// S6: each Echo payload in `report` against the delta model. The
+    /// switch's counters do not move during an advance, so every poll
+    /// of it reads what they are now.
+    fn check_deltas(&mut self, report: &TickReport, catalog: &[Arc<CompiledMachine>]) {
+        let echo = MACHINES.iter().position(|m| *m == "Echo").unwrap();
+        for m in report.messages.iter().filter(|m| m.from_machine == "Echo") {
+            let Value::Pair(name, got) = &m.value else {
+                panic!("S6: Echo sent {}", m.value)
+            };
+            let Value::Str(name) = &**name else {
+                panic!("S6: Echo sent {}", m.value)
+            };
+            let trigger = catalog[echo].triggers.iter().find(|t| t.name == *name);
+            let subjects = &trigger.expect("an Echo trigger").subjects;
+            let now = self.counters(subjects);
+            let seen = self
+                .delivered
+                .entry((m.from_seed, name.clone()))
+                .or_default();
+            let want: Vec<Value> = now
+                .into_iter()
+                .map(|(subject, cur)| {
+                    let prev = seen.insert(subject.clone(), cur).unwrap_or([0; 4]);
+                    Value::Stat(StatEntry {
+                        subject,
+                        tx_bytes: cur[0] - prev[0],
+                        rx_bytes: cur[1] - prev[1],
+                        tx_packets: cur[2] - prev[2],
+                        rx_packets: cur[3] - prev[3],
+                    })
+                })
+                .collect();
+            assert_eq!(**got, Value::List(want), "S6 {} {name}", m.from_seed);
+            self.echoed += 1;
         }
     }
 
@@ -271,6 +365,7 @@ impl Harness {
                 self.now = now + Dur::from_millis(*ms);
                 let report = soil.advance(self.now, switch);
                 self.tally(&report);
+                self.check_deltas(&report, catalog);
             }
             Op::Traffic(port, bytes) => {
                 let flow = FlowKey::tcp(Ipv4::new(10, 0, 0, 1), 1000, Ipv4::new(10, 0, 1, 1), 80);
@@ -391,6 +486,37 @@ impl Harness {
         assert_eq!(due.is_some(), scheduled, "S5 after {after:?}");
         assert!(due.is_none_or(|due| due > self.now), "S5 after {after:?}");
     }
+}
+
+/// S6 on a sequence that surely reaches it: two Echo seeds deployed
+/// 3 ms apart share every aggregation group, and the later one's first
+/// polls deliver absolute counters while the earlier one's deliver deltas.
+#[test]
+fn echo_seeds_deployed_apart_keep_their_own_baselines() {
+    let catalog = catalog();
+    let echo = MACHINES.iter().position(|m| *m == "Echo").unwrap();
+    let mut harness = Harness::new();
+    let ops = [
+        Op::Traffic(3, 40_000),
+        Op::Deploy(echo, 10),
+        Op::AdvanceMs(3),
+        Op::Traffic(3, 7_000),
+        Op::Traffic(1, 90_000),
+        Op::Deploy(echo, 10),
+        Op::AdvanceMs(3),
+        Op::Traffic(5, 1_500),
+        Op::AdvanceMs(4),
+        Op::Undeploy(0),
+        Op::Traffic(1, 3_000),
+        Op::AdvanceMs(5),
+    ];
+    for op in &ops {
+        harness.apply(op, &catalog);
+        harness.check(&catalog, op);
+    }
+    let seeds = |name: &str| harness.delivered.keys().filter(|(_, t)| t == name).count();
+    assert_eq!((seeds("p"), seeds("q"), seeds("a")), (2, 2, 2));
+    assert!(harness.echoed >= 12, "{} payloads", harness.echoed);
 }
 
 proptest! {
