@@ -901,8 +901,6 @@ impl Farm {
     /// orphans their seeds.
     fn heartbeat_round(&mut self, at: Time) {
         self.counters.heartbeats.inc();
-        let alive = self.network.reachable();
-        let is_alive = |id: SwitchId| alive.binary_search(&id).is_ok();
         // One walk over the seed table captures every seed an alive soil
         // still hosts into its row and sets aside the ones it lost
         // (orphaning mutates the table): the soil answers heartbeats but
@@ -910,22 +908,22 @@ impl Farm {
         // detector fired.
         let mut lost: Vec<(SwitchId, SeedKey)> = Vec::new();
         let (rows, network) = (&self.rows, &self.network);
-        self.seeder.store_snapshots(|key, placed, snap| {
-            if !is_alive(placed.switch) {
+        self.seeder.store_snapshots(|key, placed, taken_at, snap| {
+            if !network.is_reachable(placed.switch) {
                 return false;
             }
             let Some(seed) = live(rows, network, placed) else {
                 lost.push((placed.switch, key.clone()));
                 return false;
             };
-            seed.snapshot_into(snap);
+            capture(seed, taken_at, snap);
             true
         });
         lost.sort();
         let mut lost = lost.into_iter().peekable();
         for slot in 0..self.rows.len() {
             let id = self.network.topology().node_at(slot).id;
-            if is_alive(id) {
+            if self.network.is_reachable(id) {
                 self.rows[slot].missed = 0;
                 if std::mem::take(&mut self.rows[slot].fenced) {
                     self.kill_stale_seeds(id, at);
@@ -1183,14 +1181,16 @@ impl Farm {
     }
 
     /// Checkpoints every live seed into its seed table row, as the
-    /// heartbeat rounds do. Returns the number captured.
+    /// heartbeat rounds do: a seed that has not run since its row's
+    /// capture is not captured again. Returns the number of live seeds
+    /// whose rows now hold their state.
     pub fn checkpoint_seeds(&mut self) -> usize {
         let (rows, network) = (&self.rows, &self.network);
-        (self.seeder).store_snapshots(|_, placed, snap| {
+        (self.seeder).store_snapshots(|_, placed, taken_at, snap| {
             let Some(seed) = live(rows, network, placed) else {
                 return false;
             };
-            seed.snapshot_into(snap);
+            capture(seed, taken_at, snap);
             true
         })
     }
@@ -1453,6 +1453,15 @@ fn soil_on<'a>(
 fn live<'a>(rows: &'a [SwitchRow], network: &Network, placed: Placed) -> Option<&'a SeedInstance> {
     let soil = rows[network.slot_of(placed.switch)?].soil.as_ref()?;
     soil.seed(placed.id).filter(|_| !placed.lost)
+}
+
+/// Writes `seed`'s state over a row's snapshot taken at stamp
+/// `taken_at`, unless the seed has not changed since.
+fn capture(seed: &SeedInstance, taken_at: &mut u64, snap: &mut SeedSnapshot) {
+    if *taken_at != seed.stamp() {
+        seed.snapshot_into(snap);
+        *taken_at = seed.stamp();
+    }
 }
 
 /// [`live`] for callers that act on the seed: the soil hosting it, and
@@ -1863,6 +1872,8 @@ pub(crate) mod tests {
         let mut farm = Farm::new(fabric(), FarmConfig::default());
         farm.deploy_task("hh", farm_almanac::programs::HEAVY_HITTER, &BTreeMap::new())
             .unwrap();
+        assert_eq!(farm.checkpoint_seeds(), 5);
+        // Nothing ran since: no seed is captured again, every one counts.
         assert_eq!(farm.checkpoint_seeds(), 5);
         assert_eq!(farm.restore_seeds(), 5);
         let vars = farm

@@ -125,6 +125,11 @@ struct Catalog {
     /// checkpoint, shed, import) until a newer one or the splice that
     /// takes the row out. Boxed: a row without one costs a word.
     snapshots: Vec<Option<Box<SeedSnapshot>>>,
+    /// The [`farm_soil::SeedInstance::stamp`] each snapshot was captured
+    /// at, 0 when there is none or it came from elsewhere (shed, import):
+    /// a capture finding the live seed still at this stamp has nothing
+    /// to write.
+    taken_at: Vec<u64>,
     /// Each task's machines.
     machines: Vec<Vec<Arc<CompiledMachine>>>,
 }
@@ -185,6 +190,8 @@ impl Catalog {
             .splice(old.clone(), std::iter::repeat_n((SeedId(0), false), added));
         self.snapshots
             .splice(old.clone(), std::iter::repeat_n(None, added));
+        self.taken_at
+            .splice(old.clone(), std::iter::repeat_n(0, added));
         self.keys.splice(old.clone(), keys);
         self.machines
             .splice(t..t + usize::from(machines.is_none()), machines);
@@ -317,13 +324,15 @@ impl Seeder {
             .map(|(k, _)| k)
     }
 
-    /// Offers every placed seed to `capture` in key order, with its row's
-    /// snapshot to write over (a default one if the row has none yet).
-    /// `capture` returns whether it wrote one; a row it declines keeps
-    /// what it had. Returns how many it stored.
+    /// Offers every placed seed to `capture` in key order, with the stamp
+    /// its row's snapshot was taken at (0 for none) and the snapshot to
+    /// write over (a default one if the row has none yet). `capture`
+    /// returns whether the row now holds the seed's state, having
+    /// written it and its stamp or found the stamp unmoved; a row it
+    /// declines keeps what it had. Returns how many it stored.
     pub(crate) fn store_snapshots(
         &mut self,
-        mut capture: impl FnMut(&SeedKey, Placed, &mut SeedSnapshot) -> bool,
+        mut capture: impl FnMut(&SeedKey, Placed, &mut u64, &mut SeedSnapshot) -> bool,
     ) -> usize {
         let c = &mut self.catalog;
         let mut stored = 0;
@@ -333,22 +342,25 @@ impl Seeder {
             };
             let fresh = c.snapshots[i].is_none();
             let snap = c.snapshots[i].get_or_insert_with(Box::default);
-            if capture(&c.keys[i], placed, snap) {
+            if capture(&c.keys[i], placed, &mut c.taken_at[i], snap) {
                 stored += 1;
             } else if fresh {
                 c.snapshots[i] = None;
+                c.taken_at[i] = 0;
             }
         }
         stored
     }
 
-    /// Stores `snap` as `key`'s snapshot, placed or not; `false` when no
-    /// registered task has that seed.
+    /// Stores `snap` as `key`'s snapshot, placed or not, taken at no
+    /// stamp: the next capture writes over it whatever the seed did.
+    /// `false` when no registered task has that seed.
     pub(crate) fn set_snapshot(&mut self, key: &SeedKey, snap: SeedSnapshot) -> bool {
         let Ok(i) = self.catalog.keys.binary_search(key) else {
             return false;
         };
         **self.catalog.snapshots[i].get_or_insert_with(Box::default) = snap;
+        self.catalog.taken_at[i] = 0;
         true
     }
 
@@ -747,9 +759,10 @@ mod tests {
         /// the records handed back and the seats evicted or forgotten.
         type Model = BTreeMap<SeedKey, (SwitchId, Resources, SeedId)>;
 
-        /// What the snapshot column should hold: every snapshot written
-        /// since its task was registered.
-        type Snapshots = BTreeMap<SeedKey, SeedSnapshot>;
+        /// What the snapshot columns should hold: every snapshot written
+        /// since its task was registered, and the stamp it was taken at
+        /// (0 for an import).
+        type Snapshots = BTreeMap<SeedKey, (SeedSnapshot, u64)>;
 
         /// Every key's machine, the catalog `instance_from_tasks` builds
         /// over the task table, the seed table the model holds, and the
@@ -797,7 +810,13 @@ mod tests {
             assert_eq!(seeder.deployed_seeds(), model.len());
 
             assert_eq!(seeder.catalog.snapshots.len(), keys.len(), "snapshot rows");
-            let mut want: Vec<(SeedKey, SeedSnapshot)> = snaps.clone().into_iter().collect();
+            let taken_at: Vec<u64> = (keys.iter())
+                .map(|k| snaps.get(k).map_or(0, |(_, at)| *at))
+                .collect();
+            assert_eq!(seeder.catalog.taken_at, taken_at, "snapshot stamps");
+            let mut want: Vec<(SeedKey, SeedSnapshot)> = (snaps.clone().into_iter())
+                .map(|(k, (s, _))| (k, s))
+                .collect();
             want.sort_by_key(|(k, _)| k.to_string());
             assert_eq!(
                 seeder.export_snapshots(),
@@ -845,7 +864,8 @@ mod tests {
             /// committed. Then `lose` may evict one switch's seeds, or
             /// forget the first seed, as a crash does. Last, `write`
             /// may store a snapshot for one placed seed, as a heartbeat
-            /// does, or import one for the name's first key.
+            /// does, or import one for the first key of the name `lose`
+            /// picks (a row written before, or a name not registered).
             #[test]
             fn spliced_catalog_equals_rebuilt_catalog(
                 steps in proptest::collection::vec(
@@ -910,22 +930,25 @@ mod tests {
                     }
                     let machine = format!("step {step}");
                     let snap = SeedSnapshot { machine, ..SeedSnapshot::default() };
+                    let stamp = step as u64 + 1;
                     if let Some(key) = model.keys().nth(write).cloned() {
-                        let stored = seeder.store_snapshots(|k, _, out| {
+                        let stored = seeder.store_snapshots(|k, _, at, out| {
                             let write = *k == key;
                             if write {
                                 out.clone_from(&snap);
+                                *at = stamp;
                             }
                             write
                         });
                         assert_eq!(stored, 1);
-                        snaps.insert(key, snap);
+                        snaps.insert(key, (snap, stamp));
                     } else if write == 11 {
+                        let name = lose % NAMES.len();
                         let key = SeedKey { task: NAMES[name].into(), machine: 0, seed: 0 };
                         let registered = table.contains_key(&name);
                         assert_eq!(seeder.set_snapshot(&key, snap.clone()), registered);
                         if registered {
-                            snaps.insert(key, snap);
+                            snaps.insert(key, (snap, 0));
                         }
                     }
                     check_catalog(&seeder, &table, &model, &snaps);

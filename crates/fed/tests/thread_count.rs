@@ -3,7 +3,7 @@
 //! registration companion beside it. Alone in its file, one test, so
 //! that no other test's threads are counted with it.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use farm_ctl::config::FedMembership;
 use farm_ctl::{CtlClient, Farmd, FarmdConfig};
@@ -22,6 +22,16 @@ fn a_daemon_is_its_core_thread_and_a_federated_farmd_one_more() {
             .count()
     };
     let before = tasks.count();
+    // `pthread_join` can return before the kernel has dropped the joined
+    // task from `/proc/self/task`: after a stop, give the count up to a
+    // second to come down to `want`, then read it.
+    let settled = |want: usize| {
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while threads() != want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        threads()
+    };
 
     let farmd = Farmd::start(FarmdConfig::default()).expect("start farmd");
     assert_eq!(threads(), before + 1, "farmd-core");
@@ -34,7 +44,7 @@ fn a_daemon_is_its_core_thread_and_a_federated_farmd_one_more() {
     assert_eq!(threads(), before + 1, "a served op adds none");
     drop(client);
     farmd.stop();
-    assert_eq!(threads(), before, "farmd stopped");
+    assert_eq!(settled(before), before, "farmd stopped");
 
     let fedd = Fedd::start(FeddConfig::default()).expect("start fedd");
     assert_eq!(threads(), before + 1, "fedd-core");
@@ -55,7 +65,7 @@ fn a_daemon_is_its_core_thread_and_a_federated_farmd_one_more() {
         "fedd-core, farmd-core, farmd-fed-reg"
     );
     pod.stop();
-    assert_eq!(threads(), before + 1, "federated farmd stopped");
+    assert_eq!(settled(before + 1), before + 1, "federated farmd stopped");
     fedd.stop();
-    assert_eq!(threads(), before, "fedd stopped");
+    assert_eq!(settled(before), before, "fedd stopped");
 }

@@ -32,6 +32,9 @@ pub struct Network {
     up: Vec<bool>,
     /// Links currently down, stored with endpoints in sorted order.
     links_down: BTreeSet<(SwitchId, SwitchId)>,
+    /// Per slot: the switch is in [`Network::reachable`]. Walked again
+    /// whenever a switch or link changes state, read everywhere else.
+    reached: Vec<bool>,
     /// Kept so switches recreated after a crash get re-instrumented.
     telemetry: Option<farm_telemetry::Telemetry>,
 }
@@ -53,14 +56,17 @@ impl Network {
                 Switch::new(node.id, node.model.clone())
             })
             .collect();
-        Network {
+        let mut net = Network {
             ids: switches.iter().map(Switch::id).collect(),
             up: vec![true; switches.len()],
+            reached: Vec::new(),
             switches,
             topology,
             links_down: BTreeSet::new(),
             telemetry: None,
-        }
+        };
+        net.reach();
+        net
     }
 
     /// The underlying topology.
@@ -149,6 +155,7 @@ impl Network {
             self.reset_switch(id);
         }
         self.up[slot] = up;
+        self.reach();
     }
 
     /// True when the (undirected) link between `a` and `b` carries traffic.
@@ -163,29 +170,34 @@ impl Network {
         } else {
             self.links_down.insert(link_key(a, b));
         }
+        self.reach();
     }
 
     /// The switches that are up and reachable from at least one up spine
-    /// over up links (spines themselves only need to be up), ascending —
-    /// one traversal of the fabric for the whole set. With no spines in
-    /// the topology, reachability degenerates to "switch is up".
+    /// over up links (spines themselves only need to be up), ascending.
+    /// With no spines in the topology, reachability degenerates to
+    /// "switch is up".
     pub fn reachable(&self) -> Vec<SwitchId> {
+        self.ids
+            .iter()
+            .zip(&self.reached)
+            .filter(|(_, reached)| **reached)
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// Recomputes the reachable set: one traversal of the fabric.
+    fn reach(&mut self) {
         let spines: Vec<usize> = self
             .topology
             .spines()
             .map(|id| self.slot_of(id).expect("spine is a node"))
             .collect();
-        let reached = if spines.is_empty() {
+        self.reached = if spines.is_empty() {
             self.up.clone()
         } else {
             self.reached_from(spines)
         };
-        self.ids
-            .iter()
-            .zip(&reached)
-            .filter(|(_, reached)| **reached)
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Breadth-first walk over up switches and up links from the up
@@ -219,10 +231,9 @@ impl Network {
         seen
     }
 
-    /// True when `id` is in [`Network::reachable`]. Callers that ask
-    /// about more than one switch should take the set once instead.
+    /// True when `id` is in [`Network::reachable`].
     pub fn is_reachable(&self, id: SwitchId) -> bool {
-        self.reachable().binary_search(&id).is_ok()
+        self.slot_of(id).is_some_and(|slot| self.reached[slot])
     }
 
     /// Replaces a switch with a factory-fresh instance of the same model

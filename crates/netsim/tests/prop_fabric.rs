@@ -5,7 +5,8 @@
 //! * `Tcam` (priority-partitioned insert, inline counters, region
 //!   counters) ≡ a push-and-stable-sort rule list with a `HashMap` of
 //!   counters,
-//! * `Network::reachable` ≡ one breadth-first search per switch.
+//! * `Network::reachable` ≡ one breadth-first search per switch, after
+//!   every switch or link fault.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -441,8 +442,23 @@ proptest! {
         let mut net = Network::new(topology);
         let ids = net.switch_ids();
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        // The kept set, after every fault and before the first.
+        let check = |net: &Network| {
+            let expected: Vec<SwitchId> = ids
+                .iter()
+                .copied()
+                .filter(|id| bfs_reachable(net, *id))
+                .collect();
+            prop_assert_eq!(net.reachable(), expected.clone());
+            for id in &ids {
+                prop_assert_eq!(net.is_reachable(*id), expected.contains(id));
+            }
+            prop_assert!(!net.is_reachable(SwitchId(base + 999_999)));
+        };
+        check(&net);
         for (k, up) in switch_faults {
             net.set_switch_up(ids[k % ids.len()], up);
+            check(&net);
         }
         for (k, up) in link_faults {
             if let Some(l) = links.get(k % links.len().max(1)) {
@@ -452,23 +468,15 @@ proptest! {
                 } else {
                     net.set_link_up(l.b, l.a, up);
                 }
+                check(&net);
             }
         }
         if all_spines_down {
             let spine_ids: Vec<SwitchId> = net.topology().spines().collect();
             for s in spine_ids {
                 net.set_switch_up(s, false);
+                check(&net);
             }
         }
-        let expected: Vec<SwitchId> = ids
-            .iter()
-            .copied()
-            .filter(|id| bfs_reachable(&net, *id))
-            .collect();
-        prop_assert_eq!(net.reachable(), expected.clone());
-        for id in &ids {
-            prop_assert_eq!(net.is_reachable(*id), expected.contains(id));
-        }
-        prop_assert!(!net.is_reachable(SwitchId(base + 999_999)));
     }
 }

@@ -402,7 +402,8 @@ struct Reach {
 #[test]
 fn delta_replans_match_full_solves_under_churn() {
     let mut reach = Reach::default();
-    TestRunner::new(ProptestConfig::default()).run_cases(|rng| {
+    let site = proptest::test_site!("delta_replans_match_full_solves_under_churn");
+    TestRunner::new(ProptestConfig::default(), site).run_cases(|rng| {
         let fabric = workload().generate(rng);
         let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
         churn_case(&fabric, &events, &mut reach);

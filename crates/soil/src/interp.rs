@@ -29,6 +29,7 @@
 //! cost is part of the simulator's observable behaviour.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use farm_almanac::analysis::consteval::binary_op;
@@ -176,10 +177,23 @@ const MAX_LOOP_ITERS: u64 = 1_000_000;
 /// Maximum user-function call depth.
 const MAX_CALL_DEPTH: usize = 64;
 
+/// The source of every [`SeedInstance::stamp`], shared by every soil in
+/// the process: a soil restarted cold numbers its seeds from zero again,
+/// so a count of its own could hand a new seed an old seed's stamp.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// A stamp no instance has held before.
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A live seed instance.
 #[derive(Debug, Clone)]
 pub struct SeedInstance {
     pub id: SeedId,
+    /// Drawn afresh whenever what [`SeedInstance::snapshot`] holds may
+    /// change: at creation and at every `handle` and `restore`.
+    stamp: u64,
     def: Arc<CompiledMachine>,
     /// Id of the current state in `def.lowered.states`.
     state: u32,
@@ -206,6 +220,7 @@ impl SeedInstance {
     pub fn new(id: SeedId, def: Arc<CompiledMachine>, allocated: Resources) -> SeedInstance {
         SeedInstance {
             id,
+            stamp: fresh_stamp(),
             state: 0,
             vars: def.lowered.init.clone(),
             def,
@@ -239,6 +254,15 @@ impl SeedInstance {
     /// [`SeedEvent::Realloc`]).
     pub(crate) fn set_allocated(&mut self, r: Resources) {
         self.allocated = r;
+    }
+
+    /// The change stamp: two reads return the same value only if no
+    /// `handle` or `restore` ran in between, and no two instances ever
+    /// drew the same one (a clone shares its original's until either
+    /// changes). A capture taken at a stamp equals a fresh one for as
+    /// long as the stamp holds.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Execution statistics.
@@ -301,6 +325,7 @@ impl SeedInstance {
         let Some(state) = self.def.lowered.state_id(&snap.state) else {
             return Err(SeedError(format!("unknown state `{}`", snap.state)));
         };
+        self.stamp = fresh_stamp();
         self.state = state;
         for (name, value) in &snap.vars {
             if let Some(slot) = self.def.lowered.global_slot(name) {
@@ -318,6 +343,7 @@ impl SeedInstance {
     /// transition livelock).
     pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
         let mut out = Outcome::default();
+        self.stamp = fresh_stamp();
         self.stats.events_handled += 1;
         let payload = match event {
             SeedEvent::Trigger { payload: v, .. } | SeedEvent::Recv { value: v, .. } => v,
@@ -1466,6 +1492,64 @@ mod tests {
         }
         let hitters = |s: &SeedSnapshot| s.vars.iter().find(|(n, _)| n == "hitters").cloned();
         assert_eq!(hitters(&snap).map(|(_, v)| v), Some(Value::List(vec![])));
+    }
+
+    #[test]
+    fn every_change_draws_a_stamp_no_instance_held_before() {
+        let host = FixedHost::default();
+        let retune = SeedEvent::Recv {
+            from_machine: None,
+            value: Value::Int(10),
+        };
+        let (mut a, b) = (hh_instance(), hh_instance());
+        let mut seen = vec![a.stamp(), b.stamp()];
+        a.handle(&retune, &host).unwrap();
+        seen.push(a.stamp());
+        // Every delivery draws one, whether a handler takes it or not.
+        let ignored = SeedEvent::Recv {
+            from_machine: None,
+            value: Value::Str("x".into()),
+        };
+        a.handle(&ignored, &host).unwrap();
+        seen.push(a.stamp());
+        a.restore(&b.snapshot()).unwrap();
+        seen.push(a.stamp());
+        let unique: std::collections::BTreeSet<u64> = seen.iter().copied().collect();
+        assert_eq!(unique.len(), seen.len(), "{seen:?}");
+        // Reading and reallocating change nothing a snapshot holds.
+        let before = a.stamp();
+        let _ = a.snapshot();
+        a.set_allocated(Resources::ZERO);
+        assert_eq!(a.stamp(), before);
+        // A refused restore writes nothing.
+        let foreign = SeedSnapshot {
+            machine: "Other".into(),
+            ..SeedSnapshot::default()
+        };
+        assert!(a.restore(&foreign).is_err());
+        assert_eq!(a.stamp(), before);
+    }
+
+    /// A restore with no event after it: the state changed, so the stamp
+    /// must too, or a holder of a capture taken at the old stamp keeps
+    /// the state from before the restore.
+    #[test]
+    fn a_restore_moves_the_stamp() {
+        let host = FixedHost::default();
+        let mut seed = hh_instance();
+        let old = seed.snapshot();
+        seed.handle(
+            &SeedEvent::Recv {
+                from_machine: None,
+                value: Value::Int(10),
+            },
+            &host,
+        )
+        .unwrap();
+        let (captured, at) = (seed.snapshot(), seed.stamp());
+        seed.restore(&old).unwrap();
+        assert_ne!(seed.snapshot(), captured);
+        assert_ne!(seed.stamp(), at);
     }
 
     #[test]

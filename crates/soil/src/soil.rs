@@ -386,7 +386,7 @@ pub struct Soil {
     /// Canonical rule pattern → installed Count rule + refcount.
     rule_refs: HashMap<String, (RuleId, usize)>,
     /// What one ASIC poll read, and the triggers one scheduling round
-    /// fires: kept between calls.
+    /// or one batch of sampled packets fires: kept between calls.
     entries: Vec<StatEntry>,
     due: Vec<usize>,
     next_id: u64,
@@ -1051,14 +1051,17 @@ impl Soil {
         let mut report = TickReport::default();
         // `now` is fixed for the call and firing only moves a deadline
         // forward, so no probe that is not due here becomes due below.
-        let due: Vec<usize> = self
-            .triggers
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == TriggerType::Probe && t.next_due <= now)
-            .map(|(i, _)| i)
-            .collect();
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        due.extend(
+            self.triggers
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.kind == TriggerType::Probe && t.next_due <= now)
+                .map(|(i, _)| i),
+        );
         if due.is_empty() {
+            self.due = due;
             return report;
         }
         for pkt in packets {
@@ -1077,6 +1080,7 @@ impl Soil {
                 self.fire(i, Value::Packet(*pkt), now, switch, latency, &mut report);
             }
         }
+        self.due = due;
         self.settle(report)
     }
 

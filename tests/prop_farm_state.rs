@@ -4,9 +4,9 @@
 //! of submit / remove / drain and uncordon (of any switch, or of one the
 //! fabric lacks) / crash (of any switch, or of a task's host) / restart /
 //! PCIe degrade and restore / link down and up / control-channel loss and
-//! heal (fabric-wide, or of one switch) / advance / checkpoint / restore /
-//! replan / seeded churn. After every operation, through the public API
-//! only:
+//! heal (fabric-wide, or of one switch) / advance / advance to the next
+//! heartbeat / checkpoint / import / restore / replan / seeded churn.
+//! After every operation, through the public API only:
 //!
 //! * **I1** every `seed_statuses()` entry that is not `lost` names an up
 //!   switch whose soil hosts a live instance of that task and machine in
@@ -24,9 +24,12 @@
 //! * **I6** `cordoned_switches()` and `fenced_switches()` are ascending,
 //!   without duplicates, and name only switches of the topology.
 //!
-//! A second property holds the snapshots to their contract: a key that
+//! Two more properties hold the snapshots to their contract: a key that
 //! has had an exportable snapshot keeps one for as long as its task is
-//! registered.
+//! registered, and after a heartbeat every seed that was live on a
+//! reachable switch has a row that equals a fresh capture of it — a
+//! heartbeat skips a seed that has not run since its row's capture, and
+//! may skip nothing else.
 //!
 //! A soil does not publish which task an instance belongs to, so every
 //! catalog program is instantiated with the task name spliced into its
@@ -35,6 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use farm_almanac::value::Value;
 use farm_core::prelude::*;
 use farm_faults::LossSpec;
 use farm_netsim::types::SwitchId;
@@ -158,7 +162,15 @@ enum Op {
     LinkDown(usize),
     LinkUp(usize),
     Advance(u64),
+    /// Drops the faults a churn left scheduled and advances to the next
+    /// heartbeat instant: the round there sees every seed as the
+    /// previous step left it.
+    Heartbeat,
     Checkpoint,
+    /// Imports the current export back with one variable no machine
+    /// declares added to every entry, as a checkpoint file of an older
+    /// program version would carry.
+    Import,
     Restore,
     Replan,
     Churn {
@@ -173,7 +185,7 @@ enum Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0usize..21, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
+    (0usize..24, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
         0..=2 => Op::Submit {
             task: i % 4,
             program: (x % PROGRAMS.len() as u64) as usize,
@@ -196,7 +208,9 @@ fn op() -> impl Strategy<Value = Op> {
             ms: 20 + x % 60,
         },
         19 => Op::ControlLoss((x % 2 == 0).then_some(i)),
-        _ => Op::ControlHeal((x % 2 == 0).then_some(i)),
+        20 => Op::ControlHeal((x % 2 == 0).then_some(i)),
+        21 | 22 => Op::Heartbeat,
+        _ => Op::Import,
     })
 }
 
@@ -208,6 +222,13 @@ fn fabric() -> impl Strategy<Value = (usize, usize)> {
 fn case() -> impl Strategy<Value = ((usize, usize), Vec<Op>)> {
     (fabric(), proptest::collection::vec(op(), 1..40))
 }
+
+/// The farm's heartbeat interval.
+const HEARTBEAT: Dur = Dur::from_millis(10);
+
+/// A seed's state as a capture holds it: machine, state and variables
+/// rendered, in name order.
+type Held = (String, String, Vec<(String, String)>);
 
 /// A farm under test plus the harness's own record of what was submitted.
 struct Run {
@@ -336,8 +357,25 @@ impl Run {
                 let to = self.farm.now() + Dur::from_millis(ms);
                 self.farm.advance(to);
             }
+            Op::Heartbeat => {
+                self.farm.set_fault_plan(FaultPlan::new());
+                let interval = HEARTBEAT.as_nanos();
+                let next = (self.farm.now().as_nanos() / interval + 1) * interval;
+                self.farm.advance(Time::ZERO + Dur::from_nanos(next));
+            }
             Op::Checkpoint => {
                 self.farm.checkpoint_seeds();
+            }
+            Op::Import => {
+                let entries = self
+                    .farm
+                    .export_checkpoints()
+                    .into_iter()
+                    .map(|(k, mut s)| {
+                        s.vars.push(("imported".into(), Value::Int(1)));
+                        (k, s)
+                    });
+                assert_eq!(self.farm.import_checkpoints(entries), 0);
             }
             Op::Restore => {
                 self.farm.restore_seeds();
@@ -463,6 +501,48 @@ impl Run {
         }
     }
 
+    /// Every seed live on a reachable switch, as a capture would hold it.
+    fn live_states(&self) -> BTreeMap<SeedKey, Held> {
+        let net = self.farm.network();
+        (self.farm.seed_statuses().into_iter())
+            .filter(|s| s.state != "lost" && net.is_reachable(s.switch))
+            .map(|s| {
+                let vars = self.farm.seed_vars(&s.key).expect("a live seed has vars");
+                (s.key, (s.machine, s.state, vars))
+            })
+            .collect()
+    }
+
+    /// Every row's snapshot, rendered as [`Run::live_states`] renders a
+    /// seed.
+    fn rows(&self) -> BTreeMap<SeedKey, Held> {
+        (self.farm.export_checkpoints().into_iter())
+            .map(|(k, s)| {
+                let mut vars: Vec<(String, String)> = (s.vars.iter())
+                    .map(|(n, v)| (n.clone(), v.to_string()))
+                    .collect();
+                vars.sort();
+                (k, (s.machine, s.state, vars))
+            })
+            .collect()
+    }
+
+    /// Applies [`Op::Heartbeat`]: every seed live on a reachable switch
+    /// before it has a row equal to its state then, which is the state
+    /// the round saw (the soils catch up only after it).
+    fn heartbeat(&mut self, ctx: &str) {
+        let before = self.live_states();
+        self.apply(Op::Heartbeat);
+        let rows = self.rows();
+        for (key, held) in &before {
+            assert_eq!(
+                rows.get(key),
+                Some(held),
+                "{ctx}: {key}'s row after the heartbeat"
+            );
+        }
+    }
+
     /// The event stream minus the two events that carry wall-clock time.
     fn stream(&self) -> Vec<Event> {
         self.events
@@ -514,10 +594,27 @@ fn keep_snapshots(fabric: (usize, usize), ops: &[Op]) -> Run {
     run
 }
 
+/// Every [`Op::Heartbeat`] of `ops` checked by [`Run::heartbeat`].
+fn capture_at_heartbeats(fabric: (usize, usize), ops: &[Op]) -> Run {
+    let mut run = Run::new(fabric);
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Heartbeat => run.heartbeat(&format!("step {step}")),
+            op => run.apply(op),
+        }
+    }
+    run
+}
+
 proptest! {
     #[test]
     fn invariants_hold_after_every_op((fabric, ops) in case()) {
         hold_invariants(fabric, &ops);
+    }
+
+    #[test]
+    fn a_heartbeat_leaves_every_live_seed_s_row_equal_to_a_fresh_capture((fabric, ops) in case()) {
+        capture_at_heartbeats(fabric, &ops);
     }
 
     #[test]
@@ -760,4 +857,123 @@ fn pinned_control_loss_impairs_its_own_scope() {
         Op::Advance(40),
     ]);
     assert_eq!(every, (0..5).collect());
+}
+
+/// The key of task `t0`'s first seed.
+fn first_seed_of_t0() -> SeedKey {
+    SeedKey {
+        task: "t0".into(),
+        machine: 0,
+        seed: 0,
+    }
+}
+
+/// The seed `key` as its soil runs it: soil-local id and events handled.
+fn instance(run: &Run, key: &SeedKey) -> (u64, u64) {
+    let status = run.farm.seed_status(key).expect("placed");
+    let soil = run
+        .farm
+        .soil(status.switch)
+        .expect("an up switch runs a soil");
+    let mut seeds = soil.seeds().filter(|i| i.machine_name() == status.machine);
+    let seed = seeds.next().expect("live");
+    assert!(
+        seeds.next().is_none(),
+        "one instance of {key} on its switch"
+    );
+    (seed.id.0, seed.stats().events_handled)
+}
+
+/// A switch restarted cold inside one heartbeat interval numbers its
+/// seeds from zero again. The seed recovered onto it is `SeedId(0)`
+/// like the one lost, and is brought to as many handled events as the
+/// lost one had at its last capture, in another state: a change count
+/// per soil would call the two the same and keep the old row.
+#[test]
+fn pinned_a_cold_restarted_soil_s_first_seed_is_captured_though_it_ran_as_often() {
+    let key = first_seed_of_t0();
+    let mut run = Run::new((2, 3));
+    run.apply(Op::Submit {
+        task: 0,
+        program: 0,
+    });
+    run.apply(Op::Advance(9));
+    assert_eq!(run.farm.seed_status(&key).unwrap().switch, SwitchId(0));
+    let (old_id, ran) = instance(&run, &key);
+    run.heartbeat("first capture");
+    let captured = run.rows()[&key].clone();
+    run.apply(Op::Crash(0));
+    run.apply(Op::Restart(0));
+    // Lost at this round, recovered warm onto the restarted switch.
+    run.heartbeat("loss found");
+    assert_eq!(run.recoveries_cold(), [false]);
+    assert_eq!(instance(&run, &key).0, old_id);
+    while instance(&run, &key).1 < ran {
+        run.apply(Op::Advance(1));
+    }
+    assert_eq!(instance(&run, &key).1, ran);
+    assert_ne!(run.live_states()[&key], captured);
+    run.heartbeat("after the restart");
+}
+
+/// A PCIe shed stores the seed's state from outside a capture; the
+/// seed is planted again at once, and the next heartbeat comes before
+/// it handles any event there.
+#[test]
+fn pinned_a_shed_and_replanted_seed_is_captured_at_the_next_heartbeat() {
+    let key = first_seed_of_t0();
+    let mut run = Run::new((2, 3));
+    run.apply(Op::Submit {
+        task: 0,
+        program: 1,
+    });
+    run.heartbeat("first capture");
+    run.apply(Op::Advance(3));
+    let home = run.farm.seed_status(&key).unwrap().switch;
+    run.fault(FaultKind::PcieDegrade {
+        switch: home,
+        factor: 0.01,
+    });
+    let away = run.farm.seed_status(&key).expect("replanted");
+    assert_ne!(away.switch, home);
+    assert_eq!(run.recoveries_cold(), [false]);
+    run.heartbeat("after the shed");
+}
+
+/// A restore rolls the seeds back to their rows, and nothing runs
+/// before the next heartbeat.
+#[test]
+fn pinned_a_restore_with_no_event_after_it_is_captured() {
+    let mut run = Run::new((2, 3));
+    run.apply(Op::Submit {
+        task: 0,
+        program: 0,
+    });
+    run.apply(Op::Advance(3));
+    run.apply(Op::Checkpoint);
+    let checkpointed = run.rows();
+    run.apply(Op::Advance(4));
+    assert_ne!(run.live_states(), checkpointed);
+    run.apply(Op::Restore);
+    assert_eq!(run.live_states(), checkpointed);
+    run.heartbeat("after the restore");
+}
+
+/// An import writes a row from outside a capture while its seed — a
+/// rover, which runs nothing after its deploy — sits at the stamp the
+/// row's last capture was taken at: the next heartbeat must write over
+/// the import all the same.
+#[test]
+fn pinned_an_imported_row_is_written_over_at_the_next_heartbeat() {
+    let key = first_seed_of_t0();
+    let mut run = Run::new((2, 3));
+    run.apply(Op::Submit {
+        task: 0,
+        program: 5,
+    });
+    run.heartbeat("first capture");
+    run.apply(Op::Import);
+    assert!(run.rows()[&key].2.iter().any(|(n, _)| n == "imported"));
+    run.heartbeat("after the import");
+    assert!(run.rows()[&key].2.is_empty());
 }
