@@ -21,7 +21,7 @@ impl Program {
 pub struct FunDecl {
     pub name: String,
     pub params: Vec<(Type, String)>,
-    pub(crate) ret: Option<Type>,
+    pub ret: Option<Type>,
     pub body: Vec<Action>,
     pub(crate) span: Span,
 }
@@ -74,7 +74,7 @@ pub enum Type {
 
 impl Type {
     /// Keyword spelling of the type.
-    pub(crate) fn keyword(self) -> &'static str {
+    pub fn keyword(self) -> &'static str {
         match self {
             Type::Bool => "bool",
             Type::Int => "int",
@@ -161,6 +161,15 @@ pub struct VarDecl {
 }
 
 impl VarDecl {
+    /// The declared type; `any` for a trigger variable, which the
+    /// runtime never binds as a value.
+    pub fn declared_type(&self) -> Type {
+        match self.kind {
+            DeclKind::Plain(t) => t,
+            DeclKind::Trigger(_) => Type::Any,
+        }
+    }
+
     /// The trigger type, if this is a trigger variable.
     pub fn trigger(&self) -> Option<TriggerType> {
         match self.kind {

@@ -17,12 +17,12 @@ use crate::analysis::{
     analyze_trigger, analyze_util, const_eval, resolve_placements, ConstEnv, SeedSpec,
     TriggerAnalysis, UtilAnalysis,
 };
-use crate::ast::{Machine, Program};
+use crate::ast::{Machine, Program, VarDecl};
 use crate::error::{AlmanacError, Result};
 use crate::lower::{lower, LoweredMachine};
 use crate::parser;
 use crate::typeck;
-use crate::value::Value;
+use crate::value::{fit, refusal, Value};
 
 /// Utility assumed for states without a `util` callback.
 pub(crate) const DEFAULT_UTILITY: f64 = 1.0;
@@ -108,18 +108,28 @@ pub fn compile_machine(
         .clone();
 
     // Build the constant environment: externals take precedence, then
-    // constant initializers evaluated in declaration order.
+    // constant initializers evaluated in declaration order. Each is
+    // stored as the variable's declared type takes it.
     let mut consts = ConstEnv::new();
+    let typed = |v: &VarDecl, val: Value| -> Result<Value> {
+        let ty = v.declared_type();
+        fit(val, ty).map_err(|val| {
+            AlmanacError::analysis(
+                v.span,
+                format!("{} of `{}`", refusal(&val, ty, &v.name), machine.name),
+            )
+        })
+    };
     for v in &machine.vars {
         if v.external {
             match externals.get(&v.name) {
                 Some(val) => {
-                    consts.insert(v.name.clone(), val.clone());
+                    consts.insert(v.name.clone(), typed(v, val.clone())?);
                 }
                 None => match &v.init {
                     Some(init) => {
                         let val = const_eval(init, &consts)?;
-                        consts.insert(v.name.clone(), val);
+                        consts.insert(v.name.clone(), typed(v, val)?);
                     }
                     None => {
                         return Err(AlmanacError::analysis(
@@ -136,7 +146,7 @@ pub fn compile_machine(
             if let Some(init) = &v.init {
                 // Non-constant initializers are runtime state; skip them.
                 if let Ok(val) = const_eval(init, &consts) {
-                    consts.insert(v.name.clone(), val);
+                    consts.insert(v.name.clone(), typed(v, val)?);
                 }
             }
         }
@@ -352,6 +362,40 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("no external variable"), "{err}");
+    }
+
+    #[test]
+    fn externals_are_stored_as_their_declared_types_take_them() {
+        let src = r#"
+            machine M {
+              place any;
+              external long limit = 1;
+              external float factor = 2;
+              float half = factor / 4;
+              state s { }
+            }
+        "#;
+        let topo = fabric();
+        let ctl = SdnController::new(&topo);
+        let program = frontend(src).unwrap();
+        let err = compile_machine(
+            &program,
+            "M",
+            &externals(&[("limit", Value::Str("ten".into()))]),
+            &ctl,
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "cannot store string in long `limit` of `M`");
+        // An int is widened into a `float`, the default as well as a
+        // deployment's value, before a later initialiser reads it.
+        let cm = compile_machine(&program, "M", &ConstEnv::new(), &ctl).unwrap();
+        assert_eq!(cm.consts.get("factor"), Some(&Value::Float(2.0)));
+        assert_eq!(cm.consts.get("half"), Some(&Value::Float(0.5)));
+        let ext = externals(&[("factor", Value::Int(3))]);
+        let cm = compile_machine(&program, "M", &ext, &ctl).unwrap();
+        assert_eq!(cm.consts.get("factor"), Some(&Value::Float(3.0)));
+        let slot = cm.lowered.global_slot("factor").unwrap();
+        assert_eq!(cm.lowered.init[slot], Value::Float(3.0));
     }
 
     #[test]

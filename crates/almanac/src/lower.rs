@@ -24,18 +24,12 @@
 //!   arms of their own ([`Kind::ListLen`], [`Kind::ListGet`],
 //!   [`Kind::ToFloat`]), and `stat_<field>(list_get(l, i))` is one
 //!   [`Kind::StatField`] that reads the field where the entry lies.
-//! * Arithmetic and comparisons whose operands lowering proves are ints
-//!   or floats → the typed [`Kind::Int`], [`Kind::Float`] and
-//!   [`Kind::Cmp`]. A proof is about the *runtime tag*, not the declared
-//!   type (`float x = 5` stores an int, `recv float` accepts one, and a
-//!   restored snapshot may put anything in a machine variable): literals,
-//!   builtins whose result tag is fixed, typed arithmetic over proven
-//!   operands, and locals whose every store is proven. A body is lowered
-//!   again, with the local unproven, when a store disproves one. Machine
-//!   variables, list elements and payloads are never proven; they go to
-//!   [`Kind::Binary`], which the VM runs with inline number checks before
-//!   the generic path. The VM checks the tag on the typed arms too, and
-//!   takes the generic path when it is not what lowering proved.
+//! * A variable's tag is its declared type: every store (a `return` is
+//!   one into the function's result) widens an int into a `float` and
+//!   refuses another tag, through a [`Kind::Fit`] where the value's tag is
+//!   not known. Arithmetic and comparisons on int and float tags →
+//!   [`Kind::Int`], [`Kind::Float`], [`Kind::Cmp`]; the rest →
+//!   [`Kind::Binary`], which the VM runs with inline number checks first.
 //!
 //! Each instruction carries its static abstract cost ([`Inst::cost`]):
 //! 1 per source expression node and 2 per statement, attached to an
@@ -55,18 +49,17 @@
 //! — and only when — they run.
 
 use std::collections::BTreeMap;
-use std::ptr;
 
 use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel};
 
 use crate::analysis::ConstEnv;
 use crate::ast::{
-    self, Action, BinOp, CmpOp, DeclKind, EventDecl, FilterExpr, FunDecl, Literal, Machine,
-    MsgEndpoint, Trigger, Type, UnOp, VarDecl,
+    self, Action, BinOp, CmpOp, EventDecl, FilterExpr, FunDecl, Literal, Machine, MsgEndpoint,
+    Trigger, Type, UnOp,
 };
 use crate::builtins::{builtin, Op};
-use crate::value::{ActionValue, Value};
+use crate::value::{default_of, Value};
 
 /// A machine in executable form. Immutable and shared (inside the
 /// `Arc<CompiledMachine>`) by every seed of the machine.
@@ -74,6 +67,8 @@ use crate::value::{ActionValue, Value};
 pub struct LoweredMachine {
     /// Names of the machine variables, sorted; the index is the global slot.
     pub globals: Vec<String>,
+    /// Declared type of each global slot.
+    pub types: Vec<Type>,
     /// Initial value of each global slot (deployment constants, else the
     /// type's default).
     pub init: Vec<Value>,
@@ -244,29 +239,29 @@ pub enum Kind {
         a: Src,
     },
     /// `a op b`, any operands: and/or, and arithmetic or comparison on
-    /// an operand whose tag lowering could not prove.
+    /// an operand whose tag is not a number's.
     Binary {
         op: BinOp,
         dst: Dst,
         a: Src,
         b: Src,
     },
-    /// `a op b` for `+ - * /` on operands lowering proved are ints.
+    /// `a op b` for `+ - * /` on operands tagged as ints.
     Int {
         op: BinOp,
         dst: Dst,
         a: Src,
         b: Src,
     },
-    /// `a op b` for `+ - * /` on operands lowering proved are numbers,
-    /// at least one of them a float.
+    /// `a op b` for `+ - * /` on operands tagged as numbers, at least one
+    /// of them a float.
     Float {
         op: BinOp,
         dst: Dst,
         a: Src,
         b: Src,
     },
-    /// `a c b` on operands lowering proved are numbers.
+    /// `a c b` on operands tagged as numbers.
     Cmp {
         c: CmpOp,
         dst: Dst,
@@ -392,6 +387,16 @@ pub enum Kind {
     Fail {
         message: u32,
     },
+    /// `dst = src` into the variable `name`, declared `ty`, when lowering
+    /// does not know `src` has `ty`'s tag: an int is widened into a
+    /// `float`, another tag refused. Without `dst`, `src` is an argument
+    /// read in place, only checked (`ty` is not `float`).
+    Fit {
+        dst: Option<Dst>,
+        src: Src,
+        ty: Type,
+        name: u32,
+    },
 }
 
 /// The condition of an `if` or a `while`.
@@ -409,21 +414,24 @@ pub enum Test {
 /// Lowers `machine` with the auxiliary `functions` visible to it;
 /// `consts` supplies the deployment-time initial values.
 pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv) -> LoweredMachine {
-    let init: BTreeMap<&str, Value> = machine
+    let vars: BTreeMap<&str, (Type, Value)> = machine
         .vars
         .iter()
         .filter(|v| v.trigger().is_none())
         .map(|v| {
+            let ty = v.declared_type();
             let value = consts
                 .get(&v.name)
                 .cloned()
-                .unwrap_or_else(|| default_value(v));
-            (v.name.as_str(), value)
+                .unwrap_or_else(|| default_of(ty));
+            (v.name.as_str(), (ty, value))
         })
         .collect();
-    let globals: Vec<String> = init.keys().map(|n| n.to_string()).collect();
+    let globals: Vec<String> = vars.keys().map(|n| n.to_string()).collect();
+    let (types, init): (Vec<Type>, Vec<Value>) = vars.into_values().unzip();
     let mut cx = Context {
         globals: &globals,
+        types: &types,
         machine,
         functions,
         passes: Vec::new(),
@@ -474,8 +482,9 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         .map(|(f, params)| cx.function(f, params, &mut pools))
         .collect();
     LoweredMachine {
-        init: init.into_values().collect(),
+        init,
         globals,
+        types,
         states,
         handlers,
         functions,
@@ -490,26 +499,11 @@ fn global_slot(globals: &[String], name: &str) -> Option<usize> {
     globals.binary_search_by(|g| g.as_str().cmp(name)).ok()
 }
 
-/// Value of a variable declared without (constant) initialiser.
-fn default_value(v: &VarDecl) -> Value {
-    match v.kind {
-        DeclKind::Plain(t) => match t {
-            Type::Bool => Value::Bool(false),
-            Type::Int | Type::Long => Value::Int(0),
-            Type::Float => Value::Float(0.0),
-            Type::Str => Value::Str(String::new()),
-            Type::List => Value::List(Vec::new()),
-            Type::Filter => Value::Filter(FilterFormula::True),
-            Type::Action => Value::Action(ActionValue::Count),
-            _ => Value::Unit,
-        },
-        DeclKind::Trigger(_) => Value::Unit,
-    }
-}
-
 /// What names resolve against, machine-wide.
 struct Context<'a> {
     globals: &'a [String],
+    /// Declared type of each global slot.
+    types: &'a [Type],
     machine: &'a Machine,
     functions: &'a [FunDecl],
     /// How each function takes each parameter.
@@ -525,74 +519,51 @@ struct Pools {
 
 impl<'a> Context<'a> {
     fn handler(&self, ev: &'a EventDecl, pools: &mut Pools) -> Handler {
-        let (on, name) = match &ev.trigger {
-            Trigger::Enter => (On::Enter, None),
-            Trigger::Exit => (On::Exit, None),
-            Trigger::Realloc => (On::Realloc, None),
-            Trigger::Var { name, bind } => (On::Trigger(name.clone()), bind.as_deref()),
+        // What a trigger delivers the soil decides: untyped.
+        let (on, name, ty) = match &ev.trigger {
+            Trigger::Enter => (On::Enter, None, Type::Any),
+            Trigger::Exit => (On::Exit, None, Type::Any),
+            Trigger::Realloc => (On::Realloc, None, Type::Any),
+            Trigger::Var { name, bind } => (On::Trigger(name.clone()), bind.as_deref(), Type::Any),
             Trigger::Recv { ty, bind, from } => {
                 let from = match from {
                     MsgEndpoint::Harvester => None,
                     MsgEndpoint::Machine { name, .. } => Some(name.clone()),
                 };
-                (On::Recv { ty: *ty, from }, Some(bind.as_str()))
+                (On::Recv { ty: *ty, from }, Some(bind.as_str()), *ty)
             }
         };
-        let (bind, params) = match name {
-            None => (Bind::None, Vec::new()),
-            Some(name) if self.writes(&ev.actions, name) => (Bind::Copy, vec![(name, Pass::Value)]),
-            Some(name) => (Bind::InPlace, vec![(name, Pass::InPlace)]),
+        let mut em = Emitter::new(self, pools, None);
+        let bind = match name {
+            None => Bind::None,
+            // Dispatch widens an int for a `recv float` into the copy.
+            Some(name) if ty == Type::Float || self.writes(&ev.actions, name) => {
+                em.declare_slot(name, ty);
+                Bind::Copy
+            }
+            Some(name) => {
+                em.declare_ref(name, ty);
+                Bind::InPlace
+            }
         };
         Handler {
             on,
             bind,
-            body: self.body(pools, false, &params, &ev.actions),
+            body: em.finish(&ev.actions),
         }
     }
 
     fn function(&self, f: &'a FunDecl, params: &[Pass], pools: &mut Pools) -> Function {
-        let names: Vec<(&str, Pass)> = f
-            .params
-            .iter()
-            .map(|(_, n)| n.as_str())
-            .zip(params.iter().copied())
-            .collect();
+        let mut em = Emitter::new(self, pools, Some(f));
+        for (&(ty, ref name), pass) in f.params.iter().zip(params) {
+            match pass {
+                Pass::Value => em.declare_slot(name, ty),
+                Pass::InPlace => em.declare_ref(name, ty),
+            }
+        }
         Function {
             params: params.to_vec(),
-            body: self.body(pools, true, &names, &f.body),
-        }
-    }
-
-    /// Lowers one handler or function body whose parameters (the payload
-    /// of a handler) are `params`. A local whose tag lowering proved from
-    /// its declaration but a later store disproves is unproven, and the
-    /// body lowered again: the code emitted before the store read it as
-    /// proven.
-    fn body(
-        &self,
-        pools: &mut Pools,
-        in_function: bool,
-        params: &[(&str, Pass)],
-        actions: &[Action],
-    ) -> Body {
-        let mut unproven = Vec::new();
-        loop {
-            let mark = (pools.consts.len(), pools.strings.len(), pools.args.len());
-            let mut em = Emitter::new(self, pools, in_function, &unproven);
-            for &(name, pass) in params {
-                match pass {
-                    Pass::Value => em.declare_slot(name),
-                    Pass::InPlace => em.declare_ref(name),
-                }
-            }
-            let (body, disproved) = em.finish(actions);
-            if disproved.is_empty() {
-                return body;
-            }
-            pools.consts.truncate(mark.0);
-            pools.strings.truncate(mark.1);
-            pools.args.truncate(mark.2);
-            unproven.extend(disproved);
+            body: em.finish(&f.body),
         }
     }
 
@@ -679,56 +650,18 @@ fn any_node(e: &ast::Expr, pred: &dyn Fn(&ast::Expr) -> bool) -> bool {
         }
 }
 
-/// What lowering proved about a value's runtime tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    Int,
-    Float,
-    Bool,
-    /// Not proven: anything, including a number or a bool.
-    Unknown,
+/// The tag a value declared `ty` carries, written as a type (`int` for
+/// `long` too; `any` where lowering knows nothing).
+fn tag_of(ty: Type) -> Type {
+    match ty {
+        Type::Long => Type::Int,
+        ty => ty,
+    }
 }
 
-impl Tag {
-    fn of(v: &Value) -> Tag {
-        match v {
-            Value::Int(_) => Tag::Int,
-            Value::Float(_) => Tag::Float,
-            Value::Bool(_) => Tag::Bool,
-            _ => Tag::Unknown,
-        }
-    }
-
-    fn number(self) -> bool {
-        matches!(self, Tag::Int | Tag::Float)
-    }
-
-    /// The tag of a runtime-library call's result, where the library
-    /// always returns the same one (or fails).
-    fn of_result(op: Op) -> Tag {
-        match op {
-            Op::ListLen
-            | Op::Now
-            | Op::ToInt
-            | Op::StatPort
-            | Op::StatTxBytes
-            | Op::StatRxBytes
-            | Op::StatTxPackets
-            | Op::StatRxPackets
-            | Op::PktSrcPort
-            | Op::PktDstPort
-            | Op::PktLen => Tag::Int,
-            Op::Min | Op::Max | Op::Abs | Op::Log2 | Op::ToFloat => Tag::Float,
-            Op::IsListEmpty
-            | Op::ListContains
-            | Op::PktIsSyn
-            | Op::PktIsFin
-            | Op::PktIsAck
-            | Op::FilterMatches
-            | Op::StrContains => Tag::Bool,
-            _ => Tag::Unknown,
-        }
-    }
+/// Whether a value tagged `tag` goes into a `ty` variable as it is.
+fn fits(tag: Type, ty: Type) -> bool {
+    ty == Type::Any || tag == tag_of(ty)
 }
 
 /// The statistics accessors a [`Kind::StatField`] reads.
@@ -743,24 +676,20 @@ fn stat_field(op: Op) -> bool {
 struct Emitter<'a, 'p> {
     cx: &'a Context<'a>,
     pools: &'p mut Pools,
-    in_function: bool,
+    /// The function whose body this is, `None` for a handler.
+    function: Option<&'a FunDecl>,
     /// Visible variables, innermost last: a frame slot or a reference,
-    /// and the declaration of a block-scoped local.
-    locals: Vec<(&'a str, Src, Option<&'a VarDecl>)>,
-    /// References handed out so far.
-    refs: u32,
+    /// and the declared type.
+    locals: Vec<(&'a str, Src, Type)>,
+    /// Tag of each reference handed out so far.
+    refs: Vec<Type>,
     /// Next free frame slot; slots above it are free.
     next: u32,
     /// Frame slots needed so far.
     frame: u32,
-    /// Proven tag of each frame slot: a local's for its life, a
-    /// temporary's from the instruction that writes it.
-    tags: Vec<Tag>,
-    /// Locals an earlier lowering of this body found a store that does
-    /// not hold their tag: never proven.
-    unproven: &'p [&'a VarDecl],
-    /// Locals this lowering found such a store for.
-    disproved: Vec<&'a VarDecl>,
+    /// Tag of each frame slot: a variable's for its life, a temporary's
+    /// from the instruction that writes it.
+    tags: Vec<Type>,
     code: Vec<Inst>,
     /// Cost of nodes evaluated since the last instruction was emitted; the
     /// next instruction carries it.
@@ -771,64 +700,69 @@ impl<'a, 'p> Emitter<'a, 'p> {
     fn new(
         cx: &'a Context<'a>,
         pools: &'p mut Pools,
-        in_function: bool,
-        unproven: &'p [&'a VarDecl],
+        function: Option<&'a FunDecl>,
     ) -> Emitter<'a, 'p> {
         Emitter {
             cx,
             pools,
-            in_function,
+            function,
             locals: Vec::new(),
-            refs: 0,
+            refs: Vec::new(),
             next: 0,
             frame: 0,
             tags: Vec::new(),
-            unproven,
-            disproved: Vec::new(),
             code: Vec::new(),
             pending: 0,
         }
     }
 
-    /// The body, and the locals whose proof a store disproved.
-    fn finish(mut self, actions: &'a [Action]) -> (Body, Vec<&'a VarDecl>) {
+    fn finish(mut self, actions: &'a [Action]) -> Body {
         self.block(actions);
-        self.emit(Kind::Return { value: None });
-        let body = Body {
+        let value = self.result(None);
+        self.emit(Kind::Return { value });
+        Body {
             frame: self.frame,
             code: self.code,
-        };
-        (body, self.disproved)
+        }
     }
 
-    fn declare_slot(&mut self, name: &'a str) {
+    fn declare_slot(&mut self, name: &'a str, ty: Type) {
         let slot = self.slot();
-        self.locals.push((name, Src::Local(slot), None));
+        self.tags[slot as usize] = tag_of(ty);
+        self.locals.push((name, Src::Local(slot), ty));
     }
 
-    fn declare_ref(&mut self, name: &'a str) {
-        self.locals.push((name, Src::Ref(self.refs), None));
-        self.refs += 1;
+    fn declare_ref(&mut self, name: &'a str, ty: Type) {
+        self.locals
+            .push((name, Src::Ref(self.refs.len() as u32), ty));
+        self.refs.push(tag_of(ty));
     }
 
-    /// A free frame slot, proven nothing; it stays taken until `next` is
+    /// A free frame slot, tagged `any`; it stays taken until `next` is
     /// reset below it.
     fn slot(&mut self) -> u32 {
         let slot = self.next;
         self.next += 1;
         self.frame = self.frame.max(self.next);
         self.tags
-            .resize(self.tags.len().max(self.next as usize), Tag::Unknown);
-        self.tags[slot as usize] = Tag::Unknown;
+            .resize(self.tags.len().max(self.next as usize), Type::Any);
+        self.tags[slot as usize] = Type::Any;
         slot
     }
 
-    /// What lowering proved about the value `src` reads.
-    fn tag(&self, src: Src) -> Tag {
+    /// The tag of the value `src` reads.
+    fn tag(&self, src: Src) -> Type {
         match src {
-            Src::Const(i) => Tag::of(&self.pools.consts[i as usize]),
+            Src::Const(i) => match self.pools.consts[i as usize] {
+                Value::Bool(_) => Type::Bool,
+                Value::Int(_) => Type::Int,
+                Value::Float(_) => Type::Float,
+                Value::Str(_) => Type::Str,
+                _ => Type::Any,
+            },
             Src::Local(i) | Src::Temp(i) => self.tags[i as usize],
-            Src::Global(_) | Src::Ref(_) => Tag::Unknown,
+            Src::Global(i) => tag_of(self.cx.types[i as usize]),
+            Src::Ref(i) => self.refs[i as usize],
         }
     }
 
@@ -880,44 +814,94 @@ impl<'a, 'p> Emitter<'a, 'p> {
         at as u32
     }
 
-    fn fail(&mut self, message: String) -> Tag {
+    fn fail(&mut self, message: String) {
         let message = self.string(message);
         self.emit(Kind::Fail { message });
-        Tag::Unknown
     }
 
-    /// Locals shadow machine variables, inner blocks shadow outer ones.
-    fn resolve(&self, name: &str) -> Option<Src> {
-        if let Some((_, src, _)) = self.locals.iter().rev().find(|(n, ..)| *n == name) {
-            return Some(*src);
+    /// Where `name` lives and its declared type: locals shadow machine
+    /// variables, inner blocks shadow outer ones.
+    fn resolve(&self, name: &str) -> Option<(Src, Type)> {
+        if let Some(&(_, src, ty)) = self.locals.iter().rev().find(|(n, ..)| *n == name) {
+            return Some((src, ty));
         }
-        global_slot(self.cx.globals, name).map(|i| Src::Global(i as u32))
+        let slot = global_slot(self.cx.globals, name)?;
+        Some((Src::Global(slot as u32), self.cx.types[slot]))
     }
 
-    /// Where a write to `name` goes. Payloads and parameters the body
-    /// writes live in slots, so a written name never resolves to a
-    /// reference.
-    fn resolve_dst(&self, name: &str) -> Option<Dst> {
+    /// Where a write to `name` goes, and its declared type. Payloads and
+    /// parameters the body writes live in slots, so a written name never
+    /// resolves to a reference.
+    fn resolve_dst(&self, name: &str) -> Option<(Dst, Type)> {
         match self.resolve(name)? {
-            Src::Local(i) => Some(Dst::Local(i)),
-            Src::Global(i) => Some(Dst::Global(i)),
+            (Src::Local(i), ty) => Some((Dst::Local(i), ty)),
+            (Src::Global(i), ty) => Some((Dst::Global(i), ty)),
             other => unreachable!("write to `{name}` resolved to {other:?}"),
         }
     }
 
-    /// Notes a store of a value tagged `tag` to `name`: a local proven
-    /// another tag is disproved.
-    fn stored(&mut self, name: &str, tag: Tag) {
-        let Some(&(_, Src::Local(slot), Some(decl))) =
-            self.locals.iter().rev().find(|(n, ..)| *n == name)
-        else {
-            return;
-        };
-        let proven = self.tags[slot as usize];
-        if proven != Tag::Unknown && proven != tag {
-            self.disproved.push(decl);
-            self.tags[slot as usize] = Tag::Unknown;
+    /// Whether `src` has the tag of `ty`, once an int constant bound for
+    /// a `float` is widened (no other instruction reads it).
+    fn widened(&mut self, src: Src, ty: Type) -> bool {
+        if let (Src::Const(i), Type::Float) = (src, ty) {
+            if let Value::Int(n) = self.pools.consts[i as usize] {
+                self.pools.consts[i as usize] = Value::Float(n as f64);
+            }
         }
+        fits(self.tag(src), ty)
+    }
+
+    /// `dst = src` into the variable `name` declared `ty`, through a
+    /// [`Kind::Fit`] unless `src` has `ty`'s tag.
+    fn fit(&mut self, dst: Dst, src: Src, ty: Type, name: &str) {
+        if self.widened(src, ty) {
+            self.emit(Kind::Move { dst, src });
+        } else {
+            let name = self.string(name.to_string());
+            self.emit(Kind::Fit {
+                dst: Some(dst),
+                src,
+                ty,
+                name,
+            });
+        }
+    }
+
+    /// `src` as the variable `name` declared `ty` takes it: itself, or a
+    /// new temporary (taken until the caller resets `next`) it is fitted into.
+    fn fitted(&mut self, src: Src, ty: Type, name: &str) -> Src {
+        if self.widened(src, ty) {
+            return src;
+        }
+        let slot = self.slot();
+        self.fit(Dst::Local(slot), src, ty, name);
+        self.tags[slot as usize] = tag_of(ty);
+        Src::Temp(slot)
+    }
+
+    /// Evaluates `e` into `dst`, the variable `name` declared `ty`, where it
+    /// is computed when it has `ty`'s tag, else through a [`Kind::Fit`].
+    fn store(&mut self, e: &ast::Expr, dst: Dst, ty: Type, name: &str) {
+        if fits(self.expr_tag(e), ty) {
+            return self.expr_into(e, dst);
+        }
+        let next = self.next;
+        let src = self.operand(e);
+        self.fit(dst, src, ty, name);
+        self.next = next;
+    }
+
+    /// What a `return` hands back, `e` or unit, fitted to a function's
+    /// result (named `f()`); temporaries stay taken until `next` is reset.
+    fn result(&mut self, e: Option<&ast::Expr>) -> Option<Src> {
+        let ty = self.function.and_then(|f| f.ret).unwrap_or(Type::Any);
+        let src = match e {
+            Some(e) => self.operand(e),
+            None if ty == Type::Any => return None,
+            None => Src::Const(0),
+        };
+        let name = format!("{}()", self.function.map_or("", |f| f.name.as_str()));
+        Some(self.fitted(src, ty, &name))
     }
 
     fn block(&mut self, actions: &'a [Action]) {
@@ -935,20 +919,19 @@ impl<'a, 'p> Emitter<'a, 'p> {
             Action::Local(v) => {
                 // The initialiser still sees the name's outer meaning.
                 let slot = self.slot();
-                let tag = match &v.init {
-                    Some(init) => self.expr_into(init, Dst::Local(slot)),
+                let ty = v.declared_type();
+                match &v.init {
+                    Some(init) => self.store(init, Dst::Local(slot), ty, &v.name),
                     None => {
-                        let src = self.konst(default_value(v));
+                        let src = self.konst(default_of(ty));
                         self.emit(Kind::Move {
                             dst: Dst::Local(slot),
                             src,
                         });
-                        self.tag(src)
                     }
-                };
-                let unproven = self.unproven.iter().any(|u| ptr::eq(*u, v));
-                self.tags[slot as usize] = if unproven { Tag::Unknown } else { tag };
-                self.locals.push((&v.name, Src::Local(slot), Some(v)));
+                }
+                self.tags[slot as usize] = tag_of(ty);
+                self.locals.push((&v.name, Src::Local(slot), ty));
             }
             Action::Assign {
                 target,
@@ -958,10 +941,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             } => match (field, self.resolve_dst(target)) {
                 // `p.ival = e;`: rescheduling is the soil's business.
                 (Some(_), _) => self.discard(value),
-                (None, Some(dst)) => {
-                    let tag = self.expr_into(value, dst);
-                    self.stored(target, tag);
-                }
+                (None, Some((dst, ty))) => self.store(value, dst, ty, target),
                 (None, None) => {
                     self.discard(value);
                     self.fail(format!("assignment to unknown variable `{target}`"));
@@ -969,7 +949,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             },
             Action::Transit { state, .. } => {
                 match self.cx.machine.states.iter().position(|s| s.name == *state) {
-                    Some(_) if self.in_function => {
+                    Some(_) if self.function.is_some() => {
                         self.fail("transit inside function".into());
                     }
                     Some(id) => {
@@ -1023,7 +1003,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             }
             Action::Return { value, .. } => {
                 let next = self.next;
-                let value = value.as_ref().map(|e| self.operand(e));
+                let value = self.result(value.as_ref());
                 self.emit(Kind::Return { value });
                 self.next = next;
             }
@@ -1071,38 +1051,19 @@ impl<'a, 'p> Emitter<'a, 'p> {
         Test::Cmp(*c, a, b)
     }
 
-    /// Whether `e` can only evaluate to a bool, if it evaluates at all:
-    /// by its shape, or because it names a local proven to hold one.
-    fn boolish(&self, e: &ast::Expr) -> bool {
-        match e {
-            ast::Expr::Lit(Literal::Bool(_), _) | ast::Expr::Binary(BinOp::Cmp(_), ..) => true,
-            ast::Expr::Var(name, _) => {
-                matches!(self.resolve(name), Some(src @ Src::Local(_)) if self.tag(src) == Tag::Bool)
-            }
-            ast::Expr::Unary(UnOp::Not, a, _) => self.boolish(a),
-            ast::Expr::Binary(BinOp::And | BinOp::Or, a, b, _) => {
-                self.boolish(a) && self.boolish(b)
-            }
-            ast::Expr::Call { name, .. } => {
-                !self.cx.is_function(name)
-                    && builtin(name).is_some_and(|b| b.ret == Some(Type::Bool))
-            }
-            _ => false,
-        }
-    }
-
     /// Emits the jumps an `if` takes when `cond` comes out as `sense`,
     /// falling through otherwise, and returns them for patching. `not`,
-    /// `and` and `or` over operands that can only be bools become jumps
-    /// of their own; anything else is evaluated and tested.
+    /// `and` and `or` over operands tagged as bools become jumps of their
+    /// own; anything else is evaluated and tested.
     fn jump_if(&mut self, cond: &ast::Expr, sense: bool) -> Vec<usize> {
+        let boolish = |e: &ast::Expr| self.expr_tag(e) == Type::Bool;
         match cond {
-            ast::Expr::Unary(UnOp::Not, a, _) if self.boolish(a) => {
+            ast::Expr::Unary(UnOp::Not, a, _) if boolish(a) => {
                 self.pending += 1;
                 self.jump_if(a, !sense)
             }
             ast::Expr::Binary(op @ (BinOp::And | BinOp::Or), a, b, _)
-                if self.boolish(a) && self.boolish(b) =>
+                if boolish(a) && boolish(b) =>
             {
                 self.pending += 1;
                 // The left side decides `and` when false, `or` when true.
@@ -1152,8 +1113,8 @@ impl<'a, 'p> Emitter<'a, 'p> {
             return src;
         }
         let slot = self.slot();
-        let tag = self.expr_into(e, Dst::Local(slot));
-        self.tags[slot as usize] = tag;
+        self.expr_into(e, Dst::Local(slot));
+        self.tags[slot as usize] = self.expr_tag(e);
         Src::Temp(slot)
     }
 
@@ -1204,7 +1165,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::Var(name, _) => {
                 self.pending += 1;
                 return Some(match self.resolve(name) {
-                    Some(src) => src,
+                    Some((src, _)) => src,
                     None => {
                         self.fail(format!("unknown variable `{name}`"));
                         Src::Const(0)
@@ -1223,17 +1184,61 @@ impl<'a, 'p> Emitter<'a, 'p> {
         Some(self.konst(value))
     }
 
+    /// The tag of what `e` evaluates to, if it evaluates at all: a
+    /// variable's declared type, the result type of a builtin or a
+    /// function, and what the operators make of their operands' tags.
+    fn expr_tag(&self, e: &ast::Expr) -> Type {
+        match e {
+            ast::Expr::Lit(l, _) => match l {
+                Literal::Bool(_) => Type::Bool,
+                Literal::Int(_) => Type::Int,
+                Literal::Float(_) => Type::Float,
+                Literal::Str(_) => Type::Str,
+            },
+            ast::Expr::Var(name, _) => self
+                .resolve(name)
+                .map_or(Type::Any, |(src, _)| self.tag(src)),
+            ast::Expr::Filter(..) => Type::Filter,
+            ast::Expr::Unary(op, a, _) => match (op, self.expr_tag(a)) {
+                (UnOp::Not, tag @ (Type::Bool | Type::Filter)) => tag,
+                (UnOp::Neg, tag @ (Type::Int | Type::Float)) => tag,
+                _ => Type::Any,
+            },
+            ast::Expr::Binary(op, a, b, _) => match (op, self.expr_tag(a), self.expr_tag(b)) {
+                (BinOp::Cmp(_), ..) => Type::Bool,
+                (BinOp::And | BinOp::Or, Type::Bool, Type::Bool) => Type::Bool,
+                (BinOp::And | BinOp::Or, ..) => Type::Any,
+                (_, Type::Int, Type::Int) => Type::Int,
+                (_, Type::Int | Type::Float, Type::Int | Type::Float) => Type::Float,
+                _ => Type::Any,
+            },
+            // A resource field is a float; anything else fails.
+            ast::Expr::Field(_, field, _) => {
+                ResourceKind::from_field_name(field).map_or(Type::Any, |_| Type::Float)
+            }
+            ast::Expr::StructLit { name, .. } if name == "Rule" => Type::Rule,
+            ast::Expr::StructLit { .. } => Type::Any,
+            // A builtin given the wrong number of arguments never returns.
+            ast::Expr::Call { name, .. } => {
+                let ret = match self.cx.functions.iter().find(|f| f.name == *name) {
+                    Some(f) => f.ret,
+                    None => builtin(name).and_then(|b| b.ret),
+                };
+                ret.map_or(Type::Any, tag_of)
+            }
+        }
+    }
+
     /// Evaluates `e` into `dst`, which only the last instruction writes
-    /// (and the short circuit of `and`/`or`), and returns what lowering
-    /// proved about the value stored.
-    fn expr_into(&mut self, e: &ast::Expr, dst: Dst) -> Tag {
+    /// (and the short circuit of `and`/`or`).
+    fn expr_into(&mut self, e: &ast::Expr, dst: Dst) {
         if let Some(src) = self.direct(e) {
             self.emit(Kind::Move { dst, src });
-            return self.tag(src);
+            return;
         }
         self.pending += 1;
         let next = self.next;
-        let tag = match e {
+        match e {
             ast::Expr::Filter(f, _) => {
                 let (field, arg) = match f {
                     FilterExpr::SrcIp(e) => (FilterField::SrcIp, e),
@@ -1246,7 +1251,6 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 };
                 let a = self.operand(arg);
                 self.emit(Kind::Filter { field, dst, a });
-                Tag::Unknown
             }
             ast::Expr::Unary(op, inner, _) => {
                 let a = self.operand(inner);
@@ -1254,11 +1258,6 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     UnOp::Not => Kind::Not { dst, a },
                     UnOp::Neg => Kind::Neg { dst, a },
                 });
-                match (op, self.tag(a)) {
-                    (UnOp::Not, Tag::Bool) => Tag::Bool,
-                    (UnOp::Neg, tag @ (Tag::Int | Tag::Float)) => tag,
-                    _ => Tag::Unknown,
-                }
             }
             ast::Expr::Binary(op, a, b, _) if matches!(op, BinOp::And | BinOp::Or) => {
                 let a = self.operand(a);
@@ -1273,28 +1272,19 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 self.emit(Kind::Binary { op: *op, dst, a, b });
                 let end = self.label();
                 self.patch(short, end);
-                if self.tag(a) == Tag::Bool && self.tag(b) == Tag::Bool {
-                    Tag::Bool
-                } else {
-                    Tag::Unknown
-                }
             }
             ast::Expr::Binary(op, a, b, _) => {
                 let [a, b] = self.operands([&**a, &**b]);
-                let (x, y) = (self.tag(a), self.tag(b));
-                let op = *op;
-                let (kind, tag) = match op {
+                let (x, y, op) = (self.tag(a), self.tag(b), *op);
+                let numbers = [x, y].iter().all(|t| matches!(t, Type::Int | Type::Float));
+                self.emit(match op {
                     // Numbers compare as floats, ints included.
-                    BinOp::Cmp(c) if x.number() && y.number() => {
-                        (Kind::Cmp { c, dst, a, b }, Tag::Bool)
-                    }
-                    BinOp::Cmp(_) => (Kind::Binary { op, dst, a, b }, Tag::Bool),
-                    _ if x == Tag::Int && y == Tag::Int => (Kind::Int { op, dst, a, b }, Tag::Int),
-                    _ if x.number() && y.number() => (Kind::Float { op, dst, a, b }, Tag::Float),
-                    _ => (Kind::Binary { op, dst, a, b }, Tag::Unknown),
-                };
-                self.emit(kind);
-                tag
+                    BinOp::Cmp(c) if numbers => Kind::Cmp { c, dst, a, b },
+                    BinOp::Cmp(_) => Kind::Binary { op, dst, a, b },
+                    _ if x == Type::Int && y == Type::Int => Kind::Int { op, dst, a, b },
+                    _ if numbers => Kind::Float { op, dst, a, b },
+                    _ => Kind::Binary { op, dst, a, b },
+                });
             }
             ast::Expr::Field(base, field, _) => {
                 let base = self.operand(base);
@@ -1306,11 +1296,6 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     resource,
                     name,
                 });
-                // A resource field is a float; anything else fails.
-                match resource {
-                    Some(_) => Tag::Float,
-                    None => Tag::Unknown,
-                }
             }
             ast::Expr::StructLit { fields, .. } => {
                 let (mut pattern, mut act) = (None, None);
@@ -1326,16 +1311,14 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     }
                 }
                 self.emit(Kind::Rule { dst, pattern, act });
-                Tag::Unknown
             }
             ast::Expr::Call { name, args, .. } => self.call(name, args, dst),
             ast::Expr::Lit(..) | ast::Expr::Var(..) => unreachable!("direct operands"),
-        };
+        }
         self.next = next;
-        tag
     }
 
-    fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) -> Tag {
+    fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) {
         // User functions first (the checker forbids shadowing builtins).
         if let Some(f) = self.cx.functions.iter().position(|f| f.name == name) {
             self.emit(Kind::Depth);
@@ -1353,6 +1336,22 @@ impl<'a, 'p> Emitter<'a, 'p> {
             // Only an unchecked program gets the count wrong: a missing
             // argument reads as unit, an extra one is dropped.
             srcs.resize(passes.len(), Src::Const(0));
+            // Each argument is stored into its parameter once all are
+            // evaluated.
+            let params = &self.cx.functions[f].params;
+            for ((src, &(ty, ref param)), pass) in srcs.iter_mut().zip(params).zip(passes) {
+                if *pass == Pass::InPlace && ty != Type::Float && !fits(self.tag(*src), ty) {
+                    let name = self.string(param.clone());
+                    self.emit(Kind::Fit {
+                        dst: None,
+                        src: *src,
+                        ty,
+                        name,
+                    });
+                } else {
+                    *src = self.fitted(*src, ty, param);
+                }
+            }
             let at = self.pools.args.len() as u32;
             self.pools.args.extend(srcs);
             self.emit(Kind::CallFn {
@@ -1360,7 +1359,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 dst,
                 args: at,
             });
-            return Tag::Unknown;
+            return;
         }
         let Some(b) = builtin(name) else {
             return self.fail(format!("unknown builtin `{name}`"));
@@ -1372,7 +1371,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             self.mutate(name, args);
             let unit = Src::Const(0);
             self.emit(Kind::Move { dst, src: unit });
-            return Tag::Unknown;
+            return;
         }
         if let [ast::Expr::Call {
             name: inner,
@@ -1394,7 +1393,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     list,
                     index,
                 });
-                return Tag::Int;
+                return;
             }
         }
         let (a, b_) = match args {
@@ -1416,7 +1415,6 @@ impl<'a, 'p> Emitter<'a, 'p> {
             Op::ToFloat => Kind::ToFloat { dst, a },
             op => Kind::Call { op, dst, a, b: b_ },
         });
-        Tag::of_result(b.op)
     }
 
     /// A list builtin applied to the variable it names; the call node's
@@ -1434,7 +1432,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             return;
         };
         let arg = args.get(1).map(|a| self.operand(a));
-        let Some(target) = self.resolve_dst(var) else {
+        let Some((target, _)) = self.resolve_dst(var) else {
             self.fail(format!("unknown list `{var}`"));
             return;
         };
@@ -1508,9 +1506,8 @@ mod tests {
             r#"machine M {
                  place any;
                  long x = 1;
-                 time tick = 5;
                  state s {
-                   when (tick as n) do {
+                   when (recv long n from harvester) do {
                      long x = x + n;
                      if (x > 0) then { long x = 7; x = 8; }
                      x = 9;
@@ -1522,11 +1519,11 @@ mod tests {
         let h = &lm.handlers[0];
         // The payload is never written: read in place, no frame slot.
         assert_eq!(h.bind, Bind::InPlace);
-        // The initialiser reads the machine variable and the payload and
-        // writes the new local's slot itself.
+        // The initialiser reads the machine variable and the payload, both
+        // longs, and writes the new local's slot itself.
         assert!(matches!(
             h.body.code[0].kind,
-            Kind::Binary {
+            Kind::Int {
                 dst: Dst::Local(0),
                 a: Src::Global(0),
                 b: Src::Ref(0),
@@ -1669,8 +1666,21 @@ mod tests {
             .collect()
     }
 
+    /// The [`Kind::Fit`]s of a body that store: the variable each names
+    /// and its cost.
+    fn fits(lm: &LoweredMachine, body: &Body) -> Vec<(String, u32)> {
+        (body.code.iter())
+            .filter_map(|i| match i.kind {
+                Kind::Fit {
+                    dst: Some(_), name, ..
+                } => Some((lm.strings[name as usize].clone(), i.cost)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn runtime_tags_are_proven_from_stores_not_declared_types() {
+    fn a_variable_s_tag_is_its_declared_type() {
         let lm = lowered(
             r#"machine M {
                  place any;
@@ -1680,47 +1690,85 @@ mod tests {
                  state s {
                    when (t as n) do {
                      float x = 5;
-                     out = x / 2;                 // an int: `float` coerces nothing
-                     out = x * 0.5;               // int and float
-                     out = g * 2.0;               // a machine variable: unproven
-                     out = n + 1;                 // the payload: unproven
-                     out = to_float(n) - 1;       // a builtin's fixed tag
+                     out = x / 2;                 // `x` holds 5.0
+                     out = x * 0.5;
+                     out = g * 2.0;               // a machine variable
+                     out = n + 1;                 // a trigger's payload: untyped
+                     out = to_float(n) - 1;       // a builtin's result type
                    }
+                   when (recv float v from harvester) do { out = v / 2; }
                  }
                }"#,
         );
         let code = &lm.handlers[0].body;
-        assert_eq!(arithmetic(code), ["int", "float", "any", "any", "float"]);
+        assert_eq!(
+            arithmetic(code),
+            ["float", "float", "float", "any", "float"]
+        );
+        // The int constant is widened when it is lowered; the sum of an
+        // untyped payload and an int is fitted into `out`.
+        assert!(lm.consts.contains(&Value::Float(5.0)));
+        assert!(!lm.consts.contains(&Value::Int(5)));
+        assert_eq!(fits(&lm, code), [("out".to_string(), 0)]);
+        // A `recv float` payload is copied, which dispatch widens, and is
+        // a float from there on.
+        let recv = &lm.handlers[1];
+        assert_eq!(recv.bind, Bind::Copy);
+        assert_eq!(arithmetic(&recv.body), ["float"]);
     }
 
     #[test]
-    fn a_store_that_disproves_a_local_lowers_the_body_again() {
+    fn a_store_lowering_cannot_type_is_fitted_at_no_cost() {
         let lm = lowered(
-            r#"machine M {
+            r#"fun half(float x): float { return x / 2; }
+               fun first(list xs): long { return list_get(xs, 0); }
+               machine M {
                  place any;
                  time t = 5;
+                 poll p = Poll { .ival = 1, .what = port ANY };
                  long out = 0;
+                 float f = 0.0;
                  state s {
                    when (t as n) do {
                      long k = 1;
-                     long j = 1;
                      int i = 0;
                      while (i < 3) {
-                       out = k + 1;               // k: disproved below
-                       out = j + 1;               // j: every store an int
+                       out = k + 1;
                        k = pair_first(pair(n, i));
-                       j = j * 2;
                        i = i + 1;
                      }
+                     f = half(3);
                    }
+                   when (p as stats) do { out = first(stats); }
                  }
                }"#,
         );
         let code = &lm.handlers[0].body;
-        assert_eq!(arithmetic(code), ["any", "int", "int", "int"]);
-        // The first lowering's constants were dropped with its code: unit,
-        // eight literals and the loop counter's zero.
-        assert_eq!(lm.consts.len(), 1 + 8 + 1);
+        assert_eq!(arithmetic(code), ["int", "int"]);
+        // `k` takes an `any`; `3` goes into `x` as 3.0; `stats`, a
+        // trigger's payload, is checked where `first` reads it in place.
+        assert_eq!(fits(&lm, code), [("k".to_string(), 0)]);
+        assert!(lm.consts.contains(&Value::Float(3.0)));
+        assert!(kinds(&lm.handlers[1].body).iter().any(|k| matches!(
+            k,
+            Kind::Fit {
+                dst: None,
+                src: Src::Ref(0),
+                ty: Type::List,
+                ..
+            }
+        )));
+        // A `return` is a store into the declared result, and so is
+        // running off the end of the body (unit, refused).
+        assert_eq!(arithmetic(&lm.functions[0].body), ["float"]);
+        assert_eq!(
+            fits(&lm, &lm.functions[0].body),
+            [("half()".to_string(), 0)]
+        );
+        assert_eq!(
+            fits(&lm, &lm.functions[1].body),
+            [("first()".to_string(), 0), ("first()".to_string(), 0)]
+        );
     }
 
     #[test]

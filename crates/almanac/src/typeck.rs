@@ -1121,10 +1121,13 @@ fn expected_struct(t: TriggerType) -> &'static str {
     }
 }
 
+/// The type of arithmetic on `a` and `b`: `any` when either is (an
+/// `any` operand may hold an int), else the wider number type.
 fn numeric_join(a: Type, b: Type) -> Type {
     use Type::*;
     match (a, b) {
-        (Float, _) | (_, Float) | (Any, _) | (_, Any) => Float,
+        (Any, _) | (_, Any) => Any,
+        (Float, _) | (_, Float) => Float,
         (Long, _) | (_, Long) => Long,
         _ => Int,
     }
@@ -1335,6 +1338,33 @@ mod tests {
         "#;
         let e = check_src(src).unwrap_err();
         assert!(e.message.contains("cannot assign"), "{e}");
+    }
+
+    #[test]
+    fn arithmetic_with_an_any_operand_is_any() {
+        // The sum may be an int or a float: the store check at run time,
+        // not the checker, decides whether it fits `k` or `b`.
+        let src = r#"
+            machine M {
+              place any;
+              time t = 5;
+              long k = 0;
+              float x = 0.0;
+              bool b = false;
+              state s {
+                when (t as n) do {
+                  k = pair_first(pair(n, 1)) + 1;
+                  x = pair_first(pair(n, 1)) * 2;
+                  b = pair_first(pair(n, 1));
+                }
+              }
+            }
+        "#;
+        check_src(src).unwrap();
+        // A number type still wins over another number type.
+        let e = check_src("machine M { long k; state s { when (enter) do { k = 1 + 0.5; } } }")
+            .unwrap_err();
+        assert!(e.message.contains("cannot assign float"), "{e}");
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::fmt;
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterFormula, FlowKey};
 
+use crate::ast::Type;
+
 /// A switch-local action value (the `action` Almanac type), mirroring the
 //  data-plane capabilities of the TCAM model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +152,67 @@ impl Value {
     }
 }
 
+/// Whether a variable declared `t` takes `v`: `any` takes every value, a
+/// `float` an int too (which [`fit`] widens), and every other type the
+/// values of its own tag — for `packet`, `rule`, `resources` and `stat`,
+/// which have no default value, also the unit such a variable holds
+/// before its first store. Recv dispatch, stores, `restore` and the
+/// compiler's deployment constants all ask this one question.
+#[inline]
+pub fn value_has_type(v: &Value, t: Type) -> bool {
+    matches!(
+        (t, v),
+        (Type::Any, _)
+            | (
+                Type::Packet | Type::Rule | Type::Resources | Type::Stat,
+                Value::Unit
+            )
+            | (Type::Bool, Value::Bool(_))
+            | (Type::Int | Type::Long, Value::Int(_))
+            | (Type::Float, Value::Float(_) | Value::Int(_))
+            | (Type::Str, Value::Str(_))
+            | (Type::List, Value::List(_))
+            | (Type::Packet, Value::Packet(_))
+            | (Type::Action, Value::Action(_))
+            | (Type::Filter, Value::Filter(_))
+            | (Type::Rule, Value::Rule(_))
+            | (Type::Resources, Value::Resources(_))
+            | (Type::Stat, Value::Stat(_))
+    )
+}
+
+/// What a variable declared `t` holds before its first store: unit for
+/// the types without a default value.
+pub fn default_of(t: Type) -> Value {
+    match t {
+        Type::Bool => Value::Bool(false),
+        Type::Int | Type::Long => Value::Int(0),
+        Type::Float => Value::Float(0.0),
+        Type::Str => Value::Str(String::new()),
+        Type::List => Value::List(Vec::new()),
+        Type::Filter => Value::Filter(FilterFormula::True),
+        Type::Action => Value::Action(ActionValue::Count),
+        _ => Value::Unit,
+    }
+}
+
+/// `v` as a variable declared `t` holds it: an int stored in a `float`
+/// becomes a float. A value [`value_has_type`] refuses is handed back.
+#[inline]
+pub fn fit(v: Value, t: Type) -> Result<Value, Value> {
+    match (t, v) {
+        (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
+        (t, v) if value_has_type(&v, t) => Ok(v),
+        (_, v) => Err(v),
+    }
+}
+
+/// What a store of `v` into `name`, declared `t`, that [`fit`] refuses
+/// fails with.
+pub fn refusal(v: &Value, t: Type, name: &str) -> String {
+    format!("cannot store {} in {} `{name}`", v.type_name(), t.keyword())
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -217,6 +280,21 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::Float(2.5).as_int(), None);
         assert_eq!(Value::Str("x".into()).as_f64(), None);
+    }
+
+    #[test]
+    fn a_store_widens_an_int_into_a_float_and_refuses_another_tag() {
+        assert_eq!(fit(Value::Int(7), Type::Float), Ok(Value::Float(7.0)));
+        assert_eq!(fit(Value::Int(7), Type::Long), Ok(Value::Int(7)));
+        assert_eq!(fit(Value::Float(0.5), Type::Any), Ok(Value::Float(0.5)));
+        assert_eq!(fit(Value::Unit, Type::Packet), Ok(Value::Unit));
+        let refused = fit(Value::Int(1), Type::Bool).unwrap_err();
+        assert_eq!(
+            refusal(&refused, Type::Bool, "b"),
+            "cannot store int in bool `b`"
+        );
+        assert!(!value_has_type(&Value::Float(1.0), Type::Int));
+        assert!(!value_has_type(&Value::Unit, Type::Str));
     }
 
     #[test]

@@ -19,27 +19,33 @@
 //! of port statistics copies only the elements it hands out — and reading
 //! one field of an entry (`StatField`) copies nothing. Arithmetic runs on
 //! three kinds of arm: typed int, float and compare arms for operands
-//! lowering proved the tag of, the guarded `Binary` arm for the rest,
-//! which tests ints, mixed numbers and bools inline, and — whenever an
-//! arm's operands are not what it expects, or it cannot finish (overflow,
-//! division by zero) — [`binary_op`], the compiler's constant evaluator,
-//! whose semantics and error texts are the language's. Each instruction
-//! carries its static abstract cost (1 per source expression node, 2 per
-//! statement); only the `len/4 + 1` list-scan charge is counted here. The
-//! cost is part of the simulator's observable behaviour.
+//! whose tag lowering knows (a declared variable's is its type, which
+//! every store, `recv` and [`SeedInstance::restore`] keep true: an int is
+//! widened into a `float`, any other tag refused), the guarded `Binary`
+//! arm for the rest, which tests ints, mixed numbers and bools inline,
+//! and — whenever an arm's operands are not what it expects, or it cannot
+//! finish (overflow, division by zero) — [`binary_op`], the compiler's
+//! constant evaluator, whose semantics and error texts are the
+//! language's. Each instruction carries its static abstract cost (1 per
+//! source expression node, 2 per statement); only the `len/4 + 1`
+//! list-scan charge is counted here. The cost is part of the simulator's
+//! observable behaviour.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use farm_almanac::analysis::consteval::binary_op;
-use farm_almanac::ast::{BinOp, CmpOp, Type};
+use farm_almanac::ast::{BinOp, CmpOp};
 use farm_almanac::builtins::{Op, BUILTINS};
 use farm_almanac::compile::CompiledMachine;
 use farm_almanac::lower::{
     Bind, Body, Dst, FilterField, Kind, LoweredMachine, On, Pass, Src, Test,
 };
-use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject, Value};
+use farm_almanac::value::{
+    fit, refusal, value_has_type, ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject,
+    Value,
+};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel, Prefix, Proto, SwitchId};
 
@@ -309,28 +315,37 @@ impl SeedInstance {
     /// A snapshot variable this machine does not declare is accepted and
     /// dropped: no handler could read it, and a machine upgraded to a
     /// version without the variable must still take its old checkpoints.
-    /// A declared variable missing from the snapshot keeps its value.
+    /// A declared variable missing from the snapshot keeps its value. A
+    /// value is stored as any store is: an int into a `float` is widened.
     ///
     /// # Errors
     ///
-    /// Fails if the snapshot belongs to a different machine or names an
-    /// unknown state.
+    /// Fails, writing nothing, if the snapshot belongs to a different
+    /// machine, names an unknown state or holds a value its variable's
+    /// declared type refuses.
     pub fn restore(&mut self, snap: &SeedSnapshot) -> Result<(), SeedError> {
+        let lowered = &self.def.lowered;
         if snap.machine != self.def.machine.name {
             return Err(SeedError(format!(
                 "snapshot of `{}` cannot restore into `{}`",
                 snap.machine, self.def.machine.name
             )));
         }
-        let Some(state) = self.def.lowered.state_id(&snap.state) else {
+        let Some(state) = lowered.state_id(&snap.state) else {
             return Err(SeedError(format!("unknown state `{}`", snap.state)));
         };
+        let mut vars = Vec::with_capacity(snap.vars.len());
+        for (name, value) in &snap.vars {
+            if let Some(slot) = lowered.global_slot(name) {
+                let ty = lowered.types[slot];
+                let value = fit(value.clone(), ty).map_err(|v| SeedError(refusal(&v, ty, name)))?;
+                vars.push((slot, value));
+            }
+        }
         self.stamp = fresh_stamp();
         self.state = state;
-        for (name, value) in &snap.vars {
-            if let Some(slot) = self.def.lowered.global_slot(name) {
-                self.vars[slot] = value.clone();
-            }
+        for (slot, value) in vars {
+            self.vars[slot] = value;
         }
         Ok(())
     }
@@ -396,23 +411,6 @@ fn accepts(on: &On, event: &SeedEvent) -> bool {
             },
         ) => from == from_machine && value_has_type(value, *ty),
         _ => false,
-    }
-}
-
-fn value_has_type(v: &Value, t: Type) -> bool {
-    match t {
-        Type::Any => true,
-        Type::Bool => matches!(v, Value::Bool(_)),
-        Type::Int | Type::Long => matches!(v, Value::Int(_)),
-        Type::Float => matches!(v, Value::Float(_) | Value::Int(_)),
-        Type::Str => matches!(v, Value::Str(_)),
-        Type::List => matches!(v, Value::List(_)),
-        Type::Packet => matches!(v, Value::Packet(_)),
-        Type::Action => matches!(v, Value::Action(_)),
-        Type::Filter => matches!(v, Value::Filter(_)),
-        Type::Rule => matches!(v, Value::Rule(_)),
-        Type::Resources => matches!(v, Value::Resources(_)),
-        Type::Stat => matches!(v, Value::Stat(_)),
     }
 }
 
@@ -538,7 +536,15 @@ impl<'a> Vm<'a> {
         match handler.bind {
             Bind::None => {}
             Bind::InPlace => self.refs.push(Ref::Payload),
-            Bind::Copy => self.stack[0] = self.payload.clone(),
+            // A `recv float` takes an int widened (lowering copies its
+            // payload); `accepts` checked the rest.
+            Bind::Copy => {
+                let v = self.payload.clone();
+                self.stack[0] = match handler.on {
+                    On::Recv { ty, .. } => fit(v, ty).unwrap_or_else(|v| v),
+                    _ => v,
+                };
+            }
         }
         let flow = self.run(&handler.body);
         self.stack.clear();
@@ -819,6 +825,27 @@ impl<'a> Vm<'a> {
                     self.out.effects.push(Effect::Send { to, value });
                 }
                 Kind::Fail { message } => return Err(SeedError(self.string(*message).into())),
+                Kind::Fit {
+                    dst: Some(dst),
+                    src,
+                    ty,
+                    name,
+                } => {
+                    let v = fit(self.take(*src), *ty)
+                        .map_err(|v| SeedError(refusal(&v, *ty, self.string(*name))))?;
+                    self.set(*dst, v);
+                }
+                Kind::Fit {
+                    dst: None,
+                    src,
+                    ty,
+                    name,
+                } => {
+                    let v = self.get(*src);
+                    if !value_has_type(v, *ty) {
+                        return Err(SeedError(refusal(v, *ty, self.string(*name))));
+                    }
+                }
             }
         }
     }
@@ -1571,6 +1598,49 @@ mod tests {
         // variables only, sorted by name.
         let after: Vec<String> = seed.snapshot().vars.into_iter().map(|(k, _)| k).collect();
         assert_eq!(after, declared);
+    }
+
+    fn typed_instance() -> SeedInstance {
+        let src = r#"
+            machine R {
+              place any;
+              long n = 1;
+              float f = 0.5;
+              state a { }
+              state b { }
+            }
+        "#;
+        SeedInstance::new(SeedId(8), compile(src, "R"), Resources::ZERO)
+    }
+
+    #[test]
+    fn a_refused_restore_leaves_state_and_variables_unchanged() {
+        let mut seed = typed_instance();
+        let (before, stamp) = (seed.snapshot(), seed.stamp());
+        // `f` comes first and fits; `n` does not, so nothing is written.
+        let snap = SeedSnapshot {
+            machine: "R".into(),
+            state: "b".into(),
+            vars: vec![
+                ("f".into(), Value::Float(9.0)),
+                ("n".into(), Value::Str("x".into())),
+            ],
+        };
+        let err = seed.restore(&snap).unwrap_err();
+        assert_eq!(err.0, "cannot store string in long `n`");
+        assert_eq!(seed.snapshot(), before);
+        assert_eq!(seed.state(), "a");
+        assert_eq!(seed.stamp(), stamp);
+    }
+
+    #[test]
+    fn an_int_restores_into_a_float_as_a_float() {
+        let mut seed = typed_instance();
+        let mut snap = seed.snapshot();
+        snap.vars = vec![("f".into(), Value::Int(2)), ("n".into(), Value::Int(3))];
+        seed.restore(&snap).unwrap();
+        assert_eq!(seed.var("f"), Some(&Value::Float(2.0)));
+        assert_eq!(seed.var("n"), Some(&Value::Int(3)));
     }
 
     #[test]

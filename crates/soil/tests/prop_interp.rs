@@ -5,13 +5,16 @@
 //! AST the way the interpreter used to, and for every event of a
 //! generated sequence both must produce the same effects, abstract cost,
 //! statistics, state, variables and error text — over every catalog
-//! program (all Tab. I use cases and the anomaly detectors) and the
-//! benchmark's own programs. Hand-written machines cover the scoping,
-//! limit and range corners the catalog does not reach. The older properties (HH
-//! against a Rust oracle, migration round trips, determinism) stay.
+//! program (all Tab. I use cases and the anomaly detectors), the
+//! benchmark's own programs and machines `util/gen_machine.rs` generates.
+//! Hand-written machines cover the scoping, limit and range corners the
+//! catalog does not reach. The older properties (HH against a Rust
+//! oracle, migration round trips, determinism) stay.
 
 #[path = "util/corpus.rs"]
 mod corpus;
+#[path = "util/gen_machine.rs"]
+mod gen_machine;
 #[path = "util/reference_interp.rs"]
 mod reference_interp;
 
@@ -81,9 +84,9 @@ enum Step {
     /// sides: migration in the middle of a sequence.
     Migrate,
     /// Restore, on both sides, a snapshot whose `global`-th declared
-    /// machine variable holds `value`: whatever its declared type, as a
-    /// checkpoint may. No store the VM's typed arms rely on is proven
-    /// for a machine variable, so they must meet any tag.
+    /// machine variable holds `value`, whatever its declared type, as a
+    /// checkpoint may: a wrong tag is refused, leaving the seed as it
+    /// was, or an int widened into a `float`, on both alike.
     Retag {
         global: usize,
         value: Value,
@@ -148,13 +151,15 @@ fn values() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// What a [`Step::Retag`] writes: any value of [`values`], except that
-/// a number keeps to 1..=64 (tag unchanged). A machine variable that
-/// bounds a loop (`buckets`, `groupSize`) would otherwise run that loop
-/// to its 1 000 000-iteration limit, in both interpreters, at every
-/// later poll: minutes per case, for a tag the property already has.
+/// What a [`Step::Retag`] writes: any value of [`values`], or as often
+/// an int (which a `float` takes widened), except that a number keeps
+/// to 1..=64. A machine variable that bounds a loop (`buckets`,
+/// `groupSize`) would otherwise run that loop to its 1 000 000-iteration
+/// limit, in both interpreters, at every later poll: minutes per case,
+/// for a tag the property already has.
 fn retag_values() -> impl Strategy<Value = Value> {
-    values().prop_map(|v| match v {
+    let ints = any::<i64>().prop_map(Value::Int);
+    prop_oneof![values(), ints].prop_map(|v| match v {
         Value::Int(i) => Value::Int(i.rem_euclid(64) + 1),
         Value::Float(f) => Value::Float(f.rem_euclid(64.0) + 0.5),
         other => other,
@@ -297,8 +302,8 @@ fn assert_same_behaviour(label: &str, program: &Program, machine: &str, steps: &
             if let Some((_, slot)) = snap.vars.get_mut(global % n.max(1)) {
                 *slot = value.clone();
             }
-            vm.restore(&snap).unwrap();
-            walker.restore(&snap);
+            assert_eq!(vm.restore(&snap), walker.restore(&snap), "restore at {at}");
+            assert_eq!(vm.state(), walker.state, "state at {at}");
             assert_eq!(vm.snapshot().vars, walker.sorted_vars(), "vars at {at}");
             continue;
         }
@@ -308,7 +313,7 @@ fn assert_same_behaviour(label: &str, program: &Program, machine: &str, steps: &
             vm.restore(&snap).unwrap();
             // Statistics are per instance: both sides start from zero again.
             walker = RefSeed::new(&def, &program.functions);
-            walker.restore(&snap);
+            walker.restore(&snap).unwrap();
             assert_eq!(vm.state(), walker.state, "state at {at}");
             continue;
         };
@@ -673,23 +678,29 @@ fn a_send_to_a_switch_id_outside_u32_fails_naming_it() {
 }
 
 #[test]
-fn typed_arms_follow_runtime_tags_not_declared_types() {
-    // `float x = 5` stores an int (stores do not coerce), so `x / 2` is
-    // integer division; ints compare through f64, so 2^53 + 1 == 2^53;
-    // a `recv float` handler takes an int.
+fn declared_types_hold_at_every_store() {
+    // `float x = 5` stores 5.0, so `x / 2` is 2.5; a `recv float` handler
+    // given 7 holds 7.0; a `: float` function that returns 1 returns 1.0;
+    // ints still compare through f64, so 2^53 + 1 == 2^53.
     let vm = assert_same_on(
-        r#"machine T {
+        r#"fun one(): float { return 1; }
+           fun halve(float v): float { return v / 2; }
+           machine T {
              place any;
              time t = 5;
              float half = 0.0;
+             float unit = 0.0;
              bool same = false;
              bool branched = false;
              long big = 9007199254740993;
              float got = 0.0;
+             float arg = 0.0;
              state s {
                when (t as n) do {
                  float x = 5;
                  half = x / 2;
+                 unit = one();
+                 arg = halve(n);
                  same = big == 9007199254740992;
                  if (big == 9007199254740992) then { branched = true; }
                }
@@ -697,25 +708,54 @@ fn typed_arms_follow_runtime_tags_not_declared_types() {
              }
            }"#,
         &[
-            tick("t", 1),
+            tick("t", 3),
             SeedEvent::Recv {
                 from_machine: None,
                 value: Value::Int(7),
             },
         ],
     );
-    assert_eq!(vm.var("half"), Some(&Value::Int(2)));
+    assert_eq!(vm.var("half"), Some(&Value::Float(2.5)));
+    assert_eq!(vm.var("unit"), Some(&Value::Float(1.0)));
+    assert_eq!(vm.var("arg"), Some(&Value::Float(1.5)));
     assert_eq!(vm.var("same"), Some(&Value::Bool(true)));
     assert_eq!(vm.var("branched"), Some(&Value::Bool(true)));
-    assert_eq!(vm.var("got"), Some(&Value::Int(3)));
+    assert_eq!(vm.var("got"), Some(&Value::Float(3.5)));
+}
+
+#[test]
+fn arithmetic_on_an_any_is_fitted_where_it_is_stored() {
+    // The checker types the sum `any`: an int at run time, it goes into
+    // the `long` as it is and into the `float` widened; a float sum is
+    // refused by the `long`, naming it.
+    let src = r#"
+        machine A {
+          place any;
+          time t = 5;
+          long k = 0;
+          float x = 0.0;
+          state s {
+            when (t as n) do {
+              if (n == 0) then { k = pair_first(pair(n, 1)) + 1; }
+              if (n == 1) then { x = pair_first(pair(n, 1)) + 1; }
+              if (n == 2) then { k = pair_first(pair(0.5, 1)) + 1; }
+            }
+          }
+        }"#;
+    let events: Vec<SeedEvent> = (0..=2).map(|n| tick("t", n)).collect();
+    let mut vm = assert_same_on(src, &events);
+    assert_eq!(vm.var("k"), Some(&Value::Int(1)));
+    assert_eq!(vm.var("x"), Some(&Value::Float(2.0)));
+    let err = vm.handle(&tick("t", 2), &FixedHost::default()).unwrap_err();
+    assert_eq!(err.0, "cannot store float in long `k`");
 }
 
 #[test]
 fn a_condition_on_an_int_fails_as_the_int_it_is() {
-    // `i` is proven an int, and `not i` is a `not` on an int, not a
-    // condition that is not a bool; `b` is proven a bool by its
-    // declaration until the store of an int disproves it, after which
-    // `not b` is a `not` on an int too.
+    // `i` is an int by its declaration, and `not i` is a `not` on an
+    // int, not a condition that is not a bool; `b` is a bool by its
+    // declaration, and the store of an int into it is refused. The
+    // program is unchecked, so lowering must stay total on it.
     let program = farm_almanac::parser::parse(
         r#"machine N {
              place any;
@@ -740,12 +780,13 @@ fn a_condition_on_an_int_fails_as_the_int_it_is() {
     assert_same_on_program(&program, &[tick("t", 0), tick("t", 1)]);
     let def = compile_in(&program, "N");
     let mut seed = SeedInstance::new(SeedId(1), def, Resources::ZERO);
-    for n in [0, 1] {
-        let err = seed
-            .handle(&tick("t", n), &FixedHost::default())
-            .unwrap_err();
-        assert_eq!(err.0, "`not` on int", "tick {n}");
-    }
+    let mut error = |n| {
+        seed.handle(&tick("t", n), &FixedHost::default())
+            .unwrap_err()
+            .0
+    };
+    assert_eq!(error(0), "`not` on int");
+    assert_eq!(error(1), "cannot store int in bool `b`");
 }
 
 #[test]
@@ -826,6 +867,20 @@ proptest! {
         let program = frontend(source).unwrap();
         let name = program.machines[machine % program.machines.len()].name.clone();
         assert_same_behaviour(label, &program, &name, &steps);
+    }
+}
+
+proptest! {
+    /// The same differential on a machine the generator makes from
+    /// `seed`: every declared type, nested control flow, recursion,
+    /// stat scans and `any` values stored into typed variables, over
+    /// the same generated events.
+    #[test]
+    fn vm_matches_reference_on_generated_machines(seed in any::<u64>(), steps in steps()) {
+        let source = gen_machine::machine(seed);
+        let program = frontend(&source).unwrap_or_else(|e| panic!("{e}\n{source}"));
+        let label = format!("generated machine {seed}");
+        assert_same_behaviour(&label, &program, gen_machine::MACHINE, &steps);
     }
 }
 

@@ -3,8 +3,11 @@
 //! variables, a scope stack pushed and popped per block, every read a
 //! clone — and stripped to a pure function of (compiled machine, state,
 //! variables, event, host). It changes only where the language does: an
-//! `exec_n` count beyond `u32` saturates, and a `send … to M@e` whose
-//! switch id is outside `u32` fails. `prop_interp.rs` runs it beside the
+//! `exec_n` count beyond `u32` saturates, a `send … to M@e` whose switch
+//! id is outside `u32` fails, and a value reaching a declared variable
+//! (a store, an argument, a function's result, a `recv` payload, a
+//! restored snapshot) is fitted to its type — an int widened into a
+//! `float`, another tag refused — by this file's own copy of the rule. `prop_interp.rs` runs it beside the
 //! real VM and demands equal effects, cost, statistics, state, variables
 //! and error text. Slow on purpose; never linked into the product.
 
@@ -33,6 +36,8 @@ pub struct RefSeed<'a> {
     functions: &'a [FunDecl],
     pub state: String,
     pub vars: HashMap<String, Value>,
+    /// Declared type of each machine variable.
+    types: HashMap<String, Type>,
     pub stats: SeedStats,
 }
 
@@ -41,23 +46,25 @@ impl<'a> RefSeed<'a> {
     /// program's auxiliary functions (the compiled machine keeps them
     /// only in lowered form).
     pub fn new(def: &'a CompiledMachine, functions: &'a [FunDecl]) -> RefSeed<'a> {
-        let mut vars = HashMap::new();
+        let (mut vars, mut types) = (HashMap::new(), HashMap::new());
         for v in &def.machine.vars {
-            if v.trigger().is_some() {
+            let DeclKind::Plain(ty) = v.kind else {
                 continue;
-            }
+            };
             let init = def
                 .consts
                 .get(&v.name)
                 .cloned()
                 .unwrap_or_else(|| default_value(v));
             vars.insert(v.name.clone(), init);
+            types.insert(v.name.clone(), ty);
         }
         RefSeed {
             def,
             functions,
             state: def.initial_state.clone(),
             vars,
+            types,
             stats: SeedStats::default(),
         }
     }
@@ -73,12 +80,18 @@ impl<'a> RefSeed<'a> {
         vars
     }
 
-    /// Takes over a snapshot's state and variables.
-    pub fn restore(&mut self, snap: &SeedSnapshot) {
-        self.state = snap.state.clone();
+    /// Takes over a snapshot's state and the variables it declares, or
+    /// nothing if one of them does not fit its declared type.
+    pub fn restore(&mut self, snap: &SeedSnapshot) -> Result<(), SeedError> {
+        let mut fitted = Vec::new();
         for (k, v) in &snap.vars {
-            self.vars.insert(k.clone(), v.clone());
+            if let Some(&ty) = self.types.get(k) {
+                fitted.push((k.clone(), fit(v.clone(), ty, k)?));
+            }
         }
+        self.state = snap.state.clone();
+        self.vars.extend(fitted);
+        Ok(())
     }
 
     /// Delivers an event, returning the effects and cost.
@@ -197,9 +210,12 @@ fn trigger_matches(decl: &Trigger, event: &SeedEvent) -> bool {
     }
 }
 
+/// Whether a variable declared `t` may hold `v`: `any` anything, `float`
+/// an int too, a type without a default value the unit it starts as.
 fn value_has_type(v: &Value, t: Type) -> bool {
     match t {
         Type::Any => true,
+        Type::Packet | Type::Rule | Type::Resources | Type::Stat if *v == Value::Unit => true,
         Type::Bool => matches!(v, Value::Bool(_)),
         Type::Int | Type::Long => matches!(v, Value::Int(_)),
         Type::Float => matches!(v, Value::Float(_) | Value::Int(_)),
@@ -214,22 +230,39 @@ fn value_has_type(v: &Value, t: Type) -> bool {
     }
 }
 
+/// `v` stored into `name`, declared `t`: an int widened into a `float`,
+/// a value of another tag refused.
+fn fit(v: Value, t: Type, name: &str) -> Result<Value, SeedError> {
+    match (t, v) {
+        (Type::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
+        (t, v) if value_has_type(&v, t) => Ok(v),
+        (t, v) => Err(SeedError(format!(
+            "cannot store {} in {} `{name}`",
+            v.type_name(),
+            t.keyword()
+        ))),
+    }
+}
+
 fn bind_event(decl: &Trigger, event: &SeedEvent, scope: &mut Scope) {
     match (decl, event) {
+        // A trigger's payload is untyped.
         (Trigger::Var { bind: Some(b), .. }, SeedEvent::Trigger { payload, .. }) => {
-            scope.declare(b.clone(), payload.clone());
+            scope.declare(b.clone(), payload.clone(), Type::Any);
         }
-        (Trigger::Recv { bind, .. }, SeedEvent::Recv { value, .. }) => {
-            scope.declare(bind.clone(), value.clone());
+        (Trigger::Recv { bind, ty, .. }, SeedEvent::Recv { value, .. }) => {
+            let value = fit(value.clone(), *ty, bind).expect("dispatch checked the tag");
+            scope.declare(bind.clone(), value, *ty);
         }
         _ => {}
     }
 }
 
-/// Lexical scopes for handler execution (machine vars live in the seed).
+/// Lexical scopes for handler execution (machine vars live in the seed):
+/// each variable's value and declared type.
 #[derive(Debug, Default)]
 struct Scope {
-    frames: Vec<HashMap<String, Value>>,
+    frames: Vec<HashMap<String, (Value, Type)>>,
 }
 
 impl Scope {
@@ -247,25 +280,23 @@ impl Scope {
         self.frames.pop();
     }
 
-    fn declare(&mut self, name: String, v: Value) {
+    fn declare(&mut self, name: String, v: Value, t: Type) {
         self.frames
             .last_mut()
             .expect("scope stack never empty")
-            .insert(name, v);
+            .insert(name, (v, t));
     }
 
     fn get(&self, name: &str) -> Option<&Value> {
-        self.frames.iter().rev().find_map(|f| f.get(name))
+        self.frames
+            .iter()
+            .rev()
+            .find_map(|f| f.get(name))
+            .map(|(v, _)| v)
     }
 
-    fn set(&mut self, name: &str, v: Value) -> bool {
-        for f in self.frames.iter_mut().rev() {
-            if let Some(slot) = f.get_mut(name) {
-                *slot = v;
-                return true;
-            }
-        }
-        false
+    fn get_mut(&mut self, name: &str) -> Option<&mut (Value, Type)> {
+        self.frames.iter_mut().rev().find_map(|f| f.get_mut(name))
     }
 }
 
@@ -305,10 +336,10 @@ impl Interp<'_, '_> {
             match a {
                 Action::Local(v) => {
                     let val = match &v.init {
-                        Some(e) => self.eval(e, scope)?,
+                        Some(e) => fit(self.eval(e, scope)?, v.declared_type(), &v.name)?,
                         None => default_value(v),
                     };
-                    scope.declare(v.name.clone(), val);
+                    scope.declare(v.name.clone(), val, v.declared_type());
                 }
                 Action::Assign {
                     target,
@@ -323,9 +354,11 @@ impl Interp<'_, '_> {
                         // analysis; at the VM level it is a no-op on vars.
                         continue;
                     }
-                    if !scope.set(target, val.clone()) {
+                    if let Some((slot, ty)) = scope.get_mut(target) {
+                        *slot = fit(val, *ty, target)?;
+                    } else {
                         match self.seed.vars.get_mut(target) {
-                            Some(slot) => *slot = val,
+                            Some(slot) => *slot = fit(val, self.seed.types[target], target)?,
                             None => {
                                 return Err(SeedError(format!(
                                     "assignment to unknown variable `{target}`"
@@ -556,17 +589,24 @@ impl Interp<'_, '_> {
             for a in args {
                 vals.push(self.eval(a, scope)?);
             }
+            // Each argument is stored into its parameter (a missing one
+            // is unit), then the result into the declared one.
             let mut fscope = Scope::new();
-            for ((_, pname), v) in f.params.iter().zip(vals) {
-                fscope.declare(pname.clone(), v);
+            let vals = vals.into_iter().chain(std::iter::repeat(Value::Unit));
+            for ((ty, pname), v) in f.params.iter().zip(vals) {
+                fscope.declare(pname.clone(), fit(v, *ty, pname)?, *ty);
             }
             self.depth += 1;
             let flow = self.run_block(&f.body, &mut fscope);
             self.depth -= 1;
-            return match flow? {
-                Flow::Return(v) => Ok(v),
-                Flow::Normal => Ok(Value::Unit),
-                Flow::Transit(_) => Err(SeedError("transit inside function".into())),
+            let v = match flow? {
+                Flow::Return(v) => v,
+                Flow::Normal => Value::Unit,
+                Flow::Transit(_) => return Err(SeedError("transit inside function".into())),
+            };
+            return match f.ret {
+                Some(ty) => fit(v, ty, &format!("{name}()")),
+                None => Ok(v),
             };
         }
         self.call_builtin(name, args, scope)
@@ -590,10 +630,6 @@ impl Interp<'_, '_> {
                 Some(self.eval(&args[1], scope)?)
             } else {
                 None
-            };
-            let slot = match scope.get(var_name) {
-                Some(_) => None, // mutate through scope below
-                None => Some(()),
             };
             let list_val = scope
                 .get(var_name)
@@ -625,10 +661,11 @@ impl Interp<'_, '_> {
                 _ => unreachable!(),
             }
             let updated = Value::List(items);
-            if slot.is_none() {
-                scope.set(var_name, updated);
-            } else {
-                self.seed.vars.insert(var_name.clone(), updated);
+            match scope.get_mut(var_name) {
+                Some((held, _)) => *held = updated,
+                None => {
+                    self.seed.vars.insert(var_name.clone(), updated);
+                }
             }
             return Ok(Value::Unit);
         }
