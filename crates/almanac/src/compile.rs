@@ -144,10 +144,18 @@ pub fn compile_machine(
             }
         } else if v.trigger().is_none() {
             if let Some(init) = &v.init {
-                // Non-constant initializers are runtime state; skip them.
-                if let Ok(val) = const_eval(init, &consts) {
-                    consts.insert(v.name.clone(), typed(v, val)?);
-                }
+                // A machine variable starts at its initialiser's value,
+                // so that value must be known at deployment.
+                let val = const_eval(init, &consts).map_err(|e| {
+                    AlmanacError::analysis(
+                        v.span,
+                        format!(
+                            "variable `{}` of `{}` needs a constant initialiser: {}",
+                            v.name, machine.name, e.message
+                        ),
+                    )
+                })?;
+                consts.insert(v.name.clone(), typed(v, val)?);
             }
         }
     }
@@ -338,6 +346,21 @@ mod tests {
         // (PCIe unconstrained at 0).
         let (_, u) = cm.util_of("observe").min_feasible().unwrap();
         assert_eq!(u, 0.0);
+    }
+
+    #[test]
+    fn a_machine_variable_with_a_runtime_initialiser_is_refused() {
+        let topo = fabric();
+        let ctl = SdnController::new(&topo);
+        let program =
+            frontend("machine Late { place any; long x = now() + 5; state s { } }").unwrap();
+        let err = compile_machine(&program, "Late", &ConstEnv::new(), &ctl).unwrap_err();
+        assert_eq!(err.phase, crate::error::Phase::Analysis);
+        assert!(
+            err.message
+                .contains("variable `x` of `Late` needs a constant initialiser"),
+            "{err}"
+        );
     }
 
     #[test]

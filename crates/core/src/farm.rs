@@ -34,7 +34,7 @@ use farm_soil::{
     TickReport,
 };
 use farm_telemetry::{
-    Counter, Event, EventSink, Histogram, ReplanOutcome, Telemetry, UndeployReason,
+    Counter, Event, EventSink, Gauge, Histogram, ReplanOutcome, Telemetry, UndeployReason,
 };
 
 pub(crate) use crate::error::Error;
@@ -128,6 +128,8 @@ struct FarmCounters {
     delivery_retries: Arc<Counter>,
     dead_letters: Arc<Counter>,
     recoveries: Arc<Counter>,
+    /// Seeds waiting in the recovery queue.
+    recovery_queue: Arc<Gauge>,
     /// Source-to-harvester report latency, microseconds.
     detection_latency_us: Arc<Histogram>,
     /// Seed outage duration (host lost → re-deployed), microseconds.
@@ -163,6 +165,7 @@ impl FarmCounters {
             delivery_retries: telemetry.counter("farm.delivery_retries"),
             dead_letters: telemetry.counter("farm.dead_letters"),
             recoveries: telemetry.counter("farm.recoveries"),
+            recovery_queue: telemetry.gauge("farm.recovery_queue"),
             detection_latency_us: telemetry.latency_histogram("detection.latency_us"),
             mttr_us: telemetry.latency_histogram("recovery.mttr_us"),
             replan_us: telemetry.latency_histogram("farm.replan_us"),
@@ -494,6 +497,7 @@ impl Farm {
             }
         }
         self.recovery.retain(|k, _| k.task != name);
+        self.recovery_changed();
     }
 
     /// Re-runs global placement over every registered task and executes
@@ -666,6 +670,7 @@ impl Farm {
         let (id, report) = soil.deploy(def, &key.task, alloc, now, switch)?;
         outbound.extend(take_report(&self.counters, report));
         if let Some(item) = self.recovery.remove(key) {
+            (self.counters.recovery_queue).set(self.recovery.len() as f64);
             // A stale or mismatched snapshot falls back to the cold start
             // the deploy already performed.
             let cold_start =
@@ -886,6 +891,7 @@ impl Farm {
                         },
                     );
                 }
+                self.recovery_changed();
             }
             FaultKind::PcieRestore { switch } => {
                 if let Some(sw) = self.network.switch_mut(switch) {
@@ -991,6 +997,7 @@ impl Farm {
                 next_at: at,
             },
         );
+        self.recovery_changed();
     }
 
     /// Attempts to re-place every due orphaned/shed seed through the
@@ -1045,12 +1052,18 @@ impl Farm {
                 self.recovery.remove(&key);
             }
         }
+        self.recovery_changed();
         outbound
     }
 
     /// Seeds currently waiting in the recovery queue.
     pub fn recovery_pending(&self) -> usize {
         self.recovery.len()
+    }
+
+    /// Settles the `farm.recovery_queue` gauge after the queue changed.
+    fn recovery_changed(&self) {
+        self.counters.recovery_queue.set(self.recovery.len() as f64);
     }
 
     /// Switches currently declared failed by the heartbeat detector, in

@@ -23,10 +23,8 @@ impl CtlClient {
         CtlClient::connect_as(addr, "farmctl", Duration::from_secs(10))
     }
 
-    /// Connects under a caller-chosen node name and request timeout —
-    /// the coordinator (`fedd`) and the farmd registration loop reuse
-    /// the client this way so each peer is identifiable in `Hello`
-    /// frames and audit events.
+    /// Connects under a caller-chosen node name and request timeout,
+    /// so the peer is identifiable in `Hello` frames and audit events.
     pub fn connect_as(addr: SocketAddr, node: &str, request_timeout: Duration) -> CtlClient {
         let telemetry = Telemetry::new();
         let cfg = NetConfig {

@@ -15,7 +15,10 @@ pub struct FeddConfig {
     /// A pod whose last heartbeat is older than this is marked dead:
     /// fan-outs skip it and federated stats degrade to the survivors.
     pub(crate) liveness_timeout: Duration,
-    /// Per-RPC timeout toward a pod daemon.
+    /// How long one fan-out round waits for its pods: every request of
+    /// the round is written first, and whatever has not answered when
+    /// this much has passed is given up on (never re-sent). A call to
+    /// one pod is a round of one.
     pub(crate) pod_timeout: Duration,
     /// Largest accepted Almanac submission, bytes.
     pub(crate) max_program_bytes: usize,

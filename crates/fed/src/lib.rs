@@ -15,8 +15,9 @@
 //!   into each pod's local space.
 //! * [`server`] — the daemon: farmd's skeleton (`farm_ctl::daemon`)
 //!   around a core owning the registry and one control-plane session
-//!   per pod, serving federated reads
-//!   (fan-out + merge, cursor pagination preserved), all-or-nothing
+//!   per pod, serving federated reads (every live pod asked at once,
+//!   one `pod_timeout` per round, answers merged in pod-name order,
+//!   cursor pagination preserved), all-or-nothing
 //!   split submission, and cross-pod seed migration over the existing
 //!   export/import ops, which carry version-tagged seed snapshots.
 //!

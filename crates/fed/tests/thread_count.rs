@@ -1,6 +1,6 @@
 //! Threads are what DESIGN § 10 says: a daemon adds its core thread to
-//! the process and nothing else; a federated farmd adds the
-//! registration companion beside it. Alone in its file, one test, so
+//! the process and nothing else — a federated farmd too, whose
+//! coordinator session rides its core. Alone in its file, one test, so
 //! that no other test's threads are counted with it.
 
 use std::time::{Duration, Instant};
@@ -59,11 +59,20 @@ fn a_daemon_is_its_core_thread_and_a_federated_farmd_one_more() {
         ..FarmdConfig::default()
     })
     .expect("start federated farmd");
-    assert_eq!(
-        threads(),
-        before + 3,
-        "fedd-core, farmd-core, farmd-fed-reg"
-    );
+    assert_eq!(threads(), before + 2, "fedd-core, farmd-core");
+    // Registered and beating, still on its one thread.
+    let fed = CtlClient::connect(fedd.local_addr());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pod.telemetry().snapshot().counter("fed.pod.heartbeats") < 2 {
+        assert!(Instant::now() < deadline, "the pod never beat twice");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(matches!(
+        fed.op(ControlOp::ListPods),
+        Ok(ControlReply::Pods { pods }) if pods.len() == 1 && pods[0].live
+    ));
+    assert_eq!(threads(), before + 2, "a beating pod adds none");
+    drop(fed);
     pod.stop();
     assert_eq!(settled(before + 1), before + 1, "federated farmd stopped");
     fedd.stop();

@@ -9,9 +9,9 @@
 //! id (the session survives), while a broken length prefix is a hard
 //! error because resync is impossible.
 
-use std::io;
+use std::io::{self, Read, Write};
 
-use crate::frame::{decode_body, decode_request_corr, Envelope};
+use crate::frame::{decode_body, decode_request_corr, encode_envelope, Envelope};
 use crate::wire::{frame_prefix, WireError};
 
 /// An append-at-the-back, consume-at-the-front byte buffer. Consumed
@@ -44,6 +44,26 @@ impl ByteRing {
 
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Encodes `env` at the back; returns its wire size.
+    pub(crate) fn push_envelope(&mut self, env: &Envelope) -> usize {
+        encode_envelope(env, &mut self.buf)
+    }
+
+    /// Writes the front to `dst` until it would block or the ring is
+    /// empty. False when `dst` is over (closed or failed).
+    pub(crate) fn write_to(&mut self, dst: &mut impl Write) -> bool {
+        while !self.is_empty() {
+            match dst.write(self.as_slice()) {
+                Ok(0) => return false,
+                Ok(n) => self.consume(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        true
     }
 
     /// Discards `n` bytes off the front.
@@ -96,6 +116,30 @@ impl FrameDecoder {
     /// Appends raw bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.ring.extend(bytes);
+    }
+
+    /// Reads `src` until it would block or more than `limit` bytes are
+    /// buffered. True when the stream is over (its end, or an error).
+    pub(crate) fn read_from(
+        &mut self,
+        src: &mut impl Read,
+        scratch: &mut [u8],
+        limit: usize,
+    ) -> bool {
+        loop {
+            match src.read(scratch) {
+                Ok(0) => return true,
+                Ok(n) => {
+                    self.extend(&scratch[..n]);
+                    if self.buffered() > limit {
+                        return false;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return true,
+            }
+        }
     }
 
     /// Bytes buffered but not yet peeled into frames.

@@ -28,30 +28,34 @@
 //!   decoder on any byte split; the only frame reader, on both ends of
 //!   a connection), and the `Poller` readiness abstraction (raw epoll
 //!   on Linux, `poll(2)` on other unixes).
-//! * `conn` / `server` — the runtime: a blocking [`Connection`] —
-//!   one socket and one [`FrameDecoder`] behind one mutex, no thread
-//!   and no queue of its own: request/response and one-way sends on
-//!   the caller's thread, redial on demand when the peer ended the
-//!   session; the accepting side is `reactor`'s
-//!   [`Reactor`], a value whose owner turns it and gets every frame
-//!   handed to it inline (farmd and fedd, on the thread that owns the
-//!   core), or [`NetServer`], that value plus the one thread turning it
-//!   for an owner with no loop of its own.
+//! * `link` / `conn` / `reactor` / `server` — the runtime. The client
+//!   half is one non-blocking session, waited on two ways: [`Links`],
+//!   many sessions behind one poller for a daemon core that moves them
+//!   along between its turns (the core's [`Reactor`] watches that
+//!   poller), and the blocking [`Connection`], one session behind a
+//!   mutex whose caller waits in `poll(2)` for its answer — no thread
+//!   and no queue either way, redial on demand when the peer ended the
+//!   session. The accepting side is [`Reactor`], a value whose owner
+//!   turns it and gets every frame handed to it inline (farmd and
+//!   fedd, on the thread that owns the core), or [`NetServer`], that
+//!   value plus the one thread turning it for an owner with no loop of
+//!   its own. All of it needs a unix (epoll on Linux, `poll(2)`
+//!   elsewhere).
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
 //! namespace: `net.bytes`, `net.frames_sent` / `net.frames_received`,
 //! `net.dead_letters`, `net.connects` / `net.reconnects` /
 //! `net.connect_failures`, `net.rpcs`, `net.rpc_timeouts`,
 //! `net.decode_errors`, the `net.rpc_latency_us` histogram and the
-//! `net.server_conns` gauge.
+//! `net.server_conns` and `net.reactor_utilisation` gauges.
 
 #![warn(unreachable_pub)]
 
 mod buf;
 mod conn;
 mod frame;
+mod link;
 mod poll;
-#[cfg(unix)]
 mod reactor;
 mod server;
 pub mod snapshot;
@@ -64,7 +68,7 @@ pub use frame::{
     decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, Diagnostic, Envelope,
     Frame, PodInfo, SeedDescriptor,
 };
-#[cfg(unix)]
+pub use link::{Answer, LinkId, Links};
 pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
 pub use snapshot::{decode_checkpoint, encode_checkpoint_doc, CheckpointDoc};

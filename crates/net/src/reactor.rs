@@ -38,15 +38,17 @@
 //! handled — bounded by that handler call (`tests/inline.rs`).
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
+use std::time::Instant;
 
 use farm_telemetry::{Gauge, Telemetry};
 
 use crate::buf::{ByteRing, Decoded, FrameDecoder};
-use crate::frame::{encode_envelope, Envelope, Frame};
+use crate::frame::{Envelope, Frame};
+use crate::link::Links;
 use crate::poll::{Interest, PollEvent, Poller, Token, WakeHandle, Waker};
 use crate::sock::NetCounters;
 
@@ -55,8 +57,10 @@ const OUTBUF_HIGH_WATER: usize = 4 << 20;
 
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
+/// The owner's outbound [`Links`], once [`Reactor::watch`]ed.
+const TOKEN_LINKS: Token = Token(2);
 /// Connection ids start here; `Token(id)` ↔ connection `id`.
-const CONN_BASE: u64 = 2;
+const CONN_BASE: u64 = 3;
 
 /// What a turn calls for each inbound frame.
 type Handler<'a> = dyn FnMut(&Envelope) -> Option<Frame> + 'a;
@@ -82,6 +86,8 @@ pub struct Reactor {
     conns: HashMap<u64, Conn>,
     next_id: u64,
     open_conns: Arc<Gauge>,
+    /// Share of the last turn spent after the wait: handling, not idling.
+    utilisation: Arc<Gauge>,
     events: Vec<PollEvent>,
     scratch: Vec<u8>,
 }
@@ -113,6 +119,7 @@ impl Reactor {
             conns: HashMap::new(),
             next_id: CONN_BASE,
             open_conns: telemetry.gauge("net.server_conns"),
+            utilisation: telemetry.gauge("net.reactor_utilisation"),
             events: Vec::with_capacity(256),
             scratch: vec![0u8; 64 * 1024],
         })
@@ -128,6 +135,20 @@ impl Reactor {
         self.waker.handle()
     }
 
+    /// Lets readiness of `links`' sessions end a waiting turn (on
+    /// pollers that can nest; `poll(2)` cannot). The turn does no I/O
+    /// for them: moving them along is their owner's, after the turn.
+    ///
+    /// # Errors
+    ///
+    /// The poller refused the registration.
+    pub fn watch(&mut self, links: &Links) -> io::Result<()> {
+        match links.fd() {
+            Some(fd) => self.poller.register(fd, TOKEN_LINKS, Interest::READ),
+            None => Ok(()),
+        }
+    }
+
     /// True when no connection holds output its socket has yet to take.
     pub fn flushed(&self) -> bool {
         self.conns.values().all(|c| c.out.is_empty())
@@ -137,7 +158,9 @@ impl Reactor {
     /// readiness, then accepts, reads, hands every complete frame to
     /// `handler` in arrival order, queues the answers and flushes.
     /// `Some(frame)` answers a request; `None` defers to the default
-    /// `Ack` for requests and is ignored for one-way frames.
+    /// `Ack` for requests and is ignored for one-way frames. Sets the
+    /// `net.reactor_utilisation` gauge: the time after the wait
+    /// returned over the whole turn.
     ///
     /// # Errors
     ///
@@ -148,17 +171,26 @@ impl Reactor {
         timeout_ms: i32,
         handler: &mut dyn FnMut(&Envelope) -> Option<Frame>,
     ) -> io::Result<()> {
+        let started = Instant::now();
         let mut events = std::mem::take(&mut self.events);
         events.clear();
         let waited = self.poller.wait(timeout_ms, &mut events);
+        let woke = Instant::now();
         for &ev in &events {
             match ev.token {
                 TOKEN_WAKER => self.waker.drain(),
                 TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_LINKS => {}
                 Token(id) => self.conn_ready(id, ev, handler),
             }
         }
         self.events = events;
+        let ended = Instant::now();
+        let whole = ended.duration_since(started).as_secs_f64();
+        if whole > 0.0 {
+            self.utilisation
+                .set(ended.duration_since(woke).as_secs_f64() / whole);
+        }
         waited
     }
 
@@ -247,29 +279,9 @@ impl Conn {
         scratch: &mut [u8],
         handler: &mut Handler<'_>,
     ) -> bool {
-        let mut peer_gone = false;
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.decoder.extend(&scratch[..n]);
-                    // Paced reads: oversized inflows yield to the
-                    // rest of the loop (level-triggering re-arms).
-                    if self.decoder.buffered() > OUTBUF_HIGH_WATER {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    peer_gone = true;
-                    break;
-                }
-            }
-        }
+        // Paced reads: oversized inflows yield to the rest of the loop
+        // (level-triggering re-arms).
+        let peer_gone = (self.decoder).read_from(&mut self.stream, scratch, OUTBUF_HIGH_WATER);
         loop {
             match self.decoder.next() {
                 Ok(Some(Decoded::Frame(env, nbytes))) => {
@@ -324,10 +336,7 @@ impl Conn {
     /// Encodes `env` into the output ring, accounting the send. The
     /// bytes leave on the next flush.
     fn queue(&mut self, env: &Envelope, counters: &NetCounters) {
-        let mut buf = Vec::with_capacity(64);
-        encode_envelope(env, &mut buf);
-        self.out.extend(&buf);
-        counters.bytes.add(buf.len() as u64);
+        counters.bytes.add(self.out.push_envelope(env) as u64);
         counters.frames_sent.inc();
     }
 
@@ -335,14 +344,8 @@ impl Conn {
     /// pending (partial writes keep write interest armed). Returns
     /// false when the session is over.
     fn flush(&mut self, poller: &mut Poller, token: Token) -> bool {
-        while !self.out.is_empty() {
-            match self.stream.write(self.out.as_slice()) {
-                Ok(0) => return false,
-                Ok(n) => self.out.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+        if !self.out.write_to(&mut self.stream) {
+            return false;
         }
         if self.closing && self.out.is_empty() {
             return false;

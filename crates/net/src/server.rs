@@ -7,16 +7,13 @@
 //! [`Reactor`]: crate::reactor::Reactor
 
 use std::net::SocketAddr;
-#[cfg(unix)]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-#[cfg(unix)]
 use std::thread;
 
 use farm_telemetry::Telemetry;
 
 use crate::frame::{Envelope, Frame};
-#[cfg(unix)]
 use crate::{poll::WakeHandle, reactor::Reactor};
 
 /// Server-side frame dispatch. Called once per inbound frame on the
@@ -40,64 +37,48 @@ where
 
 /// Longest wait of one turn, ms — the stop flag is rechecked at least
 /// this often even if the wake is lost.
-#[cfg(unix)]
 const POLL_TICK_MS: i32 = 50;
 
 /// A listening endpoint: one event-loop thread serves every client.
 pub struct NetServer {
     local_addr: SocketAddr,
     /// Set, then poked through the waker, to end the loop promptly.
-    #[cfg(unix)]
     stop: Arc<AtomicBool>,
-    #[cfg(unix)]
     wake: WakeHandle,
     /// The thread turning the reactor; `None` once shut down.
-    #[cfg(unix)]
     turner: Option<thread::JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port — see
     /// [`local_addr`](Self::local_addr)) and starts the event loop.
-    ///
-    /// On targets without a readiness poller (non-unix) this fails with
-    /// [`std::io::ErrorKind::Unsupported`]; the blocking client side of
-    /// the crate still works there.
     pub fn bind(
         addr: SocketAddr,
         telemetry: &Telemetry,
         handler: Arc<dyn FrameHandler>,
     ) -> std::io::Result<NetServer> {
-        #[cfg(unix)]
-        {
-            let mut reactor = Reactor::bind(addr, telemetry)?;
-            let local_addr = reactor.local_addr();
-            let wake = reactor.wake_handle()?;
-            let stop = Arc::new(AtomicBool::new(false));
-            let stopped = Arc::clone(&stop);
-            let turner = thread::Builder::new()
-                .name("farm-net-reactor".into())
-                .spawn(move || {
-                    // Dropping the reactor on the way out severs every
-                    // session, so blocked client RPCs fail fast.
-                    while !stopped.load(Ordering::Relaxed)
-                        && reactor
-                            .turn(POLL_TICK_MS, &mut |env| handler.handle(env))
-                            .is_ok()
-                    {}
-                })?;
-            Ok(NetServer {
-                local_addr,
-                stop,
-                wake,
-                turner: Some(turner),
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (addr, telemetry, handler);
-            Err(std::io::ErrorKind::Unsupported.into())
-        }
+        let mut reactor = Reactor::bind(addr, telemetry)?;
+        let local_addr = reactor.local_addr();
+        let wake = reactor.wake_handle()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let turner = thread::Builder::new()
+            .name("farm-net-reactor".into())
+            .spawn(move || {
+                // Dropping the reactor on the way out severs every
+                // session, so blocked client RPCs fail fast.
+                while !stopped.load(Ordering::Relaxed)
+                    && reactor
+                        .turn(POLL_TICK_MS, &mut |env| handler.handle(env))
+                        .is_ok()
+                {}
+            })?;
+        Ok(NetServer {
+            local_addr,
+            stop,
+            wake,
+            turner: Some(turner),
+        })
     }
 
     /// The bound address — the port actually chosen when binding :0.
@@ -107,7 +88,6 @@ impl NetServer {
 
     /// Stops the event loop, severs open sessions, joins its thread.
     pub fn shutdown(&mut self) {
-        #[cfg(unix)]
         if let Some(turner) = self.turner.take() {
             self.stop.store(true, Ordering::Relaxed);
             self.wake.wake();

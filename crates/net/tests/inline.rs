@@ -253,3 +253,32 @@ fn a_handler_that_holds_the_loop_delays_other_connections_without_loss_or_reorde
         "B's frames written during A's handler were handled after it"
     );
 }
+
+#[test]
+fn utilisation_is_the_busy_share_of_the_last_turn() {
+    let telemetry = Telemetry::new();
+    let mut reactor =
+        Reactor::bind("127.0.0.1:0".parse().expect("addr"), &telemetry).expect("bind");
+    let utilisation = || {
+        let share = telemetry.snapshot().gauge("net.reactor_utilisation");
+        let share = share.expect("set by every turn");
+        assert!((0.0..=1.0).contains(&share), "{share}");
+        share
+    };
+    // Idle: the turn is all wait.
+    reactor.turn(20, &mut |_| None).expect("turn");
+    assert!(utilisation() < 0.5, "{}", utilisation());
+    // A handler that holds the turn: it is all work.
+    let mut stream = TcpStream::connect(reactor.local_addr()).expect("dial");
+    write_request(&mut stream, 1, heartbeat(0, 0));
+    let handled = Cell::new(false);
+    let mut slow = |_: &Envelope| {
+        std::thread::sleep(Duration::from_millis(30));
+        handled.set(true);
+        None
+    };
+    turn_until(&mut reactor, &mut slow, |_| handled.get());
+    assert!(utilisation() > 0.5, "{}", utilisation());
+    reactor.turn(20, &mut |_| None).expect("turn");
+    assert!(utilisation() < 0.5, "{}", utilisation());
+}

@@ -406,6 +406,7 @@ fn delta_replans_match_full_solves_under_churn() {
     TestRunner::new(ProptestConfig::default(), site).run_cases(|rng| {
         let fabric = workload().generate(rng);
         let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
+        rng.note_inputs(&(&fabric, &events));
         churn_case(&fabric, &events, &mut reach);
     });
     assert!(reach.cascaded > 0, "no warm solve cascaded: {reach:?}");

@@ -67,12 +67,20 @@ pub fn check_c2(
 /// C4 (with C3's aggregation): per switch, plain resources sum within
 /// capacity and per-subject poll demand aggregates by max, counting the
 /// lingering source-side allocation of every migrating seed.
+///
+/// One allowance: a switch whose capacity the environment took below
+/// what its previous residents held (a degradation) cannot hold their
+/// lingering allocations either — no placement can, short of dropping
+/// every task that had a seed there. Such a switch may stand past its
+/// capacity by those lingering allocations alone: its load must not
+/// exceed the larger of its capacity and what lingers on it.
 pub fn check_capacity(
     inst: &PlacementInstance,
     assignment: &[Option<(SwitchId, Resources)>],
 ) -> Result<(), String> {
     for (n, ares) in &inst.switches {
         let mut plain = [0f64; 4];
+        let mut lingering = [0f64; 4];
         let mut polls: HashMap<&str, f64> = HashMap::new();
         let mut charge = |seed: usize, res: &Resources| {
             for k in ResourceKind::ALL {
@@ -100,6 +108,9 @@ pub fn check_capacity(
                         // Double occupancy: the old seat stays charged
                         // while state transfers.
                         charge(s, old_res);
+                        for (l, r) in lingering.iter_mut().zip(old_res.0) {
+                            *l += r;
+                        }
                     }
                 }
             }
@@ -108,7 +119,7 @@ pub fn check_capacity(
             if k == ResourceKind::PciePoll {
                 continue;
             }
-            if plain[k.index()] > ares.get(k) + EPS {
+            if plain[k.index()] > ares.get(k).max(lingering[k.index()]) + EPS {
                 return Err(format!(
                     "switch {n} over {k}: {} > {}",
                     plain[k.index()],

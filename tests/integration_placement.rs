@@ -370,11 +370,14 @@ fn a_replan_while_a_switch_is_down_keeps_every_other_pinned_seed_in_place() {
     // queue, not an abandonment, ends the story.
     let restart = FaultKind::SwitchRestart { switch: down };
     farm.set_fault_plan(FaultPlan::new().with(Time::from_millis(40), restart));
+    let queue = |farm: &Farm| farm.telemetry().snapshot().gauge("farm.recovery_queue");
     farm.advance(Time::from_millis(35));
     assert_eq!(farm.fenced_switches(), [down]);
     assert_eq!(farm.recovery_pending(), 2);
+    assert_eq!(queue(&farm), Some(2.0), "the gauge rises with the crash");
     farm.advance(Time::from_millis(120));
     assert_eq!(farm.recovery_pending(), 0);
+    assert_eq!(queue(&farm), Some(0.0), "and falls with the recovery");
     assert_eq!(residents(&farm, down, "pinned"), lost);
     assert_eq!(farm.deployed_seeds(), 2 * 8 + WATCHERS);
 }
