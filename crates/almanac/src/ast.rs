@@ -425,6 +425,21 @@ impl Action {
     }
 }
 
+/// Whether running `actions` always ends in a `return`: one of them is a
+/// `return`, or an `if` whose two branches both always return. A loop
+/// never counts, since its body may run no time at all.
+pub(crate) fn always_returns(actions: &[Action]) -> bool {
+    actions.iter().any(|a| match a {
+        Action::Return { .. } => true,
+        Action::If {
+            then_branch,
+            else_branch,
+            ..
+        } => always_returns(then_branch) && always_returns(else_branch),
+        _ => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,8 +55,8 @@ use farm_netsim::types::{FilterAtom, FilterFormula, PortSel};
 
 use crate::analysis::ConstEnv;
 use crate::ast::{
-    self, Action, BinOp, CmpOp, EventDecl, FilterExpr, FunDecl, Literal, Machine, MsgEndpoint,
-    Trigger, Type, UnOp,
+    self, always_returns, Action, BinOp, CmpOp, EventDecl, FilterExpr, FunDecl, Literal, Machine,
+    MsgEndpoint, Trigger, Type, UnOp,
 };
 use crate::builtins::{builtin, Op};
 use crate::value::{default_of, Value};
@@ -718,7 +718,13 @@ impl<'a, 'p> Emitter<'a, 'p> {
 
     fn finish(mut self, actions: &'a [Action]) -> Body {
         self.block(actions);
-        let value = self.result(None);
+        // A body that always returns never gets here; the bare `Return`
+        // only ends the code for jumps past its last arm.
+        let value = if always_returns(actions) {
+            None
+        } else {
+            self.result(None)
+        };
         self.emit(Kind::Return { value });
         Body {
             frame: self.frame,
@@ -1758,16 +1764,13 @@ mod tests {
                 ..
             }
         )));
-        // A `return` is a store into the declared result, and so is
-        // running off the end of the body (unit, refused).
+        // A `return` is a store into the declared result; a body that
+        // ends in one has no fitted fall-through after it.
         assert_eq!(arithmetic(&lm.functions[0].body), ["float"]);
-        assert_eq!(
-            fits(&lm, &lm.functions[0].body),
-            [("half()".to_string(), 0)]
-        );
+        assert_eq!(fits(&lm, &lm.functions[0].body), []);
         assert_eq!(
             fits(&lm, &lm.functions[1].body),
-            [("first()".to_string(), 0), ("first()".to_string(), 0)]
+            [("first()".to_string(), 0)]
         );
     }
 

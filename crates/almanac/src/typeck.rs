@@ -224,7 +224,18 @@ impl Checker {
             in_function: true,
             expected_return: f.ret,
         };
-        self.check_actions(&f.body, &mut env, &ctx)
+        self.check_actions(&f.body, &mut env, &ctx)?;
+        match f.ret {
+            Some(ty) if !always_returns(&f.body) => Err(AlmanacError::typeck(
+                f.span,
+                format!(
+                    "function `{}` can run off its end without returning a {}",
+                    f.name,
+                    ty.keyword()
+                ),
+            )),
+            _ => Ok(()),
+        }
     }
 
     fn check_machine(&self, m: &Machine) -> Result<()> {
@@ -1205,6 +1216,21 @@ mod tests {
         let src = "machine M { state s { when (enter) do { x = 1; } } }";
         let e = check_src(src).unwrap_err();
         assert!(e.message.contains("unknown variable"), "{e}");
+    }
+
+    #[test]
+    fn a_typed_function_that_can_run_off_its_end_is_refused() {
+        let open = "fun f(int x): int { if (x > 0) then { return 1; } }
+                    machine M { state s { when (enter) do { f(1); } } }";
+        let e = check_src(open).unwrap_err();
+        assert!(
+            e.message.contains("function `f` can run off its end"),
+            "{e}"
+        );
+        let closed = "fun f(int x): int { if (x > 0) then { return 1; } else { return 2; } }
+                      fun g(int x) { if (x > 0) then { return; } }
+                      machine M { state s { when (enter) do { g(1); f(1); } } }";
+        check_src(closed).expect("both arms return; an untyped body may run off");
     }
 
     #[test]

@@ -512,7 +512,7 @@ impl Farm {
     pub fn replan(&mut self) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
         let caps = self.live_capacities();
-        let plan = self.seeder.plan(&caps);
+        let mut plan = self.seeder.plan(&caps);
         let now = self.now;
         let mut outbound = Vec::new();
         for action in &plan.actions {
@@ -619,6 +619,7 @@ impl Farm {
         });
         let elapsed_us = started.elapsed().as_micros() as u64;
         self.counters.replan_us.record(elapsed_us);
+        plan.round_us = elapsed_us;
         if plan.delta.warm {
             if plan.delta.fallback_full {
                 self.counters.delta_fallback_full.inc();
@@ -1619,6 +1620,29 @@ pub(crate) mod tests {
         let home = rover_home.switch;
         let (_, evacuated) = farm.drain(home).unwrap();
         assert!(evacuated >= 1);
+    }
+
+    #[test]
+    fn a_plan_carries_the_samples_the_registry_took() {
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        let mut splices = 0;
+        let mut rounds = 0;
+        for name in ["a", "b", "c"] {
+            let plan = farm
+                .deploy_task(
+                    name,
+                    "machine M { place any; state s { } }",
+                    &BTreeMap::new(),
+                )
+                .unwrap();
+            splices += plan.splice_us;
+            rounds += plan.round_us;
+            assert!(plan.round_us >= plan.result.runtime.as_micros() as u64);
+        }
+        let snap = farm.telemetry().snapshot();
+        let sum = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
+        assert_eq!(sum("seeder.splice_us"), Some((3, splices)));
+        assert_eq!(sum("farm.replan_us"), Some((3, rounds)));
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub struct Plan {
     /// How much of the solve was served from the incremental solver's
     /// memo (see [`farm_placement::delta::replan_delta`]).
     pub delta: DeltaReport,
+    /// µs of catalog splices and solver-memory remaps since the last
+    /// round: the samples `seeder.splice_us` took (0 without telemetry).
+    pub splice_us: u64,
+    /// µs of the whole round, solve ([`PlacementResult::runtime`]) and
+    /// commit: the sample `farm.replan_us` took. Set by `Farm::replan`.
+    pub round_us: u64,
 }
 
 /// One placed seed: where it is, what it holds, and the name its soil
@@ -210,6 +216,8 @@ pub struct Seeder {
     /// `seeder.splice_us`: one catalog splice and the solver memory's
     /// remap, per registration or removal.
     splice_us: Option<Arc<Histogram>>,
+    /// What `splice_us` sampled since the last [`Seeder::plan`].
+    spliced_us: u64,
 }
 
 impl Seeder {
@@ -233,7 +241,9 @@ impl Seeder {
         let (map, gone) = self.catalog.splice(name, new);
         self.solver_state.remap(&map);
         if let Some(h) = &self.splice_us {
-            h.record(started.elapsed().as_micros() as u64);
+            let us = started.elapsed().as_micros() as u64;
+            h.record(us);
+            self.spliced_us += us;
         }
         gone
     }
@@ -478,6 +488,8 @@ impl Seeder {
             dropped_tasks,
             held: held_keys,
             delta: report,
+            splice_us: std::mem::take(&mut self.spliced_us),
+            round_us: 0,
         }
     }
 

@@ -5,7 +5,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use farm_ctl::CtlClient;
-use farm_net::{ControlOp, ControlReply, NetError, SeedDescriptor};
+use farm_net::{ControlOp, ControlReply, Explain, NetError, SeedDescriptor};
 use farm_telemetry::Json;
 
 const USAGE: &str = "\
@@ -15,7 +15,10 @@ USAGE:
     farmctl [--addr <addr:port>] [--fed] [--json] <command> [args]
 
 COMMANDS:
-    submit <file.alm> [--name <task>]   Compile and deploy a program
+    submit <file.alm> [--name <task>] [--explain]
+                                        Compile and deploy a program;
+                                        --explain adds where its time
+                                        went and what the solve reused
     list [--from <i>] [--limit <n>]     List deployed seeds (paged when
                                         --limit is given: farmctl keeps
                                         following next_index until done)
@@ -206,7 +209,11 @@ fn build_op(command: &str, args: &[String]) -> Result<ControlOp, String> {
                     .map(|s| s.to_string_lossy().into_owned())
                     .unwrap_or_default(),
             };
-            Ok(ControlOp::SubmitProgram { name, source })
+            if args.iter().any(|a| a == "--explain") {
+                Ok(ControlOp::ExplainSubmit { name, source })
+            } else {
+                Ok(ControlOp::SubmitProgram { name, source })
+            }
         }
         "list" => {
             let (from_index, limit) = cursor_args(args)?;
@@ -284,7 +291,34 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
             task,
             seeds,
             actions,
-        } => println!("submitted `{task}`: {seeds} seeds placed in {actions} plan actions"),
+            explain,
+        } => {
+            println!("submitted `{task}`: {seeds} seeds placed in {actions} plan actions");
+            if let Some(e) = explain {
+                let d = &e.delta;
+                println!(
+                    "explain: compile {} us, admission {} us, splice+remap {} us, \
+                     replan_delta {} us, commit {} us; {} solve: {}/{} LP switches ran, \
+                     {} reused, steps {} visited {} executed {} replayed {} cascaded, \
+                     {} pairs evaluated, {} relocated",
+                    e.compile_us,
+                    e.admission_us,
+                    e.splice_us,
+                    e.replan_delta_us,
+                    e.commit_us,
+                    if d.warm { "warm" } else { "cold" },
+                    d.frontier,
+                    d.lp_switches,
+                    d.reused,
+                    d.steps_visited,
+                    d.steps_executed,
+                    d.steps_replayed,
+                    d.steps_cascaded,
+                    d.pairs_evaluated,
+                    d.relocated,
+                );
+            }
+        }
         ControlReply::Seeds {
             seeds,
             next_index,
@@ -409,6 +443,33 @@ fn seed_json(s: &SeedDescriptor) -> Json {
         .with("alloc", s.alloc.to_vec())
 }
 
+fn explain_json(e: &Explain) -> Json {
+    let d = &e.delta;
+    let delta = Json::obj([
+        ("lp_switches", Json::from(d.lp_switches)),
+        ("frontier", Json::from(d.frontier)),
+        ("reused", Json::from(d.reused)),
+        ("fallback_full", Json::from(d.fallback_full)),
+        ("warm", Json::from(d.warm)),
+        ("steps_replayed", Json::from(d.steps_replayed)),
+        ("steps_executed", Json::from(d.steps_executed)),
+        ("steps_visited", Json::from(d.steps_visited)),
+        ("steps_cascaded", Json::from(d.steps_cascaded)),
+        ("switches_rebuilt", Json::from(d.switches_rebuilt)),
+        ("switches_read", Json::from(d.switches_read)),
+        ("pairs_evaluated", Json::from(d.pairs_evaluated)),
+        ("relocated", Json::from(d.relocated)),
+    ]);
+    Json::obj([
+        ("compile_us", Json::from(e.compile_us)),
+        ("admission_us", Json::from(e.admission_us)),
+        ("splice_us", Json::from(e.splice_us)),
+        ("replan_delta_us", Json::from(e.replan_delta_us)),
+        ("commit_us", Json::from(e.commit_us)),
+        ("delta", delta),
+    ])
+}
+
 /// `{"status": <status>}`, the first member of most replies.
 fn status(status: &str) -> Json {
     Json::obj([("status", Json::from(status))])
@@ -423,10 +484,17 @@ fn reply_json(reply: &ControlReply) -> String {
             task,
             seeds,
             actions,
-        } => status("submitted")
-            .with("task", task)
-            .with("seeds", *seeds)
-            .with("actions", *actions),
+            explain,
+        } => {
+            let doc = status("submitted")
+                .with("task", task)
+                .with("seeds", *seeds)
+                .with("actions", *actions);
+            match explain {
+                Some(e) => doc.with("explain", explain_json(e)),
+                None => doc,
+            }
+        }
         ControlReply::Seeds {
             seeds,
             next_index,

@@ -17,10 +17,10 @@ use std::time::{Duration, Instant};
 
 use farm_almanac::compile::compile_task_with_diagnostics;
 use farm_core::prelude::*;
-use farm_core::seeder::SeedKey;
+use farm_core::seeder::{Plan, SeedKey};
 use farm_net::{
     decode_checkpoint, encode_checkpoint_doc, Answer, CheckpointDoc, ControlOp, ControlReply,
-    Diagnostic, Frame, LinkId, Links, SeedDescriptor, SeedSnapshot,
+    DeltaCounts, Diagnostic, Explain, Frame, LinkId, Links, SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
@@ -334,7 +334,8 @@ impl daemon::Core for Core {
 fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
     let farm = &mut core.farm;
     match op {
-        ControlOp::SubmitProgram { name, source } => submit(core, name, source),
+        ControlOp::SubmitProgram { name, source } => submit(core, name, source, false),
+        ControlOp::ExplainSubmit { name, source } => submit(core, name, source, true),
         ControlOp::ListSeeds { from_index, limit } => list_seeds(farm, *from_index, *limit),
         ControlOp::DescribeSeed { key } => describe(farm, key),
         ControlOp::Stats { from_index, limit } => ControlReply::Json {
@@ -439,7 +440,7 @@ fn submit_with_snapshot(
     source: &str,
     seeds: &[(String, SeedSnapshot)],
 ) -> ControlReply {
-    let submitted = submit(core, name, source);
+    let submitted = submit(core, name, source, false);
     if !matches!(submitted, ControlReply::Submitted { .. }) {
         return submitted;
     }
@@ -449,8 +450,9 @@ fn submit_with_snapshot(
 }
 
 /// `SubmitProgram`: size gate → server-side compile with collected
-/// diagnostics → admission control → deploy.
-fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
+/// diagnostics → admission control → deploy. With `explain` the reply
+/// also says where the op's time went ([`explain_plan`]).
+fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlReply {
     let Core {
         farm,
         config,
@@ -480,6 +482,9 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
             ),
         };
     }
+    // The only clock reads `explain` adds: before and after the compile,
+    // and after admission.
+    let began = explain.then(Instant::now);
     let task = {
         let ctl = SdnController::new(farm.network().topology());
         let report = compile_task_with_diagnostics(name, source, &BTreeMap::new(), &ctl);
@@ -502,9 +507,11 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
             }
         }
     };
+    let compiled = began.map(|began| (began, Instant::now()));
     if let Err(reason) = admission_check(farm, &task, config.quota) {
         return ControlReply::Rejected { reason };
     }
+    let front = compiled.map(|(began, compiled)| (compiled - began, compiled.elapsed()));
     let seeds = task.num_seeds() as u64;
     match farm.deploy_compiled(task) {
         Ok(plan) => {
@@ -515,10 +522,41 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
                 task: name.to_string(),
                 seeds,
                 actions: plan.actions.len() as u64,
+                explain: front.map(|(compile, admission)| explain_plan(&plan, compile, admission)),
             }
         }
         Err(e) => ControlReply::Rejected {
             reason: e.to_string(),
+        },
+    }
+}
+
+/// A Submit's [`Explain`]: compile and admission as `submit` timed
+/// them, the rest as the plan carries it — the `seeder.splice_us` and
+/// `farm.replan_us` samples, and the solver's own runtime.
+fn explain_plan(plan: &Plan, compile: Duration, admission: Duration) -> Explain {
+    let solve_us = plan.result.runtime.as_micros() as u64;
+    let d = &plan.delta;
+    Explain {
+        compile_us: compile.as_micros() as u64,
+        admission_us: admission.as_micros() as u64,
+        splice_us: plan.splice_us,
+        replan_delta_us: solve_us,
+        commit_us: plan.round_us.saturating_sub(solve_us),
+        delta: DeltaCounts {
+            lp_switches: d.lp_switches as u64,
+            frontier: d.frontier as u64,
+            reused: d.reused as u64,
+            fallback_full: d.fallback_full,
+            warm: d.warm,
+            steps_replayed: d.steps_replayed as u64,
+            steps_executed: d.steps_executed as u64,
+            steps_visited: d.steps_visited as u64,
+            steps_cascaded: d.steps_cascaded as u64,
+            switches_rebuilt: d.switches_rebuilt as u64,
+            switches_read: d.switches_read as u64,
+            pairs_evaluated: d.pairs_evaluated as u64,
+            relocated: d.relocated as u64,
         },
     }
 }
@@ -899,10 +937,15 @@ mod tests {
             poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
             state s { util (res) { return 1; } when (p as stats) do { } } }";
         let mut core = <Core as daemon::Core>::boot(FarmdConfig::default());
-        let reply = submit(&mut core, "w1", UNPLANTABLE);
+        let reply = submit(&mut core, "w1", UNPLANTABLE, false);
         assert!(matches!(reply, ControlReply::Rejected { .. }), "{reply:?}");
         assert!(!core.farm.seeder().has_task("w1"));
-        let reply = submit(&mut core, "w1", "machine M { place any; state s { } }");
+        let reply = submit(
+            &mut core,
+            "w1",
+            "machine M { place any; state s { } }",
+            false,
+        );
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         assert!(core.programs.contains_key("w1"));
     }

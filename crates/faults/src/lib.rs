@@ -15,7 +15,8 @@
 //! - [`LossSpec`] / [`LossModel`] / [`Delivery`]: per-message
 //!   drop/duplicate/delay decisions for lossy control channels, rolled from
 //!   a deterministic stream.
-//! - `DetRng`: the dependency-free SplitMix64 generator behind both.
+//!
+//! Both draw from vendored `rand`'s `SplitMix64`, whose stream is fixed.
 //!
 //! Everything here is pure and deterministic: equal seeds and inputs yield
 //! identical schedules and decisions on every platform, so any failure found
@@ -38,7 +39,6 @@
 
 mod loss;
 mod plan;
-mod rng;
 
 pub use loss::{Delivery, LossModel, LossSpec};
 pub use plan::{ChurnProfile, FaultInjector, FaultKind, FaultPlan};

@@ -8,7 +8,7 @@
 
 use farm_netsim::time::Dur;
 
-use crate::rng::DetRng;
+use rand::{RngExt, SeedableRng, SplitMix64};
 
 /// Impairment parameters of a control channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ pub enum Delivery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LossModel {
     spec: LossSpec,
-    rng: DetRng,
+    rng: SplitMix64,
 }
 
 impl LossModel {
@@ -68,16 +68,16 @@ impl LossModel {
     pub fn new(spec: LossSpec, seed: u64) -> LossModel {
         LossModel {
             spec,
-            rng: DetRng::new(seed),
+            rng: SplitMix64::seed_from_u64(seed),
         }
     }
 
     /// Rolls the fate of one delivery attempt.
     pub fn roll(&mut self) -> Delivery {
-        if self.rng.chance(self.spec.drop) {
+        if self.rng.random_bool(self.spec.drop) {
             return Delivery::Dropped;
         }
-        let copies = if self.rng.chance(self.spec.duplicate) {
+        let copies = if self.rng.random_bool(self.spec.duplicate) {
             2
         } else {
             1

@@ -11,7 +11,7 @@ use farm_netsim::time::{Dur, Time};
 use farm_netsim::types::SwitchId;
 
 use crate::loss::LossSpec;
-use crate::rng::DetRng;
+use rand::{RngExt, SeedableRng, SplitMix64};
 
 /// One kind of injected failure (or the matching repair).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,7 +148,7 @@ impl FaultPlan {
         if switches.is_empty() || end <= start || profile.mean_gap.is_zero() {
             return plan.sorted();
         }
-        let mut rng = DetRng::new(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let total: u32 = profile.weights.iter().sum();
         if total == 0 {
             return plan.sorted();
@@ -157,20 +157,20 @@ impl FaultPlan {
         loop {
             // Exponential-ish gap: uniform in [0.5, 1.5) × mean keeps the
             // schedule aperiodic without needing a log().
-            let gap = profile.mean_gap.mul_f64(0.5 + rng.next_f64());
+            let gap = profile.mean_gap.mul_f64(0.5 + rng.random::<f64>());
             t += gap;
             if t >= end {
                 break;
             }
-            let mut pick = rng.below(total as u64) as u32;
-            let sw = switches[rng.below(switches.len() as u64) as usize];
+            let mut pick = rng.random_range(0..total);
+            let sw = switches[rng.random_range(0..switches.len())];
             if pick < profile.weights[0] {
                 plan = plan.crash_and_restart(sw, t, profile.crash_outage);
                 continue;
             }
             pick -= profile.weights[0];
             if pick < profile.weights[1] {
-                let other = switches[rng.below(switches.len() as u64) as usize];
+                let other = switches[rng.random_range(0..switches.len())];
                 if other != sw {
                     plan = plan.link_flap(sw, other, t, profile.link_outage);
                 }

@@ -126,7 +126,10 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
             }
         }
         ControlOp::ListPods => list_pods(core),
-        ControlOp::SubmitProgram { name, source } => submit(core, name, source),
+        // fedd has no phase times of its own to give yet.
+        ControlOp::SubmitProgram { name, source } | ControlOp::ExplainSubmit { name, source } => {
+            submit(core, name, source)
+        }
         ControlOp::ListSeeds { from_index, limit } => list_seeds(core, *from_index, *limit),
         ControlOp::DescribeSeed { key } => describe(core, key),
         ControlOp::Stats { from_index, limit } => stats(core, *from_index, *limit),
@@ -480,6 +483,7 @@ fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
         task: name.to_string(),
         seeds,
         actions,
+        explain: None,
     }
 }
 

@@ -9,6 +9,11 @@
 //! goes on to wait against its deadline until the response carrying its
 //! correlation id arrives. Calls from several threads take turns.
 //!
+//! A connection holds no descriptor until its first call that needs a
+//! session: only then is its [`Links`] made, and with it the epoll the
+//! call waits in. From then on it keeps that epoll, dialled or not,
+//! since it is how every later call waits.
+//!
 //! Delivery semantics: one-way frames are at-most-once (the kernel's
 //! socket buffer is the only queue; a frame that finds no session and
 //! cannot dial one is a counted dead letter); requests are
@@ -77,8 +82,9 @@ impl std::error::Error for NetError {}
 
 /// What a call changes, behind the connection's one mutex.
 struct State {
-    links: Links,
-    link: LinkId,
+    /// The session and the `Links` it waits in, made by the first call
+    /// that needs them.
+    links: Option<(Links, LinkId)>,
     closed: bool,
 }
 
@@ -89,6 +95,8 @@ pub struct Connection {
     /// One-way frames that found no session and could not dial one, or
     /// that the socket did not take.
     dead_letters: Arc<Counter>,
+    /// Where the session counts its frames and bytes once it is made.
+    telemetry: Telemetry,
     state: Mutex<State>,
 }
 
@@ -96,18 +104,26 @@ impl Connection {
     /// Opens a connection. Nothing is dialed yet: the first call that
     /// needs a session does that.
     pub fn connect(addr: SocketAddr, cfg: NetConfig, telemetry: &Telemetry) -> Connection {
-        let mut links = Links::default();
-        let link = links.open(addr, &cfg.node, telemetry);
         Connection {
             addr,
             cfg,
             dead_letters: telemetry.counter("net.dead_letters"),
+            telemetry: telemetry.clone(),
             state: Mutex::new(State {
-                links,
-                link,
+                links: None,
                 closed: false,
             }),
         }
+    }
+
+    /// The session's `Links` and its id, made on first use.
+    fn links<'s>(&self, state: &'s mut State) -> (&'s mut Links, LinkId) {
+        let (links, link) = state.links.get_or_insert_with(|| {
+            let mut links = Links::default();
+            let link = links.open(self.addr, &self.cfg.node, &self.telemetry);
+            (links, link)
+        });
+        (links, *link)
     }
 
     /// The state, unless the connection is closed. A caller that
@@ -124,8 +140,10 @@ impl Connection {
     /// the last call; the next call finds out.
     pub fn is_connected(&self) -> bool {
         self.open_state().is_ok_and(|mut state| {
-            let link = state.link;
-            state.links.session(link).is_ok_and(|(s, _)| s.held())
+            let Some((links, link)) = &mut state.links else {
+                return false;
+            };
+            links.session(*link).is_ok_and(|(s, _)| s.held())
         })
     }
 
@@ -134,9 +152,9 @@ impl Connection {
         let deadline = Instant::now() + timeout;
         loop {
             let up = self.open_state().map(|mut state| {
-                let link = state.link;
-                let dialed = state.links.session(link).is_ok_and(|(s, p)| s.ensure(p));
-                dialed && settle(&mut state.links, link, deadline)
+                let (links, link) = self.links(&mut state);
+                let dialed = links.session(link).is_ok_and(|(s, p)| s.ensure(p));
+                dialed && settle(links, link, deadline)
             });
             if up != Ok(false) || Instant::now() >= deadline {
                 return up == Ok(true);
@@ -153,8 +171,7 @@ impl Connection {
     pub fn send(&self, frame: Frame) -> Result<(), NetError> {
         let mut state = self.open_state()?;
         let deadline = Instant::now() + self.cfg.request_timeout;
-        let link = state.link;
-        let links = &mut state.links;
+        let (links, link) = self.links(&mut state);
         let sent = links.session(link).and_then(|(s, p)| s.send(frame, p));
         if sent.is_ok() && settle(links, link, deadline) {
             return Ok(());
@@ -181,8 +198,7 @@ impl Connection {
     ) -> Result<Frame, NetError> {
         let deadline = Instant::now() + timeout;
         let mut state = self.open_state()?;
-        let link = state.link;
-        let links = &mut state.links;
+        let (links, link) = self.links(&mut state);
         let corr = links.request(link, frame)?;
         let mut answers = Vec::new();
         loop {
@@ -205,7 +221,9 @@ impl Connection {
             return;
         };
         state.closed = true;
-        state.links.close(state.link);
+        if let Some((links, link)) = &mut state.links {
+            links.close(*link);
+        }
     }
 }
 

@@ -249,6 +249,10 @@ wire_enum! {
         /// Remove a deployed task and its seeds (fedd → farmd; also the
         /// rollback path when a split deployment partially fails).
         17 "remove-task" RemoveTask { task: String },
+        /// [`ControlOp::SubmitProgram`], answered with the op's phase
+        /// times and solve report ([`ControlReply::Submitted`]'s
+        /// `explain`). fedd answers it as a plain submit.
+        18 "submit-explain" ExplainSubmit { name: String, source: String },
     }
 }
 
@@ -327,6 +331,45 @@ wire_struct! {
     }
 }
 
+wire_struct! {
+    /// How much of a solve was served from the solver's memory: the
+    /// placement crate's `DeltaReport`, field for field.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct DeltaCounts {
+        pub lp_switches: u64,
+        pub frontier: u64,
+        pub reused: u64,
+        pub fallback_full: bool,
+        pub warm: bool,
+        pub steps_replayed: u64,
+        pub steps_executed: u64,
+        pub steps_visited: u64,
+        pub steps_cascaded: u64,
+        pub switches_rebuilt: u64,
+        pub switches_read: u64,
+        pub pairs_evaluated: u64,
+        pub relocated: u64,
+    }
+}
+
+wire_struct! {
+    /// Where one Submit's time went, in µs, and what its solve reused
+    /// ([`ControlOp::ExplainSubmit`]).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct Explain {
+        pub compile_us: u64,
+        pub admission_us: u64,
+        /// Catalog splice and solver-memory remap (`seeder.splice_us`).
+        pub splice_us: u64,
+        /// The solve. With `commit_us` it makes up the round that
+        /// `farm.replan_delta_us` samples.
+        pub replan_delta_us: u64,
+        /// Planting the plan's actions.
+        pub commit_us: u64,
+        pub delta: DeltaCounts,
+    }
+}
+
 wire_enum! {
     /// Answer to a [`ControlOp`], riding a [`Frame::ControlReply`].
     #[derive(Debug, Clone, PartialEq)]
@@ -338,7 +381,9 @@ wire_enum! {
             task: String,
             seeds: u64,
             /// Placement actions the deploying replan executed.
-            actions: u64,
+            actions: u64;
+            /// Present when the op was [`ControlOp::ExplainSubmit`].
+            explain: Option<Explain>,
         },
         /// ListSeeds answer: one page of the key-sorted listing. For a
         /// paginated request, `next_index` is the cursor of the next page

@@ -65,8 +65,8 @@ pub mod wire;
 pub use buf::{Decoded, FrameDecoder};
 pub use conn::{Connection, NetConfig, NetError};
 pub use frame::{
-    decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, Diagnostic, Envelope,
-    Frame, PodInfo, SeedDescriptor,
+    decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, DeltaCounts,
+    Diagnostic, Envelope, Explain, Frame, PodInfo, SeedDescriptor,
 };
 pub use link::{Answer, LinkId, Links};
 pub use reactor::Reactor;

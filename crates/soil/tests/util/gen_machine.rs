@@ -1,7 +1,8 @@
 //! A seeded generator of well-typed machines: Almanac source the checker
 //! accepts, with globals and locals of every declared type, nested
 //! `while` / `if`, user functions (recursion, typed parameters and
-//! results, a body that runs off its end), list builtins and stat scans,
+//! results; a typed body ends in a `return`, as the checker demands),
+//! list builtins and stat scans,
 //! `any` values stored into typed variables, polls over `port ANY` and
 //! `port N` (N past the switch's ports too), rules, sends and
 //! transitions. `prop_interp.rs` runs what it makes through the VM ≡
@@ -297,7 +298,7 @@ impl Gen {
                 Some(_) => self.line(1, &format!("return {call};")),
                 None => self.line(1, &format!("{call};")),
             }
-        } else if ret.is_some() && !self.one_in(6) {
+        } else if ret.is_some() {
             let value = ret.map(|ty| self.expr(ty, 2));
             self.ret(1, value);
         }

@@ -32,8 +32,10 @@ fn submit_watcher(client: &CtlClient) -> (u64, u64) {
             task,
             seeds,
             actions,
+            explain,
         } => {
             assert_eq!(task, "load_watcher");
+            assert_eq!(explain, None, "a plain submit is not explained");
             (seeds, actions)
         }
         other => panic!("submit answered {other:?}"),
@@ -248,6 +250,59 @@ fn admission_control_rejects_when_quota_exhausted() {
         other => panic!("quota submit answered {other:?}"),
     }
     assert!(list_seeds(&client).is_empty(), "nothing was deployed");
+    farmd.stop();
+}
+
+#[test]
+fn submit_explain_is_answered_only_when_asked() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let addr = farmd.local_addr().to_string();
+    let farmctl = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_farmctl"))
+            .args(["--addr", &addr])
+            .args(args)
+            .output()
+            .expect("run farmctl");
+        assert!(out.status.success(), "farmctl {args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let program = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/load_watcher.alm"
+    );
+
+    let plain = farmctl(&["submit", program, "--name", "plain"]);
+    assert_eq!(plain.lines().count(), 1, "{plain}");
+    let plain = farmctl(&["--json", "submit", program, "--name", "plain_json"]);
+    assert!(!plain.contains("explain"), "{plain}");
+
+    let explained = farmctl(&["submit", program, "--name", "explained", "--explain"]);
+    let lines: Vec<&str> = explained.lines().collect();
+    assert_eq!(lines.len(), 2, "{explained}");
+    assert!(lines[1].starts_with("explain: compile "), "{explained}");
+    assert!(lines[1].contains("warm solve"), "{explained}");
+    let explained = farmctl(&["--json", "submit", program, "--name", "x_json", "--explain"]);
+    assert!(
+        explained.contains("\"explain\":{\"compile_us\":"),
+        "{explained}"
+    );
+
+    // The report is the plan's own: the solve is warm after the
+    // submits above, and it visited the new task's step.
+    let client = CtlClient::connect(farmd.local_addr());
+    let op = ControlOp::ExplainSubmit {
+        name: "direct".into(),
+        source: WATCHER.into(),
+    };
+    match client.op(op).expect("submit rpc") {
+        ControlReply::Submitted {
+            explain: Some(e), ..
+        } => {
+            assert!(e.delta.warm, "{e:?}");
+            assert!(e.delta.steps_visited >= 1, "{e:?}");
+        }
+        other => panic!("explained submit answered {other:?}"),
+    }
     farmd.stop();
 }
 

@@ -14,8 +14,8 @@ use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatS
 use farm_net::wire::WireError;
 use farm_net::{
     decode_body, decode_checkpoint, decode_envelope, encode_checkpoint_doc, encode_envelope,
-    CheckpointDoc, ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder,
-    PodInfo, SeedDescriptor, PROTOCOL_VERSION,
+    CheckpointDoc, ControlOp, ControlReply, Decoded, DeltaCounts, Diagnostic, Envelope, Explain,
+    Frame, FrameDecoder, PodInfo, SeedDescriptor, PROTOCOL_VERSION,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -193,6 +193,8 @@ fn control_op_strategy() -> BoxedStrategy<ControlOp> {
     prop_oneof![
         ("[a-z]{1,8}", "[ -~]{0,48}")
             .prop_map(|(name, source)| ControlOp::SubmitProgram { name, source }),
+        ("[a-z]{1,8}", "[ -~]{0,48}")
+            .prop_map(|(name, source)| ControlOp::ExplainSubmit { name, source }),
         cursor_strategy()
             .prop_map(|(from_index, limit)| ControlOp::ListSeeds { from_index, limit }),
         "[a-z/0-9]{1,16}".prop_map(|key| ControlOp::DescribeSeed { key }),
@@ -302,16 +304,49 @@ fn diagnostic_strategy() -> BoxedStrategy<Diagnostic> {
         .boxed()
 }
 
+/// A Submit's explanation, or none (the reply without its extension).
+fn explain_strategy() -> BoxedStrategy<Option<Explain>> {
+    prop_oneof![
+        Just(None),
+        (vec(any::<u64>(), 16), any::<bool>(), any::<bool>()).prop_map(
+            |(n, fallback_full, warm)| Some(Explain {
+                compile_us: n[0],
+                admission_us: n[1],
+                splice_us: n[2],
+                replan_delta_us: n[3],
+                commit_us: n[4],
+                delta: DeltaCounts {
+                    lp_switches: n[5],
+                    frontier: n[6],
+                    reused: n[7],
+                    fallback_full,
+                    warm,
+                    steps_replayed: n[8],
+                    steps_executed: n[9],
+                    steps_visited: n[10],
+                    steps_cascaded: n[11],
+                    switches_rebuilt: n[12],
+                    switches_read: n[13],
+                    pairs_evaluated: n[14],
+                    relocated: n[15],
+                },
+            })
+        ),
+    ]
+    .boxed()
+}
+
 fn control_reply_strategy() -> BoxedStrategy<ControlReply> {
     prop_oneof![
         Just(ControlReply::Ok),
-        ("[a-z]{1,8}", any::<u64>(), any::<u64>()).prop_map(|(task, seeds, actions)| {
-            ControlReply::Submitted {
+        ("[a-z]{1,8}", any::<u64>(), any::<u64>(), explain_strategy()).prop_map(
+            |(task, seeds, actions, explain)| ControlReply::Submitted {
                 task,
                 seeds,
                 actions,
+                explain,
             }
-        }),
+        ),
         (vec(seed_descriptor_strategy(), 0..4), cursor_strategy()).prop_map(
             |(seeds, (next_index, total))| ControlReply::Seeds {
                 seeds,
