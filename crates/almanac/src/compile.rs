@@ -502,4 +502,100 @@ mod tests {
             Some(DEFAULT_UTILITY)
         );
     }
+
+    /// A one-machine task whose `util` returns `expr`, with `body` as
+    /// the statements of its `enter` handler.
+    fn nested(expr: &str, body: &str) -> String {
+        format!(
+            "machine M {{ place any; poll p = Poll {{ .ival = 10, .what = port ANY }};
+               state s {{ util (res) {{ return {expr}; }}
+                 when (enter) do {{ {body} }} }} }}"
+        )
+    }
+
+    #[test]
+    fn every_shape_of_nesting_stops_at_the_limit_and_compiles_below_it() {
+        use crate::error::Phase;
+        use crate::parser::MAX_NESTING;
+        // Each shape nested `n` deep, each step of it the given number of
+        // levels (a right operand is a binary node and a parenthesis, an
+        // argument a call and an expression). The deepest the parser takes of it
+        // compiles whole and drops on a 2 MiB thread (a daemon's core);
+        // one level more, and a thousand and a hundred thousand, are a
+        // parse error with a position.
+        type Shape = (&'static str, usize, fn(usize) -> String);
+        let shapes: [Shape; 8] = [
+            ("parens", 1, |n| {
+                nested(&format!("{}1{}", "(".repeat(n), ")".repeat(n)), "")
+            }),
+            ("negations", 1, |n| {
+                nested(&format!("{}1", "- ".repeat(n)), "")
+            }),
+            ("left chain", 1, |n| {
+                nested(&vec!["1"; n + 1].join(" + "), "")
+            }),
+            ("right chain", 2, |n| {
+                nested(&format!("{}1{}", "1 + (".repeat(n), ")".repeat(n)), "")
+            }),
+            ("calls", 2, |n| {
+                nested(&format!("{}1{}", "min(1, ".repeat(n), ")".repeat(n)), "")
+            }),
+            ("fields", 1, |n| {
+                nested(&format!("res{}", ".vCPU".repeat(n)), "")
+            }),
+            ("ifs", 1, |n| {
+                let open = "if (true) then { ".repeat(n);
+                nested("1", &format!("{open}transit s;{}", " }".repeat(n)))
+            }),
+            ("else ifs", 1, |n| {
+                nested(
+                    "1",
+                    &format!(
+                        "{} transit s; }}",
+                        "if (true) then { } else ".repeat(n) + "{"
+                    ),
+                )
+            }),
+        ];
+        let topo = fabric();
+        let ctl = SdnController::new(&topo);
+        let compile = |src: &str| compile_task("t", src, &BTreeMap::new(), &ctl).map(|_| ());
+        for (shape, step, build) in shapes {
+            let parses = |n: usize| parser::parse(&build(n)).is_ok();
+            assert!(
+                frontend(&build(1)).is_ok(),
+                "{shape}: {:?}",
+                frontend(&build(1))
+            );
+            let deepest = (1..=MAX_NESTING)
+                .rev()
+                .find(|&n| parses(n))
+                .expect("some depth parses");
+            let levels = deepest * step;
+            assert!(
+                levels + 8 >= MAX_NESTING,
+                "{shape}: only {deepest} deep parses"
+            );
+            let src = build(deepest);
+            let ok = std::thread::scope(|scope| {
+                let t = std::thread::Builder::new().stack_size(2 << 20);
+                let t = t.spawn_scoped(scope, || compile(&src).map_err(|e| e.phase));
+                t.expect("spawn").join().expect("no overflow")
+            });
+            // A field chain is no valid type; it must still get past the
+            // parser and fail in a later pass without overflowing.
+            if shape != "fields" {
+                assert!(ok.is_ok(), "{shape} at depth {deepest}: {ok:?}");
+            }
+            for n in [deepest + 1, 1_000, 100_000] {
+                let err = frontend(&build(n)).expect_err(shape);
+                assert_eq!(err.phase, Phase::Parse, "{shape} at {n}: {err}");
+                assert!(
+                    err.message.contains("nested deeper"),
+                    "{shape} at {n}: {err}"
+                );
+                assert!(err.span.line >= 1 && err.span.col >= 1, "{shape}: {err}");
+            }
+        }
+    }
 }

@@ -19,19 +19,40 @@ use crate::ast::*;
 use crate::error::{AlmanacError, Result, Span};
 use crate::lexer::{lex, SpannedTok, Tok};
 
+/// How deep a program may nest. A statement, a parenthesised or
+/// argument expression, a prefix operator and a binary operator, field
+/// access, call or filter over its operands each count one level; a
+/// construct nested deeper is refused with its line and column. The
+/// parser refuses it before it recurses or builds that deep, so neither
+/// it nor any later pass over the tree (type checking, lowering,
+/// analysis, printing, dropping) recurses deeper than this. 128 levels
+/// parse and compile on a 2 MiB thread in a debug build; 256 did not.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a complete Almanac program.
 ///
 /// # Errors
 ///
-/// Returns the first lex or parse error with its source span.
+/// Returns the first lex or parse error with its source span, among
+/// them a construct nested deeper than [`MAX_NESTING`].
 pub fn parse(src: &str) -> Result<Program> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.program()
+    Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    }
+    .program()
 }
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// The levels open around the construct being parsed.
+    depth: usize,
+    /// The levels the last expression parsed holds below its own.
+    height: usize,
 }
 
 impl Parser {
@@ -58,6 +79,34 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> AlmanacError {
         AlmanacError::parse(self.span(), msg)
+    }
+
+    /// Opens a level around what is parsed next; [`Parser::leave`]
+    /// closes it.
+    fn enter(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep(self.span()));
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// An expression node `height` levels tall at `span`, under the
+    /// levels open around it.
+    fn grow(&mut self, height: usize, span: Span) -> Result<()> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep(span));
+        }
+        self.height = height;
+        Ok(())
+    }
+
+    fn too_deep(&self, span: Span) -> AlmanacError {
+        AlmanacError::parse(span, format!("nested deeper than {MAX_NESTING} levels"))
     }
 
     fn expect(&mut self, tok: Tok) -> Result<Span> {
@@ -506,6 +555,13 @@ impl Parser {
     }
 
     fn action(&mut self) -> Result<Action> {
+        self.enter()?;
+        let action = self.statement();
+        self.leave();
+        action
+    }
+
+    fn statement(&mut self) -> Result<Action> {
         let span = self.span();
         match self.peek().clone() {
             Tok::Ident(s) if s == "if" => {
@@ -612,16 +668,35 @@ impl Parser {
 
     // ---- expressions ----------------------------------------------------
 
+    /// A whole expression, one level below the construct around it.
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.enter()?;
+        let e = self.or_expr();
+        self.leave();
+        self.height += 1;
+        e
+    }
+
+    /// The binary operator at the cursor between `lhs` and the right
+    /// operand `rhs` parses: the node over both, one level above the
+    /// taller.
+    fn binary(
+        &mut self,
+        lhs: Expr,
+        op: BinOp,
+        rhs: fn(&mut Parser) -> Result<Expr>,
+    ) -> Result<Expr> {
+        let left = self.height;
+        let span = self.next().span;
+        let rhs = rhs(self)?;
+        self.grow(left.max(self.height) + 1, span)?;
+        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), span))
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.and_expr()?;
         while self.at_kw("or") {
-            let span = self.next().span;
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(lhs, BinOp::Or, Parser::and_expr)?;
         }
         Ok(lhs)
     }
@@ -629,9 +704,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.cmp_expr()?;
         while self.at_kw("and") {
-            let span = self.next().span;
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(lhs, BinOp::And, Parser::cmp_expr)?;
         }
         Ok(lhs)
     }
@@ -647,17 +720,9 @@ impl Parser {
             Tok::Gt => Some(CmpOp::Gt),
             _ => None,
         };
-        if let Some(op) = op {
-            let span = self.next().span;
-            let rhs = self.add_expr()?;
-            Ok(Expr::Binary(
-                BinOp::Cmp(op),
-                Box::new(lhs),
-                Box::new(rhs),
-                span,
-            ))
-        } else {
-            Ok(lhs)
+        match op {
+            Some(op) => self.binary(lhs, BinOp::Cmp(op), Parser::add_expr),
+            None => Ok(lhs),
         }
     }
 
@@ -669,9 +734,7 @@ impl Parser {
                 Tok::Minus => BinOp::Sub,
                 _ => break,
             };
-            let span = self.next().span;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(lhs, op, Parser::mul_expr)?;
         }
         Ok(lhs)
     }
@@ -684,23 +747,32 @@ impl Parser {
                 Tok::Slash => BinOp::Div,
                 _ => break,
             };
-            let span = self.next().span;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binary(lhs, op, Parser::unary_expr)?;
         }
         Ok(lhs)
+    }
+
+    /// The operand of a prefix operator or a filter at `span`, one level
+    /// below it.
+    fn operand(&mut self, span: Span) -> Result<Box<Expr>> {
+        self.enter()?;
+        let e = self.unary_expr();
+        self.leave();
+        let e = e?;
+        self.grow(self.height + 1, span)?;
+        Ok(Box::new(e))
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.at_kw("not") {
             let span = self.next().span;
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(inner), span));
+            let inner = self.operand(span)?;
+            return Ok(Expr::Unary(UnOp::Not, inner, span));
         }
         if *self.peek() == Tok::Minus {
             let span = self.next().span;
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(inner), span));
+            let inner = self.operand(span)?;
+            return Ok(Expr::Unary(UnOp::Neg, inner, span));
         }
         self.postfix_expr()
     }
@@ -710,6 +782,7 @@ impl Parser {
         while *self.peek() == Tok::Dot {
             let span = self.next().span;
             let (field, _) = self.ident()?;
+            self.grow(self.height + 1, span)?;
             e = Expr::Field(Box::new(e), field, span);
         }
         Ok(e)
@@ -717,6 +790,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         let span = self.span();
+        self.height = 0;
         match self.peek().clone() {
             Tok::Int(i) => {
                 self.next();
@@ -748,28 +822,28 @@ impl Parser {
                     }
                     "srcIP" => {
                         self.next();
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::SrcIp(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::SrcIp(arg), span));
                     }
                     "dstIP" => {
                         self.next();
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::DstIp(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::DstIp(arg), span));
                     }
                     "srcPort" => {
                         self.next();
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::SrcPort(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::SrcPort(arg), span));
                     }
                     "dstPort" => {
                         self.next();
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::DstPort(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::DstPort(arg), span));
                     }
                     "proto" => {
                         self.next();
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::Proto(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::Proto(arg), span));
                     }
                     "port" => {
                         self.next();
@@ -777,8 +851,8 @@ impl Parser {
                             self.next();
                             return Ok(Expr::Filter(FilterExpr::IfPortAny, span));
                         }
-                        let arg = self.unary_expr()?;
-                        return Ok(Expr::Filter(FilterExpr::IfPort(Box::new(arg)), span));
+                        let arg = self.operand(span)?;
+                        return Ok(Expr::Filter(FilterExpr::IfPort(arg), span));
                     }
                     _ => {}
                 }
@@ -786,12 +860,13 @@ impl Parser {
                 // Struct literal: `Name { .field = …, … }`.
                 if *self.peek() == Tok::LBrace && *self.peek_at(1) == Tok::Dot {
                     self.next(); // '{'
-                    let mut fields = Vec::new();
+                    let (mut fields, mut tallest) = (Vec::new(), 0);
                     loop {
                         self.expect(Tok::Dot)?;
                         let (fname, _) = self.ident()?;
                         self.expect(Tok::Assign)?;
                         let fval = self.expr()?;
+                        tallest = tallest.max(self.height);
                         fields.push((fname, fval));
                         if *self.peek() == Tok::Comma {
                             self.next();
@@ -803,15 +878,17 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RBrace)?;
+                    self.grow(tallest + 1, span)?;
                     return Ok(Expr::StructLit { name, fields, span });
                 }
                 // Call: `name(args…)`.
                 if *self.peek() == Tok::LParen {
                     self.next();
-                    let mut args = Vec::new();
+                    let (mut args, mut tallest) = (Vec::new(), 0);
                     if *self.peek() != Tok::RParen {
                         loop {
                             args.push(self.expr()?);
+                            tallest = tallest.max(self.height);
                             if *self.peek() == Tok::Comma {
                                 self.next();
                             } else {
@@ -820,6 +897,7 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen)?;
+                    self.grow(tallest + 1, span)?;
                     return Ok(Expr::Call { name, args, span });
                 }
                 Ok(Expr::Var(name, span))

@@ -1,10 +1,13 @@
 //! Property-based round-trip tests: generated machines survive
-//! print → parse → print unchanged.
+//! print → parse → print unchanged; and the frontend is total on
+//! mutated programs.
 
 use farm_almanac::ast::*;
+use farm_almanac::compile::frontend;
 use farm_almanac::error::Span;
 use farm_almanac::parser::parse;
 use farm_almanac::printer::{machine_to_source, program_to_source};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn sp() -> Span {
@@ -224,5 +227,50 @@ proptest! {
         let src2 = program_to_source(&reparsed);
         let reparsed2 = parse(&src2).unwrap();
         prop_assert_eq!(src2, program_to_source(&reparsed2));
+    }
+}
+
+/// Every Tab. I use case, the anomaly programs, the example and the
+/// benchmark's programs.
+fn corpus() -> Vec<&'static str> {
+    let mut v: Vec<&str> = farm_almanac::programs::USE_CASES
+        .iter()
+        .map(|u| u.source)
+        .collect();
+    v.extend(farm_almanac::programs::ANOMALY_PROGRAMS.iter().map(|p| p.1));
+    v.push(include_str!("../../../examples/load_watcher.alm"));
+    v.push(include_str!("../../benchmark/programs/load_watcher.alm"));
+    v.push(include_str!("../../benchmark/programs/pinned_watcher.alm"));
+    v
+}
+
+/// What the deep-nesting arm repeats: each opens one level more.
+const OPENERS: [&str; 6] = ["(", "- ", "not ", "min(1, ", "if (true) then { ", "1 + ("];
+
+proptest! {
+    /// Mutated programs are `Ok` or `Err`, never a panic or an overflow:
+    /// bytes flipped, inserted, removed or cut anywhere, or an opener
+    /// repeated up to 100 000 times (the deep-nesting arm).
+    #[test]
+    fn frontend_is_total_on_mutated_programs(
+        pick in any::<usize>(),
+        edits in vec((any::<usize>(), any::<u8>(), 0u8..5, 0usize..100_000), 1..6),
+    ) {
+        let corpus = corpus();
+        let mut bytes = corpus[pick % corpus.len()].as_bytes().to_vec();
+        for (at, byte, kind, n) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                2 if at < bytes.len() => drop(bytes.remove(at)),
+                3 => {
+                    let opener = OPENERS[usize::from(byte) % OPENERS.len()];
+                    bytes.splice(at..at, opener.repeat(n).into_bytes());
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        let _ = frontend(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -39,15 +39,17 @@ const RESOURCE_NAMES: [&str; 4] = ["vcpu", "ram_mb", "tcam", "pcie_poll"];
 /// listening control endpoint.
 pub type Farmd = Daemon<Core>;
 
-/// How long the coordinator has to answer a registration or a beat.
-const COORDINATOR_TIMEOUT: Duration = Duration::from_secs(5);
+/// How many heartbeats long the coordinator has to answer a
+/// registration or a beat: 5 s at the default 500 ms `[fed] heartbeat_ms`.
+const COORDINATOR_BEATS: u32 = 10;
 
 /// The pod side of federation membership: register with the fedd
 /// coordinator, then heartbeat it, over one session the core's tick
 /// moves along — farmd never waits on the coordinator. A rejected beat
 /// (the coordinator restarted) registers again at once; a failed
 /// registration — refused, a transport error, or no answer within
-/// `COORDINATOR_TIMEOUT` — is retried a beat later (`fed.pod.errors`).
+/// [`COORDINATOR_BEATS`] heartbeats — is retried a beat later
+/// (`fed.pod.errors`).
 struct Membership {
     link: LinkId,
     /// The `RegisterPod` manifest, sent again on every registration.
@@ -134,7 +136,10 @@ impl Membership {
                 self.manifest.clone()
             };
             match links.request(self.link, Frame::Control { op }) {
-                Ok(corr) => self.asked = Some((corr, now + COORDINATOR_TIMEOUT)),
+                Ok(corr) => {
+                    let wait = self.every.saturating_mul(COORDINATOR_BEATS);
+                    self.asked = Some((corr, now + wait));
+                }
                 Err(_) => self.settle(false, now),
             }
         }

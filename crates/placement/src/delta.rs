@@ -87,15 +87,26 @@
 //! and every step is on the worklist.
 //!
 //! **Read-only probes.** A probe that reads an undiverged switch needs
-//! its state as it stands before the step: that is the capacity plus the
-//! log's ops before the step's key, built in the state's one probe
-//! buffer (a probe looks at one switch at a time; a later read of the
-//! same switch goes on from where the buffer stands). The switch's own
-//! state — the last solve's after step 3 — is left as it is, so a switch
-//! that is only read is not rebuilt: step 2's end, step 3's refresh and
-//! step 4 do not visit it ([`DeltaReport::switches_read`] counts them). A
-//! switch that diverges takes the buffer, built up to the divergence, as
-//! its state, and from then on is rebuilt as any diverged switch is.
+//! its state as it stands before the step: the capacity plus the log's
+//! ops before the step's key. Each switch keeps its usage as the whole
+//! log leaves it — its greedy state, compact: non-poll usage, poll cells
+//! and their `Σ max` — written whenever step 2 builds the switch and
+//! dropped with the log. A probe of a candidate whose log holds no op at
+//! or past the step's key (the log is in key order, so its last op
+//! decides) reads that kept usage in place: no reset, no replay. Any
+//! other read, and the home probe, which needs the seed's reservation
+//! and the poll entries under it, builds the state in the state's one
+//! probe buffer (a probe looks at one switch at a time; a later read of
+//! the same switch goes on from where the buffer stands). The kept usage
+//! is exact for the same reason the buffer is: an undiverged log holds
+//! the last solve's ops with the last solve's inputs, and
+//! [`SolveState::check_kept_usage`] holds it to a rebuild. The switch's
+//! own state — the last solve's after step 3 — is left as it is, so a
+//! switch that is only read is not rebuilt: step 2's end, step 3's
+//! refresh and step 4 do not visit it ([`DeltaReport::switches_read`]
+//! counts them). A switch that diverges takes the buffer, built up to
+//! the divergence, as its state, and from then on is rebuilt as any
+//! diverged switch is.
 //!
 //! **Step 3.** Each switch's LP is a **pure function** of the switch's
 //! capacity, its residents in greedy order at their minimum allocations,
@@ -161,7 +172,7 @@ use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::heuristic::{solve_core, HeuristicOptions, SeedPolls, SwitchState};
+use crate::heuristic::{solve_core, HeuristicOptions, Load, SeedPolls, SwitchState, Usage};
 use crate::model::{PlacementInstance, PlacementResult, PlacementSeed, SubjectInterner};
 
 /// Bucket bounds of the `solver.delta_frontier` and
@@ -1288,7 +1299,13 @@ pub(crate) struct Switches {
     /// Slots whose `settled` went false since the last solve began.
     unsettled: Vec<usize>,
     mode: Vec<Mode>,
+    /// Each switch's usage at the end of its log — its greedy state —
+    /// written when step 2 builds the switch and dropped with the log; it
+    /// names no seed, so a remap leaves it as it is.
+    kept: Vec<Option<Usage>>,
     probe: Probe,
+    /// The slot whose kept usage the probe being run reads.
+    view: Option<usize>,
     /// The slots a probe read this solve: the `Live` ones.
     read: Vec<usize>,
     /// This solve built the state instead of keeping the settled one;
@@ -1349,6 +1366,7 @@ impl Switches {
             self.prior.push(None);
             self.settled.push(false);
             self.mode.push(Mode::Absent);
+            self.kept.push(None);
             self.touched.push(false);
             self.moved.push(false);
             self.gone.push(false);
@@ -1480,6 +1498,7 @@ impl Switches {
             let (was, now) = (self.moved[i], self.touched[i]);
             if was && !now {
                 self.logs[i] = Vec::new();
+                self.kept[i] = None;
                 self.set_lp(i, false);
                 self.states[i] = SwitchState::new(Resources::ZERO);
                 self.settled[i] = false;
@@ -1507,9 +1526,56 @@ impl Switches {
         self.prior.shrink_to_fit();
         self.settled.shrink_to_fit();
         self.mode.shrink_to_fit();
+        self.kept.shrink_to_fit();
         self.touched.shrink_to_fit();
         self.moved.shrink_to_fit();
         self.gone.shrink_to_fit();
+    }
+
+    /// The load a probe of the step being visited reads on slot `i`
+    /// (readied by [`Memo::look`]): the kept usage where it holds there,
+    /// the state otherwise.
+    pub(crate) fn load(&self, i: usize) -> Load<'_> {
+        match &self.kept[i] {
+            Some(kept) if self.view == Some(i) => kept.load(&self.states[i].ares),
+            _ => self.state(i).load(),
+        }
+    }
+
+    /// Readies an undiverged switch `i` for a probe that reads only its
+    /// load at `key`: when every op of its log comes before `key` (its
+    /// log is in key order), its state there is its kept usage, read in
+    /// place; otherwise it is built in the probe buffer.
+    fn look(
+        &mut self,
+        i: usize,
+        key: u64,
+        order: &Order,
+        seeds: &Seeds,
+        instance: &PlacementInstance,
+    ) {
+        self.view = None;
+        let last = self.logs[i].last().map(|&op| order.key(op));
+        let whole = last.is_none_or(|k| k.is_some_and(|k| k < key));
+        if !whole || self.kept[i].is_none() {
+            self.materialize(i, key, order, seeds, instance);
+        } else if self.mark_read(i) {
+            self.view = Some(i);
+        }
+    }
+
+    /// An undiverged switch `i` is read this solve: it turns `Live`.
+    /// False for a diverged or absent one.
+    fn mark_read(&mut self, i: usize) -> bool {
+        match self.mode[i] {
+            Mode::Clean => {
+                self.mode[i] = Mode::Live;
+                self.read.push(i);
+                true
+            }
+            Mode::Live => true,
+            _ => false,
+        }
     }
 
     /// The state a probe of the step being visited reads on slot `i`
@@ -1534,13 +1600,8 @@ impl Switches {
         seeds: &Seeds,
         instance: &PlacementInstance,
     ) {
-        match self.mode[i] {
-            Mode::Clean => {
-                self.mode[i] = Mode::Live;
-                self.read.push(i);
-            }
-            Mode::Live => {}
-            _ => return,
+        if !self.mark_read(i) {
+            return;
         }
         let probe = &mut self.probe;
         if probe.slot != i || probe.key > key {
@@ -1618,6 +1679,7 @@ impl Switches {
                 self.materialize(i, u64::MAX, order, seeds, instance);
                 self.adopt(i);
             }
+            self.kept[i] = Some(self.states[i].usage());
             self.moved[i] = true;
         }
         // The switches probes only read are clean again.
@@ -1693,11 +1755,21 @@ impl Switches {
             });
             if !(log && self.states[i].remap(|s| r.seed(s))) {
                 self.logs[i] = Vec::new();
+                self.kept[i] = None;
                 self.set_lp(i, false);
                 self.unsettle(i);
                 self.forgot.push(i);
             }
         }
+    }
+
+    /// The usage switch `i`'s capacity and log build.
+    fn rebuilt(&self, i: usize, seeds: &Seeds, instance: &PlacementInstance) -> Usage {
+        let mut st = SwitchState::new(self.states[i].ares);
+        for &op in &self.logs[i] {
+            apply(&mut st, op, seeds, instance);
+        }
+        st.usage()
     }
 
     fn bytes(&self) -> usize {
@@ -1715,6 +1787,13 @@ impl Switches {
             + vec_bytes(&self.settled)
             + vec_bytes(&self.unsettled)
             + vec_bytes(&self.mode)
+            + vec_bytes(&self.kept)
+            + self
+                .kept
+                .iter()
+                .flatten()
+                .map(Usage::heap_bytes)
+                .sum::<usize>()
             + size_of::<Probe>()
             + self.probe.state.heap_bytes()
             + vec_bytes(&self.read)
@@ -2542,6 +2621,19 @@ impl Memo {
         switches.materialize(i, *at, order, seeds, instance);
     }
 
+    /// Readies switch `i`'s load for a probe of the step being visited
+    /// ([`Switches::load`]).
+    pub(crate) fn look(&mut self, instance: &PlacementInstance, i: usize) {
+        let Memo {
+            switches,
+            order,
+            seeds,
+            at,
+            ..
+        } = self;
+        switches.look(i, *at, order, seeds, instance);
+    }
+
     /// Ends step 2 ([`Switches::settle_greedy`]); returns how many
     /// switches were rebuilt and how many others a probe read.
     pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> (usize, usize) {
@@ -2685,6 +2777,25 @@ impl SolveState {
     /// LP outputs and the scan records.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.memo.bytes()
+    }
+
+    /// Checks what a read-only probe relies on: after a solve, every
+    /// switch of its instance keeps the usage its capacity and its op
+    /// log build, to the bit. Returns the first switch that does not.
+    ///
+    /// # Errors
+    ///
+    /// The switch whose kept usage is stale or missing.
+    pub fn check_kept_usage(&self, instance: &PlacementInstance) -> Result<(), SwitchId> {
+        let (sw, seeds) = (&self.memo.switches, &self.memo.seeds);
+        let holds = |i: usize| {
+            let kept = sw.kept[i].as_ref();
+            kept.is_some_and(|k| k.same(&sw.rebuilt(i, seeds, instance)))
+        };
+        match (0..sw.ids.len()).find(|&i| sw.is_present(i) && !holds(i)) {
+            Some(i) => Err(sw.ids[i]),
+            None => Ok(()),
+        }
     }
 
     /// Switches whose residents hold their LP's output.
@@ -3084,6 +3195,105 @@ mod tests {
             log.contains(&Op::new(s, OpKind::Reserve))
         };
         assert!(!reserves(from) && reserves(to));
+    }
+
+    #[test]
+    fn seat_moves_capacity_changes_and_remaps_rewrite_the_kept_usage() {
+        // A settled world. Before each event the switch it touches and
+        // one it does not are given a wrong kept usage: the solve writes
+        // the touched one again, and the other keeps the wrong one.
+        let (mut state, mut inst, r) = settled(10);
+        let opts = HeuristicOptions::default();
+        let mut wrong = SwitchState::new(Resources::ZERO);
+        wrong.reserve(
+            0,
+            SeedPolls::new(&[], &[]),
+            Resources::new(1.0, 1.0, 0.0, 0.0),
+        );
+        let slot =
+            |state: &SolveState, n: SwitchId| state.memo.switches.present_slot(n).expect("present");
+        let rebuilt = |state: &SolveState, inst: &PlacementInstance, n: SwitchId| {
+            let m = &state.memo;
+            m.switches.rebuilt(slot(state, n), &m.seeds, inst)
+        };
+        let s = (0..inst.seeds.len())
+            .find(|&s| r.assignment[s].is_some())
+            .expect("a placed seed");
+        let (from, res) = r.assignment[s].expect("placed");
+        let to = (inst.switches.iter().map(|&(n, _)| n))
+            .find(|&n| n != from)
+            .expect("another switch");
+        let seat_of = |inst: &PlacementInstance| {
+            let prev = &inst.previous.as_ref().expect("set").assignment;
+            prev.get(&s).expect("seated").0
+        };
+        for event in ["departure", "arrival", "capacity", "remap"] {
+            let n = match event {
+                "departure" | "remap" => seat_of(&inst),
+                _ => to,
+            };
+            let control = (inst.switches.iter().rev().map(|&(c, _)| c))
+                .find(|&c| c != n && c != from && c != to)
+                .expect("a switch the event leaves alone");
+            for m in [n, control] {
+                let i = slot(&state, m);
+                state.memo.switches.kept[i] = Some(wrong.usage());
+            }
+            let prev = &mut inst.previous.as_mut().expect("set").assignment;
+            match event {
+                "departure" => {
+                    prev.remove(&s);
+                }
+                "arrival" => {
+                    prev.insert(s, (to, res));
+                }
+                "capacity" => {
+                    let at = inst.switches.iter().position(|&(m, _)| m == n);
+                    inst.switches[at.expect("listed")].1 .0[0] *= 1.5;
+                }
+                _ => {
+                    // Seed `s` is spliced out of the instance: every
+                    // later seed moves down one index.
+                    let map: Vec<Option<usize>> = (0..inst.seeds.len())
+                        .map(|x| (x != s).then(|| x - usize::from(x > s)))
+                        .collect();
+                    *prev = prev
+                        .iter()
+                        .filter_map(|(x, &v)| Some((map[x]?, v)))
+                        .collect();
+                    inst.seeds.remove(s);
+                    for seed in &mut inst.seeds[s..] {
+                        seed.id -= 1;
+                    }
+                    for task in &mut inst.tasks {
+                        task.seeds.retain(|&x| x != s);
+                        task.seeds
+                            .iter_mut()
+                            .for_each(|x| *x = map[*x].expect("kept"));
+                    }
+                    state.remap(&map);
+                }
+            }
+            let (next, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            assert_same(&next, &solve_heuristic(&inst, opts));
+            let kept = |state: &SolveState, n: SwitchId| {
+                state.memo.switches.kept[slot(state, n)]
+                    .clone()
+                    .expect("kept")
+            };
+            assert!(
+                kept(&state, n).same(&rebuilt(&state, &inst, n)),
+                "{event}: {n:?} not rewritten"
+            );
+            assert!(
+                kept(&state, control).same(&wrong.usage()),
+                "{event}: {control:?} rewritten"
+            );
+            let i = slot(&state, control);
+            state.memo.switches.kept[i] = Some(rebuilt(&state, &inst, control));
+            assert_eq!(state.check_kept_usage(&inst), Ok(()), "{event}");
+            as_previous(&mut inst, &next);
+        }
     }
 
     #[test]

@@ -177,8 +177,23 @@ impl SwitchState {
         self.poll.binary_search_by_key(&subject, |c| c.subject)
     }
 
-    fn cell(&self, subject: u32) -> Option<&PollCell> {
-        self.cell_index(subject).ok().map(|i| &self.poll[i])
+    /// What a read-only probe reads of the state.
+    pub(crate) fn load(&self) -> Load<'_> {
+        Load {
+            ares: &self.ares,
+            used: &self.used,
+            poll: &self.poll,
+            poll_total: self.poll_total,
+        }
+    }
+
+    /// The state's usage without its entries, residents and reservations.
+    pub(crate) fn usage(&self) -> Usage {
+        Usage {
+            used: self.used,
+            poll: self.poll.as_slice().into(),
+            poll_total: self.poll_total,
+        }
     }
 
     /// Where cell `i`'s entries are in [`SwitchState::entries`].
@@ -196,31 +211,6 @@ impl SwitchState {
     fn lingering(&self, seed: usize) -> Option<&Resources> {
         let i = self.lingering.binary_search_by_key(&seed, |(s, _)| *s);
         i.ok().map(|i| &self.lingering[i].1)
-    }
-
-    /// Extra aggregated polling the seed would add at allocation `res`.
-    fn poll_delta(&self, polls: SeedPolls, res: &Resources) -> f64 {
-        polls
-            .iter()
-            .map(|(subj, demand)| {
-                let d = demand.eval(res).max(0.0);
-                let cur = self.cell(subj).map(|c| c.max).unwrap_or(0.0);
-                (d - cur).max(0.0)
-            })
-            .sum()
-    }
-
-    fn fits(&self, polls: SeedPolls, res: &Resources) -> bool {
-        for k in ResourceKind::ALL {
-            if k == ResourceKind::PciePoll {
-                continue;
-            }
-            if self.used.get(k) + res.get(k) > self.ares.get(k) + 1e-9 {
-                return false;
-            }
-        }
-        self.poll_total + self.poll_delta(polls, res)
-            <= self.ares.get(ResourceKind::PciePoll) + 1e-9
     }
 
     /// Read-only probe: would `res` fit if the seed's reservation `prev`
@@ -284,7 +274,7 @@ impl SwitchState {
                         *max
                     }
                 }
-                None => self.cell(subj).map(|c| c.max).unwrap_or(0.0),
+                None => self.load().cell(subj).map_or(0.0, |c| c.max),
             };
             delta += (d - cur).max(0.0);
         }
@@ -427,15 +417,94 @@ impl SwitchState {
         self.lingering.sort_unstable_by_key(|(s, _)| *s);
         ok
     }
+}
+
+/// What a read-only probe reads of a switch: its capacity, its non-poll
+/// usage and its poll cells with their cached `Σ max` — of a built
+/// [`SwitchState`], or of a switch's kept [`Usage`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Load<'a> {
+    ares: &'a Resources,
+    used: &'a Resources,
+    poll: &'a [PollCell],
+    poll_total: f64,
+}
+
+impl<'a> Load<'a> {
+    fn cell(self, subject: u32) -> Option<&'a PollCell> {
+        let i = self.poll.binary_search_by_key(&subject, |c| c.subject);
+        i.ok().map(|i| &self.poll[i])
+    }
+
+    /// Extra aggregated polling the seed would add at allocation `res`.
+    fn poll_delta(self, polls: SeedPolls, res: &Resources) -> f64 {
+        polls
+            .iter()
+            .map(|(subj, demand)| {
+                let d = demand.eval(res).max(0.0);
+                let cur = self.cell(subj).map_or(0.0, |c| c.max);
+                (d - cur).max(0.0)
+            })
+            .sum()
+    }
+
+    fn fits(self, polls: SeedPolls, res: &Resources) -> bool {
+        for k in ResourceKind::ALL {
+            if k == ResourceKind::PciePoll {
+                continue;
+            }
+            if self.used.get(k) + res.get(k) > self.ares.get(k) + 1e-9 {
+                return false;
+            }
+        }
+        self.poll_total + self.poll_delta(polls, res)
+            <= self.ares.get(ResourceKind::PciePoll) + 1e-9
+    }
 
     /// Remaining capacity for opportunistic allocation estimates.
-    fn spare(&self) -> Resources {
-        let mut s = self.ares.saturating_sub(&self.used);
+    fn spare(self) -> Resources {
+        let mut s = self.ares.saturating_sub(self.used);
         s.set(
             ResourceKind::PciePoll,
             (self.ares.get(ResourceKind::PciePoll) - self.poll_total).max(0.0),
         );
         s
+    }
+}
+
+/// A switch's usage with its entries, residents and reservations left
+/// out: all a read-only probe reads of it besides its capacity. Each
+/// switch keeps one as it stands at the end of its greedy pass
+/// ([`crate::delta`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Usage {
+    used: Resources,
+    poll: Box<[PollCell]>,
+    poll_total: f64,
+}
+
+impl Usage {
+    /// The usage on a switch of capacity `ares`.
+    pub(crate) fn load<'a>(&'a self, ares: &'a Resources) -> Load<'a> {
+        Load {
+            ares,
+            used: &self.used,
+            poll: &self.poll,
+            poll_total: self.poll_total,
+        }
+    }
+
+    /// Heap bytes it holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.poll.len() * size_of::<PollCell>()
+    }
+
+    /// Whether `other` holds the same usage, to the bit.
+    pub(crate) fn same(&self, other: &Usage) -> bool {
+        let cell = |c: &PollCell| (c.subject, c.len, c.max.to_bits());
+        self.used.0.map(f64::to_bits) == other.used.0.map(f64::to_bits)
+            && self.poll_total.to_bits() == other.poll_total.to_bits()
+            && self.poll.iter().map(cell).eq(other.poll.iter().map(cell))
     }
 }
 
@@ -503,7 +572,7 @@ pub fn solve_randomized(
                 .candidates
                 .iter()
                 .filter_map(|n| switches.present_slot(*n))
-                .filter(|&i| switches.states[i].fits(polls(s), &min_res))
+                .filter(|&i| switches.states[i].load().fits(polls(s), &min_res))
                 .collect();
             if feasible.is_empty() {
                 ok = false;
@@ -550,8 +619,9 @@ pub fn solve_randomized(
 }
 
 /// One greedy step run for real: where seed `s` goes given the switches
-/// as they stand. Every switch it looks at goes through [`Memo::read`],
-/// which builds the state as it stands at this step.
+/// as they stand at this step. The home switch, whose reservation the
+/// stay releases, is read whole through [`Memo::read`]; every other
+/// candidate only for its load, through [`Memo::look`].
 fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
     let Some((min_res, _)) = memo.seeds.min_alloc(s) else {
         return Outcome::Fail;
@@ -573,7 +643,7 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
         let polls = memo.seeds.polls(instance, s);
         let feasible = match st.lingering(s) {
             Some(prev_res) => st.fits_after_release(polls, prev_res, &min_res),
-            None => st.fits(polls, &min_res),
+            None => st.load().fits(polls, &min_res),
         };
         if feasible {
             return Outcome::Home(h);
@@ -590,8 +660,8 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
         if home == Some(i) {
             continue;
         }
-        memo.read(instance, i);
-        let st = memo.switches.state(i);
+        memo.look(instance, i);
+        let st = memo.switches.load(i);
         let polls = memo.seeds.polls(instance, s);
         if !st.fits(polls, &min_res) {
             continue;
@@ -747,8 +817,8 @@ pub(crate) fn solve_core(
                 continue;
             };
             let target = &switches.states[to];
-            let res = opportunistic_alloc(polls(s), target, &min_res);
-            if !target.fits(polls(s), &res) {
+            let res = opportunistic_alloc(polls(s), target.load(), &min_res);
+            if !target.load().fits(polls(s), &res) {
                 continue;
             }
             // Commit only when the *realized* allocation clears the same
@@ -846,7 +916,7 @@ fn scan_benefits<'p>(
     scans.prepare(instance, switches);
     let benefit = |s: usize, min_res: &Resources, i: usize, cur_u: f64| {
         let seed = &instance.seeds[s];
-        let u = achievable_utility(seed, polls(s), min_res, &switches.states[i])?;
+        let u = achievable_utility(seed, polls(s), min_res, switches.states[i].load())?;
         // Hysteresis: relocation must clearly pay (migration costs state
         // transfer and double occupancy; "without unnecessary migration"
         // per Alg. 1 step 2a), and the benefit estimate is opportunistic,
@@ -863,7 +933,7 @@ fn achievable_utility(
     seed: &crate::model::PlacementSeed,
     polls: SeedPolls,
     min_res: &Resources,
-    st: &SwitchState,
+    st: Load,
 ) -> Option<f64> {
     if !st.fits(polls, min_res) {
         return None;
@@ -874,7 +944,7 @@ fn achievable_utility(
 
 /// Minimum allocation plus half the switch's spare capacity (capped so the
 /// result still fits; the head-room is left for later seeds).
-fn opportunistic_alloc(polls: SeedPolls, st: &SwitchState, min_res: &Resources) -> Resources {
+fn opportunistic_alloc(polls: SeedPolls, st: Load, min_res: &Resources) -> Resources {
     let spare = st.spare();
     let mut res = *min_res;
     for k in ResourceKind::ALL {
@@ -1478,7 +1548,7 @@ mod tests {
                         continue;
                     };
                     let st = &states.states[i];
-                    if let Some(u) = achievable_utility(seed, world.polls(s), &min_res, st) {
+                    if let Some(u) = achievable_utility(seed, world.polls(s), &min_res, st.load()) {
                         if u > cur_u * 1.15 + 1e-6 {
                             benefits.push(((u - cur_u).to_bits(), s, n));
                         }

@@ -380,6 +380,9 @@ pub struct Soil {
     switch_id: SwitchId,
     config: SoilConfig,
     seeds: BTreeMap<SeedId, SeedRecord>,
+    /// The seeds' allocations summed in id order, folded again whenever
+    /// the seed set or an allocation changes.
+    in_use: Resources,
     /// The scheduler's table: every trigger of every seed, in deploy
     /// order.
     triggers: Vec<TriggerSched>,
@@ -402,6 +405,7 @@ impl Soil {
             switch_id,
             config,
             seeds: BTreeMap::new(),
+            in_use: Resources::ZERO,
             triggers: Vec::new(),
             rule_refs: HashMap::new(),
             entries: Vec::new(),
@@ -445,10 +449,16 @@ impl Soil {
         self.stats
     }
 
-    /// Sum of resources allocated to deployed seeds.
+    /// Sum of resources allocated to deployed seeds, in seed-id order.
     pub fn resources_in_use(&self) -> Resources {
-        self.seeds()
-            .fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()))
+        self.in_use
+    }
+
+    /// Folds [`Soil::resources_in_use`] again over the seeds, in order.
+    fn refold(&mut self) {
+        self.in_use = self
+            .seeds()
+            .fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()));
     }
 
     /// Deploys a seed of `def` with the given allocation.
@@ -559,6 +569,7 @@ impl Soil {
                 deployed_at: now,
             },
         );
+        self.refold();
         self.triggers.extend(scheds);
         if let Some(ins) = &self.instruments {
             ins.seeds_deployed.inc();
@@ -623,6 +634,7 @@ impl Soil {
     ) -> Result<SeedSnapshot, SoilError> {
         let SeedRecord { instance, task, .. } =
             self.seeds.remove(&id).ok_or(SoilError::UnknownSeed(id))?;
+        self.refold();
         if let Some(ins) = &self.instruments {
             ins.seeds_undeployed.inc();
             ins.telemetry.emit_with(|| Event::SeedUndeployed {
@@ -774,6 +786,7 @@ impl Soil {
         let record = self.seeds.get_mut(&id).ok_or(SoilError::UnknownSeed(id))?;
         record.instance.set_allocated(alloc);
         let def = Arc::clone(record.instance.def());
+        self.refold();
         for t in self.triggers.iter_mut().filter(|t| t.seed == id) {
             if let Some(analysis) = def.triggers.iter().find(|a| a.name == t.name) {
                 let ival_ms = analysis.ival.eval(&alloc);

@@ -326,3 +326,64 @@ fn three_pod_federation_spans_migrates_and_survives_a_pod_kill() {
     graceful_shutdown(&direct["b"], &mut pod_b, "pod b");
     graceful_shutdown(&direct["a"], &mut pod_a, "pod a");
 }
+
+#[test]
+fn deeply_nested_programs_are_refused_and_fedd_keeps_serving() {
+    let (mut fedd, fed_addr) = spawn_fedd(
+        "[server]\nlisten = \"127.0.0.1:0\"\nshutdown_drain_ms = 20\n\
+         [fed]\nliveness_timeout_ms = 1000\npod_timeout_ms = 2000\n"
+            .into(),
+    );
+    let fed = CtlClient::connect(fed_addr);
+    assert!(fed.wait_connected(Duration::from_secs(5)), "fedd handshake");
+    let (mut pod, pod_addr) = spawn_pod("deep", fed_addr);
+    util::wait_for(Duration::from_secs(10), "pod registration", || {
+        pods_view(&fed)
+            .get("deep")
+            .copied()
+            .filter(|(_, live)| *live)
+    });
+    // A `place any` machine whose `util` returns `1` inside `depth`
+    // parentheses: fedd parses it to route it before any pod does.
+    let nested = |depth: usize| {
+        format!(
+            "machine Deep {{ place any; state s {{ util (res) {{ return {}1{}; }} }} }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    };
+    for depth in [1_000, 100_000] {
+        let op = ControlOp::SubmitProgram {
+            name: format!("deep{depth}"),
+            source: nested(depth),
+        };
+        match rpc(&fed, op) {
+            ControlReply::Rejected { reason } => {
+                assert!(reason.contains("nested deeper"), "{reason}");
+            }
+            other => panic!("depth {depth} answered {other:?}"),
+        }
+        assert_eq!(stat_u64(&stats_doc(&fed), "pods_live"), 1);
+    }
+    let parses = |depth: usize| farm_almanac::parser::parse(&nested(depth)).is_ok();
+    let deepest = (1..=farm_almanac::parser::MAX_NESTING)
+        .rev()
+        .find(|&d| parses(d))
+        .expect("a depth that parses");
+    let op = ControlOp::SubmitProgram {
+        name: "deepest".into(),
+        source: nested(deepest),
+    };
+    match rpc(&fed, op) {
+        ControlReply::Submitted { seeds, .. } => assert_eq!(seeds, 1),
+        other => panic!("depth {deepest} answered {other:?}"),
+    }
+    let direct = CtlClient::connect(pod_addr);
+    assert!(
+        direct.wait_connected(Duration::from_secs(5)),
+        "pod handshake"
+    );
+    assert_eq!(seed_keys(&direct).len(), 1);
+    graceful_shutdown(&direct, &mut pod, "pod");
+    graceful_shutdown(&fed, &mut fedd, "fedd");
+}

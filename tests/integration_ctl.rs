@@ -226,6 +226,63 @@ fn bad_submissions_come_back_structured() {
     farmd.stop();
 }
 
+/// A `place any` program whose `util` returns `1` inside `depth`
+/// parentheses.
+fn nested_program(depth: usize) -> String {
+    format!(
+        "machine Deep {{ place any; state s {{ util (res) {{ return {}1{}; }} }} }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+#[test]
+fn deeply_nested_programs_are_refused_and_farmd_keeps_serving() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let client = CtlClient::connect(farmd.local_addr());
+    // 2 KB and 200 KB of parentheses, both under the submission cap.
+    for depth in [1_000, 100_000] {
+        match client
+            .op(ControlOp::SubmitProgram {
+                name: format!("deep{depth}"),
+                source: nested_program(depth),
+            })
+            .expect("submit rpc")
+        {
+            ControlReply::CompileFailed { diagnostics } => {
+                let d = &diagnostics[0];
+                assert!(d.message.contains("nested deeper"), "{d:?}");
+                assert_eq!(d.line, 1, "{d:?}");
+                assert!(d.col > 1, "{d:?}");
+            }
+            other => panic!("depth {depth} answered {other:?}"),
+        }
+        match client.op(ControlOp::stats_all()).expect("stats rpc") {
+            ControlReply::Json { body } => assert!(body.contains("cordoned"), "{body}"),
+            other => panic!("stats after depth {depth} answered {other:?}"),
+        }
+    }
+    // The deepest program the parser takes compiles and deploys.
+    let parses = |depth: usize| farm_almanac::parser::parse(&nested_program(depth)).is_ok();
+    let deepest = (1..=farm_almanac::parser::MAX_NESTING)
+        .rev()
+        .find(|&d| parses(d))
+        .expect("a depth that parses");
+    assert!(!parses(deepest + 1));
+    match client
+        .op(ControlOp::SubmitProgram {
+            name: "deepest".into(),
+            source: nested_program(deepest),
+        })
+        .expect("submit rpc")
+    {
+        ControlReply::Submitted { seeds, .. } => assert_eq!(seeds, 1),
+        other => panic!("depth {deepest} answered {other:?}"),
+    }
+    assert_eq!(list_seeds(&client).len(), 1);
+    farmd.stop();
+}
+
 #[test]
 fn admission_control_rejects_when_quota_exhausted() {
     let config = FarmdConfig {

@@ -646,6 +646,38 @@ proptest! {
         }
     }
 
+    /// A `FARMCKP2` file flipped, cut, grown or with a run of its bytes
+    /// duplicated anywhere — magic, record headers, CRCs, bodies — loads
+    /// or is refused, never panics: the mutation loop of
+    /// `prop_json.rs`'s `parser_is_total_on_mutated_documents` over the
+    /// checkpoint reader.
+    #[test]
+    fn checkpoint_decoder_is_total_on_mutated_files(
+        doc in checkpoint_doc_strategy(),
+        edits in vec((any::<usize>(), any::<u8>(), 0u8..5, 1usize..64), 1..6),
+    ) {
+        let mut bytes = encode_checkpoint_doc(&doc);
+        for (at, byte, kind, len) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+                1 => bytes.insert(at, byte),
+                2 if at < bytes.len() => drop(bytes.remove(at)),
+                3 => {
+                    let run = bytes[at..(at + len).min(bytes.len())].to_vec();
+                    bytes.splice(at..at, run);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        if let Ok(load) = decode_checkpoint(&bytes) {
+            // A duplicated record may load twice, but every record that
+            // loads is one the file held: the CRCs see to that.
+            prop_assert!(load.doc.programs.iter().all(|p| doc.programs.contains(p)));
+            prop_assert!(load.doc.seeds.iter().all(|s| doc.seeds.contains(s)));
+        }
+    }
+
     /// Only `FARMCKP2` is read: any other byte string is refused with
     /// the typed error naming what it found, never loaded as an empty
     /// or partial checkpoint.
