@@ -15,6 +15,7 @@
 //! so one registry accumulates the whole stack's counters and
 //! histograms and one sink set observes the whole event stream.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -100,6 +101,29 @@ struct SwitchRow {
     /// Control-channel impairment of this switch (wins over
     /// `global_loss`).
     loss: Option<LossModel>,
+}
+
+/// The live switches ([`Farm::live_capacities`]) and their slots.
+#[derive(Debug, Default)]
+struct Live {
+    caps: Vec<(SwitchId, Resources)>,
+    slots: Vec<u32>,
+}
+
+impl Live {
+    /// One pass over the slots: reached ([`Network::reachable`]), neither
+    /// fenced nor cordoned, at effective resources.
+    fn of(network: &Network, rows: &[SwitchRow]) -> Live {
+        let mut live = Live::default();
+        let switches = network.switches().zip(rows).zip(network.reached());
+        for (slot, ((sw, row), &reached)) in switches.enumerate() {
+            if reached && !row.fenced && !row.cordoned {
+                live.caps.push((sw.id(), sw.effective_resources()));
+                live.slots.push(slot as u32);
+            }
+        }
+        live
+    }
 }
 
 /// Maximum message-routing rounds per step (seed→harvester→seed→… chains).
@@ -272,6 +296,7 @@ impl FarmBuilder {
             global_loss: None,
             sampled: vec![Vec::new(); n_switches],
             sampled_slots: Vec::new(),
+            live: OnceCell::new(),
         };
         for (task, h) in self.harvesters {
             farm.set_harvester(task, h);
@@ -321,6 +346,10 @@ pub struct Farm {
     sampled: Vec<Vec<PacketRecord>>,
     /// Scratch of [`Farm::apply_traffic`]: the non-empty `sampled` slots.
     sampled_slots: Vec<(SwitchId, usize)>,
+    /// The live switches as of the first read since the last change to
+    /// what makes a switch live (up, reached, fenced, cordoned, PCIe
+    /// degradation), which empties it.
+    live: OnceCell<Live>,
 }
 
 impl Farm {
@@ -348,6 +377,7 @@ impl Farm {
 
     /// Mutable network access (test workloads, fault injection).
     pub fn network_mut(&mut self) -> &mut Network {
+        self.live.take();
         &mut self.network
     }
 
@@ -511,8 +541,10 @@ impl Farm {
     /// Soil-level failures while executing the plan.
     pub fn replan(&mut self) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
-        let caps = self.live_capacities();
-        let mut plan = self.seeder.plan(&caps);
+        let live = self
+            .live
+            .get_or_init(|| Live::of(&self.network, &self.rows));
+        let mut plan = self.seeder.plan(&live.caps);
         let now = self.now;
         let mut outbound = Vec::new();
         for action in &plan.actions {
@@ -777,16 +809,62 @@ impl Farm {
     /// non-fenced, non-cordoned switches at their *effective*
     /// (PCIe-degraded) resources, in id order. The one definition of
     /// "live" that placement and the daemon's admission control share.
-    pub fn live_capacities(&self) -> Vec<(SwitchId, Resources)> {
-        self.network
-            .reachable()
-            .into_iter()
-            .filter(|&id| self.row(id).is_some_and(|r| !r.fenced && !r.cordoned))
-            .map(|id| {
-                let sw = self.network.switch(id).expect("switch exists");
-                (id, sw.effective_resources())
-            })
-            .collect()
+    pub fn live_capacities(&self) -> &[(SwitchId, Resources)] {
+        &self.live().caps
+    }
+
+    fn live(&self) -> &Live {
+        self.live
+            .get_or_init(|| Live::of(&self.network, &self.rows))
+    }
+
+    /// Per resource kind, the live switches' capacity scaled by `quota`
+    /// less what their soils' seeds hold, summed in slot order: the
+    /// headroom admission control grants a new task from.
+    pub fn headroom(&self, quota: f64) -> [f64; 4] {
+        let live = self.live();
+        let mut headroom = [0f64; 4];
+        for ((_, cap), &slot) in live.caps.iter().zip(&live.slots) {
+            let soil = self.rows[slot as usize].soil.as_ref();
+            let used = soil.map_or(Resources::ZERO, Soil::resources_in_use);
+            for (h, (c, u)) in headroom.iter_mut().zip(cap.0.iter().zip(used.0.iter())) {
+                *h += c * quota - u;
+            }
+        }
+        headroom
+    }
+
+    /// Holds what the farm keeps to skip work to its recomputation: the
+    /// live list, if one is kept, to a walk over the slots now, the
+    /// seeder's round scope to scoping every task again, and the
+    /// solver's previous seats to the seeder's seat table.
+    ///
+    /// # Errors
+    ///
+    /// The first entry where a kept structure and its recomputation
+    /// differ.
+    pub fn check_kept(&self) -> Result<(), String> {
+        self.seeder.check_kept()?;
+        let Some(kept) = self.live.get() else {
+            return Ok(());
+        };
+        let now = Live::of(&self.network, &self.rows);
+        let bits = |r: &Resources| r.0.map(f64::to_bits);
+        let rows = |l: &Live| -> Vec<_> {
+            (l.caps.iter().zip(&l.slots))
+                .map(|((id, r), &slot)| (*id, bits(r), slot))
+                .collect()
+        };
+        let (kept, now) = (rows(kept), rows(&now));
+        match kept.iter().zip(&now).position(|(a, b)| a != b) {
+            Some(k) => Err(format!("live list: kept {:?}, walk {:?}", kept[k], now[k])),
+            None if kept.len() != now.len() => Err(format!(
+                "live list: kept {} switches, walk {}",
+                kept.len(),
+                now.len()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Applies every scheduled fault due at or before `at`.
@@ -798,6 +876,12 @@ impl Farm {
 
     fn apply_fault(&mut self, at: Time, kind: FaultKind) {
         let at_ns = at.as_nanos();
+        if !matches!(
+            kind,
+            FaultKind::ControlLoss { .. } | FaultKind::ControlHeal { .. }
+        ) {
+            self.live.take();
+        }
         match kind {
             FaultKind::SwitchCrash { switch } => {
                 if !self.network.is_up(switch) {
@@ -933,6 +1017,7 @@ impl Farm {
             if self.network.is_reachable(id) {
                 self.rows[slot].missed = 0;
                 if std::mem::take(&mut self.rows[slot].fenced) {
+                    self.live.take();
                     self.kill_stale_seeds(id, at);
                 }
                 while let Some((_, key)) = lost.next_if(|(host, _)| *host == id) {
@@ -947,6 +1032,7 @@ impl Farm {
                 let missed = row.missed;
                 if missed >= MISS_THRESHOLD && !row.fenced {
                     row.fenced = true;
+                    self.live.take();
                     let at_ns = at.as_nanos();
                     self.telemetry.emit_with(|| Event::SwitchDeclaredFailed {
                         at_ns,
@@ -1016,8 +1102,10 @@ impl Farm {
         if due.is_empty() {
             return Vec::new();
         }
-        let caps = self.live_capacities();
-        let plan = self.seeder.plan(&caps);
+        let live = self
+            .live
+            .get_or_init(|| Live::of(&self.network, &self.rows));
+        let plan = self.seeder.plan(&live.caps);
         let mut outbound = Vec::new();
         for key in due {
             let Some(item) = self.recovery.get_mut(&key) else {
@@ -1112,6 +1200,7 @@ impl Farm {
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
         let slot = (self.network.slot_of(switch)).ok_or(Error::UnknownSwitch(switch))?;
         let newly_cordoned = !std::mem::replace(&mut self.rows[slot].cordoned, true);
+        self.live.take();
         match self.replan() {
             Ok(plan) => {
                 let evacuated = plan
@@ -1124,6 +1213,7 @@ impl Farm {
             Err(e) => {
                 if newly_cordoned {
                     self.rows[slot].cordoned = false;
+                    self.live.take();
                 }
                 Err(e)
             }
@@ -1140,6 +1230,7 @@ impl Farm {
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
         let row = self.row_mut(switch).ok_or(Error::UnknownSwitch(switch))?;
         row.cordoned = false;
+        self.live.take();
         self.replan()
     }
 

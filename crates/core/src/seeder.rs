@@ -138,6 +138,22 @@ struct Catalog {
     taken_at: Vec<u64>,
     /// Each task's machines.
     machines: Vec<Vec<Arc<CompiledMachine>>>,
+    /// The round the instance's task lists are scoped for; `None` until
+    /// a round scopes them all.
+    round: Option<Round>,
+}
+
+/// What [`PlacementInstance::begin_round`] left the catalog's task lists
+/// scoped against, kept current through every splice since: the next
+/// round over the same live switches scopes only the tasks spliced in.
+#[derive(Debug)]
+struct Round {
+    /// The live switch ids, ascending.
+    live: Vec<SwitchId>,
+    /// The seeds with no live candidate, ascending.
+    held: Vec<usize>,
+    /// Tasks spliced in since, whose lists are still empty.
+    spliced: Vec<usize>,
 }
 
 impl Catalog {
@@ -199,9 +215,100 @@ impl Catalog {
         self.taken_at
             .splice(old.clone(), std::iter::repeat_n(0, added));
         self.keys.splice(old.clone(), keys);
+        let inserted = machines.is_some();
         self.machines
-            .splice(t..t + usize::from(machines.is_none()), machines);
-        (self.instance.splice_task(t, old, rows), gone)
+            .splice(t..t + usize::from(!inserted), machines);
+        let map = self.instance.splice_task(t, old, rows);
+        if let Some(round) = &mut self.round {
+            round.held.retain_mut(|s| map[*s].map(|n| *s = n).is_some());
+            if inserted {
+                round
+                    .spliced
+                    .iter_mut()
+                    .filter(|x| **x >= t)
+                    .for_each(|x| *x += 1);
+                round.spliced.push(t);
+            } else {
+                round.spliced.retain(|&x| x != t);
+                round
+                    .spliced
+                    .iter_mut()
+                    .filter(|x| **x > t)
+                    .for_each(|x| *x -= 1);
+            }
+        }
+        (map, gone)
+    }
+
+    /// Points the instance at this round's live switches and previous
+    /// placement, and scopes its task lists: over the last round's live
+    /// switch ids only the tasks spliced in since are scoped, over any
+    /// other set every task ([`PlacementInstance::begin_round`]).
+    /// Returns the held seeds.
+    fn begin_round(
+        &mut self,
+        switches: &[(SwitchId, Resources)],
+        previous: Option<PreviousPlacement>,
+    ) -> Vec<usize> {
+        let same = |round: &&mut Round| {
+            let ids = switches.iter().map(|(n, _)| n);
+            round.live.len() == switches.len() && round.live.iter().eq(ids)
+        };
+        let instance = &mut self.instance;
+        if let Some(round) = self.round.as_mut().filter(same) {
+            instance.switches.clear();
+            instance.switches.extend_from_slice(switches);
+            instance.previous = previous;
+            for t in std::mem::take(&mut round.spliced) {
+                round.held.extend(instance.scope_task(t, &round.live));
+            }
+            round.held.sort_unstable();
+            return round.held.clone();
+        }
+        let held = instance.begin_round(switches, previous);
+        let live: Vec<SwitchId> = switches.iter().map(|(n, _)| *n).collect();
+        self.round = live.is_sorted().then(|| Round {
+            live,
+            held: held.clone(),
+            spliced: Vec::new(),
+        });
+        held
+    }
+
+    /// Holds the kept round scope to scoping every task again over the
+    /// same live switches.
+    fn check_round(&self) -> Result<(), String> {
+        let Some(round) = &self.round else {
+            return Ok(());
+        };
+        let mut fresh = self.instance.clone();
+        let held = fresh.begin_round(&self.instance.switches, None);
+        let ids = self.instance.switches.iter().map(|(n, _)| n);
+        if !round.live.iter().eq(ids) {
+            return Err("round: live ids are not the round's switches".into());
+        }
+        let spliced = |s: &usize| round.spliced.contains(&self.instance.seeds[*s].task);
+        let want: Vec<usize> = held.into_iter().filter(|s| !spliced(s)).collect();
+        if round.held != want {
+            return Err(format!(
+                "round: held {:?}, scoping holds {want:?}",
+                round.held
+            ));
+        }
+        for (t, (kept, task)) in self.instance.tasks.iter().zip(&fresh.tasks).enumerate() {
+            let want: &[usize] = if round.spliced.contains(&t) {
+                &[]
+            } else {
+                &task.seeds
+            };
+            if kept.seeds != want {
+                return Err(format!(
+                    "round: task {t} lists {:?}, scoping {want:?}",
+                    kept.seeds
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -402,6 +509,13 @@ impl Seeder {
         }
     }
 
+    /// See [`crate::farm::Farm::check_kept`]: the round scope and the
+    /// solver's previous seats.
+    pub(crate) fn check_kept(&self) -> Result<(), String> {
+        self.catalog.check_round()?;
+        self.solver_state.check_seats(&self.catalog.seats)
+    }
+
     /// Runs global placement over every registered task and diffs the
     /// result against the current deployment. Planning is incremental
     /// through the retained [`SolveState`]: the result is bit-identical
@@ -409,18 +523,19 @@ impl Seeder {
     /// live candidate holds its seat ([`Plan::held`]): it neither drops
     /// its task nor appears in the actions.
     pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Plan {
+        // The catalog's seats are the previous placement: they go to the
+        // round as they are, and come back after the diff.
+        let seats = &mut self.catalog.seats;
+        let previous = (!seats.is_empty()).then(|| PreviousPlacement {
+            assignment: std::mem::take(seats),
+        });
+        let held = self.catalog.begin_round(switches, previous);
         let Catalog {
             keys,
             instance,
             seats,
             ..
         } = &mut self.catalog;
-        // The catalog's seats are the previous placement: they go to the
-        // round as they are, and come back after the diff.
-        let previous = (!seats.is_empty()).then(|| PreviousPlacement {
-            assignment: std::mem::take(seats),
-        });
-        let held = instance.begin_round(switches, previous);
         // A definition change is always a splice, which the remap has
         // already shown the memory: nothing is left to declare dirty.
         let (result, report) = replan_delta(

@@ -585,16 +585,7 @@ fn admission_check(
             demand = demand.add(&per_seed);
         }
     }
-    let mut headroom = [0f64; 4];
-    for (id, cap) in farm.live_capacities() {
-        let used = farm
-            .soil(id)
-            .map(|s| s.resources_in_use())
-            .unwrap_or(Resources::ZERO);
-        for (h, (c, u)) in headroom.iter_mut().zip(cap.0.iter().zip(used.0.iter())) {
-            *h += c * quota - u;
-        }
-    }
+    let headroom = farm.headroom(quota);
     for i in 0..4 {
         if demand.0[i] > headroom[i] + 1e-9 {
             return Err(format!(
@@ -894,6 +885,7 @@ fn metrics_json(snap: &Snapshot) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use farm_netsim::switch::ResourceKind;
 
     #[test]
     fn seed_keys_round_trip_their_display_form() {
@@ -1011,39 +1003,77 @@ mod tests {
         );
         let spines: Vec<SwitchId> = topo.spines().collect();
         let leaves: Vec<SwitchId> = topo.leaves().collect();
-        let (fenced, cordoned, cut_off, crashed) = (leaves[0], leaves[1], leaves[2], leaves[3]);
+        let (fenced, cordoned, cut_off, crashed, degraded) =
+            (leaves[0], leaves[1], leaves[2], leaves[3], leaves[4]);
         let plan = FaultPlan::new().with(
             Time::from_millis(1),
             FaultKind::SwitchCrash { switch: fenced },
         );
         let mut farm = FarmBuilder::new(topo).with_fault_plan(plan).build();
+        // Seeds on every switch, so every soil holds something.
+        let hh = farm_almanac::programs::HEAVY_HITTER;
+        farm.deploy_task("hh", hh, &BTreeMap::new()).unwrap();
+        // The headroom admission grants is the fold over the live list
+        // and the soils' in-use totals in slot order, to the bit, however
+        // the live list last changed.
+        let quota = 0.7;
+        let folded = |farm: &Farm| {
+            let mut headroom = [0f64; 4];
+            for (id, cap) in farm.live_capacities() {
+                let soil = farm.soil(*id);
+                let used = soil.map_or(Resources::ZERO, |s| s.resources_in_use());
+                for (k, h) in headroom.iter_mut().enumerate() {
+                    *h += cap.0[k] * quota - used.0[k];
+                }
+            }
+            headroom.map(f64::to_bits)
+        };
+        let holds = |farm: &Farm, after: &str| {
+            assert_eq!(farm.check_kept(), Ok(()), "{after}");
+            assert_eq!(
+                farm.headroom(quota).map(f64::to_bits),
+                folded(farm),
+                "{after}"
+            );
+        };
+        holds(&farm, "before any change");
         // Three missed heartbeats fence the first leaf; the others fail
-        // after the last round, so no detector has seen them yet.
+        // after the last round, so no detector sees them.
         farm.advance(Time::from_millis(35));
         assert_eq!(farm.fenced_switches(), vec![fenced]);
+        holds(&farm, "fenced");
         farm.drain(cordoned).unwrap();
+        holds(&farm, "cordoned");
         for spine in &spines {
             farm.network_mut().set_link_up(*spine, cut_off, false);
         }
+        holds(&farm, "cut off");
         farm.network_mut().set_switch_up(crashed, false);
+        holds(&farm, "crashed");
+        let full = farm
+            .network()
+            .switch(degraded)
+            .unwrap()
+            .effective_resources();
+        (farm.network_mut().switch_mut(degraded).unwrap())
+            .pcie_mut()
+            .set_degradation(0.5);
+        holds(&farm, "PCIe-degraded");
 
         let live: Vec<SwitchId> = spines.iter().chain(&leaves[4..]).copied().collect();
         let capacities = farm.live_capacities();
         let ids: Vec<SwitchId> = capacities.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, live);
+        let at = |id: SwitchId| capacities.iter().find(|(n, _)| *n == id).unwrap().1;
+        let poll = |r: Resources| r.get(ResourceKind::PciePoll);
+        assert_eq!(poll(at(degraded)), poll(full) * 0.5, "effective resources");
 
         // The quota at which the task's demand exactly meets the live
-        // set's capacity on its tightest resource: admission must flip
+        // set's headroom on its tightest resource: admission must flip
         // there, which it does only if it sums over the same switches.
         let task = {
             let ctl = SdnController::new(farm.network().topology());
-            farm_almanac::compile::compile_task(
-                "hh",
-                farm_almanac::programs::HEAVY_HITTER,
-                &BTreeMap::new(),
-                &ctl,
-            )
-            .unwrap()
+            farm_almanac::compile::compile_task("hh2", hh, &BTreeMap::new(), &ctl).unwrap()
         };
         let mut demand = Resources::ZERO;
         for m in &task.machines {
@@ -1052,8 +1082,9 @@ mod tests {
                 demand = demand.add(&per_seed);
             }
         }
+        let used = |k: usize| -farm.headroom(0.0)[k];
         let tightest = (0..4)
-            .map(|k| demand.0[k] / capacities.iter().map(|(_, cap)| cap.0[k]).sum::<f64>())
+            .map(|k| (demand.0[k] + used(k)) / capacities.iter().map(|(_, c)| c.0[k]).sum::<f64>())
             .fold(0.0, f64::max);
         assert!(tightest > 0.0);
         assert_eq!(admission_check(&farm, &task, tightest * 1.001), Ok(()));

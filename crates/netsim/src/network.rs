@@ -186,6 +186,11 @@ impl Network {
             .collect()
     }
 
+    /// Per slot: the switch is in [`Network::reachable`].
+    pub fn reached(&self) -> &[bool] {
+        &self.reached
+    }
+
     /// Recomputes the reachable set: one traversal of the fabric.
     fn reach(&mut self) {
         let spines: Vec<usize> = self

@@ -119,8 +119,10 @@ impl PlacementInstance {
     /// `seeds.start` ([`task_rows`]), are inserted before row `t`
     /// (`seeds` then empty); `None` removes task `t`, whose seeds are
     /// `seeds`. The seeds after the splice are renumbered and move one
-    /// task on or back; the task rows' seed lists are the round's
-    /// ([`PlacementInstance::begin_round`]) and are left as they are.
+    /// task on or back. The task rows' seed lists are the round's
+    /// ([`PlacementInstance::begin_round`]): the other tasks' follow the
+    /// renumbering, and an inserted task's is empty until it is scoped
+    /// ([`PlacementInstance::scope_task`]).
     ///
     /// Returns the old → new seed map for [`crate::delta::SolveState::remap`]:
     /// a seed before the splice keeps its index, a spliced-out one maps
@@ -152,6 +154,7 @@ impl PlacementInstance {
             }
         };
         let after = seeds.start + added;
+        let from = seeds.end;
         self.seeds.splice(seeds, new);
         for seed in &mut self.seeds[after..] {
             seed.id = seed.id + added - removed;
@@ -161,7 +164,38 @@ impl PlacementInstance {
                 seed.task - 1
             };
         }
+        for task in &mut self.tasks {
+            for s in task.seeds.iter_mut().filter(|s| **s >= from) {
+                *s = *s + added - removed;
+            }
+        }
         map
+    }
+
+    /// Scopes task `t`'s seed list to its seeds with a candidate among
+    /// `live` (ascending), as [`PlacementInstance::begin_round`] scopes
+    /// every task, and returns the others, ascending. The instance's
+    /// seeds are laid out task by task, as a catalog of
+    /// [`PlacementInstance::splice_task`] keeps them.
+    pub fn scope_task(&mut self, t: usize, live: &[SwitchId]) -> Vec<usize> {
+        debug_assert!(live.is_sorted() && self.seeds.is_sorted_by_key(|s| s.task));
+        let start = self.seeds.partition_point(|s| s.task < t);
+        let end = start + self.seeds[start..].partition_point(|s| s.task == t);
+        let list = &mut self.tasks[t].seeds;
+        list.clear();
+        let mut held = Vec::new();
+        for (s, seed) in self.seeds[start..end].iter().enumerate() {
+            if seed
+                .candidates
+                .iter()
+                .any(|n| live.binary_search(n).is_ok())
+            {
+                list.push(start + s);
+            } else {
+                held.push(start + s);
+            }
+        }
+        held
     }
 
     /// Points the instance at one planning round: this round's live

@@ -22,27 +22,43 @@
 //! `first`: every seed before it keeps its index, and none of its
 //! records is touched. The per-seed vectors scatter their entries from
 //! `first` on to the new indices; a new index no kept seed takes is a
-//! seed new to the state. Each switch's `(seed, position)` index and the
-//! benefit list are rewritten from their first pair at or past `first`,
-//! and are sorted again only when the rewrite left them out of order;
-//! only the log ops and states that name a seed from `first` on are
-//! rewritten, and a switch whose log names a dropped seed starts over.
-//! A catalog splice moves the seeds after the spliced task, so the
-//! remap costs what those seeds hold; a general permutation is the case
-//! `first = 0`. Renaming a seed changes no value a step or an LP reads:
-//! every record keeps its meaning under the new index.
+//! seed new to the state. The benefit list and the `(seed, position)`
+//! index (see step 4) are rewritten from their first entry at or past
+//! `first`, and only the lists whose last seed is at or past it are
+//! visited; a list is sorted again only when the rewrite left it out of
+//! order. Seeds whose candidate lists (of more than one switch) are
+//! equal share one list of the index, which names the list, not each
+//! seed: the remap rewrites such a
+//! list's members, never its pairs, so forty `place any` seeds over a
+//! thousand switches cost forty entries, not forty thousand. Only the
+//! log ops and states that name a seed from `first` on are rewritten,
+//! and a switch whose log names a dropped seed starts over. A catalog
+//! splice moves the seeds after the spliced task, so the remap costs
+//! what those seeds hold; a general permutation is the case `first = 0`.
+//! Renaming a seed changes no value a step or an LP reads: every record
+//! keeps its meaning under the new index.
 //!
 //! **Step 1 as a kept order.** The greedy visits its *steps* — one per
 //! seed, task by task in decreasing minimum utility, a task's seeds by
 //! candidate count — in the order the last solve kept. A task's key and
 //! step order are derived again only when its member list differs from
 //! the kept one or one of its seeds is new or dirty, and the whole order
-//! only when one of those changed it. A new order whose surviving steps
-//! keep their relative order and their tasks is the old one with steps
-//! added and removed: the added steps are visited, and a removed step's
-//! ops no longer fit the order, so their switches start over. Any other
-//! new order is *scrambled*: every log starts over and every step is
-//! visited.
+//! only when one of those changed it. When the change is whole tasks
+//! spliced in and out — every task keeps its run (same members, none new
+//! or dirty) or is new (none of its seeds has a step), and every other
+//! run lost all its seeds to the remap — the kept runs stay in their
+//! order with their keys, steps and fail points, and each new task's run
+//! is spliced in where the layout's sort would put it: after the runs of
+//! higher key, and of equal key and lower task index. The sort is
+//! stable over the task index and a splice keeps the tasks' relative
+//! order, so that is the layout's order; a NaN key, or kept runs out of
+//! that order, lay the order out again instead. A new order whose
+//! surviving steps keep their relative order and their tasks is the old
+//! one with steps added and removed: the added steps are visited, and a
+//! removed step's ops no longer fit the order, so their switches start
+//! over. Any other new order is *scrambled*: every log starts over and
+//! every step is visited. [`SolveState::check_order`] holds the kept
+//! order to a layout from scratch.
 //!
 //! **Step 2 as per-switch op logs.** The lingering reservations and the
 //! greedy pass change a switch only through five ops — reserve, release,
@@ -57,10 +73,15 @@
 //! candidate when it scanned.
 //!
 //! **Previous seats** come as a dense table, one slot per seed
-//! ([`crate::model::Seats`]), walked in seed order beside the seats the
-//! last solve saw; a seat that came, went or changed bits makes its seed
-//! unclean, and the switches it left and took rewrite their reserve
-//! sections.
+//! ([`crate::model::Seats`]), read beside the seats the last solve saw;
+//! a seat that came, went or changed bits makes its seed unclean, and
+//! the switches it left and took rewrite their reserve sections. The
+//! table logs the seeds its writes touch, under a stamp no other table
+//! has: a state that took its seats from the same table reads only the
+//! seeds logged since (`Seats::changes_since`); any other table, or a
+//! log that started over, is walked seed by seed. Every seed the log
+//! does not name holds the seat it held when the state last read the
+//! table, so the two reads agree ([`SolveState::check_seats`]).
 //!
 //! The pass *visits* only the steps on a worklist, in order: the steps of
 //! seeds that are not clean (dirty, new, or with other previous-seat
@@ -143,7 +164,10 @@
 //! what it did never reaches the next scan. Only seeds whose post-step-3
 //! seat was written this solve, or that have a candidate that moved,
 //! joined or left — found through the per-switch (seed, position) index
-//! — are scanned; every other seed's benefits are copied as a block. A
+//! of candidates (a seed's own pairs, or the members of the shared list
+//! its candidates equal; [`SolveState::check_index`] holds it to one
+//! built from scratch) — are scanned; every other seed's benefits are
+//! copied as a block. A
 //! kept seed at the seat it was scanned at evaluates only the positions
 //! that changed; any other placed seed evaluates every position. The
 //! records follow [`SolveState::remap`], are dropped for seeds that are
@@ -166,14 +190,18 @@
 use std::mem::size_of;
 use std::sync::Arc;
 
-use crate::fxhash::FxHashMap;
+use std::hash::Hasher;
+
+use crate::fxhash::{FxHashMap, FxHasher};
 
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::heuristic::{solve_core, HeuristicOptions, Load, SeedPolls, SwitchState, Usage};
-use crate::model::{PlacementInstance, PlacementResult, PlacementSeed, SubjectInterner};
+use crate::model::{
+    LogAt, PlacementInstance, PlacementResult, PlacementSeed, Seat, Seats, SubjectInterner,
+};
 
 /// Bucket bounds of the `solver.delta_frontier` and
 /// `solver.switches_rebuilt` histograms (switch counts, so plain powers
@@ -448,6 +476,16 @@ trait SeedPair {
     fn set_seed(&mut self, s: u32);
 }
 
+impl SeedPair for u32 {
+    fn pair(&self) -> (u32, u32) {
+        (*self, 0)
+    }
+
+    fn set_seed(&mut self, s: u32) {
+        *self = s;
+    }
+}
+
 impl SeedPair for (u32, u32) {
     fn pair(&self) -> (u32, u32) {
         *self
@@ -642,6 +680,9 @@ pub(crate) struct Seeds {
     /// This solve's seeds that are not `CLEAN`; they are clean again at
     /// the start of the next one unless something else says otherwise.
     unclean: Vec<u32>,
+    /// Where the previous seats' table stood when the seats were last
+    /// taken from it; `None` when they were not taken from a table.
+    seen: Option<LogAt>,
 }
 
 impl Seeds {
@@ -789,38 +830,74 @@ impl Seeds {
         (fresh, moved)
     }
 
-    /// Takes this solve's previous seats from the instance's seat table,
-    /// walked in seed order beside the kept seats. A seed whose seat
-    /// came, went or differs in any bit from the last solve's is not
-    /// clean, and the switches it left and took rewrite their reserve
-    /// sections.
+    /// Takes this solve's previous seats from the instance's seat table:
+    /// the seeds the table logged since the seats were last taken from
+    /// it ([`Seats::changes_since`]), or, from any other table, every
+    /// seed, each beside its kept seat. A seed whose seat came, went or
+    /// differs in any bit from the last solve's is not clean, and the
+    /// switches it left and took rewrite their reserve sections.
     fn seat_previous(&mut self, instance: &PlacementInstance, switches: &mut Switches) {
-        let seats = instance
-            .previous
-            .as_ref()
-            .map_or(&[][..], |p| p.assignment.slots());
-        for s in 0..self.len() {
-            let slot = self.seat_slot[s];
-            let seat = seats.get(s).copied().flatten();
-            let same = match seat {
-                Some((n, res)) => {
-                    slot != NO_SEAT
-                        && switches.ids[slot as usize] == n
-                        && bits(&self.seat_res[s]) == bits(&res)
+        let table = instance.previous.as_ref().map(|p| &p.assignment);
+        let seats = table.map_or(&[][..], |t| t.slots());
+        let logged = table.and_then(|t| t.changes_since(self.seen));
+        self.seen = table.map(Seats::log_at);
+        let n = self.len();
+        match logged {
+            Some(log) => {
+                for s in log.iter().map(|&s| s as usize).filter(|&s| s < n) {
+                    if !self.seated(s, seats, &switches.ids) {
+                        self.take_seat(s, seats, switches);
+                    }
                 }
-                None => slot == NO_SEAT,
-            };
-            if same {
-                continue;
             }
-            self.soil(s);
-            let from = (slot != NO_SEAT).then_some(slot as usize);
-            let to = seat.map(|(n, res)| (switches.slot(n), res));
-            switches.move_seat(s, from, to.map(|(i, _)| i));
-            self.seat_slot[s] = to.map_or(NO_SEAT, |(i, _)| i as u32);
-            if let Some((_, res)) = to {
-                self.seat_res[s] = res;
+            None => {
+                for s in 0..n {
+                    if !self.seated(s, seats, &switches.ids) {
+                        self.take_seat(s, seats, switches);
+                    }
+                }
             }
+        }
+    }
+
+    /// Whether seed `s`'s kept seat is `seats`' to the bit.
+    #[inline]
+    fn seated(&self, s: usize, seats: &[Option<Seat>], ids: &[SwitchId]) -> bool {
+        let slot = self.seat_slot[s];
+        match seats.get(s).copied().flatten() {
+            Some((n, res)) => {
+                slot != NO_SEAT && ids[slot as usize] == n && bits(&self.seat_res[s]) == bits(&res)
+            }
+            None => slot == NO_SEAT,
+        }
+    }
+
+    /// Takes seed `s`'s seat from `seats`, which differs from its kept
+    /// one.
+    fn take_seat(&mut self, s: usize, seats: &[Option<Seat>], switches: &mut Switches) {
+        let slot = self.seat_slot[s];
+        let seat = seats.get(s).copied().flatten();
+        self.soil(s);
+        let from = (slot != NO_SEAT).then_some(slot as usize);
+        let to = seat.map(|(n, res)| (switches.slot(n), res));
+        switches.move_seat(s, from, to.map(|(i, _)| i));
+        self.seat_slot[s] = to.map_or(NO_SEAT, |(i, _)| i as u32);
+        if let Some((_, res)) = to {
+            self.seat_res[s] = res;
+        }
+    }
+
+    /// See [`SolveState::check_seats`].
+    fn check_seats(&self, table: &Seats, ids: &[SwitchId]) -> Result<(), String> {
+        let Some(logged) = table.changes_since(self.seen) else {
+            return Ok(());
+        };
+        let seats = table.slots();
+        match (0..self.len())
+            .find(|&s| !self.seated(s, seats, ids) && !logged.contains(&(s as u32)))
+        {
+            Some(s) => Err(format!("seats: seed {s}'s kept seat is not the table's")),
+            None => Ok(()),
         }
     }
 
@@ -1045,6 +1122,9 @@ impl Order {
             // steps go on the worklist as unclean ones.
             return re;
         }
+        if let Some(re) = self.splice(instance, &runs, key, sorted) {
+            return re;
+        }
         // Lay the order out again: a kept run keeps its key and steps.
         let kept = |t: usize| runs[t].filter(|r| r.1).map(|r| r.0);
         let keys: Vec<f64> = (0..instance.tasks.len())
@@ -1147,6 +1227,167 @@ impl Order {
             }
         }
         re
+    }
+
+    /// The order as the last one with whole runs added and removed, when
+    /// that is what changed: every task with seeds keeps its run (the
+    /// same members, none of them new or dirty) or is new (none of its
+    /// seeds has a step), and every run no task keeps lost all its seeds
+    /// to the remap. The kept runs stay in their order with their keys,
+    /// steps and fail points; a new task's run goes where the layout's
+    /// sort puts it — after the runs of higher key, and of equal key and
+    /// lower task index — and its steps on the worklist. `None`, with
+    /// the order untouched, when the change is of another shape, a key
+    /// is NaN, or the kept runs are not in the sort's order.
+    fn splice(
+        &mut self,
+        instance: &PlacementInstance,
+        runs: &[Option<(Run, bool)>],
+        key: impl Fn(usize) -> f64,
+        sorted: impl Fn(usize) -> Vec<usize>,
+    ) -> Option<Reorder> {
+        let mut task_of = vec![u32::MAX; self.runs.len()];
+        let mut added = Vec::new();
+        for (t, task) in instance.tasks.iter().enumerate() {
+            if task.seeds.is_empty() {
+                continue;
+            }
+            match runs[t] {
+                Some((run, true)) => {
+                    let r = self.run_of(run.start as usize);
+                    if std::mem::replace(&mut task_of[r], t as u32) != u32::MAX {
+                        return None;
+                    }
+                }
+                Some(_) => return None,
+                None => {
+                    let has_step = |&s: &usize| self.step_of[s] != NO_STEP;
+                    let k = key(t);
+                    if k.is_nan() || task.seeds.iter().any(has_step) {
+                        return None;
+                    }
+                    added.push((k, t));
+                }
+            }
+        }
+        let mut last: Option<(f64, u32)> = None;
+        for (run, &t) in self.runs.iter().zip(&task_of) {
+            let span = run.start as usize..run.end as usize;
+            if t == u32::MAX {
+                if self.steps[span].iter().any(|&s| s != u32::MAX) {
+                    return None;
+                }
+                continue;
+            }
+            let k = f64::from_bits(run.key);
+            if k.is_nan() || last.is_some_and(|(lk, lt)| lk < k || lk == k && lt > t) {
+                return None;
+            }
+            last = Some((k, t));
+        }
+        let by_key = |a: &(f64, usize), b: &(f64, usize)| b.0.partial_cmp(&a.0);
+        added.sort_by(|a, b| by_key(a, b).expect("no NaN").then(a.1.cmp(&b.1)));
+        let old_runs = std::mem::take(&mut self.runs);
+        let old_steps = std::mem::take(&mut self.steps);
+        let old_members = std::mem::take(&mut self.members);
+        let new: usize = added.iter().map(|a| instance.tasks[a.1].seeds.len()).sum();
+        self.steps.reserve_exact(old_steps.len() + new);
+        self.members.reserve_exact(old_members.len() + new);
+        let mut re = Reorder::default();
+        let mut added = added.into_iter().peekable();
+        let kept = old_runs.iter().zip(task_of).filter(|r| r.1 != u32::MAX);
+        for run in kept.map(Some).chain([None]) {
+            let first = |&(k, a): &(f64, usize)| {
+                run.is_none_or(|(run, t)| {
+                    let rk = f64::from_bits(run.key);
+                    k > rk || k == rk && a < t as usize
+                })
+            };
+            while let Some((k, a)) = added.next_if(first) {
+                let start = self.steps.len() as u32;
+                for s in sorted(a) {
+                    self.repeats |= self.step_of[s] != NO_STEP;
+                    self.step_of[s] = self.steps.len() as u32;
+                    re.pending.push(self.steps.len());
+                    self.steps.push(s as u32);
+                }
+                self.members.extend_from_slice(&instance.tasks[a].seeds);
+                let end = self.steps.len() as u32;
+                self.runs.push(Run {
+                    task: a as u32,
+                    start,
+                    end,
+                    key: k.to_bits(),
+                    fail: end,
+                    dropped: false,
+                });
+            }
+            let Some((run, task)) = run else {
+                break;
+            };
+            let (from, start) = (run.start as usize, self.steps.len() as u32);
+            for &s in &old_steps[from..run.end as usize] {
+                self.step_of[s as usize] = self.steps.len() as u32;
+                self.steps.push(s);
+            }
+            self.members
+                .extend_from_slice(&old_members[from..run.end as usize]);
+            self.runs.push(Run {
+                task,
+                start,
+                end: self.steps.len() as u32,
+                fail: run.fail - run.start + start,
+                ..*run
+            });
+        }
+        Some(re)
+    }
+
+    /// Holds the kept order to a layout from scratch: the tasks with
+    /// seeds by decreasing key (sum of their seeds' minimum utilities),
+    /// ties by task index, each task's seeds by candidate count.
+    fn check(&self, instance: &PlacementInstance, seeds: &Seeds) -> Result<(), String> {
+        let min_u = |&s: &usize| seeds.min_alloc(s).map_or(0.0, |(_, u)| u);
+        let key = |t: usize| -> f64 { instance.tasks[t].seeds.iter().map(min_u).sum() };
+        let mut tasks: Vec<usize> = (0..instance.tasks.len())
+            .filter(|&t| !instance.tasks[t].seeds.is_empty())
+            .collect();
+        tasks.sort_by(|&a, &b| {
+            key(b)
+                .partial_cmp(&key(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut steps = Vec::new();
+        let mut step_of = vec![NO_STEP; instance.seeds.len()];
+        for (r, &t) in tasks.iter().enumerate() {
+            let mut ids = instance.tasks[t].seeds.clone();
+            ids.sort_by_key(|&s| instance.seeds[s].candidates.len());
+            let run = self.runs.get(r).ok_or(format!("order: no run {r}"))?;
+            let (start, end) = (steps.len() as u32, (steps.len() + ids.len()) as u32);
+            if (run.task, run.start, run.end, run.key) != (t as u32, start, end, key(t).to_bits()) {
+                return Err(format!(
+                    "order: run {r} is {run:?}, task {t} laid out at {start}..{end}"
+                ));
+            }
+            for s in ids {
+                step_of[s] = steps.len() as u32;
+                steps.push(s as u32);
+            }
+        }
+        let members: Vec<usize> = (tasks.iter())
+            .flat_map(|&t| instance.tasks[t].seeds.iter().copied())
+            .collect();
+        if self.runs.len() != tasks.len() || self.steps != steps || self.members != members {
+            return Err(format!(
+                "order: {} runs kept, {} laid out",
+                self.runs.len(),
+                tasks.len()
+            ));
+        }
+        match (0..step_of.len()).find(|&s| self.step_of.get(s) != Some(&step_of[s])) {
+            Some(s) => Err(format!("order: seed {s} at step {:?}", self.step_of.get(s))),
+            None => Ok(()),
+        }
     }
 
     /// Moves the seeds from `r.first` on to their new indices. A task
@@ -1873,24 +2114,64 @@ const UTIL_SOME: u8 = 2;
 /// and the index holds every (seed, position) pair of its candidates.
 const INDEXED: u8 = 4;
 
+/// A candidate list that more than one indexed seed has: indexed once,
+/// by (list, position) pairs, for all of its seeds.
+#[derive(Debug, Default)]
+struct Shared {
+    /// The list as slots, in candidate order; empty for a list no seed
+    /// holds any more, free for the next one.
+    slots: Vec<u32>,
+    /// [`list_hash`] of `slots`.
+    hash: u64,
+    /// The seeds holding it, ascending. A member whose candidates
+    /// changed stays until a switch of the list changes, as a pair of a
+    /// seed of its own does.
+    members: Vec<u32>,
+}
+
+/// [`Scans::list`] of a seed that is no shared list's member.
+const NO_LIST: u32 = u32::MAX;
+
+/// The hash a candidate list is looked up by.
+fn list_hash(slots: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    for &i in slots {
+        h.write_u32(i);
+    }
+    h.finish()
+}
+
 /// Step 4's memory. Per seed, flat and seed-indexed: whether the seed
 /// was scanned at the post-step-3 seat (switch and allocation bits) it
 /// holds, its utility there, and the benefits it pushed, in candidate
-/// order. Per switch
-/// slot: the (seed, position) pairs of the indexed seeds' candidates that
-/// name it, so a switch that changed finds the pairs it affects — and
-/// the greedy steps that read it — without a walk over any candidate
-/// list.
+/// order. Per switch slot: the (seed, position) pairs of the indexed
+/// seeds' candidates that name it ([`Scans::readers`]), so a switch that
+/// changed finds the pairs it affects — and the greedy steps that read
+/// it — without a walk over any candidate list. Seeds whose candidate
+/// lists are equal share one [`Shared`] list, indexed once by (list,
+/// position) pairs: forty `place any` seeds over a fabric of a thousand
+/// switches hold a thousand pairs and forty members, not forty thousand
+/// pairs, and a remap rewrites the members alone.
 #[derive(Debug, Default)]
 pub(crate) struct Scans {
     util: Vec<f64>,
     flags: Vec<u8>,
+    /// Per seed indexed on its own: [`list_hash`] of its candidates.
+    hash: Vec<u64>,
+    /// Per seed: the shared list it is a member of, or [`NO_LIST`].
+    list: Vec<u32>,
     /// The last scan's benefits, ascending by (seed, position).
     pub(crate) benefits: Vec<Benefit>,
     next: Vec<Benefit>,
-    /// Per slot, ascending; pairs of a seed whose candidates changed stay
-    /// until their switch changes, and are dropped then.
+    /// Per slot, ascending: the pairs of the seeds indexed on their own.
+    /// Pairs of a seed whose candidates changed stay until their switch
+    /// changes, and are dropped then.
     by_slot: Vec<Vec<(u32, u32)>>,
+    /// Per slot: the (shared list, position) pairs naming it.
+    shared_at: Vec<Vec<(u32, u32)>>,
+    shared: Vec<Shared>,
+    /// Shared lists no seed holds, for the next one to take.
+    free: Vec<u32>,
     /// Between [`Scans::prepare`] and [`Scans::scan`]: the pairs whose
     /// switch changed, ascending.
     changed: Vec<(u32, u32)>,
@@ -1903,6 +2184,8 @@ impl Scans {
     pub(crate) fn begin(&mut self, n: usize, fresh: &[u32]) {
         self.util.resize(n, 0.0);
         self.flags.resize(n, 0);
+        self.hash.resize(n, 0);
+        self.list.resize(n, NO_LIST);
         for &s in fresh {
             self.flags[s as usize] = 0;
         }
@@ -1922,55 +2205,230 @@ impl Scans {
         self.benefits.clear();
     }
 
-    /// Indexes every candidate of the listed seeds not yet indexed.
+    /// Indexes every candidate of the listed seeds not yet indexed: a
+    /// seed joins the shared list equal to its candidates, or forms one
+    /// with a seed indexed on its own under the same list, or is indexed
+    /// on its own. A seed leaves the shared list it was in when its
+    /// candidates are another list now, and its own pairs on a list it
+    /// joins, so no pair is indexed twice.
     pub(crate) fn index(
         &mut self,
         seeds: &[u32],
         instance: &PlacementInstance,
         switches: &mut Switches,
     ) {
-        let Scans { flags, by_slot, .. } = self;
+        let mut slots = Vec::new();
         for &s in seeds {
             let s = s as usize;
-            if flags[s] & INDEXED != 0 {
+            if self.flags[s] & INDEXED != 0 {
                 continue;
             }
-            flags[s] |= INDEXED;
-            for (pos, &n) in instance.seeds[s].candidates.iter().enumerate() {
-                let i = switches.slot(n);
-                if by_slot.len() <= i {
-                    by_slot.resize_with(i + 1, Vec::new);
+            self.flags[s] |= INDEXED;
+            let candidates = &instance.seeds[s].candidates;
+            slots.clear();
+            slots.extend(candidates.iter().map(|&n| switches.slot(n) as u32));
+            let g = self.list[s];
+            if g != NO_LIST {
+                if self.shared[g as usize].slots == slots {
+                    continue;
                 }
-                let pairs = &mut by_slot[i];
-                let pair = (s as u32, pos as u32);
-                if let Err(k) = pairs.binary_search(&pair) {
-                    // Grown by an eighth, not doubled: the index is kept.
-                    if pairs.len() == pairs.capacity() {
-                        pairs.reserve_exact(pairs.len() / 8 + 1);
-                    }
-                    pairs.insert(k, pair);
+                self.leave(s as u32, g);
+            }
+            if self.by_slot.len() < switches.ids.len() {
+                self.by_slot.resize_with(switches.ids.len(), Vec::new);
+                self.shared_at.resize_with(switches.ids.len(), Vec::new);
+            }
+            // A list of one switch is indexed per seed: sharing it would
+            // save no pair.
+            if slots.len() > 1 {
+                let (i0, hash) = (slots[0] as usize, list_hash(&slots));
+                let shared = &self.shared;
+                let list = self.shared_at[i0].iter().find(|&&(g, pos)| {
+                    let list = &shared[g as usize];
+                    pos == 0 && list.hash == hash && list.slots == slots
+                });
+                if let Some(&(g, _)) = list {
+                    self.drop_own(s as u32, &slots);
+                    let members = &mut self.shared[g as usize].members;
+                    let k = members.partition_point(|&m| (m as usize) < s);
+                    members.insert(k, s as u32);
+                    self.list[s] = g;
+                    continue;
                 }
+                let (flags, hashes, lists) = (&self.flags, &self.hash, &self.list);
+                let twin = self.by_slot[i0].iter().find(|&&(a, pos)| {
+                    let a = a as usize;
+                    pos == 0
+                        && hashes[a] == hash
+                        && a != s
+                        && flags[a] & INDEXED != 0
+                        && lists[a] == NO_LIST
+                        && instance.seeds[a].candidates == *candidates
+                });
+                if let Some(&(a, _)) = twin {
+                    self.share(a, s as u32, slots.clone(), hash);
+                    continue;
+                }
+                self.hash[s] = hash;
+            }
+            for (pos, &i) in slots.iter().enumerate() {
+                insert_pair(&mut self.by_slot[i as usize], (s as u32, pos as u32));
             }
         }
     }
 
-    /// The indexed (seed, position) pairs naming slot `i`.
-    fn readers(&self, i: usize) -> &[(u32, u32)] {
-        self.by_slot.get(i).map_or(&[], Vec::as_slice)
+    /// Seed `a`, indexed on its own under `slots`, and seed `s` form a
+    /// shared list: their own pairs on it go.
+    fn share(&mut self, a: u32, s: u32, slots: Vec<u32>, hash: u64) {
+        let g = self.free.pop().unwrap_or_else(|| {
+            self.shared.push(Shared::default());
+            self.shared.len() as u32 - 1
+        });
+        self.drop_own(a, &slots);
+        self.drop_own(s, &slots);
+        for (pos, &i) in slots.iter().enumerate() {
+            insert_pair(&mut self.shared_at[i as usize], (g, pos as u32));
+        }
+        self.shared[g as usize] = Shared {
+            slots,
+            hash,
+            members: vec![a.min(s), a.max(s)],
+        };
+        (self.list[a as usize], self.list[s as usize]) = (g, g);
+    }
+
+    /// Drops seed `s`'s own pairs on `slots`.
+    fn drop_own(&mut self, s: u32, slots: &[u32]) {
+        for (pos, &i) in slots.iter().enumerate() {
+            remove_pair(&mut self.by_slot[i as usize], (s, pos as u32));
+        }
+    }
+
+    /// Seed `s` leaves shared list `g`.
+    fn leave(&mut self, s: u32, g: u32) {
+        let members = &mut self.shared[g as usize].members;
+        if let Ok(k) = members.binary_search(&s) {
+            members.remove(k);
+        }
+        self.list[s as usize] = NO_LIST;
+        if members.is_empty() {
+            self.unshare(g);
+        }
+    }
+
+    /// Shared list `g` lost its last member: its pairs go and it is free.
+    fn unshare(&mut self, g: u32) {
+        let list = &mut self.shared[g as usize];
+        for (pos, &i) in list.slots.iter().enumerate() {
+            remove_pair(&mut self.shared_at[i as usize], (g, pos as u32));
+        }
+        *list = Shared::default();
+        self.free.push(g);
+    }
+
+    /// The indexed (seed, position) pairs naming slot `i`: the seeds'
+    /// own pairs, then each shared list's members at its position there.
+    /// In no order across lists; [`Scans::prepare`] sorts what it takes.
+    fn readers(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let own = self.by_slot.get(i).map_or(&[][..], Vec::as_slice);
+        let shared = self.shared_at.get(i).map_or(&[][..], Vec::as_slice);
+        let members = shared.iter().flat_map(move |&(g, pos)| {
+            let members = &self.shared[g as usize].members;
+            members.iter().map(move |&s| (s, pos))
+        });
+        own.iter().copied().chain(members)
+    }
+
+    /// See [`SolveState::check_index`].
+    fn check(&self, instance: &PlacementInstance, switches: &Switches) -> Result<(), String> {
+        let slots = self.by_slot.len().max(self.shared_at.len());
+        let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); slots];
+        for (s, seed) in instance.seeds.iter().enumerate() {
+            if self.flags.get(s).is_none_or(|f| f & INDEXED == 0) {
+                continue;
+            }
+            for (pos, n) in seed.candidates.iter().enumerate() {
+                let i = *switches
+                    .slot_of
+                    .get(n)
+                    .ok_or(format!("index: seed {s}: {n:?}"))?;
+                let pairs = want.get_mut(i as usize).ok_or(format!("index: slot {i}"))?;
+                pairs.push((s as u32, pos as u32));
+            }
+        }
+        for (i, want) in want.into_iter().enumerate() {
+            let names = |&(s, pos): &(u32, u32)| {
+                let indexed = self.flags.get(s as usize).is_some_and(|f| f & INDEXED != 0);
+                let seed = instance.seeds.get(s as usize);
+                let n = seed.and_then(|seed| seed.candidates.get(pos as usize));
+                indexed && n == switches.ids.get(i)
+            };
+            let mut have: Vec<(u32, u32)> = self.readers(i).filter(names).collect();
+            have.sort_unstable();
+            if have != want {
+                return Err(format!(
+                    "index: slot {i} holds {have:?}, the seeds name {want:?}"
+                ));
+            }
+        }
+        for (g, list) in self.shared.iter().enumerate() {
+            if !list.members.is_sorted_by(|a, b| a < b) {
+                return Err(format!("index: list {g}'s members {:?}", list.members));
+            }
+            if let Some(s) = (list.members.iter()).find(|&&s| self.list[s as usize] != g as u32) {
+                return Err(format!("index: seed {s} is in list {g}, not its own"));
+            }
+            let at = |(pos, &i): (usize, &u32)| {
+                let pairs = self.shared_at.get(i as usize);
+                pairs.is_some_and(|p| p.binary_search(&(g as u32, pos as u32)).is_ok())
+            };
+            if list.members.is_empty() != list.slots.is_empty()
+                || !list.slots.iter().enumerate().all(at)
+            {
+                return Err(format!("index: list {g} is not where its slots are"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Pairs and members the index holds.
+    #[cfg(test)]
+    fn entries(&self) -> usize {
+        let pairs = |v: &Vec<Vec<(u32, u32)>>| v.iter().map(Vec::len).sum::<usize>();
+        let members = self.shared.iter().map(|l| l.members.len()).sum::<usize>();
+        pairs(&self.by_slot) + pairs(&self.shared_at) + members
     }
 
     /// Moves the records of the seeds from `r.first` on to their new
-    /// indices and drops the dropped seeds' records: in each list only
-    /// the pairs from the first such seed on are rewritten.
+    /// indices and drops the dropped seeds' records: only the lists
+    /// holding such a seed are rewritten, from the first such seed on,
+    /// and a shared list left without members is freed.
     pub(crate) fn remap(&mut self, r: &Remap) {
         r.apply(&mut self.util, 0.0);
         r.apply(&mut self.flags, 0);
+        r.apply(&mut self.hash, 0);
+        r.apply(&mut self.list, NO_LIST);
         if r.identity() {
             return;
         }
         r.ascending(&mut self.benefits);
+        let moves = |last: Option<u32>| last.is_some_and(|s| s as usize >= r.first);
         for pairs in &mut self.by_slot {
-            r.ascending(pairs);
+            if moves(pairs.last().map(|p| p.0)) {
+                r.ascending(pairs);
+            }
+        }
+        let mut emptied = Vec::new();
+        for (g, list) in self.shared.iter_mut().enumerate() {
+            if moves(list.members.last().copied()) {
+                r.ascending(&mut list.members);
+                if list.members.is_empty() {
+                    emptied.push(g as u32);
+                }
+            }
+        }
+        for g in emptied {
+            self.unshare(g);
         }
     }
 
@@ -1980,25 +2438,52 @@ impl Scans {
     /// joined), or left — ascending.
     pub(crate) fn prepare(&mut self, instance: &PlacementInstance, switches: &Switches) {
         let Scans {
-            by_slot, changed, ..
+            by_slot,
+            shared_at,
+            shared,
+            list,
+            changed,
+            ..
         } = self;
         changed.clear();
+        let mut emptied = Vec::new();
         let moved = switches.active.iter().filter(|&&i| switches.moved[i]);
         for &i in moved.chain(&switches.left) {
-            let Some(pairs) = by_slot.get_mut(i) else {
-                continue;
-            };
             let n = switches.ids[i];
-            let names = |&(s, pos): &(u32, u32)| {
+            let names = |s: u32, pos: u32| {
                 let seed = instance.seeds.get(s as usize);
                 seed.and_then(|seed| seed.candidates.get(pos as usize)) == Some(&n)
             };
-            if !pairs.iter().all(names) {
-                pairs.retain(names);
+            if let Some(pairs) = by_slot.get_mut(i) {
+                if !pairs.iter().all(|&(s, pos)| names(s, pos)) {
+                    pairs.retain(|&(s, pos)| names(s, pos));
+                }
+                changed.extend_from_slice(pairs);
             }
-            changed.extend_from_slice(pairs);
+            for &(g, pos) in shared_at.get(i).into_iter().flatten() {
+                let members = &mut shared[g as usize].members;
+                if !members.iter().all(|&s| names(s, pos)) {
+                    members.retain(|&s| {
+                        let stays = names(s, pos);
+                        if !stays {
+                            list[s as usize] = NO_LIST;
+                        }
+                        stays
+                    });
+                    if members.is_empty() {
+                        emptied.push(g);
+                    }
+                }
+                changed.extend(members.iter().map(|&s| (s, pos)));
+            }
         }
-        changed.sort_unstable();
+        for g in emptied {
+            self.unshare(g);
+        }
+        // A seed whose candidates changed may name the slot at the same
+        // position through its old list and its new one.
+        self.changed.sort_unstable();
+        self.changed.dedup();
     }
 
     /// Step 4's walk over the seeds in `visit` (ascending: those whose
@@ -2138,11 +2623,38 @@ impl Scans {
     fn bytes(&self) -> usize {
         vec_bytes(&self.util)
             + vec_bytes(&self.flags)
+            + vec_bytes(&self.hash)
+            + vec_bytes(&self.list)
             + vec_bytes(&self.benefits)
             + vec_bytes(&self.next)
             + vec_bytes(&self.changed)
             + vec_bytes(&self.by_slot)
             + self.by_slot.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.shared_at)
+            + self.shared_at.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.shared)
+            + (self.shared.iter())
+                .map(|l| vec_bytes(&l.slots) + vec_bytes(&l.members))
+                .sum::<usize>()
+            + vec_bytes(&self.free)
+    }
+}
+
+/// Inserts `pair` into the ascending `pairs` unless it is there, growing
+/// the list by an eighth, not doubling it: the index is kept.
+fn insert_pair(pairs: &mut Vec<(u32, u32)>, pair: (u32, u32)) {
+    if let Err(k) = pairs.binary_search(&pair) {
+        if pairs.len() == pairs.capacity() {
+            pairs.reserve_exact(pairs.len() / 8 + 1);
+        }
+        pairs.insert(k, pair);
+    }
+}
+
+/// Removes `pair` from the ascending `pairs` if it is there.
+fn remove_pair(pairs: &mut Vec<(u32, u32)>, pair: (u32, u32)) {
+    if let Ok(k) = pairs.binary_search(&pair) {
+        pairs.remove(k);
     }
 }
 
@@ -2245,6 +2757,7 @@ impl Memo {
                 ..Memo::default()
             };
             self.seeds.seat_slot.fill(NO_SEAT);
+            self.seeds.seen = None;
         }
         let sw = &mut self.switches;
         sw.begin(instance);
@@ -2329,7 +2842,7 @@ impl Memo {
                 }
             }
             for &i in sw.restarted.iter().chain(&sw.left) {
-                for &(s, _) in self.scans.readers(i) {
+                for (s, _) in self.scans.readers(i) {
                     let k = self
                         .order
                         .step_of
@@ -2348,7 +2861,7 @@ impl Memo {
     /// The greedy's steps later than `first` that read switch `i` last
     /// solve go on the worklist.
     fn enqueue_readers(&mut self, i: usize, first: usize) {
-        for &(s, _) in self.scans.readers(i) {
+        for (s, _) in self.scans.readers(i) {
             let k = self
                 .order
                 .step_of
@@ -2798,6 +3311,42 @@ impl SolveState {
         }
     }
 
+    /// Checks the kept step order (step 1's) against a layout from
+    /// scratch of `instance`'s tasks, after a solve of it.
+    ///
+    /// # Errors
+    ///
+    /// Where the kept order and the layout part.
+    pub fn check_order(&self, instance: &PlacementInstance) -> Result<(), String> {
+        self.memo.order.check(instance, &self.memo.seeds)
+    }
+
+    /// Checks the kept (seed, position) index against one built from
+    /// scratch: for every switch slot, the pairs the index yields whose
+    /// seed is indexed and names the slot at that position are exactly
+    /// that seed's pairs, once each; each shared list's members are
+    /// ascending and its pairs are in the per-slot lists.
+    ///
+    /// # Errors
+    ///
+    /// The first slot or list where they part.
+    pub fn check_index(&self, instance: &PlacementInstance) -> Result<(), String> {
+        self.memo.scans.check(instance, &self.memo.switches)
+    }
+
+    /// Checks the kept previous seats against `seats`, the table they
+    /// were last taken from: every seed the table has not logged a write
+    /// of since holds its seat there, to the bit. A table they were not
+    /// taken from, or whose log started over since, holds them to
+    /// nothing: the next solve walks it whole.
+    ///
+    /// # Errors
+    ///
+    /// The first seed whose kept seat is stale.
+    pub fn check_seats(&self, seats: &Seats) -> Result<(), String> {
+        self.memo.seeds.check_seats(seats, &self.memo.switches.ids)
+    }
+
     /// Switches whose residents hold their LP's output.
     fn lp_outputs(&self) -> usize {
         self.memo.switches.lp_count()
@@ -2875,6 +3424,7 @@ pub fn replan_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::TaskRows;
     use crate::heuristic::solve_heuristic;
     use crate::model::{validate, PlacementTask, PreviousPlacement};
     use crate::workload::{generate, WorkloadConfig};
@@ -3465,8 +4015,12 @@ mod tests {
             let scans = &state.memo.scans;
             let records: Vec<Vec<u64>> = (0..p).map(|s| records_of(state, s)).collect();
             let before = |&(s, _): &(u32, u32)| (s as usize) < p;
-            let pairs: Vec<Vec<(u32, u32)>> = (scans.by_slot.iter())
-                .map(|pairs| pairs.iter().copied().filter(before).collect())
+            let pairs: Vec<Vec<(u32, u32)>> = (0..scans.by_slot.len())
+                .map(|i| {
+                    let mut pairs: Vec<_> = scans.readers(i).filter(before).collect();
+                    pairs.sort_unstable();
+                    pairs
+                })
                 .collect();
             let benefits: Vec<(u64, u32, u32)> = (scans.benefits.iter())
                 .filter(|b| (b.seed as usize) < p)
@@ -3542,6 +4096,175 @@ mod tests {
         assert_eq!(report.steps_visited, 1, "{report:?}");
         assert_eq!(report.switches_rebuilt, 1, "{report:?}");
         assert_eq!(report.switches_read, inst.switches.len() - 1, "{report:?}");
+    }
+
+    /// `n` switches, a pinned task of one seed per switch, and 80
+    /// single-seed `place any` tasks after it whose seeds share one
+    /// candidate list (every switch): a catalog laid out task by task.
+    fn watchers(n: usize) -> PlacementInstance {
+        let base = generate(&WorkloadConfig {
+            n_switches: n,
+            n_tasks: 1,
+            n_seeds: 1,
+            pinned_fraction: 0.0,
+            ..WorkloadConfig::default()
+        });
+        let shape = base.seeds[0].clone();
+        let ids: Vec<SwitchId> = base.switches.iter().map(|&(n, _)| n).collect();
+        let mut inst = PlacementInstance {
+            switches: base.switches,
+            ..PlacementInstance::default()
+        };
+        let lists = std::iter::once(ids.iter().map(|&n| vec![n]).collect());
+        let lists = lists.chain((0..80).map(|_| vec![ids.clone()]));
+        for (t, lists) in lists.enumerate() {
+            let lists: Vec<Vec<SwitchId>> = lists;
+            let first = inst.seeds.len();
+            for candidates in lists {
+                inst.seeds.push(PlacementSeed {
+                    id: inst.seeds.len(),
+                    task: t,
+                    candidates,
+                    ..shape.clone()
+                });
+            }
+            inst.tasks.push(PlacementTask {
+                name: format!("t{t:02}"),
+                seeds: (first..inst.seeds.len()).collect(),
+            });
+        }
+        inst
+    }
+
+    /// Every slot's pairs, by switch id.
+    fn index_of(state: &SolveState) -> Vec<(SwitchId, Vec<(u32, u32)>)> {
+        let (scans, ids) = (&state.memo.scans, &state.memo.switches.ids);
+        let mut index: Vec<_> = (0..ids.len())
+            .map(|i| {
+                let mut pairs: Vec<_> = scans.readers(i).collect();
+                pairs.sort_unstable();
+                (ids[i], pairs)
+            })
+            .collect();
+        index.sort_unstable();
+        index
+    }
+
+    #[test]
+    fn a_splice_among_watchers_sharing_a_list_rewrites_members_not_pairs() {
+        let opts = HeuristicOptions::default();
+        for n in [16, 64] {
+            let mut inst = watchers(n);
+            let mut state = SolveState::new();
+            let mut r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+            // Two splices: a watcher in the middle of the watchers, then
+            // one of the watchers before it out.
+            for (t, insert) in [(41, true), (20, false)] {
+                let start = inst.seeds.partition_point(|s| s.task < t);
+                let (seeds, rows) = if insert {
+                    let seed = PlacementSeed {
+                        id: start,
+                        task: t,
+                        ..inst.seeds[start].clone()
+                    };
+                    let task = PlacementTask {
+                        name: format!("t{:02}+", t - 1),
+                        seeds: Vec::new(),
+                    };
+                    (
+                        start..start,
+                        Some(TaskRows {
+                            seeds: vec![seed],
+                            task,
+                        }),
+                    )
+                } else {
+                    (start..start + 1, None)
+                };
+                let map = inst.splice_task(t, seeds, rows);
+                if insert {
+                    inst.tasks[t].seeds = vec![start];
+                }
+                let seats = (r.assignment.iter().enumerate())
+                    .filter_map(|(s, slot)| Some((map[s]?, (*slot)?)));
+                inst.previous = Some(PreviousPlacement {
+                    assignment: seats.collect(),
+                });
+                state.remap(&map);
+                assert_eq!(state.check_index(&inst), Ok(()), "n {n}, t {t}: remapped");
+                r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+                assert_same(&r, &solve_heuristic(&inst, opts));
+                assert_eq!(state.check_index(&inst), Ok(()), "n {n}, t {t}");
+                assert_eq!(state.check_order(&inst), Ok(()), "n {n}, t {t}");
+                // A solve indexes the seeds the last one placed: one more
+                // of the same instance, and a state that solved it from
+                // scratch twice, hold every seed's pairs.
+                as_previous(&mut inst, &r);
+                let again = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+                assert_same(&again.0, &solve_heuristic(&inst, opts));
+                let mut fresh = SolveState::new();
+                for _ in 0..2 {
+                    replan_delta(&inst, opts, &mut fresh, &ReplanDelta::default(), None);
+                }
+                assert_eq!(index_of(&state), index_of(&fresh), "n {n}, t {t}");
+                // The watchers' list holds one pair per switch and one
+                // member per watcher, the pinned seeds one pair each.
+                let entries = state.memo.scans.entries();
+                assert!(entries <= 3 * n + 81, "n {n}: {entries} entries");
+            }
+        }
+    }
+
+    #[test]
+    fn a_seed_that_joins_a_shared_list_leaves_its_own_pairs() {
+        // A `place any` seed indexed on its own; then two seeds with the
+        // same candidates are spliced in before it while it is declared
+        // dirty, so the three are indexed again together, the two new
+        // ones first: they form a shared list, and the dirty seed joins
+        // it. Its pairs from when it was alone must go, or every switch
+        // would name it twice.
+        let opts = HeuristicOptions::default();
+        let mut inst = watchers(8);
+        inst.seeds.truncate(8 + 1);
+        inst.tasks.truncate(2);
+        let s = 8;
+        let mut state = SolveState::new();
+        let mut r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        as_previous(&mut inst, &r);
+        r = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None).0;
+        let rows = TaskRows {
+            seeds: (0..2)
+                .map(|k| PlacementSeed {
+                    id: s + k,
+                    task: 1,
+                    ..inst.seeds[s].clone()
+                })
+                .collect(),
+            task: PlacementTask {
+                name: "t00+".into(),
+                seeds: Vec::new(),
+            },
+        };
+        let map = inst.splice_task(1, s..s, Some(rows));
+        inst.tasks[1].seeds = vec![s, s + 1];
+        let seats =
+            (r.assignment.iter().enumerate()).filter_map(|(s, slot)| Some((map[s]?, (*slot)?)));
+        inst.previous = Some(PreviousPlacement {
+            assignment: seats.collect(),
+        });
+        state.remap(&map);
+        let dirty = ReplanDelta::seeds([s + 2]);
+        for delta in [dirty, ReplanDelta::default()] {
+            let r = replan_delta(&inst, opts, &mut state, &delta, None).0;
+            assert_same(&r, &solve_heuristic(&inst, opts));
+            as_previous(&mut inst, &r);
+        }
+        assert_eq!(state.check_index(&inst), Ok(()));
+        let members = &state.memo.scans.shared;
+        assert!(
+            members.iter().any(|l| l.members == [8, 9, 10]),
+            "{members:?}"
+        );
     }
 
     #[test]

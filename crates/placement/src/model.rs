@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::fxhash::FxHashMap;
@@ -98,20 +99,86 @@ pub type Seat = (SwitchId, Resources);
 /// map-shaped `insert` / `remove` / `get` / `retain` / `len` of a
 /// `HashMap<usize, Seat>`. [`Seats::iter`] walks the seated seeds in
 /// ascending seed order.
-#[derive(Debug, Clone, Default)]
+///
+/// The table logs the seeds its writes touch, so that a reader that
+/// keeps a copy of it (the solver's previous seats) reads only what
+/// changed since it last looked. Each table has a stamp no other table
+/// has, a clone included, and the log holds at most as many seeds as
+/// the table: past that it starts over, and a reader walks the whole
+/// table.
+#[derive(Debug)]
 pub struct Seats {
     /// `seats[s]` is seed `s`'s seat; seeds past the end have none.
     seats: Vec<Option<Seat>>,
     /// Seeds with a seat.
     len: usize,
+    stamp: u64,
+    /// The seeds written since the log started over, in write order; a
+    /// seed a splice took out is `u32::MAX`.
+    log: Vec<u32>,
+    /// Writes logged before the log last started over.
+    logged: usize,
+}
+
+/// A reader's place in a [`Seats`] log: the table's stamp and the
+/// writes it had logged.
+pub(crate) type LogAt = (u64, usize);
+
+/// The next table's stamp.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+impl Default for Seats {
+    fn default() -> Seats {
+        Seats {
+            seats: Vec::new(),
+            len: 0,
+            stamp: STAMPS.fetch_add(1, Ordering::Relaxed),
+            log: Vec::new(),
+            logged: 0,
+        }
+    }
+}
+
+impl Clone for Seats {
+    fn clone(&self) -> Seats {
+        let mut seats = Seats::default();
+        (seats.seats, seats.len) = (self.seats.clone(), self.len);
+        seats
+    }
 }
 
 impl Seats {
+    /// Logs a write of seed `s`'s slot.
+    fn note(&mut self, s: usize) {
+        if self.log.len() >= self.seats.len().max(64) {
+            self.logged += self.log.len();
+            self.log.clear();
+        }
+        self.log.push(s as u32);
+    }
+
+    /// Where the log stands now.
+    pub(crate) fn log_at(&self) -> LogAt {
+        (self.stamp, self.logged + self.log.len())
+    }
+
+    /// The seeds written since `at` (this table's [`Seats::log_at`] of
+    /// some earlier time), in write order and possibly repeated; `None`
+    /// when `at` is another table's or the log started over since.
+    pub(crate) fn changes_since(&self, at: Option<LogAt>) -> Option<&[u32]> {
+        let (stamp, at) = at?;
+        if stamp != self.stamp || at < self.logged {
+            return None;
+        }
+        self.log.get(at - self.logged..)
+    }
+
     /// Gives seed `s` `seat`; returns the seat it replaced.
     pub fn insert(&mut self, s: usize, seat: Seat) -> Option<Seat> {
         if self.seats.len() <= s {
             self.seats.resize(s + 1, None);
         }
+        self.note(s);
         let old = self.seats[s].replace(seat);
         self.len += usize::from(old.is_none());
         old
@@ -121,6 +188,9 @@ impl Seats {
     pub fn remove(&mut self, s: &usize) -> Option<Seat> {
         let old = self.seats.get_mut(*s)?.take();
         self.len -= usize::from(old.is_some());
+        if old.is_some() {
+            self.note(*s);
+        }
         old
     }
 
@@ -131,11 +201,16 @@ impl Seats {
 
     /// Keeps the seats `keep` says yes to.
     pub fn retain(&mut self, mut keep: impl FnMut(&usize, &mut Seat) -> bool) {
-        for (s, slot) in self.seats.iter_mut().enumerate() {
-            if slot.as_mut().is_some_and(|seat| !keep(&s, seat)) {
-                *slot = None;
+        for s in 0..self.seats.len() {
+            let Some(seat) = &mut self.seats[s] else {
+                continue;
+            };
+            if !keep(&s, seat) {
+                self.seats[s] = None;
                 self.len -= 1;
             }
+            // `keep` may have changed a seat it kept, too.
+            self.note(s);
         }
     }
 
@@ -167,12 +242,25 @@ impl Seats {
         if self.seats.len() < range.end {
             self.seats.resize(range.end, None);
         }
-        let mut came = 0;
-        let with = with
-            .into_iter()
-            .inspect(|seat| came += usize::from(seat.is_some()));
-        let gone = self.seats.splice(range, with).flatten().count();
-        self.len = self.len + came - gone;
+        let mut came = Vec::new();
+        let with = (with.into_iter().enumerate())
+            .inspect(|(k, seat)| came.extend(seat.map(|_| range.start + k)))
+            .map(|(_, seat)| seat);
+        let old = self.seats.len();
+        let gone = self.seats.splice(range.clone(), with).flatten().count();
+        let added = self.seats.len() + range.len() - old;
+        self.len = self.len + came.len() - gone;
+        // The log speaks the new numbering.
+        for s in self.log.iter_mut().filter(|s| **s != u32::MAX) {
+            if *s as usize >= range.end {
+                *s = (*s as usize + added - range.len()) as u32;
+            } else if *s as usize >= range.start {
+                *s = u32::MAX;
+            }
+        }
+        for s in came {
+            self.note(s);
+        }
     }
 }
 

@@ -434,6 +434,8 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
     let (mut r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
     assert!(!report.warm);
     assert_eq!(state.check_kept_usage(&inst), Ok(()), "cold solve");
+    assert_eq!(state.check_order(&inst), Ok(()), "cold solve");
+    assert_eq!(state.check_index(&inst), Ok(()), "cold solve");
     let names = |inst: &PlacementInstance, dropped: &[usize]| -> Vec<String> {
         dropped
             .iter()
@@ -451,6 +453,15 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
             Ok(()),
             "step {step} ({ev:?}): a kept usage is not its log's"
         );
+        assert_eq!(state.check_order(&inst), Ok(()), "step {step} ({ev:?})");
+        if let Some(prev) = &inst.previous {
+            assert_eq!(
+                state.check_seats(&prev.assignment),
+                Ok(()),
+                "step {step} ({ev:?})"
+            );
+        }
+        assert_eq!(state.check_index(&inst), Ok(()), "step {step} ({ev:?})");
         let full = solve_heuristic(&inst, opts);
         let fresh = &ReplanDelta::default();
         let (_, cold) = replan_delta(&inst, opts, &mut SolveState::new(), fresh, None);
@@ -534,6 +545,8 @@ proptest! {
             fabric.begin_round(&mut inst);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
             prop_assert_eq!(state.check_kept_usage(&inst), Ok(()), "step {} ({:?})", step, ev);
+            prop_assert_eq!(state.check_order(&inst), Ok(()), "step {} ({:?})", step, ev);
+            prop_assert_eq!(state.check_index(&inst), Ok(()), "step {} ({:?})", step, ev);
             let full = solve_heuristic(&inst, opts);
             prop_assert_eq!(&dr.assignment, &full.assignment, "step {} ({:?})", step, ev);
             prop_assert_eq!(dr.utility.to_bits(), full.utility.to_bits(), "step {} ({:?})", step, ev);

@@ -10,12 +10,21 @@ Run from the repository root: `python3 scripts/check_docs.py`. It fails
 * a `DESIGN § N` citation under crates/, tests/ or examples/ names no
   `## N.` heading of DESIGN.md;
 * EXPERIMENTS.md is longer than MAX_EXPERIMENTS_LINES lines: per-PR
-  evidence belongs in docs/pr/NN.md, with a one-line entry in its index.
+  evidence belongs in docs/pr/NN.md, with a one-line entry in its index;
+* .github/workflows/ci.yml does not parse as YAML (a workflow that does
+  not parse runs no step, so this check cannot live inside it), or the
+  PyYAML module it is read with is missing;
+* a `cargo test -p PKG --test NAME` in one of its `run` steps names a
+  package the workspace lacks, or a test target PKG does not have: a
+  `[[test]]` of that name in PKG's Cargo.toml whose file exists, or
+  PKG's own tests/NAME.rs.
 """
 
 import pathlib
 import re
+import shlex
 import sys
+import tomllib
 
 MAX_EXPERIMENTS_LINES = 700
 
@@ -40,8 +49,92 @@ def broken_links(doc):
             yield f"{doc.relative_to(ROOT)}: link to missing `{target}`"
 
 
-def main():
+def packages():
+    """Each workspace package's name, with its directory and manifest."""
+    found = {}
+    for manifest in sorted(ROOT.glob("*/*/Cargo.toml")):
+        if "target" in manifest.parts:
+            continue
+        doc = tomllib.loads(manifest.read_text(encoding="utf-8"))
+        if "package" in doc:
+            found[doc["package"]["name"]] = (manifest.parent, doc)
+    return found
+
+
+def has_test(crate, name):
+    """Whether the package in `crate` = (directory, manifest) builds a
+    test target `name`."""
+    directory, doc = crate
+    for target in doc.get("test", []):
+        if target.get("name") == name:
+            return (directory / target.get("path", f"tests/{name}.rs")).exists()
+    return (directory / "tests" / f"{name}.rs").exists() or (
+        directory / "tests" / name / "main.rs"
+    ).exists()
+
+
+def run_steps(node):
+    """Every `run` string of a parsed workflow."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "run" and isinstance(value, str):
+                yield value
+            else:
+                yield from run_steps(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from run_steps(item)
+
+
+def cargo_tests(script):
+    """The (package, test) pairs of the `cargo test` commands in a run
+    script; package is None when the command names none."""
+    for line in script.splitlines():
+        for command in re.findall(r"cargo test\b[^;&|]*", line):
+            words = shlex.split(command)[2:]
+            package = test = None
+            for at, word in enumerate(words):
+                following = words[at + 1] if at + 1 < len(words) else None
+                if word in ("-p", "--package"):
+                    package = following
+                elif word.startswith("--package="):
+                    package = word.split("=", 1)[1]
+                elif word == "--test":
+                    test = following
+                elif word.startswith("--test="):
+                    test = word.split("=", 1)[1]
+            if test:
+                yield package, test
+
+
+def ci_problems(workflow):
+    """What is wrong with the CI workflow file: it does not parse, or a
+    test step names a test target that does not exist."""
+    name = workflow.relative_to(ROOT)
+    try:
+        import yaml
+    except ImportError:
+        return [f"{name}: cannot check it: the PyYAML module (`yaml`) is not installed"]
+    try:
+        doc = yaml.safe_load(workflow.read_text(encoding="utf-8"))
+    except yaml.YAMLError as e:
+        return [f"{name}: does not parse: {' '.join(str(e).split())}"]
     problems = []
+    crates = packages()
+    for script in run_steps(doc):
+        for package, test in cargo_tests(script):
+            if package is None:
+                if not any(has_test(crate, test) for crate in crates.values()):
+                    problems.append(f"{name}: `--test {test}`: no package has it")
+            elif package not in crates:
+                problems.append(f"{name}: `-p {package}`: no such package")
+            elif not has_test(crates[package], test):
+                problems.append(f"{name}: `-p {package} --test {test}`: {package} has no such test")
+    return problems
+
+
+def main():
+    problems = ci_problems(ROOT / ".github" / "workflows" / "ci.yml")
     docs = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
     docs += sorted((ROOT / "docs").glob("**/*.md"))
     for doc in docs:
@@ -80,7 +173,8 @@ def main():
         return 1
     print(
         f"docs: {len(docs)} documents' links resolve, EXPERIMENTS.md is "
-        f"{lines} lines, every DESIGN § citation names a section"
+        f"{lines} lines, every DESIGN § citation names a section, and CI's "
+        "workflow parses with every test it names"
     )
     return 0
 

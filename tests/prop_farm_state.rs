@@ -22,7 +22,11 @@
 //! * **I5** the same sequence twice gives the same event stream, modulo
 //!   the two wall-clock events;
 //! * **I6** `cordoned_switches()` and `fenced_switches()` are ascending,
-//!   without duplicates, and name only switches of the topology.
+//!   without duplicates, and name only switches of the topology;
+//! * **I7** what the farm keeps to skip work equals its recomputation
+//!   (`Farm::check_kept`), and `live_capacities()` is the reachable
+//!   switches, less the fenced and the cordoned ones, at effective
+//!   resources.
 //!
 //! Two more properties hold the snapshots to their contract: a key that
 //! has had an exportable snapshot keeps one for as long as its task is
@@ -41,6 +45,7 @@ use std::sync::Arc;
 use farm_almanac::value::Value;
 use farm_core::prelude::*;
 use farm_faults::LossSpec;
+use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use proptest::prelude::*;
 
@@ -406,7 +411,7 @@ impl Run {
         program.machines(&key.task)[key.machine].clone()
     }
 
-    /// I1–I4 and I6 against the farm's current state.
+    /// I1–I4, I6 and I7 against the farm's current state.
     fn check(&self, step: usize, op: Op) {
         let farm = &self.farm;
         let ctx = format!("after step {step} ({op:?})");
@@ -488,8 +493,25 @@ impl Run {
             "I4 {ctx}: not sorted or not unique: {exported:?}"
         );
 
+        // I7. The kept state is checked before `live_capacities` reads
+        // (and so keeps) the live list.
+        assert_eq!(farm.check_kept(), Ok(()), "I7 {ctx}");
+        let cordoned = farm.cordoned_switches();
+        let bits = |r: Resources| r.0.map(f64::to_bits);
+        let fold: Vec<(SwitchId, [u64; 4])> = (farm.network().reachable().into_iter())
+            .filter(|id| !fenced.contains(id) && !cordoned.contains(id))
+            .map(|id| {
+                let sw = farm.network().switch(id).expect("a reachable switch");
+                (id, bits(sw.effective_resources()))
+            })
+            .collect();
+        let live: Vec<(SwitchId, [u64; 4])> = (farm.live_capacities().iter())
+            .map(|&(id, r)| (id, bits(r)))
+            .collect();
+        assert_eq!(live, fold, "I7 {ctx}: live capacities");
+
         // I6.
-        for (what, list) in [("cordoned", farm.cordoned_switches()), ("fenced", fenced)] {
+        for (what, list) in [("cordoned", cordoned), ("fenced", fenced)] {
             assert!(
                 list.windows(2).all(|w| w[0] < w[1]),
                 "I6 {ctx}: {what} not ascending or not unique: {list:?}"
