@@ -360,13 +360,11 @@ pub enum Kind {
         sense: bool,
         to: u32,
     },
-    /// `while`: goes to `exit` unless `test` holds, else counts one
-    /// iteration in frame slot `counter` (zeroed on loop entry) and fails
-    /// past the iteration limit.
+    /// `while`: goes to `exit` unless `test` holds, else fails the
+    /// delivery if it has passed its op budget, and runs the body.
     Loop {
         test: Test,
         exit: u32,
-        counter: u32,
     },
     /// Ends the handler and enters state `state`.
     Transit {
@@ -987,25 +985,16 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 }
             }
             Action::While { cond, body, .. } => {
-                let counter = self.slot();
-                let zero = self.konst(Value::Int(0));
-                self.emit(Kind::Move {
-                    dst: Dst::Local(counter),
-                    src: zero,
-                });
+                // The statement's cost is charged once, on entry.
                 let head = self.label();
+                let next = self.next;
                 let test = self.test(cond);
-                let exit = self.emit(Kind::Loop {
-                    test,
-                    exit: 0,
-                    counter,
-                });
-                self.next = counter + 1;
+                let exit = self.emit(Kind::Loop { test, exit: 0 });
+                self.next = next;
                 self.block(body);
                 self.emit(Kind::Jump { to: head });
                 let end = self.label();
                 self.patch(exit, end);
-                self.next = counter;
             }
             Action::Return { value, .. } => {
                 let next = self.next;

@@ -42,6 +42,9 @@ pub(crate) use crate::error::Error;
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
 use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
 
+mod audit;
+pub use audit::AuditReport;
+
 /// Framework configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FarmConfig {
@@ -832,39 +835,6 @@ impl Farm {
             }
         }
         headroom
-    }
-
-    /// Holds what the farm keeps to skip work to its recomputation: the
-    /// live list, if one is kept, to a walk over the slots now, the
-    /// seeder's round scope to scoping every task again, and the
-    /// solver's previous seats to the seeder's seat table.
-    ///
-    /// # Errors
-    ///
-    /// The first entry where a kept structure and its recomputation
-    /// differ.
-    pub fn check_kept(&self) -> Result<(), String> {
-        self.seeder.check_kept()?;
-        let Some(kept) = self.live.get() else {
-            return Ok(());
-        };
-        let now = Live::of(&self.network, &self.rows);
-        let bits = |r: &Resources| r.0.map(f64::to_bits);
-        let rows = |l: &Live| -> Vec<_> {
-            (l.caps.iter().zip(&l.slots))
-                .map(|((id, r), &slot)| (*id, bits(r), slot))
-                .collect()
-        };
-        let (kept, now) = (rows(kept), rows(&now));
-        match kept.iter().zip(&now).position(|(a, b)| a != b) {
-            Some(k) => Err(format!("live list: kept {:?}, walk {:?}", kept[k], now[k])),
-            None if kept.len() != now.len() => Err(format!(
-                "live list: kept {} switches, walk {}",
-                kept.len(),
-                now.len()
-            )),
-            None => Ok(()),
-        }
     }
 
     /// Applies every scheduled fault due at or before `at`.

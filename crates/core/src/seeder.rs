@@ -22,7 +22,9 @@ use farm_netsim::types::SwitchId;
 use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
-use farm_placement::model::{PlacementInstance, PlacementResult, PreviousPlacement, Seats};
+use farm_placement::model::{
+    validate_seats, PlacementInstance, PlacementResult, PreviousPlacement, Seats,
+};
 use farm_soil::{SeedId, SeedSnapshot};
 use farm_telemetry::{Histogram, Telemetry};
 
@@ -509,11 +511,28 @@ impl Seeder {
         }
     }
 
-    /// See [`crate::farm::Farm::check_kept`]: the round scope and the
-    /// solver's previous seats.
-    pub(crate) fn check_kept(&self) -> Result<(), String> {
-        self.catalog.check_round()?;
-        self.solver_state.check_seats(&self.catalog.seats)
+    /// The seeder's part of [`crate::farm::Farm::audit`]: the kept round
+    /// scope to scoping every task again, what the solver memory keeps to
+    /// its recomputation ([`SolveState::audit`]), and every seat on a
+    /// candidate, inside its seed's utility domain (C2). C1 and C3/C4 are
+    /// the solver's alone: between rounds a committed placement is
+    /// partial while evicted seeds wait for recovery, and a landed
+    /// recovery does not apply its round's other actions.
+    pub(crate) fn audit(&self, findings: &mut Vec<String>) {
+        let Catalog {
+            instance, seats, ..
+        } = &self.catalog;
+        let mut found = |what: &str, r: Result<(), String>| {
+            if let Err(e) = r {
+                findings.push(format!("{what}: {e}"));
+            }
+        };
+        found("seeder", self.catalog.check_round());
+        found("solver", self.solver_state.audit(instance, Some(seats)));
+        let seated: Vec<_> = (0..instance.seeds.len())
+            .map(|s| seats.get(&s).copied())
+            .collect();
+        found("placement", validate_seats(instance, &seated));
     }
 
     /// Runs global placement over every registered task and diffs the

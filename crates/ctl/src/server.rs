@@ -1029,7 +1029,8 @@ mod tests {
             headroom.map(f64::to_bits)
         };
         let holds = |farm: &Farm, after: &str| {
-            assert_eq!(farm.check_kept(), Ok(()), "{after}");
+            let audit = farm.audit();
+            assert!(audit.is_clean(), "{after}: {audit}");
             assert_eq!(
                 farm.headroom(quota).map(f64::to_bits),
                 folded(farm),
@@ -1048,7 +1049,11 @@ mod tests {
             farm.network_mut().set_link_up(*spine, cut_off, false);
         }
         holds(&farm, "cut off");
-        farm.network_mut().set_switch_up(crashed, false);
+        // Through the fault path, which takes the soil down with the
+        // switch: a soil left running on a down switch fails the audit.
+        let now = farm.now();
+        farm.set_fault_plan(FaultPlan::new().with(now, FaultKind::SwitchCrash { switch: crashed }));
+        farm.advance(now);
         holds(&farm, "crashed");
         let full = farm
             .network()

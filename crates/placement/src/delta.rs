@@ -57,7 +57,7 @@
 //! one with steps added and removed: the added steps are visited, and a
 //! removed step's ops no longer fit the order, so their switches start
 //! over. Any other new order is *scrambled*: every log starts over and
-//! every step is visited. [`SolveState::check_order`] holds the kept
+//! every step is visited. [`SolveState::audit`] holds the kept
 //! order to a layout from scratch.
 //!
 //! **Step 2 as per-switch op logs.** The lingering reservations and the
@@ -81,7 +81,7 @@
 //! seeds logged since (`Seats::changes_since`); any other table, or a
 //! log that started over, is walked seed by seed. Every seed the log
 //! does not name holds the seat it held when the state last read the
-//! table, so the two reads agree ([`SolveState::check_seats`]).
+//! table, so the two reads agree ([`SolveState::audit`]).
 //!
 //! The pass *visits* only the steps on a worklist, in order: the steps of
 //! seeds that are not clean (dirty, new, or with other previous-seat
@@ -121,7 +121,7 @@
 //! the same switch goes on from where the buffer stands). The kept usage
 //! is exact for the same reason the buffer is: an undiverged log holds
 //! the last solve's ops with the last solve's inputs, and
-//! [`SolveState::check_kept_usage`] holds it to a rebuild. The switch's
+//! [`SolveState::audit`] holds it to a rebuild. The switch's
 //! own state — the last solve's after step 3 — is left as it is, so a
 //! switch that is only read is not rebuilt: step 2's end, step 3's
 //! refresh and step 4 do not visit it ([`DeltaReport::switches_read`]
@@ -165,7 +165,7 @@
 //! seat was written this solve, or that have a candidate that moved,
 //! joined or left — found through the per-switch (seed, position) index
 //! of candidates (a seed's own pairs, or the members of the shared list
-//! its candidates equal; [`SolveState::check_index`] holds it to one
+//! its candidates equal; [`SolveState::audit`] holds it to one
 //! built from scratch) — are scanned; every other seed's benefits are
 //! copied as a block. A
 //! kept seed at the seat it was scanned at evaluates only the positions
@@ -3277,6 +3277,9 @@ pub struct SolveState {
     memo: Memo,
     /// Completed solves through this state (0 ⇒ next solve is cold).
     pub(crate) solves: u64,
+    /// A [`SolveState::remap`] came after the last solve: the memory
+    /// speaks of a renumbered instance it has not solved yet.
+    remapped: bool,
     instruments: Option<Instruments>,
 }
 
@@ -3299,7 +3302,7 @@ impl SolveState {
     /// # Errors
     ///
     /// The switch whose kept usage is stale or missing.
-    pub fn check_kept_usage(&self, instance: &PlacementInstance) -> Result<(), SwitchId> {
+    pub(crate) fn check_kept_usage(&self, instance: &PlacementInstance) -> Result<(), SwitchId> {
         let (sw, seeds) = (&self.memo.switches, &self.memo.seeds);
         let holds = |i: usize| {
             let kept = sw.kept[i].as_ref();
@@ -3317,7 +3320,7 @@ impl SolveState {
     /// # Errors
     ///
     /// Where the kept order and the layout part.
-    pub fn check_order(&self, instance: &PlacementInstance) -> Result<(), String> {
+    pub(crate) fn check_order(&self, instance: &PlacementInstance) -> Result<(), String> {
         self.memo.order.check(instance, &self.memo.seeds)
     }
 
@@ -3330,7 +3333,7 @@ impl SolveState {
     /// # Errors
     ///
     /// The first slot or list where they part.
-    pub fn check_index(&self, instance: &PlacementInstance) -> Result<(), String> {
+    pub(crate) fn check_index(&self, instance: &PlacementInstance) -> Result<(), String> {
         self.memo.scans.check(instance, &self.memo.switches)
     }
 
@@ -3343,8 +3346,30 @@ impl SolveState {
     /// # Errors
     ///
     /// The first seed whose kept seat is stale.
-    pub fn check_seats(&self, seats: &Seats) -> Result<(), String> {
+    pub(crate) fn check_seats(&self, seats: &Seats) -> Result<(), String> {
         self.memo.seeds.check_seats(seats, &self.memo.switches.ids)
+    }
+
+    /// Holds what the state keeps to its recomputation. After a solve of
+    /// `instance` with no [`SolveState::remap`] since: every switch's
+    /// kept usage to a rebuild from its op log, the step order to a
+    /// layout from scratch and the (seed, position) index to one built
+    /// from scratch; before the first solve or after a remap these wait
+    /// for the next solve. Given the table the previous seats were taken
+    /// from: every seat the table has not logged a write of since to the
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// The first kept structure that differs, named.
+    pub fn audit(&self, instance: &PlacementInstance, seats: Option<&Seats>) -> Result<(), String> {
+        if self.solves > 0 && !self.remapped {
+            (self.check_kept_usage(instance))
+                .map_err(|sw| format!("kept usage of switch {sw} is not its log's"))?;
+            self.check_order(instance)?;
+            self.check_index(instance)?;
+        }
+        seats.map_or(Ok(()), |seats| self.check_seats(seats))
     }
 
     /// Switches whose residents hold their LP's output.
@@ -3367,6 +3392,7 @@ impl SolveState {
     pub fn remap(&mut self, map: &[Option<usize>]) {
         let r = Remap::new(map, self.memo.outcome.len());
         self.memo.remap(&r);
+        self.remapped = true;
     }
 }
 
@@ -3397,6 +3423,7 @@ pub fn replan_delta(
     report.warm = state.solves > 0;
     report.fallback_full = report.warm && report.lp_switches > 0 && report.reused == 0;
     state.solves += 1;
+    state.remapped = false;
 
     if let Some(t) = telemetry {
         let same_registry = |i: &Instruments| std::ptr::eq(i.registry.registry(), t.registry());

@@ -359,6 +359,38 @@ pub(crate) fn count_migrations(
         .count()
 }
 
+/// Validates what holds of every placed seed on its own: it sits on one
+/// of its candidates, with a non-negative allocation inside some utility
+/// branch's domain (C2).
+///
+/// # Errors
+///
+/// A human-readable description of the first seed that does not.
+pub fn validate_seats(
+    instance: &PlacementInstance,
+    assignment: &[Option<(SwitchId, Resources)>],
+) -> Result<(), String> {
+    for (s, slot) in assignment.iter().enumerate() {
+        if let Some((n, res)) = slot {
+            if !instance.seeds[s].candidates.contains(n) {
+                return Err(format!("seed {s} placed outside its candidate set ({n})"));
+            }
+            // C2: the allocation satisfies some utility branch's domain.
+            if instance.seeds[s].util.eval(res).is_none() {
+                return Err(format!(
+                    "C2: seed {s} allocation {res} outside every util domain"
+                ));
+            }
+            for r in res.0 {
+                if r < -1e-9 {
+                    return Err(format!("seed {s} has negative allocation"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Validates the paper's constraints (C1)–(C4).
 ///
 /// # Errors
@@ -382,24 +414,7 @@ pub fn validate(instance: &PlacementInstance, result: &PlacementResult) -> Resul
             return Err(format!("C1: task {} `{}` partially placed", ti, task.name));
         }
     }
-    for (s, slot) in a.iter().enumerate() {
-        if let Some((n, res)) = slot {
-            if !instance.seeds[s].candidates.contains(n) {
-                return Err(format!("seed {s} placed outside its candidate set ({n})"));
-            }
-            // C2: the allocation satisfies some utility branch's domain.
-            if instance.seeds[s].util.eval(res).is_none() {
-                return Err(format!(
-                    "C2: seed {s} allocation {res} outside every util domain"
-                ));
-            }
-            for r in res.0 {
-                if r < -1e-9 {
-                    return Err(format!("seed {s} has negative allocation"));
-                }
-            }
-        }
-    }
+    validate_seats(instance, a)?;
     // C3/C4 per switch: capacity for plain resources, aggregated pollres
     // for the polling resource, migration double-occupancy included.
     for (n, ares) in &instance.switches {

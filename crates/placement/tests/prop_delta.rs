@@ -32,10 +32,11 @@
 //! seeder's they are not declared: the remap leaves the state nothing
 //! on them.
 //!
-//! After every solve, every switch's kept usage — its greedy state,
-//! what a read-only probe reads in place of building the switch — must
-//! be the one its capacity and its op log build, to the bit
-//! ([`SolveState::check_kept_usage`]).
+//! After every solve, [`SolveState::audit`] holds what the state keeps
+//! to its recomputation: among the rest, every switch's kept usage —
+//! its greedy state, what a read-only probe reads in place of building
+//! the switch — must be the one its capacity and its op log build, to
+//! the bit.
 //!
 //! The churn property also checks that its cases still reach the code
 //! that follows the change: across them, some warm solve visits a clean
@@ -433,9 +434,7 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
     let mut state = SolveState::new();
     let (mut r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
     assert!(!report.warm);
-    assert_eq!(state.check_kept_usage(&inst), Ok(()), "cold solve");
-    assert_eq!(state.check_order(&inst), Ok(()), "cold solve");
-    assert_eq!(state.check_index(&inst), Ok(()), "cold solve");
+    assert_eq!(state.audit(&inst, None), Ok(()), "cold solve");
     let names = |inst: &PlacementInstance, dropped: &[usize]| -> Vec<String> {
         dropped
             .iter()
@@ -448,20 +447,8 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
         let delta = apply(&mut inst, &base, &mut state, ev, reach);
         let held = fabric.begin_round(&mut inst);
         let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
-        assert_eq!(
-            state.check_kept_usage(&inst),
-            Ok(()),
-            "step {step} ({ev:?}): a kept usage is not its log's"
-        );
-        assert_eq!(state.check_order(&inst), Ok(()), "step {step} ({ev:?})");
-        if let Some(prev) = &inst.previous {
-            assert_eq!(
-                state.check_seats(&prev.assignment),
-                Ok(()),
-                "step {step} ({ev:?})"
-            );
-        }
-        assert_eq!(state.check_index(&inst), Ok(()), "step {step} ({ev:?})");
+        let seats = inst.previous.as_ref().map(|p| &p.assignment);
+        assert_eq!(state.audit(&inst, seats), Ok(()), "step {step} ({ev:?})");
         let full = solve_heuristic(&inst, opts);
         let fresh = &ReplanDelta::default();
         let (_, cold) = replan_delta(&inst, opts, &mut SolveState::new(), fresh, None);
@@ -544,9 +531,8 @@ proptest! {
             };
             fabric.begin_round(&mut inst);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
-            prop_assert_eq!(state.check_kept_usage(&inst), Ok(()), "step {} ({:?})", step, ev);
-            prop_assert_eq!(state.check_order(&inst), Ok(()), "step {} ({:?})", step, ev);
-            prop_assert_eq!(state.check_index(&inst), Ok(()), "step {} ({:?})", step, ev);
+            let seats = inst.previous.as_ref().map(|p| &p.assignment);
+            prop_assert_eq!(state.audit(&inst, seats), Ok(()), "step {} ({:?})", step, ev);
             let full = solve_heuristic(&inst, opts);
             prop_assert_eq!(&dr.assignment, &full.assignment, "step {} ({:?})", step, ev);
             prop_assert_eq!(dr.utility.to_bits(), full.utility.to_bits(), "step {} ({:?})", step, ev);

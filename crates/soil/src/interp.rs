@@ -5,7 +5,8 @@
 //! [`Effect`]s (messages, TCAM mutations, external executions) that the
 //! soil applies, plus an abstract CPU cost the soil charges to the switch
 //! CPU meter. State transitions fire `exit`/`enter` handlers with a chain
-//! cap so misbehaving seeds cannot livelock a switch.
+//! cap, and a delivery stops at [`HANDLER_BUDGET_OPS`], so misbehaving
+//! seeds cannot livelock a switch.
 //!
 //! What runs is the flat register code [`farm_almanac::lower`] emits once
 //! per compiled machine: one instruction vector per handler and function,
@@ -178,8 +179,11 @@ pub struct SeedSnapshot {
 
 /// Maximum chained transitions per delivered event.
 const MAX_TRANSIT_CHAIN: usize = 16;
-/// Maximum loop iterations per handler (runaway protection).
-const MAX_LOOP_ITERS: u64 = 1_000_000;
+/// Abstract ops one delivery may cost, its transit chain's included (a
+/// run's `ops` plus what the runs before it left in `out`), checked at
+/// every `while` iteration and before every user call. A constant, so a
+/// program that runs on one switch runs on every other.
+pub const HANDLER_BUDGET_OPS: u64 = 1 << 23;
 /// Maximum user-function call depth.
 const MAX_CALL_DEPTH: usize = 64;
 
@@ -354,8 +358,10 @@ impl SeedInstance {
     ///
     /// # Errors
     ///
-    /// Runtime errors (bad dynamic types, loop/recursion limits,
-    /// transition livelock).
+    /// Runtime errors: bad dynamic types, the call depth limit, a
+    /// transition livelock, and a delivery whose ops, its whole transit
+    /// chain's, pass [`HANDLER_BUDGET_OPS`]. A failed delivery's
+    /// effects are dropped; the variables it wrote keep what it wrote.
     pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
         let mut out = Outcome::default();
         self.stamp = fresh_stamp();
@@ -738,6 +744,9 @@ impl<'a> Vm<'a> {
                     if self.calls.len() >= MAX_CALL_DEPTH {
                         return Err(SeedError("call depth exceeded".into()));
                     }
+                    if ops + self.out.ops > HANDLER_BUDGET_OPS {
+                        return Err(over_budget());
+                    }
                 }
                 Kind::CallFn { f, dst, args } => {
                     let callee = &code.functions[*f as usize];
@@ -773,24 +782,14 @@ impl<'a> Vm<'a> {
                         pc = *to as usize;
                     }
                 }
-                Kind::Loop {
-                    test,
-                    exit,
-                    counter,
-                } => {
+                Kind::Loop { test, exit } => {
                     if !self.test(*test, "while")? {
                         pc = *exit as usize;
                         continue;
                     }
-                    let slot = &mut self.stack[self.base + *counter as usize];
-                    let iters = match slot {
-                        Value::Int(n) => *n + 1,
-                        _ => 1,
-                    };
-                    if iters as u64 > MAX_LOOP_ITERS {
-                        return Err(SeedError("loop iteration limit exceeded".into()));
+                    if ops + self.out.ops > HANDLER_BUDGET_OPS {
+                        return Err(over_budget());
                     }
-                    store(slot, Value::Int(iters));
                 }
                 Kind::Transit { state } => {
                     self.out.ops += ops;
@@ -1234,6 +1233,14 @@ fn stat_field(op: Op, items: &Value, index: &Value) -> Result<i64, SeedError> {
 fn bad_arguments(op: Op) -> SeedError {
     let name = BUILTINS.iter().find(|b| b.op == op).map_or("?", |b| b.name);
     SeedError(format!("bad arguments to `{name}`"))
+}
+
+/// The error of a delivery past [`HANDLER_BUDGET_OPS`].
+#[cold]
+fn over_budget() -> SeedError {
+    SeedError(format!(
+        "handler budget of {HANDLER_BUDGET_OPS} ops exceeded"
+    ))
 }
 
 fn compare(c: CmpOp, x: f64, y: f64) -> bool {
@@ -1683,7 +1690,7 @@ mod tests {
         let err = seed
             .handle(&SeedEvent::Enter, &FixedHost::default())
             .unwrap_err();
-        assert!(err.0.contains("loop iteration"), "{err}");
+        assert_eq!(err.0, "handler budget of 8388608 ops exceeded");
     }
 
     #[test]

@@ -454,11 +454,73 @@ impl Soil {
         self.in_use
     }
 
+    /// Holds what the soil keeps to skip work to its recomputation: the
+    /// in-use total to a fold over the seeds, the trigger table to the
+    /// live seeds' machines (each seed's triggers in declaration order,
+    /// each of its declared kind, at the interval its seed's allocation
+    /// gives, none of a seed that is gone), and the polling rules to the
+    /// rule subjects that table names — one reference per naming
+    /// trigger, and exactly those rules, each under its own pattern,
+    /// installed at priority 0 of `switch`'s monitoring region. Off the
+    /// hot path.
+    ///
+    /// # Errors
+    ///
+    /// The first structure that differs from its recomputation.
+    pub fn audit(&self, switch: &Switch) -> Result<(), String> {
+        let fold = self.fold_in_use();
+        if fold.0.map(f64::to_bits) != self.in_use.0.map(f64::to_bits) {
+            return Err(format!("in use: kept {}, fold {fold}", self.in_use));
+        }
+        let rows = (self.triggers.iter()).map(|t| (t.seed, t.name.as_str(), t.kind, Some(t.ival)));
+        let want = (self.seeds.iter()).flat_map(|(&id, r)| {
+            let alloc = r.instance.allocated();
+            (r.instance.def().triggers.iter()).map(move |t| {
+                let ms = t.ival.eval(&alloc);
+                let ival = (ms.is_finite() && ms > 0.0).then(|| Dur::from_secs_f64(ms / 1000.0));
+                (id, t.name.as_str(), t.kind, ival)
+            })
+        });
+        if !rows.eq(want) {
+            return Err("triggers: the table is not the live seeds' triggers".into());
+        }
+        let mut refs: BTreeMap<&str, usize> = BTreeMap::new();
+        for s in self.triggers.iter().flat_map(|t| t.subjects.iter()) {
+            if let PollSubject::Rule(key) = s {
+                *refs.entry(key).or_default() += 1;
+            }
+        }
+        let kept: BTreeMap<&str, usize> = (self.rule_refs.iter())
+            .map(|(key, &(_, n))| (key.as_str(), n))
+            .collect();
+        if kept != refs {
+            return Err(format!(
+                "rules: kept references {kept:?}, triggers {refs:?}"
+            ));
+        }
+        let mut ours: Vec<(RuleId, String)> = (self.rule_refs.iter())
+            .map(|(key, &(id, _))| (id, key.clone()))
+            .collect();
+        let mut installed: Vec<(RuleId, String)> = (switch.tcam().rules().iter())
+            .filter(|r| r.region == TcamRegion::Monitoring && r.priority == 0)
+            .map(|r| (r.id, r.pattern.to_string()))
+            .collect();
+        ours.sort_unstable();
+        installed.sort_unstable();
+        if ours != installed {
+            return Err(format!("rules: kept {ours:?}, installed {installed:?}"));
+        }
+        Ok(())
+    }
+
     /// Folds [`Soil::resources_in_use`] again over the seeds, in order.
     fn refold(&mut self) {
-        self.in_use = self
-            .seeds()
-            .fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()));
+        self.in_use = self.fold_in_use();
+    }
+
+    /// The seeds' allocations summed in id order.
+    fn fold_in_use(&self) -> Resources {
+        (self.seeds()).fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()))
     }
 
     /// Deploys a seed of `def` with the given allocation.
@@ -775,7 +837,8 @@ impl Soil {
     /// # Errors
     ///
     /// Fails when the seed is unknown or the new allocation yields a
-    /// non-positive trigger interval.
+    /// non-positive trigger interval; the seed then keeps its allocation
+    /// and its schedule.
     pub fn realloc(
         &mut self,
         id: SeedId,
@@ -784,20 +847,22 @@ impl Soil {
         switch: &mut Switch,
     ) -> Result<TickReport, SoilError> {
         let record = self.seeds.get_mut(&id).ok_or(SoilError::UnknownSeed(id))?;
-        record.instance.set_allocated(alloc);
         let def = Arc::clone(record.instance.def());
+        let refused = (def.triggers.iter())
+            .map(|t| (t, t.ival.eval(&alloc)))
+            .find(|&(_, ms)| !ms.is_finite() || ms <= 0.0);
+        if let Some((t, interval_ms)) = refused {
+            return Err(SoilError::BadTriggerInterval {
+                trigger: t.name.clone(),
+                interval_ms,
+                context: "after realloc".to_string(),
+            });
+        }
+        record.instance.set_allocated(alloc);
         self.refold();
         for t in self.triggers.iter_mut().filter(|t| t.seed == id) {
             if let Some(analysis) = def.triggers.iter().find(|a| a.name == t.name) {
-                let ival_ms = analysis.ival.eval(&alloc);
-                if !ival_ms.is_finite() || ival_ms <= 0.0 {
-                    return Err(SoilError::BadTriggerInterval {
-                        trigger: t.name.clone(),
-                        interval_ms: ival_ms,
-                        context: "after realloc".to_string(),
-                    });
-                }
-                t.ival = Dur::from_secs_f64(ival_ms / 1000.0);
+                t.ival = Dur::from_secs_f64(analysis.ival.eval(&alloc) / 1000.0);
                 t.next_due = now + t.ival;
             }
         }
@@ -1850,6 +1915,22 @@ machine P {
             .unwrap_err();
         assert!(matches!(err, SoilError::BadTriggerInterval { .. }), "{err}");
         assert!(err.to_string().contains("interval"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_realloc_leaves_the_seed_as_it_was() {
+        let (mut soil, mut switch) = rig();
+        let def = compile(farm_almanac::programs::HEAVY_HITTER, "HH");
+        let alloc = Resources::new(1.0, 128.0, 4.0, 10.0);
+        let (id, _) = (soil.deploy(def, "hh", alloc, Time::ZERO, &mut switch)).unwrap();
+        let ival = soil.trigger_interval_ms(id, "pollStats");
+        let zero_pcie = Resources::new(2.0, 256.0, 8.0, 0.0);
+        let err = (soil.realloc(id, zero_pcie, Time::from_millis(1), &mut switch)).unwrap_err();
+        assert!(matches!(err, SoilError::BadTriggerInterval { .. }), "{err}");
+        assert_eq!(soil.seed(id).unwrap().allocated(), alloc);
+        assert_eq!(soil.resources_in_use(), alloc);
+        assert_eq!(soil.trigger_interval_ms(id, "pollStats"), ival);
+        assert_eq!(soil.audit(&switch), Ok(()));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! program (all Tab. I use cases and the anomaly detectors), the
 //! benchmark's own programs and machines `util/gen_machine.rs` generates.
 //! Hand-written machines cover the scoping, limit and range corners the
-//! catalog does not reach. The older properties (HH against a Rust
-//! oracle, migration round trips, determinism) stay.
+//! catalog does not reach, and run to the handler budget: both must stop
+//! a delivery at the same check, leaving the same variables. The older
+//! properties (HH against a Rust oracle, migration round trips,
+//! determinism) stay.
 
 #[path = "util/corpus.rs"]
 mod corpus;
@@ -29,7 +31,9 @@ use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::topology::Topology;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, SwitchId};
-use farm_soil::interp::{stats_payload, FixedHost, SeedEvent, SeedId, SeedInstance};
+use farm_soil::interp::{
+    stats_payload, FixedHost, SeedEvent, SeedId, SeedInstance, HANDLER_BUDGET_OPS,
+};
 use farm_soil::{Effect, Endpoint};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -154,9 +158,9 @@ fn values() -> impl Strategy<Value = Value> {
 /// What a [`Step::Retag`] writes: any value of [`values`], or as often
 /// an int (which a `float` takes widened), except that a number keeps
 /// to 1..=64. A machine variable that bounds a loop (`buckets`,
-/// `groupSize`) would otherwise run that loop to its 1 000 000-iteration
-/// limit, in both interpreters, at every later poll: minutes per case,
-/// for a tag the property already has.
+/// `groupSize`) would otherwise run that loop to the handler budget of
+/// [`HANDLER_BUDGET_OPS`], in both interpreters, at every later poll:
+/// seconds of walking per delivery, for a tag the property already has.
 fn retag_values() -> impl Strategy<Value = Value> {
     let ints = any::<i64>().prop_map(Value::Int);
     prop_oneof![values(), ints].prop_map(|v| match v {
@@ -317,7 +321,7 @@ fn assert_same_behaviour(label: &str, program: &Program, machine: &str, steps: &
             assert_eq!(vm.state(), walker.state, "state at {at}");
             continue;
         };
-        assert_same_delivery(&mut vm, &mut walker, &event, &host, &at);
+        let _ = assert_same_delivery(&mut vm, &mut walker, &event, &host, &at);
     }
 }
 
@@ -330,7 +334,7 @@ fn assert_same_delivery(
     event: &SeedEvent,
     host: &FixedHost,
     at: &str,
-) {
+) -> Result<u64, String> {
     let got = vm.handle(event, host);
     let want = walker.handle(event, host);
     match (&got, &want) {
@@ -345,6 +349,7 @@ fn assert_same_delivery(
     assert_eq!(vm.state(), walker.state, "state at {at}");
     assert_eq!(vm.stats(), walker.stats, "stats at {at}");
     assert_eq!(vm.snapshot().vars, walker.sorted_vars(), "vars at {at}");
+    got.map(|o| o.ops).map_err(|e| e.0)
 }
 
 /// Every machine of every program in the corpus, each on its own
@@ -374,14 +379,24 @@ fn assert_same_on(src: &str, events: &[SeedEvent]) -> SeedInstance {
 }
 
 fn assert_same_on_program(program: &Program, events: &[SeedEvent]) -> SeedInstance {
+    assert_same_ending(program, events).0
+}
+
+/// [`assert_same_on_program`], with what the last delivery gave: its
+/// ops, or its error text.
+fn assert_same_ending(
+    program: &Program,
+    events: &[SeedEvent],
+) -> (SeedInstance, Result<u64, String>) {
     let def = compile_in(program, &program.machines[0].name);
     let mut vm = SeedInstance::new(SeedId(1), def.clone(), Resources::ZERO);
     let mut walker = RefSeed::new(&def, &program.functions);
     let host = FixedHost::default();
+    let mut last = Ok(0);
     for (i, event) in events.iter().enumerate() {
-        assert_same_delivery(&mut vm, &mut walker, event, &host, &format!("event {i}"));
+        last = assert_same_delivery(&mut vm, &mut walker, event, &host, &format!("event {i}"));
     }
-    vm
+    (vm, last)
 }
 
 fn tick(name: &str, n: i64) -> SeedEvent {
@@ -540,6 +555,140 @@ fn recursion_stops_at_the_call_depth_limit_with_the_same_error() {
         .handle(&tick("t", 64), &FixedHost::default())
         .unwrap_err();
     assert_eq!(err.0, "call depth exceeded");
+}
+
+/// The error a delivery past its op budget fails with.
+fn over_budget() -> String {
+    format!("handler budget of {HANDLER_BUDGET_OPS} ops exceeded")
+}
+
+/// Delivers `event` to `vm` alone: the error text, or the ops.
+fn vm_outcome(vm: &SeedInstance, event: &SeedEvent) -> Result<u64, String> {
+    let out = vm.clone().handle(event, &FixedHost::default());
+    out.map(|o| o.ops).map_err(|e| e.0)
+}
+
+#[test]
+fn nested_loops_stop_at_the_budget_on_the_same_iteration() {
+    // Each loop alone runs far under what a per-loop count would allow;
+    // together they pass the one budget of the delivery.
+    let src = r#"
+        machine M {
+          place any;
+          time t = 5;
+          long bumps = 0;
+          long done = 0;
+          state s {
+            when (t as n) do {
+              bumps = 0;
+              long i = 0;
+              while (i < n) {
+                long j = 0;
+                while (j < n) { bumps = bumps + 1; j = j + 1; }
+                i = i + 1;
+              }
+              done = done + 1;
+            }
+          }
+        }"#;
+    let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 3), tick("t", 1_000)]);
+    assert_eq!(vm.var("done"), Some(&Value::Int(1)));
+    let Some(&Value::Int(bumps)) = vm.var("bumps") else {
+        panic!("bumps is an int");
+    };
+    // 13 ops an inner iteration, and 16 more per outer one: a little
+    // under HANDLER_BUDGET_OPS / 13 bumps.
+    assert_eq!(bumps, 644_484);
+    assert_eq!(last, Err(over_budget()));
+}
+
+#[test]
+fn doubling_recursion_stops_at_the_budget_with_the_same_error() {
+    // Never deeper than 41 calls, so the depth limit never fires: the
+    // calls' count is what the budget bounds, checked before each call.
+    // The loop's global shows which call of `f` the delivery stopped in.
+    let src = r#"
+        fun f(long n): long {
+          if (n <= 0) then { return 1; }
+          return f(n - 1) + f(n - 1);
+        }
+        machine M {
+          place any;
+          time t = 5;
+          long got = 0;
+          long k = 0;
+          state s {
+            when (t as n) do {
+              k = 0;
+              while (k < n) { got = f(k); k = k + 1; }
+            }
+          }
+        }"#;
+    let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 4), tick("t", 40)]);
+    assert_eq!(vm.var("got"), Some(&Value::Int(1 << 17)), "f(17) returned");
+    assert_eq!(vm.var("k"), Some(&Value::Int(18)), "f(18) ran out");
+    assert_eq!(last, Err(over_budget()));
+}
+
+#[test]
+fn a_transit_chain_shares_one_budget() {
+    // Each `enter` costs under half the budget; the third, in the same
+    // delivery, runs out.
+    let src = r#"
+        machine M {
+          place any;
+          time t = 5;
+          long g = 0;
+          long n = 240000;
+          when (t as x) do { g = 0; transit b; }
+          state a { }
+          state b { when (enter) do { long i = 0; while (i < n) { g = g + 1; i = i + 1; } transit c; } }
+          state c { when (enter) do { long i = 0; while (i < n) { g = g + 1; i = i + 1; } transit d; } }
+          state d { when (enter) do { long i = 0; while (i < n) { g = g + 1; i = i + 1; } transit a; } }
+        }"#;
+    let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 0)]);
+    assert_eq!(vm.state(), "d", "the third `enter` ran out");
+    let Some(&Value::Int(g)) = vm.var("g") else {
+        panic!("g is an int");
+    };
+    assert!((480_000..720_000).contains(&g), "{g}");
+    assert_eq!(last, Err(over_budget()));
+}
+
+#[test]
+fn a_loop_that_ends_under_the_budget_runs_to_its_end() {
+    let src = r#"
+        machine M {
+          place any;
+          time t = 5;
+          long g = 0;
+          state s {
+            when (t as n) do {
+              g = 0;
+              long i = 0;
+              while (i < n) { g = g + 1; i = i + 1; }
+            }
+          }
+        }"#;
+    let program = frontend(src).unwrap();
+    let idle = SeedInstance::new(SeedId(1), compile_in(&program, "M"), Resources::ZERO);
+    // ops(n) = fixed + per · n.
+    let fixed = vm_outcome(&idle, &tick("t", 0)).unwrap();
+    let per = vm_outcome(&idle, &tick("t", 1)).unwrap() - fixed;
+    let most = (HANDLER_BUDGET_OPS - fixed) / per;
+    let (vm, last) = assert_same_ending(&program, &[tick("t", most as i64)]);
+    assert_eq!(last, Ok(fixed + per * most));
+    // A check sees the ops before its iteration's body: one iteration
+    // more passes every check and ends over the budget, and two more
+    // are stopped at the last check, with all but that iteration run.
+    let past = |n: u64| {
+        let mut vm = vm.clone();
+        let out = vm.handle(&tick("t", (most + n) as i64), &FixedHost::default());
+        (out.map(|o| o.ops).map_err(|e| e.0), vm.var("g").cloned())
+    };
+    let ran = |n: u64| Some(Value::Int((most + n) as i64));
+    assert_eq!(past(1), (Ok(fixed + per * (most + 1)), ran(1)));
+    assert_eq!(past(2), (Err(over_budget()), ran(1)));
 }
 
 #[test]

@@ -11,13 +11,17 @@
 //!   `soil.asic_polls` / `soil.polls_saved` / `soil.messages_out` and the
 //!   sum of the returned reports are one tally, field for field, and
 //!   `soil.seed_errors` is the reports' `errors.len()`;
-//! * **S2** `num_seeds()`, `seeds()` and `resources_in_use()` agree, and
-//!   no `seed(id)` answers for an id that is not deployed;
-//! * **S3** the monitoring-region entries at priority 0 are exactly the
-//!   distinct rule subjects of the live seeds — nothing leaks after an
-//!   undeploy, a failed deploy or a failed import;
-//! * **S4** `poll_rate_per_sec()` is Σ 1/ival over the live seeds' poll
-//!   triggers, and 0 on an empty soil;
+//! * **S2** `num_seeds()` and `seeds()` agree with the model, and no
+//!   `seed(id)` answers for an id that is not deployed;
+//! * `Soil::audit`: `resources_in_use()` is the fold over the seeds, and
+//!   what polls and counts is theirs —
+//!   * **S3** the monitoring-region entries at priority 0 are exactly the
+//!     distinct rule subjects of the live seeds, one reference per
+//!     trigger naming one — nothing leaks after an undeploy, a failed
+//!     deploy or a failed import;
+//!   * **S4** the trigger table, which `poll_rate_per_sec()` sums, is the
+//!     live seeds' triggers, each of its declared kind at the interval
+//!     its allocation gives;
 //! * **S5** `next_deadline()` is `None` exactly when no live seed has a
 //!   poll or time trigger — no trigger outlives its seed;
 //! * **S6** every payload the reporting machine `Echo` sends equals what
@@ -429,10 +433,6 @@ impl Harness {
         let ids: Vec<SeedId> = soil.seeds().map(|s| s.id).collect();
         let live: Vec<SeedId> = self.live.keys().copied().collect();
         assert_eq!(ids, live, "S2 after {after:?}");
-        let in_use = soil
-            .seeds()
-            .fold(Resources::ZERO, |acc, s| acc.add(&s.allocated()));
-        assert_eq!(soil.resources_in_use(), in_use, "S2 after {after:?}");
         // Every id the soil can have handed out: one per deploy attempt.
         for id in (0..MAX_OPS as u64).map(SeedId) {
             let machine = soil.seed(id).map(|s| s.machine_name());
@@ -440,48 +440,13 @@ impl Harness {
             assert_eq!(machine, expected, "S2 {id} after {after:?}");
         }
 
-        // S3: the polling rules are the live seeds' rule subjects.
-        let triggers = || {
-            self.live
-                .iter()
-                .flat_map(|(id, m)| catalog[*m].triggers.iter().map(move |t| (*id, t)))
-        };
-        let mut wanted: Vec<String> = triggers()
-            .flat_map(|(_, t)| t.subjects.iter())
-            .filter_map(|s| match s {
-                PollSubject::Rule(key) => Some(key.clone()),
-                _ => None,
-            })
-            .collect();
-        wanted.sort();
-        wanted.dedup();
-        let mut installed: Vec<String> = self
-            .switch
-            .tcam()
-            .rules()
-            .iter()
-            .filter(|r| r.region == TcamRegion::Monitoring && r.priority == 0)
-            .map(|r| r.pattern.to_string())
-            .collect();
-        installed.sort();
-        assert_eq!(installed, wanted, "S3 after {after:?}");
-
-        // S4: the polling rate is the live poll triggers'.
-        let rate: f64 = triggers()
-            .filter(|(_, t)| t.kind == TriggerType::Poll)
-            .map(|(id, t)| 1_000.0 / soil.trigger_interval_ms(id, &t.name).expect("scheduled"))
-            .sum();
-        let got = soil.poll_rate_per_sec();
-        assert!(
-            (got - rate).abs() <= 1e-6 * rate.max(1.0),
-            "S4 {got} ≠ {rate} after {after:?}"
-        );
-        if self.live.is_empty() {
-            assert_eq!(got, 0.0, "S4 after {after:?}");
-        }
+        // The in-use total, S3 and S4: what the soil keeps equals its
+        // recomputation over the seeds S2 has just held to the model.
+        assert_eq!(soil.audit(&self.switch), Ok(()), "after {after:?}");
 
         // S5: deadlines belong to live seeds.
-        let scheduled = triggers().any(|(_, t)| t.kind != TriggerType::Probe);
+        let scheduled = (self.live.values())
+            .any(|m| (catalog[*m].triggers.iter()).any(|t| t.kind != TriggerType::Probe));
         let due = soil.next_deadline();
         assert_eq!(due.is_some(), scheduled, "S5 after {after:?}");
         assert!(due.is_none_or(|due| due > self.now), "S5 after {after:?}");

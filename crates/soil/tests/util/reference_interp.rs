@@ -1,6 +1,6 @@
 //! The test oracle for the seed VM: the AST-walking interpreter that
-//! `farm_soil::interp` replaced, kept as it was — `HashMap<String, Value>`
-//! variables, a scope stack pushed and popped per block, every read a
+//! `farm_soil::interp` replaced, kept as it was — variables in maps keyed
+//! by name, a scope stack pushed and popped per block, every read a
 //! clone — and stripped to a pure function of (compiled machine, state,
 //! variables, event, host). It changes only where the language does: an
 //! `exec_n` count beyond `u32` saturates, a `send … to M@e` whose switch
@@ -11,20 +11,18 @@
 //! real VM and demands equal effects, cost, statistics, state, variables
 //! and error text. Slow on purpose; never linked into the product.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use farm_almanac::analysis::consteval::binary_op;
 use farm_almanac::ast::*;
 use farm_almanac::compile::CompiledMachine;
 use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatSubject, Value};
 use farm_netsim::types::{FilterAtom, FilterFormula, PortSel, Prefix, Proto, SwitchId};
-use farm_soil::interp::{Outcome, SeedHost, SeedStats};
+use farm_soil::interp::{Outcome, SeedHost, SeedStats, HANDLER_BUDGET_OPS};
 use farm_soil::{Effect, Endpoint, SeedError, SeedEvent, SeedSnapshot};
 
 /// Maximum chained transitions per delivered event.
 const MAX_TRANSIT_CHAIN: usize = 16;
-/// Maximum loop iterations per handler (runaway protection).
-const MAX_LOOP_ITERS: u64 = 1_000_000;
 /// Maximum user-function call depth.
 const MAX_CALL_DEPTH: usize = 64;
 
@@ -35,9 +33,9 @@ pub struct RefSeed<'a> {
     def: &'a CompiledMachine,
     functions: &'a [FunDecl],
     pub state: String,
-    pub vars: HashMap<String, Value>,
+    pub vars: BTreeMap<String, Value>,
     /// Declared type of each machine variable.
-    types: HashMap<String, Type>,
+    types: BTreeMap<String, Type>,
     pub stats: SeedStats,
 }
 
@@ -46,7 +44,7 @@ impl<'a> RefSeed<'a> {
     /// program's auxiliary functions (the compiled machine keeps them
     /// only in lowered form).
     pub fn new(def: &'a CompiledMachine, functions: &'a [FunDecl]) -> RefSeed<'a> {
-        let (mut vars, mut types) = (HashMap::new(), HashMap::new());
+        let (mut vars, mut types) = (BTreeMap::new(), BTreeMap::new());
         for v in &def.machine.vars {
             let DeclKind::Plain(ty) = v.kind else {
                 continue;
@@ -98,8 +96,8 @@ impl<'a> RefSeed<'a> {
     ///
     /// # Errors
     ///
-    /// Runtime errors (bad dynamic types, loop/recursion limits,
-    /// transition livelock).
+    /// Runtime errors (bad dynamic types, the call depth limit, the op
+    /// budget, transition livelock).
     pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
         let mut out = Outcome::default();
         self.stats.events_handled += 1;
@@ -159,14 +157,11 @@ impl<'a> RefSeed<'a> {
     /// State handlers take precedence over machine-level handlers with
     /// the same trigger shape (§ III-A b: "with the possibility of
     /// overriding such global definitions").
-    fn find_handler(&self, event: &SeedEvent) -> Option<EventDecl> {
-        let state = self.def.machine.state(&self.state)?;
-        state
-            .events
-            .iter()
-            .chain(self.def.machine.events.iter())
+    fn find_handler(&self, event: &SeedEvent) -> Option<&'a EventDecl> {
+        let machine = &self.def.machine;
+        (machine.state(&self.state)?.events.iter())
+            .chain(machine.events.iter())
             .find(|ev| trigger_matches(&ev.trigger, event))
-            .cloned()
     }
 }
 
@@ -262,18 +257,18 @@ fn bind_event(decl: &Trigger, event: &SeedEvent, scope: &mut Scope) {
 /// each variable's value and declared type.
 #[derive(Debug, Default)]
 struct Scope {
-    frames: Vec<HashMap<String, (Value, Type)>>,
+    frames: Vec<BTreeMap<String, (Value, Type)>>,
 }
 
 impl Scope {
     fn new() -> Scope {
         Scope {
-            frames: vec![HashMap::new()],
+            frames: vec![BTreeMap::new()],
         }
     }
 
     fn push(&mut self) {
-        self.frames.push(HashMap::new());
+        self.frames.push(BTreeMap::new());
     }
 
     fn pop(&mut self) {
@@ -317,6 +312,17 @@ struct Interp<'a, 'b> {
 impl Interp<'_, '_> {
     fn charge(&mut self, ops: u64) {
         self.out.ops += ops;
+    }
+
+    /// The delivery's budget, checked where the VM checks it: after a
+    /// `while` condition holds and before a user call's arguments.
+    fn within_budget(&self) -> Result<(), SeedError> {
+        if self.out.ops > HANDLER_BUDGET_OPS {
+            return Err(SeedError(format!(
+                "handler budget of {HANDLER_BUDGET_OPS} ops exceeded"
+            )));
+        }
+        Ok(())
     }
 
     fn run_block(&mut self, actions: &[Action], scope: &mut Scope) -> Result<Flow, SeedError> {
@@ -387,26 +393,20 @@ impl Interp<'_, '_> {
                         return Ok(flow);
                     }
                 }
-                Action::While { cond, body, .. } => {
-                    let mut iters = 0u64;
-                    loop {
-                        let c = self
-                            .eval(cond, scope)?
-                            .as_bool()
-                            .ok_or_else(|| SeedError("while condition is not a bool".into()))?;
-                        if !c {
-                            break;
-                        }
-                        iters += 1;
-                        if iters > MAX_LOOP_ITERS {
-                            return Err(SeedError("loop iteration limit exceeded".into()));
-                        }
-                        let flow = self.run_block(body, scope)?;
-                        if !matches!(flow, Flow::Normal) {
-                            return Ok(flow);
-                        }
+                Action::While { cond, body, .. } => loop {
+                    let c = self
+                        .eval(cond, scope)?
+                        .as_bool()
+                        .ok_or_else(|| SeedError("while condition is not a bool".into()))?;
+                    if !c {
+                        break;
                     }
-                }
+                    self.within_budget()?;
+                    let flow = self.run_block(body, scope)?;
+                    if !matches!(flow, Flow::Normal) {
+                        return Ok(flow);
+                    }
+                },
                 Action::Return { value, .. } => {
                     let v = match value {
                         Some(e) => self.eval(e, scope)?,
@@ -581,10 +581,12 @@ impl Interp<'_, '_> {
 
     fn call(&mut self, name: &str, args: &[Expr], scope: &mut Scope) -> Result<Value, SeedError> {
         // User functions first (the checker forbids shadowing builtins).
-        if let Some(f) = self.seed.functions.iter().find(|f| f.name == name).cloned() {
+        let functions = self.seed.functions;
+        if let Some(f) = functions.iter().find(|f| f.name == name) {
             if self.depth >= MAX_CALL_DEPTH {
                 return Err(SeedError("call depth exceeded".into()));
             }
+            self.within_budget()?;
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
                 vals.push(self.eval(a, scope)?);

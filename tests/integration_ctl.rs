@@ -283,6 +283,66 @@ fn deeply_nested_programs_are_refused_and_farmd_keeps_serving() {
     farmd.stop();
 }
 
+/// Two `place any` programs whose `enter` would run away: two nested
+/// loops of a million iterations each (13 hours of VM time, each loop
+/// well inside a count of its own), and doubling recursion 40 calls deep
+/// (2^41 calls, never deeper than the depth limit).
+const RUNAWAYS: [(&str, &str); 2] = [
+    (
+        "spin",
+        "machine Spin { place any; long bumps = 0; state s { when (enter) do {
+           long i = 0;
+           while (i < 1000000) {
+             long j = 0;
+             while (j < 1000000) { bumps = bumps + 1; j = j + 1; }
+             i = i + 1;
+           }
+         } } }",
+    ),
+    (
+        "fork",
+        "fun f(long n): long { if (n <= 0) then { return 1; } return f(n - 1) + f(n - 1); }
+         machine Fork { place any; long got = 0; state s { when (enter) do { got = f(40); } } }",
+    ),
+];
+
+#[test]
+fn runaway_handlers_stop_at_the_budget_and_farmd_keeps_serving() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let client = CtlClient::connect(farmd.local_addr());
+    for (name, source) in RUNAWAYS {
+        match client
+            .op(ControlOp::SubmitProgram {
+                name: name.into(),
+                source: source.into(),
+            })
+            .expect("submit rpc")
+        {
+            ControlReply::Submitted { seeds, .. } => assert_eq!(seeds, 1, "{name}"),
+            other => panic!("{name} answered {other:?}"),
+        }
+    }
+    let asked = std::time::Instant::now();
+    let body = match client.op(ControlOp::stats_all()).expect("stats rpc") {
+        ControlReply::Json { body } => body,
+        other => panic!("stats answered {other:?}"),
+    };
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        asked.elapsed()
+    );
+    for counter in ["farm.seed_errors", "soil.seed_errors"] {
+        assert!(
+            body.contains(&format!("\"{counter}\":2")),
+            "{counter}: {body}"
+        );
+    }
+    // Both seeds stay placed: a failed delivery drops its effects only.
+    assert_eq!(list_seeds(&client).len(), 2);
+    farmd.stop();
+}
+
 #[test]
 fn admission_control_rejects_when_quota_exhausted() {
     let config = FarmdConfig {

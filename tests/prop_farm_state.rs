@@ -8,25 +8,26 @@
 //! heartbeat / checkpoint / import / restore / replan / seeded churn.
 //! After every operation, through the public API only:
 //!
-//! * **I1** every `seed_statuses()` entry that is not `lost` names an up
-//!   switch whose soil hosts a live instance of that task and machine in
-//!   the reported state;
-//! * **I2** on every up, non-fenced switch the instances per (task,
-//!   machine) number exactly the non-lost entries placed there, and
-//!   `num_seeds()` is their sum — nothing leaked, nothing planted twice,
-//!   nothing undeployed from the wrong soil;
+//! * `Farm::audit` is clean: **I1** every live seed in the seed table
+//!   runs its key's machine on an up switch; **I2** on every up,
+//!   non-fenced switch the soil runs exactly the live seeds the table
+//!   places there — nothing leaked, nothing planted twice, nothing
+//!   undeployed from the wrong soil; **I4** `export_checkpoints()` has
+//!   one entry per key, sorted by display form, every key of a
+//!   registered task; **I6** `cordoned_switches()` and
+//!   `fenced_switches()` are ascending, without duplicates, and name only
+//!   switches of the topology; **I7** what the farm keeps to skip work
+//!   equals its recomputation — the live list, the seeder's round scope,
+//!   the solver memory, every soil's in-use total, trigger table and
+//!   polling rules — `live_capacities()` is the reachable switches, less
+//!   the fenced and the cordoned ones, at effective resources, every
+//!   committed seat meets C2, and no recovering seed has a seat;
+//! * **I1** (the model's part) that machine is the one the submitted
+//!   program names;
 //! * **I3** `deployed_seeds() + recovery_pending()` never exceeds the
 //!   seeds of the registered tasks;
-//! * **I4** `export_checkpoints()` has one entry per key, sorted by
-//!   display form, every key of a registered task;
 //! * **I5** the same sequence twice gives the same event stream, modulo
-//!   the two wall-clock events;
-//! * **I6** `cordoned_switches()` and `fenced_switches()` are ascending,
-//!   without duplicates, and name only switches of the topology;
-//! * **I7** what the farm keeps to skip work equals its recomputation
-//!   (`Farm::check_kept`), and `live_capacities()` is the reachable
-//!   switches, less the fenced and the cordoned ones, at effective
-//!   resources.
+//!   the two wall-clock events.
 //!
 //! Two more properties hold the snapshots to their contract: a key that
 //! has had an exportable snapshot keeps one for as long as its task is
@@ -45,7 +46,6 @@ use std::sync::Arc;
 use farm_almanac::value::Value;
 use farm_core::prelude::*;
 use farm_faults::LossSpec;
-use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use proptest::prelude::*;
 
@@ -69,9 +69,12 @@ enum Program {
     /// `place all;`, reporting to its harvester on every poll: its
     /// reports cross the control channel the loss ops impair.
     Report,
+    /// `place all;`, polling one flow rule at two rates: every seed holds
+    /// two references on its switch's monitoring entry.
+    Flow,
 }
 
-const PROGRAMS: [Program; 7] = [
+const PROGRAMS: [Program; 8] = [
     Program::All,
     Program::Any,
     Program::PinAll,
@@ -79,6 +82,7 @@ const PROGRAMS: [Program; 7] = [
     Program::Duo,
     Program::Rover,
     Program::Report,
+    Program::Flow,
 ];
 
 /// Utility that grows with the allocation: the LP hands such a seed
@@ -100,6 +104,7 @@ impl Program {
             Program::Duo => vec![format!("Scout_{task}"), format!("Post_{task}")],
             Program::Rover => vec![format!("Rover_{task}")],
             Program::Report => vec![format!("Report_{task}")],
+            Program::Flow => vec![format!("Flow_{task}")],
         }
     }
 
@@ -125,6 +130,14 @@ impl Program {
                  long n = 0;\n  state s {{\n    {MODEST}\n    when (p as stats) do {{ n = n + 1; send n to harvester; }}\n  }}\n}}\n"
             )
         };
+        let flow = |name: &str| {
+            format!(
+                "machine {name} {{\n  place all;\n  \
+                 poll p = Poll {{ .ival = 2, .what = dstIP \"10.0.1.0/24\" }};\n  \
+                 poll q = Poll {{ .ival = 3, .what = dstIP \"10.0.1.0/24\" }};\n  \
+                 long n = 0;\n  state s {{\n    {MODEST}\n    when (p as stats) do {{ n = n + 1; }}\n  }}\n}}\n"
+            )
+        };
         match self {
             Program::All => flipper(&names[0], "place all;"),
             Program::Any => counter(&names[0], "place any;", HUNGRY),
@@ -133,13 +146,14 @@ impl Program {
             Program::Duo => rover(&names[0]) + &counter(&names[1], "place all 1;", MODEST),
             Program::Rover => rover(&names[0]),
             Program::Report => report(&names[0]),
+            Program::Flow => flow(&names[0]),
         }
     }
 
     /// Seeds the program asks for on an `n`-switch fabric.
     fn seeds(self, n_switches: usize) -> usize {
         match self {
-            Program::All | Program::Report => n_switches,
+            Program::All | Program::Report | Program::Flow => n_switches,
             Program::Any | Program::PinAny | Program::Rover => 1,
             Program::PinAll | Program::Duo => 2,
         }
@@ -411,51 +425,17 @@ impl Run {
         program.machines(&key.task)[key.machine].clone()
     }
 
-    /// I1–I4, I6 and I7 against the farm's current state.
+    /// The model's part of I1 and I3 against the farm's current state;
+    /// the rest is [`Farm::audit`]'s.
     fn check(&self, step: usize, op: Op) {
         let farm = &self.farm;
         let ctx = format!("after step {step} ({op:?})");
-        let statuses = farm.seed_statuses();
-        let fenced = farm.fenced_switches();
+        let report = farm.audit();
+        assert!(report.is_clean(), "audit {ctx}:\n{report}");
 
-        // I1.
-        for s in statuses.iter().filter(|s| s.state != "lost") {
-            assert!(
-                farm.network().is_up(s.switch),
-                "I1 {ctx}: {s:?} on a down switch"
-            );
+        // I1: a live seed runs the machine its task's program names.
+        for s in farm.seed_statuses().iter().filter(|s| s.state != "lost") {
             assert_eq!(s.machine, self.machine_of(&s.key), "I1 {ctx}: {s:?}");
-            let soil = farm.soil(s.switch).expect("an up switch runs a soil");
-            assert!(
-                soil.seeds()
-                    .any(|i| i.machine_name() == s.machine && i.state() == s.state),
-                "I1 {ctx}: no live instance behind {s:?}"
-            );
-        }
-
-        // I2.
-        for &id in &self.ids {
-            if !farm.network().is_up(id) || fenced.contains(&id) {
-                continue;
-            }
-            let soil = farm.soil(id).expect("an up switch runs a soil");
-            let mut hosted: BTreeMap<String, usize> = BTreeMap::new();
-            for inst in soil.seeds() {
-                *hosted.entry(inst.machine_name().to_string()).or_default() += 1;
-            }
-            let mut placed: BTreeMap<String, usize> = BTreeMap::new();
-            for s in statuses
-                .iter()
-                .filter(|s| s.switch == id && s.state != "lost")
-            {
-                *placed.entry(self.machine_of(&s.key)).or_default() += 1;
-            }
-            assert_eq!(hosted, placed, "I2 {ctx}: soil of {id:?} vs placements");
-            assert_eq!(
-                soil.num_seeds(),
-                placed.values().sum::<usize>(),
-                "I2 {ctx}: {id:?}"
-            );
         }
 
         // I3.
@@ -475,52 +455,6 @@ impl Run {
             self.registered.keys().cloned().collect::<Vec<_>>(),
             "{ctx}: task catalog"
         );
-
-        // I4.
-        let exported: Vec<String> = farm
-            .export_checkpoints()
-            .iter()
-            .map(|(k, _)| {
-                assert!(
-                    self.registered.contains_key(&k.task),
-                    "I4 {ctx}: checkpoint of unregistered {k}"
-                );
-                k.to_string()
-            })
-            .collect();
-        assert!(
-            exported.windows(2).all(|w| w[0] < w[1]),
-            "I4 {ctx}: not sorted or not unique: {exported:?}"
-        );
-
-        // I7. The kept state is checked before `live_capacities` reads
-        // (and so keeps) the live list.
-        assert_eq!(farm.check_kept(), Ok(()), "I7 {ctx}");
-        let cordoned = farm.cordoned_switches();
-        let bits = |r: Resources| r.0.map(f64::to_bits);
-        let fold: Vec<(SwitchId, [u64; 4])> = (farm.network().reachable().into_iter())
-            .filter(|id| !fenced.contains(id) && !cordoned.contains(id))
-            .map(|id| {
-                let sw = farm.network().switch(id).expect("a reachable switch");
-                (id, bits(sw.effective_resources()))
-            })
-            .collect();
-        let live: Vec<(SwitchId, [u64; 4])> = (farm.live_capacities().iter())
-            .map(|&(id, r)| (id, bits(r)))
-            .collect();
-        assert_eq!(live, fold, "I7 {ctx}: live capacities");
-
-        // I6.
-        for (what, list) in [("cordoned", cordoned), ("fenced", fenced)] {
-            assert!(
-                list.windows(2).all(|w| w[0] < w[1]),
-                "I6 {ctx}: {what} not ascending or not unique: {list:?}"
-            );
-            assert!(
-                list.iter().all(|id| self.ids.contains(id)),
-                "I6 {ctx}: {what} names a switch the fabric lacks: {list:?}"
-            );
-        }
     }
 
     /// Every seed live on a reachable switch, as a capture would hold it.
@@ -575,8 +509,8 @@ impl Run {
     }
 }
 
-/// I1–I4 and I6 after every step, I5 over the whole run. Returns the run for
-/// sequence-specific assertions.
+/// The audit, I1 and I3 after every step, I5 over the whole run. Returns
+/// the run for sequence-specific assertions.
 fn hold_invariants(fabric: (usize, usize), ops: &[Op]) -> Run {
     let mut run = Run::new(fabric);
     for (step, &op) in ops.iter().enumerate() {
