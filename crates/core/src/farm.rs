@@ -543,17 +543,26 @@ impl Farm {
     ///
     /// Soil-level failures while executing the plan.
     pub fn replan(&mut self) -> Result<Plan, Error> {
+        let mut outbound = Vec::new();
+        let plan = self.replan_into(&mut outbound);
+        self.route(outbound);
+        plan
+    }
+
+    /// [`Farm::replan`], leaving the messages the round's seeds send for
+    /// the caller to route: plans a round and commits every action of
+    /// it, in order.
+    fn replan_into(&mut self, outbound: &mut Vec<OutboundMessage>) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
         let live = self
             .live
             .get_or_init(|| Live::of(&self.network, &self.rows));
         let mut plan = self.seeder.plan(&live.caps);
         let now = self.now;
-        let mut outbound = Vec::new();
         for action in &plan.actions {
             let planted = match action {
                 PlannedAction::Deploy { key, to, alloc } => {
-                    Some(self.plant(key, *to, *alloc, &mut outbound)?)
+                    Some(self.plant(key, *to, *alloc, outbound)?)
                 }
                 PlannedAction::Migrate {
                     key,
@@ -599,7 +608,7 @@ impl Farm {
                                 .sum();
                             (id, bytes)
                         }
-                        None => (self.plant(key, *to, *alloc, &mut outbound)?, 0),
+                        None => (self.plant(key, *to, *alloc, outbound)?, 0),
                     };
                     self.counters.migrations.inc();
                     self.counters.migration_bytes.add(bytes);
@@ -680,7 +689,6 @@ impl Farm {
             reallocs,
             undeploys,
         });
-        self.route(outbound);
         Ok(plan)
     }
 
@@ -1072,33 +1080,27 @@ impl Farm {
         if due.is_empty() {
             return Vec::new();
         }
-        let live = self
-            .live
-            .get_or_init(|| Live::of(&self.network, &self.rows));
-        let plan = self.seeder.plan(&live.caps);
+        // The round's whole plan is committed: a recovery's deploy counts
+        // on the reallocs and migrations of its target's residents that
+        // the same plan makes. A landed recovery leaves the queue inside
+        // `plant`; an error stops the round where an operator's replan
+        // stops, and the keys it did not land wait for their next try.
+        for key in &due {
+            if let Some(item) = self.recovery.get_mut(key) {
+                item.attempts += 1;
+            }
+        }
         let mut outbound = Vec::new();
+        let _ = self.replan_into(&mut outbound);
         for key in due {
             let Some(item) = self.recovery.get_mut(&key) else {
                 continue;
             };
-            item.attempts += 1;
             let attempts = item.attempts;
             // Exponential backoff should this attempt fail too:
             // base × 2^(attempts-1).
             let factor = 1u64 << (attempts - 1).min(16);
             item.next_at = now + Dur::from_nanos(RECOVERY_BACKOFF.as_nanos() * factor);
-            let target = plan.actions.iter().find_map(|a| match a {
-                PlannedAction::Deploy { key: k, to, alloc } if *k == key => Some((*to, *alloc)),
-                _ => None,
-            });
-            // A landed recovery leaves the queue inside `plant`.
-            if let Some((to, alloc)) = target {
-                if let Ok(id) = self.plant(&key, to, alloc, &mut outbound) {
-                    self.seeder
-                        .commit(&PlannedAction::Deploy { key, to, alloc }, Some(id));
-                    continue;
-                }
-            }
             if attempts >= MAX_RECOVERY_ATTEMPTS {
                 let (at_ns, task) = (now.as_nanos(), key.task.clone());
                 let seed = key.seed as u64;

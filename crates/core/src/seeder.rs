@@ -23,7 +23,7 @@ use farm_placement::build::{task_rows, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{
-    validate_seats, PlacementInstance, PlacementResult, PreviousPlacement, Seats,
+    validate_capacity, validate_seats, PlacementInstance, PlacementResult, PreviousPlacement, Seats,
 };
 use farm_soil::{SeedId, SeedSnapshot};
 use farm_telemetry::{Histogram, Telemetry};
@@ -533,6 +533,7 @@ impl Seeder {
             .map(|s| seats.get(&s).copied())
             .collect();
         found("placement", validate_seats(instance, &seated));
+        found("placement", validate_capacity(instance, &seated, None));
     }
 
     /// Runs global placement over every registered task and diffs the

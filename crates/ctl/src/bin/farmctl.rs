@@ -300,7 +300,7 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
                     "explain: compile {} us, admission {} us, splice+remap {} us, \
                      replan_delta {} us, commit {} us; {} solve: {}/{} LP switches ran, \
                      {} reused, steps {} visited {} executed {} replayed {} cascaded, \
-                     {} pairs evaluated, {} relocated",
+                     {} evaluations made, {} relocated",
                     e.compile_us,
                     e.admission_us,
                     e.splice_us,

@@ -180,6 +180,19 @@ pub struct Core {
     ckpt_age: Arc<Gauge>,
 }
 
+impl Core {
+    /// The farm this core serves.
+    pub fn farm(&self) -> &Farm {
+        &self.farm
+    }
+
+    /// The farm, mutably: a caller that steps the core's virtual clock
+    /// itself (`Farm::advance`) instead of through the wall-clock ticker.
+    pub fn farm_mut(&mut self) -> &mut Farm {
+        &mut self.farm
+    }
+}
+
 /// The deterministic churn plan `[faults] seed` asks for: crashes and
 /// PCIe degradation over the leaf tier (leaves host seeds; leaf↔leaf
 /// links don't exist in a spine-leaf fabric, so link flaps are left
@@ -481,7 +494,7 @@ fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlRe
     if source.len() > config.max_program_bytes {
         return ControlReply::Rejected {
             reason: format!(
-                "program of {} bytes exceeds the {}-byte submission cap",
+                "task `{name}`: program of {} bytes exceeds the {}-byte submission cap",
                 source.len(),
                 config.max_program_bytes
             ),
@@ -514,7 +527,9 @@ fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlRe
     };
     let compiled = began.map(|began| (began, Instant::now()));
     if let Err(reason) = admission_check(farm, &task, config.quota) {
-        return ControlReply::Rejected { reason };
+        return ControlReply::Rejected {
+            reason: format!("task `{name}`: {reason}"),
+        };
     }
     let front = compiled.map(|(began, compiled)| (compiled - began, compiled.elapsed()));
     let seeds = task.num_seeds() as u64;
@@ -531,7 +546,7 @@ fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlRe
             }
         }
         Err(e) => ControlReply::Rejected {
-            reason: e.to_string(),
+            reason: format!("task `{name}`: {e}"),
         },
     }
 }

@@ -333,7 +333,8 @@ wire_struct! {
 
 wire_struct! {
     /// How much of a solve was served from the solver's memory: the
-    /// placement crate's `DeltaReport`, field for field.
+    /// placement crate's `DeltaReport`, field for field but for
+    /// `pairs_read`, which stays in process.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct DeltaCounts {
         pub lp_switches: u64,

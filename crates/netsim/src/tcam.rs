@@ -346,17 +346,26 @@ impl Tcam {
         Ok(self.remove_at(pos))
     }
 
-    /// Removes the first monitoring rule whose pattern equals `pattern`
-    /// (the runtime library's `removeTCAMRule(filter)`).
+    /// Removes the first monitoring rule of `priority` whose pattern
+    /// equals `pattern` (the runtime library's `removeTCAMRule(filter)`,
+    /// at the priority the rules seeds add carry).
     ///
     /// # Errors
     ///
     /// [`TcamError::NoSuchRule`] if nothing matches.
-    pub fn remove_by_pattern(&mut self, pattern: &FilterFormula) -> Result<TcamRule, TcamError> {
+    pub fn remove_by_pattern(
+        &mut self,
+        pattern: &FilterFormula,
+        priority: i32,
+    ) -> Result<TcamRule, TcamError> {
         let pos = self
             .rules
             .iter()
-            .position(|r| r.region == TcamRegion::Monitoring && &r.pattern == pattern)
+            .position(|r| {
+                r.region == TcamRegion::Monitoring
+                    && r.priority == priority
+                    && &r.pattern == pattern
+            })
             .ok_or(TcamError::NoSuchRule)?;
         Ok(self.remove_at(pos))
     }
@@ -558,9 +567,10 @@ mod tests {
         t.add_rule(TcamRegion::Monitoring, 0, p.clone(), RuleAction::Count)
             .unwrap();
         assert_eq!(t.rules().len(), 1);
-        t.remove_by_pattern(&p).unwrap();
+        assert_eq!(t.remove_by_pattern(&p, 10), Err(TcamError::NoSuchRule));
+        t.remove_by_pattern(&p, 0).unwrap();
         assert!(t.rules().is_empty());
-        assert_eq!(t.remove_by_pattern(&p), Err(TcamError::NoSuchRule));
+        assert_eq!(t.remove_by_pattern(&p, 0), Err(TcamError::NoSuchRule));
     }
 
     #[test]
@@ -588,7 +598,7 @@ mod tests {
         assert_eq!(t.stats(low).unwrap().bytes, 110);
         assert_eq!(t.rule(peer).unwrap().priority, 0);
         // By pattern: the first of the two equal patterns goes.
-        assert_eq!(t.remove_by_pattern(&pat("10.0.1.0/24")).unwrap().id, low);
+        assert_eq!(t.remove_by_pattern(&pat("10.0.1.0/24"), 0).unwrap().id, low);
         assert_eq!(t.stats(peer).unwrap().packets, 1);
         assert_eq!(t.region_used(TcamRegion::Monitoring), 1);
         assert_eq!(t.monitoring_free(), 5);

@@ -185,7 +185,7 @@ enum TcamOp {
     Add(TcamRegion, i32, FilterFormula, RuleAction),
     /// Index into the ids issued so far (live or already removed).
     RemoveRule(usize),
-    RemoveByPattern(FilterFormula),
+    RemoveByPattern(FilterFormula, i32),
     Record(FlowKey, u64, u64),
 }
 
@@ -214,7 +214,7 @@ fn tcam_op() -> BoxedStrategy<TcamOp> {
     prop_oneof![
         (region, -2i32..3, pattern(), action).prop_map(|(r, p, f, a)| TcamOp::Add(r, p, f, a)),
         (0usize..64).prop_map(TcamOp::RemoveRule),
-        pattern().prop_map(TcamOp::RemoveByPattern),
+        (pattern(), -2i32..3).prop_map(|(f, p)| TcamOp::RemoveByPattern(f, p)),
         (flow(), 1u64..2000, 1u64..4).prop_map(|(f, b, p)| TcamOp::Record(f, b, p)),
         (flow(), 1u64..2000, 1u64..4).prop_map(|(f, b, p)| TcamOp::Record(f, b, p)),
     ]
@@ -317,9 +317,11 @@ proptest! {
                     let id = RuleId(k as u64 % (model.next_id + 2));
                     prop_assert_eq!(tcam.remove_rule(id), model.remove_where(|r| r.id == id));
                 }
-                TcamOp::RemoveByPattern(p) => prop_assert_eq!(
-                    tcam.remove_by_pattern(&p),
-                    model.remove_where(|r| r.region == TcamRegion::Monitoring && r.pattern == p)
+                TcamOp::RemoveByPattern(p, priority) => prop_assert_eq!(
+                    tcam.remove_by_pattern(&p, priority),
+                    model.remove_where(|r| {
+                        r.region == TcamRegion::Monitoring && r.priority == priority && r.pattern == p
+                    })
                 ),
                 TcamOp::Record(flow, bytes, packets) => {
                     prop_assert_eq!(

@@ -2,8 +2,8 @@
 //! a [`SolveState`] retained from the previous solve. Every step of
 //! Alg. 1 follows the change instead of re-deriving the instance: steps
 //! 1–3 through per-switch op logs and a worklist of greedy steps, step 4
-//! and the tally through per-seed records of the last scan. Step 5
-//! commits from the benefit list as a from-scratch solve does.
+//! and the tally through per-seed records of the last scan and per-list
+//! rows of evaluated utilities. Step 5 commits from step 4's records.
 //!
 //! # Why this is *exactly* equivalent to a from-scratch solve
 //!
@@ -174,6 +174,40 @@
 //! new or declared dirty, and are dropped with the slots on a subject
 //! renumbering and on an options change.
 //!
+//! The utility a seed reaches at a candidate (before the hysteresis,
+//! which reads the seed's own seat) is a pure function of the seed's
+//! *definition* — its interned poll subjects and their demand
+//! polynomials, its minimum allocation and utility, and its utility
+//! analysis (`Definition`) — and of the candidate's post-step-3 state.
+//! So the seeds of one shared list evaluate a position once between
+//! them: a seed joins a list only when its definition equals a member's
+//! to the bit (its key, a hash, is computed when a list of its
+//! candidates exists, and only finds the list), and the list keeps a
+//! *row*, the utility at each position as the first member that needed
+//! it evaluated it. An entry is exact for as long as the switch's
+//! post-step-3 state is the one it read: `Scans::prepare` makes it
+//! stale where the switch moved, joined or left — the same switches
+//! whose pairs it re-evaluates — and a list that forms or empties, or
+//! records that are forgotten, start their row over. Only an indexed
+//! member reads the row: a member whose candidates or definition changed
+//! is not indexed until the index takes it out. A warm solve indexes its
+//! new and dirty seeds before step 4, so they read the rows of the lists
+//! they join; a cold one indexes nothing until the next solve.
+//! [`SolveState::audit`] holds every entry to its recomputation.
+//!
+//! **Step 5.** A benefit keeps the utility `u` step 4 found; the ranking
+//! subtracts the seed's utility at its seat, kept in its record, which is
+//! the value step 4 subtracted: a benefit is kept only while its seed's
+//! record is, so the gains, and the stable sort over them, are the
+//! from-scratch solve's to the bit. A commit unsettles the two switches it
+//! changes (`Switches::unsettle`); every other switch still holds the
+//! post-step-3 state step 4 read. There the allocation step 5 would make
+//! is the one step 4 made, it fits, and its utility is `u`: a benefit
+//! whose target is settled tests `u` against the hysteresis, and only a
+//! pair that clears it, or whose target a commit touched, computes the
+//! allocation, the fit and the utility again. A seed step 5 moved is
+//! compared with the utility it reached where it went.
+//!
 //! **Tally.** Each seed keeps the utility at its final allocation (the
 //! recorded one where that is the scanned allocation) and whether it sits
 //! off its previous seat. Both are written again for the seeds whose
@@ -194,13 +228,18 @@ use std::hash::Hasher;
 
 use crate::fxhash::{FxHashMap, FxHasher};
 
+use farm_almanac::analysis::{Poly, UtilAnalysis, UtilExpr};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::heuristic::{solve_core, HeuristicOptions, Load, SeedPolls, SwitchState, Usage};
+use crate::heuristic::{
+    achievable_utility, hysteresis, solve_core, HeuristicOptions, Load, SeedPolls, SwitchState,
+    Usage,
+};
 use crate::model::{
-    LogAt, PlacementInstance, PlacementResult, PlacementSeed, Seat, Seats, SubjectInterner,
+    LogAt, PlacementInstance, PlacementResult, PlacementSeed, PollDemand, Seat, Seats,
+    SubjectInterner,
 };
 
 /// Bucket bounds of the `solver.delta_frontier` and
@@ -528,11 +567,17 @@ pub struct DeltaReport {
     /// Undiverged switches a probe read, in a buffer built from their op
     /// log, and that kept their state from the last solve.
     pub switches_read: usize,
-    /// (seed, candidate) pairs whose migration benefit step 4 evaluated
-    /// rather than copied from the last solve: every pair on a cold
-    /// solve, none in a world that did not change (0 when the migration
-    /// pass is off).
+    /// Evaluations step 4 made of the utility a seed reaches at a
+    /// candidate: one per (seed, candidate) pair it neither copied from
+    /// the last solve nor read from a shared list's row (and one per
+    /// position of such a row it filled); every pair of a seed without
+    /// a shared list on a cold solve, none in a world that did not
+    /// change (0 when the migration pass is off).
     pub pairs_evaluated: usize,
+    /// (seed, candidate) pairs step 4 read from a shared list's row,
+    /// filled by another member or by an earlier solve, instead of
+    /// evaluating them.
+    pub pairs_read: usize,
     /// Seeds step 5 relocated.
     pub relocated: usize,
 }
@@ -699,6 +744,20 @@ impl Seeds {
     pub(crate) fn min_res(&self, s: usize) -> Resources {
         debug_assert!(self.flags[s] & FEASIBLE != 0);
         self.min_res[s]
+    }
+
+    /// What step 4 reads of seed `s` besides the switch.
+    pub(crate) fn definition<'a>(
+        &'a self,
+        instance: &'a PlacementInstance,
+        s: usize,
+    ) -> Definition<'a> {
+        Definition {
+            ids: &self.ids[self.at[s] as usize..self.at[s + 1] as usize],
+            polls: &instance.seeds[s].polls,
+            min: self.min_alloc(s),
+            util: &instance.seeds[s].util,
+        }
     }
 
     /// The slot of the seed's previous switch, if it has a seat.
@@ -949,6 +1008,81 @@ impl Seeds {
             + vec_bytes(&self.flags)
             + vec_bytes(&self.unknown)
             + vec_bytes(&self.unclean)
+    }
+}
+
+/// What step 4 reads of a seed besides the switch it looks at: its
+/// interned poll subjects and their demands, its minimum feasible
+/// allocation and utility (or none), and its utility analysis. Two
+/// seeds whose definitions are equal to the bit reach the same utility
+/// on any switch state.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Definition<'a> {
+    pub(crate) ids: &'a [u32],
+    pub(crate) polls: &'a [PollDemand],
+    pub(crate) min: Option<(Resources, f64)>,
+    pub(crate) util: &'a UtilAnalysis,
+}
+
+impl Definition<'_> {
+    /// Feeds every bit of the definition to `f`, a word at a time; each
+    /// variable-length part is led by its length, so two definitions
+    /// feed the same words only when they are equal to the bit.
+    fn words(&self, f: &mut impl FnMut(u64)) {
+        fn poly(p: &Poly, f: &mut impl FnMut(u64)) {
+            p.coeffs.iter().for_each(|c| f(c.to_bits()));
+            f(p.constant.to_bits());
+        }
+        fn expr(e: &UtilExpr, f: &mut impl FnMut(u64)) {
+            match e {
+                UtilExpr::Poly(p) => {
+                    f(0);
+                    poly(p, f);
+                }
+                UtilExpr::Min(a, b) | UtilExpr::Max(a, b) => {
+                    f(if matches!(e, UtilExpr::Min(..)) { 1 } else { 2 });
+                    expr(a, f);
+                    expr(b, f);
+                }
+            }
+        }
+        f(self.ids.len() as u64);
+        self.ids.iter().for_each(|&id| f(u64::from(id)));
+        f(self.polls.len() as u64);
+        self.polls.iter().for_each(|p| poly(&p.demand, f));
+        match self.min {
+            Some((res, u)) => {
+                f(1);
+                bits(&res).into_iter().for_each(&mut *f);
+                f(u.to_bits());
+            }
+            None => f(0),
+        }
+        f(self.util.branches.len() as u64);
+        for b in &self.util.branches {
+            f(b.constraints.len() as u64);
+            b.constraints.iter().for_each(|c| poly(c, f));
+            expr(&b.utility, f);
+        }
+    }
+
+    /// The hash a shared list's definition is looked up by.
+    pub(crate) fn key(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.words(&mut |w| h.write_u64(w));
+        h.finish()
+    }
+
+    /// Whether `other` is this definition, to the bit.
+    pub(crate) fn same(&self, other: &Definition) -> bool {
+        let mut mine = Vec::new();
+        self.words(&mut |w| mine.push(w));
+        let (mut at, mut same) = (0, true);
+        other.words(&mut |w| {
+            same &= mine.get(at) == Some(&w);
+            at += 1;
+        });
+        same && at == mine.len()
     }
 }
 
@@ -1586,6 +1720,7 @@ impl Switches {
             let i = self.slot(n);
             self.states[i] = st;
             self.mode[i] = Mode::Diverged;
+            self.settled[i] = true;
             let joined = !was.get(i).copied().unwrap_or(false);
             self.moved[i] = changed || joined;
             self.active.push(i);
@@ -1973,6 +2108,12 @@ impl Switches {
             }
     }
 
+    /// Whether switch `i`'s state is the one step 3 left: no commit of
+    /// step 5 changed it since.
+    pub(crate) fn is_settled(&self, i: usize) -> bool {
+        self.settled[i]
+    }
+
     /// The migration pass changed switch `i` after step 3. Its LP output
     /// stays: the LP read the post-greedy state.
     pub(crate) fn unsettle(&mut self, i: usize) {
@@ -2088,11 +2229,12 @@ fn apply(st: &mut SwitchState, op: Op, seeds: &Seeds, instance: &PlacementInstan
     }
 }
 
-/// One migration benefit of step 4: seed `seed` would gain `benefit` at
-/// its candidate number `pos`.
+/// One migration benefit of step 4: seed `seed` would reach utility `u`
+/// at its candidate number `pos`, enough to clear the hysteresis from
+/// its utility at its seat ([`Scans::gain`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Benefit {
-    pub(crate) benefit: f64,
+    pub(crate) u: f64,
     pub(crate) seed: u32,
     pub(crate) pos: u32,
 }
@@ -2114,8 +2256,9 @@ const UTIL_SOME: u8 = 2;
 /// and the index holds every (seed, position) pair of its candidates.
 const INDEXED: u8 = 4;
 
-/// A candidate list that more than one indexed seed has: indexed once,
-/// by (list, position) pairs, for all of its seeds.
+/// A candidate list that more than one indexed seed of one definition
+/// has: indexed once, by (list, position) pairs, for all of its seeds,
+/// and evaluated once per position for all of them.
 #[derive(Debug, Default)]
 struct Shared {
     /// The list as slots, in candidate order; empty for a list no seed
@@ -2123,10 +2266,19 @@ struct Shared {
     slots: Vec<u32>,
     /// [`list_hash`] of `slots`.
     hash: u64,
-    /// The seeds holding it, ascending. A member whose candidates
-    /// changed stays until a switch of the list changes, as a pair of a
-    /// seed of its own does.
+    /// The members' [`Definition::key`].
+    def: u64,
+    /// The seeds holding it, ascending. A member whose candidates or
+    /// definition changed stays until a switch of the list changes, as a
+    /// pair of a seed of its own does, or until it is indexed again; only
+    /// an `INDEXED` member is sure to hold the list's.
     members: Vec<u32>,
+    /// Per position: the utility the members' definition reaches at the
+    /// switch there ([`crate::heuristic::achievable_utility`]) against
+    /// its post-step-3 state, once a scan evaluated it; `None` while it
+    /// is stale. Kept between solves, and made stale where
+    /// [`Scans::prepare`] finds the switch moved, joined or left.
+    row: Vec<Option<Option<f64>>>,
 }
 
 /// [`Scans::list`] of a seed that is no shared list's member.
@@ -2197,25 +2349,33 @@ impl Scans {
         self.flags.len()
     }
 
-    /// Drops every record; the index stays.
+    /// Drops every record and every row; the index stays.
     fn forget(&mut self) {
         for flags in &mut self.flags {
             *flags &= INDEXED;
         }
         self.benefits.clear();
+        for list in &mut self.shared {
+            list.row.fill(None);
+        }
     }
 
     /// Indexes every candidate of the listed seeds not yet indexed: a
-    /// seed joins the shared list equal to its candidates, or forms one
-    /// with a seed indexed on its own under the same list, or is indexed
-    /// on its own. A seed leaves the shared list it was in when its
-    /// candidates are another list now, and its own pairs on a list it
-    /// joins, so no pair is indexed twice.
-    pub(crate) fn index(
+    /// seed joins the shared list equal to its candidates and its
+    /// definition, or forms one with a seed indexed on its own under the
+    /// same list and definition, or is indexed on its own. A seed leaves
+    /// the shared list it was in when its candidates or its definition
+    /// are another now, and its own pairs on a list it joins, so no pair
+    /// is indexed twice. `def(s)` is seed `s`'s definition. Its key is
+    /// computed only where a list of its candidates exists, and an equal
+    /// key joins only a definition equal to the bit, so no collision of
+    /// keys merges two definitions.
+    pub(crate) fn index<'d>(
         &mut self,
         seeds: &[u32],
         instance: &PlacementInstance,
         switches: &mut Switches,
+        def: impl Fn(usize) -> Definition<'d>,
     ) {
         let mut slots = Vec::new();
         for &s in seeds {
@@ -2227,9 +2387,11 @@ impl Scans {
             let candidates = &instance.seeds[s].candidates;
             slots.clear();
             slots.extend(candidates.iter().map(|&n| switches.slot(n) as u32));
+            let key = std::cell::OnceCell::new();
+            let key = || *key.get_or_init(|| def(s).key());
             let g = self.list[s];
             if g != NO_LIST {
-                if self.shared[g as usize].slots == slots {
+                if self.shared[g as usize].slots == slots && self.holds(g, s, key(), &def) {
                     continue;
                 }
                 self.leave(s as u32, g);
@@ -2245,7 +2407,10 @@ impl Scans {
                 let shared = &self.shared;
                 let list = self.shared_at[i0].iter().find(|&&(g, pos)| {
                     let list = &shared[g as usize];
-                    pos == 0 && list.hash == hash && list.slots == slots
+                    pos == 0
+                        && list.hash == hash
+                        && list.slots == slots
+                        && self.holds(g, s, key(), &def)
                 });
                 if let Some(&(g, _)) = list {
                     self.drop_own(s as u32, &slots);
@@ -2264,9 +2429,11 @@ impl Scans {
                         && flags[a] & INDEXED != 0
                         && lists[a] == NO_LIST
                         && instance.seeds[a].candidates == *candidates
+                        && def(a).key() == key()
+                        && def(a).same(&def(s))
                 });
                 if let Some(&(a, _)) = twin {
-                    self.share(a, s as u32, slots.clone(), hash);
+                    self.share(a, s as u32, slots.clone(), hash, key());
                     continue;
                 }
                 self.hash[s] = hash;
@@ -2277,9 +2444,26 @@ impl Scans {
         }
     }
 
-    /// Seed `a`, indexed on its own under `slots`, and seed `s` form a
-    /// shared list: their own pairs on it go.
-    fn share(&mut self, a: u32, s: u32, slots: Vec<u32>, hash: u64) {
+    /// Whether seed `s`, of definition key `key`, holds shared list
+    /// `g`'s definition: the list's key, and to the bit the definition
+    /// of an indexed member other than `s`.
+    fn holds<'d>(
+        &self,
+        g: u32,
+        s: usize,
+        key: u64,
+        def: &impl Fn(usize) -> Definition<'d>,
+    ) -> bool {
+        let list = &self.shared[g as usize];
+        let indexed = |&&m: &&u32| m as usize != s && self.flags[m as usize] & INDEXED != 0;
+        let member = list.members.iter().find(indexed);
+        list.def == key && member.is_some_and(|&m| def(m as usize).same(&def(s)))
+    }
+
+    /// Seed `a`, indexed on its own under `slots`, and seed `s`, of the
+    /// same definition (key `def`), form a shared list with a stale row:
+    /// their own pairs on it go.
+    fn share(&mut self, a: u32, s: u32, slots: Vec<u32>, hash: u64, def: u64) {
         let g = self.free.pop().unwrap_or_else(|| {
             self.shared.push(Shared::default());
             self.shared.len() as u32 - 1
@@ -2290,8 +2474,10 @@ impl Scans {
             insert_pair(&mut self.shared_at[i as usize], (g, pos as u32));
         }
         self.shared[g as usize] = Shared {
+            row: vec![None; slots.len()],
             slots,
             hash,
+            def,
             members: vec![a.min(s), a.max(s)],
         };
         (self.list[a as usize], self.list[s as usize]) = (g, g);
@@ -2435,7 +2621,8 @@ impl Scans {
     /// Before a scan: collects the pairs whose switch's state may have
     /// changed since the last scan — [`Switches::moved`] (which covers a
     /// switch step 5 unsettled, since step 5 logs no op, and one that
-    /// joined), or left — ascending.
+    /// joined), or left — ascending, and makes each shared list's row
+    /// stale at such a switch's position.
     pub(crate) fn prepare(&mut self, instance: &PlacementInstance, switches: &Switches) {
         let Scans {
             by_slot,
@@ -2461,6 +2648,7 @@ impl Scans {
                 changed.extend_from_slice(pairs);
             }
             for &(g, pos) in shared_at.get(i).into_iter().flatten() {
+                shared[g as usize].row[pos as usize] = None;
                 let members = &mut shared[g as usize].members;
                 if !members.iter().all(|&s| names(s, pos)) {
                     members.retain(|&s| {
@@ -2495,10 +2683,14 @@ impl Scans {
     /// last solve at the seat it holds now, to the bit, copies the
     /// benefits it pushed then and re-evaluates only its changed
     /// positions; any other placed seed evaluates every position, and
-    /// becomes scanned at its seat. `benefit(s, min_res, i, cur_u)` is
-    /// seed `s`'s benefit at the present switch of slot `i`, if one clears
-    /// the hysteresis. The benefits land in [`Scans::benefits`]; returns
-    /// the pairs evaluated.
+    /// becomes scanned at its seat. `utility(s, min_res, i)` is the
+    /// utility seed `s` reaches at the present switch of slot `i`; an
+    /// indexed member of a shared list reads it from the list's row,
+    /// where the first member that needed the position left it. A
+    /// position pushes a benefit when its utility clears the hysteresis
+    /// from the seed's utility at its seat. The benefits land in
+    /// [`Scans::benefits`]; returns the evaluations made and the
+    /// positions read from a row.
     pub(crate) fn scan(
         &mut self,
         instance: &PlacementInstance,
@@ -2506,18 +2698,21 @@ impl Scans {
         switches: &Switches,
         visit: Option<&[(u32, Slot)]>,
         min_alloc: impl Fn(usize) -> Option<(Resources, f64)>,
-        mut benefit: impl FnMut(usize, &Resources, usize, f64) -> Option<f64>,
-    ) -> usize {
+        mut utility: impl FnMut(usize, &Resources, usize) -> Option<f64>,
+    ) -> (usize, usize) {
         let Scans {
             util,
             flags,
+            list,
+            shared,
             benefits,
             next,
             changed,
             ..
         } = self;
         next.clear();
-        let (mut at_benefit, mut at_change, mut at_visit, mut pairs) = (0, 0, 0, 0);
+        let (mut at_benefit, mut at_change, mut at_visit) = (0, 0, 0);
+        let (mut evaluated, mut read) = (0, 0);
         let every = instance.seeds.len();
         loop {
             let v = match visit {
@@ -2565,6 +2760,11 @@ impl Scans {
                 util[s] = u.unwrap_or(0.0);
                 flags[s] = flags[s] & INDEXED | if u.is_some() { UTIL_SOME } else { 0 };
             }
+            // Only an indexed member is sure to hold its list's
+            // candidates and definition.
+            let g = list[s];
+            let mut row =
+                (g != NO_LIST && flags[s] & INDEXED != 0).then(|| &mut shared[g as usize]);
             flags[s] |= SCANNED;
             let cur_u = util[s];
             let mut eval = |pos: usize, next: &mut Vec<Benefit>| {
@@ -2572,13 +2772,31 @@ impl Scans {
                 if n == *cur {
                     return;
                 }
-                let Some(i) = switches.present_slot(n) else {
-                    return;
+                let u = match &mut row {
+                    Some(list) => {
+                        let i = list.slots[pos] as usize;
+                        if !switches.is_present(i) {
+                            return;
+                        }
+                        if let Some(u) = list.row[pos] {
+                            read += 1;
+                            u
+                        } else {
+                            evaluated += 1;
+                            *list.row[pos].insert(utility(s, &min_res, i))
+                        }
+                    }
+                    None => {
+                        let Some(i) = switches.present_slot(n) else {
+                            return;
+                        };
+                        evaluated += 1;
+                        utility(s, &min_res, i)
+                    }
                 };
-                pairs += 1;
-                if let Some(benefit) = benefit(s, &min_res, i, cur_u) {
+                if let Some(u) = u.filter(|&u| u > hysteresis(cur_u)) {
                     let (seed, pos) = (s as u32, pos as u32);
-                    next.push(Benefit { benefit, seed, pos });
+                    next.push(Benefit { u, seed, pos });
                 }
             };
             if same {
@@ -2600,7 +2818,15 @@ impl Scans {
         next.extend_from_slice(&benefits[at_benefit..]);
         std::mem::swap(benefits, next);
         changed.clear();
-        pairs
+        (evaluated, read)
+    }
+
+    /// What benefit `b` gains: its utility less its seed's at the seat
+    /// it was scanned at — the value step 4 compared with the
+    /// hysteresis, to the bit, since a benefit is kept only while its
+    /// seed's record is.
+    pub(crate) fn gain(&self, b: &Benefit) -> f64 {
+        b.u - self.util[b.seed as usize]
     }
 
     /// The utility of seed `s` at `res`: the one its record holds when
@@ -2620,6 +2846,56 @@ impl Scans {
         seed.util.eval(res)
     }
 
+    /// See [`SolveState::check_rows`]. `def(s)` is seed `s`'s
+    /// definition.
+    pub(crate) fn check_rows<'d>(
+        &self,
+        switches: &Switches,
+        def: impl Fn(usize) -> Definition<'d>,
+    ) -> Result<(), String> {
+        for (g, list) in self.shared.iter().enumerate() {
+            let indexed = |&&m: &&u32| self.flags[m as usize] & INDEXED != 0;
+            let mut members = list.members.iter().filter(indexed).map(|&m| m as usize);
+            let Some(first) = members.next() else {
+                continue;
+            };
+            let d = def(first);
+            if let Some(m) = std::iter::once(first)
+                .chain(members)
+                .find(|&m| def(m).key() != list.def || !def(m).same(&d))
+            {
+                return Err(format!("row: seed {m}'s definition is not list {g}'s"));
+            }
+            for (pos, (&i, &entry)) in list.slots.iter().zip(&list.row).enumerate() {
+                let (i, Some(u)) = (i as usize, entry) else {
+                    continue;
+                };
+                let n = switches.ids[i];
+                if !switches.is_present(i) {
+                    return Err(format!(
+                        "row: list {g} holds {u:?} at position {pos}, switch {n} is not in the round"
+                    ));
+                }
+                // Step 5 changed the state after the scan read it; the
+                // next solve builds it again and marks it moved unless
+                // its LP output replays over the same ops.
+                if !switches.settled[i] {
+                    continue;
+                }
+                let want = d.min.and_then(|(min_res, _)| {
+                    let polls = SeedPolls::new(d.ids, d.polls);
+                    achievable_utility(d.util, polls, &min_res, switches.states[i].load())
+                });
+                if u.map(f64::to_bits) != want.map(f64::to_bits) {
+                    return Err(format!(
+                        "row: list {g} holds {u:?} at position {pos}, switch {n} reaches {want:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn bytes(&self) -> usize {
         vec_bytes(&self.util)
             + vec_bytes(&self.flags)
@@ -2634,7 +2910,7 @@ impl Scans {
             + self.shared_at.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.shared)
             + (self.shared.iter())
-                .map(|l| vec_bytes(&l.slots) + vec_bytes(&l.members))
+                .map(|l| vec_bytes(&l.slots) + vec_bytes(&l.members) + vec_bytes(&l.row))
                 .sum::<usize>()
             + vec_bytes(&self.free)
     }
@@ -2684,8 +2960,9 @@ pub(crate) struct Memo {
     /// The steps a divergence put on the worklist this solve.
     cascade: Pending,
     pub(crate) scans: Scans,
-    /// Seeds new or dirty last solve, whose candidates are indexed once
-    /// they are kept.
+    /// This solve's new and dirty seeds (every seed on a cold solve):
+    /// step 4 scans them whole. A warm solve indexes them before step 4;
+    /// the next solve indexes those still unindexed and kept.
     unindexed: Vec<u32>,
     /// The post-step-3 assignment, kept between solves.
     pub(crate) post: Post,
@@ -2790,7 +3067,9 @@ impl Memo {
             .into_iter()
             .filter(|&s| (s as usize) < n && self.seeds.kept(s as usize))
             .collect();
-        self.scans.index(&kept, instance, sw);
+        let seeds = &self.seeds;
+        self.scans
+            .index(&kept, instance, sw, |s| seeds.definition(instance, s));
         self.outcome.resize(n, NOT_RUN);
         self.post.resize(n);
         self.final_u.resize(n, -0.0);
@@ -2856,6 +3135,18 @@ impl Memo {
             }
         }
         self.unindexed = if cold { (0..n as u32).collect() } else { fresh };
+    }
+
+    /// Before step 4 of a warm solve: indexes this solve's new and dirty
+    /// seeds, so that they read the rows of the shared lists they join.
+    /// A full solve leaves every seed to the next solve's index.
+    pub(crate) fn index_new(&mut self, instance: &PlacementInstance) {
+        if !self.full {
+            let (seeds, sw) = (&self.seeds, &mut self.switches);
+            (self.scans).index(&self.unindexed, instance, sw, |s| {
+                seeds.definition(instance, s)
+            });
+        }
     }
 
     /// The greedy's steps later than `first` that read switch `i` last
@@ -3337,6 +3628,22 @@ impl SolveState {
         self.memo.scans.check(instance, &self.memo.switches)
     }
 
+    /// Checks step 4's shared-list rows: every indexed member of a list
+    /// has the list's definition, to the bit, and every entry of a row
+    /// that is not stale is the utility that definition reaches at the
+    /// switch, recomputed against its state — but at a switch step 5
+    /// changed after the scan, which the next solve builds again. A
+    /// switch that is not in the round holds no entry.
+    ///
+    /// # Errors
+    ///
+    /// The first member or entry that differs.
+    pub(crate) fn check_rows(&self, instance: &PlacementInstance) -> Result<(), String> {
+        let seeds = &self.memo.seeds;
+        let def = |s| seeds.definition(instance, s);
+        self.memo.scans.check_rows(&self.memo.switches, def)
+    }
+
     /// Checks the kept previous seats against `seats`, the table they
     /// were last taken from: every seed the table has not logged a write
     /// of since holds its seat there, to the bit. A table they were not
@@ -3353,9 +3660,10 @@ impl SolveState {
     /// Holds what the state keeps to its recomputation. After a solve of
     /// `instance` with no [`SolveState::remap`] since: every switch's
     /// kept usage to a rebuild from its op log, the step order to a
-    /// layout from scratch and the (seed, position) index to one built
-    /// from scratch; before the first solve or after a remap these wait
-    /// for the next solve. Given the table the previous seats were taken
+    /// layout from scratch, the (seed, position) index to one built
+    /// from scratch and the shared lists' rows to their recomputation;
+    /// before the first solve or after a remap these wait for the next
+    /// solve. Given the table the previous seats were taken
     /// from: every seat the table has not logged a write of since to the
     /// table.
     ///
@@ -3368,6 +3676,7 @@ impl SolveState {
                 .map_err(|sw| format!("kept usage of switch {sw} is not its log's"))?;
             self.check_order(instance)?;
             self.check_index(instance)?;
+            self.check_rows(instance)?;
         }
         seats.map_or(Ok(()), |seats| self.check_seats(seats))
     }
@@ -4051,7 +4360,7 @@ mod tests {
                 .collect();
             let benefits: Vec<(u64, u32, u32)> = (scans.benefits.iter())
                 .filter(|b| (b.seed as usize) < p)
-                .map(|b| (b.benefit.to_bits(), b.seed, b.pos))
+                .map(|b| (b.u.to_bits(), b.seed, b.pos))
                 .collect();
             (records, pairs, benefits)
         };

@@ -415,8 +415,23 @@ pub fn validate(instance: &PlacementInstance, result: &PlacementResult) -> Resul
         }
     }
     validate_seats(instance, a)?;
-    // C3/C4 per switch: capacity for plain resources, aggregated pollres
-    // for the polling resource, migration double-occupancy included.
+    validate_capacity(instance, a, instance.previous.as_ref())
+}
+
+/// C3/C4 of an assignment: on every switch of the instance, the plain
+/// resources of the seeds placed there and their aggregated polling fit
+/// its capacity. Given the previous placement, a seed that migrated away
+/// from a switch still holds its previous allocation there while its
+/// state transfers (§ IV-B a).
+///
+/// # Errors
+///
+/// A human-readable description of the first switch over capacity.
+pub fn validate_capacity(
+    instance: &PlacementInstance,
+    a: &[Option<(SwitchId, Resources)>],
+    previous: Option<&PreviousPlacement>,
+) -> Result<(), String> {
     for (n, ares) in &instance.switches {
         let mut used = Resources::ZERO;
         // subject → max demand (aggregation: polled once at the fastest
@@ -439,7 +454,7 @@ pub fn validate(instance: &PlacementInstance, result: &PlacementResult) -> Resul
             }
             // Migration source side: the previous allocation lingers while
             // state transfers (§ IV-B a).
-            if let Some(prev) = &instance.previous {
+            if let Some(prev) = previous {
                 if let Some((old_n, old_res)) = prev.assignment.get(&s) {
                     let migrated_away =
                         old_n == n && matches!(&a[s], Some((new_n, _)) if new_n != n);

@@ -43,8 +43,10 @@
 //! seed's greedy step only because an earlier step diverged a switch it
 //! read (the worklist's cascade), some flips a task between placed and
 //! dropped (its close written again), some relocates a seed in step 5,
-//! and some evaluates fewer benefit pairs in step 4 than a cold solve of
-//! the same instance.
+//! some evaluates fewer benefit pairs in step 4 than a cold solve of
+//! the same instance, and some reads a pair from a shared list's row
+//! that another member or an earlier solve filled (a Retask copy's seeds
+//! have their originals' candidates and definitions).
 
 mod util;
 
@@ -396,6 +398,8 @@ struct Reach {
     spliced: usize,
     /// Undiverged switches a warm solve's probes read without rebuilding.
     read: usize,
+    /// Pairs a warm scan read from a shared list's row.
+    rows_read: usize,
 }
 
 /// Churn replay: every incremental solve along a random event sequence
@@ -404,7 +408,8 @@ struct Reach {
 /// visits a step through a cascade, some flips a task, some relocates a
 /// seed in step 5, some evaluates fewer benefit pairs than its cold
 /// twin, some follows a remap that keeps a prefix of the seeds in place,
-/// and some reads a switch without rebuilding it.
+/// some reads a switch without rebuilding it, and some reads a benefit
+/// pair from a shared list's row.
 #[test]
 fn delta_replans_match_full_solves_under_churn() {
     let mut reach = Reach::default();
@@ -424,6 +429,7 @@ fn delta_replans_match_full_solves_under_churn() {
     );
     assert!(reach.spliced > 0, "no remap kept a prefix: {reach:?}");
     assert!(reach.read > 0, "no probe only read a switch: {reach:?}");
+    assert!(reach.rows_read > 0, "no warm scan read a row: {reach:?}");
 }
 
 /// One case of [`delta_replans_match_full_solves_under_churn`].
@@ -493,6 +499,7 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
         reach.relocated += report.relocated;
         reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
         reach.read += report.switches_read;
+        reach.rows_read += report.pairs_read;
         r = dr;
     }
 }

@@ -374,6 +374,13 @@ struct SeedRecord {
     deployed_at: Time,
 }
 
+/// The TCAM priority of the count rule a soil installs for a poll of a
+/// flow rule, which its polls read and only the soil removes.
+const COUNT_RULE_PRIORITY: i32 = 0;
+/// The TCAM priority of a rule a seed adds (`addTCAMRule`); a seed's
+/// `removeTCAMRule` removes only such rules.
+const SEED_RULE_PRIORITY: i32 = 10;
+
 /// The per-switch soil instance.
 #[derive(Debug)]
 pub struct Soil {
@@ -502,7 +509,7 @@ impl Soil {
             .map(|(key, &(id, _))| (id, key.clone()))
             .collect();
         let mut installed: Vec<(RuleId, String)> = (switch.tcam().rules().iter())
-            .filter(|r| r.region == TcamRegion::Monitoring && r.priority == 0)
+            .filter(|r| r.region == TcamRegion::Monitoring && r.priority == COUNT_RULE_PRIORITY)
             .map(|r| (r.id, r.pattern.to_string()))
             .collect();
         ours.sort_unstable();
@@ -604,7 +611,7 @@ impl Soil {
                     .expect("rule subject implies a formula");
                 match switch.tcam_mut().add_rule(
                     TcamRegion::Monitoring,
-                    0,
+                    COUNT_RULE_PRIORITY,
                     formula,
                     RuleAction::Count,
                 ) {
@@ -1254,7 +1261,7 @@ impl Soil {
                 Effect::AddRule(r) => {
                     if let Err(e) = switch.tcam_mut().add_rule(
                         TcamRegion::Monitoring,
-                        10,
+                        SEED_RULE_PRIORITY,
                         r.pattern,
                         to_rule_action(&r.action),
                     ) {
@@ -1262,9 +1269,11 @@ impl Soil {
                     }
                 }
                 Effect::RemoveRule(pattern) => {
-                    // Removing a rule that is already gone is not
-                    // an error for idempotent reactions.
-                    let _ = switch.tcam_mut().remove_by_pattern(&pattern);
+                    // A seed removes a rule a seed added, never the count
+                    // rule a poll of the soil reads. Removing a rule that
+                    // is already gone is not an error for idempotent
+                    // reactions.
+                    let _ = (switch.tcam_mut()).remove_by_pattern(&pattern, SEED_RULE_PRIORITY);
                 }
                 Effect::Exec { iterations, .. } => {
                     switch
@@ -1371,7 +1380,7 @@ mod tests {
             .tcam()
             .rules()
             .iter()
-            .any(|r| r.region == TcamRegion::Monitoring && r.priority == 10));
+            .any(|r| r.region == TcamRegion::Monitoring && r.priority == SEED_RULE_PRIORITY));
     }
 
     #[test]
@@ -1393,6 +1402,43 @@ mod tests {
         let sent: Vec<&Value> = report.messages.iter().map(|m| &m.value).collect();
         assert_eq!(sent, [&Value::Int(0); 3]);
         assert_eq!(switch.pcie().requests(), requests, "nothing read");
+    }
+
+    #[test]
+    fn a_seed_removes_its_own_rules_but_not_the_count_rule_its_soil_polls() {
+        let (mut soil, mut switch) = rig();
+        let def = compile(
+            r#"machine Cut {
+                 place any;
+                 poll r = Poll { .ival = 1, .what = proto "tcp" };
+                 state s {
+                   when (enter) do {
+                     addTCAMRule(Rule { .pattern = proto "tcp", .act = action_count() });
+                     removeTCAMRule(proto "tcp");
+                     removeTCAMRule(proto "tcp");
+                   }
+                   when (r as stats) do { }
+                 }
+               }"#,
+            "Cut",
+        );
+        soil.deploy(def, "cut", alloc(), Time::ZERO, &mut switch)
+            .unwrap();
+        let rules = |switch: &Switch, priority| {
+            let tcam = switch.tcam().rules().iter();
+            tcam.filter(|r| r.priority == priority).count()
+        };
+        assert_eq!(
+            rules(&switch, SEED_RULE_PRIORITY),
+            0,
+            "the seed's rule is gone"
+        );
+        assert_eq!(
+            rules(&switch, COUNT_RULE_PRIORITY),
+            1,
+            "the count rule stays"
+        );
+        assert_eq!(soil.audit(&switch), Ok(()));
     }
 
     #[test]

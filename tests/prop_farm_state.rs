@@ -21,7 +21,8 @@
 //!   the solver memory, every soil's in-use total, trigger table and
 //!   polling rules — `live_capacities()` is the reachable switches, less
 //!   the fenced and the cordoned ones, at effective resources, every
-//!   committed seat meets C2, and no recovering seed has a seat;
+//!   committed seat meets C2, the seats committed on each switch of the
+//!   last round meet C3/C4, and no recovering seed has a seat;
 //! * **I1** (the model's part) that machine is the one the submitted
 //!   program names;
 //! * **I3** `deployed_seeds() + recovery_pending()` never exceeds the
@@ -72,9 +73,13 @@ enum Program {
     /// `place all;`, polling one flow rule at two rates: every seed holds
     /// two references on its switch's monitoring entry.
     Flow,
+    /// `place all 1;`, hungry, polling at an interval its PCIe allocation
+    /// sets: a second one on switch 1 shrinks the first, whose trigger
+    /// then polls at the new interval.
+    Tide,
 }
 
-const PROGRAMS: [Program; 8] = [
+const PROGRAMS: [Program; 9] = [
     Program::All,
     Program::Any,
     Program::PinAll,
@@ -83,12 +88,16 @@ const PROGRAMS: [Program; 8] = [
     Program::Rover,
     Program::Report,
     Program::Flow,
+    Program::Tide,
 ];
 
 /// Utility that grows with the allocation: the LP hands such a seed
 /// everything its switch has left.
 const HUNGRY: &str = "util (res) { if (res.vCPU >= 1 and res.RAM >= 100) then \
                       { return min(res.vCPU, res.PCIe); } }";
+/// [`HUNGRY`] with room to poll: its interval is 100 ms over its PCIe.
+const TIDE: &str = "util (res) { if (res.vCPU >= 1 and res.RAM >= 100 and res.PCIe >= 1) then \
+                    { return min(res.vCPU, res.PCIe); } }";
 /// Utility that saturates at one vCPU, so several tasks share a switch.
 const MODEST: &str = "util (res) { if (res.vCPU >= 1 and res.RAM >= 100) then \
                       { return min(res.vCPU, 1); } }";
@@ -105,6 +114,7 @@ impl Program {
             Program::Rover => vec![format!("Rover_{task}")],
             Program::Report => vec![format!("Report_{task}")],
             Program::Flow => vec![format!("Flow_{task}")],
+            Program::Tide => vec![format!("Tide_{task}")],
         }
     }
 
@@ -138,6 +148,13 @@ impl Program {
                  long n = 0;\n  state s {{\n    {MODEST}\n    when (p as stats) do {{ n = n + 1; }}\n  }}\n}}\n"
             )
         };
+        let tide = |name: &str| {
+            format!(
+                "machine {name} {{\n  place all 1;\n  \
+                 poll p = Poll {{ .ival = 100 / res().PCIe, .what = port ANY }};\n  \
+                 long total = 0;\n  state s {{\n    {TIDE}\n    when (p as stats) do {{ total = total + list_len(stats); }}\n  }}\n}}\n"
+            )
+        };
         match self {
             Program::All => flipper(&names[0], "place all;"),
             Program::Any => counter(&names[0], "place any;", HUNGRY),
@@ -147,6 +164,7 @@ impl Program {
             Program::Rover => rover(&names[0]),
             Program::Report => report(&names[0]),
             Program::Flow => flow(&names[0]),
+            Program::Tide => tide(&names[0]),
         }
     }
 
@@ -154,7 +172,7 @@ impl Program {
     fn seeds(self, n_switches: usize) -> usize {
         match self {
             Program::All | Program::Report | Program::Flow => n_switches,
-            Program::Any | Program::PinAny | Program::Rover => 1,
+            Program::Any | Program::PinAny | Program::Rover | Program::Tide => 1,
             Program::PinAll | Program::Duo => 2,
         }
     }
@@ -674,6 +692,46 @@ fn pinned_replan_lands_a_queued_recovery() {
         run.recoveries_cold(),
         [false],
         "one warm recovery, landed by the replan"
+    );
+}
+
+/// I7 (C4 of the committed seats). A recovery used to commit its seed's
+/// deploy alone out of a round that also shrank the seeds already on the
+/// target switch, so the switch stood over capacity until the next
+/// replan: "C4: switch sw1 over capacity on vCPU: 5 > 4".
+#[test]
+fn pinned_a_landed_recovery_commits_its_round_whole() {
+    let submit = |task, program| Op::Submit { task, program };
+    let ops = [
+        submit(3, 4),
+        submit(1, 3),
+        submit(2, 1),
+        Op::Remove(3),
+        submit(0, 1),
+        Op::Crash(2),
+        Op::Advance(35),
+    ];
+    let run = hold_invariants((2, 2), &ops);
+    assert_eq!(run.farm.recovery_pending(), 0);
+}
+
+/// I7 (every soil's trigger table). The second `Tide` on switch 1 makes
+/// the LP split the switch between the two, so the round reallocates the
+/// first: its trigger must poll at the interval its new PCIe allocation
+/// sets, which the soil's audit holds it to.
+#[test]
+fn pinned_a_realloc_on_a_shared_switch_moves_the_trigger_interval() {
+    let tide = |task| Op::Submit { task, program: 8 };
+    let ops = [tide(0), Op::Advance(5), tide(1), Op::Advance(5)];
+    let run = hold_invariants((2, 2), &ops);
+    assert_eq!(run.registered.len(), 2, "both placed on switch 1");
+    let reallocated = (run.events.events().into_iter())
+        .filter(|e| matches!(e, Event::ReplanSummary { reallocs, .. } if *reallocs > 0))
+        .count();
+    assert!(
+        reallocated > 0,
+        "no round reallocated: {:?}",
+        run.farm.seed_statuses()
     );
 }
 
