@@ -61,7 +61,7 @@ pub(crate) fn farm_cpu_percent(flows: u64) -> f64 {
     let mut hh = traffic(leaf, flows);
     // Warm up, then measure one window.
     farm.run(&mut [&mut hh], Time::from_millis(100), Dur::from_millis(10));
-    farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
+    farm.switch_mut(leaf).unwrap().reset_meters();
     farm.run(
         &mut [&mut hh],
         Time::from_millis(100 + WINDOW.as_millis()),

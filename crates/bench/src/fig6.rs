@@ -83,7 +83,7 @@ pub(crate) fn measure(panel: Panel, seeds: usize) -> SeedScalingRow {
         ..Default::default()
     });
     farm.run(&mut [&mut hh], Time::from_millis(20), Dur::from_millis(1));
-    farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
+    farm.switch_mut(leaf).unwrap().reset_meters();
     farm.run(
         &mut [&mut hh],
         Time::from_millis(20 + WINDOW_MS),

@@ -29,9 +29,8 @@ fn measure(seeds: usize, aggregation: bool) -> f64 {
         ..SoilConfig::default()
     };
     let (mut farm, leaf) = colocated(seeds, cfg, |leaf| hh_source_at(1, leaf, i64::MAX / 4));
-    farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
-    farm.network_mut()
-        .switch_mut(leaf)
+    farm.switch_mut(leaf).unwrap().reset_meters();
+    farm.switch_mut(leaf)
         .unwrap()
         .pcie_mut()
         .set_window(Dur::from_millis(WINDOW_MS));

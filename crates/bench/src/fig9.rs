@@ -34,7 +34,7 @@ fn measure(seeds: usize, exec: ExecMode, aggregation: bool) -> f64 {
         ..Default::default()
     };
     let (mut farm, leaf) = colocated(seeds, cfg, |leaf| hh_source_at(10, leaf, i64::MAX / 4));
-    farm.network_mut().switch_mut(leaf).unwrap().reset_meters();
+    farm.switch_mut(leaf).unwrap().reset_meters();
     farm.advance(Time::from_millis(WINDOW_MS));
     let sw = farm.network().switch(leaf).unwrap();
     sw.cpu().load_percent(Dur::from_millis(WINDOW_MS))

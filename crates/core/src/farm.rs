@@ -378,10 +378,12 @@ impl Farm {
         &self.network
     }
 
-    /// Mutable network access (test workloads, fault injection).
-    pub fn network_mut(&mut self) -> &mut Network {
+    /// One switch, to write: its meters, PCIe window and degradation.
+    /// A switch goes down, or a link is cut, only through the fault
+    /// plan, which takes the soil down with it.
+    pub fn switch_mut(&mut self, id: SwitchId) -> Option<&mut Switch> {
         self.live.take();
-        &mut self.network
+        self.network.switch_mut(id)
     }
 
     /// The soil running on a switch.
@@ -2020,9 +2022,12 @@ machine Tap {
         farm.deploy_task("tap", TAP, &BTreeMap::new()).unwrap();
         let ids = farm.network().switch_ids();
         let (s0, l0, l1, l2) = (ids[0], ids[2], ids[3], ids[4]);
-        // Crashed, but its soil is still there: skipping it is the
-        // network's verdict, not a missing soil's.
-        farm.network_mut().set_switch_up(l1, false);
+        // Crashed through the fault plan, which takes its soil with it.
+        farm.set_fault_plan(
+            FaultPlan::new().with(Time::ZERO, FaultKind::SwitchCrash { switch: l1 }),
+        );
+        farm.advance(Time::ZERO);
+        assert!(farm.soil(l1).is_none());
         let ev = |switch: SwitchId, tag: u16, proto: Proto| TrafficEvent {
             switch,
             rx_port: None,
@@ -2066,7 +2071,6 @@ machine Tap {
         assert_eq!(deliveries(s0), 3);
         assert_eq!(deliveries(ids[1]), 1);
         assert_eq!(deliveries(l0), 4);
-        assert_eq!(deliveries(l1), 1);
         assert_eq!(deliveries(l2), 2);
         assert_eq!(farm.soil_stats().messages_out, 6);
         let tx = |id| {

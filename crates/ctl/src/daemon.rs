@@ -8,15 +8,16 @@
 //! hands every [`Frame::Control`] it read straight to [`Core::serve`] —
 //! no queue, no hand-off — so ops are served strictly in arrival order,
 //! every op observes a consistent state, and the turn's timeout doubles
-//! as the core's ticker. The clock is read once per op, when it is
-//! served, and once after each turn for the tick (`now`). The
-//! reactor also watches the core's outbound sessions ([`Core::links`]),
-//! which the core moves along in `tick` without waiting on a peer.
+//! as the core's ticker. The clock is the core's [`Peers::now`], read
+//! once per op, when it is served, and once after each turn for the
+//! tick (`now`). The reactor also watches the core's outbound sessions
+//! ([`Core::links`]), which the core moves along in `tick` without
+//! waiting on a peer.
 //!
-//! Every op is audited: `<prefix>.ops`, `<prefix>.op.<kind>`,
-//! `<prefix>.rejected`, `<prefix>.op_latency_us`. A `Shutdown` op (or a
-//! signal, seen at the next turn, or [`Daemon::stop`]) ends the loop;
-//! replies already queued
+//! Every op is audited by [`Dispatch::answer`]: `<prefix>.ops`,
+//! `<prefix>.op.<kind>`, `<prefix>.rejected`, `<prefix>.op_latency_us`.
+//! A `Shutdown` op (or a signal, seen at the next turn, or
+//! [`Daemon::stop`]) ends the loop; replies already queued
 //! get up to `shutdown_drain` to reach their sockets while later frames
 //! are refused, then [`Core::drained`] runs.
 
@@ -29,8 +30,8 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use farm_net::{ControlOp, ControlReply, Envelope, Frame, Links, Reactor};
-use farm_telemetry::Telemetry;
+use farm_net::{ControlOp, ControlReply, Envelope, Frame, Links, Peers, Reactor};
+use farm_telemetry::{Counter, Histogram, Telemetry};
 
 use crate::config::{err, ConfigError, ServerConfig};
 
@@ -38,6 +39,8 @@ use crate::config::{err, ConfigError, ServerConfig};
 /// between farmd and fedd.
 pub trait Core: Sized + 'static {
     type Config: Clone + Send + 'static;
+    /// The outbound sessions and the clock: [`Links`] in a daemon.
+    type Peers: Peers;
     /// Names the core thread (`<NAME>-core`), error frames and log lines.
     const NAME: &'static str;
     /// Prefix of the op-accounting instruments (`ctl`, `fed`).
@@ -48,11 +51,12 @@ pub trait Core: Sized + 'static {
     /// Builds the core, on the core thread, once the listen address is
     /// bound (and written into the `[server]` section): a daemon that
     /// cannot listen never boots.
-    fn boot(config: Self::Config) -> Self;
+    fn boot(config: Self::Config, links: Self::Peers) -> Self;
     /// The registry the op accounting and the transport report into.
     fn telemetry(&self) -> &Telemetry;
-    /// The core's outbound sessions, which the reactor watches.
-    fn links(&self) -> &Links;
+    /// The core's outbound sessions, which the reactor watches, and
+    /// its clock.
+    fn links(&self) -> &Self::Peers;
     /// Serves one op at `now`. Total: every failure becomes a
     /// structured reply, never a panic.
     fn serve(&mut self, op: &ControlOp, now: Instant) -> ControlReply;
@@ -67,7 +71,67 @@ pub trait Core: Sized + 'static {
 }
 
 /// Longest wait of one turn, ms: the core's tick cadence while idle.
-const TURN_MS: i32 = 5;
+pub const TURN_MS: i32 = 5;
+
+/// Serves and accounts a core's ops: what the core thread does with
+/// each frame a turn reads, until `stop` is up.
+pub struct Dispatch {
+    telemetry: Telemetry,
+    stop: Arc<AtomicBool>,
+    ops: Arc<Counter>,
+    rejected: Arc<Counter>,
+    latency: Arc<Histogram>,
+}
+
+impl Dispatch {
+    /// The accounting instruments of `core`, under its prefix.
+    pub fn new<C: Core>(core: &C, stop: Arc<AtomicBool>) -> Dispatch {
+        let telemetry = core.telemetry().clone();
+        let prefix = C::PREFIX;
+        Dispatch {
+            stop,
+            ops: telemetry.counter(&format!("{prefix}.ops")),
+            rejected: telemetry.counter(&format!("{prefix}.rejected")),
+            latency: telemetry.latency_histogram(&format!("{prefix}.op_latency_us")),
+            telemetry,
+        }
+    }
+
+    /// A control op is served on the core's clock and accounted, or
+    /// refused once `stop` is up; a served `Shutdown` raises it. Any
+    /// other frame is left to the default `Ack` (`None`).
+    pub fn answer<C: Core>(&self, core: &mut C, env: &Envelope) -> Option<Frame> {
+        let Frame::Control { op } = &env.frame else {
+            return None;
+        };
+        if self.stop.load(Ordering::Relaxed) {
+            return Some(Frame::Error {
+                message: format!("{} is shutting down", C::NAME),
+            });
+        }
+        let started = core.links().now();
+        let kind = op.kind();
+        self.ops.inc();
+        self.telemetry
+            .counter(&format!("{}.op.{kind}", C::PREFIX))
+            .inc();
+        let reply = core.serve(op, started);
+        let elapsed_us = (core.links().now() - started).as_micros() as u64;
+        self.latency.record(elapsed_us);
+        let outcome = match &reply {
+            ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {
+                self.rejected.inc();
+                "rejected"
+            }
+            _ => "ok",
+        };
+        core.audit(kind, outcome, elapsed_us);
+        if matches!(op, ControlOp::Shutdown) {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        Some(Frame::ControlReply { reply })
+    }
+}
 
 /// The core thread's loop: turn the reactor, serving the ops it read in
 /// order with their accounting, tick between turns; on shutdown keep
@@ -75,48 +139,13 @@ const TURN_MS: i32 = 5;
 /// `drain`), then let the core finish. The endpoint stays bound until
 /// `drained` returned, so a successor on the same address cannot boot
 /// from a checkpoint that is still being written.
-fn run<C: Core>(core: &mut C, reactor: &mut Reactor, stop: &AtomicBool, drain: Duration) {
-    let telemetry = core.telemetry().clone();
-    let prefix = C::PREFIX;
-    let ops = telemetry.counter(&format!("{prefix}.ops"));
-    let rejected = telemetry.counter(&format!("{prefix}.rejected"));
-    let latency = telemetry.latency_histogram(&format!("{prefix}.op_latency_us"));
-    // A control op is served and accounted, or refused once the daemon
-    // is stopping; any other frame is left to the default `Ack`.
-    let answer = |core: &mut C, env: &Envelope| -> Option<Frame> {
-        let Frame::Control { op } = &env.frame else {
-            return None;
-        };
-        if stop.load(Ordering::Relaxed) {
-            return Some(Frame::Error {
-                message: format!("{} is shutting down", C::NAME),
-            });
-        }
-        let started = Instant::now();
-        let kind = op.kind();
-        ops.inc();
-        telemetry.counter(&format!("{prefix}.op.{kind}")).inc();
-        let reply = core.serve(op, started);
-        let elapsed_us = started.elapsed().as_micros() as u64;
-        latency.record(elapsed_us);
-        let outcome = match &reply {
-            ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {
-                rejected.inc();
-                "rejected"
-            }
-            _ => "ok",
-        };
-        core.audit(kind, outcome, elapsed_us);
-        if matches!(op, ControlOp::Shutdown) {
-            stop.store(true, Ordering::Relaxed);
-        }
-        Some(Frame::ControlReply { reply })
-    };
+fn run<C: Core>(core: &mut C, reactor: &mut Reactor, stop: &Arc<AtomicBool>, drain: Duration) {
+    let dispatch = Dispatch::new(core, Arc::clone(stop));
     // The clock after the turn, for the tick; `None` when the poller
     // failed.
     let turn = |core: &mut C, reactor: &mut Reactor| {
-        let turned = reactor.turn(TURN_MS, &mut |env| answer(core, env));
-        turned.ok().map(|()| Instant::now())
+        let turned = reactor.turn(TURN_MS, &mut |env| dispatch.answer(core, env));
+        turned.ok().map(|()| core.links().now())
     };
     while !stop.load(Ordering::Relaxed) && !SIGNALED.load(Ordering::Relaxed) {
         let Some(now) = turn(core, reactor) else {
@@ -142,7 +171,7 @@ pub struct Daemon<C> {
     _core: PhantomData<fn() -> C>,
 }
 
-impl<C: Core> Daemon<C> {
+impl<C: Core<Peers = Links>> Daemon<C> {
     /// Binds the control endpoint and boots the core, both on the core
     /// thread, and returns once it is serving.
     ///
@@ -167,7 +196,7 @@ impl<C: Core> Daemon<C> {
                 .spawn(move || {
                     let booted = TcpListener::bind(listen).and_then(|listener| {
                         C::server(&mut config).listen = listener.local_addr()?;
-                        let core = C::boot(config);
+                        let core = C::boot(config, Links::default());
                         let mut reactor = Reactor::from_listener(listener, core.telemetry())?;
                         reactor.watch(core.links())?;
                         Ok((core, reactor))
@@ -280,7 +309,7 @@ fn install_signal_handlers() {
 /// graceful exit; `SIGTERM`/`SIGINT` shut down gracefully with exit
 /// code 3, apart from an operator's `shutdown` (0) and startup
 /// failures (1).
-pub fn main<C: Core>(
+pub fn main<C: Core<Peers = Links>>(
     usage: &str,
     serving: &str,
     parse: fn(&str) -> Result<C::Config, ConfigError>,

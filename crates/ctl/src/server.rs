@@ -20,7 +20,7 @@ use farm_core::prelude::*;
 use farm_core::seeder::{Plan, SeedKey};
 use farm_net::{
     decode_checkpoint, encode_checkpoint_doc, Answer, CheckpointDoc, ControlOp, ControlReply,
-    DeltaCounts, Diagnostic, Explain, Frame, LinkId, Links, SeedDescriptor, SeedSnapshot,
+    DeltaCounts, Diagnostic, Explain, Frame, LinkId, Links, Peers, SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
@@ -71,7 +71,7 @@ struct Membership {
 
 impl Membership {
     /// The membership a `[fed]` section asks for.
-    fn new(config: &FarmdConfig, links: &mut Links, telemetry: &Telemetry) -> Option<Self> {
+    fn new(config: &FarmdConfig, links: &mut impl Peers, telemetry: &Telemetry) -> Option<Self> {
         let fed = config.fed.as_ref()?;
         let node = format!("farmd/{}", fed.pod_name);
         Some(Membership {
@@ -87,7 +87,7 @@ impl Membership {
             seq: 0,
             registered: false,
             asked: None,
-            due: Instant::now(),
+            due: links.now(),
             registrations: telemetry.counter("fed.pod.registrations"),
             beats: telemetry.counter("fed.pod.heartbeats"),
             errors: telemetry.counter("fed.pod.errors"),
@@ -97,7 +97,7 @@ impl Membership {
 
     /// Takes the coordinator's answer from `answers`, then writes what
     /// is due.
-    fn tick(&mut self, links: &mut Links, answers: &[Answer], now: Instant) {
+    fn tick(&mut self, links: &mut impl Peers, answers: &[Answer], now: Instant) {
         if let Some((corr, deadline)) = self.asked {
             let answer = answers
                 .iter()
@@ -160,11 +160,11 @@ impl Membership {
 
 /// The daemon's single-threaded heart: the farm it owns, the catalog of
 /// submitted program sources (persisted into checkpoints so a cold
-/// restart can recompile them), and the tickers' clocks.
-pub struct Core {
+/// restart can recompile them), and the tickers' clocks, read from `P`.
+pub struct Core<P = Links> {
     farm: Farm,
     /// The coordinator session of a `[fed]` pod; empty otherwise.
-    links: Links,
+    links: P,
     membership: Option<Membership>,
     config: FarmdConfig,
     /// Source of every submitted task, by name — what `FARMCKP2`
@@ -180,7 +180,7 @@ pub struct Core {
     ckpt_age: Arc<Gauge>,
 }
 
-impl Core {
+impl<P> Core<P> {
     /// The farm this core serves.
     pub fn farm(&self) -> &Farm {
         &self.farm
@@ -217,8 +217,9 @@ fn churn_plan(config: &FarmdConfig, seed: u64) -> FaultPlan {
     )
 }
 
-impl daemon::Core for Core {
+impl<P: Peers + 'static> daemon::Core for Core<P> {
     type Config = FarmdConfig;
+    type Peers = P;
     const NAME: &'static str = "farmd";
     const PREFIX: &'static str = "ctl";
 
@@ -228,7 +229,7 @@ impl daemon::Core for Core {
 
     /// Builds the farm and, when asked to, restores the checkpoint file
     /// into it before the first op is served.
-    fn boot(config: FarmdConfig) -> Core {
+    fn boot(config: FarmdConfig, mut links: P) -> Core<P> {
         let topo = Topology::spine_leaf(
             config.spines,
             config.leaves,
@@ -250,9 +251,8 @@ impl daemon::Core for Core {
             }
         }
         let farm = builder.build();
-        let mut links = Links::default();
         let membership = Membership::new(&config, &mut links, farm.telemetry());
-        let now = Instant::now();
+        let now = links.now();
         let mut core = Core {
             ckpt_age: farm.telemetry().gauge("ckpt.age_s"),
             farm,
@@ -288,7 +288,7 @@ impl daemon::Core for Core {
         self.farm.telemetry()
     }
 
-    fn links(&self) -> &Links {
+    fn links(&self) -> &P {
         &self.links
     }
 
@@ -349,7 +349,7 @@ impl daemon::Core for Core {
 
 /// Serves one control op against the farm. Total: every failure becomes
 /// a structured reply, never a panic.
-fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
+fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp) -> ControlReply {
     let farm = &mut core.farm;
     match op {
         ControlOp::SubmitProgram { name, source } => submit(core, name, source, false),
@@ -426,7 +426,7 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
 /// seeds and hand back its program source plus every snapshot. The task
 /// keeps running — removal is a separate op, so a failed import on the
 /// target pod leaves the source pod intact.
-fn export_task(core: &mut Core, task: &str) -> ControlReply {
+fn export_task<P>(core: &mut Core<P>, task: &str) -> ControlReply {
     if !core.farm.seeder().has_task(task) {
         return ControlReply::Rejected {
             reason: format!("no task `{task}`"),
@@ -452,8 +452,8 @@ fn export_task(core: &mut Core, task: &str) -> ControlReply {
 /// same name rules, admission control and compilation — then the
 /// carried snapshots land in the checkpoint store and exactly this
 /// task's seeds roll forward to them.
-fn submit_with_snapshot(
-    core: &mut Core,
+fn submit_with_snapshot<P: Peers>(
+    core: &mut Core<P>,
     name: &str,
     source: &str,
     seeds: &[(String, SeedSnapshot)],
@@ -470,11 +470,12 @@ fn submit_with_snapshot(
 /// `SubmitProgram`: size gate → server-side compile with collected
 /// diagnostics → admission control → deploy. With `explain` the reply
 /// also says where the op's time went ([`explain_plan`]).
-fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlReply {
+fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str, explain: bool) -> ControlReply {
     let Core {
         farm,
         config,
         programs,
+        links,
         ..
     } = core;
     if name.is_empty()
@@ -502,7 +503,7 @@ fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlRe
     }
     // The only clock reads `explain` adds: before and after the compile,
     // and after admission.
-    let began = explain.then(Instant::now);
+    let began = explain.then(|| links.now());
     let task = {
         let ctl = SdnController::new(farm.network().topology());
         let report = compile_task_with_diagnostics(name, source, &BTreeMap::new(), &ctl);
@@ -525,13 +526,13 @@ fn submit(core: &mut Core, name: &str, source: &str, explain: bool) -> ControlRe
             }
         }
     };
-    let compiled = began.map(|began| (began, Instant::now()));
+    let compiled = began.map(|began| (began, links.now()));
     if let Err(reason) = admission_check(farm, &task, config.quota) {
         return ControlReply::Rejected {
             reason: format!("task `{name}`: {reason}"),
         };
     }
-    let front = compiled.map(|(began, compiled)| (compiled - began, compiled.elapsed()));
+    let front = compiled.map(|(began, compiled)| (compiled - began, links.now() - compiled));
     let seeds = task.num_seeds() as u64;
     match farm.deploy_compiled(task) {
         Ok(plan) => {
@@ -619,8 +620,8 @@ fn admission_check(
 /// Persistence failure is *partial success*, not rejection: the
 /// in-memory checkpoint already happened, so the reply carries the
 /// seed count alongside `persist_error` instead of discarding it.
-fn checkpoint(core: &mut Core) -> ControlReply {
-    core.ckpt_at = Instant::now();
+fn checkpoint<P: Peers>(core: &mut Core<P>) -> ControlReply {
+    core.ckpt_at = core.links.now();
     let seeds = core.farm.checkpoint_seeds() as u64;
     let mut persist_error = None;
     if let Some(path) = &core.config.checkpoint_path {
@@ -643,12 +644,12 @@ fn checkpoint(core: &mut Core) -> ControlReply {
         };
         let bytes = encode_checkpoint_doc(&doc);
         let telemetry = core.farm.telemetry().clone();
-        let started = Instant::now();
+        let started = core.links.now();
         match ckpt::write_atomic(path, &bytes) {
             Ok(()) => {
                 telemetry
                     .latency_histogram("ckpt.write_us")
-                    .record(started.elapsed().as_micros() as u64);
+                    .record((core.links.now() - started).as_micros() as u64);
                 telemetry.gauge("ckpt.bytes").set(bytes.len() as f64);
                 telemetry.counter("ckpt.writes").inc();
             }
@@ -676,7 +677,7 @@ fn checkpoint(core: &mut Core) -> ControlReply {
 /// registered task (its program record failed to recompile), are
 /// counted into `skipped` and the `ctl.restore_skipped` counter instead
 /// of vanishing, and the store does not keep them.
-fn restore(core: &mut Core) -> ControlReply {
+fn restore<P>(core: &mut Core<P>) -> ControlReply {
     let telemetry = core.farm.telemetry().clone();
     let mut skipped = 0u64;
     if let Some(path) = core.config.checkpoint_path.clone() {
@@ -744,7 +745,7 @@ fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, SeedSnapshot)>) ->
 /// crash recovery must restore every task it still can. Admission
 /// control is deliberately bypassed: these tasks were admitted before
 /// the restart.
-fn redeploy_program(core: &mut Core, name: &str, source: &str) {
+fn redeploy_program<P>(core: &mut Core<P>, name: &str, source: &str) {
     if core.farm.seeder().has_task(name) {
         core.programs
             .entry(name.to_string())
@@ -948,7 +949,7 @@ mod tests {
         const UNPLANTABLE: &str = "machine Stuck { place any;
             poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
             state s { util (res) { return 1; } when (p as stats) do { } } }";
-        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default());
+        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default(), Links::default());
         let reply = submit(&mut core, "w1", UNPLANTABLE, false);
         assert!(matches!(reply, ControlReply::Rejected { .. }), "{reply:?}");
         assert!(!core.farm.seeder().has_task("w1"));
@@ -964,7 +965,7 @@ mod tests {
 
     #[test]
     fn a_migration_import_counts_a_bad_seed_key() {
-        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default());
+        let mut core = <Core as daemon::Core>::boot(FarmdConfig::default(), Links::default());
         let snap = SeedSnapshot {
             machine: "M".into(),
             state: "s".into(),
@@ -1060,13 +1061,16 @@ mod tests {
         holds(&farm, "fenced");
         farm.drain(cordoned).unwrap();
         holds(&farm, "cordoned");
-        for spine in &spines {
-            farm.network_mut().set_link_up(*spine, cut_off, false);
-        }
-        holds(&farm, "cut off");
-        // Through the fault path, which takes the soil down with the
-        // switch: a soil left running on a down switch fails the audit.
+        // Links are cut and switches crash through the fault path, which
+        // takes the soil down with the switch: a soil left running on a
+        // down switch fails the audit.
         let now = farm.now();
+        let cuts = spines
+            .iter()
+            .map(|&a| FaultKind::LinkDown { a, b: cut_off });
+        farm.set_fault_plan(cuts.fold(FaultPlan::new(), |plan, cut| plan.with(now, cut)));
+        farm.advance(now);
+        holds(&farm, "cut off");
         farm.set_fault_plan(FaultPlan::new().with(now, FaultKind::SwitchCrash { switch: crashed }));
         farm.advance(now);
         holds(&farm, "crashed");
@@ -1075,7 +1079,7 @@ mod tests {
             .switch(degraded)
             .unwrap()
             .effective_resources();
-        (farm.network_mut().switch_mut(degraded).unwrap())
+        (farm.switch_mut(degraded).unwrap())
             .pcie_mut()
             .set_degradation(0.5);
         holds(&farm, "PCIe-degraded");

@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 use farm_ctl::config::ServerConfig;
 use farm_ctl::daemon::{self, Daemon};
 use farm_ctl::stats::{page, StatsDoc};
-use farm_net::{ControlOp, ControlReply, Frame, LinkId, Links, NetError, PodInfo, SeedDescriptor};
+use farm_net::{
+    ControlOp, ControlReply, Frame, LinkId, Links, NetError, Peers, PodInfo, SeedDescriptor,
+};
 use farm_telemetry::{Gauge, Json, Telemetry};
 
 use crate::config::FeddConfig;
@@ -38,25 +40,25 @@ use crate::split::{split_program, PodTarget, Route};
 /// running — the coordinator's death never takes a fabric with it.
 pub type Fedd = Daemon<Core>;
 
-/// The coordinator's single-threaded heart.
-pub struct Core {
+/// The coordinator's single-threaded heart, over its pod sessions and
+/// clock `P`.
+pub struct Core<P = Links> {
     config: FeddConfig,
     registry: Registry,
     /// One session per pod, which redials by itself.
-    links: Links,
+    links: P,
     /// Each pod's session; replaced only on re-registration.
     sessions: BTreeMap<String, LinkId>,
     /// Routing table: task → pods hosting (a part of) it.
     tasks: BTreeMap<String, Vec<String>>,
-    /// The clock of the op being served, or of the tick.
-    now: Instant,
     telemetry: Telemetry,
     pods_total: Arc<Gauge>,
     pods_live: Arc<Gauge>,
 }
 
-impl daemon::Core for Core {
+impl<P: Peers + 'static> daemon::Core for Core<P> {
     type Config = FeddConfig;
+    type Peers = P;
     const NAME: &'static str = "fedd";
     const PREFIX: &'static str = "fed";
 
@@ -64,15 +66,14 @@ impl daemon::Core for Core {
         &mut config.server
     }
 
-    fn boot(config: FeddConfig) -> Core {
+    fn boot(config: FeddConfig, links: P) -> Core<P> {
         let telemetry = Telemetry::new();
         Core {
             config,
             registry: Registry::new(),
-            links: Links::default(),
+            links,
             sessions: BTreeMap::new(),
             tasks: BTreeMap::new(),
-            now: Instant::now(),
             pods_total: telemetry.gauge("fed.pods.total"),
             pods_live: telemetry.gauge("fed.pods.live"),
             telemetry,
@@ -83,19 +84,17 @@ impl daemon::Core for Core {
         &self.telemetry
     }
 
-    fn links(&self) -> &Links {
+    fn links(&self) -> &P {
         &self.links
     }
 
     fn serve(&mut self, op: &ControlOp, now: Instant) -> ControlReply {
-        self.now = now;
-        serve_op(self, op)
+        serve_op(self, op, now)
     }
 
     /// Moves idle pod sessions along (a pod that hung up is noticed
     /// here), then the heartbeat-liveness sweep.
     fn tick(&mut self, now: Instant) {
-        self.now = now;
         let _ = self.links.poll(Duration::ZERO, &mut Vec::new());
         let (total, live) = self.registry.sweep(self.config.liveness_timeout, now);
         self.pods_total.set(total as f64);
@@ -108,16 +107,16 @@ const POD_PAGE: u64 = 256;
 
 /// Serves one control op against the federation. Total: every failure
 /// becomes a structured reply, never a panic.
-fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
+fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp, now: Instant) -> ControlReply {
     match op {
         ControlOp::RegisterPod {
             name,
             addr,
             switches,
             quota,
-        } => register_pod(core, name, addr, *switches, *quota),
+        } => register_pod(core, name, addr, *switches, *quota, now),
         ControlOp::PodHeartbeat { name, .. } => {
-            if core.registry.beat(name, core.now) {
+            if core.registry.beat(name, now) {
                 ControlReply::Ok
             } else {
                 ControlReply::Rejected {
@@ -125,7 +124,7 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
                 }
             }
         }
-        ControlOp::ListPods => list_pods(core),
+        ControlOp::ListPods => list_pods(core, now),
         // fedd has no phase times of its own to give yet.
         ControlOp::SubmitProgram { name, source } | ControlOp::ExplainSubmit { name, source } => {
             submit(core, name, source)
@@ -155,12 +154,13 @@ fn serve_op(core: &mut Core, op: &ControlOp) -> ControlReply {
     }
 }
 
-fn register_pod(
-    core: &mut Core,
+fn register_pod<P: Peers>(
+    core: &mut Core<P>,
     name: &str,
     addr: &str,
     switches: u64,
     quota: f64,
+    now: Instant,
 ) -> ControlReply {
     if name.is_empty()
         || !name
@@ -181,10 +181,7 @@ fn register_pod(
             reason: "a pod must manage at least one switch".into(),
         };
     }
-    let base = match core
-        .registry
-        .register(name, addr, switches, quota, core.now)
-    {
+    let base = match core.registry.register(name, addr, switches, quota, now) {
         Ok(base) => base,
         Err(reason) => return ControlReply::Rejected { reason },
     };
@@ -195,7 +192,7 @@ fn register_pod(
     ControlReply::PodRegistered { base }
 }
 
-fn list_pods(core: &Core) -> ControlReply {
+fn list_pods<P: Peers>(core: &Core<P>, now: Instant) -> ControlReply {
     let pods = core
         .registry
         .iter()
@@ -207,7 +204,7 @@ fn list_pods(core: &Core) -> ControlReply {
             quota: p.quota,
             live: p.live,
             beats: p.beats,
-            age_ms: core.now.saturating_duration_since(p.last_beat).as_millis() as u64,
+            age_ms: now.saturating_duration_since(p.last_beat).as_millis() as u64,
         })
         .collect();
     ControlReply::Pods { pods }
@@ -233,12 +230,12 @@ struct Leg<W> {
 /// are waited on, for one `pod_timeout` at most, and a request still
 /// unanswered is given up on, never re-sent. Returns `(pod, base,
 /// walk)` in `pods`' order, whatever order the answers came in.
-fn fan_out<W: Default>(
-    core: &mut Core,
+fn fan_out<W: Default, P: Peers>(
+    core: &mut Core<P>,
     pods: Vec<String>,
     step: &mut impl FnMut(&str, &mut W, Option<ControlReply>) -> Result<Option<ControlOp>, String>,
 ) -> Round<W> {
-    let started = Instant::now();
+    let started = core.links.now();
     let deadline = started + core.config.pod_timeout;
     let mut legs = Vec::with_capacity(pods.len());
     for pod in pods {
@@ -262,7 +259,7 @@ fn fan_out<W: Default>(
     }
     let mut answers = Vec::new();
     while legs.iter().any(|leg| leg.waiting.is_some()) {
-        let left = deadline.saturating_duration_since(Instant::now());
+        let left = deadline.saturating_duration_since(core.links.now());
         answers.clear();
         if left.is_zero() || core.links.poll(left, &mut answers).is_err() {
             break;
@@ -293,14 +290,14 @@ fn fan_out<W: Default>(
     }
     core.telemetry
         .latency_histogram("fed.fanout_us")
-        .record(started.elapsed().as_micros() as u64);
+        .record((core.links.now() - started).as_micros() as u64);
     let done = |leg: Leg<W>| (leg.pod, leg.base, leg.outcome.map(|()| leg.walk));
     legs.into_iter().map(done).collect()
 }
 
 /// Feeds `reply` to a leg's walk and writes the request it asks for.
-fn advance<W>(
-    core: &mut Core,
+fn advance<W, P: Peers>(
+    core: &mut Core<P>,
     leg: &mut Leg<W>,
     step: &mut impl FnMut(&str, &mut W, Option<ControlReply>) -> Result<Option<ControlOp>, String>,
     reply: Option<ControlReply>,
@@ -317,7 +314,7 @@ fn advance<W>(
 
 /// Asks `pods` one request each, in one round: each pod's reply, or
 /// why there is none.
-fn ask(core: &mut Core, pods: Vec<String>, op: ControlOp) -> Round<ControlReply> {
+fn ask<P: Peers>(core: &mut Core<P>, pods: Vec<String>, op: ControlOp) -> Round<ControlReply> {
     let mut once = |_: &str, kept: &mut Option<ControlReply>, reply: Option<ControlReply>| {
         let first = reply.is_none();
         *kept = reply;
@@ -332,7 +329,7 @@ fn ask(core: &mut Core, pods: Vec<String>, op: ControlOp) -> Round<ControlReply>
 }
 
 /// Asks every live pod `op`.
-fn broadcast(core: &mut Core, op: ControlOp) -> Round<ControlReply> {
+fn broadcast<P: Peers>(core: &mut Core<P>, op: ControlOp) -> Round<ControlReply> {
     let live = live_pods(core);
     ask(core, live, op)
 }
@@ -340,7 +337,7 @@ fn broadcast(core: &mut Core, op: ControlOp) -> Round<ControlReply> {
 /// One request to one pod: a round of one. Asked exactly once: a
 /// request that timed out may still have run on the pod, so no failure
 /// is re-sent.
-fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, String> {
+fn pod_op<P: Peers>(core: &mut Core<P>, pod: &str, op: ControlOp) -> Result<ControlReply, String> {
     match ask(core, vec![pod.to_string()], op).pop() {
         Some((_, _, reply)) => reply,
         None => Err(format!("unknown pod `{pod}`")),
@@ -348,13 +345,13 @@ fn pod_op(core: &mut Core, pod: &str, op: ControlOp) -> Result<ControlReply, Str
 }
 
 /// Live pods' names, sorted.
-fn live_pods(core: &Core) -> Vec<String> {
+fn live_pods<P: Peers>(core: &Core<P>) -> Vec<String> {
     core.registry.live().map(|(name, _)| name.clone()).collect()
 }
 
 /// Live pods in admission-preference order: fewest routed tasks first,
 /// name as the deterministic tie-break.
-fn placement_order(core: &Core) -> Vec<PodTarget> {
+fn placement_order<P: Peers>(core: &Core<P>) -> Vec<PodTarget> {
     let mut order: Vec<(usize, PodTarget)> = core
         .registry
         .live()
@@ -396,7 +393,7 @@ fn submit_failure(reply: &ControlReply) -> String {
 
 /// Federated admission: route whole (single pod) or split with
 /// all-or-nothing rollback.
-fn submit(core: &mut Core, name: &str, source: &str) -> ControlReply {
+fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str) -> ControlReply {
     if core.tasks.contains_key(name) {
         return ControlReply::Rejected {
             reason: format!("task `{name}` is already deployed in the federation"),
@@ -517,7 +514,7 @@ fn pod_seeds(
 /// Federated `ListSeeds`: fan out to every live pod (cursor-walked),
 /// globalize keys and switch ids, merge sorted, then window the merged
 /// listing with the same cursor semantics a single farmd serves.
-fn list_seeds(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
+fn list_seeds<P: Peers>(core: &mut Core<P>, from_index: u64, limit: u64) -> ControlReply {
     let mut merged: Vec<SeedDescriptor> = Vec::new();
     let live = live_pods(core);
     for (pod, base, seeds) in fan_out(core, live, &mut pod_seeds) {
@@ -541,7 +538,7 @@ fn list_seeds(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
 }
 
 /// Federated `DescribeSeed`: keys carry a `pod:` prefix.
-fn describe(core: &mut Core, key: &str) -> ControlReply {
+fn describe<P: Peers>(core: &mut Core<P>, key: &str) -> ControlReply {
     let Some((pod, local_key)) = key.split_once(':') else {
         return ControlReply::Rejected {
             reason: format!("bad federated seed key `{key}` (want pod:task/m<i>/s<j>)"),
@@ -608,7 +605,7 @@ fn pod_stats(
 /// the coordinator's own view (`pods_total` / `pods_live` /
 /// `pods_reached`). The merged counter map is cursor-paginated exactly
 /// like a single farmd's.
-fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
+fn stats<P: Peers>(core: &mut Core<P>, from_index: u64, limit: u64) -> ControlReply {
     let live = live_pods(core);
     let answers = fan_out(core, live, &mut pod_stats);
     let live = answers.len();
@@ -636,7 +633,7 @@ fn stats(core: &mut Core, from_index: u64, limit: u64) -> ControlReply {
 /// Federated `MetricsDump`: every live pod's dump keyed by name, plus
 /// the coordinator's own `fed.*` registry. A pod whose body is not JSON
 /// counts as a fan-out error instead of corrupting the merged document.
-fn metrics_dump(core: &mut Core) -> ControlReply {
+fn metrics_dump<P: Peers>(core: &mut Core<P>) -> ControlReply {
     let mut pods = Vec::new();
     for (pod, _, reply) in broadcast(core, ControlOp::MetricsDump) {
         match reply {
@@ -658,7 +655,7 @@ fn metrics_dump(core: &mut Core) -> ControlReply {
 
 /// `Drain` / `Uncordon` against a global switch id: resolve the owning
 /// pod, forward with the local id, globalize the reply.
-fn route_switch_op(core: &mut Core, global: u32, drain: bool) -> ControlReply {
+fn route_switch_op<P: Peers>(core: &mut Core<P>, global: u32, drain: bool) -> ControlReply {
     let Some((pod, local)) = core
         .registry
         .locate(global as u64)
@@ -683,7 +680,7 @@ fn route_switch_op(core: &mut Core, global: u32, drain: bool) -> ControlReply {
     }
 }
 
-fn replan(core: &mut Core) -> ControlReply {
+fn replan<P: Peers>(core: &mut Core<P>) -> ControlReply {
     let mut actions = 0u64;
     let mut dropped_tasks = 0u64;
     for (_, _, reply) in broadcast(core, ControlOp::Replan) {
@@ -704,7 +701,7 @@ fn replan(core: &mut Core) -> ControlReply {
     }
 }
 
-fn checkpoint(core: &mut Core) -> ControlReply {
+fn checkpoint<P: Peers>(core: &mut Core<P>) -> ControlReply {
     let mut seeds = 0u64;
     let mut errors: Vec<String> = Vec::new();
     for (pod, _, reply) in broadcast(core, ControlOp::Checkpoint) {
@@ -732,7 +729,7 @@ fn checkpoint(core: &mut Core) -> ControlReply {
     }
 }
 
-fn restore(core: &mut Core) -> ControlReply {
+fn restore<P: Peers>(core: &mut Core<P>) -> ControlReply {
     let mut seeds = 0u64;
     let mut skipped = 0u64;
     for (_, _, reply) in broadcast(core, ControlOp::Restore) {
@@ -750,7 +747,7 @@ fn restore(core: &mut Core) -> ControlReply {
     ControlReply::Restored { seeds, skipped }
 }
 
-fn remove_task(core: &mut Core, task: &str) -> ControlReply {
+fn remove_task<P: Peers>(core: &mut Core<P>, task: &str) -> ControlReply {
     let Some(hosts) = core.tasks.get(task).cloned() else {
         return ControlReply::Rejected {
             reason: format!("fedd did not route task `{task}`"),
@@ -793,7 +790,7 @@ fn remove_task(core: &mut Core, task: &str) -> ControlReply {
 /// (submit-with-snapshot), and only then remove from the source. A
 /// failed import leaves the source untouched; a failed removal is
 /// reported (the task briefly runs on both pods) instead of guessed at.
-fn migrate(core: &mut Core, task: &str, to_pod: &str) -> ControlReply {
+fn migrate<P: Peers>(core: &mut Core<P>, task: &str, to_pod: &str) -> ControlReply {
     let migrate_ok = core.telemetry.counter("fed.migrate.ok");
     let migrate_fail = core.telemetry.counter("fed.migrate.fail");
     let Some(hosts) = core.tasks.get(task).cloned() else {
@@ -915,72 +912,5 @@ fn migrate(core: &mut Core, task: &str, to_pod: &str) -> ControlReply {
                 ),
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-    use std::thread;
-    use std::time::Duration;
-
-    use farm_net::{encode_envelope, Decoded, Envelope, Frame, FrameDecoder};
-
-    #[test]
-    fn a_pod_request_that_times_out_reaches_the_pod_once() {
-        let timeout = Duration::from_millis(100);
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = listener.local_addr().expect("local addr");
-        // A pod that answers every request after fedd stopped waiting,
-        // and counts the requests until fedd leaves.
-        let pod = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accept");
-            let mut decoder = FrameDecoder::new();
-            let mut chunk = [0u8; 4096];
-            let mut requests = 0;
-            loop {
-                match decoder.next().expect("clean stream") {
-                    Some(Decoded::Frame(env, _)) if env.corr != 0 => {
-                        requests += 1;
-                        thread::sleep(timeout + Duration::from_millis(50));
-                        let ok = Frame::ControlReply {
-                            reply: ControlReply::Ok,
-                        };
-                        let mut wire = Vec::new();
-                        encode_envelope(&Envelope::response(env.corr, ok), &mut wire);
-                        let _ = stream.write_all(&wire);
-                    }
-                    Some(_) => {}
-                    None => match stream.read(&mut chunk) {
-                        Ok(n) if n > 0 => decoder.extend(&chunk[..n]),
-                        _ => return requests,
-                    },
-                }
-            }
-        });
-        let mut core = <Core as daemon::Core>::boot(FeddConfig {
-            pod_timeout: timeout,
-            ..FeddConfig::default()
-        });
-        let registered = serve_op(
-            &mut core,
-            &ControlOp::RegisterPod {
-                name: "p".into(),
-                addr: addr.to_string(),
-                switches: 1,
-                quota: 1.0,
-            },
-        );
-        assert!(matches!(registered, ControlReply::PodRegistered { .. }));
-        let removed = pod_op(&mut core, "p", ControlOp::RemoveTask { task: "t".into() });
-        assert!(
-            removed.as_ref().is_err_and(|e| e.contains("timed out")),
-            "{removed:?}"
-        );
-        // Dropping the core says goodbye on the session.
-        drop(core);
-        assert_eq!(pod.join().expect("pod thread"), 1);
     }
 }

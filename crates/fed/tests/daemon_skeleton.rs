@@ -7,7 +7,7 @@
 use farm_ctl::daemon::{Core, Daemon};
 use farm_ctl::{CtlClient, FarmdConfig};
 use farm_fed::FeddConfig;
-use farm_net::{ControlOp, ControlReply, NetError};
+use farm_net::{ControlOp, ControlReply, Links, NetError};
 use farm_telemetry::Snapshot;
 
 /// Six accounted ops (two of them rejected by either daemon), then two
@@ -30,7 +30,7 @@ fn sequence() -> Vec<ControlOp> {
 /// Starts the daemon, sends the sequence over one client session, waits
 /// the daemon out, and returns the six replies plus the core's final
 /// registry.
-fn drive<C: Core>(config: C::Config) -> (Vec<ControlReply>, Snapshot) {
+fn drive<C: Core<Peers = Links>>(config: C::Config) -> (Vec<ControlReply>, Snapshot) {
     let daemon = Daemon::<C>::start(config).expect("start");
     let telemetry = daemon.telemetry().clone();
     let client = CtlClient::connect(daemon.local_addr());

@@ -1,6 +1,6 @@
 //! The blocking client: a [`Connection`] is a [`Links`] of one outbound
 //! session (the same session a daemon core drives) behind one mutex,
-//! plus a wait — the calling thread blocks in [`Links::poll`] until its
+//! plus a wait — the calling thread blocks in [`Peers::poll`] until its
 //! answer is in. There is no background thread and no queue. A call
 //! dials if no session is held (one attempt), reads without blocking
 //! whatever the peer sent since the last call — so a goodbye or hang-up
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use farm_telemetry::{Counter, Telemetry};
 
 use crate::frame::Frame;
-use crate::link::{Answer, LinkId, Links};
+use crate::link::{Answer, LinkId, Links, Peers};
 
 /// Pause between dials while [`Connection::wait_connected`] waits.
 const REDIAL_PAUSE: Duration = Duration::from_millis(20);

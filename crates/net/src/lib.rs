@@ -40,7 +40,9 @@
 //!   fedd, on the thread that owns the core), or [`NetServer`], that
 //!   value plus the one thread turning it for an owner with no loop of
 //!   its own. All of it needs a unix (epoll on Linux, `poll(2)`
-//!   elsewhere).
+//!   elsewhere). What a daemon core does with its `Links`, and the
+//!   clock it reads, is the [`Peers`] trait, so a simulated network on
+//!   a virtual clock can stand in for both.
 //!
 //! Every endpoint reports into `farm-telemetry` under the `net.*`
 //! namespace: `net.bytes`, `net.frames_sent` / `net.frames_received`,
@@ -68,7 +70,7 @@ pub use frame::{
     decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, DeltaCounts,
     Diagnostic, Envelope, Explain, Frame, PodInfo, SeedDescriptor,
 };
-pub use link::{Answer, LinkId, Links};
+pub use link::{Answer, LinkId, Links, Peers};
 pub use reactor::Reactor;
 pub use server::{FrameHandler, NetServer};
 pub use snapshot::{decode_checkpoint, encode_checkpoint_doc, CheckpointDoc};

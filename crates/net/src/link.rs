@@ -8,16 +8,16 @@
 //!
 //! * [`Links`] — many sessions behind one [`Poller`], for a daemon's
 //!   core: fedd's pod sessions, farmd's coordinator session. Nothing
-//!   blocks but [`Links::poll`], and that only as long as its caller
+//!   blocks but [`Peers::poll`], and that only as long as its caller
 //!   says; the poller's own descriptor can be watched by the core's
 //!   [`Reactor`](crate::Reactor), so a dial that lands or a reply that
 //!   arrives ends a waiting turn.
 //! * [`Connection`](crate::Connection) — a `Links` of one session
-//!   behind a mutex, whose calling thread waits in [`Links::poll`]
+//!   behind a mutex, whose calling thread waits in [`Peers::poll`]
 //!   until its answer is in.
 //!
 //! Delivery semantics are the session's: nothing is ever re-sent, a
-//! reply to a request its asker gave up on ([`Links::forget`]) is
+//! reply to a request its asker gave up on ([`Peers::forget`]) is
 //! dropped, and a session that ends — a goodbye, a hang-up, broken
 //! framing, a dial that failed or stayed in flight past
 //! `CONNECT_TIMEOUT` — answers each request still waiting on it with
@@ -344,13 +344,13 @@ impl Session {
 
 /// Names one session of a [`Links`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkId(usize);
+pub struct LinkId(pub usize);
 
-/// A reply (or a failure) [`Links::poll`] harvested for a request.
+/// A reply (or a failure) [`Peers::poll`] harvested for a request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Answer {
     pub link: LinkId,
-    /// The correlation id [`Links::request`] returned.
+    /// The correlation id [`Peers::request`] returned.
     pub corr: u64,
     /// The response frame; `Rejected` for a peer's `Error` frame,
     /// `Disconnected` when the session ended first.
@@ -367,10 +367,50 @@ pub struct Links {
     events: Vec<PollEvent>,
 }
 
-impl Links {
+/// What a daemon core does with its outbound sessions, and the clock
+/// it reads: [`Links`] over sockets on the wall clock is the production
+/// one; a simulated network on a virtual clock can stand in for it, so
+/// a core's rounds replay exactly.
+pub trait Peers {
     /// Adds a session to `addr`, announced as `node`. Nothing is dialed
     /// until the first request.
-    pub fn open(&mut self, addr: SocketAddr, node: &str, telemetry: &Telemetry) -> LinkId {
+    fn open(&mut self, addr: SocketAddr, node: &str, telemetry: &Telemetry) -> LinkId;
+
+    /// Says goodbye on `link` and forgets it.
+    fn close(&mut self, link: LinkId);
+
+    /// Writes a request on `link`, dialling first (without waiting for
+    /// the dial) if no session is held, and returns its correlation id.
+    /// The reply arrives as an [`Answer`] from a later [`poll`].
+    ///
+    /// # Errors
+    ///
+    /// `Closed` for a link that is not open; `Disconnected` when no
+    /// dial could be started or the write failed.
+    ///
+    /// [`poll`]: Peers::poll
+    fn request(&mut self, link: LinkId, frame: Frame) -> Result<u64, NetError>;
+
+    /// Stops waiting for `corr` on `link` (`net.rpc_timeouts`): a reply
+    /// that still comes is dropped, and the request is never re-sent.
+    fn forget(&mut self, link: LinkId, corr: u64);
+
+    /// Waits up to `timeout` for any session to be ready (not at all if
+    /// an answer is already in hand), moves every ready one along, and
+    /// appends the answers harvested to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Only the poller's own failure, or `Unsupported` when there is no
+    /// poller.
+    fn poll(&mut self, timeout: Duration, out: &mut Vec<Answer>) -> io::Result<()>;
+
+    /// The core's clock: the wall clock, for [`Links`].
+    fn now(&self) -> Instant;
+}
+
+impl Peers for Links {
+    fn open(&mut self, addr: SocketAddr, node: &str, telemetry: &Telemetry) -> LinkId {
         let slot = match self.sessions.iter().position(Option::is_none) {
             Some(slot) => slot,
             None => {
@@ -382,59 +422,25 @@ impl Links {
         LinkId(slot)
     }
 
-    /// Says goodbye on `link` and forgets it.
-    pub fn close(&mut self, link: LinkId) {
+    fn close(&mut self, link: LinkId) {
         let session = self.sessions.get_mut(link.0).and_then(Option::take);
         if let (Some(mut session), Some(poller)) = (session, &mut self.poller) {
             session.close(poller);
         }
     }
 
-    /// Writes a request on `link`, dialling first (without waiting for
-    /// the dial) if no session is held, and returns its correlation id.
-    /// The reply arrives as an [`Answer`] from a later [`poll`].
-    ///
-    /// # Errors
-    ///
-    /// `Closed` for a link that is not open; `Disconnected` when no
-    /// dial could be started or the write failed.
-    ///
-    /// [`poll`]: Links::poll
-    pub fn request(&mut self, link: LinkId, frame: Frame) -> Result<u64, NetError> {
+    fn request(&mut self, link: LinkId, frame: Frame) -> Result<u64, NetError> {
         let (session, poller) = self.session(link)?;
         session.request(frame, poller)
     }
 
-    /// Stops waiting for `corr` on `link` (`net.rpc_timeouts`): a reply
-    /// that still comes is dropped, and the request is never re-sent.
-    pub fn forget(&mut self, link: LinkId, corr: u64) {
+    fn forget(&mut self, link: LinkId, corr: u64) {
         if let Ok((session, _)) = self.session(link) {
             session.forget(corr);
         }
     }
 
-    /// `link`'s session and the poller it is registered in: `Closed`
-    /// for a link that is not open, `Disconnected` when there is no
-    /// poller to register a session in.
-    pub(crate) fn session(
-        &mut self,
-        link: LinkId,
-    ) -> Result<(&mut Session, &mut Poller), NetError> {
-        let session = self.sessions.get_mut(link.0).and_then(Option::as_mut);
-        let session = session.ok_or(NetError::Closed)?;
-        let poller = self.poller.as_mut().ok_or(NetError::Disconnected)?;
-        Ok((session, poller))
-    }
-
-    /// Waits up to `timeout` for any session to be ready (not at all if
-    /// an answer is already in hand), moves every ready one along, and
-    /// appends the answers harvested to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Only the poller's own failure, or `Unsupported` when there is no
-    /// poller.
-    pub fn poll(&mut self, timeout: Duration, out: &mut Vec<Answer>) -> io::Result<()> {
+    fn poll(&mut self, timeout: Duration, out: &mut Vec<Answer>) -> io::Result<()> {
         let poller = self.poller.as_mut().ok_or(io::ErrorKind::Unsupported)?;
         let now = Instant::now();
         let mut wait = timeout;
@@ -465,6 +471,25 @@ impl Links {
         Ok(())
     }
 
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+}
+
+impl Links {
+    /// `link`'s session and the poller it is registered in: `Closed`
+    /// for a link that is not open, `Disconnected` when there is no
+    /// poller to register a session in.
+    pub(crate) fn session(
+        &mut self,
+        link: LinkId,
+    ) -> Result<(&mut Session, &mut Poller), NetError> {
+        let session = self.sessions.get_mut(link.0).and_then(Option::as_mut);
+        let session = session.ok_or(NetError::Closed)?;
+        let poller = self.poller.as_mut().ok_or(NetError::Disconnected)?;
+        Ok((session, poller))
+    }
+
     /// The poller's descriptor, for a reactor to watch.
     pub(crate) fn fd(&self) -> Option<RawFd> {
         self.poller.as_ref().and_then(Poller::fd)
@@ -472,7 +497,7 @@ impl Links {
 }
 
 /// An empty set. If the poller cannot be created (descriptor
-/// exhaustion), every [`Links::poll`] says so.
+/// exhaustion), every [`Peers::poll`] says so.
 impl Default for Links {
     fn default() -> Links {
         Links {

@@ -118,6 +118,14 @@ pub enum SeedEvent {
     },
 }
 
+/// A delivery that failed: why, and the ops it ran before it did —
+/// charged to the switch CPU like a delivery's that succeeded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Failed {
+    pub error: SeedError,
+    pub ops: u64,
+}
+
 /// Result of delivering one event.
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
@@ -361,8 +369,9 @@ impl SeedInstance {
     /// Runtime errors: bad dynamic types, the call depth limit, a
     /// transition livelock, and a delivery whose ops, its whole transit
     /// chain's, pass [`HANDLER_BUDGET_OPS`]. A failed delivery's
-    /// effects are dropped; the variables it wrote keep what it wrote.
-    pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, SeedError> {
+    /// effects are dropped; the variables it wrote keep what it wrote,
+    /// and [`Failed::ops`] what it ran.
+    pub fn handle(&mut self, event: &SeedEvent, host: &dyn SeedHost) -> Result<Outcome, Failed> {
         let mut out = Outcome::default();
         self.stamp = fresh_stamp();
         self.stats.events_handled += 1;
@@ -391,7 +400,10 @@ impl SeedInstance {
             refs: vm.refs,
             calls: vm.calls,
         };
-        done?;
+        done.map_err(|error| Failed {
+            error,
+            ops: out.ops,
+        })?;
         self.stats.ops += out.ops;
         self.stats.messages_sent += out
             .effects
@@ -566,17 +578,26 @@ impl<'a> Vm<'a> {
         Ok(())
     }
 
-    /// Runs a handler body, and the functions it calls, to its end.
+    /// Runs a handler body, and the functions it calls, to its end, and
+    /// charges `out` the static costs of what ran — a run that fails
+    /// too, so the delivery's failure carries the ops it ran.
     fn run(&mut self, handler: &'a Body) -> Result<Flow, SeedError> {
+        let mut ops = 0;
+        let flow = self.steps(handler, &mut ops);
+        self.out.ops += ops;
+        flow
+    }
+
+    /// [`Vm::run`]'s loop, counting the static costs into `ops`.
+    #[inline(always)]
+    fn steps(&mut self, handler: &'a Body, ops: &mut u64) -> Result<Flow, SeedError> {
         let code = self.code;
         let (mut function, mut body) = (None, handler);
-        // Static costs, charged to `out` when the run ends: a run that
-        // fails charges nothing, since its outcome is dropped.
-        let (mut pc, mut ops) = (0, 0u64);
+        let mut pc = 0;
         loop {
             let inst = &body.code[pc];
             pc += 1;
-            ops += u64::from(inst.cost);
+            *ops += u64::from(inst.cost);
             match &inst.kind {
                 Kind::Nop => {}
                 Kind::Move { dst, src } => {
@@ -744,7 +765,7 @@ impl<'a> Vm<'a> {
                     if self.calls.len() >= MAX_CALL_DEPTH {
                         return Err(SeedError("call depth exceeded".into()));
                     }
-                    if ops + self.out.ops > HANDLER_BUDGET_OPS {
+                    if *ops + self.out.ops > HANDLER_BUDGET_OPS {
                         return Err(over_budget());
                     }
                 }
@@ -787,17 +808,15 @@ impl<'a> Vm<'a> {
                         pc = *exit as usize;
                         continue;
                     }
-                    if ops + self.out.ops > HANDLER_BUDGET_OPS {
+                    if *ops + self.out.ops > HANDLER_BUDGET_OPS {
                         return Err(over_budget());
                     }
                 }
                 Kind::Transit { state } => {
-                    self.out.ops += ops;
                     return Ok(Flow::Transit(*state));
                 }
                 Kind::Return { value } => {
                     let Some(caller) = self.calls.pop() else {
-                        self.out.ops += ops;
                         return Ok(Flow::Normal);
                     };
                     let v = value.map_or(Value::Unit, |s| self.take(s));
@@ -1672,7 +1691,8 @@ mod tests {
         let mut seed = SeedInstance::new(SeedId(4), def, Resources::ZERO);
         let err = seed
             .handle(&SeedEvent::Enter, &FixedHost::default())
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert!(err.0.contains("transition chain"), "{err}");
     }
 
@@ -1687,10 +1707,13 @@ mod tests {
         "#;
         let def = compile(src, "Spin");
         let mut seed = SeedInstance::new(SeedId(5), def, Resources::ZERO);
-        let err = seed
+        let failed = seed
             .handle(&SeedEvent::Enter, &FixedHost::default())
             .unwrap_err();
-        assert_eq!(err.0, "handler budget of 8388608 ops exceeded");
+        assert_eq!(failed.error.0, "handler budget of 8388608 ops exceeded");
+        // What ran before the check stopped it: the whole budget.
+        assert!(failed.ops > HANDLER_BUDGET_OPS, "{}", failed.ops);
+        assert!(failed.ops < HANDLER_BUDGET_OPS + 64, "{}", failed.ops);
     }
 
     #[test]

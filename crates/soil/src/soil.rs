@@ -1230,7 +1230,11 @@ impl Soil {
         };
         let out = match outcome {
             Ok(out) => out,
-            Err(e) => return fail(e),
+            Err(failed) => {
+                let cycles = failed.ops * self.config.cycles_per_op;
+                switch.cpu_mut().charge_cycles(cycles);
+                return fail(failed.error);
+            }
         };
         let cycles = out.ops * self.config.cycles_per_op;
         let compute = Dur::from_secs_f64(cycles as f64 / switch.cpu().spec().freq_hz as f64);
@@ -1381,6 +1385,26 @@ mod tests {
             .rules()
             .iter()
             .any(|r| r.region == TcamRegion::Monitoring && r.priority == SEED_RULE_PRIORITY));
+    }
+
+    #[test]
+    fn a_runaway_delivery_charges_the_switch_cpu_the_budget_it_ran() {
+        let (mut soil, mut switch) = rig();
+        let def = compile(
+            "machine Spin { place any; long x = 0;
+               state s { when (enter) do { while (x <= 1) { x = 0; } } } }",
+            "Spin",
+        );
+        let (_, report) = (soil.deploy(def, "spin", alloc(), Time::ZERO, &mut switch)).unwrap();
+        assert_eq!(report.errors.len(), 1);
+        assert!(report.errors[0].1 .0.contains("handler budget"));
+        let cycles = crate::interp::HANDLER_BUDGET_OPS * SoilConfig::default().cycles_per_op;
+        let budget = cycles as f64 / switch.cpu().spec().freq_hz as f64;
+        let busy = switch.cpu().busy().as_secs_f64();
+        assert!(
+            busy >= budget && busy < budget * 1.001,
+            "{busy} s for {budget} s"
+        );
     }
 
     #[test]

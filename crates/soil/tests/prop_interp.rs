@@ -343,13 +343,13 @@ fn assert_same_delivery(
             assert_eq!(g.ops, w.ops, "ops at {at}");
             assert_eq!(g.transitioned, w.transitioned, "transitioned at {at}");
         }
-        (Err(g), Err(w)) => assert_eq!(g.0, w.0, "error text at {at}"),
+        (Err(g), Err(w)) => assert_eq!(g.error.0, w.0, "error text at {at}"),
         _ => panic!("vm {got:?} but walker {want:?} at {at}"),
     }
     assert_eq!(vm.state(), walker.state, "state at {at}");
     assert_eq!(vm.stats(), walker.stats, "stats at {at}");
     assert_eq!(vm.snapshot().vars, walker.sorted_vars(), "vars at {at}");
-    got.map(|o| o.ops).map_err(|e| e.0)
+    got.map(|o| o.ops).map_err(|e| e.error.0)
 }
 
 /// Every machine of every program in the corpus, each on its own
@@ -554,7 +554,7 @@ fn recursion_stops_at_the_call_depth_limit_with_the_same_error() {
     let err = seed
         .handle(&tick("t", 64), &FixedHost::default())
         .unwrap_err();
-    assert_eq!(err.0, "call depth exceeded");
+    assert_eq!(err.error.0, "call depth exceeded");
 }
 
 /// The error a delivery past its op budget fails with.
@@ -565,7 +565,7 @@ fn over_budget() -> String {
 /// Delivers `event` to `vm` alone: the error text, or the ops.
 fn vm_outcome(vm: &SeedInstance, event: &SeedEvent) -> Result<u64, String> {
     let out = vm.clone().handle(event, &FixedHost::default());
-    out.map(|o| o.ops).map_err(|e| e.0)
+    out.map(|o| o.ops).map_err(|e| e.error.0)
 }
 
 #[test]
@@ -684,7 +684,10 @@ fn a_loop_that_ends_under_the_budget_runs_to_its_end() {
     let past = |n: u64| {
         let mut vm = vm.clone();
         let out = vm.handle(&tick("t", (most + n) as i64), &FixedHost::default());
-        (out.map(|o| o.ops).map_err(|e| e.0), vm.var("g").cloned())
+        (
+            out.map(|o| o.ops).map_err(|e| e.error.0),
+            vm.var("g").cloned(),
+        )
     };
     let ran = |n: u64| Some(Value::Int((most + n) as i64));
     assert_eq!(past(1), (Ok(fixed + per * (most + 1)), ran(1)));
@@ -712,7 +715,7 @@ fn transit_inside_a_function_is_the_same_runtime_error() {
         .clone()
         .handle(&tick("t", 1), &FixedHost::default())
         .unwrap_err();
-    assert_eq!(err.0, "transit inside function");
+    assert_eq!(err.error.0, "transit inside function");
 }
 
 #[test]
@@ -808,9 +811,12 @@ fn a_send_to_a_switch_id_outside_u32_fails_naming_it() {
     let mut vm = assert_same_on(src, &events);
     let host = FixedHost::default();
     let mut run = |n| vm.handle(&tick("t", n), &host);
-    assert_eq!(run(0).unwrap_err().0, "@destination -1 is not a switch id");
     assert_eq!(
-        run(1).unwrap_err().0,
+        run(0).unwrap_err().error.0,
+        "@destination -1 is not a switch id"
+    );
+    assert_eq!(
+        run(1).unwrap_err().error.0,
         "@destination 4294967299 is not a switch id"
     );
     for (n, id) in [(2, u32::MAX), (3, 3)] {
@@ -896,7 +902,7 @@ fn arithmetic_on_an_any_is_fitted_where_it_is_stored() {
     assert_eq!(vm.var("k"), Some(&Value::Int(1)));
     assert_eq!(vm.var("x"), Some(&Value::Float(2.0)));
     let err = vm.handle(&tick("t", 2), &FixedHost::default()).unwrap_err();
-    assert_eq!(err.0, "cannot store float in long `k`");
+    assert_eq!(err.error.0, "cannot store float in long `k`");
 }
 
 #[test]
@@ -932,6 +938,7 @@ fn a_condition_on_an_int_fails_as_the_int_it_is() {
     let mut error = |n| {
         seed.handle(&tick("t", n), &FixedHost::default())
             .unwrap_err()
+            .error
             .0
     };
     assert_eq!(error(0), "`not` on int");
@@ -996,7 +1003,7 @@ fn every_runtime_error_a_checked_program_can_raise_has_the_same_text() {
     let mut seed = SeedInstance::new(SeedId(1), def, Resources::ZERO);
     let texts: std::collections::BTreeSet<String> = events
         .iter()
-        .map(|e| seed.handle(e, &FixedHost::default()).unwrap_err().0)
+        .map(|e| seed.handle(e, &FixedHost::default()).unwrap_err().error.0)
         .collect();
     assert!(texts.len() >= 26, "{texts:#?}");
 }

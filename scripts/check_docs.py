@@ -17,7 +17,9 @@ Run from the repository root: `python3 scripts/check_docs.py`. It fails
 * a `cargo test -p PKG --test NAME` in one of its `run` steps names a
   package the workspace lacks, or a test target PKG does not have: a
   `[[test]]` of that name in PKG's Cargo.toml whose file exists, or
-  PKG's own tests/NAME.rs.
+  PKG's own tests/NAME.rs;
+* a `cargo test … --test NAME FILTER` step's FILTER is in the name of
+  no `fn` of NAME's file: such a step passes while running no test.
 """
 
 import pathlib
@@ -61,16 +63,25 @@ def packages():
     return found
 
 
-def has_test(crate, name):
-    """Whether the package in `crate` = (directory, manifest) builds a
-    test target `name`."""
+def test_file(crate, name):
+    """The source file of the package in `crate` = (directory, manifest)
+    that builds test target `name`, or None when it has no such target."""
     directory, doc = crate
     for target in doc.get("test", []):
         if target.get("name") == name:
-            return (directory / target.get("path", f"tests/{name}.rs")).exists()
-    return (directory / "tests" / f"{name}.rs").exists() or (
-        directory / "tests" / name / "main.rs"
-    ).exists()
+            path = directory / target.get("path", f"tests/{name}.rs")
+            return path if path.exists() else None
+    for path in (directory / "tests" / f"{name}.rs", directory / "tests" / name / "main.rs"):
+        if path.exists():
+            return path
+    return None
+
+
+# Options of `cargo test` that take a value: the word after one is not
+# a test filter.
+VALUED = {"-p", "--package", "--test", "-j", "--jobs", "-F", "--features",
+          "--manifest-path", "--target-dir", "--profile", "--bin", "--example",
+          "--bench", "--target", "--color", "--config", "-Z"}
 
 
 def run_steps(node):
@@ -87,13 +98,16 @@ def run_steps(node):
 
 
 def cargo_tests(script):
-    """The (package, test) pairs of the `cargo test` commands in a run
-    script; package is None when the command names none."""
+    """The (package, test, filter) triples of the `cargo test` commands
+    in a run script; package is None when the command names none, filter
+    when it gives none."""
     for line in script.splitlines():
         for command in re.findall(r"cargo test\b[^;&|]*", line):
             words = shlex.split(command)[2:]
-            package = test = None
-            for at, word in enumerate(words):
+            package = test = filter_ = None
+            at = 0
+            while at < len(words) and words[at] != "--":
+                word = words[at]
                 following = words[at + 1] if at + 1 < len(words) else None
                 if word in ("-p", "--package"):
                     package = following
@@ -103,8 +117,11 @@ def cargo_tests(script):
                     test = following
                 elif word.startswith("--test="):
                     test = word.split("=", 1)[1]
+                elif not word.startswith("-") and filter_ is None:
+                    filter_ = word
+                at += 2 if word in VALUED else 1
             if test:
-                yield package, test
+                yield package, test, filter_
 
 
 def ci_problems(workflow):
@@ -122,14 +139,24 @@ def ci_problems(workflow):
     problems = []
     crates = packages()
     for script in run_steps(doc):
-        for package, test in cargo_tests(script):
+        for package, test, filter_ in cargo_tests(script):
             if package is None:
-                if not any(has_test(crate, test) for crate in crates.values()):
+                files = [test_file(crate, test) for crate in crates.values()]
+                files = [f for f in files if f]
+                if not files:
                     problems.append(f"{name}: `--test {test}`: no package has it")
             elif package not in crates:
                 problems.append(f"{name}: `-p {package}`: no such package")
-            elif not has_test(crates[package], test):
-                problems.append(f"{name}: `-p {package} --test {test}`: {package} has no such test")
+                continue
+            else:
+                files = [test_file(crates[package], test)]
+                if files[0] is None:
+                    problems.append(f"{name}: `-p {package} --test {test}`: {package} has no such test")
+                    continue
+            if filter_ and files:
+                names = re.findall(r"\bfn\s+(\w+)", files[0].read_text(encoding="utf-8"))
+                if not any(filter_ in n for n in names):
+                    problems.append(f"{name}: `--test {test} {filter_}`: no test fn matches `{filter_}`")
     return problems
 
 

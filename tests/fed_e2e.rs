@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::process::Child;
 use std::time::Duration;
 
@@ -27,6 +28,7 @@ use farm_telemetry::Json;
 
 #[path = "util/mod.rs"]
 mod util;
+use util::Spawned;
 
 /// Fabric shape per pod: 1 spine + 3 leaves = 4 switches, so the
 /// three-pod federation spans global switch ids 0..12 with bases
@@ -60,28 +62,37 @@ fn freezer_machine(places: &str) -> String {
     )
 }
 
-fn spawn_fedd(config_body: String) -> (Child, SocketAddr) {
-    let cfg = util::write_config("fedd.toml", config_body);
-    util::spawn_daemon(
-        &util::locate_bin("fedd", option_env!("CARGO_BIN_EXE_fedd")),
-        &cfg,
-    )
+/// The two daemon binaries, located before anything is spawned.
+struct Bins {
+    fedd: PathBuf,
+    farmd: PathBuf,
 }
 
-fn spawn_pod(name: &str, coordinator: SocketAddr) -> (Child, SocketAddr) {
-    let cfg = util::write_config(
-        &format!("pod-{name}.toml"),
-        format!(
-            "[server]\nlisten = \"127.0.0.1:0\"\nshutdown_drain_ms = 20\n\
-             [farm]\nspines = {SPINES}\nleaves = {LEAVES}\ntick_interval_ms = 5\n\
-             [fed]\ncoordinator = \"{coordinator}\"\npod_name = \"{name}\"\n\
-             heartbeat_ms = 100\n"
-        ),
-    );
-    util::spawn_daemon(
-        &util::locate_bin("farmd", option_env!("CARGO_BIN_EXE_farmd")),
-        &cfg,
-    )
+impl Bins {
+    fn locate() -> Bins {
+        Bins {
+            fedd: util::locate_bin("fedd", option_env!("CARGO_BIN_EXE_fedd")),
+            farmd: util::locate_bin("farmd", option_env!("CARGO_BIN_EXE_farmd")),
+        }
+    }
+
+    fn fedd(&self, config_body: String) -> Spawned {
+        let cfg = util::write_config("fedd.toml", config_body);
+        util::spawn_daemon(&self.fedd, &cfg)
+    }
+
+    fn pod(&self, name: &str, coordinator: SocketAddr) -> Spawned {
+        let cfg = util::write_config(
+            &format!("pod-{name}.toml"),
+            format!(
+                "[server]\nlisten = \"127.0.0.1:0\"\nshutdown_drain_ms = 20\n\
+                 [farm]\nspines = {SPINES}\nleaves = {LEAVES}\ntick_interval_ms = 5\n\
+                 [fed]\ncoordinator = \"{coordinator}\"\npod_name = \"{name}\"\n\
+                 heartbeat_ms = 100\n"
+            ),
+        );
+        util::spawn_daemon(&self.farmd, &cfg)
+    }
 }
 
 fn rpc(client: &CtlClient, op: ControlOp) -> ControlReply {
@@ -149,21 +160,23 @@ fn graceful_shutdown(client: &CtlClient, child: &mut Child, who: &str) {
 fn three_pod_federation_spans_migrates_and_survives_a_pod_kill() {
     // --- Boot: coordinator first, then pods one at a time so the
     // registration order (and with it the base layout) is pinned.
-    let (mut fedd, fed_addr) = spawn_fedd(
+    let bins = Bins::locate();
+    let mut fedd = bins.fedd(
         "[server]\nlisten = \"127.0.0.1:0\"\nshutdown_drain_ms = 20\n\
          [fed]\nliveness_timeout_ms = 1000\npod_timeout_ms = 2000\n"
             .into(),
     );
+    let fed_addr = fedd.addr;
     let fed = CtlClient::connect(fed_addr);
     assert!(fed.wait_connected(Duration::from_secs(5)), "fedd handshake");
 
-    let mut pods: Vec<(String, Child, SocketAddr)> = Vec::new();
+    let mut pods: Vec<(String, Spawned)> = Vec::new();
     for name in ["a", "b", "c"] {
-        let (child, addr) = spawn_pod(name, fed_addr);
+        let pod = bins.pod(name, fed_addr);
         util::wait_for(Duration::from_secs(10), "pod registration", || {
             pods_view(&fed).get(name).copied().filter(|(_, live)| *live)
         });
-        pods.push((name.to_string(), child, addr));
+        pods.push((name.to_string(), pod));
     }
     let view = pods_view(&fed);
     assert_eq!(view["a"], (0, true), "first pod gets base 0");
@@ -172,8 +185,8 @@ fn three_pod_federation_spans_migrates_and_survives_a_pod_kill() {
 
     let direct: BTreeMap<String, CtlClient> = pods
         .iter()
-        .map(|(name, _, addr)| {
-            let c = CtlClient::connect(*addr);
+        .map(|(name, pod)| {
+            let c = CtlClient::connect(pod.addr);
             assert!(c.wait_connected(Duration::from_secs(5)), "pod handshake");
             (name.clone(), c)
         })
@@ -288,9 +301,9 @@ fn three_pod_federation_spans_migrates_and_survives_a_pod_kill() {
 
     // --- Kill pod c outright; the coordinator must degrade to the
     // survivors once the liveness window lapses.
-    let (_, mut pod_c, _) = pods.pop().expect("pod c");
-    pod_c.kill().expect("SIGKILL pod c");
-    pod_c.wait().expect("reap pod c");
+    let (_, mut pod_c) = pods.pop().expect("pod c");
+    pod_c.child.kill().expect("SIGKILL pod c");
+    pod_c.child.wait().expect("reap pod c");
     util::wait_for(Duration::from_secs(10), "liveness sweep", || {
         (!pods_view(&fed)["c"].1).then_some(())
     });
@@ -320,70 +333,9 @@ fn three_pod_federation_spans_migrates_and_survives_a_pod_kill() {
 
     // --- Graceful teardown: coordinator first (pods keep running),
     // then the surviving pods.
-    graceful_shutdown(&fed, &mut fedd, "fedd");
-    let (_, mut pod_b, _) = pods.pop().expect("pod b");
-    let (_, mut pod_a, _) = pods.pop().expect("pod a");
-    graceful_shutdown(&direct["b"], &mut pod_b, "pod b");
-    graceful_shutdown(&direct["a"], &mut pod_a, "pod a");
-}
-
-#[test]
-fn deeply_nested_programs_are_refused_and_fedd_keeps_serving() {
-    let (mut fedd, fed_addr) = spawn_fedd(
-        "[server]\nlisten = \"127.0.0.1:0\"\nshutdown_drain_ms = 20\n\
-         [fed]\nliveness_timeout_ms = 1000\npod_timeout_ms = 2000\n"
-            .into(),
-    );
-    let fed = CtlClient::connect(fed_addr);
-    assert!(fed.wait_connected(Duration::from_secs(5)), "fedd handshake");
-    let (mut pod, pod_addr) = spawn_pod("deep", fed_addr);
-    util::wait_for(Duration::from_secs(10), "pod registration", || {
-        pods_view(&fed)
-            .get("deep")
-            .copied()
-            .filter(|(_, live)| *live)
-    });
-    // A `place any` machine whose `util` returns `1` inside `depth`
-    // parentheses: fedd parses it to route it before any pod does.
-    let nested = |depth: usize| {
-        format!(
-            "machine Deep {{ place any; state s {{ util (res) {{ return {}1{}; }} }} }}",
-            "(".repeat(depth),
-            ")".repeat(depth)
-        )
-    };
-    for depth in [1_000, 100_000] {
-        let op = ControlOp::SubmitProgram {
-            name: format!("deep{depth}"),
-            source: nested(depth),
-        };
-        match rpc(&fed, op) {
-            ControlReply::Rejected { reason } => {
-                assert!(reason.contains("nested deeper"), "{reason}");
-            }
-            other => panic!("depth {depth} answered {other:?}"),
-        }
-        assert_eq!(stat_u64(&stats_doc(&fed), "pods_live"), 1);
-    }
-    let parses = |depth: usize| farm_almanac::parser::parse(&nested(depth)).is_ok();
-    let deepest = (1..=farm_almanac::parser::MAX_NESTING)
-        .rev()
-        .find(|&d| parses(d))
-        .expect("a depth that parses");
-    let op = ControlOp::SubmitProgram {
-        name: "deepest".into(),
-        source: nested(deepest),
-    };
-    match rpc(&fed, op) {
-        ControlReply::Submitted { seeds, .. } => assert_eq!(seeds, 1),
-        other => panic!("depth {deepest} answered {other:?}"),
-    }
-    let direct = CtlClient::connect(pod_addr);
-    assert!(
-        direct.wait_connected(Duration::from_secs(5)),
-        "pod handshake"
-    );
-    assert_eq!(seed_keys(&direct).len(), 1);
-    graceful_shutdown(&direct, &mut pod, "pod");
-    graceful_shutdown(&fed, &mut fedd, "fedd");
+    graceful_shutdown(&fed, &mut fedd.child, "fedd");
+    let (_, mut pod_b) = pods.pop().expect("pod b");
+    let (_, mut pod_a) = pods.pop().expect("pod a");
+    graceful_shutdown(&direct["b"], &mut pod_b.child, "pod b");
+    graceful_shutdown(&direct["a"], &mut pod_a.child, "pod a");
 }

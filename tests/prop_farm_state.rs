@@ -5,7 +5,8 @@
 //! fabric lacks) / crash (of any switch, or of a task's host) / restart /
 //! PCIe degrade and restore / link down and up / control-channel loss and
 //! heal (fabric-wide, or of one switch) / advance / advance to the next
-//! heartbeat / checkpoint / import / restore / replan / seeded churn.
+//! heartbeat / checkpoint / import / restore / replan / seeded churn /
+//! two concurrent failures under a fabric-wide `place all` task.
 //! After every operation, through the public API only:
 //!
 //! * `Farm::audit` is clean: **I1** every live seed in the seed table
@@ -219,10 +220,14 @@ enum Op {
     ControlLoss(Option<usize>),
     /// Heals what a `ControlLoss` of the same scope impaired.
     ControlHeal(Option<usize>),
+    /// Submits a fabric-wide `place all` task if none is registered,
+    /// then two failures at one instant: two crashes, two cut links, or
+    /// one of each.
+    DoubleFault(usize, usize, u64),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0usize..24, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
+    (0usize..25, any::<usize>(), any::<u64>()).prop_map(|(kind, i, x)| match kind {
         0..=2 => Op::Submit {
             task: i % 4,
             program: (x % PROGRAMS.len() as u64) as usize,
@@ -247,6 +252,7 @@ fn op() -> impl Strategy<Value = Op> {
         19 => Op::ControlLoss((x % 2 == 0).then_some(i)),
         20 => Op::ControlHeal((x % 2 == 0).then_some(i)),
         21 | 22 => Op::Heartbeat,
+        23 => Op::DoubleFault(i, (x >> 2) as usize, x % 3),
         _ => Op::Import,
     })
 }
@@ -419,6 +425,29 @@ impl Run {
             }
             Op::Replan => {
                 let _ = self.farm.replan();
+            }
+            Op::DoubleFault(i, j, kinds) => {
+                let spanning = self.registered.values().any(|p| *p == Program::All);
+                let free = (0..4).find(|t| !self.registered.contains_key(&format!("t{t}")));
+                if let (false, Some(task)) = (spanning, free) {
+                    self.apply(Op::Submit { task, program: 0 });
+                }
+                let crash = |i| FaultKind::SwitchCrash {
+                    switch: self.switch(i),
+                };
+                let cut = |i: usize| {
+                    let (a, b) = self.links[i % self.links.len()];
+                    FaultKind::LinkDown { a, b }
+                };
+                let (first, second) = match kinds {
+                    0 => (crash(i), crash(j)),
+                    1 => (cut(i), cut(j)),
+                    _ => (crash(i), cut(j)),
+                };
+                let now = self.farm.now();
+                let plan = FaultPlan::new().with(now, first).with(now, second);
+                self.farm.set_fault_plan(plan);
+                self.farm.advance(now);
             }
             Op::Churn { seed, ms } => {
                 let now = self.farm.now();

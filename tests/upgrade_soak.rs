@@ -17,9 +17,7 @@
 //! set, receives the post-restore stats JSON for artifact upload.
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
-use std::path::Path;
-use std::process::Child;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use farm_ctl::CtlClient;
@@ -68,10 +66,9 @@ fn fault_seed() -> u64 {
         .unwrap_or(7)
 }
 
-/// Spawns the real farmd binary via the shared harness.
-fn spawn_farmd(config: &Path) -> (Child, SocketAddr) {
-    let bin = util::locate_bin("farmd", option_env!("CARGO_BIN_EXE_farmd"));
-    util::spawn_daemon(&bin, config)
+/// The real farmd binary, located before anything is spawned.
+fn farmd_bin() -> PathBuf {
+    util::locate_bin("farmd", option_env!("CARGO_BIN_EXE_farmd"))
 }
 
 fn submit_soak_tasks(client: &CtlClient) {
@@ -163,6 +160,7 @@ fn wait_for_full_checkpoint(path: &Path) {
 
 #[test]
 fn sigkill_mid_churn_loses_no_seed_state() {
+    let bin = farmd_bin();
     let ckpt = scratch("kill-ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let seed = fault_seed();
@@ -181,8 +179,8 @@ fn sigkill_mid_churn_loses_no_seed_state() {
             ckpt.display()
         ),
     );
-    let (mut victim, addr) = spawn_farmd(&soak_cfg);
-    let client = CtlClient::connect(addr);
+    let mut victim = util::spawn_daemon(&bin, &soak_cfg);
+    let client = CtlClient::connect(victim.addr);
     submit_soak_tasks(&client);
     wait_for_full_checkpoint(&ckpt);
     // Virtual time runs in wall lockstep; hold the kill until the
@@ -201,8 +199,8 @@ fn sigkill_mid_churn_loses_no_seed_state() {
     std::thread::sleep(Duration::from_millis(300));
 
     // SIGKILL: no drain, no final checkpoint, no goodbye.
-    victim.kill().expect("kill farmd");
-    let _ = victim.wait();
+    victim.child.kill().expect("kill farmd");
+    let _ = victim.child.wait();
 
     // Ground truth: whatever checkpoint the dead daemon last completed.
     // Atomic write means the file always decodes as a whole document.
@@ -229,8 +227,8 @@ fn sigkill_mid_churn_loses_no_seed_state() {
             ckpt.display()
         ),
     );
-    let (mut successor, addr) = spawn_farmd(&quiet_cfg);
-    let client = CtlClient::connect(addr);
+    let mut successor = util::spawn_daemon(&bin, &quiet_cfg);
+    let client = CtlClient::connect(successor.addr);
 
     // Zero seed loss: every checkpointed key is live again.
     let mut live = list_keys(&client);
@@ -271,11 +269,8 @@ fn sigkill_mid_churn_loses_no_seed_state() {
         client.op(ControlOp::Shutdown).expect("shutdown rpc"),
         ControlReply::Ok
     ));
-    let status = wait_exit(&mut successor, "after shutdown op");
+    let status = wait_exit(&mut successor.child, "after shutdown op");
     assert_eq!(status.code(), Some(0), "farmctl-driven shutdown exits 0");
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&soak_cfg);
-    let _ = std::fs::remove_file(&quiet_cfg);
 }
 
 /// The supervised half of the runbook: SIGTERM drains, writes a final
@@ -289,6 +284,7 @@ fn sigterm_drains_writes_final_checkpoint_and_exits_3() {
     }
     const SIGTERM: i32 = 15;
 
+    let bin = farmd_bin();
     let ckpt = scratch("term-ckpt");
     let pid_file = scratch("term-pid");
     let _ = std::fs::remove_file(&ckpt);
@@ -303,8 +299,8 @@ fn sigterm_drains_writes_final_checkpoint_and_exits_3() {
             pid_file.display()
         ),
     );
-    let (mut child, addr) = spawn_farmd(&cfg);
-    let client = CtlClient::connect(addr);
+    let mut farmd = util::spawn_daemon(&bin, &cfg);
+    let client = CtlClient::connect(farmd.addr);
     match client
         .op(ControlOp::SubmitProgram {
             name: "soak".into(),
@@ -316,13 +312,21 @@ fn sigterm_drains_writes_final_checkpoint_and_exits_3() {
         other => panic!("submit answered {other:?}"),
     }
     let pid_body = std::fs::read_to_string(&pid_file).expect("pid file written");
-    assert_eq!(pid_body.trim(), child.id().to_string(), "pid file content");
+    assert_eq!(
+        pid_body.trim(),
+        farmd.child.id().to_string(),
+        "pid file content"
+    );
     // No ticker and no checkpoint op ran, so only the SIGTERM teardown
     // can account for the file we assert below.
     assert!(!ckpt.exists(), "no checkpoint before the signal");
 
-    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0, "send TERM");
-    let status = wait_exit(&mut child, "after SIGTERM");
+    assert_eq!(
+        unsafe { kill(farmd.child.id() as i32, SIGTERM) },
+        0,
+        "send TERM"
+    );
+    let status = wait_exit(&mut farmd.child, "after SIGTERM");
     assert_eq!(status.code(), Some(3), "signal exit is distinct (code 3)");
 
     let bytes = std::fs::read(&ckpt).expect("final checkpoint written on TERM");
@@ -330,6 +334,4 @@ fn sigterm_drains_writes_final_checkpoint_and_exits_3() {
     assert_eq!(load.doc.programs.len(), 1);
     assert_eq!(load.doc.seeds.len(), SEEDS_PER_TASK);
     assert!(!pid_file.exists(), "pid file removed on graceful exit");
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&cfg);
 }

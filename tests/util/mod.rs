@@ -6,20 +6,59 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A per-process scratch path under the system temp dir.
-pub fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("farm-test-{}-{name}", std::process::id()))
+/// A per-process scratch path under the system temp dir, deleted when
+/// dropped — a test that fails leaves no file behind.
+pub struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
 }
 
-/// Writes a daemon config file and returns its path.
-pub fn write_config(name: &str, body: String) -> PathBuf {
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+pub fn scratch(name: &str) -> Scratch {
+    let name = format!("farm-test-{}-{name}", std::process::id());
+    Scratch(std::env::temp_dir().join(name))
+}
+
+/// Writes a daemon config file; it is deleted with the returned guard.
+pub fn write_config(name: &str, body: String) -> Scratch {
     let path = scratch(name);
     std::fs::write(&path, body).expect("write config");
     path
+}
+
+/// A spawned daemon, killed and reaped when dropped: a test that panics
+/// takes its daemons with it instead of leaving them holding the
+/// runner's output.
+pub struct Spawned {
+    pub child: Child,
+    pub addr: SocketAddr,
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 /// Locates a workspace binary from a test executable.
@@ -52,8 +91,8 @@ pub fn locate_bin(name: &str, compile_time: Option<&str>) -> PathBuf {
 /// Spawns a daemon binary with `--config <config> --print-addr` and
 /// blocks until it reports the bound address. Stderr is inherited so
 /// daemon-side diagnostics land in the test log.
-pub fn spawn_daemon(bin: &Path, config: &Path) -> (Child, SocketAddr) {
-    let mut child = Command::new(bin)
+pub fn spawn_daemon(bin: &Path, config: &Path) -> Spawned {
+    let child = Command::new(bin)
         .arg("--config")
         .arg(config)
         .arg("--print-addr")
@@ -61,16 +100,20 @@ pub fn spawn_daemon(bin: &Path, config: &Path) -> (Child, SocketAddr) {
         .stderr(Stdio::inherit())
         .spawn()
         .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-    let stdout = child.stdout.take().expect("daemon stdout piped");
+    let mut spawned = Spawned {
+        child,
+        addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+    };
+    let stdout = spawned.child.stdout.take().expect("daemon stdout piped");
     let mut line = String::new();
     BufReader::new(stdout)
         .read_line(&mut line)
         .expect("read daemon address line");
-    let addr = line
+    spawned.addr = line
         .trim()
         .parse()
         .unwrap_or_else(|_| panic!("daemon printed `{line}`, not an address"));
-    (child, addr)
+    spawned
 }
 
 /// Waits (bounded) for a child to exit and returns its status.

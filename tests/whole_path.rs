@@ -19,7 +19,7 @@ use farm_core::prelude::*;
 use farm_ctl::daemon::Core as _;
 use farm_ctl::server::Core;
 use farm_ctl::FarmdConfig;
-use farm_net::{ControlOp, ControlReply};
+use farm_net::{ControlOp, ControlReply, Links};
 use proptest::prelude::*;
 
 /// A checkpoint file of this process's own, removed when dropped.
@@ -72,7 +72,7 @@ fn whole_path(seeds: &[u64], ticks: &[u64]) {
         restore_on_boot: false,
         ..FarmdConfig::default()
     };
-    let mut core = Core::boot(config);
+    let mut core = Core::boot(config, Links::default());
     for (i, &seed) in seeds.iter().enumerate() {
         let name = format!("g{i}");
         let source = gen_machine::machine(seed);
