@@ -35,7 +35,7 @@ use farm_soil::{
     TickReport,
 };
 use farm_telemetry::{
-    Counter, Event, EventSink, Gauge, Histogram, ReplanOutcome, Telemetry, UndeployReason,
+    Counter, Event, EventSink, Gauge, Histogram, ReplanOutcome, SpanLog, Telemetry, UndeployReason,
 };
 
 pub(crate) use crate::error::Error;
@@ -126,6 +126,26 @@ impl Live {
             }
         }
         live
+    }
+
+    /// Switch `slot` joins or leaves the list, as [`Live::of`] would
+    /// find it now: a cordon or an uncordon changes one switch's
+    /// liveness and leaves every other entry as it is.
+    fn set(&mut self, slot: usize, network: &Network, rows: &[SwitchRow]) {
+        let sw = network.switches().nth(slot).expect("a slot of the fabric");
+        let row = &rows[slot];
+        let live = network.reached()[slot] && !row.fenced && !row.cordoned;
+        match (self.slots.binary_search(&(slot as u32)), live) {
+            (Ok(at), false) => {
+                self.caps.remove(at);
+                self.slots.remove(at);
+            }
+            (Err(at), true) => {
+                self.caps.insert(at, (sw.id(), sw.effective_resources()));
+                self.slots.insert(at, slot as u32);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -350,8 +370,8 @@ pub struct Farm {
     /// Scratch of [`Farm::apply_traffic`]: the non-empty `sampled` slots.
     sampled_slots: Vec<(SwitchId, usize)>,
     /// The live switches as of the first read since the last change to
-    /// what makes a switch live (up, reached, fenced, cordoned, PCIe
-    /// degradation), which empties it.
+    /// what makes a switch live (up, reached, fenced, PCIe degradation),
+    /// which empties it; a cordon or an uncordon patches its one entry.
     live: OnceCell<Live>,
 }
 
@@ -454,7 +474,7 @@ impl Farm {
             let ctl = SdnController::new(self.network.topology());
             compile_task(name, source, externals, &ctl)?
         };
-        self.deploy(vec![task])
+        self.deploy(vec![task], &mut SpanLog::off())
     }
 
     /// Compiles every task, then registers them all and runs a *single*
@@ -476,7 +496,7 @@ impl Farm {
             .iter()
             .map(|(name, source, externals)| compile_task(name, source, externals, &ctl))
             .collect::<Result<Vec<_>, _>>()?;
-        self.deploy(compiled)
+        self.deploy(compiled, &mut SpanLog::off())
     }
 
     /// Registers `tasks` and replans. A same-named task already
@@ -486,19 +506,19 @@ impl Farm {
     /// task this call registered is withdrawn again and whatever the
     /// round planted for them is undeployed, the way [`Farm::drain`]
     /// rolls back its cordon.
-    fn deploy(&mut self, tasks: Vec<CompiledTask>) -> Result<Plan, Error> {
+    fn deploy(&mut self, tasks: Vec<CompiledTask>, spans: &mut SpanLog) -> Result<Plan, Error> {
         let mut registered = Vec::with_capacity(tasks.len());
-        let result = tasks
-            .into_iter()
-            .try_for_each(|task| {
-                let name = task.name.clone();
-                if let Some(replaced) = self.seeder.register_task(task)? {
-                    self.undeploy_withdrawn(&name, replaced);
-                }
-                registered.push(name);
-                Ok(())
-            })
-            .and_then(|()| self.replan());
+        let started = spans.start();
+        let result = tasks.into_iter().try_for_each(|task| {
+            let name = task.name.clone();
+            if let Some(replaced) = self.seeder.register_task(task)? {
+                self.undeploy_withdrawn(&name, replaced);
+            }
+            registered.push(name);
+            Ok(())
+        });
+        spans.end("register", started);
+        let result = result.and_then(|()| self.replan_traced(spans));
         if result.is_err() {
             for name in &registered {
                 self.withdraw(name);
@@ -545,8 +565,14 @@ impl Farm {
     ///
     /// Soil-level failures while executing the plan.
     pub fn replan(&mut self) -> Result<Plan, Error> {
+        self.replan_traced(&mut SpanLog::off())
+    }
+
+    /// [`Farm::replan`], its round recorded in `spans` (`replan`, and
+    /// within it `plan`, `commit` and each `plant` and `migrate`).
+    fn replan_traced(&mut self, spans: &mut SpanLog) -> Result<Plan, Error> {
         let mut outbound = Vec::new();
-        let plan = self.replan_into(&mut outbound);
+        let plan = self.replan_into(&mut outbound, spans);
         self.route(outbound);
         plan
     }
@@ -554,17 +580,24 @@ impl Farm {
     /// [`Farm::replan`], leaving the messages the round's seeds send for
     /// the caller to route: plans a round and commits every action of
     /// it, in order.
-    fn replan_into(&mut self, outbound: &mut Vec<OutboundMessage>) -> Result<Plan, Error> {
+    fn replan_into(
+        &mut self,
+        outbound: &mut Vec<OutboundMessage>,
+        spans: &mut SpanLog,
+    ) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
+        let round = spans.start();
         let live = self
             .live
             .get_or_init(|| Live::of(&self.network, &self.rows));
         let mut plan = self.seeder.plan(&live.caps);
+        spans.end("plan", round);
+        let commit = spans.start();
         let now = self.now;
         for action in &plan.actions {
             let planted = match action {
                 PlannedAction::Deploy { key, to, alloc } => {
-                    Some(self.plant(key, *to, *alloc, outbound)?)
+                    Some(self.plant(key, *to, *alloc, outbound, spans)?)
                 }
                 PlannedAction::Migrate {
                     key,
@@ -572,6 +605,7 @@ impl Farm {
                     to,
                     alloc,
                 } => {
+                    let started = spans.start();
                     let def = self
                         .seeder
                         .machine_of(key)
@@ -610,7 +644,7 @@ impl Farm {
                                 .sum();
                             (id, bytes)
                         }
-                        None => (self.plant(key, *to, *alloc, outbound)?, 0),
+                        None => (self.plant(key, *to, *alloc, outbound, spans)?, 0),
                     };
                     self.counters.migrations.inc();
                     self.counters.migration_bytes.add(bytes);
@@ -622,6 +656,7 @@ impl Farm {
                         task: key.task.clone(),
                         state_bytes: bytes,
                     });
+                    spans.end("migrate", started);
                     Some(id)
                 }
                 PlannedAction::Realloc { key, alloc } => {
@@ -649,6 +684,7 @@ impl Farm {
             };
             self.seeder.commit(action, planted);
         }
+        spans.end("commit", commit);
         self.counters.replans.inc();
         let at_ns = self.now.as_nanos();
         let outcome = if plan.dropped_tasks.is_empty() {
@@ -691,6 +727,7 @@ impl Farm {
             reallocs,
             undeploys,
         });
+        spans.end("replan", round);
         Ok(plan)
     }
 
@@ -705,7 +742,9 @@ impl Farm {
         to: SwitchId,
         alloc: Resources,
         outbound: &mut Vec<OutboundMessage>,
+        spans: &mut SpanLog,
     ) -> Result<SeedId, Error> {
+        let started = spans.start();
         let def = self
             .seeder
             .machine_of(key)
@@ -735,6 +774,7 @@ impl Farm {
                 attempts,
             });
         }
+        spans.end("plant", started);
         Ok(id)
     }
 
@@ -1093,7 +1133,7 @@ impl Farm {
             }
         }
         let mut outbound = Vec::new();
-        let _ = self.replan_into(&mut outbound);
+        let _ = self.replan_into(&mut outbound, &mut SpanLog::off());
         for key in due {
             let Some(item) = self.recovery.get_mut(&key) else {
                 continue;
@@ -1153,7 +1193,22 @@ impl Farm {
     /// withdraws the task again: its name is free, nothing it planted
     /// keeps running, and a same-named task it replaced is gone.
     pub fn deploy_compiled(&mut self, task: CompiledTask) -> Result<Plan, Error> {
-        self.deploy(vec![task])
+        self.deploy(vec![task], &mut SpanLog::off())
+    }
+
+    /// [`Farm::deploy_compiled`], its phases recorded in `spans`
+    /// (`register`, then the round as [`Farm::replan`] runs it: `replan`
+    /// and within it `plan`, `commit` and each `plant` and `migrate`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Farm::deploy_compiled`].
+    pub fn deploy_compiled_traced(
+        &mut self,
+        task: CompiledTask,
+        spans: &mut SpanLog,
+    ) -> Result<Plan, Error> {
+        self.deploy(vec![task], spans)
     }
 
     /// Administratively cordons a switch — healthy, but the planner may
@@ -1172,10 +1227,24 @@ impl Farm {
     /// before anything is cordoned or replanned; soil failures while
     /// evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
+        self.drain_traced(switch, &mut SpanLog::off())
+    }
+
+    /// [`Farm::drain`], its round recorded in `spans` as
+    /// [`Farm::deploy_compiled_traced`] records one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Farm::drain`].
+    pub fn drain_traced(
+        &mut self,
+        switch: SwitchId,
+        spans: &mut SpanLog,
+    ) -> Result<(Plan, usize), Error> {
         let slot = (self.network.slot_of(switch)).ok_or(Error::UnknownSwitch(switch))?;
         let newly_cordoned = !std::mem::replace(&mut self.rows[slot].cordoned, true);
-        self.live.take();
-        match self.replan() {
+        self.patch_live(slot);
+        match self.replan_traced(spans) {
             Ok(plan) => {
                 let evacuated = plan
                     .actions
@@ -1187,7 +1256,7 @@ impl Farm {
             Err(e) => {
                 if newly_cordoned {
                     self.rows[slot].cordoned = false;
-                    self.live.take();
+                    self.patch_live(slot);
                 }
                 Err(e)
             }
@@ -1202,10 +1271,33 @@ impl Farm {
     /// before anything is replanned; soil failures while executing the
     /// plan.
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
-        let row = self.row_mut(switch).ok_or(Error::UnknownSwitch(switch))?;
-        row.cordoned = false;
-        self.live.take();
-        self.replan()
+        self.uncordon_traced(switch, &mut SpanLog::off())
+    }
+
+    /// [`Farm::uncordon`], its round recorded in `spans` as
+    /// [`Farm::deploy_compiled_traced`] records one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Farm::uncordon`].
+    pub fn uncordon_traced(
+        &mut self,
+        switch: SwitchId,
+        spans: &mut SpanLog,
+    ) -> Result<Plan, Error> {
+        let slot = (self.network.slot_of(switch)).ok_or(Error::UnknownSwitch(switch))?;
+        self.rows[slot].cordoned = false;
+        self.patch_live(slot);
+        self.replan_traced(spans)
+    }
+
+    /// The kept live list, if there is one, follows switch `slot`'s
+    /// cordon ([`Live::set`]). Faults that can change many switches'
+    /// reachability or capacity at once empty the list instead.
+    fn patch_live(&mut self, slot: usize) {
+        if let Some(live) = self.live.get_mut() {
+            live.set(slot, &self.network, &self.rows);
+        }
     }
 
     /// Switches currently cordoned by [`Farm::drain`], in id order.
@@ -1749,7 +1841,7 @@ pub(crate) mod tests {
         for trigger in &mut task.machines[0].triggers {
             trigger.ival = trigger.ival.recip();
         }
-        assert!(farm.deploy(vec![task]).is_err());
+        assert!(farm.deploy(vec![task], &mut SpanLog::off()).is_err());
         assert_eq!(farm.seed_statuses(), before);
         let ids = farm.network().switch_ids();
         let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();

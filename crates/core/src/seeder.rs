@@ -19,7 +19,7 @@ use std::time::Instant;
 use farm_almanac::compile::{CompiledMachine, CompiledTask};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
-use farm_placement::build::{task_rows, TaskRows};
+use farm_placement::build::{task_rows, Scope, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{
@@ -145,15 +145,11 @@ struct Catalog {
     round: Option<Round>,
 }
 
-/// What [`PlacementInstance::begin_round`] left the catalog's task lists
-/// scoped against, kept current through every splice since: the next
-/// round over the same live switches scopes only the tasks spliced in.
+/// The catalog's round scope ([`Scope`]), kept current through every
+/// splice since it was taken, and the tasks spliced in since.
 #[derive(Debug)]
 struct Round {
-    /// The live switch ids, ascending.
-    live: Vec<SwitchId>,
-    /// The seeds with no live candidate, ascending.
-    held: Vec<usize>,
+    scope: Scope,
     /// Tasks spliced in since, whose lists are still empty.
     spliced: Vec<usize>,
 }
@@ -220,9 +216,9 @@ impl Catalog {
         let inserted = machines.is_some();
         self.machines
             .splice(t..t + usize::from(!inserted), machines);
-        let map = self.instance.splice_task(t, old, rows);
+        let map = self.instance.splice_task(t, old.clone(), rows);
         if let Some(round) = &mut self.round {
-            round.held.retain_mut(|s| map[*s].map(|n| *s = n).is_some());
+            round.scope.splice(old, added, &map);
             if inserted {
                 round
                     .spliced
@@ -243,35 +239,31 @@ impl Catalog {
     }
 
     /// Points the instance at this round's live switches and previous
-    /// placement, and scopes its task lists: over the last round's live
-    /// switch ids only the tasks spliced in since are scoped, over any
-    /// other set every task ([`PlacementInstance::begin_round`]).
-    /// Returns the held seeds.
+    /// placement, and scopes its task lists: against the last round's
+    /// scope only the seeds the switches that joined or left can move
+    /// ([`Scope::follow`]) and the tasks spliced in since, otherwise
+    /// every task ([`PlacementInstance::begin_round`]). Returns the held
+    /// seeds.
     fn begin_round(
         &mut self,
         switches: &[(SwitchId, Resources)],
         previous: Option<PreviousPlacement>,
     ) -> Vec<usize> {
-        let same = |round: &&mut Round| {
-            let ids = switches.iter().map(|(n, _)| n);
-            round.live.len() == switches.len() && round.live.iter().eq(ids)
-        };
         let instance = &mut self.instance;
-        if let Some(round) = self.round.as_mut().filter(same) {
+        if let Some(round) = &mut self.round {
             instance.switches.clear();
             instance.switches.extend_from_slice(switches);
-            instance.previous = previous;
-            for t in std::mem::take(&mut round.spliced) {
-                round.held.extend(instance.scope_task(t, &round.live));
+            if round.scope.follow(instance).is_some() {
+                instance.previous = previous;
+                for t in std::mem::take(&mut round.spliced) {
+                    round.scope.scope_task(instance, t);
+                }
+                return round.scope.held().to_vec();
             }
-            round.held.sort_unstable();
-            return round.held.clone();
         }
         let held = instance.begin_round(switches, previous);
-        let live: Vec<SwitchId> = switches.iter().map(|(n, _)| *n).collect();
-        self.round = live.is_sorted().then(|| Round {
-            live,
-            held: held.clone(),
+        self.round = Scope::of(instance, held.clone()).map(|scope| Round {
+            scope,
             spliced: Vec::new(),
         });
         held
@@ -286,17 +278,18 @@ impl Catalog {
         let mut fresh = self.instance.clone();
         let held = fresh.begin_round(&self.instance.switches, None);
         let ids = self.instance.switches.iter().map(|(n, _)| n);
-        if !round.live.iter().eq(ids) {
+        if !round.scope.live().iter().eq(ids) {
             return Err("round: live ids are not the round's switches".into());
         }
         let spliced = |s: &usize| round.spliced.contains(&self.instance.seeds[*s].task);
         let want: Vec<usize> = held.into_iter().filter(|s| !spliced(s)).collect();
-        if round.held != want {
+        if round.scope.held() != want {
             return Err(format!(
                 "round: held {:?}, scoping holds {want:?}",
-                round.held
+                round.scope.held()
             ));
         }
+        round.scope.check(&self.instance)?;
         for (t, (kept, task)) in self.instance.tasks.iter().zip(&fresh.tasks).enumerate() {
             let want: &[usize] = if round.spliced.contains(&t) {
                 &[]

@@ -34,6 +34,9 @@ COMMANDS:
     remove <task>                       Remove a deployed task
     pods                                List federation pods (fedd)
     migrate <task> <pod>                Move a task to another pod (fedd)
+    trace [<op-id>]                     The spans of a recent op, or the
+                                        ids and spans of every op the
+                                        daemon still holds
     shutdown                            Gracefully stop the daemon
 
 OPTIONS:
@@ -99,10 +102,49 @@ fn main() -> ExitCode {
             return list_pages(&mut session, *from_index, *limit, json);
         }
     }
+    let trace = matches!(op, ControlOp::Trace { .. });
     match session.op(op) {
+        Ok(ControlReply::Json { body }) if trace && !json => print_trace(&body),
         Ok(reply) => render(&reply, json),
         Err(e) => fail(&format!("{addr}: {e}")),
     }
+}
+
+/// A `trace` body as one block per op: its id and kind, then its spans
+/// by start, each indented under the spans that enclose it (a span that
+/// starts where another ends follows it).
+fn print_trace(body: &str) -> ExitCode {
+    let Ok(doc) = Json::parse(body) else {
+        return fail(&format!("unreadable trace body: {body}"));
+    };
+    let ops = doc.get("ops").and_then(Json::as_arr).unwrap_or_default();
+    if ops.is_empty() {
+        println!("no such op in the trace ring");
+        return ExitCode::FAILURE;
+    }
+    for op in ops {
+        let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_default();
+        let kind = op.get("kind").and_then(Json::as_str).unwrap_or("?");
+        println!("op {} {kind}", field(op, "id"));
+        let spans = op.get("spans").and_then(Json::as_arr).unwrap_or_default();
+        let mut spans: Vec<(u64, u64, &str)> = (spans.iter())
+            .map(|s| {
+                let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
+                (field(s, "start_us"), field(s, "end_us"), name)
+            })
+            .collect();
+        spans.sort_by_key(|&(start, end, _)| (start, std::cmp::Reverse(end)));
+        let mut open: Vec<u64> = Vec::new();
+        for (start, end, name) in spans {
+            while open.last().is_some_and(|&e| start >= e || end > e) {
+                open.pop();
+            }
+            let indent = "  ".repeat(open.len() + 1);
+            println!("{indent}{name:<12} {start:>8} .. {end:>8} us");
+            open.push(end);
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// A farmd session with bounded retry: ops that die on a
@@ -258,6 +300,12 @@ fn build_op(command: &str, args: &[String]) -> Result<ControlOp, String> {
             Ok(ControlOp::MigrateTask { task, to_pod })
         }
         "shutdown" => Ok(ControlOp::Shutdown),
+        "trace" => match args.first() {
+            Some(id) => (id.parse().ok())
+                .map(|id| ControlOp::Trace { id })
+                .ok_or(format!("`trace` takes an op id, not `{id}`")),
+            None => Ok(ControlOp::Trace { id: 0 }),
+        },
         other => Err(format!("unknown command `{other}` (see --help)")),
     }
 }

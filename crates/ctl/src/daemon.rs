@@ -16,11 +16,17 @@
 //!
 //! Every op is audited by [`Dispatch::answer`]: `<prefix>.ops`,
 //! `<prefix>.op.<kind>`, `<prefix>.rejected`, `<prefix>.op_latency_us`.
+//! It is also traced: its trace id is seeded from the request's
+//! correlation id, and its spans — `serve` around the whole op, and what
+//! the core records ([`Core::serve`]) — go to a ring of the last 256
+//! ops, which [`ControlOp::Trace`] reads (`farmctl trace`).
 //! A `Shutdown` op (or a signal, seen at the next turn, or
 //! [`Daemon::stop`]) ends the loop; replies already queued
 //! get up to `shutdown_drain` to reach their sockets while later frames
 //! are refused, then [`Core::drained`] runs.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener};
@@ -31,7 +37,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use farm_net::{ControlOp, ControlReply, Envelope, Frame, Links, Peers, Reactor};
-use farm_telemetry::{Counter, Histogram, Telemetry};
+use farm_telemetry::{Counter, Histogram, Json, Span, Telemetry};
 
 use crate::config::{err, ConfigError, ServerConfig};
 
@@ -57,9 +63,10 @@ pub trait Core: Sized + 'static {
     /// The core's outbound sessions, which the reactor watches, and
     /// its clock.
     fn links(&self) -> &Self::Peers;
-    /// Serves one op at `now`. Total: every failure becomes a
-    /// structured reply, never a panic.
-    fn serve(&mut self, op: &ControlOp, now: Instant) -> ControlReply;
+    /// Serves one op at `now`, appending what it records of the op's
+    /// phases to `spans`, timed on the core's clock from `now`. Total:
+    /// every failure becomes a structured reply, never a panic.
+    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply;
     /// Runs after every turn of the reactor: after the ops that turn
     /// served, when an outbound session is ready, and at least every
     /// 5 ms while idle.
@@ -73,6 +80,63 @@ pub trait Core: Sized + 'static {
 /// Longest wait of one turn, ms: the core's tick cadence while idle.
 pub const TURN_MS: i32 = 5;
 
+/// Ops whose spans a daemon keeps ([`ControlOp::Trace`]).
+const TRACE_RING: usize = 256;
+
+/// One served op in the trace ring.
+struct OpTrace {
+    id: u64,
+    kind: &'static str,
+    spans: Vec<Span>,
+}
+
+/// The spans of the last [`TRACE_RING`] ops, oldest first, and how many
+/// ops were traced.
+#[derive(Default)]
+struct TraceRing {
+    ops: VecDeque<OpTrace>,
+    traced: u64,
+}
+
+impl TraceRing {
+    /// An op's trace id: the ops traced before it, one-based, in the high
+    /// half, the request's correlation id in the low half — unique in
+    /// the ring, whichever client numbered the request.
+    fn next_id(&mut self, corr: u64) -> u64 {
+        self.traced += 1;
+        self.traced << 32 | corr & u64::from(u32::MAX)
+    }
+
+    fn push(&mut self, op: OpTrace) {
+        if self.ops.len() == TRACE_RING {
+            self.ops.pop_front();
+        }
+        self.ops.push_back(op);
+    }
+
+    /// The JSON body that answers [`ControlOp::Trace`]: op `id`, or every
+    /// op held for `id` 0, oldest first.
+    fn body(&self, id: u64) -> String {
+        let ops = (self.ops.iter())
+            .filter(|op| id == 0 || op.id == id)
+            .map(|op| {
+                let spans = op.spans.iter().map(|s| {
+                    Json::obj([
+                        ("name", Json::from(s.name)),
+                        ("start_us", Json::from(s.start_us)),
+                        ("end_us", Json::from(s.end_us)),
+                    ])
+                });
+                Json::obj([
+                    ("id", Json::from(op.id)),
+                    ("kind", Json::from(op.kind)),
+                    ("spans", Json::Arr(spans.collect())),
+                ])
+            });
+        Json::obj([("ops", Json::Arr(ops.collect()))]).to_string()
+    }
+}
+
 /// Serves and accounts a core's ops: what the core thread does with
 /// each frame a turn reads, until `stop` is up.
 pub struct Dispatch {
@@ -81,6 +145,7 @@ pub struct Dispatch {
     ops: Arc<Counter>,
     rejected: Arc<Counter>,
     latency: Arc<Histogram>,
+    ring: RefCell<TraceRing>,
 }
 
 impl Dispatch {
@@ -94,6 +159,7 @@ impl Dispatch {
             rejected: telemetry.counter(&format!("{prefix}.rejected")),
             latency: telemetry.latency_histogram(&format!("{prefix}.op_latency_us")),
             telemetry,
+            ring: RefCell::default(),
         }
     }
 
@@ -115,8 +181,25 @@ impl Dispatch {
         self.telemetry
             .counter(&format!("{}.op.{kind}", C::PREFIX))
             .inc();
-        let reply = core.serve(op, started);
-        let elapsed_us = (core.links().now() - started).as_micros() as u64;
+        if let ControlOp::Trace { id } = op {
+            let body = self.ring.borrow().body(*id);
+            return Some(Frame::ControlReply {
+                reply: ControlReply::Json { body },
+            });
+        }
+        let mut spans = Vec::new();
+        let reply = core.serve(op, started, &mut spans);
+        let ended = core.links().now();
+        let elapsed_us = (ended - started).as_micros() as u64;
+        spans.push(Span {
+            name: "serve",
+            start_us: 0,
+            end_us: elapsed_us,
+        });
+        let mut ring = self.ring.borrow_mut();
+        let id = ring.next_id(env.corr);
+        ring.push(OpTrace { id, kind, spans });
+        drop(ring);
         self.latency.record(elapsed_us);
         let outcome = match &reply {
             ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {

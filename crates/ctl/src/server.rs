@@ -25,7 +25,7 @@ use farm_net::{
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::types::SwitchId;
-use farm_telemetry::{Counter, Gauge, Json, Snapshot};
+use farm_telemetry::{Counter, Gauge, Json, Snapshot, Span, SpanLog};
 
 use crate::ckpt;
 use crate::config::{FarmdConfig, ServerConfig};
@@ -63,6 +63,8 @@ struct Membership {
     /// When the next registration or beat is due.
     due: Instant,
     registrations: Arc<Counter>,
+    /// `fed.pod.beats_sent`: beats written to the coordinator.
+    sent: Arc<Counter>,
     beats: Arc<Counter>,
     errors: Arc<Counter>,
     /// `fed.pod.registered`: 1 while the coordinator knows the pod.
@@ -89,6 +91,7 @@ impl Membership {
             asked: None,
             due: links.now(),
             registrations: telemetry.counter("fed.pod.registrations"),
+            sent: telemetry.counter("fed.pod.beats_sent"),
             beats: telemetry.counter("fed.pod.heartbeats"),
             errors: telemetry.counter("fed.pod.errors"),
             up: telemetry.gauge("fed.pod.registered"),
@@ -135,8 +138,12 @@ impl Membership {
             } else {
                 self.manifest.clone()
             };
+            let beat = matches!(op, ControlOp::PodHeartbeat { .. });
             match links.request(self.link, Frame::Control { op }) {
                 Ok(corr) => {
+                    if beat {
+                        self.sent.inc();
+                    }
                     let wait = self.every.saturating_mul(COORDINATOR_BEATS);
                     self.asked = Some((corr, now + wait));
                 }
@@ -292,8 +299,11 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
         &self.links
     }
 
-    fn serve(&mut self, op: &ControlOp, _now: Instant) -> ControlReply {
-        serve_op(self, op)
+    /// A Submit records `compile`, `admission` and the farm's phases
+    /// (`register`, `replan` with its `plan`, `commit` and each `plant`
+    /// and `migrate`), a Drain or an Uncordon the farm's round.
+    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply {
+        serve_op(self, op, now, spans)
     }
 
     fn tick(&mut self, now: Instant) {
@@ -347,13 +357,40 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
     }
 }
 
-/// Serves one control op against the farm. Total: every failure becomes
-/// a structured reply, never a panic.
-fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp) -> ControlReply {
+/// Serves one control op against the farm, served at `now`, and appends
+/// its spans to `spans`. Total: every failure becomes a structured
+/// reply, never a panic.
+fn serve_op<P: Peers>(
+    core: &mut Core<P>,
+    op: &ControlOp,
+    now: Instant,
+    spans: &mut Vec<Span>,
+) -> ControlReply {
     let farm = &mut core.farm;
     match op {
-        ControlOp::SubmitProgram { name, source } => submit(core, name, source, false),
-        ControlOp::ExplainSubmit { name, source } => submit(core, name, source, true),
+        ControlOp::SubmitProgram { name, source } => {
+            submit(core, name, source, false, (now, spans))
+        }
+        ControlOp::ExplainSubmit { name, source } => submit(core, name, source, true, (now, spans)),
+        ControlOp::Drain { switch } => traced(core, (now, spans), |farm, log| {
+            match farm.drain_traced(SwitchId(*switch), log) {
+                Ok((_, evacuated)) => ControlReply::Drained {
+                    switch: *switch,
+                    evacuated: evacuated as u64,
+                },
+                Err(e) => ControlReply::Rejected {
+                    reason: e.to_string(),
+                },
+            }
+        }),
+        ControlOp::Uncordon { switch } => traced(core, (now, spans), |farm, log| {
+            match farm.uncordon_traced(SwitchId(*switch), log) {
+                Ok(_) => ControlReply::Ok,
+                Err(e) => ControlReply::Rejected {
+                    reason: e.to_string(),
+                },
+            }
+        }),
         ControlOp::ListSeeds { from_index, limit } => list_seeds(farm, *from_index, *limit),
         ControlOp::DescribeSeed { key } => describe(farm, key),
         ControlOp::Stats { from_index, limit } => ControlReply::Json {
@@ -361,21 +398,6 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp) -> ControlReply {
         },
         ControlOp::MetricsDump => ControlReply::Json {
             body: metrics_json(&farm.telemetry().snapshot()).to_string(),
-        },
-        ControlOp::Drain { switch } => match farm.drain(SwitchId(*switch)) {
-            Ok((_, evacuated)) => ControlReply::Drained {
-                switch: *switch,
-                evacuated: evacuated as u64,
-            },
-            Err(e) => ControlReply::Rejected {
-                reason: e.to_string(),
-            },
-        },
-        ControlOp::Uncordon { switch } => match farm.uncordon(SwitchId(*switch)) {
-            Ok(_) => ControlReply::Ok,
-            Err(e) => ControlReply::Rejected {
-                reason: e.to_string(),
-            },
         },
         ControlOp::Replan => match farm.replan() {
             Ok(plan) => ControlReply::Replanned {
@@ -394,7 +416,7 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp) -> ControlReply {
             name,
             source,
             seeds,
-        } => submit_with_snapshot(core, name, source, seeds),
+        } => submit_with_snapshot(core, name, source, seeds, (now, spans)),
         ControlOp::RemoveTask { task } => {
             if !farm.seeder().has_task(task) {
                 return ControlReply::Rejected {
@@ -419,7 +441,25 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp) -> ControlReply {
         | ControlOp::MigrateTask { .. } => ControlReply::Rejected {
             reason: format!("`{}` is a coordinator op; this is a pod (farmd)", op.kind()),
         },
+        ControlOp::Trace { .. } => ControlReply::Rejected {
+            reason: "`trace` is answered by the daemon, not its core".into(),
+        },
     }
+}
+
+/// Runs `serve` on the farm with a span log timed on the core's peers'
+/// clock from `now`, and appends what it recorded to `spans`.
+fn traced<P: Peers>(
+    core: &mut Core<P>,
+    (now, spans): (Instant, &mut Vec<Span>),
+    serve: impl FnOnce(&mut Farm, &mut SpanLog) -> ControlReply,
+) -> ControlReply {
+    let Core { farm, links, .. } = core;
+    let clock = || links.now();
+    let mut log = SpanLog::on(&clock, now);
+    let reply = serve(farm, &mut log);
+    spans.extend(log.finish());
+    reply
 }
 
 /// `ExportTask` (the migration export leg): checkpoint the task's live
@@ -457,8 +497,9 @@ fn submit_with_snapshot<P: Peers>(
     name: &str,
     source: &str,
     seeds: &[(String, SeedSnapshot)],
+    traced: (Instant, &mut Vec<Span>),
 ) -> ControlReply {
-    let submitted = submit(core, name, source, false);
+    let submitted = submit(core, name, source, false, traced);
     if !matches!(submitted, ControlReply::Submitted { .. }) {
         return submitted;
     }
@@ -470,7 +511,13 @@ fn submit_with_snapshot<P: Peers>(
 /// `SubmitProgram`: size gate → server-side compile with collected
 /// diagnostics → admission control → deploy. With `explain` the reply
 /// also says where the op's time went ([`explain_plan`]).
-fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str, explain: bool) -> ControlReply {
+fn submit<P: Peers>(
+    core: &mut Core<P>,
+    name: &str,
+    source: &str,
+    explain: bool,
+    (now, spans): (Instant, &mut Vec<Span>),
+) -> ControlReply {
     let Core {
         farm,
         config,
@@ -501,9 +548,16 @@ fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str, explain: bool)
             ),
         };
     }
-    // The only clock reads `explain` adds: before and after the compile,
-    // and after admission.
-    let began = explain.then(|| links.now());
+    let us = |at: Instant| at.saturating_duration_since(now).as_micros() as u64;
+    let mut span = |name, start: Instant, end: Instant| {
+        let (start_us, end_us) = (us(start), us(end));
+        spans.push(Span {
+            name,
+            start_us,
+            end_us,
+        });
+    };
+    let began = links.now();
     let task = {
         let ctl = SdnController::new(farm.network().topology());
         let report = compile_task_with_diagnostics(name, source, &BTreeMap::new(), &ctl);
@@ -526,15 +580,22 @@ fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str, explain: bool)
             }
         }
     };
-    let compiled = began.map(|began| (began, links.now()));
+    let compiled = links.now();
+    span("compile", began, compiled);
     if let Err(reason) = admission_check(farm, &task, config.quota) {
         return ControlReply::Rejected {
             reason: format!("task `{name}`: {reason}"),
         };
     }
-    let front = compiled.map(|(began, compiled)| (compiled - began, links.now() - compiled));
+    let admitted = links.now();
+    span("admission", compiled, admitted);
+    let front = explain.then(|| (compiled - began, admitted - compiled));
     let seeds = task.num_seeds() as u64;
-    match farm.deploy_compiled(task) {
+    let clock = || links.now();
+    let mut log = SpanLog::on(&clock, now);
+    let deployed = farm.deploy_compiled_traced(task, &mut log);
+    spans.extend(log.finish());
+    match deployed {
         Ok(plan) => {
             // Remember the source: checkpoints persist the catalog so a
             // restarted daemon can recompile and re-place every task.
@@ -950,7 +1011,14 @@ mod tests {
             poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
             state s { util (res) { return 1; } when (p as stats) do { } } }";
         let mut core = <Core as daemon::Core>::boot(FarmdConfig::default(), Links::default());
-        let reply = submit(&mut core, "w1", UNPLANTABLE, false);
+        let mut spans = Vec::new();
+        let reply = submit(
+            &mut core,
+            "w1",
+            UNPLANTABLE,
+            false,
+            (Instant::now(), &mut spans),
+        );
         assert!(matches!(reply, ControlReply::Rejected { .. }), "{reply:?}");
         assert!(!core.farm.seeder().has_task("w1"));
         let reply = submit(
@@ -958,6 +1026,7 @@ mod tests {
             "w1",
             "machine M { place any; state s { } }",
             false,
+            (Instant::now(), &mut spans),
         );
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         assert!(core.programs.contains_key("w1"));
@@ -976,7 +1045,9 @@ mod tests {
             ("not-a-seed-key".to_string(), snap),
         ];
         let source = "machine M { place any; state s { } }";
-        let reply = submit_with_snapshot(&mut core, "w1", source, &seeds);
+        let mut spans = Vec::new();
+        let traced = (Instant::now(), &mut spans);
+        let reply = submit_with_snapshot(&mut core, "w1", source, &seeds, traced);
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         let registry = core.farm.telemetry().snapshot();
         assert_eq!(registry.counter("ctl.restore_skipped"), 1);

@@ -29,7 +29,7 @@ use farm_ctl::stats::{page, StatsDoc};
 use farm_net::{
     ControlOp, ControlReply, Frame, LinkId, Links, NetError, Peers, PodInfo, SeedDescriptor,
 };
-use farm_telemetry::{Gauge, Json, Telemetry};
+use farm_telemetry::{Gauge, Json, Span, Telemetry};
 
 use crate::config::FeddConfig;
 use crate::registry::Registry;
@@ -88,7 +88,7 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
         &self.links
     }
 
-    fn serve(&mut self, op: &ControlOp, now: Instant) -> ControlReply {
+    fn serve(&mut self, op: &ControlOp, now: Instant, _spans: &mut Vec<Span>) -> ControlReply {
         serve_op(self, op, now)
     }
 
@@ -151,6 +151,9 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp, now: Instant) -> Contr
                 ),
             }
         }
+        ControlOp::Trace { .. } => ControlReply::Rejected {
+            reason: "`trace` is answered by the daemon, not its core".into(),
+        },
     }
 }
 

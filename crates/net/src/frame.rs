@@ -253,6 +253,10 @@ wire_enum! {
         /// times and solve report ([`ControlReply::Submitted`]'s
         /// `explain`). fedd answers it as a plain submit.
         18 "submit-explain" ExplainSubmit { name: String, source: String },
+        /// The spans of op `id` in the daemon's trace ring, or of every
+        /// op it still holds for `id` 0, as a JSON body. Answered by the
+        /// daemon skeleton, not the core.
+        19 "trace" Trace { id: u64 },
     }
 }
 
@@ -334,7 +338,7 @@ wire_struct! {
 wire_struct! {
     /// How much of a solve was served from the solver's memory: the
     /// placement crate's `DeltaReport`, field for field but for
-    /// `pairs_read`, which stays in process.
+    /// `pairs_read` and `runs_patched`, which stay in process.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct DeltaCounts {
         pub lp_switches: u64,

@@ -226,6 +226,7 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (op(ControlOp::SubmitWithSnapshot { name: "mon".into(), source: SOURCE.into(), seeds: vec![("mon/m0/s0".into(), snapshot()), ("mon/m0/s1".into(), snapshot())] }), "95010109000510036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d02096d6f6e2f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d096d6f6e2f6d302f73310001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"),
         (op(ControlOp::RemoveTask { task: "mon".into() }), "090109000511036d6f6e"),
         (op(ControlOp::ExplainSubmit { name: "mon".into(), source: SOURCE.into() }), "2e0109000512036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d"),
+        (op(ControlOp::Trace { id: 4_294_967_297 }), "0a01090005138180808010"),
         // ---- control replies ---------------------------------------
         (reply(ControlReply::Ok), "05010a010500"),
         (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6, explain: None }), "0b010a010501036d6f6e0506"),
@@ -300,7 +301,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
             Frame::Control { op } => Some(op.kind()),
             _ => None,
         }),
-        19,
+        20,
         "control op variants"
     );
     assert_eq!(

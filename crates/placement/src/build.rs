@@ -122,7 +122,7 @@ impl PlacementInstance {
     /// task on or back. The task rows' seed lists are the round's
     /// ([`PlacementInstance::begin_round`]): the other tasks' follow the
     /// renumbering, and an inserted task's is empty until it is scoped
-    /// ([`PlacementInstance::scope_task`]).
+    /// ([`Scope::scope_task`]).
     ///
     /// Returns the old → new seed map for [`crate::delta::SolveState::remap`]:
     /// a seed before the splice keeps its index, a spliced-out one maps
@@ -172,32 +172,6 @@ impl PlacementInstance {
         map
     }
 
-    /// Scopes task `t`'s seed list to its seeds with a candidate among
-    /// `live` (ascending), as [`PlacementInstance::begin_round`] scopes
-    /// every task, and returns the others, ascending. The instance's
-    /// seeds are laid out task by task, as a catalog of
-    /// [`PlacementInstance::splice_task`] keeps them.
-    pub fn scope_task(&mut self, t: usize, live: &[SwitchId]) -> Vec<usize> {
-        debug_assert!(live.is_sorted() && self.seeds.is_sorted_by_key(|s| s.task));
-        let start = self.seeds.partition_point(|s| s.task < t);
-        let end = start + self.seeds[start..].partition_point(|s| s.task == t);
-        let list = &mut self.tasks[t].seeds;
-        list.clear();
-        let mut held = Vec::new();
-        for (s, seed) in self.seeds[start..end].iter().enumerate() {
-            if seed
-                .candidates
-                .iter()
-                .any(|n| live.binary_search(n).is_ok())
-            {
-                list.push(start + s);
-            } else {
-                held.push(start + s);
-            }
-        }
-        held
-    }
-
     /// Points the instance at one planning round: this round's live
     /// switches, the placement it starts from, and every task's seed
     /// list scoped to the seeds that have somewhere to go.
@@ -232,6 +206,210 @@ impl PlacementInstance {
         }
         held
     }
+}
+
+/// A round's scope kept between rounds: what
+/// [`PlacementInstance::begin_round`] left the task lists scoped
+/// against, followed since. Beside the live ids and the held seeds it
+/// keeps one live candidate per scoped seed, its *witness*: a seed can
+/// leave the scope only when its witness leaves the live set, and come
+/// back only when a switch it has as candidate joins, so the next round
+/// visits those seeds and no others ([`Scope::follow`]).
+#[derive(Debug, Clone, Default)]
+pub struct Scope {
+    /// The live switch ids, strictly ascending.
+    live: Vec<SwitchId>,
+    /// The seeds with no live candidate, ascending.
+    held: Vec<usize>,
+    /// Per seed, a live candidate of a scoped seed; `None` for a held
+    /// seed and for a seed of a task no round scoped yet.
+    witness: Vec<Option<SwitchId>>,
+}
+
+impl Scope {
+    /// The scope [`PlacementInstance::begin_round`] just left `instance`
+    /// in, holding `held`; `None` when the instance's switch ids are not
+    /// strictly ascending.
+    pub fn of(instance: &PlacementInstance, held: Vec<usize>) -> Option<Scope> {
+        let live: Vec<SwitchId> = instance.switches.iter().map(|(n, _)| *n).collect();
+        if !live.windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        let mut scope = Scope {
+            live,
+            held,
+            witness: vec![None; instance.seeds.len()],
+        };
+        for t in 0..instance.tasks.len() {
+            scope.witness_task(instance, t);
+        }
+        Some(scope)
+    }
+
+    /// The live switch ids, ascending.
+    pub fn live(&self) -> &[SwitchId] {
+        &self.live
+    }
+
+    /// The held seeds, ascending.
+    pub fn held(&self) -> &[usize] {
+        &self.held
+    }
+
+    /// Brings the scope and `instance`'s task lists to the instance's
+    /// switches: a scoped seed whose witness left takes another live
+    /// candidate or is held, and a held seed with a candidate that
+    /// joined is scoped again; every other seed keeps its place in its
+    /// task's list. Returns how many switches joined or left, or `None`,
+    /// with both untouched, when the switch ids are not strictly
+    /// ascending.
+    pub fn follow(&mut self, instance: &mut PlacementInstance) -> Option<usize> {
+        let ids = instance.switches.iter().map(|(n, _)| n);
+        if self.live.len() == instance.switches.len() && self.live.iter().eq(ids) {
+            return Some(0);
+        }
+        let (joined, left) = diff(&self.live, &instance.switches)?;
+        if joined.is_empty() && left.is_empty() {
+            return Some(0);
+        }
+        self.live.clear();
+        self.live.extend(instance.switches.iter().map(|(n, _)| *n));
+        if !left.is_empty() {
+            for s in 0..self.witness.len() {
+                if self.witness[s].is_none_or(|w| left.binary_search(&w).is_err()) {
+                    continue;
+                }
+                let seed = &instance.seeds[s];
+                self.witness[s] = first_in(&seed.candidates, &self.live);
+                if self.witness[s].is_none() {
+                    let list = &mut instance.tasks[seed.task].seeds;
+                    let at = list.binary_search(&s).expect("a witnessed seed is scoped");
+                    list.remove(at);
+                    self.held.push(s);
+                }
+            }
+        }
+        if !joined.is_empty() {
+            let witness = &mut self.witness;
+            self.held.retain(|&s| {
+                let seed = &instance.seeds[s];
+                witness[s] = first_in(&seed.candidates, &joined);
+                if witness[s].is_none() {
+                    return true;
+                }
+                let list = &mut instance.tasks[seed.task].seeds;
+                let at = list
+                    .binary_search(&s)
+                    .expect_err("a held seed is out of scope");
+                list.insert(at, s);
+                false
+            });
+        }
+        self.held.sort_unstable();
+        Some(joined.len() + left.len())
+    }
+
+    /// Scopes task `t`'s seed list, empty until now (a task spliced in
+    /// since the scope was taken), as [`PlacementInstance::begin_round`]
+    /// scopes every task: its seeds with a live candidate in the list,
+    /// the others held. The instance's seeds are laid out task by task,
+    /// as a catalog of [`PlacementInstance::splice_task`] keeps them.
+    pub fn scope_task(&mut self, instance: &mut PlacementInstance, t: usize) {
+        debug_assert!(instance.seeds.is_sorted_by_key(|s| s.task));
+        let start = instance.seeds.partition_point(|s| s.task < t);
+        let end = start + instance.seeds[start..].partition_point(|s| s.task == t);
+        let list = &mut instance.tasks[t].seeds;
+        list.clear();
+        for (s, seed) in instance.seeds[start..end].iter().enumerate() {
+            let s = start + s;
+            self.witness[s] = first_in(&seed.candidates, &self.live);
+            match self.witness[s] {
+                Some(_) => list.push(s),
+                None => self.held.push(s),
+            }
+        }
+        self.held.sort_unstable();
+    }
+
+    /// The seed rows `seeds` were spliced out and `added` spliced in
+    /// their place, renumbering the seeds as `map` says
+    /// ([`PlacementInstance::splice_task`]): the spliced-in seeds are
+    /// not scoped until [`Scope::scope_task`].
+    pub fn splice(&mut self, seeds: Range<usize>, added: usize, map: &[Option<usize>]) {
+        self.witness.splice(seeds, std::iter::repeat_n(None, added));
+        self.held.retain_mut(|s| map[*s].map(|n| *s = n).is_some());
+    }
+
+    /// Holds the witnesses to the instance: a seed is in its task's list
+    /// exactly when it has a witness, which is a live candidate of it.
+    ///
+    /// # Errors
+    ///
+    /// The first seed whose witness does not hold, named.
+    pub fn check(&self, instance: &PlacementInstance) -> Result<(), String> {
+        if self.witness.len() != instance.seeds.len() {
+            return Err(format!(
+                "scope: {} witnesses, {} seeds",
+                self.witness.len(),
+                instance.seeds.len()
+            ));
+        }
+        for (s, seed) in instance.seeds.iter().enumerate() {
+            let scoped = (instance.tasks[seed.task].seeds).binary_search(&s).is_ok();
+            let w = self.witness[s];
+            let live = w.is_some_and(|w| {
+                seed.candidates.contains(&w) && self.live.binary_search(&w).is_ok()
+            });
+            if scoped != live || w.is_some() != scoped {
+                return Err(format!(
+                    "scope: seed {s} scoped {scoped}, witness {w:?} (a live candidate: {live})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Witnesses task `t`'s scoped seeds: each one's first live
+    /// candidate.
+    fn witness_task(&mut self, instance: &PlacementInstance, t: usize) {
+        for &s in &instance.tasks[t].seeds {
+            self.witness[s] = first_in(&instance.seeds[s].candidates, &self.live);
+        }
+    }
+}
+
+/// The first of `candidates` in `ids` (ascending).
+fn first_in(candidates: &[SwitchId], ids: &[SwitchId]) -> Option<SwitchId> {
+    (candidates.iter().copied()).find(|n| ids.binary_search(n).is_ok())
+}
+
+/// The switches that joined `old` in `new` and left it, both ascending;
+/// `None` when `new`'s ids are not strictly ascending.
+fn diff(old: &[SwitchId], new: &[(SwitchId, Resources)]) -> Option<(Vec<SwitchId>, Vec<SwitchId>)> {
+    if !new.windows(2).all(|w| w[0].0 < w[1].0) {
+        return None;
+    }
+    let (mut joined, mut left) = (Vec::new(), Vec::new());
+    let (mut a, mut b) = (0, 0);
+    while a < old.len() || b < new.len() {
+        match (old.get(a).copied(), new.get(b).map(|n| n.0)) {
+            (Some(o), Some(n)) if o == n => (a, b) = (a + 1, b + 1),
+            (Some(o), Some(n)) if n < o => {
+                joined.push(n);
+                b += 1;
+            }
+            (Some(o), _) => {
+                left.push(o);
+                a += 1;
+            }
+            (None, Some(n)) => {
+                joined.push(n);
+                b += 1;
+            }
+            (None, None) => unreachable!(),
+        }
+    }
+    Some((joined, left))
 }
 
 #[cfg(test)]

@@ -52,7 +52,13 @@
 //! higher key, and of equal key and lower task index. The sort is
 //! stable over the task index and a splice keeps the tasks' relative
 //! order, so that is the layout's order; a NaN key, or kept runs out of
-//! that order, lay the order out again instead. A new order whose
+//! that order, lay the order out again instead. A run whose members
+//! changed only because seeds entered or left the round's scope (a
+//! drain, an uncordon) is patched in its place the same way: its key is
+//! summed again in member order, a leaving seed's step goes and a
+//! returning seed's comes in at its stable-sorted place — unless the new
+//! key sorts the run elsewhere, when steps that stay would pass each
+//! other and the order is laid out again. A new order whose
 //! surviving steps keep their relative order and their tasks is the old
 //! one with steps added and removed: the added steps are visited, and a
 //! removed step's ops no longer fit the order, so their switches start
@@ -580,6 +586,9 @@ pub struct DeltaReport {
     pub pairs_read: usize,
     /// Seeds step 5 relocated.
     pub relocated: usize,
+    /// Runs of the step order patched in place because seeds entered or
+    /// left the round's scope, rather than laid out again.
+    pub runs_patched: usize,
 }
 
 /// What changed since the last solve that the solver cannot see on its
@@ -1161,6 +1170,8 @@ struct Reorder {
     gone: Vec<u32>,
     /// Slots holding a close that can no longer be derived again.
     closes: Vec<usize>,
+    /// Runs patched in place ([`Order::splice`]).
+    patched: usize,
 }
 
 impl Order {
@@ -1256,7 +1267,7 @@ impl Order {
             // steps go on the worklist as unclean ones.
             return re;
         }
-        if let Some(re) = self.splice(instance, &runs, key, sorted) {
+        if let Some(re) = self.splice(instance, &runs, (&redo, outcome), key, sorted) {
             return re;
         }
         // Lay the order out again: a kept run keeps its key and steps.
@@ -1363,57 +1374,87 @@ impl Order {
         re
     }
 
-    /// The order as the last one with whole runs added and removed, when
-    /// that is what changed: every task with seeds keeps its run (the
-    /// same members, none of them new or dirty) or is new (none of its
-    /// seeds has a step), and every run no task keeps lost all its seeds
-    /// to the remap. The kept runs stay in their order with their keys,
-    /// steps and fail points; a new task's run goes where the layout's
-    /// sort puts it — after the runs of higher key, and of equal key and
-    /// lower task index — and its steps on the worklist. `None`, with
-    /// the order untouched, when the change is of another shape, a key
-    /// is NaN, or the kept runs are not in the sort's order.
+    /// The order as the last one with runs added, removed and patched,
+    /// when that is what changed. Every task with seeds keeps its run
+    /// (the same members, none of them new or dirty), patches it (seeds
+    /// entered or left the round's scope and nothing else changed:
+    /// [`Order::patchable`]) or is new (none of its seeds has a step),
+    /// and every run no task keeps or patches lost all its seeds, to the
+    /// remap or to the scope. The kept runs stay in their order with
+    /// their keys, steps and fail points. A patched run stays in its
+    /// place with its key summed again, in member order: a seed that
+    /// left goes (its switch starts over), one that came back takes its
+    /// stable-sorted place and goes on the worklist, and the fail point
+    /// follows the failed step — where that step left, the close it
+    /// left is checked from op 0 and the run's steps run. A new task's
+    /// run goes where the layout's sort puts it — after the runs of
+    /// higher key, and of equal key and lower task index — and its steps
+    /// on the worklist. `None`, with the order untouched, when the
+    /// change is of another shape, a key is NaN, or the kept and patched
+    /// runs are not in the sort's order (a run whose key sorts elsewhere
+    /// moves steps that stay past each other, and the layout finds the
+    /// order scrambled).
     fn splice(
         &mut self,
         instance: &PlacementInstance,
         runs: &[Option<(Run, bool)>],
+        (redo, outcome): (&[bool], &[u32]),
         key: impl Fn(usize) -> f64,
         sorted: impl Fn(usize) -> Vec<usize>,
     ) -> Option<Reorder> {
         let mut task_of = vec![u32::MAX; self.runs.len()];
+        // A patched run's new key and the members it no longer lists.
+        let mut patched: Vec<Option<(f64, Vec<usize>)>> = vec![None; self.runs.len()];
         let mut added = Vec::new();
         for (t, task) in instance.tasks.iter().enumerate() {
             if task.seeds.is_empty() {
                 continue;
             }
-            match runs[t] {
-                Some((run, true)) => {
-                    let r = self.run_of(run.start as usize);
-                    if std::mem::replace(&mut task_of[r], t as u32) != u32::MAX {
-                        return None;
-                    }
-                }
+            let r = match runs[t] {
+                Some((run, true)) => self.run_of(run.start as usize),
                 Some(_) => return None,
                 None => {
-                    let has_step = |&s: &usize| self.step_of[s] != NO_STEP;
                     let k = key(t);
-                    if k.is_nan() || task.seeds.iter().any(has_step) {
+                    if k.is_nan() {
                         return None;
                     }
-                    added.push((k, t));
+                    let stepped = task.seeds.iter().find(|&&s| self.step_of[s] != NO_STEP);
+                    let Some(&s) = stepped else {
+                        added.push((k, t));
+                        continue;
+                    };
+                    let r = self.run_of(self.step_of[s] as usize);
+                    if redo[r] {
+                        return None;
+                    }
+                    patched[r] = Some((k, self.patchable(instance, r, t)?));
+                    r
                 }
+            };
+            if std::mem::replace(&mut task_of[r], t as u32) != u32::MAX {
+                return None;
             }
         }
+        // A run no task keeps: its seeds went with the remap or left the
+        // scope, each in no task's list.
+        let listed = |s: usize| {
+            let t = instance.seeds[s].task;
+            instance.tasks[t].seeds.binary_search(&s).is_ok()
+        };
         let mut last: Option<(f64, u32)> = None;
-        for (run, &t) in self.runs.iter().zip(&task_of) {
+        for ((run, &t), patch) in self.runs.iter().zip(&task_of).zip(&patched) {
             let span = run.start as usize..run.end as usize;
             if t == u32::MAX {
-                if self.steps[span].iter().any(|&s| s != u32::MAX) {
+                let steps = self.steps[span].iter().filter(|&&s| s != u32::MAX);
+                if steps
+                    .map(|&s| s as usize)
+                    .any(|s| s >= instance.seeds.len() || listed(s))
+                {
                     return None;
                 }
                 continue;
             }
-            let k = f64::from_bits(run.key);
+            let k = patch.as_ref().map_or(f64::from_bits(run.key), |p| p.0);
             if k.is_nan() || last.is_some_and(|(lk, lt)| lk < k || lk == k && lt > t) {
                 return None;
             }
@@ -1424,19 +1465,30 @@ impl Order {
         let old_runs = std::mem::take(&mut self.runs);
         let old_steps = std::mem::take(&mut self.steps);
         let old_members = std::mem::take(&mut self.members);
-        let new: usize = added.iter().map(|a| instance.tasks[a.1].seeds.len()).sum();
-        self.steps.reserve_exact(old_steps.len() + new);
-        self.members.reserve_exact(old_members.len() + new);
+        let listed_now: usize = instance.tasks.iter().map(|t| t.seeds.len()).sum();
+        self.steps.reserve_exact(listed_now);
+        self.members.reserve_exact(listed_now);
         let mut re = Reorder::default();
+        for (run, &t) in old_runs.iter().zip(&task_of) {
+            if t == u32::MAX {
+                let span = run.start as usize..run.end as usize;
+                for &s in old_steps[span].iter().filter(|&&s| s != u32::MAX) {
+                    self.step_of[s as usize] = NO_STEP;
+                    re.gone.push(s);
+                }
+            }
+        }
         let mut added = added.into_iter().peekable();
-        let kept = old_runs.iter().zip(task_of).filter(|r| r.1 != u32::MAX);
-        for run in kept.map(Some).chain([None]) {
-            let first = |&(k, a): &(f64, usize)| {
-                run.is_none_or(|(run, t)| {
-                    let rk = f64::from_bits(run.key);
-                    k > rk || k == rk && a < t as usize
-                })
-            };
+        let kept = (0..old_runs.len()).filter(|&r| task_of[r] != u32::MAX);
+        for r in kept.map(Some).chain([None]) {
+            let rk = r.map(|r| {
+                let k = patched[r]
+                    .as_ref()
+                    .map_or(f64::from_bits(old_runs[r].key), |p| p.0);
+                (k, task_of[r] as usize)
+            });
+            let first =
+                |&(k, a): &(f64, usize)| rk.is_none_or(|(rk, t)| k > rk || k == rk && a < t);
             while let Some((k, a)) = added.next_if(first) {
                 let start = self.steps.len() as u32;
                 for s in sorted(a) {
@@ -1456,25 +1508,117 @@ impl Order {
                     dropped: false,
                 });
             }
-            let Some((run, task)) = run else {
+            let (Some(r), Some((k, task))) = (r, rk) else {
                 break;
             };
+            let run = &old_runs[r];
             let (from, start) = (run.start as usize, self.steps.len() as u32);
-            for &s in &old_steps[from..run.end as usize] {
-                self.step_of[s as usize] = self.steps.len() as u32;
-                self.steps.push(s);
+            let old = &old_steps[from..run.end as usize];
+            let Some((_, leaving)) = &patched[r] else {
+                for &s in old {
+                    self.step_of[s as usize] = self.steps.len() as u32;
+                    self.steps.push(s);
+                }
+                self.members
+                    .extend_from_slice(&old_members[from..run.end as usize]);
+                self.runs.push(Run {
+                    task: task as u32,
+                    start,
+                    end: self.steps.len() as u32,
+                    fail: run.fail - run.start + start,
+                    ..*run
+                });
+                continue;
+            };
+            let members = &instance.tasks[task].seeds;
+            let rank = |s: usize| (instance.seeds[s].candidates.len(), s);
+            let mut back: Vec<usize> = (members.iter().copied())
+                .filter(|&s| self.step_of[s] == NO_STEP)
+                .collect();
+            back.sort_by_key(|&s| rank(s));
+            let mut back = back.into_iter().peekable();
+            for &s in old {
+                while let Some(b) = back.next_if(|&b| rank(b) < rank(s as usize)) {
+                    re.pending.push(self.steps.len());
+                    self.step_of[b] = self.steps.len() as u32;
+                    self.steps.push(b as u32);
+                }
+                if leaving.binary_search(&(s as usize)).is_err() {
+                    self.step_of[s as usize] = self.steps.len() as u32;
+                    self.steps.push(s);
+                }
             }
-            self.members
-                .extend_from_slice(&old_members[from..run.end as usize]);
+            for b in back {
+                re.pending.push(self.steps.len());
+                self.step_of[b] = self.steps.len() as u32;
+                self.steps.push(b as u32);
+            }
+            self.members.extend_from_slice(members);
+            let end = self.steps.len() as u32;
+            let mut fail = end;
+            if run.fail < run.end {
+                let failed = old_steps[run.fail as usize] as usize;
+                if leaving.binary_search(&failed).is_ok() {
+                    for &s in &old_steps[from..run.fail as usize] {
+                        let rec = outcome.get(s as usize).copied().unwrap_or(NOT_RUN);
+                        re.closes.extend(landing(rec).map(|(i, _)| i));
+                    }
+                    re.pending.extend(start as usize..end as usize);
+                } else {
+                    fail = self.step_of[failed];
+                }
+            }
+            for &s in leaving {
+                self.step_of[s] = NO_STEP;
+                re.gone.push(s as u32);
+            }
             self.runs.push(Run {
-                task,
+                task: task as u32,
                 start,
-                end: self.steps.len() as u32,
-                fail: run.fail - run.start + start,
-                ..*run
+                end,
+                key: k.to_bits(),
+                fail,
+                dropped: run.dropped,
             });
         }
+        re.gone.sort_unstable();
+        re.patched = patched.iter().flatten().count();
         Some(re)
+    }
+
+    /// The members run `r` no longer lists, ascending, when task `t`'s
+    /// list differs from them only by seeds that entered or left the
+    /// round's scope: every member is a seed of `t`, and every seed of
+    /// `t`'s list that is not a member has no step. `None` otherwise.
+    fn patchable(&self, instance: &PlacementInstance, r: usize, t: usize) -> Option<Vec<usize>> {
+        let run = &self.runs[r];
+        let old = &self.members[run.start as usize..run.end as usize];
+        let new = &instance.tasks[t].seeds;
+        let (mut a, mut b, mut leaving) = (0, 0, Vec::new());
+        while a < old.len() || b < new.len() {
+            let ascending = |l: &[usize], x: usize| x == 0 || x >= l.len() || l[x - 1] < l[x];
+            if !ascending(old, a) || !ascending(new, b) {
+                return None;
+            }
+            match (old.get(a).copied(), new.get(b).copied()) {
+                (Some(o), Some(n)) if o == n => (a, b) = (a + 1, b + 1),
+                (Some(o), Some(n)) if n < o => {
+                    (self.step_of[n] == NO_STEP).then_some(())?;
+                    b += 1;
+                }
+                (Some(o), _) => {
+                    (instance.seeds.get(o)?.task == t).then_some(())?;
+                    leaving.push(o);
+                    a += 1;
+                }
+                (None, Some(n)) => {
+                    (self.step_of[n] == NO_STEP).then_some(())?;
+                    b += 1;
+                }
+                (None, None) => unreachable!(),
+            }
+        }
+        Some(leaving)
     }
 
     /// Holds the kept order to a layout from scratch: the tasks with
@@ -1650,6 +1794,10 @@ enum Mode {
     Diverged,
 }
 
+/// A switch list entry that differs from the last solve's: where it is
+/// in the last list, and its new entry, or `None` for one that left.
+type Edit = (usize, Option<(SwitchId, Resources)>);
+
 /// Per-switch state, op logs and LP outputs, indexed by *slot*: a switch
 /// keeps its slot for the life of the memo, whether or not it is in the
 /// round.
@@ -1824,7 +1972,9 @@ impl Switches {
 
     /// Starts a solve over the instance's switches. One whose capacity
     /// bits and presence match the last solve starts `Clean`; one that
-    /// joined, or changed capacity, starts over at op 0.
+    /// joined, or changed capacity, starts over at op 0. Over a list
+    /// with ids ascending, as the last one was, only the switches that
+    /// joined, left or changed capacity are visited ([`Switches::diff`]).
     fn begin(&mut self, instance: &PlacementInstance) {
         for k in 0..self.active.len() {
             let i = self.active[k];
@@ -1839,58 +1989,148 @@ impl Switches {
         }
         self.left.clear();
         self.restarted.clear();
-        let same = self.last.len() == instance.switches.len()
-            && self
-                .last
-                .iter()
-                .zip(&instance.switches)
-                .all(|(a, b)| a.0 == b.0 && bits(&a.1) == bits(&b.1));
-        if same {
+        let list = &instance.switches;
+        let same = |last: &[(SwitchId, Resources)]| {
+            last.len() == list.len()
+                && (last.iter().zip(list)).all(|(a, b)| a.0 == b.0 && bits(&a.1) == bits(&b.1))
+        };
+        if same(&self.last) {
             return;
         }
-        self.last.clone_from(&instance.switches);
-        // Until the last loop, `moved` says whether a slot was in the
-        // last round and `touched` whether it is in this one.
-        for i in 0..self.ids.len() {
-            self.moved[i] = self.is_present(i);
-            self.mode[i] = Mode::Absent;
-        }
-        for (n, ares) in &instance.switches {
-            let i = self.slot(*n);
-            let same = self.moved[i] && bits(&self.states[i].ares) == bits(ares);
-            // A switch listed twice takes its last capacity, from op 0.
-            self.mode[i] = if same && !self.touched[i] {
-                Mode::Clean
-            } else {
-                self.logs[i].clear();
-                self.states[i].reset(*ares);
-                self.prior[i] = None;
-                self.settled[i] = false;
-                Mode::Diverged
-            };
-            self.touched[i] = true;
-        }
-        for i in 0..self.ids.len() {
-            let (was, now) = (self.moved[i], self.touched[i]);
-            if was && !now {
-                self.logs[i] = Vec::new();
-                self.kept[i] = None;
-                self.set_lp(i, false);
-                self.states[i] = SwitchState::new(Resources::ZERO);
-                self.settled[i] = false;
-                self.gone[i] = true;
-                self.left.push(i);
-            }
-            if now && self.mode[i] == Mode::Diverged {
-                self.restarted.push(i);
-            }
-            (self.touched[i], self.moved[i]) = (false, false);
+        match self.diff(list) {
+            Some(edits) => self.apply_diff(&edits),
+            None => self.walk(list),
         }
         for k in 0..self.restarted.len() {
             let i = self.restarted[k];
             self.touch(i);
         }
         self.shrink();
+    }
+
+    /// The entries of `list` that differ from the last solve's, in id
+    /// order. `None` when either list's ids are not strictly ascending.
+    fn diff(&self, list: &[(SwitchId, Resources)]) -> Option<Vec<Edit>> {
+        let (old, mut edits) = (&self.last, Vec::new());
+        let (mut a, mut b) = (0, 0);
+        while a < old.len() || b < list.len() {
+            let ascending = |l: &[(SwitchId, Resources)], x: usize| {
+                x == 0 || x >= l.len() || l[x - 1].0 < l[x].0
+            };
+            if !ascending(old, a) || !ascending(list, b) {
+                return None;
+            }
+            match (old.get(a), list.get(b)) {
+                (Some(o), Some(n)) if o.0 == n.0 => {
+                    if bits(&o.1) != bits(&n.1) {
+                        edits.push((a, Some(*n)));
+                    }
+                    (a, b) = (a + 1, b + 1);
+                }
+                (Some(o), Some(n)) if n.0 < o.0 => {
+                    edits.push((a, Some(*n)));
+                    b += 1;
+                }
+                (Some(_), _) => {
+                    edits.push((a, None));
+                    a += 1;
+                }
+                (None, Some(n)) => {
+                    edits.push((a, Some(*n)));
+                    b += 1;
+                }
+                (None, None) => unreachable!(),
+            }
+        }
+        Some(edits)
+    }
+
+    /// Applies [`Switches::diff`]'s edits: a switch that left gives up its
+    /// log and state, one that joined or changed capacity starts over at
+    /// op 0, and the last list takes the edits.
+    fn apply_diff(&mut self, edits: &[Edit]) {
+        let joined = edits.iter().filter(|&&(at, entry)| {
+            entry.is_some_and(|(n, _)| self.last.get(at).is_none_or(|o| o.0 != n))
+        });
+        self.last.reserve_exact(joined.count());
+        for &(at, entry) in edits.iter().rev() {
+            let old = self.last.get(at).copied();
+            match entry {
+                None => {
+                    let i = self.slot_of[&self.last[at].0] as usize;
+                    self.leave(i);
+                    self.last.remove(at);
+                }
+                Some((n, ares)) => {
+                    let i = self.slot(n);
+                    self.start_over(i, ares);
+                    self.restarted.push(i);
+                    if old.is_some_and(|o| o.0 == n) {
+                        self.last[at] = (n, ares);
+                    } else {
+                        self.last.insert(at, (n, ares));
+                    }
+                }
+            }
+        }
+        self.left.sort_unstable();
+        self.restarted.sort_unstable();
+    }
+
+    /// Brings every slot up to `list` in one walk: the general path, for
+    /// a list whose ids are not ascending. A switch listed twice takes
+    /// its last capacity, from op 0.
+    fn walk(&mut self, list: &[(SwitchId, Resources)]) {
+        self.last.clear();
+        self.last.extend_from_slice(list);
+        // Until the last loop, `moved` says whether a slot was in the
+        // last round and `touched` whether it is in this one.
+        for i in 0..self.ids.len() {
+            self.moved[i] = self.is_present(i);
+            self.mode[i] = Mode::Absent;
+        }
+        for (n, ares) in list {
+            let i = self.slot(*n);
+            let same = self.moved[i] && bits(&self.states[i].ares) == bits(ares);
+            if same && !self.touched[i] {
+                self.mode[i] = Mode::Clean;
+            } else {
+                self.start_over(i, *ares);
+            }
+            self.touched[i] = true;
+        }
+        for i in 0..self.ids.len() {
+            let (was, now) = (self.moved[i], self.touched[i]);
+            (self.touched[i], self.moved[i]) = (false, false);
+            if was && !now {
+                self.leave(i);
+            }
+            if now && self.mode[i] == Mode::Diverged {
+                self.restarted.push(i);
+            }
+        }
+    }
+
+    /// Slot `i` joins the round, or changes capacity to `ares`: its log
+    /// starts over at op 0.
+    fn start_over(&mut self, i: usize, ares: Resources) {
+        self.logs[i].clear();
+        self.states[i].reset(ares);
+        self.prior[i] = None;
+        self.settled[i] = false;
+        self.mode[i] = Mode::Diverged;
+    }
+
+    /// Slot `i` leaves the round with its log, state and LP output.
+    fn leave(&mut self, i: usize) {
+        self.mode[i] = Mode::Absent;
+        self.logs[i] = Vec::new();
+        self.kept[i] = None;
+        self.set_lp(i, false);
+        self.states[i] = SwitchState::new(Resources::ZERO);
+        self.settled[i] = false;
+        self.gone[i] = true;
+        self.left.push(i);
     }
 
     /// Gives back the slot vectors' spare capacity.
@@ -3002,12 +3242,17 @@ impl Memo {
     }
 
     /// Starts a solve of `instance`: brings the seeds, switches, seats
-    /// and step order up to it and fills the worklist.
+    /// and step order up to it and fills the worklist. Returns how many
+    /// runs of the order it patched in place.
     ///
     /// # Panics
     ///
     /// When the instance has [`MAX_SEEDS`] seeds or more.
-    pub(crate) fn begin(&mut self, instance: &PlacementInstance, options: HeuristicOptions) {
+    pub(crate) fn begin(
+        &mut self,
+        instance: &PlacementInstance,
+        options: HeuristicOptions,
+    ) -> usize {
         assert!(
             instance.seeds.len() < MAX_SEEDS,
             "{} seeds: an op names at most {MAX_SEEDS}",
@@ -3135,6 +3380,7 @@ impl Memo {
             }
         }
         self.unindexed = if cold { (0..n as u32).collect() } else { fresh };
+        re.patched
     }
 
     /// Before step 4 of a warm solve: indexes this solve's new and dirty

@@ -698,10 +698,12 @@ pub(crate) fn solve_core(
     memo: &mut Memo,
 ) -> (PlacementResult, DeltaReport) {
     let start = Instant::now();
-    let mut report = DeltaReport::default();
     // Steps 1–2: lingering reservations, then greedy placement per task,
     // all-or-nothing, through the memo's worklist ([`Memo::greedy`]).
-    memo.begin(instance, options);
+    let mut report = DeltaReport {
+        runs_patched: memo.begin(instance, options),
+        ..DeltaReport::default()
+    };
     let dropped = memo.greedy(instance, probe);
     (report.switches_rebuilt, report.switches_read) = memo.end_greedy(instance);
     (

@@ -53,7 +53,7 @@ mod util;
 use farm_almanac::analysis::UtilExpr;
 use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
-use farm_placement::build::TaskRows;
+use farm_placement::build::{Scope, TaskRows};
 use farm_placement::delta::{replan_delta, ReplanDelta, SolveState};
 use farm_placement::heuristic::{solve_heuristic, HeuristicOptions};
 use farm_placement::model::{utility_of, PlacementInstance, PlacementSeed, PlacementTask};
@@ -153,14 +153,39 @@ impl Fabric {
         inst
     }
 
-    /// Scopes the round the way the seeder does, when the case says so.
-    /// Returns the held seeds.
-    fn begin_round(&self, inst: &mut PlacementInstance) -> Vec<usize> {
+    /// Scopes the round the way the seeder does, when the case says so:
+    /// through the kept `scope` when there is one and the switch ids are
+    /// ascending ([`Scope::follow`]), which must leave the task lists and
+    /// the held seeds as scoping every task again does; otherwise every
+    /// task, and the scope is taken anew. Returns the held seeds and, for
+    /// a followed round whose held seeds changed, how many switches
+    /// joined or left.
+    fn begin_round(
+        &self,
+        inst: &mut PlacementInstance,
+        scope: &mut Option<Scope>,
+    ) -> (Vec<usize>, Option<usize>) {
         if !self.scoped {
-            return Vec::new();
+            return (Vec::new(), None);
         }
         let (switches, previous) = (inst.switches.clone(), inst.previous.take());
-        inst.begin_round(&switches, previous)
+        if let Some(kept) = scope {
+            let was = kept.held().to_vec();
+            if let Some(moved) = kept.follow(inst) {
+                let mut fresh = inst.clone();
+                let held = fresh.begin_round(&switches, None);
+                assert_eq!(kept.held(), held, "followed scope holds other seeds");
+                for (t, (a, b)) in inst.tasks.iter().zip(&fresh.tasks).enumerate() {
+                    assert_eq!(a.seeds, b.seeds, "followed scope lists task {t} otherwise");
+                }
+                assert_eq!(kept.check(inst), Ok(()));
+                inst.previous = previous;
+                return (held, (was != kept.held()).then_some(moved));
+            }
+        }
+        let held = inst.begin_round(&switches, previous);
+        *scope = Scope::of(inst, held.clone());
+        (held, None)
     }
 }
 
@@ -175,7 +200,8 @@ enum Churn {
     /// still name it (the seeds are alive and must move).
     Drain(usize),
     /// Cordon lift: a previously removed switch returns at its original
-    /// capacity.
+    /// capacity: at its place in id order (odd), or last (even), which
+    /// leaves the ids out of order for the rest of the case.
     Restore(usize),
     /// Fresh submission: one seed loses its previous placement and is
     /// placed as if newly submitted. Empty delta — residency changes
@@ -247,7 +273,11 @@ fn apply(
                 return ReplanDelta::default();
             }
             let (n, ares) = *missing[i % missing.len()];
-            inst.switches.push((n, ares));
+            let at = match i % 2 {
+                1 => inst.switches.partition_point(|(m, _)| *m < n),
+                _ => inst.switches.len(),
+            };
+            inst.switches.insert(at, (n, ares));
             ReplanDelta::default()
         }
         Churn::Submit(i) => {
@@ -400,6 +430,11 @@ struct Reach {
     read: usize,
     /// Pairs a warm scan read from a shared list's row.
     rows_read: usize,
+    /// Runs of the step order a warm solve patched in place.
+    patched: usize,
+    /// Rounds whose kept scope followed one switch that joined or left,
+    /// and whose held seeds changed.
+    rescoped: usize,
 }
 
 /// Churn replay: every incremental solve along a random event sequence
@@ -430,6 +465,11 @@ fn delta_replans_match_full_solves_under_churn() {
     assert!(reach.spliced > 0, "no remap kept a prefix: {reach:?}");
     assert!(reach.read > 0, "no probe only read a switch: {reach:?}");
     assert!(reach.rows_read > 0, "no warm scan read a row: {reach:?}");
+    assert!(reach.patched > 0, "no warm solve patched a run: {reach:?}");
+    assert!(
+        reach.rescoped > 0,
+        "no scope followed one switch: {reach:?}"
+    );
 }
 
 /// One case of [`delta_replans_match_full_solves_under_churn`].
@@ -447,11 +487,14 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
             .map(|&t| inst.tasks[t].name.clone())
             .collect()
     };
+    let mut scope = None;
     for (step, &ev) in events.iter().enumerate() {
         inst.previous = Some(as_previous(&r.assignment));
         let (was_dropped, was_tasks) = (names(&inst, &r.dropped_tasks), inst.tasks.clone());
         let delta = apply(&mut inst, &base, &mut state, ev, reach);
-        let held = fabric.begin_round(&mut inst);
+        forget_scope(ev, &mut scope);
+        let (held, moved) = fabric.begin_round(&mut inst, &mut scope);
+        reach.rescoped += usize::from(moved == Some(1));
         let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
         let seats = inst.previous.as_ref().map(|p| &p.assignment);
         assert_eq!(state.audit(&inst, seats), Ok(()), "step {step} ({ev:?})");
@@ -500,7 +543,17 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
         reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
         reach.read += report.switches_read;
         reach.rows_read += report.pairs_read;
+        reach.patched += report.runs_patched;
         r = dr;
+    }
+}
+
+/// Drops the kept scope after an event the seeder makes through a
+/// splice (a Retask lays the seeds out again, a Recandidate changes a
+/// seed's candidates in place): the next round scopes every task.
+fn forget_scope(ev: Churn, scope: &mut Option<Scope>) {
+    if matches!(ev, Churn::Retask(_) | Churn::Recandidate(_)) {
+        *scope = None;
     }
 }
 
@@ -521,6 +574,7 @@ proptest! {
         let opts = HeuristicOptions::default();
         let mut state = SolveState::new();
         let (mut r, _) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+        let mut scope = None;
         let away = inst.switches[victim % inst.switches.len()];
         let mut events = vec![Churn::Drain(victim)];
         // Restore would bring the drained switch back early.
@@ -528,7 +582,10 @@ proptest! {
         for (step, ev) in events.into_iter().map(Some).chain([None]).enumerate() {
             inst.previous = Some(as_previous(&r.assignment));
             let delta = match ev {
-                Some(ev) => apply(&mut inst, &base, &mut state, ev, &mut Reach::default()),
+                Some(ev) => {
+                    forget_scope(ev, &mut scope);
+                    apply(&mut inst, &base, &mut state, ev, &mut Reach::default())
+                }
                 None => {
                     if !inst.switches.iter().any(|(n, _)| *n == away.0) {
                         inst.switches.push(away);
@@ -536,7 +593,7 @@ proptest! {
                     ReplanDelta::default()
                 }
             };
-            fabric.begin_round(&mut inst);
+            fabric.begin_round(&mut inst, &mut scope);
             let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
             let seats = inst.previous.as_ref().map(|p| &p.assignment);
             prop_assert_eq!(state.audit(&inst, seats), Ok(()), "step {} ({:?})", step, ev);

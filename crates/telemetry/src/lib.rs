@@ -12,6 +12,8 @@
 //!   [`Gauge`]s and fixed-bucket [`Histogram`]s with p50/p99 accessors;
 //! * a [`Telemetry`] handle bundling the two, cloned cheaply (`Arc`
 //!   inside) into every layer of the stack;
+//! * per-op [`Span`]s, recorded through a [`SpanLog`] on the clock of
+//!   the daemon serving the op;
 //! * the workspace's one JSON value type — [`Json`] — which the sinks,
 //!   the control plane's reply bodies and the bench baselines all use.
 //!
@@ -44,11 +46,13 @@ mod event;
 mod json;
 mod registry;
 mod sink;
+mod span;
 
 pub use event::{Event, PressureResource, ReplanOutcome, UndeployReason};
 pub use json::Json;
 pub use registry::{Counter, Gauge, Histogram, Snapshot};
 pub use sink::{EventSink, JsonLinesSink, RingBufferSink};
+pub use span::{Span, SpanLog};
 
 use registry::Registry;
 use std::sync::{Arc, RwLock};

@@ -424,6 +424,82 @@ fn submit_explain_is_answered_only_when_asked() {
 }
 
 #[test]
+fn farmctl_trace_prints_the_spans_of_a_recent_op() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let addr = farmd.local_addr().to_string();
+    let farmctl = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_farmctl"))
+            .args(["--addr", &addr])
+            .args(args)
+            .output()
+            .expect("run farmctl");
+        assert!(out.status.success(), "farmctl {args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let client = CtlClient::connect(farmd.local_addr());
+    submit_watcher(&client);
+    let switch = list_seeds(&client)[0].switch;
+    client.op(ControlOp::Drain { switch }).expect("drain rpc");
+
+    // The ring lists every op it holds, oldest first: the submit, the
+    // listing and the drain, each under its own id.
+    let all = farmctl(&["--json", "trace"]);
+    let doc = farm_telemetry::Json::parse(all.trim()).expect("a JSON body");
+    let ops = doc.get("ops").and_then(|o| o.as_arr()).expect("ops");
+    let kinds: Vec<&str> = ops
+        .iter()
+        .filter_map(|op| op.get("kind")?.as_str())
+        .collect();
+    assert_eq!(kinds, ["submit", "list-seeds", "drain"], "{all}");
+    let ids: Vec<u64> = ops.iter().filter_map(|op| op.get("id")?.as_u64()).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{all}");
+
+    // One op's spans, the phases of its round nested in `serve`.
+    let submit = farmctl(&["trace", &ids[0].to_string()]);
+    let lines: Vec<&str> = submit.lines().collect();
+    assert_eq!(lines[0], format!("op {} submit", ids[0]), "{submit}");
+    for phase in [
+        "serve",
+        "compile",
+        "admission",
+        "register",
+        "replan",
+        "plan",
+        "commit",
+        "plant",
+    ] {
+        assert!(
+            lines.iter().any(|l| l.trim_start().starts_with(phase)),
+            "no `{phase}` span: {submit}"
+        );
+    }
+    assert!(lines[1].starts_with("  serve "), "{submit}");
+    assert!(
+        lines.iter().any(|l| l.starts_with("      plan ")),
+        "`plan` nests in `replan` in `serve`: {submit}"
+    );
+    let drain = farmctl(&["trace", &ids[2].to_string()]);
+    assert!(
+        drain.starts_with(&format!("op {} drain", ids[2])),
+        "{drain}"
+    );
+    assert!(drain.contains("    replan "), "{drain}");
+    assert!(drain.contains("        migrate "), "{drain}");
+
+    // An id the ring does not hold is a failure, and says so.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_farmctl"))
+        .args(["--addr", &addr, "trace", "7"])
+        .output()
+        .expect("run farmctl");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim(),
+        "no such op in the trace ring"
+    );
+    farmd.stop();
+}
+
+#[test]
 fn garbage_bytes_never_wedge_the_daemon() {
     let farmd = Farmd::start(test_config()).expect("start farmd");
 

@@ -206,6 +206,7 @@ fn control_op_strategy() -> BoxedStrategy<ControlOp> {
         Just(ControlOp::Checkpoint),
         Just(ControlOp::Restore),
         Just(ControlOp::Shutdown),
+        any::<u64>().prop_map(|id| ControlOp::Trace { id }),
         fed_control_op_strategy(),
     ]
     .boxed()

@@ -48,6 +48,7 @@ use std::sync::Arc;
 use farm_almanac::value::Value;
 use farm_core::prelude::*;
 use farm_faults::LossSpec;
+use farm_netsim::switch::ResourceKind;
 use farm_netsim::types::SwitchId;
 use proptest::prelude::*;
 
@@ -868,6 +869,64 @@ fn pinned_place_all_tasks_hold_their_seats_through_a_cordon_and_a_crash() {
     assert_eq!(run.farm.recovery_pending(), 0);
     assert_eq!(run.farm.deployed_seeds(), 8 + 8 + 1 + 2);
     assert!(run.farm.seed_statuses().iter().all(|s| s.state != "lost"));
+}
+
+/// One switch's cordon through the farm's kept state: a `place all`
+/// task and two watchers, a drain of a watcher's switch, that switch's
+/// PCIe degraded while it is cordoned, a watcher submitted under the
+/// cordon, a crash of another switch, then an uncordon. The kept live
+/// list, the round scope and the solver memory follow the one switch at
+/// the drain and the uncordon (each after a round that walked the list
+/// again), and `Farm::audit` holds each to its recomputation after every
+/// step: the uncordoned switch comes back at its degraded capacity.
+#[test]
+fn pinned_a_cordon_follows_one_switch_through_a_submit_a_crash_and_an_uncordon() {
+    let mut run = Run::new((2, 4));
+    let mut step = 0;
+    let mut go = |run: &mut Run, op: Op| {
+        run.apply(op);
+        run.check(step, op);
+        step += 1;
+    };
+    let submit = |task, program| Op::Submit { task, program };
+    go(&mut run, submit(0, 0));
+    go(&mut run, submit(1, 1));
+    go(&mut run, submit(2, 1));
+    let statuses = run.farm.seed_statuses();
+    let host = statuses
+        .iter()
+        .find(|s| s.key.task == "t1")
+        .expect("t1 placed");
+    let cordoned = run
+        .ids
+        .iter()
+        .position(|&n| n == host.switch)
+        .expect("a switch");
+    let other = (cordoned + 1) % run.ids.len();
+    let pcie = |run: &Run| {
+        let live = run.farm.live_capacities();
+        let at = live.iter().find(|(n, _)| *n == host.switch);
+        at.map(|(_, caps)| caps.get(ResourceKind::PciePoll))
+    };
+    let before = pcie(&run).expect("a live switch");
+    for op in [
+        Op::Drain(cordoned),
+        Op::PcieDegrade(cordoned),
+        Op::Replan,
+        submit(3, 1),
+        Op::Crash(other),
+        Op::Advance(40),
+        Op::Replan,
+        Op::Uncordon(cordoned),
+    ] {
+        go(&mut run, op);
+    }
+    let after = pcie(&run).expect("uncordoned");
+    assert!(
+        after < before,
+        "the switch returns at its degraded PCIe budget: {after} of {before}"
+    );
+    assert!(run.farm.seed_statuses().iter().any(|s| s.key.task == "t3"));
 }
 
 /// The switches whose harvester reports were retried after `ops` on a
