@@ -348,7 +348,7 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
                     "explain: compile {} us, admission {} us, splice+remap {} us, \
                      replan_delta {} us, commit {} us; {} solve: {}/{} LP switches ran, \
                      {} reused, steps {} visited {} executed {} replayed {} cascaded, \
-                     {} evaluations made, {} relocated",
+                     {} switches a probe built or viewed, {} evaluations made, {} relocated",
                     e.compile_us,
                     e.admission_us,
                     e.splice_us,
@@ -362,6 +362,7 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
                     d.steps_executed,
                     d.steps_replayed,
                     d.steps_cascaded,
+                    d.switches_read,
                     d.pairs_evaluated,
                     d.relocated,
                 );

@@ -338,7 +338,9 @@ wire_struct! {
 wire_struct! {
     /// How much of a solve was served from the solver's memory: the
     /// placement crate's `DeltaReport`, field for field but for
-    /// `pairs_read` and `runs_patched`, which stay in process.
+    /// `pairs_read`, `runs_patched` and `probe_rows_read`, which stay in
+    /// process. `switches_read` counts the switches a probe built or
+    /// viewed.
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct DeltaCounts {
         pub lp_switches: u64,

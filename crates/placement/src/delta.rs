@@ -118,22 +118,47 @@
 //! ops before the step's key. Each switch keeps its usage as the whole
 //! log leaves it — its greedy state, compact: non-poll usage, poll cells
 //! and their `Σ max` — written whenever step 2 builds the switch and
-//! dropped with the log. A probe of a candidate whose log holds no op at
-//! or past the step's key (the log is in key order, so its last op
-//! decides) reads that kept usage in place: no reset, no replay. Any
-//! other read, and the home probe, which needs the seed's reservation
-//! and the poll entries under it, builds the state in the state's one
-//! probe buffer (a probe looks at one switch at a time; a later read of
-//! the same switch goes on from where the buffer stands). The kept usage
-//! is exact for the same reason the buffer is: an undiverged log holds
-//! the last solve's ops with the last solve's inputs, and
-//! [`SolveState::audit`] holds it to a rebuild. The switch's
-//! own state — the last solve's after step 3 — is left as it is, so a
-//! switch that is only read is not rebuilt: step 2's end, step 3's
-//! refresh and step 4 do not visit it ([`DeltaReport::switches_read`]
-//! counts them). A switch that diverges takes the buffer, built up to
-//! the divergence, as its state, and from then on is rebuilt as any
-//! diverged switch is.
+//! dropped with the log, and every write or drop bumps the switch's
+//! *stamp*. A probe of a candidate whose log holds no op at or past the
+//! step's key (the log is in key order, so its last op decides) reads
+//! that kept usage in place: no reset, no replay. Any other read, and
+//! the home probe, which needs the seed's reservation and the poll
+//! entries under it, builds the state in the state's one probe buffer
+//! (a probe looks at one switch at a time; a later read of the same
+//! switch goes on from where the buffer stands). The kept usage is exact
+//! for the same reason the buffer is: an undiverged log holds the last
+//! solve's ops with the last solve's inputs, and [`SolveState::audit`]
+//! holds it to a rebuild.
+//!
+//! A candidate's greedy score (step 2a: the utility achievable there
+//! less the extra polling, or no score where the seed does not fit) is a
+//! pure function of the seed's definition — the one step 4's rows are
+//! keyed on (`Definition`) — and of the load the probe reads. So a
+//! shared list keeps a second row beside step 4's, its *score row*: per
+//! position, the score the members' definition gets against the
+//! switch's kept usage, stamped with the switch's stamp when it was
+//! taken. An indexed member's probe walks the list's slots, which are
+//! its candidates in order. Where it would read a switch's kept usage in
+//! place, it reads the entry if the entry's stamp is the switch's, and
+//! otherwise takes the score from the kept usage and stores it; every
+//! other candidate is read and scored as above. An entry under the
+//! switch's current stamp was taken from the usage kept now, since no
+//! write or drop leaves the stamp as it was, by a member whose
+//! definition is this seed's to the bit; so it is the score the walk
+//! over every candidate computes, and the same fit test, strict `>` and
+//! first maximum pick the same switch. A warm solve indexes its new and
+//! dirty seeds before the greedy, so a new watcher's probe reads what its
+//! list's earlier probes stored; a cold one indexes nothing, and its
+//! probes walk every candidate. [`SolveState::audit`] holds every entry
+//! under a current stamp to its recomputation.
+//!
+//! The switch's own state — the last solve's after step 3 — is left as
+//! it is, so a switch that is only read is not rebuilt: step 2's end,
+//! step 3's refresh and step 4 do not visit it
+//! ([`DeltaReport::switches_read`] counts the ones a probe built or
+//! viewed). A switch that diverges takes the buffer, built up to the
+//! divergence, as its state, and from then on is rebuilt as any diverged
+//! switch is.
 //!
 //! **Step 3.** Each switch's LP is a **pure function** of the switch's
 //! capacity, its residents in greedy order at their minimum allocations,
@@ -197,8 +222,8 @@
 //! records that are forgotten, start their row over. Only an indexed
 //! member reads the row: a member whose candidates or definition changed
 //! is not indexed until the index takes it out. A warm solve indexes its
-//! new and dirty seeds before step 4, so they read the rows of the lists
-//! they join; a cold one indexes nothing until the next solve.
+//! new and dirty seeds before the greedy, so they read the rows of the
+//! lists they join; a cold one indexes nothing until the next solve.
 //! [`SolveState::audit`] holds every entry to its recomputation.
 //!
 //! **Step 5.** A benefit keeps the utility `u` step 4 found; the ranking
@@ -223,9 +248,10 @@
 //!
 //! So the delta solve's assignment, utility bits, migration count and
 //! dropped-task list are identical to `crate::solve_heuristic` on the
-//! same instance. `prop_delta.rs` pins this under random churn, and
+//! same instance. `prop_delta.rs` pins this under random churn,
 //! `heuristic::tests::scan_property` holds a rescan to the
-//! per-candidate scan.
+//! per-candidate scan, and `heuristic::tests::probe_property` a probe
+//! through a score row to the walk over every candidate.
 
 use std::mem::size_of;
 use std::sync::Arc;
@@ -240,8 +266,8 @@ use farm_netsim::types::SwitchId;
 use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
 use crate::heuristic::{
-    achievable_utility, hysteresis, solve_core, HeuristicOptions, Load, SeedPolls, SwitchState,
-    Usage,
+    achievable_utility, greedy_score, hysteresis, solve_core, HeuristicOptions, Load, SeedPolls,
+    SwitchState, Usage,
 };
 use crate::model::{
     LogAt, PlacementInstance, PlacementResult, PlacementSeed, PollDemand, Seat, Seats,
@@ -570,9 +596,14 @@ pub struct DeltaReport {
     /// Switches whose greedy state was rebuilt from their op log rather
     /// than kept from the last solve.
     pub switches_rebuilt: usize,
-    /// Undiverged switches a probe read, in a buffer built from their op
-    /// log, and that kept their state from the last solve.
+    /// Undiverged switches a probe built (in a buffer, from their op
+    /// log) or viewed (at their kept usage), and that kept their state
+    /// from the last solve. A switch whose score a probe read from its
+    /// shared list's score row was neither.
     pub switches_read: usize,
+    /// Candidates a probe scored by reading its shared list's score row
+    /// at an entry an earlier solve took, instead of scoring the switch.
+    pub probe_rows_read: usize,
     /// Evaluations step 4 made of the utility a seed reaches at a
     /// candidate: one per (seed, candidate) pair it neither copied from
     /// the last solve nor read from a shared list's row (and one per
@@ -1807,6 +1838,9 @@ pub(crate) struct Switches {
     pub(crate) ids: Vec<SwitchId>,
     pub(crate) states: Vec<SwitchState>,
     logs: Vec<Vec<Op>>,
+    /// Each log's last op: what a probe compares with its step's key,
+    /// read without visiting the log.
+    log_end: Vec<Option<Op>>,
     /// Whether the switch's residents hold, in the post-step-3
     /// assignment, the allocations its LP gave them over the state its
     /// log built last solve. See [`Switches::replays_lp`].
@@ -1826,6 +1860,10 @@ pub(crate) struct Switches {
     /// written when step 2 builds the switch and dropped with the log; it
     /// names no seed, so a remap leaves it as it is.
     kept: Vec<Option<Usage>>,
+    /// Per slot, from 1: bumped by every write or drop of `kept`
+    /// ([`Switches::keep`]), so that a score computed from the kept usage
+    /// holds for as long as the stamp it was taken under.
+    stamp: Vec<u64>,
     probe: Probe,
     /// The slot whose kept usage the probe being run reads.
     view: Option<usize>,
@@ -1886,11 +1924,13 @@ impl Switches {
             self.ids.push(n);
             self.states.push(SwitchState::new(Resources::ZERO));
             self.logs.push(Vec::new());
+            self.log_end.push(None);
             self.lp.push(false);
             self.prior.push(None);
             self.settled.push(false);
             self.mode.push(Mode::Absent);
             self.kept.push(None);
+            self.stamp.push(1);
             self.touched.push(false);
             self.moved.push(false);
             self.gone.push(false);
@@ -1962,6 +2002,7 @@ impl Switches {
             return;
         }
         let log = std::mem::take(&mut self.logs[i]);
+        self.log_end[i] = None;
         self.prior[i] = Some((0, log));
         let st = &mut self.states[i];
         st.reset(st.ares);
@@ -2115,6 +2156,7 @@ impl Switches {
     /// starts over at op 0.
     fn start_over(&mut self, i: usize, ares: Resources) {
         self.logs[i].clear();
+        self.log_end[i] = None;
         self.states[i].reset(ares);
         self.prior[i] = None;
         self.settled[i] = false;
@@ -2125,7 +2167,8 @@ impl Switches {
     fn leave(&mut self, i: usize) {
         self.mode[i] = Mode::Absent;
         self.logs[i] = Vec::new();
-        self.kept[i] = None;
+        self.log_end[i] = None;
+        self.keep(i, None);
         self.set_lp(i, false);
         self.states[i] = SwitchState::new(Resources::ZERO);
         self.settled[i] = false;
@@ -2138,11 +2181,13 @@ impl Switches {
         self.ids.shrink_to_fit();
         self.states.shrink_to_fit();
         self.logs.shrink_to_fit();
+        self.log_end.shrink_to_fit();
         self.lp.shrink_to_fit();
         self.prior.shrink_to_fit();
         self.settled.shrink_to_fit();
         self.mode.shrink_to_fit();
         self.kept.shrink_to_fit();
+        self.stamp.shrink_to_fit();
         self.touched.shrink_to_fit();
         self.moved.shrink_to_fit();
         self.gone.shrink_to_fit();
@@ -2158,10 +2203,25 @@ impl Switches {
         }
     }
 
+    /// Writes (or drops) switch `i`'s kept usage, under a new stamp.
+    fn keep(&mut self, i: usize, usage: Option<Usage>) {
+        self.kept[i] = usage;
+        self.stamp[i] += 1;
+    }
+
+    /// Whether a probe at `key` reads switch `i` where its log ends: the
+    /// switch has not diverged and every op of its log comes before
+    /// `key` (its log is in key order, so its last op decides). Its load
+    /// there is its kept usage, if kept.
+    fn whole_before(&self, i: usize, key: u64, order: &Order) -> bool {
+        matches!(self.mode[i], Mode::Clean | Mode::Live)
+            && self.log_end[i].is_none_or(|op| order.key(op).is_some_and(|k| k < key))
+    }
+
     /// Readies an undiverged switch `i` for a probe that reads only its
-    /// load at `key`: when every op of its log comes before `key` (its
-    /// log is in key order), its state there is its kept usage, read in
-    /// place; otherwise it is built in the probe buffer.
+    /// load at `key`: where [`Switches::whole_before`] holds and the
+    /// usage is kept, its state there is its kept usage, read in place;
+    /// otherwise it is built in the probe buffer.
     fn look(
         &mut self,
         i: usize,
@@ -2171,12 +2231,11 @@ impl Switches {
         instance: &PlacementInstance,
     ) {
         self.view = None;
-        let last = self.logs[i].last().map(|&op| order.key(op));
-        let whole = last.is_none_or(|k| k.is_some_and(|k| k < key));
-        if !whole || self.kept[i].is_none() {
-            self.materialize(i, key, order, seeds, instance);
-        } else if self.mark_read(i) {
+        if self.whole_before(i, key, order) && self.kept[i].is_some() {
+            self.mark_read(i);
             self.view = Some(i);
+        } else {
+            self.materialize(i, key, order, seeds, instance);
         }
     }
 
@@ -2259,6 +2318,7 @@ impl Switches {
         let at = self.probe.cursor as usize;
         self.adopt(i);
         let tail = self.logs[i].split_off(at);
+        self.log_end[i] = self.logs[i].last().copied();
         self.prior[i] = Some((at as u32, tail));
         self.mode[i] = Mode::Diverged;
         true
@@ -2269,6 +2329,7 @@ impl Switches {
     fn emit(&mut self, i: usize, op: Op, seeds: &Seeds, instance: &PlacementInstance) {
         if self.mode[i] == Mode::Diverged {
             self.logs[i].push(op);
+            self.log_end[i] = Some(op);
             apply(&mut self.states[i], op, seeds, instance);
         }
     }
@@ -2295,7 +2356,7 @@ impl Switches {
                 self.materialize(i, u64::MAX, order, seeds, instance);
                 self.adopt(i);
             }
-            self.kept[i] = Some(self.states[i].usage());
+            self.keep(i, Some(self.states[i].usage()));
             self.moved[i] = true;
         }
         // The switches probes only read are clean again.
@@ -2375,9 +2436,11 @@ impl Switches {
             let log = self.logs[i].iter_mut().all(|op| {
                 op.seed() < first || r.seed(op.seed()).map(|s| *op = op.with_seed(s)).is_some()
             });
+            self.log_end[i] = self.logs[i].last().copied();
             if !(log && self.states[i].remap(|s| r.seed(s))) {
                 self.logs[i] = Vec::new();
-                self.kept[i] = None;
+                self.log_end[i] = None;
+                self.keep(i, None);
                 self.set_lp(i, false);
                 self.unsettle(i);
                 self.forgot.push(i);
@@ -2405,11 +2468,13 @@ impl Switches {
                 .sum::<usize>()
             + vec_bytes(&self.logs)
             + self.logs.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.log_end)
             + vec_bytes(&self.lp)
             + vec_bytes(&self.settled)
             + vec_bytes(&self.unsettled)
             + vec_bytes(&self.mode)
             + vec_bytes(&self.kept)
+            + vec_bytes(&self.stamp)
             + self
                 .kept
                 .iter()
@@ -2519,6 +2584,25 @@ struct Shared {
     /// is stale. Kept between solves, and made stale where
     /// [`Scans::prepare`] finds the switch moved, joined or left.
     row: Vec<Option<Option<f64>>>,
+    /// Per position: the greedy score the members' definition reaches
+    /// against the switch's kept usage, once a probe took it there
+    /// ([`Memo::walk_row`]).
+    scores: Vec<Score>,
+}
+
+/// An entry of a shared list's score row: the score step 2a gives at a
+/// switch's kept usage ([`crate::heuristic::greedy_score`]; `fits`
+/// false where the seed does not fit there), current while the switch
+/// holds the stamp it was taken under.
+#[derive(Debug, Clone, Copy, Default)]
+struct Score {
+    /// The switch's [`Switches::stamp`] when it was taken: 0, which no
+    /// switch has, for an entry never taken.
+    stamp: u64,
+    score: f64,
+    fits: bool,
+    /// The solve that took it ([`Memo::solve`]).
+    solve: u32,
 }
 
 /// [`Scans::list`] of a seed that is no shared list's member.
@@ -2581,6 +2665,20 @@ impl Scans {
         for &s in fresh {
             self.flags[s as usize] = 0;
         }
+    }
+
+    /// The shared list whose rows seed `s` reads: its list, when it is
+    /// an indexed member. Only an indexed member is sure to hold its
+    /// list's candidates and definition.
+    pub(crate) fn row_of(&self, s: usize) -> Option<u32> {
+        let g = self.list[s];
+        (g != NO_LIST && self.flags[s] & INDEXED != 0).then_some(g)
+    }
+
+    /// Shared list `g`'s slots, in candidate order.
+    #[cfg(test)]
+    pub(crate) fn slots(&self, g: u32) -> &[u32] {
+        &self.shared[g as usize].slots
     }
 
     /// Seeds the records cover.
@@ -2715,6 +2813,7 @@ impl Scans {
         }
         self.shared[g as usize] = Shared {
             row: vec![None; slots.len()],
+            scores: vec![Score::default(); slots.len()],
             slots,
             hash,
             def,
@@ -3132,6 +3231,27 @@ impl Scans {
                     ));
                 }
             }
+            for (pos, (&i, entry)) in list.slots.iter().zip(&list.scores).enumerate() {
+                let i = i as usize;
+                if entry.stamp != switches.stamp[i] {
+                    continue;
+                }
+                let n = switches.ids[i];
+                let held = entry.fits.then_some(entry.score);
+                let (Some((min_res, _)), Some(kept)) = (d.min, &switches.kept[i]) else {
+                    return Err(format!(
+                        "score row: list {g} holds {held:?} at position {pos}, switch {n} keeps no usage or the definition no minimum"
+                    ));
+                };
+                let polls = SeedPolls::new(d.ids, d.polls);
+                let load = kept.load(&switches.states[i].ares);
+                let want = greedy_score(d.util, polls, &min_res, load);
+                if held.map(f64::to_bits) != want.map(f64::to_bits) {
+                    return Err(format!(
+                        "score row: list {g} holds {held:?} at position {pos}, switch {n} scores {want:?}"
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -3150,7 +3270,12 @@ impl Scans {
             + self.shared_at.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.shared)
             + (self.shared.iter())
-                .map(|l| vec_bytes(&l.slots) + vec_bytes(&l.members) + vec_bytes(&l.row))
+                .map(|l| {
+                    vec_bytes(&l.slots)
+                        + vec_bytes(&l.members)
+                        + vec_bytes(&l.row)
+                        + vec_bytes(&l.scores)
+                })
                 .sum::<usize>()
             + vec_bytes(&self.free)
     }
@@ -3222,6 +3347,12 @@ pub(crate) struct Memo {
     /// The key of the step being visited: a probe reads states built up
     /// to it.
     at: u64,
+    /// Counts the solves, so that a score row entry names the solve
+    /// that took it.
+    solve: u32,
+    /// Score row entries this solve's probes read that an earlier solve
+    /// took.
+    rows_read: usize,
     replayed: usize,
     executed: usize,
     cascaded: usize,
@@ -3233,7 +3364,7 @@ pub(crate) struct Memo {
 impl Memo {
     /// Seeds whose definition changed get their products recomputed;
     /// until then they are not clean, so no op of theirs matches a log.
-    fn declare_dirty(&mut self, dirty: &[usize]) {
+    pub(crate) fn declare_dirty(&mut self, dirty: &[usize]) {
         for &s in dirty {
             if s < self.seeds.len() {
                 self.seeds.forget(s);
@@ -3259,6 +3390,7 @@ impl Memo {
             instance.seeds.len()
         );
         let n = instance.seeds.len();
+        self.solve = self.solve.wrapping_add(1);
         // Seeds vanished without a remap, most slots name switches long
         // gone, or a seed had two steps: start over.
         if n < self.seeds.len()
@@ -3380,19 +3512,17 @@ impl Memo {
             }
         }
         self.unindexed = if cold { (0..n as u32).collect() } else { fresh };
-        re.patched
-    }
-
-    /// Before step 4 of a warm solve: indexes this solve's new and dirty
-    /// seeds, so that they read the rows of the shared lists they join.
-    /// A full solve leaves every seed to the next solve's index.
-    pub(crate) fn index_new(&mut self, instance: &PlacementInstance) {
+        // A warm solve indexes its new and dirty seeds before the greedy,
+        // so that their probes read the score rows, and step 4 the rows,
+        // of the shared lists they join; a full solve leaves every seed
+        // to the next solve's index.
         if !self.full {
             let (seeds, sw) = (&self.seeds, &mut self.switches);
             (self.scans).index(&self.unindexed, instance, sw, |s| {
                 seeds.definition(instance, s)
             });
         }
+        re.patched
     }
 
     /// The greedy's steps later than `first` that read switch `i` last
@@ -3436,7 +3566,7 @@ impl Memo {
         probe: fn(&PlacementInstance, &mut Memo, usize) -> Outcome,
     ) -> Vec<usize> {
         self.reserve(instance);
-        (self.replayed, self.executed, self.cascaded) = (0, 0, 0);
+        (self.replayed, self.executed, self.cascaded, self.rows_read) = (0, 0, 0, 0);
         let (mut reached, mut dropped) = (0, Vec::new());
         for r in 0..self.order.runs.len() {
             let Run {
@@ -3684,11 +3814,83 @@ impl Memo {
         switches.look(i, *at, order, seeds, instance);
     }
 
+    /// The candidate walk of step 2a for seed `s`, an indexed member of
+    /// shared list `g` ([`Scans::row_of`]), at its minimum allocation
+    /// `min_res`: the list's slots, which are the seed's candidates in
+    /// order, but `home` and those not in the round, each scored and
+    /// handed to `take` with its slot. Where the probe reads a switch at its
+    /// kept usage ([`Switches::look`]), the score is the list's entry
+    /// there if it was taken under the switch's current stamp, and is
+    /// taken from the kept usage and stored otherwise; any other switch
+    /// is readied as [`Memo::look`] readies it, and scored.
+    pub(crate) fn walk_row(
+        &mut self,
+        instance: &PlacementInstance,
+        s: usize,
+        g: u32,
+        min_res: &Resources,
+        home: Option<usize>,
+        mut take: impl FnMut(usize, Option<f64>),
+    ) {
+        let Memo {
+            switches: sw,
+            seeds,
+            scans,
+            order,
+            at,
+            solve,
+            rows_read,
+            ..
+        } = self;
+        let (util, polls) = (&instance.seeds[s].util, seeds.polls(instance, s));
+        let Shared { slots, scores, .. } = &mut scans.shared[g as usize];
+        for (&i, entry) in slots.iter().zip(scores.iter_mut()) {
+            let i = i as usize;
+            if !sw.is_present(i) || home == Some(i) {
+                continue;
+            }
+            let whole = sw.whole_before(i, *at, order);
+            let score = if whole && entry.stamp == sw.stamp[i] {
+                // Every write and drop of the kept usage bumps the stamp:
+                // an entry under the current one was taken from the usage
+                // kept now.
+                *rows_read += usize::from(entry.solve != *solve);
+                entry.fits.then_some(entry.score)
+            } else if let Some(kept) = sw.kept[i].as_ref().filter(|_| whole) {
+                let score = greedy_score(util, polls, min_res, kept.load(&sw.states[i].ares));
+                *entry = Score {
+                    stamp: sw.stamp[i],
+                    score: score.unwrap_or(0.0),
+                    fits: score.is_some(),
+                    solve: *solve,
+                };
+                sw.mark_read(i);
+                score
+            } else {
+                sw.look(i, *at, order, seeds, instance);
+                greedy_score(util, polls, min_res, sw.load(i))
+            };
+            take(i, score);
+        }
+    }
+
+    /// How a probe of the step being visited reads switch `i`: `None`
+    /// where it diverged (or is not in the round); else whether its log
+    /// ends before the step, where its kept usage is read in place.
+    #[cfg(test)]
+    pub(crate) fn reads_log_end(&self, i: usize) -> Option<bool> {
+        let sw = &self.switches;
+        matches!(sw.mode[i], Mode::Clean | Mode::Live)
+            .then(|| sw.whole_before(i, self.at, &self.order))
+    }
+
     /// Ends step 2 ([`Switches::settle_greedy`]); returns how many
-    /// switches were rebuilt and how many others a probe read.
-    pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> (usize, usize) {
-        self.switches
-            .settle_greedy(&self.order, &self.seeds, instance)
+    /// switches were rebuilt, how many others a probe built or viewed,
+    /// and how many score row entries the probes read that an earlier
+    /// solve took.
+    pub(crate) fn end_greedy(&mut self, instance: &PlacementInstance) -> (usize, usize, usize) {
+        let (rebuilt, read) = (self.switches).settle_greedy(&self.order, &self.seeds, instance);
+        (rebuilt, read, self.rows_read)
     }
 
     /// Greedy steps replayed, executed, visited and cascaded this solve.
@@ -3811,7 +4013,7 @@ impl Memo {
 /// benefit scan.
 #[derive(Debug, Default)]
 pub struct SolveState {
-    memo: Memo,
+    pub(crate) memo: Memo,
     /// Completed solves through this state (0 ⇒ next solve is cold).
     pub(crate) solves: u64,
     /// A [`SolveState::remap`] came after the last solve: the memory
@@ -3834,7 +4036,8 @@ impl SolveState {
 
     /// Checks what a read-only probe relies on: after a solve, every
     /// switch of its instance keeps the usage its capacity and its op
-    /// log build, to the bit. Returns the first switch that does not.
+    /// log build, to the bit, and its log's last op. Returns the first
+    /// switch that does not.
     ///
     /// # Errors
     ///
@@ -3844,6 +4047,7 @@ impl SolveState {
         let holds = |i: usize| {
             let kept = sw.kept[i].as_ref();
             kept.is_some_and(|k| k.same(&sw.rebuilt(i, seeds, instance)))
+                && sw.log_end[i] == sw.logs[i].last().copied()
         };
         match (0..sw.ids.len()).find(|&i| sw.is_present(i) && !holds(i)) {
             Some(i) => Err(sw.ids[i]),
@@ -3874,12 +4078,15 @@ impl SolveState {
         self.memo.scans.check(instance, &self.memo.switches)
     }
 
-    /// Checks step 4's shared-list rows: every indexed member of a list
-    /// has the list's definition, to the bit, and every entry of a row
-    /// that is not stale is the utility that definition reaches at the
-    /// switch, recomputed against its state — but at a switch step 5
-    /// changed after the scan, which the next solve builds again. A
-    /// switch that is not in the round holds no entry.
+    /// Checks the shared lists' rows: every indexed member of a list
+    /// has the list's definition, to the bit; every entry of step 4's
+    /// row that is not stale is the utility that definition reaches at
+    /// the switch, recomputed against its state — but at a switch step 5
+    /// changed after the scan, which the next solve builds again — and a
+    /// switch that is not in the round holds no entry; every entry of
+    /// the score row taken under the switch's current stamp is the greedy
+    /// score the definition gets against the switch's kept usage, to the
+    /// bit.
     ///
     /// # Errors
     ///
@@ -3919,7 +4126,7 @@ impl SolveState {
     pub fn audit(&self, instance: &PlacementInstance, seats: Option<&Seats>) -> Result<(), String> {
         if self.solves > 0 && !self.remapped {
             (self.check_kept_usage(instance))
-                .map_err(|sw| format!("kept usage of switch {sw} is not its log's"))?;
+                .map_err(|sw| format!("kept usage or log end of switch {sw} is not its log's"))?;
             self.check_order(instance)?;
             self.check_index(instance)?;
             self.check_rows(instance)?;
@@ -3959,7 +4166,9 @@ impl SolveState {
 /// `solver.delta_fallback_full` counts warm solves that replayed no LP,
 /// `solver.greedy_steps_replayed` / `solver.greedy_steps_executed` /
 /// `solver.greedy_steps_visited` count greedy steps,
-/// `solver.switches_read` the switches a probe only read, the
+/// `solver.switches_read` the switches a probe built or viewed (kept
+/// their state from the last solve; a score read from a list's score
+/// row is neither), the
 /// `solver.delta_frontier`, `solver.switches_rebuilt` and
 /// `solver.benefit_pairs_evaluated` histograms record the LPs run, the
 /// switches whose greedy state was rebuilt and the (seed, candidate)
@@ -4716,6 +4925,61 @@ mod tests {
             });
         }
         inst
+    }
+
+    #[test]
+    fn a_new_watcher_scores_only_the_switches_whose_kept_usage_changed() {
+        // Watchers sharing one list over every switch; then two more, in
+        // tasks of their own after every other (so every log ends before
+        // their steps), each added to a world solved until nothing moves.
+        // The first scores every switch it reads into the list's score
+        // row; the second reads the row wherever the switch kept the
+        // usage the first one scored, and scores only the others: the one
+        // the first landed on, and any its landing changed after.
+        let opts = HeuristicOptions::default();
+        let n = 16;
+        let mut inst = watchers(n);
+        let mut state = SolveState::new();
+        let settle = |inst: &mut PlacementInstance, state: &mut SolveState| {
+            for _ in 0..8 {
+                let (r, report) = replan_delta(inst, opts, state, &ReplanDelta::default(), None);
+                as_previous(inst, &r);
+                if report.steps_visited == 0 {
+                    return;
+                }
+            }
+            panic!("the world does not settle");
+        };
+        let watcher = inst.seeds[n].clone();
+        let mut stamps = Vec::new();
+        let mut reports = Vec::new();
+        for _ in 0..2 {
+            settle(&mut inst, &mut state);
+            let s = inst.seeds.len();
+            inst.seeds.push(PlacementSeed {
+                id: s,
+                task: inst.tasks.len(),
+                ..watcher.clone()
+            });
+            inst.tasks.push(PlacementTask {
+                name: format!("w{s}"),
+                seeds: vec![s],
+            });
+            stamps.push(state.memo.switches.stamp.clone());
+            let (r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+            assert_same(&r, &solve_heuristic(&inst, opts));
+            assert_eq!(state.audit(&inst, None), Ok(()));
+            assert!(r.assignment[s].is_some(), "the new watcher is placed");
+            assert_eq!(report.steps_executed, 1, "{report:?}");
+            as_previous(&mut inst, &r);
+            reports.push(report);
+        }
+        let changed = (stamps[0].iter().zip(&stamps[1])).filter(|(a, b)| a != b);
+        let changed = changed.count();
+        assert!((1..n).contains(&changed), "{changed} of {n} switches");
+        let second = reports[1];
+        assert_eq!(second.probe_rows_read, n - changed, "{second:?}");
+        assert_eq!(second.switches_read, changed, "{second:?}");
     }
 
     /// Every slot's pairs, by switch id.

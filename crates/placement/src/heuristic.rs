@@ -629,7 +629,8 @@ pub fn solve_randomized(
 /// One greedy step run for real: where seed `s` goes given the switches
 /// as they stand at this step. The home switch, whose reservation the
 /// stay releases, is read whole through [`Memo::read`]; every other
-/// candidate only for its load, through [`Memo::look`].
+/// candidate is scored by [`Memo::walk_row`] when the seed reads a
+/// shared list's score row, by [`walk`] otherwise.
 fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
     let Some((min_res, _)) = memo.seeds.min_alloc(s) else {
         return Outcome::Fail;
@@ -657,11 +658,38 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
             return Outcome::Home(h);
         }
     }
+    // Either walk hands over the same scores in the same order, to the
+    // bit (see `Memo::walk_row`); the first highest wins.
     let mut best: Option<(usize, f64)> = None;
+    let take = |i, score: Option<f64>| {
+        if let Some(score) = score {
+            if best.is_none_or(|(_, b)| score > b) {
+                best = Some((i, score));
+            }
+        }
+    };
+    match memo.scans.row_of(s) {
+        Some(g) => memo.walk_row(instance, s, g, &min_res, home, take),
+        None => walk(instance, memo, s, &min_res, home, take),
+    }
+    best.map_or(Outcome::Fail, |(i, _)| Outcome::Placed(i))
+}
+
+/// Seed `s`'s candidates but `home` (probed already), in candidate
+/// order, each readied through [`Memo::look`], scored and handed to
+/// `take` with its slot.
+fn walk(
+    instance: &PlacementInstance,
+    memo: &mut Memo,
+    s: usize,
+    min_res: &Resources,
+    home: Option<usize>,
+    mut take: impl FnMut(usize, Option<f64>),
+) {
+    let seed = &instance.seeds[s];
     for &n in &seed.candidates {
         // A candidate the instance does not offer (crashed or otherwise
-        // excluded switch) cannot host the seed; the home switch was
-        // already probed and found infeasible (or absent) above.
+        // excluded switch) cannot host the seed.
         let Some(i) = memo.switches.present_slot(n) else {
             continue;
         };
@@ -669,23 +697,32 @@ fn probe(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
             continue;
         }
         memo.look(instance, i);
-        let st = memo.switches.load(i);
         let polls = memo.seeds.polls(instance, s);
-        if !st.fits(polls, &min_res) {
-            continue;
-        }
-        // Step 2a: "choose such s that adds the most to the utility" —
-        // score by the utility achievable on this switch given its spare
-        // capacity, discounted by the extra polling the placement would
-        // cost.
-        let poll_cap = st.ares.get(ResourceKind::PciePoll).max(1e-9);
-        let score = achievable_utility(&seed.util, polls, &min_res, st).unwrap_or(0.0)
-            - st.poll_delta(polls, &min_res) / poll_cap;
-        if best.as_ref().is_none_or(|(_, b)| score > *b) {
-            best = Some((i, score));
-        }
+        take(
+            i,
+            greedy_score(&seed.util, polls, min_res, memo.switches.load(i)),
+        );
     }
-    best.map_or(Outcome::Fail, |(i, _)| Outcome::Placed(i))
+}
+
+/// Step 2a: "choose such s that adds the most to the utility" — a
+/// candidate that takes the seed's minimum allocation (else `None`) is
+/// scored by the utility achievable there given its spare capacity,
+/// discounted by the extra polling the placement would cost.
+pub(crate) fn greedy_score(
+    util: &UtilAnalysis,
+    polls: SeedPolls,
+    min_res: &Resources,
+    st: Load,
+) -> Option<f64> {
+    if !st.fits(polls, min_res) {
+        return None;
+    }
+    let poll_cap = st.ares.get(ResourceKind::PciePoll).max(1e-9);
+    Some(
+        achievable_utility(util, polls, min_res, st).unwrap_or(0.0)
+            - st.poll_delta(polls, min_res) / poll_cap,
+    )
 }
 
 /// The full Alg. 1 pipeline over the retained `memo` (a fresh one for a
@@ -705,7 +742,11 @@ pub(crate) fn solve_core(
         ..DeltaReport::default()
     };
     let dropped = memo.greedy(instance, probe);
-    (report.switches_rebuilt, report.switches_read) = memo.end_greedy(instance);
+    (
+        report.switches_rebuilt,
+        report.switches_read,
+        report.probe_rows_read,
+    ) = memo.end_greedy(instance);
     (
         report.steps_replayed,
         report.steps_executed,
@@ -790,7 +831,6 @@ pub(crate) fn solve_core(
     let mut assignment = memo.post.assignment(&memo.switches.ids);
     let mut relocated = Vec::new();
     if options.migration {
-        memo.index_new(instance);
         let visit = memo.to_scan();
         let Memo {
             seeds,
@@ -2110,6 +2150,298 @@ mod tests {
             });
             assert!(rows_read > 0, "no rescan read a row");
             assert!(rejoined > 0, "no switch rejoined");
+        }
+    }
+
+    mod probe_property {
+        //! A probe through a shared list's score row against the walk
+        //! over every candidate ([`walk`]), step by step inside warm
+        //! solves.
+        use super::*;
+        use crate::delta::{replan_delta, ReplanDelta, SolveState};
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRunner;
+        use std::cell::RefCell;
+
+        /// What one property run met.
+        #[derive(Debug, Default)]
+        struct Reach {
+            /// Row walks compared with the walk over every candidate.
+            compared: usize,
+            /// Their candidates read where the log ends, past its end
+            /// (the log runs past the step), and on a diverged switch.
+            log_end: usize,
+            past_end: usize,
+            diverged: usize,
+            /// Row entries read that an earlier solve took.
+            rows_read: usize,
+            /// Changes applied: capacity rewrites, leaves and joins.
+            rewrites: usize,
+            leaves: usize,
+            joins: usize,
+        }
+
+        thread_local! {
+            static REACH: RefCell<Reach> = RefCell::new(Reach::default());
+        }
+
+        /// The greedy's probe, with every executed step of an indexed
+        /// list member first walked both ways: through the row and over
+        /// every candidate. The two must hand over the same switches with
+        /// the same scores, in the same order, to the bit.
+        fn checked(instance: &PlacementInstance, memo: &mut Memo, s: usize) -> Outcome {
+            if let (Some(g), Some((min_res, _))) = (memo.scans.row_of(s), memo.seeds.min_alloc(s)) {
+                let seed = &instance.seeds[s];
+                let home = (memo.seeds.seat(s))
+                    .filter(|&i| seed.candidates.contains(&memo.switches.ids[i]));
+                REACH.with_borrow_mut(|r| {
+                    r.compared += 1;
+                    let slots = memo.scans.slots(g).iter().map(|&i| i as usize);
+                    for i in slots.filter(|&i| memo.switches.is_present(i)) {
+                        match memo.reads_log_end(i) {
+                            Some(true) => r.log_end += 1,
+                            Some(false) => r.past_end += 1,
+                            None => r.diverged += 1,
+                        }
+                    }
+                });
+                let (mut row, mut each) = (Vec::new(), Vec::new());
+                let bits = |u: Option<f64>| u.map(f64::to_bits);
+                memo.walk_row(instance, s, g, &min_res, home, |i, u| {
+                    row.push((i, bits(u)))
+                });
+                walk(instance, memo, s, &min_res, home, |i, u| {
+                    each.push((i, bits(u)))
+                });
+                assert_eq!(
+                    row, each,
+                    "seed {s}: the row walk's scores, then every candidate's"
+                );
+            }
+            probe(instance, memo, s)
+        }
+
+        /// Switch capacities a generated switch draws from: vCPU, RAM,
+        /// TCAM, polls/s.
+        const CAPACITIES: [[f64; 4]; 4] = [
+            [4.0, 8192.0, 64.0, 125.0],
+            [2.0, 8192.0, 64.0, 60.0],
+            [1.0, 8192.0, 64.0, 125.0],
+            [3.0, 8192.0, 64.0, 40.0],
+        ];
+
+        /// The two definitions of the generated seeds, `(min vCPU, cap,
+        /// poll demand per unit of PCIe, constant demand)`, over one poll
+        /// subject.
+        const DEFINITIONS: [(f64, f64, f64, f64); 2] =
+            [(0.5, 2.0, 0.5, 10.0), (1.0, 3.0, 0.0, 40.0)];
+
+        fn seed(id: usize, task: usize, candidates: Vec<SwitchId>, def: usize) -> PlacementSeed {
+            let (min, cap, per_pcie, constant) = DEFINITIONS[def % 2];
+            PlacementSeed {
+                id,
+                task,
+                candidates,
+                util: linear_util(min, cap),
+                polls: vec![crate::model::PollDemand {
+                    subject: "load".into(),
+                    demand: Poly {
+                        coeffs: [0.0, 0.0, 0.0, per_pcie],
+                        constant,
+                    },
+                }],
+            }
+        }
+
+        /// Appends a task of one seed over `candidates`.
+        fn push_task(inst: &mut PlacementInstance, candidates: Vec<SwitchId>, def: usize) {
+            let (s, t) = (inst.seeds.len(), inst.tasks.len());
+            inst.seeds.push(seed(s, t, candidates, def));
+            inst.tasks.push(PlacementTask {
+                name: format!("t{t}"),
+                seeds: vec![s],
+            });
+        }
+
+        /// A fabric of `caps.len()` switches, a pinned task of one seed
+        /// per switch when `pinned`, and one watcher over every switch per
+        /// entry of `watchers`, of that definition.
+        fn instance(caps: &[usize], pinned: bool, watchers: &[usize]) -> PlacementInstance {
+            let mut inst = PlacementInstance::default();
+            for (n, &c) in caps.iter().enumerate() {
+                inst.switches
+                    .push((SwitchId(n as u32), Resources(CAPACITIES[c])));
+            }
+            let every: Vec<SwitchId> = inst.switches.iter().map(|&(n, _)| n).collect();
+            if pinned {
+                let seeds = (0..every.len()).map(|k| seed(k, 0, vec![every[k]], k));
+                inst.seeds.extend(seeds);
+                inst.tasks.push(PlacementTask {
+                    name: "pinned".into(),
+                    seeds: (0..every.len()).collect(),
+                });
+            }
+            for &def in watchers {
+                push_task(&mut inst, every.clone(), def);
+            }
+            inst
+        }
+
+        /// A change between two solves: its kind and two picks. A
+        /// switch's capacity is rewritten (0), a switch leaves (1) or a
+        /// switch that left joins again (2), a seed loses its seat (3), a
+        /// watcher is added (4), or a seed is redefined (5, declared
+        /// dirty) — while the options change too (6), so that the solve
+        /// is a full one, which leaves the seed in its list unindexed.
+        type Change = (usize, usize, usize);
+
+        /// Applies `change`; returns the seeds to declare dirty.
+        fn apply(
+            inst: &mut PlacementInstance,
+            all: &[(SwitchId, Resources)],
+            change: Change,
+            reach: &mut Reach,
+        ) -> Vec<usize> {
+            let (kind, a, b) = change;
+            let m = inst.switches.len();
+            match kind {
+                0 => {
+                    inst.switches[a % m].1 = Resources(CAPACITIES[b % CAPACITIES.len()]);
+                    reach.rewrites += 1;
+                }
+                1 if m > 1 => {
+                    inst.switches.remove(a % m);
+                    reach.leaves += 1;
+                }
+                2 => {
+                    let gone: Vec<_> = (all.iter())
+                        .filter(|(n, _)| inst.switches.iter().all(|(m, _)| m != n))
+                        .collect();
+                    if let Some(&&(n, ares)) = gone.get(a % gone.len().max(1)) {
+                        let at = inst.switches.partition_point(|(m, _)| *m < n);
+                        inst.switches.insert(at, (n, ares));
+                        reach.joins += 1;
+                    }
+                }
+                3 => {
+                    if let Some(prev) = &mut inst.previous {
+                        prev.assignment.remove(&(a % inst.seeds.len()));
+                    }
+                }
+                4 => {
+                    let every = all.iter().map(|&(n, _)| n).collect();
+                    push_task(inst, every, b);
+                }
+                5 => {
+                    let s = a % inst.seeds.len();
+                    let redefined =
+                        seed(s, inst.seeds[s].task, inst.seeds[s].candidates.clone(), b);
+                    inst.seeds[s] = redefined;
+                    return vec![s];
+                }
+                6 => {
+                    // A watcher, to the definition it does not have.
+                    let watchers: Vec<usize> = (0..inst.seeds.len())
+                        .filter(|&s| inst.seeds[s].candidates.len() > 1)
+                        .collect();
+                    let s = watchers[a % watchers.len()];
+                    let had = inst.seeds[s].polls[0].demand.constant == DEFINITIONS[1].3;
+                    let (task, candidates) = (inst.seeds[s].task, inst.seeds[s].candidates.clone());
+                    inst.seeds[s] = seed(s, task, candidates, usize::from(!had));
+                    return vec![s];
+                }
+                _ => {}
+            }
+            Vec::new()
+        }
+
+        fn previous(r: &PlacementResult) -> PreviousPlacement {
+            let seats = r.assignment.iter().enumerate();
+            PreviousPlacement {
+                assignment: seats.filter_map(|(s, slot)| Some((s, (*slot)?))).collect(),
+            }
+        }
+
+        /// Warm solves under random capacity rewrites (which rewrite kept
+        /// usages), leaves, joins, lost seats, new watchers and
+        /// redefinitions: at every executed step of a list member, the
+        /// row walk picks what the walk over every candidate picks, to
+        /// the bit — on switches read where their logs end, past it, and
+        /// diverged — and every solve matches `solve_heuristic`. Each
+        /// solve is checked on a state that replayed the solves before it,
+        /// so the row entries it reads were taken by those solves.
+        #[test]
+        fn a_row_walk_matches_the_walk_over_every_candidate() {
+            REACH.take();
+            // The migration pass off: the options of a full solve.
+            let other = HeuristicOptions {
+                migration: false,
+                ..HeuristicOptions::default()
+            };
+            let site = proptest::test_site!("a_row_walk_matches_the_walk_over_every_candidate");
+            TestRunner::new(ProptestConfig::default(), site).run_cases(|rng| {
+                let caps = proptest::collection::vec(0usize..CAPACITIES.len(), 2..9).generate(rng);
+                let pinned = any::<bool>().generate(rng);
+                let watchers = proptest::collection::vec(0usize..2, 2..7).generate(rng);
+                let change = (0usize..7, any::<usize>(), any::<usize>());
+                let changes = proptest::collection::vec(change, 1..6).generate(rng);
+                rng.note_inputs(&(&caps, pinned, &watchers, &changes));
+                let mut opts = HeuristicOptions::default();
+                let mut inst = instance(&caps, pinned, &watchers);
+                let all = inst.switches.clone();
+                let mut state = SolveState::new();
+                let (mut r, _) =
+                    replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
+                let mut rounds = vec![(inst.clone(), Vec::new(), opts)];
+                for &change in &changes {
+                    inst.previous = Some(previous(&r));
+                    let dirty = REACH.with_borrow_mut(|r| apply(&mut inst, &all, change, r));
+                    if change.0 == 6 {
+                        opts = if opts == other {
+                            HeuristicOptions::default()
+                        } else {
+                            other
+                        };
+                    }
+                    rounds.push((inst.clone(), dirty.clone(), opts));
+                    // The greedy of this solve, checked, on a state that
+                    // replayed the solves before it.
+                    let mut replay = SolveState::new();
+                    let (last, earlier) = rounds.split_last().expect("a round");
+                    for (inst, dirty, opts) in earlier {
+                        let delta = ReplanDelta::seeds(dirty.clone());
+                        replan_delta(inst, *opts, &mut replay, &delta, None);
+                    }
+                    let memo = &mut replay.memo;
+                    memo.declare_dirty(&last.1);
+                    memo.begin(&last.0, opts);
+                    memo.greedy(&last.0, checked);
+                    let rows_read = memo.end_greedy(&last.0).2;
+                    REACH.with_borrow_mut(|r| r.rows_read += rows_read);
+                    // The solve itself.
+                    let delta = ReplanDelta::seeds(dirty);
+                    let (dr, _) = replan_delta(&inst, opts, &mut state, &delta, None);
+                    let full = solve_heuristic(&inst, opts);
+                    assert_eq!(dr.assignment, full.assignment, "{change:?}");
+                    assert_eq!(dr.utility.to_bits(), full.utility.to_bits(), "{change:?}");
+                    assert_eq!(state.audit(&inst, None), Ok(()), "{change:?}");
+                    r = dr;
+                }
+            });
+            let reach = REACH.take();
+            assert!(reach.compared > 0, "no row walk: {reach:?}");
+            assert!(
+                reach.rows_read > 0,
+                "no row entry an earlier solve took: {reach:?}"
+            );
+            assert!(
+                reach.log_end > 0 && reach.past_end > 0 && reach.diverged > 0,
+                "{reach:?}"
+            );
+            assert!(
+                reach.rewrites > 0 && reach.leaves > 0 && reach.joins > 0,
+                "{reach:?}"
+            );
         }
     }
 }

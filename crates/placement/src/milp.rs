@@ -531,4 +531,74 @@ mod tests {
         let bigger = estimate_size(&big);
         assert!(bigger.0 > small.0 && bigger.1 > small.1);
     }
+
+    /// The case `prop_delta` pins at master seed 1038 (case 95), shrunk
+    /// by the runner to one event: a cold solve, then sw1's vCPU cut by
+    /// 10 % to 0.432, below what its two residents, seeds 1 and 11 of
+    /// task 1, held (0.2136 + 0.2664). Alg. 1 keeps their task placed
+    /// and moves both away, and their lingering reservations stand past
+    /// the new capacity. Under the MILP's double occupancy no placement
+    /// of that task fits: a resident that stays needs its minimum
+    /// (0.2136, 0.2299), one that leaves lingers, and every mix sums
+    /// above 0.432. The exact optimum of the task alone with its seats
+    /// places nothing. (Task 0 fits nowhere at this vCPU share either,
+    /// so the whole instance's optimum is the empty placement too.)
+    #[test]
+    fn a_capacity_drop_below_the_residents_seats_drops_their_task_exactly() {
+        use crate::model::PreviousPlacement;
+        use crate::workload::{generate, WorkloadConfig};
+        let mut inst = generate(&WorkloadConfig {
+            n_switches: 7,
+            n_tasks: 2,
+            n_seeds: 17,
+            candidates_per_seed: 3,
+            pinned_fraction: 0.540493877494235,
+            rng_seed: 9158,
+        });
+        for (_, ares) in &mut inst.switches {
+            ares.0[0] *= 0.12;
+        }
+        let cold = solve_heuristic(&inst, Default::default());
+        let sw1 = SwitchId(1);
+        let residents: Vec<usize> = (0..inst.seeds.len())
+            .filter(|&s| cold.assignment[s].is_some_and(|(n, _)| n == sw1))
+            .collect();
+        assert_eq!(residents, [1, 11]);
+        inst.switches[1].1 .0[0] *= 0.9;
+        let seats = |seeds: &[usize]| PreviousPlacement {
+            assignment: (seeds.iter().enumerate())
+                .filter_map(|(k, &s)| Some((k, cold.assignment[s]?)))
+                .collect(),
+        };
+        let every: Vec<usize> = (0..inst.seeds.len()).collect();
+        inst.previous = Some(seats(&every));
+        // Alg. 1: task 1 stays placed, both residents off sw1.
+        let h = solve_heuristic(&inst, Default::default());
+        assert_eq!(h.dropped_tasks, [0]);
+        assert!(residents
+            .iter()
+            .all(|&s| h.assignment[s].is_some_and(|(n, _)| n != sw1)));
+        // The exact optimum of task 1 alone, with its seats: nothing.
+        let task = inst.tasks[1].seeds.clone();
+        let alone = PlacementInstance {
+            seeds: (task.iter().enumerate())
+                .map(|(id, &s)| PlacementSeed {
+                    id,
+                    task: 0,
+                    ..inst.seeds[s].clone()
+                })
+                .collect(),
+            tasks: vec![PlacementTask {
+                name: "t1".into(),
+                seeds: (0..task.len()).collect(),
+            }],
+            previous: Some(seats(&task)),
+            ..inst
+        };
+        let encoded = encode(&alone);
+        let r = solve_milp(&encoded.problem, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        let assignment = encoded.extract(&alone, r.values.as_ref().expect("optimal"));
+        assert!(assignment.iter().all(Option::is_none), "{assignment:?}");
+    }
 }

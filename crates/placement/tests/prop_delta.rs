@@ -46,7 +46,10 @@
 //! some evaluates fewer benefit pairs in step 4 than a cold solve of
 //! the same instance, and some reads a pair from a shared list's row
 //! that another member or an earlier solve filled (a Retask copy's seeds
-//! have their originals' candidates and definitions).
+//! have their originals' candidates and definitions). A twin of it runs
+//! the same churn over instances that also carry `place any` watchers,
+//! whose probes score through their list's score row: some warm probe
+//! there must read an entry an earlier solve took.
 
 mod util;
 
@@ -148,6 +151,31 @@ impl Fabric {
             inst.tasks.push(PlacementTask {
                 name: format!("wide{t}"),
                 seeds: (first..inst.seeds.len()).collect(),
+            });
+        }
+        inst
+    }
+
+    /// [`Fabric::instance`] with `k` watchers after its tasks: the
+    /// `place any` shape, each the one seed of a task of its own over
+    /// every switch, taking utility and polling from the generator's
+    /// first or second seed by turns. The watchers of one definition
+    /// share one candidate list, and the probe of one that moves reads
+    /// the list's score row.
+    fn with_watchers(&self, k: usize) -> PlacementInstance {
+        let mut inst = self.instance();
+        let every: Vec<SwitchId> = inst.switches.iter().map(|&(n, _)| n).collect();
+        for w in 0..k {
+            let (s, task) = (inst.seeds.len(), inst.tasks.len());
+            inst.seeds.push(PlacementSeed {
+                id: s,
+                task,
+                candidates: every.clone(),
+                ..inst.seeds[w % 2 % inst.seeds.len()].clone()
+            });
+            inst.tasks.push(PlacementTask {
+                name: format!("watch{w}"),
+                seeds: vec![s],
             });
         }
         inst
@@ -430,6 +458,9 @@ struct Reach {
     read: usize,
     /// Pairs a warm scan read from a shared list's row.
     rows_read: usize,
+    /// Candidates a warm probe scored from a shared list's score row,
+    /// at an entry an earlier solve took.
+    probe_rows_read: usize,
     /// Runs of the step order a warm solve patched in place.
     patched: usize,
     /// Rounds whose kept scope followed one switch that joined or left,
@@ -453,7 +484,7 @@ fn delta_replans_match_full_solves_under_churn() {
         let fabric = workload().generate(rng);
         let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
         rng.note_inputs(&(&fabric, &events));
-        churn_case(&fabric, &events, &mut reach);
+        churn_case(&fabric, fabric.instance(), &events, &mut reach);
     });
     assert!(reach.cascaded > 0, "no warm solve cascaded: {reach:?}");
     assert!(reach.flipped > 0, "no warm solve flipped a task: {reach:?}");
@@ -472,9 +503,30 @@ fn delta_replans_match_full_solves_under_churn() {
     );
 }
 
-/// One case of [`delta_replans_match_full_solves_under_churn`].
-fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
-    let base = fabric.instance();
+/// The churn replay over instances that carry watchers
+/// ([`Fabric::with_watchers`]): every incremental solve is bit-identical
+/// to a from-scratch solve, and across the cases some warm probe scores
+/// a watcher's candidates from its list's score row at entries an
+/// earlier solve took.
+#[test]
+fn delta_replans_match_full_solves_with_watchers() {
+    let mut reach = Reach::default();
+    let site = proptest::test_site!("delta_replans_match_full_solves_with_watchers");
+    TestRunner::new(ProptestConfig::default(), site).run_cases(|rng| {
+        let fabric = workload().generate(rng);
+        let watchers = (2usize..8).generate(rng);
+        let events = proptest::collection::vec(churn_event(), 1..6).generate(rng);
+        rng.note_inputs(&(&fabric, watchers, &events));
+        churn_case(&fabric, fabric.with_watchers(watchers), &events, &mut reach);
+    });
+    assert!(
+        reach.probe_rows_read > 0,
+        "no warm probe read a score row entry an earlier solve took: {reach:?}"
+    );
+}
+
+/// One case of the churn replays: `base` under `events`.
+fn churn_case(fabric: &Fabric, base: PlacementInstance, events: &[Churn], reach: &mut Reach) {
     let mut inst = base.clone();
     let opts = HeuristicOptions::default();
     let mut state = SolveState::new();
@@ -543,6 +595,7 @@ fn churn_case(fabric: &Fabric, events: &[Churn], reach: &mut Reach) {
         reach.fewer_pairs += usize::from(report.pairs_evaluated < cold.pairs_evaluated);
         reach.read += report.switches_read;
         reach.rows_read += report.pairs_read;
+        reach.probe_rows_read += report.probe_rows_read;
         reach.patched += report.runs_patched;
         r = dr;
     }
