@@ -30,6 +30,7 @@ use farm_netsim::time::{Dur, Time};
 use farm_netsim::topology::Topology;
 use farm_netsim::traffic::Workload;
 use farm_netsim::types::{Proto, SwitchId};
+use farm_placement::model::SwitchList;
 use farm_soil::{
     Endpoint, OutboundMessage, SeedId, SeedInstance, SeedSnapshot, Soil, SoilConfig, SoilStats,
     TickReport,
@@ -106,47 +107,15 @@ struct SwitchRow {
     loss: Option<LossModel>,
 }
 
-/// The live switches ([`Farm::live_capacities`]) and their slots.
-#[derive(Debug, Default)]
-struct Live {
-    caps: Vec<(SwitchId, Resources)>,
-    slots: Vec<u32>,
-}
-
-impl Live {
-    /// One pass over the slots: reached ([`Network::reachable`]), neither
-    /// fenced nor cordoned, at effective resources.
-    fn of(network: &Network, rows: &[SwitchRow]) -> Live {
-        let mut live = Live::default();
-        let switches = network.switches().zip(rows).zip(network.reached());
-        for (slot, ((sw, row), &reached)) in switches.enumerate() {
-            if reached && !row.fenced && !row.cordoned {
-                live.caps.push((sw.id(), sw.effective_resources()));
-                live.slots.push(slot as u32);
-            }
-        }
-        live
-    }
-
-    /// Switch `slot` joins or leaves the list, as [`Live::of`] would
-    /// find it now: a cordon or an uncordon changes one switch's
-    /// liveness and leaves every other entry as it is.
-    fn set(&mut self, slot: usize, network: &Network, rows: &[SwitchRow]) {
-        let sw = network.switches().nth(slot).expect("a slot of the fabric");
-        let row = &rows[slot];
-        let live = network.reached()[slot] && !row.fenced && !row.cordoned;
-        match (self.slots.binary_search(&(slot as u32)), live) {
-            (Ok(at), false) => {
-                self.caps.remove(at);
-                self.slots.remove(at);
-            }
-            (Err(at), true) => {
-                self.caps.insert(at, (sw.id(), sw.effective_resources()));
-                self.slots.insert(at, slot as u32);
-            }
-            _ => {}
-        }
-    }
+/// The live switches ([`Farm::live_capacities`]) in one pass over the
+/// slots: reached ([`Network::reachable`]), neither fenced nor cordoned,
+/// at effective resources.
+fn live_list(network: &Network, rows: &[SwitchRow]) -> SwitchList {
+    let switches = network.switches().zip(rows).zip(network.reached());
+    (switches.filter(|&((_, row), &reached)| reached && !row.fenced && !row.cordoned))
+        .map(|((sw, _), _)| (sw.id(), sw.effective_resources()))
+        .collect::<Vec<_>>()
+        .into()
 }
 
 /// Maximum message-routing rounds per step (seed→harvester→seed→… chains).
@@ -371,8 +340,8 @@ pub struct Farm {
     sampled_slots: Vec<(SwitchId, usize)>,
     /// The live switches as of the first read since the last change to
     /// what makes a switch live (up, reached, fenced, PCIe degradation),
-    /// which empties it; a cordon or an uncordon patches its one entry.
-    live: OnceCell<Live>,
+    /// which empties it; a cordon or an uncordon sets its one entry.
+    live: OnceCell<SwitchList>,
 }
 
 impl Farm {
@@ -587,10 +556,8 @@ impl Farm {
     ) -> Result<Plan, Error> {
         let started = std::time::Instant::now();
         let round = spans.start();
-        let live = self
-            .live
-            .get_or_init(|| Live::of(&self.network, &self.rows));
-        let mut plan = self.seeder.plan(&live.caps);
+        let live = (self.live).get_or_init(|| live_list(&self.network, &self.rows));
+        let mut plan = self.seeder.plan(live);
         spans.end("plan", round);
         let commit = spans.start();
         let now = self.now;
@@ -863,22 +830,16 @@ impl Farm {
     /// (PCIe-degraded) resources, in id order. The one definition of
     /// "live" that placement and the daemon's admission control share.
     pub fn live_capacities(&self) -> &[(SwitchId, Resources)] {
-        &self.live().caps
-    }
-
-    fn live(&self) -> &Live {
-        self.live
-            .get_or_init(|| Live::of(&self.network, &self.rows))
+        (self.live).get_or_init(|| live_list(&self.network, &self.rows))
     }
 
     /// Per resource kind, the live switches' capacity scaled by `quota`
     /// less what their soils' seeds hold, summed in slot order: the
     /// headroom admission control grants a new task from.
     pub fn headroom(&self, quota: f64) -> [f64; 4] {
-        let live = self.live();
         let mut headroom = [0f64; 4];
-        for ((_, cap), &slot) in live.caps.iter().zip(&live.slots) {
-            let soil = self.rows[slot as usize].soil.as_ref();
+        for (id, cap) in self.live_capacities() {
+            let soil = (self.network.slot_of(*id)).and_then(|s| self.rows[s].soil.as_ref());
             let used = soil.map_or(Resources::ZERO, Soil::resources_in_use);
             for (h, (c, u)) in headroom.iter_mut().zip(cap.0.iter().zip(used.0.iter())) {
                 *h += c * quota - u;
@@ -1292,12 +1253,17 @@ impl Farm {
     }
 
     /// The kept live list, if there is one, follows switch `slot`'s
-    /// cordon ([`Live::set`]). Faults that can change many switches'
-    /// reachability or capacity at once empty the list instead.
+    /// cordon: its one entry is set ([`SwitchList::set`]). Faults that
+    /// can change many switches' reachability or capacity at once empty
+    /// the list instead.
     fn patch_live(&mut self, slot: usize) {
-        if let Some(live) = self.live.get_mut() {
-            live.set(slot, &self.network, &self.rows);
-        }
+        let (Some(live), Some(sw)) = (self.live.get_mut(), self.network.switches().nth(slot))
+        else {
+            return;
+        };
+        let row = &self.rows[slot];
+        let up = self.network.reached()[slot] && !row.fenced && !row.cordoned;
+        live.set(sw.id(), up.then(|| sw.effective_resources()));
     }
 
     /// Switches currently cordoned by [`Farm::drain`], in id order.

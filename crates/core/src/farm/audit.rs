@@ -10,7 +10,9 @@ use std::fmt;
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 
-use super::{live, Farm, Live};
+use farm_placement::model::SwitchList;
+
+use super::{live, live_list, Farm};
 
 /// What [`Farm::audit`] found: one line per invariant that does not
 /// hold, empty when the farm agrees with itself.
@@ -38,11 +40,12 @@ impl fmt::Display for AuditReport {
 
 impl Farm {
     /// Checks the farm against itself:
-    /// * the kept live list against a walk over the slots, and
-    ///   [`Farm::live_capacities`] against the switches
+    /// * the kept live list against a walk over the slots, and the walk
+    ///   against the switches
     ///   [`farm_netsim::network::Network::reachable`] finds, less the
     ///   fenced and the cordoned ones, at effective resources;
-    /// * the seeder's round scope, the solver memory and C2 of the
+    /// * the seeder's switch list against the kept live list, its round
+    ///   scope, the solver memory and C2 of the
     ///   committed seats (`Seeder::audit`);
     /// * every soil's kept state ([`farm_soil::Soil::audit`]);
     /// * the seed table against the soils: a live seed runs its key's
@@ -56,9 +59,8 @@ impl Farm {
     /// Off the hot path: it rebuilds what the farm keeps.
     pub fn audit(&self) -> AuditReport {
         let mut findings = Vec::new();
-        // Before `live_capacities`, which keeps the list it reads.
         self.audit_live(&mut findings);
-        self.seeder.audit(&mut findings);
+        self.seeder.audit(self.live.get(), &mut findings);
         let net = &self.network;
         for sw in net.switches() {
             let soil = net
@@ -108,12 +110,8 @@ impl Farm {
     /// then the list against the fabric.
     fn audit_live(&self, findings: &mut Vec<String>) {
         let bits = |r: &Resources| r.0.map(f64::to_bits);
-        let rows = |l: &Live| -> Vec<_> {
-            (l.caps.iter().zip(&l.slots))
-                .map(|((id, r), &slot)| (*id, bits(r), slot))
-                .collect()
-        };
-        let now = rows(&Live::of(&self.network, &self.rows));
+        let rows = |l: &SwitchList| -> Vec<_> { l.iter().map(|(id, r)| (*id, bits(r))).collect() };
+        let now = rows(&live_list(&self.network, &self.rows));
         if let Some(kept) = self.live.get().map(rows) {
             if kept != now {
                 findings.push(format!("live list: kept {kept:?}, walk {now:?}"));
@@ -124,11 +122,8 @@ impl Farm {
             .filter(|id| !fenced.contains(id) && !cordoned.contains(id))
             .filter_map(|id| Some((id, bits(&self.network.switch(id)?.effective_resources()))))
             .collect();
-        let caps: Vec<(SwitchId, [u64; 4])> = (self.live_capacities().iter())
-            .map(|(id, r)| (*id, bits(r)))
-            .collect();
-        if caps != fold {
-            findings.push(format!("live capacities {caps:?}, reachable {fold:?}"));
+        if now != fold {
+            findings.push(format!("live capacities {now:?}, reachable {fold:?}"));
         }
     }
 

@@ -23,7 +23,8 @@ use farm_placement::build::{task_rows, Scope, TaskRows};
 use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{
-    validate_capacity, validate_seats, PlacementInstance, PlacementResult, PreviousPlacement, Seats,
+    validate_capacity, validate_seats, LogAt, PlacementInstance, PlacementResult,
+    PreviousPlacement, Seats, SwitchList,
 };
 use farm_soil::{SeedId, SeedSnapshot};
 use farm_telemetry::{Histogram, Telemetry};
@@ -143,6 +144,9 @@ struct Catalog {
     /// The round the instance's task lists are scoped for; `None` until
     /// a round scopes them all.
     round: Option<Round>,
+    /// Where the live list's log stood when the instance's switches last
+    /// took it.
+    seen: Option<LogAt>,
 }
 
 /// The catalog's round scope ([`Scope`]), kept current through every
@@ -239,20 +243,26 @@ impl Catalog {
     }
 
     /// Points the instance at this round's live switches and previous
-    /// placement, and scopes its task lists: against the last round's
-    /// scope only the seeds the switches that joined or left can move
-    /// ([`Scope::follow`]) and the tasks spliced in since, otherwise
-    /// every task ([`PlacementInstance::begin_round`]). Returns the held
-    /// seeds.
+    /// placement, and scopes its task lists. The instance's switches take
+    /// the edits `live` logged since the last round, or the whole list
+    /// when its log does not reach back that far. Against the last
+    /// round's scope only the seeds the switches that joined or left can
+    /// move ([`Scope::follow`]) and the tasks spliced in since are
+    /// scoped, otherwise every task ([`PlacementInstance::begin_round`]).
+    /// Returns the held seeds.
     fn begin_round(
         &mut self,
-        switches: &[(SwitchId, Resources)],
+        live: &SwitchList,
         previous: Option<PreviousPlacement>,
     ) -> Vec<usize> {
+        let list = &mut self.instance.switches;
+        match live.changes_since(self.seen) {
+            Some(ids) => ids.iter().for_each(|&n| list.set(n, live.ares(n))),
+            None => *list = live.clone(),
+        }
+        self.seen = Some(live.log_at());
         let instance = &mut self.instance;
         if let Some(round) = &mut self.round {
-            instance.switches.clear();
-            instance.switches.extend_from_slice(switches);
             if round.scope.follow(instance).is_some() {
                 instance.previous = previous;
                 for t in std::mem::take(&mut round.spliced) {
@@ -261,7 +271,7 @@ impl Catalog {
                 return round.scope.held().to_vec();
             }
         }
-        let held = instance.begin_round(switches, previous);
+        let held = instance.begin_round(previous);
         self.round = Scope::of(instance, held.clone()).map(|scope| Round {
             scope,
             spliced: Vec::new(),
@@ -269,18 +279,23 @@ impl Catalog {
         held
     }
 
-    /// Holds the kept round scope to scoping every task again over the
-    /// same live switches.
-    fn check_round(&self) -> Result<(), String> {
+    /// Holds the instance's switches, with the edits `live` logged since
+    /// the last round, to `live`, and the kept round scope to scoping
+    /// every task again over the same switches.
+    fn check_round(&self, live: Option<&SwitchList>) -> Result<(), String> {
+        if let Some((live, ids)) = live.and_then(|l| Some((l, l.changes_since(self.seen)?))) {
+            let mut switches = self.instance.switches.clone();
+            ids.iter().for_each(|&n| switches.set(n, live.ares(n)));
+            let (got, want) = (&switches[..], &live[..]);
+            if got != want {
+                return Err(format!("round: switches {got:?}, live {want:?}"));
+            }
+        }
         let Some(round) = &self.round else {
             return Ok(());
         };
         let mut fresh = self.instance.clone();
-        let held = fresh.begin_round(&self.instance.switches, None);
-        let ids = self.instance.switches.iter().map(|(n, _)| n);
-        if !round.scope.live().iter().eq(ids) {
-            return Err("round: live ids are not the round's switches".into());
-        }
+        let held = fresh.begin_round(None);
         let spliced = |s: &usize| round.spliced.contains(&self.instance.seeds[*s].task);
         let want: Vec<usize> = held.into_iter().filter(|s| !spliced(s)).collect();
         if round.scope.held() != want {
@@ -504,14 +519,15 @@ impl Seeder {
         }
     }
 
-    /// The seeder's part of [`crate::farm::Farm::audit`]: the kept round
+    /// The seeder's part of [`crate::farm::Farm::audit`]: its switches to
+    /// the farm's kept `live` list, if there is one, the kept round
     /// scope to scoping every task again, what the solver memory keeps to
     /// its recomputation ([`SolveState::audit`]), and every seat on a
     /// candidate, inside its seed's utility domain (C2). C1 and C3/C4 are
     /// the solver's alone: between rounds a committed placement is
     /// partial while evicted seeds wait for recovery, and a landed
     /// recovery does not apply its round's other actions.
-    pub(crate) fn audit(&self, findings: &mut Vec<String>) {
+    pub(crate) fn audit(&self, live: Option<&SwitchList>, findings: &mut Vec<String>) {
         let Catalog {
             instance, seats, ..
         } = &self.catalog;
@@ -520,7 +536,7 @@ impl Seeder {
                 findings.push(format!("{what}: {e}"));
             }
         };
-        found("seeder", self.catalog.check_round());
+        found("seeder", self.catalog.check_round(live));
         found("solver", self.solver_state.audit(instance, Some(seats)));
         let seated: Vec<_> = (0..instance.seeds.len())
             .map(|s| seats.get(&s).copied())
@@ -535,14 +551,14 @@ impl Seeder {
     /// to a from-scratch solve, reuse only buys time. A seed with no
     /// live candidate holds its seat ([`Plan::held`]): it neither drops
     /// its task nor appears in the actions.
-    pub(crate) fn plan(&mut self, switches: &[(SwitchId, Resources)]) -> Plan {
+    pub(crate) fn plan(&mut self, live: &SwitchList) -> Plan {
         // The catalog's seats are the previous placement: they go to the
         // round as they are, and come back after the diff.
         let seats = &mut self.catalog.seats;
         let previous = (!seats.is_empty()).then(|| PreviousPlacement {
             assignment: std::mem::take(seats),
         });
-        let held = self.catalog.begin_round(switches, previous);
+        let held = self.catalog.begin_round(live, previous);
         let Catalog {
             keys,
             instance,
@@ -696,11 +712,13 @@ mod tests {
         }
     }
 
-    fn capacities(topo: &Topology) -> Vec<(SwitchId, Resources)> {
-        topo.switches()
-            .iter()
-            .map(|n| (n.id, n.model.total_resources()))
-            .collect()
+    fn capacities(topo: &Topology) -> SwitchList {
+        let switches = topo.switches().iter();
+        SwitchList::from(
+            switches
+                .map(|n| (n.id, n.model.total_resources()))
+                .collect::<Vec<_>>(),
+        )
     }
 
     fn deploys(plan: &Plan) -> usize {
@@ -710,7 +728,7 @@ mod tests {
 
     /// A seeder holding the heavy-hitter task as "hh", and the fabric's
     /// switches to plan over.
-    fn hh_seeder() -> (Seeder, Vec<(SwitchId, Resources)>) {
+    fn hh_seeder() -> (Seeder, SwitchList) {
         let topo = fabric();
         let hh = farm_almanac::programs::HEAVY_HITTER;
         let task = compile_task("hh", hh, &Default::default(), &SdnController::new(&topo));
@@ -1015,6 +1033,8 @@ mod tests {
             ) {
                 let topo = fabric();
                 let all = capacities(&topo);
+                // One list, set entry by entry: the catalog reads its log.
+                let mut live = SwitchList::default();
                 let mut seeder = Seeder::new();
                 let mut table = BTreeMap::new();
                 let mut model = Model::new();
@@ -1045,12 +1065,9 @@ mod tests {
                         let key = key.clone();
                         fresh.commit(&PlannedAction::Deploy { key, to, alloc }, Some(id));
                     }
-                    let live: Vec<_> = all
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, c)| *c)
-                        .collect();
+                    for (i, &(n, c)) in all.iter().enumerate() {
+                        live.set(n, (mask & (1 << i) != 0).then_some(c));
+                    }
                     let plan = seeder.plan(&live);
                     assert_same_plan(&plan, &fresh.plan(&live));
                     commit(&mut seeder, &mut model, &plan);

@@ -1,5 +1,6 @@
 //! farmctl — operator CLI for a running farmd.
 
+use std::cmp::Reverse;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -31,6 +32,10 @@ COMMANDS:
     replan                              Force a placement replan
     checkpoint                          Checkpoint all live seeds
     restore                             Restore seeds from checkpoints
+    audit                               Hold the daemon's kept state to
+                                        its recomputation: one line per
+                                        finding (each pod's with --fed),
+                                        or `clean`; exit 1 on a finding
     remove <task>                       Remove a deployed task
     pods                                List federation pods (fedd)
     migrate <task> <pod>                Move a task to another pod (fedd)
@@ -127,15 +132,17 @@ fn print_trace(body: &str) -> ExitCode {
         let kind = op.get("kind").and_then(Json::as_str).unwrap_or("?");
         println!("op {} {kind}", field(op, "id"));
         let spans = op.get("spans").and_then(Json::as_arr).unwrap_or_default();
-        let mut spans: Vec<(u64, u64, &str)> = (spans.iter())
-            .map(|s| {
+        let mut spans: Vec<(u64, u64, usize, &str)> = (spans.iter().enumerate())
+            .map(|(i, s)| {
                 let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
-                (field(s, "start_us"), field(s, "end_us"), name)
+                (field(s, "start_us"), field(s, "end_us"), i, name)
             })
             .collect();
-        spans.sort_by_key(|&(start, end, _)| (start, std::cmp::Reverse(end)));
+        // A span is recorded when it ends, so of two with the same bounds
+        // the later one encloses the earlier.
+        spans.sort_by_key(|&(start, end, i, _)| (start, Reverse(end), Reverse(i)));
         let mut open: Vec<u64> = Vec::new();
-        for (start, end, name) in spans {
+        for (start, end, _, name) in spans {
             while open.last().is_some_and(|&e| start >= e || end > e) {
                 open.pop();
             }
@@ -281,6 +288,7 @@ fn build_op(command: &str, args: &[String]) -> Result<ControlOp, String> {
         "replan" => Ok(ControlOp::Replan),
         "checkpoint" => Ok(ControlOp::Checkpoint),
         "restore" => Ok(ControlOp::Restore),
+        "audit" => Ok(ControlOp::Audit),
         "remove" => Ok(ControlOp::RemoveTask {
             task: args
                 .first()
@@ -328,10 +336,7 @@ fn cursor_args(args: &[String]) -> Result<(u64, u64), String> {
 fn render(reply: &ControlReply, json: bool) -> ExitCode {
     if json {
         println!("{}", reply_json(reply));
-        return match reply {
-            ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => ExitCode::FAILURE,
-            _ => ExitCode::SUCCESS,
-        };
+        return exit_code(reply);
     }
     match reply {
         ControlReply::Ok => println!("ok"),
@@ -434,6 +439,8 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
                 );
             }
         }
+        ControlReply::Audited { findings } if findings.is_empty() => println!("clean"),
+        ControlReply::Audited { findings } => findings.iter().for_each(|f| println!("{f}")),
         ControlReply::Rejected { reason } => {
             eprintln!("farmctl: rejected: {reason}");
             return ExitCode::FAILURE;
@@ -480,7 +487,17 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
             println!("--- program ---\n{source}");
         }
     }
-    ExitCode::SUCCESS
+    exit_code(reply)
+}
+
+/// Failure for a refused op, a program that did not compile and an
+/// audit that found something.
+fn exit_code(reply: &ControlReply) -> ExitCode {
+    match reply {
+        ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => ExitCode::FAILURE,
+        ControlReply::Audited { findings } if !findings.is_empty() => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
+    }
 }
 
 fn seed_json(s: &SeedDescriptor) -> Json {
@@ -589,6 +606,7 @@ fn reply_json(reply: &ControlReply) -> String {
             }
         }
         ControlReply::Rejected { reason } => status("rejected").with("reason", reason),
+        ControlReply::Audited { findings } => status("audited").with("findings", findings.clone()),
         ControlReply::CompileFailed { diagnostics } => {
             let diagnostics: Vec<Json> = diagnostics
                 .iter()

@@ -410,6 +410,9 @@ fn serve_op<P: Peers>(
         },
         ControlOp::Checkpoint => checkpoint(core),
         ControlOp::Restore => restore(core),
+        ControlOp::Audit => ControlReply::Audited {
+            findings: farm.audit().findings,
+        },
         ControlOp::Shutdown => ControlReply::Ok,
         ControlOp::ExportTask { task } => export_task(core, task),
         ControlOp::SubmitWithSnapshot {

@@ -140,6 +140,7 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp, now: Instant) -> Contr
         ControlOp::Restore => restore(core),
         ControlOp::MigrateTask { task, to_pod } => migrate(core, task, to_pod),
         ControlOp::RemoveTask { task } => remove_task(core, task),
+        ControlOp::Audit => audit(core),
         ControlOp::Shutdown => ControlReply::Ok,
         // Pod-side halves of the migration flow; fedd drives them, it
         // does not serve them.
@@ -681,6 +682,23 @@ fn route_switch_op<P: Peers>(core: &mut Core<P>, global: u32, drain: bool) -> Co
         Ok(other) => other,
         Err(reason) => ControlReply::Rejected { reason },
     }
+}
+
+/// Federated `Audit`: every live pod's findings, each prefixed with
+/// the pod's name; a pod that does not answer with its findings is a
+/// finding of its own.
+fn audit<P: Peers>(core: &mut Core<P>) -> ControlReply {
+    let mut findings = Vec::new();
+    for (pod, _, reply) in broadcast(core, ControlOp::Audit) {
+        match reply {
+            Ok(ControlReply::Audited { findings: f }) => {
+                findings.extend(f.into_iter().map(|f| format!("{pod}: {f}")));
+            }
+            Ok(other) => findings.push(format!("{pod}: answered `{}`", other.kind())),
+            Err(e) => findings.push(format!("{pod}: {e}")),
+        }
+    }
+    ControlReply::Audited { findings }
 }
 
 fn replan<P: Peers>(core: &mut Core<P>) -> ControlReply {

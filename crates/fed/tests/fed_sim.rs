@@ -88,6 +88,28 @@ fn a_stalled_pod_costs_exactly_one_pod_timeout_and_the_survivors_answer() {
     assert_eq!(fanout.max, pod_timeout.as_micros() as u64);
 }
 
+/// fedd asks every live pod for its audit and prefixes each finding
+/// with the pod's name; a pod that does not answer is a finding.
+#[test]
+fn an_audit_fans_out_and_names_each_pod_it_could_not_hear() {
+    let mut sim = Sim::new(3, Setup::default());
+    let span = submit("span", machine("place all 1, 5, 9;"));
+    assert!(matches!(
+        sim.op(span),
+        ControlReply::Submitted { seeds: 3, .. }
+    ));
+    let clean = ControlReply::Audited { findings: vec![] };
+    assert_eq!(sim.op(ControlOp::Audit), clean);
+    sim.pods.borrow_mut()[1].frozen = true;
+    match sim.op(ControlOp::Audit) {
+        ControlReply::Audited { findings } => {
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].starts_with("b: "), "{findings:?}");
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
 /// Pods a, b, c answer after the given extra delays: the merged
 /// listing's bytes, the order fedd harvested the pods in, and the
 /// order of the pods in a merged metrics dump.

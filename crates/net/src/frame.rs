@@ -257,6 +257,10 @@ wire_enum! {
         /// op it still holds for `id` 0, as a JSON body. Answered by the
         /// daemon skeleton, not the core.
         19 "trace" Trace { id: u64 },
+        /// Hold the daemon's kept state to its recomputation
+        /// (`Farm::audit`); fedd asks every live pod
+        /// ([`ControlReply::Audited`]).
+        20 "audit" Audit,
     }
 }
 
@@ -446,6 +450,10 @@ wire_enum! {
             source: String,
             seeds: Vec<(String, SeedSnapshot)>,
         },
+        /// Audit answer: one line per invariant that does not hold, empty
+        /// when the daemon agrees with itself. fedd prefixes each pod's
+        /// lines with the pod's name.
+        15 "audited" Audited { findings: Vec<String> },
     }
 }
 

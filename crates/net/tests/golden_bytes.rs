@@ -227,6 +227,7 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (op(ControlOp::RemoveTask { task: "mon".into() }), "090109000511036d6f6e"),
         (op(ControlOp::ExplainSubmit { name: "mon".into(), source: SOURCE.into() }), "2e0109000512036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d"),
         (op(ControlOp::Trace { id: 4_294_967_297 }), "0a01090005138180808010"),
+        (op(ControlOp::Audit), "050109000514"),
         // ---- control replies ---------------------------------------
         (reply(ControlReply::Ok), "05010a010500"),
         (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6, explain: None }), "0b010a010501036d6f6e0506"),
@@ -255,6 +256,8 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (reply(ControlReply::Migrated { task: "mon".into(), from_pod: "pod-a".into(), to_pod: "pod-b".into(), seeds: 4 }), "16010a01050d036d6f6e05706f642d6105706f642d6204"),
         (reply(ControlReply::TaskExport { source: SOURCE.into(), seeds: vec![("mon/m0/s0".into(), snapshot())] }), "5e010a01050e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d01096d6f6e2f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"),
         (reply(ControlReply::TaskExport { source: String::new(), seeds: vec![] }), "07010a01050e0000"),
+        (reply(ControlReply::Audited { findings: vec![] }), "06010a01050f00"),
+        (reply(ControlReply::Audited { findings: vec!["pod-a: export: not in order".into(), "pod-b: unknown pod".into()] }), "35010a01050f021b706f642d613a206578706f72743a206e6f7420696e206f7264657212706f642d623a20756e6b6e6f776e20706f64"),
         // The whole value tree travels only inside seed snapshots.
         (reply(ControlReply::TaskExport { source: String::new(), seeds: vec![("mon/m0/s0".into(), SeedSnapshot { machine: "HH".into(), state: "Monitor".into(), vars: vec![("every".into(), every_value_tag())] })] }), "eb01010a01050e0001096d6f6e2f6d302f73300001024848074d6f6e69746f72010565766572790512000101029901030000000000000440040831302e302e302e31050006818080508280805000d0860316dc0b050703040200808080500802018182a0850c20050304020280080203bb030403020401020500040205012f03000108000801c0843d0802050803080409020402040a000000000000f03f0000000000005940000000000000000000000000000029400b0009010203040b010c6473745f706f727420343433ffffffffffffffffff0100ac0280010c04016b0c02ffffffffffffffffff010100"),
     ]
@@ -301,7 +304,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
             Frame::Control { op } => Some(op.kind()),
             _ => None,
         }),
-        20,
+        21,
         "control op variants"
     );
     assert_eq!(
@@ -309,7 +312,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
             Frame::ControlReply { reply } => Some(reply.kind()),
             _ => None,
         }),
-        15,
+        16,
         "control reply variants"
     );
 }

@@ -15,7 +15,8 @@ use farm_netsim::types::SwitchId;
 
 use crate::fxhash::FxHashSet;
 use crate::model::{
-    PlacementInstance, PlacementSeed, PlacementTask, PollDemand, PreviousPlacement,
+    LogAt, PlacementInstance, PlacementSeed, PlacementTask, PollDemand, PreviousPlacement,
+    SwitchList,
 };
 
 /// Canonical subject key shared across machines/tasks so the optimizer
@@ -28,8 +29,8 @@ pub(crate) fn subject_key(subject: &PollSubject) -> String {
     }
 }
 
-/// Builds a placement instance from compiled tasks: the catalog half
-/// (seeds and tasks, which only the task set decides; one
+/// Builds a placement instance from compiled tasks over `switches`: the
+/// catalog half (seeds and tasks, which only the task set decides; one
 /// [`task_rows`] per task) followed by
 /// [`PlacementInstance::begin_round`] for the round half.
 ///
@@ -42,13 +43,16 @@ pub fn instance_from_tasks(
     switches: &[(SwitchId, Resources)],
     previous: Option<PreviousPlacement>,
 ) -> Result<PlacementInstance, String> {
-    let mut instance = PlacementInstance::default();
+    let mut instance = PlacementInstance {
+        switches: switches.to_vec().into(),
+        ..PlacementInstance::default()
+    };
     for (t, task) in tasks.iter().enumerate() {
         let rows = task_rows(task, t, instance.seeds.len())?;
         instance.seeds.extend(rows.seeds);
         instance.tasks.push(rows.task);
     }
-    instance.begin_round(switches, previous);
+    instance.begin_round(previous);
     Ok(instance)
 }
 
@@ -172,11 +176,11 @@ impl PlacementInstance {
         map
     }
 
-    /// Points the instance at one planning round: this round's live
-    /// switches, the placement it starts from, and every task's seed
-    /// list scoped to the seeds that have somewhere to go.
+    /// Points the instance at one planning round over its switches: the
+    /// placement it starts from, and every task's seed list scoped to
+    /// the seeds that have somewhere to go.
     ///
-    /// A seed none of whose candidates is among `switches` is *held*: it
+    /// A seed none of whose candidates is among the switches is *held*: it
     /// is out of scope for the round, not a reason to drop its task. It
     /// stays in [`PlacementInstance::seeds`] (seed numbering does not
     /// move) but in no task's list, so C1 is all-or-nothing over the
@@ -184,15 +188,9 @@ impl PlacementInstance {
     /// unassigned. Returns the held seeds in ascending order; what a
     /// held seed means for whatever sits behind it is the caller's to
     /// say (the seeder plans no action for it).
-    pub fn begin_round(
-        &mut self,
-        switches: &[(SwitchId, Resources)],
-        previous: Option<PreviousPlacement>,
-    ) -> Vec<usize> {
-        self.switches.clear();
-        self.switches.extend_from_slice(switches);
+    pub fn begin_round(&mut self, previous: Option<PreviousPlacement>) -> Vec<usize> {
         self.previous = previous;
-        let live: FxHashSet<SwitchId> = switches.iter().map(|(n, _)| *n).collect();
+        let live: FxHashSet<SwitchId> = self.switches.iter().map(|(n, _)| *n).collect();
         for task in &mut self.tasks {
             task.seeds.clear();
         }
@@ -210,15 +208,17 @@ impl PlacementInstance {
 
 /// A round's scope kept between rounds: what
 /// [`PlacementInstance::begin_round`] left the task lists scoped
-/// against, followed since. Beside the live ids and the held seeds it
-/// keeps one live candidate per scoped seed, its *witness*: a seed can
-/// leave the scope only when its witness leaves the live set, and come
-/// back only when a switch it has as candidate joins, so the next round
-/// visits those seeds and no others ([`Scope::follow`]).
-#[derive(Debug, Clone, Default)]
+/// against, followed since through the switch list's log. Beside the
+/// held seeds it keeps one live candidate per scoped seed, its
+/// *witness*: a seed can leave the scope only when its witness leaves
+/// the list, and come back only when a switch it has as candidate
+/// joins, so the next round visits those seeds and no others
+/// ([`Scope::follow`]).
+#[derive(Debug, Clone)]
 pub struct Scope {
-    /// The live switch ids, strictly ascending.
-    live: Vec<SwitchId>,
+    /// Where the instance's switch list's log stood when the scope last
+    /// followed it.
+    at: LogAt,
     /// The seeds with no live candidate, ascending.
     held: Vec<usize>,
     /// Per seed, a live candidate of a scoped seed; `None` for a held
@@ -231,24 +231,21 @@ impl Scope {
     /// in, holding `held`; `None` when the instance's switch ids are not
     /// strictly ascending.
     pub fn of(instance: &PlacementInstance, held: Vec<usize>) -> Option<Scope> {
-        let live: Vec<SwitchId> = instance.switches.iter().map(|(n, _)| *n).collect();
-        if !live.windows(2).all(|w| w[0] < w[1]) {
+        let switches = &instance.switches;
+        if !switches.windows(2).all(|w| w[0].0 < w[1].0) {
             return None;
         }
         let mut scope = Scope {
-            live,
+            at: switches.log_at(),
             held,
             witness: vec![None; instance.seeds.len()],
         };
-        for t in 0..instance.tasks.len() {
-            scope.witness_task(instance, t);
+        for task in &instance.tasks {
+            for &s in &task.seeds {
+                scope.witness[s] = first_in(&instance.seeds[s].candidates, switches);
+            }
         }
         Some(scope)
-    }
-
-    /// The live switch ids, ascending.
-    pub fn live(&self) -> &[SwitchId] {
-        &self.live
     }
 
     /// The held seeds, ascending.
@@ -257,47 +254,52 @@ impl Scope {
     }
 
     /// Brings the scope and `instance`'s task lists to the instance's
-    /// switches: a scoped seed whose witness left takes another live
-    /// candidate or is held, and a held seed with a candidate that
-    /// joined is scoped again; every other seed keeps its place in its
-    /// task's list. Returns how many switches joined or left, or `None`,
-    /// with both untouched, when the switch ids are not strictly
-    /// ascending.
+    /// switches, reading the ids their log names since the scope last
+    /// looked: one now absent left, and one now present joined. A scoped
+    /// seed whose witness left takes another live candidate or is held,
+    /// and a held seed with a candidate that joined is scoped again;
+    /// every other seed keeps its place in its task's list. Returns how
+    /// many switches the log named, or `None`, with both untouched, when
+    /// the scope's place fell off the log (a list written by hand or
+    /// replaced, or another list).
     pub fn follow(&mut self, instance: &mut PlacementInstance) -> Option<usize> {
-        let ids = instance.switches.iter().map(|(n, _)| n);
-        if self.live.len() == instance.switches.len() && self.live.iter().eq(ids) {
-            return Some(0);
-        }
-        let (joined, left) = diff(&self.live, &instance.switches)?;
-        if joined.is_empty() && left.is_empty() {
-            return Some(0);
-        }
-        self.live.clear();
-        self.live.extend(instance.switches.iter().map(|(n, _)| *n));
+        let PlacementInstance {
+            switches,
+            tasks,
+            seeds,
+            ..
+        } = instance;
+        let mut ids = switches.changes_since(Some(self.at))?.to_vec();
+        self.at = switches.log_at();
+        ids.sort_unstable();
+        ids.dedup();
+        let (joined, left): (Vec<SwitchId>, Vec<SwitchId>) =
+            ids.iter().partition(|&&n| switches.ares(n).is_some());
         if !left.is_empty() {
-            for s in 0..self.witness.len() {
+            for (s, seed) in seeds.iter().enumerate() {
                 if self.witness[s].is_none_or(|w| left.binary_search(&w).is_err()) {
                     continue;
                 }
-                let seed = &instance.seeds[s];
-                self.witness[s] = first_in(&seed.candidates, &self.live);
+                self.witness[s] = first_in(&seed.candidates, switches);
                 if self.witness[s].is_none() {
-                    let list = &mut instance.tasks[seed.task].seeds;
+                    let list = &mut tasks[seed.task].seeds;
                     let at = list.binary_search(&s).expect("a witnessed seed is scoped");
                     list.remove(at);
                     self.held.push(s);
                 }
             }
+            self.held.sort_unstable();
         }
         if !joined.is_empty() {
             let witness = &mut self.witness;
             self.held.retain(|&s| {
-                let seed = &instance.seeds[s];
-                witness[s] = first_in(&seed.candidates, &joined);
+                let seed = &seeds[s];
+                witness[s] =
+                    (seed.candidates.iter().copied()).find(|n| joined.binary_search(n).is_ok());
                 if witness[s].is_none() {
                     return true;
                 }
-                let list = &mut instance.tasks[seed.task].seeds;
+                let list = &mut tasks[seed.task].seeds;
                 let at = list
                     .binary_search(&s)
                     .expect_err("a held seed is out of scope");
@@ -305,8 +307,7 @@ impl Scope {
                 false
             });
         }
-        self.held.sort_unstable();
-        Some(joined.len() + left.len())
+        Some(ids.len())
     }
 
     /// Scopes task `t`'s seed list, empty until now (a task spliced in
@@ -322,7 +323,7 @@ impl Scope {
         list.clear();
         for (s, seed) in instance.seeds[start..end].iter().enumerate() {
             let s = start + s;
-            self.witness[s] = first_in(&seed.candidates, &self.live);
+            self.witness[s] = first_in(&seed.candidates, &instance.switches);
             match self.witness[s] {
                 Some(_) => list.push(s),
                 None => self.held.push(s),
@@ -358,7 +359,7 @@ impl Scope {
             let scoped = (instance.tasks[seed.task].seeds).binary_search(&s).is_ok();
             let w = self.witness[s];
             let live = w.is_some_and(|w| {
-                seed.candidates.contains(&w) && self.live.binary_search(&w).is_ok()
+                seed.candidates.contains(&w) && instance.switches.ares(w).is_some()
             });
             if scoped != live || w.is_some() != scoped {
                 return Err(format!(
@@ -368,48 +369,11 @@ impl Scope {
         }
         Ok(())
     }
-
-    /// Witnesses task `t`'s scoped seeds: each one's first live
-    /// candidate.
-    fn witness_task(&mut self, instance: &PlacementInstance, t: usize) {
-        for &s in &instance.tasks[t].seeds {
-            self.witness[s] = first_in(&instance.seeds[s].candidates, &self.live);
-        }
-    }
 }
 
-/// The first of `candidates` in `ids` (ascending).
-fn first_in(candidates: &[SwitchId], ids: &[SwitchId]) -> Option<SwitchId> {
-    (candidates.iter().copied()).find(|n| ids.binary_search(n).is_ok())
-}
-
-/// The switches that joined `old` in `new` and left it, both ascending;
-/// `None` when `new`'s ids are not strictly ascending.
-fn diff(old: &[SwitchId], new: &[(SwitchId, Resources)]) -> Option<(Vec<SwitchId>, Vec<SwitchId>)> {
-    if !new.windows(2).all(|w| w[0].0 < w[1].0) {
-        return None;
-    }
-    let (mut joined, mut left) = (Vec::new(), Vec::new());
-    let (mut a, mut b) = (0, 0);
-    while a < old.len() || b < new.len() {
-        match (old.get(a).copied(), new.get(b).map(|n| n.0)) {
-            (Some(o), Some(n)) if o == n => (a, b) = (a + 1, b + 1),
-            (Some(o), Some(n)) if n < o => {
-                joined.push(n);
-                b += 1;
-            }
-            (Some(o), _) => {
-                left.push(o);
-                a += 1;
-            }
-            (None, Some(n)) => {
-                joined.push(n);
-                b += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    Some((joined, left))
+/// The first of `candidates` in `switches` (ids ascending).
+fn first_in(candidates: &[SwitchId], switches: &SwitchList) -> Option<SwitchId> {
+    (candidates.iter().copied()).find(|&n| switches.ares(n).is_some())
 }
 
 #[cfg(test)]
@@ -485,7 +449,8 @@ mod tests {
         assert_eq!(inst.tasks[0].seeds, vec![0, 1, 2, 3, 4]);
 
         // The first switch leaves the round: its pinned seed is held.
-        let held = inst.begin_round(&switches[1..], None);
+        inst.switches.set(switches[0].0, None);
+        let held = inst.begin_round(None);
         assert_eq!(held, vec![0]);
         assert_eq!(inst.seeds.len(), 5, "seed numbering does not move");
         assert_eq!(inst.tasks[0].seeds, vec![1, 2, 3, 4]);
@@ -499,7 +464,8 @@ mod tests {
         assert!(result.assignment[0].is_none());
 
         // And returns: the seed is in scope again.
-        assert!(inst.begin_round(&switches, None).is_empty());
+        inst.switches.set(switches[0].0, Some(switches[0].1));
+        assert!(inst.begin_round(None).is_empty());
         assert_eq!(inst.tasks[0].seeds, vec![0, 1, 2, 3, 4]);
     }
 

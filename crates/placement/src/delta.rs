@@ -271,7 +271,7 @@ use crate::heuristic::{
 };
 use crate::model::{
     LogAt, PlacementInstance, PlacementResult, PlacementSeed, PollDemand, Seat, Seats,
-    SubjectInterner,
+    SubjectInterner, SwitchList,
 };
 
 /// Bucket bounds of the `solver.delta_frontier` and
@@ -1825,10 +1825,6 @@ enum Mode {
     Diverged,
 }
 
-/// A switch list entry that differs from the last solve's: where it is
-/// in the last list, and its new entry, or `None` for one that left.
-type Edit = (usize, Option<(SwitchId, Resources)>);
-
 /// Per-switch state, op logs and LP outputs, indexed by *slot*: a switch
 /// keeps its slot for the life of the memo, whether or not it is in the
 /// round.
@@ -1889,8 +1885,8 @@ pub(crate) struct Switches {
     arrivals: Vec<(u32, u32)>,
     /// Slots whose log a remap dropped: they start over at op 0.
     forgot: Vec<usize>,
-    /// The instance's switch list as the last solve saw it.
-    last: Vec<(SwitchId, Resources)>,
+    /// Where the instance's switch list's log stood at the last solve.
+    at: Option<LogAt>,
 }
 
 impl Switches {
@@ -2013,9 +2009,10 @@ impl Switches {
 
     /// Starts a solve over the instance's switches. One whose capacity
     /// bits and presence match the last solve starts `Clean`; one that
-    /// joined, or changed capacity, starts over at op 0. Over a list
-    /// with ids ascending, as the last one was, only the switches that
-    /// joined, left or changed capacity are visited ([`Switches::diff`]).
+    /// joined, or changed capacity, starts over at op 0. Only the
+    /// switches the list's log names since the last solve are visited
+    /// ([`Switches::follow`]); a list whose log does not reach back that
+    /// far is walked whole.
     fn begin(&mut self, instance: &PlacementInstance) {
         for k in 0..self.active.len() {
             let i = self.active[k];
@@ -2031,15 +2028,11 @@ impl Switches {
         self.left.clear();
         self.restarted.clear();
         let list = &instance.switches;
-        let same = |last: &[(SwitchId, Resources)]| {
-            last.len() == list.len()
-                && (last.iter().zip(list)).all(|(a, b)| a.0 == b.0 && bits(&a.1) == bits(&b.1))
-        };
-        if same(&self.last) {
-            return;
-        }
-        match self.diff(list) {
-            Some(edits) => self.apply_diff(&edits),
+        let changed = list.changes_since(self.at);
+        self.at = Some(list.log_at());
+        match changed {
+            Some([]) => return,
+            Some(ids) => self.follow(ids, list),
             None => self.walk(list),
         }
         for k in 0..self.restarted.len() {
@@ -2049,69 +2042,21 @@ impl Switches {
         self.shrink();
     }
 
-    /// The entries of `list` that differ from the last solve's, in id
-    /// order. `None` when either list's ids are not strictly ascending.
-    fn diff(&self, list: &[(SwitchId, Resources)]) -> Option<Vec<Edit>> {
-        let (old, mut edits) = (&self.last, Vec::new());
-        let (mut a, mut b) = (0, 0);
-        while a < old.len() || b < list.len() {
-            let ascending = |l: &[(SwitchId, Resources)], x: usize| {
-                x == 0 || x >= l.len() || l[x - 1].0 < l[x].0
-            };
-            if !ascending(old, a) || !ascending(list, b) {
-                return None;
-            }
-            match (old.get(a), list.get(b)) {
-                (Some(o), Some(n)) if o.0 == n.0 => {
-                    if bits(&o.1) != bits(&n.1) {
-                        edits.push((a, Some(*n)));
-                    }
-                    (a, b) = (a + 1, b + 1);
-                }
-                (Some(o), Some(n)) if n.0 < o.0 => {
-                    edits.push((a, Some(*n)));
-                    b += 1;
-                }
-                (Some(_), _) => {
-                    edits.push((a, None));
-                    a += 1;
-                }
-                (None, Some(n)) => {
-                    edits.push((a, Some(*n)));
-                    b += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        Some(edits)
-    }
-
-    /// Applies [`Switches::diff`]'s edits: a switch that left gives up its
-    /// log and state, one that joined or changed capacity starts over at
-    /// op 0, and the last list takes the edits.
-    fn apply_diff(&mut self, edits: &[Edit]) {
-        let joined = edits.iter().filter(|&&(at, entry)| {
-            entry.is_some_and(|(n, _)| self.last.get(at).is_none_or(|o| o.0 != n))
-        });
-        self.last.reserve_exact(joined.count());
-        for &(at, entry) in edits.iter().rev() {
-            let old = self.last.get(at).copied();
-            match entry {
-                None => {
-                    let i = self.slot_of[&self.last[at].0] as usize;
-                    self.leave(i);
-                    self.last.remove(at);
-                }
-                Some((n, ares)) => {
+    /// Brings the slots of `ids`, the switches `list`'s log names, up
+    /// to it: one now absent leaves with its log and state, and one now
+    /// present starts over at op 0 if it was absent or its capacity bits
+    /// differ.
+    fn follow(&mut self, ids: &[SwitchId], list: &SwitchList) {
+        for &n in ids {
+            let was = self.present_slot(n);
+            match list.ares(n) {
+                None => was.into_iter().for_each(|i| self.leave(i)),
+                Some(ares) if was.is_none_or(|i| bits(&self.states[i].ares) != bits(&ares)) => {
                     let i = self.slot(n);
                     self.start_over(i, ares);
                     self.restarted.push(i);
-                    if old.is_some_and(|o| o.0 == n) {
-                        self.last[at] = (n, ares);
-                    } else {
-                        self.last.insert(at, (n, ares));
-                    }
                 }
+                Some(_) => {}
             }
         }
         self.left.sort_unstable();
@@ -2119,11 +2064,11 @@ impl Switches {
     }
 
     /// Brings every slot up to `list` in one walk: the general path, for
-    /// a list whose ids are not ascending. A switch listed twice takes
-    /// its last capacity, from op 0.
+    /// a list whose log does not reach back to the last solve (the first
+    /// solve, a list written by hand or replaced, another instance's), in
+    /// any id order. A switch listed twice takes its last capacity, from
+    /// op 0.
     fn walk(&mut self, list: &[(SwitchId, Resources)]) {
-        self.last.clear();
-        self.last.extend_from_slice(list);
         // Until the last loop, `moved` says whether a slot was in the
         // last round and `touched` whether it is in this one.
         for i in 0..self.ids.len() {
@@ -2492,7 +2437,6 @@ impl Switches {
             + vec_bytes(&self.restarted)
             + vec_bytes(&self.forgot)
             + vec_bytes(&self.arrivals)
-            + vec_bytes(&self.last)
     }
 }
 
@@ -4215,7 +4159,7 @@ pub fn replan_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::TaskRows;
+    use crate::build::{Scope, TaskRows};
     use crate::heuristic::solve_heuristic;
     use crate::model::{validate, PlacementTask, PreviousPlacement};
     use crate::workload::{generate, WorkloadConfig};
@@ -4322,7 +4266,7 @@ mod tests {
         as_previous(&mut inst, &r0);
         replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
         // Degrade every switch slightly: every log diverges from op 0.
-        for (_, ares) in &mut inst.switches {
+        for (_, ares) in inst.switches.iter_mut() {
             ares.0[0] *= 0.999;
         }
         let (r, report) = replan_delta(&inst, opts, &mut state, &ReplanDelta::default(), None);
@@ -4360,7 +4304,7 @@ mod tests {
         ];
         for (round, (opts, grow)) in rounds.into_iter().enumerate() {
             if grow {
-                for (_, ares) in &mut inst.switches {
+                for (_, ares) in inst.switches.iter_mut() {
                     ares.0[0] *= 1.1;
                 }
             }
@@ -4484,6 +4428,105 @@ mod tests {
         }
         as_previous(&mut inst, &r);
         (state, inst, r)
+    }
+
+    /// One round over `inst`'s switches as the seeder plans it: the kept
+    /// scope follows the list's log, or, when it cannot, every task is
+    /// scoped again. The scope must be what scoping every task gives and
+    /// the warm solve the fresh one. Returns whether the scope followed.
+    fn scoped_round(
+        inst: &mut PlacementInstance,
+        scope: &mut Option<Scope>,
+        state: &mut SolveState,
+    ) -> bool {
+        let previous = inst.previous.take();
+        let followed = scope.as_mut().and_then(|s| s.follow(inst)).is_some();
+        if !followed {
+            let held = inst.begin_round(None);
+            *scope = Scope::of(inst, held);
+        }
+        let mut fresh = inst.clone();
+        let held = fresh.begin_round(None);
+        if let Some(scope) = scope {
+            assert_eq!(scope.held(), held);
+            assert_eq!(scope.check(inst), Ok(()));
+        }
+        for (a, b) in inst.tasks.iter().zip(&fresh.tasks) {
+            assert_eq!(a.seeds, b.seeds);
+        }
+        inst.previous = previous;
+        let opts = HeuristicOptions::default();
+        let (r, _) = replan_delta(inst, opts, state, &ReplanDelta::default(), None);
+        assert_same(&r, &solve_heuristic(inst, opts));
+        let seats = inst.previous.as_ref().map(|p| &p.assignment);
+        assert_eq!(state.audit(inst, seats), Ok(()));
+        as_previous(inst, &r);
+        followed
+    }
+
+    #[test]
+    fn a_cordon_and_an_uncordon_of_one_switch_follow_the_log() {
+        let (mut state, mut inst, _) = settled(11);
+        let mut scope = None;
+        scoped_round(&mut inst, &mut scope, &mut state);
+        let (n, ares) = inst.switches[4];
+        let slot = state.memo.switches.present_slot(n).unwrap();
+        for edit in [None, Some(ares)] {
+            let at = inst.switches.log_at();
+            inst.switches.set(n, edit);
+            assert_eq!(inst.switches.changes_since(Some(at)), Some(&[n][..]));
+            assert!(scoped_round(&mut inst, &mut scope, &mut state));
+            let sw = &state.memo.switches;
+            assert_eq!(sw.is_present(slot), edit.is_some());
+            if edit.is_none() {
+                assert_eq!(sw.left, [slot], "the table visits the one switch");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reader_whose_place_fell_off_the_log_walks() {
+        let (mut state, mut inst, _) = settled(12);
+        let mut scope = None;
+        scoped_round(&mut inst, &mut scope, &mut state);
+        let at = inst.switches.log_at();
+        let (n, ares) = inst.switches[2];
+        // More sets than the log keeps; what they leave is one cordon and
+        // one degraded switch.
+        for _ in 0..40 {
+            inst.switches.set(n, None);
+            inst.switches.set(n, Some(ares));
+        }
+        inst.switches.set(n, None);
+        let (m, mut less) = inst.switches[5];
+        less.0[0] *= 0.8;
+        inst.switches.set(m, Some(less));
+        assert_eq!(inst.switches.changes_since(Some(at)), None);
+        let slot = state.memo.switches.present_slot(n).unwrap();
+        assert!(!scoped_round(&mut inst, &mut scope, &mut state));
+        assert_eq!(state.memo.switches.left, [slot]);
+    }
+
+    #[test]
+    fn a_hand_edit_after_a_set_walks() {
+        let (mut state, mut inst, _) = settled(13);
+        let mut scope = None;
+        scoped_round(&mut inst, &mut scope, &mut state);
+        let at = inst.switches.log_at();
+        let (n, ares) = inst.switches[3];
+        inst.switches.set(n, None);
+        inst.switches[0].1 .0[0] *= 0.9;
+        assert_eq!(inst.switches.changes_since(Some(at)), None);
+        assert!(!scoped_round(&mut inst, &mut scope, &mut state));
+        // Pushed back last by hand, out of id order: a set on that list
+        // starts the log over too, and nothing can follow it.
+        inst.switches.push((n, ares));
+        let at = inst.switches.log_at();
+        let (m, _) = inst.switches[1];
+        inst.switches.set(m, None);
+        assert_eq!(inst.switches.changes_since(Some(at)), None);
+        assert!(!scoped_round(&mut inst, &mut scope, &mut state));
+        assert!(scope.is_none(), "no scope over ids out of order");
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl SwitchState {
     /// Read-only probe: would `res` fit if the seed's reservation `prev`
     /// were released first? Numerically identical to cloning the state,
     /// calling [`SwitchState::remove_usage`]`(polls, prev)` and then
-    /// [`SwitchState::fits`]`(polls, res)` — the same clamped
+    /// [`Load::fits`]`(polls, res)` — the same clamped
     /// subtractions and incremental `poll_total` adjustments in the same
     /// order — but without cloning the per-switch bookkeeping. The greedy
     /// home-stay check runs this once per previously-placed seed, so the
@@ -1302,7 +1302,7 @@ mod tests {
             });
         }
         PlacementInstance {
-            switches,
+            switches: switches.into(),
             tasks: task_list,
             seeds,
             previous: None,
@@ -1380,7 +1380,7 @@ mod tests {
                 ],
             );
             let inst = PlacementInstance {
-                switches: vec![(SwitchId(0), Resources::new(4.0, 16384.0, 512.0, 62500.0))],
+                switches: vec![(SwitchId(0), Resources::new(4.0, 16384.0, 512.0, 62500.0))].into(),
                 tasks: (0..2)
                     .map(|t| PlacementTask {
                         name: format!("t{t}"),
@@ -1527,7 +1527,8 @@ mod tests {
                 switch(x, 3.4),
                 switch(y, 3.0),
                 switch(z, 4.0),
-            ],
+            ]
+            .into(),
             tasks: (0..4)
                 .map(|i| PlacementTask {
                     name: format!("t{i}"),

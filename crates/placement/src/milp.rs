@@ -279,7 +279,7 @@ fn encode(instance: &PlacementInstance) -> Encoded {
 
     // C4 per switch: plain resources (with migration double occupancy) and
     // aggregated pollres.
-    for (n, ares) in &instance.switches {
+    for (n, ares) in instance.switches.iter() {
         // Plain resources.
         for k in ResourceKind::ALL {
             if k == ResourceKind::PciePoll {
@@ -412,7 +412,8 @@ mod tests {
             switches: vec![
                 (n0, Resources::new(3.0, 1000.0, 32.0, 100.0)),
                 (n1, Resources::new(3.0, 1000.0, 32.0, 100.0)),
-            ],
+            ]
+            .into(),
             tasks: vec![
                 PlacementTask {
                     name: "a".into(),
@@ -482,7 +483,7 @@ mod tests {
         // Make task `a` impossible: both its seeds need 2 vCPU minimum,
         // but only one switch has capacity ≥ 2 after task b grabs it...
         // force it harder: shrink switches so only one seed fits anywhere.
-        inst.switches = vec![(SwitchId(0), Resources::new(1.2, 1000.0, 32.0, 100.0))];
+        inst.switches = vec![(SwitchId(0), Resources::new(1.2, 1000.0, 32.0, 100.0))].into();
         for s in &mut inst.seeds {
             s.candidates = vec![SwitchId(0)];
         }
@@ -555,7 +556,7 @@ mod tests {
             pinned_fraction: 0.540493877494235,
             rng_seed: 9158,
         });
-        for (_, ares) in &mut inst.switches {
+        for (_, ares) in inst.switches.iter_mut() {
             ares.0[0] *= 0.12;
         }
         let cold = solve_heuristic(&inst, Default::default());

@@ -100,77 +100,92 @@ pub type Seat = (SwitchId, Resources);
 /// `HashMap<usize, Seat>`. [`Seats::iter`] walks the seated seeds in
 /// ascending seed order.
 ///
-/// The table logs the seeds its writes touch, so that a reader that
-/// keeps a copy of it (the solver's previous seats) reads only what
-/// changed since it last looked. Each table has a stamp no other table
-/// has, a clone included, and the log holds at most as many seeds as
-/// the table: past that it starts over, and a reader walks the whole
-/// table.
-#[derive(Debug)]
+/// The table logs the seeds its writes touch ([`Log`]), so that a
+/// reader that keeps a copy of it (the solver's previous seats) reads
+/// only what changed since it last looked.
+#[derive(Debug, Default, Clone)]
 pub struct Seats {
     /// `seats[s]` is seed `s`'s seat; seeds past the end have none.
     seats: Vec<Option<Seat>>,
     /// Seeds with a seat.
     len: usize,
-    stamp: u64,
-    /// The seeds written since the log started over, in write order; a
-    /// seed a splice took out is `u32::MAX`.
-    log: Vec<u32>,
-    /// Writes logged before the log last started over.
-    logged: usize,
+    /// The seeds written; a seed a splice took out is `u32::MAX`.
+    log: Log<u32>,
 }
 
-/// A reader's place in a [`Seats`] log: the table's stamp and the
-/// writes it had logged.
-pub(crate) type LogAt = (u64, usize);
+/// A reader's place in a [`Log`]: the table's stamp and the writes it
+/// had logged.
+pub type LogAt = (u64, usize);
 
 /// The next table's stamp.
 static STAMPS: AtomicU64 = AtomicU64::new(1);
 
-impl Default for Seats {
-    fn default() -> Seats {
-        Seats {
-            seats: Vec::new(),
-            len: 0,
-            stamp: STAMPS.fetch_add(1, Ordering::Relaxed),
-            log: Vec::new(),
+/// A table's write log, in write order. Each log has a stamp no other
+/// log has, a clone's included (it starts empty), and it holds at most
+/// as many keys as its table has entries (64 at least): past that it
+/// starts over, and a reader whose place fell off walks the whole table.
+#[derive(Debug)]
+struct Log<K> {
+    stamp: u64,
+    /// The keys written since the log started over.
+    keys: Vec<K>,
+    /// Writes logged before the log last started over.
+    logged: usize,
+}
+
+impl<K> Default for Log<K> {
+    fn default() -> Log<K> {
+        let stamp = STAMPS.fetch_add(1, Ordering::Relaxed);
+        Log {
+            stamp,
+            keys: Vec::new(),
             logged: 0,
         }
     }
 }
 
-impl Clone for Seats {
-    fn clone(&self) -> Seats {
-        let mut seats = Seats::default();
-        (seats.seats, seats.len) = (self.seats.clone(), self.len);
-        seats
+impl<K> Clone for Log<K> {
+    fn clone(&self) -> Log<K> {
+        Log::default()
+    }
+}
+
+impl<K> Log<K> {
+    /// Logs a write of `key` in a table of `len` entries.
+    fn note(&mut self, key: K, len: usize) {
+        if self.keys.len() >= len.max(64) {
+            self.logged += self.keys.len();
+            self.keys.clear();
+        }
+        self.keys.push(key);
+    }
+
+    fn at(&self) -> LogAt {
+        (self.stamp, self.logged + self.keys.len())
+    }
+
+    /// The keys written since `at`; `None` when `at` is another log's or
+    /// this one started over since.
+    fn since(&self, at: Option<LogAt>) -> Option<&[K]> {
+        let (stamp, at) = at?;
+        if stamp != self.stamp || at < self.logged {
+            return None;
+        }
+        self.keys.get(at - self.logged..)
     }
 }
 
 impl Seats {
-    /// Logs a write of seed `s`'s slot.
-    fn note(&mut self, s: usize) {
-        if self.log.len() >= self.seats.len().max(64) {
-            self.logged += self.log.len();
-            self.log.clear();
-        }
-        self.log.push(s as u32);
-    }
-
     /// Where the log stands now.
     pub(crate) fn log_at(&self) -> LogAt {
-        (self.stamp, self.logged + self.log.len())
+        self.log.at()
     }
 
     /// The seeds written since `at` (this table's [`Seats::log_at`] of
     /// some earlier time), in write order and possibly repeated; `None`
     /// when `at` is another table's or the log started over since.
     pub(crate) fn changes_since(&self, at: Option<LogAt>) -> Option<&[u32]> {
-        let (stamp, at) = at?;
-        if stamp != self.stamp || at < self.logged {
-            return None;
-        }
-        self.log.get(at - self.logged..)
+        self.log.since(at)
     }
 
     /// Gives seed `s` `seat`; returns the seat it replaced.
@@ -178,7 +193,7 @@ impl Seats {
         if self.seats.len() <= s {
             self.seats.resize(s + 1, None);
         }
-        self.note(s);
+        self.log.note(s as u32, self.seats.len());
         let old = self.seats[s].replace(seat);
         self.len += usize::from(old.is_none());
         old
@@ -189,7 +204,7 @@ impl Seats {
         let old = self.seats.get_mut(*s)?.take();
         self.len -= usize::from(old.is_some());
         if old.is_some() {
-            self.note(*s);
+            self.log.note(*s as u32, self.seats.len());
         }
         old
     }
@@ -210,7 +225,7 @@ impl Seats {
                 self.len -= 1;
             }
             // `keep` may have changed a seat it kept, too.
-            self.note(s);
+            self.log.note(s as u32, self.seats.len());
         }
     }
 
@@ -251,7 +266,7 @@ impl Seats {
         let added = self.seats.len() + range.len() - old;
         self.len = self.len + came.len() - gone;
         // The log speaks the new numbering.
-        for s in self.log.iter_mut().filter(|s| **s != u32::MAX) {
+        for s in self.log.keys.iter_mut().filter(|s| **s != u32::MAX) {
             if *s as usize >= range.end {
                 *s = (*s as usize + added - range.len()) as u32;
             } else if *s as usize >= range.start {
@@ -259,7 +274,7 @@ impl Seats {
             }
         }
         for s in came {
-            self.note(s);
+            self.log.note(s as u32, self.seats.len());
         }
     }
 }
@@ -282,11 +297,97 @@ impl FromIterator<(usize, Seat)> for Seats {
     }
 }
 
+/// The switches a round may place on, each with its `ares(n, r)`. The
+/// list logs the ids its one edit, [`SwitchList::set`], writes
+/// ([`Log`]), so that a reader that keeps what it derived from the list
+/// (the round scope, the solver's switch table) reads only the switches
+/// that changed since it last looked. It derefs to its `Vec`; every
+/// write through that starts the log over, and so does a `set` on a
+/// list whose ids are not ascending.
+#[derive(Debug, Default, Clone)]
+pub struct SwitchList {
+    list: Vec<(SwitchId, Resources)>,
+    /// Whether the ids were strictly ascending when the first `set`
+    /// since the list was made or written through `DerefMut` looked.
+    ascending: Option<bool>,
+    log: Log<SwitchId>,
+}
+
+impl SwitchList {
+    /// Switch `id` at `ares`, or, for `None`, not in the list: the entry
+    /// is written at its place in id order and the id logged. On a list
+    /// whose ids are not ascending the entry is written where it is, or
+    /// last, and the log starts over.
+    pub fn set(&mut self, id: SwitchId, ares: Option<Resources>) {
+        let ascending =
+            *(self.ascending).get_or_insert_with(|| self.list.windows(2).all(|w| w[0].0 < w[1].0));
+        let at = match ascending {
+            true => self.list.binary_search_by_key(&id, |e| e.0),
+            false => (self.list.iter().position(|e| e.0 == id)).ok_or(self.list.len()),
+        };
+        match (at, ares) {
+            (Ok(at), Some(ares)) => self.list[at].1 = ares,
+            (Ok(at), None) => {
+                self.list.remove(at);
+            }
+            (Err(at), Some(ares)) => self.list.insert(at, (id, ares)),
+            (Err(_), None) => {}
+        }
+        match ascending {
+            true => self.log.note(id, self.list.len()),
+            false => self.log = Log::default(),
+        }
+    }
+
+    /// Switch `id`'s resources, `None` when it is not in the list. The
+    /// ids must be ascending, as they are wherever the log names a set.
+    pub fn ares(&self, id: SwitchId) -> Option<Resources> {
+        let at = self.list.binary_search_by_key(&id, |e| e.0).ok()?;
+        Some(self.list[at].1)
+    }
+
+    /// Where the log stands now.
+    pub fn log_at(&self) -> LogAt {
+        self.log.at()
+    }
+
+    /// The ids set since `at` (this list's [`SwitchList::log_at`] of
+    /// some earlier time), in write order and possibly repeated; `None`
+    /// when `at` is another list's or the log started over since.
+    pub fn changes_since(&self, at: Option<LogAt>) -> Option<&[SwitchId]> {
+        self.log.since(at)
+    }
+}
+
+impl From<Vec<(SwitchId, Resources)>> for SwitchList {
+    fn from(list: Vec<(SwitchId, Resources)>) -> SwitchList {
+        SwitchList {
+            list,
+            ..SwitchList::default()
+        }
+    }
+}
+
+impl std::ops::Deref for SwitchList {
+    type Target = Vec<(SwitchId, Resources)>;
+
+    fn deref(&self) -> &Vec<(SwitchId, Resources)> {
+        &self.list
+    }
+}
+
+impl std::ops::DerefMut for SwitchList {
+    fn deref_mut(&mut self) -> &mut Vec<(SwitchId, Resources)> {
+        (self.ascending, self.log) = (None, Log::default());
+        &mut self.list
+    }
+}
+
 /// The optimization instance.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementInstance {
     /// `ares(n, r)` per switch.
-    pub switches: Vec<(SwitchId, Resources)>,
+    pub switches: SwitchList,
     pub tasks: Vec<PlacementTask>,
     pub seeds: Vec<PlacementSeed>,
     /// Current placement, if re-optimizing (enables migration modelling).
@@ -432,7 +533,7 @@ pub fn validate_capacity(
     a: &[Option<(SwitchId, Resources)>],
     previous: Option<&PreviousPlacement>,
 ) -> Result<(), String> {
-    for (n, ares) in &instance.switches {
+    for (n, ares) in instance.switches.iter() {
         let mut used = Resources::ZERO;
         // subject → max demand (aggregation: polled once at the fastest
         // requested rate).
@@ -531,7 +632,8 @@ mod tests {
             switches: vec![
                 (n0, Resources::new(4.0, 1000.0, 32.0, 100.0)),
                 (n1, Resources::new(4.0, 1000.0, 32.0, 100.0)),
-            ],
+            ]
+            .into(),
             tasks: vec![
                 PlacementTask {
                     name: "t0".into(),

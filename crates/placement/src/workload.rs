@@ -155,7 +155,7 @@ pub fn generate(cfg: &WorkloadConfig) -> PlacementInstance {
     }
 
     PlacementInstance {
-        switches,
+        switches: switches.into(),
         tasks,
         seeds,
         previous: None,

@@ -127,7 +127,7 @@ impl Fabric {
     /// The generator interleaves its tasks' seeds.
     fn instance(&self) -> PlacementInstance {
         let mut inst = generate(&self.cfg);
-        for (_, ares) in &mut inst.switches {
+        for (_, ares) in inst.switches.iter_mut() {
             ares.0[0] *= self.vcpu_share;
         }
         if self.coupled {
@@ -182,12 +182,12 @@ impl Fabric {
     }
 
     /// Scopes the round the way the seeder does, when the case says so:
-    /// through the kept `scope` when there is one and the switch ids are
-    /// ascending ([`Scope::follow`]), which must leave the task lists and
-    /// the held seeds as scoping every task again does; otherwise every
-    /// task, and the scope is taken anew. Returns the held seeds and, for
-    /// a followed round whose held seeds changed, how many switches
-    /// joined or left.
+    /// through the kept `scope` when there is one and the switch list's
+    /// log reaches back to it ([`Scope::follow`]), which must leave the
+    /// task lists and the held seeds as scoping every task again does;
+    /// otherwise every task, and the scope is taken anew. Returns the
+    /// held seeds and, for a followed round whose held seeds changed,
+    /// how many switches the log named.
     fn begin_round(
         &self,
         inst: &mut PlacementInstance,
@@ -196,12 +196,12 @@ impl Fabric {
         if !self.scoped {
             return (Vec::new(), None);
         }
-        let (switches, previous) = (inst.switches.clone(), inst.previous.take());
+        let previous = inst.previous.take();
         if let Some(kept) = scope {
             let was = kept.held().to_vec();
             if let Some(moved) = kept.follow(inst) {
                 let mut fresh = inst.clone();
-                let held = fresh.begin_round(&switches, None);
+                let held = fresh.begin_round(None);
                 assert_eq!(kept.held(), held, "followed scope holds other seeds");
                 for (t, (a, b)) in inst.tasks.iter().zip(&fresh.tasks).enumerate() {
                     assert_eq!(a.seeds, b.seeds, "followed scope lists task {t} otherwise");
@@ -211,7 +211,7 @@ impl Fabric {
                 return (held, (was != kept.held()).then_some(moved));
             }
         }
-        let held = inst.begin_round(&switches, previous);
+        let held = inst.begin_round(previous);
         *scope = Scope::of(inst, held.clone());
         (held, None)
     }
@@ -228,8 +228,9 @@ enum Churn {
     /// still name it (the seeds are alive and must move).
     Drain(usize),
     /// Cordon lift: a previously removed switch returns at its original
-    /// capacity: at its place in id order (odd), or last (even), which
-    /// leaves the ids out of order for the rest of the case.
+    /// capacity: at its place in id order through the list's log (odd),
+    /// or pushed last by hand (even), which leaves the ids out of order
+    /// and sends the rest of the case down the walk paths.
     Restore(usize),
     /// Fresh submission: one seed loses its previous placement and is
     /// placed as if newly submitted. Empty delta — residency changes
@@ -281,8 +282,8 @@ fn apply(
             if inst.switches.len() <= 1 {
                 return ReplanDelta::default();
             }
-            let idx = i % inst.switches.len();
-            let (victim, _) = inst.switches.remove(idx);
+            let (victim, _) = inst.switches[i % inst.switches.len()];
+            inst.switches.set(victim, None);
             if matches!(ev, Churn::Evict(_)) {
                 if let Some(prev) = &mut inst.previous {
                     prev.assignment.retain(|_, (n, _)| *n != victim);
@@ -301,11 +302,10 @@ fn apply(
                 return ReplanDelta::default();
             }
             let (n, ares) = *missing[i % missing.len()];
-            let at = match i % 2 {
-                1 => inst.switches.partition_point(|(m, _)| *m < n),
-                _ => inst.switches.len(),
-            };
-            inst.switches.insert(at, (n, ares));
+            match i % 2 {
+                1 => inst.switches.set(n, Some(ares)),
+                _ => inst.switches.push((n, ares)),
+            }
             ReplanDelta::default()
         }
         Churn::Submit(i) => {
@@ -322,8 +322,9 @@ fn apply(
             if inst.switches.is_empty() {
                 return ReplanDelta::default();
             }
-            let idx = i % inst.switches.len();
-            inst.switches[idx].1 .0[0] *= 0.9;
+            let (n, mut ares) = inst.switches[i % inst.switches.len()];
+            ares.0[0] *= 0.9;
+            inst.switches.set(n, Some(ares));
             ReplanDelta::default()
         }
         Churn::Tweak(i) => {
@@ -466,6 +467,12 @@ struct Reach {
     /// Rounds whose kept scope followed one switch that joined or left,
     /// and whose held seeds changed.
     rescoped: usize,
+    /// Warm solves whose switch list's log named the switches edited
+    /// since the last solve (the log path).
+    logged: usize,
+    /// Warm solves whose switch list's log did not reach back to the
+    /// last solve: a hand edit since (the walk path).
+    walked: usize,
 }
 
 /// Churn replay: every incremental solve along a random event sequence
@@ -501,6 +508,8 @@ fn delta_replans_match_full_solves_under_churn() {
         reach.rescoped > 0,
         "no scope followed one switch: {reach:?}"
     );
+    assert!(reach.logged > 0, "no solve read the list's log: {reach:?}");
+    assert!(reach.walked > 0, "no solve walked the list: {reach:?}");
 }
 
 /// The churn replay over instances that carry watchers
@@ -540,6 +549,8 @@ fn churn_case(fabric: &Fabric, base: PlacementInstance, events: &[Churn], reach:
             .collect()
     };
     let mut scope = None;
+    // Where the switch list's log stood at the last solve.
+    let mut at = inst.switches.log_at();
     for (step, &ev) in events.iter().enumerate() {
         inst.previous = Some(as_previous(&r.assignment));
         let (was_dropped, was_tasks) = (names(&inst, &r.dropped_tasks), inst.tasks.clone());
@@ -547,7 +558,13 @@ fn churn_case(fabric: &Fabric, base: PlacementInstance, events: &[Churn], reach:
         forget_scope(ev, &mut scope);
         let (held, moved) = fabric.begin_round(&mut inst, &mut scope);
         reach.rescoped += usize::from(moved == Some(1));
+        match inst.switches.changes_since(Some(at)) {
+            Some([]) => {}
+            Some(_) => reach.logged += 1,
+            None => reach.walked += 1,
+        }
         let (dr, report) = replan_delta(&inst, opts, &mut state, &delta, None);
+        at = inst.switches.log_at();
         let seats = inst.previous.as_ref().map(|p| &p.assignment);
         assert_eq!(state.audit(&inst, seats), Ok(()), "step {step} ({ev:?})");
         let full = solve_heuristic(&inst, opts);
@@ -641,7 +658,7 @@ proptest! {
                 }
                 None => {
                     if !inst.switches.iter().any(|(n, _)| *n == away.0) {
-                        inst.switches.push(away);
+                        inst.switches.set(away.0, Some(away.1));
                     }
                     ReplanDelta::default()
                 }

@@ -78,7 +78,7 @@ pub fn check_capacity(
     inst: &PlacementInstance,
     assignment: &[Option<(SwitchId, Resources)>],
 ) -> Result<(), String> {
-    for (n, ares) in &inst.switches {
+    for (n, ares) in inst.switches.iter() {
         let mut plain = [0f64; 4];
         let mut lingering = [0f64; 4];
         let mut polls: HashMap<&str, f64> = HashMap::new();

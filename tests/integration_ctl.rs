@@ -499,6 +499,39 @@ fn farmctl_trace_prints_the_spans_of_a_recent_op() {
     farmd.stop();
 }
 
+/// `farmctl audit` runs `Farm::audit` on farmd's core: clean after a
+/// submit, a drain and an uncordon, in both output forms.
+#[test]
+fn farmctl_audit_holds_farmd_to_itself() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let addr = farmd.local_addr().to_string();
+    let client = CtlClient::connect(farmd.local_addr());
+    submit_watcher(&client);
+    let switch = list_seeds(&client)[0].switch;
+    client.op(ControlOp::Drain { switch }).expect("drain rpc");
+    let clean = ControlReply::Audited { findings: vec![] };
+    assert_eq!(client.op(ControlOp::Audit).expect("audit rpc"), clean);
+    client
+        .op(ControlOp::Uncordon { switch })
+        .expect("uncordon rpc");
+    for (args, want) in [
+        (&["audit"][..], "clean"),
+        (
+            &["--json", "audit"][..],
+            r#"{"status":"audited","findings":[]}"#,
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_farmctl"))
+            .args(["--addr", &addr])
+            .args(args)
+            .output()
+            .expect("run farmctl");
+        assert!(out.status.success(), "farmctl {args:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), want);
+    }
+    farmd.stop();
+}
+
 #[test]
 fn garbage_bytes_never_wedge_the_daemon() {
     let farmd = Farmd::start(test_config()).expect("start farmd");

@@ -207,6 +207,7 @@ fn control_op_strategy() -> BoxedStrategy<ControlOp> {
         Just(ControlOp::Restore),
         Just(ControlOp::Shutdown),
         any::<u64>().prop_map(|id| ControlOp::Trace { id }),
+        Just(ControlOp::Audit),
         fed_control_op_strategy(),
     ]
     .boxed()
@@ -382,6 +383,7 @@ fn control_reply_strategy() -> BoxedStrategy<ControlReply> {
         "[ -~]{0,24}".prop_map(|reason| ControlReply::Rejected { reason }),
         vec(diagnostic_strategy(), 0..4)
             .prop_map(|diagnostics| ControlReply::CompileFailed { diagnostics }),
+        vec("[ -~]{0,24}", 0..4).prop_map(|findings| ControlReply::Audited { findings }),
         fed_control_reply_strategy(),
     ]
     .boxed()
