@@ -29,6 +29,8 @@ pub enum Error {
     NotDeployed(String),
     /// An operator named a switch the fabric does not have.
     UnknownSwitch(SwitchId),
+    /// A task name outside `[A-Za-z0-9_-]+` ([`crate::seeder::is_task_name`]).
+    BadTaskName(String),
 }
 
 impl fmt::Display for Error {
@@ -42,6 +44,12 @@ impl fmt::Display for Error {
             }
             Error::NotDeployed(key) => write!(f, "farm error: {key} is not deployed"),
             Error::UnknownSwitch(id) => write!(f, "farm error: no switch {} in the fabric", id.0),
+            Error::BadTaskName(name) => {
+                write!(
+                    f,
+                    "farm error: bad task name `{name}` (want [A-Za-z0-9_-]+)"
+                )
+            }
         }
     }
 }

@@ -17,6 +17,7 @@
 
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use farm_almanac::analysis::ConstEnv;
@@ -41,7 +42,7 @@ use farm_telemetry::{
 
 pub(crate) use crate::error::Error;
 use crate::harvester::{Harvester, HarvesterCommand, HarvesterCtx};
-use crate::seeder::{Placed, Plan, PlannedAction, SeedKey, Seeder};
+use crate::seeder::{is_task_name, Placed, Plan, PlannedAction, SeedKey, Seeder};
 
 mod audit;
 pub use audit::AuditReport;
@@ -310,6 +311,17 @@ pub struct SeedStatus {
     pub alloc: Resources,
 }
 
+/// A [`SeedStatus`] borrowed from the seed table and the soils
+/// ([`Farm::seed_listing`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SeedView<'a> {
+    pub key: &'a SeedKey,
+    pub machine: &'a str,
+    pub switch: SwitchId,
+    pub state: &'a str,
+    pub alloc: Resources,
+}
+
 /// The assembled FARM framework over a simulated fabric.
 pub struct Farm {
     network: Network,
@@ -474,8 +486,12 @@ impl Farm {
     /// seeds, and a rejected one changes nothing. On any failure every
     /// task this call registered is withdrawn again and whatever the
     /// round planted for them is undeployed, the way [`Farm::drain`]
-    /// rolls back its cordon.
+    /// rolls back its cordon. A task whose name is not
+    /// [`is_task_name`] fails the call before anything registers.
     fn deploy(&mut self, tasks: Vec<CompiledTask>, spans: &mut SpanLog) -> Result<Plan, Error> {
+        if let Some(task) = tasks.iter().find(|t| !is_task_name(&t.name)) {
+            return Err(Error::BadTaskName(task.name.clone()));
+        }
         let mut registered = Vec::with_capacity(tasks.len());
         let started = spans.start();
         let result = tasks.into_iter().try_for_each(|task| {
@@ -1287,19 +1303,40 @@ impl Farm {
         Some(self.status_of(key, placed))
     }
 
-    fn status_of(&self, key: &SeedKey, placed: Placed) -> SeedStatus {
+    /// The placed seeds at `window` of the control plane's listing
+    /// order, the byte order of their keys' display form
+    /// (`task/m<i>/s<j>`). One walk over the seed table: the seeds
+    /// before the window are counted, not viewed.
+    pub fn seed_listing(&self, window: Range<usize>) -> impl Iterator<Item = SeedView<'_>> {
+        (self.seeder.listing().skip(window.start))
+            .take(window.len())
+            .map(|(key, placed)| self.view_of(key, placed))
+    }
+
+    fn view_of<'a>(&'a self, key: &'a SeedKey, placed: Placed) -> SeedView<'a> {
         let (machine, state) = match live(&self.rows, &self.network, placed) {
-            Some(seed) => (seed.machine_name().to_string(), seed.state().to_string()),
+            Some(seed) => (seed.machine_name(), seed.state()),
             // Placed per the seeder but not live on the soil: the host
             // crashed and recovery has not landed it yet.
-            None => (String::new(), "lost".to_string()),
+            None => ("", "lost"),
         };
-        SeedStatus {
-            key: key.clone(),
+        SeedView {
+            key,
             machine,
             switch: placed.switch,
             state,
             alloc: placed.alloc,
+        }
+    }
+
+    fn status_of(&self, key: &SeedKey, placed: Placed) -> SeedStatus {
+        let view = self.view_of(key, placed);
+        SeedStatus {
+            key: key.clone(),
+            machine: view.machine.to_string(),
+            switch: view.switch,
+            state: view.state.to_string(),
+            alloc: view.alloc,
         }
     }
 
@@ -1661,6 +1698,27 @@ pub(crate) mod tests {
         for id in farm.network().switch_ids() {
             assert_eq!(farm.soil(id).unwrap().num_seeds(), 1);
         }
+    }
+
+    /// A name outside `[A-Za-z0-9_-]+` deploys nothing, on each path
+    /// that deploys, batch partners included; a seed key's task part
+    /// holds no `/`, so the listing's order stays exact.
+    #[test]
+    fn a_task_name_outside_the_name_rule_deploys_nothing() {
+        let mut farm = Farm::new(fabric(), FarmConfig::default());
+        let hh = farm_almanac::programs::HEAVY_HITTER;
+        farm.deploy_task("x", hh, &BTreeMap::new()).unwrap();
+        for bad in ["x/m0", "", "a b", "p:q"] {
+            let refused = farm.deploy_task(bad, hh, &BTreeMap::new());
+            assert!(matches!(refused, Err(Error::BadTaskName(ref n)) if n == bad));
+            let batch = [("y", hh, BTreeMap::new()), (bad, hh, BTreeMap::new())];
+            assert!(matches!(
+                farm.deploy_tasks(&batch),
+                Err(Error::BadTaskName(_))
+            ));
+        }
+        assert_eq!(farm.seeder().task_names(), ["x"]);
+        assert_eq!(farm.deployed_seeds(), 5);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod harvester;
 pub mod seeder;
 
 pub use error::Error;
-pub use farm::{Farm, FarmBuilder, FarmConfig, SeedStatus};
+pub use farm::{Farm, FarmBuilder, FarmConfig, SeedStatus, SeedView};
 pub use harvester::CollectingHarvester;
 pub use seeder::{PlannedAction, SeedKey};
 

@@ -432,6 +432,28 @@ impl Seeder {
         (catalog.seats.iter()).filter_map(|(i, _)| Some((&catalog.keys[i], catalog.placed(i)?)))
     }
 
+    /// The seed table's placed seeds in the byte order of their keys'
+    /// display form (`task/m<i>/s<j>`), the order the control plane
+    /// lists them in: tasks in the byte order of `name + '/'`, and within
+    /// a task machines, then seeds, in the order of their decimal
+    /// strings. Task names are [`is_task_name`], so no key's task part
+    /// runs into another's `/m`, and the order is exact.
+    pub(crate) fn listing(&self) -> impl Iterator<Item = (&SeedKey, Placed)> {
+        let c = &self.catalog;
+        let mut tasks: Vec<&str> = (c.instance.tasks.iter()).map(|r| r.name.as_str()).collect();
+        tasks.sort_unstable_by(|a, b| a.bytes().chain([b'/']).cmp(b.bytes().chain([b'/'])));
+        let rows = tasks.into_iter().flat_map(move |name| {
+            let (rows, t) = c.position(name);
+            let keys = &c.keys[rows.clone()];
+            decimal_order(c.machines[t].len()).flat_map(move |m| {
+                let at = keys.partition_point(|k| k.machine < m);
+                let seeds = keys[at..].partition_point(|k| k.machine == m);
+                decimal_order(seeds).map(move |s| rows.start + at + s)
+            })
+        });
+        rows.filter_map(|i| Some((&c.keys[i], c.placed(i)?)))
+    }
+
     /// Number of placed seeds.
     pub(crate) fn deployed_seeds(&self) -> usize {
         self.catalog.seats.len()
@@ -696,6 +718,42 @@ impl Seeder {
     }
 }
 
+/// Whether `name` may name a task: `[A-Za-z0-9_-]+`. No such name
+/// holds `/`, so a seed key's display form (`task/m<i>/s<j>`) parses
+/// back, and the control plane's listing, walked in display-key order,
+/// sorts task by task. `Farm` refuses any other name, on every path
+/// that deploys.
+pub fn is_task_name(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+}
+
+/// `0..n` in the order of their decimal strings: `0`, then the rest in
+/// preorder of the decimal trie (`1, 10, 11, …, 19, 2, 20, …`).
+fn decimal_order(n: usize) -> impl Iterator<Item = usize> {
+    let mut next = (n > 0).then_some(0usize);
+    std::iter::from_fn(move || {
+        let at = next?;
+        next = match at {
+            0 => (n > 1).then_some(1),
+            _ if at.checked_mul(10).is_some_and(|d| d < n) => Some(at * 10),
+            _ => {
+                let mut up = at;
+                while up % 10 == 9 || up + 1 >= n {
+                    up /= 10;
+                    if up == 0 {
+                        break;
+                    }
+                }
+                (up > 0).then_some(up + 1)
+            }
+        };
+        Some(at)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,6 +793,15 @@ mod tests {
         let mut seeder = Seeder::new();
         seeder.register_task(task.unwrap()).unwrap();
         (seeder, capacities(&topo))
+    }
+
+    #[test]
+    fn decimal_order_is_the_order_of_the_decimal_strings() {
+        for n in (0..=250).chain([999, 1000, 1001, 1234, 10_000, 10_001]) {
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by_cached_key(usize::to_string);
+            assert!(decimal_order(n).eq(want), "n = {n}");
+        }
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! along.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use farm_almanac::compile::compile_task_with_diagnostics;
 use farm_core::prelude::*;
-use farm_core::seeder::{Plan, SeedKey};
+use farm_core::seeder::{is_task_name, Plan, SeedKey};
+use farm_core::SeedView;
 use farm_net::{
     decode_checkpoint, encode_checkpoint_doc, Answer, CheckpointDoc, ControlOp, ControlReply,
     DeltaCounts, Diagnostic, Explain, Frame, LinkId, Links, Peers, SeedDescriptor, SeedSnapshot,
@@ -528,11 +530,7 @@ fn submit<P: Peers>(
         links,
         ..
     } = core;
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
+    if !is_task_name(name) {
         return ControlReply::Rejected {
             reason: format!("bad task name `{name}` (want [A-Za-z0-9_-]+)"),
         };
@@ -831,10 +829,26 @@ fn redeploy_program<P>(core: &mut Core<P>, name: &str, source: &str) {
 }
 
 /// `ListSeeds`: the full listing, or — when the op carries a cursor —
-/// one page of it. The listing is sorted by seed key either way, so
-/// concatenating pages reproduces the unpaginated reply exactly.
+/// one page of it. The listing is in the byte order of the seed keys'
+/// display form either way, so concatenating pages reproduces the
+/// unpaginated reply exactly. The window is taken before anything is
+/// built: a page builds its own descriptors and no others.
 fn list_seeds(farm: &Farm, from_index: u64, limit: u64) -> ControlReply {
-    let mut seeds: Vec<SeedDescriptor> = farm.seed_statuses().into_iter().map(descriptor).collect();
+    let (range, cursor) = page(from_index, limit, farm.deployed_seeds());
+    let (next_index, total) = cursor.unwrap_or((0, 0));
+    ControlReply::Seeds {
+        seeds: farm.seed_listing(range).map(descriptor).collect(),
+        next_index,
+        total,
+    }
+}
+
+/// The sort-based listing `list_seeds` replaced: every seed's
+/// descriptor, sorted by key, then windowed.
+#[cfg(test)]
+fn sorted_listing(farm: &Farm, from_index: u64, limit: u64) -> ControlReply {
+    let statuses = farm.seed_statuses();
+    let mut seeds: Vec<SeedDescriptor> = statuses.iter().map(status_descriptor).collect();
     seeds.sort_by(|a, b| a.key.cmp(&b.key));
     let (range, cursor) = page(from_index, limit, seeds.len());
     let (next_index, total) = cursor.unwrap_or((0, 0));
@@ -845,15 +859,34 @@ fn list_seeds(farm: &Farm, from_index: u64, limit: u64) -> ControlReply {
     }
 }
 
-fn descriptor(s: SeedStatus) -> SeedDescriptor {
+fn descriptor(s: SeedView<'_>) -> SeedDescriptor {
+    let SeedKey {
+        task,
+        machine,
+        seed,
+    } = s.key;
+    let mut key = String::with_capacity(task.len() + 12);
+    key.push_str(task);
+    // Writing into a `String` cannot fail.
+    let _ = write!(key, "/m{machine}/s{seed}");
     SeedDescriptor {
-        key: s.key.to_string(),
-        task: s.key.task,
-        machine: s.machine,
+        key,
+        task: task.clone(),
+        machine: s.machine.to_string(),
         switch: s.switch.0,
-        state: s.state,
+        state: s.state.to_string(),
         alloc: s.alloc.0,
     }
+}
+
+fn status_descriptor(s: &SeedStatus) -> SeedDescriptor {
+    descriptor(SeedView {
+        key: &s.key,
+        machine: &s.machine,
+        switch: s.switch,
+        state: &s.state,
+        alloc: s.alloc,
+    })
 }
 
 /// Parses the `task/m<i>/s<j>` display form of a [`SeedKey`].
@@ -880,7 +913,7 @@ fn describe(farm: &Farm, key: &str) -> ControlReply {
     };
     let vars = farm.seed_vars(&parsed).unwrap_or_default();
     ControlReply::Seed {
-        desc: descriptor(status),
+        desc: status_descriptor(&status),
         vars,
     }
 }
@@ -1004,6 +1037,85 @@ mod tests {
                 r#""p95":48.75,"p99":49.75},"farm.replan_us":{"count":0,"sum":0,"max":0}}}}"#,
             )
         );
+    }
+
+    /// Task names whose name order is not their display order: `w1-x/`
+    /// sorts before `w1/`, which sorts before `w10/` and `w1_x/`.
+    const LISTED_TASKS: [&str; 5] = ["w1", "w1-x", "w1_x", "w10", "w2"];
+
+    /// A farm on 2 spines and 10 leaves holding, per entry of `tasks`
+    /// that is not 0, a task of that many one-state machines, machine
+    /// `i` placed on `1 + (i * 5 + spread) % 12` switches, and the
+    /// switch `crash` (if any) crashed, its seeds lost and not yet
+    /// recovered.
+    fn listed_farm(tasks: &[usize], spread: usize, crash: Option<u32>) -> Farm {
+        let topo = Topology::spine_leaf(
+            2,
+            10,
+            SwitchModel::accton_as7712(),
+            SwitchModel::accton_as5712(),
+        );
+        let mut farm = FarmBuilder::new(topo).build();
+        for (name, &machines) in LISTED_TASKS.iter().zip(tasks) {
+            let source: String = (0..machines)
+                .map(|i| {
+                    let on: Vec<String> = (0..1 + (i * 5 + spread) % 12)
+                        .map(|s| s.to_string())
+                        .collect();
+                    format!(
+                        "machine M{i} {{ place all {}; state s {{ }} }}\n",
+                        on.join(", ")
+                    )
+                })
+                .collect();
+            if machines > 0 {
+                farm.deploy_task(name, &source, &BTreeMap::new()).unwrap();
+            }
+        }
+        if let Some(switch) = crash {
+            let now = farm.now();
+            let crash = FaultKind::SwitchCrash {
+                switch: SwitchId(switch),
+            };
+            farm.set_fault_plan(FaultPlan::new().with(now, crash));
+            farm.advance(now);
+        }
+        farm
+    }
+
+    fn reply_bytes(reply: ControlReply) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let frame = farm_net::Frame::ControlReply { reply };
+        farm_net::encode_envelope(&farm_net::Envelope::response(1, frame), &mut bytes);
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+        /// The listing walk answers every window with the bytes of the
+        /// sorted listing it replaced.
+        #[test]
+        fn the_listing_walk_answers_what_the_sorted_listing_did(
+            tasks in proptest::collection::vec(0..13usize, 5),
+            spread in 0..12usize,
+            crash in 0..13u32,
+        ) {
+            // Switch 12 is past the fabric: nothing crashes.
+            let crash = (crash < 12).then_some(crash);
+            let farm = listed_farm(&tasks, spread, crash);
+            let len = farm.deployed_seeds() as u64;
+            let lost = farm.seed_statuses().iter().filter(|s| s.state == "lost").count();
+            proptest::prop_assert!(crash.is_none() || len == 0 || lost > 0, "nothing lost");
+            let froms = [0, 1, 2, len / 3, len.saturating_sub(1), len, len + 1, u64::MAX];
+            let limits = [0, 1, 10, len.saturating_sub(1), len, len + 1, u64::MAX];
+            for from in froms {
+                for limit in limits {
+                    let got = reply_bytes(list_seeds(&farm, from, limit));
+                    let want = reply_bytes(sorted_listing(&farm, from, limit));
+                    proptest::prop_assert!(got == want, "from {from}, limit {limit}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use farm_ctl::{CtlClient, Farmd, FarmdConfig, ServerConfig};
 use farm_net::snapshot::CHECKPOINT_MAGIC;
-use farm_net::{decode_checkpoint, encode_checkpoint_doc, ControlOp, ControlReply};
+use farm_net::{decode_checkpoint, encode_checkpoint_doc, CheckpointDoc, ControlOp, ControlReply};
 
 const WATCHER: &str = include_str!("../../../examples/load_watcher.alm");
 
@@ -186,6 +186,42 @@ fn seeds_of_a_task_that_fails_to_restore_are_skipped_not_written_back() {
     assert!(load.doc.seeds.is_empty(), "{:?}", load.doc.seeds);
     drop(client);
     second.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A program record under a name outside `[A-Za-z0-9_-]+` is not
+/// deployed on restore, as a submit of it would be refused: a task
+/// `x/m0` would list its seeds (`x/m0/m0/s0`) among task `x`'s. The
+/// rest of the file restores, and the next checkpoint drops the record.
+#[test]
+fn a_program_record_under_a_bad_task_name_is_not_restored() {
+    let path = scratch_file("bad-task-name");
+    let doc = CheckpointDoc {
+        programs: vec![
+            ("x".into(), WATCHER.into()),
+            ("x/m0".into(), WATCHER.into()),
+        ],
+        seeds: Vec::new(),
+    };
+    std::fs::write(&path, encode_checkpoint_doc(&doc)).expect("write checkpoint");
+
+    let farmd = Farmd::start(test_config(path.clone())).expect("start farmd");
+    let client = CtlClient::connect(farmd.local_addr());
+    match client.op(ControlOp::Restore).expect("restore rpc") {
+        ControlReply::Restored { skipped: 0, .. } => {}
+        other => panic!("restore answered {other:?}"),
+    }
+    assert_eq!(only_seed(&client).task, "x");
+    match client.op(ControlOp::Checkpoint).expect("checkpoint rpc") {
+        ControlReply::Checkpointed { seeds: 1, .. } => {}
+        other => panic!("checkpoint answered {other:?}"),
+    }
+    let load = decode_checkpoint(&std::fs::read(&path).expect("checkpoint file written"))
+        .expect("decode our own file");
+    let names: Vec<&str> = load.doc.programs.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["x"]);
+    drop(client);
+    farmd.stop();
     let _ = std::fs::remove_file(&path);
 }
 

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -488,57 +489,164 @@ fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str) -> ControlRepl
     }
 }
 
-/// Walks one pod's seed listing through its cursor.
+/// One pod's walk of a listing: what it has gathered, and the part of
+/// its own listing it is after.
+type SeedWalk = (Vec<SeedDescriptor>, Range<u64>);
+
+/// Walks the part `want` of one pod's seed listing through its cursor,
+/// [`POD_PAGE`] seeds a request, up to the end of `want` or of the
+/// pod's listing.
 fn pod_seeds(
     pod: &str,
-    seeds: &mut Vec<SeedDescriptor>,
+    (seeds, want): &mut SeedWalk,
     reply: Option<ControlReply>,
 ) -> Result<Option<ControlOp>, String> {
-    let from_index = match reply {
-        None => 0,
+    match reply {
+        None => {}
         Some(ControlReply::Seeds {
             seeds: page,
             next_index,
             ..
         }) => {
+            // An empty page that is not the last would be asked again.
+            let last = next_index == 0 || page.is_empty();
             seeds.extend(page);
-            if next_index == 0 {
+            if last {
                 return Ok(None);
             }
-            next_index
         }
         Some(other) => return Err(format!("pod `{pod}` answered `{}`", other.kind())),
-    };
-    Ok(Some(ControlOp::ListSeeds {
+    }
+    let from_index = want.start + seeds.len() as u64;
+    Ok((from_index < want.end).then(|| ControlOp::ListSeeds {
         from_index,
-        limit: POD_PAGE,
+        limit: POD_PAGE.min(want.end - from_index),
     }))
 }
 
-/// Federated `ListSeeds`: fan out to every live pod (cursor-walked),
-/// globalize keys and switch ids, merge sorted, then window the merged
-/// listing with the same cursor semantics a single farmd serves.
-fn list_seeds<P: Peers>(core: &mut Core<P>, from_index: u64, limit: u64) -> ControlReply {
-    let mut merged: Vec<SeedDescriptor> = Vec::new();
-    let live = live_pods(core);
-    for (pod, base, seeds) in fan_out(core, live, &mut pod_seeds) {
-        match seeds {
-            Ok(seeds) => merged.extend(seeds.into_iter().map(|mut d| {
-                d.key = format!("{pod}:{}", d.key);
-                d.switch += base as u32;
-                d
-            })),
+/// Walks each pod of `wants` through its part of its listing, in the
+/// order of `wants`, and concatenates the parts ([`concatenate`]).
+fn gather_seeds<P: Peers>(
+    core: &mut Core<P>,
+    wants: Vec<(String, Range<u64>)>,
+) -> Vec<SeedDescriptor> {
+    let pods = wants.iter().map(|(pod, _)| pod.clone()).collect();
+    let wants: BTreeMap<String, Range<u64>> = wants.into_iter().collect();
+    let mut walk = |pod: &str, walk: &mut SeedWalk, reply: Option<ControlReply>| {
+        if reply.is_none() {
+            walk.1 = wants[pod].clone();
+        }
+        pod_seeds(pod, walk, reply)
+    };
+    let round = fan_out(core, pods, &mut walk);
+    let mut parts = Vec::with_capacity(round.len());
+    for (pod, base, walk) in round {
+        match walk {
+            Ok((seeds, _)) => parts.push((pod, base, seeds)),
             Err(_) => core.telemetry.counter("fed.fanout.errors").inc(),
         }
     }
-    merged.sort_by(|a, b| a.key.cmp(&b.key));
-    let (range, cursor) = page(from_index, limit, merged.len());
+    concatenate(parts)
+}
+
+/// Pods' listings as the federation lists them: each key prefixed with
+/// `pod:` and each switch id moved by the pod's base, the pods one after
+/// another in the order given.
+fn concatenate(parts: Vec<(String, u64, Vec<SeedDescriptor>)>) -> Vec<SeedDescriptor> {
+    let mut merged = Vec::with_capacity(parts.iter().map(|(.., seeds)| seeds.len()).sum());
+    for (pod, base, seeds) in parts {
+        merged.extend(seeds.into_iter().map(|mut d| {
+            let mut key = String::with_capacity(pod.len() + 1 + d.key.len());
+            key.push_str(&pod);
+            key.push(':');
+            key.push_str(&d.key);
+            d.key = key;
+            d.switch += base as u32;
+            d
+        }));
+    }
+    merged
+}
+
+/// Live pods in the byte order of `name + ':'`. Pod names are
+/// `[A-Za-z0-9_-]+`, so a pod's merged keys (`pod:task/m<i>/s<j>`) are
+/// one run in the merged key order, and the runs come in this order:
+/// the merged listing is the pods' listings concatenated in it.
+fn listing_order<P: Peers>(core: &Core<P>) -> Vec<String> {
+    let mut pods = live_pods(core);
+    pods.sort_unstable_by(|a, b| a.bytes().chain([b':']).cmp(b.bytes().chain([b':'])));
+    pods
+}
+
+/// Federated `ListSeeds`, in the order of the merged keys, windowed with
+/// the same cursor semantics a single farmd serves. The unpaginated
+/// listing walks every live pod's whole listing and concatenates them
+/// ([`listing_order`]). A page takes two rounds: every live pod is asked
+/// for its total (a `ListSeeds` past its end), the window is laid over
+/// the concatenation of the totals, and only the pods it overlaps are
+/// asked, each for its own slice. A pod that fails the first round is
+/// left out of the totals; one that answers it and then fails leaves
+/// its slice out of the page, whose cursor stays the first round's.
+/// Either counts in `fed.fanout.errors`.
+fn list_seeds<P: Peers>(core: &mut Core<P>, from_index: u64, limit: u64) -> ControlReply {
+    let pods = listing_order(core);
+    if from_index == 0 && limit == 0 {
+        let wants = pods.into_iter().map(|pod| (pod, 0..u64::MAX)).collect();
+        return ControlReply::Seeds {
+            seeds: gather_seeds(core, wants),
+            next_index: 0,
+            total: 0,
+        };
+    }
+    let count = ControlOp::ListSeeds {
+        from_index: u64::MAX,
+        limit: 0,
+    };
+    let mut runs = Vec::new();
+    let mut total = 0u64;
+    for (pod, _, reply) in ask(core, pods, count) {
+        match reply {
+            Ok(ControlReply::Seeds { total: seeds, .. }) => {
+                let end = total.saturating_add(seeds);
+                runs.push((pod, total..end));
+                total = end;
+            }
+            _ => core.telemetry.counter("fed.fanout.errors").inc(),
+        }
+    }
+    let (window, cursor) = page(from_index, limit, total as usize);
     let (next_index, total) = cursor.unwrap_or((0, 0));
+    let (start, end) = (window.start as u64, window.end as u64);
+    let wants = (runs.into_iter())
+        .filter(|(_, run)| run.start < end && start < run.end)
+        .map(|(pod, run)| {
+            (
+                pod,
+                start.max(run.start) - run.start..end.min(run.end) - run.start,
+            )
+        })
+        .collect();
     ControlReply::Seeds {
-        seeds: merged.drain(range).collect(),
+        seeds: gather_seeds(core, wants),
         next_index,
         total,
     }
+}
+
+/// The sort-based merge `list_seeds` replaced: every pod's listing,
+/// globalized and sorted by key.
+#[cfg(test)]
+fn sorted_merge(parts: Vec<(String, u64, Vec<SeedDescriptor>)>) -> Vec<SeedDescriptor> {
+    let mut merged: Vec<SeedDescriptor> = Vec::new();
+    for (pod, base, seeds) in parts {
+        merged.extend(seeds.into_iter().map(|mut d| {
+            d.key = format!("{pod}:{}", d.key);
+            d.switch += base as u32;
+            d
+        }));
+    }
+    merged.sort_by(|a, b| a.key.cmp(&b.key));
+    merged
 }
 
 /// Federated `DescribeSeed`: keys carry a `pod:` prefix.
@@ -932,6 +1040,55 @@ fn migrate<P: Peers>(core: &mut Core<P>, task: &str, to_pod: &str) -> ControlRep
                      ({detail}); task currently runs on both pods"
                 ),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A pod's listing as farmd answers it: `n` keys of tasks drawn from
+    /// `tasks`, in the byte order of their display form.
+    fn pod_listing(tasks: &[&str], n: usize, salt: usize) -> Vec<SeedDescriptor> {
+        let mut keys: Vec<String> = (0..n)
+            .map(|i| {
+                let task = tasks[(i + salt) % tasks.len()];
+                format!("{task}/m{}/s{}", (i * 7 + salt) % 13, i)
+            })
+            .collect();
+        keys.sort();
+        keys.dedup();
+        let desc = |key: String| SeedDescriptor {
+            task: key.split('/').next().unwrap_or_default().to_string(),
+            key,
+            machine: "M".into(),
+            switch: 1,
+            state: "s".into(),
+            alloc: [1.0, 2.0, 3.0, 4.0],
+        };
+        keys.into_iter().map(desc).collect()
+    }
+
+    proptest! {
+        /// Pods in `name:` order, each listing concatenated after the
+        /// last, are the sorted merge: pod names that are prefixes of
+        /// each other (`a`, `a-b`, `a0`, `ab`, `a_`) included.
+        #[test]
+        fn concatenation_in_listing_order_is_the_sorted_merge(
+            picks in proptest::collection::vec((0..8usize, 0..40usize), 1..6),
+        ) {
+            const PODS: [&str; 8] = ["a", "a-b", "a0", "ab", "a_", "A", "b", "a-"];
+            const TASKS: [&str; 4] = ["w1", "w1-x", "w1_x", "w10"];
+            let mut parts: Vec<(String, u64, Vec<SeedDescriptor>)> = Vec::new();
+            for (i, &(pod, n)) in picks.iter().enumerate() {
+                if parts.iter().all(|(p, ..)| p != PODS[pod]) {
+                    parts.push((PODS[pod].into(), 4 * i as u64, pod_listing(&TASKS, n, i)));
+                }
+            }
+            parts.sort_by(|a, b| a.0.bytes().chain([b':']).cmp(b.0.bytes().chain([b':'])));
+            prop_assert_eq!(concatenate(parts.clone()), sorted_merge(parts));
         }
     }
 }

@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use farm_ctl::stats::StatsDoc;
+use farm_ctl::stats::{page, StatsDoc};
 use farm_net::{encode_envelope, ControlOp, ControlReply, Envelope, Frame, SeedDescriptor};
 use farm_telemetry::Json;
 use proptest::prelude::*;
@@ -146,6 +146,151 @@ fn answers_arriving_in_reverse_order_merge_to_the_same_bytes() {
     assert_eq!(forward, reverse);
     assert_eq!(names, ["a", "b", "c"]);
     assert_eq!(names_reversed, ["a", "b", "c"]);
+}
+
+/// The reply's seeds and its cursor.
+fn seeds_of(reply: ControlReply) -> (Vec<SeedDescriptor>, u64, u64) {
+    match reply {
+        ControlReply::Seeds {
+            seeds,
+            next_index,
+            total,
+        } => (seeds, next_index, total),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Pods `a`, `a-b` and `ab` (name order `a`, `a-b`, `ab`; listing
+/// order `a-b:`, `a:`, `ab:`) holding tasks whose name order is not
+/// their display order either: every page is the unpaginated listing,
+/// windowed, and a walk through the cursor at any page size is the
+/// listing.
+#[test]
+fn pages_of_the_federated_listing_window_the_whole_listing() {
+    let mut sim = Sim::new(5, fed_setup("[fed]\n", vec!["a", "a-b", "ab"]));
+    for name in ["w1", "w1-x", "w10", "w1_x"] {
+        let places = machine("place all 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11;");
+        let reply = sim.op(submit(name, places));
+        assert!(
+            matches!(reply, ControlReply::Submitted { seeds: 12, .. }),
+            "{reply:?}"
+        );
+    }
+    let (all, ..) = seeds_of(sim.op(ControlOp::list_all()));
+    let keys: Vec<&str> = all.iter().map(|d| d.key.as_str()).collect();
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    assert_eq!(keys, sorted);
+    assert_eq!(keys.len(), 48);
+    assert_eq!(keys[0], "a-b:w1-x/m0/s0");
+    assert_eq!(keys[16], "a:w1-x/m0/s0");
+    assert_eq!(keys[32], "ab:w1-x/m0/s0");
+    let len = all.len() as u64;
+    for from in [0, 1, 15, 16, 17, 31, 47, 48, 49, u64::MAX] {
+        for limit in [0, 1, 3, 16, 47, 48, 100, u64::MAX] {
+            let (window, cursor) = page(from, limit, all.len());
+            let (next, total) = cursor.unwrap_or((0, 0));
+            let want = ControlReply::Seeds {
+                seeds: all[window].to_vec(),
+                next_index: next,
+                total,
+            };
+            let op = ControlOp::ListSeeds {
+                from_index: from,
+                limit,
+            };
+            assert_eq!(sim.op(op), want, "from {from}, limit {limit}");
+        }
+    }
+    for limit in [1, 5, 16, 17, len, len + 1] {
+        let (mut walked, mut from) = (Vec::new(), 0);
+        loop {
+            let op = ControlOp::ListSeeds {
+                from_index: from,
+                limit,
+            };
+            let (seeds, next, total) = seeds_of(sim.op(op));
+            assert_eq!(total, len);
+            walked.extend(seeds);
+            if next == 0 {
+                break;
+            }
+            from = next;
+        }
+        assert_eq!(walked, all, "limit {limit}");
+    }
+}
+
+/// A page asks only the pods its window overlaps: a page inside one
+/// pod's run is one count round to every pod and one request to that
+/// pod.
+#[test]
+fn a_page_asks_only_the_pods_its_window_overlaps() {
+    let mut sim = Sim::new(6, Setup::default());
+    let span = submit(
+        "span",
+        machine("place all 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11;"),
+    );
+    assert!(matches!(
+        sim.op(span),
+        ControlReply::Submitted { seeds: 12, .. }
+    ));
+    sim.wire.borrow_mut().harvested.clear();
+    let op = ControlOp::ListSeeds {
+        from_index: 5,
+        limit: 2,
+    };
+    let (seeds, next, total) = seeds_of(sim.op(op));
+    let keys: Vec<&str> = seeds.iter().map(|d| d.key.as_str()).collect();
+    assert_eq!(keys, ["b:span/m0/s1", "b:span/m0/s2"]);
+    assert_eq!((next, total), (7, 12));
+    let asked: Vec<usize> = (sim.wire.borrow().harvested.iter())
+        .map(|(addr, _)| (0..3).find(|&i| pod_addr(i) == *addr).expect("a pod"))
+        .collect();
+    assert_eq!(asked.iter().filter(|&&i| i == 1).count(), 2, "{asked:?}");
+    assert_eq!(asked.len(), 4, "{asked:?}");
+}
+
+/// A pod that answers a page's count round and then dies: the page
+/// holds the other pods' slices, keeps the count round's cursor, costs
+/// one `pod_timeout`, and counts the pod in `fed.fanout.errors`.
+#[test]
+fn a_pod_that_dies_between_a_page_s_rounds_leaves_its_slice_out() {
+    let mut sim = Sim::new(7, Setup::default());
+    let link = Duration::from_millis(2);
+    fixed_delay(&sim, link);
+    let span = submit(
+        "span",
+        machine("place all 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11;"),
+    );
+    assert!(matches!(
+        sim.op(span),
+        ControlReply::Submitted { seeds: 12, .. }
+    ));
+    let (all, ..) = seeds_of(sim.op(ControlOp::list_all()));
+    sim.pods.borrow_mut()[1].dies_after = Some(1);
+    let errors = sim.fedd_counter("fed.fanout.errors");
+    let asked = sim.now();
+    let op = ControlOp::ListSeeds {
+        from_index: 2,
+        limit: 8,
+    };
+    let (at, reply) = sim.ask(FEDD, vec![op]).remove(0);
+    assert!(sim.pods.borrow()[1].frozen, "b died after its count");
+    let pod_timeout = Duration::from_millis(500);
+    assert_eq!(
+        at - asked,
+        CLIENT_DELAY + 2 * link + pod_timeout + CLIENT_DELAY
+    );
+    let (seeds, next, total) = seeds_of(reply);
+    let survivors: Vec<SeedDescriptor> = (all[2..10].iter())
+        .filter(|d| !d.key.starts_with("b:"))
+        .cloned()
+        .collect();
+    assert_eq!(seeds, survivors);
+    assert_eq!(seeds.len(), 4);
+    assert_eq!((next, total), (10, 12));
+    assert_eq!(sim.fedd_counter("fed.fanout.errors"), errors + 1);
 }
 
 #[test]
@@ -321,6 +466,8 @@ enum Step {
     /// the given global switch ids (a split when they span pods).
     Submit(Place),
     List,
+    /// A page of the listing: `from_index` and `limit`.
+    Page(u64, u64),
     Stats,
     Metrics,
     Drain(u32),
@@ -349,6 +496,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
         Just(Step::Submit(Place::All)),
         proptest::collection::vec(ids.clone(), 1..4).prop_map(|on| Step::Submit(Place::On(on))),
         Just(Step::List),
+        (0..16u64, 0..8u64).prop_map(|(from, limit)| Step::Page(from, limit)),
         Just(Step::Stats),
         Just(Step::Metrics),
         ids.clone().prop_map(Step::Drain),
@@ -412,6 +560,10 @@ fn run_step(sim: &mut Sim, told: &mut Told, step: &Step) {
             submit(&name, machine(&places))
         }
         Step::List => ControlOp::list_all(),
+        Step::Page(from_index, limit) => ControlOp::ListSeeds {
+            from_index: *from_index,
+            limit: *limit,
+        },
         Step::Stats => ControlOp::stats_all(),
         Step::Metrics => ControlOp::MetricsDump,
         Step::Drain(switch) => ControlOp::Drain { switch: *switch },
@@ -446,8 +598,8 @@ fn run_step(sim: &mut Sim, told: &mut Told, step: &Step) {
         }
         _ => {}
     }
-    // A read every live pod answered is the pod-name-order fold of what
-    // each pod answered.
+    // A read every live pod answered is the fold of what each pod
+    // answered.
     if sim.fedd_counter("fed.fanout.errors") == errors {
         let harvested = std::mem::take(&mut sim.wire.borrow_mut().harvested);
         check_fold(sim, &op, &reply, harvested);
@@ -456,6 +608,22 @@ fn run_step(sim: &mut Sim, told: &mut Told, step: &Step) {
 
 /// The pods' own answers to a fan-out, by pod index, in pod order.
 type Answers = BTreeMap<usize, Vec<ControlReply>>;
+
+/// The sort-based merge fedd's listing replaced: each pod's listing
+/// with its keys prefixed `pod:` and its switch ids moved by the pod's
+/// base, sorted by key.
+fn sorted_merge(parts: Vec<(&str, u64, Vec<SeedDescriptor>)>) -> Vec<SeedDescriptor> {
+    let mut merged: Vec<SeedDescriptor> = Vec::new();
+    for (pod, base, seeds) in parts {
+        merged.extend(seeds.into_iter().map(|mut d| {
+            d.key = format!("{pod}:{}", d.key);
+            d.switch += base as u32;
+            d
+        }));
+    }
+    merged.sort_by(|a, b| a.key.cmp(&b.key));
+    merged
+}
 
 fn check_fold(
     sim: &Sim,
@@ -473,25 +641,39 @@ fn check_fold(
     }
     let base = |i: usize| u64::from(POD_SWITCHES) * i as u64;
     match op {
-        ControlOp::ListSeeds { .. } => {
-            let mut merged: Vec<SeedDescriptor> = Vec::new();
+        ControlOp::ListSeeds { from_index, limit } => {
+            // A page's first round asks each pod for its total alone.
+            let paged = (*from_index, *limit) != (0, 0);
+            let mut total = 0;
+            let mut parts = Vec::new();
             for (&i, pages) in &answers {
-                for page in pages {
-                    let ControlReply::Seeds { seeds, .. } = page else {
+                let mut seeds = Vec::new();
+                for (n, page) in pages.iter().enumerate() {
+                    let ControlReply::Seeds {
+                        seeds: s, total: t, ..
+                    } = page
+                    else {
                         panic!("{page:?}");
                     };
-                    merged.extend(seeds.iter().cloned().map(|mut d| {
-                        d.key = format!("{}:{}", sim.names[i], d.key);
-                        d.switch += base(i) as u32;
-                        d
-                    }));
+                    if paged && n == 0 {
+                        assert!(s.is_empty(), "a count round lists nothing: {page:?}");
+                        total += t;
+                    }
+                    seeds.extend(s.iter().cloned());
                 }
+                parts.push((sim.names[i], base(i), seeds));
             }
-            merged.sort_by(|a, b| a.key.cmp(&b.key));
+            let seeds = sorted_merge(parts);
+            let (window, cursor) = page(*from_index, *limit, total as usize);
+            assert!(
+                !paged || seeds.len() == window.len(),
+                "{window:?} of {total}"
+            );
+            let (next_index, total) = cursor.unwrap_or((0, 0));
             let want = ControlReply::Seeds {
-                seeds: merged,
-                next_index: 0,
-                total: 0,
+                seeds,
+                next_index,
+                total,
             };
             assert_eq!(reply, &want, "listing");
         }

@@ -364,6 +364,9 @@ pub struct Node<C> {
     next_turn: Duration,
     /// A frozen node takes no turn: what reaches it waits.
     pub frozen: bool,
+    /// The node freezes once it has answered this many more requests;
+    /// what reached it with them is lost.
+    pub dies_after: Option<usize>,
 }
 
 impl<C: Core<Peers = SimPeers>> Node<C> {
@@ -374,6 +377,7 @@ impl<C: Core<Peers = SimPeers>> Node<C> {
             core,
             next_turn: now,
             frozen: false,
+            dies_after: None,
         }
     }
 
@@ -391,11 +395,21 @@ impl<C: Core<Peers = SimPeers>> Node<C> {
     fn turn(&mut self, wire: &RefCell<Wire>) {
         let arrived = wire.borrow_mut().inbox.remove(&self.addr);
         for (session, env) in arrived.into_iter().flatten() {
+            if self.frozen {
+                return;
+            }
             let reply = self.dispatch.answer(&mut self.core, &env);
             if env.corr != 0 && !env.response {
                 let reply = Envelope::response(env.corr, reply.unwrap_or(Frame::Ack));
                 wire.borrow_mut().send(session, false, &reply);
+                if let Some(left) = &mut self.dies_after {
+                    *left = left.saturating_sub(1);
+                    self.frozen = *left == 0;
+                }
             }
+        }
+        if self.frozen {
+            return;
         }
         let now = self.core.links().now();
         self.core.tick(now);

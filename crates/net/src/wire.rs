@@ -88,7 +88,7 @@ const CRC32_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE) of `bytes` — the per-record integrity check framing
 /// `FARMCKP2` checkpoint entries.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xffff_ffffu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
@@ -387,8 +387,11 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 /// Varint count, then the elements. The count is checked against the
-/// bytes actually left (`count × T::MIN_LEN`) before anything is reserved,
-/// and the reservation itself is capped.
+/// bytes actually left (`count × T::MIN_LEN`), and nothing is reserved
+/// for it: the list grows as its items decode. Nested lists may each
+/// claim nearly all the bytes left, so a reservation sized by the claim
+/// would hold those bytes' worth once per level; grown, a list holds
+/// at most twice the items its bytes have backed.
 impl<T: Wire> Wire for Vec<T> {
     const MIN_LEN: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
@@ -397,11 +400,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<T>, WireError> {
         let n = r.len_prefix(T::MIN_LEN)?;
-        let mut items = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            items.push(T::get(r, what)?);
-        }
-        Ok(items)
+        (0..n).map(|_| T::get(r, what)).collect()
     }
 }
 
