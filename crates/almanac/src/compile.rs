@@ -296,6 +296,8 @@ pub fn externals(pairs: &[(&str, Value)]) -> ConstEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Type;
+    use crate::lower::{from_word, Place};
     use farm_netsim::switch::SwitchModel;
     use farm_netsim::topology::Topology;
 
@@ -418,7 +420,11 @@ mod tests {
         let cm = compile_machine(&program, "M", &ext, &ctl).unwrap();
         assert_eq!(cm.consts.get("factor"), Some(&Value::Float(3.0)));
         let slot = cm.lowered.global_slot("factor").unwrap();
-        assert_eq!(cm.lowered.init[slot], Value::Float(3.0));
+        let Place::Word(word) = cm.lowered.places[slot] else {
+            panic!("a float in a value slot");
+        };
+        let word = cm.lowered.init_words[word as usize];
+        assert_eq!(from_word(word, Type::Float), Value::Float(3.0));
     }
 
     #[test]

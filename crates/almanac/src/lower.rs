@@ -6,36 +6,51 @@
 //! [`crate::compile::CompiledMachine`] and turns every handler and
 //! auxiliary function into one [`Body`]: a `Vec` of [`Inst`]s over
 //! operands that are frame slots, global slots, temporaries and a
-//! constant pool ([`Src`], [`Dst`]).
+//! constant pool ([`Src`], [`Word`], [`Dst`]).
 //!
-//! * Machine variables → dense global slots (the name table, sorted so
-//!   snapshots need no sort, stays here in the def).
+//! * Every `int`, `long`, `float` and `bool` — machine variable, local,
+//!   parameter, bound payload, temporary or literal — is a plain 8-byte
+//!   [`Word`] ([`to_word`]); everything else is a [`Value`] in a value
+//!   slot. A variable's tag is its declared type: every store (a `return`
+//!   is one into the function's result) widens an int into a `float` and
+//!   refuses another tag, through a [`Kind::Fit`] where the value's tag is
+//!   not known, so a word's meaning is known where it is lowered.
+//! * Machine variables → dense global slots, value or word
+//!   ([`Place`]); the name table, sorted so snapshots need no sort, stays
+//!   here in the def.
 //! * Handler/function parameters, block-scoped locals and temporaries →
 //!   frame slots with a statically known frame size. A declaration gets
 //!   a slot for the life of its block and re-initialises it every time it
 //!   runs, so shadowing and fresh loop-body locals fall out of scoping.
 //! * A bound payload the handler never writes, and a parameter the
 //!   function never writes, is read in place ([`Src::Ref`]) instead of
-//!   being copied into the frame.
+//!   being copied into the frame, unless it is a word: a word is passed
+//!   by value.
 //! * `if`, `while`, `and` and `or` → jumps; states → `u32` ids with a
 //!   per-state handler table; user functions → indices; runtime-library
-//!   calls → [`Op`] tags; literals → the constant pool.
+//!   calls → [`Op`] tags; literals → the constant pools.
+//! * Arithmetic and comparisons on int and float words → [`Kind::Int`],
+//!   [`Kind::Float`], [`Kind::IntCmp`], [`Kind::FloatCmp`] (an int meeting
+//!   a float is widened first, [`Kind::Widen`]); on anything else →
+//!   [`Kind::Binary`], which the VM runs with inline number checks first.
+//!   A word a value instruction reads is converted at that edge
+//!   ([`Kind::ToValue`]), and a value stored into a word is converted by
+//!   the store.
 //! * The list and number builtins a per-port scan runs on every entry get
 //!   arms of their own ([`Kind::ListLen`], [`Kind::ListGet`],
-//!   [`Kind::ToFloat`]), and `stat_<field>(list_get(l, i))` is one
-//!   [`Kind::StatField`] that reads the field where the entry lies.
-//! * A variable's tag is its declared type: every store (a `return` is
-//!   one into the function's result) widens an int into a `float` and
-//!   refuses another tag, through a [`Kind::Fit`] where the value's tag is
-//!   not known. Arithmetic and comparisons on int and float tags →
-//!   [`Kind::Int`], [`Kind::Float`], [`Kind::Cmp`]; the rest →
-//!   [`Kind::Binary`], which the VM runs with inline number checks first.
+//!   [`Kind::ToFloat`]), and `stat_<field>(list_get(l, i))` and
+//!   `to_float(list_get(l, i))` are one [`Kind::Element`] that reads the
+//!   entry where it lies.
+//! * A list local assigned at its last use in the block that declares it
+//!   (`baseline = fresh;`) is moved, not copied.
 //!
 //! Each instruction carries its static abstract cost ([`Inst::cost`]):
 //! 1 per source expression node and 2 per statement, attached to an
 //! instruction that runs exactly when that node or statement is
 //! evaluated. The cost model is part of the simulator's observable
 //! behaviour; only the `len/4 + 1` list-scan charge is left to run time.
+//! An instruction lowering adds to convert between words and values
+//! costs nothing of its own.
 //!
 //! Evaluation order is the source order of an eager evaluator: an operand
 //! that is a plain variable is read where it lives, unless an operand
@@ -59,19 +74,23 @@ use crate::ast::{
     MsgEndpoint, Trigger, Type, UnOp,
 };
 use crate::builtins::{builtin, Op};
-use crate::value::{default_of, Value};
+use crate::value::{default_of, fit, Value};
 
 /// A machine in executable form. Immutable and shared (inside the
 /// `Arc<CompiledMachine>`) by every seed of the machine.
 #[derive(Debug, Clone)]
 pub struct LoweredMachine {
-    /// Names of the machine variables, sorted; the index is the global slot.
+    /// Names of the machine variables, sorted; the index is the variable's.
     pub globals: Vec<String>,
-    /// Declared type of each global slot.
+    /// Declared type of each machine variable.
     pub types: Vec<Type>,
-    /// Initial value of each global slot (deployment constants, else the
-    /// type's default).
+    /// Where each machine variable lives.
+    pub places: Vec<Place>,
+    /// Initial value of each global value slot (deployment constants,
+    /// else the type's default).
     pub init: Vec<Value>,
+    /// Initial word of each global word slot.
+    pub init_words: Vec<u64>,
     /// States in declaration order; the index is the state id.
     pub states: Vec<State>,
     /// Every event handler of the machine, referenced by [`State::handlers`].
@@ -80,14 +99,16 @@ pub struct LoweredMachine {
     pub functions: Vec<Function>,
     /// Constant pool ([`Src::Const`]); entry 0 is unit.
     pub consts: Vec<Value>,
+    /// Word constant pool ([`Word::Const`]).
+    pub words: Vec<u64>,
     /// Names and messages instructions refer to by index.
     pub strings: Vec<String>,
     /// Argument lists of [`Kind::CallFn`], back to back.
-    pub args: Vec<Src>,
+    pub args: Vec<Arg>,
 }
 
 impl LoweredMachine {
-    /// Global slot of a machine variable.
+    /// Index of a machine variable in [`LoweredMachine::globals`].
     pub fn global_slot(&self, name: &str) -> Option<usize> {
         global_slot(&self.globals, name)
     }
@@ -98,6 +119,44 @@ impl LoweredMachine {
             .iter()
             .position(|s| s.name == name)
             .map(|i| i as u32)
+    }
+}
+
+/// Where a machine variable lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// A global value slot.
+    Value(u32),
+    /// A global word slot: the variable is an `int`, `long`, `float` or
+    /// `bool`.
+    Word(u32),
+}
+
+/// Whether a variable declared `ty` lives in a word.
+pub fn is_word(ty: Type) -> bool {
+    matches!(ty, Type::Bool | Type::Int | Type::Long | Type::Float)
+}
+
+/// The word of a value a word holds: an int's two's complement, a
+/// float's bits, a bool's 0 or 1.
+pub fn to_word(v: &Value) -> u64 {
+    match *v {
+        Value::Int(i) => i as u64,
+        Value::Float(f) => f.to_bits(),
+        Value::Bool(b) => u64::from(b),
+        _ => {
+            debug_assert!(false, "{v:?} stored in a word");
+            0
+        }
+    }
+}
+
+/// The value a word holds for a variable declared `ty`.
+pub fn from_word(word: u64, ty: Type) -> Value {
+    match ty {
+        Type::Bool => Value::Bool(word != 0),
+        Type::Float => Value::Float(f64::from_bits(word)),
+        _ => Value::Int(word as i64),
     }
 }
 
@@ -136,6 +195,9 @@ pub enum Bind {
     InPlace,
     /// Written by the handler: copied into frame slot 0.
     Copy,
+    /// A `recv` of a word type: fitted (an int widened for a `float`) into
+    /// frame word 0.
+    Word,
 }
 
 /// An event handler.
@@ -146,7 +208,7 @@ pub struct Handler {
     pub body: Body,
 }
 
-/// How an argument reaches a function parameter.
+/// How a function takes a parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Moved or copied into the callee's next parameter slot.
@@ -154,14 +216,25 @@ pub enum Pass {
     /// Never written by the function: read where the caller holds it,
     /// as the callee's next reference.
     InPlace,
+    /// A word, copied into the callee's next frame word.
+    Word,
+}
+
+/// One argument of a [`Kind::CallFn`], as its parameter's [`Pass`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    Value(Src),
+    InPlace(Src),
+    Word(Word),
 }
 
 /// An auxiliary function.
 #[derive(Debug, Clone)]
 pub struct Function {
     /// One entry per parameter, in order. Frame slots go to the
-    /// [`Pass::Value`] ones from slot 0, references to the
-    /// [`Pass::InPlace`] ones from reference 0.
+    /// [`Pass::Value`] ones from slot 0, frame words to the [`Pass::Word`]
+    /// ones from word 0, references to the [`Pass::InPlace`] ones from
+    /// reference 0.
     pub params: Vec<Pass>,
     pub body: Body,
 }
@@ -169,8 +242,10 @@ pub struct Function {
 /// The code of one handler or function.
 #[derive(Debug, Clone)]
 pub struct Body {
-    /// Frame slots the code needs: parameters, locals, temporaries.
+    /// Frame value slots the code needs: parameters, locals, temporaries.
     pub frame: u32,
+    /// Frame words the code needs.
+    pub words: u32,
     /// Ends with [`Kind::Return`].
     pub code: Vec<Inst>,
 }
@@ -181,9 +256,10 @@ pub enum Src {
     /// Frame slot of a variable.
     Local(u32),
     /// Frame slot of an intermediate result, read by exactly one
-    /// instruction, which may move it out.
+    /// instruction, which may move it out; or of a list variable at its
+    /// last use.
     Temp(u32),
-    /// Slot of the seed's machine variables.
+    /// Global value slot.
     Global(u32),
     /// Entry of [`LoweredMachine::consts`].
     Const(u32),
@@ -192,13 +268,30 @@ pub enum Src {
     Ref(u32),
 }
 
+/// Where an instruction reads or writes a word. What the word means (an
+/// int, a float, a bool) is known to the instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Word {
+    /// Frame word of a variable.
+    Local(u32),
+    /// Frame word of an intermediate result.
+    Temp(u32),
+    /// Global word slot.
+    Global(u32),
+    /// Entry of [`LoweredMachine::words`]; never written.
+    Const(u32),
+}
+
 /// Where an instruction writes its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dst {
-    /// Frame slot.
+    /// Frame value slot.
     Local(u32),
-    /// Slot of the seed's machine variables.
+    /// Global value slot.
     Global(u32),
+    /// A word: the value stored is one lowering has proven to have the
+    /// word's tag, and is converted ([`to_word`]).
+    Word(Word),
 }
 
 /// One instruction and the abstract cost charged when it runs.
@@ -230,6 +323,17 @@ pub enum Kind {
         dst: Dst,
         src: Src,
     },
+    /// `dst = src` on words.
+    MoveWord {
+        dst: Word,
+        src: Word,
+    },
+    /// `dst = src` where `src` is a word holding a `tag`.
+    ToValue {
+        dst: Dst,
+        src: Word,
+        tag: Type,
+    },
     Not {
         dst: Dst,
         a: Src,
@@ -238,60 +342,73 @@ pub enum Kind {
         dst: Dst,
         a: Src,
     },
-    /// `a op b`, any operands: and/or, and arithmetic or comparison on
-    /// an operand whose tag is not a number's.
+    /// `a op b` on values: and/or, and arithmetic or comparison on an
+    /// operand whose tag is not a number's.
     Binary {
         op: BinOp,
         dst: Dst,
         a: Src,
         b: Src,
     },
-    /// `a op b` for `+ - * /` on operands tagged as ints.
+    /// `a op b` for `+ - * /` on int words, checked.
     Int {
         op: BinOp,
         dst: Dst,
-        a: Src,
-        b: Src,
+        a: Word,
+        b: Word,
     },
-    /// `a op b` for `+ - * /` on operands tagged as numbers, at least one
-    /// of them a float.
+    /// `a op b` for `+ - * /` on float words.
     Float {
         op: BinOp,
         dst: Dst,
-        a: Src,
-        b: Src,
+        a: Word,
+        b: Word,
     },
-    /// `a c b` on operands tagged as numbers.
-    Cmp {
+    /// `a c b` on int words, compared as floats (numbers compare as
+    /// floats, ints included).
+    IntCmp {
         c: CmpOp,
         dst: Dst,
-        a: Src,
-        b: Src,
+        a: Word,
+        b: Word,
+    },
+    /// `a c b` on float words.
+    FloatCmp {
+        c: CmpOp,
+        dst: Dst,
+        a: Word,
+        b: Word,
+    },
+    /// The int word `a` as a float.
+    Widen {
+        dst: Dst,
+        a: Word,
     },
     /// `list_len(a)`.
     ListLen {
         dst: Dst,
         a: Src,
     },
-    /// `list_get(list, index)`.
+    /// `list_get(list, index)` at an int word.
     ListGet {
         dst: Dst,
         list: Src,
-        index: Src,
+        index: Word,
     },
-    /// `to_float(a)`.
+    /// `to_float(a)` of a value.
     ToFloat {
         dst: Dst,
         a: Src,
     },
-    /// `op(list_get(list, index))` for a statistics accessor `op`
-    /// (`stat_port`, `stat_tx_bytes`, …): one field of the entry, read
-    /// where the entry lies.
-    StatField {
+    /// `op(list_get(list, index))` at an int word, for a statistics
+    /// accessor `op` (`stat_port`, `stat_tx_bytes`, …) or `to_float`: one
+    /// field of the entry, or the entry as a float, read where the entry
+    /// lies.
+    Element {
         op: Op,
         dst: Dst,
         list: Src,
-        index: Src,
+        index: Word,
     },
     /// `a` is the left side of `or` (`or`) or `and`: when it is the bool
     /// that decides the result, stores it and goes to `end`.
@@ -370,7 +487,8 @@ pub enum Kind {
     Transit {
         state: u32,
     },
-    /// Ends the handler, or returns `value` (unit if `None`) to the caller.
+    /// Ends the handler, or returns `value` (unit if `None`) to the
+    /// caller; a frame slot is moved out.
     Return {
         value: Option<Src>,
     },
@@ -388,7 +506,7 @@ pub enum Kind {
     /// `dst = src` into the variable `name`, declared `ty`, when lowering
     /// does not know `src` has `ty`'s tag: an int is widened into a
     /// `float`, another tag refused. Without `dst`, `src` is an argument
-    /// read in place, only checked (`ty` is not `float`).
+    /// read in place, only checked.
     Fit {
         dst: Option<Dst>,
         src: Src,
@@ -400,13 +518,17 @@ pub enum Kind {
 /// The condition of an `if` or a `while`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Test {
+    /// A bool word.
+    Bool(Word),
     /// A value that must be a bool.
-    Bool(Src),
-    /// A comparison, which is the condition's own node.
-    Cmp(CmpOp, Src, Src),
-    /// `a c list_len(list)`: a comparison with the length of a list, the
-    /// head of every scan over a poll's entries.
-    Len(CmpOp, Src, Src),
+    Value(Src),
+    /// A comparison of int words, which is the condition's own node.
+    Int(CmpOp, Word, Word),
+    /// A comparison of float words.
+    Float(CmpOp, Word, Word),
+    /// `a c list_len(list)` for an int word `a`: a comparison with the
+    /// length of a list, the head of every scan over a poll's entries.
+    Len(CmpOp, Word, Src),
 }
 
 /// Lowers `machine` with the auxiliary `functions` visible to it;
@@ -426,10 +548,27 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         })
         .collect();
     let globals: Vec<String> = vars.keys().map(|n| n.to_string()).collect();
-    let (types, init): (Vec<Type>, Vec<Value>) = vars.into_values().unzip();
+    let (mut places, mut init, mut init_words) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut value_types, mut word_types) = (Vec::new(), Vec::new());
+    let mut types = Vec::new();
+    for (ty, value) in vars.into_values() {
+        types.push(ty);
+        if is_word(ty) {
+            places.push(Place::Word(init_words.len() as u32));
+            init_words.push(to_word(&fit(value, ty).unwrap_or_else(|v| v)));
+            word_types.push(ty);
+        } else {
+            places.push(Place::Value(init.len() as u32));
+            init.push(value);
+            value_types.push(ty);
+        }
+    }
     let mut cx = Context {
         globals: &globals,
         types: &types,
+        places: &places,
+        value_types,
+        word_types,
         machine,
         functions,
         passes: Vec::new(),
@@ -439,8 +578,10 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         .map(|f| {
             f.params
                 .iter()
-                .map(|(_, p)| {
-                    if cx.writes(&f.body, p) {
+                .map(|&(ty, ref p)| {
+                    if is_word(ty) {
+                        Pass::Word
+                    } else if cx.writes(&f.body, p) {
                         Pass::Value
                     } else {
                         Pass::InPlace
@@ -451,6 +592,8 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         .collect();
     let mut pools = Pools {
         consts: vec![Value::Unit],
+        words: Vec::new(),
+        word_tags: Vec::new(),
         strings: Vec::new(),
         args: Vec::new(),
     };
@@ -481,12 +624,15 @@ pub(crate) fn lower(machine: &Machine, functions: &[FunDecl], consts: &ConstEnv)
         .collect();
     LoweredMachine {
         init,
+        init_words,
         globals,
         types,
+        places,
         states,
         handlers,
         functions,
         consts: pools.consts,
+        words: pools.words,
         strings: pools.strings,
         args: pools.args,
     }
@@ -500,8 +646,12 @@ fn global_slot(globals: &[String], name: &str) -> Option<usize> {
 /// What names resolve against, machine-wide.
 struct Context<'a> {
     globals: &'a [String],
-    /// Declared type of each global slot.
+    /// Declared type of each machine variable.
     types: &'a [Type],
+    places: &'a [Place],
+    /// Declared type of each global value slot and word slot.
+    value_types: Vec<Type>,
+    word_types: Vec<Type>,
     machine: &'a Machine,
     functions: &'a [FunDecl],
     /// How each function takes each parameter.
@@ -511,8 +661,11 @@ struct Context<'a> {
 /// The machine-wide tables instructions index into.
 struct Pools {
     consts: Vec<Value>,
+    words: Vec<u64>,
+    /// Tag of each word constant.
+    word_tags: Vec<Type>,
     strings: Vec<String>,
-    args: Vec<Src>,
+    args: Vec<Arg>,
 }
 
 impl<'a> Context<'a> {
@@ -534,8 +687,12 @@ impl<'a> Context<'a> {
         let mut em = Emitter::new(self, pools, None);
         let bind = match name {
             None => Bind::None,
-            // Dispatch widens an int for a `recv float` into the copy.
-            Some(name) if ty == Type::Float || self.writes(&ev.actions, name) => {
+            // Dispatch widens an int for a `recv float` into the word.
+            Some(name) if is_word(ty) => {
+                em.declare_word(name, ty);
+                Bind::Word
+            }
+            Some(name) if self.writes(&ev.actions, name) => {
                 em.declare_slot(name, ty);
                 Bind::Copy
             }
@@ -557,6 +714,7 @@ impl<'a> Context<'a> {
             match pass {
                 Pass::Value => em.declare_slot(name, ty),
                 Pass::InPlace => em.declare_ref(name, ty),
+                Pass::Word => em.declare_word(name, ty),
             }
         }
         Function {
@@ -582,7 +740,9 @@ impl<'a> Context<'a> {
     /// Whether `actions` may assign or mutate a variable called `name`
     /// (any variable of that name, shadowed or not).
     fn writes(&self, actions: &[Action], name: &str) -> bool {
-        let expr = |e: &ast::Expr| {
+        let assigns =
+            |a: &Action| matches!(a, Action::Assign { target, field: None, .. } if target == name);
+        let mutates = |e: &ast::Expr| {
             any_node(e, &|n| match n {
                 ast::Expr::Call { name: f, args, .. } => {
                     matches!(args.first(), Some(ast::Expr::Var(v, _)) if v == name)
@@ -591,28 +751,21 @@ impl<'a> Context<'a> {
                 _ => false,
             })
         };
-        actions.iter().any(|a| match a {
-            Action::Local(v) => v.init.as_ref().is_some_and(expr),
-            Action::Assign {
-                target,
-                field,
-                value,
-                ..
-            } => (target == name && field.is_none()) || expr(value),
-            Action::Transit { .. } => false,
-            Action::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
-            } => expr(cond) || self.writes(then_branch, name) || self.writes(else_branch, name),
-            Action::While { cond, body, .. } => expr(cond) || self.writes(body, name),
-            Action::Return { value, .. } => value.as_ref().is_some_and(expr),
-            Action::Send { value, to, .. } => {
-                expr(value) || matches!(to, MsgEndpoint::Machine { at: Some(at), .. } if expr(at))
-            }
-            Action::ExprStmt { expr: e, .. } => expr(e),
-        })
+        any_in(actions, &assigns, &mutates)
+    }
+
+    /// Whether calling function `f` may write the machine variable `name`
+    /// while `f` reads it in place: `f` writes a variable of that name, or
+    /// calls a user function.
+    fn call_may_write(&self, f: usize, name: &str) -> bool {
+        let body = &self.functions[f].body;
+        let calls = |e: &ast::Expr| {
+            any_node(
+                e,
+                &|n| matches!(n, ast::Expr::Call { name, .. } if self.is_function(name)),
+            )
+        };
+        self.writes(body, name) || any_in(body, &|_| false, &calls)
     }
 
     /// Whether evaluating `e` may write a variable: it calls a user
@@ -648,6 +801,38 @@ fn any_node(e: &ast::Expr, pred: &dyn Fn(&ast::Expr) -> bool) -> bool {
         }
 }
 
+/// Whether `stmt` holds for a statement of `actions`, or `expr` for one
+/// of their top-level expressions, in the blocks inside them too.
+fn any_in(
+    actions: &[Action],
+    stmt: &dyn Fn(&Action) -> bool,
+    expr: &dyn Fn(&ast::Expr) -> bool,
+) -> bool {
+    actions.iter().any(|a| {
+        stmt(a)
+            || match a {
+                Action::Local(v) => v.init.as_ref().is_some_and(expr),
+                Action::Assign { value, .. } => expr(value),
+                Action::Transit { .. } => false,
+                Action::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    expr(cond) || any_in(then_branch, stmt, expr) || any_in(else_branch, stmt, expr)
+                }
+                Action::While { cond, body, .. } => expr(cond) || any_in(body, stmt, expr),
+                Action::Return { value, .. } => value.as_ref().is_some_and(expr),
+                Action::Send { value, to, .. } => {
+                    expr(value)
+                        || matches!(to, MsgEndpoint::Machine { at: Some(at), .. } if expr(at))
+                }
+                Action::ExprStmt { expr: e, .. } => expr(e),
+            }
+    })
+}
+
 /// The tag a value declared `ty` carries, written as a type (`int` for
 /// `long` too; `any` where lowering knows nothing).
 fn tag_of(ty: Type) -> Type {
@@ -662,12 +847,38 @@ fn fits(tag: Type, ty: Type) -> bool {
     ty == Type::Any || tag == tag_of(ty)
 }
 
-/// The statistics accessors a [`Kind::StatField`] reads.
-fn stat_field(op: Op) -> bool {
+/// Whether a tag is a number's.
+fn number(tag: Type) -> bool {
+    matches!(tag, Type::Int | Type::Float)
+}
+
+/// What a [`Kind::Element`] applies to a list's entry: a statistics
+/// accessor or `to_float`.
+fn element(op: Op) -> bool {
     matches!(
         op,
-        Op::StatPort | Op::StatTxBytes | Op::StatRxBytes | Op::StatTxPackets | Op::StatRxPackets
+        Op::StatPort
+            | Op::StatTxBytes
+            | Op::StatRxBytes
+            | Op::StatTxPackets
+            | Op::StatRxPackets
+            | Op::ToFloat
     )
+}
+
+/// An operand as lowering holds it: a value or a word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Opnd {
+    Value(Src),
+    Word(Word),
+}
+
+/// The free frame slots and words at a point of lowering: resetting to it
+/// frees the temporaries taken since.
+#[derive(Clone, Copy)]
+struct Mark {
+    next: u32,
+    next_word: u32,
 }
 
 /// Code generation for one handler or function body.
@@ -676,18 +887,21 @@ struct Emitter<'a, 'p> {
     pools: &'p mut Pools,
     /// The function whose body this is, `None` for a handler.
     function: Option<&'a FunDecl>,
-    /// Visible variables, innermost last: a frame slot or a reference,
-    /// and the declared type.
-    locals: Vec<(&'a str, Src, Type)>,
+    /// Visible variables, innermost last: where each lives and its
+    /// declared type.
+    locals: Vec<(&'a str, Opnd, Type)>,
     /// Tag of each reference handed out so far.
     refs: Vec<Type>,
-    /// Next free frame slot; slots above it are free.
+    /// Next free frame slot and frame word; those above are free.
     next: u32,
-    /// Frame slots needed so far.
+    next_word: u32,
+    /// Frame slots and frame words needed so far.
     frame: u32,
-    /// Tag of each frame slot: a variable's for its life, a temporary's
-    /// from the instruction that writes it.
+    words: u32,
+    /// Tag of each frame slot and frame word: a variable's for its life, a
+    /// temporary's from the instruction that writes it.
     tags: Vec<Type>,
+    word_tags: Vec<Type>,
     code: Vec<Inst>,
     /// Cost of nodes evaluated since the last instruction was emitted; the
     /// next instruction carries it.
@@ -707,8 +921,11 @@ impl<'a, 'p> Emitter<'a, 'p> {
             locals: Vec::new(),
             refs: Vec::new(),
             next: 0,
+            next_word: 0,
             frame: 0,
+            words: 0,
             tags: Vec::new(),
+            word_tags: Vec::new(),
             code: Vec::new(),
             pending: 0,
         }
@@ -726,6 +943,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
         self.emit(Kind::Return { value });
         Body {
             frame: self.frame,
+            words: self.words,
             code: self.code,
         }
     }
@@ -733,13 +951,29 @@ impl<'a, 'p> Emitter<'a, 'p> {
     fn declare_slot(&mut self, name: &'a str, ty: Type) {
         let slot = self.slot();
         self.tags[slot as usize] = tag_of(ty);
-        self.locals.push((name, Src::Local(slot), ty));
+        self.locals.push((name, Opnd::Value(Src::Local(slot)), ty));
+    }
+
+    fn declare_word(&mut self, name: &'a str, ty: Type) {
+        let word = self.word_slot(tag_of(ty));
+        self.locals.push((name, Opnd::Word(Word::Local(word)), ty));
     }
 
     fn declare_ref(&mut self, name: &'a str, ty: Type) {
         self.locals
-            .push((name, Src::Ref(self.refs.len() as u32), ty));
+            .push((name, Opnd::Value(Src::Ref(self.refs.len() as u32)), ty));
         self.refs.push(tag_of(ty));
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            next: self.next,
+            next_word: self.next_word,
+        }
+    }
+
+    fn reset(&mut self, mark: Mark) {
+        (self.next, self.next_word) = (mark.next, mark.next_word);
     }
 
     /// A free frame slot, tagged `any`; it stays taken until `next` is
@@ -754,19 +988,46 @@ impl<'a, 'p> Emitter<'a, 'p> {
         slot
     }
 
-    /// The tag of the value `src` reads.
-    fn tag(&self, src: Src) -> Type {
-        match src {
-            Src::Const(i) => match self.pools.consts[i as usize] {
+    /// A free frame word holding a `tag`; it stays taken until
+    /// `next_word` is reset below it.
+    fn word_slot(&mut self, tag: Type) -> u32 {
+        let word = self.next_word;
+        self.next_word += 1;
+        self.words = self.words.max(self.next_word);
+        self.word_tags
+            .resize(self.word_tags.len().max(self.next_word as usize), tag);
+        self.word_tags[word as usize] = tag;
+        word
+    }
+
+    /// A new temporary of `tag`: a frame word for an int, a float or a
+    /// bool, else a frame slot.
+    fn temp(&mut self, tag: Type) -> Dst {
+        if is_word(tag) {
+            Dst::Word(Word::Temp(self.word_slot(tag)))
+        } else {
+            let slot = self.slot();
+            self.tags[slot as usize] = tag;
+            Dst::Local(slot)
+        }
+    }
+
+    /// The tag of the value `o` reads.
+    fn tag(&self, o: Opnd) -> Type {
+        match o {
+            Opnd::Value(Src::Const(i)) => match self.pools.consts[i as usize] {
                 Value::Bool(_) => Type::Bool,
                 Value::Int(_) => Type::Int,
                 Value::Float(_) => Type::Float,
                 Value::Str(_) => Type::Str,
                 _ => Type::Any,
             },
-            Src::Local(i) | Src::Temp(i) => self.tags[i as usize],
-            Src::Global(i) => tag_of(self.cx.types[i as usize]),
-            Src::Ref(i) => self.refs[i as usize],
+            Opnd::Value(Src::Local(i) | Src::Temp(i)) => self.tags[i as usize],
+            Opnd::Value(Src::Global(i)) => tag_of(self.cx.value_types[i as usize]),
+            Opnd::Value(Src::Ref(i)) => self.refs[i as usize],
+            Opnd::Word(Word::Local(i) | Word::Temp(i)) => self.word_tags[i as usize],
+            Opnd::Word(Word::Global(i)) => tag_of(self.cx.word_types[i as usize]),
+            Opnd::Word(Word::Const(i)) => self.pools.word_tags[i as usize],
         }
     }
 
@@ -807,6 +1068,18 @@ impl<'a, 'p> Emitter<'a, 'p> {
         Src::Const(self.pools.consts.len() as u32 - 1)
     }
 
+    /// A word constant holding `v`, an int, a float or a bool.
+    fn word_konst(&mut self, v: &Value) -> Word {
+        let tag = match v {
+            Value::Bool(_) => Type::Bool,
+            Value::Float(_) => Type::Float,
+            _ => Type::Int,
+        };
+        self.pools.words.push(to_word(v));
+        self.pools.word_tags.push(tag);
+        Word::Const(self.pools.words.len() as u32 - 1)
+    }
+
     fn string(&mut self, s: String) -> u32 {
         let at = match self.pools.strings.iter().position(|x| *x == s) {
             Some(i) => i,
@@ -823,14 +1096,89 @@ impl<'a, 'p> Emitter<'a, 'p> {
         self.emit(Kind::Fail { message });
     }
 
+    /// `o` as a value: itself, or the word converted into a new temporary.
+    fn value(&mut self, o: Opnd) -> Src {
+        match o {
+            Opnd::Value(src) => src,
+            Opnd::Word(Word::Const(i)) => {
+                let v = from_word(self.pools.words[i as usize], self.tag(o));
+                self.konst(v)
+            }
+            Opnd::Word(src) => {
+                let tag = self.tag(o);
+                let slot = self.slot();
+                self.emit(Kind::ToValue {
+                    dst: Dst::Local(slot),
+                    src,
+                    tag,
+                });
+                self.tags[slot as usize] = tag;
+                Src::Temp(slot)
+            }
+        }
+    }
+
+    /// `o`, whose tag is an int's, a float's or a bool's, as a word.
+    fn word(&mut self, o: Opnd) -> Word {
+        match o {
+            Opnd::Word(w) => w,
+            Opnd::Value(Src::Const(i)) => {
+                let v = self.pools.consts[i as usize].clone();
+                self.word_konst(&v)
+            }
+            Opnd::Value(src) => {
+                let word = self.word_slot(self.tag(o));
+                self.emit(Kind::Move {
+                    dst: Dst::Word(Word::Temp(word)),
+                    src,
+                });
+                Word::Temp(word)
+            }
+        }
+    }
+
+    /// `o`, tagged as a number, as a float word: an int constant is
+    /// widened where it lies (no other instruction reads it), another int
+    /// into a new temporary.
+    fn float(&mut self, o: Opnd) -> Word {
+        if self.tag(o) == Type::Float || self.widened(o, Type::Float) {
+            return self.word(o);
+        }
+        let a = self.word(o);
+        let dst = Word::Temp(self.word_slot(Type::Float));
+        self.emit(Kind::Widen {
+            dst: Dst::Word(dst),
+            a,
+        });
+        dst
+    }
+
+    /// `dst = o` where `o` has the tag of what `dst` holds.
+    fn mov(&mut self, dst: Dst, o: Opnd) {
+        let kind = match (dst, o) {
+            (Dst::Word(dst), Opnd::Word(src)) => Kind::MoveWord { dst, src },
+            (dst, Opnd::Word(src)) => Kind::ToValue {
+                dst,
+                src,
+                tag: self.tag(o),
+            },
+            (dst, Opnd::Value(src)) => Kind::Move { dst, src },
+        };
+        self.emit(kind);
+    }
+
     /// Where `name` lives and its declared type: locals shadow machine
     /// variables, inner blocks shadow outer ones.
-    fn resolve(&self, name: &str) -> Option<(Src, Type)> {
-        if let Some(&(_, src, ty)) = self.locals.iter().rev().find(|(n, ..)| *n == name) {
-            return Some((src, ty));
+    fn resolve(&self, name: &str) -> Option<(Opnd, Type)> {
+        if let Some(&(_, o, ty)) = self.locals.iter().rev().find(|(n, ..)| *n == name) {
+            return Some((o, ty));
         }
         let slot = global_slot(self.cx.globals, name)?;
-        Some((Src::Global(slot as u32), self.cx.types[slot]))
+        let o = match self.cx.places[slot] {
+            Place::Value(i) => Opnd::Value(Src::Global(i)),
+            Place::Word(i) => Opnd::Word(Word::Global(i)),
+        };
+        Some((o, self.cx.types[slot]))
     }
 
     /// Where a write to `name` goes, and its declared type. Payloads and
@@ -838,49 +1186,70 @@ impl<'a, 'p> Emitter<'a, 'p> {
     /// resolves to a reference.
     fn resolve_dst(&self, name: &str) -> Option<(Dst, Type)> {
         match self.resolve(name)? {
-            (Src::Local(i), ty) => Some((Dst::Local(i), ty)),
-            (Src::Global(i), ty) => Some((Dst::Global(i), ty)),
+            (Opnd::Value(Src::Local(i)), ty) => Some((Dst::Local(i), ty)),
+            (Opnd::Value(Src::Global(i)), ty) => Some((Dst::Global(i), ty)),
+            (Opnd::Word(w @ (Word::Local(_) | Word::Global(_))), ty) => Some((Dst::Word(w), ty)),
             other => unreachable!("write to `{name}` resolved to {other:?}"),
         }
     }
 
-    /// Whether `src` has the tag of `ty`, once an int constant bound for
-    /// a `float` is widened (no other instruction reads it).
-    fn widened(&mut self, src: Src, ty: Type) -> bool {
-        if let (Src::Const(i), Type::Float) = (src, ty) {
-            if let Value::Int(n) = self.pools.consts[i as usize] {
-                self.pools.consts[i as usize] = Value::Float(n as f64);
+    /// Whether `o` has the tag of `ty`, once an int constant bound for a
+    /// `float` is widened (no other instruction reads it).
+    fn widened(&mut self, o: Opnd, ty: Type) -> bool {
+        match (o, ty) {
+            (Opnd::Value(Src::Const(i)), Type::Float) => {
+                if let Value::Int(n) = self.pools.consts[i as usize] {
+                    self.pools.consts[i as usize] = Value::Float(n as f64);
+                }
+            }
+            (Opnd::Word(Word::Const(i)), Type::Float) => {
+                let i = i as usize;
+                if self.pools.word_tags[i] == Type::Int {
+                    self.pools.words[i] = (self.pools.words[i] as i64 as f64).to_bits();
+                    self.pools.word_tags[i] = Type::Float;
+                }
+            }
+            _ => {}
+        }
+        fits(self.tag(o), ty)
+    }
+
+    /// `dst = o` into the variable `name` declared `ty`: an int word into
+    /// a float is widened, and anything else whose tag is not `ty`'s goes
+    /// through a [`Kind::Fit`].
+    fn fit(&mut self, dst: Dst, o: Opnd, ty: Type, name: &str) {
+        if self.widened(o, ty) {
+            return self.mov(dst, o);
+        }
+        if let (Dst::Word(_), Opnd::Word(a), Type::Float) = (dst, o, ty) {
+            if self.tag(o) == Type::Int {
+                self.emit(Kind::Widen { dst, a });
+                return;
             }
         }
-        fits(self.tag(src), ty)
+        let src = self.value(o);
+        let name = self.string(name.to_string());
+        self.emit(Kind::Fit {
+            dst: Some(dst),
+            src,
+            ty,
+            name,
+        });
     }
 
-    /// `dst = src` into the variable `name` declared `ty`, through a
-    /// [`Kind::Fit`] unless `src` has `ty`'s tag.
-    fn fit(&mut self, dst: Dst, src: Src, ty: Type, name: &str) {
-        if self.widened(src, ty) {
-            self.emit(Kind::Move { dst, src });
-        } else {
-            let name = self.string(name.to_string());
-            self.emit(Kind::Fit {
-                dst: Some(dst),
-                src,
-                ty,
-                name,
-            });
+    /// `o` as the variable `name` declared `ty` takes it: itself, or a
+    /// new temporary (taken until the caller resets) it is fitted into.
+    fn fitted(&mut self, o: Opnd, ty: Type, name: &str) -> Opnd {
+        if self.widened(o, ty) {
+            return o;
         }
-    }
-
-    /// `src` as the variable `name` declared `ty` takes it: itself, or a
-    /// new temporary (taken until the caller resets `next`) it is fitted into.
-    fn fitted(&mut self, src: Src, ty: Type, name: &str) -> Src {
-        if self.widened(src, ty) {
-            return src;
+        let dst = self.temp(tag_of(ty));
+        self.fit(dst, o, ty, name);
+        match dst {
+            Dst::Word(w) => Opnd::Word(w),
+            Dst::Local(slot) => Opnd::Value(Src::Temp(slot)),
+            Dst::Global(_) => unreachable!("a temporary"),
         }
-        let slot = self.slot();
-        self.fit(Dst::Local(slot), src, ty, name);
-        self.tags[slot as usize] = tag_of(ty);
-        Src::Temp(slot)
     }
 
     /// Evaluates `e` into `dst`, the variable `name` declared `ty`, where it
@@ -889,32 +1258,70 @@ impl<'a, 'p> Emitter<'a, 'p> {
         if fits(self.expr_tag(e), ty) {
             return self.expr_into(e, dst);
         }
-        let next = self.next;
-        let src = self.operand(e);
-        self.fit(dst, src, ty, name);
-        self.next = next;
+        let mark = self.mark();
+        let o = self.operand(e);
+        self.fit(dst, o, ty, name);
+        self.reset(mark);
     }
 
     /// What a `return` hands back, `e` or unit, fitted to a function's
-    /// result (named `f()`); temporaries stay taken until `next` is reset.
+    /// result (named `f()`), as a value; temporaries stay taken until the
+    /// caller resets.
     fn result(&mut self, e: Option<&ast::Expr>) -> Option<Src> {
         let ty = self.function.and_then(|f| f.ret).unwrap_or(Type::Any);
-        let src = match e {
+        let o = match e {
             Some(e) => self.operand(e),
             None if ty == Type::Any => return None,
-            None => Src::Const(0),
+            None => Opnd::Value(Src::Const(0)),
         };
         let name = format!("{}()", self.function.map_or("", |f| f.name.as_str()));
-        Some(self.fitted(src, ty, &name))
+        let o = self.fitted(o, ty, &name);
+        Some(self.value(o))
     }
 
     fn block(&mut self, actions: &'a [Action]) {
-        let (locals, next) = (self.locals.len(), self.next);
-        for a in actions {
-            self.stmt(a);
+        let (locals, mark) = (self.locals.len(), self.mark());
+        for (k, a) in actions.iter().enumerate() {
+            match self.last_use(a, &actions[k + 1..], locals) {
+                Some((target, slot)) => self.move_into(target, slot),
+                None => self.stmt(a),
+            }
         }
         self.locals.truncate(locals);
-        self.next = next;
+        self.reset(mark);
+    }
+
+    /// For `target = x;` where `x` is a value local declared in the block
+    /// whose locals start at `from`, and `rest`, the statements after it
+    /// in that block, never read `x`: the target and `x`'s slot. `x` is
+    /// not read again before its block ends or runs afresh, so the
+    /// statement moves it.
+    fn last_use(&self, a: &'a Action, rest: &[Action], from: usize) -> Option<(&'a str, u32)> {
+        let Action::Assign {
+            target,
+            field: None,
+            value: ast::Expr::Var(x, _),
+            ..
+        } = a
+        else {
+            return None;
+        };
+        let at = self.locals.iter().rposition(|(n, ..)| n == x)?;
+        let (_, Opnd::Value(Src::Local(slot)), _) = self.locals[at] else {
+            return None;
+        };
+        let read = |e: &ast::Expr| any_node(e, &|n| matches!(n, ast::Expr::Var(v, _) if v == x));
+        (at >= from && !any_in(rest, &|_| false, &read)).then_some((target.as_str(), slot))
+    }
+
+    /// `target = x;` for a local `x` at its last use, in `slot`: the
+    /// statement and the variable node cost what they always do.
+    fn move_into(&mut self, target: &str, slot: u32) {
+        self.pending += 3;
+        match self.resolve_dst(target) {
+            Some((dst, ty)) => self.fit(dst, Opnd::Value(Src::Temp(slot)), ty, target),
+            None => self.fail(format!("assignment to unknown variable `{target}`")),
+        }
     }
 
     fn stmt(&mut self, a: &'a Action) {
@@ -922,20 +1329,32 @@ impl<'a, 'p> Emitter<'a, 'p> {
         match a {
             Action::Local(v) => {
                 // The initialiser still sees the name's outer meaning.
-                let slot = self.slot();
                 let ty = v.declared_type();
+                let dst = match self.temp(tag_of(ty)) {
+                    Dst::Word(Word::Temp(w)) => Dst::Word(Word::Local(w)),
+                    dst => dst,
+                };
                 match &v.init {
-                    Some(init) => self.store(init, Dst::Local(slot), ty, &v.name),
+                    Some(init) => self.store(init, dst, ty, &v.name),
                     None => {
-                        let src = self.konst(default_of(ty));
-                        self.emit(Kind::Move {
-                            dst: Dst::Local(slot),
-                            src,
-                        });
+                        let default = default_of(ty);
+                        let o = if is_word(ty) {
+                            Opnd::Word(self.word_konst(&default))
+                        } else {
+                            Opnd::Value(self.konst(default))
+                        };
+                        self.mov(dst, o);
                     }
                 }
-                self.tags[slot as usize] = tag_of(ty);
-                self.locals.push((&v.name, Src::Local(slot), ty));
+                let o = match dst {
+                    Dst::Local(slot) => {
+                        self.tags[slot as usize] = tag_of(ty);
+                        Opnd::Value(Src::Local(slot))
+                    }
+                    Dst::Word(w) => Opnd::Word(w),
+                    Dst::Global(_) => unreachable!("a frame slot"),
+                };
+                self.locals.push((&v.name, o, ty));
             }
             Action::Assign {
                 target,
@@ -987,23 +1406,23 @@ impl<'a, 'p> Emitter<'a, 'p> {
             Action::While { cond, body, .. } => {
                 // The statement's cost is charged once, on entry.
                 let head = self.label();
-                let next = self.next;
+                let mark = self.mark();
                 let test = self.test(cond);
                 let exit = self.emit(Kind::Loop { test, exit: 0 });
-                self.next = next;
+                self.reset(mark);
                 self.block(body);
                 self.emit(Kind::Jump { to: head });
                 let end = self.label();
                 self.patch(exit, end);
             }
             Action::Return { value, .. } => {
-                let next = self.next;
+                let mark = self.mark();
                 let value = self.result(value.as_ref());
                 self.emit(Kind::Return { value });
-                self.next = next;
+                self.reset(mark);
             }
             Action::Send { value, to, .. } => {
-                let next = self.next;
+                let mark = self.mark();
                 let (to, at) = match to {
                     MsgEndpoint::Harvester => (None, None),
                     MsgEndpoint::Machine { name, at } => {
@@ -1011,39 +1430,60 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     }
                 };
                 let (value, at) = match at {
-                    None => (self.operand(value), None),
+                    None => (self.value_operand(value), None),
                     Some(at) => {
                         let [value, at] = self.operands([value, at]);
-                        (value, Some(at))
+                        (self.value(value), Some(self.value(at)))
                     }
                 };
                 self.emit(Kind::Send { value, to, at });
-                self.next = next;
+                self.reset(mark);
             }
             Action::ExprStmt { expr, .. } => self.discard(expr),
         }
     }
 
     /// Evaluates the condition of an `if` or a `while`. Its temporaries
-    /// stay taken until the caller resets `next`.
+    /// stay taken until the caller resets.
     fn test(&mut self, cond: &ast::Expr) -> Test {
         let ast::Expr::Binary(BinOp::Cmp(c), a, b, _) = cond else {
-            return Test::Bool(self.operand(cond));
+            let o = self.operand(cond);
+            return match o {
+                Opnd::Word(w) if self.tag(o) == Type::Bool => Test::Bool(w),
+                o => Test::Value(self.value(o)),
+            };
         };
         self.pending += 1;
         if let ast::Expr::Call { name, args, .. } = &**b {
             if let [list] = &args[..] {
-                if name == "list_len" && !self.cx.is_function(name) {
+                if name == "list_len" && !self.cx.is_function(name) && self.expr_tag(a) == Type::Int
+                {
                     let a = self.operand(a);
                     let a = self.guard(a, std::iter::once(&**b));
+                    let a = self.word(a);
                     // The `list_len` node, evaluated by the test.
                     self.pending += 1;
-                    return Test::Len(*c, a, self.operand(list));
+                    let list = self.operand(list);
+                    return Test::Len(*c, a, self.value(list));
                 }
             }
         }
         let [a, b] = self.operands([&**a, &**b]);
-        Test::Cmp(*c, a, b)
+        match (self.tag(a), self.tag(b)) {
+            (Type::Int, Type::Int) => Test::Int(*c, self.word(a), self.word(b)),
+            (x, y) if number(x) && number(y) => Test::Float(*c, self.float(a), self.float(b)),
+            _ => {
+                let (a, b) = (self.value(a), self.value(b));
+                let dst = Word::Temp(self.word_slot(Type::Bool));
+                self.emit(Kind::Binary {
+                    op: BinOp::Cmp(*c),
+                    dst: Dst::Word(dst),
+                    a,
+                    b,
+                });
+                Test::Bool(dst)
+            }
+        }
     }
 
     /// Emits the jumps an `if` takes when `cond` comes out as `sense`,
@@ -1076,10 +1516,10 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 }
             }
             _ => {
-                let next = self.next;
+                let mark = self.mark();
                 let test = self.test(cond);
                 let jump = self.emit(Kind::Branch { test, sense, to: 0 });
-                self.next = next;
+                self.reset(mark);
                 vec![jump]
             }
         }
@@ -1087,7 +1527,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
 
     /// Evaluates `e` for its effects only.
     fn discard(&mut self, e: &'a ast::Expr) {
-        let next = self.next;
+        let mark = self.mark();
         match e {
             ast::Expr::Call { name, args, .. } if self.cx.mutated(name, args).is_some() => {
                 self.pending += 1;
@@ -1097,15 +1537,32 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 self.operand(e);
             }
         }
-        self.next = next;
+        self.reset(mark);
     }
 
     /// Evaluates `e` and says where its value is: variables and constants
-    /// are read where they are, anything else lands in a new temporary.
-    /// The temporary stays taken until the caller resets `next`.
-    fn operand(&mut self, e: &ast::Expr) -> Src {
-        if let Some(src) = self.direct(e) {
-            return src;
+    /// are read where they are, anything else lands in a new temporary, a
+    /// word when `e`'s tag is an int's, a float's or a bool's. The
+    /// temporary stays taken until the caller resets.
+    fn operand(&mut self, e: &ast::Expr) -> Opnd {
+        if let Some(o) = self.direct(e) {
+            return o;
+        }
+        let dst = self.temp(self.expr_tag(e));
+        self.expr_into(e, dst);
+        match dst {
+            Dst::Word(w) => Opnd::Word(w),
+            Dst::Local(slot) => Opnd::Value(Src::Temp(slot)),
+            Dst::Global(_) => unreachable!("a temporary"),
+        }
+    }
+
+    /// [`Emitter::operand`] for a reader of values: a word is converted,
+    /// and anything computed lands in a value temporary, which a word
+    /// instruction writes as a value.
+    fn value_operand(&mut self, e: &ast::Expr) -> Src {
+        if let Some(o) = self.direct(e) {
+            return self.value(o);
         }
         let slot = self.slot();
         self.expr_into(e, Dst::Local(slot));
@@ -1115,41 +1572,47 @@ impl<'a, 'p> Emitter<'a, 'p> {
 
     /// Evaluates `args` in order; an argument that is a variable a later
     /// argument may write is copied when it is evaluated.
-    fn operands<const N: usize>(&mut self, args: [&ast::Expr; N]) -> [Src; N] {
-        let mut srcs = [Src::Const(0); N];
+    fn operands<const N: usize>(&mut self, args: [&ast::Expr; N]) -> [Opnd; N] {
+        let mut srcs = [Opnd::Value(Src::Const(0)); N];
         for (i, e) in args.iter().enumerate() {
-            let src = self.operand(e);
-            srcs[i] = self.guard(src, args[i + 1..].iter().copied());
+            let o = self.operand(e);
+            srcs[i] = self.guard(o, args[i + 1..].iter().copied());
         }
         srcs
     }
 
-    /// `src`, or a copy of it when it is a variable that an expression
+    /// `o`, or a copy of it when it is a variable that an expression
     /// evaluated after it (one of `later`) may write.
-    fn guard<'e>(&mut self, src: Src, mut later: impl Iterator<Item = &'e ast::Expr>) -> Src {
-        match src {
-            Src::Local(_) | Src::Global(_) if later.any(|e| self.cx.may_write(e)) => self.pin(src),
-            _ => src,
+    fn guard<'e>(&mut self, o: Opnd, mut later: impl Iterator<Item = &'e ast::Expr>) -> Opnd {
+        match o {
+            Opnd::Value(Src::Local(_) | Src::Global(_))
+            | Opnd::Word(Word::Local(_) | Word::Global(_))
+                if later.any(|e| self.cx.may_write(e)) =>
+            {
+                self.pin(o)
+            }
+            _ => o,
         }
     }
 
     /// A copy of a variable operand in a temporary.
-    fn pin(&mut self, src: Src) -> Src {
-        let (Src::Local(_) | Src::Global(_)) = src else {
-            return src;
+    fn pin(&mut self, o: Opnd) -> Opnd {
+        let dst = match o {
+            Opnd::Value(Src::Local(_) | Src::Global(_))
+            | Opnd::Word(Word::Local(_) | Word::Global(_)) => self.temp(self.tag(o)),
+            _ => return o,
         };
-        let slot = self.slot();
-        self.emit(Kind::Move {
-            dst: Dst::Local(slot),
-            src,
-        });
-        self.tags[slot as usize] = self.tag(src);
-        Src::Temp(slot)
+        self.mov(dst, o);
+        match dst {
+            Dst::Word(w) => Opnd::Word(w),
+            Dst::Local(slot) => Opnd::Value(Src::Temp(slot)),
+            Dst::Global(_) => unreachable!("a temporary"),
+        }
     }
 
     /// The operand of an expression that needs no instruction: a variable
     /// or a constant (its one node of cost is left pending).
-    fn direct(&mut self, e: &ast::Expr) -> Option<Src> {
+    fn direct(&mut self, e: &ast::Expr) -> Option<Opnd> {
         let value = match e {
             ast::Expr::Lit(l, _) => match l {
                 Literal::Bool(b) => Value::Bool(*b),
@@ -1160,10 +1623,10 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::Var(name, _) => {
                 self.pending += 1;
                 return Some(match self.resolve(name) {
-                    Some((src, _)) => src,
+                    Some((o, _)) => o,
                     None => {
                         self.fail(format!("unknown variable `{name}`"));
-                        Src::Const(0)
+                        Opnd::Value(Src::Const(0))
                     }
                 });
             }
@@ -1176,7 +1639,10 @@ impl<'a, 'p> Emitter<'a, 'p> {
             _ => return None,
         };
         self.pending += 1;
-        Some(self.konst(value))
+        Some(match value {
+            Value::Bool(_) | Value::Int(_) | Value::Float(_) => Opnd::Word(self.word_konst(&value)),
+            value => Opnd::Value(self.konst(value)),
+        })
     }
 
     /// The tag of what `e` evaluates to, if it evaluates at all: a
@@ -1190,9 +1656,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 Literal::Float(_) => Type::Float,
                 Literal::Str(_) => Type::Str,
             },
-            ast::Expr::Var(name, _) => self
-                .resolve(name)
-                .map_or(Type::Any, |(src, _)| self.tag(src)),
+            ast::Expr::Var(name, _) => self.resolve(name).map_or(Type::Any, |(o, _)| self.tag(o)),
             ast::Expr::Filter(..) => Type::Filter,
             ast::Expr::Unary(op, a, _) => match (op, self.expr_tag(a)) {
                 (UnOp::Not, tag @ (Type::Bool | Type::Filter)) => tag,
@@ -1227,12 +1691,11 @@ impl<'a, 'p> Emitter<'a, 'p> {
     /// Evaluates `e` into `dst`, which only the last instruction writes
     /// (and the short circuit of `and`/`or`).
     fn expr_into(&mut self, e: &ast::Expr, dst: Dst) {
-        if let Some(src) = self.direct(e) {
-            self.emit(Kind::Move { dst, src });
-            return;
+        if let Some(o) = self.direct(e) {
+            return self.mov(dst, o);
         }
         self.pending += 1;
-        let next = self.next;
+        let mark = self.mark();
         match e {
             ast::Expr::Filter(f, _) => {
                 let (field, arg) = match f {
@@ -1245,10 +1708,12 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     FilterExpr::IfPortAny => unreachable!("a constant"),
                 };
                 let a = self.operand(arg);
+                let a = self.value(a);
                 self.emit(Kind::Filter { field, dst, a });
             }
             ast::Expr::Unary(op, inner, _) => {
                 let a = self.operand(inner);
+                let a = self.value(a);
                 self.emit(match op {
                     UnOp::Not => Kind::Not { dst, a },
                     UnOp::Neg => Kind::Neg { dst, a },
@@ -1257,6 +1722,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::Binary(op, a, b, _) if matches!(op, BinOp::And | BinOp::Or) => {
                 let a = self.operand(a);
                 let a = self.guard(a, std::iter::once(&**b));
+                let a = self.value(a);
                 let short = self.emit(Kind::Short {
                     or: *op == BinOp::Or,
                     dst,
@@ -1264,6 +1730,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
                     end: 0,
                 });
                 let b = self.operand(b);
+                let b = self.value(b);
                 self.emit(Kind::Binary { op: *op, dst, a, b });
                 let end = self.label();
                 self.patch(short, end);
@@ -1271,18 +1738,28 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::Binary(op, a, b, _) => {
                 let [a, b] = self.operands([&**a, &**b]);
                 let (x, y, op) = (self.tag(a), self.tag(b), *op);
-                let numbers = [x, y].iter().all(|t| matches!(t, Type::Int | Type::Float));
-                self.emit(match op {
-                    // Numbers compare as floats, ints included.
-                    BinOp::Cmp(c) if numbers => Kind::Cmp { c, dst, a, b },
-                    BinOp::Cmp(_) => Kind::Binary { op, dst, a, b },
-                    _ if x == Type::Int && y == Type::Int => Kind::Int { op, dst, a, b },
-                    _ if numbers => Kind::Float { op, dst, a, b },
-                    _ => Kind::Binary { op, dst, a, b },
-                });
+                // Numbers compare as floats, ints included.
+                let kind = if !(number(x) && number(y)) {
+                    let (a, b) = (self.value(a), self.value(b));
+                    Kind::Binary { op, dst, a, b }
+                } else if x == Type::Int && y == Type::Int {
+                    let (a, b) = (self.word(a), self.word(b));
+                    match op {
+                        BinOp::Cmp(c) => Kind::IntCmp { c, dst, a, b },
+                        op => Kind::Int { op, dst, a, b },
+                    }
+                } else {
+                    let (a, b) = (self.float(a), self.float(b));
+                    match op {
+                        BinOp::Cmp(c) => Kind::FloatCmp { c, dst, a, b },
+                        op => Kind::Float { op, dst, a, b },
+                    }
+                };
+                self.emit(kind);
             }
             ast::Expr::Field(base, field, _) => {
                 let base = self.operand(base);
+                let base = self.value(base);
                 let name = self.string(field.clone());
                 let resource = ResourceKind::from_field_name(field);
                 self.emit(Kind::Field {
@@ -1295,8 +1772,9 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::StructLit { fields, .. } => {
                 let (mut pattern, mut act) = (None, None);
                 for (i, (field, e)) in fields.iter().enumerate() {
-                    let src = self.operand(e);
-                    let src = self.guard(src, fields[i + 1..].iter().map(|(_, later)| later));
+                    let o = self.operand(e);
+                    let o = self.guard(o, fields[i + 1..].iter().map(|(_, later)| later));
+                    let src = self.value(o);
                     let name = self.string(field.clone());
                     self.emit(Kind::RuleField { src, name });
                     match field.as_str() {
@@ -1310,7 +1788,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ast::Expr::Call { name, args, .. } => self.call(name, args, dst),
             ast::Expr::Lit(..) | ast::Expr::Var(..) => unreachable!("direct operands"),
         }
-        self.next = next;
+        self.reset(mark);
     }
 
     fn call(&mut self, name: &str, args: &[ast::Expr], dst: Dst) {
@@ -1320,35 +1798,55 @@ impl<'a, 'p> Emitter<'a, 'p> {
             let passes = &self.cx.passes[f];
             let mut srcs = Vec::with_capacity(args.len());
             for (i, e) in args.iter().enumerate() {
-                let src = self.operand(e);
-                let src = match src {
-                    // A global read in place could change under the callee.
-                    Src::Global(_) if passes.get(i) == Some(&Pass::InPlace) => self.pin(src),
-                    _ => self.guard(src, args[i + 1..].iter()),
+                let o = self.operand(e);
+                let o = self.guard(o, args[i + 1..].iter());
+                // A global read in place could change under a callee that
+                // may write it.
+                let o = match (o, e) {
+                    (Opnd::Value(Src::Global(_)), ast::Expr::Var(global, _))
+                        if passes.get(i) == Some(&Pass::InPlace)
+                            && self.cx.call_may_write(f, global) =>
+                    {
+                        self.pin(o)
+                    }
+                    _ => o,
                 };
-                srcs.push(src);
+                srcs.push(o);
             }
             // Only an unchecked program gets the count wrong: a missing
             // argument reads as unit, an extra one is dropped.
-            srcs.resize(passes.len(), Src::Const(0));
+            srcs.resize(passes.len(), Opnd::Value(Src::Const(0)));
             // Each argument is stored into its parameter once all are
             // evaluated.
             let params = &self.cx.functions[f].params;
-            for ((src, &(ty, ref param)), pass) in srcs.iter_mut().zip(params).zip(passes) {
-                if *pass == Pass::InPlace && ty != Type::Float && !fits(self.tag(*src), ty) {
-                    let name = self.string(param.clone());
-                    self.emit(Kind::Fit {
-                        dst: None,
-                        src: *src,
-                        ty,
-                        name,
-                    });
-                } else {
-                    *src = self.fitted(*src, ty, param);
-                }
+            let mut args = Vec::with_capacity(srcs.len());
+            for ((&o, &(ty, ref param)), pass) in srcs.iter().zip(params).zip(passes) {
+                args.push(match pass {
+                    Pass::InPlace => {
+                        let src = self.value(o);
+                        if !fits(self.tag(o), ty) {
+                            let name = self.string(param.clone());
+                            self.emit(Kind::Fit {
+                                dst: None,
+                                src,
+                                ty,
+                                name,
+                            });
+                        }
+                        Arg::InPlace(src)
+                    }
+                    Pass::Value => {
+                        let o = self.fitted(o, ty, param);
+                        Arg::Value(self.value(o))
+                    }
+                    Pass::Word => {
+                        let o = self.fitted(o, ty, param);
+                        Arg::Word(self.word(o))
+                    }
+                });
             }
             let at = self.pools.args.len() as u32;
-            self.pools.args.extend(srcs);
+            self.pools.args.extend(args);
             self.emit(Kind::CallFn {
                 f: f as u32,
                 dst,
@@ -1364,9 +1862,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
         }
         if b.mutates_first_arg {
             self.mutate(name, args);
-            let unit = Src::Const(0);
-            self.emit(Kind::Move { dst, src: unit });
-            return;
+            return self.mov(dst, Opnd::Value(Src::Const(0)));
         }
         if let [ast::Expr::Call {
             name: inner,
@@ -1374,7 +1870,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             ..
         }] = args
         {
-            if stat_field(b.op)
+            if element(b.op)
                 && inner == "list_get"
                 && entry.len() == 2
                 && !self.cx.is_function(inner)
@@ -1382,34 +1878,74 @@ impl<'a, 'p> Emitter<'a, 'p> {
                 // The `list_get` node, evaluated by the same instruction.
                 self.pending += 1;
                 let [list, index] = self.operands([&entry[0], &entry[1]]);
-                self.emit(Kind::StatField {
-                    op: b.op,
-                    dst,
-                    list,
-                    index,
+                let list = self.value(list);
+                if self.tag(index) == Type::Int {
+                    let index = self.word(index);
+                    let op = b.op;
+                    self.emit(Kind::Element {
+                        op,
+                        dst,
+                        list,
+                        index,
+                    });
+                    return;
+                }
+                // An index lowering cannot type: the two calls, unfused.
+                let (index, entry) = (self.value(index), self.slot());
+                self.emit(Kind::Call {
+                    op: Op::ListGet,
+                    dst: Dst::Local(entry),
+                    a: list,
+                    b: index,
+                });
+                let a = Src::Temp(entry);
+                self.emit(match b.op {
+                    Op::ToFloat => Kind::ToFloat { dst, a },
+                    op => Kind::Call {
+                        op,
+                        dst,
+                        a,
+                        b: Src::Const(0),
+                    },
                 });
                 return;
             }
         }
         let (a, b_) = match args {
-            [] => (Src::Const(0), Src::Const(0)),
-            [x] => (self.operand(x), Src::Const(0)),
+            [] => (Opnd::Value(Src::Const(0)), Opnd::Value(Src::Const(0))),
+            [x] => (self.operand(x), Opnd::Value(Src::Const(0))),
             [x, y] => {
                 let [a, b] = self.operands([x, y]);
                 (a, b)
             }
             _ => unreachable!("runtime-library calls take at most two arguments"),
         };
-        self.emit(match b.op {
-            Op::ListLen => Kind::ListLen { dst, a },
-            Op::ListGet => Kind::ListGet {
-                dst,
-                list: a,
-                index: b_,
+        match b.op {
+            Op::ListLen => {
+                let a = self.value(a);
+                self.emit(Kind::ListLen { dst, a });
+            }
+            Op::ListGet if self.tag(b_) == Type::Int => {
+                let list = self.value(a);
+                let index = self.word(b_);
+                self.emit(Kind::ListGet { dst, list, index });
+            }
+            Op::ToFloat => match self.tag(a) {
+                Type::Int => {
+                    let a = self.word(a);
+                    self.emit(Kind::Widen { dst, a });
+                }
+                Type::Float => self.mov(dst, a),
+                _ => {
+                    let a = self.value(a);
+                    self.emit(Kind::ToFloat { dst, a });
+                }
             },
-            Op::ToFloat => Kind::ToFloat { dst, a },
-            op => Kind::Call { op, dst, a, b: b_ },
-        });
+            op => {
+                let (a, b) = (self.value(a), self.value(b_));
+                self.emit(Kind::Call { op, dst, a, b });
+            }
+        }
     }
 
     /// A list builtin applied to the variable it names; the call node's
@@ -1426,7 +1962,7 @@ impl<'a, 'p> Emitter<'a, 'p> {
             self.fail(format!("`{name}` needs a variable argument"));
             return;
         };
-        let arg = args.get(1).map(|a| self.operand(a));
+        let arg = args.get(1).map(|a| self.value_operand(a));
         let Some((target, _)) = self.resolve_dst(var) else {
             self.fail(format!("unknown list `{var}`"));
             return;
@@ -1467,7 +2003,9 @@ mod tests {
                }"#,
         );
         assert_eq!(lm.globals, ["alpha", "zeta"]);
-        assert_eq!(lm.init, [Value::List(vec![]), Value::Int(0)]);
+        assert_eq!(lm.places, [Place::Value(0), Place::Word(0)]);
+        assert_eq!(lm.init, [Value::List(vec![])]);
+        assert_eq!(lm.init_words, [0]);
         assert_eq!(lm.global_slot("zeta"), Some(1));
         assert_eq!(lm.global_slot("tick"), None);
     }
@@ -1512,33 +2050,33 @@ mod tests {
                }"#,
         );
         let h = &lm.handlers[0];
-        // The payload is never written: read in place, no frame slot.
-        assert_eq!(h.bind, Bind::InPlace);
+        // The payload is a long: a word, frame word 0.
+        assert_eq!(h.bind, Bind::Word);
         // The initialiser reads the machine variable and the payload, both
-        // longs, and writes the new local's slot itself.
+        // longs, and writes the new local's word itself.
         assert!(matches!(
             h.body.code[0].kind,
             Kind::Int {
-                dst: Dst::Local(0),
-                a: Src::Global(0),
-                b: Src::Ref(0),
+                dst: Dst::Word(Word::Local(1)),
+                a: Word::Global(0),
+                b: Word::Local(0),
                 ..
             }
         ));
-        // The inner `x` takes the slot after the outer one for the life of
+        // The inner `x` takes the word after the outer one for the life of
         // its block; `y`, declared after that block ended, reuses it.
-        let moves: Vec<Dst> = h
+        let moves: Vec<Word> = h
             .body
             .code
             .iter()
             .filter_map(|i| match i.kind {
-                Kind::Move { dst, .. } => Some(dst),
+                Kind::MoveWord { dst, .. } => Some(dst),
                 _ => None,
             })
             .collect();
-        let (outer, inner) = (Dst::Local(0), Dst::Local(1));
+        let (outer, inner) = (Word::Local(1), Word::Local(2));
         assert_eq!(moves, [inner, inner, outer, inner, inner]);
-        assert_eq!(h.body.frame, 2);
+        assert_eq!((h.body.frame, h.body.words), (0, 3));
     }
 
     #[test]
@@ -1593,29 +2131,111 @@ mod tests {
     #[test]
     fn written_payloads_and_parameters_are_copied_the_rest_read_in_place() {
         let program = frontend(
-            r#"fun f(list a, long b): long { b = b + list_len(a); return b; }
+            r#"fun f(list a, list b, long n): long { list_push(b, n); return list_len(a) + n; }
                machine M {
                  place any;
                  poll p = Poll { .ival = 1, .what = port ANY };
+                 list kept;
                  long seen = 0;
                  state s {
-                   when (p as stats) do { seen = f(stats, seen); }
+                   when (p as stats) do { seen = f(stats, kept, seen); }
                    when (recv list xs from harvester) do { list_clear(xs); }
                  }
                }"#,
         )
         .unwrap();
         let lm = lower(&program.machines[0], &program.functions, &ConstEnv::new());
-        assert_eq!(lm.functions[0].params, [Pass::InPlace, Pass::Value]);
+        assert_eq!(
+            lm.functions[0].params,
+            [Pass::InPlace, Pass::Value, Pass::Word]
+        );
         assert_eq!(lm.handlers[0].bind, Bind::InPlace);
         assert_eq!(lm.handlers[1].bind, Bind::Copy);
-        // `seen` is passed by value: the call copies it, no pin needed.
+        assert_eq!(lm.places, [Place::Value(0), Place::Word(0)]);
+        // `kept` is passed by value and `seen` is a word: the call copies
+        // both, no pin needed; the result is stored into `seen`'s word.
         assert!(kinds(&lm.handlers[0].body).contains(&&Kind::CallFn {
             f: 0,
-            dst: Dst::Global(0),
+            dst: Dst::Word(Word::Global(0)),
             args: 0
         }));
-        assert_eq!(lm.args, [Src::Ref(0), Src::Global(0)]);
+        assert_eq!(
+            lm.args,
+            [
+                Arg::InPlace(Src::Ref(0)),
+                Arg::Value(Src::Global(0)),
+                Arg::Word(Word::Global(0))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_global_passed_in_place_is_copied_only_for_a_callee_that_may_write_it() {
+        // Unchecked: the checker refuses a function that writes a machine
+        // variable, but lowering must stay total on one.
+        let program = crate::parser::parse(
+            r#"fun reads(list xs): long { return list_len(xs); }
+               fun writes(list xs): long { ys = xs; return 0; }
+               fun calls(list xs): long { return reads(xs); }
+               machine M {
+                 place any;
+                 time t = 5;
+                 list ys;
+                 long n = 0;
+                 state s {
+                   when (t) do { n = reads(ys); n = writes(ys); n = calls(ys); }
+                 }
+               }"#,
+        )
+        .unwrap();
+        let lm = lower(&program.machines[0], &program.functions, &ConstEnv::new());
+        let passed: Vec<Arg> = lm.args.iter().take(3).copied().collect();
+        assert!(matches!(
+            passed[..],
+            [
+                Arg::InPlace(Src::Global(_)),
+                Arg::InPlace(Src::Temp(_)),
+                Arg::InPlace(Src::Temp(_))
+            ]
+        ));
+    }
+
+    #[test]
+    fn a_list_local_at_its_last_use_is_moved() {
+        let program = frontend(crate::programs::KISS_PORT_SPIKE).unwrap();
+        let lm = lower(&program.machines[0], &program.functions, &ConstEnv::new());
+        let poll = &(lm.handlers.iter())
+            .find(|h| matches!(h.on, On::Trigger(_)))
+            .unwrap()
+            .body;
+        let baseline = match lm.places[lm.global_slot("baseline").unwrap()] {
+            Place::Value(i) => Dst::Global(i),
+            other => panic!("{other:?}"),
+        };
+        assert!(kinds(poll).iter().any(|k| matches!(
+            k,
+            Kind::Move { dst, src: Src::Temp(_) } if *dst == baseline
+        )));
+        // Read again after it: copied.
+        let lm = lowered(
+            r#"machine M {
+                 place any;
+                 time t = 5;
+                 list a;
+                 list b;
+                 state s { when (t) do { list l; a = l; b = l; } }
+               }"#,
+        );
+        let moves: Vec<Src> = (lm.handlers[0].body.code.iter())
+            .filter_map(|i| match i.kind {
+                Kind::Move {
+                    dst: Dst::Global(_),
+                    src,
+                } => Some(src),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(moves, [Src::Local(0), Src::Temp(0)]);
     }
 
     #[test]
@@ -1628,13 +2248,13 @@ mod tests {
         assert!(code.iter().any(|k| matches!(
             k,
             Kind::Loop {
-                test: Test::Len(CmpOp::Lt, Src::Local(_), Src::Ref(0)),
+                test: Test::Len(CmpOp::Lt, Word::Local(_), Src::Ref(0)),
                 ..
             }
         )));
         assert!(code.iter().any(|k| matches!(
             k,
-            Kind::StatField {
+            Kind::Element {
                 op: Op::StatTxBytes,
                 list: Src::Ref(0),
                 ..
@@ -1702,13 +2322,13 @@ mod tests {
         );
         // The int constant is widened when it is lowered; the sum of an
         // untyped payload and an int is fitted into `out`.
-        assert!(lm.consts.contains(&Value::Float(5.0)));
-        assert!(!lm.consts.contains(&Value::Int(5)));
+        assert!(lm.words.contains(&5.0f64.to_bits()));
+        assert!(!lm.words.contains(&5));
         assert_eq!(fits(&lm, code), [("out".to_string(), 0)]);
-        // A `recv float` payload is copied, which dispatch widens, and is
+        // A `recv float` payload is a word, which dispatch widens, and is
         // a float from there on.
         let recv = &lm.handlers[1];
-        assert_eq!(recv.bind, Bind::Copy);
+        assert_eq!(recv.bind, Bind::Word);
         assert_eq!(arithmetic(&recv.body), ["float"]);
     }
 
@@ -1743,7 +2363,7 @@ mod tests {
         // `k` takes an `any`; `3` goes into `x` as 3.0; `stats`, a
         // trigger's payload, is checked where `first` reads it in place.
         assert_eq!(fits(&lm, code), [("k".to_string(), 0)]);
-        assert!(lm.consts.contains(&Value::Float(3.0)));
+        assert!(lm.words.contains(&3.0f64.to_bits()));
         assert!(kinds(&lm.handlers[1].body).iter().any(|k| matches!(
             k,
             Kind::Fit {

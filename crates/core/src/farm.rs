@@ -1927,7 +1927,7 @@ pub(crate) mod tests {
         let leaf = farm.network().topology().leaves().next().unwrap();
         let soil = farm.soil(leaf).unwrap();
         let seed = soil.seeds().next().unwrap();
-        assert_eq!(seed.var("threshold"), Some(&Value::Int(77)));
+        assert_eq!(seed.var("threshold"), Some(Value::Int(77)));
     }
 
     #[test]

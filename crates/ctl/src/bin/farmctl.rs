@@ -115,7 +115,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// A `trace` body as one block per op: its id and kind, then its spans
+/// A `trace` body as one block per op: its id and kind (and the op of
+/// the sender it was a part of, on a pod fedd fanned out to), then its spans
 /// by start, each indented under the spans that enclose it (a span that
 /// starts where another ends follows it).
 fn print_trace(body: &str) -> ExitCode {
@@ -130,7 +131,10 @@ fn print_trace(body: &str) -> ExitCode {
     for op in ops {
         let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_default();
         let kind = op.get("kind").and_then(Json::as_str).unwrap_or("?");
-        println!("op {} {kind}", field(op, "id"));
+        match field(op, "parent") {
+            0 => println!("op {} {kind}", field(op, "id")),
+            parent => println!("op {} {kind} (part of op {parent})", field(op, "id")),
+        }
         let spans = op.get("spans").and_then(Json::as_arr).unwrap_or_default();
         let mut spans: Vec<(u64, u64, usize, &str)> = (spans.iter().enumerate())
             .map(|(i, s)| {

@@ -19,7 +19,9 @@
 //! It is also traced: its trace id is seeded from the request's
 //! correlation id, and its spans — `serve` around the whole op, and what
 //! the core records ([`Core::serve`]) — go to a ring of the last 256
-//! ops, which [`ControlOp::Trace`] reads (`farmctl trace`).
+//! ops, which [`ControlOp::Trace`] reads (`farmctl trace`). An op that
+//! arrives as a [`ControlOp::Traced`] part of another daemon's op is
+//! served as itself and names that op as its parent.
 //! A `Shutdown` op (or a signal, seen at the next turn, or
 //! [`Daemon::stop`]) ends the loop; replies already queued
 //! get up to `shutdown_drain` to reach their sockets while later frames
@@ -67,6 +69,9 @@ pub trait Core: Sized + 'static {
     /// phases to `spans`, timed on the core's clock from `now`. Total:
     /// every failure becomes a structured reply, never a panic.
     fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply;
+    /// Learns the trace id of the op it is about to serve: what fedd
+    /// names as the parent of the requests its fan-out sends.
+    fn traced(&mut self, _id: u64) {}
     /// Runs after every turn of the reactor: after the ops that turn
     /// served, when an outbound session is ready, and at least every
     /// 5 ms while idle.
@@ -87,6 +92,10 @@ const TRACE_RING: usize = 256;
 struct OpTrace {
     id: u64,
     kind: &'static str,
+    /// The sender's op this one is a part of ([`ControlOp::Traced`]), or 0.
+    parent: u64,
+    /// When it started, µs on the core's clock since the dispatch began.
+    at_us: u64,
     spans: Vec<Span>,
 }
 
@@ -130,6 +139,8 @@ impl TraceRing {
                 Json::obj([
                     ("id", Json::from(op.id)),
                     ("kind", Json::from(op.kind)),
+                    ("parent", Json::from(op.parent)),
+                    ("at_us", Json::from(op.at_us)),
                     ("spans", Json::Arr(spans.collect())),
                 ])
             });
@@ -146,6 +157,8 @@ pub struct Dispatch {
     rejected: Arc<Counter>,
     latency: Arc<Histogram>,
     ring: RefCell<TraceRing>,
+    /// The core's clock when the dispatch began: where `at_us` counts from.
+    epoch: Instant,
 }
 
 impl Dispatch {
@@ -160,6 +173,7 @@ impl Dispatch {
             latency: telemetry.latency_histogram(&format!("{prefix}.op_latency_us")),
             telemetry,
             ring: RefCell::default(),
+            epoch: core.links().now(),
         }
     }
 
@@ -176,6 +190,10 @@ impl Dispatch {
             });
         }
         let started = core.links().now();
+        let (parent, op) = match op {
+            ControlOp::Traced { parent, op } => (*parent, &**op),
+            op => (0, op),
+        };
         let kind = op.kind();
         self.ops.inc();
         self.telemetry
@@ -187,6 +205,8 @@ impl Dispatch {
                 reply: ControlReply::Json { body },
             });
         }
+        let id = self.ring.borrow_mut().next_id(env.corr);
+        core.traced(id);
         let mut spans = Vec::new();
         let reply = core.serve(op, started, &mut spans);
         let ended = core.links().now();
@@ -196,10 +216,13 @@ impl Dispatch {
             start_us: 0,
             end_us: elapsed_us,
         });
-        let mut ring = self.ring.borrow_mut();
-        let id = ring.next_id(env.corr);
-        ring.push(OpTrace { id, kind, spans });
-        drop(ring);
+        self.ring.borrow_mut().push(OpTrace {
+            id,
+            kind,
+            parent,
+            at_us: (started - self.epoch).as_micros() as u64,
+            spans,
+        });
         self.latency.record(elapsed_us);
         let outcome = match &reply {
             ControlReply::Rejected { .. } | ControlReply::CompileFailed { .. } => {

@@ -449,6 +449,10 @@ fn serve_op<P: Peers>(
         ControlOp::Trace { .. } => ControlReply::Rejected {
             reason: "`trace` is answered by the daemon, not its core".into(),
         },
+        // The daemon unwraps one; a second is refused.
+        ControlOp::Traced { .. } => ControlReply::Rejected {
+            reason: "a `traced` op carries one op, not another `traced`".into(),
+        },
     }
 }
 
@@ -1072,10 +1076,15 @@ mod tests {
                 farm.deploy_task(name, &source, &BTreeMap::new()).unwrap();
             }
         }
-        if let Some(switch) = crash {
+        // Machine `i` has a seed on switches 0 to its spread: the crash
+        // lands on one that hosts a seed, so that it loses some.
+        let hosting = (tasks.iter().flat_map(|&machines| 0..machines))
+            .map(|i| 1 + (i * 5 + spread) % 12)
+            .max();
+        if let (Some(switch), Some(hosting)) = (crash, hosting) {
             let now = farm.now();
             let crash = FaultKind::SwitchCrash {
-                switch: SwitchId(switch),
+                switch: SwitchId(switch % hosting as u32),
             };
             farm.set_fault_plan(FaultPlan::new().with(now, crash));
             farm.advance(now);

@@ -17,6 +17,9 @@
 //! the `split` engine or the global switch-id space. A dead or stalled
 //! pod degrades a fan-out (`fan_out`) to the survivors instead of
 //! wedging the coordinator; every call to one pod is a fan-out of one.
+//! Each fan-out is a `fanout` span of the op's trace, and each request
+//! it sends is a [`ControlOp::Traced`] naming the op's trace id, so a
+//! pod's `farmctl trace` names the fedd op its ops were part of.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -55,6 +58,17 @@ pub struct Core<P = Links> {
     telemetry: Telemetry,
     pods_total: Arc<Gauge>,
     pods_live: Arc<Gauge>,
+    /// The op being served: its trace id, which every request its
+    /// fan-outs send names as their parent, when it started, and the
+    /// span of each fan-out.
+    serving: Serving,
+}
+
+#[derive(Default)]
+struct Serving {
+    id: u64,
+    started: Option<Instant>,
+    spans: Vec<Span>,
 }
 
 impl<P: Peers + 'static> daemon::Core for Core<P> {
@@ -78,6 +92,7 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
             pods_total: telemetry.gauge("fed.pods.total"),
             pods_live: telemetry.gauge("fed.pods.live"),
             telemetry,
+            serving: Serving::default(),
         }
     }
 
@@ -89,8 +104,16 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
         &self.links
     }
 
-    fn serve(&mut self, op: &ControlOp, now: Instant, _spans: &mut Vec<Span>) -> ControlReply {
-        serve_op(self, op, now)
+    fn traced(&mut self, id: u64) {
+        self.serving.id = id;
+    }
+
+    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply {
+        self.serving.started = Some(now);
+        let reply = serve_op(self, op, now);
+        self.serving.started = None;
+        spans.append(&mut self.serving.spans);
+        reply
     }
 
     /// Moves idle pod sessions along (a pod that hung up is noticed
@@ -155,6 +178,10 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp, now: Instant) -> Contr
         }
         ControlOp::Trace { .. } => ControlReply::Rejected {
             reason: "`trace` is answered by the daemon, not its core".into(),
+        },
+        // The daemon unwraps one; a second is refused.
+        ControlOp::Traced { .. } => ControlReply::Rejected {
+            reason: "a `traced` op carries one op, not another `traced`".into(),
         },
     }
 }
@@ -293,9 +320,18 @@ fn fan_out<W: Default, P: Peers>(
             leg.outcome = Err(format!("pod `{}`: {}", leg.pod, NetError::Timeout));
         }
     }
+    let ended = core.links.now();
     core.telemetry
         .latency_histogram("fed.fanout_us")
-        .record((core.links.now() - started).as_micros() as u64);
+        .record((ended - started).as_micros() as u64);
+    if let Some(op) = core.serving.started {
+        let us = |at: Instant| (at - op).as_micros() as u64;
+        core.serving.spans.push(Span {
+            name: "fanout",
+            start_us: us(started),
+            end_us: us(ended),
+        });
+    }
     let done = |leg: Leg<W>| (leg.pod, leg.base, leg.outcome.map(|()| leg.walk));
     legs.into_iter().map(done).collect()
 }
@@ -308,7 +344,17 @@ fn advance<W, P: Peers>(
     reply: Option<ControlReply>,
 ) {
     let next = step(&leg.pod, &mut leg.walk, reply);
-    let asked = next.map(|op| op.map(|op| core.links.request(leg.link, Frame::Control { op })));
+    let parent = core.serving.id;
+    let traced = |op| ControlOp::Traced {
+        parent,
+        op: Box::new(op),
+    };
+    let asked = next.map(|op| {
+        op.map(|op| {
+            core.links
+                .request(leg.link, Frame::Control { op: traced(op) })
+        })
+    });
     match asked {
         Ok(Some(Ok(corr))) => leg.waiting = Some(corr),
         Ok(None) => {}

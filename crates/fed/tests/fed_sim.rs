@@ -110,6 +110,92 @@ fn an_audit_fans_out_and_names_each_pod_it_could_not_hear() {
     }
 }
 
+/// The ops of a daemon's trace ring: each op's id, kind, parent, start
+/// on the virtual clock (the ring counts from the daemon's boot) and
+/// spans.
+fn trace_ring(sim: &mut Sim, at: std::net::SocketAddr, booted: Duration) -> Vec<TracedOp> {
+    let reply = sim.ask(at, vec![ControlOp::Trace { id: 0 }]).remove(0).1;
+    let doc = json(&reply);
+    let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).expect(k);
+    (doc.get("ops").and_then(Json::as_arr).unwrap_or_default())
+        .iter()
+        .map(|op| TracedOp {
+            id: field(op, "id"),
+            kind: op.get("kind").and_then(Json::as_str).unwrap().to_string(),
+            parent: field(op, "parent"),
+            at: booted + Duration::from_micros(field(op, "at_us")),
+            spans: (op.get("spans").and_then(Json::as_arr).unwrap_or_default())
+                .iter()
+                .map(|s| {
+                    let name = s.get("name").and_then(Json::as_str).unwrap().to_string();
+                    (name, field(s, "start_us"), field(s, "end_us"))
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+struct TracedOp {
+    id: u64,
+    kind: String,
+    parent: u64,
+    at: Duration,
+    spans: Vec<(String, u64, u64)>,
+}
+
+impl TracedOp {
+    /// Where its spans called `name` lie on the virtual clock.
+    fn spans(&self, name: &str) -> Vec<(Duration, Duration)> {
+        (self.spans.iter())
+            .filter(|(n, ..)| n == name)
+            .map(|&(_, start, end)| {
+                let us = Duration::from_micros;
+                (self.at + us(start), self.at + us(end))
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn each_pod_serves_a_fanned_out_op_inside_fedd_s_fanout_span() {
+    let mut sim = Sim::new(8, Setup::default());
+    fixed_delay(&sim, Duration::from_millis(3));
+    let span = submit("span", machine("place all 1, 5, 9;"));
+    assert!(matches!(
+        sim.op(span),
+        ControlReply::Submitted { seeds: 3, .. }
+    ));
+    for op in [ControlOp::stats_all(), ControlOp::list_all()] {
+        let kind = op.kind();
+        sim.op(op);
+        let fedd = trace_ring(&mut sim, FEDD, Duration::ZERO);
+        let fedd = fedd.iter().rev().find(|op| op.kind == kind).unwrap();
+        let fanouts = fedd.spans("fanout");
+        let (_, serve_end) = fedd.spans("serve")[0];
+        assert!(!fanouts.is_empty(), "{kind}: no fan-out span");
+        assert!(fanouts.iter().all(|&(_, end)| end <= serve_end), "{kind}");
+        for (i, name) in sim.names.clone().into_iter().enumerate() {
+            let booted = sim.pods.borrow()[i].booted;
+            let parts: Vec<TracedOp> = trace_ring(&mut sim, pod_addr(i), booted)
+                .into_iter()
+                .filter(|op| op.parent == fedd.id)
+                .collect();
+            assert!(
+                !parts.is_empty(),
+                "{kind}: pod {name} filed nothing under fedd's op"
+            );
+            for part in parts {
+                assert_eq!(part.kind, kind, "pod {name}");
+                let (start, end) = part.spans("serve")[0];
+                assert!(
+                    (fanouts.iter()).any(|&(from, to)| from < start && end < to),
+                    "{kind}: pod {name} served {start:?}..{end:?} outside {fanouts:?}"
+                );
+            }
+        }
+    }
+}
+
 /// Pods a, b, c answer after the given extra delays: the merged
 /// listing's bytes, the order fedd harvested the pods in, and the
 /// order of the pods in a merged metrics dump.

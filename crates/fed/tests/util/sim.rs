@@ -361,6 +361,8 @@ pub struct Node<C> {
     pub addr: SocketAddr,
     pub core: C,
     dispatch: Dispatch,
+    /// When it booted: where its trace ring's `at_us` counts from.
+    pub booted: Duration,
     next_turn: Duration,
     /// A frozen node takes no turn: what reaches it waits.
     pub frozen: bool,
@@ -375,6 +377,7 @@ impl<C: Core<Peers = SimPeers>> Node<C> {
             addr,
             dispatch: Dispatch::new(&core, Arc::default()),
             core,
+            booted: now,
             next_turn: now,
             frozen: false,
             dies_after: None,

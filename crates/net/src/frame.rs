@@ -261,6 +261,10 @@ wire_enum! {
         /// (`Farm::audit`); fedd asks every live pod
         /// ([`ControlReply::Audited`]).
         20 "audit" Audit,
+        /// `op`, sent as a part of the op `parent` of the sender's trace
+        /// ring (fedd → farmd, a fan-out's request): served as `op`, and
+        /// filed in the trace ring under `op`'s kind with `parent` named.
+        21 "traced" Traced { parent: u64, op: Box<ControlOp> },
     }
 }
 
@@ -457,7 +461,23 @@ wire_enum! {
     }
 }
 
-tag_then_payload!(ControlOp, ControlReply);
+tag_then_payload!(ControlReply);
+
+/// A control op nests in a [`ControlOp::Traced`]: each one a level of
+/// the recursion bound.
+impl Wire for ControlOp {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        self.put_payload(out);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, WireError> {
+        r.nested(|r| {
+            let tag = r.u8()?;
+            Self::get_payload(tag, r)
+        })
+    }
+}
 
 wire_enum! {
     /// A typed control-plane frame.

@@ -228,6 +228,7 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (op(ControlOp::ExplainSubmit { name: "mon".into(), source: SOURCE.into() }), "2e0109000512036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d"),
         (op(ControlOp::Trace { id: 4_294_967_297 }), "0a01090005138180808010"),
         (op(ControlOp::Audit), "050109000514"),
+        (op(ControlOp::Traced { parent: 4_294_967_297, op: Box::new(ControlOp::Stats { from_index: 0, limit: 100 }) }), "0d01090005158180808010030064"),
         // ---- control replies ---------------------------------------
         (reply(ControlReply::Ok), "05010a010500"),
         (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6, explain: None }), "0b010a010501036d6f6e0506"),
@@ -304,7 +305,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
             Frame::Control { op } => Some(op.kind()),
             _ => None,
         }),
-        21,
+        22,
         "control op variants"
     );
     assert_eq!(

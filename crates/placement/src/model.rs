@@ -100,7 +100,7 @@ pub type Seat = (SwitchId, Resources);
 /// `HashMap<usize, Seat>`. [`Seats::iter`] walks the seated seeds in
 /// ascending seed order.
 ///
-/// The table logs the seeds its writes touch ([`Log`]), so that a
+/// The table logs the seeds its writes touch (a `Log`), so that a
 /// reader that keeps a copy of it (the solver's previous seats) reads
 /// only what changed since it last looked.
 #[derive(Debug, Default, Clone)]
@@ -113,7 +113,7 @@ pub struct Seats {
     log: Log<u32>,
 }
 
-/// A reader's place in a [`Log`]: the table's stamp and the writes it
+/// A reader's place in a `Log`: the table's stamp and the writes it
 /// had logged.
 pub type LogAt = (u64, usize);
 
@@ -299,7 +299,7 @@ impl FromIterator<(usize, Seat)> for Seats {
 
 /// The switches a round may place on, each with its `ares(n, r)`. The
 /// list logs the ids its one edit, [`SwitchList::set`], writes
-/// ([`Log`]), so that a reader that keeps what it derived from the list
+/// (a `Log`), so that a reader that keeps what it derived from the list
 /// (the round scope, the solver's switch table) reads only the switches
 /// that changed since it last looked. It derefs to its `Vec`; every
 /// write through that starts the log over, and so does a `set` on a

@@ -10,38 +10,47 @@
 //!
 //! What runs is the flat register code [`farm_almanac::lower`] emits once
 //! per compiled machine: one instruction vector per handler and function,
-//! over frame slots, global slots, temporaries and a constant pool, with
+//! over frame slots, global slots, temporaries and constant pools, with
 //! `if`, `while`, `and` and `or` lowered to jumps. [`SeedInstance::handle`]
 //! runs it in one `loop { match }` — a call pushes a frame record instead
-//! of recursing — on a value stack, reference list and call stack the
-//! seed keeps between deliveries, so a quiet poll allocates nothing.
-//! Plain variables and constants are read where they live, and a payload
-//! or parameter the code never writes is read in place, so walking a list
-//! of port statistics copies only the elements it hands out — and reading
-//! one field of an entry (`StatField`) copies nothing. Arithmetic runs on
-//! three kinds of arm: typed int, float and compare arms for operands
-//! whose tag lowering knows (a declared variable's is its type, which
-//! every store, `recv` and [`SeedInstance::restore`] keep true: an int is
-//! widened into a `float`, any other tag refused), the guarded `Binary`
-//! arm for the rest, which tests ints, mixed numbers and bools inline,
-//! and — whenever an arm's operands are not what it expects, or it cannot
-//! finish (overflow, division by zero) — [`binary_op`], the compiler's
-//! constant evaluator, whose semantics and error texts are the
-//! language's. Each instruction carries its static abstract cost (1 per
-//! source expression node, 2 per statement); only the `len/4 + 1`
-//! list-scan charge is counted here. The cost is part of the simulator's
-//! observable behaviour.
+//! of recursing — on a value stack, a word stack, a reference list and a
+//! call stack the seed keeps between deliveries, so a quiet poll
+//! allocates nothing; a list a store replaces leaves its emptied buffer
+//! to the next new list, and a delivery's effect list is reserved at what
+//! the seed's last firing delivery made, so a firing one allocates what
+//! it sends.
+//! Every int, float and bool lives in a plain 8-byte word (a declared
+//! variable's tag is its type, which every store, `recv` and
+//! [`SeedInstance::restore`] keep true: an int is widened into a
+//! `float`, any other tag refused), and the word arms compute on words
+//! whose meaning lowering knows; a `Value` becomes a word where it is
+//! stored and a word a `Value` where a value instruction reads it, in
+//! [`SeedInstance::snapshot_into`] and in [`SeedInstance::var`]. Plain
+//! variables and constants are read where they live, and a payload or
+//! parameter the code never writes is read in place, so walking a list
+//! of port statistics copies only the elements it hands out — and
+//! reading one field of an entry (`Element`) copies nothing. The guarded
+//! `Binary` arm runs what lowering cannot type, testing ints, mixed
+//! numbers and bools inline, and — whenever an arm's operands are not
+//! what it expects, or it cannot finish (overflow, division by zero) —
+//! [`binary_op`], the compiler's constant evaluator, whose semantics and
+//! error texts are the language's. Each instruction carries its static
+//! abstract cost (1 per source expression node, 2 per statement); only
+//! the `len/4 + 1` list-scan charge is counted here. The cost is part of
+//! the simulator's observable behaviour.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use farm_almanac::analysis::consteval::binary_op;
-use farm_almanac::ast::{BinOp, CmpOp};
+use farm_almanac::ast::{BinOp, CmpOp, Type};
 use farm_almanac::builtins::{Op, BUILTINS};
 use farm_almanac::compile::CompiledMachine;
 use farm_almanac::lower::{
-    Bind, Body, Dst, FilterField, Kind, LoweredMachine, On, Pass, Src, Test,
+    from_word, to_word, Arg, Bind, Body, Dst, FilterField, Kind, LoweredMachine, On, Place, Src,
+    Test, Word,
 };
 use farm_almanac::value::{
     fit, refusal, value_has_type, ActionValue, PacketRecord, RuleValue, StatEntry, StatSubject,
@@ -215,8 +224,10 @@ pub struct SeedInstance {
     def: Arc<CompiledMachine>,
     /// Id of the current state in `def.lowered.states`.
     state: u32,
-    /// Machine variables by global slot (names live in `def.lowered`).
+    /// Machine variables by global value slot and by global word slot
+    /// (names and places live in `def.lowered`).
     vars: Vec<Value>,
+    words: Vec<u64>,
     allocated: Resources,
     stats: SeedStats,
     scratch: Scratch,
@@ -227,9 +238,18 @@ pub struct SeedInstance {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     stack: Vec<Value>,
+    words: Vec<u64>,
     refs: Vec<Ref>,
     calls: Vec<Frame>,
+    /// Emptied list buffers a store replaced, for the next new list.
+    lists: Vec<Vec<Value>>,
+    /// The effects the seed's last delivery that made any made: what a
+    /// delivery's effect list reserves when it gets its first.
+    effects: usize,
 }
+
+/// How many emptied list buffers a seed keeps.
+const SPARE_LISTS: usize = 2;
 
 impl SeedInstance {
     /// Creates an instance in the machine's initial state with variables
@@ -241,6 +261,7 @@ impl SeedInstance {
             stamp: fresh_stamp(),
             state: 0,
             vars: def.lowered.init.clone(),
+            words: def.lowered.init_words.clone(),
             def,
             allocated,
             stats: SeedStats::default(),
@@ -289,8 +310,19 @@ impl SeedInstance {
     }
 
     /// Reads a machine variable (tests/harvesters).
-    pub fn var(&self, name: &str) -> Option<&Value> {
-        self.def.lowered.global_slot(name).map(|i| &self.vars[i])
+    pub fn var(&self, name: &str) -> Option<Value> {
+        let g = self.def.lowered.global_slot(name)?;
+        Some(self.global(g).into_owned())
+    }
+
+    /// The machine variable with index `g` in `def.lowered.globals`: a
+    /// value where it lies, a word as the value it holds.
+    fn global(&self, g: usize) -> Cow<'_, Value> {
+        let lowered = &self.def.lowered;
+        match lowered.places[g] {
+            Place::Value(i) => Cow::Borrowed(&self.vars[i as usize]),
+            Place::Word(i) => Cow::Owned(from_word(self.words[i as usize], lowered.types[g])),
+        }
     }
 
     /// Captures the mutable state for migration. Variables come out
@@ -311,13 +343,14 @@ impl SeedInstance {
         let names = &self.def.lowered.globals;
         snap.vars.truncate(names.len());
         snap.vars.reserve_exact(names.len() - snap.vars.len());
-        for (i, (name, value)) in names.iter().zip(&self.vars).enumerate() {
-            match snap.vars.get_mut(i) {
+        for (g, name) in names.iter().enumerate() {
+            let value = self.global(g);
+            match snap.vars.get_mut(g) {
                 Some((n, v)) => {
                     n.clone_from(name);
-                    assign(v, value);
+                    assign(v, &value);
                 }
-                None => snap.vars.push((name.clone(), value.clone())),
+                None => snap.vars.push((name.clone(), value.into_owned())),
             }
         }
     }
@@ -348,16 +381,19 @@ impl SeedInstance {
         };
         let mut vars = Vec::with_capacity(snap.vars.len());
         for (name, value) in &snap.vars {
-            if let Some(slot) = lowered.global_slot(name) {
-                let ty = lowered.types[slot];
+            if let Some(g) = lowered.global_slot(name) {
+                let ty = lowered.types[g];
                 let value = fit(value.clone(), ty).map_err(|v| SeedError(refusal(&v, ty, name)))?;
-                vars.push((slot, value));
+                vars.push((lowered.places[g], value));
             }
         }
         self.stamp = fresh_stamp();
         self.state = state;
-        for (slot, value) in vars {
-            self.vars[slot] = value;
+        for (place, value) in vars {
+            match place {
+                Place::Value(i) => self.vars[i as usize] = value,
+                Place::Word(i) => self.words[i as usize] = to_word(&value),
+            }
         }
         Ok(())
     }
@@ -379,26 +415,53 @@ impl SeedInstance {
             SeedEvent::Trigger { payload: v, .. } | SeedEvent::Recv { value: v, .. } => v,
             _ => &UNIT,
         };
-        let Scratch { stack, refs, calls } = std::mem::take(&mut self.scratch);
+        let Scratch {
+            stack,
+            words,
+            refs,
+            calls,
+            lists,
+            effects,
+        } = std::mem::take(&mut self.scratch);
         let mut vm = Vm {
             code: &self.def.lowered,
             globals: &mut self.vars,
+            global_words: &mut self.words,
             state: &mut self.state,
             transitions: &mut self.stats.transitions,
             host,
             out: &mut out,
             payload,
             stack,
+            words,
             refs,
             base: 0,
+            word_base: 0,
             ref_base: 0,
             calls,
+            lists,
+            effects,
         };
         let done = vm.dispatch(event, 0);
+        let Vm {
+            stack,
+            words,
+            refs,
+            calls,
+            lists,
+            effects,
+            ..
+        } = vm;
         self.scratch = Scratch {
-            stack: vm.stack,
-            refs: vm.refs,
-            calls: vm.calls,
+            stack,
+            words,
+            refs,
+            calls,
+            lists,
+            effects: match out.effects.len() {
+                0 => effects,
+                made => made,
+            },
         };
         done.map_err(|error| Failed {
             error,
@@ -443,6 +506,8 @@ enum Flow {
 enum Ref {
     /// A slot of the value stack: a caller's variable or temporary.
     Stack(usize),
+    /// A machine variable no callee below may write.
+    Global(u32),
     /// The delivered event's payload.
     Payload,
     /// An entry of the constant pool.
@@ -456,6 +521,7 @@ struct Frame {
     function: Option<u32>,
     pc: usize,
     base: usize,
+    word_base: usize,
     ref_base: usize,
     dst: Dst,
 }
@@ -468,19 +534,26 @@ static UNIT: Value = Value::Unit;
 struct Vm<'a> {
     code: &'a LoweredMachine,
     globals: &'a mut [Value],
+    global_words: &'a mut [u64],
     state: &'a mut u32,
     transitions: &'a mut u64,
     host: &'a dyn SeedHost,
     out: &'a mut Outcome,
     payload: &'a Value,
-    /// Frames of the running handler and the functions it is inside of.
+    /// Value slots and words of the running handler and the functions it
+    /// is inside of.
     stack: Vec<Value>,
+    words: Vec<u64>,
     /// What those frames read in place.
     refs: Vec<Ref>,
-    /// Start of the innermost frame in `stack` and in `refs`.
+    /// Start of the innermost frame in `stack`, in `words` and in `refs`.
     base: usize,
+    word_base: usize,
     ref_base: usize,
     calls: Vec<Frame>,
+    /// See [`Scratch`].
+    lists: Vec<Vec<Value>>,
+    effects: usize,
 }
 
 impl<'a> Vm<'a> {
@@ -492,6 +565,7 @@ impl<'a> Vm<'a> {
             Src::Const(i) => &self.code.consts[i as usize],
             Src::Ref(i) => match self.refs[self.ref_base + i as usize] {
                 Ref::Stack(at) => &self.stack[at],
+                Ref::Global(i) => &self.globals[i as usize],
                 Ref::Payload => self.payload,
                 Ref::Const(i) => &self.code.consts[i as usize],
             },
@@ -508,14 +582,70 @@ impl<'a> Vm<'a> {
     }
 
     #[inline(always)]
+    fn word(&self, w: Word) -> u64 {
+        match w {
+            Word::Local(i) | Word::Temp(i) => self.words[self.word_base + i as usize],
+            Word::Global(i) => self.global_words[i as usize],
+            Word::Const(i) => self.code.words[i as usize],
+        }
+    }
+
+    #[inline(always)]
+    fn set_word(&mut self, w: Word, word: u64) {
+        match w {
+            Word::Local(i) | Word::Temp(i) => self.words[self.word_base + i as usize] = word,
+            Word::Global(i) => self.global_words[i as usize] = word,
+            Word::Const(_) => unreachable!("lowering never writes a constant"),
+        }
+    }
+
+    #[inline(always)]
+    fn float(&self, w: Word) -> f64 {
+        f64::from_bits(self.word(w))
+    }
+
+    /// The int word `w`, widened as a comparison reads it.
+    #[inline(always)]
+    fn widened(&self, w: Word) -> f64 {
+        self.word(w) as i64 as f64
+    }
+
+    /// `dst = ` the word `word` holding a `tag`.
+    #[inline(always)]
+    fn put(&mut self, dst: Dst, word: u64, tag: Type) {
+        match dst {
+            Dst::Word(w) => self.set_word(w, word),
+            dst => self.set(dst, from_word(word, tag)),
+        }
+    }
+
+    /// `dst = v`. A list `dst` held is emptied and kept for the next new
+    /// list; a scalar is dropped without a destructor call.
+    #[inline(always)]
     fn set(&mut self, dst: Dst, v: Value) {
-        store(
-            match dst {
-                Dst::Local(i) => &mut self.stack[self.base + i as usize],
-                Dst::Global(i) => &mut self.globals[i as usize],
-            },
-            v,
-        );
+        let slot = match dst {
+            Dst::Local(i) => &mut self.stack[self.base + i as usize],
+            Dst::Global(i) => &mut self.globals[i as usize],
+            Dst::Word(w) => return self.set_word(w, to_word(&v)),
+        };
+        match std::mem::replace(slot, v) {
+            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_) => {}
+            Value::List(mut items) if items.capacity() > 0 && self.lists.len() < SPARE_LISTS => {
+                items.clear();
+                self.lists.push(items);
+            }
+            old => drop(old),
+        }
+    }
+
+    /// Adds an effect to the delivery's list, which reserves room for as
+    /// many as the seed's last firing delivery made when it gets its first.
+    fn effect(&mut self, effect: Effect) {
+        let effects = &mut self.out.effects;
+        if effects.capacity() == 0 {
+            effects.reserve_exact(self.effects);
+        }
+        effects.push(effect);
     }
 
     /// Where a callee reads an argument passed in place.
@@ -524,7 +654,7 @@ impl<'a> Vm<'a> {
             Src::Local(i) | Src::Temp(i) => Ref::Stack(self.base + i as usize),
             Src::Ref(i) => self.refs[self.ref_base + i as usize],
             Src::Const(i) => Ref::Const(i),
-            Src::Global(_) => unreachable!("lowering copies a global passed in place"),
+            Src::Global(i) => Ref::Global(i),
         }
     }
 
@@ -549,23 +679,23 @@ impl<'a> Vm<'a> {
         else {
             return Ok(()); // no handler in this state: event is dropped
         };
-        (self.base, self.ref_base) = (0, 0);
+        (self.base, self.word_base, self.ref_base) = (0, 0, 0);
         self.stack.resize(handler.body.frame as usize, Value::Unit);
-        match handler.bind {
-            Bind::None => {}
-            Bind::InPlace => self.refs.push(Ref::Payload),
-            // A `recv float` takes an int widened (lowering copies its
-            // payload); `accepts` checked the rest.
-            Bind::Copy => {
-                let v = self.payload.clone();
-                self.stack[0] = match handler.on {
-                    On::Recv { ty, .. } => fit(v, ty).unwrap_or_else(|v| v),
-                    _ => v,
-                };
+        self.words.resize(handler.body.words as usize, 0);
+        match (handler.bind, &handler.on) {
+            (Bind::None, _) => {}
+            (Bind::InPlace, _) => self.refs.push(Ref::Payload),
+            (Bind::Copy, _) => self.stack[0] = self.payload.clone(),
+            // `accepts` checked the tag; a `recv float` takes an int
+            // widened.
+            (Bind::Word, On::Recv { ty, .. }) => {
+                self.words[0] = fit(self.payload.clone(), *ty).map_or(0, |v| to_word(&v));
             }
+            (Bind::Word, on) => unreachable!("a word bound for {on:?}"),
         }
         let flow = self.run(&handler.body);
         self.stack.clear();
+        self.words.clear();
         self.refs.clear();
         self.calls.clear();
         if let Flow::Transit(next) = flow? {
@@ -601,7 +731,20 @@ impl<'a> Vm<'a> {
             match &inst.kind {
                 Kind::Nop => {}
                 Kind::Move { dst, src } => {
-                    let v = self.take(*src);
+                    let mut v = self.take(*src);
+                    // A new list takes a buffer a store emptied.
+                    if let Value::List(items) = &mut v {
+                        if items.capacity() == 0 {
+                            if let Some(spare) = self.lists.pop() {
+                                *items = spare;
+                            }
+                        }
+                    }
+                    self.set(*dst, v);
+                }
+                Kind::MoveWord { dst, src } => self.set_word(*dst, self.word(*src)),
+                Kind::ToValue { dst, src, tag } => {
+                    let v = from_word(self.word(*src), *tag);
                     self.set(*dst, v);
                 }
                 Kind::Not { dst, a } => {
@@ -631,62 +774,52 @@ impl<'a> Vm<'a> {
                     self.set(*dst, v);
                 }
                 Kind::Int { op, dst, a, b } => {
-                    let (x, y) = (self.get(*a), self.get(*b));
-                    let v = match (x, y) {
-                        (Value::Int(x), Value::Int(y)) => int_arith(*op, *x, *y).map(Value::Int),
-                        _ => None,
+                    let (x, y) = (self.word(*a) as i64, self.word(*b) as i64);
+                    let Some(v) = int_arith(*op, x, y) else {
+                        return Err(fault(*op, Value::Int(x), Value::Int(y)));
                     };
-                    let v = match v {
-                        Some(v) => v,
-                        None => generic(*op, x, y)?,
-                    };
-                    self.set(*dst, v);
+                    self.put(*dst, v as u64, Type::Int);
                 }
                 Kind::Float { op, dst, a, b } => {
-                    let (x, y) = (self.get(*a), self.get(*b));
-                    let v = match (number(x), number(y)) {
-                        (Some(x), Some(y)) => float_arith(*op, x, y).map(Value::Float),
-                        _ => None,
+                    let (x, y) = (self.float(*a), self.float(*b));
+                    let Some(v) = float_arith(*op, x, y) else {
+                        return Err(fault(*op, Value::Float(x), Value::Float(y)));
                     };
-                    let v = match v {
-                        Some(v) => v,
-                        None => generic(*op, x, y)?,
-                    };
-                    self.set(*dst, v);
+                    self.put(*dst, v.to_bits(), Type::Float);
                 }
-                Kind::Cmp { c, dst, a, b } => {
-                    let (x, y) = (self.get(*a), self.get(*b));
-                    let v = match (number(x), number(y)) {
-                        (Some(x), Some(y)) => Value::Bool(compare(*c, x, y)),
-                        _ => generic(BinOp::Cmp(*c), x, y)?,
-                    };
-                    self.set(*dst, v);
+                Kind::IntCmp { c, dst, a, b } => {
+                    let v = compare(*c, self.widened(*a), self.widened(*b));
+                    self.put(*dst, u64::from(v), Type::Bool);
                 }
+                Kind::FloatCmp { c, dst, a, b } => {
+                    let v = compare(*c, self.float(*a), self.float(*b));
+                    self.put(*dst, u64::from(v), Type::Bool);
+                }
+                Kind::Widen { dst, a } => self.put(*dst, self.widened(*a).to_bits(), Type::Float),
                 Kind::ListLen { dst, a } => {
                     let Value::List(items) = self.get(*a) else {
                         return Err(bad_arguments(Op::ListLen));
                     };
                     let len = items.len() as i64;
-                    self.set(*dst, Value::Int(len));
+                    self.put(*dst, len as u64, Type::Int);
                 }
                 Kind::ListGet { dst, list, index } => {
-                    let v = copy(list_get(self.get(*list), self.get(*index))?);
+                    let v = copy(list_get(self.get(*list), self.word(*index) as i64)?);
                     self.set(*dst, v);
                 }
                 Kind::ToFloat { dst, a } => {
-                    let Some(x) = number(self.get(*a)) else {
-                        return Err(bad_arguments(Op::ToFloat));
-                    };
-                    self.set(*dst, Value::Float(x));
+                    let x = to_float(self.get(*a))?;
+                    self.put(*dst, x.to_bits(), Type::Float);
                 }
-                Kind::StatField {
+                Kind::Element {
                     op,
                     dst,
                     list,
                     index,
                 } => {
-                    let v = stat_field(*op, self.get(*list), self.get(*index))?;
-                    self.set(*dst, Value::Int(v));
+                    let entry = list_get(self.get(*list), self.word(*index) as i64)?;
+                    let (word, tag) = element(*op, entry)?;
+                    self.put(*dst, word, tag);
                 }
                 Kind::Short { or, dst, a, end } => {
                     if let Value::Bool(x) = *self.get(*a) {
@@ -751,10 +884,11 @@ impl<'a> Vm<'a> {
                 } => {
                     let arg = arg.map(|s| self.take(s));
                     let slot = match *target {
-                        Dst::Local(i) => &mut self.stack[self.base + i as usize],
-                        Dst::Global(i) => &mut self.globals[i as usize],
+                        Dst::Local(i) => Some(&mut self.stack[self.base + i as usize]),
+                        Dst::Global(i) => Some(&mut self.globals[i as usize]),
+                        Dst::Word(_) => None,
                     };
-                    let Value::List(items) = slot else {
+                    let Some(Value::List(items)) = slot else {
                         let name = &code.strings[*name as usize];
                         return Err(SeedError(format!("`{name}` is not a list")));
                     };
@@ -771,19 +905,26 @@ impl<'a> Vm<'a> {
                 }
                 Kind::CallFn { f, dst, args } => {
                     let callee = &code.functions[*f as usize];
-                    let (base, ref_base) = (self.stack.len(), self.refs.len());
+                    let (base, word_base, ref_base) =
+                        (self.stack.len(), self.words.len(), self.refs.len());
                     self.stack
                         .resize(base + callee.body.frame as usize, Value::Unit);
-                    let mut slot = base;
-                    for (pass, &src) in callee.params.iter().zip(&code.args[*args as usize..]) {
-                        match pass {
-                            Pass::Value => {
+                    self.words.resize(word_base + callee.body.words as usize, 0);
+                    let (mut slot, mut word) = (base, word_base);
+                    let args = &code.args[*args as usize..][..callee.params.len()];
+                    for &arg in args {
+                        match arg {
+                            Arg::Value(src) => {
                                 self.stack[slot] = self.take(src);
                                 slot += 1;
                             }
-                            Pass::InPlace => {
+                            Arg::InPlace(src) => {
                                 let r = self.reference(src);
                                 self.refs.push(r);
+                            }
+                            Arg::Word(src) => {
+                                self.words[word] = self.word(src);
+                                word += 1;
                             }
                         }
                     }
@@ -791,10 +932,11 @@ impl<'a> Vm<'a> {
                         function,
                         pc,
                         base: self.base,
+                        word_base: self.word_base,
                         ref_base: self.ref_base,
                         dst: *dst,
                     });
-                    (self.base, self.ref_base) = (base, ref_base);
+                    (self.base, self.word_base, self.ref_base) = (base, word_base, ref_base);
                     (function, body, pc) = (Some(*f), &callee.body, 0);
                 }
                 Kind::Jump { to } => pc = *to as usize,
@@ -819,10 +961,17 @@ impl<'a> Vm<'a> {
                     let Some(caller) = self.calls.pop() else {
                         return Ok(Flow::Normal);
                     };
-                    let v = value.map_or(Value::Unit, |s| self.take(s));
+                    // The frame ends here: its slots are moved out.
+                    let v = match *value {
+                        None => Value::Unit,
+                        Some(Src::Local(i)) => self.take(Src::Temp(i)),
+                        Some(src) => self.take(src),
+                    };
                     self.stack.truncate(self.base);
+                    self.words.truncate(self.word_base);
                     self.refs.truncate(self.ref_base);
-                    (self.base, self.ref_base) = (caller.base, caller.ref_base);
+                    (self.base, self.word_base, self.ref_base) =
+                        (caller.base, caller.word_base, caller.ref_base);
                     function = caller.function;
                     body = function.map_or(handler, |f| &code.functions[f as usize].body);
                     pc = caller.pc;
@@ -840,7 +989,7 @@ impl<'a> Vm<'a> {
                         },
                     };
                     let value = self.take(*value);
-                    self.out.effects.push(Effect::Send { to, value });
+                    self.effect(Effect::Send { to, value });
                 }
                 Kind::Fail { message } => return Err(SeedError(self.string(*message).into())),
                 Kind::Fit {
@@ -871,28 +1020,18 @@ impl<'a> Vm<'a> {
     /// Whether the condition of an `if` or a `while` (`what`) holds.
     #[inline(always)]
     fn test(&self, test: Test, what: &str) -> Result<bool, SeedError> {
-        let v = match test {
-            Test::Bool(src) => self.get(src),
-            Test::Cmp(c, a, b) => {
-                let (x, y) = (self.get(a), self.get(b));
-                return match (number(x), number(y)) {
-                    (Some(x), Some(y)) => Ok(compare(c, x, y)),
-                    _ => condition(&generic(BinOp::Cmp(c), x, y)?, what),
-                };
-            }
+        Ok(match test {
+            Test::Bool(w) => self.word(w) != 0,
+            Test::Value(src) => return condition(self.get(src), what),
+            Test::Int(c, a, b) => compare(c, self.widened(a), self.widened(b)),
+            Test::Float(c, a, b) => compare(c, self.float(a), self.float(b)),
             Test::Len(c, a, list) => {
                 let Value::List(items) = self.get(list) else {
                     return Err(bad_arguments(Op::ListLen));
                 };
-                let len = items.len() as i64;
-                let x = self.get(a);
-                return match number(x) {
-                    Some(x) => Ok(compare(c, x, len as f64)),
-                    None => condition(&generic(BinOp::Cmp(c), x, &Value::Int(len))?, what),
-                };
+                compare(c, self.widened(a), items.len() as i64 as f64)
             }
-        };
-        condition(v, what)
+        })
     }
 
     fn call_builtin(&mut self, op: Op, a: Src, b: Src) -> Result<Value, SeedError> {
@@ -903,14 +1042,14 @@ impl<'a> Vm<'a> {
                 let Value::Rule(r) = self.take(a) else {
                     return Err(bad());
                 };
-                self.out.effects.push(Effect::AddRule(r));
+                self.effect(Effect::AddRule(r));
                 return Ok(Value::Unit);
             }
             Op::RemoveTcamRule => {
                 let Value::Filter(f) = self.take(a) else {
                     return Err(bad());
                 };
-                self.out.effects.push(Effect::RemoveRule(f));
+                self.effect(Effect::RemoveRule(f));
                 return Ok(Value::Unit);
             }
             Op::Exec | Op::ExecN => {
@@ -922,7 +1061,7 @@ impl<'a> Vm<'a> {
                 let Value::Str(cmd) = self.take(a) else {
                     return Err(bad());
                 };
-                self.out.effects.push(Effect::Exec { cmd, iterations });
+                self.effect(Effect::Exec { cmd, iterations });
                 return Ok(Value::Unit);
             }
             Op::ListContains => {
@@ -979,6 +1118,11 @@ impl<'a> Vm<'a> {
                 _ => Err(bad()),
             },
             Op::IsListEmpty => Ok(Value::Bool(x.as_list().ok_or_else(bad)?.is_empty())),
+            // An index lowering cannot type.
+            Op::ListGet => match y {
+                Value::Int(i) => list_get(x, *i).map(copy),
+                _ => Err(bad()),
+            },
             Op::PairFirst => match x {
                 Value::Pair(first, _) => Ok((**first).clone()),
                 _ => Err(bad()),
@@ -1036,7 +1180,6 @@ impl<'a> Vm<'a> {
             },
             // Lowered to arms of their own, or returned from above.
             Op::ListLen
-            | Op::ListGet
             | Op::ToFloat
             | Op::ListPush
             | Op::ListPushUnique
@@ -1120,19 +1263,6 @@ fn assign(dst: &mut Value, src: &Value) {
     }
 }
 
-/// `*slot = v`, without a destructor call when `slot` holds a scalar.
-#[inline(always)]
-fn store(slot: &mut Value, v: Value) {
-    if matches!(
-        slot,
-        Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_)
-    ) {
-        std::mem::forget(std::mem::replace(slot, v));
-    } else {
-        *slot = v;
-    }
-}
-
 /// `a op b` where the operands are ints, numbers or bools and the
 /// operation finishes: the tag tests the guarded `Binary` arm makes
 /// inline. `None` for everything else, which [`generic`] evaluates.
@@ -1160,6 +1290,16 @@ fn guarded(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
 #[cold]
 fn generic(op: BinOp, a: &Value, b: &Value) -> Result<Value, SeedError> {
     binary_op(op, a, b).map_err(SeedError)
+}
+
+/// The error of a word arm that cannot finish `a op b` (an int overflow,
+/// a division by zero), as the constant evaluator words it.
+#[cold]
+fn fault(op: BinOp, a: Value, b: Value) -> SeedError {
+    match binary_op(op, &a, &b) {
+        Err(e) => SeedError(e),
+        Ok(v) => unreachable!("{a:?} {op:?} {b:?} is {v:?}, which the arm computes"),
+    }
 }
 
 /// The bool an `if` or `while` condition (`what`) evaluated to.
@@ -1214,12 +1354,12 @@ fn float_arith(op: BinOp, x: f64, y: f64) -> Option<f64> {
 
 /// `list_get(items, index)`, in place.
 #[inline(always)]
-fn list_get<'v>(items: &'v Value, index: &Value) -> Result<&'v Value, SeedError> {
-    let (Value::List(items), Value::Int(i)) = (items, index) else {
+fn list_get(items: &Value, index: i64) -> Result<&Value, SeedError> {
+    let Value::List(items) = items else {
         return Err(bad_arguments(Op::ListGet));
     };
-    let at = usize::try_from(*i).map_err(|_| bad_arguments(Op::ListGet))?;
-    items.get(at).ok_or_else(|| out_of_bounds(*i))
+    let at = usize::try_from(index).map_err(|_| bad_arguments(Op::ListGet))?;
+    items.get(at).ok_or_else(|| out_of_bounds(index))
 }
 
 #[cold]
@@ -1227,14 +1367,17 @@ fn out_of_bounds(i: i64) -> SeedError {
     SeedError(format!("index {i} out of bounds"))
 }
 
-/// `op(list_get(items, index))` for a statistics accessor `op`, with the
-/// errors of the two calls it fuses.
+/// `op(entry)` for what a [`Kind::Element`] applies, as a word and the
+/// tag it holds.
 #[inline(always)]
-fn stat_field(op: Op, items: &Value, index: &Value) -> Result<i64, SeedError> {
-    let Value::Stat(s) = list_get(items, index)? else {
+fn element(op: Op, entry: &Value) -> Result<(u64, Type), SeedError> {
+    if op == Op::ToFloat {
+        return Ok((to_float(entry)?.to_bits(), Type::Float));
+    }
+    let Value::Stat(s) = entry else {
         return Err(bad_arguments(op));
     };
-    Ok(match op {
+    let field = match op {
         Op::StatPort => match s.subject {
             StatSubject::Port(p) => i64::from(p),
             StatSubject::Rule(_) => -1,
@@ -1244,7 +1387,14 @@ fn stat_field(op: Op, items: &Value, index: &Value) -> Result<i64, SeedError> {
         Op::StatTxPackets => s.tx_packets as i64,
         Op::StatRxPackets => s.rx_packets as i64,
         _ => return Err(bad_arguments(op)),
-    })
+    };
+    Ok((field as u64, Type::Int))
+}
+
+/// `to_float(v)`.
+#[inline(always)]
+fn to_float(v: &Value) -> Result<f64, SeedError> {
+    number(v).ok_or_else(|| bad_arguments(Op::ToFloat))
 }
 
 /// The error of a runtime-library call given arguments it cannot take.
@@ -1442,7 +1592,7 @@ mod tests {
             &host,
         )
         .unwrap();
-        assert_eq!(seed.var("threshold"), Some(&Value::Int(10)));
+        assert_eq!(seed.var("threshold"), Some(Value::Int(10)));
         // Now a tiny flow is a heavy hitter.
         let out = seed
             .handle(
@@ -1472,9 +1622,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             seed.var("hitterAction"),
-            Some(&Value::Action(ActionValue::Drop))
+            Some(Value::Action(ActionValue::Drop))
         );
-        assert_ne!(seed.var("threshold"), Some(&Value::Int(0)));
+        assert_ne!(seed.var("threshold"), Some(Value::Int(0)));
     }
 
     #[test]
@@ -1510,7 +1660,7 @@ mod tests {
         let def = compile(farm_almanac::programs::HEAVY_HITTER, "HH");
         let mut other = SeedInstance::new(SeedId(2), def, Resources::ZERO);
         other.restore(&snap).unwrap();
-        assert_eq!(other.var("threshold"), Some(&Value::Int(42)));
+        assert_eq!(other.var("threshold"), Some(Value::Int(42)));
         assert_eq!(other.state(), seed.state());
     }
 
@@ -1618,8 +1768,8 @@ mod tests {
         snap.vars.push(("threshold".into(), Value::Int(9)));
         seed.restore(&snap).unwrap();
         assert_eq!(seed.var("retired"), None);
-        assert_eq!(seed.var("threshold"), Some(&Value::Int(9)));
-        assert_eq!(seed.var("hitters"), Some(&Value::List(vec![])));
+        assert_eq!(seed.var("threshold"), Some(Value::Int(9)));
+        assert_eq!(seed.var("hitters"), Some(Value::List(vec![])));
         // It does not come back out either: snapshots list declared
         // variables only, sorted by name.
         let after: Vec<String> = seed.snapshot().vars.into_iter().map(|(k, _)| k).collect();
@@ -1665,8 +1815,8 @@ mod tests {
         let mut snap = seed.snapshot();
         snap.vars = vec![("f".into(), Value::Int(2)), ("n".into(), Value::Int(3))];
         seed.restore(&snap).unwrap();
-        assert_eq!(seed.var("f"), Some(&Value::Float(2.0)));
-        assert_eq!(seed.var("n"), Some(&Value::Int(3)));
+        assert_eq!(seed.var("f"), Some(Value::Float(2.0)));
+        assert_eq!(seed.var("n"), Some(Value::Int(3)));
     }
 
     #[test]

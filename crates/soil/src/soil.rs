@@ -1903,7 +1903,7 @@ machine P {
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(switch.pcie().requests() - requests, 3);
         assert_eq!(switch.pcie().bytes_requested() - bytes, 700);
-        let var = |name: &str| soil.seed(id).unwrap().var(name).cloned();
+        let var = |name: &str| soil.seed(id).unwrap().var(name);
         assert_eq!(var("seenEvery"), Some(Value::Int(3)));
         assert_eq!(var("seenWeb"), Some(Value::Int(1)));
         assert_eq!(var("seenTcp"), Some(Value::Int(1)));
@@ -1948,7 +1948,7 @@ machine P {
             .unwrap();
         assert_eq!(
             soil_b.seed(new_id).unwrap().var("threshold"),
-            Some(&Value::Int(777))
+            Some(Value::Int(777))
         );
     }
 

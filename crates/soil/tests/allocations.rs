@@ -7,8 +7,10 @@
 //! and call frames are the seed's own, and an empty result list owns no
 //! memory. A firing HH poll and a whole soil round have bounds of their
 //! own: the soil rewrites each trigger's payload in place and reads the
-//! ASIC into a buffer it keeps, so what is left is what the handlers
-//! build.
+//! ASIC into a buffer it keeps, a new list takes the buffer of one a
+//! store replaced, and a delivery's effect list is reserved at what the
+//! seed's last firing delivery made, so what is left is what the handlers
+//! send.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,13 +135,13 @@ fn a_steady_state_poll_of_hh_kissvolume_or_digmicroburst_allocates_nothing() {
     }
 }
 
-/// Allocations of one firing HH poll (a hitter on 4 of 48 ports):
-/// `getHH`'s result list and the copy its `return` hands back, the copy
-/// sent to the harvester, the copy `setHitterRules` reads (a machine
-/// variable passed in place is pinned), and the effect list growing to
-/// its nine effects (a report, a rule removed and one installed per
-/// hitter).
-const FIRING_HH_POLL: u64 = 7;
+/// Allocations of one firing HH poll (a hitter on 4 of 48 ports): the
+/// effect list, reserved once for its nine effects (a report, a rule
+/// removed and one installed per hitter), and the copy of `hitters` sent
+/// to the harvester. `getHH`'s result list takes the buffer of the
+/// `hitters` it replaces, its `return` moves it, and `setHitterRules`
+/// reads `hitters` in place.
+const FIRING_HH_POLL: u64 = 2;
 
 #[test]
 fn a_firing_hh_poll_allocates_its_report_and_rules_only() {
@@ -164,11 +166,12 @@ fn a_firing_hh_poll_allocates_its_report_and_rules_only() {
 }
 
 /// Allocations of one `Soil::advance` round in which HH, KissVolume and
-/// KissPortSpike all poll a quiet 54-port switch: KissPortSpike's fresh
-/// baseline list growing to 4, 8, 16, 32 and 64 entries, and its copy
-/// into the machine variable; the payloads, the ASIC read and the
-/// round's list of due triggers reuse what the soil kept.
-const SOIL_ROUND: u64 = 6;
+/// KissPortSpike all poll a quiet 54-port switch: none. KissPortSpike's
+/// `baseline = fresh;` moves the list, and the next poll's `list fresh;`
+/// takes the buffer of the `baseline` it replaced; the payloads, the
+/// ASIC read and the round's list of due triggers reuse what the soil
+/// kept.
+const SOIL_ROUND: u64 = 0;
 
 #[test]
 fn a_quiet_soil_round_of_three_seeds_on_54_ports_stays_within_its_bound() {
@@ -219,5 +222,5 @@ fn a_quiet_soil_round_of_three_seeds_on_54_ports_stays_within_its_bound() {
         round(ms, &mut switch);
     }
     let counted = round(9, &mut switch);
-    assert!(counted <= SOIL_ROUND, "{counted} allocations");
+    assert_eq!(counted, SOIL_ROUND, "allocations in a round");
 }

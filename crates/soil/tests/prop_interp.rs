@@ -458,7 +458,7 @@ fn payloads_and_parameters_read_in_place_and_jumping_conditions_behave_like_the_
         ],
     );
     assert_eq!(
-        vm.var("seen").and_then(|v| v.as_list()).map(<[_]>::len),
+        vm.var("seen").and_then(|v| v.as_list().map(<[_]>::len)),
         Some(3)
     );
 }
@@ -495,12 +495,12 @@ fn shadowed_locals_in_nested_blocks_resolve_like_the_walker() {
            }"#,
         &[SeedEvent::Enter, tick("t", 4), tick("t", -9)],
     );
-    assert_eq!(vm.var("x"), Some(&Value::Int(1)), "never assigned");
-    assert_eq!(vm.var("seen"), Some(&Value::Int(-8)));
+    assert_eq!(vm.var("x"), Some(Value::Int(1)), "never assigned");
+    assert_eq!(vm.var("seen"), Some(Value::Int(-8)));
     let ints = |v: &[i64]| Value::List(v.iter().map(|&i| Value::Int(i)).collect());
     assert_eq!(
         vm.var("trace"),
-        Some(&ints(&[1, 5, 5, 100, 1000, 101, 5, 1, -8, -1, -8]))
+        Some(ints(&[1, 5, 5, 100, 1000, 101, 5, 1, -8, -1, -8]))
     );
 }
 
@@ -530,7 +530,7 @@ fn a_local_declared_in_a_loop_body_starts_fresh_every_iteration() {
            }"#,
         &[SeedEvent::Enter, tick("t", 4), tick("t", 0), tick("t", 2)],
     );
-    assert_eq!(vm.var("total"), Some(&Value::Int(6 + 4 + 1 + 2)));
+    assert_eq!(vm.var("total"), Some(Value::Int(6 + 4 + 1 + 2)));
 }
 
 #[test]
@@ -548,7 +548,7 @@ fn recursion_stops_at_the_call_depth_limit_with_the_same_error() {
         }"#;
     // 64 nested calls is the deepest that fits: down(63) makes 64.
     let vm = assert_same_on(src, &[tick("t", 63), tick("t", 64), tick("t", 500)]);
-    assert_eq!(vm.var("got"), Some(&Value::Int(63)));
+    assert_eq!(vm.var("got"), Some(Value::Int(63)));
     let def = compile(src, "M");
     let mut seed = SeedInstance::new(SeedId(9), def, Resources::ZERO);
     let err = seed
@@ -592,8 +592,8 @@ fn nested_loops_stop_at_the_budget_on_the_same_iteration() {
           }
         }"#;
     let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 3), tick("t", 1_000)]);
-    assert_eq!(vm.var("done"), Some(&Value::Int(1)));
-    let Some(&Value::Int(bumps)) = vm.var("bumps") else {
+    assert_eq!(vm.var("done"), Some(Value::Int(1)));
+    let Some(Value::Int(bumps)) = vm.var("bumps") else {
         panic!("bumps is an int");
     };
     // 13 ops an inner iteration, and 16 more per outer one: a little
@@ -625,8 +625,8 @@ fn doubling_recursion_stops_at_the_budget_with_the_same_error() {
           }
         }"#;
     let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 4), tick("t", 40)]);
-    assert_eq!(vm.var("got"), Some(&Value::Int(1 << 17)), "f(17) returned");
-    assert_eq!(vm.var("k"), Some(&Value::Int(18)), "f(18) ran out");
+    assert_eq!(vm.var("got"), Some(Value::Int(1 << 17)), "f(17) returned");
+    assert_eq!(vm.var("k"), Some(Value::Int(18)), "f(18) ran out");
     assert_eq!(last, Err(over_budget()));
 }
 
@@ -648,7 +648,7 @@ fn a_transit_chain_shares_one_budget() {
         }"#;
     let (vm, last) = assert_same_ending(&frontend(src).unwrap(), &[tick("t", 0)]);
     assert_eq!(vm.state(), "d", "the third `enter` ran out");
-    let Some(&Value::Int(g)) = vm.var("g") else {
+    let Some(Value::Int(g)) = vm.var("g") else {
         panic!("g is an int");
     };
     assert!((480_000..720_000).contains(&g), "{g}");
@@ -684,10 +684,7 @@ fn a_loop_that_ends_under_the_budget_runs_to_its_end() {
     let past = |n: u64| {
         let mut vm = vm.clone();
         let out = vm.handle(&tick("t", (most + n) as i64), &FixedHost::default());
-        (
-            out.map(|o| o.ops).map_err(|e| e.error.0),
-            vm.var("g").cloned(),
-        )
+        (out.map(|o| o.ops).map_err(|e| e.error.0), vm.var("g"))
     };
     let ran = |n: u64| Some(Value::Int((most + n) as i64));
     assert_eq!(past(1), (Ok(fixed + per * (most + 1)), ran(1)));
@@ -760,7 +757,7 @@ fn mutation_builtins_hit_the_local_or_the_machine_variable_they_name() {
             tick("t", 0), // build(0) removes from an empty list: error
         ],
     );
-    assert_eq!(vm.var("kept"), Some(&Value::List(vec![Value::Int(0)])));
+    assert_eq!(vm.var("kept"), Some(Value::List(vec![Value::Int(0)])));
 }
 
 #[test]
@@ -870,12 +867,37 @@ fn declared_types_hold_at_every_store() {
             },
         ],
     );
-    assert_eq!(vm.var("half"), Some(&Value::Float(2.5)));
-    assert_eq!(vm.var("unit"), Some(&Value::Float(1.0)));
-    assert_eq!(vm.var("arg"), Some(&Value::Float(1.5)));
-    assert_eq!(vm.var("same"), Some(&Value::Bool(true)));
-    assert_eq!(vm.var("branched"), Some(&Value::Bool(true)));
-    assert_eq!(vm.var("got"), Some(&Value::Float(3.5)));
+    assert_eq!(vm.var("half"), Some(Value::Float(2.5)));
+    assert_eq!(vm.var("unit"), Some(Value::Float(1.0)));
+    assert_eq!(vm.var("arg"), Some(Value::Float(1.5)));
+    assert_eq!(vm.var("same"), Some(Value::Bool(true)));
+    assert_eq!(vm.var("branched"), Some(Value::Bool(true)));
+    assert_eq!(vm.var("got"), Some(Value::Float(3.5)));
+}
+
+/// Ints in words compare as floats, as a value and as a condition:
+/// 2^53 + 1 and 2^53 are one f64, so neither is the greater.
+#[test]
+fn int_words_compare_widened_to_floats() {
+    let vm = assert_same_on(
+        r#"machine W {
+             place any;
+             time t = 5;
+             bool gt = true;
+             bool taken = false;
+             state s {
+               when (t) do {
+                 int a = 9007199254740993;
+                 int b = 9007199254740992;
+                 gt = a > b;
+                 if (a > b) then { taken = true; }
+               }
+             }
+           }"#,
+        &[tick("t", 1)],
+    );
+    assert_eq!(vm.var("gt"), Some(Value::Bool(false)));
+    assert_eq!(vm.var("taken"), Some(Value::Bool(false)));
 }
 
 #[test]
@@ -899,8 +921,8 @@ fn arithmetic_on_an_any_is_fitted_where_it_is_stored() {
         }"#;
     let events: Vec<SeedEvent> = (0..=2).map(|n| tick("t", n)).collect();
     let mut vm = assert_same_on(src, &events);
-    assert_eq!(vm.var("k"), Some(&Value::Int(1)));
-    assert_eq!(vm.var("x"), Some(&Value::Float(2.0)));
+    assert_eq!(vm.var("k"), Some(Value::Int(1)));
+    assert_eq!(vm.var("x"), Some(Value::Float(2.0)));
     let err = vm.handle(&tick("t", 2), &FixedHost::default()).unwrap_err();
     assert_eq!(err.error.0, "cannot store float in long `k`");
 }

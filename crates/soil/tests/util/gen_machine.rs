@@ -701,7 +701,17 @@ impl Gen {
         match want {
             Type::Bool => ["true", "false"][self.below(2)].to_string(),
             Type::Int | Type::Long => {
-                ["0", "1", "2", "3", "7", "9223372036854775807"][self.below(6)].to_string()
+                // 2^53 + 1: an int a comparison reads as 2^53.
+                [
+                    "0",
+                    "1",
+                    "2",
+                    "3",
+                    "7",
+                    "9223372036854775807",
+                    "9007199254740993",
+                ][self.below(7)]
+                .to_string()
             }
             Type::Float => ["0.5", "2.0", "1", "0.0"][self.below(4)].to_string(),
             Type::Str => ["\"a\"", "\"10.0.0.1\"", "\"\""][self.below(3)].to_string(),

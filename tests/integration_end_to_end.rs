@@ -102,7 +102,7 @@ fn harvester_retunes_thresholds_network_wide() {
         for seed in soil.seeds() {
             assert_eq!(
                 seed.var("threshold"),
-                Some(&Value::Int(new_threshold)),
+                Some(Value::Int(new_threshold)),
                 "seed on {id} missed the broadcast"
             );
         }

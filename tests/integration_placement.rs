@@ -187,7 +187,7 @@ fn external_parameters_differ_per_task_instance() {
     let mut seen = Vec::new();
     for id in farm.network().switch_ids() {
         for seed in farm.soil(id).unwrap().seeds() {
-            seen.push(seed.var("threshold").cloned().unwrap());
+            seen.push(seed.var("threshold").unwrap());
         }
     }
     assert!(seen.contains(&Value::Int(100)));

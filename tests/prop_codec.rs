@@ -208,6 +208,12 @@ fn control_op_strategy() -> BoxedStrategy<ControlOp> {
         Just(ControlOp::Shutdown),
         any::<u64>().prop_map(|id| ControlOp::Trace { id }),
         Just(ControlOp::Audit),
+        (any::<u64>(), cursor_strategy()).prop_map(|(parent, (from_index, limit))| {
+            ControlOp::Traced {
+                parent,
+                op: Box::new(ControlOp::ListSeeds { from_index, limit }),
+            }
+        }),
         fed_control_op_strategy(),
     ]
     .boxed()
