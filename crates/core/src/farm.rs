@@ -455,7 +455,7 @@ impl Farm {
             let ctl = SdnController::new(self.network.topology());
             compile_task(name, source, externals, &ctl)?
         };
-        self.deploy(vec![task], &mut SpanLog::off())
+        self.deploy(vec![task], &mut SpanLog::wall())
     }
 
     /// Compiles every task, then registers them all and runs a *single*
@@ -477,7 +477,7 @@ impl Farm {
             .iter()
             .map(|(name, source, externals)| compile_task(name, source, externals, &ctl))
             .collect::<Result<Vec<_>, _>>()?;
-        self.deploy(compiled, &mut SpanLog::off())
+        self.deploy(compiled, &mut SpanLog::wall())
     }
 
     /// Registers `tasks` and replans. A same-named task already
@@ -496,7 +496,7 @@ impl Farm {
         let started = spans.start();
         let result = tasks.into_iter().try_for_each(|task| {
             let name = task.name.clone();
-            if let Some(replaced) = self.seeder.register_task(task)? {
+            if let Some(replaced) = self.seeder.register_task(task, spans)? {
                 self.undeploy_withdrawn(&name, replaced);
             }
             registered.push(name);
@@ -506,7 +506,7 @@ impl Farm {
         let result = result.and_then(|()| self.replan_traced(spans));
         if result.is_err() {
             for name in &registered {
-                self.withdraw(name);
+                self.withdraw(name, spans);
             }
         }
         result
@@ -515,15 +515,20 @@ impl Farm {
     /// Removes a task: undeploys its seeds, in key order, and drops its
     /// harvester.
     pub fn remove_task(&mut self, name: &str) -> Result<(), Error> {
-        self.withdraw(name);
+        self.remove_task_traced(name, &mut SpanLog::wall())
+    }
+
+    /// [`Farm::remove_task`], its catalog `splice` a span of `spans`.
+    pub fn remove_task_traced(&mut self, name: &str, spans: &mut SpanLog) -> Result<(), Error> {
+        self.withdraw(name, spans);
         self.harvesters.remove(name);
         Ok(())
     }
 
     /// Unregisters a task and undeploys its seeds, in key order, with
     /// its snapshots and recovery entries. Its harvester stays.
-    fn withdraw(&mut self, name: &str) {
-        let seeds = self.seeder.remove_task(name).unwrap_or_default();
+    fn withdraw(&mut self, name: &str, spans: &mut SpanLog) {
+        let seeds = self.seeder.remove_task(name, spans).unwrap_or_default();
         self.undeploy_withdrawn(name, seeds);
     }
 
@@ -550,12 +555,17 @@ impl Farm {
     ///
     /// Soil-level failures while executing the plan.
     pub fn replan(&mut self) -> Result<Plan, Error> {
-        self.replan_traced(&mut SpanLog::off())
+        self.replan_traced(&mut SpanLog::wall())
     }
 
     /// [`Farm::replan`], its round recorded in `spans` (`replan`, and
-    /// within it `plan`, `commit` and each `plant` and `migrate`).
-    fn replan_traced(&mut self, spans: &mut SpanLog) -> Result<Plan, Error> {
+    /// within it `plan` with the solver's phases, `commit` and each
+    /// `plant` and `migrate`) and timed on its clock.
+    ///
+    /// # Errors
+    ///
+    /// As [`Farm::replan`].
+    pub fn replan_traced(&mut self, spans: &mut SpanLog) -> Result<Plan, Error> {
         let mut outbound = Vec::new();
         let plan = self.replan_into(&mut outbound, spans);
         self.route(outbound);
@@ -564,16 +574,20 @@ impl Farm {
 
     /// [`Farm::replan`], leaving the messages the round's seeds send for
     /// the caller to route: plans a round and commits every action of
-    /// it, in order.
+    /// it, in order. The round's [`DeltaReport`](farm_placement::delta::DeltaReport)
+    /// is counted in `spans`, and `farm.replan_us` samples the
+    /// duration of its `replan` span.
     fn replan_into(
         &mut self,
         outbound: &mut Vec<OutboundMessage>,
         spans: &mut SpanLog,
     ) -> Result<Plan, Error> {
-        let started = std::time::Instant::now();
         let round = spans.start();
         let live = (self.live).get_or_init(|| live_list(&self.network, &self.rows));
-        let mut plan = self.seeder.plan(live);
+        let plan = self.seeder.plan(live, spans);
+        for (name, n) in plan.delta.counts() {
+            spans.count(name, n);
+        }
         spans.end("plan", round);
         let commit = spans.start();
         let now = self.now;
@@ -682,9 +696,8 @@ impl Farm {
             actions,
             dropped_tasks: dropped,
         });
-        let elapsed_us = started.elapsed().as_micros() as u64;
+        let elapsed_us = spans.end("replan", round).as_micros() as u64;
         self.counters.replan_us.record(elapsed_us);
-        plan.round_us = elapsed_us;
         if plan.delta.warm {
             if plan.delta.fallback_full {
                 self.counters.delta_fallback_full.inc();
@@ -710,7 +723,6 @@ impl Farm {
             reallocs,
             undeploys,
         });
-        spans.end("replan", round);
         Ok(plan)
     }
 
@@ -810,6 +822,11 @@ impl Farm {
     /// rounds apply in timestamp order, every live soil fires its due
     /// triggers, due recoveries run, and resulting messages are routed.
     pub fn advance(&mut self, to: Time) {
+        self.advance_traced(to, &mut SpanLog::wall())
+    }
+
+    /// [`Farm::advance`], a recovery round timed on the clock of `spans`.
+    pub fn advance_traced(&mut self, to: Time, spans: &mut SpanLog) {
         // Interleave fault injection and heartbeat rounds by timestamp;
         // faults win ties so a heartbeat at the crash instant already
         // sees the switch down.
@@ -837,7 +854,7 @@ impl Farm {
             outbound.extend(take_report(&self.counters, report));
         }
         self.now = to;
-        outbound.extend(self.process_recovery());
+        outbound.extend(self.process_recovery(spans));
         self.route(outbound);
     }
 
@@ -1088,7 +1105,7 @@ impl Farm {
     /// regular placement heuristic. Seeds that cannot be placed yet back
     /// off exponentially; after [`MAX_RECOVERY_ATTEMPTS`] recovery is
     /// abandoned with an event.
-    fn process_recovery(&mut self) -> Vec<OutboundMessage> {
+    fn process_recovery(&mut self, spans: &mut SpanLog) -> Vec<OutboundMessage> {
         let now = self.now;
         let due: Vec<SeedKey> = self
             .recovery
@@ -1110,7 +1127,7 @@ impl Farm {
             }
         }
         let mut outbound = Vec::new();
-        let _ = self.replan_into(&mut outbound, &mut SpanLog::off());
+        let _ = self.replan_into(&mut outbound, spans);
         for key in due {
             let Some(item) = self.recovery.get_mut(&key) else {
                 continue;
@@ -1170,12 +1187,12 @@ impl Farm {
     /// withdraws the task again: its name is free, nothing it planted
     /// keeps running, and a same-named task it replaced is gone.
     pub fn deploy_compiled(&mut self, task: CompiledTask) -> Result<Plan, Error> {
-        self.deploy(vec![task], &mut SpanLog::off())
+        self.deploy(vec![task], &mut SpanLog::wall())
     }
 
     /// [`Farm::deploy_compiled`], its phases recorded in `spans`
-    /// (`register`, then the round as [`Farm::replan`] runs it: `replan`
-    /// and within it `plan`, `commit` and each `plant` and `migrate`).
+    /// (`register` with each `splice`, then the round as
+    /// [`Farm::replan_traced`] records it).
     ///
     /// # Errors
     ///
@@ -1204,7 +1221,7 @@ impl Farm {
     /// before anything is cordoned or replanned; soil failures while
     /// evacuating.
     pub fn drain(&mut self, switch: SwitchId) -> Result<(Plan, usize), Error> {
-        self.drain_traced(switch, &mut SpanLog::off())
+        self.drain_traced(switch, &mut SpanLog::wall())
     }
 
     /// [`Farm::drain`], its round recorded in `spans` as
@@ -1248,7 +1265,7 @@ impl Farm {
     /// before anything is replanned; soil failures while executing the
     /// plan.
     pub fn uncordon(&mut self, switch: SwitchId) -> Result<Plan, Error> {
-        self.uncordon_traced(switch, &mut SpanLog::off())
+        self.uncordon_traced(switch, &mut SpanLog::wall())
     }
 
     /// [`Farm::uncordon`], its round recorded in `spans` as
@@ -1804,29 +1821,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_plan_carries_the_samples_the_registry_took() {
-        let mut farm = Farm::new(fabric(), FarmConfig::default());
-        let mut splices = 0;
-        let mut rounds = 0;
-        for name in ["a", "b", "c"] {
-            let plan = farm
-                .deploy_task(
-                    name,
-                    "machine M { place any; state s { } }",
-                    &BTreeMap::new(),
-                )
-                .unwrap();
-            splices += plan.splice_us;
-            rounds += plan.round_us;
-            assert!(plan.round_us >= plan.result.runtime.as_micros() as u64);
-        }
-        let snap = farm.telemetry().snapshot();
-        let sum = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
-        assert_eq!(sum("seeder.splice_us"), Some((3, splices)));
-        assert_eq!(sum("farm.replan_us"), Some((3, rounds)));
-    }
-
-    #[test]
     fn a_replacement_undeploys_the_seeds_of_the_task_it_replaces() {
         let mut farm = Farm::new(fabric(), FarmConfig::default());
         farm.deploy_task(
@@ -1865,7 +1859,7 @@ pub(crate) mod tests {
         for trigger in &mut task.machines[0].triggers {
             trigger.ival = trigger.ival.recip();
         }
-        assert!(farm.deploy(vec![task], &mut SpanLog::off()).is_err());
+        assert!(farm.deploy(vec![task], &mut SpanLog::wall()).is_err());
         assert_eq!(farm.seed_statuses(), before);
         let ids = farm.network().switch_ids();
         let hosted: usize = ids.iter().map(|&n| farm.soil(n).unwrap().num_seeds()).sum();

@@ -14,20 +14,19 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use farm_almanac::compile::{CompiledMachine, CompiledTask};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
 use farm_placement::build::{task_rows, Scope, TaskRows};
-use farm_placement::delta::{replan_delta, DeltaReport, ReplanDelta, SolveState};
+use farm_placement::delta::{replan_delta_traced, DeltaReport, ReplanDelta, SolveState};
 use farm_placement::heuristic::HeuristicOptions;
 use farm_placement::model::{
     validate_capacity, validate_seats, LogAt, PlacementInstance, PlacementResult,
     PreviousPlacement, Seats, SwitchList,
 };
 use farm_soil::{SeedId, SeedSnapshot};
-use farm_telemetry::{Histogram, Telemetry};
+use farm_telemetry::{Histogram, SpanLog, Telemetry};
 
 /// Stable identity of one seed across re-optimizations.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,12 +84,6 @@ pub struct Plan {
     /// How much of the solve was served from the incremental solver's
     /// memo (see [`farm_placement::delta::replan_delta`]).
     pub delta: DeltaReport,
-    /// µs of catalog splices and solver-memory remaps since the last
-    /// round: the samples `seeder.splice_us` took (0 without telemetry).
-    pub splice_us: u64,
-    /// µs of the whole round, solve ([`PlacementResult::runtime`]) and
-    /// commit: the sample `farm.replan_us` took. Set by `Farm::replan`.
-    pub round_us: u64,
 }
 
 /// One placed seed: where it is, what it holds, and the name its soil
@@ -333,8 +326,6 @@ pub struct Seeder {
     /// `seeder.splice_us`: one catalog splice and the solver memory's
     /// remap, per registration or removal.
     splice_us: Option<Arc<Histogram>>,
-    /// What `splice_us` sampled since the last [`Seeder::plan`].
-    spliced_us: u64,
 }
 
 impl Seeder {
@@ -351,16 +342,16 @@ impl Seeder {
     }
 
     /// Splices `name`'s rows ([`Catalog::splice`]) and remaps the solver
-    /// memory to the new numbering, timed into `seeder.splice_us`.
-    /// Returns the records of the seeds spliced out.
-    fn splice(&mut self, name: &str, new: Option<NewTask>) -> Vec<Placed> {
-        let started = Instant::now();
+    /// memory to the new numbering: span `splice` of `spans`, whose
+    /// duration `seeder.splice_us` samples. Returns the records of the
+    /// seeds spliced out.
+    fn splice(&mut self, name: &str, new: Option<NewTask>, spans: &mut SpanLog) -> Vec<Placed> {
+        let started = spans.start();
         let (map, gone) = self.catalog.splice(name, new);
         self.solver_state.remap(&map);
+        let spliced = spans.end("splice", started);
         if let Some(h) = &self.splice_us {
-            let us = started.elapsed().as_micros() as u64;
-            h.record(us);
-            self.spliced_us += us;
+            h.record(spliced.as_micros() as u64);
         }
         gone
     }
@@ -381,26 +372,27 @@ impl Seeder {
     pub(crate) fn register_task(
         &mut self,
         task: CompiledTask,
+        spans: &mut SpanLog,
     ) -> Result<Option<Vec<Placed>>, String> {
         let name = task.name.clone();
         // A same-named task's rows start where the new ones will once it
         // is removed.
         let (at, t) = self.catalog.position(&name);
         let rows = task_rows(&task, t, at.start)?;
-        let replaced = self.remove_task(&name);
+        let replaced = self.remove_task(&name, spans);
         let machines = task.machines.into_iter().map(Arc::new).collect();
-        self.splice(&name, Some((rows, machines)));
+        self.splice(&name, Some((rows, machines)), spans);
         Ok(replaced)
     }
 
     /// Removes a task from the catalog together with its placement
     /// memory and returns its seed records in key order, for the caller
     /// to undeploy; `None` when no task of that name is registered.
-    pub(crate) fn remove_task(&mut self, name: &str) -> Option<Vec<Placed>> {
+    pub(crate) fn remove_task(&mut self, name: &str, spans: &mut SpanLog) -> Option<Vec<Placed>> {
         self.catalog.task(name)?;
         // The task's seed indices vanish: the remap drops every switch
         // log and LP output that mentions them.
-        Some(self.splice(name, None))
+        Some(self.splice(name, None, spans))
     }
 
     /// Whether a task of that name is registered.
@@ -573,7 +565,9 @@ impl Seeder {
     /// to a from-scratch solve, reuse only buys time. A seed with no
     /// live candidate holds its seat ([`Plan::held`]): it neither drops
     /// its task nor appears in the actions.
-    pub(crate) fn plan(&mut self, live: &SwitchList) -> Plan {
+    ///
+    /// The solver's phases are spans of `spans` and timed on its clock.
+    pub(crate) fn plan(&mut self, live: &SwitchList, spans: &mut SpanLog) -> Plan {
         // The catalog's seats are the previous placement: they go to the
         // round as they are, and come back after the diff.
         let seats = &mut self.catalog.seats;
@@ -589,12 +583,13 @@ impl Seeder {
         } = &mut self.catalog;
         // A definition change is always a splice, which the remap has
         // already shown the memory: nothing is left to declare dirty.
-        let (result, report) = replan_delta(
+        let (result, report) = replan_delta_traced(
             instance,
             HeuristicOptions::default(),
             &mut self.solver_state,
             &ReplanDelta::default(),
             self.telemetry.as_ref(),
+            spans,
         );
 
         let mut actions = Vec::new();
@@ -654,8 +649,6 @@ impl Seeder {
             dropped_tasks,
             held: held_keys,
             delta: report,
-            splice_us: std::mem::take(&mut self.spliced_us),
-            round_us: 0,
         }
     }
 
@@ -791,7 +784,9 @@ mod tests {
         let hh = farm_almanac::programs::HEAVY_HITTER;
         let task = compile_task("hh", hh, &Default::default(), &SdnController::new(&topo));
         let mut seeder = Seeder::new();
-        seeder.register_task(task.unwrap()).unwrap();
+        seeder
+            .register_task(task.unwrap(), &mut SpanLog::wall())
+            .unwrap();
         (seeder, capacities(&topo))
     }
 
@@ -807,7 +802,7 @@ mod tests {
     #[test]
     fn first_plan_deploys_every_seed() {
         let (mut seeder, caps) = hh_seeder();
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         assert_eq!(plan.actions.len(), 5);
         assert_eq!(deploys(&plan), 5);
         commit_all(&mut seeder, &plan);
@@ -817,9 +812,9 @@ mod tests {
     #[test]
     fn replanning_unchanged_world_is_a_noop() {
         let (mut seeder, caps) = hh_seeder();
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         commit_all(&mut seeder, &plan);
-        let plan2 = seeder.plan(&caps);
+        let plan2 = seeder.plan(&caps, &mut SpanLog::wall());
         let disruptive: Vec<_> = plan2
             .actions
             .iter()
@@ -839,20 +834,20 @@ mod tests {
     #[test]
     fn removing_a_task_undeploys_its_seeds() {
         let (mut seeder, caps) = hh_seeder();
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         commit_all(&mut seeder, &plan);
-        assert!(seeder.remove_task("hh").is_some());
+        assert!(seeder.remove_task("hh", &mut SpanLog::wall()).is_some());
         // With the task gone from the catalog the plan no longer knows the
         // seeds; the Farm facade undeploys orphans (see farm.rs). The
         // seeder itself reports no actions for unknown keys.
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         assert!(plan.actions.is_empty());
     }
 
     #[test]
     fn evicting_a_switch_forgets_only_its_seeds() {
         let (mut seeder, caps) = hh_seeder();
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         commit_all(&mut seeder, &plan);
         let total = seeder.placements().count();
         let victim = seeder.placements().next().unwrap().1;
@@ -862,13 +857,16 @@ mod tests {
         assert_eq!(seeder.placements().count(), total - evicted.len());
         assert!(seeder.placements().all(|(_, n, _)| n != victim));
         // The next plan re-deploys exactly the evicted seeds.
-        assert_eq!(deploys(&seeder.plan(&caps)), evicted.len());
+        assert_eq!(
+            deploys(&seeder.plan(&caps, &mut SpanLog::wall())),
+            evicted.len()
+        );
     }
 
     #[test]
     fn a_lost_soils_rows_keep_their_seats_but_answer_to_no_id() {
         let (mut seeder, caps) = hh_seeder();
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         commit_all(&mut seeder, &plan);
         let victim = seeder.placements().next().unwrap().1;
         let rows: Vec<(SeedKey, SeedId)> = (seeder.table())
@@ -885,7 +883,7 @@ mod tests {
         }
         assert_eq!(seeder.key_of(p.switch, p.id), Some(&other));
         // Still residents: the round deploys nothing in their place.
-        let plan = seeder.plan(&caps);
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         assert_eq!(deploys(&plan), 0, "{:?}", plan.actions);
         assert_eq!(seeder.evict_switch(victim), rows);
     }
@@ -893,15 +891,15 @@ mod tests {
     #[test]
     fn warm_replans_reuse_the_solver_memo() {
         let (mut seeder, caps) = hh_seeder();
-        let p1 = seeder.plan(&caps);
+        let p1 = seeder.plan(&caps, &mut SpanLog::wall());
         assert!(!p1.delta.warm, "first plan is cold");
         commit_all(&mut seeder, &p1);
-        let p2 = seeder.plan(&caps);
+        let p2 = seeder.plan(&caps, &mut SpanLog::wall());
         assert!(p2.delta.warm);
         commit_all(&mut seeder, &p2);
         // By the third round the world is stable: the LP outputs round
         // two stored must serve round three.
-        let p3 = seeder.plan(&caps);
+        let p3 = seeder.plan(&caps, &mut SpanLog::wall());
         assert!(p3.delta.warm);
         assert!(
             p3.delta.reused > 0 && !p3.delta.fallback_full,
@@ -916,8 +914,10 @@ mod tests {
         let (topo, src) = (fabric(), farm_almanac::programs::TRAFFIC_CHANGE);
         let ctl = SdnController::new(&topo);
         let task = compile_task("traffic-change", src, &Default::default(), &ctl);
-        seeder.register_task(task.unwrap()).unwrap();
-        let plan = seeder.plan(&caps);
+        seeder
+            .register_task(task.unwrap(), &mut SpanLog::wall())
+            .unwrap();
+        let plan = seeder.plan(&caps, &mut SpanLog::wall());
         // Both `place all` tasks: 5 + 5 deployments.
         assert_eq!(plan.actions.len(), 10);
         assert!(plan.dropped_tasks.is_empty());
@@ -1108,10 +1108,10 @@ mod tests {
                 let mut snaps = Snapshots::new();
                 for (step, (name, program, mask, lose, write)) in steps.into_iter().enumerate() {
                     let (gone, had) = if program < PROGRAMS.len() {
-                        let gone = seeder.register_task(compiled(name, program)).unwrap();
+                        let gone = seeder.register_task(compiled(name, program), &mut SpanLog::wall()).unwrap();
                         (gone, table.insert(name, program))
                     } else {
-                        (seeder.remove_task(NAMES[name]), table.remove(&name))
+                        (seeder.remove_task(NAMES[name], &mut SpanLog::wall()), table.remove(&name))
                     };
                     assert_eq!(gone.is_some(), had.is_some());
                     // The records handed back are the task's, in key order.
@@ -1126,7 +1126,7 @@ mod tests {
 
                     let mut fresh = Seeder::new();
                     for (&n, &p) in &table {
-                        fresh.register_task(compiled(n, p)).unwrap();
+                        fresh.register_task(compiled(n, p), &mut SpanLog::wall()).unwrap();
                     }
                     for (key, &(to, alloc, id)) in &model {
                         let key = key.clone();
@@ -1135,8 +1135,8 @@ mod tests {
                     for (i, &(n, c)) in all.iter().enumerate() {
                         live.set(n, (mask & (1 << i) != 0).then_some(c));
                     }
-                    let plan = seeder.plan(&live);
-                    assert_same_plan(&plan, &fresh.plan(&live));
+                    let plan = seeder.plan(&live, &mut SpanLog::wall());
+                    assert_same_plan(&plan, &fresh.plan(&live, &mut SpanLog::wall()));
                     commit(&mut seeder, &mut model, &plan);
                     check_catalog(&seeder, &table, &model, &snaps);
                     if let Some(&(n, _)) = all.get(lose) {

@@ -6,7 +6,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use farm_ctl::CtlClient;
-use farm_net::{ControlOp, ControlReply, Explain, NetError, SeedDescriptor};
+use farm_net::{ControlOp, ControlReply, NetError, SeedDescriptor};
 use farm_telemetry::Json;
 
 const USAGE: &str = "\
@@ -18,8 +18,9 @@ USAGE:
 COMMANDS:
     submit <file.alm> [--name <task>] [--explain]
                                         Compile and deploy a program;
-                                        --explain adds where its time
-                                        went and what the solve reused
+                                        --explain adds its op's trace:
+                                        where its time went and what
+                                        the solve reused
     list [--from <i>] [--limit <n>]     List deployed seeds (paged when
                                         --limit is given: farmctl keeps
                                         following next_index until done)
@@ -108,52 +109,100 @@ fn main() -> ExitCode {
         }
     }
     let trace = matches!(op, ControlOp::Trace { .. });
+    let explain = command == "submit" && rest.iter().any(|a| a == "--explain");
     match session.op(op) {
         Ok(ControlReply::Json { body }) if trace && !json => print_trace(&body),
+        Ok(reply @ ControlReply::Submitted { .. }) if explain => {
+            explain_submit(&mut session, &reply, json)
+        }
         Ok(reply) => render(&reply, json),
         Err(e) => fail(&format!("{addr}: {e}")),
     }
 }
 
-/// A `trace` body as one block per op: its id and kind (and the op of
-/// the sender it was a part of, on a pod fedd fanned out to), then its spans
-/// by start, each indented under the spans that enclose it (a span that
-/// starts where another ends follows it).
-fn print_trace(body: &str) -> ExitCode {
-    let Ok(doc) = Json::parse(body) else {
-        return fail(&format!("unreadable trace body: {body}"));
-    };
+/// The ops of a `trace` body, oldest first.
+fn trace_ops(body: &str) -> Result<Vec<Json>, String> {
+    let doc = Json::parse(body).map_err(|_| format!("unreadable trace body: {body}"))?;
     let ops = doc.get("ops").and_then(Json::as_arr).unwrap_or_default();
+    Ok(ops.to_vec())
+}
+
+/// A `trace` body as one block per op ([`print_op`]).
+fn print_trace(body: &str) -> ExitCode {
+    let ops = match trace_ops(body) {
+        Ok(ops) => ops,
+        Err(e) => return fail(&e),
+    };
     if ops.is_empty() {
         println!("no such op in the trace ring");
         return ExitCode::FAILURE;
     }
-    for op in ops {
-        let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_default();
-        let kind = op.get("kind").and_then(Json::as_str).unwrap_or("?");
-        match field(op, "parent") {
-            0 => println!("op {} {kind}", field(op, "id")),
-            parent => println!("op {} {kind} (part of op {parent})", field(op, "id")),
+    ops.iter().for_each(print_op);
+    ExitCode::SUCCESS
+}
+
+/// One traced op: its id and kind (and the op of the sender it was a
+/// part of, on a pod fedd fanned out to), then its spans by start, each
+/// indented under the spans that enclose it (a span that starts where
+/// another ends follows it), then its counts, if it has any.
+fn print_op(op: &Json) {
+    let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or_default();
+    let kind = op.get("kind").and_then(Json::as_str).unwrap_or("?");
+    match field(op, "parent") {
+        0 => println!("op {} {kind}", field(op, "id")),
+        parent => println!("op {} {kind} (part of op {parent})", field(op, "id")),
+    }
+    let spans = op.get("spans").and_then(Json::as_arr).unwrap_or_default();
+    let mut spans: Vec<(u64, u64, usize, &str)> = (spans.iter().enumerate())
+        .map(|(i, s)| {
+            let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
+            (field(s, "start_us"), field(s, "end_us"), i, name)
+        })
+        .collect();
+    // A span is recorded when it ends, so of two with the same bounds
+    // the later one encloses the earlier.
+    spans.sort_by_key(|&(start, end, i, _)| (start, Reverse(end), Reverse(i)));
+    let mut open: Vec<u64> = Vec::new();
+    for (start, end, _, name) in spans {
+        while open.last().is_some_and(|&e| start >= e || end > e) {
+            open.pop();
         }
-        let spans = op.get("spans").and_then(Json::as_arr).unwrap_or_default();
-        let mut spans: Vec<(u64, u64, usize, &str)> = (spans.iter().enumerate())
-            .map(|(i, s)| {
-                let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
-                (field(s, "start_us"), field(s, "end_us"), i, name)
-            })
+        let indent = "  ".repeat(open.len() + 1);
+        println!("{indent}{name:<17} {start:>8} .. {end:>8} us");
+        open.push(end);
+    }
+    let counts = op.get("counts").and_then(Json::as_obj).unwrap_or_default();
+    if !counts.is_empty() {
+        let counts: Vec<String> = (counts.iter())
+            .map(|(name, n)| format!("{name} {}", n.as_u64().unwrap_or_default()))
             .collect();
-        // A span is recorded when it ends, so of two with the same bounds
-        // the later one encloses the earlier.
-        spans.sort_by_key(|&(start, end, i, _)| (start, Reverse(end), Reverse(i)));
-        let mut open: Vec<u64> = Vec::new();
-        for (start, end, _, name) in spans {
-            while open.last().is_some_and(|&e| start >= e || end > e) {
-                open.pop();
-            }
-            let indent = "  ".repeat(open.len() + 1);
-            println!("{indent}{name:<12} {start:>8} .. {end:>8} us");
-            open.push(end);
-        }
+        println!("  counts: {}", counts.join(", "));
+    }
+}
+
+/// `submit --explain`: the reply, then the newest `submit` op of the
+/// daemon's trace ring, read on the same session — printed as `trace`
+/// prints it, or as the reply's JSON with the op as its `trace` member.
+fn explain_submit(session: &mut Session, reply: &ControlReply, json: bool) -> ExitCode {
+    let ops = match session.op(ControlOp::Trace { id: 0 }) {
+        Ok(ControlReply::Json { body }) => trace_ops(&body),
+        Ok(other) => return render(&other, json),
+        Err(e) => return fail(&format!("{}: {e}", session.addr)),
+    };
+    let ops = match ops {
+        Ok(ops) => ops,
+        Err(e) => return fail(&e),
+    };
+    let submit = |op: &&Json| op.get("kind").and_then(Json::as_str) == Some("submit");
+    let Some(op) = ops.iter().rev().find(submit) else {
+        return fail("the trace ring holds no submit");
+    };
+    if json {
+        let doc = Json::parse(&reply_json(reply)).map(|doc| doc.with("trace", op.clone()));
+        println!("{}", doc.expect("a reply's own JSON parses"));
+    } else {
+        render(reply, false);
+        print_op(op);
     }
     ExitCode::SUCCESS
 }
@@ -262,11 +311,7 @@ fn build_op(command: &str, args: &[String]) -> Result<ControlOp, String> {
                     .map(|s| s.to_string_lossy().into_owned())
                     .unwrap_or_default(),
             };
-            if args.iter().any(|a| a == "--explain") {
-                Ok(ControlOp::ExplainSubmit { name, source })
-            } else {
-                Ok(ControlOp::SubmitProgram { name, source })
-            }
+            Ok(ControlOp::SubmitProgram { name, source })
         }
         "list" => {
             let (from_index, limit) = cursor_args(args)?;
@@ -348,35 +393,7 @@ fn render(reply: &ControlReply, json: bool) -> ExitCode {
             task,
             seeds,
             actions,
-            explain,
-        } => {
-            println!("submitted `{task}`: {seeds} seeds placed in {actions} plan actions");
-            if let Some(e) = explain {
-                let d = &e.delta;
-                println!(
-                    "explain: compile {} us, admission {} us, splice+remap {} us, \
-                     replan_delta {} us, commit {} us; {} solve: {}/{} LP switches ran, \
-                     {} reused, steps {} visited {} executed {} replayed {} cascaded, \
-                     {} switches a probe built or viewed, {} evaluations made, {} relocated",
-                    e.compile_us,
-                    e.admission_us,
-                    e.splice_us,
-                    e.replan_delta_us,
-                    e.commit_us,
-                    if d.warm { "warm" } else { "cold" },
-                    d.frontier,
-                    d.lp_switches,
-                    d.reused,
-                    d.steps_visited,
-                    d.steps_executed,
-                    d.steps_replayed,
-                    d.steps_cascaded,
-                    d.switches_read,
-                    d.pairs_evaluated,
-                    d.relocated,
-                );
-            }
-        }
+        } => println!("submitted `{task}`: {seeds} seeds placed in {actions} plan actions"),
         ControlReply::Seeds {
             seeds,
             next_index,
@@ -513,33 +530,6 @@ fn seed_json(s: &SeedDescriptor) -> Json {
         .with("alloc", s.alloc.to_vec())
 }
 
-fn explain_json(e: &Explain) -> Json {
-    let d = &e.delta;
-    let delta = Json::obj([
-        ("lp_switches", Json::from(d.lp_switches)),
-        ("frontier", Json::from(d.frontier)),
-        ("reused", Json::from(d.reused)),
-        ("fallback_full", Json::from(d.fallback_full)),
-        ("warm", Json::from(d.warm)),
-        ("steps_replayed", Json::from(d.steps_replayed)),
-        ("steps_executed", Json::from(d.steps_executed)),
-        ("steps_visited", Json::from(d.steps_visited)),
-        ("steps_cascaded", Json::from(d.steps_cascaded)),
-        ("switches_rebuilt", Json::from(d.switches_rebuilt)),
-        ("switches_read", Json::from(d.switches_read)),
-        ("pairs_evaluated", Json::from(d.pairs_evaluated)),
-        ("relocated", Json::from(d.relocated)),
-    ]);
-    Json::obj([
-        ("compile_us", Json::from(e.compile_us)),
-        ("admission_us", Json::from(e.admission_us)),
-        ("splice_us", Json::from(e.splice_us)),
-        ("replan_delta_us", Json::from(e.replan_delta_us)),
-        ("commit_us", Json::from(e.commit_us)),
-        ("delta", delta),
-    ])
-}
-
 /// `{"status": <status>}`, the first member of most replies.
 fn status(status: &str) -> Json {
     Json::obj([("status", Json::from(status))])
@@ -554,17 +544,10 @@ fn reply_json(reply: &ControlReply) -> String {
             task,
             seeds,
             actions,
-            explain,
-        } => {
-            let doc = status("submitted")
-                .with("task", task)
-                .with("seeds", *seeds)
-                .with("actions", *actions);
-            match explain {
-                Some(e) => doc.with("explain", explain_json(e)),
-                None => doc,
-            }
-        }
+        } => status("submitted")
+            .with("task", task)
+            .with("seeds", *seeds)
+            .with("actions", *actions),
         ControlReply::Seeds {
             seeds,
             next_index,

@@ -18,8 +18,9 @@
 //! `<prefix>.op.<kind>`, `<prefix>.rejected`, `<prefix>.op_latency_us`.
 //! It is also traced: its trace id is seeded from the request's
 //! correlation id, and its spans — `serve` around the whole op, and what
-//! the core records ([`Core::serve`]) — go to a ring of the last 256
-//! ops, which [`ControlOp::Trace`] reads (`farmctl trace`). An op that
+//! the core records ([`Core::serve`]) — and its counts go to a ring of
+//! the last 256 ops, which [`ControlOp::Trace`] reads (`farmctl trace`,
+//! `farmctl submit --explain`). An op that
 //! arrives as a [`ControlOp::Traced`] part of another daemon's op is
 //! served as itself and names that op as its parent.
 //! A `Shutdown` op (or a signal, seen at the next turn, or
@@ -39,7 +40,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use farm_net::{ControlOp, ControlReply, Envelope, Frame, Links, Peers, Reactor};
-use farm_telemetry::{Counter, Histogram, Json, Span, Telemetry};
+use farm_telemetry::{Counter, Histogram, Json, Recorded, Span, Telemetry};
 
 use crate::config::{err, ConfigError, ServerConfig};
 
@@ -66,9 +67,10 @@ pub trait Core: Sized + 'static {
     /// its clock.
     fn links(&self) -> &Self::Peers;
     /// Serves one op at `now`, appending what it records of the op's
-    /// phases to `spans`, timed on the core's clock from `now`. Total:
-    /// every failure becomes a structured reply, never a panic.
-    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply;
+    /// phases and counts to `recorded`, timed on the core's clock from
+    /// `now`. Total: every failure becomes a structured reply, never a
+    /// panic.
+    fn serve(&mut self, op: &ControlOp, now: Instant, recorded: &mut Recorded) -> ControlReply;
     /// Learns the trace id of the op it is about to serve: what fedd
     /// names as the parent of the requests its fan-out sends.
     fn traced(&mut self, _id: u64) {}
@@ -85,7 +87,7 @@ pub trait Core: Sized + 'static {
 /// Longest wait of one turn, ms: the core's tick cadence while idle.
 pub const TURN_MS: i32 = 5;
 
-/// Ops whose spans a daemon keeps ([`ControlOp::Trace`]).
+/// Ops whose spans and counts a daemon keeps ([`ControlOp::Trace`]).
 const TRACE_RING: usize = 256;
 
 /// One served op in the trace ring.
@@ -96,7 +98,7 @@ struct OpTrace {
     parent: u64,
     /// When it started, µs on the core's clock since the dispatch began.
     at_us: u64,
-    spans: Vec<Span>,
+    recorded: Recorded,
 }
 
 /// The spans of the last [`TRACE_RING`] ops, oldest first, and how many
@@ -124,12 +126,14 @@ impl TraceRing {
     }
 
     /// The JSON body that answers [`ControlOp::Trace`]: op `id`, or every
-    /// op held for `id` 0, oldest first.
+    /// op held for `id` 0, oldest first, each with its spans and the
+    /// object of its counts.
     fn body(&self, id: u64) -> String {
         let ops = (self.ops.iter())
             .filter(|op| id == 0 || op.id == id)
             .map(|op| {
-                let spans = op.spans.iter().map(|s| {
+                let counts = (op.recorded.counts.iter()).map(|&(name, n)| (name, Json::from(n)));
+                let spans = op.recorded.spans.iter().map(|s| {
                     Json::obj([
                         ("name", Json::from(s.name)),
                         ("start_us", Json::from(s.start_us)),
@@ -142,6 +146,7 @@ impl TraceRing {
                     ("parent", Json::from(op.parent)),
                     ("at_us", Json::from(op.at_us)),
                     ("spans", Json::Arr(spans.collect())),
+                    ("counts", Json::obj(counts)),
                 ])
             });
         Json::obj([("ops", Json::Arr(ops.collect()))]).to_string()
@@ -207,11 +212,11 @@ impl Dispatch {
         }
         let id = self.ring.borrow_mut().next_id(env.corr);
         core.traced(id);
-        let mut spans = Vec::new();
-        let reply = core.serve(op, started, &mut spans);
+        let mut recorded = Recorded::default();
+        let reply = core.serve(op, started, &mut recorded);
         let ended = core.links().now();
         let elapsed_us = (ended - started).as_micros() as u64;
-        spans.push(Span {
+        recorded.spans.push(Span {
             name: "serve",
             start_us: 0,
             end_us: elapsed_us,
@@ -221,7 +226,7 @@ impl Dispatch {
             kind,
             parent,
             at_us: (started - self.epoch).as_micros() as u64,
-            spans,
+            recorded,
         });
         self.latency.record(elapsed_us);
         let outcome = match &reply {

@@ -18,16 +18,16 @@ use std::time::{Duration, Instant};
 
 use farm_almanac::compile::compile_task_with_diagnostics;
 use farm_core::prelude::*;
-use farm_core::seeder::{is_task_name, Plan, SeedKey};
+use farm_core::seeder::{is_task_name, SeedKey};
 use farm_core::SeedView;
 use farm_net::{
     decode_checkpoint, encode_checkpoint_doc, Answer, CheckpointDoc, ControlOp, ControlReply,
-    DeltaCounts, Diagnostic, Explain, Frame, LinkId, Links, Peers, SeedDescriptor, SeedSnapshot,
+    Diagnostic, Frame, LinkId, Links, Peers, SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::controller::SdnController;
 use farm_netsim::switch::{Resources, SwitchModel};
 use farm_netsim::types::SwitchId;
-use farm_telemetry::{Counter, Gauge, Json, Snapshot, Span, SpanLog};
+use farm_telemetry::{Counter, Gauge, Json, Recorded, Snapshot, SpanLog};
 
 use crate::ckpt;
 use crate::config::{FarmdConfig, ServerConfig};
@@ -276,7 +276,7 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
             ckpt_at: now,
         };
         if core.config.restore_on_boot && core.config.checkpoint_path.is_some() {
-            match restore(&mut core) {
+            match restore(&mut core, (now, &mut Recorded::default())) {
                 ControlReply::Restored { seeds, skipped } if seeds > 0 || skipped > 0 => {
                     eprintln!("farmd: boot restore: {seeds} seed(s) restored, {skipped} skipped");
                 }
@@ -302,10 +302,12 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
     }
 
     /// A Submit records `compile`, `admission` and the farm's phases
-    /// (`register`, `replan` with its `plan`, `commit` and each `plant`
-    /// and `migrate`), a Drain or an Uncordon the farm's round.
-    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply {
-        serve_op(self, op, now, spans)
+    /// (`register` with each `splice`, `replan` with its `plan` and the
+    /// solver's phases in it, `commit` and each `plant` and `migrate`)
+    /// and counts its round; a Drain, an Uncordon or a Replan records
+    /// the farm's round.
+    fn serve(&mut self, op: &ControlOp, now: Instant, recorded: &mut Recorded) -> ControlReply {
+        serve_op(self, op, (now, recorded))
     }
 
     fn tick(&mut self, now: Instant) {
@@ -322,13 +324,16 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
                 self.last_tick = now;
                 let since_boot = now.saturating_duration_since(self.booted);
                 let target = Time::ZERO + Dur::from_nanos(since_boot.as_nanos() as u64);
-                self.farm.advance(target);
+                let clock = || self.links.now();
+                self.farm
+                    .advance_traced(target, &mut SpanLog::timing(&clock));
             }
         }
         if let Some(every) = self.config.replan_interval {
             if now.saturating_duration_since(self.last_replan) >= every {
                 self.last_replan = now;
-                let _ = self.farm.replan();
+                let clock = || self.links.now();
+                let _ = self.farm.replan_traced(&mut SpanLog::timing(&clock));
             }
         }
         if let Some(every) = self.config.checkpoint_interval {
@@ -360,21 +365,17 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
 }
 
 /// Serves one control op against the farm, served at `now`, and appends
-/// its spans to `spans`. Total: every failure becomes a structured
-/// reply, never a panic.
+/// what it records to `recorded`. Total: every failure becomes a
+/// structured reply, never a panic.
 fn serve_op<P: Peers>(
     core: &mut Core<P>,
     op: &ControlOp,
-    now: Instant,
-    spans: &mut Vec<Span>,
+    at: (Instant, &mut Recorded),
 ) -> ControlReply {
     let farm = &mut core.farm;
     match op {
-        ControlOp::SubmitProgram { name, source } => {
-            submit(core, name, source, false, (now, spans))
-        }
-        ControlOp::ExplainSubmit { name, source } => submit(core, name, source, true, (now, spans)),
-        ControlOp::Drain { switch } => traced(core, (now, spans), |farm, log| {
+        ControlOp::SubmitProgram { name, source } => submit(core, name, source, at),
+        ControlOp::Drain { switch } => traced(core, at, |farm, log| {
             match farm.drain_traced(SwitchId(*switch), log) {
                 Ok((_, evacuated)) => ControlReply::Drained {
                     switch: *switch,
@@ -385,7 +386,7 @@ fn serve_op<P: Peers>(
                 },
             }
         }),
-        ControlOp::Uncordon { switch } => traced(core, (now, spans), |farm, log| {
+        ControlOp::Uncordon { switch } => traced(core, at, |farm, log| {
             match farm.uncordon_traced(SwitchId(*switch), log) {
                 Ok(_) => ControlReply::Ok,
                 Err(e) => ControlReply::Rejected {
@@ -401,7 +402,7 @@ fn serve_op<P: Peers>(
         ControlOp::MetricsDump => ControlReply::Json {
             body: metrics_json(&farm.telemetry().snapshot()).to_string(),
         },
-        ControlOp::Replan => match farm.replan() {
+        ControlOp::Replan => traced(core, at, |farm, log| match farm.replan_traced(log) {
             Ok(plan) => ControlReply::Replanned {
                 actions: plan.actions.len() as u64,
                 dropped_tasks: plan.dropped_tasks.len() as u64,
@@ -409,9 +410,9 @@ fn serve_op<P: Peers>(
             Err(e) => ControlReply::Rejected {
                 reason: e.to_string(),
             },
-        },
+        }),
         ControlOp::Checkpoint => checkpoint(core),
-        ControlOp::Restore => restore(core),
+        ControlOp::Restore => restore(core, at),
         ControlOp::Audit => ControlReply::Audited {
             findings: farm.audit().findings,
         },
@@ -421,14 +422,14 @@ fn serve_op<P: Peers>(
             name,
             source,
             seeds,
-        } => submit_with_snapshot(core, name, source, seeds, (now, spans)),
+        } => submit_with_snapshot(core, name, source, seeds, at),
         ControlOp::RemoveTask { task } => {
             if !farm.seeder().has_task(task) {
                 return ControlReply::Rejected {
                     reason: format!("no task `{task}`"),
                 };
             }
-            match farm.remove_task(task) {
+            match traced(core, at, |farm, log| farm.remove_task_traced(task, log)) {
                 Ok(()) => {
                     core.programs.remove(task);
                     ControlReply::Ok
@@ -457,18 +458,15 @@ fn serve_op<P: Peers>(
 }
 
 /// Runs `serve` on the farm with a span log timed on the core's peers'
-/// clock from `now`, and appends what it recorded to `spans`.
-fn traced<P: Peers>(
+/// clock from `now`, which appends to `recorded`.
+fn traced<P: Peers, R>(
     core: &mut Core<P>,
-    (now, spans): (Instant, &mut Vec<Span>),
-    serve: impl FnOnce(&mut Farm, &mut SpanLog) -> ControlReply,
-) -> ControlReply {
+    (now, recorded): (Instant, &mut Recorded),
+    serve: impl FnOnce(&mut Farm, &mut SpanLog) -> R,
+) -> R {
     let Core { farm, links, .. } = core;
     let clock = || links.now();
-    let mut log = SpanLog::on(&clock, now);
-    let reply = serve(farm, &mut log);
-    spans.extend(log.finish());
-    reply
+    serve(farm, &mut SpanLog::on(&clock, now, recorded))
 }
 
 /// `ExportTask` (the migration export leg): checkpoint the task's live
@@ -506,9 +504,9 @@ fn submit_with_snapshot<P: Peers>(
     name: &str,
     source: &str,
     seeds: &[(String, SeedSnapshot)],
-    traced: (Instant, &mut Vec<Span>),
+    at: (Instant, &mut Recorded),
 ) -> ControlReply {
-    let submitted = submit(core, name, source, false, traced);
+    let submitted = submit(core, name, source, at);
     if !matches!(submitted, ControlReply::Submitted { .. }) {
         return submitted;
     }
@@ -518,14 +516,13 @@ fn submit_with_snapshot<P: Peers>(
 }
 
 /// `SubmitProgram`: size gate → server-side compile with collected
-/// diagnostics → admission control → deploy. With `explain` the reply
-/// also says where the op's time went ([`explain_plan`]).
+/// diagnostics → admission control → deploy; compile, admission and the
+/// deploy's phases are spans of the op.
 fn submit<P: Peers>(
     core: &mut Core<P>,
     name: &str,
     source: &str,
-    explain: bool,
-    (now, spans): (Instant, &mut Vec<Span>),
+    (now, recorded): (Instant, &mut Recorded),
 ) -> ControlReply {
     let Core {
         farm,
@@ -553,16 +550,9 @@ fn submit<P: Peers>(
             ),
         };
     }
-    let us = |at: Instant| at.saturating_duration_since(now).as_micros() as u64;
-    let mut span = |name, start: Instant, end: Instant| {
-        let (start_us, end_us) = (us(start), us(end));
-        spans.push(Span {
-            name,
-            start_us,
-            end_us,
-        });
-    };
-    let began = links.now();
+    let clock = || links.now();
+    let log = &mut SpanLog::on(&clock, now, recorded);
+    let began = log.start();
     let task = {
         let ctl = SdnController::new(farm.network().topology());
         let report = compile_task_with_diagnostics(name, source, &BTreeMap::new(), &ctl);
@@ -585,22 +575,17 @@ fn submit<P: Peers>(
             }
         }
     };
-    let compiled = links.now();
-    span("compile", began, compiled);
-    if let Err(reason) = admission_check(farm, &task, config.quota) {
+    log.end("compile", began);
+    let admitted = log.start();
+    let admission = admission_check(farm, &task, config.quota);
+    log.end("admission", admitted);
+    if let Err(reason) = admission {
         return ControlReply::Rejected {
             reason: format!("task `{name}`: {reason}"),
         };
     }
-    let admitted = links.now();
-    span("admission", compiled, admitted);
-    let front = explain.then(|| (compiled - began, admitted - compiled));
     let seeds = task.num_seeds() as u64;
-    let clock = || links.now();
-    let mut log = SpanLog::on(&clock, now);
-    let deployed = farm.deploy_compiled_traced(task, &mut log);
-    spans.extend(log.finish());
-    match deployed {
+    match farm.deploy_compiled_traced(task, log) {
         Ok(plan) => {
             // Remember the source: checkpoints persist the catalog so a
             // restarted daemon can recompile and re-place every task.
@@ -609,41 +594,10 @@ fn submit<P: Peers>(
                 task: name.to_string(),
                 seeds,
                 actions: plan.actions.len() as u64,
-                explain: front.map(|(compile, admission)| explain_plan(&plan, compile, admission)),
             }
         }
         Err(e) => ControlReply::Rejected {
             reason: format!("task `{name}`: {e}"),
-        },
-    }
-}
-
-/// A Submit's [`Explain`]: compile and admission as `submit` timed
-/// them, the rest as the plan carries it — the `seeder.splice_us` and
-/// `farm.replan_us` samples, and the solver's own runtime.
-fn explain_plan(plan: &Plan, compile: Duration, admission: Duration) -> Explain {
-    let solve_us = plan.result.runtime.as_micros() as u64;
-    let d = &plan.delta;
-    Explain {
-        compile_us: compile.as_micros() as u64,
-        admission_us: admission.as_micros() as u64,
-        splice_us: plan.splice_us,
-        replan_delta_us: solve_us,
-        commit_us: plan.round_us.saturating_sub(solve_us),
-        delta: DeltaCounts {
-            lp_switches: d.lp_switches as u64,
-            frontier: d.frontier as u64,
-            reused: d.reused as u64,
-            fallback_full: d.fallback_full,
-            warm: d.warm,
-            steps_replayed: d.steps_replayed as u64,
-            steps_executed: d.steps_executed as u64,
-            steps_visited: d.steps_visited as u64,
-            steps_cascaded: d.steps_cascaded as u64,
-            switches_rebuilt: d.switches_rebuilt as u64,
-            switches_read: d.switches_read as u64,
-            pairs_evaluated: d.pairs_evaluated as u64,
-            relocated: d.relocated as u64,
         },
     }
 }
@@ -742,8 +696,12 @@ fn checkpoint<P: Peers>(core: &mut Core<P>) -> ControlReply {
 /// Entries whose seed key no longer parses, or names no seed of a
 /// registered task (its program record failed to recompile), are
 /// counted into `skipped` and the `ctl.restore_skipped` counter instead
-/// of vanishing, and the store does not keep them.
-fn restore<P>(core: &mut Core<P>) -> ControlReply {
+/// of vanishing, and the store does not keep them. Each redeploy is
+/// recorded as a Submit's deploy is.
+fn restore<P: Peers>(
+    core: &mut Core<P>,
+    (now, recorded): (Instant, &mut Recorded),
+) -> ControlReply {
     let telemetry = core.farm.telemetry().clone();
     let mut skipped = 0u64;
     if let Some(path) = core.config.checkpoint_path.clone() {
@@ -763,7 +721,7 @@ fn restore<P>(core: &mut Core<P>) -> ControlReply {
                         );
                     }
                     for (name, source) in &load.doc.programs {
-                        redeploy_program(core, name, source);
+                        redeploy_program(core, name, source, (now, recorded));
                     }
                     skipped = import_seed_entries(&mut core.farm, load.doc.seeds);
                 }
@@ -811,7 +769,12 @@ fn import_seed_entries(farm: &mut Farm, entries: Vec<(String, SeedSnapshot)>) ->
 /// crash recovery must restore every task it still can. Admission
 /// control is deliberately bypassed: these tasks were admitted before
 /// the restart.
-fn redeploy_program<P>(core: &mut Core<P>, name: &str, source: &str) {
+fn redeploy_program<P: Peers>(
+    core: &mut Core<P>,
+    name: &str,
+    source: &str,
+    at: (Instant, &mut Recorded),
+) {
     if core.farm.seeder().has_task(name) {
         core.programs
             .entry(name.to_string())
@@ -824,7 +787,7 @@ fn redeploy_program<P>(core: &mut Core<P>, name: &str, source: &str) {
         eprintln!("farmd: restore: program `{name}` no longer compiles; skipping");
         return;
     };
-    match core.farm.deploy_compiled(task) {
+    match traced(core, at, |farm, log| farm.deploy_compiled_traced(task, log)) {
         Ok(_) => {
             core.programs.insert(name.to_string(), source.to_string());
         }
@@ -1135,23 +1098,13 @@ mod tests {
             poll p = Poll { .ival = 10/res().PCIe, .what = port ANY };
             state s { util (res) { return 1; } when (p as stats) do { } } }";
         let mut core = <Core as daemon::Core>::boot(FarmdConfig::default(), Links::default());
-        let mut spans = Vec::new();
-        let reply = submit(
-            &mut core,
-            "w1",
-            UNPLANTABLE,
-            false,
-            (Instant::now(), &mut spans),
-        );
+        let mut recorded = Recorded::default();
+        let at = (Instant::now(), &mut recorded);
+        let reply = submit(&mut core, "w1", UNPLANTABLE, at);
         assert!(matches!(reply, ControlReply::Rejected { .. }), "{reply:?}");
         assert!(!core.farm.seeder().has_task("w1"));
-        let reply = submit(
-            &mut core,
-            "w1",
-            "machine M { place any; state s { } }",
-            false,
-            (Instant::now(), &mut spans),
-        );
+        let source = "machine M { place any; state s { } }";
+        let reply = submit(&mut core, "w1", source, (Instant::now(), &mut recorded));
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         assert!(core.programs.contains_key("w1"));
     }
@@ -1169,9 +1122,9 @@ mod tests {
             ("not-a-seed-key".to_string(), snap),
         ];
         let source = "machine M { place any; state s { } }";
-        let mut spans = Vec::new();
-        let traced = (Instant::now(), &mut spans);
-        let reply = submit_with_snapshot(&mut core, "w1", source, &seeds, traced);
+        let mut recorded = Recorded::default();
+        let at = (Instant::now(), &mut recorded);
+        let reply = submit_with_snapshot(&mut core, "w1", source, &seeds, at);
         assert!(matches!(reply, ControlReply::Submitted { .. }), "{reply:?}");
         let registry = core.farm.telemetry().snapshot();
         assert_eq!(registry.counter("ctl.restore_skipped"), 1);

@@ -33,7 +33,7 @@ use farm_ctl::stats::{page, StatsDoc};
 use farm_net::{
     ControlOp, ControlReply, Frame, LinkId, Links, NetError, Peers, PodInfo, SeedDescriptor,
 };
-use farm_telemetry::{Gauge, Json, Span, Telemetry};
+use farm_telemetry::{Gauge, Json, Recorded, Span, Telemetry};
 
 use crate::config::FeddConfig;
 use crate::registry::Registry;
@@ -108,11 +108,11 @@ impl<P: Peers + 'static> daemon::Core for Core<P> {
         self.serving.id = id;
     }
 
-    fn serve(&mut self, op: &ControlOp, now: Instant, spans: &mut Vec<Span>) -> ControlReply {
+    fn serve(&mut self, op: &ControlOp, now: Instant, recorded: &mut Recorded) -> ControlReply {
         self.serving.started = Some(now);
         let reply = serve_op(self, op, now);
         self.serving.started = None;
-        spans.append(&mut self.serving.spans);
+        recorded.spans.append(&mut self.serving.spans);
         reply
     }
 
@@ -149,10 +149,7 @@ fn serve_op<P: Peers>(core: &mut Core<P>, op: &ControlOp, now: Instant) -> Contr
             }
         }
         ControlOp::ListPods => list_pods(core, now),
-        // fedd has no phase times of its own to give yet.
-        ControlOp::SubmitProgram { name, source } | ControlOp::ExplainSubmit { name, source } => {
-            submit(core, name, source)
-        }
+        ControlOp::SubmitProgram { name, source } => submit(core, name, source),
         ControlOp::ListSeeds { from_index, limit } => list_seeds(core, *from_index, *limit),
         ControlOp::DescribeSeed { key } => describe(core, key),
         ControlOp::Stats { from_index, limit } => stats(core, *from_index, *limit),
@@ -531,7 +528,6 @@ fn submit<P: Peers>(core: &mut Core<P>, name: &str, source: &str) -> ControlRepl
         task: name.to_string(),
         seeds,
         actions,
-        explain: None,
     }
 }
 

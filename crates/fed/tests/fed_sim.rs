@@ -829,9 +829,9 @@ proptest! {
     }
 }
 
-/// A fixed script under a lossy, jittery wire. `Stats` and
-/// `MetricsDump` are left out: their bodies carry farm-core's
-/// wall-clock phase timers (`farm.replan_us`).
+/// A fixed script under a lossy, jittery wire, every op in it: the
+/// bodies of `Stats` and `MetricsDump` carry the phase times of each
+/// pod's farm, taken on the pod's virtual clock.
 fn scripted_trace(seed: u64) -> Vec<u8> {
     let mut sim = Sim::new(seed, Setup::default());
     sim.wire.borrow_mut().faults = Faults {
@@ -852,9 +852,13 @@ fn scripted_trace(seed: u64) -> Vec<u8> {
         Step::Submit(Place::Any),
         Step::Heal(1),
         Step::Wait(300),
+        Step::Stats,
+        Step::Metrics,
         Step::Uncordon(5),
         Step::Remove(1),
         Step::List,
+        Step::Stats,
+        Step::Metrics,
     ];
     for step in &script {
         run_step(&mut sim, &mut told, step);
@@ -869,4 +873,87 @@ fn the_same_seed_gives_the_same_trace_bytes() {
     assert!(first.len() > 10_000, "{} bytes", first.len());
     assert_eq!(first, scripted_trace(11));
     assert_ne!(first, scripted_trace(12));
+}
+
+#[path = "../../soil/tests/util/gen_machine.rs"]
+mod gen_machine;
+
+/// Holds every pod's farm to its own audit after `step`.
+fn audit_pods(sim: &Sim, step: &str) {
+    for (i, pod) in sim.pods.borrow().iter().enumerate() {
+        let report = pod.core.farm().audit();
+        assert!(
+            report.is_clean(),
+            "pod {} after {step}:\n{report}",
+            sim.names[i]
+        );
+    }
+}
+
+/// The whole path under generated machines, through fedd: the machines
+/// `crates/soil/tests/util/gen_machine.rs` makes of `seeds`, each its
+/// own task, are compiled and admitted (whole or split) by fedd onto
+/// the pods, which then tick; fedd checkpoints and restores every pod,
+/// with ticks after each. A refusal names its program, and every pod's
+/// farm passes its audit after every step.
+fn generated_machines_through_fedd(seeds: &[u64], ticks: &[u64]) {
+    let mut sim = Sim::new(seeds[0], Setup::default());
+    let tick = |sim: &mut Sim, after: &str| {
+        for &ms in ticks {
+            sim.run_for(Duration::from_millis(ms));
+            audit_pods(sim, &format!("{after}, a tick of {ms} ms"));
+        }
+    };
+    for (i, &seed) in seeds.iter().enumerate() {
+        let name = format!("g{i}");
+        let source = gen_machine::machine(seed);
+        let step = format!("submitting machine {seed} as {name}");
+        match sim.op(submit(&name, source.clone())) {
+            ControlReply::Submitted { task, .. } => assert_eq!(task, name),
+            ControlReply::Rejected { reason } => {
+                assert!(
+                    reason.contains(&name),
+                    "{step}: `{reason}` names no program"
+                );
+            }
+            reply => panic!("{step}: {reply:?}\n{source}"),
+        }
+        audit_pods(&sim, &step);
+    }
+    tick(&mut sim, "the submissions");
+    let reply = sim.op(ControlOp::Checkpoint);
+    assert!(
+        matches!(
+            reply,
+            ControlReply::Checkpointed {
+                persist_error: None,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    audit_pods(&sim, "the checkpoint");
+    tick(&mut sim, "the checkpoint");
+    let reply = sim.op(ControlOp::Restore);
+    assert!(
+        matches!(reply, ControlReply::Restored { skipped: 0, .. }),
+        "{reply:?}"
+    );
+    audit_pods(&sim, "the restore");
+    tick(&mut sim, "the restore");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One to three generated machines and one or two ticks of up to
+    /// 5 ms between the steps, as `tests/whole_path.rs` takes them
+    /// through one farmd.
+    #[test]
+    fn generated_machines_take_the_whole_path_through_fedd(
+        seeds in proptest::collection::vec(any::<u64>(), 1..4),
+        ticks in proptest::collection::vec(1u64..6, 1..3),
+    ) {
+        generated_machines_through_fedd(&seeds, &ticks);
+    }
 }

@@ -32,7 +32,8 @@
 //!   released peer may still send it, and must get that same typed
 //!   error rather than a different message. [`Frame`] tags 2–5 are
 //!   reserved (the retired `PollReport`, `HarvesterDirective`,
-//!   `SeedMessage` and `Migrate`).
+//!   `SeedMessage` and `Migrate`), and so is [`ControlOp`] tag 18 (the
+//!   retired `ExplainSubmit`, whose question `Trace` answers).
 //! * A field added to a released message goes after the `;` of its
 //!   variant, as a *trailing optional extension*: written only when it
 //!   differs from its default, read only when bytes remain, so the
@@ -249,10 +250,7 @@ wire_enum! {
         /// Remove a deployed task and its seeds (fedd → farmd; also the
         /// rollback path when a split deployment partially fails).
         17 "remove-task" RemoveTask { task: String },
-        /// [`ControlOp::SubmitProgram`], answered with the op's phase
-        /// times and solve report ([`ControlReply::Submitted`]'s
-        /// `explain`). fedd answers it as a plain submit.
-        18 "submit-explain" ExplainSubmit { name: String, source: String },
+        // 18: reserved (see the module docs).
         /// The spans of op `id` in the daemon's trace ring, or of every
         /// op it still holds for `id` 0, as a JSON body. Answered by the
         /// daemon skeleton, not the core.
@@ -343,48 +341,6 @@ wire_struct! {
     }
 }
 
-wire_struct! {
-    /// How much of a solve was served from the solver's memory: the
-    /// placement crate's `DeltaReport`, field for field but for
-    /// `pairs_read`, `runs_patched` and `probe_rows_read`, which stay in
-    /// process. `switches_read` counts the switches a probe built or
-    /// viewed.
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct DeltaCounts {
-        pub lp_switches: u64,
-        pub frontier: u64,
-        pub reused: u64,
-        pub fallback_full: bool,
-        pub warm: bool,
-        pub steps_replayed: u64,
-        pub steps_executed: u64,
-        pub steps_visited: u64,
-        pub steps_cascaded: u64,
-        pub switches_rebuilt: u64,
-        pub switches_read: u64,
-        pub pairs_evaluated: u64,
-        pub relocated: u64,
-    }
-}
-
-wire_struct! {
-    /// Where one Submit's time went, in µs, and what its solve reused
-    /// ([`ControlOp::ExplainSubmit`]).
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct Explain {
-        pub compile_us: u64,
-        pub admission_us: u64,
-        /// Catalog splice and solver-memory remap (`seeder.splice_us`).
-        pub splice_us: u64,
-        /// The solve. With `commit_us` it makes up the round that
-        /// `farm.replan_delta_us` samples.
-        pub replan_delta_us: u64,
-        /// Planting the plan's actions.
-        pub commit_us: u64,
-        pub delta: DeltaCounts,
-    }
-}
-
 wire_enum! {
     /// Answer to a [`ControlOp`], riding a [`Frame::ControlReply`].
     #[derive(Debug, Clone, PartialEq)]
@@ -396,9 +352,7 @@ wire_enum! {
             task: String,
             seeds: u64,
             /// Placement actions the deploying replan executed.
-            actions: u64;
-            /// Present when the op was [`ControlOp::ExplainSubmit`].
-            explain: Option<Explain>,
+            actions: u64,
         },
         /// ListSeeds answer: one page of the key-sorted listing. For a
         /// paginated request, `next_index` is the cursor of the next page

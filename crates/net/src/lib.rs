@@ -67,8 +67,8 @@ pub mod wire;
 pub use buf::{Decoded, FrameDecoder};
 pub use conn::{Connection, NetConfig, NetError};
 pub use frame::{
-    decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, DeltaCounts,
-    Diagnostic, Envelope, Explain, Frame, PodInfo, SeedDescriptor,
+    decode_body, decode_envelope, encode_envelope, ControlOp, ControlReply, Diagnostic, Envelope,
+    Frame, PodInfo, SeedDescriptor,
 };
 pub use link::{Answer, LinkId, Links, Peers};
 pub use reactor::Reactor;

@@ -13,8 +13,8 @@ use farm_almanac::value::{ActionValue, PacketRecord, RuleValue, StatEntry, StatS
 use farm_net::wire::WireError;
 use farm_net::{
     decode_checkpoint, decode_envelope, encode_checkpoint_doc, encode_envelope, CheckpointDoc,
-    ControlOp, ControlReply, Decoded, DeltaCounts, Diagnostic, Envelope, Explain, Frame,
-    FrameDecoder, PodInfo, SeedDescriptor, SeedSnapshot,
+    ControlOp, ControlReply, Decoded, Diagnostic, Envelope, Frame, FrameDecoder, PodInfo,
+    SeedDescriptor, SeedSnapshot,
 };
 use farm_netsim::switch::Resources;
 use farm_netsim::types::{FilterAtom, FilterFormula, FlowKey, Ipv4, PortSel, Prefix, Proto};
@@ -164,32 +164,6 @@ fn seeds_page(next_index: u64, total: u64) -> Envelope {
 
 const SOURCE: &str = "machine M { place any; state s { } }";
 
-/// Every field distinct, so a swapped pair shows in the bytes.
-fn explain() -> Explain {
-    Explain {
-        compile_us: 900,
-        admission_us: 3,
-        splice_us: 14,
-        replan_delta_us: 410,
-        commit_us: 95,
-        delta: DeltaCounts {
-            lp_switches: 5,
-            frontier: 2,
-            reused: 3,
-            fallback_full: false,
-            warm: true,
-            steps_replayed: 40,
-            steps_executed: 1,
-            steps_visited: 6,
-            steps_cascaded: 4,
-            switches_rebuilt: 7,
-            switches_read: 8,
-            pairs_evaluated: 300,
-            relocated: 9,
-        },
-    }
-}
-
 /// `(envelope, the bytes it travels as)`.
 #[rustfmt::skip]
 fn golden() -> Vec<(Envelope, &'static str)> {
@@ -225,14 +199,12 @@ fn golden() -> Vec<(Envelope, &'static str)> {
         (op(ControlOp::ExportTask { task: "mon".into() }), "09010900050f036d6f6e"),
         (op(ControlOp::SubmitWithSnapshot { name: "mon".into(), source: SOURCE.into(), seeds: vec![("mon/m0/s0".into(), snapshot()), ("mon/m0/s1".into(), snapshot())] }), "95010109000510036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d02096d6f6e2f6d302f73300001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d096d6f6e2f6d302f73310001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"),
         (op(ControlOp::RemoveTask { task: "mon".into() }), "090109000511036d6f6e"),
-        (op(ControlOp::ExplainSubmit { name: "mon".into(), source: SOURCE.into() }), "2e0109000512036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d"),
         (op(ControlOp::Trace { id: 4_294_967_297 }), "0a01090005138180808010"),
         (op(ControlOp::Audit), "050109000514"),
         (op(ControlOp::Traced { parent: 4_294_967_297, op: Box::new(ControlOp::Stats { from_index: 0, limit: 100 }) }), "0d01090005158180808010030064"),
         // ---- control replies ---------------------------------------
         (reply(ControlReply::Ok), "05010a010500"),
-        (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6, explain: None }), "0b010a010501036d6f6e0506"),
-        (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6, explain: Some(explain()) }), "20010a010501036d6f6e05068407030e9a035f0502030001280106040708ac0209"),
+        (reply(ControlReply::Submitted { task: "mon".into(), seeds: 5, actions: 6 }), "0b010a010501036d6f6e0506"),
         (reply(ControlReply::Seeds { seeds: vec![descriptor(), descriptor()], next_index: 0, total: 0 }), "78010a01050202096d6f6e2f6d302f7330036d6f6e014d02076f627365727665000000000000f03f000000000000594000000000000000000000000000002940096d6f6e2f6d302f7330036d6f6e014d02076f627365727665000000000000f03f000000000000594000000000000000000000000000002940"),
         (seeds_page(3, 0), "41010a01050201096d6f6e2f6d302f7330036d6f6e014d02076f627365727665000000000000f03f0000000000005940000000000000000000000000000029400300"),
         (seeds_page(0, 9), "41010a01050201096d6f6e2f6d302f7330036d6f6e014d02076f627365727665000000000000f03f0000000000005940000000000000000000000000000029400009"),
@@ -305,7 +277,7 @@ fn every_message_encodes_to_its_pinned_bytes() {
             Frame::Control { op } => Some(op.kind()),
             _ => None,
         }),
-        22,
+        21,
         "control op variants"
     );
     assert_eq!(
@@ -318,15 +290,16 @@ fn every_message_encodes_to_its_pinned_bytes() {
     );
 }
 
-/// Frame tags 2–5 are reserved: their messages were deleted, and these
-/// are the bytes a released peer sent for them (one row per tag, as the
-/// table pinned them).
+/// Frame tags 2–5 and control op tag 18 are reserved: their messages
+/// were deleted, and these are the bytes a released peer sent for them
+/// (one row per tag, as the table pinned them).
 #[rustfmt::skip]
-const RETIRED: [(u8, &str); 4] = [
-    (2, "050102000000"), // PollReport, no reports
-    (3, "11010300020248480003000000000000d03f"), // HarvesterDirective
-    (4, "1a01040003026868030b0248480341676700c09fab03f8552a0207"), // SeedMessage
-    (5, "320105000102686800040001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"), // Migrate
+const RETIRED: [(&str, u8, &str); 5] = [
+    ("frame", 2, "050102000000"), // PollReport, no reports
+    ("frame", 3, "11010300020248480003000000000000d03f"), // HarvesterDirective
+    ("frame", 4, "1a01040003026868030b0248480341676700c09fab03f8552a0207"), // SeedMessage
+    ("frame", 5, "320105000102686800040001024848074d6f6e69746f7202097468726573686f6c6402d00f0472756c65090203bb0301c0843d"), // Migrate
+    ("control op", 18, "2e0109000512036d6f6e246d616368696e65204d207b20706c61636520616e793b2073746174652073207b207d207d"), // ExplainSubmit
 ];
 
 #[test]
@@ -336,9 +309,9 @@ fn retired_frame_tags_are_a_typed_error_and_the_stream_stays_aligned() {
         seq: 42,
         at_ns: 1_000_000,
     });
-    for (tag, bytes) in RETIRED {
+    for (what, tag, bytes) in RETIRED {
         let retired = unhex(bytes);
-        let want = WireError::Tag { what: "frame", tag };
+        let want = WireError::Tag { what, tag };
         assert_eq!(decode_envelope(&retired).err(), Some(want.clone()));
         let mut stream = retired.clone();
         encode_envelope(&next, &mut stream);

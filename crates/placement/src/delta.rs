@@ -263,7 +263,7 @@ use crate::fxhash::{FxHashMap, FxHasher};
 use farm_almanac::analysis::{Poly, UtilAnalysis, UtilExpr};
 use farm_netsim::switch::Resources;
 use farm_netsim::types::SwitchId;
-use farm_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use farm_telemetry::{Counter, Gauge, Histogram, SpanLog, Telemetry};
 
 use crate::heuristic::{
     achievable_utility, greedy_score, hysteresis, solve_core, HeuristicOptions, Load, SeedPolls,
@@ -620,6 +620,32 @@ pub struct DeltaReport {
     /// Runs of the step order patched in place because seeds entered or
     /// left the round's scope, rather than laid out again.
     pub runs_patched: usize,
+}
+
+impl DeltaReport {
+    /// Every field by name, a flag as 0 or 1: what a traced round
+    /// counts.
+    pub fn counts(&self) -> [(&'static str, u64); 16] {
+        let n = |v: usize| v as u64;
+        [
+            ("lp_switches", n(self.lp_switches)),
+            ("frontier", n(self.frontier)),
+            ("reused", n(self.reused)),
+            ("fallback_full", u64::from(self.fallback_full)),
+            ("warm", u64::from(self.warm)),
+            ("steps_replayed", n(self.steps_replayed)),
+            ("steps_executed", n(self.steps_executed)),
+            ("steps_visited", n(self.steps_visited)),
+            ("steps_cascaded", n(self.steps_cascaded)),
+            ("switches_rebuilt", n(self.switches_rebuilt)),
+            ("switches_read", n(self.switches_read)),
+            ("probe_rows_read", n(self.probe_rows_read)),
+            ("pairs_evaluated", n(self.pairs_evaluated)),
+            ("pairs_read", n(self.pairs_read)),
+            ("relocated", n(self.relocated)),
+            ("runs_patched", n(self.runs_patched)),
+        ]
+    }
 }
 
 /// What changed since the last solve that the solver cannot see on its
@@ -4118,7 +4144,8 @@ impl SolveState {
 /// switches whose greedy state was rebuilt and the (seed, candidate)
 /// pairs step 4 evaluated, and the `solver.delta_cache_entries` /
 /// `solver.delta_cache_bytes` gauges say how many LP outputs are stored
-/// and what the whole state retains afterwards.
+/// and what the whole state retains afterwards. Phase times are read on
+/// the wall clock.
 pub fn replan_delta(
     instance: &PlacementInstance,
     options: HeuristicOptions,
@@ -4126,8 +4153,22 @@ pub fn replan_delta(
     delta: &ReplanDelta,
     telemetry: Option<&Telemetry>,
 ) -> (PlacementResult, DeltaReport) {
+    let spans = &mut SpanLog::wall();
+    replan_delta_traced(instance, options, state, delta, telemetry, spans)
+}
+
+/// [`replan_delta`], its phases the spans `greedy`, `lp_redistribution`
+/// and `migration` of `spans` and timed on its clock.
+pub fn replan_delta_traced(
+    instance: &PlacementInstance,
+    options: HeuristicOptions,
+    state: &mut SolveState,
+    delta: &ReplanDelta,
+    telemetry: Option<&Telemetry>,
+    spans: &mut SpanLog,
+) -> (PlacementResult, DeltaReport) {
     state.memo.declare_dirty(&delta.dirty_seeds);
-    let (result, mut report) = solve_core(instance, options, telemetry, &mut state.memo);
+    let (result, mut report) = solve_core(instance, options, telemetry, spans, &mut state.memo);
     report.warm = state.solves > 0;
     report.fallback_full = report.warm && report.lp_switches > 0 && report.reused == 0;
     state.solves += 1;

@@ -60,7 +60,7 @@ use farm_almanac::analysis::{Poly, UtilAnalysis, UtilExpr};
 use farm_lp::{record_phase, Cmp, LinExpr, Problem, Sense};
 use farm_netsim::switch::{ResourceKind, Resources};
 use farm_netsim::types::SwitchId;
-use farm_telemetry::Telemetry;
+use farm_telemetry::{SpanLog, Telemetry};
 
 use crate::delta::{Benefit, DeltaReport, Memo, Outcome, Scans, Slot, Switches};
 use crate::fxhash::FxHashMap;
@@ -526,18 +526,20 @@ pub(crate) fn hysteresis(cur_u: f64) -> f64 {
 
 /// Runs Alg. 1 on an instance.
 pub fn solve_heuristic(instance: &PlacementInstance, options: HeuristicOptions) -> PlacementResult {
-    solve_core(instance, options, None, &mut Memo::default()).0
+    solve_heuristic_traced(instance, options, None)
 }
 
 /// [`solve_heuristic`] with per-phase telemetry: each of the greedy,
 /// LP-redistribution and migration phases emits a
-/// [`farm_telemetry::Event::SolverPhase`] and samples `solver.phase_us`.
+/// [`farm_telemetry::Event::SolverPhase`] and samples `solver.phase_us`,
+/// timed on the wall clock.
 pub fn solve_heuristic_traced(
     instance: &PlacementInstance,
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
 ) -> PlacementResult {
-    solve_core(instance, options, telemetry, &mut Memo::default()).0
+    let spans = &mut SpanLog::wall();
+    solve_core(instance, options, telemetry, spans, &mut Memo::default()).0
 }
 
 /// A deliberately *generic* randomized construction: random task order,
@@ -554,6 +556,9 @@ pub fn solve_randomized(
 ) -> PlacementResult {
     use rand::seq::SliceRandom;
     use rand::{RngExt, SeedableRng};
+    // The MILP baseline's deadline reads this runtime: it bounds the
+    // baseline's work, it is not a phase time.
+    #[allow(clippy::disallowed_methods)]
     let start = Instant::now();
     let mut memo = Memo::default();
     memo.begin(instance, HeuristicOptions::default());
@@ -727,14 +732,18 @@ pub(crate) fn greedy_score(
 
 /// The full Alg. 1 pipeline over the retained `memo` (a fresh one for a
 /// from-scratch solve), with a report of what it replayed. The report's
-/// `warm` and `fallback_full` are the caller's to fill in.
+/// `warm` and `fallback_full` are the caller's to fill in. Its phases
+/// are the spans `greedy`, `lp_redistribution` and `migration` of
+/// `spans`, whose durations `solver.phase_us` samples; the result's
+/// `runtime` is read on the same clock.
 pub(crate) fn solve_core(
     instance: &PlacementInstance,
     options: HeuristicOptions,
     telemetry: Option<&Telemetry>,
+    spans: &mut SpanLog,
     memo: &mut Memo,
 ) -> (PlacementResult, DeltaReport) {
-    let start = Instant::now();
+    let start = spans.start();
     // Steps 1–2: lingering reservations, then greedy placement per task,
     // all-or-nothing, through the memo's worklist ([`Memo::greedy`]).
     let mut report = DeltaReport {
@@ -753,13 +762,10 @@ pub(crate) fn solve_core(
         report.steps_visited,
         report.steps_cascaded,
     ) = memo.steps_run();
+    let greedy = spans.end("greedy", start);
     if let Some(t) = telemetry {
-        record_phase(
-            t,
-            "greedy",
-            start.elapsed().as_nanos() as u64,
-            instance.tasks.len() as u64,
-        );
+        let tasks = instance.tasks.len() as u64;
+        record_phase(t, "greedy", greedy.as_nanos() as u64, tasks);
     }
 
     // Step 3: LP redistribution per switch, then refresh the bookkeeping
@@ -769,8 +775,8 @@ pub(crate) fn solve_core(
     // each switch is finished — its LP output replayed or solved and
     // stored, then applied — before the next begins. A switch whose
     // greedy state was kept holds its residents' slots from last solve.
-    let lp_start = Instant::now();
     if options.lp_redistribution {
+        let lp_start = spans.start();
         let Memo {
             seeds,
             switches,
@@ -805,13 +811,10 @@ pub(crate) fn solve_core(
         }
         report.lp_switches = switches.lp_count();
         report.reused = report.lp_switches - report.frontier;
+        let lp = spans.end("lp_redistribution", lp_start);
         if let Some(t) = telemetry {
-            record_phase(
-                t,
-                "lp_redistribution",
-                lp_start.elapsed().as_nanos() as u64,
-                report.lp_switches as u64,
-            );
+            let switches = report.lp_switches as u64;
+            record_phase(t, "lp_redistribution", lp.as_nanos() as u64, switches);
         }
         // A switch whose greedy state and LP output are those of the last
         // solve already holds this refresh's result.
@@ -826,11 +829,11 @@ pub(crate) fn solve_core(
     // is a free improvement pass over the greedy choices. Benefits are
     // enumerated in seed order and sorted stably by decreasing benefit,
     // so ties keep enumeration order.
-    let migration_start = Instant::now();
     let mut migrations = 0;
     let mut assignment = memo.post.assignment(&memo.switches.ids);
     let mut relocated = Vec::new();
     if options.migration {
+        let migration_start = spans.start();
         let visit = memo.to_scan();
         let Memo {
             seeds,
@@ -928,11 +931,12 @@ pub(crate) fn solve_core(
             }
         }
         report.relocated = relocated.len();
+        let migration = spans.end("migration", migration_start);
         if let Some(t) = telemetry {
             record_phase(
                 t,
                 "migration",
-                migration_start.elapsed().as_nanos() as u64,
+                migration.as_nanos() as u64,
                 migrations as u64,
             );
         }
@@ -944,7 +948,7 @@ pub(crate) fn solve_core(
     let result = PlacementResult {
         utility,
         migrations: migrations.max(off_seat),
-        runtime: start.elapsed(),
+        runtime: spans.start().saturating_duration_since(start),
         dropped_tasks: dropped,
         assignment,
     };
@@ -1596,6 +1600,7 @@ mod tests {
         // A smoke-sized version of the Fig. 7 regime: the heuristic must
         // stay well under a second for ~2k seeds.
         let inst = instance(64, 8, 250); // 2000 seeds
+        #[allow(clippy::disallowed_methods)] // a test's time bound
         let start = std::time::Instant::now();
         let r = solve_heuristic(&inst, HeuristicOptions::default());
         let elapsed = start.elapsed();

@@ -413,7 +413,8 @@ pub struct PlacementResult {
     pub utility: f64,
     /// Seeds moved relative to the previous placement.
     pub migrations: usize,
-    /// Wall-clock solve time.
+    /// Solve time, on the clock of the solve's `SpanLog` (the wall clock
+    /// unless the caller hands in another).
     pub runtime: Duration,
     /// Tasks that could not be placed (dropped by C1).
     pub dropped_tasks: Vec<usize>,

@@ -219,6 +219,7 @@ fn ten_thousand_seeds_within_ci_budget() {
         n_seeds: 10_200,
         ..WorkloadConfig::default()
     });
+    #[allow(clippy::disallowed_methods)] // a test's time bound
     let start = std::time::Instant::now();
     let r = solve_heuristic(&inst, HeuristicOptions::default());
     let elapsed = start.elapsed();

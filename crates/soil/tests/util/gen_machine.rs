@@ -544,7 +544,7 @@ impl Gen {
             Type::Bool => match self.below(12) {
                 0 | 1 => {
                     let op = ["<", "<=", ">", ">=", "==", "<>"][self.below(6)];
-                    let (x, y) = (self.number(b), self.number(b));
+                    let (x, y) = self.compared(b);
                     format!("({x} {op} {y})")
                 }
                 2 => format!("({} and {})", self.expr(want, b), self.expr(want, b)),
@@ -561,7 +561,7 @@ impl Gen {
                     None => self.leaf(want),
                 },
                 _ => {
-                    let (x, y) = (self.number(b), self.number(b));
+                    let (x, y) = self.compared(b);
                     format!("({x} < {y})")
                 }
             },
@@ -682,6 +682,17 @@ impl Gen {
             0 => self.expr(Type::Int, budget),
             k => format!("{}", k - 1),
         }
+    }
+
+    /// The two operands of a comparison: mostly two numbers, one time in
+    /// three two of 2^53 and 2^53 + 1, ints that compare equal widened to
+    /// floats and unequal as i64.
+    fn compared(&mut self, budget: u32) -> (String, String) {
+        if self.one_in(3) {
+            let near = ["9007199254740992", "9007199254740993"];
+            return (near[self.below(2)].into(), near[self.below(2)].into());
+        }
+        (self.number(budget), self.number(budget))
     }
 
     /// A number: an int or a float.

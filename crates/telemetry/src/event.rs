@@ -128,6 +128,7 @@ pub enum Event {
     SolverPhase {
         /// Phase label, e.g. `"greedy"`, `"lp_redistribution"`.
         phase: &'static str,
+        /// The phase span's duration on the clock of the caller's `SpanLog`.
         elapsed_ns: u64,
         /// Items handled in the phase (tasks, switches, pivots...).
         items: u64,
@@ -227,7 +228,8 @@ pub enum Event {
     /// companion [`Event::ReplanCompleted`] carries only the total).
     ReplanSummary {
         at_ns: u64,
-        /// Wall-clock planning + commit time, microseconds.
+        /// Planning + commit time, microseconds: the duration of the
+        /// round's `replan` span on the clock of the caller's `SpanLog`.
         elapsed_us: u64,
         deploys: u64,
         migrations: u64,

@@ -32,10 +32,8 @@ fn submit_watcher(client: &CtlClient) -> (u64, u64) {
             task,
             seeds,
             actions,
-            explain,
         } => {
             assert_eq!(task, "load_watcher");
-            assert_eq!(explain, None, "a plain submit is not explained");
             (seeds, actions)
         }
         other => panic!("submit answered {other:?}"),
@@ -370,6 +368,9 @@ fn admission_control_rejects_when_quota_exhausted() {
     farmd.stop();
 }
 
+/// `farmctl submit --explain` prints its op's trace, read back on the
+/// same session: the submit's phases, the solver's phases in its round,
+/// and the round's counts. A plain submit prints its reply alone.
 #[test]
 fn submit_explain_is_answered_only_when_asked() {
     let farmd = Farmd::start(test_config()).expect("start farmd");
@@ -391,35 +392,119 @@ fn submit_explain_is_answered_only_when_asked() {
     let plain = farmctl(&["submit", program, "--name", "plain"]);
     assert_eq!(plain.lines().count(), 1, "{plain}");
     let plain = farmctl(&["--json", "submit", program, "--name", "plain_json"]);
-    assert!(!plain.contains("explain"), "{plain}");
+    assert!(!plain.contains("trace"), "{plain}");
 
+    // The text form: the reply, then the op as `farmctl trace` prints it,
+    // each span indented under the spans that enclose it.
     let explained = farmctl(&["submit", program, "--name", "explained", "--explain"]);
     let lines: Vec<&str> = explained.lines().collect();
-    assert_eq!(lines.len(), 2, "{explained}");
-    assert!(lines[1].starts_with("explain: compile "), "{explained}");
-    assert!(lines[1].contains("warm solve"), "{explained}");
-    let explained = farmctl(&["--json", "submit", program, "--name", "x_json", "--explain"]);
+    assert!(lines[0].starts_with("submitted `explained`"), "{explained}");
     assert!(
-        explained.contains("\"explain\":{\"compile_us\":"),
+        lines[1].starts_with("op ") && lines[1].ends_with(" submit"),
         "{explained}"
     );
-
-    // The report is the plan's own: the solve is warm after the
-    // submits above, and it visited the new task's step.
-    let client = CtlClient::connect(farmd.local_addr());
-    let op = ControlOp::ExplainSubmit {
-        name: "direct".into(),
-        source: WATCHER.into(),
+    let depth = |name: &str| {
+        let line = lines
+            .iter()
+            .find(|l| l.trim_start().starts_with(&format!("{name} ")));
+        let line = line.unwrap_or_else(|| panic!("no `{name}` span: {explained}"));
+        line.len() - line.trim_start().len()
     };
-    match client.op(op).expect("submit rpc") {
-        ControlReply::Submitted {
-            explain: Some(e), ..
-        } => {
-            assert!(e.delta.warm, "{e:?}");
-            assert!(e.delta.steps_visited >= 1, "{e:?}");
-        }
-        other => panic!("explained submit answered {other:?}"),
+    assert_eq!(depth("serve"), 2, "{explained}");
+    for phase in ["compile", "admission", "register", "replan", "commit"] {
+        assert!(depth(phase) > depth("serve"), "{phase}: {explained}");
     }
+    assert!(depth("splice") > depth("register"), "{explained}");
+    assert!(depth("plan") > depth("replan"), "{explained}");
+    for phase in ["greedy", "lp_redistribution", "migration"] {
+        assert!(depth(phase) > depth("plan"), "{phase}: {explained}");
+    }
+    let counts = lines.last().and_then(|l| l.strip_prefix("  counts: "));
+    let counts = counts.unwrap_or_else(|| panic!("no counts line: {explained}"));
+    let count = |name: &str| {
+        let n = counts
+            .split(", ")
+            .find_map(|c| c.strip_prefix(&format!("{name} ")));
+        n.and_then(|n| n.parse::<u64>().ok())
+    };
+    // The solve is warm after the submits above, and it visited the new
+    // task's step.
+    assert_eq!(count("warm"), Some(1), "{explained}");
+    assert!(count("steps_visited") >= Some(1), "{explained}");
+
+    // The JSON form: the reply's document, the op as its `trace` member.
+    let explained = farmctl(&["--json", "submit", program, "--name", "x_json", "--explain"]);
+    let doc = farm_telemetry::Json::parse(explained.trim()).expect("a JSON document");
+    assert_eq!(doc.get("task").and_then(|t| t.as_str()), Some("x_json"));
+    let trace = doc.get("trace").expect("a trace member");
+    assert_eq!(trace.get("kind").and_then(|k| k.as_str()), Some("submit"));
+    let spans = trace.get("spans").and_then(|s| s.as_arr()).expect("spans");
+    let names: Vec<&str> = spans
+        .iter()
+        .filter_map(|s| s.get("name")?.as_str())
+        .collect();
+    for phase in [
+        "compile",
+        "admission",
+        "register",
+        "splice",
+        "replan",
+        "plan",
+        "greedy",
+        "lp_redistribution",
+        "migration",
+        "commit",
+        "serve",
+    ] {
+        assert!(names.contains(&phase), "no `{phase}` span: {explained}");
+    }
+    let count = |name: &str| trace.get("counts")?.get(name)?.as_u64();
+    assert_eq!(count("warm"), Some(1), "{explained}");
+    assert!(count("steps_visited") >= Some(1), "{explained}");
+    farmd.stop();
+}
+
+/// A forced replan is traced like a drain: its round, the plan in it
+/// and the solver's phases in the plan.
+#[test]
+fn a_forced_replan_shows_its_round_in_the_trace() {
+    let farmd = Farmd::start(test_config()).expect("start farmd");
+    let client = CtlClient::connect(farmd.local_addr());
+    submit_watcher(&client);
+    match client.op(ControlOp::Replan).expect("replan rpc") {
+        ControlReply::Replanned { .. } => {}
+        other => panic!("replan answered {other:?}"),
+    }
+    let body = match client.op(ControlOp::Trace { id: 0 }).expect("trace rpc") {
+        ControlReply::Json { body } => body,
+        other => panic!("trace answered {other:?}"),
+    };
+    let doc = farm_telemetry::Json::parse(&body).expect("a JSON body");
+    let ops = doc.get("ops").and_then(|o| o.as_arr()).expect("ops");
+    let replan = ops.last().expect("the replan op");
+    assert_eq!(
+        replan.get("kind").and_then(|k| k.as_str()),
+        Some("replan"),
+        "{body}"
+    );
+    let spans = replan.get("spans").and_then(|s| s.as_arr()).expect("spans");
+    let bounds = |name: &str| {
+        let span = spans
+            .iter()
+            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(name));
+        let span = span.unwrap_or_else(|| panic!("no `{name}` span: {body}"));
+        let at = |k: &str| span.get(k).and_then(|v| v.as_u64()).expect("a bound");
+        (at("start_us"), at("end_us"))
+    };
+    let within = |inner: &str, outer: &str| {
+        let ((a, b), (c, d)) = (bounds(inner), bounds(outer));
+        assert!(c <= a && b <= d, "`{inner}` not in `{outer}`: {body}");
+    };
+    within("plan", "replan");
+    within("greedy", "plan");
+    within("replan", "serve");
+    let warm = replan.get("counts").and_then(|c| c.get("warm")?.as_u64());
+    assert_eq!(warm, Some(1), "{body}");
     farmd.stop();
 }
 

@@ -5,8 +5,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use farm_almanac::compile::compile_task;
 use farm_core::prelude::*;
+use farm_netsim::controller::SdnController;
 use farm_netsim::traffic::{HeavyHitterWorkload, HhConfig};
+use farm_telemetry::{Recorded, SpanLog};
 
 fn fabric() -> Topology {
     Topology::spine_leaf(
@@ -118,4 +121,63 @@ fn ring_buffer_reports_overflow_instead_of_growing() {
     run_hh(&mut farm);
     assert_eq!(log.len(), 8, "capacity is a hard bound");
     assert!(log.dropped() > 0, "the run emits far more than 8 events");
+}
+
+/// Every phase time the farm, the seeder and the solver sample is the
+/// duration of a span of the log they were handed, on its clock: here
+/// a fake one that steps 10 µs a read.
+#[test]
+fn the_phase_samples_are_the_durations_of_the_log_s_spans() {
+    let events = Arc::new(RingBufferSink::new(4096));
+    let mut farm = Farm::builder(fabric()).with_sink(events.clone()).build();
+    #[allow(clippy::disallowed_methods)] // the fake clock's origin
+    let origin = std::time::Instant::now();
+    let reads = std::cell::Cell::new(0u64);
+    let clock = || {
+        reads.set(reads.get() + 1);
+        origin + std::time::Duration::from_micros(10 * reads.get())
+    };
+    let mut recorded = Recorded::default();
+    let log = &mut SpanLog::on(&clock, origin, &mut recorded);
+    for name in ["a", "b", "c"] {
+        let ctl = SdnController::new(farm.network().topology());
+        let rover = "machine M { place any; state s { } }";
+        let task = compile_task(name, rover, &BTreeMap::new(), &ctl).unwrap();
+        farm.deploy_compiled_traced(task, log).unwrap();
+    }
+    farm.replan_traced(log).unwrap();
+    farm.remove_task_traced("b", log).unwrap();
+
+    let spans = |names: &[&str]| -> Vec<u64> {
+        (recorded.spans.iter())
+            .filter(|s| names.contains(&s.name))
+            .map(|s| s.end_us - s.start_us)
+            .collect()
+    };
+    let total = |d: &[u64]| Some((d.len() as u64, d.iter().sum::<u64>()));
+    let snap = farm.telemetry().snapshot();
+    let sum = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
+    let rounds = spans(&["replan"]);
+    assert_eq!(rounds.len(), 4);
+    assert!(
+        rounds.iter().all(|&us| us > 0 && us % 10 == 0),
+        "{rounds:?}"
+    );
+    assert_eq!(sum("farm.replan_us"), total(&rounds));
+    assert_eq!(sum("seeder.splice_us"), total(&spans(&["splice"])));
+    let phases = spans(&["greedy", "lp_redistribution", "migration"]);
+    assert_eq!(sum("solver.phase_us"), total(&phases));
+    let summaries: Vec<u64> = (events.events().iter())
+        .filter_map(|e| match e {
+            Event::ReplanSummary { elapsed_us, .. } => Some(*elapsed_us),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(summaries, rounds);
+    // The counts sum over the four rounds: all but the first warm.
+    assert!(
+        recorded.counts.contains(&("warm", 3)),
+        "{:?}",
+        recorded.counts
+    );
 }

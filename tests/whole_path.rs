@@ -42,7 +42,7 @@ impl Drop for Scratch {
 
 /// Serves `op`, then holds the farm to its audit.
 fn serve(core: &mut Core, op: ControlOp, step: &str) -> ControlReply {
-    let reply = core.serve(&op, std::time::Instant::now(), &mut Vec::new());
+    let reply = core.serve(&op, std::time::Instant::now(), &mut Default::default());
     audit(core, step);
     reply
 }
